@@ -631,9 +631,10 @@ func runStorm(cfg config, w io.Writer) error {
 // may be single-core):
 //
 //   - shared-mode total node construction must be flat (±5%) from 1 to 4
-//     workers — with every logical list's fold frozen in the base, the
-//     per-fork deltas hold only drifted TCAM folds, which are built once
-//     no matter how the scheduler spreads switches;
+//     workers — with every logical list's root frozen in the base, the
+//     per-fork deltas hold only what a drifted TCAM list changed (it
+//     compiles against the base's unique table) and the difference BDDs,
+//     which are built once no matter how the scheduler spreads switches;
 //   - each duplicated-fingerprint group must run exactly one semantics
 //     build per distinct rule list: fold misses across base and forks
 //     must equal the number of distinct unwarmed lists, and every clone

@@ -6,10 +6,13 @@
 // The implementation is a classic shared-node manager: every (variable,
 // low, high) triple is interned in a unique table so structural equality
 // is pointer (node-ID) equality, and binary operations are memoized in an
-// operation cache. Only the standard boolean algebra needed by the
-// checker is provided: And, Or, Xor, Not, Diff, plus satisfiability
-// counting and cube enumeration used by tests and the missing-rule
-// extractor.
+// operation cache. The checker itself needs little of it: Mk, to intern
+// the diagrams it compiles directly from rule lists; Diff, for the
+// behaviour one side has and the other lacks; and Intersects, a read-only
+// test of which rules meet that difference. The rest of the standard
+// algebra (And, Or, Xor, Not), satisfiability counting and cube
+// enumeration serve tests, the checker's apply-based oracle and the
+// missing-rule extractor.
 //
 // Storage is struct-of-arrays: nodes live in a flat []nodeData slice and
 // the unique table and operation cache are custom open-addressed tables
@@ -312,6 +315,23 @@ func (m *Manager) mk(level int32, lo, hi Node) Node {
 	return n
 }
 
+// Mk interns the node testing variable level with the given cofactors and
+// returns its canonical ID (lo itself when lo == hi). It is the
+// construction primitive for callers that already know the shape of the
+// ROBDD they want — the equivalence checker compiles rule lists straight
+// to their canonical diagram with it — and touches neither the operation
+// cache nor any intermediate node. The ordering invariant is the caller's
+// to keep and is checked: level must be a variable strictly above both
+// cofactors' top variables; anything else is a bug in the caller and
+// panics, like Var on an out-of-range variable.
+func (m *Manager) Mk(level int, lo, hi Node) Node {
+	l := int32(level)
+	if level < 0 || level >= m.numVars || l >= m.node(lo).level || l >= m.node(hi).level {
+		panic(fmt.Sprintf("bdd: Mk(%d, %d, %d) violates the variable order", level, lo, hi))
+	}
+	return m.mk(l, lo, hi)
+}
+
 // And returns a ∧ b.
 func (m *Manager) And(a, b Node) Node { return m.apply(opAnd, a, b) }
 
@@ -325,15 +345,19 @@ func (m *Manager) Xor(a, b Node) Node { return m.apply(opXor, a, b) }
 func (m *Manager) Not(a Node) Node { return m.apply(opXor, a, True) }
 
 // Diff returns a ∧ ¬b — the satisfying assignments of a not covered by b.
-// This is the "missing behaviour" operator of the equivalence checker.
-func (m *Manager) Diff(a, b Node) Node { return m.And(a, m.Not(b)) }
+// This is the "missing behaviour" operator of the equivalence checker. It
+// is computed as a ⊕ (a ∧ b), which complements neither operand: when a
+// and b share most of their nodes — a switch's logical and deployed
+// semantics — both applies stop at every shared node, so the work and the
+// nodes built follow the paths that differ, not the size of b.
+func (m *Manager) Diff(a, b Node) Node { return m.Xor(a, m.And(a, b)) }
 
 // OrAll reduces nodes with a balanced binary OR tree. Compared to a left
 // fold, the balanced shape keeps intermediate BDDs small (O(N log N)
-// total apply work for the checker's same-action rule runs) and, more
-// importantly here, makes the reduction deterministic in the node IDs it
-// creates — the property the frozen-base warmup relies on to build
-// byte-reproducible snapshots.
+// total apply work over N cubes) and the reduction deterministic in the
+// node IDs it creates. The equivalence checker no longer folds with it —
+// rule lists compile straight to their ROBDD through Mk — but its test
+// oracle still does.
 func (m *Manager) OrAll(nodes []Node) Node {
 	switch len(nodes) {
 	case 0:
@@ -347,6 +371,32 @@ func (m *Manager) OrAll(nodes []Node) Node {
 
 // Implies reports whether a → b is a tautology (a's onset ⊆ b's onset).
 func (m *Manager) Implies(a, b Node) bool { return m.Diff(a, b) == False }
+
+// Intersects reports whether a ∧ b is satisfiable without building it: a
+// read-only descent that interns no node and fills no cache, and returns
+// on the first common satisfying path. Every non-False ROBDD node is
+// satisfiable, so a terminal True on either side settles the question,
+// and a cube- or chain-shaped operand (one False cofactor per node, the
+// shape of a rule match) is walked in time linear in its length. There is
+// no memo: two wide operands that never meet cost one visit per pair of
+// paths, which And's cache would bound — use And for those.
+func (m *Manager) Intersects(a, b Node) bool {
+	if a == False || b == False {
+		return false
+	}
+	if a == True || b == True || a == b {
+		return true
+	}
+	da, db := m.node(a), m.node(b)
+	switch {
+	case da.level == db.level:
+		return m.Intersects(da.lo, db.lo) || m.Intersects(da.hi, db.hi)
+	case da.level < db.level:
+		return m.Intersects(da.lo, b) || m.Intersects(da.hi, b)
+	default:
+		return m.Intersects(a, db.lo) || m.Intersects(a, db.hi)
+	}
+}
 
 // Equiv reports whether a and b denote the same boolean function. Because
 // ROBDDs are canonical this is node-ID equality.

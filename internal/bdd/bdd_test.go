@@ -381,3 +381,62 @@ func TestInBase(t *testing.T) {
 		t.Error("standalone managers have no base")
 	}
 }
+
+// TestMkChecksVariableOrder: Mk interns a node only strictly above both
+// cofactors; a level at or below either top, or outside the ordering, is
+// a caller bug and panics on both engines.
+func TestMkChecksVariableOrder(t *testing.T) {
+	type mker interface {
+		Var(v int) Node
+		Mk(level int, lo, hi Node) Node
+	}
+	for name, m := range map[string]mker{"manager": NewManager(4), "ref": NewRefManager(4)} {
+		x2 := m.Var(2)
+		if got := m.Mk(1, x2, x2); got != x2 {
+			t.Errorf("%s: Mk with equal cofactors = node %d, want the cofactor %d", name, got, x2)
+		}
+		if n := m.Mk(1, False, x2); n == x2 || n != m.Mk(1, False, x2) {
+			t.Errorf("%s: Mk is not interning", name)
+		}
+		for _, bad := range []struct {
+			level  int
+			lo, hi Node
+		}{
+			{2, False, x2}, // same level as a cofactor
+			{3, x2, True},  // below a cofactor
+			{-1, False, True},
+			{4, False, True},
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: Mk(%d, %d, %d) must panic", name, bad.level, bad.lo, bad.hi)
+					}
+				}()
+				m.Mk(bad.level, bad.lo, bad.hi)
+			}()
+		}
+	}
+}
+
+// TestIntersectsIsReadOnly: Intersects is valid where construction is
+// not — on a frozen manager — and costs a fork no delta node.
+func TestIntersectsIsReadOnly(t *testing.T) {
+	m := NewManager(6)
+	a := m.Cube(map[int]bool{0: true, 2: false, 5: true})
+	b := m.Or(m.Var(2), m.And(m.Var(1), m.Var(5)))
+	c := m.Cube(map[int]bool{1: false, 2: false})
+	snap := m.Freeze()
+	if !m.Intersects(a, b) || m.Intersects(c, b) || !m.Intersects(a, c) {
+		t.Error("Intersects wrong on a frozen manager")
+	}
+	fork := NewManagerFrom(snap)
+	d := fork.And(fork.Var(3), b)
+	delta := fork.DeltaSize()
+	if !fork.Intersects(a, d) || fork.Intersects(c, d) || fork.Intersects(d, False) || !fork.Intersects(d, True) {
+		t.Error("Intersects wrong across the base/delta boundary")
+	}
+	if fork.DeltaSize() != delta {
+		t.Errorf("Intersects grew the delta by %d nodes", fork.DeltaSize()-delta)
+	}
+}

@@ -44,7 +44,7 @@ func (h *diffHarness) pick(rng *rand.Rand) Node {
 
 // step applies one random operation to both engines.
 func (h *diffHarness) step(rng *rand.Rand) {
-	switch rng.Intn(8) {
+	switch rng.Intn(11) {
 	case 0:
 		v := rng.Intn(h.m.NumVars())
 		h.check("Var", h.m.Var(v), h.ref.Var(v))
@@ -76,6 +76,38 @@ func (h *diffHarness) step(rng *rand.Rand) {
 			set[i] = h.pick(rng)
 		}
 		h.check("OrAll", h.m.OrAll(set), h.ref.OrAll(set))
+	case 8:
+		a, b := h.pick(rng), h.pick(rng)
+		h.check("Diff", h.m.Diff(a, b), h.ref.Diff(a, b))
+	case 9:
+		// Mk at a variable above both cofactors' tops, when there is one.
+		a, b := h.pick(rng), h.pick(rng)
+		top := min(h.m.levelOf(a), h.m.levelOf(b))
+		if top == 0 {
+			return
+		}
+		v := rng.Intn(int(top))
+		got := h.check("Mk", h.m.Mk(v, a, b), h.ref.Mk(v, a, b))
+		// Mk(v, a, b) is the if-then-else on v, whatever built a and b.
+		x := h.check("Var", h.m.Var(v), h.ref.Var(v))
+		nx := h.check("Not", h.m.Not(x), h.ref.Not(x))
+		hi := h.check("And", h.m.And(x, b), h.ref.And(x, b))
+		lo := h.check("And", h.m.And(nx, a), h.ref.And(nx, a))
+		if ite := h.check("Or", h.m.Or(hi, lo), h.ref.Or(hi, lo)); got != ite {
+			h.t.Fatalf("Mk(%d, %d, %d) = node %d, ite = node %d", v, a, b, got, ite)
+		}
+	case 10:
+		// Intersects answers And != False and builds nothing.
+		a, b := h.pick(rng), h.pick(rng)
+		size := h.m.Size()
+		got, refGot := h.m.Intersects(a, b), h.ref.Intersects(a, b)
+		if h.m.Size() != size {
+			h.t.Fatalf("Intersects(%d, %d) interned %d nodes", a, b, h.m.Size()-size)
+		}
+		and := h.check("And", h.m.And(a, b), h.ref.And(a, b))
+		if got != (and != False) || refGot != got {
+			h.t.Fatalf("Intersects(%d, %d): manager %v, reference %v, And = node %d", a, b, got, refGot, and)
+		}
 	}
 }
 

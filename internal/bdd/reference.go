@@ -89,6 +89,15 @@ func (m *RefManager) mk(level int32, lo, hi Node) Node {
 	return n
 }
 
+// Mk interns (level, lo, hi) with the same order check as Manager.Mk.
+func (m *RefManager) Mk(level int, lo, hi Node) Node {
+	l := int32(level)
+	if level < 0 || level >= m.numVars || l >= m.nodes[lo].level || l >= m.nodes[hi].level {
+		panic(fmt.Sprintf("bdd: Mk(%d, %d, %d) violates the variable order", level, lo, hi))
+	}
+	return m.mk(l, lo, hi)
+}
+
 // And returns a ∧ b.
 func (m *RefManager) And(a, b Node) Node { return m.apply(opAnd, a, b) }
 
@@ -101,8 +110,8 @@ func (m *RefManager) Xor(a, b Node) Node { return m.apply(opXor, a, b) }
 // Not returns ¬a.
 func (m *RefManager) Not(a Node) Node { return m.apply(opXor, a, True) }
 
-// Diff returns a ∧ ¬b.
-func (m *RefManager) Diff(a, b Node) Node { return m.And(a, m.Not(b)) }
+// Diff returns a ∧ ¬b as a ⊕ (a ∧ b), like Manager.Diff.
+func (m *RefManager) Diff(a, b Node) Node { return m.Xor(a, m.And(a, b)) }
 
 // OrAll reduces nodes with the same balanced, deterministic OR tree as
 // Manager.OrAll.
@@ -119,6 +128,26 @@ func (m *RefManager) OrAll(nodes []Node) Node {
 
 // Implies reports whether a → b is a tautology.
 func (m *RefManager) Implies(a, b Node) bool { return m.Diff(a, b) == False }
+
+// Intersects reports whether a ∧ b is satisfiable, read-only like
+// Manager.Intersects.
+func (m *RefManager) Intersects(a, b Node) bool {
+	if a == False || b == False {
+		return false
+	}
+	if a == True || b == True || a == b {
+		return true
+	}
+	da, db := m.nodes[a], m.nodes[b]
+	switch {
+	case da.level == db.level:
+		return m.Intersects(da.lo, db.lo) || m.Intersects(da.hi, db.hi)
+	case da.level < db.level:
+		return m.Intersects(da.lo, b) || m.Intersects(da.hi, b)
+	default:
+		return m.Intersects(a, db.lo) || m.Intersects(a, db.hi)
+	}
+}
 
 // Equiv reports whether a and b denote the same function.
 func (m *RefManager) Equiv(a, b Node) bool { return a == b }

@@ -1,14 +1,17 @@
 // Shared encoding base for the check-stage fan-out: the distinct
 // rule.Matches of a deployment are encoded exactly once into one BDD
-// manager — followed by the whole-switch semantics folds of the most
+// manager — followed by the whole-switch semantics roots of the most
 // duplicated rule-list fingerprints — which is then frozen into an
 // immutable snapshot that every worker's checker forks. Without it, each
-// check-stage worker owns a private manager and re-derives every match
-// encoding and every fold shared across its switches — duplicated node
-// construction that grows with the worker count and eats the parallel
-// speedup (the ROADMAP measured ~2.5x duplicated match work at 4 workers
-// on the production spec, and ~6%/worker-doubling residual fold growth
-// before semantics warming).
+// check-stage worker owns a private manager and rebuilds every match
+// encoding and every semantics root shared across its switches —
+// duplicated node construction that grows with the worker count.
+//
+// Both kinds of entry are built by the direct compiler (compile.go), so
+// the snapshot holds result nodes only, and its unique table doubles as
+// the memo for lists the base never saw: a fork compiling a drifted
+// switch's TCAM list interns through it and finds every subtree the list
+// shares with a frozen one.
 
 package equiv
 
@@ -35,7 +38,7 @@ type Base struct {
 	semMem map[uint64]semRoot
 }
 
-// NewBase encodes each match once, in the given order, then folds each
+// NewBase encodes each match once, in the given order, then compiles each
 // semantics rule list into its whole-list allowed-set BDD (keyed by
 // SemanticsFingerprint, duplicates collapsed), and freezes the result.
 // Matches or lists that cannot be encoded (out-of-range IDs, inverted

@@ -108,17 +108,19 @@ func TestForkEncodesNovelMatches(t *testing.T) {
 }
 
 // TestForkResetKeepsBase: Reset discards only the delta; the base stays
-// warm and subsequent checks still hit it.
+// warm and subsequent checks still hit it. Match encodings are read only
+// when a difference is attributed to rules, so the checked pair differs.
 func TestForkResetKeepsBase(t *testing.T) {
 	logical := withDeny(allowRule(1, 2, 3, 80), allowRule(1, 3, 2, 443))
+	drifted := withDeny(allowRule(1, 2, 3, 80))
 	base := NewBase(baseMatches(logical))
 	fork := base.NewChecker()
 
-	if _, err := fork.Check(logical, logical); err != nil {
+	if _, err := fork.Check(logical, drifted); err != nil {
 		t.Fatal(err)
 	}
 	if fork.DeltaSize() == 0 {
-		t.Fatal("check must build fold structure in the delta")
+		t.Fatal("check must build both lists' semantics in the delta")
 	}
 	fork.Reset()
 	if fork.DeltaSize() != 0 {
@@ -128,11 +130,15 @@ func TestForkResetKeepsBase(t *testing.T) {
 		t.Errorf("post-Reset Size = %d, want base size %d", fork.Size(), base.Size())
 	}
 	before := fork.Stats().BaseHits
-	if _, err := fork.Check(logical, logical); err != nil {
+	rep, err := fork.Check(logical, drifted)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if len(rep.MissingRules) != 1 {
+		t.Fatalf("MissingRules = %v, want the port-443 rule", rep.MissingRules)
+	}
 	if fork.Stats().BaseHits <= before {
-		t.Error("post-Reset checks must still hit the base memo")
+		t.Error("post-Reset attribution must still hit the base memo")
 	}
 	if fork.Stats().Misses != 0 {
 		t.Errorf("post-Reset checks re-encoded %d warmed matches", fork.Stats().Misses)

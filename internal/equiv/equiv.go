@@ -37,32 +37,22 @@ const (
 // maxID is the largest object ID representable in the encoding.
 const maxID = 1<<vrfBits - 1
 
-// Backend is the BDD-manager surface the checker builds on. Its primary
-// implementation is *bdd.Manager (open-addressed tables); *bdd.RefManager
-// (the map-backed reference) satisfies it too, which is how the bddspeed
+// Backend is the BDD-manager surface the checker builds on: node
+// construction (Mk — rule lists and matches compile straight to their
+// ROBDD, see compile.go), the difference of two compiled roots, read-only
+// queries on the result, and size accounting. Its primary implementation
+// is *bdd.Manager (open-addressed tables); *bdd.RefManager (the
+// map-backed reference) satisfies it too, which is how the bddspeed
 // experiment and the differential tests run full checker workloads on
 // both engines and compare the reports byte for byte.
 type Backend interface {
-	NumVars() int
-	Var(v int) bdd.Node
-	NVar(v int) bdd.Node
-	Cube(literals map[int]bool) bdd.Node
-	And(a, b bdd.Node) bdd.Node
-	Or(a, b bdd.Node) bdd.Node
-	Xor(a, b bdd.Node) bdd.Node
-	Not(a bdd.Node) bdd.Node
+	Mk(level int, lo, hi bdd.Node) bdd.Node
 	Diff(a, b bdd.Node) bdd.Node
-	OrAll(nodes []bdd.Node) bdd.Node
-	Implies(a, b bdd.Node) bool
-	Equiv(a, b bdd.Node) bool
-	SatCount(n bdd.Node) float64
+	Intersects(a, b bdd.Node) bool
 	AllSat(n bdd.Node, fn func(cube []bdd.Lit) bool)
-	Eval(n bdd.Node, assignment []bool) bool
 	Size() int
 	DeltaSize() int
-	InBase(n bdd.Node) bool
 	CacheStats() bdd.CacheStats
-	ClearCache()
 }
 
 // Checker performs BDD-based equivalence checks between rule sets. A
@@ -214,8 +204,8 @@ func (c *Checker) Reset() {
 // encoding and semantics root is a live root, everything else in the
 // delta is dead and dropped, and the memos are remapped to the compacted
 // IDs. Unlike Reset it keeps the warm memo state — subsequent checks of
-// already-seen switches still hit — while shedding the intermediate
-// nodes dead since their folds completed. Reports after a Compact are
+// already-seen switches still hit — while shedding the difference BDDs
+// dead since their checks reported. Reports after a Compact are
 // identical; ROBDD canonicity only cares that each memoized function
 // keeps a consistent ID, not which ID.
 //
@@ -276,55 +266,59 @@ func (c *Checker) Check(logical, deployed []rule.Rule) (*Report, error) {
 		return nil, fmt.Errorf("encode deployed rules: %w", err)
 	}
 
-	rep := &Report{Equivalent: c.m.Equiv(lAllowed, tAllowed)}
+	// ROBDDs are canonical: equal behaviour is equal roots.
+	rep := &Report{Equivalent: lAllowed == tAllowed}
 	if rep.Equivalent {
 		return rep, nil
 	}
-
-	missing := c.m.Diff(lAllowed, tAllowed) // should-allow but doesn't
-	extra := c.m.Diff(tAllowed, lAllowed)   // allows but shouldn't
-
-	if missing != bdd.False {
-		for _, r := range logical {
-			if r.Action != rule.Allow {
-				continue
-			}
-			enc, err := c.encodeMatch(r.Match)
-			if err != nil {
-				return nil, err
-			}
-			if c.m.And(enc, missing) != bdd.False {
-				rep.MissingRules = append(rep.MissingRules, r.Clone())
-			}
-		}
+	// should-allow but doesn't, and allows but shouldn't
+	if rep.MissingRules, err = c.attribute(logical, c.m.Diff(lAllowed, tAllowed)); err != nil {
+		return nil, err
 	}
-	if extra != bdd.False {
-		for _, r := range deployed {
-			if r.Action != rule.Allow {
-				continue
-			}
-			enc, err := c.encodeMatch(r.Match)
-			if err != nil {
-				return nil, err
-			}
-			if c.m.And(enc, extra) != bdd.False {
-				rep.ExtraRules = append(rep.ExtraRules, r.Clone())
-			}
-		}
+	if rep.ExtraRules, err = c.attribute(deployed, c.m.Diff(tAllowed, lAllowed)); err != nil {
+		return nil, err
 	}
 	return rep, nil
+}
+
+// attribute returns the allow rules whose match meets the header space
+// diff. The test only reads the two diagrams (Intersects), so attributing
+// a difference to rules adds no node to the checker's manager.
+func (c *Checker) attribute(rules []rule.Rule, diff bdd.Node) ([]rule.Rule, error) {
+	if diff == bdd.False {
+		return nil, nil
+	}
+	var hit []rule.Rule
+	for _, r := range rules {
+		if r.Action != rule.Allow {
+			continue
+		}
+		enc, err := c.encodeMatch(r.Match)
+		if err != nil {
+			return nil, err
+		}
+		if c.m.Intersects(enc, diff) {
+			hit = append(hit, r.Clone())
+		}
+	}
+	return hit, nil
 }
 
 // semantics resolves (and memoizes) the whole-list allowed-set BDD of a
 // prioritized rule list, keyed by its canonical SemanticsFingerprint: the
 // shared base's frozen semantics memo first (whole-switch roots warmed at
-// base build time), then the checker's own memo, then a fresh fold into
-// the checker's manager. Every memo hit is verified against the entry's
-// canonical list, so a fingerprint collision falls through to a private
-// fold rather than reusing the wrong root. Resolving through the base is
-// what makes checking a switch whose rule list duplicates an
-// already-warmed one — or a consistent switch's TCAM side, which shares
-// its logical list's semantics key — O(list scan) instead of O(fold).
+// base build time), then the checker's own memo, then a fresh compile
+// into the checker's manager (the Fold* counters keep their names from
+// the apply-based fold the compile replaced). Every memo hit is verified
+// against the entry's canonical list, so a fingerprint collision falls
+// through to a private compile rather than reusing the wrong root.
+// Resolving through the base makes checking a switch whose rule list
+// duplicates an already-warmed one — or a consistent switch's TCAM side,
+// which shares its logical list's semantics key — a list scan. A list
+// that misses both memos still meets the base below the root: the compile
+// interns through the fork's unique tables, so every subtree it shares
+// with a warmed list resolves to its frozen node and only the paths its
+// edits changed land in the delta.
 func (c *Checker) semantics(rules []rule.Rule) (bdd.Node, error) {
 	fp := SemanticsFingerprint(rules)
 	if c.base != nil {
@@ -337,7 +331,7 @@ func (c *Checker) semantics(rules []rule.Rule) (bdd.Node, error) {
 		c.foldLocalHits++
 		return e.node, nil
 	}
-	n, err := foldSemantics(c.m, c.encodeMatch, rules)
+	n, err := compileSemantics(c.m, rules)
 	if err != nil {
 		return bdd.False, err
 	}
@@ -348,47 +342,11 @@ func (c *Checker) semantics(rules []rule.Rule) (bdd.Node, error) {
 	return n, nil
 }
 
-// foldSemantics folds a prioritized rule list into the BDD of packets the
-// list allows: the first matching rule decides, so each rule contributes
-// only the header space not covered by earlier rules. encode resolves one
-// match to its BDD in m (through whatever memo hierarchy the caller has).
-//
-// Consecutive rules with the same action cannot shadow each other into a
-// different outcome, so each maximal same-action run is collapsed with a
-// balanced OR reduction before the priority fold — turning the naive
-// O(N²) left fold into O(N log N) BDD work for the common all-allow +
-// default-deny rule lists.
-func foldSemantics(m Backend, encode func(rule.Match) (bdd.Node, error), rules []rule.Rule) (bdd.Node, error) {
-	allowed := bdd.False
-	covered := bdd.False
-	for start := 0; start < len(rules); {
-		end := start
-		action := rules[start].Action
-		for end < len(rules) && rules[end].Action == action {
-			end++
-		}
-		run := make([]bdd.Node, 0, end-start)
-		for _, r := range rules[start:end] {
-			enc, err := encode(r.Match)
-			if err != nil {
-				return bdd.False, err
-			}
-			run = append(run, enc)
-		}
-		runUnion := m.OrAll(run)
-		if action == rule.Allow {
-			allowed = m.Or(allowed, m.Diff(runUnion, covered))
-		}
-		covered = m.Or(covered, runUnion)
-		start = end
-	}
-	return allowed, nil
-}
-
 // encodeMatch resolves (and memoizes) the BDD of header tuples covered
 // by m: the shared base's frozen memo first (node IDs from the base are
 // valid in every fork), then the checker's own memo, then a fresh encode
-// into the checker's manager.
+// into the checker's manager. Only difference attribution reads match
+// encodings; compiling a list's semantics does not.
 func (c *Checker) encodeMatch(m rule.Match) (bdd.Node, error) {
 	if c.base != nil {
 		if n, ok := c.base.matchMem[m]; ok {
@@ -400,92 +358,13 @@ func (c *Checker) encodeMatch(m rule.Match) (bdd.Node, error) {
 		c.localHits++
 		return n, nil
 	}
-	n, err := buildMatchBDD(c.m, m)
+	n, err := compileMatch(c.m, m)
 	if err != nil {
 		return bdd.False, err
 	}
 	c.misses++
 	c.matchMem[m] = n
 	return n, nil
-}
-
-// buildMatchBDD builds the BDD of header tuples covered by match in m.
-func buildMatchBDD(m Backend, match rule.Match) (bdd.Node, error) {
-	n := bdd.True
-	if !match.WildcardVRF {
-		if match.VRF > maxID {
-			return bdd.False, fmt.Errorf("vrf id %d exceeds %d-bit encoding", match.VRF, vrfBits)
-		}
-		n = m.And(n, equalsBDD(m, vrfOff, vrfBits, uint32(match.VRF)))
-	}
-	if !match.WildcardSrc {
-		if match.SrcEPG > maxID {
-			return bdd.False, fmt.Errorf("src epg id %d exceeds %d-bit encoding", match.SrcEPG, epgBits)
-		}
-		n = m.And(n, equalsBDD(m, srcOff, epgBits, uint32(match.SrcEPG)))
-	}
-	if !match.WildcardDst {
-		if match.DstEPG > maxID {
-			return bdd.False, fmt.Errorf("dst epg id %d exceeds %d-bit encoding", match.DstEPG, epgBits)
-		}
-		n = m.And(n, equalsBDD(m, dstOff, epgBits, uint32(match.DstEPG)))
-	}
-	if match.Proto != rule.ProtoAny {
-		n = m.And(n, equalsBDD(m, protoOff, protoBits, uint32(match.Proto)))
-	}
-	if !(match.PortLo == 0 && match.PortHi == rule.PortMax) {
-		if match.PortLo > match.PortHi {
-			return bdd.False, fmt.Errorf("inverted port range %d-%d", match.PortLo, match.PortHi)
-		}
-		n = m.And(n, rangeBDD(m, portOff, portBits, uint32(match.PortLo), uint32(match.PortHi)))
-	}
-	return n, nil
-}
-
-// equalsBDD encodes field == value over width bits starting at variable
-// off (most-significant bit at the lowest variable index).
-func equalsBDD(m Backend, off, width int, value uint32) bdd.Node {
-	lits := make(map[int]bool, width)
-	for i := 0; i < width; i++ {
-		bit := (value >> uint(width-1-i)) & 1
-		lits[off+i] = bit == 1
-	}
-	return m.Cube(lits)
-}
-
-// rangeBDD encodes lo <= field <= hi over width bits starting at off.
-func rangeBDD(m Backend, off, width int, lo, hi uint32) bdd.Node {
-	return m.And(geBDD(m, off, width, 0, lo), leBDD(m, off, width, 0, hi))
-}
-
-// leBDD encodes field <= value considering bits [i, width).
-func leBDD(m Backend, off, width, i int, value uint32) bdd.Node {
-	if i == width {
-		return bdd.True
-	}
-	v := m.Var(off + i)
-	rest := leBDD(m, off, width, i+1, value)
-	if (value>>uint(width-1-i))&1 == 1 {
-		// bit set: x_i=0 → anything below; x_i=1 → compare remaining bits
-		return m.Or(m.Not(v), m.And(v, rest))
-	}
-	// bit clear: x_i=1 → greater, fail; x_i=0 → compare remaining bits
-	return m.And(m.Not(v), rest)
-}
-
-// geBDD encodes field >= value considering bits [i, width).
-func geBDD(m Backend, off, width, i int, value uint32) bdd.Node {
-	if i == width {
-		return bdd.True
-	}
-	v := m.Var(off + i)
-	rest := geBDD(m, off, width, i+1, value)
-	if (value>>uint(width-1-i))&1 == 1 {
-		// bit set: x_i=0 → smaller, fail; x_i=1 → compare remaining bits
-		return m.And(v, rest)
-	}
-	// bit clear: x_i=1 → anything above; x_i=0 → compare remaining bits
-	return m.Or(v, m.And(m.Not(v), rest))
 }
 
 // NaiveCheck is a key-set differ used as a test oracle and ablation

@@ -4,7 +4,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"scout/internal/bdd"
 	"scout/internal/object"
 	"scout/internal/rule"
 )
@@ -200,7 +202,7 @@ func BenchmarkCheckSemanticsShared(b *testing.B) {
 
 // BenchmarkCheckSemanticsPrivate is the ablation twin: the base warms
 // only match encodings (pre-PR-5 state), so every iteration's fresh fork
-// rebuilds the whole fold structure in its delta.
+// compiles the whole list into its delta.
 func BenchmarkCheckSemanticsPrivate(b *testing.B) {
 	rules := benchRules(1024)
 	matches := make([]rule.Match, 0, len(rules))
@@ -220,4 +222,108 @@ func BenchmarkCheckSemanticsPrivate(b *testing.B) {
 		deltas += c.DeltaSize()
 	}
 	b.ReportMetric(float64(deltas)/float64(b.N), "delta-nodes/op")
+}
+
+// portLadder is n rules on one (vrf, src, dst, proto), each on its own
+// port, every third a deny: the whole list lands in one leaf, so the
+// port-axis first-match resolution is all there is to do.
+func portLadder(n int) []rule.Rule {
+	rules := make([]rule.Rule, 0, n+1)
+	for i := 0; i < n; i++ {
+		r := allowRule(1, 2, 3, uint16(1000+7*i))
+		if i%3 == 2 {
+			r.Action = rule.Deny
+		}
+		rules = append(rules, r)
+	}
+	return append(rules, rule.DefaultDeny())
+}
+
+// halfWildcard is n rules of which every other one wildcards a field
+// (VRF, source and destination in rotation) over a port range, so
+// wildcard rules are merged into many exact branches at every level.
+func halfWildcard(n int) []rule.Rule {
+	rules := make([]rule.Rule, 0, n+1)
+	for i := 0; i < n; i++ {
+		r := allowRule(object.ID(1+i%4), object.ID(10+i%37), object.ID(100+i%41), uint16(2000+i))
+		if i%2 == 1 {
+			switch i / 2 % 3 {
+			case 0:
+				r.Match.WildcardVRF = true
+			case 1:
+				r.Match.WildcardSrc = true
+			default:
+				r.Match.WildcardDst = true
+			}
+			r.Match.PortHi = r.Match.PortLo + 40
+			if i%8 == 1 {
+				r.Action = rule.Deny
+			}
+		}
+		rules = append(rules, r)
+	}
+	return append(rules, rule.DefaultDeny())
+}
+
+var compileShapes = []struct {
+	name  string
+	rules []rule.Rule
+}{
+	{"typical", benchRules(5000)},
+	{"port-ladder", portLadder(5000)},
+	{"half-wildcard", halfWildcard(2500)},
+}
+
+// BenchmarkCompileSemantics measures the direct compiler against the
+// apply-based oracle fold it replaced, each into a fresh manager, on the
+// common all-allow list and on the two shapes that stress the compiler's
+// own loops: one crowded leaf, and wildcards merged into every branch.
+func BenchmarkCompileSemantics(b *testing.B) {
+	for _, shape := range compileShapes {
+		b.Run(shape.name+"/compile", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := compileSemantics(bdd.NewManager(NumVars), shape.rules); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(shape.name+"/oracle", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := oracleSemantics(bdd.NewManager(NumVars), shape.rules); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestCompileShapeGuards keeps the compiler's worst shapes honest: on
+// each list it must produce the oracle's node and take no longer than the
+// oracle fold does (the compile's best of three against the fold's one
+// run, so a scheduling hiccup cannot fail it). A leaf resolved by
+// rescanning the list per port segment, or wildcards re-sorted per
+// branch, fails this.
+func TestCompileShapeGuards(t *testing.T) {
+	for _, shape := range compileShapes {
+		m := bdd.NewManager(NumVars)
+		start := time.Now()
+		want, err := oracleSemantics(m, shape.rules)
+		fold := time.Since(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := compileSemantics(m, shape.rules); got != want {
+			t.Fatalf("%s: compiled root %d, fold root %d", shape.name, got, want)
+		}
+		compile := fold
+		for i := 0; i < 3; i++ {
+			start := time.Now()
+			compileSemantics(bdd.NewManager(NumVars), shape.rules)
+			compile = min(compile, time.Since(start))
+		}
+		t.Logf("%s: compile %v, oracle fold %v", shape.name, compile, fold)
+		if compile >= fold {
+			t.Errorf("%s: compile never beat the oracle fold's %v", shape.name, fold)
+		}
+	}
 }

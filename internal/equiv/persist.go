@@ -42,27 +42,20 @@ type BaseBuildStats struct {
 // NewBaseWith is NewBase with a cross-deployment semantics source: each
 // distinct rule list is first looked up in src (verified canonical-list
 // hit → the donor's frozen BDD is imported node-for-node through the
-// manager's unique table, a pure structural copy that skips the whole
-// priority fold), and only source misses fold locally. A nil src makes
-// it exactly NewBase.
+// manager's unique table, a pure structural copy), and only source
+// misses compile locally. A nil src makes it exactly NewBase.
 func NewBaseWith(src SemanticsSource, matches []rule.Match, semantics ...[]rule.Rule) (*Base, BaseBuildStats) {
 	var stats BaseBuildStats
 	m := bdd.NewManager(NumVars)
 	mem := make(map[rule.Match]bdd.Node, len(matches))
-	encode := func(match rule.Match) (bdd.Node, error) {
-		if n, ok := mem[match]; ok {
-			return n, nil
-		}
-		n, err := buildMatchBDD(m, match)
-		if err != nil {
-			return bdd.False, err
-		}
-		mem[match] = n
-		return n, nil
-	}
 	for _, match := range matches {
+		if _, ok := mem[match]; ok {
+			continue
+		}
 		// Unencodable matches are skipped: the base is a cache.
-		_, _ = encode(match)
+		if n, err := compileMatch(m, match); err == nil {
+			mem[match] = n
+		}
 	}
 	semMem := make(map[uint64]semRoot, len(semantics))
 	for _, rules := range semantics {
@@ -80,7 +73,7 @@ func NewBaseWith(src SemanticsSource, matches []rule.Match, semantics ...[]rule.
 				continue
 			}
 		}
-		root, err := foldSemantics(m, encode, rules)
+		root, err := compileSemantics(m, rules)
 		if err != nil {
 			continue
 		}

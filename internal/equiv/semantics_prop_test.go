@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"testing"
 
+	"scout/internal/bdd"
 	"scout/internal/object"
 	"scout/internal/rule"
 )
@@ -208,7 +209,7 @@ func TestSharedSemanticsIdentity(t *testing.T) {
 		// Delta accounting: every frozen root is base-resident, so
 		// resolving it costs the fork no nodes.
 		for fp, e := range base.semMem {
-			if !fork.m.InBase(e.node) {
+			if !fork.m.(*bdd.Manager).InBase(e.node) {
 				t.Errorf("trial %d: frozen root for fp %x lives outside the base", trial, fp)
 			}
 		}
@@ -258,12 +259,14 @@ func TestRebindSemantics(t *testing.T) {
 }
 
 // TestSemanticsBaseMissFoldsInDelta covers the copy-on-write side of
-// fold sharing: a list absent from the base folds into the fork's
+// fold sharing: a list absent from the base compiles into the fork's
 // private delta (counted as a fold miss), repeats hit the fork's local
-// memo, and the base stays untouched.
+// memo, and the base stays untouched. The drifted list keeps two rules:
+// a one-rule list is its rule's match encoding, which the base warmed,
+// and would cost the fork nothing.
 func TestSemanticsBaseMissFoldsInDelta(t *testing.T) {
-	logical := withDeny(allowRule(1, 2, 3, 80), allowRule(1, 3, 2, 443))
-	drifted := withDeny(allowRule(1, 2, 3, 80))
+	logical := withDeny(allowRule(1, 2, 3, 80), allowRule(1, 3, 2, 443), allowRule(2, 4, 5, 22))
+	drifted := withDeny(allowRule(1, 2, 3, 80), allowRule(2, 4, 5, 22))
 
 	base := NewBase(baseMatches(logical, drifted), logical)
 	fork := base.NewChecker()
@@ -278,7 +281,7 @@ func TestSemanticsBaseMissFoldsInDelta(t *testing.T) {
 		t.Errorf("drifted side must fold privately: %+v", st)
 	}
 	if fork.DeltaSize() == 0 {
-		t.Error("private fold must allocate delta nodes")
+		t.Error("private compile must allocate delta nodes")
 	}
 	if base.Size() != base.snap.Size() {
 		t.Error("base must be unchanged by fork folds")

@@ -446,16 +446,15 @@ func (a *Analyzer) newWorkerCheckerSized(base *equiv.Base, deltaNodes int) *equi
 	return equiv.NewChecker()
 }
 
-// baseSemanticsTopK bounds how many whole-switch semantics folds the
+// baseSemanticsTopK bounds how many whole-switch semantics roots the
 // warmup freezes into the shared base. Lists are ranked most-duplicated
 // first, so the cap sheds only the rarest fingerprints on fabrics with
-// more distinct rule lists than this; their folds land in worker deltas
-// exactly as before the semantics cache existed.
+// more distinct rule lists than this; those compile in worker deltas.
 const baseSemanticsTopK = 1024
 
 // buildSharedBase is the check stage's warmup pass: it gathers the
 // distinct rule matches across the deployment — fanned out per switch
-// over the worker pool — encodes each exactly once, then folds the
+// over the worker pool — encodes each exactly once, then compiles the
 // top-K most duplicated whole-switch rule lists (ranked by canonical
 // semantics fingerprint, most shared first) into frozen semantics roots,
 // and freezes the result into an immutable base every worker's checker
@@ -465,20 +464,21 @@ const baseSemanticsTopK = 1024
 // The base covers logical rule lists only: deployed TCAM rules are the
 // deployment's rules minus faults, so in the common near-consistent case
 // virtually every deployed match is warm too — and a consistent switch's
-// TCAM side shares its logical list's semantics fingerprint, so even its
-// whole-list fold resolves from the base. Corrupted entries' novel
-// matches and drifted switches' folds land in the owning worker's
-// copy-on-write delta. Keying the base off the deployment alone is what
-// lets a Session reuse it across runs whose TCAM state drifts.
+// TCAM side shares its logical list's semantics fingerprint, so its
+// whole-list root resolves from the base. A drifted switch's TCAM list
+// compiles in the owning worker's copy-on-write delta, but against the
+// base's unique table: every subtree it shares with its logical list is
+// found frozen, so the delta receives only the paths the drift changed.
+// Corrupted entries' novel matches land there too. Keying the base off
+// the deployment alone is what lets a Session reuse it across runs whose
+// TCAM state drifts.
 //
-// The semantics folds build serially inside NewBase (one manager, not
-// shareable mid-build), where the pre-warming design folded each list
-// inside the parallel per-switch checks — a deliberate trade: the
-// one-time serial warmup buys every consistent switch's check down to
-// two hashes, and sessions amortize it across all runs of a deployment.
-// A cold one-shot analysis on a many-core box pays a slice of its fold
-// work serially; the foldshare experiment pins the payoff on node
-// counters, which is what survives any core count.
+// The semantics roots build serially inside NewBase (one manager, not
+// shareable mid-build). Each list compiles straight to its ROBDD — only
+// result nodes are interned — so this is a small part of the warmup, most
+// of which is the match encodings difference attribution reads; the
+// foldshare experiment pins the sharing on node counters, which is what
+// survives any core count.
 func (a *Analyzer) buildSharedBase(d *Deployment) (*equiv.Base, equiv.BaseBuildStats) {
 	if a.opts.UseNaiveChecker || a.opts.UseProbes || a.opts.PrivateCheckers {
 		return nil, equiv.BaseBuildStats{}
