@@ -22,7 +22,11 @@ import (
 	"scout/internal/rule"
 )
 
-// Epoch is one immutable collection of every switch's TCAM contents.
+// Epoch is one immutable collection of every switch's TCAM contents. Its
+// rule slices are the TCAMs' shared read-only snapshots (tcam.TCAM.Rules):
+// a switch not written between two collections contributes the same slice
+// to both epochs, which is what lets DirtySwitches and Diff pass over it
+// without reading a rule. Nobody may modify them.
 type Epoch struct {
 	Seq  int                       `json:"seq"`
 	Time time.Time                 `json:"time"`
@@ -88,7 +92,9 @@ func (c *Collector) Subscribe(events *faultlog.EventLog) {
 	c.cursor = events.TailCursor()
 }
 
-// Snapshot collects every switch's TCAM into a new epoch.
+// Snapshot collects every switch's TCAM into a new epoch. Only switches
+// written since their last read cost a copy; the rest hand back the
+// snapshot they already published.
 func (c *Collector) Snapshot() *Epoch {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -239,10 +245,11 @@ type SwitchDelta struct {
 // epoch count as dirty. Unlike Diff it never materializes per-rule deltas:
 // rule lists are compared elementwise (order-sensitively, the same
 // sensitivity the equivalence checker has, so a clean verdict is always
-// safe to act on) with early exit at the first difference, making it cheap
-// enough to run on every collection. It is the invalidation input for
-// incremental re-verification: an analysis session re-checks only the
-// dirty switches of a new epoch.
+// safe to act on) with early exit at the first difference, and a switch
+// holding the same slice in both epochs is clean without a comparison —
+// O(switches) on a clean epoch, cheap enough to run on every collection.
+// It is the invalidation input for incremental re-verification: an
+// analysis session re-checks only the dirty switches of a new epoch.
 func DirtySwitches(older, newer *Epoch) []object.ID {
 	var out []object.ID
 	for sw, rules := range older.TCAM {
@@ -272,6 +279,9 @@ func Diff(older, newer *Epoch) []SwitchDelta {
 	}
 	var out []SwitchDelta
 	for sw := range switches {
+		if rule.SameSlice(older.TCAM[sw], newer.TCAM[sw]) {
+			continue // aliased or re-read with no write between: no delta
+		}
 		oldKeys := rule.KeySet(older.TCAM[sw])
 		newKeys := rule.KeySet(newer.TCAM[sw])
 		var delta SwitchDelta

@@ -201,6 +201,51 @@ func TestDirtySwitchesMembershipAndOrder(t *testing.T) {
 	}
 }
 
+// TestCleanSnapshotSharesSlices pins what makes a clean warm epoch
+// O(switches): a full Snapshot of a fabric nobody wrote to hands back, per
+// switch, the very slice the previous epoch holds, so DirtySwitches and
+// Diff have nothing to compare; a one-rule change re-copies that switch
+// alone and leaves the older epoch as it was.
+func TestCleanSnapshotSharesSlices(t *testing.T) {
+	f := deployedFabric(t)
+	c := New(f, 0)
+	e1 := c.Snapshot()
+	e2 := c.Snapshot()
+	for sw, rules := range e1.TCAM {
+		if len(rules) == 0 || !rule.SameSlice(rules, e2.TCAM[sw]) {
+			t.Errorf("switch %d: clean re-collection must return the same slice", sw)
+		}
+	}
+	if dirty := DirtySwitches(e1, e2); len(dirty) != 0 {
+		t.Errorf("clean epoch dirty = %v, want none", dirty)
+	}
+
+	before := make([]rule.Rule, len(e2.TCAM[1]))
+	for i, r := range e2.TCAM[1] {
+		before[i] = r.Clone()
+	}
+	evicted, err := f.EvictTCAM(1, 1)
+	if err != nil || len(evicted) != 1 {
+		t.Fatalf("evict: %v, %v", evicted, err)
+	}
+	e3 := c.Snapshot()
+	if rule.SameSlice(e2.TCAM[1], e3.TCAM[1]) || len(e3.TCAM[1]) != len(e2.TCAM[1])-1 {
+		t.Error("written switch 1 must be re-copied and reflect the eviction")
+	}
+	if !rule.SameSlice(e2.TCAM[2], e3.TCAM[2]) {
+		t.Error("untouched switch 2 must still share its slice")
+	}
+	if !rule.SlicesEqual(e2.TCAM[1], before) {
+		t.Error("the older epochs must not see the write")
+	}
+	if dirty := DirtySwitches(e2, e3); len(dirty) != 1 || dirty[0] != 1 {
+		t.Errorf("dirty = %v, want [1]", dirty)
+	}
+	if deltas := Diff(e2, e3); len(deltas) != 1 || deltas[0].Switch != 1 || len(deltas[0].Removed) != 1 {
+		t.Errorf("deltas = %+v, want one removal on switch 1", deltas)
+	}
+}
+
 func TestDiffIdenticalEpochsEmpty(t *testing.T) {
 	f := deployedFabric(t)
 	c := New(f, 0)

@@ -59,9 +59,11 @@ type Switch struct {
 	// believes are installed (its copy of the controller instructions).
 	view map[rule.Key]rule.Rule
 
-	// pending holds instructions delivered to the agent but not yet
-	// rendered into TCAM (populated when the agent crashes mid-update).
-	pending []rule.Rule
+	// pending and withdrawn hold the installs and withdrawals delivered
+	// to the agent but not yet applied to TCAM (populated while the agent
+	// is down, applied by RestartAgent).
+	pending   []rule.Rule
+	withdrawn []rule.Key
 
 	tcam *tcam.TCAM
 }
@@ -207,15 +209,19 @@ func (f *Fabric) pushToSwitch(s *Switch, desired []rule.Rule) {
 	for _, r := range desired {
 		want[r.Key()] = r
 	}
-	changed := false
 	// Delete stale entries from the agent view and TCAM.
+	var stale []rule.Key
 	for k := range s.view {
 		if _, ok := want[k]; !ok {
 			delete(s.view, k)
-			if s.agentUp && s.tcam.Remove(k) {
-				changed = true
-			}
+			stale = append(stale, k)
 		}
+	}
+	changed := false
+	if !s.agentUp {
+		s.withdrawn = append(s.withdrawn, stale...)
+	} else if s.tcam.RemoveKeys(stale) > 0 {
+		changed = true
 	}
 	// Install new entries in deterministic order.
 	adds := make([]rule.Rule, 0, len(desired))
@@ -396,7 +402,10 @@ func (f *Fabric) CrashAgent(sw object.ID) error {
 	return nil
 }
 
-// RestartAgent restarts the agent and renders any queued instructions.
+// RestartAgent restarts the agent and applies the queued instructions,
+// reconciling TCAM with the agent's view: a queued withdrawal is applied
+// unless a later push re-added the rule, and a queued rule is rendered
+// unless a later push withdrew it.
 func (f *Fabric) RestartAgent(sw object.ID) error {
 	s, err := f.Switch(sw)
 	if err != nil {
@@ -405,15 +414,21 @@ func (f *Fabric) RestartAgent(sw object.ID) error {
 	if !s.agentUp {
 		s.agentUp = true
 		f.faults.Clear(f.advance(), faultlog.FaultAgentCrash, sw)
-		rendered := false
-		for _, r := range s.pending {
-			if f.renderRule(s, r) {
-				rendered = true
+		stale := s.withdrawn[:0]
+		for _, k := range s.withdrawn {
+			if _, ok := s.view[k]; !ok {
+				stale = append(stale, k)
 			}
 		}
-		s.pending = nil
-		if rendered {
-			f.emit(faultlog.EventTCAMChange, sw, "agent restart rendered queued rules")
+		changed := s.tcam.RemoveKeys(stale) > 0
+		for _, r := range s.pending {
+			if cur, ok := s.view[r.Key()]; ok && f.renderRule(s, cur) {
+				changed = true
+			}
+		}
+		s.pending, s.withdrawn = nil, nil
+		if changed {
+			f.emit(faultlog.EventTCAMChange, sw, "agent restart applied queued instructions")
 		}
 	}
 	return nil
@@ -488,22 +503,19 @@ func (f *Fabric) InjectObjectFault(ref object.Ref, fraction float64) (int, error
 			targets[i], targets[j] = targets[j], targets[i]
 		})
 	}
-	removed := 0
-	touched := make(map[object.ID]bool)
+	// One batched withdrawal per switch: tables are independent, and a
+	// switch's keys keep the order they were drawn in.
+	bySwitch := make(map[object.ID][]rule.Key)
 	for _, t := range targets[:n] {
-		if f.switches[t.sw].tcam.Remove(t.key) {
-			removed++
-			touched[t.sw] = true
-		}
+		bySwitch[t.sw] = append(bySwitch[t.sw], t.key)
 	}
 	f.changes.Append(f.advance(), faultlog.OpModify, ref, "configuration action preceding fault")
-	swIDs := make([]object.ID, 0, len(touched))
-	for sw := range touched {
-		swIDs = append(swIDs, sw)
-	}
-	sort.Slice(swIDs, func(i, j int) bool { return swIDs[i] < swIDs[j] })
-	for _, sw := range swIDs {
-		f.emit(faultlog.EventTCAMChange, sw, "rules lost: "+ref.String())
+	removed := 0
+	for _, sw := range f.topology.Switches() {
+		if lost := f.switches[sw].tcam.RemoveKeys(bySwitch[sw]); lost > 0 {
+			removed += lost
+			f.emit(faultlog.EventTCAMChange, sw, "rules lost: "+ref.String())
+		}
 	}
 	return removed, nil
 }
@@ -512,7 +524,10 @@ func (f *Fabric) InjectObjectFault(ref object.Ref, fraction float64) (int, error
 
 // CollectTCAM returns the TCAM snapshot of switch sw (T-type rules). Rule
 // collection runs over a management path and is modeled as always
-// available, even while the policy control channel is down.
+// available, even while the policy control channel is down. The slice is
+// the table's shared read-only snapshot (tcam.TCAM.Rules): the same slice
+// until the switch's TCAM is next written, never modified afterwards, and
+// not to be modified by the caller.
 func (f *Fabric) CollectTCAM(sw object.ID) ([]rule.Rule, error) {
 	s, err := f.Switch(sw)
 	if err != nil {
@@ -521,7 +536,8 @@ func (f *Fabric) CollectTCAM(sw object.ID) ([]rule.Rule, error) {
 	return s.tcam.Rules(), nil
 }
 
-// CollectAll returns TCAM snapshots for every switch.
+// CollectAll returns TCAM snapshots for every switch, each under the
+// shared read-only contract of CollectTCAM; the map is the caller's.
 func (f *Fabric) CollectAll() map[object.ID][]rule.Rule {
 	out := make(map[object.ID][]rule.Rule, len(f.switches))
 	for id, s := range f.switches {

@@ -189,6 +189,95 @@ func TestAgentCrashQueuesPendingRules(t *testing.T) {
 	}
 }
 
+// TestRestartAgentReconcilesQueuedInstructions: what a restarted agent
+// applies is its queue as later pushes left it. A queued rule that a later
+// push withdrew must not be rendered, and a withdrawal delivered while the
+// agent was down must reach the TCAM — after the restart TCAM, agent view
+// and controller agree.
+func TestRestartAgentReconcilesQueuedInstructions(t *testing.T) {
+	agree := func(t *testing.T, f *Fabric) {
+		t.Helper()
+		got, _ := f.CollectTCAM(3)
+		want := f.Deployment().RulesFor(3)
+		s, _ := f.Switch(3)
+		if len(got) != len(want) || len(s.view) != len(want) {
+			t.Fatalf("TCAM holds %d rules, agent view %d, controller wants %d", len(got), len(s.view), len(want))
+		}
+		have := rule.KeySet(got)
+		for _, r := range want {
+			if _, ok := have[r.Key()]; !ok {
+				t.Errorf("TCAM is missing %v", r)
+			}
+		}
+	}
+	crashed := func(t *testing.T) *Fabric {
+		t.Helper()
+		f := newFabric(t, Options{Seed: 1})
+		if err := f.Deploy(); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.CrashAgent(3); err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	t.Run("queued rule withdrawn before restart", func(t *testing.T) {
+		f := crashed(t)
+		if err := f.AddFilter(policy.Filter{ID: 8443, Entries: []policy.FilterEntry{policy.PortEntry(rule.ProtoTCP, 8443)}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.AddFilterToContract(202, 8443); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.RemoveFilterFromContract(202, 8443); err != nil {
+			t.Fatal(err)
+		}
+		cursor := f.EventLog().TailCursor()
+		if err := f.RestartAgent(3); err != nil {
+			t.Fatal(err)
+		}
+		agree(t, f)
+		if evs := cursor.Drain(); len(evs) != 0 {
+			t.Errorf("restart wrote nothing to TCAM but emitted %v", evs)
+		}
+	})
+	t.Run("withdrawal delivered while down", func(t *testing.T) {
+		f := crashed(t)
+		if err := f.RemoveFilterFromContract(202, 700); err != nil {
+			t.Fatal(err)
+		}
+		if mid, _ := f.CollectTCAM(3); len(mid) != 5 {
+			t.Fatalf("crashed agent applied a withdrawal: %d rules", len(mid))
+		}
+		cursor := f.EventLog().TailCursor()
+		if err := f.RestartAgent(3); err != nil {
+			t.Fatal(err)
+		}
+		agree(t, f)
+		evs := cursor.Drain()
+		if len(evs) != 1 || evs[0].Kind != faultlog.EventTCAMChange || evs[0].Switch != 3 {
+			t.Errorf("restart events = %v, want one TCAM change on switch 3", evs)
+		}
+	})
+	t.Run("withdrawn then re-added while down", func(t *testing.T) {
+		f := crashed(t)
+		before, _ := f.CollectTCAM(3)
+		if err := f.RemoveFilterFromContract(202, 700); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.AddFilterToContract(202, 700); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.RestartAgent(3); err != nil {
+			t.Fatal(err)
+		}
+		agree(t, f)
+		if after, _ := f.CollectTCAM(3); !rule.SlicesEqual(before, after) {
+			t.Error("a rule withdrawn and re-added while the agent was down must stay where it was")
+		}
+	})
+}
+
 func TestTCAMOverflowRaisesFault(t *testing.T) {
 	p, tp := threeTier(t)
 	f, err := New(p, tp, Options{Seed: 1, TCAMCapacity: 3})

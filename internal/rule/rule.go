@@ -196,12 +196,24 @@ func (r Rule) Equal(o Rule) bool {
 	return true
 }
 
+// SameSlice reports whether a and b are one slice: equal length and the
+// same backing array. Rule lists handed between layers are read-only
+// (TCAM snapshots, collected epochs), so one slice seen twice is
+// unchanged content, established without reading a rule.
+func SameSlice(a, b []Rule) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
 // SlicesEqual reports whether two rule lists are elementwise Equal in the
 // same order. Rule lists are priority-ordered, so order sensitivity is the
-// same sensitivity the equivalence checker has.
+// same sensitivity the equivalence checker has. One slice compared with
+// itself (SameSlice) is equal at once.
 func SlicesEqual(a, b []Rule) bool {
 	if len(a) != len(b) {
 		return false
+	}
+	if SameSlice(a, b) {
+		return true
 	}
 	for i := range a {
 		if !a[i].Equal(b[i]) {

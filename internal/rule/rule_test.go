@@ -54,6 +54,15 @@ func TestRuleEqual(t *testing.T) {
 	if !SlicesEqual(nil, []Rule{}) {
 		t.Error("nil and empty slices must be equal")
 	}
+
+	// One slice seen twice is equal without reading it; a copy, a shorter
+	// prefix or a shifted window of the same array is not the same slice.
+	if !SameSlice(a, a) || !SlicesEqual(a, a) || !SameSlice(nil, []Rule{}) {
+		t.Error("a slice must be the same slice as itself")
+	}
+	if SameSlice(a, []Rule{base, DefaultDeny()}) || SameSlice(a, a[:1]) || SameSlice(a[:1], a[1:]) {
+		t.Error("SameSlice must compare backing array and length, not content")
+	}
 }
 
 func TestActionString(t *testing.T) {

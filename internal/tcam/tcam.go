@@ -25,18 +25,41 @@ var ErrFull = errors.New("tcam: table full")
 // on ACL TCAM bank sizes of datacenter leaf switches.
 const DefaultCapacity = 4096
 
+// entryID identifies an installed entry independently of where it sits in
+// the table: match order is priority descending, then install sequence
+// ascending, so an ID locates its entry by binary search and survives
+// every insertion and deletion around it.
+type entryID struct {
+	priority int
+	seq      uint64
+}
+
+// before reports whether a precedes b in match order.
+func (a entryID) before(b entryID) bool {
+	if a.priority != b.priority {
+		return a.priority > b.priority
+	}
+	return a.seq < b.seq
+}
+
 // TCAM is a fixed-capacity rule table. It is safe for concurrent use.
 type TCAM struct {
 	mu       sync.RWMutex
 	capacity int
-	rules    []rule.Rule // kept sorted: priority desc, then insertion order
-	// index maps each installed key to its first occurrence in match
-	// order, making Install's duplicate check and Remove's lookup O(1)
-	// (deploys used to be O(n²) per switch from the linear scans).
-	// Corruption can alias two entries onto one key; the index then
-	// tracks the earlier (higher-precedence) occurrence, matching what
-	// the old linear scans returned.
-	index map[rule.Key]int
+	rules    []rule.Rule // match order: priority desc, then install sequence
+	seqs     []uint64    // seqs[i] is the install sequence of rules[i]
+	nextSeq  uint64
+	// index maps each installed key to the ID of its first occurrence in
+	// match order, so Install's duplicate check and Remove's lookup are
+	// one map operation and a binary search, and a write never re-keys
+	// the entries behind it; what stays O(n) per write is the memmove
+	// that closes or opens the slot. Corruption can alias two entries
+	// onto one key (len(index) < len(rules) exactly then); the index
+	// tracks the earlier, higher-precedence occurrence.
+	index map[rule.Key]entryID
+	// snap is the published read-only copy Rules hands out, built on the
+	// first read after a write and dropped by the next write.
+	snap []rule.Rule
 }
 
 // New creates a TCAM with the given capacity. Capacity <= 0 selects
@@ -45,7 +68,7 @@ func New(capacity int) *TCAM {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &TCAM{capacity: capacity, index: make(map[rule.Key]int)}
+	return &TCAM{capacity: capacity, index: make(map[rule.Key]entryID)}
 }
 
 // Capacity returns the table capacity in entries.
@@ -84,16 +107,15 @@ func (t *TCAM) Install(r rule.Rule) error {
 	pos := sort.Search(len(t.rules), func(i int) bool {
 		return t.rules[i].Priority < r.Priority
 	})
+	t.nextSeq++
 	t.rules = append(t.rules, rule.Rule{})
 	copy(t.rules[pos+1:], t.rules[pos:])
 	t.rules[pos] = r.Clone()
-	for j := len(t.rules) - 1; j > pos; j-- {
-		kj := t.rules[j].Key()
-		if p, ok := t.index[kj]; ok && p == j-1 {
-			t.index[kj] = j
-		}
-	}
-	t.index[k] = pos
+	t.seqs = append(t.seqs, 0)
+	copy(t.seqs[pos+1:], t.seqs[pos:])
+	t.seqs[pos] = t.nextSeq
+	t.index[k] = entryID{r.Priority, t.nextSeq}
+	t.snap = nil
 	return nil
 }
 
@@ -102,31 +124,93 @@ func (t *TCAM) Install(r rule.Rule) error {
 func (t *TCAM) Remove(k rule.Key) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	i, ok := t.index[k]
+	return t.removeLocked(k)
+}
+
+func (t *TCAM) removeLocked(k rule.Key) bool {
+	id, ok := t.index[k]
 	if !ok {
 		return false
 	}
-	t.deleteAtLocked(i)
+	t.deleteAtLocked(t.posLocked(id))
 	return true
+}
+
+// RemoveKeys deletes, for each key in order, the first entry with that
+// key — exactly what calling Remove per key would do — and returns how
+// many entries were removed. The victims are marked through the index and
+// the table is compacted once, so withdrawing k entries moves every
+// survivor at most once instead of up to k times.
+func (t *TCAM) RemoveKeys(keys []rule.Key) int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if len(t.index) < len(t.rules) {
+		// Corruption has aliased keys: removing one occurrence promotes
+		// the next, which a later duplicate in keys must see.
+		removed := 0
+		for _, k := range keys {
+			if t.removeLocked(k) {
+				removed++
+			}
+		}
+		return removed
+	}
+	victims := make([]int, 0, len(keys))
+	for _, k := range keys {
+		if id, ok := t.index[k]; ok {
+			delete(t.index, k)
+			victims = append(victims, t.posLocked(id))
+		}
+	}
+	if len(victims) == 0 {
+		return 0
+	}
+	sort.Ints(victims)
+	w := victims[0]
+	for v, pos := range victims {
+		end := len(t.rules)
+		if v+1 < len(victims) {
+			end = victims[v+1]
+		}
+		copy(t.seqs[w:], t.seqs[pos+1:end])
+		w += copy(t.rules[w:], t.rules[pos+1:end])
+	}
+	clear(t.rules[w:])
+	t.rules, t.seqs = t.rules[:w], t.seqs[:w]
+	t.snap = nil
+	return len(victims)
 }
 
 // Clear removes every entry.
 func (t *TCAM) Clear() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.rules = nil
-	t.index = make(map[rule.Key]int)
+	t.rules, t.seqs, t.snap = nil, nil, nil
+	t.index = make(map[rule.Key]entryID)
 }
 
-// Rules returns a snapshot of the installed rules in match order.
+// Rules returns a snapshot of the installed rules in match order. The
+// snapshot is a deep copy, distinct from table storage, built once per
+// table generation: every call until the next write returns the same
+// slice (same backing array), and a write publishes a fresh one instead
+// of touching it. It is therefore shared and read-only — callers must not
+// modify it — and a held snapshot never changes.
 func (t *TCAM) Rules() []rule.Rule {
 	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([]rule.Rule, len(t.rules))
-	for i, r := range t.rules {
-		out[i] = r.Clone()
+	snap := t.snap
+	t.mu.RUnlock()
+	if snap != nil {
+		return snap
 	}
-	return out
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.snap == nil {
+		t.snap = make([]rule.Rule, len(t.rules))
+		for i, r := range t.rules {
+			t.snap[i] = r.Clone()
+		}
+	}
+	return t.snap
 }
 
 // Keys returns the set of installed rule keys.
@@ -261,54 +345,74 @@ func (t *TCAM) Corrupt(n int, field CorruptionField, rng *rand.Rand) []rule.Key 
 			}
 		}
 		t.rekeyLocked(idx, oldKey, r.Key())
+		t.snap = nil
 	}
 	return damaged
 }
 
+// idLocked returns the ID of the entry at position i.
+func (t *TCAM) idLocked(i int) entryID {
+	return entryID{t.rules[i].Priority, t.seqs[i]}
+}
+
+// posLocked returns the position of the installed entry with the given ID.
+func (t *TCAM) posLocked(id entryID) int {
+	return sort.Search(len(t.rules), func(i int) bool {
+		return !t.idLocked(i).before(id)
+	})
+}
+
+// promoteLocked points the index at the first entry at or after from that
+// carries key k, if one exists: the aliased duplicate that takes over when
+// the occurrence the index tracked is deleted or re-keyed.
+func (t *TCAM) promoteLocked(k rule.Key, from int) {
+	for j := from; j < len(t.rules); j++ {
+		if t.rules[j].Key() == k {
+			t.index[k] = t.idLocked(j)
+			return
+		}
+	}
+}
+
 // rekeyLocked repairs the key index after the entry at idx changed its
-// key in place (corruption). Corruption is rare, so the occasional O(n)
-// rescan for a surviving duplicate is fine.
+// key in place (corruption).
 func (t *TCAM) rekeyLocked(idx int, oldKey, newKey rule.Key) {
 	if oldKey == newKey {
 		return
 	}
-	if p, ok := t.index[oldKey]; ok && p == idx {
+	id := t.idLocked(idx)
+	if t.index[oldKey] == id {
+		aliased := len(t.index) < len(t.rules)
 		delete(t.index, oldKey)
-		for j := range t.rules {
-			if j != idx && t.rules[j].Key() == oldKey {
-				t.index[oldKey] = j
-				break
-			}
+		if aliased {
+			// Entries before idx cannot carry oldKey: the index tracked
+			// idx as its first occurrence.
+			t.promoteLocked(oldKey, idx+1)
 		}
 	}
 	// The corrupted entry may now alias another entry's key; the index
 	// keeps whichever occurs first in match order.
-	if p, ok := t.index[newKey]; !ok || p > idx {
-		t.index[newKey] = idx
+	if cur, ok := t.index[newKey]; !ok || id.before(cur) {
+		t.index[newKey] = id
 	}
 }
 
 func (t *TCAM) deleteAtLocked(i int) {
 	k := t.rules[i].Key()
-	first := t.index[k] == i
+	first := t.index[k] == t.idLocked(i)
 	if first {
 		delete(t.index, k)
 	}
-	t.rules = append(t.rules[:i], t.rules[i+1:]...)
-	for j := i; j < len(t.rules); j++ {
-		kj := t.rules[j].Key()
-		if p, ok := t.index[kj]; ok && p == j+1 {
-			t.index[kj] = j
-		}
-	}
+	last := len(t.rules) - 1
+	copy(t.rules[i:], t.rules[i+1:])
+	copy(t.seqs[i:], t.seqs[i+1:])
+	// Zero the vacated slot so the table does not keep the last rule's
+	// provenance slice alive past len.
+	t.rules[last] = rule.Rule{}
+	t.rules, t.seqs = t.rules[:last], t.seqs[:last]
+	t.snap = nil
 	if first && len(t.index) < len(t.rules) {
-		// A corruption-aliased duplicate of k may survive past i;
-		// promote the next occurrence to first.
-		for j := i; j < len(t.rules); j++ {
-			if t.rules[j].Key() == k {
-				t.index[k] = j
-				break
-			}
-		}
+		// A corruption-aliased duplicate of k may survive past i.
+		t.promoteLocked(k, i)
 	}
 }

@@ -85,17 +85,92 @@ func BenchmarkClassifyBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshot measures full-table collection (the T-type dump the
-// checker consumes).
-func BenchmarkSnapshot(b *testing.B) {
-	tc := populated(b, 2048)
+// withdrawTable is the size of one switch's table at production x0.25,
+// and withdrawStride spreads a withdrawal over it the way an object-fault
+// set does (~550 of ~6k entries a table).
+const (
+	withdrawTable  = 6000
+	withdrawStride = 11
+)
+
+// benchWithdraw times withdraw on batches of keys spread evenly over a
+// 6k-entry table, refilling the table off the clock; ns/op is per key
+// withdrawn, so per-key and batched withdrawal read on one scale.
+func benchWithdraw(b *testing.B, withdraw func(tc *TCAM, keys []rule.Key)) {
+	tc := populated(b, withdrawTable)
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if rules := tc.Rules(); len(rules) != 2048 {
-			b.Fatal("bad snapshot")
+	for done := 0; done < b.N; {
+		b.StopTimer()
+		rules := tc.Rules()
+		keys := make([]rule.Key, 0, len(rules)/withdrawStride+1)
+		for i := 0; i < len(rules) && done+len(keys) < b.N; i += withdrawStride {
+			keys = append(keys, rules[i].Key())
 		}
+		b.StartTimer()
+		withdraw(tc, keys)
+		b.StopTimer()
+		if tc.Len() != len(rules)-len(keys) {
+			b.Fatalf("withdrew %d of %d keys", len(rules)-tc.Len(), len(keys))
+		}
+		for i := 0; i < len(rules); i += withdrawStride {
+			if err := tc.Install(rules[i]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+		done += len(keys)
 	}
+}
+
+// BenchmarkRemove measures withdrawing entries one Remove at a time: an
+// index lookup, a binary search and a memmove of the tail per key.
+func BenchmarkRemove(b *testing.B) {
+	benchWithdraw(b, func(tc *TCAM, keys []rule.Key) {
+		for _, k := range keys {
+			tc.Remove(k)
+		}
+	})
+}
+
+// BenchmarkRemoveKeys measures the same withdrawal as one batch: the
+// lookups, then a single compaction pass over the table.
+func BenchmarkRemoveKeys(b *testing.B) {
+	benchWithdraw(b, func(tc *TCAM, keys []rule.Key) { tc.RemoveKeys(keys) })
+}
+
+// BenchmarkSnapshot measures full-table collection (the T-type dump the
+// checker consumes): clean, where every read hands back the snapshot
+// already published, and dirtied, where a write between reads (one
+// Remove or Install, on the clock but small beside the copy) makes each
+// read build a fresh one.
+func BenchmarkSnapshot(b *testing.B) {
+	b.Run("clean", func(b *testing.B) {
+		tc := populated(b, 2048)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if rules := tc.Rules(); len(rules) != 2048 {
+				b.Fatal("bad snapshot")
+			}
+		}
+	})
+	b.Run("dirtied", func(b *testing.B) {
+		tc := populated(b, 2048)
+		toggle := tc.Rules()[1024]
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i%2 == 0 {
+				tc.Remove(toggle.Key())
+			} else if err := tc.Install(toggle); err != nil {
+				b.Fatal(err)
+			}
+			if rules := tc.Rules(); len(rules) != 2048-(i+1)%2 {
+				b.Fatal("bad snapshot")
+			}
+		}
+	})
 }
 
 // BenchmarkCorrupt measures fault injection.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -238,41 +239,74 @@ func populatedT(t *testing.T, n int) *TCAM {
 	return tc
 }
 
-// TestIndexConsistentUnderChurn hammers the key index with the full
-// mutation surface — install, remove, evict, corrupt (which can alias
-// keys) — and after every step checks the index invariants against a
-// linear oracle: every key resolves to its first occurrence in match
-// order, Remove removes exactly the first occurrence, and the table
-// stays sorted priority-descending.
-func TestIndexConsistentUnderChurn(t *testing.T) {
-	check := func(tc *TCAM) error {
-		tc.mu.RLock()
-		defer tc.mu.RUnlock()
-		firsts := make(map[rule.Key]int)
-		for i, r := range tc.rules {
-			if i > 0 && tc.rules[i-1].Priority < r.Priority {
-				return fmt.Errorf("rules out of priority order at %d", i)
-			}
-			k := r.Key()
-			if _, seen := firsts[k]; !seen {
-				firsts[k] = i
-			}
-		}
-		if len(firsts) != len(tc.index) {
-			return fmt.Errorf("index has %d entries, want %d", len(tc.index), len(firsts))
-		}
-		for k, want := range firsts {
-			if got, ok := tc.index[k]; !ok || got != want {
-				return fmt.Errorf("index[%v] = %d, want first occurrence %d", k, got, want)
-			}
-		}
-		return nil
+// checkIndex verifies the table's invariants against a linear oracle:
+// the table is in match order (priority descending, install sequence
+// ascending), every key resolves to the ID of its first occurrence and
+// that ID binary-searches back to the occurrence's position, and no rule
+// stays alive in the slack behind len.
+func checkIndex(tc *TCAM) error {
+	tc.mu.RLock()
+	defer tc.mu.RUnlock()
+	if len(tc.seqs) != len(tc.rules) {
+		return fmt.Errorf("%d seqs for %d rules", len(tc.seqs), len(tc.rules))
 	}
+	firsts := make(map[rule.Key]int)
+	for i, r := range tc.rules {
+		if i > 0 && !tc.idLocked(i-1).before(tc.idLocked(i)) {
+			return fmt.Errorf("entries %d and %d out of match order", i-1, i)
+		}
+		if got := tc.posLocked(tc.idLocked(i)); got != i {
+			return fmt.Errorf("entry %d resolves to position %d", i, got)
+		}
+		k := r.Key()
+		if _, seen := firsts[k]; !seen {
+			firsts[k] = i
+		}
+	}
+	if len(firsts) != len(tc.index) {
+		return fmt.Errorf("index has %d entries, want %d", len(tc.index), len(firsts))
+	}
+	for k, want := range firsts {
+		if got, ok := tc.index[k]; !ok || got != tc.idLocked(want) {
+			return fmt.Errorf("index[%v] = %v, want first occurrence %d (%v)", k, got, want, tc.idLocked(want))
+		}
+	}
+	for i, r := range tc.rules[len(tc.rules):cap(tc.rules)] {
+		if r.Match != (rule.Match{}) || r.Action != 0 || r.Provenance != nil {
+			return fmt.Errorf("slack slot %d keeps %v alive", len(tc.rules)+i, r)
+		}
+	}
+	return nil
+}
+
+// withoutFirst is the linear oracle for Remove: rules minus the first
+// occurrence of each key, taken in order, and how many were found.
+func withoutFirst(rules []rule.Rule, keys ...rule.Key) ([]rule.Rule, int) {
+	out := append([]rule.Rule(nil), rules...)
+	removed := 0
+	for _, k := range keys {
+		for i, r := range out {
+			if r.Key() == k {
+				out = append(out[:i], out[i+1:]...)
+				removed++
+				break
+			}
+		}
+	}
+	return out, removed
+}
+
+// TestIndexConsistentUnderChurn hammers the key index with the full
+// mutation surface — install, remove (single and batched), evict, corrupt
+// (which can alias keys) — and after every step checks the invariants
+// against the linear oracle; Remove and RemoveKeys must take out exactly
+// the first occurrence of each key and nothing else.
+func TestIndexConsistentUnderChurn(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		tc := New(64)
 		for step := 0; step < 120; step++ {
-			switch rng.Intn(5) {
+			switch rng.Intn(6) {
 			case 0, 1:
 				r := mkRule(
 					object.ID(rng.Intn(3)), object.ID(rng.Intn(3)), object.ID(rng.Intn(3)),
@@ -281,17 +315,102 @@ func TestIndexConsistentUnderChurn(t *testing.T) {
 			case 2:
 				rules := tc.Rules()
 				if len(rules) > 0 {
-					tc.Remove(rules[rng.Intn(len(rules))].Key())
+					k := rules[rng.Intn(len(rules))].Key()
+					want, _ := withoutFirst(rules, k)
+					if !tc.Remove(k) || !rule.SlicesEqual(tc.Rules(), want) {
+						t.Fatalf("seed %d step %d: Remove did not remove exactly the first occurrence", seed, step)
+					}
 				}
 			case 3:
 				tc.EvictRandom(1+rng.Intn(2), rng)
 			case 4:
 				tc.Corrupt(1+rng.Intn(2), CorruptionField(1+rng.Intn(4)), rng)
+			case 5:
+				rules := tc.Rules()
+				keys := []rule.Key{mkRule(9, 9, 9, 9, 10).Key()} // absent
+				for i := rng.Intn(4); i > 0 && len(rules) > 0; i-- {
+					keys = append(keys, rules[rng.Intn(len(rules))].Key()) // may repeat
+				}
+				want, n := withoutFirst(rules, keys...)
+				if got := tc.RemoveKeys(keys); got != n || !rule.SlicesEqual(tc.Rules(), want) {
+					t.Fatalf("seed %d step %d: RemoveKeys removed %d, want %d, or left the wrong rules", seed, step, got, n)
+				}
 			}
-			if err := check(tc); err != nil {
+			if err := checkIndex(tc); err != nil {
 				t.Fatalf("seed %d step %d: %v", seed, step, err)
 			}
 		}
+	}
+}
+
+// TestRemoveKeysMatchesSequentialRemove is the batch path's differential
+// test: on twin tables — plain, and with corruption-aliased keys —
+// RemoveKeys(keys) must leave the same rules in the same order and return
+// the same count as one Remove per key, with duplicate and absent keys
+// in the batch.
+func TestRemoveKeysMatchesSequentialRemove(t *testing.T) {
+	build := func(seed int64, corrupt bool) *TCAM {
+		rng := rand.New(rand.NewSource(seed))
+		tc := New(512)
+		for i := 0; i < 600; i++ { // fills ~4/5 of the 384-key space
+			r := mkRule(
+				object.ID(rng.Intn(2)), object.ID(rng.Intn(4)), object.ID(rng.Intn(4)),
+				uint16(rng.Intn(12)), rng.Intn(4)*10)
+			r.Provenance = []object.Ref{object.Filter(object.ID(i))}
+			_ = tc.Install(r)
+		}
+		if corrupt {
+			// EPG IDs are two bits wide here, so a flip of either low
+			// bit usually lands on another installed rule's key; the
+			// other 14 bit positions just scatter.
+			tc.Corrupt(24, CorruptSrcEPG, rng)
+			tc.Corrupt(24, CorruptDstEPG, rng)
+		}
+		return tc
+	}
+	aliased := 0
+	for seed := int64(0); seed < 40; seed++ {
+		corrupt := seed%2 == 1
+		batch, serial := build(seed, corrupt), build(seed, corrupt)
+		if len(batch.Keys()) < batch.Len() {
+			aliased++
+		}
+		rng := rand.New(rand.NewSource(seed + 1000))
+		rules := batch.Rules()
+		var keys []rule.Key
+		for i := 0; i < 40; i++ {
+			switch rng.Intn(4) {
+			case 0:
+				keys = append(keys, mkRule(7, 7, 7, uint16(i), 10).Key()) // absent
+			case 1:
+				if len(keys) > 0 {
+					keys = append(keys, keys[rng.Intn(len(keys))]) // duplicate
+				}
+			default:
+				keys = append(keys, rules[rng.Intn(len(rules))].Key())
+			}
+		}
+		want := 0
+		for _, k := range keys {
+			if serial.Remove(k) {
+				want++
+			}
+		}
+		if got := batch.RemoveKeys(keys); got != want {
+			t.Fatalf("seed %d: RemoveKeys = %d, sequential Remove = %d", seed, got, want)
+		}
+		if !rule.SlicesEqual(batch.Rules(), serial.Rules()) {
+			t.Fatalf("seed %d: tables differ after batched vs sequential removal", seed)
+		}
+		if err := checkIndex(batch); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+	if aliased < 10 {
+		t.Errorf("only %d of 20 corrupted tables had aliased keys; the fallback path is barely tested", aliased)
+	}
+	if n := New(4).RemoveKeys(nil); n != 0 {
+		t.Errorf("RemoveKeys(nil) on an empty table = %d", n)
 	}
 }
 
@@ -389,21 +508,130 @@ func TestRulesSnapshotIsACopy(t *testing.T) {
 	}
 }
 
+// TestRulesSnapshotSharedUntilWrite pins the snapshot contract: reads with
+// no write between them share one backing array, every write path
+// publishes a fresh snapshot, and a snapshot a reader holds never changes.
+func TestRulesSnapshotSharedUntilWrite(t *testing.T) {
+	tc := New(64)
+	for p := uint16(0); p < 20; p++ {
+		r := mkRule(1, 2, 3, p, int(p%3)*10)
+		r.Provenance = []object.Ref{object.Filter(object.ID(p))}
+		if err := tc.Install(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(11))
+	extra := mkRule(4, 5, 6, 99, 10)
+	writes := []struct {
+		name  string
+		write func()
+	}{
+		{"Install", func() { _ = tc.Install(extra) }},
+		{"Remove", func() { tc.Remove(extra.Key()) }},
+		{"RemoveKeys", func() { tc.RemoveKeys([]rule.Key{mkRule(1, 2, 3, 0, 0).Key(), mkRule(1, 2, 3, 7, 0).Key()}) }},
+		{"EvictRandom", func() { tc.EvictRandom(2, rng) }},
+		{"Corrupt", func() {
+			for len(tc.Corrupt(1, CorruptSrcEPG, rng)) == 0 {
+			}
+		}},
+		{"Clear", func() { tc.Clear() }},
+	}
+	for _, w := range writes {
+		held := tc.Rules()
+		if !rule.SameSlice(held, tc.Rules()) {
+			t.Fatalf("before %s: two reads with no write between must share a backing array", w.name)
+		}
+		frozen := make([]rule.Rule, len(held))
+		for i, r := range held {
+			frozen[i] = r.Clone()
+		}
+		w.write()
+		after := tc.Rules()
+		if rule.SameSlice(held, after) {
+			t.Errorf("%s did not publish a new snapshot", w.name)
+		}
+		if rule.SlicesEqual(held, after) {
+			t.Errorf("%s left the table contents unchanged; the case proves nothing", w.name)
+		}
+		if !rule.SlicesEqual(held, frozen) {
+			t.Errorf("%s changed a snapshot a reader still holds", w.name)
+		}
+	}
+	// A write that changes nothing keeps the published snapshot.
+	_ = tc.Install(extra)
+	held := tc.Rules()
+	_ = tc.Install(extra)
+	if tc.Remove(mkRule(8, 8, 8, 8, 8).Key()) || !rule.SameSlice(held, tc.Rules()) {
+		t.Error("a duplicate Install or a Remove of an absent key must not republish")
+	}
+}
+
+// TestConcurrentAccess races Rules() readers against Install, Remove and
+// RemoveKeys writers (run under -race in CI): every snapshot a reader gets
+// must be internally consistent — in match order, free of duplicate keys —
+// whatever write it lands between.
 func TestConcurrentAccess(t *testing.T) {
 	tc := New(1024)
-	done := make(chan struct{})
+	const n = 200
+	var writers, readers sync.WaitGroup
+	stop := make(chan struct{})
+	writers.Add(2)
 	go func() {
-		defer close(done)
-		for p := uint16(0); p < 200; p++ {
-			_ = tc.Install(mkRule(1, 2, 3, p, 10))
+		defer writers.Done()
+		for p := uint16(0); p < n; p++ {
+			_ = tc.Install(mkRule(1, 2, 3, p, int(p%4)*10))
 		}
 	}()
-	for i := 0; i < 200; i++ {
-		tc.Classify(1, 2, 3, rule.ProtoTCP, uint16(i))
-		tc.Len()
+	go func() {
+		defer writers.Done()
+		// Withdraw the odd-VRF rules this goroutine installs itself, one
+		// by one and in batches, so the first writer's 200 all survive.
+		for p := uint16(0); p < n; p += 4 {
+			var keys []rule.Key
+			for q := p; q < p+4; q++ {
+				r := mkRule(9, 2, 3, q, int(q%4)*10)
+				_ = tc.Install(r)
+				keys = append(keys, r.Key())
+			}
+			tc.Remove(keys[0])
+			tc.RemoveKeys(keys)
+		}
+	}()
+	for g := 0; g < 4; g++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				snap := tc.Rules()
+				seen := make(map[rule.Key]struct{}, len(snap))
+				for i, r := range snap {
+					if i > 0 && snap[i-1].Priority < r.Priority {
+						t.Errorf("snapshot out of priority order at %d", i)
+						return
+					}
+					if _, dup := seen[r.Key()]; dup {
+						t.Errorf("snapshot holds %v twice", r)
+						return
+					}
+					seen[r.Key()] = struct{}{}
+				}
+				tc.Classify(1, 2, 3, rule.ProtoTCP, uint16(len(snap)))
+				tc.Len()
+			}
+		}()
 	}
-	<-done
-	if tc.Len() != 200 {
-		t.Errorf("Len = %d, want 200", tc.Len())
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+	if tc.Len() != n {
+		t.Errorf("Len = %d, want %d", tc.Len(), n)
+	}
+	if err := checkIndex(tc); err != nil {
+		t.Error(err)
 	}
 }

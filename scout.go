@@ -251,7 +251,10 @@ type Report struct {
 type State struct {
 	// Deployment is the compiled desired state (L-type rules).
 	Deployment *Deployment
-	// TCAM maps each switch to its collected rules (T-type).
+	// TCAM maps each switch to its collected rules (T-type). Collected
+	// from a Fabric or an Epoch, the slices are the TCAMs' shared
+	// read-only snapshots — the same slice again until the switch is
+	// written — so an analysis reads them and must not modify them.
 	TCAM map[object.ID][]rule.Rule
 	// Changes is the controller change log (may be nil).
 	Changes *ChangeLog
