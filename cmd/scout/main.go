@@ -273,8 +273,8 @@ func emitReport(report *scout.Report, pstats *scout.ProberStats, jsonOut, verbos
 			fmt.Printf("\ncontroller risk view: %s\n", report.ControllerView)
 		}
 		if es := report.EncodeStats; es != nil {
-			fmt.Printf("\nbdd encoding: base %d nodes (%d matches, %d semantics warmed), delta %d nodes across %d checkers, encode hits %d (%d from base) / misses %d\n",
-				es.BaseNodes, es.BaseMatches, es.BaseSemantics, es.DeltaNodes, es.Checkers, es.Hits(), es.BaseHits, es.Misses)
+			fmt.Printf("\nbdd encoding: base %d nodes (%d semantics warmed), delta %d nodes across %d checkers\n",
+				es.BaseNodes, es.BaseSemantics, es.DeltaNodes, es.Checkers)
 			fmt.Printf("fold sharing: hits %d (%d from base) / misses %d, check dedup %d groups / %d replays\n",
 				es.FoldHits(), es.FoldBaseHits, es.FoldMisses, es.DedupGroups, es.DedupReplays)
 			fmt.Printf("bdd op cache: %d L1 / %d L2 / %d base hits, %d misses; %d compactions (%d retained / %d dropped)\n",
@@ -474,8 +474,8 @@ func runWatch(f *scout.Fabric, faults []objectFault, opts watchOptions, w io.Wri
 	}
 	fmt.Fprintf(w, "streaming collection: %d partial refreshes, %d switches re-read, %d aliased\n",
 		st.EventBatches, st.EventSwitchesRead, st.EventSwitchesAliased)
-	fmt.Fprintf(w, "session encodings: base %d nodes (%d rebuilds, %d semantics), delta %d nodes, encode hits %d / misses %d\n",
-		st.BaseNodes, st.BaseRebuilds, st.BaseSemantics, st.DeltaNodes, st.EncodeHits, st.EncodeMisses)
+	fmt.Fprintf(w, "session encodings: base %d nodes (%d rebuilds, %d semantics), delta %d nodes\n",
+		st.BaseNodes, st.BaseRebuilds, st.BaseSemantics, st.DeltaNodes)
 	fmt.Fprintf(w, "session fold sharing: hits %d / misses %d, check dedup %d groups / %d replays\n",
 		st.FoldHits, st.FoldMisses, st.DedupGroups, st.DedupReplays)
 	fmt.Fprintf(w, "session checker GC: %d compactions (%d retained / %d dropped), %d resets\n",

@@ -8,11 +8,11 @@
 // is pointer (node-ID) equality, and binary operations are memoized in an
 // operation cache. The checker itself needs little of it: Mk, to intern
 // the diagrams it compiles directly from rule lists; Diff, for the
-// behaviour one side has and the other lacks; and Intersects, a read-only
-// test of which rules meet that difference. The rest of the standard
-// algebra (And, Or, Xor, Not), satisfiability counting and cube
-// enumeration serve tests, the checker's apply-based oracle and the
-// missing-rule extractor.
+// behaviour one side has and the other lacks; and NodeAt, to walk that
+// difference under each rule's constraints. The rest of the standard
+// algebra (And, Or, Xor, Not, Intersects), satisfiability counting and
+// cube enumeration serve tests, the checker's apply-based oracles and
+// the missing-rule extractor.
 //
 // Storage is struct-of-arrays: nodes live in a flat []nodeData slice and
 // the unique table and operation cache are custom open-addressed tables
@@ -272,6 +272,15 @@ func (m *Manager) node(n Node) nodeData {
 		return m.base.nodes[n]
 	}
 	return m.nodes[int(n)-m.baseLen]
+}
+
+// NodeAt returns the (level, lo, hi) triple of node n, frozen or delta:
+// the read a caller needs to walk a diagram under constraints of its own
+// (equiv attributes a difference to rules that way) without building
+// anything. Terminals report a level past every variable.
+func (m *Manager) NodeAt(n Node) (level int32, lo, hi Node) {
+	d := m.node(n)
+	return d.level, d.lo, d.hi
 }
 
 // Var returns the BDD for the single variable v (true branch to True).

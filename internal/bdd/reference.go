@@ -59,6 +59,12 @@ func (m *RefManager) DeltaSize() int { return len(m.nodes) }
 // InBase mirrors Manager.InBase; always false for a standalone manager.
 func (m *RefManager) InBase(Node) bool { return false }
 
+// NodeAt mirrors Manager.NodeAt.
+func (m *RefManager) NodeAt(n Node) (level int32, lo, hi Node) {
+	d := m.nodes[n]
+	return d.level, d.lo, d.hi
+}
+
 // Var returns the BDD for the single variable v.
 func (m *RefManager) Var(v int) Node {
 	if v < 0 || v >= m.numVars {

@@ -83,7 +83,7 @@ func TestCheckerBackendDifferential(t *testing.T) {
 // the (remapped) memos and yields identical reports.
 func TestCheckerCompactPreservesReports(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	base := NewBase(nil)
+	base := newBase()
 	for _, c := range []*Checker{NewChecker(), base.NewChecker()} {
 		var lists [][2][]rule.Rule
 		var reports []*Report

@@ -1,17 +1,17 @@
-// Shared encoding base for the check-stage fan-out: the distinct
-// rule.Matches of a deployment are encoded exactly once into one BDD
-// manager — followed by the whole-switch semantics roots of the most
-// duplicated rule-list fingerprints — which is then frozen into an
-// immutable snapshot that every worker's checker forks. Without it, each
-// check-stage worker owns a private manager and rebuilds every match
-// encoding and every semantics root shared across its switches —
-// duplicated node construction that grows with the worker count.
+// Shared encoding base for the check-stage fan-out: the whole-switch
+// semantics roots of a deployment's most duplicated rule-list
+// fingerprints are compiled once into one BDD manager, which is then
+// frozen into an immutable snapshot that every worker's checker forks.
+// Without it, each check-stage worker owns a private manager and rebuilds
+// every semantics root shared across its switches — duplicated node
+// construction that grows with the worker count.
 //
-// Both kinds of entry are built by the direct compiler (compile.go), so
-// the snapshot holds result nodes only, and its unique table doubles as
-// the memo for lists the base never saw: a fork compiling a drifted
-// switch's TCAM list interns through it and finds every subtree the list
-// shares with a frozen one.
+// The roots are built by the direct compiler (compile.go), so the
+// snapshot holds result nodes only, and its unique table doubles as the
+// memo for lists the base never saw: a fork compiling a drifted switch's
+// TCAM list interns through it and finds every subtree the list shares
+// with a frozen one. Nothing per match is kept: a difference is
+// attributed to rules by walking it (meets.go).
 
 package equiv
 
@@ -24,42 +24,42 @@ import (
 )
 
 // Base is a frozen, immutable encoding base: a BDD snapshot holding the
-// warmed match encodings and whole-switch semantics roots, plus the
-// memos mapping each match — and each canonical rule-list fingerprint —
-// to its frozen node. A Base is safe for concurrent use by any number of
-// checker forks — nothing ever mutates it; build a new Base when the
-// deployment's rules change.
+// warmed whole-switch semantics roots, plus the memo mapping each
+// canonical rule-list fingerprint to its frozen node. A Base is safe for
+// concurrent use by any number of checker forks — nothing ever mutates
+// it; build a new Base when the deployment's rules change.
 type Base struct {
-	snap     *bdd.Snapshot
-	matchMem map[rule.Match]bdd.Node
+	snap *bdd.Snapshot
 	// semMem entries carry the canonical rule list alongside the frozen
 	// root (references to the caller's slices, not copies); checker hits
 	// verify against it so fingerprint collisions never alias roots.
 	semMem map[uint64]semRoot
 }
 
-// NewBase encodes each match once, in the given order, then compiles each
-// semantics rule list into its whole-list allowed-set BDD (keyed by
-// SemanticsFingerprint, duplicates collapsed), and freezes the result.
-// Matches or lists that cannot be encoded (out-of-range IDs, inverted
-// port ranges) are skipped rather than failing the build: the base is a
-// cache, and the per-switch check that owns the offending rule reports
-// the error with proper switch attribution.
+// NewBase compiles each semantics rule list into its whole-list
+// allowed-set BDD (keyed by SemanticsFingerprint, duplicates collapsed)
+// and freezes the result. Lists that cannot be encoded (out-of-range IDs,
+// inverted port ranges) are skipped rather than failing the build: the
+// base is a cache, and the per-switch check that owns the offending rule
+// reports the error with proper switch attribution.
 //
 // Callers wanting a deterministic base across processes should pass the
-// matches in a canonical order (SortMatches) and the semantics lists in
-// a canonical order too (the warmup ranks them by duplication count with
-// a fingerprint tiebreak); within one process any order yields an
+// lists in a canonical order (the warmup ranks them by duplication count
+// with a fingerprint tiebreak); within one process any order yields an
 // equivalent base.
-func NewBase(matches []rule.Match, semantics ...[]rule.Rule) *Base {
-	b, _ := NewBaseWith(nil, matches, semantics...)
+//
+// Deprecated: the matches argument is ignored — a base holds no match
+// encodings. It stays until bench/ stops passing it (ROADMAP item 1,
+// shims); other callers use NewBaseWith.
+func NewBase(_ []rule.Match, semantics ...[]rule.Rule) *Base {
+	b, _ := NewBaseWith(nil, semantics...)
 	return b
 }
 
 // NewChecker forks the base: the returned checker resolves every warmed
-// match and whole-switch semantics root from the base's frozen memos and
-// builds only novel encodings and folds in its private copy-on-write
-// delta. Forking is O(1); use one fork per worker goroutine. The fork's
+// whole-switch semantics root from the base's frozen memo and compiles
+// only novel lists in its private copy-on-write delta. Forking is O(1);
+// use one fork per worker goroutine. The fork's
 // delta tables are pre-sized from the base's observed load; callers with
 // an explicit delta budget use NewCheckerSized.
 func (b *Base) NewChecker() *Checker {
@@ -76,19 +76,21 @@ func (b *Base) NewCheckerSized(deltaNodes int) *Checker {
 
 func (b *Base) newChecker(newM func() Backend) *Checker {
 	return &Checker{
-		m:        newM(),
-		newM:     newM,
-		base:     b,
-		matchMem: make(map[rule.Match]bdd.Node, 1024),
-		semMem:   make(map[uint64]semRoot, 64),
+		m:      newM(),
+		newM:   newM,
+		base:   b,
+		semMem: make(map[uint64]semRoot, 64),
 	}
 }
 
 // Size returns the number of frozen BDD nodes in the base.
 func (b *Base) Size() int { return b.snap.Size() }
 
-// NumMatches returns the number of warmed match encodings.
-func (b *Base) NumMatches() int { return len(b.matchMem) }
+// NumMatches returns 0.
+//
+// Deprecated: a base holds no match encodings. It stays until bench/
+// stops reading it (ROADMAP item 1, shims).
+func (b *Base) NumMatches() int { return 0 }
 
 // NumSemantics returns the number of frozen whole-switch semantics roots.
 func (b *Base) NumSemantics() int { return len(b.semMem) }
@@ -116,17 +118,20 @@ func (b *Base) RebindSemantics(bySwitch map[object.ID][]rule.Rule) {
 	}
 }
 
-// CollectMatches adds the distinct matches of rules into set — the
-// warmup pass's gather step, run per switch (concurrently over private
-// sets) before the merged result is encoded into a Base.
+// CollectMatches adds the distinct matches of rules into set.
+//
+// Deprecated: no base build gathers matches any more. It stays until
+// bench/ stops calling it (ROADMAP item 1, shims).
 func CollectMatches(set map[rule.Match]struct{}, rules []rule.Rule) {
 	for _, r := range rules {
 		set[r.Match] = struct{}{}
 	}
 }
 
-// SortMatches orders matches canonically (field-by-field), making a
-// Base build reproducible for a given match set.
+// SortMatches orders matches canonically (field-by-field).
+//
+// Deprecated: no base build takes matches any more. It stays until
+// bench/ stops calling it (ROADMAP item 1, shims).
 func SortMatches(matches []rule.Match) {
 	sort.Slice(matches, func(i, j int) bool { return matchLess(matches[i], matches[j]) })
 }
@@ -161,37 +166,31 @@ func matchLess(a, b rule.Match) bool {
 
 // EncodeStats aggregates the encoding work behind one analysis run:
 // where the BDD nodes live (shared base vs per-checker deltas) and where
-// match encodings were resolved from. It is the assertion surface for
-// the shared-base design — cross-worker duplicated node construction
-// shows up as DeltaNodes growth with the worker count.
+// whole-list semantics roots were resolved from. It is the assertion
+// surface for the shared-base design — cross-worker duplicated node
+// construction shows up as DeltaNodes growth with the worker count.
 //
 // Units caveat for session-produced reports: a session's checkers
 // persist across runs, so the hit/miss counters aggregated from them
 // are cumulative over the session's lifetime, while DedupGroups and
 // DedupReplays describe only the producing run's check plan. Per-run
-// encode/fold attribution and cumulative dedup counters both live in
-// the session's SessionStats instead.
+// fold attribution and cumulative dedup counters both live in the
+// session's SessionStats instead.
 type EncodeStats struct {
 	// Checkers is the number of checkers aggregated (the worker count).
 	Checkers int
 	// BaseNodes is the size of the shared frozen base; 0 when the run
 	// used private per-worker checkers.
 	BaseNodes int
-	// BaseMatches is the number of match encodings warmed in the base.
-	BaseMatches int
 	// BaseSemantics is the number of whole-switch semantics roots frozen
 	// in the base (the top-K most duplicated rule-list fingerprints).
 	BaseSemantics int
 	// DeltaNodes sums every checker's private node count.
 	DeltaNodes int
-	// BaseHits, LocalHits, and Misses sum the checkers' cumulative
-	// encoding counters (see CheckerStats).
-	BaseHits  int
-	LocalHits int
-	Misses    int
 	// FoldBaseHits, FoldLocalHits, and FoldMisses sum the checkers'
-	// whole-list semantics counters: folds resolved from the base's
-	// frozen roots, from a checker's own memo, or built from scratch.
+	// cumulative whole-list semantics counters: folds resolved from the
+	// base's frozen roots, from a checker's own memo, or built from
+	// scratch.
 	FoldBaseHits  int
 	FoldLocalHits int
 	FoldMisses    int
@@ -205,7 +204,7 @@ type EncodeStats struct {
 
 	// OpCache sums the checkers' BDD operation-cache tier counters
 	// (direct-mapped L1 hits, exact-table L2 hits, frozen-base hits,
-	// misses). Like the encode counters, cumulative over each checker's
+	// misses). Like the fold counters, cumulative over each checker's
 	// lifetime for session-produced reports.
 	OpCache bdd.CacheStats
 
@@ -221,9 +220,6 @@ type EncodeStats struct {
 // (built once) plus every private delta.
 func (s *EncodeStats) TotalNodes() int { return s.BaseNodes + s.DeltaNodes }
 
-// Hits is the total memo-resolved encodings (base + local).
-func (s *EncodeStats) Hits() int { return s.BaseHits + s.LocalHits }
-
 // FoldHits is the total memo-resolved whole-list folds (base + local).
 func (s *EncodeStats) FoldHits() int { return s.FoldBaseHits + s.FoldLocalHits }
 
@@ -236,7 +232,6 @@ func AggregateEncodeStats(base *Base, checkers []*Checker) *EncodeStats {
 	st := &EncodeStats{}
 	if base != nil {
 		st.BaseNodes = base.Size()
-		st.BaseMatches = base.NumMatches()
 		st.BaseSemantics = base.NumSemantics()
 	}
 	for _, c := range checkers {
@@ -246,9 +241,6 @@ func AggregateEncodeStats(base *Base, checkers []*Checker) *EncodeStats {
 		st.Checkers++
 		st.DeltaNodes += c.DeltaSize()
 		cs := c.Stats()
-		st.BaseHits += cs.BaseHits
-		st.LocalHits += cs.LocalHits
-		st.Misses += cs.Misses
 		st.FoldBaseHits += cs.FoldBaseHits
 		st.FoldLocalHits += cs.FoldLocalHits
 		st.FoldMisses += cs.FoldMisses

@@ -10,19 +10,11 @@ import (
 	"scout/internal/rule"
 )
 
-// baseMatches extracts the distinct matches of the given rule lists in
-// canonical order, the warmup pass in miniature.
-func baseMatches(ruleSets ...[]rule.Rule) []rule.Match {
-	set := make(map[rule.Match]struct{})
-	for _, rules := range ruleSets {
-		CollectMatches(set, rules)
-	}
-	matches := make([]rule.Match, 0, len(set))
-	for m := range set {
-		matches = append(matches, m)
-	}
-	SortMatches(matches)
-	return matches
+// newBase freezes the given rule lists' semantics roots, the warmup pass
+// in miniature.
+func newBase(lists ...[]rule.Rule) *Base {
+	b, _ := NewBaseWith(nil, lists...)
+	return b
 }
 
 // TestForkReportMatchesStandalone is the core interchangeability
@@ -40,7 +32,7 @@ func TestForkReportMatchesStandalone(t *testing.T) {
 		allowRule(7, 7, 7, 22), // extra
 	)
 
-	base := NewBase(baseMatches(logical, deployed))
+	base := newBase(logical)
 	fork := base.NewChecker()
 	standalone := NewChecker()
 
@@ -64,25 +56,27 @@ func TestForkReportMatchesStandalone(t *testing.T) {
 		}
 	}
 
-	// Every match was warmed, so the fork resolved all encodings from
-	// the base.
+	// The logical list was warmed, so each of its four appearances resolved
+	// from the base; the deployed and the empty list compiled once each.
 	st := fork.Stats()
-	if st.Misses != 0 {
-		t.Errorf("fully warmed fork missed %d encodings", st.Misses)
+	if st.FoldBaseHits != 4 {
+		t.Errorf("FoldBaseHits = %d, want 4", st.FoldBaseHits)
 	}
-	if st.BaseHits == 0 {
-		t.Error("fork never hit the base memo")
+	if st.FoldMisses != 2 {
+		t.Errorf("FoldMisses = %d, want 2 (deployed, empty)", st.FoldMisses)
 	}
 }
 
-// TestForkEncodesNovelMatches covers the copy-on-write side: matches
-// absent from the base (a corrupted TCAM entry) are encoded into the
-// fork's private delta, and only there.
+// TestForkEncodesNovelMatches covers the copy-on-write side: a list whose
+// match the base never saw (a corrupted TCAM entry) compiles into the
+// fork's private delta, and only there — and attributing the difference
+// to rules builds nothing on top of it.
 func TestForkEncodesNovelMatches(t *testing.T) {
 	logical := withDeny(allowRule(1, 2, 3, 80))
 	corrupted := withDeny(allowRule(1, 2, 99, 80)) // dst not in base
 
-	base := NewBase(baseMatches(logical))
+	base := newBase(logical)
+	baseSize := base.Size()
 	fork := base.NewChecker()
 
 	want, err := NewChecker().Check(logical, corrupted)
@@ -96,31 +90,39 @@ func TestForkEncodesNovelMatches(t *testing.T) {
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("fork report %+v differs from standalone %+v", got, want)
 	}
-	if fork.Stats().Misses == 0 {
-		t.Error("novel match must count as an encode miss")
+	if st := fork.Stats(); st.FoldMisses != 1 || st.FoldBaseHits != 1 {
+		t.Errorf("fold counters %+v, want the corrupted list missed and the logical one hit", st)
 	}
 	if fork.DeltaSize() == 0 {
-		t.Error("novel match must allocate delta nodes")
+		t.Error("novel list must allocate delta nodes")
 	}
-	if base.Size() != base.snap.Size() {
+	if base.Size() != baseSize {
 		t.Error("base must be unchanged by fork work")
+	}
+	// The delta is the corrupted list's diagram and the two differences:
+	// re-attributing them (every root a memo hit) adds nothing.
+	delta := fork.DeltaSize()
+	if _, err := fork.Check(logical, corrupted); err != nil {
+		t.Fatal(err)
+	}
+	if fork.DeltaSize() != delta {
+		t.Errorf("re-check grew the delta %d -> %d", delta, fork.DeltaSize())
 	}
 }
 
 // TestForkResetKeepsBase: Reset discards only the delta; the base stays
-// warm and subsequent checks still hit it. Match encodings are read only
-// when a difference is attributed to rules, so the checked pair differs.
+// warm and subsequent checks still hit it.
 func TestForkResetKeepsBase(t *testing.T) {
 	logical := withDeny(allowRule(1, 2, 3, 80), allowRule(1, 3, 2, 443))
 	drifted := withDeny(allowRule(1, 2, 3, 80))
-	base := NewBase(baseMatches(logical))
+	base := newBase(logical)
 	fork := base.NewChecker()
 
 	if _, err := fork.Check(logical, drifted); err != nil {
 		t.Fatal(err)
 	}
 	if fork.DeltaSize() == 0 {
-		t.Fatal("check must build both lists' semantics in the delta")
+		t.Fatal("check must build the drifted list's semantics in the delta")
 	}
 	fork.Reset()
 	if fork.DeltaSize() != 0 {
@@ -129,7 +131,7 @@ func TestForkResetKeepsBase(t *testing.T) {
 	if fork.Size() != base.Size() {
 		t.Errorf("post-Reset Size = %d, want base size %d", fork.Size(), base.Size())
 	}
-	before := fork.Stats().BaseHits
+	before := fork.Stats()
 	rep, err := fork.Check(logical, drifted)
 	if err != nil {
 		t.Fatal(err)
@@ -137,11 +139,12 @@ func TestForkResetKeepsBase(t *testing.T) {
 	if len(rep.MissingRules) != 1 {
 		t.Fatalf("MissingRules = %v, want the port-443 rule", rep.MissingRules)
 	}
-	if fork.Stats().BaseHits <= before {
-		t.Error("post-Reset attribution must still hit the base memo")
+	after := fork.Stats()
+	if after.FoldBaseHits != before.FoldBaseHits+1 {
+		t.Error("post-Reset check must still resolve the warmed list from the base")
 	}
-	if fork.Stats().Misses != 0 {
-		t.Errorf("post-Reset checks re-encoded %d warmed matches", fork.Stats().Misses)
+	if after.FoldMisses != before.FoldMisses+1 {
+		t.Errorf("post-Reset check compiled %d lists, want only the drifted one", after.FoldMisses-before.FoldMisses)
 	}
 }
 
@@ -160,7 +163,7 @@ func TestConcurrentForks(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	base := NewBase(baseMatches(logical, deployed))
+	base := newBase(logical)
 	const forks = 8
 	var wg sync.WaitGroup
 	reports := make([]*Report, forks)
@@ -189,14 +192,15 @@ func TestConcurrentForks(t *testing.T) {
 	}
 }
 
-// TestNewBaseSkipsUnencodableMatches: the base is a cache; rules the
-// encoding rejects are left to the owning switch's check to report.
+// TestNewBaseSkipsUnencodableMatches: the deprecated NewBase ignores its
+// matches — encodable or not, they build nothing — and rules the encoding
+// rejects are left to the owning switch's check to report.
 func TestNewBaseSkipsUnencodableMatches(t *testing.T) {
 	good := rule.Match{VRF: 1, SrcEPG: 2, DstEPG: 3, PortLo: 80, PortHi: 80}
 	inverted := rule.Match{VRF: 1, SrcEPG: 2, DstEPG: 3, PortLo: 90, PortHi: 80}
 	base := NewBase([]rule.Match{good, inverted, good})
-	if base.NumMatches() != 1 {
-		t.Errorf("NumMatches = %d, want 1 (inverted skipped, duplicate collapsed)", base.NumMatches())
+	if base.NumMatches() != 0 || base.Size() != 2 {
+		t.Errorf("NumMatches = %d, Size = %d, want 0 and the two terminals", base.NumMatches(), base.Size())
 	}
 	// The fork still surfaces the error when the bad rule is checked.
 	fork := base.NewChecker()
@@ -207,8 +211,14 @@ func TestNewBaseSkipsUnencodableMatches(t *testing.T) {
 }
 
 // TestSortMatchesTotalOrder: the canonical order is deterministic and
-// insensitive to input permutation.
+// insensitive to input permutation, and CollectMatches gathers each
+// distinct match once.
 func TestSortMatchesTotalOrder(t *testing.T) {
+	set := map[rule.Match]struct{}{}
+	CollectMatches(set, withDeny(allowRule(1, 2, 3, 80), allowRule(1, 2, 3, 80), allowRule(1, 3, 2, 443)))
+	if len(set) != 3 {
+		t.Errorf("CollectMatches gathered %d matches, want 3 (two allows and the deny)", len(set))
+	}
 	matches := []rule.Match{
 		{VRF: 2, SrcEPG: 1, DstEPG: 1, PortLo: 0, PortHi: rule.PortMax},
 		{VRF: 1, SrcEPG: 9, DstEPG: 1, PortLo: 80, PortHi: 80},
@@ -237,7 +247,7 @@ func TestSortMatchesTotalOrder(t *testing.T) {
 // slots.
 func TestAggregateEncodeStats(t *testing.T) {
 	logical := withDeny(allowRule(1, 2, 3, 80))
-	base := NewBase(baseMatches(logical))
+	base := newBase(logical)
 	f1, f2 := base.NewChecker(), base.NewChecker()
 	if _, err := f1.Check(logical, logical); err != nil {
 		t.Fatal(err)
@@ -249,7 +259,7 @@ func TestAggregateEncodeStats(t *testing.T) {
 	if st.Checkers != 2 {
 		t.Errorf("Checkers = %d, want 2", st.Checkers)
 	}
-	if st.BaseNodes != base.Size() || st.BaseMatches != base.NumMatches() {
+	if st.BaseNodes != base.Size() || st.BaseSemantics != base.NumSemantics() {
 		t.Errorf("base counters wrong: %+v", st)
 	}
 	wantDelta := f1.DeltaSize() + f2.DeltaSize()
@@ -259,11 +269,11 @@ func TestAggregateEncodeStats(t *testing.T) {
 	if st.TotalNodes() != st.BaseNodes+st.DeltaNodes {
 		t.Error("TotalNodes must be base + delta")
 	}
-	if st.Hits() != st.BaseHits+st.LocalHits {
-		t.Error("Hits must be base + local")
+	if st.FoldHits() != st.FoldBaseHits+st.FoldLocalHits {
+		t.Error("FoldHits must be base + local")
 	}
-	if st.BaseHits == 0 {
-		t.Error("warmed checks must register base hits")
+	if st.FoldBaseHits != 3 || st.FoldMisses != 1 {
+		t.Errorf("fold counters %+v, want 3 base hits (the warmed list) and 1 miss (the empty list)", st)
 	}
 }
 

@@ -1,14 +1,15 @@
-// Direct ROBDD construction for rule lists and rule matches. A
-// prioritized list is compiled to the canonical diagram of the packets it
-// allows without ever applying a boolean operator: the list is
-// partitioned field by field in variable order, first-match is resolved
-// on the port axis into a union of disjoint intervals, and each field is
-// emitted bottom-up as a binary trie over the values the rules name. The
-// only manager call is Mk, so the only nodes interned are nodes of the
-// result — whatever the interleaving of allow and deny — and a node the
-// manager (or the frozen base under a fork) already holds is found, not
-// rebuilt: re-compiling a list that differs from a warmed one in k rules
-// adds the O(k) root-to-leaf paths that changed and nothing else.
+// Direct ROBDD construction for rule lists. A prioritized list is
+// compiled to the canonical diagram of the packets it allows without ever
+// applying a boolean operator: the list is partitioned field by field in
+// variable order, first-match is resolved on the port axis into a union of
+// disjoint intervals, and each field is emitted bottom-up as a binary trie
+// over the values the rules name. The only manager call is Mk, so the only
+// nodes interned are nodes of the result — whatever the interleaving of
+// allow and deny — and a node the manager (or the frozen base under a
+// fork) already holds is found, not rebuilt: re-compiling a list that
+// differs from a warmed one in k rules adds the O(k) root-to-leaf paths
+// that changed and nothing else. The same field layout is read back by the
+// attribution walk (meets.go).
 //
 // Canonicity is what makes this interchangeable with a fold of And/Or/
 // Not over per-rule encodings: both yield the one ROBDD of the function,
@@ -108,30 +109,6 @@ func compileSemantics(m Backend, rules []rule.Rule) (bdd.Node, error) {
 		list[i] = int32(i)
 	}
 	return c.field(list, 0), nil
-}
-
-// compileMatch builds, in m, the BDD of the header tuples a match covers:
-// the port interval, then one node per constrained bit above it.
-func compileMatch(m Backend, match rule.Match) (bdd.Node, error) {
-	if err := checkMatch(match); err != nil {
-		return bdd.False, err
-	}
-	r := reduceRule(rule.Rule{Match: match})
-	n := spansBDD(m, 0, 0, []span{{r.lo, r.end}})
-	for f := numIDFields - 1; f >= 0; f-- {
-		if r.wild[f] {
-			continue
-		}
-		fd := idFields[f]
-		for bit := fd.width - 1; bit >= 0; bit-- {
-			if r.val[f]>>uint(fd.width-1-bit)&1 == 1 {
-				n = m.Mk(fd.off+bit, bdd.False, n)
-			} else {
-				n = m.Mk(fd.off+bit, n, bdd.False)
-			}
-		}
-	}
-	return n, nil
 }
 
 // compiler carries one list's reduced rules through the field recursion.

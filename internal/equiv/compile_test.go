@@ -351,7 +351,7 @@ func churnList(n int) []rule.Rule {
 func TestCompileChurnBoundedByEdit(t *testing.T) {
 	const k = 4
 	full := churnList(6000)
-	base := NewBase(nil, full)
+	base := newBase(full)
 	if base.NumSemantics() != 1 {
 		t.Fatal("base did not freeze the list")
 	}
@@ -383,7 +383,7 @@ func TestCompileChurnBoundedByEdit(t *testing.T) {
 	}
 
 	// The same list in a fork of an empty base pays for all of it.
-	cold := NewBase(nil).NewChecker()
+	cold := newBase().NewChecker()
 	if _, err := cold.semantics(edited); err != nil {
 		t.Fatal(err)
 	}

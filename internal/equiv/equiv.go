@@ -38,9 +38,10 @@ const (
 const maxID = 1<<vrfBits - 1
 
 // Backend is the BDD-manager surface the checker builds on: node
-// construction (Mk — rule lists and matches compile straight to their
-// ROBDD, see compile.go), the difference of two compiled roots, read-only
-// queries on the result, and size accounting. Its primary implementation
+// construction (Mk — rule lists compile straight to their ROBDD, see
+// compile.go), the difference of two compiled roots, read-only queries on
+// the result (NodeAt is how a difference is attributed to rules, see
+// meets.go), and size accounting. Its primary implementation
 // is *bdd.Manager (open-addressed tables); *bdd.RefManager (the
 // map-backed reference) satisfies it too, which is how the bddspeed
 // experiment and the differential tests run full checker workloads on
@@ -48,7 +49,7 @@ const maxID = 1<<vrfBits - 1
 type Backend interface {
 	Mk(level int, lo, hi bdd.Node) bdd.Node
 	Diff(a, b bdd.Node) bdd.Node
-	Intersects(a, b bdd.Node) bool
+	NodeAt(n bdd.Node) (level int32, lo, hi bdd.Node)
 	AllSat(n bdd.Node, fn func(cube []bdd.Lit) bool)
 	Size() int
 	DeltaSize() int
@@ -56,25 +57,23 @@ type Backend interface {
 }
 
 // Checker performs BDD-based equivalence checks between rule sets. A
-// Checker owns a BDD manager and memoizes per-rule encodings, so reusing
-// one Checker across many switches amortizes node construction. Not safe
-// for concurrent use.
+// Checker owns a BDD manager and memoizes whole-list semantics roots, so
+// reusing one Checker across many switches amortizes node construction.
+// Not safe for concurrent use.
 //
 // A checker is either standalone (NewChecker: private manager, every
-// encoding built from scratch) or a fork of a shared Base
-// (Base.NewChecker): forks resolve match encodings — and, by canonical
-// rule-list fingerprint, whole-switch semantics roots — through the
-// base's frozen memos first and build only what the base lacks in a
-// private copy-on-write delta, so any number of concurrent forks share
-// one node pool for the hot encodings and the hot folds.
+// list compiled from scratch) or a fork of a shared Base
+// (Base.NewChecker): forks resolve whole-switch semantics roots, by
+// canonical rule-list fingerprint, through the base's frozen memo first
+// and build only what the base lacks in a private copy-on-write delta, so
+// any number of concurrent forks share one node pool for the hot lists.
 type Checker struct {
 	m Backend
 	// newM recreates the manager on Reset with the same kind and sizing
 	// the checker was constructed with (standalone, ref-backed, or a
 	// fork pre-sized to a delta budget).
-	newM     func() Backend
-	base     *Base // nil for standalone checkers
-	matchMem map[rule.Match]bdd.Node
+	newM func() Backend
+	base *Base // nil for standalone checkers
 	// semMem memoizes whole-list semantics roots by SemanticsFingerprint,
 	// so a checker re-handed an identical rule list (the same switch
 	// re-checked across session runs, or the L and T sides of a
@@ -83,20 +82,15 @@ type Checker struct {
 	// 64-bit collision costs a private fold, never a wrong root.
 	semMem map[uint64]semRoot
 
-	// Encoding counters, cumulative across checks and Resets: baseHits
-	// answered by the shared base's frozen memo, localHits by this
-	// checker's own memo, misses encoded from scratch.
-	baseHits  int
-	localHits int
-	misses    int
-
-	// Fold counters, the same split for whole-list semantics roots.
+	// Fold counters, cumulative across checks and Resets: foldBaseHits
+	// answered by the shared base's frozen memo, foldLocalHits by this
+	// checker's own memo, foldMisses compiled from scratch.
 	foldBaseHits  int
 	foldLocalHits int
 	foldMisses    int
 
 	// cacheAcc accumulates the op-cache counters of managers discarded
-	// by Reset, so Stats stays cumulative like the encode counters.
+	// by Reset, so Stats stays cumulative like the fold counters.
 	cacheAcc bdd.CacheStats
 
 	// Compaction counters, cumulative: compactions run, delta nodes
@@ -125,10 +119,9 @@ func NewChecker() *Checker {
 // by Reset, so the checker keeps its backend kind for life.
 func NewCheckerBacked(newM func() Backend) *Checker {
 	return &Checker{
-		m:        newM(),
-		newM:     newM,
-		matchMem: make(map[rule.Match]bdd.Node, 1024),
-		semMem:   make(map[uint64]semRoot, 64),
+		m:      newM(),
+		newM:   newM,
+		semMem: make(map[uint64]semRoot, 64),
 	}
 }
 
@@ -145,12 +138,11 @@ func (c *Checker) Size() int { return c.m.Size() }
 // only shed its delta, never the base.
 func (c *Checker) DeltaSize() int { return c.m.DeltaSize() }
 
-// Stats returns the checker's cumulative encoding counters.
+// Stats returns the checker's cumulative counters.
 func (c *Checker) Stats() CheckerStats {
 	cache := c.cacheAcc
 	cache.Add(c.m.CacheStats())
 	return CheckerStats{
-		BaseHits: c.baseHits, LocalHits: c.localHits, Misses: c.misses,
 		FoldBaseHits: c.foldBaseHits, FoldLocalHits: c.foldLocalHits, FoldMisses: c.foldMisses,
 		Cache:           cache,
 		Compactions:     c.compactions,
@@ -158,16 +150,13 @@ func (c *Checker) Stats() CheckerStats {
 	}
 }
 
-// CheckerStats counts where one checker's match encodings and whole-list
-// semantics roots came from.
+// CheckerStats counts where one checker's whole-list semantics roots came
+// from, and what its manager's caches and compactions did.
 type CheckerStats struct {
-	// BaseHits were answered by the shared base's frozen memo (always 0
-	// for standalone checkers).
-	BaseHits int
-	// LocalHits were answered by the checker's own memo.
-	LocalHits int
-	// Misses were encoded from scratch into the checker's manager.
-	Misses int
+	// Deprecated: BaseHits, LocalHits and Misses counted match encodings,
+	// which no longer exist; they stay 0 until bench/ stops reading them
+	// (ROADMAP item 1, shims).
+	BaseHits, LocalHits, Misses int
 
 	// FoldBaseHits are whole-list semantics roots resolved from the
 	// shared base's frozen semantics memo (always 0 standalone).
@@ -188,26 +177,24 @@ type CheckerStats struct {
 	CompactDropped  int
 }
 
-// Reset discards the checker's own BDD nodes and memoized match
-// encodings, returning it to its freshly constructed state: standalone
+// Reset discards the checker's own BDD nodes and memoized semantics
+// roots, returning it to its freshly constructed state: standalone
 // checkers rebuild an empty manager, forks re-fork their shared base and
 // lose only the delta. Checks after a Reset produce identical reports —
-// only the amortized encoding work is lost. Encoding counters survive.
+// only the amortized compile work is lost. Counters survive.
 func (c *Checker) Reset() {
 	c.cacheAcc.Add(c.m.CacheStats())
 	c.m = c.newM()
-	c.matchMem = make(map[rule.Match]bdd.Node, 1024)
 	c.semMem = make(map[uint64]semRoot, 64)
 }
 
-// Compact runs a delta GC on the checker's manager: every memoized match
-// encoding and semantics root is a live root, everything else in the
-// delta is dead and dropped, and the memos are remapped to the compacted
-// IDs. Unlike Reset it keeps the warm memo state — subsequent checks of
-// already-seen switches still hit — while shedding the difference BDDs
-// dead since their checks reported. Reports after a Compact are
-// identical; ROBDD canonicity only cares that each memoized function
-// keeps a consistent ID, not which ID.
+// Compact runs a delta GC on the checker's manager: every memoized
+// semantics root is a live root, everything else in the delta is dead and
+// dropped, and the memo is remapped to the compacted IDs. Unlike Reset it
+// keeps the warm memo state — subsequent checks of already-seen switches
+// still hit — while shedding the difference BDDs dead since their checks
+// reported. Reports after a Compact are identical; ROBDD canonicity only
+// cares that each memoized function keeps a consistent ID, not which ID.
 //
 // Compact returns false (and does nothing) when the backend does not
 // support compaction (the map-backed reference manager).
@@ -216,17 +203,11 @@ func (c *Checker) Compact() (bdd.CompactStats, bool) {
 	if !ok {
 		return bdd.CompactStats{}, false
 	}
-	roots := make([]bdd.Node, 0, len(c.matchMem)+len(c.semMem))
-	for _, n := range c.matchMem {
-		roots = append(roots, n)
-	}
+	roots := make([]bdd.Node, 0, len(c.semMem))
 	for _, e := range c.semMem {
 		roots = append(roots, e.node)
 	}
 	remap, stats := m.CompactDelta(roots)
-	for k, n := range c.matchMem {
-		c.matchMem[k] = remap.Node(n)
-	}
 	for k, e := range c.semMem {
 		e.node = remap.Node(e.node)
 		c.semMem[k] = e
@@ -282,22 +263,23 @@ func (c *Checker) Check(logical, deployed []rule.Rule) (*Report, error) {
 }
 
 // attribute returns the allow rules whose match meets the header space
-// diff. The test only reads the two diagrams (Intersects), so attributing
-// a difference to rules adds no node to the checker's manager.
+// diff. Each rule is tested by walking diff under the rule's constraints
+// (meets.go), which only reads the diagram: attributing a difference to
+// rules adds no node to the checker's manager and keeps no per-match state.
 func (c *Checker) attribute(rules []rule.Rule, diff bdd.Node) ([]rule.Rule, error) {
 	if diff == bdd.False {
 		return nil, nil
 	}
+	w := meetWalk{m: c.m}
 	var hit []rule.Rule
 	for _, r := range rules {
 		if r.Action != rule.Allow {
 			continue
 		}
-		enc, err := c.encodeMatch(r.Match)
-		if err != nil {
+		if err := checkMatch(r.Match); err != nil {
 			return nil, err
 		}
-		if c.m.Intersects(enc, diff) {
+		if w.meets(r, diff) {
 			hit = append(hit, r.Clone())
 		}
 	}
@@ -339,31 +321,6 @@ func (c *Checker) semantics(rules []rule.Rule) (bdd.Node, error) {
 	if _, occupied := c.semMem[fp]; !occupied {
 		c.semMem[fp] = semRoot{rules: rules, node: n}
 	}
-	return n, nil
-}
-
-// encodeMatch resolves (and memoizes) the BDD of header tuples covered
-// by m: the shared base's frozen memo first (node IDs from the base are
-// valid in every fork), then the checker's own memo, then a fresh encode
-// into the checker's manager. Only difference attribution reads match
-// encodings; compiling a list's semantics does not.
-func (c *Checker) encodeMatch(m rule.Match) (bdd.Node, error) {
-	if c.base != nil {
-		if n, ok := c.base.matchMem[m]; ok {
-			c.baseHits++
-			return n, nil
-		}
-	}
-	if n, ok := c.matchMem[m]; ok {
-		c.localHits++
-		return n, nil
-	}
-	n, err := compileMatch(c.m, m)
-	if err != nil {
-		return bdd.False, err
-	}
-	c.misses++
-	c.matchMem[m] = n
 	return n, nil
 }
 

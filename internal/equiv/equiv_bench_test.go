@@ -1,14 +1,17 @@
 package equiv
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"scout/internal/bdd"
+	"scout/internal/compile"
 	"scout/internal/object"
 	"scout/internal/rule"
+	"scout/internal/workload"
 )
 
 // benchRules builds n disjoint allow rules plus the default deny.
@@ -56,7 +59,7 @@ func BenchmarkCheckWithMissing(b *testing.B) {
 }
 
 // BenchmarkCheckerReuse measures the amortized cost when one checker
-// (with its match memo) serves repeated checks, the Analyzer's pattern.
+// (with its semantics memo) serves repeated checks, the Analyzer's pattern.
 func BenchmarkCheckerReuse(b *testing.B) {
 	rules := benchRules(1024)
 	c := NewChecker()
@@ -109,9 +112,10 @@ func benchFabricTables(switches, rulesPerSwitch int) (logical, deployed [][]rule
 
 // benchFanout checks every switch's tables with the given worker count —
 // the Analyzer's check-stage sharding. With shared=false each worker owns
-// a private Checker built from scratch; with shared=true the distinct
-// matches are warmed into a frozen Base once per iteration and each
-// worker forks it, so cross-worker encoding work is never duplicated.
+// a private Checker built from scratch; with shared=true the logical
+// lists are compiled into a frozen Base once per iteration and each
+// worker forks it, so a drifted TCAM list compiles against its frozen
+// logical twin and lands only its edits in the worker's delta.
 func benchFanout(b *testing.B, workers int, shared bool) {
 	const switches = 16
 	logical, deployed := benchFabricTables(switches, 512)
@@ -119,7 +123,7 @@ func benchFanout(b *testing.B, workers int, shared bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if shared {
-			base := NewBase(baseMatches(append(logical, deployed...)...))
+			base := newBase(logical...)
 			newChecker = base.NewChecker
 		}
 		var wg sync.WaitGroup
@@ -152,13 +156,12 @@ func benchFanout(b *testing.B, workers int, shared bool) {
 func BenchmarkFanoutSerial(b *testing.B) { benchFanout(b, 1, false) }
 
 // BenchmarkFanout4 shards the same fabric across 4 private checkers; the
-// speedup over BenchmarkFanoutSerial is bounded by GOMAXPROCS and eroded
-// by the duplicated match encodings each worker re-derives.
+// speedup over BenchmarkFanoutSerial is bounded by GOMAXPROCS.
 func BenchmarkFanout4(b *testing.B) { benchFanout(b, 4, false) }
 
 // BenchmarkFanoutShared4 shards across 4 forks of a shared frozen base
-// (warmup included in the measurement): the duplicated encoding work of
-// BenchmarkFanout4 is replaced by one base build.
+// (warmup included in the measurement): each worker compiles only what
+// its switches' TCAM lists changed.
 func BenchmarkFanoutShared4(b *testing.B) { benchFanout(b, 4, true) }
 
 // BenchmarkMissingSpace measures cube extraction on a 5%-degraded table.
@@ -188,7 +191,7 @@ func BenchmarkMissingSpace(b *testing.B) {
 // BenchmarkCheckSemanticsPrivate, the same check folding per fork.
 func BenchmarkCheckSemanticsShared(b *testing.B) {
 	rules := benchRules(1024)
-	base := NewBase(nil, rules)
+	base := newBase(rules)
 	c := base.NewChecker()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -200,17 +203,12 @@ func BenchmarkCheckSemanticsShared(b *testing.B) {
 	b.ReportMetric(float64(c.DeltaSize())/float64(b.N), "delta-nodes/op")
 }
 
-// BenchmarkCheckSemanticsPrivate is the ablation twin: the base warms
-// only match encodings (pre-PR-5 state), so every iteration's fresh fork
-// compiles the whole list into its delta.
+// BenchmarkCheckSemanticsPrivate is the ablation twin: the base froze
+// nothing, so every iteration's fresh fork compiles the whole list into
+// its delta.
 func BenchmarkCheckSemanticsPrivate(b *testing.B) {
 	rules := benchRules(1024)
-	matches := make([]rule.Match, 0, len(rules))
-	for _, r := range rules {
-		matches = append(matches, r.Match)
-	}
-	SortMatches(matches)
-	base := NewBase(matches)
+	base := newBase()
 	b.ResetTimer()
 	deltas := 0
 	for i := 0; i < b.N; i++ {
@@ -222,6 +220,54 @@ func BenchmarkCheckSemanticsPrivate(b *testing.B) {
 		deltas += c.DeltaSize()
 	}
 	b.ReportMetric(float64(deltas)/float64(b.N), "delta-nodes/op")
+}
+
+// BenchmarkAttribute measures difference attribution alone on one dirty
+// production-quarter switch: its rule list with four rules evicted
+// and one entry corrupted, both differences already built, every allow
+// rule on each side walked against its difference.
+func BenchmarkAttribute(b *testing.B) {
+	// eval.SimSpec(0.25), which this package cannot import.
+	spec := workload.ProductionSpec()
+	for _, n := range []*int{&spec.Switches, &spec.EPGs, &spec.Contracts, &spec.Filters, &spec.TargetPairs} {
+		*n = int(math.Round(float64(*n) * 0.25))
+	}
+	pol, tp, err := workload.Generate(spec, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dep, err := compile.Compile(pol, tp)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var lists [][]rule.Rule
+	for _, sw := range tp.Switches() {
+		lists = append(lists, dep.BySwitch[sw])
+	}
+	logical := lists[0]
+	mid := len(logical) / 2
+	deployed := append(append([]rule.Rule(nil), logical[:mid]...), logical[mid+4:]...)
+	deployed[mid/2].Match.DstEPG++
+	c := newBase(lists...).NewChecker()
+	l, err := c.semantics(logical)
+	if err != nil {
+		b.Fatal(err)
+	}
+	t, err := c.semantics(deployed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	missing, extra := c.m.Diff(l, t), c.m.Diff(t, l)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		miss, _ := c.attribute(logical, missing)
+		ext, _ := c.attribute(deployed, extra)
+		if len(miss) == 0 || len(ext) == 0 {
+			b.Fatal("both differences must be attributed")
+		}
+	}
+	b.ReportMetric(float64(len(logical)+len(deployed)), "rules/op")
 }
 
 // portLadder is n rules on one (vrf, src, dst, proto), each on its own

@@ -1,8 +1,10 @@
-// The apply-based construction the direct compiler (compile.go) replaced,
-// kept as the test oracle: per-match field encoders built from Var, Cube,
-// And, Or and Not, and the priority fold over them. It runs on either
-// engine, in the same manager as the code under test, so "equal" below
-// always means the same node ID.
+// The constructions production replaced, kept as the test oracles. For
+// the direct compiler (compile.go): per-match field encoders built from
+// Var, Cube, And, Or and Not, and the priority fold over them. For the
+// attribution walk (meets.go): the per-match BDD the checker used to memo
+// (compileMatch) and the manager's Intersects against the difference. All
+// run on either engine, in the same manager as the code under test, so
+// "equal" below always means the same node ID.
 
 package equiv
 
@@ -17,10 +19,12 @@ import (
 // boolean algebra production no longer calls.
 type applyBackend interface {
 	Backend
+	Intersects(a, b bdd.Node) bool
 	Var(v int) bdd.Node
 	Cube(literals map[int]bool) bdd.Node
 	And(a, b bdd.Node) bdd.Node
 	Or(a, b bdd.Node) bdd.Node
+	Xor(a, b bdd.Node) bdd.Node
 	Not(a bdd.Node) bdd.Node
 	OrAll(nodes []bdd.Node) bdd.Node
 	Eval(n bdd.Node, assignment []bool) bool
@@ -136,4 +140,28 @@ func geBDD(m applyBackend, off, width, i int, value uint32) bdd.Node {
 	}
 	// bit clear: x_i=1 → anything above; x_i=0 → compare remaining bits
 	return m.Or(v, m.And(m.Not(v), rest))
+}
+
+// compileMatch builds, in m, the BDD of the header tuples a match covers:
+// the port interval, then one node per constrained bit above it.
+func compileMatch(m Backend, match rule.Match) (bdd.Node, error) {
+	if err := checkMatch(match); err != nil {
+		return bdd.False, err
+	}
+	r := reduceRule(rule.Rule{Match: match})
+	n := spansBDD(m, 0, 0, []span{{r.lo, r.end}})
+	for f := numIDFields - 1; f >= 0; f-- {
+		if r.wild[f] {
+			continue
+		}
+		fd := idFields[f]
+		for bit := fd.width - 1; bit >= 0; bit-- {
+			if r.val[f]>>uint(fd.width-1-bit)&1 == 1 {
+				n = m.Mk(fd.off+bit, bdd.False, n)
+			} else {
+				n = m.Mk(fd.off+bit, n, bdd.False)
+			}
+		}
+	}
+	return n, nil
 }

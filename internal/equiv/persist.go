@@ -43,20 +43,10 @@ type BaseBuildStats struct {
 // distinct rule list is first looked up in src (verified canonical-list
 // hit → the donor's frozen BDD is imported node-for-node through the
 // manager's unique table, a pure structural copy), and only source
-// misses compile locally. A nil src makes it exactly NewBase.
-func NewBaseWith(src SemanticsSource, matches []rule.Match, semantics ...[]rule.Rule) (*Base, BaseBuildStats) {
+// misses compile locally. A nil src compiles every list locally.
+func NewBaseWith(src SemanticsSource, semantics ...[]rule.Rule) (*Base, BaseBuildStats) {
 	var stats BaseBuildStats
 	m := bdd.NewManager(NumVars)
-	mem := make(map[rule.Match]bdd.Node, len(matches))
-	for _, match := range matches {
-		if _, ok := mem[match]; ok {
-			continue
-		}
-		// Unencodable matches are skipped: the base is a cache.
-		if n, err := compileMatch(m, match); err == nil {
-			mem[match] = n
-		}
-	}
 	semMem := make(map[uint64]semRoot, len(semantics))
 	for _, rules := range semantics {
 		fp := SemanticsFingerprint(rules)
@@ -80,30 +70,17 @@ func NewBaseWith(src SemanticsSource, matches []rule.Match, semantics ...[]rule.
 		semMem[fp] = semRoot{rules: rules, node: root}
 		stats.SemFolds++
 	}
-	return &Base{snap: m.Freeze(), matchMem: mem, semMem: semMem}, stats
+	return &Base{snap: m.Freeze(), semMem: semMem}, stats
 }
 
 // Snapshot returns the base's frozen BDD snapshot (safe for concurrent
 // reads; the store's codec walks its node array through NodeAt).
 func (b *Base) Snapshot() *bdd.Snapshot { return b.snap }
 
-// ForEachMatch visits every warmed match encoding in canonical
-// (SortMatches) order — the deterministic iteration the codec needs to
-// produce byte-reproducible files from one base.
-func (b *Base) ForEachMatch(fn func(m rule.Match, n bdd.Node)) {
-	matches := make([]rule.Match, 0, len(b.matchMem))
-	for m := range b.matchMem {
-		matches = append(matches, m)
-	}
-	SortMatches(matches)
-	for _, m := range matches {
-		fn(m, b.matchMem[m])
-	}
-}
-
 // ForEachSemantics visits every frozen whole-switch semantics entry —
 // its fingerprint key, canonical rule list, and root — in ascending
-// fingerprint order (deterministic for the codec, like ForEachMatch).
+// fingerprint order: the deterministic iteration the codec needs to
+// produce byte-reproducible files from one base.
 func (b *Base) ForEachSemantics(fn func(fp uint64, rules []rule.Rule, root bdd.Node)) {
 	fps := make([]uint64, 0, len(b.semMem))
 	for fp := range b.semMem {
@@ -114,12 +91,6 @@ func (b *Base) ForEachSemantics(fn func(fp uint64, rules []rule.Rule, root bdd.N
 		e := b.semMem[fp]
 		fn(fp, e.rules, e.node)
 	}
-}
-
-// MatchEntry is one decoded match-memo binding for RebuildBase.
-type MatchEntry struct {
-	Match rule.Match
-	Node  bdd.Node
 }
 
 // SemEntry is one decoded semantics-memo binding for RebuildBase: the
@@ -133,33 +104,26 @@ type SemEntry struct {
 
 // RebuildBase reassembles a Base from a rebuilt snapshot and decoded
 // memo entries — the load half of the store's base codec. Every node
-// must live in the snapshot and entries must not collide (duplicate
-// matches, or rule lists sharing a semantics fingerprint, cannot come
-// from a well-formed encode and are rejected as corruption).
-func RebuildBase(snap *bdd.Snapshot, matches []MatchEntry, semantics []SemEntry) (*Base, error) {
+// must live in the snapshot and entries must arrive as ForEachSemantics
+// emits them, in strictly ascending fingerprint order (anything else —
+// two lists sharing a fingerprint included — cannot come from a
+// well-formed encode and is rejected as corruption).
+func RebuildBase(snap *bdd.Snapshot, semantics []SemEntry) (*Base, error) {
 	if snap.NumVars() != NumVars {
 		return nil, fmt.Errorf("equiv: rebuild base: snapshot has %d vars, want %d", snap.NumVars(), NumVars)
 	}
-	mem := make(map[rule.Match]bdd.Node, len(matches))
-	for _, e := range matches {
-		if !snap.Contains(e.Node) {
-			return nil, fmt.Errorf("equiv: rebuild base: match node %d outside snapshot", e.Node)
-		}
-		if _, dup := mem[e.Match]; dup {
-			return nil, fmt.Errorf("equiv: rebuild base: duplicate match entry")
-		}
-		mem[e.Match] = e.Node
-	}
 	semMem := make(map[uint64]semRoot, len(semantics))
-	for _, e := range semantics {
+	var prev uint64
+	for i, e := range semantics {
 		if !snap.Contains(e.Node) {
 			return nil, fmt.Errorf("equiv: rebuild base: semantics node %d outside snapshot", e.Node)
 		}
 		fp := SemanticsFingerprint(e.Rules)
-		if _, dup := semMem[fp]; dup {
-			return nil, fmt.Errorf("equiv: rebuild base: duplicate semantics fingerprint %#x", fp)
+		if i > 0 && fp <= prev {
+			return nil, fmt.Errorf("equiv: rebuild base: semantics fingerprint %#x out of order or duplicated", fp)
 		}
+		prev = fp
 		semMem[fp] = semRoot{rules: e.Rules, node: e.Node}
 	}
-	return &Base{snap: snap, matchMem: mem, semMem: semMem}, nil
+	return &Base{snap: snap, semMem: semMem}, nil
 }

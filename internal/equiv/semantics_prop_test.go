@@ -179,7 +179,7 @@ func TestSharedSemanticsIdentity(t *testing.T) {
 			deployed = append(deployed, novel, rule.DefaultDeny())
 		}
 
-		base := NewBase(baseMatches(logical), logical, deployed)
+		base := newBase(logical, deployed)
 		wantRoots := 2
 		if SemanticsFingerprint(logical) == SemanticsFingerprint(deployed) {
 			wantRoots = 1
@@ -223,7 +223,7 @@ func TestSharedSemanticsIdentity(t *testing.T) {
 func TestRebindSemantics(t *testing.T) {
 	listA := withDeny(allowRule(1, 2, 3, 80))
 	listB := withDeny(allowRule(1, 3, 2, 443))
-	base := NewBase(baseMatches(listA, listB), listA, listB)
+	base := newBase(listA, listB)
 
 	cloneList := func(rs []rule.Rule) []rule.Rule {
 		out := make([]rule.Rule, len(rs))
@@ -268,7 +268,7 @@ func TestSemanticsBaseMissFoldsInDelta(t *testing.T) {
 	logical := withDeny(allowRule(1, 2, 3, 80), allowRule(1, 3, 2, 443), allowRule(2, 4, 5, 22))
 	drifted := withDeny(allowRule(1, 2, 3, 80), allowRule(2, 4, 5, 22))
 
-	base := NewBase(baseMatches(logical, drifted), logical)
+	base := newBase(logical)
 	fork := base.NewChecker()
 	if _, err := fork.Check(logical, drifted); err != nil {
 		t.Fatal(err)
@@ -323,7 +323,7 @@ func TestNewBaseSkipsUnfoldableLists(t *testing.T) {
 		Match:  rule.Match{VRF: 1, SrcEPG: 2, DstEPG: 3, PortLo: 90, PortHi: 80},
 		Action: rule.Allow,
 	}}
-	base := NewBase(baseMatches(good), good, bad, good)
+	base := newBase(good, bad, good)
 	if base.NumSemantics() != 1 {
 		t.Errorf("NumSemantics = %d, want 1 (bad list skipped, duplicate collapsed)", base.NumSemantics())
 	}
@@ -341,7 +341,7 @@ func TestSemanticsCollisionFallsThrough(t *testing.T) {
 	listA := withDeny(allowRule(1, 2, 3, 80))
 	listB := withDeny(allowRule(1, 2, 3, 443), allowRule(1, 3, 2, 80))
 
-	base := NewBase(baseMatches(listA, listB), listA)
+	base := newBase(listA)
 	// Simulate a 64-bit collision: re-key listA's frozen root under
 	// listB's fingerprint (whitebox — nothing else can produce one).
 	entry := base.semMem[SemanticsFingerprint(listA)]

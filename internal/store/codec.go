@@ -22,6 +22,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"math"
 
 	"scout/internal/bdd"
 	"scout/internal/equiv"
@@ -32,7 +33,8 @@ import (
 const (
 	baseMagic    = "SCTB"
 	verdictMagic = "SCTV"
-	codecVersion = 1
+	// codecVersion 2 dropped the base payload's match-memo section.
+	codecVersion = 2
 )
 
 // frameOverhead is the byte cost of the framing around a payload.
@@ -88,12 +90,15 @@ func (d *decoder) u64() uint64 {
 	return v
 }
 
+// uvarint accepts only the shortest encoding of a value (no padding
+// continuation bytes), the one the encoder writes: an image that decodes
+// re-encodes to the same bytes.
 func (d *decoder) uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
+	if n <= 0 || (n > 1 && d.buf[d.off+n-1] == 0) {
 		d.fail("malformed uvarint")
 		return 0
 	}
@@ -101,18 +106,29 @@ func (d *decoder) uvarint() uint64 {
 	return v
 }
 
+// varint is the zig-zag form of uvarint, as binary.AppendVarint writes it.
 func (d *decoder) varint() int64 {
-	if d.err != nil {
-		return 0
+	u := d.uvarint()
+	v := int64(u >> 1)
+	if u&1 != 0 {
+		v = ^v
 	}
-	v, n := binary.Varint(d.buf[d.off:])
-	if n <= 0 {
-		d.fail("malformed varint")
-		return 0
-	}
-	d.off += n
 	return v
 }
+
+// bounded reads a uvarint destined for a narrower type, rejecting what
+// would not fit instead of letting the conversion alias another value.
+func (d *decoder) bounded(max uint64) uint64 {
+	v := d.uvarint()
+	if d.err == nil && v > max {
+		d.fail("value %d exceeds %d", v, max)
+		return 0
+	}
+	return v
+}
+
+// node reads a BDD node ID or level.
+func (d *decoder) node() int32 { return int32(d.bounded(math.MaxInt32)) }
 
 // count reads a list length and bounds it against the bytes left (every
 // element costs at least minBytes), so a corrupted count can never
@@ -166,9 +182,10 @@ func open(data []byte, magic string, key uint64) ([]byte, error) {
 	return body[16:], nil
 }
 
-// --- rule / match ---------------------------------------------------------
+// --- rule -----------------------------------------------------------------
 
-func encodeMatch(e *encoder, m rule.Match) {
+func encodeRule(e *encoder, r rule.Rule) {
+	m := r.Match
 	e.u32(uint32(m.VRF))
 	e.u32(uint32(m.SrcEPG))
 	e.u32(uint32(m.DstEPG))
@@ -186,36 +203,6 @@ func encodeMatch(e *encoder, m rule.Match) {
 		flags |= 4
 	}
 	e.u8(flags)
-}
-
-func decodeMatch(d *decoder) rule.Match {
-	var m rule.Match
-	if d.remaining() < 12 {
-		d.fail("truncated match")
-		return m
-	}
-	m.VRF = object.ID(binary.LittleEndian.Uint32(d.buf[d.off:]))
-	m.SrcEPG = object.ID(binary.LittleEndian.Uint32(d.buf[d.off+4:]))
-	m.DstEPG = object.ID(binary.LittleEndian.Uint32(d.buf[d.off+8:]))
-	d.off += 12
-	m.Proto = rule.Protocol(d.u8())
-	lo, hi := d.uvarint(), d.uvarint()
-	if d.err == nil && (lo > rule.PortMax || hi > rule.PortMax) {
-		d.fail("port range %d-%d out of range", lo, hi)
-	}
-	m.PortLo, m.PortHi = uint16(lo), uint16(hi)
-	flags := d.u8()
-	if d.err == nil && flags > 7 {
-		d.fail("unknown match flags %#x", flags)
-	}
-	m.WildcardVRF = flags&1 != 0
-	m.WildcardSrc = flags&2 != 0
-	m.WildcardDst = flags&4 != 0
-	return m
-}
-
-func encodeRule(e *encoder, r rule.Rule) {
-	encodeMatch(e, r.Match)
 	e.uvarint(uint64(r.Action))
 	e.varint(int64(r.Priority))
 	// Provenance uses the n+1 length scheme (0 = nil) so the nil-vs-empty
@@ -234,7 +221,28 @@ func encodeRule(e *encoder, r rule.Rule) {
 
 func decodeRule(d *decoder) rule.Rule {
 	var r rule.Rule
-	r.Match = decodeMatch(d)
+	if d.remaining() < 12 {
+		d.fail("truncated match")
+		return r
+	}
+	m := &r.Match
+	m.VRF = object.ID(binary.LittleEndian.Uint32(d.buf[d.off:]))
+	m.SrcEPG = object.ID(binary.LittleEndian.Uint32(d.buf[d.off+4:]))
+	m.DstEPG = object.ID(binary.LittleEndian.Uint32(d.buf[d.off+8:]))
+	d.off += 12
+	m.Proto = rule.Protocol(d.u8())
+	lo, hi := d.uvarint(), d.uvarint()
+	if d.err == nil && (lo > rule.PortMax || hi > rule.PortMax) {
+		d.fail("port range %d-%d out of range", lo, hi)
+	}
+	m.PortLo, m.PortHi = uint16(lo), uint16(hi)
+	flags := d.u8()
+	if d.err == nil && flags > 7 {
+		d.fail("unknown match flags %#x", flags)
+	}
+	m.WildcardVRF = flags&1 != 0
+	m.WildcardSrc = flags&2 != 0
+	m.WildcardDst = flags&4 != 0
 	r.Action = rule.Action(d.uvarint())
 	r.Priority = int(d.varint())
 	if n := d.uvarint(); n > 0 {
@@ -247,7 +255,7 @@ func decodeRule(d *decoder) rule.Rule {
 		for i := range r.Provenance {
 			r.Provenance[i] = object.Ref{
 				Kind: object.Kind(d.uvarint()),
-				ID:   object.ID(d.uvarint()),
+				ID:   object.ID(d.bounded(math.MaxUint32)),
 			}
 		}
 	}
@@ -310,7 +318,7 @@ func decodeSnapshot(d *decoder) (*bdd.Snapshot, error) {
 	}
 	numNodes := int(numNodes64)
 	snap, err := bdd.RebuildSnapshot(numVars, numNodes, func(int) (int32, bdd.Node, bdd.Node) {
-		return int32(d.uvarint()), bdd.Node(d.uvarint()), bdd.Node(d.uvarint())
+		return d.node(), bdd.Node(d.node()), bdd.Node(d.node())
 	})
 	if d.err != nil {
 		return nil, d.err
@@ -320,17 +328,12 @@ func decodeSnapshot(d *decoder) (*bdd.Snapshot, error) {
 
 // --- base -----------------------------------------------------------------
 
-// encodeBase serializes a frozen base — snapshot, match memo, semantics
-// memo with canonical rule lists — framed under the deployment
-// fingerprint it is content-addressed by.
+// encodeBase serializes a frozen base — snapshot, then semantics memo
+// with canonical rule lists — framed under the deployment fingerprint it
+// is content-addressed by.
 func encodeBase(depFP uint64, b *equiv.Base) []byte {
 	var e encoder
 	encodeSnapshot(&e, b.Snapshot())
-	e.uvarint(uint64(b.NumMatches()))
-	b.ForEachMatch(func(m rule.Match, n bdd.Node) {
-		encodeMatch(&e, m)
-		e.uvarint(uint64(n))
-	})
 	e.uvarint(uint64(b.NumSemantics()))
 	b.ForEachSemantics(func(_ uint64, rules []rule.Rule, root bdd.Node) {
 		encodeRules(&e, rules)
@@ -352,13 +355,9 @@ func decodeBase(data []byte, depFP uint64) (*equiv.Base, error) {
 	if err != nil {
 		return nil, err
 	}
-	matches := make([]equiv.MatchEntry, d.count(16))
-	for i := range matches {
-		matches[i] = equiv.MatchEntry{Match: decodeMatch(d), Node: bdd.Node(d.uvarint())}
-	}
 	sems := make([]equiv.SemEntry, d.count(2))
 	for i := range sems {
-		sems[i] = equiv.SemEntry{Rules: decodeRules(d), Node: bdd.Node(d.uvarint())}
+		sems[i] = equiv.SemEntry{Rules: decodeRules(d), Node: bdd.Node(d.node())}
 	}
 	if d.err != nil {
 		return nil, d.err
@@ -366,7 +365,7 @@ func decodeBase(data []byte, depFP uint64) (*equiv.Base, error) {
 	if d.remaining() != 0 {
 		return nil, fmt.Errorf("store: decode: %d trailing bytes after base payload", d.remaining())
 	}
-	return equiv.RebuildBase(snap, matches, sems)
+	return equiv.RebuildBase(snap, sems)
 }
 
 // --- verdicts -------------------------------------------------------------

@@ -1,10 +1,14 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/fnv"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -50,29 +54,47 @@ func testRules(rng *rand.Rand, n int) []rule.Rule {
 	return rules
 }
 
-func collectMatches(lists ...[]rule.Rule) []rule.Match {
-	set := make(map[rule.Match]struct{})
-	for _, l := range lists {
-		equiv.CollectMatches(set, l)
-	}
-	matches := make([]rule.Match, 0, len(set))
-	for m := range set {
-		matches = append(matches, m)
-	}
-	equiv.SortMatches(matches)
-	return matches
-}
-
-func testBase(t *testing.T, seed int64) (*equiv.Base, [][]rule.Rule) {
+func testBase(t testing.TB, seed int64) (*equiv.Base, [][]rule.Rule) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	listA := testRules(rng, 40)
 	listB := testRules(rng, 25)
-	base := equiv.NewBase(collectMatches(listA, listB), listA, listB)
-	if base.NumMatches() == 0 || base.NumSemantics() != 2 {
-		t.Fatalf("unexpected test base: %d matches, %d semantics", base.NumMatches(), base.NumSemantics())
+	base, _ := equiv.NewBaseWith(nil, listA, listB)
+	if base.Size() <= 2 || base.NumSemantics() != 2 {
+		t.Fatalf("unexpected test base: %d nodes, %d semantics", base.Size(), base.NumSemantics())
 	}
 	return base, [][]rule.Rule{listA, listB}
+}
+
+// reframe stamps a file image with a codec version and recomputes its
+// trailing checksum, so only the header tells it from a current file.
+func reframe(img []byte, version uint32) []byte {
+	out := append([]byte(nil), img[:len(img)-8]...)
+	binary.LittleEndian.PutUint32(out[4:], version)
+	h := fnv.New64a()
+	h.Write(out)
+	return binary.LittleEndian.AppendUint64(out, h.Sum64())
+}
+
+// v1BaseImage frames base the way codec version 1 did: a match-memo
+// section (here one entry bound to the first frozen node) between the
+// snapshot and the semantics memo, under a version-1 header.
+func v1BaseImage(depFP uint64, b *equiv.Base) []byte {
+	var snap, memo encoder
+	encodeSnapshot(&snap, b.Snapshot())
+	memo.uvarint(1)
+	for _, id := range []uint32{1, 2, 3} { // VRF, source EPG, destination EPG
+		memo.u32(id)
+	}
+	memo.u8(0) // any protocol
+	memo.uvarint(80)
+	memo.uvarint(80)
+	memo.u8(0)      // no wildcards
+	memo.uvarint(2) // the node the match is bound to
+	v2 := encodeBase(depFP, b)
+	payload := v2[16 : len(v2)-8]
+	v1 := append(append(append([]byte(nil), payload[:len(snap.buf)]...), memo.buf...), payload[len(snap.buf):]...)
+	return reframe(seal(baseMagic, depFP, v1), 1)
 }
 
 // snapshotsEqual compares two frozen snapshots node for node.
@@ -107,15 +129,7 @@ func TestBaseCodecRoundTrip(t *testing.T) {
 
 	snapshotsEqual(t, base.Snapshot(), got.Snapshot())
 
-	// Memo bindings: identical node IDs for every match and semantics
-	// fingerprint.
-	wantMatch := make(map[rule.Match]bdd.Node)
-	base.ForEachMatch(func(m rule.Match, n bdd.Node) { wantMatch[m] = n })
-	gotMatch := make(map[rule.Match]bdd.Node)
-	got.ForEachMatch(func(m rule.Match, n bdd.Node) { gotMatch[m] = n })
-	if !reflect.DeepEqual(wantMatch, gotMatch) {
-		t.Fatalf("match memo mismatch: %d vs %d entries", len(wantMatch), len(gotMatch))
-	}
+	// Memo bindings: identical node IDs for every semantics fingerprint.
 	wantSem := make(map[uint64]bdd.Node)
 	base.ForEachSemantics(func(fp uint64, _ []rule.Rule, root bdd.Node) { wantSem[fp] = root })
 	gotSem := make(map[uint64]bdd.Node)
@@ -163,7 +177,7 @@ func TestBaseCodecRoundTrip(t *testing.T) {
 func TestBaseCodecRejectsDamage(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	list := testRules(rng, 6)
-	base := equiv.NewBase(collectMatches(list), list)
+	base, _ := equiv.NewBaseWith(nil, list)
 	const depFP = 0x0123456789abcdef
 	data := encodeBase(depFP, base)
 
@@ -189,61 +203,24 @@ func TestBaseCodecRejectsDamage(t *testing.T) {
 // corruption — even though its checksum is valid.
 func TestCodecRejectsVersionMismatch(t *testing.T) {
 	payload := []byte{1, 2, 3}
-	data := seal(baseMagic, 42, payload)
-	// Re-seal by hand with a bumped version and a recomputed checksum.
-	forged := append([]byte(nil), data[:len(data)-8]...)
-	forged[4] = codecVersion + 1
-	forged = seal(baseMagic, 42, forged[16:])
-	forged[4] = codecVersion + 1
-	// Fix the checksum over the altered header.
-	e := encoder{buf: forged[:len(forged)-8]}
-	body := append([]byte(nil), e.buf...)
-	h := fnvSum(body)
-	forged = forged[:len(forged)-8]
-	forged = appendU64(forged, h)
-
-	if _, err := open(forged, baseMagic, 42); err == nil {
-		t.Fatal("version-mismatched file accepted")
-	} else if got := err.Error(); !containsAll(got, "version") {
-		t.Fatalf("want a version error, got %q", got)
+	for _, v := range []uint32{codecVersion - 1, codecVersion + 1} {
+		forged := reframe(seal(baseMagic, 42, payload), v)
+		if _, err := open(forged, baseMagic, 42); err == nil {
+			t.Fatalf("version-%d file accepted", v)
+		} else if !strings.Contains(err.Error(), "version") {
+			t.Fatalf("want a version error, got %q", err)
+		}
+	}
+	// A genuine version-1 base — match memo and all — is a version miss,
+	// never handed to the version-2 payload decoder.
+	base, _ := testBase(t, 4)
+	if _, err := decodeBase(v1BaseImage(42, base), 42); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("version-1 base image: %v, want the version error", err)
 	}
 	// Wrong magic is rejected before anything else.
 	if _, err := open(seal(verdictMagic, 42, payload), baseMagic, 42); err == nil {
 		t.Fatal("wrong magic accepted")
 	}
-}
-
-func containsAll(s string, subs ...string) bool {
-	for _, sub := range subs {
-		found := false
-		for i := 0; i+len(sub) <= len(s); i++ {
-			if s[i:i+len(sub)] == sub {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
-}
-
-func fnvSum(b []byte) uint64 {
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= prime
-	}
-	return h
-}
-
-func appendU64(b []byte, v uint64) []byte {
-	for i := 0; i < 8; i++ {
-		b = append(b, byte(v>>(8*i)))
-	}
-	return b
 }
 
 // TestVerdictCodecRoundTrip pins verdict round-trip fidelity, including
@@ -426,7 +403,7 @@ func TestRegistrySharing(t *testing.T) {
 	list := testRules(rng, 30)
 	reg := NewBaseRegistry()
 
-	donor, stats := equiv.NewBaseWith(reg, collectMatches(list), list)
+	donor, stats := equiv.NewBaseWith(reg, list)
 	if stats.SemGrafts != 0 || stats.SemFolds != 1 {
 		t.Fatalf("donor build: %+v", stats)
 	}
@@ -435,7 +412,7 @@ func TestRegistrySharing(t *testing.T) {
 		t.Fatalf("after donor: %+v", st)
 	}
 
-	grafted, stats := equiv.NewBaseWith(reg, collectMatches(list), list)
+	grafted, stats := equiv.NewBaseWith(reg, list)
 	if stats.SemGrafts != 1 || stats.SemFolds != 0 {
 		t.Fatalf("grafted build: %+v", stats)
 	}
@@ -465,7 +442,7 @@ func TestRegistryCollisionFallsThrough(t *testing.T) {
 		t.Fatal("test lists should differ")
 	}
 	reg := NewBaseRegistry()
-	donor := equiv.NewBase(collectMatches(listA), listA)
+	donor, _ := equiv.NewBaseWith(nil, listA)
 	var donorRoot bdd.Node
 	donor.ForEachSemantics(func(_ uint64, _ []rule.Rule, root bdd.Node) { donorRoot = root })
 
@@ -478,11 +455,52 @@ func TestRegistryCollisionFallsThrough(t *testing.T) {
 	if _, _, ok := reg.ResolveSemantics(fpB, listB); ok {
 		t.Fatal("collision resolved as a hit")
 	}
-	_, stats := equiv.NewBaseWith(reg, collectMatches(listB), listB)
+	_, stats := equiv.NewBaseWith(reg, listB)
 	if stats.SemGrafts != 0 || stats.SemFolds != 1 {
 		t.Fatalf("collision build grafted: %+v", stats)
 	}
 	if st := reg.Stats(); st.Collisions != 2 || st.Hits != 0 {
 		t.Fatalf("collision counters: %+v", st)
 	}
+}
+
+// FuzzDecodeBase: whatever the bytes, the base decoder returns — it never
+// panics — and an image it accepts is the one encoding of what it decoded.
+// The checksum stops nearly every mutation at the frame, so each input is
+// also tried with its checksum recomputed, which lets mutated payloads
+// reach the snapshot, rule and memo decoders.
+func FuzzDecodeBase(f *testing.F) {
+	base, _ := testBase(f, 9)
+	const depFP = 0x5c07
+	img := encodeBase(depFP, base)
+	f.Add(img)
+	for _, n := range []int{0, frameOverhead - 1, frameOverhead, len(img) / 3, len(img) - 9, len(img) - 1} {
+		f.Add(img[:n])
+	}
+	flipped := append([]byte(nil), img...)
+	flipped[len(flipped)/2] ^= 0x10
+	f.Add(flipped)
+	f.Add(v1BaseImage(depFP, base))
+	small, _ := equiv.NewBaseWith(nil, []rule.Rule{{Match: rule.Match{VRF: 1, SrcEPG: 2, DstEPG: 3, PortLo: 80, PortHi: 80}, Action: rule.Allow}})
+	f.Add(encodeBase(1, small))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		images := [][]byte{data}
+		if len(data) >= frameOverhead {
+			images = append(images, reframe(data, binary.LittleEndian.Uint32(data[4:])))
+		}
+		for _, img := range images {
+			var key uint64
+			if len(img) >= 16 {
+				key = binary.LittleEndian.Uint64(img[8:])
+			}
+			b, err := decodeBase(img, key)
+			if err != nil {
+				continue
+			}
+			if again := encodeBase(key, b); !bytes.Equal(again, img) {
+				t.Fatalf("accepted a %d-byte image that re-encodes to %d different bytes", len(img), len(again))
+			}
+		}
+	})
 }

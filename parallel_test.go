@@ -123,7 +123,7 @@ func TestSharedBaseIdentity(t *testing.T) {
 
 // TestSharedBaseEncodeStats pins the observable difference between the
 // two checker modes: shared-base runs report the base and resolve warmed
-// encodings from it; private runs re-encode everything per worker.
+// semantics roots from it; private runs compile every list per worker.
 func TestSharedBaseEncodeStats(t *testing.T) {
 	f := faultyFabric(t, 7)
 	analyze := func(opts scout.AnalyzerOptions) *scout.Report {
@@ -141,31 +141,31 @@ func TestSharedBaseEncodeStats(t *testing.T) {
 	shared := analyze(scout.AnalyzerOptions{Workers: 4}).EncodeStats
 	private := analyze(scout.AnalyzerOptions{Workers: 4, PrivateCheckers: true}).EncodeStats
 
-	if shared.BaseNodes == 0 || shared.BaseMatches == 0 {
+	if shared.BaseNodes == 0 || shared.BaseSemantics == 0 {
 		t.Errorf("shared mode must build a base: %+v", shared)
 	}
-	if shared.BaseHits == 0 {
-		t.Errorf("shared mode must resolve encodings from the base: %+v", shared)
+	if shared.FoldBaseHits == 0 {
+		t.Errorf("shared mode must resolve semantics roots from the base: %+v", shared)
 	}
-	if private.BaseNodes != 0 || private.BaseHits != 0 {
+	if private.BaseNodes != 0 || private.BaseSemantics != 0 || private.FoldBaseHits != 0 {
 		t.Errorf("private mode must not touch a base: %+v", private)
 	}
-	if private.Misses == 0 {
-		t.Errorf("private mode must encode from scratch: %+v", private)
+	if private.FoldMisses == 0 {
+		t.Errorf("private mode must compile from scratch: %+v", private)
 	}
-	// The headline claim: with the base, warmed encodings are never
-	// re-derived per worker — a shared run's from-scratch encodes are
-	// only the novel (corrupted) matches, and its total node
-	// construction never exceeds the private mode's. (Strict reduction
-	// depends on how the scheduler spreads switches across workers; the
-	// sharedbdd experiment measures it on a spec built to show it.)
-	if shared.Misses >= private.Misses {
-		t.Errorf("shared mode missed %d encodings, private %d — base not consulted",
-			shared.Misses, private.Misses)
+	// The headline claim: with the base, a warmed list is never
+	// re-compiled per worker — a shared run's from-scratch compiles are
+	// only the drifted TCAM lists, and its total node construction never
+	// exceeds the private mode's. (Strict reduction depends on how the
+	// scheduler spreads switches across workers; the foldshare experiment
+	// pins the sharing on a spec built to show it.)
+	if shared.FoldMisses >= private.FoldMisses {
+		t.Errorf("shared mode compiled %d lists, private %d — base not consulted",
+			shared.FoldMisses, private.FoldMisses)
 	}
 	// 10% slack: which worker checks which switch is scheduling-
-	// dependent, and per-worker fold structure (unlike match encodings)
-	// still duplicates across forks.
+	// dependent, and the paths two drifted lists share are interned once
+	// per fork that compiles one of them.
 	if shared.TotalNodes() > private.TotalNodes()+private.TotalNodes()/10 {
 		t.Errorf("shared total nodes %d exceed private total %d",
 			shared.TotalNodes(), private.TotalNodes())

@@ -94,11 +94,11 @@ type AnalyzerOptions struct {
 
 	// PrivateCheckers disables the shared frozen BDD base: every check
 	// worker builds a private equiv.Checker from scratch instead of
-	// forking a base warmed with the deployment's match encodings. This
-	// is the pre-shared-base behaviour, kept for ablation (the sharedbdd
-	// experiment measures the duplicated node construction it causes).
-	// Reports are byte-identical either way — the base only moves where
-	// encoding work happens, never what a check returns.
+	// forking a base warmed with the deployment's whole-switch semantics
+	// roots. This is the pre-shared-base behaviour, kept for ablation
+	// (the foldshare experiment measures the duplicated compiles it
+	// causes). Reports are byte-identical either way — the base only
+	// moves where encoding work happens, never what a check returns.
 	PrivateCheckers bool
 
 	// RefLocalizer runs every localization on the retained map-based
@@ -119,7 +119,7 @@ type AnalyzerOptions struct {
 	// WarmStore, when set, gives Sessions durable warm state: on the
 	// first run of a deployment the session loads a fingerprint-matching
 	// frozen base and verdict cache from the store (a fresh process
-	// replays a clean fabric with zero encodes), and after every run it
+	// replays a clean fabric with zero compiles), and after every run it
 	// persists deltas through the store's write-behind queue (flushed by
 	// Session.Close). It applies to the shared-base checker modes — the
 	// default TCAM pipeline and probe sessions (verdicts only) — and is
@@ -455,31 +455,26 @@ func (a *Analyzer) newWorkerCheckerSized(base *equiv.Base, deltaNodes int) *equi
 // more distinct rule lists than this; those compile in worker deltas.
 const baseSemanticsTopK = 1024
 
-// buildSharedBase is the check stage's warmup pass: it gathers the
-// distinct rule matches across the deployment — fanned out per switch
-// over the worker pool — encodes each exactly once, then compiles the
-// top-K most duplicated whole-switch rule lists (ranked by canonical
-// semantics fingerprint, most shared first) into frozen semantics roots,
-// and freezes the result into an immutable base every worker's checker
-// forks. Nil when the options call for private checkers or no BDD
-// checkers at all.
+// buildSharedBase is the check stage's warmup pass: it fingerprints every
+// switch's rule list over the worker pool, compiles the top-K most
+// duplicated whole-switch rule lists (ranked by canonical semantics
+// fingerprint, most shared first) into frozen semantics roots, and
+// freezes the result into an immutable base every worker's checker forks.
+// Nil when the options call for private checkers or no BDD checkers at
+// all.
 //
-// The base covers logical rule lists only: deployed TCAM rules are the
-// deployment's rules minus faults, so in the common near-consistent case
-// virtually every deployed match is warm too — and a consistent switch's
-// TCAM side shares its logical list's semantics fingerprint, so its
-// whole-list root resolves from the base. A drifted switch's TCAM list
-// compiles in the owning worker's copy-on-write delta, but against the
-// base's unique table: every subtree it shares with its logical list is
-// found frozen, so the delta receives only the paths the drift changed.
-// Corrupted entries' novel matches land there too. Keying the base off
-// the deployment alone is what lets a Session reuse it across runs whose
-// TCAM state drifts.
+// The base covers logical rule lists only: a consistent switch's TCAM
+// side shares its logical list's semantics fingerprint, so its whole-list
+// root resolves from the base. A drifted switch's TCAM list compiles in
+// the owning worker's copy-on-write delta, but against the base's unique
+// table: every subtree it shares with its logical list is found frozen,
+// so the delta receives only the paths the drift changed. Keying the base
+// off the deployment alone is what lets a Session reuse it across runs
+// whose TCAM state drifts.
 //
-// The semantics roots build serially inside NewBase (one manager, not
+// The semantics roots build serially inside NewBaseWith (one manager, not
 // shareable mid-build). Each list compiles straight to its ROBDD — only
-// result nodes are interned — so this is a small part of the warmup, most
-// of which is the match encodings difference attribution reads; the
+// result nodes are interned — and they are all the base holds; the
 // foldshare experiment pins the sharing on node counters, which is what
 // survives any core count.
 func (a *Analyzer) buildSharedBase(d *Deployment) (*equiv.Base, equiv.BaseBuildStats) {
@@ -491,26 +486,10 @@ func (a *Analyzer) buildSharedBase(d *Deployment) (*equiv.Base, equiv.BaseBuildS
 		switches = append(switches, sw)
 	}
 	sort.Slice(switches, func(i, j int) bool { return switches[i] < switches[j] })
-	sets := make([]map[rule.Match]struct{}, len(switches))
 	semFPs := make([]uint64, len(switches))
 	a.forEach(len(switches), func(i int) {
-		rules := d.BySwitch[switches[i]]
-		set := make(map[rule.Match]struct{}, len(rules))
-		equiv.CollectMatches(set, rules)
-		sets[i] = set
-		semFPs[i] = equiv.SemanticsFingerprint(rules)
+		semFPs[i] = equiv.SemanticsFingerprint(d.BySwitch[switches[i]])
 	})
-	merged := make(map[rule.Match]struct{})
-	for _, set := range sets {
-		for m := range set {
-			merged[m] = struct{}{}
-		}
-	}
-	matches := make([]rule.Match, 0, len(merged))
-	for m := range merged {
-		matches = append(matches, m)
-	}
-	equiv.SortMatches(matches)
 
 	// Rank the distinct rule lists most-duplicated first (fingerprint
 	// tiebreak, representative = lowest switch ID), so the build order —
@@ -553,7 +532,7 @@ func (a *Analyzer) buildSharedBase(d *Deployment) (*equiv.Base, equiv.BaseBuildS
 	if a.opts.BaseRegistry != nil {
 		src = a.opts.BaseRegistry
 	}
-	base, bstats := equiv.NewBaseWith(src, matches, lists...)
+	base, bstats := equiv.NewBaseWith(src, lists...)
 	if a.opts.BaseRegistry != nil {
 		a.opts.BaseRegistry.RegisterBase(base)
 	}

@@ -57,12 +57,11 @@ type Session struct {
 	f  *fabric.Fabric
 
 	// base is the shared frozen encoding base every worker checker
-	// forks: the deployment's distinct rule matches encoded once, plus
-	// the frozen whole-switch semantics roots of its most duplicated
-	// rule lists. It persists across runs keyed by the deployment
-	// fingerprint (baseFP) — TCAM drift never invalidates it, only a
-	// changed deployment (recompile) does — so warm runs reuse both
-	// caches across runs, not just within one. baseDeployment is a
+	// forks: the frozen whole-switch semantics roots of the deployment's
+	// most duplicated rule lists. It persists across runs keyed by the
+	// deployment fingerprint (baseFP) — TCAM drift never invalidates it,
+	// only a changed deployment (recompile) does — so warm runs reuse it
+	// across runs, not just within one. baseDeployment is a
 	// pointer-identity fast path past the hashing.
 	base           *equiv.Base
 	baseFP         uint64
@@ -70,7 +69,7 @@ type Session struct {
 
 	// checkers are the persistent per-worker BDD checkers (forks of
 	// base); entry k is owned by worker k of the current run only, so
-	// memoized match encodings amortize across every run of the session.
+	// memoized semantics roots amortize across every run of the session.
 	checkers []*equiv.Checker
 
 	// cache holds the newest check outcome per switch.
@@ -155,12 +154,12 @@ type SessionStats struct {
 	OverCap int
 	// BaseRebuilds counts shared-base builds (the first build included):
 	// one per distinct deployment fingerprint the session has analyzed.
-	// A rebuild refreshes the frozen semantics cache along with the
-	// match memo — both live in the base and share its lifecycle.
+	// A rebuild refreshes the frozen semantics cache, which lives in the
+	// base and shares its lifecycle.
 	BaseRebuilds int
 	// BaseLoads counts shared bases restored from the warm store instead
 	// of built: a warm restart of a clean fabric shows BaseLoads 1,
-	// BaseRebuilds 0, and zero encode or fold misses.
+	// BaseRebuilds 0, and zero fold misses.
 	BaseLoads int
 	// BaseSemGrafts and BaseSemFolds split each base build's whole-switch
 	// semantics work: roots grafted from the shared BaseRegistry (another
@@ -175,11 +174,6 @@ type SessionStats struct {
 	BaseNodes     int
 	DeltaNodes    int
 	BaseSemantics int
-	// EncodeHits and EncodeMisses accumulate across runs: match
-	// encodings resolved from a memo (shared base or checker-local)
-	// versus encoded from scratch into a worker's delta.
-	EncodeHits   int
-	EncodeMisses int
 	// FoldHits and FoldMisses accumulate across runs: whole-list
 	// semantics folds resolved from a memo (frozen base root or
 	// checker-local) versus folded from scratch into a worker's delta.
@@ -619,7 +613,7 @@ func (s *Session) analyzeLocked(st State, cleanTCAM map[object.ID]bool) (*Report
 
 	ctrlModel := s.controllerModelLocked(st.Deployment)
 	depFPs := s.ensureBaseLocked(st.Deployment)
-	encBefore := s.encodeTotalsLocked()
+	foldBefore := s.foldTotalsLocked()
 
 	// Partition the switches into replays and re-checks.
 	checkReps := make([]*equiv.Report, len(switches))
@@ -710,14 +704,8 @@ func (s *Session) analyzeLocked(st State, cleanTCAM map[object.ID]bool) (*Report
 		s.stats.BaseNodes = enc.BaseNodes
 		s.stats.DeltaNodes = enc.DeltaNodes
 		s.stats.BaseSemantics = enc.BaseSemantics
-		encAfter := encodeTotals{
-			hits: enc.Hits(), misses: enc.Misses,
-			foldHits: enc.FoldHits(), foldMisses: enc.FoldMisses,
-		}
-		s.stats.EncodeHits += encAfter.hits - encBefore.hits
-		s.stats.EncodeMisses += encAfter.misses - encBefore.misses
-		s.stats.FoldHits += encAfter.foldHits - encBefore.foldHits
-		s.stats.FoldMisses += encAfter.foldMisses - encBefore.foldMisses
+		s.stats.FoldHits += enc.FoldHits() - foldBefore.hits
+		s.stats.FoldMisses += enc.FoldMisses - foldBefore.misses
 	}
 	// Persist the refreshed verdict cache write-behind. Gated on the
 	// shared-base mode (base non-nil and in step with this deployment):
@@ -731,20 +719,18 @@ func (s *Session) analyzeLocked(st State, cleanTCAM map[object.ID]bool) (*Report
 	return rep, nil
 }
 
-// encodeTotals is a point-in-time sum of the live checkers' cumulative
-// encoding and fold counters, used to attribute per-run deltas to
-// SessionStats (the checkers themselves persist across runs, so their
-// counters alone cannot distinguish this run's work from history).
-type encodeTotals struct{ hits, misses, foldHits, foldMisses int }
+// foldTotals is a point-in-time sum of the live checkers' cumulative
+// fold counters, used to attribute per-run deltas to SessionStats (the
+// checkers themselves persist across runs, so their counters alone
+// cannot distinguish this run's work from history).
+type foldTotals struct{ hits, misses int }
 
-func (s *Session) encodeTotalsLocked() encodeTotals {
-	var t encodeTotals
+func (s *Session) foldTotalsLocked() foldTotals {
+	var t foldTotals
 	for _, c := range s.checkers {
 		cs := c.Stats()
-		t.hits += cs.BaseHits + cs.LocalHits
-		t.misses += cs.Misses
-		t.foldHits += cs.FoldBaseHits + cs.FoldLocalHits
-		t.foldMisses += cs.FoldMisses
+		t.hits += cs.FoldBaseHits + cs.FoldLocalHits
+		t.misses += cs.FoldMisses
 	}
 	return t
 }
@@ -777,9 +763,10 @@ func (s *Session) ensureBaseLocked(d *compile.Deployment) map[object.ID]uint64 {
 	if ws := s.a.opts.WarmStore; ws != nil {
 		// Warm restart: restore a fingerprint-matching frozen base from
 		// the store before building one — the loaded base carries every
-		// match encoding and semantics root the previous process froze,
-		// so a clean fabric replays with zero encodes. A missing or
-		// unverifiable file is just a cold start. Rebinding re-points the
+		// semantics root the previous process froze, so a clean fabric
+		// replays with zero compiles. A missing or unverifiable file
+		// (one written by an older codec included) is just a cold start:
+		// the rebuild below overwrites it. Rebinding re-points the
 		// collision-verification rule references at this deployment's
 		// slices, releasing the decoded copies.
 		if b, err := ws.LoadBase(fp); err == nil && b != nil {

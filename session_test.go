@@ -329,14 +329,16 @@ func TestSessionSharedBasePersistence(t *testing.T) {
 	if st.BaseNodes == 0 {
 		t.Error("cold run must report base nodes")
 	}
-	// Every deployment match resolves from the base; only the corrupted
-	// TCAM entries' novel matches are encoded from scratch.
-	if st.EncodeHits == 0 {
-		t.Errorf("cold run encode counters: hits=%d, want > 0", st.EncodeHits)
+	// Every logical list resolves from the base; only the faulty switches'
+	// TCAM lists compile from scratch, into the workers' deltas.
+	if st.FoldHits == 0 || st.FoldMisses == 0 || st.DeltaNodes == 0 {
+		t.Errorf("cold run fold counters: hits=%d misses=%d delta=%d, want all > 0",
+			st.FoldHits, st.FoldMisses, st.DeltaNodes)
 	}
 
-	// TCAM drift dirties a switch but must not rebuild the base, and the
-	// re-check of warmed matches must be all hits.
+	// TCAM drift dirties a switch but must not rebuild the base: the
+	// re-check resolves the logical side from it and compiles exactly the
+	// one drifted list.
 	removeOneRule(t, f, f.Topology().Switches()[0])
 	if _, err := sess.Analyze(); err != nil {
 		t.Fatal(err)
@@ -345,12 +347,15 @@ func TestSessionSharedBasePersistence(t *testing.T) {
 	if st2.BaseRebuilds != 1 {
 		t.Errorf("TCAM drift rebuilt the base: BaseRebuilds = %d", st2.BaseRebuilds)
 	}
-	if st2.EncodeHits <= st.EncodeHits {
+	if st2.BaseNodes != st.BaseNodes {
+		t.Errorf("TCAM drift changed the base: %d -> %d nodes", st.BaseNodes, st2.BaseNodes)
+	}
+	if st2.FoldHits <= st.FoldHits {
 		t.Error("warm re-check must hit the persisted base")
 	}
-	if st2.EncodeMisses != st.EncodeMisses {
-		t.Errorf("warm re-check of warmed matches encoded from scratch: misses %d -> %d",
-			st.EncodeMisses, st2.EncodeMisses)
+	if st2.FoldMisses != st.FoldMisses+1 {
+		t.Errorf("warm re-check of one drifted switch compiled %d lists, want 1",
+			st2.FoldMisses-st.FoldMisses)
 	}
 
 	// A policy change recompiles the deployment: new fingerprint, one
@@ -408,7 +413,7 @@ func TestSessionPrivateCheckers(t *testing.T) {
 	if pst.BaseRebuilds != 0 || pst.BaseNodes != 0 {
 		t.Errorf("private-checker session built a base: %+v", pst)
 	}
-	if pst.DeltaNodes == 0 || pst.EncodeMisses == 0 {
+	if pst.DeltaNodes == 0 || pst.FoldMisses == 0 {
 		t.Errorf("private-checker session must still count its own work: %+v", pst)
 	}
 	if sst := shared.Stats(); sst.BaseRebuilds != 1 || sst.BaseNodes == 0 {

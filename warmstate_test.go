@@ -2,7 +2,12 @@ package scout_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/fnv"
+	"os"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"scout"
@@ -11,8 +16,8 @@ import (
 // TestSessionWarmRestartIdentity pins the tentpole end to end: a fresh
 // process (new store handle, new session) over an unchanged fabric
 // restores the persisted base and verdicts and replays the previous
-// report byte-identically — zero switches re-checked, zero match or
-// fold encodes — at every worker count. A subsequent mutation re-checks
+// report byte-identically — zero switches re-checked, zero lists
+// compiled — at every worker count. A subsequent mutation re-checks
 // exactly the dirty switch, proving the restored cache stays live, not
 // just replayable.
 func TestSessionWarmRestartIdentity(t *testing.T) {
@@ -69,9 +74,8 @@ func TestSessionWarmRestartIdentity(t *testing.T) {
 			t.Errorf("workers=%d: warm restart checked %d, replayed %d, want 0/%d",
 				workers, st.Checked, st.Replayed, numSwitches)
 		}
-		if st.EncodeMisses != 0 || st.FoldMisses != 0 {
-			t.Errorf("workers=%d: warm restart encoded: %d match, %d fold misses",
-				workers, st.EncodeMisses, st.FoldMisses)
+		if st.FoldMisses != 0 {
+			t.Errorf("workers=%d: warm restart compiled: %d fold misses", workers, st.FoldMisses)
 		}
 		if !bytes.Equal(want, marshalReport(t, rep2)) {
 			t.Errorf("workers=%d: restarted report differs from original", workers)
@@ -102,6 +106,126 @@ func TestSessionWarmRestartIdentity(t *testing.T) {
 		if err := ws2.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// asCodecV1 rewrites a warm-store file image the way codec version 1
+// framed it: version 1 in the header, and for a base file the match-memo
+// section version 1 kept between the snapshot and the semantics memo (one
+// entry here, bound to the first frozen node), under a fresh checksum.
+func asCodecV1(t *testing.T, img []byte, isBase bool) []byte {
+	t.Helper()
+	body := append([]byte(nil), img[:len(img)-8]...)
+	binary.LittleEndian.PutUint32(body[4:], 1)
+	if isBase {
+		// The snapshot is numVars, numNodes, then three uvarints per
+		// non-terminal node.
+		off := 16
+		next := func() uint64 {
+			v, n := binary.Uvarint(body[off:])
+			if n <= 0 {
+				t.Fatal("cannot walk the snapshot section")
+			}
+			off += n
+			return v
+		}
+		next()
+		for i := 3 * (next() - 2); i > 0; i-- {
+			next()
+		}
+		memo := []byte{1} // one match: VRF 1, src 2, dst 3, any proto, port 80, no wildcards, node 2
+		for _, id := range []uint32{1, 2, 3} {
+			memo = binary.LittleEndian.AppendUint32(memo, id)
+		}
+		memo = append(memo, 0, 80, 80, 0, 2)
+		body = append(body[:off:off], append(memo, body[off:]...)...)
+	}
+	h := fnv.New64a()
+	h.Write(body)
+	return binary.LittleEndian.AppendUint64(body, h.Sum64())
+}
+
+// TestSessionRebuildsOverOldCodecBase: warm state written by codec
+// version 1 (whose base files carried a match memo) is a clean miss, never
+// a misparse — the session rebuilds and re-checks as on a cold start,
+// overwrites the same content-addressed files, and the restart after that
+// loads them with nothing re-checked.
+func TestSessionRebuildsOverOldCodecBase(t *testing.T) {
+	dir := t.TempDir()
+	f := faultyFabric(t, 11)
+	numSwitches := f.Topology().NumSwitches()
+	run := func() (scout.SessionStats, []byte) {
+		t.Helper()
+		ws, err := scout.OpenWarmStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := scout.NewSession(f, scout.AnalyzerOptions{Workers: 2, WarmStore: ws})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := sess.Analyze()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := ws.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return sess.Stats(), marshalReport(t, rep)
+	}
+	files := func() map[string][]byte {
+		t.Helper()
+		paths, err := filepath.Glob(filepath.Join(dir, "*.scout"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[string][]byte, len(paths))
+		for _, p := range paths {
+			if out[p], err = os.ReadFile(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
+
+	_, want := run()
+	current := files()
+	bases := 0
+	for path, img := range current {
+		isBase := strings.HasPrefix(filepath.Base(path), "base-")
+		if isBase {
+			bases++
+		}
+		if err := os.WriteFile(path, asCodecV1(t, img, isBase), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if bases != 1 || len(current) != 2 {
+		t.Fatalf("cold run left %d files, %d of them bases; want a base and a verdict file", len(current), bases)
+	}
+
+	st, got := run()
+	if st.BaseRebuilds != 1 || st.BaseLoads != 0 || st.Checked != numSwitches {
+		t.Errorf("restart over version-1 files: %+v, want one rebuild, no load, every switch checked", st)
+	}
+	if !bytes.Equal(want, got) {
+		t.Error("report after rebuilding over version-1 files differs")
+	}
+	for path, img := range files() {
+		if !bytes.Equal(img, current[path]) {
+			t.Errorf("%s was not overwritten with the current encoding", filepath.Base(path))
+		}
+	}
+
+	st, got = run()
+	if st.BaseRebuilds != 0 || st.BaseLoads != 1 || st.Checked != 0 || st.Replayed != numSwitches || st.FoldMisses != 0 {
+		t.Errorf("restart after the overwrite: %+v, want the base loaded and every switch replayed", st)
+	}
+	if !bytes.Equal(want, got) {
+		t.Error("report after reloading the overwritten files differs")
 	}
 }
 
