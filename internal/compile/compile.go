@@ -10,7 +10,11 @@ package compile
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"scout/internal/object"
 	"scout/internal/policy"
@@ -60,6 +64,15 @@ func (sp SwitchPair) Less(other SwitchPair) bool {
 }
 
 // Compile renders the policy onto the topology. The policy must validate.
+//
+// A rule's Key names its EPG pair and a pair names the switches it lands
+// on, so a key bound twice (two contracts of one pair sharing a filter
+// entry) is a duplicate on every one of those switches. One Provenance
+// lookup per rule therefore settles identity for the whole deployment: the
+// first binding's provenance is the key's, and only a fresh key joins its
+// pair's PairRules. Every instance still joins its switches' lists — which
+// of a key's instances survives there is the sort's choice (rule.Sort) —
+// and duplicates end up adjacent, where finishSwitch drops them.
 func Compile(p *policy.Policy, t *topo.Topology) (*Deployment, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("compile: %w", err)
@@ -68,25 +81,59 @@ func Compile(p *policy.Policy, t *topo.Topology) (*Deployment, error) {
 		return nil, fmt.Errorf("compile: %w", err)
 	}
 
+	switches := t.Switches()
+	slot := make(map[object.ID]int, len(switches))
+	for i, sw := range switches {
+		slot[sw] = i
+	}
+	// First pass: resolve each binding's footprint — the slots of the
+	// switches its pair lands on, found once per pair — and count the rules
+	// it will emit per switch, so the second pass appends into lists of
+	// their final capacity.
+	footprints := make([][]int, len(p.Bindings))
+	byPair := make(map[policy.EPGPair][]int)
+	emitted := make([]int, len(switches))
+	for bi, b := range p.Bindings {
+		pair := policy.MakeEPGPair(b.From, b.To)
+		footprint, ok := byPair[pair]
+		if !ok {
+			for _, sw := range t.SwitchesForPair(b.From, b.To) {
+				footprint = append(footprint, slot[sw])
+			}
+			byPair[pair] = footprint
+		}
+		footprints[bi] = footprint
+		n := 0
+		for _, fid := range p.Contracts[b.Contract].Filters {
+			n += len(p.Filters[fid].Entries)
+		}
+		if b.From != b.To {
+			n *= 2 // one rule per direction
+		}
+		for _, i := range footprint {
+			emitted[i] += n
+		}
+	}
+	lists := make([][]rule.Rule, len(switches))
+	for i, n := range emitted {
+		lists[i] = make([]rule.Rule, 0, n+1) // and the default-deny tail
+	}
+
 	d := &Deployment{
-		BySwitch:   make(map[object.ID][]rule.Rule, t.NumSwitches()),
+		BySwitch:   make(map[object.ID][]rule.Rule, len(switches)),
 		Provenance: make(map[rule.Key][]object.Ref),
 		PairRules:  make(map[SwitchPair][]rule.Key),
 	}
-	for _, sw := range t.Switches() {
-		d.BySwitch[sw] = nil
-	}
-
-	for _, b := range p.Bindings {
-		from := p.EPGs[b.From]
-		contract := p.Contracts[b.Contract]
-		pair := policy.MakeEPGPair(b.From, b.To)
-		switches := t.SwitchesForPair(b.From, b.To)
-		if len(switches) == 0 {
+	var fresh []rule.Key // the current binding's keys not seen before
+	for bi, b := range p.Bindings {
+		footprint := footprints[bi]
+		if len(footprint) == 0 {
 			continue // pair has no attached endpoints anywhere
 		}
-		for _, fid := range contract.Filters {
-			filter := p.Filters[fid]
+		from := p.EPGs[b.From]
+		pair := policy.MakeEPGPair(b.From, b.To)
+		fresh = fresh[:0]
+		for _, fid := range p.Contracts[b.Contract].Filters {
 			prov := []object.Ref{
 				object.VRF(from.VRF),
 				object.EPG(b.From),
@@ -95,37 +142,64 @@ func Compile(p *policy.Policy, t *topo.Topology) (*Deployment, error) {
 				object.Filter(fid),
 			}
 			object.SortRefs(prov)
-			for _, entry := range filter.Entries {
-				for _, dir := range directionalRules(from.VRF, b.From, b.To, entry, prov) {
+			for _, entry := range p.Filters[fid].Entries {
+				dirs, n := directionalRules(from.VRF, b.From, b.To, entry, prov)
+				for _, dir := range dirs[:n] {
 					key := dir.Key()
-					if _, ok := d.Provenance[key]; !ok {
-						d.Provenance[key] = dir.Provenance
+					if _, dup := d.Provenance[key]; !dup {
+						d.Provenance[key] = prov
+						fresh = append(fresh, key)
 					}
-					for _, sw := range switches {
-						d.BySwitch[sw] = append(d.BySwitch[sw], dir)
-						sp := SwitchPair{Switch: sw, Pair: pair}
-						d.PairRules[sp] = append(d.PairRules[sp], key)
+					for _, i := range footprint {
+						lists[i] = append(lists[i], dir)
 					}
 				}
 			}
 		}
+		if len(fresh) == 0 {
+			continue
+		}
+		for _, i := range footprint {
+			sp := SwitchPair{Switch: switches[i], Pair: pair}
+			d.PairRules[sp] = append(d.PairRules[sp], fresh...)
+		}
 	}
 
-	for sw, rules := range d.BySwitch {
-		rules = append(rules, rule.DefaultDeny())
-		rule.Sort(rules)
-		d.BySwitch[sw] = rule.Dedupe(rules)
+	// The switches' lists are independent: sort and dedupe them on as many
+	// goroutines as there are processors to run them.
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(lists)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(lists); i = int(next.Add(1)) - 1 {
+				lists[i] = finishSwitch(lists[i])
+			}
+		}()
 	}
-	for sp, keys := range d.PairRules {
-		d.PairRules[sp] = dedupeKeys(keys)
+	wg.Wait()
+	for i, sw := range switches {
+		d.BySwitch[sw] = lists[i]
 	}
 	return d, nil
 }
 
-// directionalRules builds the two direction rules for a filter entry
-// between EPGs a and b. When a == b (intra-EPG contract) a single rule is
-// produced.
-func directionalRules(vrf, a, b object.ID, e policy.FilterEntry, prov []object.Ref) []rule.Rule {
+// finishSwitch turns the rules emitted for one switch into its logical rule
+// list: the default-deny tail added, sorted, and each key kept once. Every
+// compiled rule has EntryPriority and no wildcard, so rules sharing a key
+// sort next to each other and the first of a run is the one a key-set
+// dedupe of the sorted list (rule.Dedupe) keeps.
+func finishSwitch(rules []rule.Rule) []rule.Rule {
+	rules = append(rules, rule.DefaultDeny())
+	rule.Sort(rules)
+	return slices.CompactFunc(rules, func(a, b rule.Rule) bool { return a.Key() == b.Key() })
+}
+
+// directionalRules builds the direction rules for a filter entry between
+// EPGs a and b: dirs[:n], two of them, or one when a == b (intra-EPG
+// contract).
+func directionalRules(vrf, a, b object.ID, e policy.FilterEntry, prov []object.Ref) (dirs [2]rule.Rule, n int) {
 	mk := func(src, dst object.ID) rule.Rule {
 		return rule.Rule{
 			Match: rule.Match{
@@ -142,9 +216,9 @@ func directionalRules(vrf, a, b object.ID, e policy.FilterEntry, prov []object.R
 		}
 	}
 	if a == b {
-		return []rule.Rule{mk(a, b)}
+		return [2]rule.Rule{mk(a, b)}, 1
 	}
-	return []rule.Rule{mk(a, b), mk(b, a)}
+	return [2]rule.Rule{mk(a, b), mk(b, a)}, 2
 }
 
 // RulesFor returns the logical rules for a single switch (nil if unknown).
@@ -179,17 +253,4 @@ func (d *Deployment) SwitchPairs() []SwitchPair {
 // PairFor derives the EPG pair a rule key serves from its match fields.
 func PairFor(k rule.Key) policy.EPGPair {
 	return policy.MakeEPGPair(k.Match.SrcEPG, k.Match.DstEPG)
-}
-
-func dedupeKeys(keys []rule.Key) []rule.Key {
-	seen := make(map[rule.Key]struct{}, len(keys))
-	out := keys[:0]
-	for _, k := range keys {
-		if _, dup := seen[k]; dup {
-			continue
-		}
-		seen[k] = struct{}{}
-		out = append(out, k)
-	}
-	return out
 }

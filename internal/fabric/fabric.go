@@ -200,64 +200,64 @@ func (f *Fabric) Deploy() error {
 }
 
 // pushToSwitch reconciles a switch's local view and TCAM with the desired
-// rule list, emitting one TCAM-change event when the TCAM was mutated.
+// rule list — one switch's compile.Deployment.BySwitch entry, so sorted and
+// one rule per key — emitting one TCAM-change event when the TCAM was
+// mutated.
 func (f *Fabric) pushToSwitch(s *Switch, desired []rule.Rule) {
 	if !s.reachable {
 		return // instructions lost; controller-side state already updated
 	}
-	want := make(map[rule.Key]rule.Rule, len(desired))
-	for _, r := range desired {
-		want[r.Key()] = r
-	}
-	// Delete stale entries from the agent view and TCAM.
-	var stale []rule.Key
-	for k := range s.view {
-		if _, ok := want[k]; !ok {
-			delete(s.view, k)
-			stale = append(stale, k)
-		}
-	}
 	changed := false
-	if !s.agentUp {
-		s.withdrawn = append(s.withdrawn, stale...)
-	} else if s.tcam.RemoveKeys(stale) > 0 {
-		changed = true
-	}
-	// Install new entries in deterministic order.
-	adds := make([]rule.Rule, 0, len(desired))
-	for _, r := range desired {
-		if _, ok := s.view[r.Key()]; !ok {
-			adds = append(adds, r)
+	adds := desired
+	if len(s.view) == 0 {
+		// A first push: nothing is stale and every rule is new.
+		s.view = make(map[rule.Key]rule.Rule, len(desired))
+	} else {
+		want := rule.KeySet(desired)
+		// Delete stale entries from the agent view and TCAM.
+		var stale []rule.Key
+		for k := range s.view {
+			if _, ok := want[k]; !ok {
+				delete(s.view, k)
+				stale = append(stale, k)
+			}
 		}
-	}
-	rule.Sort(adds)
-	for _, r := range adds {
-		s.view[r.Key()] = r
 		if !s.agentUp {
-			s.pending = append(s.pending, r)
-			continue
-		}
-		if f.renderRule(s, r) {
+			s.withdrawn = append(s.withdrawn, stale...)
+		} else if s.tcam.RemoveKeys(stale) > 0 {
 			changed = true
 		}
+		adds = make([]rule.Rule, 0, len(desired))
+		for _, r := range desired {
+			if _, ok := s.view[r.Key()]; !ok {
+				adds = append(adds, r)
+			}
+		}
+	}
+	// Install new entries in the deterministic order desired has them in.
+	for _, r := range adds {
+		s.view[r.Key()] = r
+	}
+	if !s.agentUp {
+		s.pending = append(s.pending, adds...)
+	} else if f.renderRules(s, adds) {
+		changed = true
 	}
 	if changed {
 		f.emit(faultlog.EventTCAMChange, s.ID, "policy push")
 	}
 }
 
-// renderRule installs one rule into TCAM, logging overflow faults. It
-// reports whether the rule was actually installed.
-func (f *Fabric) renderRule(s *Switch, r rule.Rule) bool {
-	err := s.tcam.Install(r)
-	if err == nil {
-		return true
-	}
-	if errors.Is(err, tcam.ErrFull) {
+// renderRules installs rules into TCAM in order, logging one overflow fault
+// per rule the full table refused. It reports whether the table holds any
+// of them afterwards.
+func (f *Fabric) renderRules(s *Switch, rules []rule.Rule) bool {
+	held := s.tcam.InstallAll(rules)
+	for refused := len(rules) - held; refused > 0; refused-- {
 		f.faults.Raise(f.now, faultlog.FaultTCAMOverflow, s.ID,
 			fmt.Sprintf("tcam at %d/%d entries", s.tcam.Len(), s.tcam.Capacity()))
 	}
-	return false
+	return held > 0
 }
 
 // --- Policy change operations (recorded in the change log) ---
@@ -421,10 +421,14 @@ func (f *Fabric) RestartAgent(sw object.ID) error {
 			}
 		}
 		changed := s.tcam.RemoveKeys(stale) > 0
+		live := s.pending[:0]
 		for _, r := range s.pending {
-			if cur, ok := s.view[r.Key()]; ok && f.renderRule(s, cur) {
-				changed = true
+			if cur, ok := s.view[r.Key()]; ok {
+				live = append(live, cur)
 			}
+		}
+		if f.renderRules(s, live) {
+			changed = true
 		}
 		s.pending, s.withdrawn = nil, nil
 		if changed {

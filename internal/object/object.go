@@ -9,14 +9,15 @@ package object
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
 
 // Kind enumerates the kinds of policy and physical objects that can act as
-// shared risks in a risk model.
-type Kind int
+// shared risks in a risk model. It is 32 bits wide so that a Ref is eight
+// bytes with no padding (see Ref).
+type Kind int32
 
 // Object kinds. Values start at 1 so the zero Kind is invalid.
 const (
@@ -64,7 +65,9 @@ func ParseKind(s string) (Kind, error) {
 type ID uint32
 
 // Ref uniquely identifies a policy or physical object. Refs are valid map
-// keys and are the risk identity used throughout the system.
+// keys and are the risk identity used throughout the system. The struct is
+// eight bytes without padding, so the runtime hashes and compares it as one
+// machine word; TestRefLayout pins that.
 type Ref struct {
 	Kind Kind `json:"kind"`
 	ID   ID   `json:"id"`
@@ -135,7 +138,7 @@ func (r Ref) Compare(other Ref) int {
 
 // SortRefs sorts refs in place in the canonical Less order.
 func SortRefs(refs []Ref) {
-	sort.Slice(refs, func(i, j int) bool { return refs[i].Less(refs[j]) })
+	slices.SortFunc(refs, Ref.Compare)
 }
 
 // Set is a set of object Refs.

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestKindString(t *testing.T) {
@@ -208,5 +209,19 @@ func TestRefIsZero(t *testing.T) {
 	}
 	if VRF(0).IsZero() {
 		t.Error("vrf:0 is a real ref, not zero")
+	}
+}
+
+// TestRefLayout pins Ref at eight bytes with no padding — its size is the
+// sum of its fields' — so the runtime hashes and compares it as one word
+// and a map keyed by it takes the 64-bit fast path. A new or widened field
+// fails here instead of slowing every Ref map.
+func TestRefLayout(t *testing.T) {
+	var r Ref
+	if size, fields := unsafe.Sizeof(r), unsafe.Sizeof(r.Kind)+unsafe.Sizeof(r.ID); size != 8 || fields != 8 {
+		t.Errorf("Ref is %d bytes holding %d bytes of fields, want 8 and 8", size, fields)
+	}
+	if n := reflect.TypeOf(r).NumField(); n != 2 {
+		t.Errorf("Ref has %d fields; count the new one above", n)
 	}
 }

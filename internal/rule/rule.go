@@ -10,16 +10,18 @@
 package rule
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
 	"scout/internal/object"
 )
 
-// Action is the disposition a rule applies to matching traffic.
-type Action int
+// Action is the disposition a rule applies to matching traffic. It is 32
+// bits wide so that a Key has no padding (see Key).
+type Action int32
 
 // Rule actions. Values start at 1 so the zero Action is invalid.
 const (
@@ -71,14 +73,15 @@ const PortMax = 65535
 
 // Match is the matching half of a rule: the traffic slice it applies to.
 // EPG and VRF identifiers of 0 combined with Wildcard* flags express the
-// catch-all fields of a default-deny rule.
+// catch-all fields of a default-deny rule. Fields are declared widest
+// first (4-4-4-2-2-1-1-1-1) so the struct is 20 bytes with no padding.
 type Match struct {
 	VRF         object.ID `json:"vrf"`
 	SrcEPG      object.ID `json:"srcEPG"`
 	DstEPG      object.ID `json:"dstEPG"`
-	Proto       Protocol  `json:"proto"`
 	PortLo      uint16    `json:"portLo"`
 	PortHi      uint16    `json:"portHi"`
+	Proto       Protocol  `json:"proto"`
 	WildcardVRF bool      `json:"wildcardVRF,omitempty"`
 	WildcardSrc bool      `json:"wildcardSrc,omitempty"`
 	WildcardDst bool      `json:"wildcardDst,omitempty"`
@@ -144,7 +147,9 @@ type Rule struct {
 
 // Key is a canonical, comparable identity for a rule's match+action,
 // ignoring priority and provenance. Two rules with equal Keys enforce the
-// same behaviour, which is what L-T equivalence compares.
+// same behaviour, which is what L-T equivalence compares. A Key is one
+// 24-byte run of memory with no padding, so the runtime hashes and compares
+// it in one pass; TestKeyLayout pins that.
 type Key struct {
 	Match  Match
 	Action Action
@@ -248,50 +253,69 @@ func (r Rule) IsDefaultDeny() bool {
 }
 
 // Sort orders rules deterministically: descending priority first (match
-// order), then by match fields. It sorts in place.
+// order), then by match fields. It sorts in place. The sort is unstable, so
+// which of several rules with one Key and one priority comes first is the
+// algorithm's choice; it is the pattern-defeating quicksort sort.Slice also
+// runs, making the same comparisons, so that choice is the one a reflective
+// sort by Less makes.
 func Sort(rules []Rule) {
-	sort.Slice(rules, func(i, j int) bool { return Less(rules[i], rules[j]) })
+	slices.SortFunc(rules, Compare)
 }
 
-// Less is a deterministic ordering on rules: descending priority, then
+// Less reports whether a sorts before b: Compare(a, b) < 0.
+func Less(a, b Rule) bool { return Compare(a, b) < 0 }
+
+// Compare is a deterministic ordering on rules: descending priority, then
 // every match field (including the wildcard flags), then action. It is
 // total up to Key equality — two rules it cannot separate share a Key,
 // which Dedupe collapses — so ties cannot occur within one switch's
 // deduped rule list; callers needing a tiebreak for sorted outputs
 // derived from such lists (e.g. probe violations) can rely on that.
-func Less(a, b Rule) bool {
+func Compare(a, b Rule) int {
 	if a.Priority != b.Priority {
-		return a.Priority > b.Priority
+		return cmp.Compare(b.Priority, a.Priority)
 	}
-	am, bm := a.Match, b.Match
+	am, bm := &a.Match, &b.Match
 	if am.VRF != bm.VRF {
-		return am.VRF < bm.VRF
+		return cmp.Compare(am.VRF, bm.VRF)
 	}
 	if am.SrcEPG != bm.SrcEPG {
-		return am.SrcEPG < bm.SrcEPG
+		return cmp.Compare(am.SrcEPG, bm.SrcEPG)
 	}
 	if am.DstEPG != bm.DstEPG {
-		return am.DstEPG < bm.DstEPG
+		return cmp.Compare(am.DstEPG, bm.DstEPG)
 	}
 	if am.Proto != bm.Proto {
-		return am.Proto < bm.Proto
+		return cmp.Compare(am.Proto, bm.Proto)
 	}
 	if am.PortLo != bm.PortLo {
-		return am.PortLo < bm.PortLo
+		return cmp.Compare(am.PortLo, bm.PortLo)
 	}
 	if am.PortHi != bm.PortHi {
-		return am.PortHi < bm.PortHi
+		return cmp.Compare(am.PortHi, bm.PortHi)
 	}
 	if am.WildcardVRF != bm.WildcardVRF {
-		return bm.WildcardVRF
+		return compareBool(am.WildcardVRF, bm.WildcardVRF)
 	}
 	if am.WildcardSrc != bm.WildcardSrc {
-		return bm.WildcardSrc
+		return compareBool(am.WildcardSrc, bm.WildcardSrc)
 	}
 	if am.WildcardDst != bm.WildcardDst {
-		return bm.WildcardDst
+		return compareBool(am.WildcardDst, bm.WildcardDst)
 	}
-	return a.Action < b.Action
+	return cmp.Compare(a.Action, b.Action)
+}
+
+// compareBool orders false before true.
+func compareBool(a, b bool) int {
+	switch {
+	case a == b:
+		return 0
+	case b:
+		return -1
+	default:
+		return 1
+	}
 }
 
 // Dedupe removes rules with duplicate Keys, keeping the first (highest

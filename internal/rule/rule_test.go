@@ -2,9 +2,12 @@ package rule
 
 import (
 	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"scout/internal/object"
 )
@@ -234,6 +237,90 @@ func TestSortDeterministicQuick(t *testing.T) {
 	}
 }
 
+// refLess is the ordering as it was written before Compare existed, kept
+// as the oracle for it: descending priority, the match fields in their
+// historical order (protocol before ports), wildcards after concrete
+// values, then action.
+func refLess(a, b Rule) bool {
+	if a.Priority != b.Priority {
+		return a.Priority > b.Priority
+	}
+	am, bm := a.Match, b.Match
+	if am.VRF != bm.VRF {
+		return am.VRF < bm.VRF
+	}
+	if am.SrcEPG != bm.SrcEPG {
+		return am.SrcEPG < bm.SrcEPG
+	}
+	if am.DstEPG != bm.DstEPG {
+		return am.DstEPG < bm.DstEPG
+	}
+	if am.Proto != bm.Proto {
+		return am.Proto < bm.Proto
+	}
+	if am.PortLo != bm.PortLo {
+		return am.PortLo < bm.PortLo
+	}
+	if am.PortHi != bm.PortHi {
+		return am.PortHi < bm.PortHi
+	}
+	if am.WildcardVRF != bm.WildcardVRF {
+		return bm.WildcardVRF
+	}
+	if am.WildcardSrc != bm.WildcardSrc {
+		return bm.WildcardSrc
+	}
+	if am.WildcardDst != bm.WildcardDst {
+		return bm.WildcardDst
+	}
+	return a.Action < b.Action
+}
+
+// TestSortPermutesLikeReflectiveSort: Compare orders any two rules as
+// refLess does, and Sort leaves a list — long enough to leave insertion
+// sort, full of rules that tie — in exactly the sequence sort.Slice with
+// refLess leaves it in. Ties are told apart by provenance, so this pins
+// which of several same-key rules ends up first: compile keeps that one.
+func TestSortPermutesLikeReflectiveSort(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		rules := make([]Rule, 10+rng.Intn(3000))
+		for i := range rules {
+			rules[i] = Rule{
+				Match: Match{
+					VRF:         object.ID(rng.Intn(2)),
+					SrcEPG:      object.ID(rng.Intn(3)),
+					DstEPG:      object.ID(rng.Intn(3)),
+					Proto:       Protocol(rng.Intn(2) * 6),
+					PortLo:      uint16(rng.Intn(3)),
+					PortHi:      uint16(3 + rng.Intn(2)),
+					WildcardVRF: rng.Intn(8) == 0,
+					WildcardSrc: rng.Intn(8) == 0,
+					WildcardDst: rng.Intn(8) == 0,
+				},
+				Action:     Action(1 + rng.Intn(2)),
+				Priority:   rng.Intn(2) * 10,
+				Provenance: []object.Ref{object.Filter(object.ID(i))},
+			}
+		}
+		for i := 1; i < len(rules); i++ {
+			a, b := rules[i-1], rules[i]
+			if got, want := Compare(a, b) < 0, refLess(a, b); got != want || Less(a, b) != want {
+				t.Fatalf("seed %d: Compare(%v, %v) < 0 is %v, the oracle says %v", seed, a, b, got, want)
+			}
+			if Compare(a, b) != -Compare(b, a) || (Compare(a, b) == 0) != (a.Key() == b.Key() && a.Priority == b.Priority) {
+				t.Fatalf("seed %d: Compare is not antisymmetric, or ties rules that differ: %v, %v", seed, a, b)
+			}
+		}
+		want := append([]Rule(nil), rules...)
+		sort.Slice(want, func(i, j int) bool { return refLess(want[i], want[j]) })
+		Sort(rules)
+		if !reflect.DeepEqual(rules, want) {
+			t.Fatalf("seed %d: Sort and the reflective sort permute %d rules differently", seed, len(rules))
+		}
+	}
+}
+
 func TestDedupeKeepsFirst(t *testing.T) {
 	r1 := Rule{Match: Match{VRF: 1}, Action: Allow, Priority: 20}
 	r2 := Rule{Match: Match{VRF: 1}, Action: Allow, Priority: 10} // same key
@@ -272,5 +359,26 @@ func TestRuleStringHumanReadable(t *testing.T) {
 	dd := DefaultDeny().String()
 	if !strings.Contains(dd, "vrf=*") || !strings.Contains(dd, "deny") {
 		t.Errorf("default deny String() = %q", dd)
+	}
+}
+
+// TestKeyLayout pins Key at one 24-byte run with no padding — its size is
+// the sum of its fields' — so the runtime hashes and compares it as plain
+// memory in one call. A new field, or a reordering that brings padding
+// back, fails here instead of slowing every Key map.
+func TestKeyLayout(t *testing.T) {
+	var fieldBytes func(t reflect.Type) uintptr
+	fieldBytes = func(t reflect.Type) uintptr {
+		if t.Kind() != reflect.Struct {
+			return t.Size()
+		}
+		sum := uintptr(0)
+		for i := 0; i < t.NumField(); i++ {
+			sum += fieldBytes(t.Field(i).Type)
+		}
+		return sum
+	}
+	if size, fields := unsafe.Sizeof(Key{}), fieldBytes(reflect.TypeOf(Key{})); size != 24 || fields != 24 {
+		t.Errorf("Key is %d bytes holding %d bytes of fields, want 24 and 24", size, fields)
 	}
 }

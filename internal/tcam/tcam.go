@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -91,32 +92,62 @@ func (t *TCAM) Utilization() float64 {
 // Install adds a rule to the table. Installing a rule whose Key already
 // exists is idempotent. Returns ErrFull when the table is at capacity.
 func (t *TCAM) Install(r rule.Rule) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	k := r.Key()
-	if _, ok := t.index[k]; ok {
-		return nil
-	}
-	if len(t.rules) >= t.capacity {
+	if t.InstallAll([]rule.Rule{r}) == 0 {
 		return fmt.Errorf("install %s: %w", r, ErrFull)
 	}
-	// Match order is priority descending with programming order inside a
-	// band, and a fresh install is the youngest entry of its band — so
-	// its slot is the first index of strictly lower priority. Deploys
-	// install in sorted order, which makes this an append.
-	pos := sort.Search(len(t.rules), func(i int) bool {
-		return t.rules[i].Priority < r.Priority
-	})
-	t.nextSeq++
-	t.rules = append(t.rules, rule.Rule{})
-	copy(t.rules[pos+1:], t.rules[pos:])
-	t.rules[pos] = r.Clone()
-	t.seqs = append(t.seqs, 0)
-	copy(t.seqs[pos+1:], t.seqs[pos:])
-	t.seqs[pos] = t.nextSeq
-	t.index[k] = entryID{r.Priority, t.nextSeq}
-	t.snap = nil
 	return nil
+}
+
+// InstallAll installs the rules in order, leaving the table exactly as
+// calling Install on each in turn would, under one lock and with room for
+// the batch reserved up front. It returns how many of them the table holds
+// afterwards — installed now, or present already, the cases where Install
+// returns nil; the remaining len(rules) minus that were refused for lack of
+// space (ErrFull).
+func (t *TCAM) InstallAll(rules []rule.Rule) int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	room := min(len(rules), t.capacity-len(t.rules))
+	if room > 0 {
+		t.rules = slices.Grow(t.rules, room)
+		t.seqs = slices.Grow(t.seqs, room)
+		if len(t.index) == 0 {
+			t.index = make(map[rule.Key]entryID, room)
+		}
+	}
+	held := 0
+	for i := range rules {
+		r := &rules[i]
+		k := r.Key()
+		if _, ok := t.index[k]; ok {
+			held++
+			continue
+		}
+		if len(t.rules) >= t.capacity {
+			continue
+		}
+		// Match order is priority descending with programming order inside a
+		// band, and a fresh install is the youngest entry of its band — so
+		// its slot is the first index of strictly lower priority. Deploys
+		// install in sorted order, which makes this an append.
+		pos := len(t.rules)
+		if pos > 0 && t.rules[pos-1].Priority < r.Priority {
+			pos = sort.Search(pos, func(i int) bool {
+				return t.rules[i].Priority < r.Priority
+			})
+		}
+		t.nextSeq++
+		t.rules = append(t.rules, rule.Rule{})
+		copy(t.rules[pos+1:], t.rules[pos:])
+		t.rules[pos] = r.Clone()
+		t.seqs = append(t.seqs, 0)
+		copy(t.seqs[pos+1:], t.seqs[pos:])
+		t.seqs[pos] = t.nextSeq
+		t.index[k] = entryID{r.Priority, t.nextSeq}
+		t.snap = nil
+		held++
+	}
+	return held
 }
 
 // Remove deletes the first entry with the given key in match order. It

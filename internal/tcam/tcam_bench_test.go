@@ -38,6 +38,24 @@ func BenchmarkInstall(b *testing.B) {
 	}
 }
 
+// BenchmarkInstallAll measures the same 512 installs as BenchmarkInstall
+// handed over as one batch: one lock, table and index sized up front.
+func BenchmarkInstallAll(b *testing.B) {
+	batch := make([]rule.Rule, 512)
+	for p := range batch {
+		batch[p] = mkRule(1, 2, 3, uint16(p), p%4*10)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		tc := New(1024)
+		b.StartTimer()
+		if held := tc.InstallAll(batch); held != len(batch) {
+			b.Fatalf("table holds %d of %d", held, len(batch))
+		}
+	}
+}
+
 // BenchmarkClassify measures first-match lookup in a half-full table.
 func BenchmarkClassify(b *testing.B) {
 	tc := populated(b, 2048)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -411,6 +412,71 @@ func TestRemoveKeysMatchesSequentialRemove(t *testing.T) {
 	}
 	if n := New(4).RemoveKeys(nil); n != 0 {
 		t.Errorf("RemoveKeys(nil) on an empty table = %d", n)
+	}
+}
+
+// TestInstallAllMatchesSequentialInstall is the bulk install's differential
+// test: on twin tables, InstallAll(batch) must leave the same rules in the
+// same order under the same index, and hold as many of the batch as a loop
+// of Install accepts — with duplicate keys inside the batch and against the
+// table, priorities that force mid-table inserts, and a table that fills
+// midway through the batch.
+func TestInstallAllMatchesSequentialInstall(t *testing.T) {
+	overflowed := 0
+	for seed := int64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		capacity := 16 + rng.Intn(64)
+		bulk, serial := New(capacity), New(capacity)
+		for round := 0; round < 3; round++ { // onto an empty table, then a populated one
+			batch := make([]rule.Rule, rng.Intn(60))
+			for i := range batch {
+				batch[i] = mkRule(
+					object.ID(rng.Intn(2)), object.ID(rng.Intn(4)), object.ID(rng.Intn(4)),
+					uint16(rng.Intn(6)), rng.Intn(3)*10)
+				batch[i].Provenance = []object.Ref{object.Filter(object.ID(i))}
+			}
+			want := 0
+			for _, r := range batch {
+				err := serial.Install(r)
+				switch {
+				case err == nil:
+					want++
+				case !errors.Is(err, ErrFull):
+					t.Fatalf("seed %d: Install: %v", seed, err)
+				}
+			}
+			if want < len(batch) {
+				overflowed++
+			}
+			if got := bulk.InstallAll(batch); got != want {
+				t.Fatalf("seed %d round %d: InstallAll holds %d of %d, sequential Install accepted %d",
+					seed, round, got, len(batch), want)
+			}
+			if !rule.SlicesEqual(bulk.Rules(), serial.Rules()) {
+				t.Fatalf("seed %d round %d: tables differ after bulk vs sequential install", seed, round)
+			}
+			if !reflect.DeepEqual(bulk.index, serial.index) || !reflect.DeepEqual(bulk.seqs, serial.seqs) {
+				t.Fatalf("seed %d round %d: indexes differ after bulk vs sequential install", seed, round)
+			}
+			if err := checkIndex(bulk); err != nil {
+				t.Fatalf("seed %d round %d: %v", seed, round, err)
+			}
+			// The table holds copies: the caller's batch stays its own.
+			if len(batch) > 0 {
+				batch[0].Provenance[0] = object.VRF(9)
+				for _, r := range bulk.Rules() {
+					if r.HasProvenance(object.VRF(9)) {
+						t.Fatalf("seed %d: installed rule aliases the caller's provenance", seed)
+					}
+				}
+			}
+		}
+	}
+	if overflowed < 20 {
+		t.Errorf("only %d batches overflowed; the refused path is barely tested", overflowed)
+	}
+	if n := New(4).InstallAll(nil); n != 0 {
+		t.Errorf("InstallAll(nil) = %d", n)
 	}
 }
 

@@ -112,19 +112,24 @@ func (t *Topology) Hosts(sw, epg object.ID) bool {
 // the deployment footprint of the pair (paper §II-A: EPG instructions go to
 // the switches its endpoints connect to).
 func (t *Topology) SwitchesForPair(a, b object.ID) []object.ID {
-	seen := make(map[object.ID]struct{})
+	as := t.SwitchesHosting(a)
+	if a == b {
+		return as
+	}
+	// Both host lists are sorted and duplicate-free: merge them.
+	bs := t.SwitchesHosting(b)
 	var out []object.ID
-	for _, epg := range [2]object.ID{a, b} {
-		for _, sw := range t.SwitchesHosting(epg) {
-			if _, dup := seen[sw]; dup {
-				continue
-			}
-			seen[sw] = struct{}{}
-			out = append(out, sw)
+	for len(as) > 0 && len(bs) > 0 {
+		switch {
+		case as[0] < bs[0]:
+			out, as = append(out, as[0]), as[1:]
+		case bs[0] < as[0]:
+			out, bs = append(out, bs[0]), bs[1:]
+		default:
+			out, as, bs = append(out, as[0]), as[1:], bs[1:]
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return append(append(out, as...), bs...)
 }
 
 // Validate checks that every endpoint in p is attached to a switch known to

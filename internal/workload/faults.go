@@ -36,15 +36,63 @@ type DepIndex struct {
 }
 
 // BuildIndex constructs the object → instances index for a deployment.
+// Instances are listed in (switch, pair) order, then in the pair's key
+// order, so two builds of one deployment are identical and a seeded draw
+// from Instances damages the same rules every run.
 func BuildIndex(d *compile.Deployment) *DepIndex {
-	idx := &DepIndex{byObject: make(map[object.Ref][]Instance), d: d}
-	for sp, keys := range d.PairRules {
-		for _, k := range keys {
-			inst := Instance{SP: sp, Key: k}
-			for _, ref := range d.Provenance[k] {
-				idx.byObject[ref] = append(idx.byObject[ref], inst)
+	// A pair's consecutive keys mostly come from one (binding, filter) and
+	// share its provenance slice. The first pass cuts the keys into such
+	// runs, resolves each run's objects to list slots once, and counts the
+	// instances every slot will hold; the second fills lists of that size.
+	type run struct {
+		sp    compile.SwitchPair
+		keys  []rule.Key
+		slots []int
+	}
+	var runs []run
+	slotOf := make(map[object.Ref]int)
+	var counts []int
+	for _, sp := range d.SwitchPairs() {
+		keys := d.PairRules[sp]
+		var prov []object.Ref
+		for i, k := range keys {
+			p := d.Provenance[k]
+			if i == 0 || len(p) != len(prov) || (len(p) > 0 && &p[0] != &prov[0]) {
+				prov = p
+				slots := make([]int, len(p))
+				for j, ref := range p {
+					slot, ok := slotOf[ref]
+					if !ok {
+						slot = len(counts)
+						slotOf[ref] = slot
+						counts = append(counts, 0)
+					}
+					slots[j] = slot
+				}
+				runs = append(runs, run{sp: sp, keys: keys[i:i], slots: slots})
+			}
+			r := &runs[len(runs)-1]
+			r.keys = r.keys[:len(r.keys)+1]
+			for _, slot := range r.slots {
+				counts[slot]++
 			}
 		}
+	}
+	lists := make([][]Instance, len(counts))
+	for slot, n := range counts {
+		lists[slot] = make([]Instance, 0, n)
+	}
+	for _, r := range runs {
+		for _, k := range r.keys {
+			inst := Instance{SP: r.sp, Key: k}
+			for _, slot := range r.slots {
+				lists[slot] = append(lists[slot], inst)
+			}
+		}
+	}
+	idx := &DepIndex{byObject: make(map[object.Ref][]Instance, len(lists)), d: d}
+	for ref, slot := range slotOf {
+		idx.byObject[ref] = lists[slot]
 	}
 	return idx
 }

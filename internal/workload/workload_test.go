@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"scout/internal/compile"
@@ -336,6 +337,43 @@ func TestApplyToControllerModelPartialFault(t *testing.T) {
 	ApplyToControllerModel(m, d, idx, sc, rng)
 	if got := m.HitRatio(target); got >= 1 || got <= 0 {
 		t.Errorf("partial fault hit ratio = %v, want in (0,1)", got)
+	}
+}
+
+// TestBuildIndexDeterministic: two builds of one deployment list every
+// object's instances in the same order, so a partial fault applied with one
+// seed marks the same edges whichever build it drew from. (BuildIndex once
+// ranged over the PairRules map, and a scenario was not reproducible.)
+func TestBuildIndexDeterministic(t *testing.T) {
+	d, first := buildEnv(t)
+	var wide []Fault
+	for _, ref := range first.Objects() {
+		if len(first.Instances(ref)) >= 10 && len(wide) < 8 {
+			wide = append(wide, Fault{Ref: ref, Fraction: 0.3})
+		}
+	}
+	if len(wide) == 0 {
+		t.Fatal("no wide object in workload")
+	}
+	marks := func(idx *DepIndex) map[string][]object.Ref {
+		m := risk.BuildControllerModel(d, risk.ControllerModelOptions{IncludeSwitchRisk: true})
+		ApplyToControllerModel(m, d, idx, Scenario{Faults: wide}, rand.New(rand.NewSource(3)))
+		out := map[string][]object.Ref{}
+		for _, el := range m.FailureSignature() {
+			out[m.Label(el)] = m.FailedRisksOf(el)
+		}
+		return out
+	}
+	want := marks(first)
+	for i := 0; i < 5; i++ {
+		again := BuildIndex(d)
+		if !reflect.DeepEqual(again, first) {
+			t.Fatalf("build %d of one deployment differs from the first", i+2)
+		}
+		if got := marks(again); !reflect.DeepEqual(got, want) {
+			t.Fatalf("build %d: one scenario and seed failed %d elements differently from the first build's %d",
+				i+2, len(got), len(want))
+		}
 	}
 }
 

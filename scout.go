@@ -313,6 +313,9 @@ func (a *Analyzer) AnalyzeState(st State) (*Report, error) {
 	}
 	st = st.withDefaultLogs()
 	switches := st.sortedSwitches()
+	// The controller model depends on the deployment alone, and the base
+	// builds serially in one manager: build the two side by side.
+	ctrlModel := a.startControllerModel(st.Deployment)
 	base, _ := a.buildSharedBase(st.Deployment)
 	pool := a.newCheckerPool(base, a.workers(len(switches)))
 	check := func(c *equiv.Checker, sw object.ID) (*equiv.Report, error) {
@@ -329,10 +332,11 @@ func (a *Analyzer) AnalyzeState(st State) (*Report, error) {
 	} else {
 		reports, err = a.checkAllWith(switches, pool.checker, check)
 	}
+	ctrl := ctrlModel() // joined on every path, a failed check's included
 	if err != nil {
 		return nil, err
 	}
-	rep := a.assemble(a.controllerModel(st.Deployment), st.Deployment, st.Changes, st.Faults, st.Now, switches, reports)
+	rep := a.assemble(ctrl, st.Deployment, st.Changes, st.Faults, st.Now, switches, reports)
 	rep.EncodeStats = pool.stats()
 	plan.record(rep.EncodeStats)
 	rep.Elapsed = time.Since(start)
@@ -822,6 +826,15 @@ func (a *Analyzer) controllerModel(d *Deployment) *risk.Model {
 	return risk.BuildControllerModelParallel(d,
 		risk.ControllerModelOptions{IncludeSwitchRisk: includeSwitch},
 		a.workers(len(d.BySwitch)))
+}
+
+// startControllerModel begins controllerModel(d) on its own goroutine and
+// returns the function that waits for the model; the caller calls it once,
+// on every path.
+func (a *Analyzer) startControllerModel(d *Deployment) (join func() *risk.Model) {
+	built := make(chan *risk.Model, 1)
+	go func() { built <- a.controllerModel(d) }()
+	return func() *risk.Model { return <-built }
 }
 
 // oracle builds the change-log oracle anchored at now.

@@ -297,7 +297,7 @@ func (s *Session) errProbeSession(entry string) error {
 // fold stages are unchanged.
 func (s *Session) analyzeProbesLocked(d *compile.Deployment) (*Report, error) {
 	start := time.Now()
-	ctrlModel := s.controllerModelLocked(d)
+	ctrlModel := s.startControllerModelLocked(d)()
 	s.ensureProbeStoreLocked(d)
 	prober := s.a.proberFor(d)
 	before := prober.Stats()
@@ -611,8 +611,11 @@ func (s *Session) analyzeLocked(st State, cleanTCAM map[object.ID]bool) (*Report
 	st = st.withDefaultLogs()
 	switches := st.sortedSwitches()
 
-	ctrlModel := s.controllerModelLocked(st.Deployment)
+	// A stale controller model rebuilds beside the base build: the two
+	// share nothing, and the base builds serially in one manager.
+	joinModel := s.startControllerModelLocked(st.Deployment)
 	depFPs := s.ensureBaseLocked(st.Deployment)
+	ctrlModel := joinModel()
 	foldBefore := s.foldTotalsLocked()
 
 	// Partition the switches into replays and re-checks.
@@ -857,7 +860,7 @@ func (s *Session) saveVerdictsLocked(depFP uint64, probe bool) {
 	s.a.opts.WarmStore.SaveVerdicts(depFP, probe, vs)
 }
 
-// controllerModelLocked returns a fresh working controller view: a
+// startControllerModelLocked prepares a fresh working controller view: a
 // copy-on-write overlay over the cached immutable pristine model while
 // the deployment is unchanged, a new (sharded) build — cached as the next
 // pristine core — otherwise. The overlay shares the pristine core's
@@ -865,12 +868,18 @@ func (s *Session) saveVerdictsLocked(depFP uint64, probe bool) {
 // localization through it is indistinguishable from a cold build or a
 // deep clone while per-run setup cost stays O(dirty failures) instead of
 // O(model size). The session never mutates the pristine model itself.
-func (s *Session) controllerModelLocked(d *compile.Deployment) risk.Marker {
-	if s.ctrlPristine == nil || d != s.lastDeployment {
-		s.ctrlPristine = s.a.controllerModel(d)
-		s.lastDeployment = d
+//
+// A rebuild runs on its own goroutine from this call on; join, called once
+// and still under the session lock, waits for it and returns the view.
+func (s *Session) startControllerModelLocked(d *compile.Deployment) (join func() risk.Marker) {
+	if s.ctrlPristine != nil && d == s.lastDeployment {
+		return func() risk.Marker { return risk.NewOverlay(s.ctrlPristine) }
 	}
-	return risk.NewOverlay(s.ctrlPristine)
+	built := s.a.startControllerModel(d)
+	return func() risk.Marker {
+		s.ctrlPristine, s.lastDeployment = built(), d
+		return risk.NewOverlay(s.ctrlPristine)
+	}
 }
 
 // missingRuleCap resolves the per-switch cached-rule bound: 0 picks the
