@@ -59,29 +59,6 @@ func TestAnalyzeWithProbes(t *testing.T) {
 	}
 }
 
-func TestAnalyzeWithNaiveChecker(t *testing.T) {
-	f := deployedThreeTier(t, 1)
-	if _, err := f.InjectObjectFault(scout.FilterRef(700), 1.0); err != nil {
-		t.Fatal(err)
-	}
-	// Generated policies have non-overlapping rules, so the naive differ
-	// must agree with the BDD checker.
-	bddRep, err := scout.NewAnalyzer().Analyze(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	naiveRep, err := scout.NewAnalyzer(scout.AnalyzerOptions{UseNaiveChecker: true}).Analyze(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bddRep.TotalMissing != naiveRep.TotalMissing {
-		t.Errorf("checker disagreement: bdd=%d naive=%d missing", bddRep.TotalMissing, naiveRep.TotalMissing)
-	}
-	if len(bddRep.Hypothesis) != len(naiveRep.Hypothesis) {
-		t.Errorf("hypotheses differ: %v vs %v", bddRep.Hypothesis, naiveRep.Hypothesis)
-	}
-}
-
 func TestAnalyzeSwitchScoped(t *testing.T) {
 	f := deployedThreeTier(t, 1)
 	if _, err := f.InjectObjectFault(scout.FilterRef(700), 1.0); err != nil {
@@ -130,12 +107,13 @@ func TestAnalyzeSwitchRequiresDeploy(t *testing.T) {
 }
 
 // TestAnalyzeSwitchObservationSources runs the single-switch mode through
-// each observation source — probes and the naive differ — which share the
-// fan-out machinery but take different checker paths.
+// each observation source — a BDD check of the collected TCAM and
+// dataplane probes — which share the report assembly but take different
+// check paths.
 func TestAnalyzeSwitchObservationSources(t *testing.T) {
 	for _, opts := range []scout.AnalyzerOptions{
+		{},
 		{UseProbes: true},
-		{UseNaiveChecker: true},
 	} {
 		f := deployedThreeTier(t, 1)
 		if _, err := f.InjectObjectFault(scout.FilterRef(700), 1.0); err != nil {

@@ -6,7 +6,7 @@
 // The figures' qualitative shapes (who wins, by how much, where curves
 // bend) are asserted by the test suite in internal/eval; the benchmarks
 // here measure the cost of regenerating each figure and print the headline
-// metrics for eyeballing against the paper (recorded in EXPERIMENTS.md).
+// metrics for eyeballing against the paper.
 package scout_test
 
 import (
@@ -271,15 +271,12 @@ func BenchmarkEndToEndAnalyze(b *testing.B) {
 }
 
 // BenchmarkAnalyzeWorkers measures the end-to-end analyzer at varying
-// worker counts on a multi-switch faulty fabric, in both checker modes:
-// "shared" forks every worker checker off the frozen shared encoding
-// base (the default), "private" gives each worker a from-scratch checker
-// (the pre-shared-base behaviour). workers=1 is the historical serial
+// worker counts on a multi-switch faulty fabric. workers=1 is the serial
 // pipeline; higher counts shard the per-switch equivalence checks across
-// the pool (wall-clock speedup is bounded by GOMAXPROCS — on single-core
+// the pool, every worker checker a fork of the frozen shared encoding
+// base (wall-clock speedup is bounded by GOMAXPROCS — on single-core
 // machines compare the bdd-nodes/op metric instead, which counts total
-// node construction and is scheduler-independent on the private side's
-// duplication).
+// node construction).
 func BenchmarkAnalyzeWorkers(b *testing.B) {
 	spec := scout.ProductionWorkloadSpec()
 	spec.EPGs = 200
@@ -315,38 +312,33 @@ func BenchmarkAnalyzeWorkers(b *testing.B) {
 		Faults:     f.FaultLog(),
 		Now:        f.Now(),
 	}
-	for _, mode := range []struct {
-		name    string
-		private bool
-	}{{"shared", false}, {"private", true}} {
-		for _, workers := range []int{1, 2, 4, 8, 0} {
-			name := fmt.Sprintf("%s/workers=%d", mode.name, workers)
-			if workers == 0 {
-				name = mode.name + "/workers=NumCPU"
-			}
-			b.Run(name, func(b *testing.B) {
-				a := scout.NewAnalyzer(scout.AnalyzerOptions{Workers: workers, PrivateCheckers: mode.private})
-				var nodes int
-				for i := 0; i < b.N; i++ {
-					rep, err := a.AnalyzeState(st)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if rep.Consistent {
-						b.Fatal("faults not detected")
-					}
-					nodes = rep.EncodeStats.TotalNodes()
-				}
-				b.ReportMetric(float64(nodes), "bdd-nodes/op")
-			})
+	for _, workers := range []int{1, 2, 4, 8, 0} {
+		name := fmt.Sprintf("workers=%d", workers)
+		if workers == 0 {
+			name = "workers=NumCPU"
 		}
+		b.Run(name, func(b *testing.B) {
+			a := scout.NewAnalyzer(scout.AnalyzerOptions{Workers: workers})
+			var nodes int
+			for i := 0; i < b.N; i++ {
+				rep, err := a.AnalyzeState(st)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rep.Consistent {
+					b.Fatal("faults not detected")
+				}
+				nodes = rep.EncodeStats.TotalNodes()
+			}
+			b.ReportMetric(float64(nodes), "bdd-nodes/op")
+		})
 	}
 }
 
 // BenchmarkSessionIncremental measures warm delta re-verification against
 // cold full analysis on the production-like spec (the same scaled
-// production dataset every other benchmark uses; cmd/scout-bench
-// -experiment incremental runs it at paper scale). Each iteration touches
+// production dataset every other benchmark uses; the bench/ warm-churn
+// workload is the end-to-end journey). Each iteration touches
 // exactly one switch's TCAM: the cold path re-analyzes the whole fabric,
 // the warm path re-checks only the touched switch and replays cached
 // reports for the rest. The TCAM capacity is raised so the baseline
@@ -631,27 +623,19 @@ func reportHeadline(b *testing.B, res *eval.AccuracyResult) {
 	}
 }
 
-// BenchmarkWarmSetupOverlayVsClone measures the per-run setup cost a warm
-// session pays before localization: the historical deep Model.Clone() of
-// the cached pristine controller model (O(model size)) against stacking a
-// copy-on-write overlay (O(1); marks are then O(dirty failures)).
-func BenchmarkWarmSetupOverlayVsClone(b *testing.B) {
+// BenchmarkWarmSetupOverlay measures the per-run setup cost a warm
+// session pays before localization: stacking a copy-on-write overlay on
+// the cached pristine controller model (O(1); marks are then O(dirty
+// failures)).
+func BenchmarkWarmSetupOverlay(b *testing.B) {
 	env := benchEnv(b)
 	pristine := risk.BuildControllerModel(env.Deployment, risk.ControllerModelOptions{IncludeSwitchRisk: true})
-	b.Run("clone", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if pristine.Clone().NumElements() == 0 {
-				b.Fatal("empty clone")
-			}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if risk.NewOverlay(pristine).NumElements() == 0 {
+			b.Fatal("empty overlay")
 		}
-	})
-	b.Run("overlay", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if risk.NewOverlay(pristine).NumElements() == 0 {
-				b.Fatal("empty overlay")
-			}
-		}
-	})
+	}
 }
 
 // BenchmarkControllerModelBuildWorkers measures the sharded

@@ -388,7 +388,9 @@ func (m *Manager) Implies(a, b Node) bool { return m.Diff(a, b) == False }
 // and a cube- or chain-shaped operand (one False cofactor per node, the
 // shape of a rule match) is walked in time linear in its length. There is
 // no memo: two wide operands that never meet cost one visit per pair of
-// paths, which And's cache would bound — use And for those.
+// paths, which And's cache would bound — use And for those. It has no
+// non-test caller: internal/equiv's tests keep it as the oracle the
+// attribution walk (meets.go) is compared against.
 func (m *Manager) Intersects(a, b Node) bool {
 	if a == False || b == False {
 		return false

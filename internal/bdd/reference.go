@@ -1,9 +1,9 @@
 // RefManager is the map-backed reference implementation the
-// open-addressed Manager replaced, kept as a differential oracle: the
-// property tests replay randomized operation sequences against both and
-// assert node-ID, Eval, and SatCount identity, and scout-bench's
-// bddspeed experiment runs whole checker workloads on it to pin report
-// bytes. It deliberately preserves the old storage (Go maps keyed by
+// open-addressed Manager replaced, kept as a differential oracle with no
+// non-test caller: the property tests replay randomized operation
+// sequences against both and assert node-ID, Eval, and SatCount identity,
+// and internal/equiv's backend differential runs whole checker workloads
+// on it to pin report bytes. It deliberately preserves the old storage (Go maps keyed by
 // structs, per-call SatCount memo map) and supports only standalone use
 // — no freeze/fork — since that is all the oracle roles need.
 

@@ -44,12 +44,11 @@ func randomRuleList(rng *rand.Rand, n int) []rule.Rule {
 
 // TestCheckerBackendDifferential runs the same check workload through a
 // checker on the open-addressed manager and a checker on the map-backed
-// reference, asserting report equality — the property the bddspeed
-// experiment scales up to full pipeline runs.
+// reference, asserting report equality and equal node construction.
 func TestCheckerBackendDifferential(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		fast := NewChecker()
+		fast, replay := NewChecker(), NewChecker()
 		ref := NewCheckerBacked(func() Backend { return bdd.NewRefManager(NumVars) })
 
 		for i := 0; i < 12; i++ {
@@ -60,6 +59,9 @@ func TestCheckerBackendDifferential(t *testing.T) {
 			}
 			got, err := fast.Check(logical, deployed)
 			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := replay.Check(logical, deployed); err != nil {
 				t.Fatal(err)
 			}
 			want, err := ref.Check(logical, deployed)
@@ -74,6 +76,12 @@ func TestCheckerBackendDifferential(t *testing.T) {
 		// same nodes, not just the same answers.
 		if fast.Size() != ref.Size() {
 			t.Fatalf("seed %d: node counts diverged: fast %d, ref %d", seed, fast.Size(), ref.Size())
+		}
+		// Cache behaviour is a pure function of the operation stream: the
+		// same checks on a second fresh checker reproduce every tier
+		// counter exactly.
+		if got, want := replay.Stats().Cache, fast.Stats().Cache; got != want {
+			t.Fatalf("seed %d: cache counters not deterministic across identical sweeps: %+v vs %+v", seed, got, want)
 		}
 	}
 }

@@ -43,9 +43,9 @@ const maxID = 1<<vrfBits - 1
 // the result (NodeAt is how a difference is attributed to rules, see
 // meets.go), and size accounting. Its primary implementation
 // is *bdd.Manager (open-addressed tables); *bdd.RefManager (the
-// map-backed reference) satisfies it too, which is how the bddspeed
-// experiment and the differential tests run full checker workloads on
-// both engines and compare the reports byte for byte.
+// map-backed reference) satisfies it too, which is how the differential
+// tests run full checker workloads on both engines and compare the
+// reports byte for byte.
 type Backend interface {
 	Mk(level int, lo, hi bdd.Node) bdd.Node
 	Diff(a, b bdd.Node) bdd.Node
@@ -324,8 +324,9 @@ func (c *Checker) semantics(rules []rule.Rule) (bdd.Node, error) {
 	return n, nil
 }
 
-// NaiveCheck is a key-set differ used as a test oracle and ablation
-// baseline: it reports logical rules whose exact Key is absent from the
+// NaiveCheck is a key-set differ used as a test oracle (it has no
+// non-test caller; tests in this and the root package compare against
+// it): it reports logical rules whose exact Key is absent from the
 // deployed set and deployed allow rules absent from the logical set. It is
 // sound only when rule matches do not partially overlap (which holds for
 // compiler output with disjoint filter port ranges), whereas the BDD

@@ -201,33 +201,6 @@ func StandardAlgorithms() []Algorithm {
 	}
 }
 
-// RefStandardAlgorithms mirrors StandardAlgorithms on the retained
-// map-based reference engine (localize.RefScout/RefScore). The localizer
-// CI gate runs both sets over the same corpus and asserts identical
-// Results — the differential that keeps the compiled-plan engine honest.
-func RefStandardAlgorithms() []Algorithm {
-	return []Algorithm{
-		{
-			Name: "SCOUT",
-			Run: func(v risk.View, changed object.Set) *localize.Result {
-				return localize.RefScout(v, localize.SetOracle(changed))
-			},
-		},
-		{
-			Name: "SCORE-0.6",
-			Run: func(v risk.View, _ object.Set) *localize.Result {
-				return localize.RefScore(v, 0.6)
-			},
-		},
-		{
-			Name: "SCORE-1",
-			Run: func(v risk.View, _ object.Set) *localize.Result {
-				return localize.RefScore(v, 1.0)
-			},
-		},
-	}
-}
-
 // ScoutNoChangeLog is the DESIGN.md ablation: SCOUT stage one only.
 func ScoutNoChangeLog() Algorithm {
 	return Algorithm{

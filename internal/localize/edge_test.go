@@ -6,7 +6,9 @@ package localize
 // and tie-groups larger than one in pickCandidates.
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"scout/internal/object"
@@ -167,4 +169,17 @@ func TestOverlayOnlyFailures(t *testing.T) {
 	if m.NumFailedEdges() != 0 {
 		t.Error("overlay run mutated the pristine base")
 	}
+}
+
+// TestUnknownViewPanics: the plan engine runs *risk.Model and
+// *risk.Overlay only; any other View is a programming error reported by
+// type name, not a silent slow path.
+func TestUnknownViewPanics(t *testing.T) {
+	type wrappedModel struct{ *risk.Model }
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "wrappedModel") {
+			t.Fatalf("Scout on an unknown View: recovered %v, want a panic naming the type", r)
+		}
+	}()
+	Scout(wrappedModel{risk.NewModel("m")}, NoChanges{})
 }

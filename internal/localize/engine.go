@@ -1,7 +1,7 @@
 // Compiled-plan implementations of SCOUT, SCORE, and MaxCoverage. Each
-// is pinned Result-identical to its reference counterpart in ref.go by
-// the differential tests and the `scout-bench -experiment localizer` CI
-// gate; the reference engine remains the readable specification.
+// is pinned Result-identical to its reference counterpart in ref_test.go
+// by the differential tests; the reference engine remains the readable
+// specification.
 
 package localize
 

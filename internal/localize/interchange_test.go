@@ -2,11 +2,11 @@ package localize
 
 // Property-style regression for the overlay/clone interchangeability
 // contract: every localization algorithm must return identical Results
-// (and Gamma) whether the fault scenario was applied to a deep clone of
-// the pristine controller model or to a copy-on-write overlay over the
-// same pristine core. The scenarios come from internal/workload's fault
-// generator — full and partial object faults with change-log noise, the
-// paper's §VI-A regime.
+// (and Gamma) whether the fault scenario was applied to a second build of
+// the pristine controller model (the builders are deterministic) or to a
+// copy-on-write overlay over the pristine core. The scenarios come from
+// internal/workload's fault generator — full and partial object faults
+// with change-log noise, the paper's §VI-A regime.
 
 import (
 	"math/rand"
@@ -51,7 +51,7 @@ func TestOverlayCloneInterchangeable(t *testing.T) {
 			cloneRng := rand.New(rand.NewSource(seed * 1000))
 			overlayRng := rand.New(rand.NewSource(seed * 1000))
 
-			clone := pristine.Clone()
+			clone := risk.BuildControllerModel(d, risk.ControllerModelOptions{IncludeSwitchRisk: true})
 			workload.ApplyToControllerModel(clone, d, idx, sc, cloneRng)
 			ov := risk.NewOverlay(pristine)
 			workload.ApplyToControllerModel(ov, d, idx, sc, overlayRng)
@@ -113,7 +113,7 @@ func TestOverlayCloneInterchangeableSwitchModel(t *testing.T) {
 		cloneRng := rand.New(rand.NewSource(seed))
 		overlayRng := rand.New(rand.NewSource(seed))
 
-		clone := pristine.Clone()
+		clone := risk.BuildSwitchModel(d, sw)
 		workload.ApplyToSwitchModel(clone, d, idx, sw, sc, cloneRng)
 		ov := risk.NewOverlay(pristine)
 		workload.ApplyToSwitchModel(ov, d, idx, sw, sc, overlayRng)

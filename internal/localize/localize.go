@@ -12,18 +12,15 @@
 //     by coverage. Partial faults below the threshold are treated as
 //     noise, which is the accuracy gap SCOUT closes.
 //
-// Two engines implement the algorithms. The default one runs on a
-// compiled localization plan (plan.go): dense CSR adjacency and packed
-// bit masks compiled once per pristine model, cached on the model, and
-// composed with an O(marks) delta for overlay runs, with a lazy-greedy
-// heap for the submodular pick loops (engine.go). The original
-// map-of-maps implementation is retained as RefScout/RefScore/
-// RefMaxCoverage (ref.go) and pins the rewrite through differential
-// tests.
+// The algorithms run on a compiled localization plan (plan.go): dense CSR
+// adjacency and packed bit masks compiled once per pristine model, cached
+// on the model, and composed with an O(marks) delta for overlay runs, with
+// a lazy-greedy heap for the submodular pick loops (engine.go). The
+// original map-of-maps implementation lives in ref_test.go as the readable
+// specification the package's differential tests compare against.
 package localize
 
 import (
-	"sort"
 	"time"
 
 	"scout/internal/faultlog"
@@ -115,13 +112,10 @@ func (r *Result) Gamma(m risk.View) float64 {
 
 // Scout runs the SCOUT algorithm (Algorithm 1) on the annotated model.
 // oracle supplies the change-log lookup for stage two; pass NoChanges{} to
-// disable it. Models and overlays run on the compiled-plan engine; other
-// View implementations fall back to the reference engine.
+// disable it. m must be a *risk.Model or a *risk.Overlay.
 func Scout(m risk.View, oracle ChangeOracle) *Result {
-	if p, o, ok := planFor(m); ok {
-		return planScout(p, o, oracle)
-	}
-	return RefScout(m, oracle)
+	p, o := planFor(m)
+	return planScout(p, o, oracle)
 }
 
 // Score runs the SCORE baseline with the given hit-ratio threshold
@@ -129,19 +123,8 @@ func Scout(m risk.View, oracle ChangeOracle) *Result {
 // computed once on the full model; eligible risks are greedily selected by
 // residual coverage until no eligible risk explains a new observation.
 func Score(m risk.View, threshold float64) *Result {
-	if p, o, ok := planFor(m); ok {
-		return planScore(p, o, threshold)
-	}
-	return RefScore(m, threshold)
-}
-
-func sortedElements(set map[risk.ElementID]struct{}) []risk.ElementID {
-	out := make([]risk.ElementID, 0, len(set))
-	for el := range set {
-		out = append(out, el)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	p, o := planFor(m)
+	return planScore(p, o, threshold)
 }
 
 // Accuracy holds precision/recall of a hypothesis against ground truth.

@@ -15,12 +15,8 @@ import (
 
 // MaxCoverage runs plain greedy set cover over the failed edges of the
 // annotated model: repeatedly pick the risk explaining the most
-// still-unexplained observations until everything is explained. Models
-// and overlays run on the compiled-plan engine; other View
-// implementations fall back to the reference engine.
+// still-unexplained observations until everything is explained.
 func MaxCoverage(m risk.View) *Result {
-	if p, o, ok := planFor(m); ok {
-		return planMaxCoverage(p, o)
-	}
-	return RefMaxCoverage(m)
+	p, o := planFor(m)
+	return planMaxCoverage(p, o)
 }

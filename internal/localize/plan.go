@@ -1,10 +1,10 @@
 // Compiled localization plans.
 //
-// newView rebuilt map-of-maps adjacency from the model on every
-// localization call — O(edges) of map churn per invocation, paid again
-// for every warm run even though the pristine model never changes. A plan
-// compiles that adjacency once into dense CSR arrays indexed by a
-// ref-sorted risk ordering:
+// Rebuilding map-of-maps adjacency from the model on every localization
+// call is O(edges) of map churn per invocation, paid again for every warm
+// run even though the pristine model never changes. A plan compiles that
+// adjacency once into dense CSR arrays indexed by a ref-sorted risk
+// ordering:
 //
 //   - risk → dependent elements (deps/depOff)
 //   - risk → base failed elements (failEls/failOff)
@@ -21,6 +21,7 @@
 package localize
 
 import (
+	"fmt"
 	"sort"
 
 	"scout/internal/object"
@@ -152,15 +153,16 @@ func compilePlan(m *risk.Model) *plan {
 
 // planFor resolves the compiled plan for a view: a *Model compiles (or
 // reuses) its own plan; an *Overlay reuses its base's plan plus a per-run
-// delta. Other View implementations fall back to the reference engine.
-func planFor(v risk.View) (*plan, *risk.Overlay, bool) {
+// delta. Those are the tree's only two View implementations; handing the
+// engine anything else is a programming error.
+func planFor(v risk.View) (*plan, *risk.Overlay) {
 	switch m := v.(type) {
 	case *risk.Model:
-		return modelPlan(m), nil, true
+		return modelPlan(m), nil
 	case *risk.Overlay:
-		return modelPlan(m.Base()), m, true
+		return modelPlan(m.Base()), m
 	}
-	return nil, nil, false
+	panic(fmt.Sprintf("localize: no compiled plan for view type %T", v))
 }
 
 func modelPlan(m *risk.Model) *plan {

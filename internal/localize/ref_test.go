@@ -2,12 +2,13 @@
 // of SCOUT, SCORE, and MaxCoverage, retained as the readable
 // specification the compiled-plan engine (plan.go/engine.go) is pinned
 // against. RefScout/RefScore/RefMaxCoverage must stay Result-identical to
-// Scout/Score/MaxCoverage — the differential tests and the
-// `scout-bench -experiment localizer` CI gate enforce it.
+// Scout/Score/MaxCoverage — the differential and edge tests enforce it.
 
 package localize
 
 import (
+	"sort"
+
 	"scout/internal/object"
 	"scout/internal/risk"
 )
@@ -278,4 +279,13 @@ func RefMaxCoverage(m risk.View) *Result {
 	res.Unexplained = sortedElements(pending)
 	res.Explained = totalObs - len(pending)
 	return res
+}
+
+func sortedElements(set map[risk.ElementID]struct{}) []risk.ElementID {
+	out := make([]risk.ElementID, 0, len(set))
+	for el := range set {
+		out = append(out, el)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
 }

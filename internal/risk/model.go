@@ -21,8 +21,8 @@ type ElementID int
 type RiskID int
 
 // View is the read interface over an annotated risk model. Localization,
-// rendering, and evaluation consume a View so that a mutable deep-cloned
-// *Model and a copy-on-write *Overlay over an immutable pristine core are
+// rendering, and evaluation consume a View so that a *Model annotated in
+// place and a copy-on-write *Overlay over an immutable pristine core are
 // interchangeable: both yield the same element/risk IDs and failure sets,
 // so every downstream result is byte-identical regardless of which backs
 // the view.
@@ -395,39 +395,4 @@ func (m *Model) refOf(r RiskID) object.Ref { return m.risks[r].ref }
 func (m *Model) edgeFailedID(el ElementID, r RiskID) bool {
 	_, failed := m.elements[el].failed[r]
 	return failed
-}
-
-// Clone returns a deep copy of the model (used by destructive algorithms
-// that prune elements).
-func (m *Model) Clone() *Model {
-	out := &Model{
-		name:     m.name,
-		elements: make([]elementData, len(m.elements)),
-		byLabel:  make(map[string]ElementID, len(m.byLabel)),
-		risks:    make([]riskData, len(m.risks)),
-		byRef:    make(map[object.Ref]RiskID, len(m.byRef)),
-		edges:    m.edges,
-		failed:   m.failed,
-		rev:      m.rev,
-	}
-	for i, e := range m.elements {
-		ne := elementData{label: e.label, risks: append([]RiskID(nil), e.risks...)}
-		if e.failed != nil {
-			ne.failed = make(map[RiskID]struct{}, len(e.failed))
-			for r := range e.failed {
-				ne.failed[r] = struct{}{}
-			}
-		}
-		out.elements[i] = ne
-	}
-	for label, id := range m.byLabel {
-		out.byLabel[label] = id
-	}
-	for i, r := range m.risks {
-		out.risks[i] = riskData{ref: r.ref, elements: append([]ElementID(nil), r.elements...)}
-	}
-	for ref, id := range m.byRef {
-		out.byRef[ref] = id
-	}
-	return out
 }

@@ -1,15 +1,15 @@
 // Copy-on-write failure overlays over an immutable pristine risk model.
 //
 // Building the controller risk model is O(deployment); annotating it with
-// one round's failures is O(failures). The continuous-verification loop
-// used to pay the build cost every warm run anyway, because annotation
-// mutates the model and the cached pristine copy had to be deep-cloned
-// first. An Overlay removes that: the pristine Model becomes a shared
-// read-only core, and each run stacks a small overlay that records only
-// its own failed-edge marks (plus the rare edges/risks a mark creates).
-// Creating an overlay is O(1); reads merge base and overlay state so the
-// overlay is indistinguishable from a clone annotated with the same
-// MarkFailed sequence — the property the localization identity tests pin.
+// one round's failures is O(failures). Annotation mutates a Model, so a
+// continuous-verification loop marking a cached model in place would pay
+// a build or a deep copy every warm run anyway. An Overlay removes that:
+// the pristine Model becomes a shared read-only core, and each run stacks
+// a small overlay that records only its own failed-edge marks (plus the
+// rare edges/risks a mark creates). Creating an overlay is O(1); reads
+// merge base and overlay state so the overlay is indistinguishable from a
+// second build of the model annotated in place with the same MarkFailed
+// sequence — the property the localization identity tests pin.
 
 package risk
 
@@ -24,8 +24,8 @@ import (
 // treated as immutable for the overlay's lifetime: concurrent readers
 // (including other overlays over the same base) are safe as long as
 // nothing mutates the base itself. Element IDs, risk IDs, and adjacency
-// orders match what Clone()+MarkFailed would produce, so results read
-// through either are identical.
+// orders match what MarkFailed on the model itself would produce, so
+// results read through either are identical.
 //
 // An Overlay supports marking failures but not adding elements; risks and
 // edges are created implicitly when a mark names an edge the base lacks
@@ -37,7 +37,7 @@ type Overlay struct {
 
 	// extraRisks holds risks created by overlay marks; their IDs continue
 	// the base's dense numbering in creation order, mirroring EnsureRisk
-	// on a clone.
+	// on the model itself.
 	extraRisks []riskData
 	extraByRef map[object.Ref]RiskID
 
@@ -116,7 +116,8 @@ func (o *Overlay) refOf(r RiskID) object.Ref {
 }
 
 // risksAdj returns the element's adjacency: base edges first, overlay
-// edges appended in creation order — the order a clone would hold.
+// edges appended in creation order — the order a model marked in place
+// would hold.
 func (o *Overlay) risksAdj(el ElementID) []RiskID {
 	base := o.base.elements[el].risks
 	extra := o.extraDeps[el]
@@ -128,8 +129,8 @@ func (o *Overlay) risksAdj(el ElementID) []RiskID {
 	return append(out, extra...)
 }
 
-// dependents returns the risk's dependent elements in clone order (base
-// dependents, then overlay-gained ones).
+// dependents returns the risk's dependent elements in the order a model
+// marked in place holds them (base dependents, then overlay-gained ones).
 func (o *Overlay) dependents(r RiskID) []ElementID {
 	if int(r) < len(o.base.risks) {
 		base := o.base.risks[r].elements

@@ -150,21 +150,6 @@ func TestResetFailures(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	m := NewModel("t")
-	e := m.EnsureElement("a")
-	m.AddEdge(e, object.VRF(1))
-	c := m.Clone()
-	c.MarkFailed(e, object.VRF(1))
-	c.AddEdge(c.EnsureElement("b"), object.EPG(5))
-	if m.NumFailedEdges() != 0 || m.NumElements() != 1 {
-		t.Error("Clone must not share state")
-	}
-	if c.NumFailedEdges() != 1 || c.NumElements() != 2 {
-		t.Error("clone lost its own changes")
-	}
-}
-
 // threeTier builds the Figure 1 example deployment used by builder tests.
 func threeTier(t *testing.T) *compile.Deployment {
 	t.Helper()

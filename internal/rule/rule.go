@@ -319,7 +319,9 @@ func compareBool(a, b bool) int {
 }
 
 // Dedupe removes rules with duplicate Keys, keeping the first (highest
-// priority after Sort). The input must already be sorted with Sort.
+// priority after Sort). The input must already be sorted with Sort. It
+// has no non-test caller: internal/compile's tests keep it as the
+// reference the compiler's own deduplication is compared against.
 func Dedupe(rules []Rule) []Rule {
 	if len(rules) == 0 {
 		return rules

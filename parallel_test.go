@@ -103,27 +103,32 @@ func TestParallelAnalyzeDeterministic(t *testing.T) {
 }
 
 // TestSharedBaseIdentity is the identity regression for the frozen
-// shared BDD base: analyses through base+fork checkers and through
-// private per-worker checkers must produce byte-identical reports at
-// worker counts 1, 2, and NumCPU — the base moves encoding work, never
-// check results.
+// shared BDD base: every per-switch verdict an analysis through base+fork
+// checkers reports must be what a fresh checker of its own returns, and
+// the report must be byte-identical at worker counts 1, 2, and NumCPU —
+// the base moves encoding work, never check results.
 func TestSharedBaseIdentity(t *testing.T) {
 	f := faultyFabric(t, 7)
-	baseline := reportJSON(t, f, scout.AnalyzerOptions{Workers: 1, PrivateCheckers: true})
+	st := fabricState(f)
+	var baseline []byte
 	for _, workers := range []int{1, 2, runtime.NumCPU()} {
-		for _, private := range []bool{false, true} {
-			got := reportJSON(t, f, scout.AnalyzerOptions{Workers: workers, PrivateCheckers: private})
-			if !bytes.Equal(baseline, got) {
-				t.Errorf("Workers=%d PrivateCheckers=%v report differs from serial private baseline",
-					workers, private)
-			}
+		rep, err := scout.NewAnalyzer(scout.AnalyzerOptions{Workers: workers}).AnalyzeState(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if baseline == nil {
+			assertMatchesFreshCheckers(t, "Workers=1", st, rep)
+			baseline = marshalReport(t, rep)
+		} else if !bytes.Equal(baseline, marshalReport(t, rep)) {
+			t.Errorf("Workers=%d report differs from serial", workers)
 		}
 	}
 }
 
-// TestSharedBaseEncodeStats pins the observable difference between the
-// two checker modes: shared-base runs report the base and resolve warmed
-// semantics roots from it; private runs compile every list per worker.
+// TestSharedBaseEncodeStats pins what the check stage reports about its
+// encoding work: the base is built and consulted, what it shares does not
+// depend on the worker count, and the forks compile only the drifted TCAM
+// lists.
 func TestSharedBaseEncodeStats(t *testing.T) {
 	f := faultyFabric(t, 7)
 	analyze := func(opts scout.AnalyzerOptions) *scout.Report {
@@ -132,52 +137,37 @@ func TestSharedBaseEncodeStats(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.EncodeStats == nil {
-			t.Fatal("BDD-checker analysis must report EncodeStats")
-		}
 		return rep
 	}
 
-	shared := analyze(scout.AnalyzerOptions{Workers: 4}).EncodeStats
-	private := analyze(scout.AnalyzerOptions{Workers: 4, PrivateCheckers: true}).EncodeStats
-
-	if shared.BaseNodes == 0 || shared.BaseSemantics == 0 {
-		t.Errorf("shared mode must build a base: %+v", shared)
-	}
-	if shared.FoldBaseHits == 0 {
-		t.Errorf("shared mode must resolve semantics roots from the base: %+v", shared)
-	}
-	if private.BaseNodes != 0 || private.BaseSemantics != 0 || private.FoldBaseHits != 0 {
-		t.Errorf("private mode must not touch a base: %+v", private)
-	}
-	if private.FoldMisses == 0 {
-		t.Errorf("private mode must compile from scratch: %+v", private)
-	}
-	// The headline claim: with the base, a warmed list is never
-	// re-compiled per worker — a shared run's from-scratch compiles are
-	// only the drifted TCAM lists, and its total node construction never
-	// exceeds the private mode's. (Strict reduction depends on how the
-	// scheduler spreads switches across workers; the foldshare experiment
-	// pins the sharing on a spec built to show it.)
-	if shared.FoldMisses >= private.FoldMisses {
-		t.Errorf("shared mode compiled %d lists, private %d — base not consulted",
-			shared.FoldMisses, private.FoldMisses)
-	}
-	// 10% slack: which worker checks which switch is scheduling-
-	// dependent, and the paths two drifted lists share are interned once
-	// per fork that compiles one of them.
-	if shared.TotalNodes() > private.TotalNodes()+private.TotalNodes()/10 {
-		t.Errorf("shared total nodes %d exceed private total %d",
-			shared.TotalNodes(), private.TotalNodes())
+	frozen, unwarmed := expectedFolds(fabricState(f))
+	var baseNodes int
+	for _, workers := range []int{1, 2, 4} {
+		es := analyze(scout.AnalyzerOptions{Workers: workers}).EncodeStats
+		if es == nil {
+			t.Fatal("BDD-checker analysis must report EncodeStats")
+		}
+		if es.BaseNodes == 0 || es.FoldBaseHits == 0 {
+			t.Errorf("Workers=%d: base not built or never consulted: %+v", workers, es)
+		}
+		// A warmed list is never re-compiled per worker: the base holds
+		// one root per distinct logical list, and a run's from-scratch
+		// compiles are only the drifted TCAM lists — at any worker count.
+		if es.BaseSemantics != frozen || es.FoldMisses != unwarmed {
+			t.Errorf("Workers=%d: %d frozen roots and %d fork folds, want %d and %d",
+				workers, es.BaseSemantics, es.FoldMisses, frozen, unwarmed)
+		}
+		// The base's nodes are a function of the deployment alone.
+		if workers == 1 {
+			baseNodes = es.BaseNodes
+		} else if es.BaseNodes != baseNodes {
+			t.Errorf("Workers=%d: base holds %d nodes, %d at 1 worker", workers, es.BaseNodes, baseNodes)
+		}
 	}
 
-	// Modes without BDD checkers carry no stats.
-	naive, err := scout.NewAnalyzer(scout.AnalyzerOptions{UseNaiveChecker: true}).Analyze(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if naive.EncodeStats != nil {
-		t.Error("naive-checker analysis must not report EncodeStats")
+	// Probe runs build no BDD checkers and carry no stats.
+	if probes := analyze(scout.AnalyzerOptions{UseProbes: true}); probes.EncodeStats != nil {
+		t.Error("probe analysis must not report EncodeStats")
 	}
 }
 
@@ -190,19 +180,6 @@ func TestParallelProbeAnalyzeDeterministic(t *testing.T) {
 		got := reportJSON(t, f, scout.AnalyzerOptions{Workers: workers, UseProbes: true})
 		if !bytes.Equal(serial, got) {
 			t.Errorf("UseProbes Workers=%d report differs from serial", workers)
-		}
-	}
-}
-
-// TestParallelNaiveCheckerDeterministic covers the ablation checker,
-// which shares the pool but ignores the per-worker BDD checker.
-func TestParallelNaiveCheckerDeterministic(t *testing.T) {
-	f := faultyFabric(t, 13)
-	serial := reportJSON(t, f, scout.AnalyzerOptions{Workers: 1, UseNaiveChecker: true})
-	for _, workers := range []int{4, 0} {
-		got := reportJSON(t, f, scout.AnalyzerOptions{Workers: workers, UseNaiveChecker: true})
-		if !bytes.Equal(serial, got) {
-			t.Errorf("UseNaiveChecker Workers=%d report differs from serial", workers)
 		}
 	}
 }

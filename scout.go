@@ -61,11 +61,6 @@ type AnalyzerOptions struct {
 	// nil selects the defaults.
 	Signatures []correlate.Signature
 
-	// UseNaiveChecker swaps the BDD equivalence checker for the exact-key
-	// differ (valid only when rule matches never partially overlap; used
-	// by ablation benchmarks).
-	UseNaiveChecker bool
-
 	// UseProbes derives observations from active connectivity probes
 	// against the switch dataplane instead of exhaustive TCAM
 	// verification (§III-C's "allowed to communicate but fail to do so"
@@ -86,27 +81,12 @@ type AnalyzerOptions struct {
 	// Workers bounds the number of concurrent per-switch equivalence
 	// checks. L-T checks are independent across switches (§III-C checks
 	// each switch on its own), so the check stage fans out over a pool of
-	// Workers goroutines, each owning its own equiv.Checker; results are
-	// folded back serially in ascending switch-ID order, so reports are
-	// byte-for-byte identical for any worker count. 0 (the default)
-	// selects runtime.NumCPU(); 1 restores the fully serial pipeline.
+	// Workers goroutines, each owning its own equiv.Checker (a fork of the
+	// deployment's shared frozen base); results are folded back serially
+	// in ascending switch-ID order, so reports are byte-for-byte identical
+	// for any worker count. 0 (the default) selects runtime.NumCPU(); 1
+	// restores the fully serial pipeline.
 	Workers int
-
-	// PrivateCheckers disables the shared frozen BDD base: every check
-	// worker builds a private equiv.Checker from scratch instead of
-	// forking a base warmed with the deployment's whole-switch semantics
-	// roots. This is the pre-shared-base behaviour, kept for ablation
-	// (the foldshare experiment measures the duplicated compiles it
-	// causes). Reports are byte-identical either way — the base only
-	// moves where encoding work happens, never what a check returns.
-	PrivateCheckers bool
-
-	// RefLocalizer runs every localization on the retained map-based
-	// reference engine (localize.RefScout) instead of the compiled-plan
-	// engine. Reports are byte-identical either way — the localizer CI
-	// gate pins it — so this exists for ablation and differential
-	// testing, like PrivateCheckers does for the shared BDD base.
-	RefLocalizer bool
 
 	// SessionNodeBudget bounds each session worker checker's private BDD
 	// delta (in nodes). A checker over budget is first compacted (delta
@@ -121,10 +101,8 @@ type AnalyzerOptions struct {
 	// frozen base and verdict cache from the store (a fresh process
 	// replays a clean fabric with zero compiles), and after every run it
 	// persists deltas through the store's write-behind queue (flushed by
-	// Session.Close). It applies to the shared-base checker modes — the
-	// default TCAM pipeline and probe sessions (verdicts only) — and is
-	// ignored with UseNaiveChecker or PrivateCheckers, which have no
-	// durable BDD state worth keeping. One-shot Analyzers ignore it.
+	// Session.Close). Probe sessions persist verdicts only — they build
+	// no base. One-shot Analyzers ignore it.
 	WarmStore *store.Store
 
 	// BaseRegistry, when set, shares frozen whole-switch semantics BDDs
@@ -132,8 +110,7 @@ type AnalyzerOptions struct {
 	// build resolves rule lists another deployment's base already froze
 	// and grafts the donor BDD instead of re-folding it (verified
 	// against the donor's canonical list, so fingerprint collisions fall
-	// through to a private fold). Opt-in so ablation baselines keep
-	// measuring unshared work.
+	// through to a private fold).
 	BaseRegistry *store.BaseRegistry
 }
 
@@ -222,18 +199,16 @@ type Report struct {
 	ControllerView risk.View `json:"-"`
 	// EncodeStats summarizes the check stage's BDD encoding work: the
 	// shared frozen base's size, every worker checker's private delta,
-	// and where match encodings were resolved from. Nil for observation
-	// sources without BDD checkers (naive differ, probes). Like
-	// ControllerView it is diagnostics, not result: it is excluded from
-	// the JSON form so reports stay byte-identical across worker counts
-	// and checker modes.
+	// and where match encodings were resolved from. Nil for probe runs,
+	// which build no BDD checkers. Like ControllerView it is diagnostics,
+	// not result: it is excluded from the JSON form so reports stay
+	// byte-identical across worker counts.
 	EncodeStats *equiv.EncodeStats `json:"-"`
 	// LocalizeStats is the localization engine's counter delta for this
 	// run: plan compiles vs cache reuses, lazy-greedy coverage
 	// re-evaluations vs the full rescans they replaced, and per-stage
-	// timings. Nil when the run localized nothing (consistent fabric) or
-	// under RefLocalizer. Diagnostics like EncodeStats, so excluded from
-	// the JSON form.
+	// timings. Nil when the run localized nothing (consistent fabric).
+	// Diagnostics like EncodeStats, so excluded from the JSON form.
 	LocalizeStats *localize.EngineStats `json:"-"`
 	// Hypothesis is the controller-model hypothesis: the minimal set of
 	// most-likely faulty policy objects (may include switch objects).
@@ -293,8 +268,8 @@ func (a *Analyzer) analyzeWithProbes(f *fabric.Fabric) (*Report, error) {
 	d := f.Deployment()
 	prober := a.proberFor(d)
 	switches := sortSwitches(f.Topology().Switches())
-	reports, err := a.checkAll(switches, func(c *equiv.Checker, sw object.ID) (*equiv.Report, error) {
-		return a.checkSwitch(f, d, c, prober, sw)
+	reports, err := a.checkAll(switches, noChecker, func(_ *equiv.Checker, sw object.ID) (*equiv.Report, error) {
+		return a.checkSwitch(f, d, prober, sw)
 	})
 	if err != nil {
 		return nil, err
@@ -317,27 +292,22 @@ func (a *Analyzer) AnalyzeState(st State) (*Report, error) {
 	// builds serially in one manager: build the two side by side.
 	ctrlModel := a.startControllerModel(st.Deployment)
 	base, _ := a.buildSharedBase(st.Deployment)
-	pool := a.newCheckerPool(base, a.workers(len(switches)))
-	check := func(c *equiv.Checker, sw object.ID) (*equiv.Report, error) {
-		return a.checkState(st, c, sw)
+	// Worker k forks the base into slot k (checkAll hands each worker a
+	// distinct index, so the slice needs no locking); the forks are kept
+	// so the run's encoding work can be aggregated afterwards.
+	checkers := make([]*equiv.Checker, a.workers(len(switches)))
+	fork := func(k int) *equiv.Checker {
+		checkers[k] = base.NewChecker()
+		return checkers[k]
 	}
-	var (
-		reports []*equiv.Report
-		plan    *dedupPlan
-		err     error
-	)
-	if a.dedupEnabled() {
-		logFPs, tcamFPs := a.stateFingerprints(st, switches)
-		reports, plan, err = a.checkDeduped(st, switches, logFPs, tcamFPs, pool.checker, check)
-	} else {
-		reports, err = a.checkAllWith(switches, pool.checker, check)
-	}
+	logFPs, tcamFPs := a.stateFingerprints(st, switches)
+	reports, plan, err := a.checkDeduped(st, switches, logFPs, tcamFPs, fork)
 	ctrl := ctrlModel() // joined on every path, a failed check's included
 	if err != nil {
 		return nil, err
 	}
 	rep := a.assemble(ctrl, st.Deployment, st.Changes, st.Faults, st.Now, switches, reports)
-	rep.EncodeStats = pool.stats()
+	rep.EncodeStats = equiv.AggregateEncodeStats(base, checkers)
 	plan.record(rep.EncodeStats)
 	rep.Elapsed = time.Since(start)
 	return rep, nil
@@ -402,13 +372,9 @@ func (st State) sortedSwitches() []object.ID {
 }
 
 // checkState computes one switch's equivalence report from collected
-// state with the configured checker (BDD or naive).
-func (a *Analyzer) checkState(st State, c *equiv.Checker, sw object.ID) (*equiv.Report, error) {
-	logical := st.Deployment.RulesFor(sw)
-	if a.opts.UseNaiveChecker {
-		return equiv.NaiveCheck(logical, st.TCAM[sw]), nil
-	}
-	checkRep, err := c.Check(logical, st.TCAM[sw])
+// state on the calling worker's checker.
+func checkState(st State, c *equiv.Checker, sw object.ID) (*equiv.Report, error) {
+	checkRep, err := c.Check(st.Deployment.RulesFor(sw), st.TCAM[sw])
 	if err != nil {
 		return nil, fmt.Errorf("scout: equivalence check switch %d: %w", sw, err)
 	}
@@ -416,42 +382,13 @@ func (a *Analyzer) checkState(st State, c *equiv.Checker, sw object.ID) (*equiv.
 }
 
 // checkFunc computes one switch's equivalence report. The checker argument
-// is private to the calling worker (nil in the naive and probe modes,
-// which never touch it); implementations must otherwise only read shared
-// state, since checkAll invokes them concurrently.
+// is private to the calling worker (nil in probe runs, which never touch
+// it); implementations must otherwise only read shared state, since
+// checkAll invokes them concurrently.
 type checkFunc func(c *equiv.Checker, sw object.ID) (*equiv.Report, error)
 
-// newWorkerChecker builds a private per-worker BDD checker, or nil when
-// the configured observation source never uses one.
-func (a *Analyzer) newWorkerChecker() *equiv.Checker {
-	return a.newWorkerCheckerFrom(nil)
-}
-
-// newWorkerCheckerFrom builds a worker checker as a fork of the shared
-// base when one was built, a private checker otherwise, and nil when the
-// configured observation source never uses one.
-func (a *Analyzer) newWorkerCheckerFrom(base *equiv.Base) *equiv.Checker {
-	if a.opts.UseNaiveChecker || a.opts.UseProbes {
-		return nil
-	}
-	if base != nil {
-		return base.NewChecker()
-	}
-	return equiv.NewChecker()
-}
-
-// newWorkerCheckerSized is newWorkerCheckerFrom for callers that know
-// their checker's delta budget (sessions): base forks pre-size their
-// node array and tables for deltaNodes, skipping the growth ramp.
-func (a *Analyzer) newWorkerCheckerSized(base *equiv.Base, deltaNodes int) *equiv.Checker {
-	if a.opts.UseNaiveChecker || a.opts.UseProbes {
-		return nil
-	}
-	if base != nil {
-		return base.NewCheckerSized(deltaNodes)
-	}
-	return equiv.NewChecker()
-}
+// noChecker is the worker-checker source of probe runs.
+func noChecker(int) *equiv.Checker { return nil }
 
 // baseSemanticsTopK bounds how many whole-switch semantics roots the
 // warmup freezes into the shared base. Lists are ranked most-duplicated
@@ -464,8 +401,6 @@ const baseSemanticsTopK = 1024
 // duplicated whole-switch rule lists (ranked by canonical semantics
 // fingerprint, most shared first) into frozen semantics roots, and
 // freezes the result into an immutable base every worker's checker forks.
-// Nil when the options call for private checkers or no BDD checkers at
-// all.
 //
 // The base covers logical rule lists only: a consistent switch's TCAM
 // side shares its logical list's semantics fingerprint, so its whole-list
@@ -478,13 +413,8 @@ const baseSemanticsTopK = 1024
 //
 // The semantics roots build serially inside NewBaseWith (one manager, not
 // shareable mid-build). Each list compiles straight to its ROBDD — only
-// result nodes are interned — and they are all the base holds; the
-// foldshare experiment pins the sharing on node counters, which is what
-// survives any core count.
+// result nodes are interned — and they are all the base holds.
 func (a *Analyzer) buildSharedBase(d *Deployment) (*equiv.Base, equiv.BaseBuildStats) {
-	if a.opts.UseNaiveChecker || a.opts.UseProbes || a.opts.PrivateCheckers {
-		return nil, equiv.BaseBuildStats{}
-	}
 	switches := make([]object.ID, 0, len(d.BySwitch))
 	for sw := range d.BySwitch {
 		switches = append(switches, sw)
@@ -541,15 +471,6 @@ func (a *Analyzer) buildSharedBase(d *Deployment) (*equiv.Base, equiv.BaseBuildS
 		a.opts.BaseRegistry.RegisterBase(base)
 	}
 	return base, bstats
-}
-
-// dedupEnabled reports whether whole-switch check dedup applies. It
-// rides the shared-base checker mode: the naive differ has nothing worth
-// deduping, probes never reach the state-based check stage, and
-// PrivateCheckers is the pre-sharing ablation baseline, which must keep
-// measuring the duplicated work.
-func (a *Analyzer) dedupEnabled() bool {
-	return !a.opts.UseNaiveChecker && !a.opts.UseProbes && !a.opts.PrivateCheckers
 }
 
 // stateFingerprints hashes every switch's logical and TCAM rule lists
@@ -622,9 +543,9 @@ func buildDedupPlan(st State, switches []object.ID, logFPs, tcamFPs []uint64) *d
 }
 
 // record publishes the plan's counters into the run's encode stats (a
-// nil plan — dedup disabled — or nil stats is a no-op).
+// nil plan — a run that re-checked nothing — is a no-op).
 func (p *dedupPlan) record(es *equiv.EncodeStats) {
-	if p == nil || es == nil {
+	if p == nil {
 		return
 	}
 	es.DedupGroups = p.groups
@@ -632,16 +553,17 @@ func (p *dedupPlan) record(es *equiv.EncodeStats) {
 }
 
 // checkDeduped runs the check stage over one representative per dedup
-// group — fanned through the same worker pool as an undeduped run — and
-// replays each group's verdict into all its members' report slots,
-// aligned with switches. Per-switch error attribution is preserved: a
-// failing check is wrapped with the representative's switch ID, and the
-// representative genuinely owns the offending rules (its group mates
-// hold byte-equal lists).
+// group, fanned out over the worker pool, and replays each group's
+// verdict into all its members' report slots, aligned with switches.
+// Per-switch error attribution is preserved: a failing check is wrapped
+// with the representative's switch ID, and the representative genuinely
+// owns the offending rules (its group mates hold byte-equal lists).
 func (a *Analyzer) checkDeduped(st State, switches []object.ID, logFPs, tcamFPs []uint64,
-	checker func(worker int) *equiv.Checker, check checkFunc) ([]*equiv.Report, *dedupPlan, error) {
+	checker func(worker int) *equiv.Checker) ([]*equiv.Report, *dedupPlan, error) {
 	plan := buildDedupPlan(st, switches, logFPs, tcamFPs)
-	repReports, err := a.checkAllWith(plan.reps, checker, check)
+	repReports, err := a.checkAll(plan.reps, checker, func(c *equiv.Checker, sw object.ID) (*equiv.Report, error) {
+		return checkState(st, c, sw)
+	})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -650,38 +572,6 @@ func (a *Analyzer) checkDeduped(st State, switches []object.ID, logFPs, tcamFPs 
 		reports[i] = repReports[plan.groupOf[i]]
 	}
 	return reports, plan, nil
-}
-
-// checkerPool hands each check-stage worker its BDD checker — a fork of
-// the shared base when one was built, a private checker otherwise — and
-// records them so the run's encoding work can be aggregated afterwards.
-type checkerPool struct {
-	a        *Analyzer
-	base     *equiv.Base
-	checkers []*equiv.Checker
-}
-
-// newCheckerPool sizes the pool for the given worker count. Slot k is
-// written only by worker k (checkAllWith hands each worker a distinct
-// index), so the pool needs no locking.
-func (a *Analyzer) newCheckerPool(base *equiv.Base, workers int) *checkerPool {
-	return &checkerPool{a: a, base: base, checkers: make([]*equiv.Checker, workers)}
-}
-
-// checker builds (and records) worker k's checker.
-func (p *checkerPool) checker(k int) *equiv.Checker {
-	c := p.a.newWorkerCheckerFrom(p.base)
-	p.checkers[k] = c
-	return c
-}
-
-// stats aggregates the run's encoding counters; nil when the run had no
-// BDD checkers.
-func (p *checkerPool) stats() *equiv.EncodeStats {
-	if p.a.opts.UseNaiveChecker || p.a.opts.UseProbes {
-		return nil
-	}
-	return equiv.AggregateEncodeStats(p.base, p.checkers)
 }
 
 // workers resolves the worker count for a check stage over n switches.
@@ -701,27 +591,21 @@ func (a *Analyzer) workers(n int) int {
 
 // checkAll runs the pure check stage of the pipeline: it fans check out
 // over the switches with the configured worker pool and returns the
-// reports aligned with the input slice. Each worker owns one
-// equiv.Checker (a Checker is not safe for concurrent use, but reusing
-// one per worker amortizes BDD construction across that worker's
-// switches). With one worker — or one switch — it degenerates to the
-// serial loop the pipeline always ran. The caller folds the aligned
+// reports aligned with the input slice. checker(k) returns worker k's
+// private checker: a Checker is not safe for concurrent use, but reusing
+// one per worker amortizes BDD construction across that worker's switches
+// (a Session passes its persistent pool so memoized encodings survive
+// across runs; the one-shot analyzer forks fresh ones; probe runs pass
+// noChecker). Which worker checks which switch is scheduling-dependent,
+// which is safe because checker state never influences check results,
+// only their cost. With one worker — or one switch — it degenerates to
+// the serial loop the pipeline always ran. The caller folds the aligned
 // results serially, so report order never depends on scheduling. On
 // error the pool drains early and the lowest-index recorded error is
 // returned; when several switches fail concurrently, which one is
 // reported may vary (successful analyses are deterministic, failures
 // are exceptional).
-func (a *Analyzer) checkAll(switches []object.ID, check checkFunc) ([]*equiv.Report, error) {
-	return a.checkAllWith(switches, func(int) *equiv.Checker { return a.newWorkerChecker() }, check)
-}
-
-// checkAllWith is checkAll with caller-provided worker checkers:
-// checker(k) returns worker k's private checker (a Session passes its
-// persistent pool so memoized match encodings survive across runs; the
-// one-shot analyzer builds fresh ones). Which worker checks which switch
-// is scheduling-dependent, which is safe because checker state never
-// influences check results, only their cost.
-func (a *Analyzer) checkAllWith(switches []object.ID, checker func(worker int) *equiv.Checker, check checkFunc) ([]*equiv.Report, error) {
+func (a *Analyzer) checkAll(switches []object.ID, checker func(worker int) *equiv.Checker, check checkFunc) ([]*equiv.Report, error) {
 	reports := make([]*equiv.Report, len(switches))
 	w := a.workers(len(switches))
 	if w <= 1 {
@@ -881,32 +765,21 @@ func (a *Analyzer) assemble(ctrl risk.Marker, d *Deployment, changes *ChangeLog,
 		patches[i].Apply(ctrl)
 	}
 	if !rep.Consistent {
-		rep.Controller = a.localizeScout(ctrl, oracle)
+		rep.Controller = localize.Scout(ctrl, oracle)
 		rep.Hypothesis = rep.Controller.Hypothesis
 		rep.RootCauses = a.engine.Correlate(rep.Hypothesis, changes, faults)
-	}
-	if !rep.Consistent && !a.opts.RefLocalizer {
 		delta := localize.StatsSnapshot().Delta(lstatsBefore)
 		rep.LocalizeStats = &delta
 	}
 	return rep
 }
 
-// localizeScout dispatches one Scout run to the configured localization
-// engine. The per-switch calls run concurrently inside the assemble
-// fan-out over one shared compiled plan per model, which is safe: plans
-// are immutable once compiled and the per-run state is private.
-func (a *Analyzer) localizeScout(v risk.View, oracle localize.ChangeOracle) *localize.Result {
-	if a.opts.RefLocalizer {
-		return localize.RefScout(v, oracle)
-	}
-	return localize.Scout(v, oracle)
-}
-
 // buildSwitchReport assembles one switch's report from its check result,
 // running the switch-model localization when the switch is inequivalent.
 // It only reads shared state, so reports for distinct switches build
-// concurrently.
+// concurrently — over one shared compiled plan per cached model, which is
+// safe: plans are immutable once compiled and the per-run state is
+// private.
 func (a *Analyzer) buildSwitchReport(d *Deployment, oracle localize.ChangeOracle, sw object.ID, checkRep *equiv.Report) SwitchReport {
 	sr := SwitchReport{
 		Switch:       sw,
@@ -915,7 +788,7 @@ func (a *Analyzer) buildSwitchReport(d *Deployment, oracle localize.ChangeOracle
 		ExtraRules:   checkRep.ExtraRules,
 	}
 	if !checkRep.Equivalent {
-		sr.Result = a.localizeScout(a.switchModel(d, sw, checkRep), oracle)
+		sr.Result = localize.Scout(a.switchModel(d, sw, checkRep), oracle)
 	}
 	return sr
 }
@@ -941,12 +814,13 @@ func (a *Analyzer) switchModel(d *Deployment, sw object.ID, checkRep *equiv.Repo
 	return m
 }
 
-// checkSwitch produces the missing/extra-rule report for one switch using
-// the configured observation source (BDD checker, naive differ, or
-// dataplane probes). The deployment is passed in so the hot per-switch
-// path never re-fetches it; prober, when non-nil, is the run-shared
-// prober whose packet memo amortizes synthesis across switches.
-func (a *Analyzer) checkSwitch(f *fabric.Fabric, d *Deployment, checker *equiv.Checker, prober *probe.Prober, sw object.ID) (*equiv.Report, error) {
+// checkSwitch produces the missing/extra-rule report for one switch of a
+// live fabric using the configured observation source (dataplane probes,
+// or a BDD check of its collected TCAM on a checker of its own). The
+// deployment is passed in so the hot per-switch path never re-fetches it;
+// prober, when non-nil, is the run-shared prober whose packet memo
+// amortizes synthesis across switches.
+func (a *Analyzer) checkSwitch(f *fabric.Fabric, d *Deployment, prober *probe.Prober, sw object.ID) (*equiv.Report, error) {
 	if a.opts.UseProbes {
 		s, err := f.Switch(sw)
 		if err != nil {
@@ -965,11 +839,7 @@ func (a *Analyzer) checkSwitch(f *fabric.Fabric, d *Deployment, checker *equiv.C
 	if err != nil {
 		return nil, fmt.Errorf("scout: collect switch %d: %w", sw, err)
 	}
-	logical := d.RulesFor(sw)
-	if a.opts.UseNaiveChecker {
-		return equiv.NaiveCheck(logical, deployed), nil
-	}
-	rep, err := checker.Check(logical, deployed)
+	rep, err := equiv.NewChecker().Check(d.RulesFor(sw), deployed)
 	if err != nil {
 		return nil, fmt.Errorf("scout: equivalence check switch %d: %w", sw, err)
 	}
@@ -985,7 +855,7 @@ func (a *Analyzer) AnalyzeSwitch(f *fabric.Fabric, sw object.ID) (*SwitchReport,
 	if d == nil {
 		return nil, fmt.Errorf("scout: fabric has never been deployed")
 	}
-	checkRep, err := a.checkSwitch(f, d, a.newWorkerChecker(), nil, sw)
+	checkRep, err := a.checkSwitch(f, d, nil, sw)
 	if err != nil {
 		return nil, err
 	}

@@ -343,10 +343,9 @@ func (s *Session) analyzeProbesLocked(d *compile.Deployment) (*Report, error) {
 	}
 
 	if len(dirty) > 0 {
-		check := func(_ *equiv.Checker, sw object.ID) (*equiv.Report, error) {
-			return s.a.checkSwitch(s.f, d, nil, prober, sw)
-		}
-		fresh, err := s.a.checkAllWith(dirty, func(int) *equiv.Checker { return nil }, check)
+		fresh, err := s.a.checkAll(dirty, noChecker, func(_ *equiv.Checker, sw object.ID) (*equiv.Report, error) {
+			return s.a.checkSwitch(s.f, d, prober, sw)
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -650,31 +649,24 @@ func (s *Session) analyzeLocked(st State, cleanTCAM map[object.ID]bool) (*Report
 	var plan *dedupPlan
 	if len(dirty) > 0 {
 		s.provisionCheckersLocked(s.a.workers(len(dirty)))
-		check := func(c *equiv.Checker, sw object.ID) (*equiv.Report, error) {
-			return s.a.checkState(st, c, sw)
+		// Dirty switches sharing both fingerprints — which the partition
+		// above already computed — check once per group. Worker k owns
+		// persistent checker k for the run.
+		dirtyLog := make([]uint64, len(dirty))
+		dirtyTCAM := make([]uint64, len(dirty))
+		for j, i := range dirtyIdx {
+			dirtyLog[j] = logFPs[i]
+			dirtyTCAM[j] = tcamFPs[i]
 		}
 		var fresh []*equiv.Report
 		var err error
-		if s.a.dedupEnabled() {
-			// Dirty switches sharing both fingerprints — which the
-			// partition above already computed — check once per group.
-			dirtyLog := make([]uint64, len(dirty))
-			dirtyTCAM := make([]uint64, len(dirty))
-			for j, i := range dirtyIdx {
-				dirtyLog[j] = logFPs[i]
-				dirtyTCAM[j] = tcamFPs[i]
-			}
-			fresh, plan, err = s.a.checkDeduped(st, dirty, dirtyLog, dirtyTCAM, s.workerChecker, check)
-			if err == nil {
-				s.stats.DedupGroups += plan.groups
-				s.stats.DedupReplays += plan.replays
-			}
-		} else {
-			fresh, err = s.a.checkAllWith(dirty, s.workerChecker, check)
-		}
+		fresh, plan, err = s.a.checkDeduped(st, dirty, dirtyLog, dirtyTCAM,
+			func(k int) *equiv.Checker { return s.checkers[k] })
 		if err != nil {
 			return nil, err
 		}
+		s.stats.DedupGroups += plan.groups
+		s.stats.DedupReplays += plan.replays
 		capRules := s.missingRuleCap()
 		for j, i := range dirtyIdx {
 			checkReps[i] = fresh[j]
@@ -700,23 +692,18 @@ func (s *Session) analyzeLocked(st State, cleanTCAM map[object.ID]bool) (*Report
 	s.stats.addLocalizeStats(rep.LocalizeStats)
 	s.stats.Checked += len(dirty)
 	s.stats.Replayed += len(switches) - len(dirty)
-	if !s.a.opts.UseNaiveChecker {
-		enc := equiv.AggregateEncodeStats(s.base, s.checkers)
-		plan.record(enc)
-		rep.EncodeStats = enc
-		s.stats.BaseNodes = enc.BaseNodes
-		s.stats.DeltaNodes = enc.DeltaNodes
-		s.stats.BaseSemantics = enc.BaseSemantics
-		s.stats.FoldHits += enc.FoldHits() - foldBefore.hits
-		s.stats.FoldMisses += enc.FoldMisses - foldBefore.misses
-	}
-	// Persist the refreshed verdict cache write-behind. Gated on the
-	// shared-base mode (base non-nil and in step with this deployment):
-	// naive and private-checker sessions have no deployment fingerprint
-	// on hand, and their runs are ablation baselines that should not grow
-	// durable state. A run that re-checked nothing changed no verdicts.
-	if ws := s.a.opts.WarmStore; ws != nil && len(dirty) > 0 &&
-		s.base != nil && st.Deployment == s.baseDeployment {
+	enc := equiv.AggregateEncodeStats(s.base, s.checkers)
+	plan.record(enc)
+	rep.EncodeStats = enc
+	s.stats.BaseNodes = enc.BaseNodes
+	s.stats.DeltaNodes = enc.DeltaNodes
+	s.stats.BaseSemantics = enc.BaseSemantics
+	s.stats.FoldHits += enc.FoldHits() - foldBefore.hits
+	s.stats.FoldMisses += enc.FoldMisses - foldBefore.misses
+	// Persist the refreshed verdict cache write-behind, keyed by the base's
+	// deployment fingerprint (ensureBaseLocked left it in step with this
+	// deployment). A run that re-checked nothing changed no verdicts.
+	if s.a.opts.WarmStore != nil && len(dirty) > 0 {
 		s.saveVerdictsLocked(s.baseFP, false)
 	}
 	return rep, nil
@@ -747,9 +734,6 @@ func (s *Session) foldTotalsLocked() foldTotals {
 // so the caller's replay/re-check partition reuses them instead of
 // hashing every rule list a second time (nil on the fast paths).
 func (s *Session) ensureBaseLocked(d *compile.Deployment) map[object.ID]uint64 {
-	if s.a.opts.UseNaiveChecker || s.a.opts.PrivateCheckers {
-		return nil
-	}
 	if s.base != nil && d == s.baseDeployment {
 		return nil
 	}
@@ -794,7 +778,7 @@ func (s *Session) ensureBaseLocked(d *compile.Deployment) map[object.ID]uint64 {
 	s.stats.BaseRebuilds++
 	s.stats.BaseSemGrafts += bstats.SemGrafts
 	s.stats.BaseSemFolds += bstats.SemFolds
-	if ws := s.a.opts.WarmStore; ws != nil && base != nil {
+	if ws := s.a.opts.WarmStore; ws != nil {
 		ws.SaveBase(fp, base)
 		s.seedVerdictsLocked(fp, false)
 	}
@@ -896,19 +880,18 @@ func (s *Session) missingRuleCap() int {
 }
 
 // provisionCheckersLocked grows the persistent checker pool to n entries
-// — forks of the shared base when one exists — and brings any checker
-// whose private delta exceeded the node budget back under it, before the
-// worker pool starts (workers must never mutate the slice concurrently).
+// — forks of the shared base — and brings any checker whose private delta
+// exceeded the node budget back under it, before the worker pool starts
+// (workers must never mutate the slice concurrently).
 // Over-budget checkers compact first (delta GC keeping live memo state)
 // and fall back to a full Reset only when the live state alone is over
 // budget — the ROADMAP's "smarter than whole-delta Reset".
 func (s *Session) provisionCheckersLocked(n int) {
-	if s.a.opts.UseNaiveChecker {
-		return
-	}
 	budget := s.sessionNodeBudget()
 	for len(s.checkers) < n {
-		s.checkers = append(s.checkers, s.a.newWorkerCheckerSized(s.base, s.checkerDeltaHint(budget)))
+		// Forks pre-size their node array and tables for the expected
+		// delta, skipping the growth ramp.
+		s.checkers = append(s.checkers, s.base.NewCheckerSized(s.checkerDeltaHint(budget)))
 	}
 	if budget <= 0 {
 		return
@@ -956,13 +939,4 @@ func (s *Session) checkerDeltaHint(budget int) int {
 		return 1 << 18
 	}
 	return h
-}
-
-// workerChecker hands worker k its persistent checker (nil in naive mode,
-// which never touches it).
-func (s *Session) workerChecker(k int) *equiv.Checker {
-	if s.a.opts.UseNaiveChecker {
-		return nil
-	}
-	return s.checkers[k]
 }

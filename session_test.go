@@ -34,6 +34,17 @@ func stateFromEpoch(f *scout.Fabric, e *scout.Epoch) scout.State {
 	}
 }
 
+// brokenSwitches counts the report's inequivalent switches.
+func brokenSwitches(rep *scout.Report) int {
+	n := 0
+	for _, sr := range rep.Switches {
+		if !sr.Equivalent {
+			n++
+		}
+	}
+	return n
+}
+
 // removeOneRule deletes the highest-priority TCAM rule of sw (an allow
 // rule on whitelist fabrics, so the switch becomes inequivalent) and
 // returns it.
@@ -81,8 +92,15 @@ func TestSessionIncrementalSingleSwitch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st := sess.Stats(); st.Checked != numSwitches || st.Replayed != 0 {
-			t.Fatalf("workers=%d cold run stats = %+v, want %d checked", workers, st, numSwitches)
+		cold := sess.Stats()
+		if cold.Checked != numSwitches || cold.Replayed != 0 {
+			t.Fatalf("workers=%d cold run stats = %+v, want %d checked", workers, cold, numSwitches)
+		}
+		// A cold inconsistent run compiles one localization plan for the
+		// controller model plus one per inequivalent switch.
+		if want := 1 + brokenSwitches(warm1); cold.PlanCompiles != want {
+			t.Errorf("workers=%d: cold run compiled %d plans, want %d (controller + broken switches)",
+				workers, cold.PlanCompiles, want)
 		}
 		cold1, err := scout.NewAnalyzer(opts).AnalyzeState(stateFromEpoch(f, e1))
 		if err != nil {
@@ -122,8 +140,17 @@ func TestSessionIncrementalSingleSwitch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := sess.Stats().Checked - after.Checked; got != 0 {
+		again := sess.Stats()
+		if got := again.Checked - after.Checked; got != 0 {
 			t.Errorf("workers=%d: no-change run re-checked %d switches", workers, got)
+		}
+		// A warm run re-localizes every still-broken switch and the
+		// controller overlay through cached plans, compiling none.
+		if got := again.PlanCompiles - after.PlanCompiles; got != 0 {
+			t.Errorf("workers=%d: no-change run compiled %d plans, want 0", workers, got)
+		}
+		if got, want := again.PlanReuses-after.PlanReuses, 1+brokenSwitches(warm3); got < want {
+			t.Errorf("workers=%d: no-change run reused %d plans, want at least %d", workers, got, want)
 		}
 		if !bytes.Equal(marshalReport(t, warm3), marshalReport(t, warm2)) {
 			t.Errorf("workers=%d: no-change report differs from previous run", workers)
@@ -209,36 +236,6 @@ func TestSessionInvalidate(t *testing.T) {
 	sess.Reset()
 	if got := run(); got != n {
 		t.Errorf("after Reset: re-checked %d switches, want %d", got, n)
-	}
-}
-
-// TestSessionNaiveChecker exercises the session through the ablation
-// checker path (no BDD checkers to provision or reuse).
-func TestSessionNaiveChecker(t *testing.T) {
-	f := faultyFabric(t, 13)
-	opts := scout.AnalyzerOptions{UseNaiveChecker: true, Workers: 4}
-	sess, err := scout.NewSession(f, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm1, err := sess.Analyze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm2, err := sess.Analyze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sess.Stats().Checked; got != f.Topology().NumSwitches() {
-		t.Errorf("second naive run re-checked switches: total checked %d", got)
-	}
-	cold, err := scout.NewAnalyzer(opts).Analyze(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coldJSON := marshalReport(t, cold)
-	if !bytes.Equal(marshalReport(t, warm1), coldJSON) || !bytes.Equal(marshalReport(t, warm2), coldJSON) {
-		t.Error("naive session reports differ from cold analyzer")
 	}
 }
 
@@ -385,42 +382,6 @@ func TestSessionSharedBasePersistence(t *testing.T) {
 	}
 }
 
-// TestSessionPrivateCheckers drives a session with the shared base
-// disabled: reports must stay byte-identical to the default mode, with
-// no base ever built.
-func TestSessionPrivateCheckers(t *testing.T) {
-	f := faultyFabric(t, 29)
-	private, err := scout.NewSession(f, scout.AnalyzerOptions{PrivateCheckers: true, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	shared, err := scout.NewSession(f, scout.AnalyzerOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p1, err := private.Analyze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1, err := shared.Analyze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(marshalReport(t, p1), marshalReport(t, s1)) {
-		t.Error("private-checker session report differs from shared-base session")
-	}
-	pst := private.Stats()
-	if pst.BaseRebuilds != 0 || pst.BaseNodes != 0 {
-		t.Errorf("private-checker session built a base: %+v", pst)
-	}
-	if pst.DeltaNodes == 0 || pst.FoldMisses == 0 {
-		t.Errorf("private-checker session must still count its own work: %+v", pst)
-	}
-	if sst := shared.Stats(); sst.BaseRebuilds != 1 || sst.BaseNodes == 0 {
-		t.Errorf("shared session base counters: %+v", sst)
-	}
-}
-
 // TestSessionProbeWarmReplay is the probe-mode replay regression test:
 // a warm probe round on an unchanged fabric performs zero Classify
 // calls (every switch's verdict replays off its TCAM fingerprint, and
@@ -510,8 +471,10 @@ func TestSessionProbeWarmReplay(t *testing.T) {
 
 // TestSessionProbeReplayUnderMutations fuzzes the probe replay path:
 // random evict/corrupt/deploy mutations between rounds, with every
-// round's report pinned byte-identical to a cold probe analysis and the
-// replay partition always covering the whole fabric.
+// round's report pinned byte-identical to a cold probe analysis, the
+// replay partition always covering the whole fabric, and classification
+// always batched: at most one rule-major pass per classified switch,
+// never the per-packet fallback.
 func TestSessionProbeReplayUnderMutations(t *testing.T) {
 	f := faultyFabric(t, 17)
 	opts := scout.AnalyzerOptions{UseProbes: true}
@@ -523,6 +486,7 @@ func TestSessionProbeReplayUnderMutations(t *testing.T) {
 	switches := f.Topology().Switches()
 	rng := rand.New(rand.NewSource(23))
 	prev := sess.Stats()
+	var prevPasses int
 	for round := 0; round < 8; round++ {
 		switch rng.Intn(4) {
 		case 0:
@@ -555,6 +519,16 @@ func TestSessionProbeReplayUnderMutations(t *testing.T) {
 				round, classified, replayed, numSwitches)
 		}
 		prev = st
+		ps, _ := sess.ProberStats()
+		if passes := ps.BatchPasses - prevPasses; passes > classified || ps.FallbackProbes != 0 {
+			t.Fatalf("round %d: %d batch passes for %d classified switches, %d fallback probes",
+				round, passes, classified, ps.FallbackProbes)
+		}
+		prevPasses = ps.BatchPasses
+		if ps.BatchedPackets != st.ProbePacketsBatched {
+			t.Fatalf("round %d: session counted %d batched packets, prober %d",
+				round, st.ProbePacketsBatched, ps.BatchedPackets)
+		}
 		cold, err := scout.NewAnalyzer(opts).Analyze(f)
 		if err != nil {
 			t.Fatal(err)
@@ -645,6 +619,11 @@ func TestSessionFoldSharing(t *testing.T) {
 	}
 	if st.FoldHits == 0 {
 		t.Error("clean cold run never hit a frozen semantics root")
+	}
+	// Nothing to localize on a clean fabric, so no plan is ever compiled.
+	if st.PlanCompiles != 0 || st.PlanReuses != 0 {
+		t.Errorf("clean run compiled %d / reused %d plans, want zero localization work",
+			st.PlanCompiles, st.PlanReuses)
 	}
 
 	sw := f.Topology().Switches()[0]

@@ -113,9 +113,18 @@ func TestApplyEventsMatchesAnalyzeEpoch(t *testing.T) {
 		// Tail from here: the baseline full collections below cover the
 		// seed faults the cursor skips.
 		cursor := f.EventLog().TailCursor()
-		// BatchSize 3 forces mid-stream cuts that leave switches pending,
-		// so the equivalence must survive partially-applied storms.
-		queue := scout.NewEventQueue(scout.EventQueueOptions{Cap: 64, BatchSize: 3})
+		// A batch size of 3 forces mid-stream cuts that leave switches
+		// pending, so the equivalence must survive partially-applied storms.
+		const batchSize = 3
+		queue := scout.NewEventQueue(scout.EventQueueOptions{Cap: 64, BatchSize: batchSize})
+		// apply feeds one batch to the streaming session, tallying what
+		// the session's collection counters must add up to.
+		var applied, namedSwitches int
+		apply := func(batch scout.EventBatch) (*scout.Report, error) {
+			applied++
+			namedSwitches += len(batch.Switches)
+			return streamSess.ApplyEvents(batch)
+		}
 
 		compare := func(step int) {
 			t.Helper()
@@ -125,11 +134,11 @@ func TestApplyEventsMatchesAnalyzeEpoch(t *testing.T) {
 				queue.Push(ev)
 			}
 			for queue.Len() > 0 {
-				if _, err := streamSess.ApplyEvents(queue.Cut(f.Now())); err != nil {
+				if _, err := apply(queue.Cut(f.Now())); err != nil {
 					t.Fatalf("step %d: ApplyEvents: %v", step, err)
 				}
 			}
-			got, err := streamSess.ApplyEvents(scout.EventBatch{})
+			got, err := apply(scout.EventBatch{})
 			if err != nil {
 				t.Fatalf("step %d: ApplyEvents(empty): %v", step, err)
 			}
@@ -174,7 +183,7 @@ func TestApplyEventsMatchesAnalyzeEpoch(t *testing.T) {
 			// come (these may leave switches pending past this step).
 			for _, ev := range cursor.Drain() {
 				if queue.Push(ev) {
-					if _, err := streamSess.ApplyEvents(queue.Cut(f.Now())); err != nil {
+					if _, err := apply(queue.Cut(f.Now())); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -189,9 +198,27 @@ func TestApplyEventsMatchesAnalyzeEpoch(t *testing.T) {
 		if st.EventBatches == 0 || st.EventSwitchesAliased == 0 {
 			t.Fatalf("streaming path not engaged: %+v", st)
 		}
-		if st.EventSwitchesRead >= st.EventBatches*len(switches) {
-			t.Fatalf("partial refreshes read every switch: read %d over %d batches of %d switches",
-				st.EventSwitchesRead, st.EventBatches, len(switches))
+		// Collection accounting: the first batch (empty, no epoch to alias)
+		// was the full baseline collection; every later one re-read exactly
+		// the switches it named and aliased the rest.
+		if st.EventBatches != applied-1 {
+			t.Fatalf("session counted %d partial refreshes over %d applied batches, want all but the baseline",
+				st.EventBatches, applied)
+		}
+		if st.EventSwitchesRead != namedSwitches {
+			t.Fatalf("partial refreshes read %d switches, want exactly the %d batch members",
+				st.EventSwitchesRead, namedSwitches)
+		}
+		// The drained queue lost and duplicated no dirty mark, and never
+		// cut past its batch size — which bounds re-check work per batch.
+		if qs := queue.Stats(); qs.BatchedSwitches != qs.Pushed-qs.Coalesced ||
+			qs.BatchedSwitches != namedSwitches || qs.MaxBatch > batchSize {
+			t.Fatalf("queue stats %+v: want batched = pushed - coalesced = %d switches named, batches of at most %d",
+				qs, namedSwitches, batchSize)
+		}
+		if got, want := st.EventSwitchesRead+st.EventSwitchesAliased, st.EventBatches*len(switches); got != want {
+			t.Fatalf("read %d + aliased %d switches, want batches x switches = %d",
+				st.EventSwitchesRead, st.EventSwitchesAliased, want)
 		}
 		finals = append(finals, marshalReport(t, mustLastReport(t, streamSess)))
 	}
