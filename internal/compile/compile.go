@@ -9,10 +9,11 @@
 package compile
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -41,6 +42,88 @@ type Deployment struct {
 	// PairRules maps (switch, EPG pair) to the keys of the logical rules
 	// serving that pair on that switch.
 	PairRules map[SwitchPair][]rule.Key
+
+	// footprint is Compile's own account of Footprint, which a deployment
+	// assembled by hand lacks (see compiled). A Deployment is copied by
+	// value, so nothing in here is a lock or a once.
+	footprint Footprint
+}
+
+// Footprint is where a deployment's pairs land and what each depends on.
+// Pairs is the (switch, pair) triplets in ascending order. Risks[i] is the
+// policy objects the rules of Pairs[i] carry: every provenance ref of
+// every key PairRules lists for it, each once, in the order that walk
+// first meets them — the order a risk model registers them in. It is a
+// fact about the pair, so in a compiled deployment the switches of a pair
+// share one list. Read-only.
+type Footprint struct {
+	Pairs []SwitchPair
+	Risks [][]object.Ref
+}
+
+// compiled reports whether Compile left a footprint that still covers
+// PairRules. Without one, Footprint and OnSwitch derive what they return
+// from PairRules and Provenance on every call, with the same result.
+func (d *Deployment) compiled() bool { return len(d.footprint.Pairs) == len(d.PairRules) }
+
+// Footprint returns the deployment's footprint.
+func (d *Deployment) Footprint() Footprint {
+	if d.compiled() {
+		return d.footprint
+	}
+	fp := Footprint{Pairs: make([]SwitchPair, 0, len(d.PairRules))}
+	for sp := range d.PairRules {
+		fp.Pairs = append(fp.Pairs, sp)
+	}
+	return d.deriveRisks(fp)
+}
+
+// OnSwitch returns the run of the deployment's footprint on one switch.
+func (d *Deployment) OnSwitch(sw object.ID) Footprint {
+	if d.compiled() {
+		fp := d.footprint
+		lo, _ := slices.BinarySearchFunc(fp.Pairs, sw, func(sp SwitchPair, sw object.ID) int {
+			return cmp.Compare(sp.Switch, sw)
+		})
+		hi := lo
+		for hi < len(fp.Pairs) && fp.Pairs[hi].Switch == sw {
+			hi++
+		}
+		return Footprint{Pairs: fp.Pairs[lo:hi], Risks: fp.Risks[lo:hi]}
+	}
+	var fp Footprint
+	for sp := range d.PairRules {
+		if sp.Switch == sw {
+			fp.Pairs = append(fp.Pairs, sp)
+		}
+	}
+	return d.deriveRisks(fp)
+}
+
+// deriveRisks sorts fp.Pairs and fills fp.Risks from PairRules and
+// Provenance, key by key.
+func (d *Deployment) deriveRisks(fp Footprint) Footprint {
+	slices.SortFunc(fp.Pairs, SwitchPair.Compare)
+	fp.Risks = make([][]object.Ref, len(fp.Pairs))
+	for i, sp := range fp.Pairs {
+		var risks []object.Ref
+		for _, k := range d.PairRules[sp] {
+			risks = appendNew(risks, d.Provenance[k])
+		}
+		fp.Risks[i] = risks
+	}
+	return fp
+}
+
+// appendNew appends the refs that risks does not hold yet. The lists are a
+// handful of refs long, so a scan beats a set.
+func appendNew(risks, refs []object.Ref) []object.Ref {
+	for _, ref := range refs {
+		if !slices.Contains(risks, ref) {
+			risks = append(risks, ref)
+		}
+	}
+	return risks
 }
 
 // SwitchPair identifies an EPG pair deployed on a specific switch — the
@@ -52,15 +135,18 @@ type SwitchPair struct {
 
 // String renders the triplet like "S2:3-4".
 func (sp SwitchPair) String() string {
-	return fmt.Sprintf("S%d:%s", sp.Switch, sp.Pair)
+	b := append(make([]byte, 0, 24), 'S')
+	b = strconv.AppendUint(b, uint64(sp.Switch), 10)
+	b = append(b, ':')
+	return string(sp.Pair.AppendTo(b))
 }
 
 // Less orders SwitchPairs deterministically.
-func (sp SwitchPair) Less(other SwitchPair) bool {
-	if sp.Switch != other.Switch {
-		return sp.Switch < other.Switch
-	}
-	return sp.Pair.Less(other.Pair)
+func (sp SwitchPair) Less(other SwitchPair) bool { return sp.Compare(other) < 0 }
+
+// Compare orders SwitchPairs by switch, then pair.
+func (sp SwitchPair) Compare(other SwitchPair) int {
+	return cmp.Or(cmp.Compare(sp.Switch, other.Switch), sp.Pair.Compare(other.Pair))
 }
 
 // Compile renders the policy onto the topology. The policy must validate.
@@ -91,17 +177,19 @@ func Compile(p *policy.Policy, t *topo.Topology) (*Deployment, error) {
 	// it will emit per switch, so the second pass appends into lists of
 	// their final capacity.
 	footprints := make([][]int, len(p.Bindings))
-	byPair := make(map[policy.EPGPair][]int)
+	byPair := make(map[policy.EPGPair]*pairFootprint)
 	emitted := make([]int, len(switches))
 	for bi, b := range p.Bindings {
 		pair := policy.MakeEPGPair(b.From, b.To)
-		footprint, ok := byPair[pair]
+		pf, ok := byPair[pair]
 		if !ok {
+			pf = &pairFootprint{}
 			for _, sw := range t.SwitchesForPair(b.From, b.To) {
-				footprint = append(footprint, slot[sw])
+				pf.slots = append(pf.slots, slot[sw])
 			}
-			byPair[pair] = footprint
+			byPair[pair] = pf
 		}
+		footprint := pf.slots
 		footprints[bi] = footprint
 		n := 0
 		for _, fid := range p.Contracts[b.Contract].Filters {
@@ -132,8 +220,10 @@ func Compile(p *policy.Policy, t *topo.Topology) (*Deployment, error) {
 		}
 		from := p.EPGs[b.From]
 		pair := policy.MakeEPGPair(b.From, b.To)
+		pf := byPair[pair]
 		fresh = fresh[:0]
 		for _, fid := range p.Contracts[b.Contract].Filters {
+			seen := len(fresh)
 			prov := []object.Ref{
 				object.VRF(from.VRF),
 				object.EPG(b.From),
@@ -154,6 +244,11 @@ func Compile(p *policy.Policy, t *topo.Topology) (*Deployment, error) {
 						lists[i] = append(lists[i], dir)
 					}
 				}
+			}
+			if len(fresh) > seen {
+				// The filter's fresh keys all carry prov: this is where a
+				// walk of the pair's keys first meets its refs.
+				pf.risks = appendNew(pf.risks, prov)
 			}
 		}
 		if len(fresh) == 0 {
@@ -182,7 +277,51 @@ func Compile(p *policy.Policy, t *topo.Topology) (*Deployment, error) {
 	for i, sw := range switches {
 		d.BySwitch[sw] = lists[i]
 	}
+	d.footprint = layOut(byPair, switches)
 	return d, nil
+}
+
+// pairFootprint is what Compile learns about one EPG pair: the slots of
+// the switches it lands on, and the refs its fresh keys carry, each once,
+// in the order the bindings introduce them.
+type pairFootprint struct {
+	slots []int
+	risks []object.Ref
+}
+
+// layOut arranges the pairs that got rules into the deployment's
+// Footprint: one sort of the pairs, dealt out to their switches in that
+// order, the switches' runs laid end to end. switches is ascending.
+func layOut(byPair map[policy.EPGPair]*pairFootprint, switches []object.ID) Footprint {
+	pairs := make([]policy.EPGPair, 0, len(byPair))
+	start := make([]int, len(switches)+1)
+	for pair, pf := range byPair {
+		if len(pf.risks) == 0 {
+			continue // no rule, or no switch to put one on
+		}
+		pairs = append(pairs, pair)
+		for _, i := range pf.slots {
+			start[i+1]++
+		}
+	}
+	slices.SortFunc(pairs, policy.EPGPair.Compare)
+	for i := range switches {
+		start[i+1] += start[i]
+	}
+	fp := Footprint{
+		Pairs: make([]SwitchPair, start[len(switches)]),
+		Risks: make([][]object.Ref, start[len(switches)]),
+	}
+	next := start[:len(switches)]
+	for _, pair := range pairs {
+		pf := byPair[pair]
+		for _, i := range pf.slots {
+			fp.Pairs[next[i]] = SwitchPair{Switch: switches[i], Pair: pair}
+			fp.Risks[next[i]] = pf.risks
+			next[i]++
+		}
+	}
+	return fp
 }
 
 // finishSwitch turns the rules emitted for one switch into its logical rule
@@ -241,14 +380,8 @@ func (d *Deployment) TotalRules() int {
 }
 
 // SwitchPairs returns the sorted (switch, pair) deployment footprint.
-func (d *Deployment) SwitchPairs() []SwitchPair {
-	out := make([]SwitchPair, 0, len(d.PairRules))
-	for sp := range d.PairRules {
-		out = append(out, sp)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
-}
+// Read-only: a compiled deployment hands out the one list it holds.
+func (d *Deployment) SwitchPairs() []SwitchPair { return d.Footprint().Pairs }
 
 // PairFor derives the EPG pair a rule key serves from its match fields.
 func PairFor(k rule.Key) policy.EPGPair {

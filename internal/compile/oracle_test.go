@@ -92,7 +92,7 @@ func refCompile(p *policy.Policy, t *topo.Topology) *compile.Deployment {
 }
 
 // TestCompileMatchesOracle holds Compile to the retained oracle on the
-// whole Deployment — including which provenance a key bound more than once
+// whole Deployment, footprint included — including which provenance a key bound more than once
 // keeps in BySwitch, which is the unstable sort's choice and so depends on
 // Compile sorting the same sequence with the same algorithm — and shows the
 // result does not depend on how many workers sort the switches.
@@ -111,8 +111,19 @@ func TestCompileMatchesOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, want) {
+			if !reflect.DeepEqual(got.BySwitch, want.BySwitch) || !reflect.DeepEqual(got.Provenance, want.Provenance) ||
+				!reflect.DeepEqual(got.PairRules, want.PairRules) {
 				t.Errorf("%s at GOMAXPROCS %d: Compile differs from the oracle", spec.Name, procs)
+			}
+			// The oracle is built by hand and carries no footprint: its own
+			// is derived key by key, and Compile's per-pair one must equal it.
+			if !reflect.DeepEqual(got.Footprint(), want.Footprint()) {
+				t.Errorf("%s at GOMAXPROCS %d: Compile's footprint differs from the one derived from PairRules", spec.Name, procs)
+			}
+			for _, sw := range tp.Switches() {
+				if !reflect.DeepEqual(got.OnSwitch(sw), want.OnSwitch(sw)) {
+					t.Errorf("%s at GOMAXPROCS %d: switch %d's run of the footprint differs", spec.Name, procs, sw)
+				}
 			}
 		}
 		if spec.Name != "production" {

@@ -34,6 +34,12 @@ type Base struct {
 	// root (references to the caller's slices, not copies); checker hits
 	// verify against it so fingerprint collisions never alias roots.
 	semMem map[uint64]semRoot
+	// memo is the compiler's memo as the base build left it: the tails
+	// and tries of every list compiled here, all frozen nodes, read by
+	// every fork's compiles and never written again. Nil for a base that
+	// was not built in this process (RebuildBase): the memo is not
+	// persisted, and the forks' own memos fill in.
+	memo compileMemo
 }
 
 // NewBase compiles each semantics rule list into its whole-list
@@ -52,7 +58,7 @@ type Base struct {
 // encodings. It stays until bench/ stops passing it (ROADMAP item 1,
 // shims); other callers use NewBaseWith.
 func NewBase(_ []rule.Match, semantics ...[]rule.Rule) *Base {
-	b, _ := NewBaseWith(nil, semantics...)
+	b, _ := NewBaseWith(nil, nil, semantics...)
 	return b
 }
 
@@ -80,6 +86,7 @@ func (b *Base) newChecker(newM func() Backend) *Checker {
 		newM:   newM,
 		base:   b,
 		semMem: make(map[uint64]semRoot, 64),
+		memo:   compileMemo{},
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // newBase freezes the given rule lists' semantics roots, the warmup pass
 // in miniature.
 func newBase(lists ...[]rule.Rule) *Base {
-	b, _ := NewBaseWith(nil, lists...)
+	b, _ := NewBaseWith(nil, nil, lists...)
 	return b
 }
 
@@ -149,24 +149,35 @@ func TestForkResetKeepsBase(t *testing.T) {
 }
 
 // TestConcurrentForks runs many forks of one base concurrently (-race
-// guards the lock-free shared reads) and checks they all agree with a
-// serial standalone checker.
+// guards the lock-free shared reads: the snapshot's tables and the frozen
+// compile memo, which every drifted list's compile reads) and checks they
+// all agree with a serial standalone checker.
 func TestConcurrentForks(t *testing.T) {
 	logical := withDeny(
 		allowRule(1, 2, 3, 80),
 		allowRule(1, 3, 2, 443),
 		allowRule(2, 4, 5, 8080),
+		allowRule(2, 5, 4, 8080),
 	)
-	deployed := withDeny(allowRule(1, 2, 3, 80), allowRule(1, 3, 2, 443))
-	want, err := NewChecker().Check(logical, deployed)
-	if err != nil {
-		t.Fatal(err)
+	// One drifted TCAM per dropped rule: each compiles in the fork, its
+	// surviving groups' tails and tries found in the base's memo.
+	var drifted [][]rule.Rule
+	var want []*Report
+	for drop := 0; drop < len(logical)-1; drop++ {
+		d := append(append([]rule.Rule(nil), logical[:drop]...), logical[drop+1:]...)
+		rep, err := NewChecker().Check(logical, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drifted, want = append(drifted, d), append(want, rep)
 	}
 
 	base := newBase(logical)
+	if len(base.memo) == 0 {
+		t.Fatal("the base froze no compile memo for the forks to read")
+	}
 	const forks = 8
 	var wg sync.WaitGroup
-	reports := make([]*Report, forks)
 	errs := make([]error, forks)
 	for k := 0; k < forks; k++ {
 		wg.Add(1)
@@ -174,9 +185,17 @@ func TestConcurrentForks(t *testing.T) {
 			defer wg.Done()
 			c := base.NewChecker()
 			for i := 0; i < 20; i++ {
-				reports[k], errs[k] = c.Check(logical, deployed)
-				if errs[k] != nil {
+				j := (i + k) % len(drifted)
+				rep, err := c.Check(logical, drifted[j])
+				if err != nil {
+					errs[k] = err
 					return
+				}
+				if !reflect.DeepEqual(want[j], rep) {
+					t.Errorf("fork %d, drifted list %d: report differs from standalone", k, j)
+				}
+				if i%7 == 6 {
+					c.Reset() // compile them again, through the frozen memo again
 				}
 			}
 		}(k)
@@ -185,9 +204,6 @@ func TestConcurrentForks(t *testing.T) {
 	for k := 0; k < forks; k++ {
 		if errs[k] != nil {
 			t.Fatal(errs[k])
-		}
-		if !reflect.DeepEqual(want, reports[k]) {
-			t.Errorf("fork %d report differs from standalone", k)
 		}
 	}
 }

@@ -11,10 +11,17 @@
 // that changed and nothing else. The same field layout is read back by the
 // attribution walk (meets.go).
 //
+// A list has far fewer distinct parts than rules: a few hundred proto/port
+// tails under a thousand (VRF, src, dst) groups, and tries that whole
+// switches share. A compileMemo maps the content of a tail or a trie to
+// the node it compiled to, so each distinct one is built once per manager
+// and a hit makes no manager call at all.
+//
 // Canonicity is what makes this interchangeable with a fold of And/Or/
 // Not over per-rule encodings: both yield the one ROBDD of the function,
 // and in one manager that is one node ID. The test oracle (oracle_test.go)
-// keeps the fold and asserts exactly that.
+// keeps the fold and asserts exactly that. It is also why the memo is
+// invisible: a hit returns the node the skipped Mk calls would have found.
 
 package equiv
 
@@ -40,6 +47,13 @@ var idFields = [...]idField{
 }
 
 const numIDFields = len(idFields)
+
+// tailField is the first field of a group's tail: what is left to decide
+// once VRF, source and destination are fixed.
+const tailField = numIDFields - 1
+
+// tailTag opens a tail's memo key; a trie's opens with its field index.
+const tailTag = byte(numIDFields)
 
 // portSpace is one past the largest port: the exclusive end of the axis.
 const portSpace = uint32(1) << portBits
@@ -95,11 +109,21 @@ func reduceRule(r rule.Rule) compiledRule {
 	return c
 }
 
-// compileSemantics builds, in m, the BDD of the packets a prioritized rule
+// compileMemo maps the content of a tail or of one field's trie to the
+// node it compiled to in one manager (or in the frozen base under it). The
+// keys are the content itself, byte for byte (built in tail and split), not
+// a hash of it: equal keys are equal functions, so a hit needs no
+// verification. The values are only as good as the manager's node IDs —
+// whoever resets or compacts the manager drops the memo with it.
+type compileMemo map[string]bdd.Node
+
+// compileMemoized builds, in m, the BDD of the packets a prioritized rule
 // list allows: the first matching rule decides. An unencodable rule fails
 // the whole list with the error of the first such rule in list order.
-func compileSemantics(m Backend, rules []rule.Rule) (bdd.Node, error) {
-	c := compiler{m: m, rules: make([]compiledRule, len(rules))}
+// Either memo may be nil: frozen is only read (a Base's, shared by its
+// forks), own is read and filled. Every node in them must be valid in m.
+func compileMemoized(m Backend, rules []rule.Rule, frozen, own compileMemo) (bdd.Node, error) {
+	c := compiler{m: m, rules: make([]compiledRule, len(rules)), frozen: frozen, own: own}
 	list := make([]int32, len(rules))
 	for i, r := range rules {
 		if err := checkMatch(r.Match); err != nil {
@@ -116,6 +140,10 @@ func compileSemantics(m Backend, rules []rule.Rule) (bdd.Node, error) {
 type compiler struct {
 	m     Backend
 	rules []compiledRule
+	// frozen and own are the memos (see compileMemoized); key is the stack
+	// of memo keys under construction, innermost last.
+	frozen, own compileMemo
+	key         []byte
 	// Port-axis scratch, reused across leaves.
 	points []uint32
 	next   []int32
@@ -141,7 +169,57 @@ func (c *compiler) field(list []int32, f int) bdd.Node {
 	if f == numIDFields {
 		return c.ports(list)
 	}
+	if f == tailField {
+		return c.tail(list)
+	}
+	return c.split(list, f)
+}
 
+// tail is field(list, tailField) through the memo: the tail's content is
+// all that decides its BDD.
+func (c *compiler) tail(list []int32) bdd.Node {
+	start := len(c.key)
+	c.key = append(c.key, tailTag)
+	for _, ri := range list {
+		r := &c.rules[ri]
+		flags := byte(0)
+		if r.wild[tailField] {
+			flags |= 1
+		}
+		if r.allow {
+			flags |= 2
+		}
+		hi := r.end - 1
+		c.key = append(c.key, byte(r.val[tailField]), flags, byte(r.lo>>8), byte(r.lo), byte(hi>>8), byte(hi))
+	}
+	n, ok := c.lookup(start)
+	if !ok {
+		n = c.split(list, tailField)
+		c.store(start, n)
+	}
+	c.key = c.key[:start]
+	return n
+}
+
+// lookup finds the key c.key[start:] in the memos.
+func (c *compiler) lookup(start int) (bdd.Node, bool) {
+	if n, ok := c.frozen[string(c.key[start:])]; ok {
+		return n, true
+	}
+	n, ok := c.own[string(c.key[start:])]
+	return n, ok
+}
+
+// store records the key c.key[start:] in the compiler's own memo.
+func (c *compiler) store(start int, n bdd.Node) {
+	if c.own != nil {
+		c.own[string(c.key[start:])] = n
+	}
+}
+
+// split partitions list on field f and emits the field's trie over the
+// BDDs of the parts. list is not empty and no rule in it is total at f.
+func (c *compiler) split(list []int32, f int) bdd.Node {
 	// Split into the rules naming a value for this field, keyed so that
 	// sorting groups them by value in priority order, and the wildcards.
 	keys := make([]uint64, 0, len(list))
@@ -185,7 +263,22 @@ func (c *compiler) field(list []int32, f int) bdd.Node {
 		kids = append(kids, c.field(sub, f+1))
 		start = end
 	}
-	return c.trie(idFields[f], 0, vals, kids, def)
+
+	// The trie is decided by its field, where each named value leads and
+	// where every other value does.
+	at := len(c.key)
+	c.key = append(c.key, byte(f), byte(def>>24), byte(def>>16), byte(def>>8), byte(def))
+	for i, v := range vals {
+		k := kids[i]
+		c.key = append(c.key, byte(v>>8), byte(v), byte(k>>24), byte(k>>16), byte(k>>8), byte(k))
+	}
+	n, ok := c.lookup(at)
+	if !ok {
+		n = c.trie(idFields[f], 0, vals, kids, def)
+		c.store(at, n)
+	}
+	c.key = c.key[:at]
+	return n
 }
 
 // trie emits the bits [bit, width) of one field: vals (ascending, equal

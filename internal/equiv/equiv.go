@@ -81,6 +81,11 @@ type Checker struct {
 	// verified against the entry's canonical list (SemanticsEqual), so a
 	// 64-bit collision costs a private fold, never a wrong root.
 	semMem map[uint64]semRoot
+	// memo is the compiler's private memo of tails and tries (compile.go),
+	// layered over the base's frozen one. Its nodes may sit in the delta,
+	// so it lives exactly as long as the delta's node IDs do: Reset and
+	// Compact drop it.
+	memo compileMemo
 
 	// Fold counters, cumulative across checks and Resets: foldBaseHits
 	// answered by the shared base's frozen memo, foldLocalHits by this
@@ -122,6 +127,7 @@ func NewCheckerBacked(newM func() Backend) *Checker {
 		m:      newM(),
 		newM:   newM,
 		semMem: make(map[uint64]semRoot, 64),
+		memo:   compileMemo{},
 	}
 }
 
@@ -186,6 +192,7 @@ func (c *Checker) Reset() {
 	c.cacheAcc.Add(c.m.CacheStats())
 	c.m = c.newM()
 	c.semMem = make(map[uint64]semRoot, 64)
+	c.memo = compileMemo{}
 }
 
 // Compact runs a delta GC on the checker's manager: every memoized
@@ -195,6 +202,8 @@ func (c *Checker) Reset() {
 // still hit — while shedding the difference BDDs dead since their checks
 // reported. Reports after a Compact are identical; ROBDD canonicity only
 // cares that each memoized function keeps a consistent ID, not which ID.
+// The compiler's memo names delta nodes by ID too; it is dropped, not
+// remapped, and refills from the compiles that follow.
 //
 // Compact returns false (and does nothing) when the backend does not
 // support compaction (the map-backed reference manager).
@@ -212,6 +221,7 @@ func (c *Checker) Compact() (bdd.CompactStats, bool) {
 		e.node = remap.Node(e.node)
 		c.semMem[k] = e
 	}
+	c.memo = compileMemo{}
 	c.compactions++
 	c.compactRetained += stats.Retained
 	c.compactDropped += stats.Dropped
@@ -263,13 +273,16 @@ func (c *Checker) Check(logical, deployed []rule.Rule) (*Report, error) {
 }
 
 // attribute returns the allow rules whose match meets the header space
-// diff. Each rule is tested by walking diff under the rule's constraints
-// (meets.go), which only reads the diagram: attributing a difference to
-// rules adds no node to the checker's manager and keeps no per-match state.
+// diff. Each candidate is tested by walking diff under the rule's
+// constraints (meets.go), which only reads the diagram: attributing a
+// difference to rules adds no node to the checker's manager and keeps no
+// per-match state. The candidates are the rules on one of diff's paths
+// through the VRF/src/dst bits, so a k-rule edit walks O(k) rules.
 func (c *Checker) attribute(rules []rule.Rule, diff bdd.Node) ([]rule.Rule, error) {
 	if diff == bdd.False {
 		return nil, nil
 	}
+	paths, filtered := diffPaths(c.m, diff)
 	w := meetWalk{m: c.m}
 	var hit []rule.Rule
 	for _, r := range rules {
@@ -278,6 +291,9 @@ func (c *Checker) attribute(rules []rule.Rule, diff bdd.Node) ([]rule.Rule, erro
 		}
 		if err := checkMatch(r.Match); err != nil {
 			return nil, err
+		}
+		if filtered && !onPath(paths, r.Match) {
+			continue
 		}
 		if w.meets(r, diff) {
 			hit = append(hit, r.Clone())
@@ -313,7 +329,11 @@ func (c *Checker) semantics(rules []rule.Rule) (bdd.Node, error) {
 		c.foldLocalHits++
 		return e.node, nil
 	}
-	n, err := compileSemantics(c.m, rules)
+	var frozen compileMemo
+	if c.base != nil {
+		frozen = c.base.memo
+	}
+	n, err := compileMemoized(c.m, rules, frozen, c.memo)
 	if err != nil {
 		return bdd.False, err
 	}

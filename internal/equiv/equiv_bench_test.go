@@ -222,32 +222,83 @@ func BenchmarkCheckSemanticsPrivate(b *testing.B) {
 	b.ReportMetric(float64(deltas)/float64(b.N), "delta-nodes/op")
 }
 
-// BenchmarkAttribute measures difference attribution alone on one dirty
-// production-quarter switch: its rule list with four rules evicted
-// and one entry corrupted, both differences already built, every allow
-// rule on each side walked against its difference.
-func BenchmarkAttribute(b *testing.B) {
+// productionQuarter compiles the production spec scaled by 0.25 (the
+// repository benchmark's input at seed 42: 8 switches, 46,216 rules) and
+// returns the switches' logical rule lists in ascending switch order.
+func productionQuarter(tb testing.TB, seed int64) [][]rule.Rule {
+	tb.Helper()
 	// eval.SimSpec(0.25), which this package cannot import.
 	spec := workload.ProductionSpec()
 	for _, n := range []*int{&spec.Switches, &spec.EPGs, &spec.Contracts, &spec.Filters, &spec.TargetPairs} {
 		*n = int(math.Round(float64(*n) * 0.25))
 	}
-	pol, tp, err := workload.Generate(spec, 1)
+	pol, tp, err := workload.Generate(spec, seed)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	dep, err := compile.Compile(pol, tp)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	var lists [][]rule.Rule
 	for _, sw := range tp.Switches() {
 		lists = append(lists, dep.BySwitch[sw])
 	}
-	logical := lists[0]
+	return lists
+}
+
+// evictFour is a switch's TCAM after a four-rule eviction from the middle
+// of its list: the dirty side of a rolling-change check.
+func evictFour(logical []rule.Rule) []rule.Rule {
 	mid := len(logical) / 2
-	deployed := append(append([]rule.Rule(nil), logical[:mid]...), logical[mid+4:]...)
-	deployed[mid/2].Match.DstEPG++
+	return append(append([]rule.Rule(nil), logical[:mid]...), logical[mid+4:]...)
+}
+
+// BenchmarkBaseBuildProduction measures the cold check stage's warm-up:
+// the eight production-quarter lists compiled into one base and frozen.
+func BenchmarkBaseBuildProduction(b *testing.B) {
+	lists := productionQuarter(b, 42)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if base := newBase(lists...); base.NumSemantics() != len(lists) {
+			b.Fatal("every list must freeze its own root")
+		}
+	}
+}
+
+// BenchmarkDirtyCheckProduction measures a rolling-change epoch's checks:
+// each of the eight switches has lost four rules, and one fork of the warm
+// base compiles the eight drifted lists and attributes the differences.
+func BenchmarkDirtyCheckProduction(b *testing.B) {
+	lists := productionQuarter(b, 42)
+	tcams := make([][]rule.Rule, len(lists))
+	for i, l := range lists {
+		tcams[i] = evictFour(l)
+	}
+	base := newBase(lists...)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := base.NewChecker()
+		for j, l := range lists {
+			rep, err := c.Check(l, tcams[j])
+			if err != nil || len(rep.MissingRules) != 4 {
+				b.Fatalf("switch %d: %v, report %+v", j, err, rep)
+			}
+		}
+	}
+}
+
+// BenchmarkAttribute measures difference attribution alone on one dirty
+// production-quarter switch: its rule list with four rules evicted
+// and one entry corrupted, both differences already built, every allow
+// rule on each side walked against its difference.
+func BenchmarkAttribute(b *testing.B) {
+	lists := productionQuarter(b, 1)
+	logical := lists[0]
+	deployed := evictFour(logical)
+	deployed[len(logical)/4].Match.DstEPG++
 	c := newBase(lists...).NewChecker()
 	l, err := c.semantics(logical)
 	if err != nil {

@@ -6,42 +6,43 @@
 package equiv
 
 import (
-	"encoding/binary"
-	"hash"
-	"hash/fnv"
 	"sort"
 
 	"scout/internal/object"
 	"scout/internal/rule"
 )
 
-// hasher wraps an FNV-1a stream with the fixed-width writes the
-// fingerprints are built from. Match hashing lives here once so
-// Fingerprint and SemanticsFingerprint cannot drift apart when
-// rule.Match grows a field.
-type hasher struct {
-	h   hash.Hash64
-	buf [8]byte
+// hasher is the state of a 64-bit multiply-mix hash over whole words. The
+// fingerprints push four to ten words a rule through it on every analysis,
+// so a word costs one multiply and one shift and word inlines into their
+// loops. Match hashing lives here once so Fingerprint and
+// SemanticsFingerprint cannot drift apart when rule.Match grows a field.
+type hasher uint64
+
+const (
+	hashSeed = 0xcbf29ce484222325
+	hashMul  = 0x9e3779b97f4a7c15 // 2^64 / golden ratio, odd
+)
+
+// word mixes v in. The multiply carries every input bit upwards and the
+// shift folds the high half back down, so the next word meets a state all
+// of whose bits depend on this one; xor-then-multiply does not commute, so
+// the hash is order-sensitive.
+func (h *hasher) word(v uint64) {
+	x := (uint64(*h) ^ v) * hashMul
+	*h = hasher(x ^ x>>32)
 }
 
-func newHasher() *hasher { return &hasher{h: fnv.New64a()} }
-
-func (w *hasher) u32(v uint32) {
-	binary.LittleEndian.PutUint32(w.buf[:4], v)
-	w.h.Write(w.buf[:4])
+// sum finishes the hash with one more round, so the last word is mixed as
+// well as the first.
+func (h hasher) sum() uint64 {
+	h.word(0)
+	return uint64(h)
 }
 
-func (w *hasher) u64(v uint64) {
-	binary.LittleEndian.PutUint64(w.buf[:8], v)
-	w.h.Write(w.buf[:8])
-}
-
-// match hashes every field of m.
-func (w *hasher) match(m rule.Match) {
-	w.u32(uint32(m.VRF))
-	w.u32(uint32(m.SrcEPG))
-	w.u32(uint32(m.DstEPG))
-	var flags uint32
+// match hashes every field of m, in three words.
+func (h *hasher) match(m rule.Match) {
+	var flags uint64
 	if m.WildcardVRF {
 		flags |= 1
 	}
@@ -51,55 +52,61 @@ func (w *hasher) match(m rule.Match) {
 	if m.WildcardDst {
 		flags |= 4
 	}
-	w.u32(flags<<16 | uint32(m.Proto))
-	w.u32(uint32(m.PortLo)<<16 | uint32(m.PortHi))
+	h.word(uint64(m.VRF)<<32 | uint64(m.SrcEPG))
+	h.word(uint64(m.DstEPG)<<32 | uint64(m.PortLo)<<16 | uint64(m.PortHi))
+	h.word(flags<<8 | uint64(m.Proto))
 }
 
-// Fingerprint returns a 64-bit FNV-1a hash of a rule list. The hash is
+// Fingerprint returns a 64-bit hash of a rule list. The hash is
 // order-sensitive and covers every field that can influence a check report
 // — match, action, priority, and provenance — so two lists with equal
 // fingerprints produce identical Check output. Collisions are possible in
 // principle (64-bit hash) but need ~2^32 distinct rule sets per switch to
 // become likely; callers that cannot tolerate that keep the rule lists and
-// compare with rule.SlicesEqual instead.
+// compare with rule.SlicesEqual instead. The value is stable within one
+// build of the program, not across versions: it keys the warm-state
+// store's files, and a file keyed by another version's value is simply
+// never found.
 func Fingerprint(rules []rule.Rule) uint64 {
-	w := newHasher()
-	w.u64(uint64(len(rules)))
-	for _, r := range rules {
-		w.match(r.Match)
-		w.u32(uint32(r.Action))
-		w.u64(uint64(int64(r.Priority)))
-		w.u64(uint64(len(r.Provenance)))
+	h := hasher(hashSeed)
+	h.word(uint64(len(rules)))
+	for i := range rules {
+		r := &rules[i]
+		h.match(r.Match)
+		h.word(uint64(len(r.Provenance))<<32 | uint64(uint32(r.Action)))
+		h.word(uint64(int64(r.Priority)))
 		for _, ref := range r.Provenance {
-			w.u32(uint32(ref.Kind))
-			w.u32(uint32(ref.ID))
+			h.word(uint64(uint32(ref.Kind))<<32 | uint64(ref.ID))
 		}
 	}
-	return w.h.Sum64()
+	return h.sum()
 }
 
+// semTag separates SemanticsFingerprint's keyspace from Fingerprint's.
+const semTag = 's' | 'e'<<8 | 'm'<<16
+
 // SemanticsFingerprint canonicalizes an ordered rule list into its
-// semantics key: a 64-bit FNV-1a hash of exactly the fields the
-// priority-fold consumes — each rule's match and action, in list order.
-// Priority and provenance are deliberately excluded: the fold interprets
-// the list positionally, so they cannot influence the allowed-set BDD,
-// and excluding them lets a logical rule list and its (provenance-free)
-// TCAM collection share one semantics key whenever the deployed behaviour
-// is intact. Two lists with equal semantics fingerprints fold to the same
+// semantics key: a 64-bit hash of exactly the fields the compiler
+// consumes — each rule's match and action, in list order. Priority and
+// provenance are deliberately excluded: the compiler interprets the list
+// positionally, so they cannot influence the allowed-set BDD, and
+// excluding them lets a logical rule list and its (provenance-free) TCAM
+// collection share one semantics key whenever the deployed behaviour is
+// intact. Two lists with equal semantics fingerprints compile to the same
 // BDD, which is what lets the frozen base share whole-switch semantics
 // roots across switches and across the L/T sides of a consistent switch.
 // The keyspace is domain-separated from Fingerprint by a leading tag, so
 // the two hashes never alias each other's inputs. The same 64-bit
 // collision caveat as Fingerprint applies.
 func SemanticsFingerprint(rules []rule.Rule) uint64 {
-	w := newHasher()
-	w.h.Write([]byte{'s', 'e', 'm'})
-	w.u64(uint64(len(rules)))
-	for _, r := range rules {
-		w.match(r.Match)
-		w.u32(uint32(r.Action))
+	h := hasher(hashSeed)
+	h.word(semTag)
+	h.word(uint64(len(rules)))
+	for i := range rules {
+		h.match(rules[i].Match)
+		h.word(uint64(uint32(rules[i].Action)))
 	}
-	return w.h.Sum64()
+	return h.sum()
 }
 
 // SemanticsEqual reports whether two rule lists are equal under the
@@ -142,15 +149,12 @@ func DeploymentFingerprints(bySwitch map[object.ID][]rule.Rule) (map[object.ID]u
 	}
 	sort.Slice(switches, func(i, j int) bool { return switches[i] < switches[j] })
 	perSwitch := make(map[object.ID]uint64, len(switches))
-	h := fnv.New64a()
-	var buf [8]byte
+	h := hasher(hashSeed)
 	for _, sw := range switches {
 		fp := Fingerprint(bySwitch[sw])
 		perSwitch[sw] = fp
-		binary.LittleEndian.PutUint64(buf[:], uint64(sw))
-		h.Write(buf[:])
-		binary.LittleEndian.PutUint64(buf[:], fp)
-		h.Write(buf[:])
+		h.word(uint64(sw))
+		h.word(fp)
 	}
-	return perSwitch, h.Sum64()
+	return perSwitch, h.sum()
 }

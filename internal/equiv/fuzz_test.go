@@ -53,7 +53,9 @@ func fuzzRules(data []byte) []rule.Rule {
 // FuzzCompileSemantics: for any decodable rule list the compiled root is
 // the oracle fold's node in the same manager — or both fail with the same
 // error — and it evaluates like a plain first-match scan on packets drawn
-// from the rules' corners.
+// from the rules' corners. The list is then cut in two, the first half
+// frozen and the second compiled in a fork, memo-less and through a memo
+// the two share: same nodes, same node counts (checkMemoInvisible).
 func FuzzCompileSemantics(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xa7, 0, 0, 0, 0, 0, 0, 0}) // default deny alone
@@ -72,5 +74,7 @@ func FuzzCompileSemantics(f *testing.F) {
 			t.Fatalf("compiled root %d, fold root %d\nrules: %v", got, want, rules)
 		}
 		checkCornerPackets(t, m, got, rules, rand.New(rand.NewSource(int64(len(data)))))
+		half := len(rules) / 2
+		checkMemoInvisible(t, [][]rule.Rule{rules[:half], rules}, [][]rule.Rule{rules[half:], rules[:half], rules})
 	})
 }

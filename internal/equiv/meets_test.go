@@ -8,6 +8,7 @@ package equiv
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"scout/internal/bdd"
@@ -71,6 +72,11 @@ func checkMeets(t *testing.T, m applyBackend, w *meetWalk, match rule.Match, dif
 	}
 	if m.Size() != size {
 		t.Fatalf("the walk interned %d nodes", m.Size()-size)
+	}
+	// The path filter in front of the walk may pass a rule the walk then
+	// rejects, never drop one it accepts.
+	if paths, ok := diffPaths(m, diff); ok && want && !onPath(paths, match) {
+		t.Fatalf("match %v meets node %d but is on none of its %d paths", match, diff, len(paths))
 	}
 }
 
@@ -202,6 +208,102 @@ func TestMeetsBoundedByNodes(t *testing.T) {
 	hit.Proto, hit.WildcardSrc, hit.SrcEPG = rule.ProtoTCP, false, object.ID(ids[63])
 	if !w.meets(rule.Rule{Match: hit}, diff) {
 		t.Error("walk missed a rule that covers 64 cubes")
+	}
+}
+
+// refAttribute is attribution as it stood before the path filter: every
+// allow rule walked against the difference. It is the oracle
+// TestAttributeEqualsUnfiltered holds Checker.attribute to.
+func refAttribute(m Backend, rules []rule.Rule, diff bdd.Node) []rule.Rule {
+	w := meetWalk{m: m}
+	var hit []rule.Rule
+	for _, r := range rules {
+		if r.Action == rule.Allow && w.meets(r, diff) {
+			hit = append(hit, r.Clone())
+		}
+	}
+	return hit
+}
+
+// TestAttributeEqualsUnfiltered: filtered attribution names exactly the
+// rules the walk-every-rule loop names, in the same order — on differences
+// of random lists (wildcards in every field, overlapping port ranges,
+// repeated rules), on a difference with more paths than the filter lists
+// (so it is off), and on diagrams that reach True below levels they skip,
+// where a path constrains almost nothing.
+func TestAttributeEqualsUnfiltered(t *testing.T) {
+	c := NewChecker()
+	m := c.m.(*bdd.Manager)
+	compare := func(name string, rules []rule.Rule, diff bdd.Node) {
+		t.Helper()
+		got, err := c.attribute(rules, diff)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := refAttribute(m, rules, diff); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: filtered attribution names %d rules, the full walk %d\n got  %v\n want %v",
+				name, len(got), len(want), got, want)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(23))
+	filtered, hits := 0, 0
+	for i := 0; i < 300; i++ {
+		a, b := randCompileList(rng, 1+rng.Intn(40)), randCompileList(rng, 1+rng.Intn(40))
+		if rng.Intn(2) == 0 { // an edit of a, the shape a real check sees
+			b = append(append([]rule.Rule(nil), a[:len(a)/2]...), b[:1+rng.Intn(3)]...)
+			b = append(b, a[len(a)/2:]...)
+		}
+		ra, err := c.semantics(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rb, err := c.semantics(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, diff := range []bdd.Node{m.Diff(ra, rb), m.Diff(rb, ra), m.Xor(ra, rb)} {
+			compare("random", a, diff)
+			compare("random", b, diff)
+			if _, ok := diffPaths(m, diff); ok && diff != bdd.False {
+				filtered++
+			}
+			hits += len(refAttribute(m, a, diff))
+		}
+	}
+	if filtered == 0 || hits == 0 {
+		t.Fatalf("%d filtered differences, %d attributed rules: the comparison is vacuous", filtered, hits)
+	}
+
+	// One missing rule in each of 3·maxDiffPaths groups: too many paths.
+	var wide []rule.Rule
+	for i := 0; i < 3*maxDiffPaths; i++ {
+		wide = append(wide, allowRule(object.ID(1+i%3), object.ID(10+i), object.ID(500+i%7), uint16(80+i%2)))
+	}
+	wide = withDeny(wide...)
+	root, err := c.semantics(wide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := diffPaths(m, root); ok {
+		t.Fatalf("a difference over %d groups was listed within the bound of %d paths", 3*maxDiffPaths, maxDiffPaths)
+	}
+	compare("past the bound", wide, root)
+	if got, _ := c.attribute(wide, root); len(got) != len(wide)-1 {
+		t.Errorf("past the bound: %d of %d allow rules attributed", len(got), len(wide)-1)
+	}
+
+	// True below skipped levels: everything, one VRF bit, a source bit and
+	// a port bit with nothing in between.
+	mixed := randCompileList(rng, 60)
+	for name, diff := range map[string]bdd.Node{
+		"true":          bdd.True,
+		"one vrf bit":   m.Cube(map[int]bool{vrfOff + vrfBits - 1: true}),
+		"src and port":  m.Cube(map[int]bool{srcOff + 3: false, portOff + 9: true}),
+		"dst bits only": m.Cube(map[int]bool{dstOff: false, dstOff + epgBits - 1: true}),
+	} {
+		compare(name, mixed, diff)
+		compare(name, wide, diff)
 	}
 }
 

@@ -165,3 +165,9 @@ func compileMatch(m Backend, match rule.Match) (bdd.Node, error) {
 	}
 	return n, nil
 }
+
+// compileSemantics is the compiler with no memo at all: every tail and
+// every trie is emitted through Mk. The memoized compiles are held to it.
+func compileSemantics(m Backend, rules []rule.Rule) (bdd.Node, error) {
+	return compileMemoized(m, rules, nil, nil)
+}

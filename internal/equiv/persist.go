@@ -43,13 +43,24 @@ type BaseBuildStats struct {
 // distinct rule list is first looked up in src (verified canonical-list
 // hit → the donor's frozen BDD is imported node-for-node through the
 // manager's unique table, a pure structural copy), and only source
-// misses compile locally. A nil src compiles every list locally.
-func NewBaseWith(src SemanticsSource, semantics ...[]rule.Rule) (*Base, BaseBuildStats) {
+// misses compile locally. A nil src compiles every list locally. The
+// lists compile through one memo of tails and tries (compile.go), so what
+// two of them share is built once; the memo is frozen with the base.
+//
+// fps, when not nil, holds each list's SemanticsFingerprint, for a caller
+// that has already hashed them (the analyzer ranks the lists by it).
+func NewBaseWith(src SemanticsSource, fps []uint64, semantics ...[]rule.Rule) (*Base, BaseBuildStats) {
 	var stats BaseBuildStats
 	m := bdd.NewManager(NumVars)
 	semMem := make(map[uint64]semRoot, len(semantics))
-	for _, rules := range semantics {
-		fp := SemanticsFingerprint(rules)
+	memo := compileMemo{}
+	for i, rules := range semantics {
+		var fp uint64
+		if fps != nil {
+			fp = fps[i]
+		} else {
+			fp = SemanticsFingerprint(rules)
+		}
 		if _, ok := semMem[fp]; ok {
 			// Duplicate list, or — vanishingly rarely — a colliding one;
 			// either way the first owner keeps the slot and a colliding
@@ -63,14 +74,14 @@ func NewBaseWith(src SemanticsSource, semantics ...[]rule.Rule) (*Base, BaseBuil
 				continue
 			}
 		}
-		root, err := compileSemantics(m, rules)
+		root, err := compileMemoized(m, rules, nil, memo)
 		if err != nil {
 			continue
 		}
 		semMem[fp] = semRoot{rules: rules, node: root}
 		stats.SemFolds++
 	}
-	return &Base{snap: m.Freeze(), semMem: semMem}, stats
+	return &Base{snap: m.Freeze(), semMem: semMem, memo: memo}, stats
 }
 
 // Snapshot returns the base's frozen BDD snapshot (safe for concurrent

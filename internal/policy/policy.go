@@ -8,9 +8,11 @@
 package policy
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 
 	"scout/internal/object"
 	"scout/internal/rule"
@@ -97,14 +99,22 @@ func MakeEPGPair(a, b object.ID) EPGPair {
 }
 
 // String renders the pair as "a-b".
-func (p EPGPair) String() string { return fmt.Sprintf("%d-%d", p.A, p.B) }
+func (p EPGPair) String() string { return string(p.AppendTo(make([]byte, 0, 16))) }
+
+// AppendTo appends the pair's String form to b. Risk-model builds label
+// thousands of elements with it, which is why it does not go through fmt.
+func (p EPGPair) AppendTo(b []byte) []byte {
+	b = strconv.AppendUint(b, uint64(p.A), 10)
+	b = append(b, '-')
+	return strconv.AppendUint(b, uint64(p.B), 10)
+}
 
 // Less orders pairs lexicographically.
-func (p EPGPair) Less(q EPGPair) bool {
-	if p.A != q.A {
-		return p.A < q.A
-	}
-	return p.B < q.B
+func (p EPGPair) Less(q EPGPair) bool { return p.Compare(q) < 0 }
+
+// Compare is the three-way form of Less.
+func (p EPGPair) Compare(q EPGPair) int {
+	return cmp.Or(cmp.Compare(p.A, q.A), cmp.Compare(p.B, q.B))
 }
 
 // Policy is a complete tenant network policy: the desired state maintained

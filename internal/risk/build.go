@@ -5,7 +5,6 @@ package risk
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -19,26 +18,15 @@ import (
 // (paper Figure 4(a)): elements are the EPG pairs deployed on the switch,
 // risks are the policy objects each pair's rules depend on.
 func BuildSwitchModel(d *compile.Deployment, sw object.ID) *Model {
-	m := NewModel(fmt.Sprintf("switch-%d", sw))
-	// Insert elements in sorted pair order, not PairRules map order:
-	// element IDs are dense insertion indices, so map-order iteration
-	// would make IDs (and every downstream localization tie-break) vary
-	// run to run. Only this switch's pairs are collected and sorted —
-	// the full-fabric footprint would make per-switch builds quadratic.
-	pairs := make([]compile.SwitchPair, 0, 64)
-	for sp := range d.PairRules {
-		if sp.Switch == sw {
-			pairs = append(pairs, sp)
-		}
-	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].Less(pairs[j]) })
-	for _, sp := range pairs {
-		el := m.EnsureElement(sp.Pair.String())
-		for _, k := range d.PairRules[sp] {
-			for _, ref := range d.Provenance[k] {
-				m.AddEdge(el, ref)
-			}
-		}
+	// Elements go in in sorted pair order: element IDs are dense insertion
+	// indices, and every downstream localization tie-break follows them.
+	// The deployment's footprint has this switch's pairs as one sorted run
+	// with each pair's risks already gathered, so the build reads its own
+	// pairs and nothing else.
+	fp := d.OnSwitch(sw)
+	m := newModelSized(fmt.Sprintf("switch-%d", sw), len(fp.Pairs))
+	for i, sp := range fp.Pairs {
+		m.addElement(sp.Pair.String(), fp.Risks[i])
 	}
 	return m
 }
@@ -78,14 +66,15 @@ func BuildControllerModel(d *compile.Deployment, opts ControllerModelOptions) *M
 // build's exact insertion sequence: element IDs, risk IDs, and adjacency
 // orders come out identical to the serial build, keeping every downstream
 // localization result byte-identical at any worker count. The merge is a
-// cheap remap-and-append pass; the map-heavy per-pair work (rule-key and
-// provenance lookups, edge dedup) runs in the shards. workers <= 1
-// selects the serial build.
+// cheap remap-and-append pass; the map work (labels, risk lookups) runs in
+// the shards, over the risk lists the deployment's footprint already holds
+// per pair. workers <= 1 selects the serial build.
 func BuildControllerModelParallel(d *compile.Deployment, opts ControllerModelOptions, workers int) *Model {
-	sps := d.SwitchPairs() // sorted: ascending switch, then pair
-	m := NewModel("controller")
+	fp := d.Footprint() // sorted: ascending switch, then pair
+	sps := fp.Pairs
+	m := newModelSized("controller", len(sps))
 	if workers <= 1 || len(sps) == 0 {
-		buildControllerRange(m, d, sps, opts)
+		buildControllerRange(m, fp, opts)
 		return m
 	}
 
@@ -103,7 +92,7 @@ func BuildControllerModelParallel(d *compile.Deployment, opts ControllerModelOpt
 		workers = len(shards)
 	}
 	if workers <= 1 {
-		buildControllerRange(m, d, sps, opts)
+		buildControllerRange(m, fp, opts)
 		return m
 	}
 
@@ -121,8 +110,9 @@ func BuildControllerModelParallel(d *compile.Deployment, opts ControllerModelOpt
 				if i >= len(shards) {
 					return
 				}
-				sm := NewModel("shard")
-				buildControllerRange(sm, d, sps[shards[i].lo:shards[i].hi], opts)
+				lo, hi := shards[i].lo, shards[i].hi
+				sm := newModelSized("shard", hi-lo)
+				buildControllerRange(sm, compile.Footprint{Pairs: sps[lo:hi], Risks: fp.Risks[lo:hi]}, opts)
 				models[i] = sm
 			}
 		}()
@@ -137,14 +127,9 @@ func BuildControllerModelParallel(d *compile.Deployment, opts ControllerModelOpt
 
 // buildControllerRange builds the controller-model slice for a contiguous
 // run of the sorted (switch, pair) footprint into m.
-func buildControllerRange(m *Model, d *compile.Deployment, sps []compile.SwitchPair, opts ControllerModelOptions) {
-	for _, sp := range sps {
-		el := m.EnsureElement(sp.String())
-		for _, k := range d.PairRules[sp] {
-			for _, ref := range d.Provenance[k] {
-				m.AddEdge(el, ref)
-			}
-		}
+func buildControllerRange(m *Model, fp compile.Footprint, opts ControllerModelOptions) {
+	for i, sp := range fp.Pairs {
+		el := m.addElement(sp.String(), fp.Risks[i])
 		if opts.IncludeSwitchRisk {
 			m.AddEdge(el, object.Switch(sp.Switch))
 		}

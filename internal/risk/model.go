@@ -111,6 +111,16 @@ func NewModel(name string) *Model {
 	}
 }
 
+// newModelSized is NewModel with room for the given number of elements.
+func newModelSized(name string, elements int) *Model {
+	m := NewModel(name)
+	if elements > 0 {
+		m.elements = make([]elementData, 0, elements)
+		m.byLabel = make(map[string]ElementID, elements)
+	}
+	return m
+}
+
 // Name returns the model's diagnostic name.
 func (m *Model) Name() string { return m.name }
 
@@ -182,6 +192,27 @@ func (m *Model) AddEdge(el ElementID, ref object.Ref) {
 	m.risks[r].elements = append(m.risks[r].elements, el)
 	m.edges++
 	m.rev++
+}
+
+// addElement is EnsureElement and one AddEdge per ref, for a label the
+// model does not hold and refs that do not repeat: nothing is searched
+// for, and the adjacency is allocated once at its final size.
+func (m *Model) addElement(label string, refs []object.Ref) ElementID {
+	el := ElementID(len(m.elements))
+	var risks []RiskID
+	if len(refs) > 0 {
+		risks = make([]RiskID, len(refs), len(refs)+1) // and a switch risk
+	}
+	for i, ref := range refs {
+		r := m.EnsureRisk(ref)
+		risks[i] = r
+		m.risks[r].elements = append(m.risks[r].elements, el)
+	}
+	m.elements = append(m.elements, elementData{label: label, risks: risks})
+	m.byLabel[label] = el
+	m.edges += len(refs)
+	m.rev += 1 + uint64(len(refs))
+	return el
 }
 
 // MarkFailed flags the edge between el and ref as fail, creating the edge

@@ -59,7 +59,7 @@ func testBase(t testing.TB, seed int64) (*equiv.Base, [][]rule.Rule) {
 	rng := rand.New(rand.NewSource(seed))
 	listA := testRules(rng, 40)
 	listB := testRules(rng, 25)
-	base, _ := equiv.NewBaseWith(nil, listA, listB)
+	base, _ := equiv.NewBaseWith(nil, nil, listA, listB)
 	if base.Size() <= 2 || base.NumSemantics() != 2 {
 		t.Fatalf("unexpected test base: %d nodes, %d semantics", base.Size(), base.NumSemantics())
 	}
@@ -177,7 +177,7 @@ func TestBaseCodecRoundTrip(t *testing.T) {
 func TestBaseCodecRejectsDamage(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	list := testRules(rng, 6)
-	base, _ := equiv.NewBaseWith(nil, list)
+	base, _ := equiv.NewBaseWith(nil, nil, list)
 	const depFP = 0x0123456789abcdef
 	data := encodeBase(depFP, base)
 
@@ -403,7 +403,7 @@ func TestRegistrySharing(t *testing.T) {
 	list := testRules(rng, 30)
 	reg := NewBaseRegistry()
 
-	donor, stats := equiv.NewBaseWith(reg, list)
+	donor, stats := equiv.NewBaseWith(reg, nil, list)
 	if stats.SemGrafts != 0 || stats.SemFolds != 1 {
 		t.Fatalf("donor build: %+v", stats)
 	}
@@ -412,7 +412,7 @@ func TestRegistrySharing(t *testing.T) {
 		t.Fatalf("after donor: %+v", st)
 	}
 
-	grafted, stats := equiv.NewBaseWith(reg, list)
+	grafted, stats := equiv.NewBaseWith(reg, nil, list)
 	if stats.SemGrafts != 1 || stats.SemFolds != 0 {
 		t.Fatalf("grafted build: %+v", stats)
 	}
@@ -442,7 +442,7 @@ func TestRegistryCollisionFallsThrough(t *testing.T) {
 		t.Fatal("test lists should differ")
 	}
 	reg := NewBaseRegistry()
-	donor, _ := equiv.NewBaseWith(nil, listA)
+	donor, _ := equiv.NewBaseWith(nil, nil, listA)
 	var donorRoot bdd.Node
 	donor.ForEachSemantics(func(_ uint64, _ []rule.Rule, root bdd.Node) { donorRoot = root })
 
@@ -455,7 +455,7 @@ func TestRegistryCollisionFallsThrough(t *testing.T) {
 	if _, _, ok := reg.ResolveSemantics(fpB, listB); ok {
 		t.Fatal("collision resolved as a hit")
 	}
-	_, stats := equiv.NewBaseWith(reg, listB)
+	_, stats := equiv.NewBaseWith(reg, nil, listB)
 	if stats.SemGrafts != 0 || stats.SemFolds != 1 {
 		t.Fatalf("collision build grafted: %+v", stats)
 	}
@@ -481,7 +481,7 @@ func FuzzDecodeBase(f *testing.F) {
 	flipped[len(flipped)/2] ^= 0x10
 	f.Add(flipped)
 	f.Add(v1BaseImage(depFP, base))
-	small, _ := equiv.NewBaseWith(nil, []rule.Rule{{Match: rule.Match{VRF: 1, SrcEPG: 2, DstEPG: 3, PortLo: 80, PortHi: 80}, Action: rule.Allow}})
+	small, _ := equiv.NewBaseWith(nil, nil, []rule.Rule{{Match: rule.Match{VRF: 1, SrcEPG: 2, DstEPG: 3, PortLo: 80, PortHi: 80}, Action: rule.Allow}})
 	f.Add(encodeBase(1, small))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -413,7 +413,10 @@ const baseSemanticsTopK = 1024
 //
 // The semantics roots build serially inside NewBaseWith (one manager, not
 // shareable mid-build). Each list compiles straight to its ROBDD — only
-// result nodes are interned — and they are all the base holds.
+// result nodes are interned — and they are all the base holds. The lists
+// share most of their proto/port tails and many of their tries, which the
+// build's memo emits once (equiv's compile.go); the fingerprints ranked
+// here are handed on so NewBaseWith does not hash the lists again.
 func (a *Analyzer) buildSharedBase(d *Deployment) (*equiv.Base, equiv.BaseBuildStats) {
 	switches := make([]object.ID, 0, len(d.BySwitch))
 	for sw := range d.BySwitch {
@@ -454,8 +457,10 @@ func (a *Analyzer) buildSharedBase(d *Deployment) (*equiv.Base, equiv.BaseBuildS
 		groups = groups[:baseSemanticsTopK]
 	}
 	lists := make([][]rule.Rule, len(groups))
+	fps := make([]uint64, len(groups))
 	for i, g := range groups {
 		lists[i] = d.BySwitch[switches[g.rep]]
+		fps[i] = g.fp
 	}
 	// A shared BaseRegistry lets this build graft whole-switch semantics
 	// BDDs another deployment's base already froze (collision-verified
@@ -466,7 +471,7 @@ func (a *Analyzer) buildSharedBase(d *Deployment) (*equiv.Base, equiv.BaseBuildS
 	if a.opts.BaseRegistry != nil {
 		src = a.opts.BaseRegistry
 	}
-	base, bstats := equiv.NewBaseWith(src, lists...)
+	base, bstats := equiv.NewBaseWith(src, fps, lists...)
 	if a.opts.BaseRegistry != nil {
 		a.opts.BaseRegistry.RegisterBase(base)
 	}
@@ -474,9 +479,10 @@ func (a *Analyzer) buildSharedBase(d *Deployment) (*equiv.Base, equiv.BaseBuildS
 }
 
 // stateFingerprints hashes every switch's logical and TCAM rule lists
-// over the worker pool — the dedup grouping key. Hashing is O(rules),
-// trivial next to a BDD check; the session path skips this and reuses
-// the fingerprints it already maintains per switch.
+// over the worker pool — the dedup grouping key. Hashing is O(rules), and
+// so is all a dirty check of a warmed switch still costs, which is why it
+// is spread over the workers like the checks; the session path hashes
+// only what its cache cannot vouch for.
 func (a *Analyzer) stateFingerprints(st State, switches []object.ID) (logFPs, tcamFPs []uint64) {
 	logFPs = make([]uint64, len(switches))
 	tcamFPs = make([]uint64, len(switches))

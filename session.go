@@ -617,12 +617,13 @@ func (s *Session) analyzeLocked(st State, cleanTCAM map[object.ID]bool) (*Report
 	ctrlModel := joinModel()
 	foldBefore := s.foldTotalsLocked()
 
-	// Partition the switches into replays and re-checks.
+	// Fingerprints first: a logical list's from the cache or the base
+	// check, a TCAM list's from the cache when the hint vouches for it and
+	// otherwise hashed, over the worker pool like the checks.
 	checkReps := make([]*equiv.Report, len(switches))
 	logFPs := make([]uint64, len(switches))
 	tcamFPs := make([]uint64, len(switches))
-	var dirty []object.ID
-	var dirtyIdx []int
+	var unhashed []int
 	for i, sw := range switches {
 		ent := s.cache[sw]
 		if ent != nil && ent.dep == st.Deployment {
@@ -635,8 +636,21 @@ func (s *Session) analyzeLocked(st State, cleanTCAM map[object.ID]bool) (*Report
 		if ent != nil && cleanTCAM != nil && cleanTCAM[sw] {
 			tcamFPs[i] = ent.tcamFP
 		} else {
-			tcamFPs[i] = equiv.Fingerprint(st.TCAM[sw])
+			unhashed = append(unhashed, i)
 		}
+	}
+	if len(unhashed) > 0 { // a clean epoch's replay allocates nothing here
+		s.a.forEach(len(unhashed), func(k int) {
+			i := unhashed[k]
+			tcamFPs[i] = equiv.Fingerprint(st.TCAM[switches[i]])
+		})
+	}
+
+	// Partition the switches into replays and re-checks.
+	var dirty []object.ID
+	var dirtyIdx []int
+	for i, sw := range switches {
+		ent := s.cache[sw]
 		if ent == nil || logFPs[i] != ent.logicalFP || tcamFPs[i] != ent.tcamFP {
 			dirty = append(dirty, sw)
 			dirtyIdx = append(dirtyIdx, i)
