@@ -268,9 +268,10 @@ var (
 	BuildSwitchRiskModel = risk.BuildSwitchModel
 	// BuildControllerRiskModel builds the fabric-wide risk model.
 	BuildControllerRiskModel = risk.BuildControllerModel
-	// BuildControllerRiskModelParallel builds the fabric-wide risk model
-	// sharded by switch over a worker pool, with a deterministic
-	// ascending-switch-ID merge (identical output at any worker count).
+	// BuildControllerRiskModelParallel is BuildControllerRiskModel with a
+	// worker count it ignores.
+	//
+	// Deprecated: the sharded build is gone; call BuildControllerRiskModel.
 	BuildControllerRiskModelParallel = risk.BuildControllerModelParallel
 	// NewRiskOverlay stacks a fresh copy-on-write failure overlay on a
 	// pristine risk model (which must not be mutated afterwards).

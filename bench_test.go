@@ -638,24 +638,6 @@ func BenchmarkWarmSetupOverlay(b *testing.B) {
 	}
 }
 
-// BenchmarkControllerModelBuildWorkers measures the sharded
-// controller-model build at varying worker counts (the speedup is bounded
-// by GOMAXPROCS; at one core the sharded runs only pay the merge pass).
-func BenchmarkControllerModelBuildWorkers(b *testing.B) {
-	env := benchEnv(b)
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				m := risk.BuildControllerModelParallel(env.Deployment,
-					risk.ControllerModelOptions{IncludeSwitchRisk: true}, workers)
-				if m.NumElements() == 0 {
-					b.Fatal("empty model")
-				}
-			}
-		})
-	}
-}
-
 // warmBenchFabric builds the standard benchmark fabric with a small
 // fault so warm-state benchmarks exercise non-trivial verdicts.
 func warmBenchFabric(b *testing.B) *scout.Fabric {

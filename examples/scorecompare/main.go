@@ -73,8 +73,7 @@ func run() error {
 		return err
 	}
 	d := f.Deployment()
-	pristine := scout.BuildControllerRiskModelParallel(d,
-		scout.ControllerModelOptions{IncludeSwitchRisk: true}, *workers)
+	pristine := scout.BuildControllerRiskModel(d, scout.ControllerModelOptions{IncludeSwitchRisk: true})
 	model := scout.NewRiskOverlay(pristine)
 	for _, sr := range report.Switches {
 		if !sr.Equivalent {

@@ -92,8 +92,9 @@ func TestDifferentialFigure5(t *testing.T) {
 
 // TestDifferentialOverlays pins engine identity on overlay-backed views:
 // workload fault scenarios applied to copy-on-write overlays over one
-// pristine controller model, with the model itself built at workers 1, 2,
-// and NumCPU (the sharded builds must feed identical plans).
+// pristine controller model, with the model itself built three times over
+// (through the shim that once took a worker count; separate builds must
+// feed identical plans).
 func TestDifferentialOverlays(t *testing.T) {
 	d, idx := interchangeEnv(t)
 	candidates := idx.Objects()

@@ -5,8 +5,6 @@ package risk
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"scout/internal/compile"
 	"scout/internal/object"
@@ -31,12 +29,12 @@ func BuildSwitchModel(d *compile.Deployment, sw object.ID) *Model {
 	return m
 }
 
-// BuildAnnotatedSwitchModel builds the switch risk model for sw and
-// augments it with the switch's missing rules in one step — the per-switch
-// unit of the analyzer's fold stage. It only reads the deployment (the
-// model under construction is unshared), so calls for distinct switches
-// are safe to run concurrently against the same deployment, which is what
-// lets the fold stage fan out alongside the equivalence checks.
+// BuildAnnotatedSwitchModel builds the switch risk model for sw and marks
+// it in place with the switch's missing rules.
+//
+// Deprecated: the analyzer builds each switch model once per deployment
+// (BuildSwitchModel) and annotates a fresh Overlay per analysis. It stays
+// until bench/ stops calling it (ROADMAP item 1, shims).
 func BuildAnnotatedSwitchModel(d *compile.Deployment, sw object.ID, missing []rule.Rule) *Model {
 	m := BuildSwitchModel(d, sw)
 	AugmentSwitchModel(m, missing, d.Provenance)
@@ -54,114 +52,29 @@ type ControllerModelOptions struct {
 // BuildControllerModel constructs the controller risk model (paper Figure
 // 4(b)): elements are (switch, EPG pair) triplets across the whole fabric;
 // risks are the policy objects each pair relies on in that switch, plus
-// optionally the switch itself.
+// optionally the switch itself. Elements go in in the footprint's sorted
+// order — ascending switch, then pair — reading the risk list the
+// deployment's footprint already holds per pair.
 func BuildControllerModel(d *compile.Deployment, opts ControllerModelOptions) *Model {
-	return BuildControllerModelParallel(d, opts, 1)
-}
-
-// BuildControllerModelParallel is BuildControllerModel with the build
-// sharded by switch over a pool of workers goroutines. Element labels
-// embed the switch, so every shard owns a disjoint element range, and the
-// shards are merged in ascending switch-ID order replaying the serial
-// build's exact insertion sequence: element IDs, risk IDs, and adjacency
-// orders come out identical to the serial build, keeping every downstream
-// localization result byte-identical at any worker count. The merge is a
-// cheap remap-and-append pass; the map work (labels, risk lookups) runs in
-// the shards, over the risk lists the deployment's footprint already holds
-// per pair. workers <= 1 selects the serial build.
-func BuildControllerModelParallel(d *compile.Deployment, opts ControllerModelOptions, workers int) *Model {
-	fp := d.Footprint() // sorted: ascending switch, then pair
-	sps := fp.Pairs
-	m := newModelSized("controller", len(sps))
-	if workers <= 1 || len(sps) == 0 {
-		buildControllerRange(m, fp, opts)
-		return m
-	}
-
-	// Slice the sorted footprint into per-switch shards.
-	type shard struct{ lo, hi int }
-	var shards []shard
-	lo := 0
-	for i := 1; i <= len(sps); i++ {
-		if i == len(sps) || sps[i].Switch != sps[lo].Switch {
-			shards = append(shards, shard{lo, i})
-			lo = i
-		}
-	}
-	if workers > len(shards) {
-		workers = len(shards)
-	}
-	if workers <= 1 {
-		buildControllerRange(m, fp, opts)
-		return m
-	}
-
-	models := make([]*Model, len(shards))
-	var (
-		wg   sync.WaitGroup
-		next atomic.Int64
-	)
-	for k := 0; k < workers; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(shards) {
-					return
-				}
-				lo, hi := shards[i].lo, shards[i].hi
-				sm := newModelSized("shard", hi-lo)
-				buildControllerRange(sm, compile.Footprint{Pairs: sps[lo:hi], Risks: fp.Risks[lo:hi]}, opts)
-				models[i] = sm
-			}
-		}()
-	}
-	wg.Wait()
-
-	for _, sm := range models {
-		mergeShard(m, sm)
-	}
-	return m
-}
-
-// buildControllerRange builds the controller-model slice for a contiguous
-// run of the sorted (switch, pair) footprint into m.
-func buildControllerRange(m *Model, fp compile.Footprint, opts ControllerModelOptions) {
+	fp := d.Footprint()
+	m := newModelSized("controller", len(fp.Pairs))
 	for i, sp := range fp.Pairs {
 		el := m.addElement(sp.String(), fp.Risks[i])
 		if opts.IncludeSwitchRisk {
 			m.AddEdge(el, object.Switch(sp.Switch))
 		}
 	}
+	return m
 }
 
-// mergeShard appends a shard model built from a disjoint element range
-// onto m, remapping the shard's risk IDs. Shard risk IDs are first-
-// encounter order within the shard's pair range, so registering them in
-// ID order reproduces the serial build's global first-encounter order.
-func mergeShard(m *Model, sm *Model) {
-	remap := make([]RiskID, len(sm.risks))
-	for i := range sm.risks {
-		remap[i] = m.EnsureRisk(sm.risks[i].ref)
-	}
-	for i := range sm.elements {
-		se := &sm.elements[i]
-		el := ElementID(len(m.elements))
-		risks := make([]RiskID, len(se.risks))
-		for j, r := range se.risks {
-			risks[j] = remap[r]
-		}
-		m.elements = append(m.elements, elementData{label: se.label, risks: risks})
-		m.byLabel[se.label] = el
-		for _, r := range risks {
-			m.risks[r].elements = append(m.risks[r].elements, el)
-		}
-		m.edges += len(risks)
-		// Keep the mutation revision identical to the serial build's: one
-		// bump per element and per edge, as EnsureElement/AddEdge would do.
-		m.rev += 1 + uint64(len(risks))
-	}
+// BuildControllerModelParallel is BuildControllerModel; workers is ignored.
+//
+// Deprecated: the build sharded by switch stopped paying once the
+// footprint carried per-pair risk lists — its merge pass cost what the
+// serial build does. It stays until bench/ stops calling it (ROADMAP item
+// 1, shims).
+func BuildControllerModelParallel(d *compile.Deployment, opts ControllerModelOptions, workers int) *Model {
+	return BuildControllerModel(d, opts)
 }
 
 // AugmentSwitchModel marks failures in a switch risk model from the

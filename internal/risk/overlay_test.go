@@ -191,24 +191,6 @@ func TestOverlayStacks(t *testing.T) {
 	}
 }
 
-// TestBuildControllerModelParallelIdentity is the sharded-build identity
-// regression: the merged shard build must be deeply identical — element
-// IDs, risk IDs, adjacency and dependent orders, indexes — to the serial
-// build at every worker count.
-func TestBuildControllerModelParallelIdentity(t *testing.T) {
-	d := threeTier(t)
-	for _, opts := range []ControllerModelOptions{{}, {IncludeSwitchRisk: true}} {
-		serial := BuildControllerModel(d, opts)
-		for _, workers := range []int{2, 3, 8, 64} {
-			par := BuildControllerModelParallel(d, opts, workers)
-			if !reflect.DeepEqual(serial, par) {
-				t.Errorf("workers=%d IncludeSwitchRisk=%v: sharded build differs from serial\nserial: %s\nparallel: %s",
-					workers, opts.IncludeSwitchRisk, serial, par)
-			}
-		}
-	}
-}
-
 // TestAugmentControllerModelPatch checks patch-based augmentation against
 // the direct path: computing patches read-only and replaying them must
 // mark exactly what interleaved augmentation marks.

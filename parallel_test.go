@@ -74,10 +74,9 @@ func reportJSON(t testing.TB, f *scout.Fabric, opts scout.AnalyzerOptions) []byt
 // TestParallelAnalyzeDeterministic is the regression test for the
 // worker-pool pipeline: any worker count must produce a report
 // byte-identical to the serial pipeline. At Workers>1 this covers every
-// sharded stage — the per-switch check fan-out, the sharded
-// controller-model build (merged in ascending switch-ID order), and the
-// patch-based parallel controller augmentation — against the fully
-// serial Workers=1 run.
+// fanned-out stage — the per-switch check, the per-switch overlay
+// annotation and localization, and the patch-based parallel controller
+// augmentation — against the fully serial Workers=1 run.
 func TestParallelAnalyzeDeterministic(t *testing.T) {
 	f := faultyFabric(t, 7)
 	serial := reportJSON(t, f, scout.AnalyzerOptions{Workers: 1})

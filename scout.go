@@ -74,8 +74,11 @@ type AnalyzerOptions struct {
 	// such switch made session memory unbounded. Reports over the cap are
 	// still returned but not cached — the switch falls back to a re-check
 	// on the next run instead of a replay (counted in
-	// SessionStats.OverCap). 0 selects the default (4096); negative
-	// disables the bound. One-shot Analyzers ignore it.
+	// SessionStats.OverCap) — and nothing else in the session refers to
+	// them: the verdict cache is the only per-switch state that holds rule
+	// lists, since risk models stay pristine and failure marks die with
+	// each run's overlays. 0 selects the default (4096); negative disables
+	// the bound. One-shot Analyzers ignore it.
 	SessionMissingRuleCap int
 
 	// Workers bounds the number of concurrent per-switch equivalence
@@ -130,26 +133,6 @@ type Analyzer struct {
 	prober    *probe.Prober
 	proberDep *Deployment
 	proberFP  uint64
-
-	// swModels, when non-nil (session-owned analyzers only), caches the
-	// annotated per-switch risk models built for inequivalent switches,
-	// keyed by switch and validated by (deployment, report) identity: a
-	// session replaying a cached check report hands assemble the same
-	// report pointer under the same deployment, which pins the model —
-	// and therefore its compiled localization plan — as identical. Warm
-	// runs then localize every still-broken switch with zero plan
-	// compiles. Localization never mutates its view, so the cached model
-	// is safe to share across runs and across the assemble fan-out.
-	swModelMu sync.Mutex
-	swModels  map[object.ID]*switchModelEntry
-}
-
-// switchModelEntry is one cached annotated switch model and the identity
-// of the inputs it was built from.
-type switchModelEntry struct {
-	dep    *Deployment
-	report *equiv.Report
-	model  *risk.Model
 }
 
 // NewAnalyzer creates an analyzer. The zero AnalyzerOptions give the
@@ -191,11 +174,11 @@ type Report struct {
 	// Controller is the SCOUT result on the controller risk model.
 	Controller *localize.Result
 	// ControllerView is the annotated controller risk view the global
-	// localization ran on: a freshly built model for one-shot analyses, a
-	// copy-on-write overlay over the cached pristine core for warm
-	// session runs. It is a live structure (not a serializable result),
-	// so it is excluded from the JSON form; its String() reports
-	// overlay-aware element/edge/failure counts.
+	// localization ran on: a copy-on-write overlay holding this run's
+	// failure marks over the deployment's pristine controller model, in
+	// one-shot and session runs alike. It is a live structure (not a
+	// serializable result), so it is excluded from the JSON form; its
+	// String() reports overlay-aware element/edge/failure counts.
 	ControllerView risk.View `json:"-"`
 	// EncodeStats summarizes the check stage's BDD encoding work: the
 	// shared frozen base's size, every worker checker's private delta,
@@ -266,15 +249,17 @@ func (a *Analyzer) Analyze(f *fabric.Fabric) (*Report, error) {
 func (a *Analyzer) analyzeWithProbes(f *fabric.Fabric) (*Report, error) {
 	start := time.Now()
 	d := f.Deployment()
+	joinModels := a.startRiskModels(d)
 	prober := a.proberFor(d)
 	switches := sortSwitches(f.Topology().Switches())
 	reports, err := a.checkAll(switches, noChecker, func(_ *equiv.Checker, sw object.ID) (*equiv.Report, error) {
 		return a.checkSwitch(f, d, prober, sw)
 	})
+	models := joinModels() // joined on every path, a failed probe's included
 	if err != nil {
 		return nil, err
 	}
-	rep := a.assemble(a.controllerModel(d), d, f.ChangeLog(), f.FaultLog(), f.Now(), switches, reports)
+	rep := a.assemble(models, f.ChangeLog(), f.FaultLog(), f.Now(), switches, reports)
 	rep.Elapsed = time.Since(start)
 	return rep, nil
 }
@@ -290,7 +275,7 @@ func (a *Analyzer) AnalyzeState(st State) (*Report, error) {
 	switches := st.sortedSwitches()
 	// The controller model depends on the deployment alone, and the base
 	// builds serially in one manager: build the two side by side.
-	ctrlModel := a.startControllerModel(st.Deployment)
+	joinModels := a.startRiskModels(st.Deployment)
 	base, _ := a.buildSharedBase(st.Deployment)
 	// Worker k forks the base into slot k (checkAll hands each worker a
 	// distinct index, so the slice needs no locking); the forks are kept
@@ -302,11 +287,11 @@ func (a *Analyzer) AnalyzeState(st State) (*Report, error) {
 	}
 	logFPs, tcamFPs := a.stateFingerprints(st, switches)
 	reports, plan, err := a.checkDeduped(st, switches, logFPs, tcamFPs, fork)
-	ctrl := ctrlModel() // joined on every path, a failed check's included
+	models := joinModels() // joined on every path, a failed check's included
 	if err != nil {
 		return nil, err
 	}
-	rep := a.assemble(ctrl, st.Deployment, st.Changes, st.Faults, st.Now, switches, reports)
+	rep := a.assemble(models, st.Changes, st.Faults, st.Now, switches, reports)
 	rep.EncodeStats = equiv.AggregateEncodeStats(base, checkers)
 	plan.record(rep.EncodeStats)
 	rep.Elapsed = time.Since(start)
@@ -315,7 +300,7 @@ func (a *Analyzer) AnalyzeState(st State) (*Report, error) {
 
 // proberFor returns the cached prober for the deployment, rebuilding it
 // when the deployment changed (pointer identity short-circuits the
-// hashing, like the session's base key).
+// hashing, as in Session.resolveLocked).
 func (a *Analyzer) proberFor(d *Deployment) *probe.Prober {
 	a.proberMu.Lock()
 	defer a.proberMu.Unlock()
@@ -702,29 +687,43 @@ func sortSwitches(switches []object.ID) []object.ID {
 	return out
 }
 
-// controllerModel builds the fabric-wide controller risk model for the
-// deployment per the analyzer's options, sharding the build by switch
-// over the worker pool. The sharded build merges in ascending switch-ID
-// order, so the result is identical at any worker count and a Session may
-// cache it per deployment as the immutable pristine core that overlays
-// stack on.
-func (a *Analyzer) controllerModel(d *Deployment) *risk.Model {
+// riskModels are one deployment's pristine risk models: the controller
+// model, and each switch's model built the first time that switch fails.
+// A risk model is a function of the compiled policy alone (paper Figure
+// 4) — only its fail marks come from the L-T check — so the models are
+// never marked: every analysis annotates the controller and each
+// inequivalent switch through a fresh risk.Overlay, and the localization
+// plan compiled from a pristine model serves every later analysis of the
+// deployment. A one-shot Analyzer builds them per run; a Session keeps
+// them for as long as it is handed the same *Deployment.
+type riskModels struct {
+	d    *Deployment
+	ctrl *risk.Model
+	sw   sync.Map // object.ID → *risk.Model; assemble's fan-out fills it
+}
+
+// switchModel returns sw's pristine risk model, building it on first use.
+func (m *riskModels) switchModel(sw object.ID) *risk.Model {
+	if sm, ok := m.sw.Load(sw); ok {
+		return sm.(*risk.Model)
+	}
+	sm, _ := m.sw.LoadOrStore(sw, risk.BuildSwitchModel(m.d, sw))
+	return sm.(*risk.Model)
+}
+
+// startRiskModels begins the deployment's controller-model build (per the
+// analyzer's options) on its own goroutine and returns the function that
+// waits for it; the caller calls it once, on every path.
+func (a *Analyzer) startRiskModels(d *Deployment) (join func() *riskModels) {
 	includeSwitch := true
 	if a.opts.IncludeSwitchRisk != nil {
 		includeSwitch = *a.opts.IncludeSwitchRisk
 	}
-	return risk.BuildControllerModelParallel(d,
-		risk.ControllerModelOptions{IncludeSwitchRisk: includeSwitch},
-		a.workers(len(d.BySwitch)))
-}
-
-// startControllerModel begins controllerModel(d) on its own goroutine and
-// returns the function that waits for the model; the caller calls it once,
-// on every path.
-func (a *Analyzer) startControllerModel(d *Deployment) (join func() *risk.Model) {
 	built := make(chan *risk.Model, 1)
-	go func() { built <- a.controllerModel(d) }()
-	return func() *risk.Model { return <-built }
+	go func() {
+		built <- risk.BuildControllerModel(d, risk.ControllerModelOptions{IncludeSwitchRisk: includeSwitch})
+	}()
+	return func() *riskModels { return &riskModels{d: d, ctrl: <-built} }
 }
 
 // oracle builds the change-log oracle anchored at now.
@@ -733,31 +732,32 @@ func (a *Analyzer) oracle(changes *ChangeLog, now time.Time) localize.ChangeLogO
 }
 
 // assemble runs the pipeline stages downstream of the check stage. The
-// per-switch residue — risk-model build plus localization for every
+// per-switch residue — overlay annotation plus localization for every
 // inequivalent switch, and the controller-model augmentation patch — fans
-// out over the worker pool (patches only read the still-pristine
-// controller view); then the serial fold walks the switches in ascending
-// ID order to count missing rules and replay the patches, and the global
+// out over the worker pool (patches only read the pristine controller
+// model); then the serial fold walks the switches in ascending ID order
+// to count missing rules and replay the patches, and the global
 // localization/correlation pass finishes the report. The only serial
 // stages left are order-dependent by construction: the O(failures) patch
 // replay and the single controller localize.Scout, which runs on the
 // compiled-plan engine (cached CSR/bitset plan plus O(marks) overlay
 // delta), so its cost is the greedy rounds themselves, not model-sized
 // setup. switches must be sorted ascending and aligned with checkReps.
-// ctrl is consumed (marked in place): the one-shot analyzer passes a
-// fresh model, a warm session a copy-on-write overlay over its cached
-// pristine core.
-func (a *Analyzer) assemble(ctrl risk.Marker, d *Deployment, changes *ChangeLog, faults *FaultLog,
+// models are the deployment's pristine risk models and stay pristine:
+// this run's failure marks live in overlays that die with its report.
+func (a *Analyzer) assemble(models *riskModels, changes *ChangeLog, faults *FaultLog,
 	now time.Time, switches []object.ID, checkReps []*equiv.Report) *Report {
 	oracle := a.oracle(changes, now)
 	lstatsBefore := localize.StatsSnapshot()
+	prov := models.d.Provenance
+	ctrl := risk.NewOverlay(models.ctrl)
 
 	srs := make([]SwitchReport, len(switches))
 	patches := make([]*risk.Patch, len(switches))
 	a.forEach(len(switches), func(i int) {
-		srs[i] = a.buildSwitchReport(d, oracle, switches[i], checkReps[i])
+		srs[i] = buildSwitchReport(models, oracle, switches[i], checkReps[i])
 		if !srs[i].Equivalent {
-			patches[i] = risk.AugmentControllerModelPatch(ctrl, switches[i], srs[i].MissingRules, d.Provenance)
+			patches[i] = risk.AugmentControllerModelPatch(models.ctrl, switches[i], srs[i].MissingRules, prov)
 		}
 	})
 
@@ -780,13 +780,11 @@ func (a *Analyzer) assemble(ctrl risk.Marker, d *Deployment, changes *ChangeLog,
 	return rep
 }
 
-// buildSwitchReport assembles one switch's report from its check result,
-// running the switch-model localization when the switch is inequivalent.
-// It only reads shared state, so reports for distinct switches build
-// concurrently — over one shared compiled plan per cached model, which is
-// safe: plans are immutable once compiled and the per-run state is
-// private.
-func (a *Analyzer) buildSwitchReport(d *Deployment, oracle localize.ChangeOracle, sw object.ID, checkRep *equiv.Report) SwitchReport {
+// buildSwitchReport assembles one switch's report from its check result.
+// An inequivalent switch is localized on a fresh overlay over its pristine
+// risk model, marked with the report's missing rules. It only reads shared
+// state, so reports for distinct switches build concurrently.
+func buildSwitchReport(models *riskModels, oracle localize.ChangeOracle, sw object.ID, checkRep *equiv.Report) SwitchReport {
 	sr := SwitchReport{
 		Switch:       sw,
 		Equivalent:   checkRep.Equivalent,
@@ -794,30 +792,11 @@ func (a *Analyzer) buildSwitchReport(d *Deployment, oracle localize.ChangeOracle
 		ExtraRules:   checkRep.ExtraRules,
 	}
 	if !checkRep.Equivalent {
-		sr.Result = localize.Scout(a.switchModel(d, sw, checkRep), oracle)
+		view := risk.NewOverlay(models.switchModel(sw))
+		risk.AugmentSwitchModel(view, checkRep.MissingRules, models.d.Provenance)
+		sr.Result = localize.Scout(view, oracle)
 	}
 	return sr
-}
-
-// switchModel returns the annotated risk model for one inequivalent
-// switch, served from the session's model cache when the same
-// (deployment, report) pair was localized before. One-shot analyzers
-// (nil cache) build fresh — their models cannot outlive the run anyway.
-func (a *Analyzer) switchModel(d *Deployment, sw object.ID, checkRep *equiv.Report) *risk.Model {
-	if a.swModels == nil {
-		return risk.BuildAnnotatedSwitchModel(d, sw, checkRep.MissingRules)
-	}
-	a.swModelMu.Lock()
-	ent := a.swModels[sw]
-	a.swModelMu.Unlock()
-	if ent != nil && ent.dep == d && ent.report == checkRep {
-		return ent.model
-	}
-	m := risk.BuildAnnotatedSwitchModel(d, sw, checkRep.MissingRules)
-	a.swModelMu.Lock()
-	a.swModels[sw] = &switchModelEntry{dep: d, report: checkRep, model: m}
-	a.swModelMu.Unlock()
-	return m
 }
 
 // checkSwitch produces the missing/extra-rule report for one switch of a
@@ -865,7 +844,7 @@ func (a *Analyzer) AnalyzeSwitch(f *fabric.Fabric, sw object.ID) (*SwitchReport,
 	if err != nil {
 		return nil, err
 	}
-	sr := a.buildSwitchReport(d, a.oracle(f.ChangeLog(), f.Now()), sw, checkRep)
+	sr := buildSwitchReport(&riskModels{d: d}, a.oracle(f.ChangeLog(), f.Now()), sw, checkRep)
 	return &sr, nil
 }
 

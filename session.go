@@ -12,7 +12,6 @@ import (
 	"scout/internal/localize"
 	"scout/internal/object"
 	"scout/internal/probe"
-	"scout/internal/risk"
 	"scout/internal/rule"
 	"scout/internal/store"
 )
@@ -36,13 +35,19 @@ const defaultSessionMissingRuleCap = 4096
 // Session is a persistent analysis engine over one fabric — the
 // continuous-verification mode of §III-C, where TCAM state is collected
 // periodically and re-checked after every change. Unlike the one-shot
-// Analyzer, a Session keeps per-switch check state between runs: the
-// fingerprints of each switch's logical and TCAM rules, the cached
-// equivalence report, and the worker checkers' memoized BDD encodings.
-// A re-analysis therefore re-checks only the switches whose rules
-// actually changed and replays cached reports for the rest, while
-// producing a report byte-identical to a cold full Analyze at any worker
-// count (the fold stages are unchanged and order-deterministic).
+// Analyzer, a Session keeps state between runs, in two lifetimes. What
+// follows from the compiled deployment alone — its fingerprints, the
+// frozen BDD base, the pristine risk models and their compiled
+// localization plans — is resolved once per deployment and reused until
+// the policy is recompiled. What follows from an observation — each
+// switch's newest verdict, keyed by the fingerprints of the exact logical
+// and TCAM rule lists it was computed from — is replayed while both
+// fingerprints hold. A re-analysis therefore re-checks only the switches
+// whose rules actually changed, builds no risk model and compiles no plan
+// for a deployment it has seen fail before, and still produces a report
+// byte-identical to a cold full Analyze at any worker count (the fold
+// stages are unchanged and order-deterministic, and failure marks only
+// ever go into per-run overlays).
 //
 // Use a Session when the same fabric is analyzed repeatedly (watch loops,
 // collectors feeding epochs); use Analyzer for one-off analyses. Rule
@@ -56,36 +61,23 @@ type Session struct {
 	a  *Analyzer
 	f  *fabric.Fabric
 
-	// base is the shared frozen encoding base every worker checker
-	// forks: the frozen whole-switch semantics roots of the deployment's
-	// most duplicated rule lists. It persists across runs keyed by the
-	// deployment fingerprint (baseFP) — TCAM drift never invalidates it,
-	// only a changed deployment (recompile) does — so warm runs reuse it
-	// across runs, not just within one. baseDeployment is a
-	// pointer-identity fast path past the hashing.
-	base           *equiv.Base
-	baseFP         uint64
-	baseDeployment *compile.Deployment
+	// dep is what the session knows about the deployment of its latest
+	// run; resolveLocked brings it in step once per run, and nothing else
+	// in the session compares deployments.
+	dep deploymentState
 
 	// checkers are the persistent per-worker BDD checkers (forks of
-	// base); entry k is owned by worker k of the current run only, so
+	// dep.base); entry k is owned by worker k of the current run only, so
 	// memoized semantics roots amortize across every run of the session.
 	checkers []*equiv.Checker
 
-	// cache holds the newest check outcome per switch.
+	// cache holds the newest verdict per switch, from whichever
+	// observation source the session was created with (UseProbes is fixed
+	// for a session's lifetime): a BDD check of collected TCAM rules or a
+	// probe round against the live TCAM. Either is a pure function of the
+	// switch's logical rules and TCAM content, so the same fingerprint
+	// pair keys a valid replay.
 	cache map[object.ID]*switchCheckState
-
-	// probeCache holds the newest probe-round outcome per switch
-	// (probe-mode sessions only). Entries reuse switchCheckState: the
-	// report is a pure function of the switch's logical rules and live
-	// TCAM content, so the same fingerprint pair keys a valid replay.
-	probeCache map[object.ID]*switchCheckState
-
-	// lastDeployment keys the pristine controller-model cache: compiled
-	// deployments are immutable, so pointer identity means the model (and
-	// every logical rule set) is unchanged.
-	lastDeployment *compile.Deployment
-	ctrlPristine   *risk.Model
 
 	// lastEpoch is the epoch of the immediately preceding successful
 	// AnalyzeEpoch run, nil after any other (or failed) run. It gates the
@@ -93,34 +85,45 @@ type Session struct {
 	// next epoch can skip even fingerprint hashing.
 	lastEpoch *collect.Epoch
 
-	// loadedVerdicts records which warm-store verdict files have already
-	// seeded this session's caches, so each (deployment fingerprint,
-	// mode) pair is read at most once per session — later runs of the
-	// same deployment trust the in-memory cache, which is a superset.
-	loadedVerdicts map[verdictLoadKey]struct{}
-
-	// probeStoreDep/probeStoreFP cache the deployment fingerprint probe
-	// rounds key their warm-store files by (probe mode has no shared base
-	// and therefore no baseFP to reuse); pointer identity skips the hash.
-	probeStoreDep *compile.Deployment
-	probeStoreFP  uint64
+	// loadedVerdicts records which deployment fingerprints' warm-store
+	// verdict files have already seeded the cache, so each is read at most
+	// once per session — later runs of the same deployment trust the
+	// in-memory cache, which is a superset.
+	loadedVerdicts map[uint64]struct{}
 
 	stats SessionStats
 }
 
-// verdictLoadKey identifies one warm-store verdict file: the deployment
-// fingerprint plus which per-switch cache (check vs probe) it feeds.
-type verdictLoadKey struct {
-	fp    uint64
-	probe bool
+// deploymentState is everything a session derives from one compiled
+// deployment and nothing it derives from an observation.
+type deploymentState struct {
+	// d is the deployment itself. Compiled deployments are immutable, so
+	// the same pointer on the next run means every field below holds.
+	d *compile.Deployment
+
+	// fp is the deployment fingerprint — the key of the base and of the
+	// warm store's files — and logFPs the per-switch logical fingerprints
+	// it was folded from, the L half of every cached verdict's key. Both
+	// survive a content-identical recompile at a new address.
+	fp     uint64
+	logFPs map[object.ID]uint64
+
+	// base is the shared frozen encoding base every worker checker forks:
+	// the whole-switch semantics roots of the deployment's most duplicated
+	// rule lists. TCAM drift never invalidates it; only a changed
+	// fingerprint does. Nil in probe mode, which builds no BDDs.
+	base *equiv.Base
+
+	// models are the deployment's pristine risk models. They are keyed on
+	// d's identity, not its content: an equal-content recompile rebuilds
+	// them rather than pin the superseded deployment, whose provenance
+	// they read.
+	models *riskModels
 }
 
-// switchCheckState is one switch's cached check outcome: the report and
-// the fingerprints of the exact rule lists it was computed from.
+// switchCheckState is one switch's cached verdict: the report and the
+// fingerprints of the exact rule lists it was computed from.
 type switchCheckState struct {
-	// dep is the deployment the logical fingerprint was computed under;
-	// pointer equality lets an unchanged deployment skip re-hashing.
-	dep       *compile.Deployment
 	logicalFP uint64
 	tcamFP    uint64
 	report    *equiv.Report
@@ -235,26 +238,20 @@ func (st *SessionStats) addLocalizeStats(d *localize.EngineStats) {
 }
 
 // NewSession creates a persistent analysis session over the fabric. The
-// options are the Analyzer's. With UseProbes the session runs the probe
-// observation source incrementally: each round fingerprints every
+// options are the Analyzer's; nothing is built until the first run
+// resolves the fabric's deployment. With UseProbes the session runs the
+// probe observation source incrementally: each round fingerprints every
 // switch's live TCAM, replays the cached probe verdict for switches
 // whose fingerprint is unchanged (zero Classify calls), and classifies
 // only the dirty ones' probe batches. Probe-mode sessions are driven by
 // Analyze only — the epoch/event/raw-state entry points consume
 // collected TCAM snapshots, which probe mode by definition does not use.
 func NewSession(f *fabric.Fabric, opts ...AnalyzerOptions) (*Session, error) {
-	a := NewAnalyzer(opts...)
-	// Sessions replay cached check reports across runs, so their analyzer
-	// also caches the annotated switch models those reports localize on —
-	// a warm run re-localizes every still-broken switch through the
-	// model's cached plan, compiling nothing.
-	a.swModels = make(map[object.ID]*switchModelEntry)
 	return &Session{
-		a:              a,
+		a:              NewAnalyzer(opts...),
 		f:              f,
 		cache:          make(map[object.ID]*switchCheckState),
-		probeCache:     make(map[object.ID]*switchCheckState),
-		loadedVerdicts: make(map[verdictLoadKey]struct{}),
+		loadedVerdicts: make(map[uint64]struct{}),
 	}, nil
 }
 
@@ -294,16 +291,16 @@ func (s *Session) errProbeSession(entry string) error {
 // work that the replay path skips entirely). The report is byte-identical
 // to a cold Analyzer probe run at any worker count: replayed reports are
 // pure functions of the switch's logical rules and TCAM content, and the
-// fold stages are unchanged.
+// fold stages are unchanged. Probe mode has no shared base, so its
+// durable state is verdicts only; a restarted probe session replays a
+// fingerprint-clean fabric with zero Classify calls.
 func (s *Session) analyzeProbesLocked(d *compile.Deployment) (*Report, error) {
 	start := time.Now()
-	ctrlModel := s.startControllerModelLocked(d)()
-	s.ensureProbeStoreLocked(d)
+	s.resolveLocked(d)
 	prober := s.a.proberFor(d)
 	before := prober.Stats()
 	switches := sortSwitches(s.f.Topology().Switches())
 
-	// Fingerprint pass: hash every switch's live TCAM rules in parallel.
 	tcamFPs := make([]uint64, len(switches))
 	collectErrs := make([]error, len(switches))
 	s.a.forEach(len(switches), func(i int) {
@@ -320,81 +317,20 @@ func (s *Session) analyzeProbesLocked(d *compile.Deployment) (*Report, error) {
 		}
 	}
 
-	// Partition into replays and probe rounds, mirroring the equivalence
-	// path's fingerprint partition.
-	checkReps := make([]*equiv.Report, len(switches))
-	logFPs := make([]uint64, len(switches))
-	var dirty []object.ID
-	var dirtyIdx []int
-	for i, sw := range switches {
-		ent := s.probeCache[sw]
-		if ent != nil && ent.dep == d {
-			logFPs[i] = ent.logicalFP
-		} else {
-			logFPs[i] = equiv.Fingerprint(d.RulesFor(sw))
-		}
-		if ent == nil || logFPs[i] != ent.logicalFP || tcamFPs[i] != ent.tcamFP {
-			dirty = append(dirty, sw)
-			dirtyIdx = append(dirtyIdx, i)
-			continue
-		}
-		ent.dep = d // refresh identity for the next run's shortcut
-		checkReps[i] = ent.report
-	}
-
-	if len(dirty) > 0 {
-		fresh, err := s.a.checkAll(dirty, noChecker, func(_ *equiv.Checker, sw object.ID) (*equiv.Report, error) {
-			return s.a.checkSwitch(s.f, d, prober, sw)
+	checkReps, classified, err := s.replayOrCheckLocked(switches, tcamFPs,
+		func(dirty []object.ID, _, _ []uint64) ([]*equiv.Report, error) {
+			return s.a.checkAll(dirty, noChecker, func(_ *equiv.Checker, sw object.ID) (*equiv.Report, error) {
+				return s.a.checkSwitch(s.f, d, prober, sw)
+			})
 		})
-		if err != nil {
-			return nil, err
-		}
-		capRules := s.missingRuleCap()
-		for j, i := range dirtyIdx {
-			checkReps[i] = fresh[j]
-			if capRules > 0 && len(fresh[j].MissingRules) > capRules {
-				delete(s.probeCache, switches[i])
-				s.stats.OverCap++
-				continue
-			}
-			s.probeCache[switches[i]] = &switchCheckState{
-				dep:       d,
-				logicalFP: logFPs[i],
-				tcamFP:    tcamFPs[i],
-				report:    fresh[j],
-			}
-		}
+	if err != nil {
+		return nil, err
 	}
-
-	rep := s.a.assemble(ctrlModel, d, s.f.ChangeLog(), s.f.FaultLog(), s.f.Now(), switches, checkReps)
-	rep.Elapsed = time.Since(start)
-	after := prober.Stats()
-	s.stats.Runs++
-	s.stats.addLocalizeStats(rep.LocalizeStats)
-	s.stats.ProbeSwitchesClassified += len(dirty)
-	s.stats.ProbeSwitchesReplayed += len(switches) - len(dirty)
-	s.stats.ProbePacketsBatched += after.BatchedPackets - before.BatchedPackets
-	if s.a.opts.WarmStore != nil && len(dirty) > 0 {
-		s.saveVerdictsLocked(s.probeStoreFP, true)
-	}
+	rep := s.reportLocked(start, s.f.ChangeLog(), s.f.FaultLog(), s.f.Now(), switches, checkReps, classified)
+	s.stats.ProbeSwitchesClassified += classified
+	s.stats.ProbeSwitchesReplayed += len(switches) - classified
+	s.stats.ProbePacketsBatched += prober.Stats().BatchedPackets - before.BatchedPackets
 	return rep, nil
-}
-
-// ensureProbeStoreLocked keeps the probe rounds' warm-store key — the
-// deployment fingerprint — in step with the deployment (pointer identity
-// skips the hash) and seeds the probe cache from persisted verdicts the
-// first time each fingerprint is seen. Probe mode has no shared base, so
-// durable state is verdicts only; a restarted probe session replays a
-// fingerprint-clean fabric with zero Classify calls.
-func (s *Session) ensureProbeStoreLocked(d *compile.Deployment) {
-	if s.a.opts.WarmStore == nil {
-		return
-	}
-	if d != s.probeStoreDep {
-		s.probeStoreFP = equiv.DeploymentFingerprint(d.BySwitch)
-		s.probeStoreDep = d
-	}
-	s.seedVerdictsLocked(s.probeStoreFP, true)
 }
 
 // AnalyzeEpoch analyzes one collector epoch against the fabric's current
@@ -468,12 +404,12 @@ func (s *Session) ApplyEvents(batch EventBatch) (*Report, error) {
 	var (
 		tcams     map[object.ID][]rule.Rule
 		cleanTCAM map[object.ID]bool
-		seq       int
+		seq, read int
 	)
-	if s.lastEpoch == nil {
+	prev := s.lastEpoch
+	if prev == nil {
 		tcams = s.f.CollectAll()
 	} else {
-		prev := s.lastEpoch
 		seq = prev.Seq
 		tcams = make(map[object.ID][]rule.Rule, len(prev.TCAM))
 		cleanTCAM = make(map[object.ID]bool, len(prev.TCAM))
@@ -482,16 +418,17 @@ func (s *Session) ApplyEvents(batch EventBatch) (*Report, error) {
 			cleanTCAM[sw] = true
 		}
 		for _, sw := range batch.Switches {
+			if _, known := tcams[sw]; known && !cleanTCAM[sw] {
+				continue // named twice in the batch: already re-read
+			}
 			rules, err := s.f.CollectTCAM(sw)
 			if err != nil {
 				return nil, fmt.Errorf("scout: event refresh: %w", err)
 			}
 			tcams[sw] = rules
 			delete(cleanTCAM, sw)
+			read++
 		}
-		s.stats.EventBatches++
-		s.stats.EventSwitchesRead += len(batch.Switches)
-		s.stats.EventSwitchesAliased += len(tcams) - len(batch.Switches)
 	}
 	now := s.f.Now()
 	rep, err := s.analyzeLocked(State{
@@ -503,6 +440,13 @@ func (s *Session) ApplyEvents(batch EventBatch) (*Report, error) {
 	}, cleanTCAM)
 	if err != nil {
 		return nil, err
+	}
+	if prev != nil {
+		// Counted from what the loop did, not from the batch's length: a
+		// batch may name a switch twice, or one the previous epoch lacked.
+		s.stats.EventBatches++
+		s.stats.EventSwitchesRead += read
+		s.stats.EventSwitchesAliased += len(cleanTCAM)
 	}
 	// The synthetic epoch anchors the next partial refresh (and any
 	// interleaved AnalyzeEpoch's diff). It carries the previous
@@ -528,42 +472,35 @@ func (s *Session) AnalyzeState(st State) (*Report, error) {
 	return s.analyzeLocked(st, nil)
 }
 
-// Invalidate drops the cached check state of the given switches — or of
+// Invalidate drops the cached verdicts of the given switches — or of
 // every switch when none are given — forcing their re-check on the next
 // run. Use it when out-of-band knowledge (a device RMA, a firmware
-// upgrade) makes cached verdicts suspect.
+// upgrade) makes cached verdicts suspect. Deployment-scoped state (base,
+// risk models, compiled plans) follows from the policy alone and stays.
 func (s *Session) Invalidate(switches ...ObjectID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.lastEpoch = nil
 	if len(switches) == 0 {
 		s.cache = make(map[object.ID]*switchCheckState)
-		s.probeCache = make(map[object.ID]*switchCheckState)
-		s.a.swModels = make(map[object.ID]*switchModelEntry)
 		return
 	}
 	for _, sw := range switches {
 		delete(s.cache, sw)
-		delete(s.probeCache, sw)
-		delete(s.a.swModels, sw)
 	}
 }
 
-// Reset drops every piece of cached state — per-switch reports, the
-// controller-model cache, the shared encoding base, and the worker
-// checkers — returning the session to cold. Statistics are preserved.
+// Reset drops every piece of cached state — per-switch verdicts, all the
+// session resolved from its deployment (fingerprints, the shared encoding
+// base, the pristine risk models with their compiled plans), and the
+// worker checkers — returning the session to cold. Statistics are
+// preserved.
 func (s *Session) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.cache = make(map[object.ID]*switchCheckState)
-	s.probeCache = make(map[object.ID]*switchCheckState)
-	s.a.swModels = make(map[object.ID]*switchModelEntry)
 	s.checkers = nil
-	s.base = nil
-	s.baseFP = 0
-	s.baseDeployment = nil
-	s.lastDeployment = nil
-	s.ctrlPristine = nil
+	s.dep = deploymentState{}
 	s.lastEpoch = nil
 }
 
@@ -596,12 +533,12 @@ func (s *Session) ProberStats() (probe.Stats, bool) {
 	return s.a.ProberStats()
 }
 
-// analyzeLocked is the incremental pipeline. cleanTCAM, when non-nil,
-// names switches whose TCAM rules are known-identical to the session's
-// previous run (from an epoch diff); their fingerprints are trusted from
-// cache. Every run ends byte-identical to a cold Analyzer run on the same
-// State: caching only ever short-circuits the check stage, never the
-// folds.
+// analyzeLocked is the incremental pipeline over collected TCAM state.
+// cleanTCAM, when non-nil, names switches whose TCAM rules are
+// known-identical to the session's previous run (from an epoch diff);
+// their fingerprints are trusted from cache. Every run ends byte-identical
+// to a cold Analyzer run on the same State: caching only ever
+// short-circuits the check stage, never the folds.
 func (s *Session) analyzeLocked(st State, cleanTCAM map[object.ID]bool) (*Report, error) {
 	start := time.Now()
 	// Until this run completes, epoch-diff hints would compare against
@@ -609,31 +546,15 @@ func (s *Session) analyzeLocked(st State, cleanTCAM map[object.ID]bool) (*Report
 	s.lastEpoch = nil
 	st = st.withDefaultLogs()
 	switches := st.sortedSwitches()
-
-	// A stale controller model rebuilds beside the base build: the two
-	// share nothing, and the base builds serially in one manager.
-	joinModel := s.startControllerModelLocked(st.Deployment)
-	depFPs := s.ensureBaseLocked(st.Deployment)
-	ctrlModel := joinModel()
+	s.resolveLocked(st.Deployment)
 	foldBefore := s.foldTotalsLocked()
 
-	// Fingerprints first: a logical list's from the cache or the base
-	// check, a TCAM list's from the cache when the hint vouches for it and
-	// otherwise hashed, over the worker pool like the checks.
-	checkReps := make([]*equiv.Report, len(switches))
-	logFPs := make([]uint64, len(switches))
+	// A TCAM list's fingerprint comes from the cache when the hint vouches
+	// for it and is otherwise hashed, over the worker pool like the checks.
 	tcamFPs := make([]uint64, len(switches))
 	var unhashed []int
 	for i, sw := range switches {
-		ent := s.cache[sw]
-		if ent != nil && ent.dep == st.Deployment {
-			logFPs[i] = ent.logicalFP
-		} else if fp, ok := depFPs[sw]; ok {
-			logFPs[i] = fp
-		} else {
-			logFPs[i] = equiv.Fingerprint(st.Deployment.RulesFor(sw))
-		}
-		if ent != nil && cleanTCAM != nil && cleanTCAM[sw] {
+		if ent := s.cache[sw]; ent != nil && cleanTCAM[sw] {
 			tcamFPs[i] = ent.tcamFP
 		} else {
 			unhashed = append(unhashed, i)
@@ -646,67 +567,28 @@ func (s *Session) analyzeLocked(st State, cleanTCAM map[object.ID]bool) (*Report
 		})
 	}
 
-	// Partition the switches into replays and re-checks.
-	var dirty []object.ID
-	var dirtyIdx []int
-	for i, sw := range switches {
-		ent := s.cache[sw]
-		if ent == nil || logFPs[i] != ent.logicalFP || tcamFPs[i] != ent.tcamFP {
-			dirty = append(dirty, sw)
-			dirtyIdx = append(dirtyIdx, i)
-			continue
-		}
-		ent.dep = st.Deployment // refresh identity for the next run's shortcut
-		checkReps[i] = ent.report
-	}
-
+	// Dirty switches sharing both fingerprints — which the partition
+	// already computed — check once per group. Worker k owns persistent
+	// checker k for the run.
 	var plan *dedupPlan
-	if len(dirty) > 0 {
-		s.provisionCheckersLocked(s.a.workers(len(dirty)))
-		// Dirty switches sharing both fingerprints — which the partition
-		// above already computed — check once per group. Worker k owns
-		// persistent checker k for the run.
-		dirtyLog := make([]uint64, len(dirty))
-		dirtyTCAM := make([]uint64, len(dirty))
-		for j, i := range dirtyIdx {
-			dirtyLog[j] = logFPs[i]
-			dirtyTCAM[j] = tcamFPs[i]
-		}
-		var fresh []*equiv.Report
-		var err error
-		fresh, plan, err = s.a.checkDeduped(st, dirty, dirtyLog, dirtyTCAM,
-			func(k int) *equiv.Checker { return s.checkers[k] })
-		if err != nil {
-			return nil, err
-		}
+	checkReps, checked, err := s.replayOrCheckLocked(switches, tcamFPs,
+		func(dirty []object.ID, logFPs, tcamFPs []uint64) (fresh []*equiv.Report, err error) {
+			s.provisionCheckersLocked(s.a.workers(len(dirty)))
+			fresh, plan, err = s.a.checkDeduped(st, dirty, logFPs, tcamFPs,
+				func(k int) *equiv.Checker { return s.checkers[k] })
+			return fresh, err
+		})
+	if err != nil {
+		return nil, err
+	}
+	rep := s.reportLocked(start, st.Changes, st.Faults, st.Now, switches, checkReps, checked)
+	s.stats.Checked += checked
+	s.stats.Replayed += len(switches) - checked
+	if plan != nil {
 		s.stats.DedupGroups += plan.groups
 		s.stats.DedupReplays += plan.replays
-		capRules := s.missingRuleCap()
-		for j, i := range dirtyIdx {
-			checkReps[i] = fresh[j]
-			if capRules > 0 && len(fresh[j].MissingRules)+len(fresh[j].ExtraRules) > capRules {
-				// Too large to keep: drop any stale entry so the switch
-				// re-checks next run instead of replaying old state.
-				delete(s.cache, switches[i])
-				s.stats.OverCap++
-				continue
-			}
-			s.cache[switches[i]] = &switchCheckState{
-				dep:       st.Deployment,
-				logicalFP: logFPs[i],
-				tcamFP:    tcamFPs[i],
-				report:    fresh[j],
-			}
-		}
 	}
-
-	rep := s.a.assemble(ctrlModel, st.Deployment, st.Changes, st.Faults, st.Now, switches, checkReps)
-	rep.Elapsed = time.Since(start)
-	s.stats.Runs++
-	s.stats.addLocalizeStats(rep.LocalizeStats)
-	s.stats.Checked += len(dirty)
-	s.stats.Replayed += len(switches) - len(dirty)
-	enc := equiv.AggregateEncodeStats(s.base, s.checkers)
+	enc := equiv.AggregateEncodeStats(s.dep.base, s.checkers)
 	plan.record(enc)
 	rep.EncodeStats = enc
 	s.stats.BaseNodes = enc.BaseNodes
@@ -714,13 +596,73 @@ func (s *Session) analyzeLocked(st State, cleanTCAM map[object.ID]bool) (*Report
 	s.stats.BaseSemantics = enc.BaseSemantics
 	s.stats.FoldHits += enc.FoldHits() - foldBefore.hits
 	s.stats.FoldMisses += enc.FoldMisses - foldBefore.misses
-	// Persist the refreshed verdict cache write-behind, keyed by the base's
-	// deployment fingerprint (ensureBaseLocked left it in step with this
-	// deployment). A run that re-checked nothing changed no verdicts.
-	if s.a.opts.WarmStore != nil && len(dirty) > 0 {
-		s.saveVerdictsLocked(s.baseFP, false)
-	}
 	return rep, nil
+}
+
+// replayOrCheckLocked is the session's one partition, shared by both
+// observation sources. A switch whose logical and T-side fingerprints both
+// match its cached verdict replays it; every other switch is dirty and is
+// handed to check — in ascending order, with its two fingerprints — and
+// the fresh verdicts are cached under the per-switch cap. It returns the
+// reports aligned with switches and how many of them check produced.
+func (s *Session) replayOrCheckLocked(switches []object.ID, tcamFPs []uint64,
+	check func(dirty []object.ID, logFPs, tcamFPs []uint64) ([]*equiv.Report, error)) ([]*equiv.Report, int, error) {
+	reports := make([]*equiv.Report, len(switches))
+	var (
+		dirty               []object.ID
+		dirtyLog, dirtyTCAM []uint64
+		dirtyIdx            []int
+	)
+	for i, sw := range switches {
+		logFP, ok := s.dep.logFPs[sw]
+		if !ok { // a collected switch the deployment does not name
+			logFP = equiv.Fingerprint(s.dep.d.RulesFor(sw))
+		}
+		if ent := s.cache[sw]; ent != nil && ent.logicalFP == logFP && ent.tcamFP == tcamFPs[i] {
+			reports[i] = ent.report
+			continue
+		}
+		dirty = append(dirty, sw)
+		dirtyLog = append(dirtyLog, logFP)
+		dirtyTCAM = append(dirtyTCAM, tcamFPs[i])
+		dirtyIdx = append(dirtyIdx, i)
+	}
+	if len(dirty) == 0 {
+		return reports, 0, nil
+	}
+	fresh, err := check(dirty, dirtyLog, dirtyTCAM)
+	if err != nil {
+		return nil, 0, err
+	}
+	capRules := s.missingRuleCap()
+	for j, sw := range dirty {
+		reports[dirtyIdx[j]] = fresh[j]
+		if capRules > 0 && len(fresh[j].MissingRules)+len(fresh[j].ExtraRules) > capRules {
+			// Too large to keep: drop any stale entry so the switch
+			// re-checks next run instead of replaying old state.
+			delete(s.cache, sw)
+			s.stats.OverCap++
+			continue
+		}
+		s.cache[sw] = &switchCheckState{logicalFP: dirtyLog[j], tcamFP: dirtyTCAM[j], report: fresh[j]}
+	}
+	return reports, len(dirty), nil
+}
+
+// reportLocked runs the stages downstream of the check on the resolved
+// deployment's pristine risk models, counts the run, and — when the run
+// re-checked anything, so some verdict changed — schedules the verdict
+// cache's write-behind persistence under the deployment fingerprint.
+func (s *Session) reportLocked(start time.Time, changes *ChangeLog, faults *FaultLog, now time.Time,
+	switches []object.ID, checkReps []*equiv.Report, checked int) *Report {
+	rep := s.a.assemble(s.dep.models, changes, faults, now, switches, checkReps)
+	rep.Elapsed = time.Since(start)
+	s.stats.Runs++
+	s.stats.addLocalizeStats(rep.LocalizeStats)
+	if s.a.opts.WarmStore != nil && checked > 0 {
+		s.saveVerdictsLocked()
+	}
+	return rep
 }
 
 // foldTotals is a point-in-time sum of the live checkers' cumulative
@@ -739,97 +681,95 @@ func (s *Session) foldTotalsLocked() foldTotals {
 	return t
 }
 
-// ensureBaseLocked keeps the shared encoding base in step with the
-// deployment: reused while the deployment fingerprint is unchanged
-// (pointer identity short-circuits the hashing), rebuilt — discarding
-// the now-stale checker forks — when it moves. Runs before any checker
-// provisioning so workers always fork the current base. When the
-// deployment had to be hashed, the per-switch fingerprints are returned
-// so the caller's replay/re-check partition reuses them instead of
-// hashing every rule list a second time (nil on the fast paths).
-func (s *Session) ensureBaseLocked(d *compile.Deployment) map[object.ID]uint64 {
-	if s.base != nil && d == s.baseDeployment {
-		return nil
+// resolveLocked brings s.dep in step with the run's deployment. It is the
+// one place the session asks whether this is still the deployment it
+// knows. The same pointer means nothing moved. A new pointer is hashed
+// once: equal content (a recompile that changed nothing) keeps the
+// fingerprints and the base — re-pointed at the new deployment's slices
+// so the superseded one is not pinned; safe here, the run lock is held
+// and no checker is mid-check — and rebuilds only the risk models. New
+// content also replaces the base, discarding the old one's checker forks
+// before any worker is provisioned, and seeds the verdict cache from the
+// warm store. The controller model builds beside the hashing and the base
+// build: they share nothing, and the base builds serially in one manager.
+func (s *Session) resolveLocked(d *compile.Deployment) {
+	if d == s.dep.d {
+		return
 	}
-	perSwitch, fp := equiv.DeploymentFingerprints(d.BySwitch)
-	if s.base != nil && fp == s.baseFP {
-		// Content-identical recompile at a new address: keep the base but
-		// re-point its semantics entries at the new deployment's slices,
-		// so the superseded deployment is not pinned by the cache. Safe
-		// here — the run lock is held and no checker is mid-check.
-		s.base.RebindSemantics(d.BySwitch)
-		s.baseDeployment = d
-		return perSwitch
+	joinModels := s.a.startRiskModels(d)
+	logFPs, fp := equiv.DeploymentFingerprints(d.BySwitch)
+	base := s.dep.base
+	if s.dep.d != nil && fp == s.dep.fp {
+		if base != nil {
+			base.RebindSemantics(d.BySwitch)
+		}
+	} else {
+		s.checkers, base = nil, nil
+		if !s.a.opts.UseProbes {
+			base = s.loadOrBuildBaseLocked(d, fp)
+		}
+		s.seedVerdictsLocked(fp)
 	}
-	if ws := s.a.opts.WarmStore; ws != nil {
-		// Warm restart: restore a fingerprint-matching frozen base from
-		// the store before building one — the loaded base carries every
-		// semantics root the previous process froze, so a clean fabric
-		// replays with zero compiles. A missing or unverifiable file
-		// (one written by an older codec included) is just a cold start:
-		// the rebuild below overwrites it. Rebinding re-points the
-		// collision-verification rule references at this deployment's
-		// slices, releasing the decoded copies.
+	s.dep = deploymentState{d: d, fp: fp, logFPs: logFPs, base: base, models: joinModels()}
+}
+
+// loadOrBuildBaseLocked returns the frozen base for a deployment
+// fingerprint the session holds no base for: restored from the warm store
+// when a matching file verifies — the loaded base carries every semantics
+// root the previous process froze, so a clean fabric replays with zero
+// compiles — and otherwise built and handed to the store. A missing or
+// unverifiable file (one written by an older codec included) is just a
+// cold start: the build overwrites it. Rebinding re-points a loaded base's
+// collision-verification rule references at this deployment's slices,
+// releasing the decoded copies.
+func (s *Session) loadOrBuildBaseLocked(d *compile.Deployment, fp uint64) *equiv.Base {
+	ws := s.a.opts.WarmStore
+	if ws != nil {
 		if b, err := ws.LoadBase(fp); err == nil && b != nil {
 			b.RebindSemantics(d.BySwitch)
-			s.base = b
-			s.baseFP = fp
-			s.baseDeployment = d
-			s.checkers = nil
 			s.stats.BaseLoads++
 			if reg := s.a.opts.BaseRegistry; reg != nil {
 				reg.RegisterBase(b)
 			}
-			s.seedVerdictsLocked(fp, false)
-			return perSwitch
+			return b
 		}
 	}
 	base, bstats := s.a.buildSharedBase(d)
-	s.base = base
-	s.baseFP = fp
-	s.baseDeployment = d
-	s.checkers = nil
 	s.stats.BaseRebuilds++
 	s.stats.BaseSemGrafts += bstats.SemGrafts
 	s.stats.BaseSemFolds += bstats.SemFolds
-	if ws := s.a.opts.WarmStore; ws != nil {
+	if ws != nil {
 		ws.SaveBase(fp, base)
-		s.seedVerdictsLocked(fp, false)
 	}
-	return perSwitch
+	return base
 }
 
-// seedVerdictsLocked restores persisted per-switch verdicts for the
-// deployment fingerprint into the session cache, once per (fingerprint,
-// mode) pair per session. Only absent slots are filled: an in-memory
-// entry is at least as fresh as the file it was persisted to. Loaded
-// entries carry no deployment pointer, so the next run's partition
-// verifies them by recomputed fingerprint — a replay happens only when
-// the logical and TCAM rule lists hash identically, making a stale or
-// foreign file safe (its entries simply never match).
-func (s *Session) seedVerdictsLocked(depFP uint64, probe bool) {
+// seedVerdictsLocked restores the verdicts persisted under the deployment
+// fingerprint (for this session's observation source — the store keeps
+// check and probe verdicts in separate files) into the cache, once per
+// fingerprint per session. Only absent slots are filled: an in-memory
+// entry is at least as fresh as the file it was persisted to. A replay
+// still happens only when the logical and TCAM rule lists hash to the
+// loaded entry's fingerprints, making a stale or foreign file safe (its
+// entries simply never match).
+func (s *Session) seedVerdictsLocked(depFP uint64) {
 	ws := s.a.opts.WarmStore
 	if ws == nil {
 		return
 	}
-	key := verdictLoadKey{fp: depFP, probe: probe}
-	if _, done := s.loadedVerdicts[key]; done {
+	if _, done := s.loadedVerdicts[depFP]; done {
 		return
 	}
-	s.loadedVerdicts[key] = struct{}{}
-	vs, err := ws.LoadVerdicts(depFP, probe)
+	s.loadedVerdicts[depFP] = struct{}{}
+	vs, err := ws.LoadVerdicts(depFP, s.a.opts.UseProbes)
 	if err != nil {
 		return // unverifiable file: cold start for these switches
 	}
-	cache := s.cache
-	if probe {
-		cache = s.probeCache
-	}
 	for _, v := range vs {
-		if _, ok := cache[v.Switch]; ok {
+		if _, ok := s.cache[v.Switch]; ok {
 			continue
 		}
-		cache[v.Switch] = &switchCheckState{
+		s.cache[v.Switch] = &switchCheckState{
 			logicalFP: v.LogicalFP,
 			tcamFP:    v.TCAMFP,
 			report:    v.Report,
@@ -837,17 +777,13 @@ func (s *Session) seedVerdictsLocked(depFP uint64, probe bool) {
 	}
 }
 
-// saveVerdictsLocked schedules write-behind persistence of the current
-// per-switch cache under the deployment fingerprint. The snapshot slice
+// saveVerdictsLocked schedules write-behind persistence of the verdict
+// cache under the resolved deployment's fingerprint. The snapshot slice
 // is built here, under the run lock; cached reports are immutable, so
 // the background encode needs no further coordination.
-func (s *Session) saveVerdictsLocked(depFP uint64, probe bool) {
-	cache := s.cache
-	if probe {
-		cache = s.probeCache
-	}
-	vs := make([]store.Verdict, 0, len(cache))
-	for sw, ent := range cache {
+func (s *Session) saveVerdictsLocked() {
+	vs := make([]store.Verdict, 0, len(s.cache))
+	for sw, ent := range s.cache {
 		vs = append(vs, store.Verdict{
 			Switch:    sw,
 			LogicalFP: ent.logicalFP,
@@ -855,29 +791,7 @@ func (s *Session) saveVerdictsLocked(depFP uint64, probe bool) {
 			Report:    ent.report,
 		})
 	}
-	s.a.opts.WarmStore.SaveVerdicts(depFP, probe, vs)
-}
-
-// startControllerModelLocked prepares a fresh working controller view: a
-// copy-on-write overlay over the cached immutable pristine model while
-// the deployment is unchanged, a new (sharded) build — cached as the next
-// pristine core — otherwise. The overlay shares the pristine core's
-// element and risk IDs and records only this run's failure marks, so
-// localization through it is indistinguishable from a cold build or a
-// deep clone while per-run setup cost stays O(dirty failures) instead of
-// O(model size). The session never mutates the pristine model itself.
-//
-// A rebuild runs on its own goroutine from this call on; join, called once
-// and still under the session lock, waits for it and returns the view.
-func (s *Session) startControllerModelLocked(d *compile.Deployment) (join func() risk.Marker) {
-	if s.ctrlPristine != nil && d == s.lastDeployment {
-		return func() risk.Marker { return risk.NewOverlay(s.ctrlPristine) }
-	}
-	built := s.a.startControllerModel(d)
-	return func() risk.Marker {
-		s.ctrlPristine, s.lastDeployment = built(), d
-		return risk.NewOverlay(s.ctrlPristine)
-	}
+	s.a.opts.WarmStore.SaveVerdicts(s.dep.fp, s.a.opts.UseProbes, vs)
 }
 
 // missingRuleCap resolves the per-switch cached-rule bound: 0 picks the
@@ -905,7 +819,7 @@ func (s *Session) provisionCheckersLocked(n int) {
 	for len(s.checkers) < n {
 		// Forks pre-size their node array and tables for the expected
 		// delta, skipping the growth ramp.
-		s.checkers = append(s.checkers, s.base.NewCheckerSized(s.checkerDeltaHint(budget)))
+		s.checkers = append(s.checkers, s.dep.base.NewCheckerSized(s.checkerDeltaHint(budget)))
 	}
 	if budget <= 0 {
 		return

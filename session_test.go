@@ -45,6 +45,16 @@ func brokenSwitches(rep *scout.Report) int {
 	return n
 }
 
+// switchBroken reports whether the report holds sw as inequivalent.
+func switchBroken(rep *scout.Report, sw scout.ObjectID) bool {
+	for _, sr := range rep.Switches {
+		if sr.Switch == sw {
+			return !sr.Equivalent
+		}
+	}
+	return false
+}
+
 // removeOneRule deletes the highest-priority TCAM rule of sw (an allow
 // rule on whitelist fabrics, so the switch becomes inequivalent) and
 // returns it.
@@ -154,6 +164,40 @@ func TestSessionIncrementalSingleSwitch(t *testing.T) {
 		}
 		if !bytes.Equal(marshalReport(t, warm3), marshalReport(t, warm2)) {
 			t.Errorf("workers=%d: no-change report differs from previous run", workers)
+		}
+
+		// The already-broken switch takes a second fault: its report
+		// changes, its risk model does not. Exactly it re-checks, and both
+		// it and the controller localize through the plans compiled from
+		// their pristine models — no compile.
+		if !switchBroken(warm3, dirtySw) {
+			t.Fatalf("workers=%d: switch %d is not broken; the second-fault case is vacuous", workers, dirtySw)
+		}
+		removeOneRule(t, f, dirtySw)
+		e4 := collector.Snapshot()
+		warm4, err := sess.AnalyzeEpoch(e4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		second := sess.Stats()
+		if got := second.Checked - again.Checked; got != 1 {
+			t.Errorf("workers=%d: second fault re-checked %d switches, want 1", workers, got)
+		}
+		if got := second.PlanCompiles - again.PlanCompiles; got != 0 {
+			t.Errorf("workers=%d: second fault compiled %d plans, want 0", workers, got)
+		}
+		if got := second.PlanReuses - again.PlanReuses; got < 2 {
+			t.Errorf("workers=%d: second fault reused %d plans, want at least 2 (controller + the switch)", workers, got)
+		}
+		cold4, err := scout.NewAnalyzer(opts).AnalyzeState(stateFromEpoch(f, e4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Equal(marshalReport(t, warm4), marshalReport(t, warm3)) {
+			t.Errorf("workers=%d: second fault left the report unchanged", workers)
+		}
+		if !bytes.Equal(marshalReport(t, warm4), marshalReport(t, cold4)) {
+			t.Errorf("workers=%d: second-fault report differs from cold analyzer", workers)
 		}
 	}
 }
@@ -465,6 +509,38 @@ func TestSessionProbeWarmReplay(t *testing.T) {
 		}
 		if !bytes.Equal(marshalReport(t, warm3), marshalReport(t, cold3)) {
 			t.Errorf("workers=%d: post-mutation probe report differs from cold analyzer", workers)
+		}
+
+		// A second fault on the now-broken switch: it alone re-classifies,
+		// and it and the controller localize through the plans their
+		// pristine models already carry.
+		if !switchBroken(warm3, dirtySw) {
+			t.Fatalf("workers=%d: switch %d is not broken; the second-fault case is vacuous", workers, dirtySw)
+		}
+		removeOneRule(t, f, dirtySw)
+		warm4, err := sess.Analyze()
+		if err != nil {
+			t.Fatal(err)
+		}
+		st4 := sess.Stats()
+		if got := st4.ProbeSwitchesClassified - st3.ProbeSwitchesClassified; got != 1 {
+			t.Errorf("workers=%d: second fault classified %d switches, want 1", workers, got)
+		}
+		if got := st4.PlanCompiles - st3.PlanCompiles; got != 0 {
+			t.Errorf("workers=%d: second fault compiled %d plans, want 0", workers, got)
+		}
+		if got := st4.PlanReuses - st3.PlanReuses; got < 2 {
+			t.Errorf("workers=%d: second fault reused %d plans, want at least 2 (controller + the switch)", workers, got)
+		}
+		cold4, err := scout.NewAnalyzer(opts).Analyze(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Equal(marshalReport(t, warm4), marshalReport(t, warm3)) {
+			t.Errorf("workers=%d: second fault left the probe report unchanged", workers)
+		}
+		if !bytes.Equal(marshalReport(t, warm4), marshalReport(t, cold4)) {
+			t.Errorf("workers=%d: second-fault probe report differs from cold analyzer", workers)
 		}
 	}
 }

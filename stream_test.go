@@ -229,6 +229,62 @@ func TestApplyEventsMatchesAnalyzeEpoch(t *testing.T) {
 	}
 }
 
+// TestApplyEventsCountsWhatItRead pins the collection counters to what a
+// partial refresh did rather than to the batch's length: a batch naming a
+// switch twice re-reads it once and aliases every other switch, the report
+// still matches a cold analysis, and a refresh whose analysis fails counts
+// nothing.
+func TestApplyEventsCountsWhatItRead(t *testing.T) {
+	f := faultyFabric(t, 11)
+	sess, err := scout.NewSession(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.ApplyEvents(scout.EventBatch{}); err != nil { // full baseline
+		t.Fatal(err)
+	}
+	n := f.Topology().NumSwitches()
+	sw := f.Topology().Switches()[1]
+	removeOneRule(t, f, sw)
+
+	rep, err := sess.ApplyEvents(scout.EventBatch{Switches: []scout.ObjectID{sw, sw}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := sess.Stats()
+	if st.EventBatches != 1 || st.EventSwitchesRead != 1 || st.EventSwitchesAliased != n-1 {
+		t.Errorf("duplicated switch: batches %d, read %d, aliased %d; want 1, 1, %d",
+			st.EventBatches, st.EventSwitchesRead, st.EventSwitchesAliased, n-1)
+	}
+	if got := st.Checked - n; got != 1 {
+		t.Errorf("duplicated switch: re-checked %d switches, want 1", got)
+	}
+	cold, err := scout.NewAnalyzer().Analyze(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(marshalReport(t, rep), marshalReport(t, cold)) {
+		t.Error("duplicated switch: report differs from cold analyzer")
+	}
+
+	// A VRF past the checker's 16-bit field makes the re-check itself fail.
+	s, err := f.Switch(sw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := scout.Rule{Match: scout.RuleMatch{VRF: 1 << 17, SrcEPG: 1, DstEPG: 2, PortLo: 80, PortHi: 80}, Action: scout.Allow}
+	if err := s.TCAM().Install(bad); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.ApplyEvents(scout.EventBatch{Switches: []scout.ObjectID{sw}}); err == nil {
+		t.Fatal("expected the refresh to fail on an unencodable rule")
+	}
+	if after := sess.Stats(); after.EventBatches != st.EventBatches ||
+		after.EventSwitchesRead != st.EventSwitchesRead || after.EventSwitchesAliased != st.EventSwitchesAliased {
+		t.Errorf("failed refresh moved the event counters: %+v -> %+v", st, after)
+	}
+}
+
 // mustLastReport replays the session's current verdicts as a report (an
 // empty batch reads nothing).
 func mustLastReport(t *testing.T, s *scout.Session) *scout.Report {

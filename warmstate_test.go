@@ -287,6 +287,124 @@ func TestSessionProbeWarmRestart(t *testing.T) {
 	}
 }
 
+// TestSessionEqualContentRedeploy covers the recompile that changes
+// nothing: Deploy on an unchanged policy hands the session a new
+// *Deployment with the old fingerprint. The session keeps its base and
+// its verdicts — nothing is built, loaded or re-checked, every switch
+// replays — and rebuilds only the identity-keyed risk models, with the
+// report still byte-equal to a cold analysis. The same holds across a
+// restart: a new process given the redeployed pointer finds the first
+// process's files under the unchanged fingerprint. Both observation
+// sources.
+func TestSessionEqualContentRedeploy(t *testing.T) {
+	for _, probes := range []bool{false, true} {
+		name := "tcam"
+		if probes {
+			name = "probes"
+		}
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			f := faultyFabric(t, 11)
+			n := f.Topology().NumSwitches()
+			opts := func(ws *scout.WarmStore) scout.AnalyzerOptions {
+				return scout.AnalyzerOptions{UseProbes: probes, WarmStore: ws}
+			}
+			// work reads the mode's own checked / replayed counters.
+			work := func(st scout.SessionStats) (checked, replayed int) {
+				if probes {
+					return st.ProbeSwitchesClassified, st.ProbeSwitchesReplayed
+				}
+				return st.Checked, st.Replayed
+			}
+			redeploy := func() {
+				t.Helper()
+				old := f.Deployment()
+				if err := f.Deploy(); err != nil {
+					t.Fatal(err)
+				}
+				if f.Deployment() == old {
+					t.Fatal("Deploy kept the deployment pointer; the case is vacuous")
+				}
+			}
+			coldJSON := func() []byte {
+				t.Helper()
+				cold, err := scout.NewAnalyzer(scout.AnalyzerOptions{UseProbes: probes}).Analyze(f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return marshalReport(t, cold)
+			}
+
+			ws1, err := scout.OpenWarmStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess1, err := scout.NewSession(f, opts(ws1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sess1.Analyze(); err != nil {
+				t.Fatal(err)
+			}
+			before := sess1.Stats()
+			redeploy()
+			rep, err := sess1.Analyze()
+			if err != nil {
+				t.Fatal(err)
+			}
+			after := sess1.Stats()
+			if after.BaseRebuilds != before.BaseRebuilds || after.BaseLoads != before.BaseLoads {
+				t.Errorf("redeploy touched the base: rebuilds %d -> %d, loads %d -> %d",
+					before.BaseRebuilds, after.BaseRebuilds, before.BaseLoads, after.BaseLoads)
+			}
+			c0, r0 := work(before)
+			c1, r1 := work(after)
+			if c1-c0 != 0 || r1-r0 != n {
+				t.Errorf("redeploy checked %d, replayed %d, want 0/%d", c1-c0, r1-r0, n)
+			}
+			if !bytes.Equal(marshalReport(t, rep), coldJSON()) {
+				t.Error("redeployed report differs from cold analyzer")
+			}
+			if err := sess1.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := ws1.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			// Restart onto yet another equal-content deployment.
+			redeploy()
+			ws2, err := scout.OpenWarmStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ws2.Close()
+			sess2, err := scout.NewSession(f, opts(ws2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep2, err := sess2.Analyze()
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := sess2.Stats()
+			wantLoads := 1
+			if probes {
+				wantLoads = 0 // probe sessions build and load no base
+			}
+			if st.BaseRebuilds != 0 || st.BaseLoads != wantLoads {
+				t.Errorf("restart after redeploy: rebuilds %d, loads %d, want 0/%d", st.BaseRebuilds, st.BaseLoads, wantLoads)
+			}
+			if c, r := work(st); c != 0 || r != n {
+				t.Errorf("restart after redeploy checked %d, replayed %d, want 0/%d", c, r, n)
+			}
+			if !bytes.Equal(marshalReport(t, rep2), coldJSON()) {
+				t.Error("restarted report differs from cold analyzer")
+			}
+		})
+	}
+}
+
 // TestCrossDeploymentBaseSharing pins the registry acceptance
 // criterion: two sessions over byte-equal rule lists sharing one
 // BaseRegistry build each distinct whole-switch semantics BDD exactly
