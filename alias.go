@@ -173,8 +173,7 @@ type (
 	// ProbeViolation is one probe outcome contradicting the policy.
 	ProbeViolation = probe.Violation
 	// ProberStats is a snapshot of a prober's packet-memo and
-	// batch-classification counters (Analyzer.ProberStats /
-	// Session.ProberStats).
+	// batch-classification counters (Session.ProberStats).
 	ProberStats = probe.Stats
 )
 

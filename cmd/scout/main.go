@@ -20,13 +20,13 @@
 // incremental re-verification of only the switches its events name.
 // -scenario is a one-shot replay and cannot be combined with -watch.
 //
-// -state-dir names a durable warm-state directory: the analysis (both
-// one-shot and -watch) runs through a session that restores a
-// fingerprint-matching frozen encoding base and verdict cache on start
-// and persists its deltas write-behind, so a restarted process replays
-// an unchanged fabric without rebuilding any BDD state. -state-gc-age
-// and -state-cap bound the directory on shutdown (age-out and
-// least-recently-used eviction) and require -state-dir.
+// -state-dir names a durable warm-state directory: the session every
+// analysis runs through (a one-shot is its first run, -watch keeps it)
+// restores a fingerprint-matching frozen encoding base and verdict cache
+// on start and persists its deltas write-behind, so a restarted process
+// replays an unchanged fabric without rebuilding any BDD state.
+// -state-gc-age and -state-cap bound the directory on shutdown (age-out
+// and least-recently-used eviction) and require -state-dir.
 package main
 
 import (
@@ -198,41 +198,30 @@ func run() error {
 		fmt.Printf("injected %s @%.2f: %d rules removed\n", flt.ref, flt.fraction, removed)
 	}
 
-	var report *scout.Report
+	// A one-shot is a session's first run, with or without durable state:
+	// with it, the session restores the persisted base and verdicts before
+	// the run and flushes its write-behind deltas on Close.
+	sess, err := scout.NewSession(f, aOpts)
+	if err != nil {
+		return err
+	}
+	report, err := sess.Analyze()
+	if err != nil {
+		return err
+	}
 	var pstats *scout.ProberStats
+	if ps, ok := sess.ProberStats(); ok {
+		pstats = &ps
+	}
 	if warm != nil {
-		// One-shot with durable state runs through a session, whose
-		// reports are byte-identical to the analyzer's: it restores the
-		// persisted base and verdicts before the run and flushes its
-		// write-behind deltas on Close.
-		sess, err := scout.NewSession(f, aOpts)
-		if err != nil {
-			return err
-		}
-		report, err = sess.Analyze()
-		if err != nil {
-			return err
-		}
 		st := sess.Stats()
 		fmt.Printf("warm state: base loaded %d / rebuilt %d, switches replayed %d / checked %d\n",
 			st.BaseLoads, st.BaseRebuilds, st.Replayed, st.Checked)
-		if ps, ok := sess.ProberStats(); ok {
-			pstats = &ps
-		}
 		if err := sess.Close(); err != nil {
 			return err
 		}
 		if err := finishWarmStore(warm, *stateAge, *stateCap, os.Stdout); err != nil {
 			return err
-		}
-	} else {
-		a := scout.NewAnalyzer(aOpts)
-		report, err = a.Analyze(f)
-		if err != nil {
-			return err
-		}
-		if ps, ok := a.ProberStats(); ok {
-			pstats = &ps
 		}
 	}
 	return emitReport(report, pstats, *jsonOut, *verbose)
@@ -357,15 +346,14 @@ type watchOptions struct {
 // tail, a full baseline round anchors the session, then events drain
 // through a bounded coalescing queue and every batch cut — by size, by
 // the deadline window, or by overflow backpressure — triggers one
-// refresh round. In the default TCAM mode a round is one partial
-// collection and incremental re-verification of just the switches the
-// batch names; in probe mode (UseProbes) a round re-probes the live
-// dataplane through Session.Analyze, whose TCAM fingerprints replay
-// clean switches' verdicts and classify only the dirty ones' probe
-// batches. A shutdown flush cuts whatever is still pending so no switch
-// is stranded below the deadline. It returns the last report produced
-// (the baseline's when no events arrive) and, in probe mode, the
-// prober's counter snapshot.
+// refresh round: one partial collection (Session.ApplyEvents) and
+// incremental re-verification of just the switches the batch names — a
+// BDD re-check of their collected rules, or in probe mode (UseProbes) a
+// classification of their probe batches against the live dataplane. A
+// shutdown flush cuts whatever is still pending so no switch is stranded
+// below the deadline. It returns the last report produced (the baseline's
+// when no events arrive) and, in probe mode, the prober's counter
+// snapshot.
 func runWatch(f *scout.Fabric, faults []objectFault, opts watchOptions, w io.Writer) (*scout.Report, *scout.ProberStats, error) {
 	sess, err := scout.NewSession(f, opts.analyzer)
 	if err != nil {
@@ -379,16 +367,7 @@ func runWatch(f *scout.Fabric, faults []objectFault, opts watchOptions, w io.Wri
 
 	round := func(batch scout.EventBatch, label string) (*scout.Report, error) {
 		before := sess.Stats()
-		var report *scout.Report
-		var err error
-		if probeMode {
-			// Probe rounds ignore the batch's switch list: the session's
-			// fingerprint pass finds the dirty set itself, so the queue
-			// only paces when rounds happen.
-			report, err = sess.Analyze()
-		} else {
-			report, err = sess.ApplyEvents(batch)
-		}
+		report, err := sess.ApplyEvents(batch)
 		if err != nil {
 			return nil, err
 		}
@@ -461,6 +440,8 @@ func runWatch(f *scout.Fabric, faults []objectFault, opts watchOptions, w io.Wri
 	st := sess.Stats()
 	fmt.Fprintf(w, "session localization: %d plan compiles / %d reuses, lazy heap %d re-evaluations for %d picks (vs %d eager scans)\n",
 		st.PlanCompiles, st.PlanReuses, st.LazyEvals, st.LazyPicks, st.FullScanEvals)
+	fmt.Fprintf(w, "streaming collection: %d partial refreshes, %d switches re-read, %d aliased\n",
+		st.EventBatches, st.EventSwitchesRead, st.EventSwitchesAliased)
 	var pstats *scout.ProberStats
 	if probeMode {
 		fmt.Fprintf(w, "probe replay: %d switches classified, %d replayed, %d packets batched\n",
@@ -472,8 +453,6 @@ func runWatch(f *scout.Fabric, faults []objectFault, opts watchOptions, w io.Wri
 		}
 		return report, pstats, nil
 	}
-	fmt.Fprintf(w, "streaming collection: %d partial refreshes, %d switches re-read, %d aliased\n",
-		st.EventBatches, st.EventSwitchesRead, st.EventSwitchesAliased)
 	fmt.Fprintf(w, "session encodings: base %d nodes (%d rebuilds, %d semantics), delta %d nodes\n",
 		st.BaseNodes, st.BaseRebuilds, st.BaseSemantics, st.DeltaNodes)
 	fmt.Fprintf(w, "session fold sharing: hits %d / misses %d, check dedup %d groups / %d replays\n",

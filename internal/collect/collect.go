@@ -145,26 +145,40 @@ func (c *Collector) snapshotSwitchesLocked(dirty []object.ID) (*Epoch, error) {
 	if len(c.history) == 0 {
 		return c.snapshotLocked(), nil
 	}
-	prev := c.history[len(c.history)-1]
-	tcams := make(map[object.ID][]rule.Rule, len(prev.TCAM))
-	for sw, rules := range prev.TCAM {
-		tcams[sw] = rules
-	}
-	read := 0
-	for _, sw := range dirty {
-		rules, err := c.f.CollectTCAM(sw)
-		if err != nil {
-			return nil, fmt.Errorf("collect: partial epoch: %w", err)
-		}
-		// A switch unseen by the previous epoch simply joins the new one
-		// (dirty by definition for the diff).
-		tcams[sw] = rules
-		read++
+	tcams, reread, err := Partial(c.f, c.history[len(c.history)-1].TCAM, dirty)
+	if err != nil {
+		return nil, err
 	}
 	c.stats.PartialSnapshots++
-	c.stats.SwitchesRead += read
-	c.stats.SwitchesAliased += len(tcams) - read
+	c.stats.SwitchesRead += len(reread)
+	c.stats.SwitchesAliased += len(tcams) - len(reread)
 	return c.retainLocked(tcams), nil
+}
+
+// Partial is the partial collection, written once for the Collector and for
+// an analysis session's event refresh: prev's rule lists with the named
+// switches re-read from the fabric. Every other switch aliases prev's
+// slice. A switch named twice is read once, and one prev lacked simply
+// joins (dirty by definition for a diff). reread is the set actually read,
+// so the call carried len(tcams)-len(reread) switches forward untouched.
+func Partial(f *fabric.Fabric, prev map[object.ID][]rule.Rule, named []object.ID) (tcams map[object.ID][]rule.Rule, reread map[object.ID]bool, err error) {
+	tcams = make(map[object.ID][]rule.Rule, len(prev))
+	for sw, rules := range prev {
+		tcams[sw] = rules
+	}
+	reread = make(map[object.ID]bool, len(named))
+	for _, sw := range named {
+		if reread[sw] {
+			continue
+		}
+		rules, err := f.CollectTCAM(sw)
+		if err != nil {
+			return nil, nil, fmt.Errorf("collect: partial collection: %w", err)
+		}
+		tcams[sw] = rules
+		reread[sw] = true
+	}
+	return tcams, reread, nil
 }
 
 // SnapshotEvents drains the subscribed event stream and collects a

@@ -66,16 +66,16 @@ func NewBase(_ []rule.Match, semantics ...[]rule.Rule) *Base {
 // whole-switch semantics root from the base's frozen memo and compiles
 // only novel lists in its private copy-on-write delta. Forking is O(1);
 // use one fork per worker goroutine. The fork's
-// delta tables are pre-sized from the base's observed load; callers with
-// an explicit delta budget use NewCheckerSized.
+// delta tables are pre-sized from the base's observed load.
 func (b *Base) NewChecker() *Checker {
 	return b.newChecker(func() Backend { return bdd.NewManagerFrom(b.snap) })
 }
 
-// NewCheckerSized is NewChecker with an explicit delta-node budget: the
-// fork's node array and tables are pre-sized for it, so a session
-// checker that will be compacted at the budget skips the growth ramp.
-// Reset keeps the sizing.
+// NewCheckerSized is NewChecker with the fork's node array and tables
+// pre-sized for an explicit delta-node count; Reset keeps the sizing. It
+// is retained only because bench/ still calls it: sessions size their
+// forks from the base like everyone else — a check adds ~130 delta nodes,
+// so pre-sizing for a share of the node budget bought nothing.
 func (b *Base) NewCheckerSized(deltaNodes int) *Checker {
 	return b.newChecker(func() Backend { return bdd.NewManagerFromSized(b.snap, deltaNodes) })
 }

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"scout"
@@ -17,11 +18,18 @@ import (
 // exercised by the determinism tests.
 func faultyFabric(t testing.TB, seed int64) *scout.Fabric {
 	t.Helper()
-	pol, topo, err := scout.GenerateWorkload(scout.TestbedWorkloadSpec(), seed)
+	return faultyFabricOf(t, scout.TestbedWorkloadSpec(), scout.FabricOptions{Seed: seed})
+}
+
+// faultyFabricOf is faultyFabric on any spec: the same fault mix on a
+// fabric generated and seeded from opts.Seed.
+func faultyFabricOf(t testing.TB, spec scout.WorkloadSpec, opts scout.FabricOptions) *scout.Fabric {
+	t.Helper()
+	pol, topo, err := scout.GenerateWorkload(spec, opts.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := scout.NewFabric(pol, topo, scout.FabricOptions{Seed: seed})
+	f, err := scout.NewFabric(pol, topo, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +43,7 @@ func faultyFabric(t testing.TB, seed int64) *scout.Fabric {
 	}
 	sort.Slice(filters, func(i, j int) bool { return filters[i] < filters[j] })
 	if len(filters) < 2 {
-		t.Fatalf("testbed spec produced %d filters, need at least 2", len(filters))
+		t.Fatalf("spec %q produced %d filters, need at least 2", spec.Name, len(filters))
 	}
 	if _, err := f.InjectObjectFault(scout.FilterRef(filters[0]), 1.0); err != nil {
 		t.Fatal(err)
@@ -179,6 +187,43 @@ func TestParallelProbeAnalyzeDeterministic(t *testing.T) {
 		got := reportJSON(t, f, scout.AnalyzerOptions{Workers: workers, UseProbes: true})
 		if !bytes.Equal(serial, got) {
 			t.Errorf("UseProbes Workers=%d report differs from serial", workers)
+		}
+	}
+}
+
+// TestConcurrentAnalyzeCalls pins the Analyzer's concurrency promise now
+// that nothing guards it but the absence of shared state: eight Analyze
+// calls at once on one Analyzer, for either observation source, each return
+// the serial run's bytes (and `go test -race` sees no shared write).
+func TestConcurrentAnalyzeCalls(t *testing.T) {
+	for _, probes := range []bool{false, true} {
+		f := faultyFabric(t, 7)
+		a := scout.NewAnalyzer(scout.AnalyzerOptions{Workers: 2, UseProbes: probes})
+		serial, err := a.Analyze(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := marshalReport(t, serial)
+
+		const calls = 8
+		reps := make([]*scout.Report, calls)
+		errs := make([]error, calls)
+		var wg sync.WaitGroup
+		for i := 0; i < calls; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				reps[i], errs[i] = a.Analyze(f)
+			}(i)
+		}
+		wg.Wait()
+		for i := range reps {
+			if errs[i] != nil {
+				t.Fatalf("probes=%v call %d: %v", probes, i, errs[i])
+			}
+			if !bytes.Equal(marshalReport(t, reps[i]), want) {
+				t.Errorf("probes=%v: concurrent call %d differs from the serial run", probes, i)
+			}
 		}
 	}
 }

@@ -5,15 +5,17 @@ import (
 
 	"scout/internal/fabric"
 	"scout/internal/object"
+	"scout/internal/probe"
 	"scout/internal/rule"
 	"scout/internal/workload"
 )
 
-// TestProberCachedPerDeployment pins the probe-stage cross-run reuse: an
-// analyzer hands out one prober per deployment fingerprint — pointer
-// identity short-circuits, an equal-content deployment at a different
-// address reuses the same prober, and a recompile (changed rules)
-// rebuilds it.
+// TestProberCachedPerDeployment pins the probe-stage cross-run reuse, which
+// is the session's: it keeps one prober per deployment beside the rest of
+// what it resolves from one — the same pointer keeps it, an equal-content
+// deployment at a different address keeps it rebound (packet memo intact),
+// and a recompile (changed rules) replaces it. An Analyzer keeps nothing
+// between calls.
 func TestProberCachedPerDeployment(t *testing.T) {
 	pol, tp, err := workload.Generate(workload.TestbedSpec(), 7)
 	if err != nil {
@@ -28,23 +30,38 @@ func TestProberCachedPerDeployment(t *testing.T) {
 	}
 	d := f.Deployment()
 
-	a := NewAnalyzer(AnalyzerOptions{UseProbes: true})
-	p1 := a.proberFor(d)
+	sess, err := NewSession(f, AnalyzerOptions{UseProbes: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := sess.ProberStats(); ok {
+		t.Error("a session that never ran has a prober")
+	}
+	resolve := func(d *Deployment) *probe.Prober {
+		sess.mu.Lock()
+		defer sess.mu.Unlock()
+		sess.resolveLocked(d)
+		return sess.dep.prober
+	}
+	p1 := resolve(d)
 	if p1 == nil {
 		t.Fatal("nil prober")
 	}
-	if a.proberFor(d) != p1 {
+	if sess.dep.base != nil {
+		t.Error("a probe session built a BDD base")
+	}
+	if resolve(d) != p1 {
 		t.Error("same deployment pointer must reuse the prober")
 	}
 
 	// Same content at a different address: the fingerprint path keeps
 	// the prober (and its packet memo) alive.
 	copied := *d
-	if a.proberFor(&copied) != p1 {
+	if resolve(&copied) != p1 {
 		t.Error("equal-content deployment must reuse the prober")
 	}
 	// ...and re-arms the pointer fast path for the new address.
-	if a.proberFor(&copied) != p1 {
+	if sess.dep.d != &copied || resolve(&copied) != p1 {
 		t.Error("pointer fast path must track the latest deployment")
 	}
 
@@ -60,24 +77,26 @@ func TestProberCachedPerDeployment(t *testing.T) {
 			break
 		}
 	}
-	if a.proberFor(&changed) == p1 {
+	if resolve(&changed) == p1 {
 		t.Error("changed deployment must rebuild the prober")
 	}
 
-	// End to end: repeated probe analyses share the memo, so the second
-	// run synthesizes nothing new.
-	if _, err := a.Analyze(f); err != nil {
+	// End to end: a session's repeated probe analyses share the memo, so
+	// the second run synthesizes nothing new even when every switch is
+	// re-classified.
+	if _, err := sess.Analyze(); err != nil {
 		t.Fatal(err)
 	}
-	_, missesAfterFirst := a.prober.MemoStats()
-	if _, err := a.Analyze(f); err != nil {
+	first, _ := sess.ProberStats()
+	sess.Invalidate()
+	if _, err := sess.Analyze(); err != nil {
 		t.Fatal(err)
 	}
-	hits, misses := a.prober.MemoStats()
-	if misses != missesAfterFirst {
-		t.Errorf("second probe run synthesized %d new packets, want 0", misses-missesAfterFirst)
+	second, _ := sess.ProberStats()
+	if second.MemoMisses != first.MemoMisses {
+		t.Errorf("second probe run synthesized %d new packets, want 0", second.MemoMisses-first.MemoMisses)
 	}
-	if hits == 0 {
+	if second.MemoHits <= first.MemoHits {
 		t.Error("second probe run must hit the shared packet memo")
 	}
 }

@@ -78,7 +78,8 @@ type AnalyzerOptions struct {
 	// them: the verdict cache is the only per-switch state that holds rule
 	// lists, since risk models stay pristine and failure marks die with
 	// each run's overlays. 0 selects the default (4096); negative disables
-	// the bound. One-shot Analyzers ignore it.
+	// the bound. One-shot Analyzers ignore it: their session is dropped
+	// after its first run, so nothing it cached is ever replayed.
 	SessionMissingRuleCap int
 
 	// Workers bounds the number of concurrent per-switch equivalence
@@ -96,7 +97,8 @@ type AnalyzerOptions struct {
 	// GC around its live memo roots, keeping warm state) and Reset only
 	// if compaction alone cannot get it under. 0 selects the default
 	// (4 << 20); negative disables the bound. One-shot Analyzers ignore
-	// it — their checkers live for a single run.
+	// it: the budget is applied to a checker before a run reuses it, and
+	// a one-shot's checkers are forked for their only run.
 	SessionNodeBudget int
 
 	// WarmStore, when set, gives Sessions durable warm state: on the
@@ -105,7 +107,8 @@ type AnalyzerOptions struct {
 	// replays a clean fabric with zero compiles), and after every run it
 	// persists deltas through the store's write-behind queue (flushed by
 	// Session.Close). Probe sessions persist verdicts only — they build
-	// no base. One-shot Analyzers ignore it.
+	// no base. One-shot Analyzers ignore it: only NewSession hands the
+	// store to the session it creates.
 	WarmStore *store.Store
 
 	// BaseRegistry, when set, shares frozen whole-switch semantics BDDs
@@ -117,22 +120,13 @@ type AnalyzerOptions struct {
 	BaseRegistry *store.BaseRegistry
 }
 
-// Analyzer runs the SCOUT pipeline against a fabric.
+// Analyzer runs the SCOUT pipeline once per call. It holds its options and
+// nothing else: every Analyze or AnalyzeState is the first run of a Session
+// that is dropped when the call returns, so one-shot and incremental
+// analyses are the same code and an Analyzer is safe for concurrent use.
 type Analyzer struct {
 	opts   AnalyzerOptions
 	engine *correlate.Engine
-
-	// The cached prober gives probe-mode analyses one probe.Prober per
-	// deployment fingerprint instead of one per run, so the packet memo
-	// amortizes across repeated analyses of the same deployment (watch
-	// loops re-probing a live fabric), not just across switches within
-	// one run. A recompile invalidates it — the prober reads rule lists
-	// through its deployment, which must stay current. Guarded because
-	// one Analyzer may serve concurrent Analyze calls.
-	proberMu  sync.Mutex
-	prober    *probe.Prober
-	proberDep *Deployment
-	proberFP  uint64
 }
 
 // NewAnalyzer creates an analyzer. The zero AnalyzerOptions give the
@@ -224,113 +218,14 @@ type State struct {
 
 // Analyze runs the full pipeline against the fabric's current state.
 func (a *Analyzer) Analyze(f *fabric.Fabric) (*Report, error) {
-	d := f.Deployment()
-	if d == nil {
-		return nil, fmt.Errorf("scout: fabric has never been deployed")
-	}
-	if a.opts.UseProbes {
-		return a.analyzeWithProbes(f)
-	}
-	return a.AnalyzeState(State{
-		Deployment: d,
-		TCAM:       f.CollectAll(),
-		Changes:    f.ChangeLog(),
-		Faults:     f.FaultLog(),
-		Now:        f.Now(),
-	})
-}
-
-// analyzeWithProbes runs the probe-based observation source, which needs
-// live dataplane access rather than TCAM dumps. One prober is shared
-// across the whole fan-out — and, via the analyzer's deployment-keyed
-// cache, across runs — so probe-packet synthesis memoizes per rule key:
-// switches sharing EPG pairs reuse each other's packets instead of
-// regenerating them (the Prober's memo is safe for concurrent readers).
-func (a *Analyzer) analyzeWithProbes(f *fabric.Fabric) (*Report, error) {
-	start := time.Now()
-	d := f.Deployment()
-	joinModels := a.startRiskModels(d)
-	prober := a.proberFor(d)
-	switches := sortSwitches(f.Topology().Switches())
-	reports, err := a.checkAll(switches, noChecker, func(_ *equiv.Checker, sw object.ID) (*equiv.Report, error) {
-		return a.checkSwitch(f, d, prober, sw)
-	})
-	models := joinModels() // joined on every path, a failed probe's included
-	if err != nil {
-		return nil, err
-	}
-	rep := a.assemble(models, f.ChangeLog(), f.FaultLog(), f.Now(), switches, reports)
-	rep.Elapsed = time.Since(start)
-	return rep, nil
+	return a.session(f).Analyze()
 }
 
 // AnalyzeState runs the pipeline on raw collected state, independent of
-// the simulator.
+// the simulator. Collected state has no dataplane to probe, so a UseProbes
+// analyzer refuses it rather than run a check the caller did not ask for.
 func (a *Analyzer) AnalyzeState(st State) (*Report, error) {
-	start := time.Now()
-	if st.Deployment == nil {
-		return nil, fmt.Errorf("scout: state has no deployment")
-	}
-	st = st.withDefaultLogs()
-	switches := st.sortedSwitches()
-	// The controller model depends on the deployment alone, and the base
-	// builds serially in one manager: build the two side by side.
-	joinModels := a.startRiskModels(st.Deployment)
-	base, _ := a.buildSharedBase(st.Deployment)
-	// Worker k forks the base into slot k (checkAll hands each worker a
-	// distinct index, so the slice needs no locking); the forks are kept
-	// so the run's encoding work can be aggregated afterwards.
-	checkers := make([]*equiv.Checker, a.workers(len(switches)))
-	fork := func(k int) *equiv.Checker {
-		checkers[k] = base.NewChecker()
-		return checkers[k]
-	}
-	logFPs, tcamFPs := a.stateFingerprints(st, switches)
-	reports, plan, err := a.checkDeduped(st, switches, logFPs, tcamFPs, fork)
-	models := joinModels() // joined on every path, a failed check's included
-	if err != nil {
-		return nil, err
-	}
-	rep := a.assemble(models, st.Changes, st.Faults, st.Now, switches, reports)
-	rep.EncodeStats = equiv.AggregateEncodeStats(base, checkers)
-	plan.record(rep.EncodeStats)
-	rep.Elapsed = time.Since(start)
-	return rep, nil
-}
-
-// proberFor returns the cached prober for the deployment, rebuilding it
-// when the deployment changed (pointer identity short-circuits the
-// hashing, as in Session.resolveLocked).
-func (a *Analyzer) proberFor(d *Deployment) *probe.Prober {
-	a.proberMu.Lock()
-	defer a.proberMu.Unlock()
-	if a.prober != nil && d == a.proberDep {
-		return a.prober
-	}
-	fp := equiv.DeploymentFingerprint(d.BySwitch)
-	if a.prober == nil || fp != a.proberFP {
-		a.prober = probe.New(d)
-		a.proberFP = fp
-	} else {
-		// Equal content at a new address: keep the memo, release the
-		// superseded deployment instead of pinning it via the prober.
-		a.prober.Rebind(d)
-	}
-	a.proberDep = d
-	return a.prober
-}
-
-// ProberStats returns a snapshot of the cached prober's counters — the
-// packet-memo hit/miss counts and the batch-classification counters —
-// and whether a prober exists yet (probe-mode analyses create it on
-// first use).
-func (a *Analyzer) ProberStats() (probe.Stats, bool) {
-	a.proberMu.Lock()
-	defer a.proberMu.Unlock()
-	if a.prober == nil {
-		return probe.Stats{}, false
-	}
-	return a.prober.Stats(), true
+	return a.session(nil).AnalyzeState(st)
 }
 
 // withDefaultLogs returns a copy of the state with nil logs replaced by
@@ -463,21 +358,6 @@ func (a *Analyzer) buildSharedBase(d *Deployment) (*equiv.Base, equiv.BaseBuildS
 	return base, bstats
 }
 
-// stateFingerprints hashes every switch's logical and TCAM rule lists
-// over the worker pool — the dedup grouping key. Hashing is O(rules), and
-// so is all a dirty check of a warmed switch still costs, which is why it
-// is spread over the workers like the checks; the session path hashes
-// only what its cache cannot vouch for.
-func (a *Analyzer) stateFingerprints(st State, switches []object.ID) (logFPs, tcamFPs []uint64) {
-	logFPs = make([]uint64, len(switches))
-	tcamFPs = make([]uint64, len(switches))
-	a.forEach(len(switches), func(i int) {
-		logFPs[i] = equiv.Fingerprint(st.Deployment.RulesFor(switches[i]))
-		tcamFPs[i] = equiv.Fingerprint(st.TCAM[switches[i]])
-	})
-	return logFPs, tcamFPs
-}
-
 // dedupPlan is a whole-switch check dedup: switches sharing both the
 // logical- and TCAM-side rule-list fingerprints form one group, the
 // group's lowest-ID switch is checked, and every member replays the
@@ -533,16 +413,6 @@ func buildDedupPlan(st State, switches []object.ID, logFPs, tcamFPs []uint64) *d
 	return plan
 }
 
-// record publishes the plan's counters into the run's encode stats (a
-// nil plan — a run that re-checked nothing — is a no-op).
-func (p *dedupPlan) record(es *equiv.EncodeStats) {
-	if p == nil {
-		return
-	}
-	es.DedupGroups = p.groups
-	es.DedupReplays = p.replays
-}
-
 // checkDeduped runs the check stage over one representative per dedup
 // group, fanned out over the worker pool, and replays each group's
 // verdict into all its members' report slots, aligned with switches.
@@ -585,17 +455,17 @@ func (a *Analyzer) workers(n int) int {
 // reports aligned with the input slice. checker(k) returns worker k's
 // private checker: a Checker is not safe for concurrent use, but reusing
 // one per worker amortizes BDD construction across that worker's switches
-// (a Session passes its persistent pool so memoized encodings survive
-// across runs; the one-shot analyzer forks fresh ones; probe runs pass
-// noChecker). Which worker checks which switch is scheduling-dependent,
-// which is safe because checker state never influences check results,
-// only their cost. With one worker — or one switch — it degenerates to
-// the serial loop the pipeline always ran. The caller folds the aligned
-// results serially, so report order never depends on scheduling. On
-// error the pool drains early and the lowest-index recorded error is
-// returned; when several switches fail concurrently, which one is
-// reported may vary (successful analyses are deterministic, failures
-// are exceptional).
+// (a session passes its pool of base forks — just forked in a one-shot's
+// session, kept by a long-lived one so memoized encodings survive across
+// runs; probe runs pass noChecker). Which worker checks which switch is
+// scheduling-dependent, which is safe because checker state never
+// influences check results, only their cost. With one worker — or one
+// switch — it degenerates to the serial loop the pipeline always ran. The
+// caller folds the aligned results serially, so report order never
+// depends on scheduling. On error the pool drains early and the
+// lowest-index recorded error is returned; when several switches fail
+// concurrently, which one is reported may vary (successful analyses are
+// deterministic, failures are exceptional).
 func (a *Analyzer) checkAll(switches []object.ID, checker func(worker int) *equiv.Checker, check checkFunc) ([]*equiv.Report, error) {
 	reports := make([]*equiv.Report, len(switches))
 	w := a.workers(len(switches))
@@ -694,8 +564,8 @@ func sortSwitches(switches []object.ID) []object.ID {
 // never marked: every analysis annotates the controller and each
 // inequivalent switch through a fresh risk.Overlay, and the localization
 // plan compiled from a pristine model serves every later analysis of the
-// deployment. A one-shot Analyzer builds them per run; a Session keeps
-// them for as long as it is handed the same *Deployment.
+// deployment. A session keeps them for as long as it is handed the same
+// *Deployment — one run, for a one-shot's.
 type riskModels struct {
 	d    *Deployment
 	ctrl *risk.Model
@@ -799,48 +669,45 @@ func buildSwitchReport(models *riskModels, oracle localize.ChangeOracle, sw obje
 	return sr
 }
 
-// checkSwitch produces the missing/extra-rule report for one switch of a
-// live fabric using the configured observation source (dataplane probes,
-// or a BDD check of its collected TCAM on a checker of its own). The
-// deployment is passed in so the hot per-switch path never re-fetches it;
-// prober, when non-nil, is the run-shared prober whose packet memo
-// amortizes synthesis across switches.
-func (a *Analyzer) checkSwitch(f *fabric.Fabric, d *Deployment, prober *probe.Prober, sw object.ID) (*equiv.Report, error) {
-	if a.opts.UseProbes {
-		s, err := f.Switch(sw)
-		if err != nil {
-			return nil, fmt.Errorf("scout: probe switch %d: %w", sw, err)
-		}
-		if prober == nil {
-			prober = probe.New(d)
-		}
-		violations := prober.ProbeSwitch(sw, s.TCAM())
-		return &equiv.Report{
-			Equivalent:   len(violations) == 0,
-			MissingRules: probe.MissingRules(violations),
-		}, nil
-	}
-	deployed, err := f.CollectTCAM(sw)
+// probeSwitch is the probe observation source's verdict for one switch:
+// the prober's packets for the switch's logical rules are classified
+// against its live TCAM, and every allowed packet the dataplane drops
+// names a missing rule. The prober's packet memo is shared by the whole
+// fan-out (it is safe for concurrent readers), so switches sharing EPG
+// pairs reuse each other's packets.
+func probeSwitch(f *fabric.Fabric, prober *probe.Prober, sw object.ID) (*equiv.Report, error) {
+	s, err := f.Switch(sw)
 	if err != nil {
-		return nil, fmt.Errorf("scout: collect switch %d: %w", sw, err)
+		return nil, fmt.Errorf("scout: probe switch %d: %w", sw, err)
 	}
-	rep, err := equiv.NewChecker().Check(d.RulesFor(sw), deployed)
-	if err != nil {
-		return nil, fmt.Errorf("scout: equivalence check switch %d: %w", sw, err)
-	}
-	return rep, nil
+	violations := prober.ProbeSwitch(sw, s.TCAM())
+	return &equiv.Report{
+		Equivalent:   len(violations) == 0,
+		MissingRules: probe.MissingRules(violations),
+	}, nil
 }
 
 // AnalyzeSwitch runs the pipeline for a single switch — the event-driven
-// collection mode of §III-C (e.g. triggered by a device fault event). The
-// risk model is the switch risk model, so the hypothesis is scoped to
-// that switch's policy objects.
+// collection mode of §III-C (e.g. triggered by a device fault event) —
+// using the configured observation source: dataplane probes, or a BDD
+// check of its collected TCAM on a checker of its own. The risk model is
+// the switch risk model, so the hypothesis is scoped to that switch's
+// policy objects.
 func (a *Analyzer) AnalyzeSwitch(f *fabric.Fabric, sw object.ID) (*SwitchReport, error) {
 	d := f.Deployment()
 	if d == nil {
 		return nil, fmt.Errorf("scout: fabric has never been deployed")
 	}
-	checkRep, err := a.checkSwitch(f, d, nil, sw)
+	var checkRep *equiv.Report
+	var err error
+	if a.opts.UseProbes {
+		checkRep, err = probeSwitch(f, probe.New(d), sw)
+	} else if deployed, cerr := f.CollectTCAM(sw); cerr != nil {
+		err = fmt.Errorf("scout: collect switch %d: %w", sw, cerr)
+	} else {
+		st := State{Deployment: d, TCAM: map[object.ID][]rule.Rule{sw: deployed}}
+		checkRep, err = checkState(st, equiv.NewChecker(), sw)
+	}
 	if err != nil {
 		return nil, err
 	}

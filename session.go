@@ -34,20 +34,22 @@ const defaultSessionMissingRuleCap = 4096
 
 // Session is a persistent analysis engine over one fabric — the
 // continuous-verification mode of §III-C, where TCAM state is collected
-// periodically and re-checked after every change. Unlike the one-shot
-// Analyzer, a Session keeps state between runs, in two lifetimes. What
-// follows from the compiled deployment alone — its fingerprints, the
-// frozen BDD base, the pristine risk models and their compiled
-// localization plans — is resolved once per deployment and reused until
-// the policy is recompiled. What follows from an observation — each
-// switch's newest verdict, keyed by the fingerprints of the exact logical
-// and TCAM rule lists it was computed from — is replayed while both
-// fingerprints hold. A re-analysis therefore re-checks only the switches
-// whose rules actually changed, builds no risk model and compiles no plan
-// for a deployment it has seen fail before, and still produces a report
-// byte-identical to a cold full Analyze at any worker count (the fold
-// stages are unchanged and order-deterministic, and failure marks only
-// ever go into per-run overlays).
+// periodically and re-checked after every change — and the one place the
+// pipeline is orchestrated: every entry point says where its T lists came
+// from and hands them to run, and a one-shot Analyzer call is the first run
+// of a Session nobody keeps. A Session keeps state between runs, in two
+// lifetimes. What follows from the compiled deployment alone — its
+// fingerprints, the frozen BDD base (or the prober), the pristine risk
+// models and their compiled localization plans — is resolved once per
+// deployment and reused until the policy is recompiled. What follows from
+// an observation — each switch's newest verdict, keyed by the fingerprints
+// of the exact logical and TCAM rule lists it was computed from — is
+// replayed while both fingerprints hold. A re-analysis therefore re-checks
+// only the switches whose rules actually changed, builds no risk model and
+// compiles no plan for a deployment it has seen fail before, and still
+// produces a report byte-identical to a cold full Analyze at any worker
+// count (the fold stages are unchanged and order-deterministic, and failure
+// marks only ever go into per-run overlays).
 //
 // Use a Session when the same fabric is analyzed repeatedly (watch loops,
 // collectors feeding epochs); use Analyzer for one-off analyses. Rule
@@ -59,7 +61,13 @@ const defaultSessionMissingRuleCap = 4096
 type Session struct {
 	mu sync.Mutex
 	a  *Analyzer
-	f  *fabric.Fabric
+	// f is the fabric the session collects from and probes; nil in the
+	// session behind Analyzer.AnalyzeState, which is handed its state.
+	f *fabric.Fabric
+
+	// ws is the durable warm store (AnalyzerOptions.WarmStore). Only
+	// NewSession sets it: a one-shot's session loads and persists nothing.
+	ws *store.Store
 
 	// dep is what the session knows about the deployment of its latest
 	// run; resolveLocked brings it in step once per run, and nothing else
@@ -80,9 +88,9 @@ type Session struct {
 	cache map[object.ID]*switchCheckState
 
 	// lastEpoch is the epoch of the immediately preceding successful
-	// AnalyzeEpoch run, nil after any other (or failed) run. It gates the
-	// epoch-diff fast path: a switch unchanged between lastEpoch and the
-	// next epoch can skip even fingerprint hashing.
+	// AnalyzeEpoch or ApplyEvents run, nil after any other (or failed) run.
+	// It gates the epoch-diff fast path: a switch unchanged between
+	// lastEpoch and the next epoch can skip even fingerprint hashing.
 	lastEpoch *collect.Epoch
 
 	// loadedVerdicts records which deployment fingerprints' warm-store
@@ -113,6 +121,12 @@ type deploymentState struct {
 	// rule lists. TCAM drift never invalidates it; only a changed
 	// fingerprint does. Nil in probe mode, which builds no BDDs.
 	base *equiv.Base
+
+	// prober is the probe observation source's packet synthesizer, kept
+	// beside the base it mirrors: the same pointer keeps it and its packet
+	// memo, equal content at a new address rebinds it, new content replaces
+	// it. Nil in TCAM mode.
+	prober *probe.Prober
 
 	// models are the deployment's pristine risk models. They are keyed on
 	// d's identity, not its content: an equal-content recompile rebuilds
@@ -239,98 +253,50 @@ func (st *SessionStats) addLocalizeStats(d *localize.EngineStats) {
 
 // NewSession creates a persistent analysis session over the fabric. The
 // options are the Analyzer's; nothing is built until the first run
-// resolves the fabric's deployment. With UseProbes the session runs the
-// probe observation source incrementally: each round fingerprints every
-// switch's live TCAM, replays the cached probe verdict for switches
-// whose fingerprint is unchanged (zero Classify calls), and classifies
-// only the dirty ones' probe batches. Probe-mode sessions are driven by
-// Analyze only — the epoch/event/raw-state entry points consume
-// collected TCAM snapshots, which probe mode by definition does not use.
+// resolves the fabric's deployment. UseProbes picks the session's
+// observation source for its lifetime and changes one thing: a dirty
+// switch's verdict comes from classifying its probe batch against the live
+// dataplane instead of a BDD check of its collected rules. Collection,
+// fingerprint replay, the epoch hint and the warm store work the same, so
+// a probe session is driven by Analyze or ApplyEvents; AnalyzeEpoch and
+// AnalyzeState hand over snapshots, which have no dataplane to probe, and
+// are refused.
 func NewSession(f *fabric.Fabric, opts ...AnalyzerOptions) (*Session, error) {
+	s := NewAnalyzer(opts...).session(f)
+	s.ws = s.a.opts.WarmStore
+	return s, nil
+}
+
+// session returns a cold session over the fabric with no warm store: kept,
+// it is NewSession's; run once and dropped, it is a one-shot analysis.
+func (a *Analyzer) session(f *fabric.Fabric) *Session {
 	return &Session{
-		a:              NewAnalyzer(opts...),
+		a:              a,
 		f:              f,
 		cache:          make(map[object.ID]*switchCheckState),
 		loadedVerdicts: make(map[uint64]struct{}),
-	}, nil
+	}
+}
+
+// fabricState is the State around T lists that came from the session's own
+// fabric: its current deployment and logs, anchored at now.
+func (s *Session) fabricState(tcams map[object.ID][]rule.Rule, now time.Time) State {
+	return State{
+		Deployment: s.f.Deployment(),
+		TCAM:       tcams,
+		Changes:    s.f.ChangeLog(),
+		Faults:     s.f.FaultLog(),
+		Now:        now,
+	}
 }
 
 // Analyze collects the fabric's current state and analyzes it,
 // re-checking only switches whose logical or TCAM rules changed since the
-// session's previous run. In probe mode the same replay applies to probe
-// classification: clean switches replay their cached verdicts and only
-// dirty switches' probe batches touch a dataplane.
+// session's previous run; every T list is hashed to find them.
 func (s *Session) Analyze() (*Report, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	d := s.f.Deployment()
-	if d == nil {
-		return nil, fmt.Errorf("scout: fabric has never been deployed")
-	}
-	if s.a.opts.UseProbes {
-		return s.analyzeProbesLocked(d)
-	}
-	return s.analyzeLocked(State{
-		Deployment: d,
-		TCAM:       s.f.CollectAll(),
-		Changes:    s.f.ChangeLog(),
-		Faults:     s.f.FaultLog(),
-		Now:        s.f.Now(),
-	}, nil)
-}
-
-// errProbeSession guards the TCAM-snapshot entry points in probe mode.
-func (s *Session) errProbeSession(entry string) error {
-	return fmt.Errorf("scout: %s consumes collected TCAM snapshots; probe-mode sessions are driven by Analyze", entry)
-}
-
-// analyzeProbesLocked is the probe-mode incremental round: fingerprint
-// every switch's live TCAM (O(rules) hashing, fanned over the worker
-// pool), replay cached verdicts for fingerprint-clean switches, and
-// classify only the dirty switches' probe batches (O(rules × probes)
-// work that the replay path skips entirely). The report is byte-identical
-// to a cold Analyzer probe run at any worker count: replayed reports are
-// pure functions of the switch's logical rules and TCAM content, and the
-// fold stages are unchanged. Probe mode has no shared base, so its
-// durable state is verdicts only; a restarted probe session replays a
-// fingerprint-clean fabric with zero Classify calls.
-func (s *Session) analyzeProbesLocked(d *compile.Deployment) (*Report, error) {
-	start := time.Now()
-	s.resolveLocked(d)
-	prober := s.a.proberFor(d)
-	before := prober.Stats()
-	switches := sortSwitches(s.f.Topology().Switches())
-
-	tcamFPs := make([]uint64, len(switches))
-	collectErrs := make([]error, len(switches))
-	s.a.forEach(len(switches), func(i int) {
-		rules, err := s.f.CollectTCAM(switches[i])
-		if err != nil {
-			collectErrs[i] = fmt.Errorf("scout: probe fingerprint switch %d: %w", switches[i], err)
-			return
-		}
-		tcamFPs[i] = equiv.Fingerprint(rules)
-	})
-	for _, err := range collectErrs {
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	checkReps, classified, err := s.replayOrCheckLocked(switches, tcamFPs,
-		func(dirty []object.ID, _, _ []uint64) ([]*equiv.Report, error) {
-			return s.a.checkAll(dirty, noChecker, func(_ *equiv.Checker, sw object.ID) (*equiv.Report, error) {
-				return s.a.checkSwitch(s.f, d, prober, sw)
-			})
-		})
-	if err != nil {
-		return nil, err
-	}
-	rep := s.reportLocked(start, s.f.ChangeLog(), s.f.FaultLog(), s.f.Now(), switches, checkReps, classified)
-	s.stats.ProbeSwitchesClassified += classified
-	s.stats.ProbeSwitchesReplayed += len(switches) - classified
-	s.stats.ProbePacketsBatched += prober.Stats().BatchedPackets - before.BatchedPackets
-	return rep, nil
+	return s.run(s.fabricState(s.f.CollectAll(), s.f.Now()), nil, true)
 }
 
 // AnalyzeEpoch analyzes one collector epoch against the fabric's current
@@ -341,30 +307,14 @@ func (s *Session) analyzeProbesLocked(d *compile.Deployment) (*Report, error) {
 func (s *Session) AnalyzeEpoch(e *Epoch) (*Report, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.a.opts.UseProbes {
-		return nil, s.errProbeSession("AnalyzeEpoch")
-	}
-	d := s.f.Deployment()
-	if d == nil {
-		return nil, fmt.Errorf("scout: fabric has never been deployed")
-	}
-	var cleanTCAM map[object.ID]bool
+	var changed map[object.ID]bool
 	if s.lastEpoch != nil {
-		cleanTCAM = make(map[object.ID]bool, len(e.TCAM))
-		for sw := range e.TCAM {
-			cleanTCAM[sw] = true
-		}
+		changed = make(map[object.ID]bool)
 		for _, sw := range collect.DirtySwitches(s.lastEpoch, e) {
-			delete(cleanTCAM, sw)
+			changed[sw] = true
 		}
 	}
-	rep, err := s.analyzeLocked(State{
-		Deployment: d,
-		TCAM:       e.TCAM,
-		Changes:    s.f.ChangeLog(),
-		Faults:     s.f.FaultLog(),
-		Now:        e.Time,
-	}, cleanTCAM)
+	rep, err := s.run(s.fabricState(e.TCAM, e.Time), changed, false)
 	if err != nil {
 		return nil, err
 	}
@@ -380,6 +330,8 @@ func (s *Session) AnalyzeEpoch(e *Epoch) (*Report, error) {
 // one partial collection and at most min(S, batch) re-checks per batch,
 // while the report stays byte-identical to a full AnalyzeEpoch of the
 // same final state at any worker count (the fold stages are unchanged).
+// It reads the session's own fabric, so it drives a probe session too:
+// only the named switches are re-read, re-hashed and, if dirty, probed.
 //
 // The first ApplyEvents run of a session (or the first after Invalidate
 // or a failed run dropped the epoch anchor) has no previous epoch to
@@ -394,82 +346,43 @@ func (s *Session) AnalyzeEpoch(e *Epoch) (*Report, error) {
 func (s *Session) ApplyEvents(batch EventBatch) (*Report, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.a.opts.UseProbes {
-		return nil, s.errProbeSession("ApplyEvents")
-	}
-	d := s.f.Deployment()
-	if d == nil {
-		return nil, fmt.Errorf("scout: fabric has never been deployed")
-	}
-	var (
-		tcams     map[object.ID][]rule.Rule
-		cleanTCAM map[object.ID]bool
-		seq, read int
-	)
-	prev := s.lastEpoch
+	// The synthetic epoch anchors the next partial refresh (and any
+	// interleaved AnalyzeEpoch's diff). It carries the previous collector
+	// sequence number forward: epoch Seq is a collector lineage marker,
+	// and this epoch belongs to the session, not a collector history.
+	prev, next := s.lastEpoch, &collect.Epoch{Time: s.f.Now()}
+	var reread map[object.ID]bool
 	if prev == nil {
-		tcams = s.f.CollectAll()
+		next.TCAM = s.f.CollectAll()
 	} else {
-		seq = prev.Seq
-		tcams = make(map[object.ID][]rule.Rule, len(prev.TCAM))
-		cleanTCAM = make(map[object.ID]bool, len(prev.TCAM))
-		for sw, rules := range prev.TCAM {
-			tcams[sw] = rules
-			cleanTCAM[sw] = true
+		var err error
+		if next.TCAM, reread, err = collect.Partial(s.f, prev.TCAM, batch.Switches); err != nil {
+			return nil, fmt.Errorf("scout: event refresh: %w", err)
 		}
-		for _, sw := range batch.Switches {
-			if _, known := tcams[sw]; known && !cleanTCAM[sw] {
-				continue // named twice in the batch: already re-read
-			}
-			rules, err := s.f.CollectTCAM(sw)
-			if err != nil {
-				return nil, fmt.Errorf("scout: event refresh: %w", err)
-			}
-			tcams[sw] = rules
-			delete(cleanTCAM, sw)
-			read++
-		}
+		next.Seq = prev.Seq
 	}
-	now := s.f.Now()
-	rep, err := s.analyzeLocked(State{
-		Deployment: d,
-		TCAM:       tcams,
-		Changes:    s.f.ChangeLog(),
-		Faults:     s.f.FaultLog(),
-		Now:        now,
-	}, cleanTCAM)
+	rep, err := s.run(s.fabricState(next.TCAM, next.Time), reread, true)
 	if err != nil {
 		return nil, err
 	}
 	if prev != nil {
-		// Counted from what the loop did, not from the batch's length: a
-		// batch may name a switch twice, or one the previous epoch lacked.
+		// Counted from what the collection did, not from the batch's
+		// length: a batch may name a switch twice.
 		s.stats.EventBatches++
-		s.stats.EventSwitchesRead += read
-		s.stats.EventSwitchesAliased += len(cleanTCAM)
+		s.stats.EventSwitchesRead += len(reread)
+		s.stats.EventSwitchesAliased += len(next.TCAM) - len(reread)
 	}
-	// The synthetic epoch anchors the next partial refresh (and any
-	// interleaved AnalyzeEpoch's diff). It carries the previous
-	// collector sequence number forward: epoch Seq is a collector
-	// lineage marker, and this epoch belongs to the session, not a
-	// collector history.
-	s.lastEpoch = &collect.Epoch{Seq: seq, Time: now, TCAM: tcams}
+	s.lastEpoch = next
 	return rep, nil
 }
 
 // AnalyzeState analyzes raw collected state incrementally (production
-// users populating State themselves). The deployment and TCAM slices must
-// not be mutated after the call.
+// users populating State themselves); every T list is hashed. The
+// deployment and TCAM slices must not be mutated after the call.
 func (s *Session) AnalyzeState(st State) (*Report, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.a.opts.UseProbes {
-		return nil, s.errProbeSession("AnalyzeState")
-	}
-	if st.Deployment == nil {
-		return nil, fmt.Errorf("scout: state has no deployment")
-	}
-	return s.analyzeLocked(st, nil)
+	return s.run(st, nil, false)
 }
 
 // Invalidate drops the cached verdicts of the given switches — or of
@@ -510,13 +423,10 @@ func (s *Session) Reset() {
 // the store's owner does, once, when the process winds down. A session
 // without a WarmStore has nothing to flush and Close is a no-op.
 func (s *Session) Close() error {
-	s.mu.Lock()
-	ws := s.a.opts.WarmStore
-	s.mu.Unlock()
-	if ws == nil {
+	if s.ws == nil {
 		return nil
 	}
-	return ws.Flush()
+	return s.ws.Flush()
 }
 
 // Stats returns the session's cumulative cache statistics.
@@ -528,33 +438,51 @@ func (s *Session) Stats() SessionStats {
 
 // ProberStats returns the probe-mode prober's counter snapshot (memo
 // hits/misses and batch-classification counters) and whether a prober
-// exists yet. Zero-valued until the first probe-mode Analyze.
+// exists yet. The prober is the current deployment's: it appears with the
+// first probe-mode run and starts over when the policy is recompiled.
 func (s *Session) ProberStats() (probe.Stats, bool) {
-	return s.a.ProberStats()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.dep.prober == nil {
+		return probe.Stats{}, false
+	}
+	return s.dep.prober.Stats(), true
 }
 
-// analyzeLocked is the incremental pipeline over collected TCAM state.
-// cleanTCAM, when non-nil, names switches whose TCAM rules are
-// known-identical to the session's previous run (from an epoch diff);
-// their fingerprints are trusted from cache. Every run ends byte-identical
-// to a cold Analyzer run on the same State: caching only ever
-// short-circuits the check stage, never the folds.
-func (s *Session) analyzeLocked(st State, cleanTCAM map[object.ID]bool) (*Report, error) {
+// run is the pipeline's one orchestration, reached by every entry point
+// and by every one-shot: resolve the deployment, hash the T lists no hint
+// vouches for, replay or re-check each switch, assemble the report on the
+// deployment's pristine risk models, and persist what changed. st holds
+// the T lists to analyze. changed, when non-nil, is the caller's hint that
+// only the switches it names can differ from the session's previous run
+// (an epoch diff, an event batch's re-read set); every other cached
+// fingerprint is trusted. live says the lists were read from the
+// session's own fabric during this call, so its dataplane is what they
+// describe. Every run ends byte-identical to a cold run on the same
+// State: caching only ever short-circuits the check stage, never the
+// folds.
+func (s *Session) run(st State, changed map[object.ID]bool, live bool) (*Report, error) {
 	start := time.Now()
+	probes := s.a.opts.UseProbes
+	switch {
+	case st.Deployment == nil:
+		return nil, fmt.Errorf("scout: nothing to analyze: the fabric has never been deployed, or the state has no deployment")
+	case probes && !live:
+		return nil, fmt.Errorf("scout: probe mode classifies packets against a live dataplane, which collected TCAM snapshots (AnalyzeEpoch, AnalyzeState) do not have; use Analyze or ApplyEvents")
+	}
 	// Until this run completes, epoch-diff hints would compare against
 	// state older than what the cache entries reflect.
 	s.lastEpoch = nil
 	st = st.withDefaultLogs()
 	switches := st.sortedSwitches()
 	s.resolveLocked(st.Deployment)
-	foldBefore := s.foldTotalsLocked()
 
 	// A TCAM list's fingerprint comes from the cache when the hint vouches
 	// for it and is otherwise hashed, over the worker pool like the checks.
 	tcamFPs := make([]uint64, len(switches))
 	var unhashed []int
 	for i, sw := range switches {
-		if ent := s.cache[sw]; ent != nil && cleanTCAM[sw] {
+		if ent := s.cache[sw]; ent != nil && changed != nil && !changed[sw] {
 			tcamFPs[i] = ent.tcamFP
 		} else {
 			unhashed = append(unhashed, i)
@@ -567,12 +495,25 @@ func (s *Session) analyzeLocked(st State, cleanTCAM map[object.ID]bool) (*Report
 		})
 	}
 
-	// Dirty switches sharing both fingerprints — which the partition
-	// already computed — check once per group. Worker k owns persistent
-	// checker k for the run.
+	// The observation source decides one thing: how a dirty switch gets
+	// its verdict. Probes classify its packet batch against the fabric's
+	// live TCAM (O(rules × probes), which a replay skips entirely). A BDD
+	// check runs on the session's forks — worker k owns checker k for the
+	// run — once per group of dirty switches sharing both fingerprints,
+	// which the partition already computed.
 	var plan *dedupPlan
+	foldBefore := s.foldTotalsLocked()
 	checkReps, checked, err := s.replayOrCheckLocked(switches, tcamFPs,
 		func(dirty []object.ID, logFPs, tcamFPs []uint64) (fresh []*equiv.Report, err error) {
+			if probes {
+				prober := s.dep.prober
+				before := prober.Stats().BatchedPackets
+				fresh, err = s.a.checkAll(dirty, noChecker, func(_ *equiv.Checker, sw object.ID) (*equiv.Report, error) {
+					return probeSwitch(s.f, prober, sw)
+				})
+				s.stats.ProbePacketsBatched += prober.Stats().BatchedPackets - before
+				return fresh, err
+			}
 			s.provisionCheckersLocked(s.a.workers(len(dirty)))
 			fresh, plan, err = s.a.checkDeduped(st, dirty, logFPs, tcamFPs,
 				func(k int) *equiv.Checker { return s.checkers[k] })
@@ -581,21 +522,35 @@ func (s *Session) analyzeLocked(st State, cleanTCAM map[object.ID]bool) (*Report
 	if err != nil {
 		return nil, err
 	}
-	rep := s.reportLocked(start, st.Changes, st.Faults, st.Now, switches, checkReps, checked)
-	s.stats.Checked += checked
-	s.stats.Replayed += len(switches) - checked
-	if plan != nil {
-		s.stats.DedupGroups += plan.groups
-		s.stats.DedupReplays += plan.replays
+
+	rep := s.a.assemble(s.dep.models, st.Changes, st.Faults, st.Now, switches, checkReps)
+	s.stats.Runs++
+	s.stats.addLocalizeStats(rep.LocalizeStats)
+	if probes {
+		s.stats.ProbeSwitchesClassified += checked
+		s.stats.ProbeSwitchesReplayed += len(switches) - checked
+	} else {
+		s.stats.Checked += checked
+		s.stats.Replayed += len(switches) - checked
+		enc := equiv.AggregateEncodeStats(s.dep.base, s.checkers)
+		if plan != nil { // nil when the run re-checked nothing
+			enc.DedupGroups, enc.DedupReplays = plan.groups, plan.replays
+			s.stats.DedupGroups += plan.groups
+			s.stats.DedupReplays += plan.replays
+		}
+		rep.EncodeStats = enc
+		s.stats.BaseNodes = enc.BaseNodes
+		s.stats.DeltaNodes = enc.DeltaNodes
+		s.stats.BaseSemantics = enc.BaseSemantics
+		s.stats.FoldHits += enc.FoldHits() - foldBefore.hits
+		s.stats.FoldMisses += enc.FoldMisses - foldBefore.misses
 	}
-	enc := equiv.AggregateEncodeStats(s.dep.base, s.checkers)
-	plan.record(enc)
-	rep.EncodeStats = enc
-	s.stats.BaseNodes = enc.BaseNodes
-	s.stats.DeltaNodes = enc.DeltaNodes
-	s.stats.BaseSemantics = enc.BaseSemantics
-	s.stats.FoldHits += enc.FoldHits() - foldBefore.hits
-	s.stats.FoldMisses += enc.FoldMisses - foldBefore.misses
+	// A run that re-checked something changed some verdict: schedule the
+	// cache's write-behind persistence under the deployment fingerprint.
+	if s.ws != nil && checked > 0 {
+		s.saveVerdictsLocked()
+	}
+	rep.Elapsed = time.Since(start)
 	return rep, nil
 }
 
@@ -649,22 +604,6 @@ func (s *Session) replayOrCheckLocked(switches []object.ID, tcamFPs []uint64,
 	return reports, len(dirty), nil
 }
 
-// reportLocked runs the stages downstream of the check on the resolved
-// deployment's pristine risk models, counts the run, and — when the run
-// re-checked anything, so some verdict changed — schedules the verdict
-// cache's write-behind persistence under the deployment fingerprint.
-func (s *Session) reportLocked(start time.Time, changes *ChangeLog, faults *FaultLog, now time.Time,
-	switches []object.ID, checkReps []*equiv.Report, checked int) *Report {
-	rep := s.a.assemble(s.dep.models, changes, faults, now, switches, checkReps)
-	rep.Elapsed = time.Since(start)
-	s.stats.Runs++
-	s.stats.addLocalizeStats(rep.LocalizeStats)
-	if s.a.opts.WarmStore != nil && checked > 0 {
-		s.saveVerdictsLocked()
-	}
-	return rep
-}
-
 // foldTotals is a point-in-time sum of the live checkers' cumulative
 // fold counters, used to attribute per-run deltas to SessionStats (the
 // checkers themselves persist across runs, so their counters alone
@@ -685,10 +624,10 @@ func (s *Session) foldTotalsLocked() foldTotals {
 // one place the session asks whether this is still the deployment it
 // knows. The same pointer means nothing moved. A new pointer is hashed
 // once: equal content (a recompile that changed nothing) keeps the
-// fingerprints and the base — re-pointed at the new deployment's slices
-// so the superseded one is not pinned; safe here, the run lock is held
-// and no checker is mid-check — and rebuilds only the risk models. New
-// content also replaces the base, discarding the old one's checker forks
+// fingerprints and the base or prober — re-pointed at the new deployment's
+// slices so the superseded one is not pinned; safe here, the run lock is
+// held and no checker is mid-check — and rebuilds only the risk models. New
+// content also replaces them, discarding the old base's checker forks
 // before any worker is provisioned, and seeds the verdict cache from the
 // warm store. The controller model builds beside the hashing and the base
 // build: they share nothing, and the base builds serially in one manager.
@@ -698,19 +637,22 @@ func (s *Session) resolveLocked(d *compile.Deployment) {
 	}
 	joinModels := s.a.startRiskModels(d)
 	logFPs, fp := equiv.DeploymentFingerprints(d.BySwitch)
-	base := s.dep.base
-	if s.dep.d != nil && fp == s.dep.fp {
-		if base != nil {
-			base.RebindSemantics(d.BySwitch)
-		}
-	} else {
-		s.checkers, base = nil, nil
-		if !s.a.opts.UseProbes {
+	base, prober := s.dep.base, s.dep.prober
+	switch {
+	case s.dep.d == nil || fp != s.dep.fp:
+		s.checkers, base, prober = nil, nil, nil
+		if s.a.opts.UseProbes {
+			prober = probe.New(d)
+		} else {
 			base = s.loadOrBuildBaseLocked(d, fp)
 		}
 		s.seedVerdictsLocked(fp)
+	case prober != nil:
+		prober.Rebind(d)
+	default:
+		base.RebindSemantics(d.BySwitch)
 	}
-	s.dep = deploymentState{d: d, fp: fp, logFPs: logFPs, base: base, models: joinModels()}
+	s.dep = deploymentState{d: d, fp: fp, logFPs: logFPs, base: base, prober: prober, models: joinModels()}
 }
 
 // loadOrBuildBaseLocked returns the frozen base for a deployment
@@ -723,9 +665,8 @@ func (s *Session) resolveLocked(d *compile.Deployment) {
 // collision-verification rule references at this deployment's slices,
 // releasing the decoded copies.
 func (s *Session) loadOrBuildBaseLocked(d *compile.Deployment, fp uint64) *equiv.Base {
-	ws := s.a.opts.WarmStore
-	if ws != nil {
-		if b, err := ws.LoadBase(fp); err == nil && b != nil {
+	if s.ws != nil {
+		if b, err := s.ws.LoadBase(fp); err == nil && b != nil {
 			b.RebindSemantics(d.BySwitch)
 			s.stats.BaseLoads++
 			if reg := s.a.opts.BaseRegistry; reg != nil {
@@ -738,8 +679,8 @@ func (s *Session) loadOrBuildBaseLocked(d *compile.Deployment, fp uint64) *equiv
 	s.stats.BaseRebuilds++
 	s.stats.BaseSemGrafts += bstats.SemGrafts
 	s.stats.BaseSemFolds += bstats.SemFolds
-	if ws != nil {
-		ws.SaveBase(fp, base)
+	if s.ws != nil {
+		s.ws.SaveBase(fp, base)
 	}
 	return base
 }
@@ -753,15 +694,14 @@ func (s *Session) loadOrBuildBaseLocked(d *compile.Deployment, fp uint64) *equiv
 // loaded entry's fingerprints, making a stale or foreign file safe (its
 // entries simply never match).
 func (s *Session) seedVerdictsLocked(depFP uint64) {
-	ws := s.a.opts.WarmStore
-	if ws == nil {
+	if s.ws == nil {
 		return
 	}
 	if _, done := s.loadedVerdicts[depFP]; done {
 		return
 	}
 	s.loadedVerdicts[depFP] = struct{}{}
-	vs, err := ws.LoadVerdicts(depFP, s.a.opts.UseProbes)
+	vs, err := s.ws.LoadVerdicts(depFP, s.a.opts.UseProbes)
 	if err != nil {
 		return // unverifiable file: cold start for these switches
 	}
@@ -791,7 +731,7 @@ func (s *Session) saveVerdictsLocked() {
 			Report:    ent.report,
 		})
 	}
-	s.a.opts.WarmStore.SaveVerdicts(s.dep.fp, s.a.opts.UseProbes, vs)
+	s.ws.SaveVerdicts(s.dep.fp, s.a.opts.UseProbes, vs)
 }
 
 // missingRuleCap resolves the per-switch cached-rule bound: 0 picks the
@@ -817,9 +757,9 @@ func (s *Session) missingRuleCap() int {
 func (s *Session) provisionCheckersLocked(n int) {
 	budget := s.sessionNodeBudget()
 	for len(s.checkers) < n {
-		// Forks pre-size their node array and tables for the expected
-		// delta, skipping the growth ramp.
-		s.checkers = append(s.checkers, s.dep.base.NewCheckerSized(s.checkerDeltaHint(budget)))
+		// Sized from the base: a check adds ~130 nodes to its fork, so a
+		// fork sized for a fraction of the budget is memory never touched.
+		s.checkers = append(s.checkers, s.dep.base.NewChecker())
 	}
 	if budget <= 0 {
 		return
@@ -852,19 +792,4 @@ func (s *Session) sessionNodeBudget() int {
 		return 0
 	}
 	return b
-}
-
-// checkerDeltaHint derives the fork pre-sizing from the budget: a
-// fraction of it (deltas rarely fill the budget between compactions),
-// clamped so tiny budgets still get workable tables and huge ones do
-// not front-load allocation the checker may never need.
-func (s *Session) checkerDeltaHint(budget int) int {
-	h := budget / 16
-	if h < 4096 {
-		return 4096
-	}
-	if h > 1<<18 {
-		return 1 << 18
-	}
-	return h
 }

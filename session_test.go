@@ -616,22 +616,68 @@ func TestSessionProbeReplayUnderMutations(t *testing.T) {
 }
 
 // TestSessionProbeRejectsSnapshotEntryPoints pins the probe-mode driving
-// contract: the entry points that consume collected TCAM snapshots have
-// nothing to probe and must refuse.
+// contract. The entry points handed collected TCAM snapshots have no
+// dataplane to probe and must refuse — a one-shot probe Analyzer's
+// AnalyzeState included, which used to run a BDD check nobody asked for.
+// ApplyEvents reads the session's own fabric, so it drives a probe session
+// like any other: after a baseline, a fault on one switch plus a batch
+// naming it re-reads and classifies exactly that switch, and the report is
+// a cold probe analysis's.
 func TestSessionProbeRejectsSnapshotEntryPoints(t *testing.T) {
 	f := faultyFabric(t, 3)
-	sess, err := scout.NewSession(f, scout.AnalyzerOptions{UseProbes: true})
+	opts := scout.AnalyzerOptions{UseProbes: true}
+	sess, err := scout.NewSession(f, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sess.AnalyzeEpoch(scout.NewCollector(f, 0).Snapshot()); err == nil {
 		t.Error("AnalyzeEpoch must refuse in probe mode")
 	}
-	if _, err := sess.ApplyEvents(scout.EventBatch{}); err == nil {
-		t.Error("ApplyEvents must refuse in probe mode")
-	}
-	if _, err := sess.AnalyzeState(scout.State{Deployment: f.Deployment()}); err == nil {
+	if _, err := sess.AnalyzeState(fabricState(f)); err == nil {
 		t.Error("AnalyzeState must refuse in probe mode")
+	}
+	if _, err := scout.NewAnalyzer(opts).AnalyzeState(fabricState(f)); err == nil {
+		t.Error("a probe-mode Analyzer's AnalyzeState must refuse")
+	}
+	if st := sess.Stats(); st.Runs != 0 {
+		t.Errorf("refused entry points counted %d runs", st.Runs)
+	}
+
+	if _, err := sess.ApplyEvents(scout.EventBatch{}); err != nil { // full baseline
+		t.Fatal(err)
+	}
+	n := f.Topology().NumSwitches()
+	base := sess.Stats()
+	if base.ProbeSwitchesClassified != n || base.EventBatches != 0 {
+		t.Fatalf("baseline: classified %d switches in %d partial refreshes, want %d in 0",
+			base.ProbeSwitchesClassified, base.EventBatches, n)
+	}
+	sw := f.Topology().Switches()[1]
+	removeOneRule(t, f, sw)
+	rep, err := sess.ApplyEvents(scout.EventBatch{Switches: []scout.ObjectID{sw}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := sess.Stats()
+	if got := st.ProbeSwitchesClassified - base.ProbeSwitchesClassified; got != 1 {
+		t.Errorf("event batch classified %d switches, want 1", got)
+	}
+	if got := st.ProbeSwitchesReplayed - base.ProbeSwitchesReplayed; got != n-1 {
+		t.Errorf("event batch replayed %d switches, want %d", got, n-1)
+	}
+	if st.EventBatches != 1 || st.EventSwitchesRead != 1 || st.EventSwitchesAliased != n-1 {
+		t.Errorf("event batch: %d partial refreshes, read %d, aliased %d; want 1, 1, %d",
+			st.EventBatches, st.EventSwitchesRead, st.EventSwitchesAliased, n-1)
+	}
+	if !switchBroken(rep, sw) {
+		t.Errorf("switch %d lost a rule and is not reported broken", sw)
+	}
+	cold, err := scout.NewAnalyzer(opts).Analyze(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(marshalReport(t, rep), marshalReport(t, cold)) {
+		t.Error("probe-mode event refresh differs from a cold probe analysis")
 	}
 }
 

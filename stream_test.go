@@ -285,6 +285,41 @@ func TestApplyEventsCountsWhatItRead(t *testing.T) {
 	}
 }
 
+// TestSnapshotSwitchesCountsWhatItRead is the collector's half of the same
+// contract — both run collect.Partial: a partial epoch naming a switch
+// twice reads it once and aliases every other switch, and a switch the
+// previous epoch lacked simply joins as one more read.
+func TestSnapshotSwitchesCountsWhatItRead(t *testing.T) {
+	f := faultyFabric(t, 11)
+	c := scout.NewCollector(f, 4)
+	e1 := c.Snapshot()
+	n := f.Topology().NumSwitches()
+	sw := f.Topology().Switches()[1]
+	removeOneRule(t, f, sw)
+
+	e2, err := c.SnapshotSwitches([]scout.ObjectID{sw, sw})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := c.Stats()
+	if st.PartialSnapshots != 1 || st.SwitchesRead != n+1 || st.SwitchesAliased != n-1 {
+		t.Errorf("duplicated switch: %d partial epochs, read %d, aliased %d; want 1, %d (the full epoch's %d + 1), %d",
+			st.PartialSnapshots, st.SwitchesRead, st.SwitchesAliased, n+1, n, n-1)
+	}
+	if len(e2.TCAM[sw]) != len(e1.TCAM[sw])-1 {
+		t.Errorf("re-read switch holds %d rules, want %d", len(e2.TCAM[sw]), len(e1.TCAM[sw])-1)
+	}
+	if dirty := scout.DirtyEpochSwitches(e1, e2); len(dirty) != 1 || dirty[0] != sw {
+		t.Errorf("dirty = %v, want [%d]", dirty, sw)
+	}
+	if _, err := c.SnapshotSwitches([]scout.ObjectID{1 << 20}); err == nil {
+		t.Error("a switch the fabric does not have must fail the partial epoch")
+	}
+	if after := c.Stats(); after != st {
+		t.Errorf("failed partial epoch moved the counters: %+v -> %+v", st, after)
+	}
+}
+
 // mustLastReport replays the session's current verdicts as a report (an
 // empty batch reads nothing).
 func mustLastReport(t *testing.T, s *scout.Session) *scout.Report {

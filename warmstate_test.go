@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -105,6 +106,102 @@ func TestSessionWarmRestartIdentity(t *testing.T) {
 		}
 		if err := ws2.Close(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// dirImage reads every file under a warm-state directory.
+func dirImage(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	img := make(map[string]string)
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		img[path] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
+// TestOneShotIgnoresWarmStore pins what AnalyzerOptions.WarmStore documents
+// now that a one-shot is a session's first run: an Analyzer handed a store
+// writes nothing to it, and over a directory a session populated it loads
+// nothing — it folds what a store-less analysis folds, where a restarted
+// session folds nothing — and leaves every file as it found it.
+func TestOneShotIgnoresWarmStore(t *testing.T) {
+	for _, probes := range []bool{false, true} {
+		dir := t.TempDir()
+		f := faultyFabric(t, 11)
+		open := func() *scout.WarmStore {
+			t.Helper()
+			ws, err := scout.OpenWarmStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ws
+		}
+		oneShot := func(ws *scout.WarmStore) *scout.Report {
+			t.Helper()
+			rep, err := scout.NewAnalyzer(scout.AnalyzerOptions{UseProbes: probes, WarmStore: ws}).Analyze(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ws.Close(); err != nil {
+				t.Fatal(err)
+			}
+			return rep
+		}
+
+		plain, err := scout.NewAnalyzer(scout.AnalyzerOptions{UseProbes: probes}).Analyze(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := oneShot(open())
+		if img := dirImage(t, dir); len(img) != 0 {
+			t.Fatalf("probes=%v: a one-shot wrote %d warm-state files", probes, len(img))
+		}
+
+		ws := open()
+		sess, err := scout.NewSession(f, scout.AnalyzerOptions{UseProbes: probes, WarmStore: ws})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.Analyze(); err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := ws.Close(); err != nil {
+			t.Fatal(err)
+		}
+		populated := dirImage(t, dir)
+		if len(populated) == 0 {
+			t.Fatalf("probes=%v: the session persisted nothing; the second half is vacuous", probes)
+		}
+
+		second := oneShot(open())
+		if after := dirImage(t, dir); !reflect.DeepEqual(after, populated) {
+			t.Errorf("probes=%v: a one-shot changed the warm-state directory", probes)
+		}
+		want := marshalReport(t, plain)
+		if !bytes.Equal(marshalReport(t, first), want) || !bytes.Equal(marshalReport(t, second), want) {
+			t.Errorf("probes=%v: a one-shot handed a store reports differently from one without", probes)
+		}
+		if probes {
+			continue // no BDD state to have loaded
+		}
+		if plain.EncodeStats.FoldMisses == 0 {
+			t.Fatal("the faulty fabric folded nothing privately; the load check is vacuous")
+		}
+		if got := second.EncodeStats.FoldMisses; got != plain.EncodeStats.FoldMisses {
+			t.Errorf("one-shot over a populated store folded %d lists, want the %d of a store-less run (a restored verdict cache folds 0)",
+				got, plain.EncodeStats.FoldMisses)
 		}
 	}
 }
