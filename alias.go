@@ -328,7 +328,7 @@ var (
 	// DiffEpochs compares two epochs switch by switch.
 	DiffEpochs = collect.Diff
 	// DirtyEpochSwitches lists the switches whose rules differ between two
-	// epochs — the invalidation input for incremental re-verification.
+	// epochs.
 	DirtyEpochSwitches = collect.DirtySwitches
 )
 
@@ -345,33 +345,22 @@ type (
 // ParseScenario decodes and validates a JSON scenario.
 var ParseScenario = scenario.Parse
 
-// Durable warm state (cross-restart and cross-deployment BDD reuse).
+// Durable warm state (cross-restart BDD and verdict reuse).
 type (
 	// WarmStore is the content-addressed, write-behind warm-state store:
 	// frozen encoding bases and per-switch verdicts persisted under
 	// deployment fingerprints, restored by Sessions on construction
 	// (AnalyzerOptions.WarmStore).
 	WarmStore = store.Store
-	// BaseRegistry shares frozen whole-switch semantics BDDs across every
-	// analyzer and session handed the same registry
-	// (AnalyzerOptions.BaseRegistry).
-	BaseRegistry = store.BaseRegistry
-	// BaseRegistryStats is a BaseRegistry counter snapshot.
-	BaseRegistryStats = store.RegistryStats
 	// StoreVerdict is one persisted per-switch check verdict.
 	StoreVerdict = store.Verdict
 	// StoreGCStats summarizes one warm-store garbage-collection pass.
 	StoreGCStats = store.GCStats
 )
 
-var (
-	// OpenWarmStore opens (creating if needed) a warm-state store
-	// directory and starts its write-behind goroutine.
-	OpenWarmStore = store.Open
-	// NewBaseRegistry creates an empty cross-deployment semantics
-	// registry.
-	NewBaseRegistry = store.NewBaseRegistry
-)
+// OpenWarmStore opens (creating if needed) a warm-state store directory
+// and starts its write-behind goroutine.
+var OpenWarmStore = store.Open
 
 // Correlation.
 type (

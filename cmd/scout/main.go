@@ -264,8 +264,8 @@ func emitReport(report *scout.Report, pstats *scout.ProberStats, jsonOut, verbos
 		if es := report.EncodeStats; es != nil {
 			fmt.Printf("\nbdd encoding: base %d nodes (%d semantics warmed), delta %d nodes across %d checkers\n",
 				es.BaseNodes, es.BaseSemantics, es.DeltaNodes, es.Checkers)
-			fmt.Printf("fold sharing: hits %d (%d from base) / misses %d, check dedup %d groups / %d replays\n",
-				es.FoldHits(), es.FoldBaseHits, es.FoldMisses, es.DedupGroups, es.DedupReplays)
+			fmt.Printf("fold sharing: hits %d (%d from base) / misses %d\n",
+				es.FoldHits(), es.FoldBaseHits, es.FoldMisses)
 			fmt.Printf("bdd op cache: %d L1 / %d L2 / %d base hits, %d misses; %d compactions (%d retained / %d dropped)\n",
 				es.OpCache.L1Hits, es.OpCache.L2Hits, es.OpCache.BaseHits, es.OpCache.Misses,
 				es.Compactions, es.CompactRetained, es.CompactDropped)
@@ -455,8 +455,7 @@ func runWatch(f *scout.Fabric, faults []objectFault, opts watchOptions, w io.Wri
 	}
 	fmt.Fprintf(w, "session encodings: base %d nodes (%d rebuilds, %d semantics), delta %d nodes\n",
 		st.BaseNodes, st.BaseRebuilds, st.BaseSemantics, st.DeltaNodes)
-	fmt.Fprintf(w, "session fold sharing: hits %d / misses %d, check dedup %d groups / %d replays\n",
-		st.FoldHits, st.FoldMisses, st.DedupGroups, st.DedupReplays)
+	fmt.Fprintf(w, "session fold sharing: hits %d / misses %d\n", st.FoldHits, st.FoldMisses)
 	fmt.Fprintf(w, "session checker GC: %d compactions (%d retained / %d dropped), %d resets\n",
 		st.CheckerCompactions, st.CompactRetained, st.CompactDropped, st.CheckerResets)
 	return report, nil, nil

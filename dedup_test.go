@@ -3,6 +3,7 @@ package scout_test
 import (
 	"bytes"
 	"reflect"
+	"regexp"
 	"runtime"
 	"sort"
 	"testing"
@@ -19,15 +20,14 @@ import (
 const cloneOffset = 100000
 
 // dupState extends the fabric's collected state with byte-equal clone
-// switches — the duplicate groups the whole-switch check dedup collapses
-// (generated workloads produce all-distinct per-switch rule lists, so
-// duplicates are built by cloning). Every other switch (even ranks in
+// switches — duplicates are a supported input that no generated workload
+// produces (their per-switch rule lists are all distinct), so they are
+// built by cloning. Every other switch (even ranks in
 // ascending ID order) gets a twin at ID+cloneOffset sharing its logical
 // rule list, its TCAM snapshot, and its pair-rule index entries, so each
 // twin fingerprint-matches its original on both sides. The fabric's own
-// deployment is not mutated. The second return is the number of clones
-// added.
-func dupState(t testing.TB, f *scout.Fabric) (scout.State, int) {
+// deployment is not mutated.
+func dupState(t testing.TB, f *scout.Fabric) scout.State {
 	t.Helper()
 	d, tcam := f.Deployment(), f.CollectAll()
 	switches := make([]object.ID, 0, len(tcam))
@@ -71,7 +71,7 @@ func dupState(t testing.TB, f *scout.Fabric) (scout.State, int) {
 		Changes:    f.ChangeLog(),
 		Faults:     f.FaultLog(),
 		Now:        f.Now(),
-	}, clones
+	}
 }
 
 // fabricState is the fabric's current collected state.
@@ -87,8 +87,8 @@ func fabricState(f *scout.Fabric) scout.State {
 
 // assertMatchesFreshCheckers is the independent baseline of the identity
 // tests: it checks every switch of st with a fresh equiv.NewChecker() of
-// its own — no shared base, no dedup, no checker reuse across switches —
-// and requires each of the report's per-switch verdicts to equal that
+// its own — no shared base, no checker reuse across switches — and
+// requires each of the report's per-switch verdicts to equal that
 // check's.
 func assertMatchesFreshCheckers(t testing.TB, label string, st scout.State, rep *scout.Report) {
 	t.Helper()
@@ -108,23 +108,18 @@ func assertMatchesFreshCheckers(t testing.TB, label string, st scout.State, rep 
 	}
 }
 
-// expectedFolds derives a cold run's semantics-build counts from the
-// state itself: the base freezes one root per distinct logical semantics
-// fingerprint, and the forks fold only the TCAM lists of dedup-group
-// representatives whose fingerprint no logical list warmed.
+// expectedFolds derives a one-worker cold run's semantics-build counts
+// from the state itself: the base freezes one root per distinct logical
+// semantics fingerprint, and the single fork folds each distinct TCAM list
+// no logical list warmed once — a twin's equal list is a hit in the fork's
+// own memo.
 func expectedFolds(st scout.State) (frozen, unwarmed int) {
 	logicalSem := make(map[uint64]bool)
 	for _, rules := range st.Deployment.BySwitch {
 		logicalSem[equiv.SemanticsFingerprint(rules)] = true
 	}
-	groups := make(map[[2]uint64]bool)
 	unwarmedSem := make(map[uint64]bool)
-	for sw, rules := range st.TCAM {
-		key := [2]uint64{equiv.Fingerprint(st.Deployment.RulesFor(sw)), equiv.Fingerprint(rules)}
-		if groups[key] {
-			continue
-		}
-		groups[key] = true
+	for _, rules := range st.TCAM {
 		if fp := equiv.SemanticsFingerprint(rules); !logicalSem[fp] {
 			unwarmedSem[fp] = true
 		}
@@ -132,15 +127,15 @@ func expectedFolds(st scout.State) (frozen, unwarmed int) {
 	return len(logicalSem), len(unwarmedSem)
 }
 
-// TestDedupIdentityWithDuplicateSwitches is the whole-switch check-dedup
-// identity regression: on a state with byte-equal duplicate switches
-// (consistent and faulty groups alike), every per-switch verdict must be
-// what a fresh checker of its own returns, and the report must be
-// byte-identical at every worker count — dedup and the shared base move
-// check work, never check results.
+// TestDedupIdentityWithDuplicateSwitches is the duplicate-switch identity
+// regression: on a state with byte-equal duplicate switches (consistent
+// and faulty pairs alike), every per-switch verdict must be what a fresh
+// checker of its own returns, and the report must be byte-identical at
+// every worker count — the semantics memo moves check work, never check
+// results.
 func TestDedupIdentityWithDuplicateSwitches(t *testing.T) {
 	f := faultyFabric(t, 7)
-	st, clones := dupState(t, f)
+	st := dupState(t, f)
 
 	analyze := func(workers int) *scout.Report {
 		t.Helper()
@@ -159,32 +154,28 @@ func TestDedupIdentityWithDuplicateSwitches(t *testing.T) {
 		}
 	}
 
-	// The plan's shape: every clone replays its original's verdict.
-	es := analyze(2).EncodeStats
-	if es.DedupReplays != clones {
-		t.Errorf("DedupReplays = %d, want one per clone (%d)", es.DedupReplays, clones)
-	}
-	if es.DedupGroups != clones {
-		t.Errorf("DedupGroups = %d, want one per cloned pair (%d)", es.DedupGroups, clones)
-	}
-	// Semantics sharing: each distinct logical list is frozen once in the
-	// base and resolved from it, never re-folded per fork; the forks fold
-	// exactly the drifted TCAM lists, once per dedup group.
+	// Semantics sharing, read at one worker (which fork compiles a twin's
+	// TCAM list is scheduling-dependent at two): each distinct logical list
+	// is frozen once in the base and resolved from it, never re-folded in
+	// the fork; the fork folds exactly the distinct drifted TCAM lists, a
+	// twin's meeting its original's in the fork's memo.
+	es := serial.EncodeStats
 	frozen, unwarmed := expectedFolds(st)
 	if es.BaseSemantics != frozen {
 		t.Errorf("base froze %d semantics roots, want %d (one per distinct logical list)", es.BaseSemantics, frozen)
 	}
 	if es.FoldMisses != unwarmed {
-		t.Errorf("forks folded %d lists, want %d (one per distinct unwarmed list)", es.FoldMisses, unwarmed)
+		t.Errorf("the fork folded %d lists, want %d (one per distinct unwarmed list)", es.FoldMisses, unwarmed)
 	}
 	if es.FoldBaseHits == 0 {
 		t.Errorf("checks never hit a frozen semantics root: %+v", es)
 	}
 }
 
-// TestDedupErrorAttribution: when a dedup group's rule lists cannot be
-// encoded, the error still names a switch that genuinely owns the
-// offending rules (the group's representative).
+// TestDedupErrorAttribution: when byte-equal switches' rule lists cannot
+// be encoded, the error names a switch that owns the offending rule — each
+// is checked on its own, and which of several concurrent failures is
+// reported may vary.
 func TestDedupErrorAttribution(t *testing.T) {
 	badRule := scout.Rule{
 		Match:  scout.RuleMatch{VRF: 1 << 17, SrcEPG: 1, DstEPG: 2, PortLo: 80, PortHi: 80},
@@ -193,7 +184,7 @@ func TestDedupErrorAttribution(t *testing.T) {
 	bySwitch := make(map[scout.ObjectID][]scout.Rule)
 	tcamState := make(map[scout.ObjectID][]scout.Rule)
 	for sw := scout.ObjectID(1); sw <= 4; sw++ {
-		bySwitch[sw] = []scout.Rule{badRule} // all four form one dedup group
+		bySwitch[sw] = []scout.Rule{badRule}
 		tcamState[sw] = nil
 	}
 	_, err := scout.NewAnalyzer(scout.AnalyzerOptions{Workers: 2}).AnalyzeState(scout.State{
@@ -203,8 +194,7 @@ func TestDedupErrorAttribution(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected encoding error")
 	}
-	// The group representative is the lowest member, switch 1.
-	if want := "equivalence check switch 1:"; !bytes.Contains([]byte(err.Error()), []byte(want)) {
-		t.Errorf("error %q should be attributed to the group representative (switch 1)", err)
+	if !regexp.MustCompile(`equivalence check switch [1-4]:`).MatchString(err.Error()) {
+		t.Errorf("error %q should be attributed to one of the four switches that own the rule", err)
 	}
 }

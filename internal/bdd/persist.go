@@ -5,9 +5,7 @@
 // those triples and the op cache is a pure accelerator — so NodeAt
 // exposes the array for encoding and RebuildSnapshot re-interns it on
 // load, validating the ROBDD invariants so a corrupted file can never
-// produce a snapshot that violates canonicity. Import grafts a frozen
-// function across managers, which is how the cross-deployment registry
-// shares semantics BDDs between bases with different node pools.
+// produce a snapshot that violates canonicity.
 
 package bdd
 
@@ -77,37 +75,4 @@ func RebuildSnapshot(numVars, numNodes int, node func(i int) (level int32, lo, h
 		s.unique.insert(s.nodes, 0, Node(i))
 	}
 	return s, nil
-}
-
-// Import copies the function rooted at root in the frozen snapshot src
-// into this manager, returning the equivalent root here. The copy is a
-// memoized structural walk through mk, so shared subgraphs are visited
-// once and every subfunction the manager (or its frozen base) already
-// interns resolves to its existing ID — importing a function a fork's
-// base can express costs no delta nodes at all. Recursion depth is
-// bounded by the variable count (levels strictly increase along any
-// root-to-terminal path). Both managers must agree on the variable
-// ordering; here that is enforced as an equal variable count.
-func (m *Manager) Import(src *Snapshot, root Node) Node {
-	if src.numVars != m.numVars {
-		panic(fmt.Sprintf("bdd: Import across variable counts (%d vs %d)", src.numVars, m.numVars))
-	}
-	if root == False || root == True {
-		return root
-	}
-	memo := make(map[Node]Node, 64)
-	return m.importNode(src, root, memo)
-}
-
-func (m *Manager) importNode(src *Snapshot, n Node, memo map[Node]Node) Node {
-	if n == False || n == True {
-		return n
-	}
-	if r, ok := memo[n]; ok {
-		return r
-	}
-	d := src.nodes[n]
-	r := m.mk(d.level, m.importNode(src, d.lo, memo), m.importNode(src, d.hi, memo))
-	memo[n] = r
-	return r
 }

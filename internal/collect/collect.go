@@ -4,10 +4,10 @@
 // snapshots the fabric's TCAMs into immutable epochs, keeps a bounded
 // history, and can diff epochs to show which rules appeared or vanished
 // between collections — the raw material for trend analysis and
-// post-incident forensics. Subscribed to a faultlog.EventLog, it also
-// collects *partial* epochs: only the switches named by pending events
-// are re-read, everything else aliases the previous epoch's rule slices,
-// so a collection round costs O(dirty switches) instead of O(fabric).
+// post-incident forensics. It also collects *partial* epochs: only the
+// switches the caller names (from the events it drained) are re-read,
+// everything else aliases the previous epoch's rule slices, so a
+// collection round costs O(dirty switches) instead of O(fabric).
 package collect
 
 import (
@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"scout/internal/fabric"
-	"scout/internal/faultlog"
 	"scout/internal/object"
 	"scout/internal/rule"
 )
@@ -54,9 +53,6 @@ type Stats struct {
 	// forward from the previous epoch without touching the device.
 	SwitchesRead    int
 	SwitchesAliased int
-	// EventsConsumed counts events drained from the subscribed stream
-	// by SnapshotEvents.
-	EventsConsumed int
 }
 
 // Collector snapshots a fabric and retains a bounded epoch history. It is
@@ -67,10 +63,7 @@ type Collector struct {
 	history []*Epoch
 	limit   int
 	nextSeq int
-	// cursor is the consumer position over the subscribed event stream
-	// (nil until Subscribe); SnapshotEvents drains it.
-	cursor *faultlog.Cursor
-	stats  Stats
+	stats   Stats
 }
 
 // New creates a collector keeping at most limit epochs (<= 0 keeps 16).
@@ -79,17 +72,6 @@ func New(f *fabric.Fabric, limit int) *Collector {
 		limit = 16
 	}
 	return &Collector{f: f, limit: limit}
-}
-
-// Subscribe attaches the collector to a dataplane event stream from its
-// current end: subsequent SnapshotEvents calls re-read only the switches
-// named by events appended after this call. Subscribe before the first
-// (full) Snapshot, so no mutation can slip between the baseline and the
-// cursor position.
-func (c *Collector) Subscribe(events *faultlog.EventLog) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.cursor = events.TailCursor()
 }
 
 // Snapshot collects every switch's TCAM into a new epoch. Only switches
@@ -138,10 +120,6 @@ func (c *Collector) retainLocked(tcams map[object.ID][]rule.Rule) *Epoch {
 func (c *Collector) SnapshotSwitches(dirty []object.ID) (*Epoch, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.snapshotSwitchesLocked(dirty)
-}
-
-func (c *Collector) snapshotSwitchesLocked(dirty []object.ID) (*Epoch, error) {
 	if len(c.history) == 0 {
 		return c.snapshotLocked(), nil
 	}
@@ -179,36 +157,6 @@ func Partial(f *fabric.Fabric, prev map[object.ID][]rule.Rule, named []object.ID
 		reread[sw] = true
 	}
 	return tcams, reread, nil
-}
-
-// SnapshotEvents drains the subscribed event stream and collects a
-// partial epoch covering exactly the switches the pending events name
-// (duplicates collapse to one read). It returns the epoch and the events
-// consumed; with no pending events the epoch is a pure alias of the
-// previous one (zero switches read) and the returned slice is empty.
-// SnapshotEvents panics if Subscribe was never called.
-func (c *Collector) SnapshotEvents() (*Epoch, []faultlog.Event, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.cursor == nil {
-		panic("collect: SnapshotEvents without Subscribe")
-	}
-	evs := c.cursor.Drain()
-	c.stats.EventsConsumed += len(evs)
-	seen := make(map[object.ID]bool, len(evs))
-	dirty := make([]object.ID, 0, len(evs))
-	for _, ev := range evs {
-		if !seen[ev.Switch] {
-			seen[ev.Switch] = true
-			dirty = append(dirty, ev.Switch)
-		}
-	}
-	sort.Slice(dirty, func(i, j int) bool { return dirty[i] < dirty[j] })
-	e, err := c.snapshotSwitchesLocked(dirty)
-	if err != nil {
-		return nil, nil, err
-	}
-	return e, evs, nil
 }
 
 // Stats returns the collector's cumulative snapshot counters.
@@ -262,8 +210,8 @@ type SwitchDelta struct {
 // safe to act on) with early exit at the first difference, and a switch
 // holding the same slice in both epochs is clean without a comparison —
 // O(switches) on a clean epoch, cheap enough to run on every collection.
-// It is the invalidation input for incremental re-verification: an
-// analysis session re-checks only the dirty switches of a new epoch.
+// An analysis session does not need it — it recognises an unwritten
+// switch's slice by itself — so it serves callers who want the dirty set.
 func DirtySwitches(older, newer *Epoch) []object.ID {
 	var out []object.ID
 	for sw, rules := range older.TCAM {

@@ -325,64 +325,3 @@ func TestSnapshotSwitchesNoHistory(t *testing.T) {
 		t.Errorf("no-history partial must count as full: %+v", st)
 	}
 }
-
-// TestSnapshotEvents pins the event-driven collection round: pending
-// events name the dirty switches (duplicates collapse to one read), and
-// a round with no pending events aliases everything.
-func TestSnapshotEvents(t *testing.T) {
-	f := deployedFabric(t)
-	c := New(f, 0)
-	c.Subscribe(f.EventLog())
-	c.Snapshot()
-
-	// Two mutations on the same switch coalesce to one re-read.
-	if _, err := f.EvictTCAM(2, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.EvictTCAM(2, 1); err != nil {
-		t.Fatal(err)
-	}
-	e, evs, err := c.SnapshotEvents()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evs) != 2 {
-		t.Fatalf("consumed %d events, want 2", len(evs))
-	}
-	st := c.Stats()
-	if st.EventsConsumed != 2 || st.PartialSnapshots != 1 {
-		t.Errorf("stats = %+v, want 2 events consumed in 1 partial", st)
-	}
-	if st.SwitchesRead != 3 || st.SwitchesAliased != 1 {
-		t.Errorf("read/aliased = %d/%d, want 3/1 (duplicates collapse)", st.SwitchesRead, st.SwitchesAliased)
-	}
-	if dirty := DirtySwitches(c.History()[0], e); len(dirty) != 1 || dirty[0] != 2 {
-		t.Errorf("dirty = %v, want [2]", dirty)
-	}
-
-	// Quiet round: pure alias, zero reads.
-	e2, evs, err := c.SnapshotEvents()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evs) != 0 {
-		t.Fatalf("quiet round consumed %v", evs)
-	}
-	if st := c.Stats(); st.SwitchesRead != 3 || st.SwitchesAliased != 3 {
-		t.Errorf("quiet round stats = %+v, want 0 extra reads, 2 extra aliases", st)
-	}
-	if dirty := DirtySwitches(e, e2); len(dirty) != 0 {
-		t.Errorf("quiet round dirty = %v, want none", dirty)
-	}
-}
-
-func TestSnapshotEventsWithoutSubscribePanics(t *testing.T) {
-	f := deployedFabric(t)
-	c := New(f, 0)
-	defer func() {
-		if recover() == nil {
-			t.Error("SnapshotEvents without Subscribe must panic")
-		}
-	}()
-	c.SnapshotEvents()
-}

@@ -58,8 +58,7 @@ type Base struct {
 // encodings. It stays until bench/ stops passing it (ROADMAP item 1,
 // shims); other callers use NewBaseWith.
 func NewBase(_ []rule.Match, semantics ...[]rule.Rule) *Base {
-	b, _ := NewBaseWith(nil, nil, semantics...)
-	return b
+	return NewBaseWith(nil, semantics...)
 }
 
 // NewChecker forks the base: the returned checker resolves every warmed
@@ -179,10 +178,8 @@ func matchLess(a, b rule.Match) bool {
 //
 // Units caveat for session-produced reports: a session's checkers
 // persist across runs, so the hit/miss counters aggregated from them
-// are cumulative over the session's lifetime, while DedupGroups and
-// DedupReplays describe only the producing run's check plan. Per-run
-// fold attribution and cumulative dedup counters both live in the
-// session's SessionStats instead.
+// are cumulative over the session's lifetime. Per-run fold attribution
+// lives in the session's SessionStats instead.
 type EncodeStats struct {
 	// Checkers is the number of checkers aggregated (the worker count).
 	Checkers int
@@ -201,13 +198,6 @@ type EncodeStats struct {
 	FoldBaseHits  int
 	FoldLocalHits int
 	FoldMisses    int
-	// DedupGroups counts multi-switch check groups — switches sharing
-	// both logical- and TCAM-side fingerprints whose equivalence check
-	// ran once for the whole group. DedupReplays counts the switches
-	// whose verdict was replayed from their group's single check. Zero
-	// when the run's checker mode disables dedup (private, naive).
-	DedupGroups  int
-	DedupReplays int
 
 	// OpCache sums the checkers' BDD operation-cache tier counters
 	// (direct-mapped L1 hits, exact-table L2 hits, frozen-base hits,
@@ -232,9 +222,7 @@ func (s *EncodeStats) FoldHits() int { return s.FoldBaseHits + s.FoldLocalHits }
 
 // AggregateEncodeStats sums the encoding counters of a run's checkers
 // over their shared base (nil for private-checker runs). Nil checker
-// slots (workers that never started) are skipped. The dedup counters are
-// the fan-out's to fill in — they describe the check plan, not the
-// checkers.
+// slots (workers that never started) are skipped.
 func AggregateEncodeStats(base *Base, checkers []*Checker) *EncodeStats {
 	st := &EncodeStats{}
 	if base != nil {

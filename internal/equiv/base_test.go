@@ -13,8 +13,7 @@ import (
 // newBase freezes the given rule lists' semantics roots, the warmup pass
 // in miniature.
 func newBase(lists ...[]rule.Rule) *Base {
-	b, _ := NewBaseWith(nil, nil, lists...)
-	return b
+	return NewBaseWith(nil, lists...)
 }
 
 // TestForkReportMatchesStandalone is the core interchangeability

@@ -1,12 +1,6 @@
-// Base persistence and cross-deployment sharing: the introspection
-// surface the durable warm-state store serializes a Base through, the
-// reconstruction path that revives one from decoded parts, and the
-// SemanticsSource hook that lets a base under construction graft frozen
-// whole-switch semantics roots out of other deployments' bases instead
-// of folding them privately — PR 5's fingerprint-keyed semantics dedup
-// generalized across deployments, with the same canonical-list
-// verification so a 64-bit collision degrades to a private fold, never
-// a wrong root.
+// Base persistence: the build the analyzer's warmup calls, the
+// introspection surface the durable warm-state store serializes a Base
+// through, and the reconstruction path that revives one from decoded parts.
 
 package equiv
 
@@ -18,39 +12,12 @@ import (
 	"scout/internal/rule"
 )
 
-// SemanticsSource resolves frozen whole-switch semantics roots built
-// elsewhere in the process — the cross-deployment registry implements
-// it. ResolveSemantics returns the donor snapshot and the root node of
-// the allowed-set BDD for a rule list canonically equal to rules (the
-// implementation MUST verify with SemanticsEqual before answering, so
-// fingerprint collisions are filtered at the source), or ok == false to
-// make the caller fold privately. Implementations must be safe for
-// concurrent use: bases for different deployments build concurrently.
-type SemanticsSource interface {
-	ResolveSemantics(fp uint64, rules []rule.Rule) (snap *bdd.Snapshot, root bdd.Node, ok bool)
-}
-
-// BaseBuildStats counts where a base's whole-switch semantics roots
-// came from: grafted out of another deployment's frozen base through a
-// SemanticsSource, or folded here. Grafts + Folds = distinct semantics
-// entries built.
-type BaseBuildStats struct {
-	SemGrafts int
-	SemFolds  int
-}
-
-// NewBaseWith is NewBase with a cross-deployment semantics source: each
-// distinct rule list is first looked up in src (verified canonical-list
-// hit → the donor's frozen BDD is imported node-for-node through the
-// manager's unique table, a pure structural copy), and only source
-// misses compile locally. A nil src compiles every list locally. The
-// lists compile through one memo of tails and tries (compile.go), so what
-// two of them share is built once; the memo is frozen with the base.
-//
-// fps, when not nil, holds each list's SemanticsFingerprint, for a caller
-// that has already hashed them (the analyzer ranks the lists by it).
-func NewBaseWith(src SemanticsSource, fps []uint64, semantics ...[]rule.Rule) (*Base, BaseBuildStats) {
-	var stats BaseBuildStats
+// NewBaseWith is NewBase for a caller that has already hashed its lists:
+// fps, when not nil, holds each list's SemanticsFingerprint (the analyzer
+// ranks the lists by it). The lists compile through one memo of tails and
+// tries (compile.go), so what two of them share is built once; the memo is
+// frozen with the base.
+func NewBaseWith(fps []uint64, semantics ...[]rule.Rule) *Base {
 	m := bdd.NewManager(NumVars)
 	semMem := make(map[uint64]semRoot, len(semantics))
 	memo := compileMemo{}
@@ -67,21 +34,13 @@ func NewBaseWith(src SemanticsSource, fps []uint64, semantics ...[]rule.Rule) (*
 			// list simply folds in the forks (hits verify the list).
 			continue
 		}
-		if src != nil {
-			if donor, droot, ok := src.ResolveSemantics(fp, rules); ok {
-				semMem[fp] = semRoot{rules: rules, node: m.Import(donor, droot)}
-				stats.SemGrafts++
-				continue
-			}
-		}
 		root, err := compileMemoized(m, rules, nil, memo)
 		if err != nil {
 			continue
 		}
 		semMem[fp] = semRoot{rules: rules, node: root}
-		stats.SemFolds++
 	}
-	return &Base{snap: m.Freeze(), semMem: semMem, memo: memo}, stats
+	return &Base{snap: m.Freeze(), semMem: semMem, memo: memo}
 }
 
 // Snapshot returns the base's frozen BDD snapshot (safe for concurrent

@@ -23,7 +23,6 @@ import (
 	"scout/internal/compile"
 	"scout/internal/object"
 	"scout/internal/policy"
-	"scout/internal/risk"
 	"scout/internal/rule"
 	"scout/internal/tcam"
 )
@@ -346,42 +345,4 @@ func MissingRules(violations []Violation) []rule.Rule {
 		out = append(out, v.Rule)
 	}
 	return out
-}
-
-// AugmentSwitchModel feeds probe violations for one switch into that
-// switch's risk model, marking the violated pairs' edges to the
-// implicated objects as failed. It returns the number of edges newly
-// marked.
-func AugmentSwitchModel(m risk.Marker, violations []Violation, prov map[rule.Key][]object.Ref) int {
-	return risk.AugmentSwitchModel(m, MissingRules(violations), prov)
-}
-
-// AugmentControllerModel feeds per-switch probe violations into the
-// controller risk model.
-func AugmentControllerModel(m risk.Marker, violations []Violation, prov map[rule.Key][]object.Ref) int {
-	bySwitch := make(map[object.ID][]rule.Rule)
-	seen := make(map[object.ID]map[rule.Key]struct{})
-	for _, v := range violations {
-		ks, ok := seen[v.Switch]
-		if !ok {
-			ks = make(map[rule.Key]struct{})
-			seen[v.Switch] = ks
-		}
-		k := v.Rule.Key()
-		if _, dup := ks[k]; dup {
-			continue
-		}
-		ks[k] = struct{}{}
-		bySwitch[v.Switch] = append(bySwitch[v.Switch], v.Rule)
-	}
-	marked := 0
-	var switches []object.ID
-	for sw := range bySwitch {
-		switches = append(switches, sw)
-	}
-	sort.Slice(switches, func(i, j int) bool { return switches[i] < switches[j] })
-	for _, sw := range switches {
-		marked += risk.AugmentControllerModel(m, sw, bySwitch[sw], prov)
-	}
-	return marked
 }

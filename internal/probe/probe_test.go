@@ -202,10 +202,14 @@ func TestProbeLocalizationEndToEnd(t *testing.T) {
 	}
 	d := f.Deployment()
 	p := New(d)
-	violations := p.ProbeAll(dataplanes(t, f))
+	planes := dataplanes(t, f)
 
 	m := risk.BuildControllerModel(d, risk.ControllerModelOptions{IncludeSwitchRisk: true})
-	if marked := AugmentControllerModel(m, violations, d.Provenance); marked == 0 {
+	marked := 0
+	for _, sw := range f.Topology().Switches() {
+		marked += risk.AugmentControllerModel(m, sw, MissingRules(p.ProbeSwitch(sw, planes[sw])), d.Provenance)
+	}
+	if marked == 0 {
 		t.Fatal("augmentation marked nothing")
 	}
 	res := localize.Scout(m, localize.NoChanges{})
@@ -228,7 +232,7 @@ func TestProbeSwitchModelAugmentation(t *testing.T) {
 	d := f.Deployment()
 	violations := New(d).ProbeSwitch(2, dataplanes(t, f)[2])
 	m := risk.BuildSwitchModel(d, 2)
-	if marked := AugmentSwitchModel(m, violations, d.Provenance); marked == 0 {
+	if marked := risk.AugmentSwitchModel(m, MissingRules(violations), d.Provenance); marked == 0 {
 		t.Fatal("switch-model augmentation marked nothing")
 	}
 	appDB, _ := m.ElementByLabel("2-3")
@@ -318,7 +322,7 @@ func TestProberPacketMemo(t *testing.T) {
 
 	shared := New(d)
 	var sharedViolations []Violation
-	for _, sw := range []object.ID{1, 2, 3} {
+	for _, sw := range f.Topology().Switches() {
 		s, err := f.Switch(sw)
 		if err != nil {
 			t.Fatal(err)
@@ -334,7 +338,7 @@ func TestProberPacketMemo(t *testing.T) {
 	}
 
 	var freshViolations []Violation
-	for _, sw := range []object.ID{1, 2, 3} {
+	for _, sw := range f.Topology().Switches() {
 		s, err := f.Switch(sw)
 		if err != nil {
 			t.Fatal(err)

@@ -1,10 +1,8 @@
 // Package store is the durable warm-state store behind cross-restart
-// and cross-deployment BDD reuse: a content-addressed directory of
-// checksummed files holding frozen encoding bases (snapshot + match
-// memo + semantics memo) keyed by deployment fingerprint and per-switch
-// check verdicts keyed by the logical/TCAM rule-list fingerprints, plus
-// a resident cross-deployment registry (registry.go) that shares frozen
-// whole-switch semantics BDDs between concurrently live sessions.
+// BDD reuse: a content-addressed directory of checksummed files holding
+// frozen encoding bases (snapshot + semantics memo) keyed by deployment
+// fingerprint and per-switch check verdicts keyed by the logical/TCAM
+// rule-list fingerprints.
 //
 // Writes are write-behind: Save* enqueues an encode-and-persist job and
 // returns immediately; one background goroutine drains the queue,

@@ -59,7 +59,7 @@ func testBase(t testing.TB, seed int64) (*equiv.Base, [][]rule.Rule) {
 	rng := rand.New(rand.NewSource(seed))
 	listA := testRules(rng, 40)
 	listB := testRules(rng, 25)
-	base, _ := equiv.NewBaseWith(nil, nil, listA, listB)
+	base := equiv.NewBaseWith(nil, listA, listB)
 	if base.Size() <= 2 || base.NumSemantics() != 2 {
 		t.Fatalf("unexpected test base: %d nodes, %d semantics", base.Size(), base.NumSemantics())
 	}
@@ -177,7 +177,7 @@ func TestBaseCodecRoundTrip(t *testing.T) {
 func TestBaseCodecRejectsDamage(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	list := testRules(rng, 6)
-	base, _ := equiv.NewBaseWith(nil, nil, list)
+	base := equiv.NewBaseWith(nil, list)
 	const depFP = 0x0123456789abcdef
 	data := encodeBase(depFP, base)
 
@@ -395,75 +395,6 @@ func TestStoreGC(t *testing.T) {
 	}
 }
 
-// TestRegistrySharing pins cross-deployment sharing: a second base over
-// a canonically equal rule list grafts the registered root instead of
-// folding, and the graft is behaviourally identical.
-func TestRegistrySharing(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	list := testRules(rng, 30)
-	reg := NewBaseRegistry()
-
-	donor, stats := equiv.NewBaseWith(reg, nil, list)
-	if stats.SemGrafts != 0 || stats.SemFolds != 1 {
-		t.Fatalf("donor build: %+v", stats)
-	}
-	reg.RegisterBase(donor)
-	if st := reg.Stats(); st.Entries != 1 || st.Misses != 1 {
-		t.Fatalf("after donor: %+v", st)
-	}
-
-	grafted, stats := equiv.NewBaseWith(reg, nil, list)
-	if stats.SemGrafts != 1 || stats.SemFolds != 0 {
-		t.Fatalf("grafted build: %+v", stats)
-	}
-	if st := reg.Stats(); st.Hits != 1 {
-		t.Fatalf("after graft: %+v", st)
-	}
-
-	var wantRoot, gotRoot bdd.Node
-	donor.ForEachSemantics(func(_ uint64, _ []rule.Rule, root bdd.Node) { wantRoot = root })
-	grafted.ForEachSemantics(func(_ uint64, _ []rule.Rule, root bdd.Node) { gotRoot = root })
-	wantM := bdd.NewManagerFrom(donor.Snapshot())
-	gotM := bdd.NewManagerFrom(grafted.Snapshot())
-	if w, g := wantM.SatCount(wantRoot), gotM.SatCount(gotRoot); w != g {
-		t.Fatalf("grafted root SatCount %v, donor %v", g, w)
-	}
-}
-
-// TestRegistryCollisionFallsThrough pins the collision-proofing: a
-// fingerprint hit whose canonical rule list disagrees is rejected —
-// counted as a collision — and the consumer folds privately, never
-// grafting a wrong root.
-func TestRegistryCollisionFallsThrough(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	listA := testRules(rng, 20)
-	listB := testRules(rng, 20)
-	if equiv.SemanticsEqual(listA, listB) {
-		t.Fatal("test lists should differ")
-	}
-	reg := NewBaseRegistry()
-	donor, _ := equiv.NewBaseWith(nil, nil, listA)
-	var donorRoot bdd.Node
-	donor.ForEachSemantics(func(_ uint64, _ []rule.Rule, root bdd.Node) { donorRoot = root })
-
-	// Forge a collision: publish listA's entry under listB's fingerprint.
-	fpB := equiv.SemanticsFingerprint(listB)
-	reg.mu.Lock()
-	reg.entries[fpB] = registryEntry{snap: donor.Snapshot(), rules: listA, root: donorRoot}
-	reg.mu.Unlock()
-
-	if _, _, ok := reg.ResolveSemantics(fpB, listB); ok {
-		t.Fatal("collision resolved as a hit")
-	}
-	_, stats := equiv.NewBaseWith(reg, nil, listB)
-	if stats.SemGrafts != 0 || stats.SemFolds != 1 {
-		t.Fatalf("collision build grafted: %+v", stats)
-	}
-	if st := reg.Stats(); st.Collisions != 2 || st.Hits != 0 {
-		t.Fatalf("collision counters: %+v", st)
-	}
-}
-
 // FuzzDecodeBase: whatever the bytes, the base decoder returns — it never
 // panics — and an image it accepts is the one encoding of what it decoded.
 // The checksum stops nearly every mutation at the frame, so each input is
@@ -481,7 +412,7 @@ func FuzzDecodeBase(f *testing.F) {
 	flipped[len(flipped)/2] ^= 0x10
 	f.Add(flipped)
 	f.Add(v1BaseImage(depFP, base))
-	small, _ := equiv.NewBaseWith(nil, nil, []rule.Rule{{Match: rule.Match{VRF: 1, SrcEPG: 2, DstEPG: 3, PortLo: 80, PortHi: 80}, Action: rule.Allow}})
+	small := equiv.NewBaseWith(nil, []rule.Rule{{Match: rule.Match{VRF: 1, SrcEPG: 2, DstEPG: 3, PortLo: 80, PortHi: 80}, Action: rule.Allow}})
 	f.Add(encodeBase(1, small))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -76,10 +76,11 @@ type AnalyzerOptions struct {
 	// on the next run instead of a replay (counted in
 	// SessionStats.OverCap) — and nothing else in the session refers to
 	// them: the verdict cache is the only per-switch state that holds rule
-	// lists, since risk models stay pristine and failure marks die with
-	// each run's overlays. 0 selects the default (4096); negative disables
-	// the bound. One-shot Analyzers ignore it: their session is dropped
-	// after its first run, so nothing it cached is ever replayed.
+	// lists (an entry also references, never copies, its one T snapshot),
+	// since risk models stay pristine and failure marks die with each
+	// run's overlays. 0 selects the default (4096); negative disables the
+	// bound. One-shot Analyzers ignore it: their session is dropped after
+	// its first run, so nothing it cached is ever replayed.
 	SessionMissingRuleCap int
 
 	// Workers bounds the number of concurrent per-switch equivalence
@@ -110,14 +111,6 @@ type AnalyzerOptions struct {
 	// no base. One-shot Analyzers ignore it: only NewSession hands the
 	// store to the session it creates.
 	WarmStore *store.Store
-
-	// BaseRegistry, when set, shares frozen whole-switch semantics BDDs
-	// across every analyzer and session handed the same registry: a base
-	// build resolves rule lists another deployment's base already froze
-	// and grafts the donor BDD instead of re-folding it (verified
-	// against the donor's canonical list, so fingerprint collisions fall
-	// through to a private fold).
-	BaseRegistry *store.BaseRegistry
 }
 
 // Analyzer runs the SCOUT pipeline once per call. It holds its options and
@@ -297,7 +290,7 @@ const baseSemanticsTopK = 1024
 // share most of their proto/port tails and many of their tries, which the
 // build's memo emits once (equiv's compile.go); the fingerprints ranked
 // here are handed on so NewBaseWith does not hash the lists again.
-func (a *Analyzer) buildSharedBase(d *Deployment) (*equiv.Base, equiv.BaseBuildStats) {
+func (a *Analyzer) buildSharedBase(d *Deployment) *equiv.Base {
 	switches := make([]object.ID, 0, len(d.BySwitch))
 	for sw := range d.BySwitch {
 		switches = append(switches, sw)
@@ -342,97 +335,7 @@ func (a *Analyzer) buildSharedBase(d *Deployment) (*equiv.Base, equiv.BaseBuildS
 		lists[i] = d.BySwitch[switches[g.rep]]
 		fps[i] = g.fp
 	}
-	// A shared BaseRegistry lets this build graft whole-switch semantics
-	// BDDs another deployment's base already froze (collision-verified
-	// against the donor's canonical list), then publishes this base's
-	// roots for later builds. The typed-nil guard keeps the interface nil
-	// when no registry was configured.
-	var src equiv.SemanticsSource
-	if a.opts.BaseRegistry != nil {
-		src = a.opts.BaseRegistry
-	}
-	base, bstats := equiv.NewBaseWith(src, fps, lists...)
-	if a.opts.BaseRegistry != nil {
-		a.opts.BaseRegistry.RegisterBase(base)
-	}
-	return base, bstats
-}
-
-// dedupPlan is a whole-switch check dedup: switches sharing both the
-// logical- and TCAM-side rule-list fingerprints form one group, the
-// group's lowest-ID switch is checked, and every member replays the
-// verdict. Equivalence reports are pure functions of the two rule lists,
-// so a replayed report is byte-identical to re-running the check.
-type dedupPlan struct {
-	// reps holds one representative switch per group, in ascending order
-	// (switches arrive sorted, so first-seen is lowest-ID).
-	reps []object.ID
-	// groupOf maps the i'th input switch to its group's index in reps.
-	groupOf []int
-	// groups counts multi-member groups; replays counts the non-rep
-	// members — switches that got a verdict without a check.
-	groups  int
-	replays int
-}
-
-// buildDedupPlan groups switches by the (logical, TCAM) fingerprint
-// pair, verifying each member against its group representative's actual
-// rule lists so a 64-bit fingerprint collision degrades to an extra
-// check, never a wrong report.
-func buildDedupPlan(st State, switches []object.ID, logFPs, tcamFPs []uint64) *dedupPlan {
-	plan := &dedupPlan{groupOf: make([]int, len(switches))}
-	byKey := make(map[[2]uint64][]int, len(switches))
-	sizes := make([]int, 0, len(switches))
-	for i, sw := range switches {
-		key := [2]uint64{logFPs[i], tcamFPs[i]}
-		group := -1
-		for _, g := range byKey[key] {
-			rep := plan.reps[g]
-			if rule.SlicesEqual(st.Deployment.RulesFor(sw), st.Deployment.RulesFor(rep)) &&
-				rule.SlicesEqual(st.TCAM[sw], st.TCAM[rep]) {
-				group = g
-				break
-			}
-		}
-		if group < 0 {
-			group = len(plan.reps)
-			plan.reps = append(plan.reps, sw)
-			byKey[key] = append(byKey[key], group)
-			sizes = append(sizes, 0)
-		} else {
-			plan.replays++
-		}
-		sizes[group]++
-		plan.groupOf[i] = group
-	}
-	for _, n := range sizes {
-		if n > 1 {
-			plan.groups++
-		}
-	}
-	return plan
-}
-
-// checkDeduped runs the check stage over one representative per dedup
-// group, fanned out over the worker pool, and replays each group's
-// verdict into all its members' report slots, aligned with switches.
-// Per-switch error attribution is preserved: a failing check is wrapped
-// with the representative's switch ID, and the representative genuinely
-// owns the offending rules (its group mates hold byte-equal lists).
-func (a *Analyzer) checkDeduped(st State, switches []object.ID, logFPs, tcamFPs []uint64,
-	checker func(worker int) *equiv.Checker) ([]*equiv.Report, *dedupPlan, error) {
-	plan := buildDedupPlan(st, switches, logFPs, tcamFPs)
-	repReports, err := a.checkAll(plan.reps, checker, func(c *equiv.Checker, sw object.ID) (*equiv.Report, error) {
-		return checkState(st, c, sw)
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	reports := make([]*equiv.Report, len(switches))
-	for i := range switches {
-		reports[i] = repReports[plan.groupOf[i]]
-	}
-	return reports, plan, nil
+	return equiv.NewBaseWith(fps, lists...)
 }
 
 // workers resolves the worker count for a check stage over n switches.
@@ -547,14 +450,6 @@ func (a *Analyzer) forEach(n int, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// sortSwitches returns a sorted copy of the switch IDs, the canonical
-// fan-out and fold order.
-func sortSwitches(switches []object.ID) []object.ID {
-	out := append([]object.ID(nil), switches...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // riskModels are one deployment's pristine risk models: the controller

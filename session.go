@@ -44,17 +44,19 @@ const defaultSessionMissingRuleCap = 4096
 // deployment and reused until the policy is recompiled. What follows from
 // an observation — each switch's newest verdict, keyed by the fingerprints
 // of the exact logical and TCAM rule lists it was computed from — is
-// replayed while both fingerprints hold. A re-analysis therefore re-checks
-// only the switches whose rules actually changed, builds no risk model and
-// compiles no plan for a deployment it has seen fail before, and still
-// produces a report byte-identical to a cold full Analyze at any worker
-// count (the fold stages are unchanged and order-deterministic, and failure
-// marks only ever go into per-run overlays).
+// replayed while both fingerprints hold; a T list that is the very slice it
+// was hashed from (an unwritten TCAM's snapshot) is not even re-hashed. A
+// re-analysis re-checks only the switches whose rules actually changed,
+// builds no risk model and compiles no plan for a deployment it has seen
+// fail before, and still produces a report byte-identical to a cold full
+// Analyze at any worker count (the fold stages are unchanged and
+// order-deterministic, and failure marks only ever go into per-run overlays).
 //
 // Use a Session when the same fabric is analyzed repeatedly (watch loops,
 // collectors feeding epochs); use Analyzer for one-off analyses. Rule
 // state handed to a Session (deployments, epoch TCAM snapshots) must not
-// be mutated afterwards — the session compares against it by fingerprint.
+// be mutated afterwards — the session compares against it by fingerprint,
+// and takes one T slice seen twice for unchanged content.
 //
 // A Session serializes its runs internally and is safe for concurrent
 // use, though runs themselves parallelize per the configured Workers.
@@ -87,11 +89,11 @@ type Session struct {
 	// pair keys a valid replay.
 	cache map[object.ID]*switchCheckState
 
-	// lastEpoch is the epoch of the immediately preceding successful
+	// lastTCAM holds the T lists of the immediately preceding successful
 	// AnalyzeEpoch or ApplyEvents run, nil after any other (or failed) run.
-	// It gates the epoch-diff fast path: a switch unchanged between
-	// lastEpoch and the next epoch can skip even fingerprint hashing.
-	lastEpoch *collect.Epoch
+	// It is what ApplyEvents aliases the unnamed switches' lists from, and
+	// nothing else: which lists a run hashes is decided by the cache.
+	lastTCAM map[object.ID][]rule.Rule
 
 	// loadedVerdicts records which deployment fingerprints' warm-store
 	// verdict files have already seeded the cache, so each is read at most
@@ -140,7 +142,13 @@ type deploymentState struct {
 type switchCheckState struct {
 	logicalFP uint64
 	tcamFP    uint64
-	report    *equiv.Report
+	// tcam is the T list tcamFP was last hashed from in this process — a
+	// slice header onto the TCAM's or epoch's shared read-only snapshot,
+	// never a copy — and the only witness that a run's list is unchanged:
+	// handed this very slice again, a run takes tcamFP without hashing. An
+	// entry seeded from the warm store has none and is always hashed against.
+	tcam   []rule.Rule
+	report *equiv.Report
 }
 
 // SessionStats counts a session's cache behaviour across runs, the
@@ -150,9 +158,8 @@ type SessionStats struct {
 	// Runs counts completed analyses.
 	Runs int
 	// Checked counts switches whose equivalence was re-checked (cache
-	// misses: changed rules, invalidations, or first sight). Of these,
-	// DedupReplays got their fresh verdict from a group representative's
-	// single check rather than a check of their own.
+	// misses: changed rules, invalidations, or first sight), each by a
+	// check of its own.
 	Checked int
 	// Replayed counts switches whose cached report was replayed without
 	// re-checking.
@@ -178,12 +185,6 @@ type SessionStats struct {
 	// of built: a warm restart of a clean fabric shows BaseLoads 1,
 	// BaseRebuilds 0, and zero fold misses.
 	BaseLoads int
-	// BaseSemGrafts and BaseSemFolds split each base build's whole-switch
-	// semantics work: roots grafted from the shared BaseRegistry (another
-	// deployment's base already froze a canonically equal list) versus
-	// folded from scratch. Both zero when bases load from the warm store.
-	BaseSemGrafts int
-	BaseSemFolds  int
 	// BaseNodes and DeltaNodes are gauges refreshed after every run: the
 	// frozen shared base's node count and the sum of the worker
 	// checkers' private deltas. BaseSemantics is the number of
@@ -196,12 +197,6 @@ type SessionStats struct {
 	// checker-local) versus folded from scratch into a worker's delta.
 	FoldHits   int
 	FoldMisses int
-	// DedupGroups and DedupReplays accumulate the whole-switch check
-	// dedup across runs: groups of dirty switches sharing both rule-list
-	// fingerprints, and the member switches whose verdict replayed from
-	// their group's single check.
-	DedupGroups  int
-	DedupReplays int
 	// Probe-mode counters (zero in TCAM-observation sessions).
 	// ProbeSwitchesReplayed counts switches whose cached probe verdict
 	// replayed because their TCAM fingerprint was unchanged — zero
@@ -257,7 +252,7 @@ func (st *SessionStats) addLocalizeStats(d *localize.EngineStats) {
 // observation source for its lifetime and changes one thing: a dirty
 // switch's verdict comes from classifying its probe batch against the live
 // dataplane instead of a BDD check of its collected rules. Collection,
-// fingerprint replay, the epoch hint and the warm store work the same, so
+// fingerprint replay, slice recognition and the warm store work the same, so
 // a probe session is driven by Analyze or ApplyEvents; AnalyzeEpoch and
 // AnalyzeState hand over snapshots, which have no dataplane to probe, and
 // are refused.
@@ -292,76 +287,68 @@ func (s *Session) fabricState(tcams map[object.ID][]rule.Rule, now time.Time) St
 
 // Analyze collects the fabric's current state and analyzes it,
 // re-checking only switches whose logical or TCAM rules changed since the
-// session's previous run; every T list is hashed to find them.
+// session's previous run. A TCAM hands back the same snapshot until it is
+// written, so only the written switches' lists are hashed to find them.
 func (s *Session) Analyze() (*Report, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.run(s.fabricState(s.f.CollectAll(), s.f.Now()), nil, true)
+	return s.run(s.fabricState(s.f.CollectAll(), s.f.Now()), true)
 }
 
 // AnalyzeEpoch analyzes one collector epoch against the fabric's current
 // deployment, anchored at the epoch's collection time — the delta
-// re-verification path for periodic collection. When the session's
-// previous run analyzed an earlier epoch, the epoch diff marks the dirty
-// switches directly and clean switches skip fingerprinting entirely.
+// re-verification path for periodic collection. An epoch shares the slice
+// of every switch not written since the previous collection, so clean
+// switches skip fingerprinting entirely; a re-copied list is hashed, and
+// re-checked only if its content moved.
 func (s *Session) AnalyzeEpoch(e *Epoch) (*Report, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var changed map[object.ID]bool
-	if s.lastEpoch != nil {
-		changed = make(map[object.ID]bool)
-		for _, sw := range collect.DirtySwitches(s.lastEpoch, e) {
-			changed[sw] = true
-		}
-	}
-	rep, err := s.run(s.fabricState(e.TCAM, e.Time), changed, false)
+	rep, err := s.run(s.fabricState(e.TCAM, e.Time), false)
 	if err != nil {
 		return nil, err
 	}
-	s.lastEpoch = e
+	s.lastTCAM = e.TCAM
 	return rep, nil
 }
 
 // ApplyEvents is the event-driven refresh path: instead of analyzing a
 // fully collected epoch, the session re-reads only the switches the
 // batch names (one coalesced batch from a stream.Queue), aliases every
-// other switch's rules from its previous epoch, and runs the usual
+// other switch's rules from its previous run, and runs the usual
 // incremental pipeline — so a storm of K events over S switches costs
 // one partial collection and at most min(S, batch) re-checks per batch,
 // while the report stays byte-identical to a full AnalyzeEpoch of the
 // same final state at any worker count (the fold stages are unchanged).
 // It reads the session's own fabric, so it drives a probe session too:
-// only the named switches are re-read, re-hashed and, if dirty, probed.
+// only the named switches are re-read and — if written since their last
+// read — re-hashed and, if dirty, probed.
 //
 // The first ApplyEvents run of a session (or the first after Invalidate
-// or a failed run dropped the epoch anchor) has no previous epoch to
-// alias, so it falls back to a full collection — the baseline every
-// event-driven loop needs anyway. Correctness afterwards rests on the
-// event contract: a switch with no event since the previous run has an
-// unchanged TCAM. Feed every dataplane event through the queue (or
-// interleave periodic AnalyzeEpoch rounds) to keep that true.
+// or a failed run dropped the previous lists) has nothing to alias, so it
+// falls back to a full collection — the baseline every event-driven loop
+// needs anyway. Correctness afterwards rests on the event contract: a
+// switch with no event since the previous run has an unchanged TCAM. Feed
+// every dataplane event through the queue (or interleave periodic
+// AnalyzeEpoch rounds) to keep that true.
 //
 // An empty batch (a deadline timer firing with nothing pending) replays
 // the previous verdicts without touching the fabric.
 func (s *Session) ApplyEvents(batch EventBatch) (*Report, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// The synthetic epoch anchors the next partial refresh (and any
-	// interleaved AnalyzeEpoch's diff). It carries the previous collector
-	// sequence number forward: epoch Seq is a collector lineage marker,
-	// and this epoch belongs to the session, not a collector history.
-	prev, next := s.lastEpoch, &collect.Epoch{Time: s.f.Now()}
+	prev, now := s.lastTCAM, s.f.Now()
+	var tcams map[object.ID][]rule.Rule
 	var reread map[object.ID]bool
 	if prev == nil {
-		next.TCAM = s.f.CollectAll()
+		tcams = s.f.CollectAll()
 	} else {
 		var err error
-		if next.TCAM, reread, err = collect.Partial(s.f, prev.TCAM, batch.Switches); err != nil {
+		if tcams, reread, err = collect.Partial(s.f, prev, batch.Switches); err != nil {
 			return nil, fmt.Errorf("scout: event refresh: %w", err)
 		}
-		next.Seq = prev.Seq
 	}
-	rep, err := s.run(s.fabricState(next.TCAM, next.Time), reread, true)
+	rep, err := s.run(s.fabricState(tcams, now), true)
 	if err != nil {
 		return nil, err
 	}
@@ -370,19 +357,20 @@ func (s *Session) ApplyEvents(batch EventBatch) (*Report, error) {
 		// length: a batch may name a switch twice.
 		s.stats.EventBatches++
 		s.stats.EventSwitchesRead += len(reread)
-		s.stats.EventSwitchesAliased += len(next.TCAM) - len(reread)
+		s.stats.EventSwitchesAliased += len(tcams) - len(reread)
 	}
-	s.lastEpoch = next
+	s.lastTCAM = tcams
 	return rep, nil
 }
 
 // AnalyzeState analyzes raw collected state incrementally (production
-// users populating State themselves); every T list is hashed. The
-// deployment and TCAM slices must not be mutated after the call.
+// users populating State themselves); a T list is hashed unless it is the
+// very slice the switch's cached verdict was computed from. The deployment
+// and TCAM slices must not be mutated after the call.
 func (s *Session) AnalyzeState(st State) (*Report, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.run(st, nil, false)
+	return s.run(st, false)
 }
 
 // Invalidate drops the cached verdicts of the given switches — or of
@@ -393,7 +381,7 @@ func (s *Session) AnalyzeState(st State) (*Report, error) {
 func (s *Session) Invalidate(switches ...ObjectID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.lastEpoch = nil
+	s.lastTCAM = nil
 	if len(switches) == 0 {
 		s.cache = make(map[object.ID]*switchCheckState)
 		return
@@ -414,12 +402,12 @@ func (s *Session) Reset() {
 	s.cache = make(map[object.ID]*switchCheckState)
 	s.checkers = nil
 	s.dep = deploymentState{}
-	s.lastEpoch = nil
+	s.lastTCAM = nil
 }
 
 // Close flushes the session's pending warm-state writes and reports the
 // first persistence error. The warm store itself is shared — many
-// sessions (and a registry) may feed one — so Close does not close it;
+// sessions may feed one — so Close does not close it;
 // the store's owner does, once, when the process winds down. A session
 // without a WarmStore has nothing to flush and Close is a no-op.
 func (s *Session) Close() error {
@@ -450,18 +438,14 @@ func (s *Session) ProberStats() (probe.Stats, bool) {
 }
 
 // run is the pipeline's one orchestration, reached by every entry point
-// and by every one-shot: resolve the deployment, hash the T lists no hint
-// vouches for, replay or re-check each switch, assemble the report on the
-// deployment's pristine risk models, and persist what changed. st holds
-// the T lists to analyze. changed, when non-nil, is the caller's hint that
-// only the switches it names can differ from the session's previous run
-// (an epoch diff, an event batch's re-read set); every other cached
-// fingerprint is trusted. live says the lists were read from the
+// and by every one-shot: resolve the deployment, hash the T lists the cache
+// does not recognise, replay or re-check each switch, assemble the report
+// on the deployment's pristine risk models, and persist what changed. st
+// holds the T lists to analyze. live says the lists were read from the
 // session's own fabric during this call, so its dataplane is what they
-// describe. Every run ends byte-identical to a cold run on the same
-// State: caching only ever short-circuits the check stage, never the
-// folds.
-func (s *Session) run(st State, changed map[object.ID]bool, live bool) (*Report, error) {
+// describe. Every run ends byte-identical to a cold run on the same State:
+// caching only ever short-circuits the check stage, never the folds.
+func (s *Session) run(st State, live bool) (*Report, error) {
 	start := time.Now()
 	probes := s.a.opts.UseProbes
 	switch {
@@ -470,19 +454,23 @@ func (s *Session) run(st State, changed map[object.ID]bool, live bool) (*Report,
 	case probes && !live:
 		return nil, fmt.Errorf("scout: probe mode classifies packets against a live dataplane, which collected TCAM snapshots (AnalyzeEpoch, AnalyzeState) do not have; use Analyze or ApplyEvents")
 	}
-	// Until this run completes, epoch-diff hints would compare against
-	// state older than what the cache entries reflect.
-	s.lastEpoch = nil
+	// A run that fails leaves nothing to alias: the next event batch
+	// collects in full instead of trusting lists the cache may not reflect.
+	s.lastTCAM = nil
 	st = st.withDefaultLogs()
 	switches := st.sortedSwitches()
 	s.resolveLocked(st.Deployment)
 
-	// A TCAM list's fingerprint comes from the cache when the hint vouches
-	// for it and is otherwise hashed, over the worker pool like the checks.
+	// A T list's fingerprint comes from the switch's cache entry when it is
+	// the very slice the entry's fingerprint was hashed from (snapshots are
+	// read-only, so one slice seen twice is unchanged content) and is
+	// otherwise hashed, over the worker pool like the checks. An empty list
+	// has no address to recognise and a store-seeded entry no list: both are
+	// hashed, so no fingerprint is trusted for a list this process never read.
 	tcamFPs := make([]uint64, len(switches))
 	var unhashed []int
 	for i, sw := range switches {
-		if ent := s.cache[sw]; ent != nil && changed != nil && !changed[sw] {
+		if ent := s.cache[sw]; ent != nil && len(ent.tcam) > 0 && rule.SameSlice(ent.tcam, st.TCAM[sw]) {
 			tcamFPs[i] = ent.tcamFP
 		} else {
 			unhashed = append(unhashed, i)
@@ -499,25 +487,28 @@ func (s *Session) run(st State, changed map[object.ID]bool, live bool) (*Report,
 	// its verdict. Probes classify its packet batch against the fabric's
 	// live TCAM (O(rules × probes), which a replay skips entirely). A BDD
 	// check runs on the session's forks — worker k owns checker k for the
-	// run — once per group of dirty switches sharing both fingerprints,
-	// which the partition already computed.
-	var plan *dedupPlan
+	// run. Every dirty switch is checked on its own: byte-equal twins meet
+	// in the semantics memo (base or fork), not in a plan of the fan-out.
 	foldBefore := s.foldTotalsLocked()
-	checkReps, checked, err := s.replayOrCheckLocked(switches, tcamFPs,
-		func(dirty []object.ID, logFPs, tcamFPs []uint64) (fresh []*equiv.Report, err error) {
+	checkReps, checked, err := s.replayOrCheckLocked(st.TCAM, switches, tcamFPs,
+		func(dirty []object.ID) ([]*equiv.Report, error) {
+			var checker func(worker int) *equiv.Checker
+			var check checkFunc
 			if probes {
 				prober := s.dep.prober
 				before := prober.Stats().BatchedPackets
-				fresh, err = s.a.checkAll(dirty, noChecker, func(_ *equiv.Checker, sw object.ID) (*equiv.Report, error) {
+				defer func() { s.stats.ProbePacketsBatched += prober.Stats().BatchedPackets - before }()
+				checker, check = noChecker, func(_ *equiv.Checker, sw object.ID) (*equiv.Report, error) {
 					return probeSwitch(s.f, prober, sw)
-				})
-				s.stats.ProbePacketsBatched += prober.Stats().BatchedPackets - before
-				return fresh, err
+				}
+			} else {
+				s.provisionCheckersLocked(s.a.workers(len(dirty)))
+				checker = func(k int) *equiv.Checker { return s.checkers[k] }
+				check = func(c *equiv.Checker, sw object.ID) (*equiv.Report, error) {
+					return checkState(st, c, sw)
+				}
 			}
-			s.provisionCheckersLocked(s.a.workers(len(dirty)))
-			fresh, plan, err = s.a.checkDeduped(st, dirty, logFPs, tcamFPs,
-				func(k int) *equiv.Checker { return s.checkers[k] })
-			return fresh, err
+			return s.a.checkAll(dirty, checker, check)
 		})
 	if err != nil {
 		return nil, err
@@ -533,11 +524,6 @@ func (s *Session) run(st State, changed map[object.ID]bool, live bool) (*Report,
 		s.stats.Checked += checked
 		s.stats.Replayed += len(switches) - checked
 		enc := equiv.AggregateEncodeStats(s.dep.base, s.checkers)
-		if plan != nil { // nil when the run re-checked nothing
-			enc.DedupGroups, enc.DedupReplays = plan.groups, plan.replays
-			s.stats.DedupGroups += plan.groups
-			s.stats.DedupReplays += plan.replays
-		}
 		rep.EncodeStats = enc
 		s.stats.BaseNodes = enc.BaseNodes
 		s.stats.DeltaNodes = enc.DeltaNodes
@@ -556,17 +542,18 @@ func (s *Session) run(st State, changed map[object.ID]bool, live bool) (*Report,
 
 // replayOrCheckLocked is the session's one partition, shared by both
 // observation sources. A switch whose logical and T-side fingerprints both
-// match its cached verdict replays it; every other switch is dirty and is
-// handed to check — in ascending order, with its two fingerprints — and
-// the fresh verdicts are cached under the per-switch cap. It returns the
-// reports aligned with switches and how many of them check produced.
-func (s *Session) replayOrCheckLocked(switches []object.ID, tcamFPs []uint64,
-	check func(dirty []object.ID, logFPs, tcamFPs []uint64) ([]*equiv.Report, error)) ([]*equiv.Report, int, error) {
+// match its cached verdict replays it, and the entry remembers this run's T
+// list as the one its fingerprint describes; every other switch is dirty and
+// is handed to check, in ascending order, and the fresh verdicts are cached
+// under the per-switch cap. It returns the reports aligned with switches and
+// how many of them check produced.
+func (s *Session) replayOrCheckLocked(tcams map[object.ID][]rule.Rule, switches []object.ID, tcamFPs []uint64,
+	check func(dirty []object.ID) ([]*equiv.Report, error)) ([]*equiv.Report, int, error) {
 	reports := make([]*equiv.Report, len(switches))
 	var (
-		dirty               []object.ID
-		dirtyLog, dirtyTCAM []uint64
-		dirtyIdx            []int
+		dirty    []object.ID
+		dirtyLog []uint64
+		dirtyIdx []int
 	)
 	for i, sw := range switches {
 		logFP, ok := s.dep.logFPs[sw]
@@ -574,24 +561,25 @@ func (s *Session) replayOrCheckLocked(switches []object.ID, tcamFPs []uint64,
 			logFP = equiv.Fingerprint(s.dep.d.RulesFor(sw))
 		}
 		if ent := s.cache[sw]; ent != nil && ent.logicalFP == logFP && ent.tcamFP == tcamFPs[i] {
+			ent.tcam = tcams[sw]
 			reports[i] = ent.report
 			continue
 		}
 		dirty = append(dirty, sw)
 		dirtyLog = append(dirtyLog, logFP)
-		dirtyTCAM = append(dirtyTCAM, tcamFPs[i])
 		dirtyIdx = append(dirtyIdx, i)
 	}
 	if len(dirty) == 0 {
 		return reports, 0, nil
 	}
-	fresh, err := check(dirty, dirtyLog, dirtyTCAM)
+	fresh, err := check(dirty)
 	if err != nil {
 		return nil, 0, err
 	}
 	capRules := s.missingRuleCap()
 	for j, sw := range dirty {
-		reports[dirtyIdx[j]] = fresh[j]
+		i := dirtyIdx[j]
+		reports[i] = fresh[j]
 		if capRules > 0 && len(fresh[j].MissingRules)+len(fresh[j].ExtraRules) > capRules {
 			// Too large to keep: drop any stale entry so the switch
 			// re-checks next run instead of replaying old state.
@@ -599,7 +587,7 @@ func (s *Session) replayOrCheckLocked(switches []object.ID, tcamFPs []uint64,
 			s.stats.OverCap++
 			continue
 		}
-		s.cache[sw] = &switchCheckState{logicalFP: dirtyLog[j], tcamFP: dirtyTCAM[j], report: fresh[j]}
+		s.cache[sw] = &switchCheckState{logicalFP: dirtyLog[j], tcamFP: tcamFPs[i], tcam: tcams[sw], report: fresh[j]}
 	}
 	return reports, len(dirty), nil
 }
@@ -669,16 +657,11 @@ func (s *Session) loadOrBuildBaseLocked(d *compile.Deployment, fp uint64) *equiv
 		if b, err := s.ws.LoadBase(fp); err == nil && b != nil {
 			b.RebindSemantics(d.BySwitch)
 			s.stats.BaseLoads++
-			if reg := s.a.opts.BaseRegistry; reg != nil {
-				reg.RegisterBase(b)
-			}
 			return b
 		}
 	}
-	base, bstats := s.a.buildSharedBase(d)
+	base := s.a.buildSharedBase(d)
 	s.stats.BaseRebuilds++
-	s.stats.BaseSemGrafts += bstats.SemGrafts
-	s.stats.BaseSemFolds += bstats.SemFolds
 	if s.ws != nil {
 		s.ws.SaveBase(fp, base)
 	}

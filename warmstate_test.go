@@ -502,53 +502,145 @@ func TestSessionEqualContentRedeploy(t *testing.T) {
 	}
 }
 
-// TestCrossDeploymentBaseSharing pins the registry acceptance
-// criterion: two sessions over byte-equal rule lists sharing one
-// BaseRegistry build each distinct whole-switch semantics BDD exactly
-// once process-wide — the first session folds them all, the second
-// grafts every one from the registry and folds nothing.
-func TestCrossDeploymentBaseSharing(t *testing.T) {
-	reg := scout.NewBaseRegistry()
-	opts := scout.AnalyzerOptions{Workers: 2, BaseRegistry: reg}
+// TestSeededVerdictIsHashedNotTrusted pins how a run decides what to hash:
+// a cache entry vouches for a T list only when it remembers that very
+// slice, and an entry seeded from the warm store remembers none. Process 1
+// persists a clean verdict for sw under policy B. Process 2 first sees sw
+// broken under policy A — over the cap, so it holds no entry — and then
+// policy B again, with sw's TCAM unchanged between the two epochs: the
+// entry now in the cache is the one process 1's file seeded, and its
+// fingerprint describes a TCAM that no longer exists. The report must be a
+// cold analysis's. The emptied variant strips sw's TCAM to nothing, the
+// one list with no address to tell from an entry that has no list.
+func TestSeededVerdictIsHashedNotTrusted(t *testing.T) {
+	for _, emptied := range []bool{false, true} {
+		name := "three-removed"
+		if emptied {
+			name = "emptied"
+		}
+		t.Run(name, func(t *testing.T) {
+			const seed, rollout = 7, 64123
+			pol, topo, err := scout.GenerateWorkload(scout.TestbedWorkloadSpec(), seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := scout.NewFabric(pol, topo, scout.FabricOptions{Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Deploy(); err != nil {
+				t.Fatal(err)
+			}
+			contract := pol.Bindings[0].Contract
+			policyA := f.Deployment()
+			if err := f.AddFilter(scout.Filter{ID: rollout, Name: "rollout", Entries: []scout.FilterEntry{
+				scout.PortEntry(scout.ProtoTCP, rollout),
+			}}); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.AddFilterToContract(contract, rollout); err != nil {
+				t.Fatal(err)
+			}
+			// sw is a switch the rollout does not reach: its logical list,
+			// and so its persisted verdict's L fingerprint, is the same
+			// under both policies.
+			sw := scout.ObjectID(0)
+			for _, cand := range topo.Switches() {
+				if reflect.DeepEqual(policyA.RulesFor(cand), f.Deployment().RulesFor(cand)) {
+					sw = cand
+					break
+				}
+			}
+			if sw == 0 {
+				t.Fatal("the rollout changed every switch's logical rules; the case is vacuous")
+			}
 
-	// Same workload seed twice: two independent fabrics whose compiled
-	// deployments carry byte-equal per-switch rule lists.
-	f1 := faultyFabric(t, 17)
-	f2 := faultyFabric(t, 17)
+			dir := t.TempDir()
+			open := func(opts scout.AnalyzerOptions) (*scout.Session, func()) {
+				t.Helper()
+				ws, err := scout.OpenWarmStore(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts.WarmStore = ws
+				sess, err := scout.NewSession(f, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sess, func() {
+					t.Helper()
+					if err := sess.Close(); err != nil {
+						t.Fatal(err)
+					}
+					if err := ws.Close(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
 
-	sess1, err := scout.NewSession(f1, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep1, err := sess1.Analyze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	st1 := sess1.Stats()
-	if st1.BaseSemGrafts != 0 || st1.BaseSemFolds == 0 {
-		t.Fatalf("donor session stats: %+v", st1)
-	}
+			sess1, close1 := open(scout.AnalyzerOptions{})
+			rep, err := sess1.Analyze()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Consistent {
+				t.Fatal("process 1: the clean fabric is inconsistent")
+			}
+			close1()
 
-	sess2, err := scout.NewSession(f2, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep2, err := sess2.Analyze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	st2 := sess2.Stats()
-	if st2.BaseSemFolds != 0 || st2.BaseSemGrafts != st1.BaseSemFolds {
-		t.Errorf("sharing session folded %d, grafted %d, want 0 folds and %d grafts",
-			st2.BaseSemFolds, st2.BaseSemGrafts, st1.BaseSemFolds)
-	}
-	rst := reg.Stats()
-	if rst.Hits != st2.BaseSemGrafts || rst.Collisions != 0 {
-		t.Errorf("registry stats: %+v, want %d hits", rst, st2.BaseSemGrafts)
-	}
-	// Identical fabrics, identical reports — grafting changed nothing
-	// observable.
-	if !bytes.Equal(marshalReport(t, rep1), marshalReport(t, rep2)) {
-		t.Error("sharing session's report differs from donor's")
+			if err := f.RemoveFilterFromContract(contract, rollout); err != nil {
+				t.Fatal(err)
+			}
+			s, err := f.Switch(sw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			installed := s.TCAM().Rules()
+			if !emptied {
+				installed = installed[:3]
+			}
+			keys := make([]scout.RuleKey, len(installed))
+			for i, r := range installed {
+				keys[i] = r.Key()
+			}
+			if got := s.TCAM().RemoveKeys(keys); got != len(keys) {
+				t.Fatalf("removed %d of %d rules from switch %d", got, len(keys), sw)
+			}
+
+			sess2, close2 := open(scout.AnalyzerOptions{SessionMissingRuleCap: 1})
+			defer close2()
+			collector := scout.NewCollector(f, 4)
+			rep, err = sess2.AnalyzeEpoch(collector.Snapshot())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := sess2.Stats(); !switchBroken(rep, sw) || st.OverCap != 1 {
+				t.Fatalf("process 2, policy A: broken(%d)=%v, OverCap %d; want the switch broken and uncached",
+					sw, switchBroken(rep, sw), st.OverCap)
+			}
+
+			if err := f.AddFilterToContract(contract, rollout); err != nil {
+				t.Fatal(err)
+			}
+			e2 := collector.Snapshot()
+			warm, err := sess2.AnalyzeEpoch(e2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := sess2.Stats(); st.BaseLoads != 1 {
+				t.Fatalf("process 2, policy B: BaseLoads %d, want 1 (process 1's files were not found, so nothing was seeded)", st.BaseLoads)
+			}
+			cold, err := scout.NewAnalyzer().AnalyzeState(stateFromEpoch(f, e2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !switchBroken(cold, sw) {
+				t.Fatalf("cold analysis holds switch %d consistent; the case is vacuous", sw)
+			}
+			if !bytes.Equal(marshalReport(t, warm), marshalReport(t, cold)) {
+				t.Errorf("warm report differs from a cold analysis of the same epoch: broken(%d) warm %v, cold %v",
+					sw, switchBroken(warm, sw), switchBroken(cold, sw))
+			}
+		})
 	}
 }
