@@ -778,7 +778,7 @@ func BenchmarkStoreRoundTrip(b *testing.B) {
 	if err := sess.Close(); err != nil {
 		b.Fatal(err)
 	}
-	fp := equiv.DeploymentFingerprint(f.Deployment().BySwitch)
+	_, fp := equiv.DeploymentFingerprints(f.Deployment().BySwitch)
 	base, err := ws.LoadBase(fp)
 	if err != nil || base == nil {
 		b.Fatalf("seed base missing: %v", err)

@@ -40,7 +40,8 @@ type Deployment struct {
 	Provenance map[rule.Key][]object.Ref
 
 	// PairRules maps (switch, EPG pair) to the keys of the logical rules
-	// serving that pair on that switch.
+	// serving that pair on that switch. Read-only: in a compiled deployment
+	// the switches of a pair share one list.
 	PairRules map[SwitchPair][]rule.Key
 
 	// footprint is Compile's own account of Footprint, which a deployment
@@ -210,20 +211,16 @@ func Compile(p *policy.Policy, t *topo.Topology) (*Deployment, error) {
 	d := &Deployment{
 		BySwitch:   make(map[object.ID][]rule.Rule, len(switches)),
 		Provenance: make(map[rule.Key][]object.Ref),
-		PairRules:  make(map[SwitchPair][]rule.Key),
 	}
-	var fresh []rule.Key // the current binding's keys not seen before
 	for bi, b := range p.Bindings {
 		footprint := footprints[bi]
 		if len(footprint) == 0 {
 			continue // pair has no attached endpoints anywhere
 		}
 		from := p.EPGs[b.From]
-		pair := policy.MakeEPGPair(b.From, b.To)
-		pf := byPair[pair]
-		fresh = fresh[:0]
+		pf := byPair[policy.MakeEPGPair(b.From, b.To)]
 		for _, fid := range p.Contracts[b.Contract].Filters {
-			seen := len(fresh)
+			seen := len(pf.keys)
 			prov := []object.Ref{
 				object.VRF(from.VRF),
 				object.EPG(b.From),
@@ -238,25 +235,18 @@ func Compile(p *policy.Policy, t *topo.Topology) (*Deployment, error) {
 					key := dir.Key()
 					if _, dup := d.Provenance[key]; !dup {
 						d.Provenance[key] = prov
-						fresh = append(fresh, key)
+						pf.keys = append(pf.keys, key)
 					}
 					for _, i := range footprint {
 						lists[i] = append(lists[i], dir)
 					}
 				}
 			}
-			if len(fresh) > seen {
+			if len(pf.keys) > seen {
 				// The filter's fresh keys all carry prov: this is where a
 				// walk of the pair's keys first meets its refs.
 				pf.risks = appendNew(pf.risks, prov)
 			}
-		}
-		if len(fresh) == 0 {
-			continue
-		}
-		for _, i := range footprint {
-			sp := SwitchPair{Switch: switches[i], Pair: pair}
-			d.PairRules[sp] = append(d.PairRules[sp], fresh...)
 		}
 	}
 
@@ -277,22 +267,26 @@ func Compile(p *policy.Policy, t *topo.Topology) (*Deployment, error) {
 	for i, sw := range switches {
 		d.BySwitch[sw] = lists[i]
 	}
-	d.footprint = layOut(byPair, switches)
+	d.footprint, d.PairRules = layOut(byPair, switches)
 	return d, nil
 }
 
 // pairFootprint is what Compile learns about one EPG pair: the slots of
-// the switches it lands on, and the refs its fresh keys carry, each once,
-// in the order the bindings introduce them.
+// the switches it lands on, the keys its bindings introduce (a key bound
+// twice counted once), and the refs those keys carry, each once — both in
+// the order the bindings introduce them.
 type pairFootprint struct {
 	slots []int
+	keys  []rule.Key
 	risks []object.Ref
 }
 
 // layOut arranges the pairs that got rules into the deployment's
 // Footprint: one sort of the pairs, dealt out to their switches in that
-// order, the switches' runs laid end to end. switches is ascending.
-func layOut(byPair map[policy.EPGPair]*pairFootprint, switches []object.ID) Footprint {
+// order, the switches' runs laid end to end. switches is ascending. Each
+// triplet also enters the PairRules index with its pair's keys — like its
+// risks a fact about the pair, so its switches share the one list.
+func layOut(byPair map[policy.EPGPair]*pairFootprint, switches []object.ID) (Footprint, map[SwitchPair][]rule.Key) {
 	pairs := make([]policy.EPGPair, 0, len(byPair))
 	start := make([]int, len(switches)+1)
 	for pair, pf := range byPair {
@@ -312,16 +306,19 @@ func layOut(byPair map[policy.EPGPair]*pairFootprint, switches []object.ID) Foot
 		Pairs: make([]SwitchPair, start[len(switches)]),
 		Risks: make([][]object.Ref, start[len(switches)]),
 	}
+	pairRules := make(map[SwitchPair][]rule.Key, len(fp.Pairs))
 	next := start[:len(switches)]
 	for _, pair := range pairs {
 		pf := byPair[pair]
 		for _, i := range pf.slots {
-			fp.Pairs[next[i]] = SwitchPair{Switch: switches[i], Pair: pair}
+			sp := SwitchPair{Switch: switches[i], Pair: pair}
+			fp.Pairs[next[i]] = sp
 			fp.Risks[next[i]] = pf.risks
+			pairRules[sp] = pf.keys
 			next[i]++
 		}
 	}
-	return fp
+	return fp, pairRules
 }
 
 // finishSwitch turns the rules emitted for one switch into its logical rule

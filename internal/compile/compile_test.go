@@ -133,6 +133,11 @@ func TestCompilePairRules(t *testing.T) {
 	if len(keys) != 4 {
 		t.Errorf("App-DB keys on S2 = %d, want 4", len(keys))
 	}
+	// A pair's keys are a fact about the pair: its switches share one list.
+	onS3 := d.PairRules[SwitchPair{Switch: 3, Pair: policy.MakeEPGPair(2, 3)}]
+	if len(onS3) != len(keys) || &onS3[0] != &keys[0] {
+		t.Error("S2 and S3 hold separate key lists for the App-DB pair, want one shared list")
+	}
 }
 
 func TestCompileIntraEPGBinding(t *testing.T) {

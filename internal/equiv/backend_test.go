@@ -87,8 +87,10 @@ func TestCheckerBackendDifferential(t *testing.T) {
 }
 
 // TestCheckerCompactPreservesReports pins the checker-level compaction
-// contract: after Compact, re-checking already-seen switches still hits
-// the (remapped) memos and yields identical reports.
+// contract: after Compact, re-checking already-seen switches yields
+// identical reports, the logical side still hits the (remapped) memo, and
+// the collected side — never remembered, so shed by the compaction —
+// compiles again without the memo growing.
 func TestCheckerCompactPreservesReports(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	base := newBase()
@@ -106,7 +108,10 @@ func TestCheckerCompactPreservesReports(t *testing.T) {
 			reports = append(reports, rep)
 		}
 
-		preStats := c.Stats()
+		preStats, remembered := c.Stats(), len(c.semMem)
+		if remembered != len(lists) {
+			t.Fatalf("checker remembers %d lists after %d checks, want the logical ones only", remembered, len(lists))
+		}
 		_, ok := c.Compact()
 		if !ok {
 			t.Fatal("Compact refused on a Manager-backed checker")
@@ -124,12 +129,19 @@ func TestCheckerCompactPreservesReports(t *testing.T) {
 				t.Fatalf("report %d changed after Compact:\nbefore: %+v\nafter:  %+v", i, reports[i], rep)
 			}
 		}
-		// Every re-check must resolve its semantics from memo — the warm
-		// state Compact exists to keep.
+		// Every re-check resolves its logical side from the memo — the warm
+		// state Compact exists to keep — and compiles its collected side.
 		post := c.Stats()
-		if post.FoldMisses != preStats.FoldMisses {
-			t.Fatalf("re-checks after Compact re-folded semantics: %d -> %d misses",
-				preStats.FoldMisses, post.FoldMisses)
+		if post.FoldLocalHits != preStats.FoldLocalHits+len(lists) {
+			t.Fatalf("re-checks after Compact hit the memo %d times, want %d (every logical list)",
+				post.FoldLocalHits-preStats.FoldLocalHits, len(lists))
+		}
+		if post.FoldMisses != preStats.FoldMisses+len(lists) {
+			t.Fatalf("re-checks after Compact compiled %d lists, want %d (every collected list)",
+				post.FoldMisses-preStats.FoldMisses, len(lists))
+		}
+		if len(c.semMem) != remembered {
+			t.Fatalf("memo grew %d -> %d re-checking seen switches", remembered, len(c.semMem))
 		}
 	}
 }

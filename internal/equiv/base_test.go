@@ -56,13 +56,19 @@ func TestForkReportMatchesStandalone(t *testing.T) {
 	}
 
 	// The logical list was warmed, so each of its four appearances resolved
-	// from the base; the deployed and the empty list compiled once each.
+	// from the base. The deployed list compiled as the T side of pair 1 and
+	// was not remembered, compiled again as the L side of pair 2 and was,
+	// so pair 3's T side found it in the fork's memo; the empty list
+	// compiled once.
 	st := fork.Stats()
 	if st.FoldBaseHits != 4 {
 		t.Errorf("FoldBaseHits = %d, want 4", st.FoldBaseHits)
 	}
-	if st.FoldMisses != 2 {
-		t.Errorf("FoldMisses = %d, want 2 (deployed, empty)", st.FoldMisses)
+	if st.FoldMisses != 3 {
+		t.Errorf("FoldMisses = %d, want 3 (deployed as T, deployed as L, empty)", st.FoldMisses)
+	}
+	if st.FoldLocalHits != 1 {
+		t.Errorf("FoldLocalHits = %d, want 1 (deployed as T after it was an L)", st.FoldLocalHits)
 	}
 }
 
@@ -295,14 +301,18 @@ func TestAggregateEncodeStats(t *testing.T) {
 // TestDeploymentFingerprint: stable under map iteration, sensitive to
 // any switch's rule change.
 func TestDeploymentFingerprint(t *testing.T) {
+	deploymentFP := func(bySwitch map[object.ID][]rule.Rule) uint64 {
+		_, fp := DeploymentFingerprints(bySwitch)
+		return fp
+	}
 	bySwitch := map[object.ID][]rule.Rule{
 		1: withDeny(allowRule(1, 2, 3, 80)),
 		2: withDeny(allowRule(1, 3, 2, 443)),
 		9: nil,
 	}
-	fp := DeploymentFingerprint(bySwitch)
+	fp := deploymentFP(bySwitch)
 	for i := 0; i < 10; i++ {
-		if DeploymentFingerprint(bySwitch) != fp {
+		if deploymentFP(bySwitch) != fp {
 			t.Fatal("fingerprint unstable across calls")
 		}
 	}
@@ -311,7 +321,7 @@ func TestDeploymentFingerprint(t *testing.T) {
 		2: withDeny(allowRule(1, 3, 2, 8443)),
 		9: nil,
 	}
-	if DeploymentFingerprint(mutated) == fp {
+	if deploymentFP(mutated) == fp {
 		t.Error("rule change must move the fingerprint")
 	}
 	moved := map[object.ID][]rule.Rule{
@@ -319,7 +329,7 @@ func TestDeploymentFingerprint(t *testing.T) {
 		1: bySwitch[2],
 		9: nil,
 	}
-	if DeploymentFingerprint(moved) == fp {
+	if deploymentFP(moved) == fp {
 		t.Error("swapping switches' rule lists must move the fingerprint")
 	}
 }

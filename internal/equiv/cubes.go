@@ -63,7 +63,7 @@ func (c *Checker) MissingSpace(a, b []rule.Rule) ([]Cube, error) {
 	if err != nil {
 		return nil, err
 	}
-	bSem, err := c.semantics(b)
+	bSem, err := c.collected(b)
 	if err != nil {
 		return nil, err
 	}

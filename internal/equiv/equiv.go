@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"scout/internal/bdd"
-	"scout/internal/object"
 	"scout/internal/rule"
 )
 
@@ -57,9 +56,9 @@ type Backend interface {
 }
 
 // Checker performs BDD-based equivalence checks between rule sets. A
-// Checker owns a BDD manager and memoizes whole-list semantics roots, so
-// reusing one Checker across many switches amortizes node construction.
-// Not safe for concurrent use.
+// Checker owns a BDD manager and memoizes the semantics roots of the
+// logical lists it is handed, so reusing one Checker across many switches
+// amortizes node construction. Not safe for concurrent use.
 //
 // A checker is either standalone (NewChecker: private manager, every
 // list compiled from scratch) or a fork of a shared Base
@@ -67,6 +66,12 @@ type Backend interface {
 // canonical rule-list fingerprint, through the base's frozen memo first
 // and build only what the base lacks in a private copy-on-write delta, so
 // any number of concurrent forks share one node pool for the hot lists.
+//
+// What a checker remembers is bounded by the deployment: it has finitely
+// many logical lists, and a collected list is looked up but never stored.
+// Under churn a dirty check's T list is never handed over again — a memo of
+// those pins one TCAM snapshot a check and is never hit. What remembers a T
+// list is the caller's verdict cache, one entry a switch.
 type Checker struct {
 	m Backend
 	// newM recreates the manager on Reset with the same kind and sizing
@@ -74,12 +79,12 @@ type Checker struct {
 	// fork pre-sized to a delta budget).
 	newM func() Backend
 	base *Base // nil for standalone checkers
-	// semMem memoizes whole-list semantics roots by SemanticsFingerprint,
-	// so a checker re-handed an identical rule list (the same switch
-	// re-checked across session runs, or the L and T sides of a
-	// consistent switch) skips the entire priority fold. Every hit is
-	// verified against the entry's canonical list (SemanticsEqual), so a
-	// 64-bit collision costs a private fold, never a wrong root.
+	// semMem memoizes the semantics roots of logical lists by
+	// SemanticsFingerprint, so a checker re-handed one (the same switch
+	// re-checked across session runs, or as the T side of a consistent
+	// switch) skips the compile. Every hit is verified against the entry's
+	// canonical list (SemanticsEqual), so a 64-bit collision costs a
+	// private compile, never a wrong root. No entry references a T list.
 	semMem map[uint64]semRoot
 	// memo is the compiler's private memo of tails and tries (compile.go),
 	// layered over the base's frozen one. Its nodes may sit in the delta,
@@ -187,7 +192,8 @@ type CheckerStats struct {
 // roots, returning it to its freshly constructed state: standalone
 // checkers rebuild an empty manager, forks re-fork their shared base and
 // lose only the delta. Checks after a Reset produce identical reports —
-// only the amortized compile work is lost. Counters survive.
+// only the amortized compile work is lost. Counters survive. A session
+// falls back on it when even a compacted delta is over its node budget.
 func (c *Checker) Reset() {
 	c.cacheAcc.Add(c.m.CacheStats())
 	c.m = c.newM()
@@ -196,11 +202,11 @@ func (c *Checker) Reset() {
 }
 
 // Compact runs a delta GC on the checker's manager: every memoized
-// semantics root is a live root, everything else in the delta is dead and
+// logical root is a live root, everything else in the delta — the T-side
+// diagrams and the difference BDDs, dead since their checks reported — is
 // dropped, and the memo is remapped to the compacted IDs. Unlike Reset it
-// keeps the warm memo state — subsequent checks of already-seen switches
-// still hit — while shedding the difference BDDs dead since their checks
-// reported. Reports after a Compact are identical; ROBDD canonicity only
+// keeps the warm memo state: subsequent checks still resolve their logical
+// side from it. Reports after a Compact are identical; ROBDD canonicity only
 // cares that each memoized function keeps a consistent ID, not which ID.
 // The compiler's memo names delta nodes by ID too; it is dropped, not
 // remapped, and refills from the compiles that follow.
@@ -228,7 +234,9 @@ func (c *Checker) Compact() (bdd.CompactStats, bool) {
 	return stats, true
 }
 
-// Report is the outcome of one L-T equivalence check.
+// Report is the outcome of one L-T equivalence check. Its rules are the
+// checked lists' own, by value, each sharing its provenance slice with the
+// list it came from (see rule.Rule): read-only, like the lists.
 type Report struct {
 	// Equivalent is true when the logical and deployed rules enforce
 	// exactly the same behaviour.
@@ -252,7 +260,7 @@ func (c *Checker) Check(logical, deployed []rule.Rule) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("encode logical rules: %w", err)
 	}
-	tAllowed, err := c.semantics(deployed)
+	tAllowed, err := c.collected(deployed)
 	if err != nil {
 		return nil, fmt.Errorf("encode deployed rules: %w", err)
 	}
@@ -296,52 +304,65 @@ func (c *Checker) attribute(rules []rule.Rule, diff bdd.Node) ([]rule.Rule, erro
 			continue
 		}
 		if w.meets(r, diff) {
-			hit = append(hit, r.Clone())
+			hit = append(hit, r)
 		}
 	}
 	return hit, nil
 }
 
-// semantics resolves (and memoizes) the whole-list allowed-set BDD of a
-// prioritized rule list, keyed by its canonical SemanticsFingerprint: the
-// shared base's frozen semantics memo first (whole-switch roots warmed at
-// base build time), then the checker's own memo, then a fresh compile
-// into the checker's manager (the Fold* counters keep their names from
-// the apply-based fold the compile replaced). Every memo hit is verified
-// against the entry's canonical list, so a fingerprint collision falls
-// through to a private compile rather than reusing the wrong root.
-// Resolving through the base makes checking a switch whose rule list
-// duplicates an already-warmed one — or a consistent switch's TCAM side,
-// which shares its logical list's semantics key — a list scan. A list
-// that misses both memos still meets the base below the root: the compile
-// interns through the fork's unique tables, so every subtree it shares
-// with a warmed list resolves to its frozen node and only the paths its
-// edits changed land in the delta.
+// semantics resolves the whole-list allowed-set BDD of a logical rule list
+// (resolve) and remembers a root it had to compile.
 func (c *Checker) semantics(rules []rule.Rule) (bdd.Node, error) {
 	fp := SemanticsFingerprint(rules)
+	n, compiled, err := c.resolve(fp, rules)
+	if _, occupied := c.semMem[fp]; compiled && !occupied {
+		c.semMem[fp] = semRoot{rules: rules, node: n}
+	}
+	return n, err
+}
+
+// collected resolves a collected (T) list the same way and stores nothing
+// (see Checker): its root lives in the delta until the next Compact, and
+// byte-equal drifted lists each compile, into one diagram.
+func (c *Checker) collected(rules []rule.Rule) (bdd.Node, error) {
+	n, _, err := c.resolve(SemanticsFingerprint(rules), rules)
+	return n, err
+}
+
+// resolve finds or builds a prioritized rule list's root, keyed by its
+// canonical SemanticsFingerprint: the shared base's frozen semantics memo
+// first (whole-switch roots warmed at base build time), then the checker's
+// own memo, then a fresh compile into the checker's manager, which it
+// reports (the Fold* counters keep their names from the apply-based fold
+// the compile replaced). Every memo hit is verified against the entry's
+// canonical list, so a fingerprint collision falls through to a private
+// compile rather than reusing the wrong root. Resolving through the memos
+// makes checking a switch whose rule list duplicates an already-warmed one
+// — or a consistent switch's TCAM side, which shares its logical list's
+// semantics key — a list scan. A list that misses both memos still meets
+// the base below the root: the compile interns through the fork's unique
+// tables, so every subtree it shares with a warmed list resolves to its
+// frozen node and only the paths its edits changed land in the delta.
+func (c *Checker) resolve(fp uint64, rules []rule.Rule) (n bdd.Node, compiled bool, err error) {
 	if c.base != nil {
 		if e, ok := c.base.semMem[fp]; ok && SemanticsEqual(e.rules, rules) {
 			c.foldBaseHits++
-			return e.node, nil
+			return e.node, false, nil
 		}
 	}
 	if e, ok := c.semMem[fp]; ok && SemanticsEqual(e.rules, rules) {
 		c.foldLocalHits++
-		return e.node, nil
+		return e.node, false, nil
 	}
 	var frozen compileMemo
 	if c.base != nil {
 		frozen = c.base.memo
 	}
-	n, err := compileMemoized(c.m, rules, frozen, c.memo)
-	if err != nil {
-		return bdd.False, err
+	if n, err = compileMemoized(c.m, rules, frozen, c.memo); err != nil {
+		return bdd.False, false, err
 	}
 	c.foldMisses++
-	if _, occupied := c.semMem[fp]; !occupied {
-		c.semMem[fp] = semRoot{rules: rules, node: n}
-	}
-	return n, nil
+	return n, true, nil
 }
 
 // NaiveCheck is a key-set differ used as a test oracle (it has no
@@ -360,7 +381,7 @@ func NaiveCheck(logical, deployed []rule.Rule) *Report {
 			continue
 		}
 		if _, ok := depKeys[r.Key()]; !ok {
-			rep.MissingRules = append(rep.MissingRules, r.Clone())
+			rep.MissingRules = append(rep.MissingRules, r)
 		}
 	}
 	for _, r := range deployed {
@@ -368,38 +389,9 @@ func NaiveCheck(logical, deployed []rule.Rule) *Report {
 			continue
 		}
 		if _, ok := logKeys[r.Key()]; !ok {
-			rep.ExtraRules = append(rep.ExtraRules, r.Clone())
+			rep.ExtraRules = append(rep.ExtraRules, r)
 		}
 	}
 	rep.Equivalent = len(rep.MissingRules) == 0 && len(rep.ExtraRules) == 0
 	return rep
-}
-
-// MissingPairObjects extracts, from a set of missing rules, the map of
-// impacted EPG pairs to the policy objects implicated by each pair's
-// missing rules — the augmentation input for the risk models (§III-C).
-// Rules without provenance are resolved through prov (keyed by rule Key)
-// when available.
-func MissingPairObjects(missing []rule.Rule, prov map[rule.Key][]object.Ref) map[[2]object.ID][]object.Ref {
-	out := make(map[[2]object.ID][]object.Ref)
-	for _, r := range missing {
-		p := r.Provenance
-		if len(p) == 0 && prov != nil {
-			p = prov[r.Key()]
-		}
-		if len(p) == 0 {
-			continue
-		}
-		a, b := r.Match.SrcEPG, r.Match.DstEPG
-		if b < a {
-			a, b = b, a
-		}
-		key := [2]object.ID{a, b}
-		out[key] = append(out[key], p...)
-	}
-	for k, refs := range out {
-		set := object.NewSet(refs...)
-		out[k] = set.Sorted()
-	}
-	return out
 }

@@ -265,33 +265,6 @@ func setsEqual(a, b map[rule.Key]struct{}) bool {
 	return true
 }
 
-func TestMissingPairObjects(t *testing.T) {
-	missing := []rule.Rule{
-		allowRule(1, 2, 3, 80, object.Filter(80), object.Contract(5)),
-		allowRule(1, 3, 2, 80, object.Filter(80), object.Contract(5)),
-		allowRule(1, 4, 5, 90, object.Filter(90)),
-	}
-	got := MissingPairObjects(missing, nil)
-	if len(got) != 2 {
-		t.Fatalf("pairs = %d, want 2", len(got))
-	}
-	p23 := got[[2]object.ID{2, 3}]
-	if len(p23) != 2 {
-		t.Errorf("pair 2-3 objects = %v", p23)
-	}
-	// Provenance-less rules resolve through the provided index.
-	bare := []rule.Rule{allowRule(1, 7, 8, 70)}
-	prov := map[rule.Key][]object.Ref{bare[0].Key(): {object.VRF(1)}}
-	got = MissingPairObjects(bare, prov)
-	if len(got[[2]object.ID{7, 8}]) != 1 {
-		t.Error("provenance index not consulted")
-	}
-	// Without index or provenance the rule is skipped.
-	if got := MissingPairObjects([]rule.Rule{allowRule(1, 7, 8, 70)}, nil); len(got) != 0 {
-		t.Error("unattributable rules must be skipped")
-	}
-}
-
 func TestCheckerReuseAcrossChecks(t *testing.T) {
 	c := NewChecker()
 	l1 := withDeny(allowRule(1, 2, 3, 80))

@@ -127,21 +127,14 @@ func SemanticsEqual(a, b []rule.Rule) bool {
 	return true
 }
 
-// DeploymentFingerprint hashes a whole deployment's per-switch rule
-// lists (in ascending switch-ID order) into one 64-bit key. It is the
-// invalidation key for deployment-scoped caches — a Session's shared
-// encoding Base persists across runs while the deployment fingerprint is
-// unchanged and rebuilds when it moves. The same collision caveat as
-// Fingerprint applies.
-func DeploymentFingerprint(bySwitch map[object.ID][]rule.Rule) uint64 {
-	_, fp := DeploymentFingerprints(bySwitch)
-	return fp
-}
-
-// DeploymentFingerprints is DeploymentFingerprint exposing its
-// intermediate per-switch fingerprints, so a caller that also needs
-// those (a Session partitioning switches into replays and re-checks)
-// hashes each rule list exactly once.
+// DeploymentFingerprints hashes a whole deployment's per-switch rule
+// lists (in ascending switch-ID order) into one 64-bit key, returned beside
+// the per-switch fingerprints it was folded from, so a caller that also
+// needs those (a Session partitioning switches into replays and re-checks)
+// hashes each rule list exactly once. The key is the invalidation key for
+// deployment-scoped caches — a Session's shared encoding Base persists
+// across runs while it is unchanged and rebuilds when it moves. The same
+// collision caveat as Fingerprint applies.
 func DeploymentFingerprints(bySwitch map[object.ID][]rule.Rule) (map[object.ID]uint64, uint64) {
 	switches := make([]object.ID, 0, len(bySwitch))
 	for sw := range bySwitch {

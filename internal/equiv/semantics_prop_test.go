@@ -259,18 +259,20 @@ func TestRebindSemantics(t *testing.T) {
 }
 
 // TestSemanticsBaseMissFoldsInDelta covers the copy-on-write side of
-// fold sharing: a list absent from the base compiles into the fork's
-// private delta (counted as a fold miss), repeats hit the fork's local
-// memo, and the base stays untouched. The drifted list keeps two rules:
-// a one-rule list is its rule's match encoding, which the base warmed,
-// and would cost the fork nothing.
+// fold sharing: a collected list absent from the base compiles into the
+// fork's private delta (counted as a fold miss) and is not remembered — a
+// repeat compiles it again while the logical side still hits — and the
+// base stays untouched. The drifted list keeps two rules: a one-rule list
+// is its rule's match encoding, which the base warmed, and would cost the
+// fork nothing.
 func TestSemanticsBaseMissFoldsInDelta(t *testing.T) {
 	logical := withDeny(allowRule(1, 2, 3, 80), allowRule(1, 3, 2, 443), allowRule(2, 4, 5, 22))
 	drifted := withDeny(allowRule(1, 2, 3, 80), allowRule(2, 4, 5, 22))
 
 	base := newBase(logical)
 	fork := base.NewChecker()
-	if _, err := fork.Check(logical, drifted); err != nil {
+	first, err := fork.Check(logical, drifted)
+	if err != nil {
 		t.Fatal(err)
 	}
 	st := fork.Stats()
@@ -286,17 +288,26 @@ func TestSemanticsBaseMissFoldsInDelta(t *testing.T) {
 	if base.Size() != base.snap.Size() {
 		t.Error("base must be unchanged by fork folds")
 	}
+	remembered := len(fork.semMem)
 
-	// Re-checking the same pair resolves both sides from memos.
-	if _, err := fork.Check(logical, drifted); err != nil {
+	// Re-checking the same pair resolves the logical side from the base and
+	// compiles the collected side again: the checker kept no reference to it.
+	again, err := fork.Check(logical, drifted)
+	if err != nil {
 		t.Fatal(err)
 	}
-	st2 := fork.Stats()
-	if st2.FoldMisses != st.FoldMisses {
-		t.Errorf("repeat check re-folded: %+v", st2)
+	if !reflect.DeepEqual(first, again) {
+		t.Errorf("repeat check reported %+v, first %+v", again, first)
 	}
-	if st2.FoldLocalHits != st.FoldLocalHits+1 {
-		t.Errorf("repeat check must hit the local semantics memo: %+v", st2)
+	st2 := fork.Stats()
+	if st2.FoldBaseHits != st.FoldBaseHits+1 {
+		t.Errorf("repeat check must hit the frozen root again: %+v", st2)
+	}
+	if st2.FoldMisses != st.FoldMisses+1 || st2.FoldLocalHits != st.FoldLocalHits {
+		t.Errorf("repeat check must recompile the collected list, not remember it: %+v", st2)
+	}
+	if len(fork.semMem) != remembered {
+		t.Errorf("the fork's memo grew %d -> %d over checks of one logical list", remembered, len(fork.semMem))
 	}
 
 	// Reset discards the local semantics memo with the delta; the frozen

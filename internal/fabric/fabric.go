@@ -531,7 +531,8 @@ func (f *Fabric) InjectObjectFault(ref object.Ref, fraction float64) (int, error
 // available, even while the policy control channel is down. The slice is
 // the table's shared read-only snapshot (tcam.TCAM.Rules): the same slice
 // until the switch's TCAM is next written, never modified afterwards, and
-// not to be modified by the caller.
+// not to be modified by the caller. Each rule in it shares its provenance
+// slice with the logical rule the agent installed (see rule.Rule).
 func (f *Fabric) CollectTCAM(sw object.ID) ([]rule.Rule, error) {
 	s, err := f.Switch(sw)
 	if err != nil {

@@ -92,19 +92,6 @@ func (l *ChangeLog) Entries() []Change {
 	return append([]Change(nil), l.entries...)
 }
 
-// ByObject returns entries for obj in append order.
-func (l *ChangeLog) ByObject(obj object.Ref) []Change {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	var out []Change
-	for _, c := range l.entries {
-		if c.Object == obj {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // LastChange returns the most recent entry for obj, if any.
 func (l *ChangeLog) LastChange(obj object.Ref) (Change, bool) {
 	l.mu.RLock()
@@ -121,19 +108,6 @@ func (l *ChangeLog) LastChange(obj object.Ref) (Change, bool) {
 func (l *ChangeLog) ChangedSince(obj object.Ref, t time.Time) bool {
 	c, ok := l.LastChange(obj)
 	return ok && !c.Time.Before(t)
-}
-
-// RecentObjects returns the distinct objects changed at or after t, sorted.
-func (l *ChangeLog) RecentObjects(t time.Time) []object.Ref {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	set := make(object.Set)
-	for _, c := range l.entries {
-		if !c.Time.Before(t) {
-			set.Add(c.Object)
-		}
-	}
-	return set.Sorted()
 }
 
 // FaultCode identifies a class of physical-level fault, mirroring the

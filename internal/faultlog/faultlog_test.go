@@ -22,9 +22,6 @@ func TestChangeLogAppendAndQuery(t *testing.T) {
 	if l.Len() != 3 {
 		t.Errorf("Len = %d", l.Len())
 	}
-	if got := l.ByObject(object.Filter(1)); len(got) != 2 {
-		t.Errorf("ByObject = %d entries", len(got))
-	}
 	last, ok := l.LastChange(object.Filter(1))
 	if !ok || last.Op != OpModify {
 		t.Errorf("LastChange = %+v, %v", last, ok)
@@ -48,17 +45,6 @@ func TestChangedSince(t *testing.T) {
 	}
 	if l.ChangedSince(object.Filter(2), t0) {
 		t.Error("unknown object never changed")
-	}
-}
-
-func TestRecentObjects(t *testing.T) {
-	l := NewChangeLog()
-	l.Append(t0, OpAdd, object.Filter(1), "")
-	l.Append(t0.Add(time.Hour), OpAdd, object.Filter(2), "")
-	l.Append(t0.Add(time.Hour), OpModify, object.Filter(2), "")
-	got := l.RecentObjects(t0.Add(30 * time.Minute))
-	if len(got) != 1 || got[0] != object.Filter(2) {
-		t.Errorf("RecentObjects = %v", got)
 	}
 }
 

@@ -177,30 +177,3 @@ func (s Set) Sorted() []Ref {
 	SortRefs(out)
 	return out
 }
-
-// Union returns a new set containing every ref in s or other.
-func (s Set) Union(other Set) Set {
-	out := make(Set, len(s)+len(other))
-	for r := range s {
-		out[r] = struct{}{}
-	}
-	for r := range other {
-		out[r] = struct{}{}
-	}
-	return out
-}
-
-// Intersect returns a new set containing refs present in both s and other.
-func (s Set) Intersect(other Set) Set {
-	small, big := s, other
-	if len(big) < len(small) {
-		small, big = big, small
-	}
-	out := make(Set)
-	for r := range small {
-		if big.Has(r) {
-			out[r] = struct{}{}
-		}
-	}
-	return out
-}

@@ -152,56 +152,6 @@ func TestSetSortedDeterministic(t *testing.T) {
 	}
 }
 
-func TestSetUnionIntersect(t *testing.T) {
-	a := NewSet(VRF(1), EPG(2), Filter(3))
-	b := NewSet(EPG(2), Filter(4))
-	u := a.Union(b)
-	if u.Len() != 4 {
-		t.Errorf("Union len = %d, want 4", u.Len())
-	}
-	i := a.Intersect(b)
-	if i.Len() != 1 || !i.Has(EPG(2)) {
-		t.Errorf("Intersect = %v, want {epg:2}", i.Sorted())
-	}
-	// Union/Intersect must not mutate inputs.
-	if a.Len() != 3 || b.Len() != 2 {
-		t.Error("set ops mutated operands")
-	}
-}
-
-func TestSetOpsLawsQuick(t *testing.T) {
-	mk := func(ids []uint8) Set {
-		s := make(Set)
-		for _, id := range ids {
-			s.Add(EPG(ID(id % 16)))
-		}
-		return s
-	}
-	f := func(xs, ys []uint8) bool {
-		a, b := mk(xs), mk(ys)
-		u, i := a.Union(b), a.Intersect(b)
-		// |A∪B| + |A∩B| == |A| + |B|
-		if u.Len()+i.Len() != a.Len()+b.Len() {
-			return false
-		}
-		// Intersection ⊆ both; both ⊆ union.
-		for r := range i {
-			if !a.Has(r) || !b.Has(r) {
-				return false
-			}
-		}
-		for r := range a {
-			if !u.Has(r) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestRefIsZero(t *testing.T) {
 	var zero Ref
 	if !zero.IsZero() {

@@ -52,7 +52,9 @@ type Violation struct {
 	Expected rule.Action
 	Got      rule.Action
 	// Rule is the logical rule the probe was derived from; its
-	// provenance identifies the implicated policy objects.
+	// provenance identifies the implicated policy objects. It is the
+	// deployment's rule by value and shares that rule's provenance slice
+	// (see rule.Rule).
 	Rule rule.Rule
 }
 
@@ -210,7 +212,7 @@ func violationFrom(sw object.ID, r rule.Rule, pkt Packet, o tcam.Outcome) (Viola
 		Packet:   pkt,
 		Expected: r.Action,
 		Got:      got,
-		Rule:     r.Clone(),
+		Rule:     r,
 	}, true
 }
 

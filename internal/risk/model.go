@@ -9,7 +9,6 @@ package risk
 
 import (
 	"fmt"
-	"sort"
 
 	"scout/internal/object"
 )
@@ -378,21 +377,6 @@ func (m *Model) SuspectSet() []object.Ref {
 		}
 	}
 	return set.Sorted()
-}
-
-// DependencyHistogram returns, per object kind, the number of elements
-// depending on each risk of that kind — the raw data behind the paper's
-// Figure 3 CDFs.
-func (m *Model) DependencyHistogram() map[object.Kind][]int {
-	out := make(map[object.Kind][]int)
-	for i := range m.risks {
-		ref := m.risks[i].ref
-		out[ref.Kind] = append(out[ref.Kind], len(m.risks[i].elements))
-	}
-	for kind := range out {
-		sort.Ints(out[kind])
-	}
-	return out
 }
 
 // ResetFailures clears every failed-edge mark, returning the model to its

@@ -299,20 +299,6 @@ func TestAugmentIgnoresUnknownPairs(t *testing.T) {
 	}
 }
 
-func TestDependencyHistogram(t *testing.T) {
-	d := threeTier(t)
-	m := BuildSwitchModel(d, 2)
-	h := m.DependencyHistogram()
-	// VRF:101 serves both pairs on S2.
-	if !reflect.DeepEqual(h[object.KindVRF], []int{2}) {
-		t.Errorf("vrf histogram = %v", h[object.KindVRF])
-	}
-	// Filters: 80 serves 2 pairs, 700 serves 1.
-	if !reflect.DeepEqual(h[object.KindFilter], []int{1, 2}) {
-		t.Errorf("filter histogram = %v", h[object.KindFilter])
-	}
-}
-
 func TestModelString(t *testing.T) {
 	m := NewModel("demo")
 	if got := m.String(); got == "" {

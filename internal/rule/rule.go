@@ -133,6 +133,13 @@ func (m Match) String() string {
 }
 
 // Rule is a single prioritized access-control entry.
+//
+// A rule is a value, and every layer hands rules on by assignment: the
+// compiler into a deployment's lists, those into a TCAM, a TCAM into its
+// snapshots, a check or a probe into its report. What copies of a rule
+// share is the Provenance slice, which nobody writes once the rule is
+// constructed; the compiler itself shares one slice across every rule of a
+// (binding, filter).
 type Rule struct {
 	Match    Match  `json:"match"`
 	Action   Action `json:"action"`
@@ -173,7 +180,8 @@ func (r Rule) HasProvenance(ref object.Ref) bool {
 	return false
 }
 
-// Clone returns a deep copy of the rule (provenance slice copied).
+// Clone returns a deep copy of the rule (provenance slice copied). Nothing
+// in the pipeline calls it (see Rule); tests build mutated twins with it.
 func (r Rule) Clone() Rule {
 	out := r
 	if r.Provenance != nil {

@@ -11,7 +11,7 @@
 // and any structural violation (the BDD rebuild validates ROBDD
 // invariants, the base rebuild validates memo bindings) aborts the
 // whole load. The key is the content address the caller expects
-// (DeploymentFingerprint), so a renamed or misfiled entry is rejected
+// (DeploymentFingerprints), so a renamed or misfiled entry is rejected
 // too. Encoding is deterministic for given content — iteration is over
 // canonically sorted views — which keeps repeated write-behind rounds
 // of unchanged state byte-identical.

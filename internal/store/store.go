@@ -35,6 +35,15 @@ import (
 // anything else in the directory).
 const fileSuffix = ".scout"
 
+// tempMark follows a store file's name in the name of the temp file it is
+// written through (writeAtomic). A writer killed before the rename leaves
+// that file behind; GC takes one older than orphanTempAge for such a
+// leftover — a live writer's is seconds old.
+const (
+	tempMark      = ".tmp"
+	orphanTempAge = time.Minute
+)
+
 func baseFileName(depFP uint64) string {
 	return fmt.Sprintf("base-%016x%s", depFP, fileSuffix)
 }
@@ -122,7 +131,7 @@ func (s *Store) writer() {
 // writeAtomic publishes data at path via a same-directory temp file and
 // rename, so readers only ever observe complete files.
 func writeAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+tempMark+"*")
 	if err != nil {
 		return fmt.Errorf("store: write %s: %w", path, err)
 	}
@@ -269,7 +278,8 @@ type GCStats struct {
 // suffix are considered; the write queue is flushed first so a file
 // about to be rewritten is not judged by its old mtime. Both saves and
 // loads refresh mtimes, so "oldest" is least-recently-used, not
-// least-recently-written.
+// least-recently-written. The temp files of writers that died mid-write
+// (see tempMark) go too, whatever the bounds, and count in Removed.
 func (s *Store) GC(maxAge time.Duration, maxFiles int) (GCStats, error) {
 	if err := s.Flush(); err != nil {
 		return GCStats{}, err
@@ -283,19 +293,26 @@ func (s *Store) GC(maxAge time.Duration, maxFiles int) (GCStats, error) {
 		mtime time.Time
 	}
 	var files []file
+	var st GCStats
 	for _, ent := range entries {
-		if ent.IsDir() || !strings.HasSuffix(ent.Name(), fileSuffix) {
+		orphan := strings.Contains(ent.Name(), fileSuffix+tempMark)
+		if ent.IsDir() || !(orphan || strings.HasSuffix(ent.Name(), fileSuffix)) {
 			continue
 		}
 		info, err := ent.Info()
 		if err != nil {
 			continue // raced with a concurrent remove
 		}
+		if orphan {
+			if time.Since(info.ModTime()) > orphanTempAge && os.Remove(filepath.Join(s.dir, ent.Name())) == nil {
+				st.Removed++
+			}
+			continue
+		}
 		files = append(files, file{name: ent.Name(), mtime: info.ModTime()})
 	}
 	sort.Slice(files, func(i, j int) bool { return files[i].mtime.Before(files[j].mtime) })
 
-	var st GCStats
 	cutoff := time.Time{}
 	if maxAge > 0 {
 		cutoff = time.Now().Add(-maxAge)

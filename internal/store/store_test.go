@@ -395,6 +395,60 @@ func TestStoreGC(t *testing.T) {
 	}
 }
 
+// TestGCRemovesOrphanedTempFiles: a writer killed between creating its temp
+// file and renaming it leaves "<name>.scout.tmp<random>" behind, which is
+// not a store file and which Open does not clean up; GC removes one old
+// enough to be nobody's and leaves a live writer's alone.
+func TestGCRemovesOrphanedTempFiles(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	base, _ := testBase(t, 6)
+	s.SaveBase(1, base)
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	plant := func(age time.Duration) string {
+		t.Helper()
+		tmp, err := os.CreateTemp(dir, baseFileName(1)+tempMark+"*")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tmp.Write([]byte("half a base")); err != nil {
+			t.Fatal(err)
+		}
+		if err := tmp.Close(); err != nil {
+			t.Fatal(err)
+		}
+		at := time.Now().Add(-age)
+		if err := os.Chtimes(tmp.Name(), at, at); err != nil {
+			t.Fatal(err)
+		}
+		return tmp.Name()
+	}
+	orphan, live := plant(2*time.Minute), plant(0)
+
+	st, err := s.GC(0, 0)
+	if err != nil {
+		t.Fatalf("GC: %v", err)
+	}
+	if st.Removed != 1 || st.Kept != 1 {
+		t.Fatalf("GC: %+v, want the orphan removed and the one store file kept", st)
+	}
+	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
+		t.Error("a two-minute-old temp file survived GC")
+	}
+	if _, err := os.Stat(live); err != nil {
+		t.Error("GC removed a fresh temp file, which a live writer may be about to rename")
+	}
+	if b, err := s.LoadBase(1); err != nil || b == nil {
+		t.Errorf("the store file beside the orphan no longer loads: %v", err)
+	}
+}
+
 // FuzzDecodeBase: whatever the bytes, the base decoder returns — it never
 // panics — and an image it accepts is the one encoding of what it decoded.
 // The checksum stops nearly every mutation at the frame, so each input is

@@ -58,7 +58,7 @@ type TCAM struct {
 	// onto one key (len(index) < len(rules) exactly then); the index
 	// tracks the earlier, higher-precedence occurrence.
 	index map[rule.Key]entryID
-	// snap is the published read-only copy Rules hands out, built on the
+	// snap is the published read-only list Rules hands out, built on the
 	// first read after a write and dropped by the next write.
 	snap []rule.Rule
 }
@@ -100,10 +100,12 @@ func (t *TCAM) Install(r rule.Rule) error {
 
 // InstallAll installs the rules in order, leaving the table exactly as
 // calling Install on each in turn would, under one lock and with room for
-// the batch reserved up front. It returns how many of them the table holds
-// afterwards — installed now, or present already, the cases where Install
-// returns nil; the remaining len(rules) minus that were refused for lack of
-// space (ErrFull).
+// the batch reserved up front. The table takes each rule by value, sharing
+// its provenance slice with the caller (see rule.Rule), which no table
+// operation writes. It returns how many of them the table holds afterwards
+// — installed now, or present already, the cases where Install returns nil;
+// the remaining len(rules) minus that were refused for lack of space
+// (ErrFull).
 func (t *TCAM) InstallAll(rules []rule.Rule) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -139,7 +141,7 @@ func (t *TCAM) InstallAll(rules []rule.Rule) int {
 		t.nextSeq++
 		t.rules = append(t.rules, rule.Rule{})
 		copy(t.rules[pos+1:], t.rules[pos:])
-		t.rules[pos] = r.Clone()
+		t.rules[pos] = *r
 		t.seqs = append(t.seqs, 0)
 		copy(t.seqs[pos+1:], t.seqs[pos:])
 		t.seqs[pos] = t.nextSeq
@@ -221,11 +223,13 @@ func (t *TCAM) Clear() {
 }
 
 // Rules returns a snapshot of the installed rules in match order. The
-// snapshot is a deep copy, distinct from table storage, built once per
-// table generation: every call until the next write returns the same
-// slice (same backing array), and a write publishes a fresh one instead
-// of touching it. It is therefore shared and read-only — callers must not
-// modify it — and a held snapshot never changes.
+// snapshot is a list of its own, distinct from table storage (which writes
+// shift and corruption edits in place), built once per table generation:
+// every call until the next write returns the same slice (same backing
+// array), and a write publishes a fresh one instead of touching it. It is
+// therefore shared and read-only — callers must not modify it — and a held
+// snapshot never changes. Its rules are values; each shares the provenance
+// slice of the rule that was installed (see rule.Rule).
 func (t *TCAM) Rules() []rule.Rule {
 	t.mu.RLock()
 	snap := t.snap
@@ -236,10 +240,7 @@ func (t *TCAM) Rules() []rule.Rule {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.snap == nil {
-		t.snap = make([]rule.Rule, len(t.rules))
-		for i, r := range t.rules {
-			t.snap[i] = r.Clone()
-		}
+		t.snap = slices.Clone(t.rules)
 	}
 	return t.snap
 }

@@ -420,7 +420,10 @@ func TestRemoveKeysMatchesSequentialRemove(t *testing.T) {
 // same order under the same index, and hold as many of the batch as a loop
 // of Install accepts — with duplicate keys inside the batch and against the
 // table, priorities that force mid-table inserts, and a table that fills
-// midway through the batch.
+// midway through the batch. It also holds the table to the shared-rule
+// contract: installed rules share the caller's provenance slices, and no
+// table operation (Remove, RemoveKeys, EvictRandom, Corrupt) changes a
+// caller's rule.
 func TestInstallAllMatchesSequentialInstall(t *testing.T) {
 	overflowed := 0
 	for seed := int64(0); seed < 60; seed++ {
@@ -461,13 +464,25 @@ func TestInstallAllMatchesSequentialInstall(t *testing.T) {
 			if err := checkIndex(bulk); err != nil {
 				t.Fatalf("seed %d round %d: %v", seed, round, err)
 			}
-			// The table holds copies: the caller's batch stays its own.
-			if len(batch) > 0 {
-				batch[0].Provenance[0] = object.VRF(9)
-				for _, r := range bulk.Rules() {
-					if r.HasProvenance(object.VRF(9)) {
-						t.Fatalf("seed %d: installed rule aliases the caller's provenance", seed)
-					}
+			// The table shares the caller's provenance slices (rule.Rule): no
+			// table operation changes a caller's rule. Run on the last round,
+			// after which the twins are compared no more.
+			if round == 2 && len(batch) > 0 {
+				want := make([]rule.Rule, len(batch))
+				for i, r := range batch {
+					want[i] = r.Clone()
+				}
+				bulk.Remove(batch[0].Key())
+				bulk.RemoveKeys([]rule.Key{batch[len(batch)-1].Key(), batch[len(batch)/2].Key()})
+				for _, field := range []CorruptionField{CorruptVRF, CorruptSrcEPG, CorruptDstEPG, CorruptPort} {
+					bulk.Corrupt(3, field, rng)
+				}
+				bulk.EvictRandom(3, rng)
+				if !rule.SlicesEqual(batch, want) {
+					t.Fatalf("seed %d: a table operation changed the caller's rules", seed)
+				}
+				if err := checkIndex(bulk); err != nil {
+					t.Fatalf("seed %d: after the table operations: %v", seed, err)
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package scout_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -137,5 +138,131 @@ func TestAnalyzeUnresponsiveSwitch(t *testing.T) {
 	rc := rep.RootCauses.RootCauses[0]
 	if rc.Signature != "unresponsive-switch" || rc.Switch != 2 {
 		t.Errorf("top root cause = %q on switch %d, want unresponsive-switch on 2", rc.Signature, rc.Switch)
+	}
+}
+
+// TestPipelineNeverWritesProvenance guards the contract every layer relies
+// on since rules are shared, not copied (rule.Rule): a rule's provenance
+// slice is never written after the compiler made it. The deployment's lists,
+// the TCAMs, their snapshots and every report hold the same slices, so one
+// write anywhere would show in the logical rules — which this test holds
+// deep copies of while it drives every mutating path of the fabric and both
+// observation sources, a warm-store session closed and restarted included.
+func TestPipelineNeverWritesProvenance(t *testing.T) {
+	pol, topo, err := scout.GenerateWorkload(scout.TestbedWorkloadSpec(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := scout.NewFabric(pol, topo, scout.FabricOptions{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Deploy(); err != nil {
+		t.Fatal(err)
+	}
+
+	type heldRule struct {
+		rule *scout.Rule
+		want []scout.ObjectRef
+	}
+	var held []heldRule
+	var sharedA, sharedB *scout.Rule // two rules the compiler gave one slice
+	hold := func(d *scout.Deployment) {
+		byFirst := make(map[*scout.ObjectRef]*scout.Rule)
+		for _, rules := range d.BySwitch {
+			for i := range rules {
+				r := &rules[i]
+				held = append(held, heldRule{r, slices.Clone(r.Provenance)})
+				if len(r.Provenance) == 0 {
+					continue
+				}
+				if other, ok := byFirst[&r.Provenance[0]]; ok && sharedA == nil {
+					sharedA, sharedB = other, r
+				}
+				byFirst[&r.Provenance[0]] = r
+			}
+		}
+	}
+	hold(f.Deployment())
+	if sharedA == nil {
+		t.Fatal("no two logical rules share a provenance slice; the compiler is expected to share one per (binding, filter)")
+	}
+
+	analyze := func(opts scout.AnalyzerOptions) {
+		t.Helper()
+		rep, err := scout.NewAnalyzer(opts).Analyze(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Consistent {
+			t.Fatal("the faulted fabric analyzed consistent; the reports under test carry no rules")
+		}
+	}
+	switches := topo.Switches()
+	first, last := switches[0], switches[len(switches)-1]
+	var filter scout.ObjectID
+	for id := range pol.Filters {
+		if filter == 0 || id < filter {
+			filter = id
+		}
+	}
+	if _, err := f.InjectObjectFault(scout.FilterRef(filter), 0.5); err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []scout.CorruptionField{scout.CorruptVRF, scout.CorruptSrcEPG, scout.CorruptDstEPG, scout.CorruptPort} {
+		if _, err := f.CorruptTCAM(last, 2, field); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := f.EvictTCAM(first, 3); err != nil {
+		t.Fatal(err)
+	}
+	analyze(scout.AnalyzerOptions{Workers: 2})
+	analyze(scout.AnalyzerOptions{Workers: 2, UseProbes: true})
+
+	// A redeploy into a crashed agent, applied on restart: the new
+	// deployment's rules join the guard as they appear.
+	if err := f.CrashAgent(first); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Deploy(); err != nil {
+		t.Fatal(err)
+	}
+	hold(f.Deployment())
+	if err := f.RestartAgent(first); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.EvictTCAM(first, 3); err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	for restart := 0; restart < 2; restart++ {
+		ws, err := scout.OpenWarmStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := scout.NewSession(f, scout.AnalyzerOptions{Workers: 2, WarmStore: ws})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.Analyze(); err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := ws.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for _, h := range held {
+		if !slices.Equal(h.rule.Provenance, h.want) {
+			t.Fatalf("provenance of %s was written: %v, compiled as %v", h.rule, h.rule.Provenance, h.want)
+		}
+	}
+	if &sharedA.Provenance[0] != &sharedB.Provenance[0] {
+		t.Errorf("%s and %s no longer share the slice the compiler gave them", sharedA, sharedB)
 	}
 }

@@ -18,14 +18,18 @@ import (
 
 // sessionCheckerNodeBudget bounds how many BDD nodes a session worker
 // checker may accumulate before the session intervenes (the default for
-// AnalyzerOptions.SessionNodeBudget). Without a budget a session
-// watching a churning fabric would grow without bound. The budget
-// applies to each checker's private delta only (equiv.Checker.DeltaSize):
-// the shared frozen base is deployment-scoped, immutable, and not the
-// checker's to shed. An over-budget checker is compacted first — a delta
-// GC around its live memo roots that keeps the warm encodings and memo
-// state — and Reset (re-fork, delta discarded) only when live state
-// alone still exceeds the budget.
+// AnalyzerOptions.SessionNodeBudget). A session watching a churning fabric
+// holds three things, each bounded by what it follows. The verdict cache
+// follows the fabric: one entry a switch, each under SessionMissingRuleCap.
+// A checker's semantics memo follows the deployment: it remembers logical
+// lists only, and resolveLocked drops the forks with the deployment. What
+// grows with the rounds watched is each checker's private delta
+// (equiv.Checker.DeltaSize) and the compile memo naming its nodes, and that
+// is what this budget governs; the shared frozen base is deployment-scoped,
+// immutable, and not the checker's to shed. An over-budget checker is
+// compacted first — a delta GC around its memoized logical roots that keeps
+// the warm memo state — and Reset (re-fork, delta discarded) only when live
+// state alone still exceeds the budget.
 const sessionCheckerNodeBudget = 4 << 20
 
 // defaultSessionMissingRuleCap is the per-switch cached-rule bound used
@@ -78,7 +82,8 @@ type Session struct {
 
 	// checkers are the persistent per-worker BDD checkers (forks of
 	// dep.base); entry k is owned by worker k of the current run only, so
-	// memoized semantics roots amortize across every run of the session.
+	// its memoized logical roots and the delta its compiles intern into
+	// amortize across every run of the session.
 	checkers []*equiv.Checker
 
 	// cache holds the newest verdict per switch, from whichever
@@ -487,8 +492,9 @@ func (s *Session) run(st State, live bool) (*Report, error) {
 	// its verdict. Probes classify its packet batch against the fabric's
 	// live TCAM (O(rules × probes), which a replay skips entirely). A BDD
 	// check runs on the session's forks — worker k owns checker k for the
-	// run. Every dirty switch is checked on its own: byte-equal twins meet
-	// in the semantics memo (base or fork), not in a plan of the fan-out.
+	// run. Every dirty switch is checked on its own: byte-equal twins share
+	// their logical root through the semantics memo (base or fork), not
+	// through a plan of the fan-out, and each compiles its own T list.
 	foldBefore := s.foldTotalsLocked()
 	checkReps, checked, err := s.replayOrCheckLocked(st.TCAM, switches, tcamFPs,
 		func(dirty []object.ID) ([]*equiv.Report, error) {

@@ -864,3 +864,82 @@ func TestSessionNodeBudgetCompaction(t *testing.T) {
 		t.Fatalf("default budget intervened on a small fabric: %+v", st)
 	}
 }
+
+// TestWatchMemoryIsBounded pins what a watching session holds onto: under
+// steady TCAM churn — every switch dirty every round, the paper's continuous
+// mode — the live heap follows the fabric, not the number of rounds watched.
+// A checker that remembers collected lists pins one whole TCAM snapshot per
+// dirty check (≈ 1.25 MB a round here, ≈ +125 MB over the measured hundred
+// rounds); one that remembers logical lists only grows by its compile-memo
+// keys and delta nodes (≈ +10 MB), which the node budget governs. The bound
+// must hold without that budget having intervened. Reads the process heap,
+// so it is not parallel.
+func TestWatchMemoryIsBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("120 rounds of full-fabric churn")
+	}
+	pol, topo, err := scout.GenerateWorkload(scout.SmallFabricWorkloadSpec(), 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := scout.NewFabric(pol, topo, scout.FabricOptions{Seed: 1, TCAMCapacity: 1 << 17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Deploy(); err != nil {
+		t.Fatal(err)
+	}
+	opts := scout.AnalyzerOptions{Workers: 2}
+	sess, err := scout.NewSession(f, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	collector := scout.NewCollector(f, 2)
+	liveHeap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+
+	var at20 uint64
+	for round := 1; round <= 120; round++ {
+		for _, sw := range topo.Switches() {
+			if _, err := f.EvictTCAM(sw, 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e := collector.Snapshot()
+		warm, err := sess.AnalyzeEpoch(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if round%30 == 0 {
+			cold, err := scout.NewAnalyzer(opts).AnalyzeState(stateFromEpoch(f, e))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(marshalReport(t, warm), marshalReport(t, cold)) {
+				t.Fatalf("round %d: warm report differs from a cold analysis of the same state", round)
+			}
+		}
+		if round == 20 {
+			at20 = liveHeap()
+		}
+	}
+	const bound = 40 << 20
+	grown := int64(liveHeap()) - int64(at20)
+	t.Logf("live heap grew %.1f MB over rounds 20-120", float64(grown)/(1<<20))
+	if grown > bound {
+		t.Errorf("live heap grew %.1f MB over rounds 20-120 of churn, want under %d MB",
+			float64(grown)/(1<<20), bound>>20)
+	}
+	st := sess.Stats()
+	if want := 120 * topo.NumSwitches(); st.Checked != want {
+		t.Errorf("session checked %d switches, want %d (every switch dirty every round)", st.Checked, want)
+	}
+	if st.CheckerCompactions != 0 || st.CheckerResets != 0 {
+		t.Errorf("the bound must hold without the node budget: %d compactions, %d resets",
+			st.CheckerCompactions, st.CheckerResets)
+	}
+}
