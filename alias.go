@@ -267,11 +267,6 @@ var (
 	BuildSwitchRiskModel = risk.BuildSwitchModel
 	// BuildControllerRiskModel builds the fabric-wide risk model.
 	BuildControllerRiskModel = risk.BuildControllerModel
-	// BuildControllerRiskModelParallel is BuildControllerRiskModel with a
-	// worker count it ignores.
-	//
-	// Deprecated: the sharded build is gone; call BuildControllerRiskModel.
-	BuildControllerRiskModelParallel = risk.BuildControllerModelParallel
 	// NewRiskOverlay stacks a fresh copy-on-write failure overlay on a
 	// pristine risk model (which must not be mutated afterwards).
 	NewRiskOverlay = risk.NewOverlay

@@ -424,7 +424,7 @@ func BenchmarkSessionIncremental(b *testing.B) {
 		}
 		// The checkers are long-lived, so EncodeStats counters are
 		// cumulative over the session: report per-op deltas and the
-		// overall op-cache hit rate of the new tiered tables.
+		// overall op-cache hit rate.
 		if es != nil {
 			b.ReportMetric(float64(es.DeltaNodes)/float64(b.N), "delta-nodes/op")
 			if lookups := es.OpCache.Hits() + es.OpCache.Misses; lookups > 0 {

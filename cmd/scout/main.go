@@ -266,9 +266,12 @@ func emitReport(report *scout.Report, pstats *scout.ProberStats, jsonOut, verbos
 				es.BaseNodes, es.BaseSemantics, es.DeltaNodes, es.Checkers)
 			fmt.Printf("fold sharing: hits %d (%d from base) / misses %d\n",
 				es.FoldHits(), es.FoldBaseHits, es.FoldMisses)
-			fmt.Printf("bdd op cache: %d L1 / %d L2 / %d base hits, %d misses; %d compactions (%d retained / %d dropped)\n",
-				es.OpCache.L1Hits, es.OpCache.L2Hits, es.OpCache.BaseHits, es.OpCache.Misses,
-				es.Compactions, es.CompactRetained, es.CompactDropped)
+			hits, misses, pct := es.OpCache.Hits(), es.OpCache.Misses, 0.0
+			if hits+misses > 0 {
+				pct = 100 * float64(hits) / float64(hits+misses)
+			}
+			fmt.Printf("bdd op cache: %d hits / %d misses (%.1f%%); %d compactions (%d retained / %d dropped)\n",
+				hits, misses, pct, es.Compactions, es.CompactRetained, es.CompactDropped)
 		}
 		if ls := report.LocalizeStats; ls != nil {
 			fmt.Printf("\nlocalization: %d plan compiles / %d reuses, lazy heap %d re-evaluations for %d picks (vs %d eager scans)\n",

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -152,6 +154,37 @@ func TestRunWatch(t *testing.T) {
 		strings.Contains(out.String(), ", 0 aliased") {
 		t.Errorf("fault batch re-read every switch — partial refresh not engaged:\n%s", out.String())
 	}
+	// The verbose dump of the final report counts the op cache as the one
+	// table it is: hits and misses of the checks that ran.
+	verbose := captureStdout(t, func() error { return emitReport(report, pstats, false, true) })
+	if !regexp.MustCompile(`(?m)^bdd op cache: \d+ hits / \d+ misses \(\d+\.\d%\)`).MatchString(verbose) {
+		t.Errorf("verbose report missing the op-cache line:\n%s", verbose)
+	}
+}
+
+// captureStdout runs fn with os.Stdout redirected to a file and returns
+// what it printed (emitReport writes to the process's stdout).
+func captureStdout(t *testing.T, fn func() error) string {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = f
+	err = fn()
+	os.Stdout = stdout
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
 }
 
 // TestRunWatchProbes drives the daemon loop in probe mode: the baseline

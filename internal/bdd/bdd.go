@@ -18,9 +18,7 @@
 // the unique table and operation cache are custom open-addressed tables
 // over packed machine-word keys (tables.go) rather than Go maps — node
 // IDs and operation results are identical to the map-backed layout (the
-// exact caches never evict), only the per-operation cost changes. A
-// direct-mapped L1 tier sits in front of the exact op cache, and both
-// clear in O(1) via generation counters instead of reallocation.
+// op cache never evicts), only the per-operation cost changes.
 //
 // A manager can be frozen into an immutable Snapshot (Freeze) and forked
 // (NewManagerFrom): forks extend the frozen node-ID prefix with a private
@@ -62,16 +60,17 @@ const (
 
 const terminalLevel = math.MaxInt32
 
-// Snapshot is an immutable, frozen view of a manager's node pool: the
-// node array, the unique table, and the operation cache at freeze time.
-// A Snapshot is safe for lock-free concurrent reads — any number of
+// Snapshot is an immutable, frozen view of a manager's node pool: a
+// variable count and the node array under its unique table — what the
+// store writes and RebuildSnapshot reads back. It carries no operation
+// cache: a fork memoizes the operations it performs in a table of its
+// own. A Snapshot is safe for lock-free concurrent reads — any number of
 // goroutines may fork managers from it (NewManagerFrom), evaluate its
 // nodes (Eval), or share it between checkers; nothing ever mutates it.
 type Snapshot struct {
 	numVars int
 	nodes   []nodeData
 	unique  nodeTable
-	cache   opCache
 	pow2    []float64
 }
 
@@ -116,27 +115,20 @@ func (s *Snapshot) deltaHint() int {
 	return h
 }
 
-// CacheStats counts operation-cache outcomes on a manager's apply path.
-// L1Hits answered from the direct-mapped first tier, BaseHits from the
-// frozen base snapshot's cache, L2Hits from the exact open-addressed
-// table, Misses recursed. The tiers are purely a speed split: every
-// L1/base/L2 hit returns exactly what the exact table holds, so the sum
-// of hits and misses is workload-determined, not policy-determined.
+// CacheStats counts operation-cache outcomes on a manager's apply path:
+// lookups the table answered and lookups that recursed. The table is
+// exact, so both are a function of the operation stream alone.
 type CacheStats struct {
-	L1Hits   uint64
-	L2Hits   uint64
-	BaseHits uint64
+	HitCount uint64
 	Misses   uint64
 }
 
-// Hits returns all cache hits across tiers.
-func (s CacheStats) Hits() uint64 { return s.L1Hits + s.L2Hits + s.BaseHits }
+// Hits returns the lookups answered from the cache.
+func (s CacheStats) Hits() uint64 { return s.HitCount }
 
 // Add accumulates other into s.
 func (s *CacheStats) Add(other CacheStats) {
-	s.L1Hits += other.L1Hits
-	s.L2Hits += other.L2Hits
-	s.BaseHits += other.BaseHits
+	s.HitCount += other.HitCount
 	s.Misses += other.Misses
 }
 
@@ -155,7 +147,6 @@ type Manager struct {
 	nodes   []nodeData
 	unique  nodeTable
 	cache   opCache
-	l1      l1Cache
 	stats   CacheStats
 	// pow2[i] = 2^i for i in [0, numVars], precomputed once so SatCount's
 	// per-node visits avoid math.Pow (hot in the missing-rule extractor).
@@ -227,7 +218,6 @@ func (m *Manager) Freeze() *Snapshot {
 		numVars: m.numVars,
 		nodes:   m.nodes,
 		unique:  m.unique,
-		cache:   m.cache,
 		pow2:    m.pow2,
 	}
 }
@@ -414,10 +404,10 @@ func (m *Manager) Intersects(a, b Node) bool {
 func (m *Manager) Equiv(a, b Node) bool { return a == b }
 
 func (m *Manager) apply(op opKind, a, b Node) Node {
-	// A frozen manager's unique table and op cache are shared with its
-	// snapshot's readers; even a cache-hit lookup here would race the
-	// write below, so operations are cut off wholesale. (Reads — Eval,
-	// SatCount, AllSat — stay valid; they never touch the caches.)
+	// A frozen manager's node array and unique table are shared with its
+	// snapshot's readers, and any operation may intern a node, so
+	// operations are cut off wholesale. (Reads — Eval, SatCount, AllSat —
+	// stay valid; they build nothing.)
 	if m.frozen {
 		panic("bdd: boolean operations on a frozen manager")
 	}
@@ -462,25 +452,8 @@ func (m *Manager) apply(op opKind, a, b Node) Node {
 		ca, cb = cb, ca
 	}
 	key := packOpKey(op, ca, cb)
-	// Tier order: direct-mapped L1 (one predictable load) in front of the
-	// base's frozen cache (operations whose operands and result all
-	// predate the freeze — the warm encodings a fork exists to reuse) in
-	// front of the exact local table. Hits from the slower tiers refill
-	// L1 so the tight re-reference runs of cofactor recursion stay in it.
-	if r, ok := m.l1.lookup(key); ok {
-		m.stats.L1Hits++
-		return r
-	}
-	if m.base != nil {
-		if r, ok := m.base.cache.lookup(key); ok {
-			m.stats.BaseHits++
-			m.l1.store(key, r)
-			return r
-		}
-	}
 	if r, ok := m.cache.lookup(key); ok {
-		m.stats.L2Hits++
-		m.l1.store(key, r)
+		m.stats.HitCount++
 		return r
 	}
 	m.stats.Misses++
@@ -498,7 +471,6 @@ func (m *Manager) apply(op opKind, a, b Node) Node {
 	}
 	r := m.mk(level, m.apply(op, aLo, bLo), m.apply(op, aHi, bHi))
 	m.cache.insert(key, r)
-	m.l1.store(key, r)
 	return r
 }
 
@@ -633,13 +605,4 @@ func (m *Manager) Eval(n Node, assignment []bool) bool {
 		}
 	}
 	return n == True
-}
-
-// ClearCache drops the operation cache (the unique table is kept so node
-// identity is preserved). Clearing is allocation-free: both cache tiers
-// bump their generation counter instead of reallocating. A fork's frozen
-// base cache is unaffected.
-func (m *Manager) ClearCache() {
-	m.cache.clear()
-	m.l1.clear()
 }

@@ -287,16 +287,6 @@ func TestImplies(t *testing.T) {
 	}
 }
 
-func TestClearCachePreservesIdentity(t *testing.T) {
-	m := NewManager(3)
-	x := m.And(m.Var(0), m.Var(1))
-	m.ClearCache()
-	y := m.And(m.Var(0), m.Var(1))
-	if x != y {
-		t.Error("identity must survive cache clears (unique table intact)")
-	}
-}
-
 func TestVarPanicsOutOfRange(t *testing.T) {
 	m := NewManager(2)
 	for _, v := range []int{-1, 2} {

@@ -1,9 +1,9 @@
 // Delta garbage collection. A long-lived fork accumulates delta nodes
 // from every re-encode it performs; most become unreachable as memo
 // roots are replaced. CompactDelta rebuilds the delta densely around the
-// caller's live roots — keeping warm op-cache entries whose operands and
-// results survive — so a session checker under a node budget can shed
-// dead nodes without the cold restart of a whole-delta Reset.
+// caller's live roots, so a session checker under a node budget can shed
+// dead nodes and keep the roots it memoized, which a whole-delta Reset
+// would have it compile again.
 
 package bdd
 
@@ -35,21 +35,15 @@ type CompactStats struct {
 	// terminals, which are pinned).
 	Retained int
 	Dropped  int
-	// CacheKept and CacheDropped count exact-tier op-cache entries:
-	// kept entries had live operands and result and were remapped in
-	// place (the warm memo state compaction exists to preserve),
-	// dropped entries referenced at least one dead node.
-	CacheKept    int
-	CacheDropped int
 }
 
 // CompactDelta drops every delta node not reachable from roots, rebuilds
 // the delta arrays and tables densely, and returns the old→new ID remap
 // the caller must apply to any node IDs it retains (memo tables, cached
-// results). Base nodes and terminals are pinned and never move. Exact
-// op-cache entries whose operands and result all survive are remapped
-// and kept warm; the rest are dropped, and the L1 tier is cleared (its
-// entries are duplicates of kept L2 state at worst).
+// results). Base nodes and terminals are pinned and never move. The
+// operation cache names nodes by their old IDs, so it starts again empty:
+// operations repeated after a compaction recurse once more and, the
+// unique table being rebuilt, arrive at the nodes that survived.
 //
 // Roots may include base nodes, terminals, and duplicates; they cost
 // nothing. Compacting with every reachable node live is the identity
@@ -125,43 +119,7 @@ func (m *Manager) CompactDelta(roots []Node) (*Remap, CompactStats) {
 		m.unique.insert(m.nodes, m.baseLen, Node(m.baseLen+j))
 	}
 
-	// Rebuild the exact op cache, keeping entries that are fully live.
-	// The remap is monotone, so a commutatively normalized key (a <= b)
-	// stays normalized after remapping.
-	oldCache := m.cache
-	m.cache = newOpCache(oldCache.count)
-	for i := range oldCache.entries {
-		e := &oldCache.entries[i]
-		if e.gen != oldCache.gen {
-			continue
-		}
-		op, a, b := unpackOpKey(e.key)
-		if a = rmNode(remap, pin, m.baseLen, a); a == NoNode {
-			stats.CacheDropped++
-			continue
-		}
-		if b = rmNode(remap, pin, m.baseLen, b); b == NoNode {
-			stats.CacheDropped++
-			continue
-		}
-		v := rmNode(remap, pin, m.baseLen, e.val)
-		if v == NoNode {
-			stats.CacheDropped++
-			continue
-		}
-		m.cache.insert(packOpKey(op, a, b), v)
-		stats.CacheKept++
-	}
-	// L1 entries are duplicates of (at most) the exact tier under old
-	// IDs; cheaper to clear than to remap.
-	m.l1.clear()
+	m.cache = newOpCache(stats.Retained)
 
 	return &Remap{pin: pin, delta: remap[pinJ:]}, stats
-}
-
-func rmNode(remap []Node, pin, baseLen int, n Node) Node {
-	if int(n) < pin {
-		return n
-	}
-	return remap[int(n)-baseLen]
 }

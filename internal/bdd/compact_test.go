@@ -157,36 +157,50 @@ func TestCompactDeltaInterning(t *testing.T) {
 	}
 }
 
-// TestCompactDeltaKeepsWarmCache pins the memo-retention property that
-// makes compaction cheaper than Reset: an operation over surviving
-// nodes, repeated after compaction, is a cache hit (no new nodes, no
-// misses), because its entry was remapped rather than dropped.
-func TestCompactDeltaKeepsWarmCache(t *testing.T) {
+// TestCompactDeltaDropsOpCache pins what a compaction does to the op
+// cache: it starts again empty, and nothing but speed depends on that.
+// Re-running the op stream that built the delta misses exactly as often
+// as it does on a cold manager, and returns, root for root, the nodes a
+// fresh fork of the same snapshot builds (under the remap: the stream's
+// dead intermediates were shed and the survivors slid down) — canonicity
+// rests on the rebuilt unique table, not on memoized results.
+func TestCompactDeltaDropsOpCache(t *testing.T) {
 	base := NewManager(10)
 	for v := 0; v < 9; v++ {
 		base.Or(base.Var(v), base.Var(v+1))
 	}
 	snap := base.Freeze()
+	stream := func(m *Manager) []Node {
+		a := m.And(m.Var(0), m.Xor(m.Var(4), m.Var(7)))
+		b := m.Or(m.NVar(2), m.Var(8))
+		m.Xor(a, m.NVar(5)) // dead: no root below keeps it
+		return []Node{a, b, m.And(a, b)}
+	}
+
+	cold := NewManagerFrom(snap)
+	fresh := stream(cold)
+	coldMisses := cold.CacheStats().Misses
+
 	fork := NewManagerFrom(snap)
+	roots := stream(fork)
+	stream(fork)
+	if got := fork.CacheStats().Misses; got != coldMisses {
+		t.Fatalf("warm repeat of the stream missed: %d misses, cold stream %d", got, coldMisses)
+	}
 
-	a := fork.And(fork.Var(0), fork.Xor(fork.Var(4), fork.Var(7)))
-	b := fork.Or(fork.NVar(2), fork.Var(8))
-	r := fork.And(a, b)
-
-	remap, stats := fork.CompactDelta([]Node{a, b, r})
-	if stats.CacheKept == 0 {
-		t.Fatalf("no op-cache entries survived a fully-live compaction: %+v", stats)
+	remap, stats := fork.CompactDelta(roots)
+	if stats.Dropped == 0 {
+		t.Fatalf("the stream's dead intermediates were not shed: %+v", stats)
 	}
-	misses := fork.CacheStats().Misses
-	size := fork.DeltaSize()
-	if got := fork.And(remap.Node(a), remap.Node(b)); got != remap.Node(r) {
-		t.Fatalf("repeat of warm op returned %d, want %d", got, remap.Node(r))
+	again := stream(fork)
+	if got := fork.CacheStats().Misses - coldMisses; got != coldMisses {
+		t.Fatalf("stream after compaction missed %d times, cold stream %d: op entries survived", got, coldMisses)
 	}
-	if fork.CacheStats().Misses != misses {
-		t.Fatalf("repeat of warm op missed the cache after compaction")
-	}
-	if fork.DeltaSize() != size {
-		t.Fatalf("repeat of warm op built nodes after compaction: %d -> %d", size, fork.DeltaSize())
+	for i := range again {
+		if again[i] != remap.Node(fresh[i]) {
+			t.Fatalf("root %d after compaction = node %d, fresh fork's node %d remaps to %d",
+				i, again[i], fresh[i], remap.Node(fresh[i]))
+		}
 	}
 }
 

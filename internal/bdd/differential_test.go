@@ -6,40 +6,98 @@ import (
 )
 
 // diffHarness replays one operation stream against the open-addressed
-// manager and the map-backed reference, asserting node-ID identity after
+// manager and the map-backed reference, asserting node identity after
 // every step. IDs — not just semantics — must match: the report
-// byte-identity guarantee rests on interning being exact and the exact
-// cache tier never evicting, so the two engines construct the same nodes
-// in the same order.
+// byte-identity guarantee rests on interning being exact and the op cache
+// never evicting, so the two engines construct the same nodes in the same
+// order.
 type diffHarness struct {
 	t   *testing.T
 	m   *Manager
 	ref *RefManager
-	// nodes holds every root produced so far; the two engines' IDs are
-	// asserted equal, so one slice serves both.
-	nodes []Node
+	// held is every root produced so far, as the node each engine gave
+	// it. The two IDs are equal until the manager first compacts; after
+	// that its survivors have slid down over the slots it freed, and
+	// what is asserted is that the pairing stays one to one: a function
+	// either engine has returned before comes back as the same pair.
+	held      []heldNode
+	refOf     map[Node]Node // manager ID → reference ID
+	mOf       map[Node]Node // reference ID → manager ID
+	compacted bool
 }
 
+type heldNode struct{ m, ref Node }
+
 func newDiffHarness(t *testing.T, nVars int) *diffHarness {
-	return &diffHarness{
+	h := &diffHarness{
 		t:     t,
 		m:     NewManager(nVars),
 		ref:   NewRefManager(nVars),
-		nodes: []Node{False, True},
+		refOf: make(map[Node]Node),
+		mOf:   make(map[Node]Node),
 	}
+	h.check("False", False, False)
+	h.check("True", True, True)
+	return h
 }
 
-func (h *diffHarness) check(step string, got, want Node) Node {
+func (h *diffHarness) check(step string, got, want Node) heldNode {
 	h.t.Helper()
-	if got != want {
+	if !h.compacted && got != want {
 		h.t.Fatalf("%s: manager node %d, reference node %d", step, got, want)
 	}
-	h.nodes = append(h.nodes, got)
-	return got
+	if r, ok := h.refOf[got]; ok && r != want {
+		h.t.Fatalf("%s: manager node %d is reference node %d and %d", step, got, r, want)
+	}
+	if g, ok := h.mOf[want]; ok && g != got {
+		h.t.Fatalf("%s: reference node %d is manager node %d and %d", step, want, g, got)
+	}
+	h.refOf[got], h.mOf[want] = want, got
+	n := heldNode{m: got, ref: want}
+	h.held = append(h.held, n)
+	return n
 }
 
-func (h *diffHarness) pick(rng *rand.Rand) Node {
-	return h.nodes[rng.Intn(len(h.nodes))]
+func (h *diffHarness) pick(rng *rand.Rand) heldNode {
+	return h.held[rng.Intn(len(h.held))]
+}
+
+// compact runs the manager's delta GC over the roots held — every
+// intermediate node dies, the op cache starts again empty — and carries
+// the pairing over the remap. The reference keeps everything.
+func (h *diffHarness) compact() {
+	roots := make([]Node, len(h.held))
+	for i, n := range h.held {
+		roots[i] = n.m
+	}
+	remap, _ := h.m.CompactDelta(roots)
+	clear(h.refOf)
+	for i := range h.held {
+		n := &h.held[i]
+		n.m = remap.Node(n.m)
+		h.refOf[n.m], h.mOf[n.ref] = n.ref, n.m
+	}
+	h.compacted = true
+}
+
+// refLive counts the reference's nodes reachable from the roots held,
+// terminals included: what the manager is left with after a compaction.
+func (h *diffHarness) refLive() int {
+	seen := map[Node]bool{False: true, True: true}
+	var walk func(Node)
+	walk = func(n Node) {
+		if seen[n] {
+			return
+		}
+		seen[n] = true
+		_, lo, hi := h.ref.NodeAt(n)
+		walk(lo)
+		walk(hi)
+	}
+	for _, n := range h.held {
+		walk(n.ref)
+	}
+	return len(seen)
 }
 
 // step applies one random operation to both engines.
@@ -59,54 +117,55 @@ func (h *diffHarness) step(rng *rand.Rand) {
 		h.check("Cube", h.m.Cube(lits), h.ref.Cube(lits))
 	case 3:
 		a, b := h.pick(rng), h.pick(rng)
-		h.check("And", h.m.And(a, b), h.ref.And(a, b))
+		h.check("And", h.m.And(a.m, b.m), h.ref.And(a.ref, b.ref))
 	case 4:
 		a, b := h.pick(rng), h.pick(rng)
-		h.check("Or", h.m.Or(a, b), h.ref.Or(a, b))
+		h.check("Or", h.m.Or(a.m, b.m), h.ref.Or(a.ref, b.ref))
 	case 5:
 		a, b := h.pick(rng), h.pick(rng)
-		h.check("Xor", h.m.Xor(a, b), h.ref.Xor(a, b))
+		h.check("Xor", h.m.Xor(a.m, b.m), h.ref.Xor(a.ref, b.ref))
 	case 6:
 		a := h.pick(rng)
-		h.check("Not", h.m.Not(a), h.ref.Not(a))
+		h.check("Not", h.m.Not(a.m), h.ref.Not(a.ref))
 	case 7:
 		k := rng.Intn(7)
-		set := make([]Node, k)
+		set, refSet := make([]Node, k), make([]Node, k)
 		for i := range set {
-			set[i] = h.pick(rng)
+			n := h.pick(rng)
+			set[i], refSet[i] = n.m, n.ref
 		}
-		h.check("OrAll", h.m.OrAll(set), h.ref.OrAll(set))
+		h.check("OrAll", h.m.OrAll(set), h.ref.OrAll(refSet))
 	case 8:
 		a, b := h.pick(rng), h.pick(rng)
-		h.check("Diff", h.m.Diff(a, b), h.ref.Diff(a, b))
+		h.check("Diff", h.m.Diff(a.m, b.m), h.ref.Diff(a.ref, b.ref))
 	case 9:
 		// Mk at a variable above both cofactors' tops, when there is one.
 		a, b := h.pick(rng), h.pick(rng)
-		top := min(h.m.levelOf(a), h.m.levelOf(b))
+		top := min(h.m.levelOf(a.m), h.m.levelOf(b.m))
 		if top == 0 {
 			return
 		}
 		v := rng.Intn(int(top))
-		got := h.check("Mk", h.m.Mk(v, a, b), h.ref.Mk(v, a, b))
+		got := h.check("Mk", h.m.Mk(v, a.m, b.m), h.ref.Mk(v, a.ref, b.ref))
 		// Mk(v, a, b) is the if-then-else on v, whatever built a and b.
 		x := h.check("Var", h.m.Var(v), h.ref.Var(v))
-		nx := h.check("Not", h.m.Not(x), h.ref.Not(x))
-		hi := h.check("And", h.m.And(x, b), h.ref.And(x, b))
-		lo := h.check("And", h.m.And(nx, a), h.ref.And(nx, a))
-		if ite := h.check("Or", h.m.Or(hi, lo), h.ref.Or(hi, lo)); got != ite {
-			h.t.Fatalf("Mk(%d, %d, %d) = node %d, ite = node %d", v, a, b, got, ite)
+		nx := h.check("Not", h.m.Not(x.m), h.ref.Not(x.ref))
+		hi := h.check("And", h.m.And(x.m, b.m), h.ref.And(x.ref, b.ref))
+		lo := h.check("And", h.m.And(nx.m, a.m), h.ref.And(nx.ref, a.ref))
+		if ite := h.check("Or", h.m.Or(hi.m, lo.m), h.ref.Or(hi.ref, lo.ref)); got != ite {
+			h.t.Fatalf("Mk(%d, %d, %d) = node %d, ite = node %d", v, a.m, b.m, got.m, ite.m)
 		}
 	case 10:
 		// Intersects answers And != False and builds nothing.
 		a, b := h.pick(rng), h.pick(rng)
 		size := h.m.Size()
-		got, refGot := h.m.Intersects(a, b), h.ref.Intersects(a, b)
+		got, refGot := h.m.Intersects(a.m, b.m), h.ref.Intersects(a.ref, b.ref)
 		if h.m.Size() != size {
-			h.t.Fatalf("Intersects(%d, %d) interned %d nodes", a, b, h.m.Size()-size)
+			h.t.Fatalf("Intersects(%d, %d) interned %d nodes", a.m, b.m, h.m.Size()-size)
 		}
-		and := h.check("And", h.m.And(a, b), h.ref.And(a, b))
-		if got != (and != False) || refGot != got {
-			h.t.Fatalf("Intersects(%d, %d): manager %v, reference %v, And = node %d", a, b, got, refGot, and)
+		and := h.check("And", h.m.And(a.m, b.m), h.ref.And(a.ref, b.ref))
+		if got != (and.m != False) || refGot != got {
+			h.t.Fatalf("Intersects(%d, %d): manager %v, reference %v, And = node %d", a.m, b.m, got, refGot, and.m)
 		}
 	}
 }
@@ -120,15 +179,15 @@ func (h *diffHarness) verify(rng *rand.Rand) {
 		for i := range assign {
 			assign[i] = rng.Intn(2) == 0
 		}
-		for _, n := range h.nodes {
-			if h.m.Eval(n, assign) != h.ref.Eval(n, assign) {
-				h.t.Fatalf("Eval(%d) disagrees between manager and reference", n)
+		for _, n := range h.held {
+			if h.m.Eval(n.m, assign) != h.ref.Eval(n.ref, assign) {
+				h.t.Fatalf("Eval(%d) disagrees between manager and reference", n.m)
 			}
 		}
 	}
-	for _, n := range h.nodes {
-		if got, want := h.m.SatCount(n), h.ref.SatCount(n); got != want {
-			h.t.Fatalf("SatCount(%d) = %v on manager, %v on reference", n, got, want)
+	for _, n := range h.held {
+		if got, want := h.m.SatCount(n.m), h.ref.SatCount(n.ref); got != want {
+			h.t.Fatalf("SatCount(%d) = %v on manager, %v on reference", n.m, got, want)
 		}
 	}
 }
@@ -139,17 +198,17 @@ func TestDifferentialRandomOps(t *testing.T) {
 		h := newDiffHarness(t, 10)
 		for i := 0; i < 400; i++ {
 			h.step(rng)
-			// ClearCache must never change node identity on either
-			// engine — only memoization speed.
+			// A compaction sheds the manager's dead nodes and its op
+			// cache; which functions are the same node must not change.
 			if rng.Intn(97) == 0 {
-				h.m.ClearCache()
-				h.ref.ClearCache()
+				h.compact()
 			}
 		}
 		h.verify(rng)
-		if h.m.Size() != h.ref.Size() {
-			t.Fatalf("seed %d: node counts diverged: manager %d, reference %d",
-				seed, h.m.Size(), h.ref.Size())
+		// What a compaction keeps is what the reference can still reach.
+		h.compact()
+		if got, want := h.m.Size(), h.refLive(); got != want {
+			t.Fatalf("seed %d: compacted manager holds %d nodes, reference reaches %d", seed, got, want)
 		}
 	}
 }
@@ -161,23 +220,25 @@ func TestDifferentialDeepFormulas(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	h := newDiffHarness(t, 12)
 	for i := 0; i < 6; i++ {
-		acc := False
+		acc := heldNode{m: False, ref: False}
 		for j := 0; j < 60; j++ {
 			lits := make(map[int]bool)
 			for k := 0; k < 4; k++ {
 				lits[rng.Intn(12)] = rng.Intn(2) == 0
 			}
 			c := h.check("Cube", h.m.Cube(lits), h.ref.Cube(lits))
-			acc = h.check("Or", h.m.Or(acc, c), h.ref.Or(acc, c))
+			acc = h.check("Or", h.m.Or(acc.m, c.m), h.ref.Or(acc.ref, c.ref))
 		}
 	}
 	h.verify(rng)
+	if h.m.Size() != h.ref.Size() {
+		t.Fatalf("node counts diverged: manager %d, reference %d", h.m.Size(), h.ref.Size())
+	}
 }
 
-// TestCacheStatsConsistency pins the tier split's accounting: the tiers
-// only move where hits are answered, so total lookups resolve fully into
-// the four counters and every L1 hit shadows an entry the exact tiers
-// hold.
+// TestCacheStatsConsistency pins the op cache's accounting: every lookup
+// is a hit or a miss, neither counter runs backwards, and a repeat of
+// operations already applied is answered from the table — hits only.
 func TestCacheStatsConsistency(t *testing.T) {
 	m := NewManager(10)
 	rng := rand.New(rand.NewSource(7))
@@ -186,22 +247,21 @@ func TestCacheStatsConsistency(t *testing.T) {
 		n, _ := randomFormula(m, rng, 4)
 		roots = append(roots, n)
 	}
-	// Re-apply pairwise ops over existing roots: all warm.
-	st0 := m.CacheStats()
-	for i := 0; i+1 < len(roots); i++ {
-		m.And(roots[i], roots[i+1])
+	pairwise := func() {
+		for i := 0; i+1 < len(roots); i++ {
+			m.And(roots[i], roots[i+1])
+		}
 	}
+	st0 := m.CacheStats()
+	pairwise()
 	st1 := m.CacheStats()
-	if st1.Hits()+st1.Misses < st0.Hits()+st0.Misses {
+	if st1.HitCount < st0.HitCount || st1.Misses < st0.Misses {
 		t.Fatalf("cache counters went backwards: %+v -> %+v", st0, st1)
 	}
-	if st1.BaseHits != 0 {
-		t.Fatalf("standalone manager reported base hits: %+v", st1)
-	}
-	m.ClearCache()
+	pairwise()
 	st2 := m.CacheStats()
-	if st2 != st1 {
-		t.Fatalf("ClearCache changed counters: %+v -> %+v", st1, st2)
+	if st2.Misses != st1.Misses || st2.HitCount <= st1.HitCount {
+		t.Fatalf("repeat of memoized operations recursed: %+v -> %+v", st1, st2)
 	}
 }
 

@@ -2,10 +2,10 @@
 // surface the durable warm-state store (internal/store) is built on. A
 // frozen Snapshot is fully determined by its variable count and flat
 // (level, lo, hi) node array — the unique table is a dense index over
-// those triples and the op cache is a pure accelerator — so NodeAt
-// exposes the array for encoding and RebuildSnapshot re-interns it on
-// load, validating the ROBDD invariants so a corrupted file can never
-// produce a snapshot that violates canonicity.
+// those triples — so NodeAt exposes the array for encoding and
+// RebuildSnapshot re-interns it on load, validating the ROBDD invariants
+// so a corrupted file can never produce a snapshot that violates
+// canonicity.
 
 package bdd
 
@@ -26,10 +26,7 @@ func (s *Snapshot) NodeAt(i int) (level int32, lo, hi Node) {
 // snapshot was encoded, for i in [2, numNodes). The unique table is
 // rebuilt by re-interning every triple, so node IDs — and therefore
 // every memoized root referring into the snapshot — are preserved
-// exactly. The op cache starts empty (it is a pure accelerator; forks
-// repopulate it), so a rebuilt snapshot answers the same questions as
-// the original, only the first operations after a cold start recurse
-// instead of hitting memos.
+// exactly, and a rebuilt snapshot is the one that was encoded.
 //
 // The ROBDD structural invariants are validated as the array is
 // replayed — levels in range, children preceding parents, no redundant
@@ -47,7 +44,6 @@ func RebuildSnapshot(numVars, numNodes int, node func(i int) (level int32, lo, h
 		numVars: numVars,
 		nodes:   make([]nodeData, 2, numNodes),
 		unique:  newNodeTable(numNodes),
-		cache:   newOpCache(1024),
 		pow2:    pow2Table(numVars),
 	}
 	s.nodes[False] = nodeData{level: terminalLevel}

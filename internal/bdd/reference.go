@@ -316,11 +316,6 @@ func (m *RefManager) Eval(n Node, assignment []bool) bool {
 	return n == True
 }
 
-// ClearCache drops the operation cache.
-func (m *RefManager) ClearCache() {
-	m.cache = make(map[refOpKey]Node, 1024)
-}
-
-// CacheStats mirrors Manager.CacheStats; the reference manager has no
-// tiered cache, so the counters stay zero.
+// CacheStats mirrors Manager.CacheStats; the reference manager does not
+// count its lookups, so the counters stay zero.
 func (m *RefManager) CacheStats() CacheStats { return CacheStats{} }

@@ -123,27 +123,58 @@ func TestFreezeForkPanics(t *testing.T) {
 	fork.Freeze()
 }
 
-// TestForkClearCachePreservesIdentity mirrors the standalone cache-clear
-// invariant on a fork: identity survives because both unique tables stay.
-func TestForkClearCachePreservesIdentity(t *testing.T) {
-	base := NewManager(4)
-	frozenAB := base.And(base.Var(0), base.Var(1))
-	fork := NewManagerFrom(base.Freeze())
-	x := fork.And(frozenAB, fork.Var(2))
-	fork.ClearCache()
-	if fork.And(frozenAB, fork.Var(2)) != x {
-		t.Error("fork identity must survive cache clears")
+// TestForkOfWarmSnapshotMatchesUnfrozen pins that a snapshot is its
+// nodes and nothing else: the operations memoized before the freeze stay
+// behind with the frozen manager, and a fork that repeats or extends them
+// arrives, through the unique tables alone, at the node IDs an unfrozen
+// twin of the base — its memo intact — returns for the same operations.
+func TestForkOfWarmSnapshotMatchesUnfrozen(t *testing.T) {
+	const nVars = 8
+	warm := func(m *Manager) []Node {
+		rng := rand.New(rand.NewSource(4))
+		var roots []Node
+		for i := 0; i < 6; i++ {
+			n, _ := randomFormula(m, rng, 4)
+			roots = append(roots, n)
+		}
+		return roots
 	}
-	if fork.And(fork.Var(0), fork.Var(1)) != frozenAB {
-		t.Error("base identity must survive fork cache clears")
+	twin, base := NewManager(nVars), NewManager(nVars)
+	roots := warm(twin)
+	warm(base)
+	fork := NewManagerFrom(base.Freeze())
+	if fork.Size() != twin.Size() {
+		t.Fatalf("fork of the frozen base sees %d nodes, unfrozen twin %d", fork.Size(), twin.Size())
+	}
+
+	same := func(op string, a, b, got, want Node) {
+		t.Helper()
+		if got != want {
+			t.Fatalf("%s(%d, %d): fork node %d, unfrozen twin node %d", op, a, b, got, want)
+		}
+	}
+	for _, a := range roots {
+		for _, b := range roots {
+			// And repeats work the base did (its formulas are built from
+			// these operands), Diff and Xor extend it into the delta.
+			same("And", a, b, fork.And(a, b), twin.And(a, b))
+			same("Diff", a, b, fork.Diff(a, b), twin.Diff(a, b))
+			same("Xor-Not", a, b, fork.Xor(a, fork.Not(b)), twin.Xor(a, twin.Not(b)))
+		}
+	}
+	if fork.Size() != twin.Size() {
+		t.Fatalf("fork grew to %d nodes, unfrozen twin to %d", fork.Size(), twin.Size())
+	}
+	if warm(fork); fork.Size() != twin.Size() {
+		t.Fatal("repeating the base's own construction in a fork built nodes")
 	}
 }
 
 // TestSnapshotConcurrentReaders is the -race guard for the shared-base
 // design: many goroutines fork the same frozen snapshot concurrently and
-// hammer it — rebuilding frozen functions (base unique-table reads),
-// combining frozen nodes (base op-cache reads), evaluating through fork
-// and snapshot — while each builds private delta structure. Any mutation
+// hammer it — rebuilding frozen functions and combining frozen nodes
+// (base node-array and unique-table reads), evaluating through fork and
+// snapshot — while each builds private delta structure. Any mutation
 // of shared state under this schedule is a data race the -race CI leg
 // must catch.
 func TestSnapshotConcurrentReaders(t *testing.T) {

@@ -1,17 +1,17 @@
-// Open-addressed hash tables backing the manager's hot path. The Go maps
-// they replace (map[nodeKey]Node, map[opKey]Node) dominated per-mk cost:
-// hashing a 12-byte struct key through the runtime's generic hasher,
-// bucket chasing, and a fresh allocation on every ClearCache. Both tables
-// here pack their keys into machine words, hash with a xorshift-multiply
-// mix, probe linearly over power-of-two slot arrays, and never need
-// tombstones (entries are only ever inserted; bulk removal happens by
-// rebuilding, bulk clearing by bumping a generation counter).
+// Open-addressed hash tables backing the manager's hot path: the unique
+// (interning) table and the operation cache. Go maps in their place
+// (map[nodeKey]Node, map[opKey]Node) dominated per-mk cost — hashing a
+// 12-byte struct key through the runtime's generic hasher, then bucket
+// chasing. Both tables here pack their keys into machine words, hash with
+// a xorshift-multiply mix, probe linearly over power-of-two slot arrays,
+// and never need tombstones: entries are only ever inserted, and bulk
+// removal happens by rebuilding.
 //
 // Node IDs are non-negative int32s, so a (level, lo, hi) triple packs
 // into two 64-bit words and an (op, a, b) operation key into one: op
 // needs 2 bits and each operand 31, exactly filling a word. Valid op
-// keys are never zero (op kinds start at 1), which both tables exploit
-// for cheap empty-slot checks.
+// keys are never zero (op kinds start at 1), and no interned node has ID
+// 0, so in both tables a zero slot is an empty slot.
 
 package bdd
 
@@ -120,141 +120,61 @@ func packOpKey(op opKind, a, b Node) uint64 {
 	return uint64(op) | uint64(uint32(a))<<2 | uint64(uint32(b))<<33
 }
 
-// unpackOpKey inverts packOpKey (compaction rewrites live entries).
-func unpackOpKey(k uint64) (op opKind, a, b Node) {
-	return opKind(k & 3), Node(k >> 2 & 0x7fffffff), Node(k >> 33)
-}
-
-// opEntry is one memoized operation. gen stamps the generation the entry
-// was written in: entries from older generations are logically absent,
-// which is what makes clearing O(1).
+// opEntry is one memoized operation; key 0 marks an empty slot.
 type opEntry struct {
 	key uint64
 	val Node
-	gen uint32
 }
 
-// opCache is the exact (L2) operation cache: open-addressed, packed
-// one-word keys, generation-stamped entries. Unlike the direct-mapped L1
-// it never evicts within a generation, so memoization is exactly as
-// complete as the map it replaced — node construction counts cannot
-// drift. A frozen opCache (inside a Snapshot) is read-only and safe for
-// concurrent lookups.
+// opCache is the operation cache: open-addressed, packed one-word keys,
+// exact. It never evicts, so memoization is exactly as complete as a map
+// keyed by (op, a, b) — node construction counts cannot drift with table
+// size or hash order.
 type opCache struct {
 	entries []opEntry
 	count   int
-	// gen is the current generation; entries stamped differently are
-	// stale. Starts at 1 so zero-initialized slots are always stale.
-	gen uint32
 }
 
 func newOpCache(entries int) opCache {
-	return opCache{entries: make([]opEntry, pow2Slots(entries)), gen: 1}
+	return opCache{entries: make([]opEntry, pow2Slots(entries))}
 }
 
 func (c *opCache) lookup(k uint64) (Node, bool) {
 	mask := uint64(len(c.entries) - 1)
 	for i := hashMix(k) & mask; ; i = (i + 1) & mask {
 		e := &c.entries[i]
-		if e.gen != c.gen {
-			return 0, false
-		}
 		if e.key == k {
 			return e.val, true
+		}
+		if e.key == 0 {
+			return 0, false
 		}
 	}
 }
 
-// insert memoizes k → v. Stale slots (older generations) count as empty
-// and are overwritten in place; within one generation nothing is ever
+// insert memoizes k → v. The caller guarantees k is absent (apply looks
+// up first), so probing stops at the first empty slot; nothing is ever
 // deleted, so probe chains stay intact.
 func (c *opCache) insert(k uint64, v Node) {
 	if (c.count+1)*4 > len(c.entries)*3 {
 		c.grow()
 	}
 	mask := uint64(len(c.entries) - 1)
-	for i := hashMix(k) & mask; ; i = (i + 1) & mask {
-		e := &c.entries[i]
-		if e.gen != c.gen {
-			*e = opEntry{key: k, val: v, gen: c.gen}
-			c.count++
-			return
-		}
-		if e.key == k {
-			e.val = v
-			return
-		}
+	i := hashMix(k) & mask
+	for c.entries[i].key != 0 {
+		i = (i + 1) & mask
 	}
+	c.entries[i] = opEntry{key: k, val: v}
+	c.count++
 }
 
 func (c *opCache) grow() {
 	old := c.entries
-	oldGen := c.gen
 	c.entries = make([]opEntry, 2*len(old))
 	c.count = 0
-	for i := range old {
-		if old[i].gen == oldGen {
-			c.insert(old[i].key, old[i].val)
+	for _, e := range old {
+		if e.key != 0 {
+			c.insert(e.key, e.val)
 		}
-	}
-}
-
-// clear empties the cache without touching (or allocating) the entry
-// array: one generation bump. On the astronomically rare wrap-around the
-// array is zeroed so ancient entries cannot alias the reused stamp.
-func (c *opCache) clear() {
-	c.count = 0
-	c.gen++
-	if c.gen == 0 {
-		for i := range c.entries {
-			c.entries[i] = opEntry{}
-		}
-		c.gen = 1
-	}
-}
-
-// l1Bits sizes the direct-mapped L1 op cache: 1<<l1Bits entries (64 KiB
-// of opEntry), small enough to stay cache-resident, large enough to
-// absorb the tight re-reference runs apply produces.
-const l1Bits = 12
-
-// l1Cache is the direct-mapped first-tier op cache: one slot per hash
-// bucket, overwrite on collision, generation-stamped like the exact
-// table so clearing is O(1). It exists to answer the highly repetitive
-// lookups of cofactor recursion in one predictable load before the
-// probing L2 (or the frozen base cache) is consulted. Purely a
-// performance tier: every entry it holds is also in the L2/base cache,
-// so eviction can never change what gets memoized.
-type l1Cache struct {
-	entries []opEntry // nil until the first store
-	gen     uint32
-}
-
-func (c *l1Cache) lookup(k uint64) (Node, bool) {
-	if c.entries == nil {
-		return 0, false
-	}
-	e := &c.entries[hashMix(k)&(1<<l1Bits-1)]
-	if e.gen == c.gen && e.key == k {
-		return e.val, true
-	}
-	return 0, false
-}
-
-func (c *l1Cache) store(k uint64, v Node) {
-	if c.entries == nil {
-		c.entries = make([]opEntry, 1<<l1Bits)
-		c.gen = 1
-	}
-	c.entries[hashMix(k)&(1<<l1Bits-1)] = opEntry{key: k, val: v, gen: c.gen}
-}
-
-func (c *l1Cache) clear() {
-	c.gen++
-	if c.gen == 0 {
-		for i := range c.entries {
-			c.entries[i] = opEntry{}
-		}
-		c.gen = 1
 	}
 }

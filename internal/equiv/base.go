@@ -199,10 +199,9 @@ type EncodeStats struct {
 	FoldLocalHits int
 	FoldMisses    int
 
-	// OpCache sums the checkers' BDD operation-cache tier counters
-	// (direct-mapped L1 hits, exact-table L2 hits, frozen-base hits,
-	// misses). Like the fold counters, cumulative over each checker's
-	// lifetime for session-produced reports.
+	// OpCache sums the checkers' BDD operation-cache hits and misses.
+	// Like the fold counters, cumulative over each checker's lifetime
+	// for session-produced reports.
 	OpCache bdd.CacheStats
 
 	// Compactions, CompactRetained, and CompactDropped sum the checkers'

@@ -177,8 +177,8 @@ type CheckerStats struct {
 	// FoldMisses are semantics folds built from scratch in this checker.
 	FoldMisses int
 
-	// Cache is the manager's operation-cache tier breakdown (L1/L2/base
-	// hits and misses), cumulative across Resets.
+	// Cache is the manager's operation-cache hits and misses, cumulative
+	// across Resets.
 	Cache bdd.CacheStats
 
 	// Compactions counts Compact calls that ran a delta GC, with the

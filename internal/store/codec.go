@@ -243,18 +243,19 @@ func decodeRule(d *decoder) rule.Rule {
 	m.WildcardVRF = flags&1 != 0
 	m.WildcardSrc = flags&2 != 0
 	m.WildcardDst = flags&4 != 0
-	r.Action = rule.Action(d.uvarint())
+	r.Action = rule.Action(d.bounded(math.MaxInt32))
 	r.Priority = int(d.varint())
 	if n := d.uvarint(); n > 0 {
-		count := int(n - 1)
-		if count > d.remaining()/2 {
-			d.fail("provenance count %d exceeds payload", count)
+		// Compared unsigned: a count past what an int holds must not
+		// wrap below the bound.
+		if n-1 > uint64(d.remaining()/2) {
+			d.fail("provenance count %d exceeds payload", n-1)
 			return r
 		}
-		r.Provenance = make([]object.Ref, count)
+		r.Provenance = make([]object.Ref, n-1)
 		for i := range r.Provenance {
 			r.Provenance[i] = object.Ref{
-				Kind: object.Kind(d.uvarint()),
+				Kind: object.Kind(d.bounded(math.MaxInt32)),
 				ID:   object.ID(d.bounded(math.MaxUint32)),
 			}
 		}
@@ -279,13 +280,13 @@ func decodeRules(d *decoder) []rule.Rule {
 	if n == 0 {
 		return nil
 	}
-	count := int(n - 1)
 	// A rule is at least 16 bytes (match 15 + action/priority/prov).
-	if count > d.remaining()/16 {
-		d.fail("rule count %d exceeds payload", count)
+	// Compared unsigned, like the provenance count.
+	if n-1 > uint64(d.remaining()/16) {
+		d.fail("rule count %d exceeds payload", n-1)
 		return nil
 	}
-	rules := make([]rule.Rule, count)
+	rules := make([]rule.Rule, n-1)
 	for i := range rules {
 		rules[i] = decodeRule(d)
 	}
@@ -418,9 +419,13 @@ func decodeVerdicts(data []byte, depFP uint64) ([]Verdict, error) {
 	vs := make([]Verdict, d.count(20))
 	for i := range vs {
 		v := Verdict{
-			Switch:    object.ID(d.uvarint()),
+			Switch:    object.ID(d.bounded(math.MaxUint32)),
 			LogicalFP: d.u64(),
 			TCAMFP:    d.u64(),
+		}
+		// The encoder writes one verdict a switch, in switch order.
+		if d.err == nil && i > 0 && v.Switch <= vs[i-1].Switch {
+			d.fail("verdict for switch %d follows switch %d", v.Switch, vs[i-1].Switch)
 		}
 		eq := d.u8()
 		if d.err == nil && eq > 1 {

@@ -163,14 +163,20 @@ func (s *Store) enqueue(name string, job func() []byte) {
 	s.cond.Signal()
 }
 
+// drainLocked blocks until every pending write has been persisted (or has
+// failed). The caller holds s.mu.
+func (s *Store) drainLocked() {
+	for len(s.pending) > 0 || s.inflight != "" {
+		s.cond.Wait()
+	}
+}
+
 // Flush blocks until every pending write has been persisted and returns
 // the first persistence error since the previous Flush (clearing it).
 func (s *Store) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for len(s.pending) > 0 || s.inflight != "" {
-		s.cond.Wait()
-	}
+	s.drainLocked()
 	err := s.err
 	s.err = nil
 	return err
@@ -202,7 +208,7 @@ func (s *Store) SaveBase(depFP uint64, b *equiv.Base) {
 // LoadBase loads the frozen base persisted for the deployment
 // fingerprint: (nil, nil) when none exists, an error when the file
 // fails verification (the caller treats it as a cold start). Pending
-// writes are flushed first so a load observes the newest state. A
+// writes are waited for first so a load observes the newest state. A
 // successful load touches the file for the LRU GC.
 func (s *Store) LoadBase(depFP uint64) (*equiv.Base, error) {
 	data, err := s.readFile(baseFileName(depFP))
@@ -242,12 +248,15 @@ func (s *Store) LoadVerdicts(depFP uint64, probe bool) ([]Verdict, error) {
 	return vs, nil
 }
 
-// readFile flushes pending writes and reads one store file, mapping
-// absence to (nil, nil).
+// readFile waits for pending writes and reads one store file, mapping
+// absence to (nil, nil). A failed write is not the load's to report: its
+// error stays for Flush or Close, whose caller is the one that can tell
+// an operator the directory stopped persisting — a load's caller treats
+// any error as a cold start.
 func (s *Store) readFile(name string) ([]byte, error) {
-	if err := s.Flush(); err != nil {
-		return nil, err
-	}
+	s.mu.Lock()
+	s.drainLocked()
+	s.mu.Unlock()
 	data, err := os.ReadFile(filepath.Join(s.dir, name))
 	if os.IsNotExist(err) {
 		return nil, nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -223,6 +224,91 @@ func TestCodecRejectsVersionMismatch(t *testing.T) {
 	}
 }
 
+// FuzzDecodeVerdicts: whatever the bytes, the verdict decoder returns — it
+// never panics, never sizes an allocation from a length it has not held
+// against the bytes left, never accepts an image under a fingerprint it
+// was not filed under — and an image it accepts is the one encoding of
+// what it decoded. As in FuzzDecodeBase, each input is also tried with its
+// checksum recomputed so mutated payloads reach the verdict and rule
+// decoders.
+func FuzzDecodeVerdicts(f *testing.F) {
+	rng := rand.New(rand.NewSource(6))
+	const depFP = 0x5c07
+	// A check-mode file (missing and extra rules, a clean switch) and a
+	// probe-mode one (violations only); the two share the format.
+	check := encodeVerdicts(depFP, []Verdict{
+		{Switch: 101, LogicalFP: 1, TCAMFP: 2, Report: &equiv.Report{Equivalent: true}},
+		{Switch: 102, LogicalFP: 3, TCAMFP: 4, Report: &equiv.Report{MissingRules: testRules(rng, 6), ExtraRules: []rule.Rule{}}},
+		{Switch: 103, LogicalFP: 5, TCAMFP: 6, Report: &equiv.Report{MissingRules: testRules(rng, 2), ExtraRules: testRules(rng, 3)}},
+	})
+	probe := encodeVerdicts(depFP, []Verdict{
+		{Switch: 101, LogicalFP: 1, TCAMFP: 0, Report: &equiv.Report{Equivalent: true}},
+		{Switch: 102, LogicalFP: 3, TCAMFP: 0, Report: &equiv.Report{MissingRules: testRules(rng, 4)}},
+	})
+	f.Add(check)
+	f.Add(probe)
+	for _, n := range []int{0, frameOverhead - 1, frameOverhead, len(check) / 3, len(check) - 9, len(check) - 1} {
+		f.Add(check[:n])
+	}
+	flipped := append([]byte(nil), check...)
+	flipped[len(flipped)/2] ^= 0x10
+	f.Add(flipped)
+	f.Add(encodeVerdicts(depFP+1, nil))
+	// Two clean verdicts out of switch order: not what the encoder writes.
+	var unsorted encoder
+	unsorted.uvarint(2)
+	for _, sw := range []uint64{9, 3} {
+		unsorted.uvarint(sw)
+		unsorted.u64(1)
+		unsorted.u64(2)
+		unsorted.u8(1)
+		unsorted.uvarint(0)
+		unsorted.uvarint(0)
+	}
+	f.Add(seal(verdictMagic, depFP, unsorted.buf))
+	// Lengths no payload can back: a verdict count, a rule count and a
+	// provenance count, the last two past what an int holds.
+	var counts, rules, prov encoder
+	counts.uvarint(1 << 40)
+	f.Add(seal(verdictMagic, depFP, counts.buf))
+	for _, e := range []*encoder{&rules, &prov} {
+		e.uvarint(1)
+		e.uvarint(101)
+		e.u64(1)
+		e.u64(2)
+		e.u8(0)
+	}
+	rules.uvarint(math.MaxUint64)
+	f.Add(seal(verdictMagic, depFP, rules.buf))
+	prov.uvarint(2) // one missing rule
+	prov.buf = append(prov.buf, make([]byte, 12+1+1+1+1+1+1)...)
+	prov.uvarint(math.MaxUint64)
+	f.Add(seal(verdictMagic, depFP, prov.buf))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		images := [][]byte{data}
+		if len(data) >= frameOverhead {
+			images = append(images, reframe(data, binary.LittleEndian.Uint32(data[4:])))
+		}
+		for _, img := range images {
+			var key uint64
+			if len(img) >= 16 {
+				key = binary.LittleEndian.Uint64(img[8:])
+			}
+			if _, err := decodeVerdicts(img, key+1); err == nil {
+				t.Fatalf("accepted a %d-byte image under a fingerprint it was not filed under", len(img))
+			}
+			vs, err := decodeVerdicts(img, key)
+			if err != nil {
+				continue
+			}
+			if again := encodeVerdicts(key, vs); !bytes.Equal(again, img) {
+				t.Fatalf("accepted a %d-byte image that re-encodes to %d different bytes", len(img), len(again))
+			}
+		}
+	})
+}
+
 // TestVerdictCodecRoundTrip pins verdict round-trip fidelity, including
 // the nil-vs-empty rule slice distinction JSON report identity depends
 // on, and the canonical (switch-sorted) encoding order.
@@ -328,6 +414,34 @@ func TestStoreSaveLoad(t *testing.T) {
 	s.SaveBase(depFP+9, base) // dropped after Close
 	if _, err := os.Stat(filepath.Join(dir, baseFileName(depFP+9))); !os.IsNotExist(err) {
 		t.Fatal("save after Close was persisted")
+	}
+}
+
+// TestLoadDoesNotSwallowSaveError pins who reports a failed write: a load
+// waits for the queue, and the error of a save that could not be
+// persisted stays for Flush (or Close) — the calls whose caller surfaces
+// it. A load's caller reads any error as "cold start" and moves on.
+func TestLoadDoesNotSwallowSaveError(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "state")
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer s.Close()
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	s.SaveVerdicts(1, false, []Verdict{
+		{Switch: 1, LogicalFP: 2, TCAMFP: 3, Report: &equiv.Report{Equivalent: true}},
+	})
+	if vs, err := s.LoadVerdicts(2, false); vs != nil || err != nil {
+		t.Fatalf("load of an absent file: %v, %v", vs, err)
+	}
+	if err := s.Flush(); err == nil {
+		t.Fatal("Flush returned nil: an unrelated load consumed the failed save's error")
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatalf("second Flush reports the error again: %v", err)
 	}
 }
 

@@ -110,6 +110,50 @@ func TestSessionWarmRestartIdentity(t *testing.T) {
 	}
 }
 
+// TestSessionSurfacesLostStateDir pins what happens when the state
+// directory stops persisting under a running session (removed here after
+// OpenWarmStore): every write-behind save fails, the reports are the ones
+// a store-less analysis returns, and Close reports the first write that
+// failed — the base's. The verdict load that runs between the base save
+// and the verdict save waits for the queue without taking its error.
+func TestSessionSurfacesLostStateDir(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "state")
+	ws, err := scout.OpenWarmStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ws.Close()
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+
+	f := faultyFabric(t, 11)
+	sess, err := scout.NewSession(f, scout.AnalyzerOptions{Workers: 2, WarmStore: ws})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		rep, err := sess.Analyze()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := scout.NewAnalyzer(scout.AnalyzerOptions{Workers: 2}).Analyze(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(marshalReport(t, rep), marshalReport(t, cold)) {
+			t.Fatalf("round %d: report over a lost state directory differs from a cold analysis", round)
+		}
+		removeOneRule(t, f, f.Topology().Switches()[0])
+	}
+	if st := sess.Stats(); st.BaseRebuilds != 1 || st.BaseLoads != 0 {
+		t.Errorf("stats over a lost state directory: %+v", st)
+	}
+	if err := sess.Close(); err == nil || !strings.Contains(err.Error(), "base-") {
+		t.Fatalf("Close = %v, want the failed base write", err)
+	}
+}
+
 // dirImage reads every file under a warm-state directory.
 func dirImage(t *testing.T, dir string) map[string]string {
 	t.Helper()
