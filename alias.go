@@ -13,7 +13,6 @@ import (
 	"scout/internal/localize"
 	"scout/internal/object"
 	"scout/internal/policy"
-	"scout/internal/probe"
 	"scout/internal/risk"
 	"scout/internal/rule"
 	"scout/internal/scenario"
@@ -154,7 +153,7 @@ const (
 // NewFabric creates a deployment fabric for the policy and topology.
 var NewFabric = fabric.New
 
-// Dataplane classification and probing.
+// Dataplane classification.
 type (
 	// ClassifyPacket is one classification query against a TCAM — the
 	// header tuple Classify takes, reified for batch classification.
@@ -162,19 +161,6 @@ type (
 	// ClassifyOutcome is the result of classifying one packet of a
 	// batch (action + whether any rule matched).
 	ClassifyOutcome = tcam.Outcome
-	// ProbeClassifier is the dataplane surface a probe needs:
-	// first-match classification.
-	ProbeClassifier = probe.Classifier
-	// ProbeBatchClassifier is a ProbeClassifier that resolves a whole
-	// packet batch in one rule-major pass (TCAMs implement it).
-	ProbeBatchClassifier = probe.BatchClassifier
-	// ProbePacket is one synthesized probe header.
-	ProbePacket = probe.Packet
-	// ProbeViolation is one probe outcome contradicting the policy.
-	ProbeViolation = probe.Violation
-	// ProberStats is a snapshot of a prober's packet-memo and
-	// batch-classification counters (Session.ProberStats).
-	ProberStats = probe.Stats
 )
 
 // Logs.

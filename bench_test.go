@@ -483,7 +483,7 @@ func BenchmarkSessionProbeWarm(b *testing.B) {
 		b.StopTimer()
 		st := sess.Stats()
 		if st.Runs > 1 {
-			b.ReportMetric(float64(st.ProbeSwitchesClassified-len(topo.Switches()))/float64(st.Runs-1),
+			b.ReportMetric(float64(st.Checked-len(topo.Switches()))/float64(st.Runs-1),
 				"switches-classified/op")
 		}
 	})

@@ -174,7 +174,7 @@ func run() error {
 	aOpts := scout.AnalyzerOptions{Workers: *workers, UseProbes: *probes, WarmStore: warm}
 
 	if *watch {
-		report, pstats, err := runWatch(f, parsed, watchOptions{
+		report, err := runWatch(f, parsed, watchOptions{
 			analyzer: aOpts,
 			window:   *batchWindow,
 			queueCap: *queueCap,
@@ -187,7 +187,7 @@ func run() error {
 				return err
 			}
 		}
-		return emitReport(report, pstats, *jsonOut, *verbose)
+		return emitReport(report, *jsonOut, *verbose)
 	}
 
 	for _, flt := range parsed {
@@ -209,10 +209,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	var pstats *scout.ProberStats
-	if ps, ok := sess.ProberStats(); ok {
-		pstats = &ps
-	}
 	if warm != nil {
 		st := sess.Stats()
 		fmt.Printf("warm state: base loaded %d / rebuilt %d, switches replayed %d / checked %d\n",
@@ -224,7 +220,7 @@ func run() error {
 			return err
 		}
 	}
-	return emitReport(report, pstats, *jsonOut, *verbose)
+	return emitReport(report, *jsonOut, *verbose)
 }
 
 // finishWarmStore runs the configured shutdown GC over the warm-state
@@ -242,9 +238,8 @@ func finishWarmStore(warm *scout.WarmStore, age time.Duration, maxFiles int, w i
 }
 
 // emitReport renders the final analysis report (shared by the one-shot and
-// watch paths). pstats, when non-nil, carries the probe-mode prober
-// counters for the verbose dump.
-func emitReport(report *scout.Report, pstats *scout.ProberStats, jsonOut, verbose bool) error {
+// watch paths).
+func emitReport(report *scout.Report, jsonOut, verbose bool) error {
 	if jsonOut {
 		data, err := json.MarshalIndent(report, "", "  ")
 		if err != nil {
@@ -278,10 +273,6 @@ func emitReport(report *scout.Report, pstats *scout.ProberStats, jsonOut, verbos
 				ls.PlanCompiles, ls.PlanReuses, ls.LazyEvals, ls.LazyPicks, ls.FullScanEvals)
 			fmt.Printf("localization stages: hit-ratio-1 %v, change-log %v, greedy set cover %v\n",
 				ls.Stage1.Round(time.Microsecond), ls.Stage2.Round(time.Microsecond), ls.Greedy.Round(time.Microsecond))
-		}
-		if pstats != nil {
-			fmt.Printf("\nprober: packet memo %d hits / %d misses, %d batch passes (%d packets batched), %d fallback probes\n",
-				pstats.MemoHits, pstats.MemoMisses, pstats.BatchPasses, pstats.BatchedPackets, pstats.FallbackProbes)
 		}
 		fmt.Println("\nper-switch details:")
 		for _, sr := range report.Switches {
@@ -355,12 +346,11 @@ type watchOptions struct {
 // classification of their probe batches against the live dataplane. A
 // shutdown flush cuts whatever is still pending so no switch is stranded
 // below the deadline. It returns the last report produced (the baseline's
-// when no events arrive) and, in probe mode, the prober's counter
-// snapshot.
-func runWatch(f *scout.Fabric, faults []objectFault, opts watchOptions, w io.Writer) (*scout.Report, *scout.ProberStats, error) {
+// when no events arrive).
+func runWatch(f *scout.Fabric, faults []objectFault, opts watchOptions, w io.Writer) (*scout.Report, error) {
 	sess, err := scout.NewSession(f, opts.analyzer)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	probeMode := opts.analyzer.UseProbes
 	// Park the cursor before the baseline collection so no mutation can
@@ -375,16 +365,15 @@ func runWatch(f *scout.Fabric, faults []objectFault, opts watchOptions, w io.Wri
 			return nil, err
 		}
 		after := sess.Stats()
+		checked, replayed := after.Checked-before.Checked, after.Replayed-before.Replayed
 		if probeMode {
 			fmt.Fprintf(w, "%s: classified %d/%d switches (%d replayed, %d packets batched), %d missing rules, %v\n",
-				label, after.ProbeSwitchesClassified-before.ProbeSwitchesClassified, len(report.Switches),
-				after.ProbeSwitchesReplayed-before.ProbeSwitchesReplayed,
-				after.ProbePacketsBatched-before.ProbePacketsBatched,
+				label, checked, len(report.Switches), replayed, after.ProbePacketsBatched-before.ProbePacketsBatched,
 				report.TotalMissing, report.Elapsed.Round(time.Microsecond))
 		} else {
 			fmt.Fprintf(w, "%s: re-checked %d/%d switches (%d replayed), %d missing rules, %v\n",
-				label, after.Checked-before.Checked, len(report.Switches),
-				after.Replayed-before.Replayed, report.TotalMissing, report.Elapsed.Round(time.Microsecond))
+				label, checked, len(report.Switches), replayed,
+				report.TotalMissing, report.Elapsed.Round(time.Microsecond))
 		}
 		return report, nil
 	}
@@ -401,7 +390,7 @@ func runWatch(f *scout.Fabric, faults []objectFault, opts watchOptions, w io.Wri
 	}
 	report, err := round(scout.EventBatch{}, baselineLabel)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	// pump drains new events into the queue and cuts every batch that
@@ -423,17 +412,17 @@ func runWatch(f *scout.Fabric, faults []objectFault, opts watchOptions, w io.Wri
 	for _, flt := range faults {
 		removed, err := f.InjectObjectFault(flt.ref, flt.fraction)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		fmt.Fprintf(w, "injected %s @%.2f: %d rules removed\n", flt.ref, flt.fraction, removed)
 		if err := pump(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	// Shutdown flush: cut whatever is still below size and deadline.
 	for queue.Len() > 0 {
 		if report, err = cut(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 
@@ -445,23 +434,17 @@ func runWatch(f *scout.Fabric, faults []objectFault, opts watchOptions, w io.Wri
 		st.PlanCompiles, st.PlanReuses, st.LazyEvals, st.LazyPicks, st.FullScanEvals)
 	fmt.Fprintf(w, "streaming collection: %d partial refreshes, %d switches re-read, %d aliased\n",
 		st.EventBatches, st.EventSwitchesRead, st.EventSwitchesAliased)
-	var pstats *scout.ProberStats
 	if probeMode {
 		fmt.Fprintf(w, "probe replay: %d switches classified, %d replayed, %d packets batched\n",
-			st.ProbeSwitchesClassified, st.ProbeSwitchesReplayed, st.ProbePacketsBatched)
-		if ps, ok := sess.ProberStats(); ok {
-			pstats = &ps
-			fmt.Fprintf(w, "prober: packet memo %d hits / %d misses, %d batch passes (%d packets batched), %d fallback probes\n",
-				ps.MemoHits, ps.MemoMisses, ps.BatchPasses, ps.BatchedPackets, ps.FallbackProbes)
-		}
-		return report, pstats, nil
+			st.Checked, st.Replayed, st.ProbePacketsBatched)
+		return report, nil
 	}
 	fmt.Fprintf(w, "session encodings: base %d nodes (%d rebuilds, %d semantics), delta %d nodes\n",
 		st.BaseNodes, st.BaseRebuilds, st.BaseSemantics, st.DeltaNodes)
 	fmt.Fprintf(w, "session fold sharing: hits %d / misses %d\n", st.FoldHits, st.FoldMisses)
 	fmt.Fprintf(w, "session checker GC: %d compactions (%d retained / %d dropped), %d resets\n",
 		st.CheckerCompactions, st.CompactRetained, st.CompactDropped, st.CheckerResets)
-	return report, nil, nil
+	return report, nil
 }
 
 func loadPolicy(path, specName string, seed int64) (*scout.Policy, *scout.Topology, error) {
@@ -497,12 +480,15 @@ func parseFault(s string) (scout.ObjectRef, float64, error) {
 		var err error
 		fraction, err = strconv.ParseFloat(fracStr, 64)
 		if err != nil {
-			return scout.ObjectRef{}, 0, fmt.Errorf("fault %q: bad fraction: %w", s, err)
+			return scout.ObjectRef{}, 0, fmt.Errorf("-fault %q: bad fraction: %w", s, err)
+		}
+		if !(fraction > 0 && fraction <= 1) { // NaN fails every comparison
+			return scout.ObjectRef{}, 0, fmt.Errorf("-fault %q: fraction %v out of (0,1]", s, fraction)
 		}
 	}
 	ref, err := scout.ParseObjectRef(refStr)
 	if err != nil {
-		return scout.ObjectRef{}, 0, fmt.Errorf("fault %q: %w", s, err)
+		return scout.ObjectRef{}, 0, fmt.Errorf("-fault %q: %w", s, err)
 	}
 	return ref, fraction, nil
 }

@@ -108,7 +108,7 @@ func (b *Base) NumSemantics() int { return len(b.semMem) }
 // recompile at a new address). The frozen BDD content is untouched —
 // only the collision-verification references move, releasing the
 // superseded deployment's rule slices instead of pinning them for the
-// base's lifetime (the same retention fix Prober.Rebind applies).
+// base's lifetime.
 //
 // This is the one exception to the base's nothing-ever-mutates-it rule:
 // the caller must hold off every checker fork while rebinding (the

@@ -479,7 +479,7 @@ func (f *Fabric) InjectObjectFault(ref object.Ref, fraction float64) (int, error
 	if f.deployed == nil {
 		return 0, errors.New("fabric: inject object fault before Deploy")
 	}
-	if fraction <= 0 || fraction > 1 {
+	if !(fraction > 0 && fraction <= 1) { // written so that NaN is refused too
 		return 0, fmt.Errorf("fabric: fraction %v out of (0,1]", fraction)
 	}
 	type target struct {

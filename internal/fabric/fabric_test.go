@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"scout/internal/faultlog"
@@ -352,9 +353,9 @@ func TestInjectObjectFaultValidation(t *testing.T) {
 	if err := f.Deploy(); err != nil {
 		t.Fatal(err)
 	}
-	for _, frac := range []float64{0, -0.5, 1.5} {
-		if _, err := f.InjectObjectFault(object.Filter(700), frac); err == nil {
-			t.Errorf("fraction %v must be rejected", frac)
+	for _, frac := range []float64{0, -0.5, 1.5, math.NaN(), math.Inf(1)} {
+		if n, err := f.InjectObjectFault(object.Filter(700), frac); err == nil {
+			t.Errorf("fraction %v must be rejected (removed %d rules)", frac, n)
 		}
 	}
 	// Unknown object: no instances, no error, nothing removed.

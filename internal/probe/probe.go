@@ -1,12 +1,13 @@
 // Package probe implements the paper's alternative observation source
 // (§III-C): active connectivity probing. An EPG pair becomes an
 // observation when its endpoints are *allowed to communicate by the
-// policy but fail to do so* in the dataplane. The prober synthesizes one
-// probe packet per (switch, EPG pair, filter entry) from the compiled
-// deployment, classifies it against the switch's TCAM, and reports
-// violations — policy-allowed probes that the hardware denies (missing
-// rules) and policy-denied probes the hardware lets through (extra
-// behaviour from corruption).
+// policy but fail to do so* in the dataplane. A probe is its rule's own
+// header — the five match fields of an allow rule between concrete EPGs,
+// at the rule's low port — so probing a switch is one function of its
+// logical rules and its TCAM: Switch reads the packets off the rules,
+// classifies them in one batch pass, and reports the violations —
+// policy-allowed probes the hardware does not allow (missing rules).
+// Nothing is kept between calls.
 //
 // Probing complements the ROBDD equivalence checker: it needs no access
 // to the full TCAM dump (only forwarding behaviour), at the cost of
@@ -17,30 +18,16 @@ package probe
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
-	"scout/internal/compile"
 	"scout/internal/object"
 	"scout/internal/policy"
 	"scout/internal/rule"
 	"scout/internal/tcam"
 )
 
-// Packet is one synthesized probe: the header tuple a pair's traffic
-// would carry.
-type Packet struct {
-	VRF    object.ID
-	SrcEPG object.ID
-	DstEPG object.ID
-	Proto  rule.Protocol
-	Port   uint16
-}
-
-// String renders the probe header.
-func (p Packet) String() string {
-	return fmt.Sprintf("vrf=%d %d->%d %s:%d", p.VRF, p.SrcEPG, p.DstEPG, p.Proto, p.Port)
-}
+// Packet is one probe: the header tuple a pair's traffic would carry, in
+// the form the dataplane classifies.
+type Packet = tcam.Packet
 
 // Violation is one probe outcome that contradicts the policy.
 type Violation struct {
@@ -60,272 +47,71 @@ type Violation struct {
 
 // String renders the violation for logs.
 func (v Violation) String() string {
-	return fmt.Sprintf("switch %d pair %s probe %s: want %v, got %v",
-		v.Switch, v.Pair, v.Packet, v.Expected, v.Got)
+	p := v.Packet
+	return fmt.Sprintf("switch %d pair %s probe vrf=%d %d->%d %s:%d: want %v, got %v",
+		v.Switch, v.Pair, p.VRF, p.Src, p.Dst, p.Proto, p.Port, v.Expected, v.Got)
 }
 
-// Classifier is the dataplane surface a probe needs: first-match
-// classification. *tcam.TCAM implements it.
-type Classifier interface {
-	Classify(vrf, src, dst object.ID, proto rule.Protocol, port uint16) (rule.Action, bool)
-}
-
-var _ Classifier = (*tcam.TCAM)(nil)
-
-// BatchClassifier is a Classifier that can resolve a whole packet batch
-// in one rule-major pass over its table. The prober feeds it per-switch
-// batches so an n-entry TCAM is scanned once per probe round instead of
-// once per probe; any plain Classifier still works via the per-packet
-// fallback in classifyBatch. *tcam.TCAM implements it.
-type BatchClassifier interface {
-	Classifier
-	ClassifyBatch(pkts []tcam.Packet) []tcam.Outcome
-}
-
-var _ BatchClassifier = (*tcam.TCAM)(nil)
-
-// Prober synthesizes and evaluates probes for a compiled deployment.
-// Probe packets are memoized per rule key — i.e. per (VRF, EPG pair,
-// filter entry) — so switches sharing EPG pairs reuse each other's
-// packets instead of re-synthesizing them; a long-lived Prober (the
-// analyzer keeps one per deployment fingerprint) amortizes the memo
-// across analysis runs, not just within one. The memo is guarded, so one
-// Prober may serve concurrent ProbeSwitch calls from the analyzer's
-// worker pool.
-type Prober struct {
-	// d is atomic so Rebind can swap deployments without racing probe
-	// calls in flight (callers only rebind to fingerprint-equal
-	// deployments, so either pointer yields the same rules).
-	d atomic.Pointer[compile.Deployment]
-
-	mu      sync.RWMutex
-	packets map[rule.Key]Packet
-	// hits/misses are atomic so the steady-state hit path stays on the
-	// shared read lock instead of serializing the worker fan-out.
-	hits   atomic.Int64
-	misses atomic.Int64
-
-	// Batch-path counters: passes counts rule-major batch
-	// classifications issued, batched counts the packets those passes
-	// resolved, and fallback counts packets classified one at a time
-	// because the dataplane was not a BatchClassifier.
-	batchPasses    atomic.Int64
-	batchedPackets atomic.Int64
-	fallbackProbes atomic.Int64
-}
-
-// Stats is a snapshot of a Prober's cumulative counters: the packet-memo
-// hit/miss counts (cross-switch and cross-run synthesis sharing) and the
-// batch-classification counters.
-type Stats struct {
-	MemoHits   int
-	MemoMisses int
-	// BatchPasses is the number of rule-major batch passes issued;
-	// BatchedPackets the probes they resolved. FallbackProbes counts
-	// probes classified per-packet against non-batching dataplanes.
-	BatchPasses    int
-	BatchedPackets int
-	FallbackProbes int
-}
-
-// New creates a prober over the deployment.
-func New(d *compile.Deployment) *Prober {
-	p := &Prober{packets: make(map[rule.Key]Packet)}
-	p.d.Store(d)
-	return p
-}
-
-// Rebind points the prober at d, keeping the packet memo. For callers
-// that verified d fingerprint-matches the prober's current deployment
-// (the analyzer's per-deployment cache): packets are pure functions of
-// rule keys, so the memo stays valid, and rebinding releases the
-// superseded deployment instead of pinning it for the prober's life.
-func (p *Prober) Rebind(d *compile.Deployment) { p.d.Store(d) }
-
-// packetFor returns the memoized probe packet for an eligible rule,
-// synthesizing and caching it on first sight of the rule's key.
-func (p *Prober) packetFor(r rule.Rule) Packet {
-	k := r.Key()
-	p.mu.RLock()
-	pkt, ok := p.packets[k]
-	p.mu.RUnlock()
-	if ok {
-		p.hits.Add(1)
-		return pkt
-	}
-	pkt = Packet{
-		VRF:    r.Match.VRF,
-		SrcEPG: r.Match.SrcEPG,
-		DstEPG: r.Match.DstEPG,
-		Proto:  r.Match.Proto,
-		Port:   r.Match.PortLo,
-	}
-	p.mu.Lock()
-	if _, raced := p.packets[k]; !raced {
-		p.misses.Add(1)
-		p.packets[k] = pkt
-	} else {
-		p.hits.Add(1)
-	}
-	p.mu.Unlock()
-	return pkt
-}
-
-// MemoStats returns the packet memo's cumulative hit and miss counts —
-// the observability hook for cross-switch probe-synthesis sharing.
-func (p *Prober) MemoStats() (hits, misses int) {
-	return int(p.hits.Load()), int(p.misses.Load())
-}
-
-// Stats returns a snapshot of every prober counter.
-func (p *Prober) Stats() Stats {
-	return Stats{
-		MemoHits:       int(p.hits.Load()),
-		MemoMisses:     int(p.misses.Load()),
-		BatchPasses:    int(p.batchPasses.Load()),
-		BatchedPackets: int(p.batchedPackets.Load()),
-		FallbackProbes: int(p.fallbackProbes.Load()),
-	}
-}
-
-// probeEligible reports whether r contributes a probe: concrete EPG
-// pairs only, allow rules only (the paper's "allowed to communicate but
-// fail to do so" observation).
-func probeEligible(r rule.Rule) bool {
+// eligible reports whether r contributes a probe: concrete EPG pairs
+// only, allow rules only (the paper's "allowed to communicate but fail to
+// do so" observation).
+func eligible(r *rule.Rule) bool {
 	return r.Action == rule.Allow && !r.Match.WildcardSrc && !r.Match.WildcardDst
 }
 
-// violationFrom converts one classification outcome into a Violation,
-// reporting ok=true when the outcome contradicts the rule the probe was
-// derived from. An unmatched probe reports Got == 0.
-func violationFrom(sw object.ID, r rule.Rule, pkt Packet, o tcam.Outcome) (Violation, bool) {
-	if o.Matched && o.Action == r.Action {
-		return Violation{}, false
-	}
-	got := o.Action
-	if !o.Matched {
-		got = 0
-	}
-	return Violation{
-		Switch:   sw,
-		Pair:     policy.MakeEPGPair(pkt.SrcEPG, pkt.DstEPG),
-		Packet:   pkt,
-		Expected: r.Action,
-		Got:      got,
-		Rule:     r,
-	}, true
-}
-
-// classifyBatch resolves the probe packets against a dataplane: one
-// rule-major pass when the dataplane batches, per-packet Classify calls
-// otherwise. Outcomes are positional, and identical between the two
-// paths. The second return reports whether the batch path was taken.
-func classifyBatch(dataplane Classifier, pkts []Packet) ([]tcam.Outcome, bool) {
-	if bc, ok := dataplane.(BatchClassifier); ok {
-		batch := make([]tcam.Packet, len(pkts))
-		for i, p := range pkts {
-			batch[i] = tcam.Packet{VRF: p.VRF, Src: p.SrcEPG, Dst: p.DstEPG, Proto: p.Proto, Port: p.Port}
-		}
-		return bc.ClassifyBatch(batch), true
-	}
-	out := make([]tcam.Outcome, len(pkts))
-	for i, p := range pkts {
-		action, matched := dataplane.Classify(p.VRF, p.SrcEPG, p.DstEPG, p.Proto, p.Port)
-		out[i] = tcam.Outcome{Action: action, Matched: matched}
-	}
-	return out, false
-}
-
-// probeSwitch synthesizes switch sw's probe batch, classifies it, and
-// appends the violations to out (unsorted) — the shared body of
-// ProbeSwitch and ProbeAll.
-func (p *Prober) probeSwitch(sw object.ID, dataplane Classifier, out []Violation) []Violation {
-	var eligible []rule.Rule
-	for _, r := range p.d.Load().RulesFor(sw) {
-		if probeEligible(r) {
-			eligible = append(eligible, r)
+// Switch probes switch sw: every eligible rule of logical (the switch's
+// compiled rule list) contributes one packet — its own match header at
+// its low port, the paper's per-rule missing/present granularity — the
+// packets are classified against t in one rule-major batch pass, and the
+// outcomes that contradict their rules are returned in deterministic
+// order, with the number of probes sent. It reads logical and t and
+// writes nothing shared, so switches probe concurrently.
+func Switch(sw object.ID, logical []rule.Rule, t *tcam.TCAM) (violations []Violation, probes int) {
+	pkts := make([]Packet, 0, len(logical)) // all but the default rules are eligible
+	for i := range logical {
+		if r := &logical[i]; eligible(r) {
+			m := r.Match
+			pkts = append(pkts, Packet{VRF: m.VRF, Src: m.SrcEPG, Dst: m.DstEPG, Proto: m.Proto, Port: m.PortLo})
 		}
 	}
-	if len(eligible) == 0 {
-		return out
+	if len(pkts) == 0 {
+		return nil, 0
 	}
-	pkts := make([]Packet, len(eligible))
-	for i, r := range eligible {
-		pkts[i] = p.packetFor(r)
-	}
-	outcomes, batched := classifyBatch(dataplane, pkts)
-	if batched {
-		p.batchPasses.Add(1)
-		p.batchedPackets.Add(int64(len(pkts)))
-	} else {
-		p.fallbackProbes.Add(int64(len(pkts)))
-	}
-	for i, r := range eligible {
-		if v, ok := violationFrom(sw, r, pkts[i], outcomes[i]); ok {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// ProbeSwitch probes every (pair, rule) deployed on switch sw against
-// the given classifier and returns the violations in deterministic
-// order. Each allow rule contributes one probe at its low port (the
-// paper's per-rule missing/present granularity). The switch's probes go
-// to the dataplane as one batch, so a batching dataplane (a TCAM) is
-// scanned once rather than once per probe.
-func (p *Prober) ProbeSwitch(sw object.ID, dataplane Classifier) []Violation {
-	out := p.probeSwitch(sw, dataplane, nil)
-	sort.Slice(out, func(i, j int) bool { return violationLess(out[i], out[j]) })
-	return out
-}
-
-// ProbeAll probes every switch in the deployment. dataplanes maps switch
-// IDs to their classification surface (e.g. collected from
-// fabric.Fabric via Switch(sw).TCAM()).
-//
-// Switches are visited in ascending ID order and each switch's probes
-// are classified as one batch. Packet synthesis still shares across
-// switches through the memo — repeated keys hit instead of
-// re-synthesizing, so MemoStats keeps measuring cross-switch sharing.
-// The violation order is identical to the per-switch form: violationLess
-// leads with the switch ID, so one global sort reproduces the
-// concatenation of per-switch sorted outputs.
-//
-// ProbeAll is the serial batch entry point (library users probing
-// collected dataplanes in one call); the analyzer's probe pipeline
-// instead fans ProbeSwitch out per switch over its worker pool, sharing
-// the same packet memo and per-switch batch passes.
-func (p *Prober) ProbeAll(dataplanes map[object.ID]Classifier) []Violation {
-	d := p.d.Load()
-	var switches []object.ID
-	for sw := range d.BySwitch {
-		switches = append(switches, sw)
-	}
-	sort.Slice(switches, func(i, j int) bool { return switches[i] < switches[j] })
-
-	var out []Violation
-	for _, sw := range switches {
-		dataplane, ok := dataplanes[sw]
-		if !ok {
+	outcomes := t.ClassifyBatch(pkts)
+	next := 0 // the probe the next eligible rule sent
+	for i := range logical {
+		r := &logical[i]
+		if !eligible(r) {
 			continue
 		}
-		out = p.probeSwitch(sw, dataplane, out)
+		pkt, o := pkts[next], outcomes[next]
+		next++
+		if o.Matched && o.Action == r.Action {
+			continue
+		}
+		got := o.Action
+		if !o.Matched {
+			got = 0
+		}
+		violations = append(violations, Violation{
+			Switch:   sw,
+			Pair:     policy.MakeEPGPair(pkt.Src, pkt.Dst),
+			Packet:   pkt,
+			Expected: r.Action,
+			Got:      got,
+			Rule:     *r,
+		})
 	}
-	sort.Slice(out, func(i, j int) bool { return violationLess(out[i], out[j]) })
-	return out
+	sort.Slice(violations, func(i, j int) bool { return violationLess(violations[i], violations[j]) })
+	return violations, len(pkts)
 }
 
-// violationLess orders violations by switch, then pair, then the source
-// rule under rule.Less. The rule comparison makes the order total for
-// any deduped rule list (the packet is a pure function of the rule), so
-// the batched ProbeAll and the per-switch ProbeSwitch forms sort tied
+// violationLess orders one switch's violations by pair, then the source
+// rule under rule.Less. The rule comparison makes the order total for any
+// deduped rule list (the packet is a pure function of the rule), so tied
 // probes — same pair, proto, and port but e.g. opposite direction or
-// different port ranges — identically regardless of insertion order.
+// different port ranges — sort identically regardless of insertion order.
 func violationLess(a, b Violation) bool {
-	if a.Switch != b.Switch {
-		return a.Switch < b.Switch
-	}
 	if a.Pair != b.Pair {
 		return a.Pair.Less(b.Pair)
 	}

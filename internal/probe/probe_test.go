@@ -2,7 +2,9 @@ package probe
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -43,88 +45,34 @@ func threeTierFabric(t testing.TB) *fabric.Fabric {
 	return f
 }
 
-func dataplanes(t testing.TB, f *fabric.Fabric) map[object.ID]Classifier {
+// probeAll probes every switch of the fabric in ascending order and
+// returns the concatenated violations and the probes sent.
+func probeAll(t testing.TB, f *fabric.Fabric) ([]Violation, int) {
 	t.Helper()
-	out := make(map[object.ID]Classifier)
+	var out []Violation
+	sent := 0
 	for _, sw := range f.Topology().Switches() {
 		s, err := f.Switch(sw)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out[sw] = s.TCAM()
+		v, n := Switch(sw, f.Deployment().RulesFor(sw), s.TCAM())
+		out = append(out, v...)
+		sent += n
 	}
-	return out
-}
-
-// perPacketOnly strips the batch surface off a Classifier, forcing the
-// prober down the per-packet fallback path.
-type perPacketOnly struct{ c Classifier }
-
-func (p perPacketOnly) Classify(vrf, src, dst object.ID, proto rule.Protocol, port uint16) (rule.Action, bool) {
-	return p.c.Classify(vrf, src, dst, proto, port)
-}
-
-// TestBatchAndFallbackIdentical pins the BatchClassifier contract: a
-// dataplane that only classifies per packet yields byte-for-byte the
-// same violations as the batched pass over the same TCAM — only the
-// counters differ (batch passes vs fallback probes).
-func TestBatchAndFallbackIdentical(t *testing.T) {
-	f := threeTierFabric(t)
-	d := f.Deployment()
-	// Break a switch so violations exist on both paths.
-	s, err := f.Switch(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rules := s.TCAM().Rules()
-	if len(rules) == 0 || !s.TCAM().Remove(rules[0].Key()) {
-		t.Fatal("failed to break switch 2")
-	}
-
-	batched := New(d)
-	fallback := New(d)
-	dps := dataplanes(t, f)
-	wrapped := make(map[object.ID]Classifier, len(dps))
-	for sw, c := range dps {
-		wrapped[sw] = perPacketOnly{c: c}
-	}
-
-	a := batched.ProbeAll(dps)
-	b := fallback.ProbeAll(wrapped)
-	if len(a) != len(b) {
-		t.Fatalf("batch found %d violations, fallback %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].String() != b[i].String() || !a[i].Rule.Equal(b[i].Rule) {
-			t.Errorf("violation %d differs: batch %v, fallback %v", i, a[i], b[i])
-		}
-	}
-	if len(a) == 0 {
-		t.Fatal("expected violations after breaking switch 2")
-	}
-
-	bs := batched.Stats()
-	if bs.BatchPasses == 0 || bs.BatchedPackets == 0 || bs.FallbackProbes != 0 {
-		t.Errorf("batched prober counters = %+v, want batch passes only", bs)
-	}
-	fs := fallback.Stats()
-	if fs.FallbackProbes == 0 || fs.BatchPasses != 0 || fs.BatchedPackets != 0 {
-		t.Errorf("fallback prober counters = %+v, want fallback probes only", fs)
-	}
-	if bs.BatchedPackets != fs.FallbackProbes {
-		t.Errorf("batch resolved %d packets, fallback %d — same probes must flow",
-			bs.BatchedPackets, fs.FallbackProbes)
-	}
-	if bs.MemoHits != fs.MemoHits || bs.MemoMisses != fs.MemoMisses {
-		t.Errorf("memo accounting differs: batch %+v, fallback %+v", bs, fs)
-	}
+	return out, sent
 }
 
 func TestProbeCleanFabricNoViolations(t *testing.T) {
 	f := threeTierFabric(t)
-	p := New(f.Deployment())
-	if v := p.ProbeAll(dataplanes(t, f)); len(v) != 0 {
+	v, sent := probeAll(t, f)
+	if len(v) != 0 {
 		t.Fatalf("clean fabric must probe clean, got %v", v)
+	}
+	// One probe per allow rule between concrete EPGs: Web-App on S1 and S2
+	// (port 80), App-DB on S2 and S3 (ports 80 and 700), both directions.
+	if sent != 12 {
+		t.Errorf("probes sent = %d, want 12", sent)
 	}
 }
 
@@ -133,8 +81,7 @@ func TestProbeDetectsMissingRules(t *testing.T) {
 	if _, err := f.InjectObjectFault(object.Filter(700), 1.0); err != nil {
 		t.Fatal(err)
 	}
-	p := New(f.Deployment())
-	violations := p.ProbeAll(dataplanes(t, f))
+	violations, _ := probeAll(t, f)
 	if len(violations) == 0 {
 		t.Fatal("probes must detect the missing port-700 rules")
 	}
@@ -160,9 +107,8 @@ func TestProbeDeterministicOrder(t *testing.T) {
 	if _, err := f.InjectObjectFault(object.Filter(80), 1.0); err != nil {
 		t.Fatal(err)
 	}
-	p := New(f.Deployment())
-	a := p.ProbeAll(dataplanes(t, f))
-	b := p.ProbeAll(dataplanes(t, f))
+	a, _ := probeAll(t, f)
+	b, _ := probeAll(t, f)
 	if len(a) != len(b) {
 		t.Fatal("probe runs differ in length")
 	}
@@ -201,13 +147,16 @@ func TestProbeLocalizationEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := f.Deployment()
-	p := New(d)
-	planes := dataplanes(t, f)
 
 	m := risk.BuildControllerModel(d, risk.ControllerModelOptions{IncludeSwitchRisk: true})
 	marked := 0
 	for _, sw := range f.Topology().Switches() {
-		marked += risk.AugmentControllerModel(m, sw, MissingRules(p.ProbeSwitch(sw, planes[sw])), d.Provenance)
+		s, err := f.Switch(sw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		violations, _ := Switch(sw, d.RulesFor(sw), s.TCAM())
+		marked += risk.AugmentControllerModel(m, sw, MissingRules(violations), d.Provenance)
 	}
 	if marked == 0 {
 		t.Fatal("augmentation marked nothing")
@@ -230,7 +179,11 @@ func TestProbeSwitchModelAugmentation(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := f.Deployment()
-	violations := New(d).ProbeSwitch(2, dataplanes(t, f)[2])
+	s, err := f.Switch(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	violations, _ := Switch(2, d.RulesFor(2), s.TCAM())
 	m := risk.BuildSwitchModel(d, 2)
 	if marked := risk.AugmentSwitchModel(m, MissingRules(violations), d.Provenance); marked == 0 {
 		t.Fatal("switch-model augmentation marked nothing")
@@ -242,7 +195,7 @@ func TestProbeSwitchModelAugmentation(t *testing.T) {
 }
 
 // TestProbeAgreesWithCheckerOnGeneratedWorkloads: on the generated
-// (overlap-free) workloads, the set of pairs the prober flags equals the
+// (overlap-free) workloads, the set of pairs the probes flag equals the
 // set of pairs with missing rules.
 func TestProbeAgreesWithCheckerOnGeneratedWorkloads(t *testing.T) {
 	spec := workload.TestbedSpec()
@@ -271,12 +224,7 @@ func TestProbeAgreesWithCheckerOnGeneratedWorkloads(t *testing.T) {
 				removed[r.Key()] = struct{}{}
 			}
 		}
-		dps := make(map[object.ID]Classifier)
-		for _, sw := range tp.Switches() {
-			s, _ := f.Switch(sw)
-			dps[sw] = s.TCAM()
-		}
-		violations := New(d).ProbeAll(dps)
+		violations, _ := probeAll(t, f)
 		// Every violation must correspond to a removed rule key.
 		for _, v := range violations {
 			if _, ok := removed[v.Rule.Key()]; !ok {
@@ -312,124 +260,38 @@ func TestProbeAgreesWithCheckerOnGeneratedWorkloads(t *testing.T) {
 	}
 }
 
-// TestProberPacketMemo covers the per-rule-key packet memo: switches
-// sharing EPG pairs (here S2 shares both the Web-App and App-DB rules
-// with S1 and S3) must reuse the packets the first switch synthesized,
-// and the memoized prober must report exactly what a fresh one does.
-func TestProberPacketMemo(t *testing.T) {
+// TestProbeSwitchConcurrent: a probe round keeps nothing, so there is
+// nothing to lock — eight goroutines probing the same broken switch (run
+// under -race) each get exactly the serial answer.
+func TestProbeSwitchConcurrent(t *testing.T) {
 	f := threeTierFabric(t)
-	d := f.Deployment()
-
-	shared := New(d)
-	var sharedViolations []Violation
-	for _, sw := range f.Topology().Switches() {
-		s, err := f.Switch(sw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sharedViolations = append(sharedViolations, shared.ProbeSwitch(sw, s.TCAM())...)
+	if _, err := f.InjectObjectFault(object.Filter(700), 1.0); err != nil {
+		t.Fatal(err)
 	}
-	hits, misses := shared.MemoStats()
-	if hits == 0 {
-		t.Error("no memo hits across switches sharing EPG pairs")
-	}
-	if misses == 0 {
-		t.Error("memo recorded no synthesis at all")
-	}
-
-	var freshViolations []Violation
-	for _, sw := range f.Topology().Switches() {
-		s, err := f.Switch(sw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		freshViolations = append(freshViolations, New(d).ProbeSwitch(sw, s.TCAM())...)
-	}
-	if len(sharedViolations) != len(freshViolations) {
-		t.Fatalf("shared prober found %d violations, fresh probers %d",
-			len(sharedViolations), len(freshViolations))
-	}
-	for i := range sharedViolations {
-		if sharedViolations[i].String() != freshViolations[i].String() {
-			t.Errorf("violation %d differs: %s vs %s", i, sharedViolations[i], freshViolations[i])
-		}
-	}
-}
-
-// TestProbeAllMatchesPerSwitch pins the packet-outer batched ProbeAll
-// against the per-switch form it replaced: on a faulty generated fabric,
-// the batched pass must report exactly the concatenation of every
-// switch's sorted ProbeSwitch output, while synthesizing each distinct
-// packet once.
-func TestProbeAllMatchesPerSwitch(t *testing.T) {
-	pol, tp, err := workload.Generate(workload.TestbedSpec(), 23)
+	s, err := f.Switch(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := fabric.New(pol, tp, fabric.Options{Seed: 23})
-	if err != nil {
-		t.Fatal(err)
+	logical := f.Deployment().RulesFor(2)
+	want, wantSent := Switch(2, logical, s.TCAM())
+	if len(want) == 0 {
+		t.Fatal("switch 2 must violate after the filter fault")
 	}
-	if err := f.Deploy(); err != nil {
-		t.Fatal(err)
+	const goroutines = 8
+	got := make([][]Violation, goroutines)
+	sent := make([]int, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g], sent[g] = Switch(2, logical, s.TCAM())
+		}(g)
 	}
-	// Knock out rules on two switches so violations span switches.
-	for _, sw := range tp.Switches()[:2] {
-		s, err := f.Switch(sw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rules := s.TCAM().Rules()
-		for _, r := range rules {
-			if r.Action == rule.Allow {
-				s.TCAM().Remove(r.Key())
-				break
-			}
-		}
-	}
-	dps := dataplanes(t, f)
-
-	var want []Violation
-	ref := New(f.Deployment())
-	for _, sw := range f.Topology().Switches() {
-		want = append(want, ref.ProbeSwitch(sw, dps[sw])...)
-	}
-
-	batched := New(f.Deployment())
-	got := batched.ProbeAll(dps)
-	if len(got) == 0 {
-		t.Fatal("fault injection produced no violations; test is vacuous")
-	}
-	if len(got) != len(want) {
-		t.Fatalf("ProbeAll returned %d violations, per-switch form %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i].String() != want[i].String() || !got[i].Rule.Equal(want[i].Rule) {
-			t.Errorf("violation %d differs:\nbatched:    %s\nper-switch: %s", i, got[i], want[i])
-		}
-	}
-
-	// Batched synthesis: one miss per distinct packet, the rest hits.
-	hits, misses := batched.MemoStats()
-	refHits, refMisses := ref.MemoStats()
-	if misses != refMisses {
-		t.Errorf("batched pass synthesized %d packets, per-switch %d", misses, refMisses)
-	}
-	if hits != refHits {
-		t.Errorf("batched pass recorded %d memo hits, per-switch %d", hits, refHits)
-	}
-}
-
-// TestProbeAllSkipsMissingDataplanes: switches without a classification
-// surface contribute no probes (matching the per-switch form, which was
-// never invoked for them).
-func TestProbeAllSkipsMissingDataplanes(t *testing.T) {
-	f := threeTierFabric(t)
-	dps := dataplanes(t, f)
-	delete(dps, f.Topology().Switches()[0])
-	for _, v := range New(f.Deployment()).ProbeAll(dps) {
-		if _, ok := dps[v.Switch]; !ok {
-			t.Errorf("violation reported for a switch without a dataplane: %s", v)
+	wg.Wait()
+	for g := range got {
+		if sent[g] != wantSent || !reflect.DeepEqual(got[g], want) {
+			t.Errorf("goroutine %d: %d probes, violations %v; want %d, %v", g, sent[g], got[g], wantSent, want)
 		}
 	}
 }

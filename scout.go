@@ -64,8 +64,12 @@ type AnalyzerOptions struct {
 	// UseProbes derives observations from active connectivity probes
 	// against the switch dataplane instead of exhaustive TCAM
 	// verification (§III-C's "allowed to communicate but fail to do so"
-	// observation source). Probing samples the header space, so extra
-	// behaviour from corrupted rules is not reported in this mode.
+	// observation source). A probe is an allow rule's own header, one per
+	// rule, classified a switch at a time in one batch pass; probing
+	// samples the header space, so extra behaviour from corrupted rules is
+	// not reported in this mode. The option is fixed for a session's life
+	// and adds no state to it: a dirty switch is probed (SessionStats.
+	// Checked), a clean one replays its cached verdict (Replayed).
 	UseProbes bool
 
 	// SessionMissingRuleCap bounds how many rules (missing + extra) a
@@ -565,29 +569,28 @@ func buildSwitchReport(models *riskModels, oracle localize.ChangeOracle, sw obje
 }
 
 // probeSwitch is the probe observation source's verdict for one switch:
-// the prober's packets for the switch's logical rules are classified
-// against its live TCAM, and every allowed packet the dataplane drops
-// names a missing rule. The prober's packet memo is shared by the whole
-// fan-out (it is safe for concurrent readers), so switches sharing EPG
-// pairs reuse each other's packets.
-func probeSwitch(f *fabric.Fabric, prober *probe.Prober, sw object.ID) (*equiv.Report, error) {
+// the headers of its logical rules are classified against its live TCAM in
+// one batch pass, and every allowed packet the dataplane drops names a
+// missing rule. It also returns how many probes were sent. It keeps and
+// shares nothing, so the fan-out calls it concurrently.
+func probeSwitch(f *fabric.Fabric, logical []rule.Rule, sw object.ID) (*equiv.Report, int, error) {
 	s, err := f.Switch(sw)
 	if err != nil {
-		return nil, fmt.Errorf("scout: probe switch %d: %w", sw, err)
+		return nil, 0, fmt.Errorf("scout: probe switch %d: %w", sw, err)
 	}
-	violations := prober.ProbeSwitch(sw, s.TCAM())
+	violations, sent := probe.Switch(sw, logical, s.TCAM())
 	return &equiv.Report{
 		Equivalent:   len(violations) == 0,
 		MissingRules: probe.MissingRules(violations),
-	}, nil
+	}, sent, nil
 }
 
 // AnalyzeSwitch runs the pipeline for a single switch — the event-driven
 // collection mode of §III-C (e.g. triggered by a device fault event) —
-// using the configured observation source: dataplane probes, or a BDD
-// check of its collected TCAM on a checker of its own. The risk model is
-// the switch risk model, so the hypothesis is scoped to that switch's
-// policy objects.
+// using the configured observation source: one probe batch against its
+// live dataplane, or a BDD check of its collected TCAM on a checker of its
+// own. The risk model is the switch risk model, so the hypothesis is scoped
+// to that switch's policy objects.
 func (a *Analyzer) AnalyzeSwitch(f *fabric.Fabric, sw object.ID) (*SwitchReport, error) {
 	d := f.Deployment()
 	if d == nil {
@@ -596,7 +599,7 @@ func (a *Analyzer) AnalyzeSwitch(f *fabric.Fabric, sw object.ID) (*SwitchReport,
 	var checkRep *equiv.Report
 	var err error
 	if a.opts.UseProbes {
-		checkRep, err = probeSwitch(f, probe.New(d), sw)
+		checkRep, _, err = probeSwitch(f, d.RulesFor(sw), sw)
 	} else if deployed, cerr := f.CollectTCAM(sw); cerr != nil {
 		err = fmt.Errorf("scout: collect switch %d: %w", sw, cerr)
 	} else {

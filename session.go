@@ -3,6 +3,7 @@ package scout
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"scout/internal/collect"
@@ -11,7 +12,6 @@ import (
 	"scout/internal/fabric"
 	"scout/internal/localize"
 	"scout/internal/object"
-	"scout/internal/probe"
 	"scout/internal/rule"
 	"scout/internal/store"
 )
@@ -43,10 +43,11 @@ const defaultSessionMissingRuleCap = 4096
 // from and hands them to run, and a one-shot Analyzer call is the first run
 // of a Session nobody keeps. A Session keeps state between runs, in two
 // lifetimes. What follows from the compiled deployment alone — its
-// fingerprints, the frozen BDD base (or the prober), the pristine risk
-// models and their compiled localization plans — is resolved once per
-// deployment and reused until the policy is recompiled. What follows from
-// an observation — each switch's newest verdict, keyed by the fingerprints
+// fingerprints, the frozen BDD base (TCAM mode only: a probe is read off
+// its rule, so probe mode adds nothing here), the pristine risk models and
+// their compiled localization plans — is resolved once per deployment and
+// reused until the policy is recompiled. What follows from an
+// observation — each switch's newest verdict, keyed by the fingerprints
 // of the exact logical and TCAM rule lists it was computed from — is
 // replayed while both fingerprints hold; a T list that is the very slice it
 // was hashed from (an unwritten TCAM's snapshot) is not even re-hashed. A
@@ -110,7 +111,8 @@ type Session struct {
 }
 
 // deploymentState is everything a session derives from one compiled
-// deployment and nothing it derives from an observation.
+// deployment and nothing it derives from an observation. The probe
+// observation source derives nothing: its packets are its rules' headers.
 type deploymentState struct {
 	// d is the deployment itself. Compiled deployments are immutable, so
 	// the same pointer on the next run means every field below holds.
@@ -128,12 +130,6 @@ type deploymentState struct {
 	// rule lists. TCAM drift never invalidates it; only a changed
 	// fingerprint does. Nil in probe mode, which builds no BDDs.
 	base *equiv.Base
-
-	// prober is the probe observation source's packet synthesizer, kept
-	// beside the base it mirrors: the same pointer keeps it and its packet
-	// memo, equal content at a new address rebinds it, new content replaces
-	// it. Nil in TCAM mode.
-	prober *probe.Prober
 
 	// models are the deployment's pristine risk models. They are keyed on
 	// d's identity, not its content: an equal-content recompile rebuilds
@@ -162,12 +158,13 @@ type switchCheckState struct {
 type SessionStats struct {
 	// Runs counts completed analyses.
 	Runs int
-	// Checked counts switches whose equivalence was re-checked (cache
-	// misses: changed rules, invalidations, or first sight), each by a
-	// check of its own.
+	// Checked counts switches whose verdict was recomputed (cache misses:
+	// changed rules, invalidations, or first sight), each on its own, by
+	// the session's observation source: a BDD equivalence check, or in
+	// probe mode one batch classification of the switch's probes.
 	Checked int
-	// Replayed counts switches whose cached report was replayed without
-	// re-checking.
+	// Replayed counts switches whose cached verdict was replayed without
+	// recomputing it — no check, and in probe mode no packet classified.
 	Replayed int
 	// CheckerCompactions counts delta GCs on over-budget worker
 	// checkers: live memo roots kept (CompactRetained sums the delta
@@ -202,16 +199,10 @@ type SessionStats struct {
 	// checker-local) versus folded from scratch into a worker's delta.
 	FoldHits   int
 	FoldMisses int
-	// Probe-mode counters (zero in TCAM-observation sessions).
-	// ProbeSwitchesReplayed counts switches whose cached probe verdict
-	// replayed because their TCAM fingerprint was unchanged — zero
-	// Classify calls; ProbeSwitchesClassified counts switches whose
-	// probes were actually classified. ProbePacketsBatched accumulates
-	// probe packets resolved through rule-major batch passes over
-	// switch TCAMs (see probe.Stats.BatchedPackets).
-	ProbeSwitchesReplayed   int
-	ProbeSwitchesClassified int
-	ProbePacketsBatched     int
+	// ProbePacketsBatched accumulates the probe packets classified, one
+	// rule-major batch pass per Checked switch: the sum of those switches'
+	// eligible rules. Zero in TCAM-observation sessions.
+	ProbePacketsBatched int
 	// EventBatches counts ApplyEvents runs that refreshed against a
 	// prior epoch (partial collections); EventSwitchesRead the switches
 	// those runs re-read from the fabric, EventSwitchesAliased the
@@ -256,11 +247,12 @@ func (st *SessionStats) addLocalizeStats(d *localize.EngineStats) {
 // resolves the fabric's deployment. UseProbes picks the session's
 // observation source for its lifetime and changes one thing: a dirty
 // switch's verdict comes from classifying its probe batch against the live
-// dataplane instead of a BDD check of its collected rules. Collection,
-// fingerprint replay, slice recognition and the warm store work the same, so
-// a probe session is driven by Analyze or ApplyEvents; AnalyzeEpoch and
-// AnalyzeState hand over snapshots, which have no dataplane to probe, and
-// are refused.
+// dataplane instead of a BDD check of its collected rules, so a probe
+// session builds no base and forks no checker. Collection, fingerprint
+// replay, slice recognition, the warm store and the Checked / Replayed
+// counters work the same, so a probe session is driven by Analyze or
+// ApplyEvents; AnalyzeEpoch and AnalyzeState hand over snapshots, which
+// have no dataplane to probe, and are refused.
 func NewSession(f *fabric.Fabric, opts ...AnalyzerOptions) (*Session, error) {
 	s := NewAnalyzer(opts...).session(f)
 	s.ws = s.a.opts.WarmStore
@@ -429,19 +421,6 @@ func (s *Session) Stats() SessionStats {
 	return s.stats
 }
 
-// ProberStats returns the probe-mode prober's counter snapshot (memo
-// hits/misses and batch-classification counters) and whether a prober
-// exists yet. The prober is the current deployment's: it appears with the
-// first probe-mode run and starts over when the policy is recompiled.
-func (s *Session) ProberStats() (probe.Stats, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.dep.prober == nil {
-		return probe.Stats{}, false
-	}
-	return s.dep.prober.Stats(), true
-}
-
 // run is the pipeline's one orchestration, reached by every entry point
 // and by every one-shot: resolve the deployment, hash the T lists the cache
 // does not recognise, replay or re-check each switch, assemble the report
@@ -500,12 +479,12 @@ func (s *Session) run(st State, live bool) (*Report, error) {
 		func(dirty []object.ID) ([]*equiv.Report, error) {
 			var checker func(worker int) *equiv.Checker
 			var check checkFunc
+			var sent atomic.Int64 // probes classified by this round's fan-out
 			if probes {
-				prober := s.dep.prober
-				before := prober.Stats().BatchedPackets
-				defer func() { s.stats.ProbePacketsBatched += prober.Stats().BatchedPackets - before }()
 				checker, check = noChecker, func(_ *equiv.Checker, sw object.ID) (*equiv.Report, error) {
-					return probeSwitch(s.f, prober, sw)
+					rep, n, err := probeSwitch(s.f, s.dep.d.RulesFor(sw), sw)
+					sent.Add(int64(n))
+					return rep, err
 				}
 			} else {
 				s.provisionCheckersLocked(s.a.workers(len(dirty)))
@@ -514,7 +493,9 @@ func (s *Session) run(st State, live bool) (*Report, error) {
 					return checkState(st, c, sw)
 				}
 			}
-			return s.a.checkAll(dirty, checker, check)
+			reps, err := s.a.checkAll(dirty, checker, check)
+			s.stats.ProbePacketsBatched += int(sent.Load())
+			return reps, err
 		})
 	if err != nil {
 		return nil, err
@@ -523,12 +504,9 @@ func (s *Session) run(st State, live bool) (*Report, error) {
 	rep := s.a.assemble(s.dep.models, st.Changes, st.Faults, st.Now, switches, checkReps)
 	s.stats.Runs++
 	s.stats.addLocalizeStats(rep.LocalizeStats)
-	if probes {
-		s.stats.ProbeSwitchesClassified += checked
-		s.stats.ProbeSwitchesReplayed += len(switches) - checked
-	} else {
-		s.stats.Checked += checked
-		s.stats.Replayed += len(switches) - checked
+	s.stats.Checked += checked
+	s.stats.Replayed += len(switches) - checked
+	if !probes {
 		enc := equiv.AggregateEncodeStats(s.dep.base, s.checkers)
 		rep.EncodeStats = enc
 		s.stats.BaseNodes = enc.BaseNodes
@@ -618,35 +596,33 @@ func (s *Session) foldTotalsLocked() foldTotals {
 // one place the session asks whether this is still the deployment it
 // knows. The same pointer means nothing moved. A new pointer is hashed
 // once: equal content (a recompile that changed nothing) keeps the
-// fingerprints and the base or prober — re-pointed at the new deployment's
-// slices so the superseded one is not pinned; safe here, the run lock is
-// held and no checker is mid-check — and rebuilds only the risk models. New
-// content also replaces them, discarding the old base's checker forks
-// before any worker is provisioned, and seeds the verdict cache from the
-// warm store. The controller model builds beside the hashing and the base
-// build: they share nothing, and the base builds serially in one manager.
+// fingerprints and the base — re-pointed at the new deployment's slices so
+// the superseded one is not pinned; safe here, the run lock is held and no
+// checker is mid-check — and rebuilds only the risk models. New content
+// also replaces them, discarding the old base's checker forks before any
+// worker is provisioned, and seeds the verdict cache from the warm store.
+// A probe session holds no base, so for it equal content re-points nothing
+// and new content builds nothing. The controller model builds beside the
+// hashing and the base build: they share nothing, and the base builds
+// serially in one manager.
 func (s *Session) resolveLocked(d *compile.Deployment) {
 	if d == s.dep.d {
 		return
 	}
 	joinModels := s.a.startRiskModels(d)
 	logFPs, fp := equiv.DeploymentFingerprints(d.BySwitch)
-	base, prober := s.dep.base, s.dep.prober
+	base := s.dep.base
 	switch {
 	case s.dep.d == nil || fp != s.dep.fp:
-		s.checkers, base, prober = nil, nil, nil
-		if s.a.opts.UseProbes {
-			prober = probe.New(d)
-		} else {
+		s.checkers, base = nil, nil
+		if !s.a.opts.UseProbes {
 			base = s.loadOrBuildBaseLocked(d, fp)
 		}
 		s.seedVerdictsLocked(fp)
-	case prober != nil:
-		prober.Rebind(d)
-	default:
+	case base != nil:
 		base.RebindSemantics(d.BySwitch)
 	}
-	s.dep = deploymentState{d: d, fp: fp, logFPs: logFPs, base: base, prober: prober, models: joinModels()}
+	s.dep = deploymentState{d: d, fp: fp, logFPs: logFPs, base: base, models: joinModels()}
 }
 
 // loadOrBuildBaseLocked returns the frozen base for a deployment

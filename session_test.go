@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -426,13 +427,26 @@ func TestSessionSharedBasePersistence(t *testing.T) {
 	}
 }
 
+// probesOf counts the probes a round sends switch sw when it classifies
+// it: one per allow rule between concrete EPGs in its logical list.
+func probesOf(f *scout.Fabric, sw scout.ObjectID) int {
+	n := 0
+	for _, r := range f.Deployment().RulesFor(sw) {
+		if r.Action == scout.Allow && !r.Match.WildcardSrc && !r.Match.WildcardDst {
+			n++
+		}
+	}
+	return n
+}
+
 // TestSessionProbeWarmReplay is the probe-mode replay regression test:
-// a warm probe round on an unchanged fabric performs zero Classify
-// calls (every switch's verdict replays off its TCAM fingerprint, and
-// the prober's batch counters stand still), a one-switch mutation
-// re-classifies exactly that switch, and every round's report is
-// byte-identical to a cold Analyzer probe run — at workers 1, 2, and
-// NumCPU.
+// a warm probe round on an unchanged fabric classifies nothing (every
+// switch's verdict replays off its TCAM fingerprint: Checked and
+// ProbePacketsBatched stand still), a one-switch mutation re-classifies
+// exactly that switch with exactly its probes, an equal-content redeploy
+// replays everything, no round builds a BDD base, and every round's
+// report is byte-identical to a cold Analyzer probe run — at workers 1,
+// 2, and NumCPU.
 func TestSessionProbeWarmReplay(t *testing.T) {
 	for _, workers := range []int{1, 2, runtime.NumCPU()} {
 		f := faultyFabric(t, 3)
@@ -449,11 +463,16 @@ func TestSessionProbeWarmReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := sess.Stats()
-		if st.ProbeSwitchesClassified != numSwitches || st.ProbeSwitchesReplayed != 0 {
+		if st.Checked != numSwitches || st.Replayed != 0 {
 			t.Fatalf("workers=%d cold probe stats = %+v, want %d classified", workers, st, numSwitches)
 		}
-		if st.ProbePacketsBatched == 0 {
-			t.Fatalf("workers=%d: cold probe round batched no packets", workers)
+		allProbes := 0
+		for _, sw := range f.Topology().Switches() {
+			allProbes += probesOf(f, sw)
+		}
+		if st.ProbePacketsBatched == 0 || st.ProbePacketsBatched != allProbes {
+			t.Fatalf("workers=%d: cold probe round batched %d packets, want the fabric's %d eligible rules",
+				workers, st.ProbePacketsBatched, allProbes)
 		}
 		cold1, err := scout.NewAnalyzer(opts).Analyze(f)
 		if err != nil {
@@ -463,27 +482,22 @@ func TestSessionProbeWarmReplay(t *testing.T) {
 			t.Errorf("workers=%d: cold probe session report differs from analyzer", workers)
 		}
 
-		// Warm round on the unchanged fabric: all replay, zero Classify —
-		// the prober's batch and fallback counters must not move.
-		pBefore, ok := sess.ProberStats()
-		if !ok {
-			t.Fatal("probe session has no prober after a round")
-		}
+		// Warm round on the unchanged fabric: all replay, nothing
+		// classified — no switch checked, no packet sent.
 		warm2, err := sess.Analyze()
 		if err != nil {
 			t.Fatal(err)
 		}
-		pAfter, _ := sess.ProberStats()
 		st2 := sess.Stats()
-		if got := st2.ProbeSwitchesReplayed - st.ProbeSwitchesReplayed; got != numSwitches {
+		if got := st2.Replayed - st.Replayed; got != numSwitches {
 			t.Errorf("workers=%d: warm round replayed %d switches, want %d", workers, got, numSwitches)
 		}
-		if got := st2.ProbeSwitchesClassified - st.ProbeSwitchesClassified; got != 0 {
+		if got := st2.Checked - st.Checked; got != 0 {
 			t.Errorf("workers=%d: warm round classified %d switches, want 0", workers, got)
 		}
-		if pAfter.BatchPasses != pBefore.BatchPasses || pAfter.BatchedPackets != pBefore.BatchedPackets ||
-			pAfter.FallbackProbes != pBefore.FallbackProbes {
-			t.Errorf("workers=%d: warm round touched the dataplane: %+v -> %+v", workers, pBefore, pAfter)
+		if st2.ProbePacketsBatched != st.ProbePacketsBatched {
+			t.Errorf("workers=%d: warm round touched the dataplane: %d -> %d packets batched",
+				workers, st.ProbePacketsBatched, st2.ProbePacketsBatched)
 		}
 		if !bytes.Equal(marshalReport(t, warm1), marshalReport(t, warm2)) {
 			t.Errorf("workers=%d: warm probe replay report differs from cold round", workers)
@@ -497,11 +511,15 @@ func TestSessionProbeWarmReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 		st3 := sess.Stats()
-		if got := st3.ProbeSwitchesClassified - st2.ProbeSwitchesClassified; got != 1 {
+		if got := st3.Checked - st2.Checked; got != 1 {
 			t.Errorf("workers=%d: post-mutation round classified %d switches, want 1", workers, got)
 		}
-		if got := st3.ProbeSwitchesReplayed - st2.ProbeSwitchesReplayed; got != numSwitches-1 {
+		if got := st3.Replayed - st2.Replayed; got != numSwitches-1 {
 			t.Errorf("workers=%d: post-mutation round replayed %d switches, want %d", workers, got, numSwitches-1)
+		}
+		if got, want := st3.ProbePacketsBatched-st2.ProbePacketsBatched, probesOf(f, dirtySw); got != want {
+			t.Errorf("workers=%d: post-mutation round batched %d packets, want switch %d's %d probes",
+				workers, got, dirtySw, want)
 		}
 		cold3, err := scout.NewAnalyzer(opts).Analyze(f)
 		if err != nil {
@@ -523,7 +541,7 @@ func TestSessionProbeWarmReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 		st4 := sess.Stats()
-		if got := st4.ProbeSwitchesClassified - st3.ProbeSwitchesClassified; got != 1 {
+		if got := st4.Checked - st3.Checked; got != 1 {
 			t.Errorf("workers=%d: second fault classified %d switches, want 1", workers, got)
 		}
 		if got := st4.PlanCompiles - st3.PlanCompiles; got != 0 {
@@ -542,15 +560,46 @@ func TestSessionProbeWarmReplay(t *testing.T) {
 		if !bytes.Equal(marshalReport(t, warm4), marshalReport(t, cold4)) {
 			t.Errorf("workers=%d: second-fault probe report differs from cold analyzer", workers)
 		}
+
+		// An equal-content redeploy hands the session a new *Deployment
+		// and changes nothing else (injected faults bypass the agents'
+		// views, so Deploy does not restore them), and a probe session
+		// holds nothing that points into the old one: every verdict
+		// replays, no packet is sent, the report stands. No round of a
+		// probe session built or loaded a BDD base.
+		before := f.Deployment()
+		if err := f.Deploy(); err != nil {
+			t.Fatal(err)
+		}
+		if f.Deployment() == before {
+			t.Fatal("Deploy returned the same *Deployment; the redeploy case is vacuous")
+		}
+		warm5, err := sess.Analyze()
+		if err != nil {
+			t.Fatal(err)
+		}
+		st5 := sess.Stats()
+		if st5.Checked != st4.Checked || st5.Replayed-st4.Replayed != numSwitches ||
+			st5.ProbePacketsBatched != st4.ProbePacketsBatched {
+			t.Errorf("workers=%d: equal-content redeploy classified %d switches (%d packets), replayed %d; want 0, 0, %d",
+				workers, st5.Checked-st4.Checked, st5.ProbePacketsBatched-st4.ProbePacketsBatched,
+				st5.Replayed-st4.Replayed, numSwitches)
+		}
+		if !bytes.Equal(marshalReport(t, warm5), marshalReport(t, warm4)) {
+			t.Errorf("workers=%d: equal-content redeploy changed the probe report", workers)
+		}
+		if st5.BaseRebuilds != 0 || st5.BaseLoads != 0 || st5.BaseNodes != 0 || warm5.EncodeStats != nil {
+			t.Errorf("workers=%d: a probe session built a BDD base: %+v", workers, st5)
+		}
 	}
 }
 
 // TestSessionProbeReplayUnderMutations fuzzes the probe replay path:
 // random evict/corrupt/deploy mutations between rounds, with every
 // round's report pinned byte-identical to a cold probe analysis, the
-// replay partition always covering the whole fabric, and classification
-// always batched: at most one rule-major pass per classified switch,
-// never the per-packet fallback.
+// replay partition always covering the whole fabric, and exactly the
+// switches whose TCAM content moved classified, each with one probe per
+// eligible rule of its logical list.
 func TestSessionProbeReplayUnderMutations(t *testing.T) {
 	f := faultyFabric(t, 17)
 	opts := scout.AnalyzerOptions{UseProbes: true}
@@ -562,7 +611,7 @@ func TestSessionProbeReplayUnderMutations(t *testing.T) {
 	switches := f.Topology().Switches()
 	rng := rand.New(rand.NewSource(23))
 	prev := sess.Stats()
-	var prevPasses int
+	lastTCAM := make(map[scout.ObjectID][]scout.Rule) // T lists of the previous round
 	for round := 0; round < 8; round++ {
 		switch rng.Intn(4) {
 		case 0:
@@ -583,28 +632,33 @@ func TestSessionProbeReplayUnderMutations(t *testing.T) {
 		case 3:
 			// No mutation: a fully replayed round.
 		}
+		// The logical lists never change content here (every Deploy
+		// recompiles the same policy), so a switch is dirty exactly when
+		// its TCAM content differs from the previous round's.
+		wantClassified, wantPackets := 0, 0
+		for sw, rules := range f.CollectAll() {
+			if last, seen := lastTCAM[sw]; !seen || !reflect.DeepEqual(last, rules) {
+				wantClassified++
+				wantPackets += probesOf(f, sw)
+			}
+			lastTCAM[sw] = rules
+		}
 		warm, err := sess.Analyze()
 		if err != nil {
 			t.Fatal(err)
 		}
 		st := sess.Stats()
-		classified := st.ProbeSwitchesClassified - prev.ProbeSwitchesClassified
-		replayed := st.ProbeSwitchesReplayed - prev.ProbeSwitchesReplayed
+		classified := st.Checked - prev.Checked
+		replayed := st.Replayed - prev.Replayed
 		if classified+replayed != numSwitches {
 			t.Fatalf("round %d: classified %d + replayed %d != %d switches",
 				round, classified, replayed, numSwitches)
 		}
+		if packets := st.ProbePacketsBatched - prev.ProbePacketsBatched; classified != wantClassified || packets != wantPackets {
+			t.Fatalf("round %d: classified %d switches with %d packets, want %d with %d",
+				round, classified, packets, wantClassified, wantPackets)
+		}
 		prev = st
-		ps, _ := sess.ProberStats()
-		if passes := ps.BatchPasses - prevPasses; passes > classified || ps.FallbackProbes != 0 {
-			t.Fatalf("round %d: %d batch passes for %d classified switches, %d fallback probes",
-				round, passes, classified, ps.FallbackProbes)
-		}
-		prevPasses = ps.BatchPasses
-		if ps.BatchedPackets != st.ProbePacketsBatched {
-			t.Fatalf("round %d: session counted %d batched packets, prober %d",
-				round, st.ProbePacketsBatched, ps.BatchedPackets)
-		}
 		cold, err := scout.NewAnalyzer(opts).Analyze(f)
 		if err != nil {
 			t.Fatal(err)
@@ -648,9 +702,9 @@ func TestSessionProbeRejectsSnapshotEntryPoints(t *testing.T) {
 	}
 	n := f.Topology().NumSwitches()
 	base := sess.Stats()
-	if base.ProbeSwitchesClassified != n || base.EventBatches != 0 {
+	if base.Checked != n || base.EventBatches != 0 {
 		t.Fatalf("baseline: classified %d switches in %d partial refreshes, want %d in 0",
-			base.ProbeSwitchesClassified, base.EventBatches, n)
+			base.Checked, base.EventBatches, n)
 	}
 	sw := f.Topology().Switches()[1]
 	removeOneRule(t, f, sw)
@@ -659,10 +713,10 @@ func TestSessionProbeRejectsSnapshotEntryPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := sess.Stats()
-	if got := st.ProbeSwitchesClassified - base.ProbeSwitchesClassified; got != 1 {
+	if got := st.Checked - base.Checked; got != 1 {
 		t.Errorf("event batch classified %d switches, want 1", got)
 	}
-	if got := st.ProbeSwitchesReplayed - base.ProbeSwitchesReplayed; got != n-1 {
+	if got := st.Replayed - base.Replayed; got != n-1 {
 		t.Errorf("event batch replayed %d switches, want %d", got, n-1)
 	}
 	if st.EventBatches != 1 || st.EventSwitchesRead != 1 || st.EventSwitchesAliased != n-1 {

@@ -394,7 +394,7 @@ func TestSessionProbeWarmRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := sess1.Stats(); st.ProbeSwitchesClassified != numSwitches {
+	if st := sess1.Stats(); st.Checked != numSwitches {
 		t.Fatalf("cold probe stats: %+v", st)
 	}
 	want := marshalReport(t, rep1)
@@ -419,9 +419,9 @@ func TestSessionProbeWarmRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := sess2.Stats()
-	if st.ProbeSwitchesClassified != 0 || st.ProbeSwitchesReplayed != numSwitches {
-		t.Errorf("warm probe restart classified %d, replayed %d, want 0/%d",
-			st.ProbeSwitchesClassified, st.ProbeSwitchesReplayed, numSwitches)
+	if st.Checked != 0 || st.Replayed != numSwitches || st.ProbePacketsBatched != 0 {
+		t.Errorf("warm probe restart classified %d (%d packets), replayed %d, want 0 (0)/%d",
+			st.Checked, st.ProbePacketsBatched, st.Replayed, numSwitches)
 	}
 	if !bytes.Equal(want, marshalReport(t, rep2)) {
 		t.Error("restarted probe report differs from original")
@@ -450,11 +450,8 @@ func TestSessionEqualContentRedeploy(t *testing.T) {
 			opts := func(ws *scout.WarmStore) scout.AnalyzerOptions {
 				return scout.AnalyzerOptions{UseProbes: probes, WarmStore: ws}
 			}
-			// work reads the mode's own checked / replayed counters.
+			// Both observation sources count under the same two counters.
 			work := func(st scout.SessionStats) (checked, replayed int) {
-				if probes {
-					return st.ProbeSwitchesClassified, st.ProbeSwitchesReplayed
-				}
 				return st.Checked, st.Replayed
 			}
 			redeploy := func() {
