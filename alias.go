@@ -2,7 +2,10 @@ package scout
 
 // This file re-exports the domain types and constructors downstream users
 // need to drive the pipeline, so the whole system is usable through the
-// single public package while implementations stay in internal/.
+// single public package while implementations stay in internal/. A name is
+// here because a command, an example, the benchmark or the README uses it,
+// or because an exported API of this package takes or returns its type;
+// anything else is reached through the internal package that defines it.
 
 import (
 	"scout/internal/collect"
@@ -18,7 +21,6 @@ import (
 	"scout/internal/scenario"
 	"scout/internal/store"
 	"scout/internal/stream"
-	"scout/internal/tcam"
 	"scout/internal/topo"
 	"scout/internal/workload"
 )
@@ -29,18 +31,6 @@ type (
 	ObjectRef = object.Ref
 	// ObjectID is the numeric identity of an object within its kind.
 	ObjectID = object.ID
-	// ObjectKind enumerates object kinds (VRF, EPG, contract, filter,
-	// switch).
-	ObjectKind = object.Kind
-)
-
-// Object kinds.
-const (
-	KindVRF      = object.KindVRF
-	KindEPG      = object.KindEPG
-	KindContract = object.KindContract
-	KindFilter   = object.KindFilter
-	KindSwitch   = object.KindSwitch
 )
 
 // Object reference constructors.
@@ -53,8 +43,6 @@ var (
 	ContractRef = object.Contract
 	// FilterRef names a filter object.
 	FilterRef = object.Filter
-	// SwitchRef names a physical switch.
-	SwitchRef = object.Switch
 	// ParseObjectRef parses "kind:id" strings.
 	ParseObjectRef = object.ParseRef
 )
@@ -75,10 +63,6 @@ type (
 	FilterEntry = policy.FilterEntry
 	// Contract glues EPG pairs to filters.
 	Contract = policy.Contract
-	// Binding attaches a contract to an EPG pair.
-	Binding = policy.Binding
-	// EPGPair is an unordered pair of EPG IDs.
-	EPGPair = policy.EPGPair
 )
 
 var (
@@ -88,36 +72,20 @@ var (
 	PolicyFromJSON = policy.FromJSON
 	// PortEntry builds a single-port allow filter entry.
 	PortEntry = policy.PortEntry
-	// MakeEPGPair canonicalizes an EPG pair.
-	MakeEPGPair = policy.MakeEPGPair
 )
 
 // Rules.
 type (
 	// Rule is a prioritized access-control entry (logical or TCAM).
 	Rule = rule.Rule
-	// RuleMatch is the matching half of a rule.
-	RuleMatch = rule.Match
-	// RuleAction is allow or deny.
-	RuleAction = rule.Action
 	// RuleKey is a rule's behavioural identity (match + action).
 	RuleKey = rule.Key
 	// Protocol is an IP protocol number.
 	Protocol = rule.Protocol
-	// SwitchPair identifies an EPG pair deployed on a specific switch —
-	// the per-switch key of a Deployment's PairRules index.
-	SwitchPair = compile.SwitchPair
 )
 
-// Rule actions and common protocols.
-const (
-	Allow     = rule.Allow
-	Deny      = rule.Deny
-	ProtoAny  = rule.ProtoAny
-	ProtoICMP = rule.ProtoICMP
-	ProtoTCP  = rule.ProtoTCP
-	ProtoUDP  = rule.ProtoUDP
-)
+// ProtoTCP is the TCP protocol number.
+const ProtoTCP = rule.ProtoTCP
 
 // Topology.
 type (
@@ -125,12 +93,8 @@ type (
 	Topology = topo.Topology
 )
 
-var (
-	// NewTopology creates a topology with the given switches.
-	NewTopology = topo.New
-	// TopologyFromPolicy derives the topology from endpoint placements.
-	TopologyFromPolicy = topo.FromPolicy
-)
+// TopologyFromPolicy derives the topology from endpoint placements.
+var TopologyFromPolicy = topo.FromPolicy
 
 // Fabric simulation.
 type (
@@ -138,30 +102,10 @@ type (
 	Fabric = fabric.Fabric
 	// FabricOptions configures a fabric.
 	FabricOptions = fabric.Options
-	// CorruptionField selects the TCAM field a corruption event flips.
-	CorruptionField = tcam.CorruptionField
-)
-
-// TCAM corruption fields.
-const (
-	CorruptVRF    = tcam.CorruptVRF
-	CorruptSrcEPG = tcam.CorruptSrcEPG
-	CorruptDstEPG = tcam.CorruptDstEPG
-	CorruptPort   = tcam.CorruptPort
 )
 
 // NewFabric creates a deployment fabric for the policy and topology.
 var NewFabric = fabric.New
-
-// Dataplane classification.
-type (
-	// ClassifyPacket is one classification query against a TCAM — the
-	// header tuple Classify takes, reified for batch classification.
-	ClassifyPacket = tcam.Packet
-	// ClassifyOutcome is the result of classifying one packet of a
-	// batch (action + whether any rule matched).
-	ClassifyOutcome = tcam.Outcome
-)
 
 // Logs.
 type (
@@ -169,57 +113,28 @@ type (
 	ChangeLog = faultlog.ChangeLog
 	// FaultLog is the device fault log.
 	FaultLog = faultlog.FaultLog
-	// FaultCode identifies a physical fault class.
-	FaultCode = faultlog.FaultCode
 )
 
 // Dataplane event streaming.
 type (
-	// Event is one switch-scoped dataplane event (TCAM change, link
-	// transition, EPG placement change).
-	Event = faultlog.Event
-	// EventKind classifies a dataplane event.
-	EventKind = faultlog.EventKind
 	// EventStream is the append-only dataplane event stream collectors
 	// and watch loops tail.
 	EventStream = faultlog.EventLog
-	// EventCursor is a stateful consumer position over an EventStream.
-	EventCursor = faultlog.Cursor
 	// EventQueue coalesces switch-scoped events into bounded batches
 	// (per-switch dedupe, size/deadline cuts, overflow-to-coalesce).
 	EventQueue = stream.Queue
 	// EventQueueOptions configures an EventQueue.
 	EventQueueOptions = stream.Options
-	// EventQueueStats counts an EventQueue's coalescing behaviour.
-	EventQueueStats = stream.Stats
 	// EventBatch is one coalesced unit of refresh work cut from an
 	// EventQueue, the input of Session.ApplyEvents.
 	EventBatch = stream.Batch
 )
 
-// Event kinds.
-const (
-	EventTCAMChange = faultlog.EventTCAMChange
-	EventLink       = faultlog.EventLink
-	EventEPG        = faultlog.EventEPG
-)
+// EventTCAMChange is the kind of event a TCAM write emits.
+const EventTCAMChange = faultlog.EventTCAMChange
 
-var (
-	// NewEventStream returns an empty dataplane event stream (production
-	// users feeding their own monitoring plane into a session).
-	NewEventStream = faultlog.NewEventLog
-	// NewEventQueue creates a coalescing event queue.
-	NewEventQueue = stream.New
-)
-
-// Fault codes.
-const (
-	FaultTCAMOverflow      = faultlog.FaultTCAMOverflow
-	FaultSwitchUnreachable = faultlog.FaultSwitchUnreachable
-	FaultAgentCrash        = faultlog.FaultAgentCrash
-	FaultControlChannel    = faultlog.FaultControlChannel
-	FaultTCAMCorruption    = faultlog.FaultTCAMCorruption
-)
+// NewEventQueue creates a coalescing event queue.
+var NewEventQueue = stream.New
 
 // Risk models and localization.
 type (
@@ -244,23 +159,14 @@ type (
 	ChangeOracle = localize.ChangeOracle
 	// ChangeLogOracle adapts a controller change log as a ChangeOracle.
 	ChangeLogOracle = localize.ChangeLogOracle
-	// NoChanges is an oracle that never reports changes.
-	NoChanges = localize.NoChanges
 )
 
 var (
-	// BuildSwitchRiskModel builds the per-switch risk model.
-	BuildSwitchRiskModel = risk.BuildSwitchModel
 	// BuildControllerRiskModel builds the fabric-wide risk model.
 	BuildControllerRiskModel = risk.BuildControllerModel
 	// NewRiskOverlay stacks a fresh copy-on-write failure overlay on a
 	// pristine risk model (which must not be mutated afterwards).
 	NewRiskOverlay = risk.NewOverlay
-	// WriteRiskDOT renders any risk view as a Graphviz digraph.
-	WriteRiskDOT = risk.WriteDOT
-	// AugmentSwitchRiskModel marks failures from missing rules in a
-	// switch risk model.
-	AugmentSwitchRiskModel = risk.AugmentSwitchModel
 	// AugmentControllerRiskModel marks failures from a switch's missing
 	// rules in the controller risk model.
 	AugmentControllerRiskModel = risk.AugmentControllerModel
@@ -268,9 +174,6 @@ var (
 	Localize = localize.Scout
 	// LocalizeSCORE runs the SCORE baseline with a hit-ratio threshold.
 	LocalizeSCORE = localize.Score
-	// LocalizeMaxCoverage runs the unconstrained greedy set-cover
-	// baseline (maximum recall, poor precision).
-	LocalizeMaxCoverage = localize.MaxCoverage
 )
 
 // Workload synthesis (the paper's §VI-A datasets).
@@ -299,8 +202,6 @@ type (
 	Epoch = collect.Epoch
 	// SwitchDelta is a per-switch rule difference between epochs.
 	SwitchDelta = collect.SwitchDelta
-	// CollectorStats counts a collector's full/partial snapshot work.
-	CollectorStats = collect.Stats
 )
 
 var (
@@ -308,48 +209,23 @@ var (
 	NewCollector = collect.New
 	// DiffEpochs compares two epochs switch by switch.
 	DiffEpochs = collect.Diff
-	// DirtyEpochSwitches lists the switches whose rules differ between two
-	// epochs.
-	DirtyEpochSwitches = collect.DirtySwitches
 )
 
-// Scenario scripting.
-type (
-	// Scenario is a declarative, replayable fault scenario.
-	Scenario = scenario.Scenario
-	// ScenarioStep is one scenario action.
-	ScenarioStep = scenario.Step
-	// ScenarioResult summarizes a scenario run.
-	ScenarioResult = scenario.Result
-)
+// Scenario is a declarative, replayable fault scenario.
+type Scenario = scenario.Scenario
 
 // ParseScenario decodes and validates a JSON scenario.
 var ParseScenario = scenario.Parse
 
-// Durable warm state (cross-restart BDD and verdict reuse).
-type (
-	// WarmStore is the content-addressed, write-behind warm-state store:
-	// frozen encoding bases and per-switch verdicts persisted under
-	// deployment fingerprints, restored by Sessions on construction
-	// (AnalyzerOptions.WarmStore).
-	WarmStore = store.Store
-	// StoreVerdict is one persisted per-switch check verdict.
-	StoreVerdict = store.Verdict
-	// StoreGCStats summarizes one warm-store garbage-collection pass.
-	StoreGCStats = store.GCStats
-)
+// WarmStore is the content-addressed, write-behind warm-state store:
+// frozen encoding bases and per-switch verdicts persisted under deployment
+// fingerprints, restored by Sessions on construction
+// (AnalyzerOptions.WarmStore).
+type WarmStore = store.Store
 
 // OpenWarmStore opens (creating if needed) a warm-state store directory
 // and starts its write-behind goroutine.
 var OpenWarmStore = store.Open
 
-// Correlation.
-type (
-	// CorrelationReport ranks physical root causes for a hypothesis.
-	CorrelationReport = correlate.Report
-	// FaultSignature describes a known physical fault class.
-	FaultSignature = correlate.Signature
-)
-
-// DefaultFaultSignatures returns the built-in fault signatures.
-var DefaultFaultSignatures = correlate.DefaultSignatures
+// CorrelationReport ranks physical root causes for a hypothesis.
+type CorrelationReport = correlate.Report

@@ -2,11 +2,14 @@ package scout_test
 
 import (
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"scout"
+	"scout/internal/localize"
+	"scout/internal/tcam"
 )
 
 func deployedThreeTier(t *testing.T, seed int64) *scout.Fabric {
@@ -142,7 +145,7 @@ func TestAnalyzeSwitchObservationSources(t *testing.T) {
 
 func TestAnalyzeDetectsCorruptionAsExtraRules(t *testing.T) {
 	f := deployedThreeTier(t, 5)
-	damaged, err := f.CorruptTCAM(2, 2, scout.CorruptVRF)
+	damaged, err := f.CorruptTCAM(2, 2, tcam.CorruptVRF)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,56 +232,44 @@ func TestReportJSON(t *testing.T) {
 	}
 }
 
+// TestAnalyzerChangeWindow pins the 24 h change window from both sides. A
+// partial fault on filter:80 (it spans S1, S2, S3) leaves stage one short of
+// hit ratio 1, so only the change-log stage can pick the filter — and only
+// while the injection's change entry is at most 24 h older than State.Now.
 func TestAnalyzerChangeWindow(t *testing.T) {
 	f := deployedThreeTier(t, 1)
-	// Partial fault: stage 1 cannot reach hit ratio 1 for filter:80 (it
-	// spans S1, S2, S3); the change-log stage must pick it up — unless
-	// the window excludes the change.
 	if _, err := f.InjectObjectFault(scout.FilterRef(80), 0.34); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := scout.NewAnalyzer(scout.AnalyzerOptions{ChangeWindow: 24 * time.Hour}).Analyze(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Consistent {
-		t.Fatal("partial fault must be detected")
-	}
-	// A 1ns window excludes the injection-time change entry, so stage 2
-	// has nothing to work with: either fewer objects or unexplained
-	// observations remain.
-	tiny, err := scout.NewAnalyzer(scout.AnalyzerOptions{ChangeWindow: time.Nanosecond}).Analyze(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tiny.Controller.Unexplained) < len(rep.Controller.Unexplained) {
-		t.Errorf("shrinking the window cannot explain more: %d vs %d",
-			len(tiny.Controller.Unexplained), len(rep.Controller.Unexplained))
-	}
-}
-
-func TestAnalyzerIncludeSwitchRiskOff(t *testing.T) {
-	f := deployedThreeTier(t, 1)
-	if err := f.Disconnect(2); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.AddFilter(scout.Filter{ID: 443, Entries: []scout.FilterEntry{
-		scout.PortEntry(scout.ProtoTCP, 443),
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.AddFilterToContract(202, 443); err != nil {
-		t.Fatal(err)
-	}
-	off := false
-	rep, err := scout.NewAnalyzer(scout.AnalyzerOptions{IncludeSwitchRisk: &off}).Analyze(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ref := range rep.Hypothesis {
-		if ref.Kind == scout.KindSwitch {
-			t.Errorf("switch risks disabled but hypothesis has %v", ref)
+	changed := f.Now() // the injection's change-log entry
+	analyze := func(now time.Time) *scout.Report {
+		t.Helper()
+		rep, err := scout.NewAnalyzer().AnalyzeState(scout.State{
+			Deployment: f.Deployment(),
+			TCAM:       f.CollectAll(),
+			Changes:    f.ChangeLog(),
+			Faults:     f.FaultLog(),
+			Now:        now,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
+		if rep.Consistent {
+			t.Fatal("partial fault must be detected")
+		}
+		return rep
+	}
+	inside := analyze(changed.Add(24 * time.Hour))
+	outside := analyze(changed.Add(24*time.Hour + time.Nanosecond))
+	if !slices.Contains(inside.Controller.ChangeLogPicks, scout.FilterRef(80)) {
+		t.Errorf("a change exactly 24 h old is recent: change-log picks %v, want filter:80", inside.Controller.ChangeLogPicks)
+	}
+	if len(outside.Controller.ChangeLogPicks) != 0 {
+		t.Errorf("a change older than 24 h is not recent: change-log picks %v, want none", outside.Controller.ChangeLogPicks)
+	}
+	if len(outside.Controller.Unexplained) <= len(inside.Controller.Unexplained) {
+		t.Errorf("leaving the window must leave observations unexplained: %d outside vs %d inside",
+			len(outside.Controller.Unexplained), len(inside.Controller.Unexplained))
 	}
 }
 
@@ -383,7 +374,7 @@ func TestMaxCoverageBaselineTradesPrecisionForRecall(t *testing.T) {
 			scout.AugmentControllerRiskModel(model, sr.Switch, sr.MissingRules, d.Provenance)
 		}
 	}
-	res := scout.LocalizeMaxCoverage(model)
+	res := localize.MaxCoverage(model)
 	if len(res.Unexplained) != 0 {
 		t.Error("max coverage must explain every observation")
 	}

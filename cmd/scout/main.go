@@ -265,8 +265,7 @@ func emitReport(report *scout.Report, jsonOut, verbose bool) error {
 			if hits+misses > 0 {
 				pct = 100 * float64(hits) / float64(hits+misses)
 			}
-			fmt.Printf("bdd op cache: %d hits / %d misses (%.1f%%); %d compactions (%d retained / %d dropped)\n",
-				hits, misses, pct, es.Compactions, es.CompactRetained, es.CompactDropped)
+			fmt.Printf("bdd op cache: %d hits / %d misses (%.1f%%)\n", hits, misses, pct)
 		}
 		if ls := report.LocalizeStats; ls != nil {
 			fmt.Printf("\nlocalization: %d plan compiles / %d reuses, lazy heap %d re-evaluations for %d picks (vs %d eager scans)\n",
@@ -442,8 +441,7 @@ func runWatch(f *scout.Fabric, faults []objectFault, opts watchOptions, w io.Wri
 	fmt.Fprintf(w, "session encodings: base %d nodes (%d rebuilds, %d semantics), delta %d nodes\n",
 		st.BaseNodes, st.BaseRebuilds, st.BaseSemantics, st.DeltaNodes)
 	fmt.Fprintf(w, "session fold sharing: hits %d / misses %d\n", st.FoldHits, st.FoldMisses)
-	fmt.Fprintf(w, "session checker GC: %d compactions (%d retained / %d dropped), %d resets\n",
-		st.CheckerCompactions, st.CompactRetained, st.CompactDropped, st.CheckerResets)
+	fmt.Fprintf(w, "session checker resets: %d\n", st.CheckerResets)
 	return report, nil
 }
 

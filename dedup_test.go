@@ -176,8 +176,8 @@ func TestDedupIdentityWithDuplicateSwitches(t *testing.T) {
 // reported may vary.
 func TestDedupErrorAttribution(t *testing.T) {
 	badRule := scout.Rule{
-		Match:  scout.RuleMatch{VRF: 1 << 17, SrcEPG: 1, DstEPG: 2, PortLo: 80, PortHi: 80},
-		Action: scout.Allow,
+		Match:  rule.Match{VRF: 1 << 17, SrcEPG: 1, DstEPG: 2, PortLo: 80, PortHi: 80},
+		Action: rule.Allow,
 	}
 	bySwitch := make(map[scout.ObjectID][]scout.Rule)
 	tcamState := make(map[scout.ObjectID][]scout.Rule)

@@ -108,16 +108,16 @@ func TestCheckerCompactPreservesReports(t *testing.T) {
 			reports = append(reports, rep)
 		}
 
-		preStats, remembered := c.Stats(), len(c.semMem)
+		preStats, remembered, delta := c.Stats(), len(c.semMem), c.DeltaSize()
 		if remembered != len(lists) {
 			t.Fatalf("checker remembers %d lists after %d checks, want the logical ones only", remembered, len(lists))
 		}
-		_, ok := c.Compact()
+		st, ok := c.Compact()
 		if !ok {
 			t.Fatal("Compact refused on a Manager-backed checker")
 		}
-		if got := c.Stats(); got.Compactions != preStats.Compactions+1 {
-			t.Fatalf("Compactions counter = %d, want %d", got.Compactions, preStats.Compactions+1)
+		if got := delta - c.DeltaSize(); got != st.Dropped {
+			t.Fatalf("Compact shed %d delta nodes but reported %d dropped", got, st.Dropped)
 		}
 
 		for i, pair := range lists {

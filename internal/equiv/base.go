@@ -203,13 +203,6 @@ type EncodeStats struct {
 	// Like the fold counters, cumulative over each checker's lifetime
 	// for session-produced reports.
 	OpCache bdd.CacheStats
-
-	// Compactions, CompactRetained, and CompactDropped sum the checkers'
-	// delta-GC counters: compaction runs and the delta nodes they kept
-	// and shed.
-	Compactions     int
-	CompactRetained int
-	CompactDropped  int
 }
 
 // TotalNodes is the run's total BDD node construction: the shared base
@@ -239,9 +232,6 @@ func AggregateEncodeStats(base *Base, checkers []*Checker) *EncodeStats {
 		st.FoldLocalHits += cs.FoldLocalHits
 		st.FoldMisses += cs.FoldMisses
 		st.OpCache.Add(cs.Cache)
-		st.Compactions += cs.Compactions
-		st.CompactRetained += cs.CompactRetained
-		st.CompactDropped += cs.CompactDropped
 	}
 	return st
 }

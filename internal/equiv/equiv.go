@@ -102,12 +102,6 @@ type Checker struct {
 	// cacheAcc accumulates the op-cache counters of managers discarded
 	// by Reset, so Stats stays cumulative like the fold counters.
 	cacheAcc bdd.CacheStats
-
-	// Compaction counters, cumulative: compactions run, delta nodes
-	// retained and dropped across them.
-	compactions     int
-	compactRetained int
-	compactDropped  int
 }
 
 // semRoot is one memoized whole-list semantics fold: the frozen (or
@@ -155,14 +149,12 @@ func (c *Checker) Stats() CheckerStats {
 	cache.Add(c.m.CacheStats())
 	return CheckerStats{
 		FoldBaseHits: c.foldBaseHits, FoldLocalHits: c.foldLocalHits, FoldMisses: c.foldMisses,
-		Cache:           cache,
-		Compactions:     c.compactions,
-		CompactRetained: c.compactRetained, CompactDropped: c.compactDropped,
+		Cache: cache,
 	}
 }
 
 // CheckerStats counts where one checker's whole-list semantics roots came
-// from, and what its manager's caches and compactions did.
+// from, and what its manager's op cache did.
 type CheckerStats struct {
 	// Deprecated: BaseHits, LocalHits and Misses counted match encodings,
 	// which no longer exist; they stay 0 until bench/ stops reading them
@@ -180,12 +172,6 @@ type CheckerStats struct {
 	// Cache is the manager's operation-cache hits and misses, cumulative
 	// across Resets.
 	Cache bdd.CacheStats
-
-	// Compactions counts Compact calls that ran a delta GC, with the
-	// delta nodes they retained and dropped.
-	Compactions     int
-	CompactRetained int
-	CompactDropped  int
 }
 
 // Reset discards the checker's own BDD nodes and memoized semantics
@@ -193,7 +179,7 @@ type CheckerStats struct {
 // checkers rebuild an empty manager, forks re-fork their shared base and
 // lose only the delta. Checks after a Reset produce identical reports —
 // only the amortized compile work is lost. Counters survive. A session
-// falls back on it when even a compacted delta is over its node budget.
+// resets a checker whose delta is over its node budget.
 func (c *Checker) Reset() {
 	c.cacheAcc.Add(c.m.CacheStats())
 	c.m = c.newM()
@@ -213,6 +199,11 @@ func (c *Checker) Reset() {
 //
 // Compact returns false (and does nothing) when the backend does not
 // support compaction (the map-backed reference manager).
+//
+// Deprecated: no session compacts — a checker memoizes only the logical
+// lists its base lacks, so a compaction kept nothing on any workload, and an
+// over-budget checker is Reset instead. Compact stays until bench/ stops
+// timing it (ROADMAP item 1, shims).
 func (c *Checker) Compact() (bdd.CompactStats, bool) {
 	m, ok := c.m.(*bdd.Manager)
 	if !ok {
@@ -228,9 +219,6 @@ func (c *Checker) Compact() (bdd.CompactStats, bool) {
 		c.semMem[k] = e
 	}
 	c.memo = compileMemo{}
-	c.compactions++
-	c.compactRetained += stats.Retained
-	c.compactDropped += stats.Dropped
 	return stats, true
 }
 

@@ -261,9 +261,16 @@ func (f *Fabric) renderRules(s *Switch, rules []rule.Rule) bool {
 }
 
 // --- Policy change operations (recorded in the change log) ---
+//
+// An edit is validated before it touches the policy: a refused one changes
+// neither the policy nor the change log, so it cannot leave the fabric with
+// a policy every later Deploy refuses.
 
 // AddFilter adds a filter object to the policy.
 func (f *Fabric) AddFilter(flt policy.Filter) error {
+	if err := flt.Validate(); err != nil {
+		return fmt.Errorf("fabric: filter %d has %w", flt.ID, err)
+	}
 	f.pol.AddFilter(flt)
 	f.changes.Append(f.advance(), faultlog.OpAdd, object.Filter(flt.ID), "add filter "+flt.Name)
 	return f.Deploy()
@@ -318,6 +325,9 @@ func (f *Fabric) RemoveFilterFromContract(contract, filter object.ID) error {
 // hosting the pair gets an EPG placement event (the subsequent push emits
 // TCAM-change events only for switches whose TCAM actually moved).
 func (f *Fabric) AddBinding(from, to, contract object.ID) error {
+	if err := f.pol.ValidateBinding(policy.Binding{From: from, To: to, Contract: contract}); err != nil {
+		return fmt.Errorf("fabric: binding of contract %d to epgs %d-%d %w", contract, from, to, err)
+	}
 	f.pol.Bind(from, to, contract)
 	at := f.advance()
 	f.changes.Append(at, faultlog.OpModify, object.EPG(from), "bind contract")

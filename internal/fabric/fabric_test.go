@@ -3,6 +3,8 @@ package fabric
 import (
 	"errors"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"scout/internal/faultlog"
@@ -488,5 +490,56 @@ func TestFabricPolicyCloneIsolation(t *testing.T) {
 	p.AddEPG(policy.EPG{ID: 99, VRF: 101})
 	if _, ok := f.Policy().EPGs[99]; ok {
 		t.Error("fabric must clone the policy at construction")
+	}
+}
+
+// TestRefusedEditLeavesFabricDeployable: an edit Deploy would refuse — an
+// unknown EPG or contract, a binding across VRFs, an inverted port range —
+// is refused before it changes the policy or the change log, so the next
+// valid edit and a plain Deploy still succeed. Such an edit used to stay in
+// the policy, and every later Deploy failed on it.
+func TestRefusedEditLeavesFabricDeployable(t *testing.T) {
+	p, _ := threeTier(t)
+	p.AddVRF(policy.VRF{ID: 102})
+	p.AddEPG(policy.EPG{ID: 4, Name: "Mgmt", VRF: 102})
+	p.AddEndpoint(policy.Endpoint{ID: 14, EPG: 4, Switch: 3})
+	f, err := New(p, topo.FromPolicy(p), Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Deploy(); err != nil {
+		t.Fatal(err)
+	}
+	inverted := policy.Filter{ID: 443, Entries: []policy.FilterEntry{
+		{Proto: rule.ProtoTCP, PortLo: 9, PortHi: 1, Action: rule.Allow},
+	}}
+	for _, tc := range []struct {
+		name, want string
+		edit       func() error
+	}{
+		{"unknown-epg", "unknown epg 99999", func() error { return f.AddBinding(1, 99999, 201) }},
+		{"unknown-contract", "unknown contract 999", func() error { return f.AddBinding(1, 2, 999) }},
+		{"cross-vrf", "crosses VRFs", func() error { return f.AddBinding(1, 4, 201) }},
+		{"inverted-range", "inverted port range", func() error { return f.AddFilter(inverted) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before, logged := f.Policy().Clone(), f.ChangeLog().Len()
+			err := tc.edit()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("edit returned %v, want an error naming %q", err, tc.want)
+			}
+			if !reflect.DeepEqual(f.Policy(), before) {
+				t.Error("a refused edit changed the policy")
+			}
+			if got := f.ChangeLog().Len(); got != logged {
+				t.Errorf("a refused edit logged %d changes", got-logged)
+			}
+			if err := f.AddFilter(policy.Filter{ID: 8443, Entries: []policy.FilterEntry{policy.PortEntry(rule.ProtoTCP, 8443)}}); err != nil {
+				t.Fatalf("a valid edit after the refused one: %v", err)
+			}
+			if err := f.Deploy(); err != nil {
+				t.Fatalf("Deploy after the refused edit: %v", err)
+			}
+		})
 	}
 }

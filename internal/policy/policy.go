@@ -203,26 +203,43 @@ func (p *Policy) Validate() error {
 		}
 	}
 	for i, b := range p.Bindings {
-		from, ok := p.EPGs[b.From]
-		if !ok {
-			return fmt.Errorf("policy %q: binding %d references unknown epg %d", p.Name, i, b.From)
-		}
-		to, ok := p.EPGs[b.To]
-		if !ok {
-			return fmt.Errorf("policy %q: binding %d references unknown epg %d", p.Name, i, b.To)
-		}
-		if from.VRF != to.VRF {
-			return fmt.Errorf("policy %q: binding %d crosses VRFs (%d vs %d)", p.Name, i, from.VRF, to.VRF)
-		}
-		if _, ok := p.Contracts[b.Contract]; !ok {
-			return fmt.Errorf("policy %q: binding %d references unknown contract %d", p.Name, i, b.Contract)
+		if err := p.ValidateBinding(b); err != nil {
+			return fmt.Errorf("policy %q: binding %d %w", p.Name, i, err)
 		}
 	}
 	for id, f := range p.Filters {
-		for _, e := range f.Entries {
-			if e.PortLo > e.PortHi {
-				return fmt.Errorf("policy %q: filter %d has inverted port range %d-%d", p.Name, id, e.PortLo, e.PortHi)
-			}
+		if err := f.Validate(); err != nil {
+			return fmt.Errorf("policy %q: filter %d has %w", p.Name, id, err)
+		}
+	}
+	return nil
+}
+
+// ValidateBinding reports why b cannot join p's bindings: an EPG or the
+// contract it names is unknown, or its EPGs sit in different VRFs.
+func (p *Policy) ValidateBinding(b Binding) error {
+	from, ok := p.EPGs[b.From]
+	if !ok {
+		return fmt.Errorf("references unknown epg %d", b.From)
+	}
+	to, ok := p.EPGs[b.To]
+	if !ok {
+		return fmt.Errorf("references unknown epg %d", b.To)
+	}
+	if from.VRF != to.VRF {
+		return fmt.Errorf("crosses VRFs (%d vs %d)", from.VRF, to.VRF)
+	}
+	if _, ok := p.Contracts[b.Contract]; !ok {
+		return fmt.Errorf("references unknown contract %d", b.Contract)
+	}
+	return nil
+}
+
+// Validate reports a filter entry whose port range is inverted.
+func (f *Filter) Validate() error {
+	for _, e := range f.Entries {
+		if e.PortLo > e.PortHi {
+			return fmt.Errorf("inverted port range %d-%d", e.PortLo, e.PortHi)
 		}
 	}
 	return nil

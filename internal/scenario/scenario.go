@@ -63,8 +63,8 @@ type Step struct {
 	From     object.ID `json:"from,omitempty"`
 	To       object.ID `json:"to,omitempty"`
 
-	// Count and Field configure corrupt/evict steps. Field is one of
-	// vrf, src, dst, port (corrupt only).
+	// Count and Field configure corrupt/evict steps (a corrupt count is at
+	// most 4096). Field is one of vrf, src, dst, port (corrupt only).
 	Count int    `json:"count,omitempty"`
 	Field string `json:"field,omitempty"`
 }
@@ -114,12 +114,15 @@ func (st *Step) validate() error {
 			return fmt.Errorf("%s requires contract and filterId", st.Op)
 		}
 	case "bind":
-		if st.Contract == 0 {
-			return fmt.Errorf("bind requires contract")
+		if st.From == 0 || st.To == 0 || st.Contract == 0 {
+			return fmt.Errorf("bind requires from, to and contract")
 		}
 	case "corrupt":
 		if _, err := corruptionField(st.Field); err != nil {
 			return err
+		}
+		if st.Count > maxCorruptCount {
+			return fmt.Errorf("corrupt count %d over %d", st.Count, maxCorruptCount)
 		}
 	case "evict":
 	default:
@@ -127,6 +130,11 @@ func (st *Step) validate() error {
 	}
 	return nil
 }
+
+// maxCorruptCount bounds a corrupt step's count. A corruption rewrites an
+// entry in place and never shrinks the table, so the step runs every
+// iteration it is asked for, however few entries the switch holds.
+const maxCorruptCount = 4096
 
 func corruptionField(name string) (tcam.CorruptionField, error) {
 	switch name {

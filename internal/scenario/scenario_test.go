@@ -9,6 +9,7 @@ import (
 	"scout/internal/policy"
 	"scout/internal/rule"
 	"scout/internal/topo"
+	"scout/internal/workload"
 )
 
 func threeTierFabric(t *testing.T) *fabric.Fabric {
@@ -128,6 +129,9 @@ func TestParseRejectsBadScenarios(t *testing.T) {
 		{"filter-inverted", `{"steps":[{"op":"add-filter","filter":{"id":1,"portLo":9,"portHi":1}}]}`, "inverted"},
 		{"attach-incomplete", `{"steps":[{"op":"attach-filter","contract":1}]}`, "requires contract and filterId"},
 		{"corrupt-bad-field", `{"steps":[{"op":"corrupt","field":"checksum"}]}`, "unknown corruption field"},
+		{"corrupt-count-over-limit", `{"steps":[{"op":"corrupt","switch":1,"count":4097}]}`, "over 4096"},
+		{"bind-no-epgs", `{"steps":[{"op":"bind","contract":201}]}`, "requires from, to and contract"},
+		{"bind-no-to", `{"steps":[{"op":"bind","from":1,"contract":201}]}`, "requires from, to and contract"},
 	}
 	for _, tt := range bad {
 		t.Run(tt.name, func(t *testing.T) {
@@ -211,4 +215,35 @@ func TestCorruptionFieldNames(t *testing.T) {
 			t.Errorf("field %q run failed: %v", field, err)
 		}
 	}
+}
+
+// FuzzParseScenario: a scenario Parse accepts runs on a testbed fabric
+// without panicking — a step may fail, which stops the run — and leaves a
+// fabric the next Deploy accepts. The checked-in seeds (testdata/fuzz)
+// cover every op on the testbed's IDs, a bind missing its EPGs (Parse used
+// to accept it, and its redeploy left an unknown EPG in the policy), a bind
+// to an unknown EPG (the fabric used to keep it), and a corrupt count at the
+// limit.
+func FuzzParseScenario(f *testing.F) {
+	pol, tp, err := workload.Generate(workload.TestbedSpec(), 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sc, err := Parse(data)
+		if err != nil {
+			return
+		}
+		fab, err := fabric.New(pol, tp, fabric.Options{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fab.Deploy(); err != nil {
+			t.Fatal(err)
+		}
+		_, _ = sc.Run(fab) // a failing step stops the run; that is allowed
+		if err := fab.Deploy(); err != nil {
+			t.Fatalf("Deploy after running %q: %v", data, err)
+		}
+	})
 }

@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"scout"
+	"scout/internal/rule"
+	"scout/internal/tcam"
 )
 
 // faultyFabric builds a seeded multi-switch fabric (the paper's 6-switch
@@ -56,7 +58,7 @@ func faultyFabricOf(t testing.TB, spec scout.WorkloadSpec, opts scout.FabricOpti
 	if _, err := f.EvictTCAM(switches[0], 3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.CorruptTCAM(switches[len(switches)-1], 2, scout.CorruptDstEPG); err != nil {
+	if _, err := f.CorruptTCAM(switches[len(switches)-1], 2, tcam.CorruptDstEPG); err != nil {
 		t.Fatal(err)
 	}
 	return f
@@ -234,8 +236,8 @@ func TestConcurrentAnalyzeCalls(t *testing.T) {
 // field encoding, which is the only way a check itself can fail.
 func TestParallelCheckErrorPropagates(t *testing.T) {
 	badRule := scout.Rule{
-		Match:  scout.RuleMatch{VRF: 1 << 17, SrcEPG: 1, DstEPG: 2, PortLo: 80, PortHi: 80},
-		Action: scout.Allow,
+		Match:  rule.Match{VRF: 1 << 17, SrcEPG: 1, DstEPG: 2, PortLo: 80, PortHi: 80},
+		Action: rule.Allow,
 	}
 	bySwitch := make(map[scout.ObjectID][]scout.Rule)
 	tcamState := make(map[scout.ObjectID][]scout.Rule)

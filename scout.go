@@ -46,21 +46,11 @@ import (
 	"scout/internal/store"
 )
 
-// AnalyzerOptions tunes the end-to-end analysis.
+// AnalyzerOptions tunes the end-to-end analysis. A caller picks how many
+// workers check switches, which observation source a check reads, and
+// whether a session's state survives a restart; the rest of the pipeline is
+// the paper's configuration, fixed below.
 type AnalyzerOptions struct {
-	// IncludeSwitchRisk models each switch as a shared risk in the
-	// controller risk model so whole-switch failures are localizable.
-	// Default true.
-	IncludeSwitchRisk *bool
-
-	// ChangeWindow bounds how far back a change-log entry counts as
-	// "recent" for SCOUT's second stage. Default 24h.
-	ChangeWindow time.Duration
-
-	// Signatures overrides the correlation engine's fault signatures;
-	// nil selects the defaults.
-	Signatures []correlate.Signature
-
 	// UseProbes derives observations from active connectivity probes
 	// against the switch dataplane instead of exhaustive TCAM
 	// verification (§III-C's "allowed to communicate but fail to do so"
@@ -72,21 +62,6 @@ type AnalyzerOptions struct {
 	// Checked), a clean one replays its cached verdict (Replayed).
 	UseProbes bool
 
-	// SessionMissingRuleCap bounds how many rules (missing + extra) a
-	// Session caches per switch. A massively inconsistent switch can
-	// report rule lists rivaling its whole TCAM; caching those for every
-	// such switch made session memory unbounded. Reports over the cap are
-	// still returned but not cached — the switch falls back to a re-check
-	// on the next run instead of a replay (counted in
-	// SessionStats.OverCap) — and nothing else in the session refers to
-	// them: the verdict cache is the only per-switch state that holds rule
-	// lists (an entry also references, never copies, its one T snapshot),
-	// since risk models stay pristine and failure marks die with each
-	// run's overlays. 0 selects the default (4096); negative disables the
-	// bound. One-shot Analyzers ignore it: their session is dropped after
-	// its first run, so nothing it cached is ever replayed.
-	SessionMissingRuleCap int
-
 	// Workers bounds the number of concurrent per-switch equivalence
 	// checks. L-T checks are independent across switches (§III-C checks
 	// each switch on its own), so the check stage fans out over a pool of
@@ -96,15 +71,6 @@ type AnalyzerOptions struct {
 	// for any worker count. 0 (the default) selects runtime.NumCPU(); 1
 	// restores the fully serial pipeline.
 	Workers int
-
-	// SessionNodeBudget bounds each session worker checker's private BDD
-	// delta (in nodes). A checker over budget is first compacted (delta
-	// GC around its live memo roots, keeping warm state) and Reset only
-	// if compaction alone cannot get it under. 0 selects the default
-	// (4 << 20); negative disables the bound. One-shot Analyzers ignore
-	// it: the budget is applied to a checker before a run reuses it, and
-	// a one-shot's checkers are forked for their only run.
-	SessionNodeBudget int
 
 	// WarmStore, when set, gives Sessions durable warm state: on the
 	// first run of a deployment the session loads a fingerprint-matching
@@ -117,26 +83,30 @@ type AnalyzerOptions struct {
 	WarmStore *store.Store
 }
 
+// changeWindow bounds how far back a change-log entry counts as "recent"
+// for SCOUT's second stage, measured back from State.Now.
+const changeWindow = 24 * time.Hour
+
+// correlator is the event-correlation engine over the built-in fault
+// signatures. It is never modified, so every analysis shares it.
+var correlator = correlate.NewEngine(nil)
+
 // Analyzer runs the SCOUT pipeline once per call. It holds its options and
 // nothing else: every Analyze or AnalyzeState is the first run of a Session
 // that is dropped when the call returns, so one-shot and incremental
 // analyses are the same code and an Analyzer is safe for concurrent use.
 type Analyzer struct {
-	opts   AnalyzerOptions
-	engine *correlate.Engine
+	opts AnalyzerOptions
 }
 
 // NewAnalyzer creates an analyzer. The zero AnalyzerOptions give the
 // paper's configuration.
 func NewAnalyzer(opts ...AnalyzerOptions) *Analyzer {
-	var o AnalyzerOptions
+	a := &Analyzer{}
 	if len(opts) > 0 {
-		o = opts[0]
+		a.opts = opts[0]
 	}
-	if o.ChangeWindow <= 0 {
-		o.ChangeWindow = 24 * time.Hour
-	}
-	return &Analyzer{opts: o, engine: correlate.NewEngine(o.Signatures)}
+	return a
 }
 
 // SwitchReport is the per-switch analysis outcome.
@@ -480,24 +450,21 @@ func (m *riskModels) switchModel(sw object.ID) *risk.Model {
 	return sm.(*risk.Model)
 }
 
-// startRiskModels begins the deployment's controller-model build (per the
-// analyzer's options) on its own goroutine and returns the function that
-// waits for it; the caller calls it once, on every path.
+// startRiskModels begins the deployment's controller-model build on its own
+// goroutine and returns the function that waits for it; the caller calls it
+// once, on every path. Every switch is modelled as a shared risk, so
+// whole-switch failures are localizable.
 func (a *Analyzer) startRiskModels(d *Deployment) (join func() *riskModels) {
-	includeSwitch := true
-	if a.opts.IncludeSwitchRisk != nil {
-		includeSwitch = *a.opts.IncludeSwitchRisk
-	}
 	built := make(chan *risk.Model, 1)
 	go func() {
-		built <- risk.BuildControllerModel(d, risk.ControllerModelOptions{IncludeSwitchRisk: includeSwitch})
+		built <- risk.BuildControllerModel(d, risk.ControllerModelOptions{IncludeSwitchRisk: true})
 	}()
 	return func() *riskModels { return &riskModels{d: d, ctrl: <-built} }
 }
 
-// oracle builds the change-log oracle anchored at now.
-func (a *Analyzer) oracle(changes *ChangeLog, now time.Time) localize.ChangeLogOracle {
-	return localize.ChangeLogOracle{Log: changes, Since: now.Add(-a.opts.ChangeWindow)}
+// changeOracle builds the change-log oracle anchored at now.
+func changeOracle(changes *ChangeLog, now time.Time) localize.ChangeLogOracle {
+	return localize.ChangeLogOracle{Log: changes, Since: now.Add(-changeWindow)}
 }
 
 // assemble runs the pipeline stages downstream of the check stage. The
@@ -516,7 +483,7 @@ func (a *Analyzer) oracle(changes *ChangeLog, now time.Time) localize.ChangeLogO
 // this run's failure marks live in overlays that die with its report.
 func (a *Analyzer) assemble(models *riskModels, changes *ChangeLog, faults *FaultLog,
 	now time.Time, switches []object.ID, checkReps []*equiv.Report) *Report {
-	oracle := a.oracle(changes, now)
+	oracle := changeOracle(changes, now)
 	lstatsBefore := localize.StatsSnapshot()
 	prov := models.d.Provenance
 	ctrl := risk.NewOverlay(models.ctrl)
@@ -542,7 +509,7 @@ func (a *Analyzer) assemble(models *riskModels, changes *ChangeLog, faults *Faul
 	if !rep.Consistent {
 		rep.Controller = localize.Scout(ctrl, oracle)
 		rep.Hypothesis = rep.Controller.Hypothesis
-		rep.RootCauses = a.engine.Correlate(rep.Hypothesis, changes, faults)
+		rep.RootCauses = correlator.Correlate(rep.Hypothesis, changes, faults)
 		delta := localize.StatsSnapshot().Delta(lstatsBefore)
 		rep.LocalizeStats = &delta
 	}
@@ -609,7 +576,7 @@ func (a *Analyzer) AnalyzeSwitch(f *fabric.Fabric, sw object.ID) (*SwitchReport,
 	if err != nil {
 		return nil, err
 	}
-	sr := buildSwitchReport(&riskModels{d: d}, a.oracle(f.ChangeLog(), f.Now()), sw, checkRep)
+	sr := buildSwitchReport(&riskModels{d: d}, changeOracle(f.ChangeLog(), f.Now()), sw, checkRep)
 	return &sr, nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"scout"
+	"scout/internal/tcam"
 )
 
 // threeTier builds the paper's running example (Figure 1): a 3-tier web
@@ -209,7 +210,7 @@ func TestPipelineNeverWritesProvenance(t *testing.T) {
 	if _, err := f.InjectObjectFault(scout.FilterRef(filter), 0.5); err != nil {
 		t.Fatal(err)
 	}
-	for _, field := range []scout.CorruptionField{scout.CorruptVRF, scout.CorruptSrcEPG, scout.CorruptDstEPG, scout.CorruptPort} {
+	for _, field := range []tcam.CorruptionField{tcam.CorruptVRF, tcam.CorruptSrcEPG, tcam.CorruptDstEPG, tcam.CorruptPort} {
 		if _, err := f.CorruptTCAM(last, 2, field); err != nil {
 			t.Fatal(err)
 		}

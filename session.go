@@ -16,25 +16,32 @@ import (
 	"scout/internal/store"
 )
 
-// sessionCheckerNodeBudget bounds how many BDD nodes a session worker
-// checker may accumulate before the session intervenes (the default for
-// AnalyzerOptions.SessionNodeBudget). A session watching a churning fabric
-// holds three things, each bounded by what it follows. The verdict cache
-// follows the fabric: one entry a switch, each under SessionMissingRuleCap.
-// A checker's semantics memo follows the deployment: it remembers logical
-// lists only, and resolveLocked drops the forks with the deployment. What
-// grows with the rounds watched is each checker's private delta
-// (equiv.Checker.DeltaSize) and the compile memo naming its nodes, and that
-// is what this budget governs; the shared frozen base is deployment-scoped,
-// immutable, and not the checker's to shed. An over-budget checker is
-// compacted first — a delta GC around its memoized logical roots that keeps
-// the warm memo state — and Reset (re-fork, delta discarded) only when live
-// state alone still exceeds the budget.
-const sessionCheckerNodeBudget = 4 << 20
+// sessionNodeBudget bounds how many BDD nodes a session worker checker may
+// accumulate before the session resets it. A session watching a churning
+// fabric holds three things, each bounded by what it follows. The verdict
+// cache follows the fabric: one entry a switch, each under
+// sessionMissingRuleCap. A checker's semantics memo follows the deployment:
+// it remembers logical lists only, and resolveLocked drops the forks with the
+// deployment. What grows with the rounds watched is each checker's private
+// delta (equiv.Checker.DeltaSize) and the compile memo naming its nodes, and
+// that is what this budget governs; the shared frozen base is
+// deployment-scoped, immutable, and not the checker's to shed. An
+// over-budget checker is Reset (re-forked, delta discarded) before a run
+// reuses it. One-shot Analyzers never reach it: their checkers are forked
+// for their only run.
+const sessionNodeBudget = 4 << 20
 
-// defaultSessionMissingRuleCap is the per-switch cached-rule bound used
-// when AnalyzerOptions.SessionMissingRuleCap is zero.
-const defaultSessionMissingRuleCap = 4096
+// sessionMissingRuleCap bounds how many rules (missing + extra) a Session
+// caches per switch. A massively inconsistent switch can report rule lists
+// rivaling its whole TCAM; caching those for every such switch made session
+// memory unbounded. Reports over the cap are still returned but not cached
+// — the switch falls back to a re-check on the next run instead of a replay
+// (counted in SessionStats.OverCap) — and nothing else in the session
+// refers to them: the verdict cache is the only per-switch state that holds
+// rule lists (an entry also references, never copies, its one T snapshot),
+// since risk models stay pristine and failure marks die with each run's
+// overlays.
+const sessionMissingRuleCap = 4096
 
 // Session is a persistent analysis engine over one fabric — the
 // continuous-verification mode of §III-C, where TCAM state is collected
@@ -166,17 +173,15 @@ type SessionStats struct {
 	// Replayed counts switches whose cached verdict was replayed without
 	// recomputing it — no check, and in probe mode no packet classified.
 	Replayed int
-	// CheckerCompactions counts delta GCs on over-budget worker
-	// checkers: live memo roots kept (CompactRetained sums the delta
-	// nodes they retained), dead intermediates shed (CompactDropped).
+	// Deprecated: CheckerCompactions is always 0 — an over-budget checker
+	// is reset, never compacted. It stays until bench/ stops reading it
+	// (ROADMAP item 1, shims).
 	CheckerCompactions int
-	CompactRetained    int
-	CompactDropped     int
-	// CheckerResets counts worker checkers rebuilt because even their
-	// compacted (all-live) delta exceeded the node budget.
+	// CheckerResets counts worker checkers re-forked because their private
+	// delta exceeded the session's node budget.
 	CheckerResets int
-	// OverCap counts fresh reports too large to cache under
-	// SessionMissingRuleCap; their switches re-check on the next run.
+	// OverCap counts fresh reports too large to cache (more than 4,096
+	// missing and extra rules); their switches re-check on the next run.
 	OverCap int
 	// BaseRebuilds counts shared-base builds (the first build included):
 	// one per distinct deployment fingerprint the session has analyzed.
@@ -560,11 +565,10 @@ func (s *Session) replayOrCheckLocked(tcams map[object.ID][]rule.Rule, switches 
 	if err != nil {
 		return nil, 0, err
 	}
-	capRules := s.missingRuleCap()
 	for j, sw := range dirty {
 		i := dirtyIdx[j]
 		reports[i] = fresh[j]
-		if capRules > 0 && len(fresh[j].MissingRules)+len(fresh[j].ExtraRules) > capRules {
+		if len(fresh[j].MissingRules)+len(fresh[j].ExtraRules) > sessionMissingRuleCap {
 			// Too large to keep: drop any stale entry so the switch
 			// re-checks next run instead of replaying old state.
 			delete(s.cache, sw)
@@ -699,62 +703,25 @@ func (s *Session) saveVerdictsLocked() {
 	s.ws.SaveVerdicts(s.dep.fp, s.a.opts.UseProbes, vs)
 }
 
-// missingRuleCap resolves the per-switch cached-rule bound: 0 picks the
-// default, negative disables the cap (returns 0 = unbounded).
-func (s *Session) missingRuleCap() int {
-	c := s.a.opts.SessionMissingRuleCap
-	if c == 0 {
-		return defaultSessionMissingRuleCap
-	}
-	if c < 0 {
-		return 0
-	}
-	return c
-}
-
 // provisionCheckersLocked grows the persistent checker pool to n entries
-// — forks of the shared base — and brings any checker whose private delta
-// exceeded the node budget back under it, before the worker pool starts
-// (workers must never mutate the slice concurrently).
-// Over-budget checkers compact first (delta GC keeping live memo state)
-// and fall back to a full Reset only when the live state alone is over
-// budget — the ROADMAP's "smarter than whole-delta Reset".
+// — forks of the shared base — and resets any of them whose private delta
+// exceeded the node budget, before the worker pool starts (workers must
+// never mutate the slice concurrently).
 func (s *Session) provisionCheckersLocked(n int) {
-	budget := s.sessionNodeBudget()
 	for len(s.checkers) < n {
 		// Sized from the base: a check adds ~130 nodes to its fork, so a
 		// fork sized for a fraction of the budget is memory never touched.
 		s.checkers = append(s.checkers, s.dep.base.NewChecker())
 	}
-	if budget <= 0 {
-		return
-	}
-	for _, c := range s.checkers[:n] {
-		if c.DeltaSize() <= budget {
-			continue
-		}
-		if st, ok := c.Compact(); ok {
-			s.stats.CheckerCompactions++
-			s.stats.CompactRetained += st.Retained
-			s.stats.CompactDropped += st.Dropped
-			if c.DeltaSize() <= budget {
-				continue
-			}
-		}
-		c.Reset()
-		s.stats.CheckerResets++
-	}
+	s.resetOverBudgetLocked(s.checkers[:n], sessionNodeBudget)
 }
 
-// sessionNodeBudget resolves the configured per-checker delta budget:
-// the default when unset, no bound when negative.
-func (s *Session) sessionNodeBudget() int {
-	b := s.a.opts.SessionNodeBudget
-	if b == 0 {
-		return sessionCheckerNodeBudget
+// resetOverBudgetLocked re-forks every checker whose delta exceeds budget.
+func (s *Session) resetOverBudgetLocked(checkers []*equiv.Checker, budget int) {
+	for _, c := range checkers {
+		if c.DeltaSize() > budget {
+			c.Reset()
+			s.stats.CheckerResets++
+		}
 	}
-	if b < 0 {
-		return 0
-	}
-	return b
 }

@@ -9,6 +9,9 @@ import (
 	"testing"
 
 	"scout"
+	"scout/internal/eval"
+	"scout/internal/rule"
+	"scout/internal/tcam"
 )
 
 // marshalReport serializes a report with the wall-clock field zeroed so
@@ -284,43 +287,53 @@ func TestSessionInvalidate(t *testing.T) {
 	}
 }
 
-// TestSessionMissingRuleCap covers the cached-report bound: switches
-// whose reports exceed SessionMissingRuleCap are not cached and fall back
+// TestSessionMissingRuleCap covers the cached-report bound: a switch whose
+// report exceeds the session's 4,096-rule cap is not cached and falls back
 // to a re-check on the next run, while the reports themselves stay
-// byte-identical to an uncapped session and a cold analyzer.
+// byte-identical to a cold analyzer. Every switch of production x0.25 holds
+// more than 4,096 allow rules, so clearing one switch's TCAM puts exactly
+// that switch over the cap; the fault mix's other broken switches stay
+// under it and replay.
 func TestSessionMissingRuleCap(t *testing.T) {
-	f := faultyFabric(t, 7)
+	f := faultyFabricOf(t, eval.SimSpec(0.25), scout.FabricOptions{Seed: 42, TCAMCapacity: 1 << 17})
 	n := f.Topology().NumSwitches()
+	cleared := f.Topology().Switches()[0]
+	s, err := f.Switch(cleared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.TCAM().Clear()
 
-	// Cap of 1: any switch with more than one missing/extra rule is too
-	// big to cache. The injected faults guarantee several such switches.
-	capped, err := scout.NewSession(f, scout.AnalyzerOptions{SessionMissingRuleCap: 1})
+	sess, err := scout.NewSession(f, scout.AnalyzerOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep1, err := capped.Analyze()
+	rep1, err := sess.Analyze()
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := capped.Stats()
-	if st.OverCap == 0 {
-		t.Fatal("no switch exceeded the cap; test is vacuous")
+	st := sess.Stats()
+	if st.OverCap != 1 {
+		t.Fatalf("OverCap = %d, want 1 (the cleared switch)", st.OverCap)
 	}
-	if st.OverCap > n {
-		t.Fatalf("OverCap = %d exceeds switch count %d", st.OverCap, n)
+	if b := brokenSwitches(rep1); b < 2 {
+		t.Fatalf("%d broken switches; the under-cap replay is vacuous", b)
 	}
 
-	// Steady-state re-run: over-cap switches re-check, the rest replay.
-	rep2, err := capped.Analyze()
+	// Steady-state re-run: the over-cap switch re-checks, the rest replay.
+	rep2, err := sess.Analyze()
 	if err != nil {
 		t.Fatal(err)
 	}
-	st2 := capped.Stats()
-	if got := st2.Checked - st.Checked; got != st.OverCap {
-		t.Errorf("second run re-checked %d switches, want %d (the over-cap set)", got, st.OverCap)
+	st2 := sess.Stats()
+	if got := st2.Checked - st.Checked; got != 1 {
+		t.Errorf("second run re-checked %d switches, want 1 (the cleared switch)", got)
 	}
-	if got := st2.Replayed - st.Replayed; got != n-st.OverCap {
-		t.Errorf("second run replayed %d switches, want %d", got, n-st.OverCap)
+	if got := st2.Replayed - st.Replayed; got != n-1 {
+		t.Errorf("second run replayed %d switches, want %d", got, n-1)
+	}
+	if st2.OverCap != 2 {
+		t.Errorf("OverCap = %d after two runs, want 2", st2.OverCap)
 	}
 
 	cold, err := scout.NewAnalyzer().Analyze(f)
@@ -330,25 +343,6 @@ func TestSessionMissingRuleCap(t *testing.T) {
 	coldJSON := marshalReport(t, cold)
 	if !bytes.Equal(marshalReport(t, rep1), coldJSON) || !bytes.Equal(marshalReport(t, rep2), coldJSON) {
 		t.Error("capped session reports differ from cold analyzer")
-	}
-
-	// A negative cap disables the bound entirely.
-	unbounded, err := scout.NewSession(f, scout.AnalyzerOptions{SessionMissingRuleCap: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := unbounded.Analyze(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := unbounded.Analyze(); err != nil {
-		t.Fatal(err)
-	}
-	ust := unbounded.Stats()
-	if ust.OverCap != 0 {
-		t.Errorf("unbounded session reported OverCap = %d", ust.OverCap)
-	}
-	if ust.Checked != n {
-		t.Errorf("unbounded session checked %d switches across two runs, want %d", ust.Checked, n)
 	}
 }
 
@@ -432,7 +426,7 @@ func TestSessionSharedBasePersistence(t *testing.T) {
 func probesOf(f *scout.Fabric, sw scout.ObjectID) int {
 	n := 0
 	for _, r := range f.Deployment().RulesFor(sw) {
-		if r.Action == scout.Allow && !r.Match.WildcardSrc && !r.Match.WildcardDst {
+		if r.Action == rule.Allow && !r.Match.WildcardSrc && !r.Match.WildcardDst {
 			n++
 		}
 	}
@@ -620,7 +614,7 @@ func TestSessionProbeReplayUnderMutations(t *testing.T) {
 			}
 		case 1:
 			if _, err := f.CorruptTCAM(switches[rng.Intn(len(switches))], 1+rng.Intn(2),
-				scout.CorruptionField(1+rng.Intn(4))); err != nil {
+				tcam.CorruptionField(1+rng.Intn(4))); err != nil {
 				t.Fatal(err)
 			}
 		case 2:
@@ -860,14 +854,14 @@ func TestSessionDedupReplays(t *testing.T) {
 	}
 }
 
-// TestSessionNodeBudgetCompaction pins the budget → delta-GC policy: a
-// session whose worker checkers outgrow a (deliberately tiny) node
-// budget compacts them — keeping warm memo state — rather than always
-// resetting, and its reports stay byte-identical to cold analyses
-// throughout.
-func TestSessionNodeBudgetCompaction(t *testing.T) {
+// TestSessionNodeBudgetReset pins the node-budget policy: a worker checker
+// whose delta is over budget is re-forked before a run reuses it, and the
+// session's reports stay byte-identical to cold analyses throughout. No
+// test fabric comes near the session's budget, so each round ends by
+// applying the same reset at a deliberately tiny one.
+func TestSessionNodeBudgetReset(t *testing.T) {
 	f := faultyFabric(t, 9)
-	opts := scout.AnalyzerOptions{Workers: 1, SessionNodeBudget: 256}
+	opts := scout.AnalyzerOptions{Workers: 1}
 	sess, err := scout.NewSession(f, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -889,21 +883,17 @@ func TestSessionNodeBudgetCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(marshalReport(t, warm), marshalReport(t, cold)) {
-			t.Fatalf("round %d: warm report differs from cold analyzer under compaction", round)
+			t.Fatalf("round %d: warm report differs from cold analyzer after a reset", round)
 		}
+		scout.ResetCheckersOver(sess, 256)
+	}
+	if st := sess.Stats(); st.CheckerResets == 0 {
+		t.Fatalf("no resets under a 256-node budget: %+v", st)
 	}
 
-	st := sess.Stats()
-	if st.CheckerCompactions == 0 {
-		t.Fatalf("no compactions under a 256-node budget: %+v", st)
-	}
-	if st.CompactRetained+st.CompactDropped == 0 {
-		t.Fatalf("compactions reported no node accounting: %+v", st)
-	}
-
-	// A generous budget must trigger neither compaction nor reset.
+	// The session's own budget never intervenes on a small fabric.
 	f2 := faultyFabric(t, 9)
-	sess2, err := scout.NewSession(f2, scout.AnalyzerOptions{Workers: 1})
+	sess2, err := scout.NewSession(f2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -914,8 +904,8 @@ func TestSessionNodeBudgetCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := sess2.Stats(); st.CheckerCompactions != 0 || st.CheckerResets != 0 {
-		t.Fatalf("default budget intervened on a small fabric: %+v", st)
+	if st := sess2.Stats(); st.CheckerResets != 0 {
+		t.Fatalf("the session budget intervened on a small fabric: %+v", st)
 	}
 }
 
@@ -992,8 +982,7 @@ func TestWatchMemoryIsBounded(t *testing.T) {
 	if want := 120 * topo.NumSwitches(); st.Checked != want {
 		t.Errorf("session checked %d switches, want %d (every switch dirty every round)", st.Checked, want)
 	}
-	if st.CheckerCompactions != 0 || st.CheckerResets != 0 {
-		t.Errorf("the bound must hold without the node budget: %d compactions, %d resets",
-			st.CheckerCompactions, st.CheckerResets)
+	if st.CheckerResets != 0 {
+		t.Errorf("the bound must hold without the node budget: %d resets", st.CheckerResets)
 	}
 }

@@ -8,6 +8,10 @@ import (
 	"testing"
 
 	"scout"
+	"scout/internal/collect"
+	"scout/internal/faultlog"
+	"scout/internal/rule"
+	"scout/internal/tcam"
 )
 
 // TestFabricEmitsEvents pins the simulator's monitoring-plane role:
@@ -32,7 +36,7 @@ func TestFabricEmitsEvents(t *testing.T) {
 	sw := topo.Switches()[0]
 	cursor := f.EventLog().TailCursor()
 
-	expect := func(op string, kind scout.EventKind, wantSwitch scout.ObjectID) {
+	expect := func(op string, kind faultlog.EventKind, wantSwitch scout.ObjectID) {
 		t.Helper()
 		evs := cursor.Drain()
 		if len(evs) == 0 {
@@ -55,16 +59,16 @@ func TestFabricEmitsEvents(t *testing.T) {
 	if err := f.Disconnect(sw); err != nil {
 		t.Fatal(err)
 	}
-	expect("Disconnect", scout.EventLink, sw)
+	expect("Disconnect", faultlog.EventLink, sw)
 	if err := f.Reconnect(sw); err != nil {
 		t.Fatal(err)
 	}
-	expect("Reconnect", scout.EventLink, sw)
+	expect("Reconnect", faultlog.EventLink, sw)
 	if _, err := f.EvictTCAM(sw, 1); err != nil {
 		t.Fatal(err)
 	}
 	expect("EvictTCAM", scout.EventTCAMChange, sw)
-	if _, err := f.CorruptTCAM(sw, 1, scout.CorruptDstEPG); err != nil {
+	if _, err := f.CorruptTCAM(sw, 1, tcam.CorruptDstEPG); err != nil {
 		t.Fatal(err)
 	}
 	expect("CorruptTCAM", scout.EventTCAMChange, sw)
@@ -171,7 +175,7 @@ func TestApplyEventsMatchesAnalyzeEpoch(t *testing.T) {
 					t.Fatal(err)
 				}
 			case 1:
-				if _, err := f.CorruptTCAM(switches[rng.Intn(len(switches))], 1, scout.CorruptDstEPG); err != nil {
+				if _, err := f.CorruptTCAM(switches[rng.Intn(len(switches))], 1, tcam.CorruptDstEPG); err != nil {
 					t.Fatal(err)
 				}
 			case 2:
@@ -272,7 +276,7 @@ func TestApplyEventsCountsWhatItRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := scout.Rule{Match: scout.RuleMatch{VRF: 1 << 17, SrcEPG: 1, DstEPG: 2, PortLo: 80, PortHi: 80}, Action: scout.Allow}
+	bad := scout.Rule{Match: rule.Match{VRF: 1 << 17, SrcEPG: 1, DstEPG: 2, PortLo: 80, PortHi: 80}, Action: rule.Allow}
 	if err := s.TCAM().Install(bad); err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +313,7 @@ func TestSnapshotSwitchesCountsWhatItRead(t *testing.T) {
 	if len(e2.TCAM[sw]) != len(e1.TCAM[sw])-1 {
 		t.Errorf("re-read switch holds %d rules, want %d", len(e2.TCAM[sw]), len(e1.TCAM[sw])-1)
 	}
-	if dirty := scout.DirtyEpochSwitches(e1, e2); len(dirty) != 1 || dirty[0] != sw {
+	if dirty := collect.DirtySwitches(e1, e2); len(dirty) != 1 || dirty[0] != sw {
 		t.Errorf("dirty = %v, want [%d]", dirty, sw)
 	}
 	if _, err := c.SnapshotSwitches([]scout.ObjectID{1 << 20}); err == nil {

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"scout"
+	"scout/internal/eval"
 )
 
 // TestSessionWarmRestartIdentity pins the tentpole end to end: a fresh
@@ -547,25 +548,27 @@ func TestSessionEqualContentRedeploy(t *testing.T) {
 // a cache entry vouches for a T list only when it remembers that very
 // slice, and an entry seeded from the warm store remembers none. Process 1
 // persists a clean verdict for sw under policy B. Process 2 first sees sw
-// broken under policy A — over the cap, so it holds no entry — and then
-// policy B again, with sw's TCAM unchanged between the two epochs: the
-// entry now in the cache is the one process 1's file seeded, and its
-// fingerprint describes a TCAM that no longer exists. The report must be a
-// cold analysis's. The emptied variant strips sw's TCAM to nothing, the
-// one list with no address to tell from an entry that has no list.
+// broken under policy A — all but three of its rules gone, so its report is
+// over the session's 4,096-rule cap on this production-density fabric and
+// it holds no entry — and then policy B again, with sw's TCAM unchanged
+// between the two epochs: the entry now in the cache is the one process 1's
+// file seeded, and its fingerprint describes a TCAM that no longer exists.
+// The report must be a cold analysis's. The emptied variant strips sw's
+// TCAM to nothing, the one list with no address to tell from an entry that
+// has no list.
 func TestSeededVerdictIsHashedNotTrusted(t *testing.T) {
 	for _, emptied := range []bool{false, true} {
-		name := "three-removed"
+		name := "three-left"
 		if emptied {
 			name = "emptied"
 		}
 		t.Run(name, func(t *testing.T) {
 			const seed, rollout = 7, 64123
-			pol, topo, err := scout.GenerateWorkload(scout.TestbedWorkloadSpec(), seed)
+			pol, topo, err := scout.GenerateWorkload(eval.SimSpec(0.25), seed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			f, err := scout.NewFabric(pol, topo, scout.FabricOptions{Seed: seed})
+			f, err := scout.NewFabric(pol, topo, scout.FabricOptions{Seed: seed, TCAMCapacity: 1 << 17})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -638,7 +641,7 @@ func TestSeededVerdictIsHashedNotTrusted(t *testing.T) {
 			}
 			installed := s.TCAM().Rules()
 			if !emptied {
-				installed = installed[:3]
+				installed = installed[3:]
 			}
 			keys := make([]scout.RuleKey, len(installed))
 			for i, r := range installed {
@@ -648,7 +651,7 @@ func TestSeededVerdictIsHashedNotTrusted(t *testing.T) {
 				t.Fatalf("removed %d of %d rules from switch %d", got, len(keys), sw)
 			}
 
-			sess2, close2 := open(scout.AnalyzerOptions{SessionMissingRuleCap: 1})
+			sess2, close2 := open(scout.AnalyzerOptions{})
 			defer close2()
 			collector := scout.NewCollector(f, 4)
 			rep, err = sess2.AnalyzeEpoch(collector.Snapshot())
