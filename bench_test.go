@@ -328,7 +328,7 @@ func BenchmarkAnalyzeWorkers(b *testing.B) {
 				if rep.Consistent {
 					b.Fatal("faults not detected")
 				}
-				nodes = rep.EncodeStats.TotalNodes()
+				nodes = rep.EncodeStats.BaseNodes + rep.EncodeStats.DeltaNodes
 			}
 			b.ReportMetric(float64(nodes), "bdd-nodes/op")
 		})
@@ -721,7 +721,7 @@ func BenchmarkWarmStartVsCold(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			nodes = rep.EncodeStats.TotalNodes()
+			nodes = rep.EncodeStats.BaseNodes + rep.EncodeStats.DeltaNodes
 		}
 		b.ReportMetric(float64(nodes), "bdd-nodes/op")
 	})

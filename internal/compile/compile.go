@@ -362,25 +362,6 @@ func (d *Deployment) RulesFor(sw object.ID) []rule.Rule {
 	return d.BySwitch[sw]
 }
 
-// TotalRules returns the count of logical rules across all switches
-// (excluding each switch's default-deny tail).
-func (d *Deployment) TotalRules() int {
-	n := 0
-	for _, rules := range d.BySwitch {
-		for _, r := range rules {
-			if !r.IsDefaultDeny() {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // SwitchPairs returns the sorted (switch, pair) deployment footprint.
 // Read-only: a compiled deployment hands out the one list it holds.
 func (d *Deployment) SwitchPairs() []SwitchPair { return d.Footprint().Pairs }
-
-// PairFor derives the EPG pair a rule key serves from its match fields.
-func PairFor(k rule.Key) policy.EPGPair {
-	return policy.MakeEPGPair(k.Match.SrcEPG, k.Match.DstEPG)
-}

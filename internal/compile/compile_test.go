@@ -199,25 +199,6 @@ func TestCompileSkipsUnattachedPairs(t *testing.T) {
 	}
 }
 
-func TestTotalRules(t *testing.T) {
-	p, tp := threeTier(t)
-	d, err := Compile(p, tp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 2 (S1) + 6 (S2) + 4 (S3) allow rules.
-	if got := d.TotalRules(); got != 12 {
-		t.Errorf("TotalRules = %d, want 12", got)
-	}
-}
-
-func TestPairFor(t *testing.T) {
-	k := rule.Key{Match: rule.Match{SrcEPG: 9, DstEPG: 4}}
-	if PairFor(k) != policy.MakeEPGPair(4, 9) {
-		t.Error("PairFor must canonicalize")
-	}
-}
-
 func TestSwitchPairOrdering(t *testing.T) {
 	a := SwitchPair{Switch: 1, Pair: policy.MakeEPGPair(1, 2)}
 	b := SwitchPair{Switch: 1, Pair: policy.MakeEPGPair(1, 3)}

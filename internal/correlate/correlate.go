@@ -75,9 +75,6 @@ func NewEngine(sigs []Signature) *Engine {
 	return &Engine{sigs: append([]Signature(nil), sigs...)}
 }
 
-// AddSignature registers an additional signature.
-func (e *Engine) AddSignature(s Signature) { e.sigs = append(e.sigs, s) }
-
 // Diagnosis is the per-object correlation outcome.
 type Diagnosis struct {
 	// Object is the faulty policy object from the hypothesis.

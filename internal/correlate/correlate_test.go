@@ -118,14 +118,13 @@ func TestRootCauseRanking(t *testing.T) {
 }
 
 func TestCustomSignature(t *testing.T) {
-	eng := NewEngine(nil)
-	eng.AddSignature(Signature{
+	eng := NewEngine(append(DefaultSignatures(), Signature{
 		Name: "corruption-heuristic",
 		Code: faultlog.FaultTCAMCorruption,
 		Describe: func(f faultlog.Fault) string {
 			return fmt.Sprintf("suspected bit corruption on switch %d", f.Switch)
 		},
-	})
+	}))
 	changes := faultlog.NewChangeLog()
 	faults := faultlog.NewFaultLog()
 	faults.Raise(t0, faultlog.FaultTCAMCorruption, 5, "parity mismatch")

@@ -205,10 +205,6 @@ type EncodeStats struct {
 	OpCache bdd.CacheStats
 }
 
-// TotalNodes is the run's total BDD node construction: the shared base
-// (built once) plus every private delta.
-func (s *EncodeStats) TotalNodes() int { return s.BaseNodes + s.DeltaNodes }
-
 // FoldHits is the total memo-resolved whole-list folds (base + local).
 func (s *EncodeStats) FoldHits() int { return s.FoldBaseHits + s.FoldLocalHits }
 

@@ -287,9 +287,6 @@ func TestAggregateEncodeStats(t *testing.T) {
 	if st.DeltaNodes != wantDelta {
 		t.Errorf("DeltaNodes = %d, want %d", st.DeltaNodes, wantDelta)
 	}
-	if st.TotalNodes() != st.BaseNodes+st.DeltaNodes {
-		t.Error("TotalNodes must be base + delta")
-	}
 	if st.FoldHits() != st.FoldBaseHits+st.FoldLocalHits {
 		t.Error("FoldHits must be base + local")
 	}

@@ -259,18 +259,6 @@ func (p *Policy) Pairs() []EPGPair {
 	return out
 }
 
-// EndpointsOf returns the endpoints belonging to the given EPG, sorted by ID.
-func (p *Policy) EndpointsOf(epg object.ID) []*Endpoint {
-	var out []*Endpoint
-	for _, ep := range p.Endpoints {
-		if ep.EPG == epg {
-			out = append(out, ep)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
 // Objects returns the refs of every policy object in the policy (VRFs,
 // EPGs, contracts, filters), sorted.
 func (p *Policy) Objects() []object.Ref {
@@ -322,16 +310,41 @@ func (p *Policy) MarshalJSON() ([]byte, error) {
 	return json.Marshal((*alias)(p))
 }
 
-// FromJSON deserializes a policy previously produced by json.Marshal.
+// FromJSON deserializes a policy previously produced by json.Marshal. A
+// map files each object under its own ID, so a null object, or one whose
+// id is not its key, is refused.
 func FromJSON(data []byte) (*Policy, error) {
 	p := New("")
 	if err := json.Unmarshal(data, p); err != nil {
 		return nil, fmt.Errorf("decode policy: %w", err)
 	}
+	if err := cmp.Or(
+		checkKeys("vrf", p.VRFs, func(v *VRF) object.ID { return v.ID }),
+		checkKeys("epg", p.EPGs, func(e *EPG) object.ID { return e.ID }),
+		checkKeys("endpoint", p.Endpoints, func(e *Endpoint) object.ID { return e.ID }),
+		checkKeys("filter", p.Filters, func(f *Filter) object.ID { return f.ID }),
+		checkKeys("contract", p.Contracts, func(c *Contract) object.ID { return c.ID }),
+	); err != nil {
+		return nil, err
+	}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	return p, nil
+}
+
+// checkKeys reports an object of the map that is null or not filed under
+// its own ID.
+func checkKeys[T any](kind string, m map[object.ID]*T, id func(*T) object.ID) error {
+	for key, obj := range m {
+		if obj == nil {
+			return fmt.Errorf("decode policy: %s %d is null", kind, key)
+		}
+		if got := id(obj); got != key {
+			return fmt.Errorf("decode policy: %s %d has id %d", kind, key, got)
+		}
+	}
+	return nil
 }
 
 // Clone returns a deep copy of the policy. The fabric controller clones the

@@ -124,18 +124,6 @@ func TestPairsDedupesAndSorts(t *testing.T) {
 	}
 }
 
-func TestEndpointsOf(t *testing.T) {
-	p := validPolicy()
-	p.AddEndpoint(Endpoint{ID: 13, Name: "ep3", EPG: 1, Switch: 3})
-	eps := p.EndpointsOf(1)
-	if len(eps) != 2 || eps[0].ID != 11 || eps[1].ID != 13 {
-		t.Errorf("EndpointsOf(1) = %v", eps)
-	}
-	if got := p.EndpointsOf(999); got != nil {
-		t.Errorf("EndpointsOf(unknown) = %v, want nil", got)
-	}
-}
-
 func TestObjectsSorted(t *testing.T) {
 	objs := validPolicy().Objects()
 	want := []object.Ref{
@@ -188,6 +176,19 @@ func TestFromJSONRejectsInvalid(t *testing.T) {
 	}
 	if _, err := FromJSON(data); err == nil {
 		t.Error("invalid policy should fail validation on load")
+	}
+	// A null object, or one filed under another object's ID, is refused
+	// with its kind and key (Validate used to dereference the null).
+	for _, tc := range []struct{ json, want string }{
+		{`{"epgs":{"5":null}}`, "decode policy: epg 5 is null"},
+		{`{"vrfs":{"7":null}}`, "decode policy: vrf 7 is null"},
+		{`{"filters":{"9":null}}`, "decode policy: filter 9 is null"},
+		{`{"endpoints":{"2":null}}`, "decode policy: endpoint 2 is null"},
+		{`{"contracts":{"3":{"id":4}}}`, "decode policy: contract 3 has id 4"},
+	} {
+		if _, err := FromJSON([]byte(tc.json)); err == nil || err.Error() != tc.want {
+			t.Errorf("FromJSON(%s) = %v, want %q", tc.json, err, tc.want)
+		}
 	}
 }
 

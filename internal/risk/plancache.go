@@ -30,11 +30,6 @@ type planEntry struct {
 	plan any
 }
 
-// Revision returns the model's mutation counter. It changes whenever an
-// element, risk, edge, or failure mark is added or failures are reset, so
-// artifacts derived from the model can detect staleness.
-func (m *Model) Revision() uint64 { return m.rev }
-
 // CachedPlan returns the artifact stored by StorePlan, or nil if none was
 // stored or the model has been mutated since. Safe for concurrent readers
 // of an otherwise-immutable model.

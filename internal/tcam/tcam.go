@@ -82,13 +82,6 @@ func (t *TCAM) Len() int {
 	return len(t.rules)
 }
 
-// Utilization returns the fraction of capacity in use (0..1).
-func (t *TCAM) Utilization() float64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return float64(len(t.rules)) / float64(t.capacity)
-}
-
 // Install adds a rule to the table. Installing a rule whose Key already
 // exists is idempotent. Returns ErrFull when the table is at capacity.
 func (t *TCAM) Install(r rule.Rule) error {

@@ -62,8 +62,8 @@ func TestOverflow(t *testing.T) {
 	if !errors.Is(err, ErrFull) {
 		t.Errorf("overflow error = %v, want ErrFull", err)
 	}
-	if tc.Utilization() != 1.0 {
-		t.Errorf("Utilization = %v, want 1", tc.Utilization())
+	if tc.Len() != 2 {
+		t.Errorf("Len = %d after a refused install, want 2", tc.Len())
 	}
 }
 

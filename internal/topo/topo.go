@@ -7,7 +7,7 @@ package topo
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"scout/internal/object"
 	"scout/internal/policy"
@@ -15,19 +15,14 @@ import (
 
 // Topology is the leaf-switch attachment view of a deployment.
 type Topology struct {
-	switches []object.ID
-	// epgsOn[switch] = set of EPGs with at least one endpoint on switch.
-	epgsOn map[object.ID]object.Set
+	switches []object.ID // ascending
 	// switchesOf[epg] = set of switches hosting endpoints of epg.
 	switchesOf map[object.ID]object.Set
 }
 
 // New creates a topology with the given switch IDs and no attachments.
 func New(switches ...object.ID) *Topology {
-	t := &Topology{
-		epgsOn:     make(map[object.ID]object.Set),
-		switchesOf: make(map[object.ID]object.Set),
-	}
+	t := &Topology{switchesOf: make(map[object.ID]object.Set)}
 	for _, s := range switches {
 		t.AddSwitch(s)
 	}
@@ -47,18 +42,14 @@ func FromPolicy(p *policy.Policy) *Topology {
 
 // AddSwitch registers a switch (idempotent).
 func (t *Topology) AddSwitch(sw object.ID) {
-	if _, ok := t.epgsOn[sw]; ok {
-		return
+	if i, ok := slices.BinarySearch(t.switches, sw); !ok {
+		t.switches = slices.Insert(t.switches, i, sw)
 	}
-	t.epgsOn[sw] = make(object.Set)
-	t.switches = append(t.switches, sw)
-	sort.Slice(t.switches, func(i, j int) bool { return t.switches[i] < t.switches[j] })
 }
 
 // Attach records that epg has an endpoint on switch sw.
 func (t *Topology) Attach(epg, sw object.ID) {
 	t.AddSwitch(sw)
-	t.epgsOn[sw].Add(object.EPG(epg))
 	set, ok := t.switchesOf[epg]
 	if !ok {
 		set = make(object.Set)
@@ -79,17 +70,8 @@ func (t *Topology) NumSwitches() int { return len(t.switches) }
 
 // HasSwitch reports whether sw is part of the topology.
 func (t *Topology) HasSwitch(sw object.ID) bool {
-	_, ok := t.epgsOn[sw]
+	_, ok := slices.BinarySearch(t.switches, sw)
 	return ok
-}
-
-// EPGsOn returns the sorted IDs of EPGs with endpoints on switch sw.
-func (t *Topology) EPGsOn(sw object.ID) []object.ID {
-	set, ok := t.epgsOn[sw]
-	if !ok {
-		return nil
-	}
-	return idsOf(set)
 }
 
 // SwitchesHosting returns the sorted IDs of switches hosting endpoints of epg.
@@ -99,12 +81,6 @@ func (t *Topology) SwitchesHosting(epg object.ID) []object.ID {
 		return nil
 	}
 	return idsOf(set)
-}
-
-// Hosts reports whether switch sw hosts at least one endpoint of epg.
-func (t *Topology) Hosts(sw, epg object.ID) bool {
-	set, ok := t.epgsOn[sw]
-	return ok && set.Has(object.EPG(epg))
 }
 
 // SwitchesForPair returns the sorted switches that must carry rules for the

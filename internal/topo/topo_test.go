@@ -30,17 +30,14 @@ func TestAttachAndQueries(t *testing.T) {
 	if !tp.HasSwitch(1) || !tp.HasSwitch(2) || tp.HasSwitch(3) {
 		t.Error("HasSwitch wrong")
 	}
-	if got := tp.EPGsOn(2); !reflect.DeepEqual(got, []object.ID{10, 20}) {
-		t.Errorf("EPGsOn(2) = %v", got)
-	}
 	if got := tp.SwitchesHosting(10); !reflect.DeepEqual(got, []object.ID{1, 2}) {
 		t.Errorf("SwitchesHosting(10) = %v", got)
 	}
-	if tp.EPGsOn(99) != nil || tp.SwitchesHosting(99) != nil {
+	if tp.SwitchesHosting(99) != nil {
 		t.Error("unknown queries should return nil")
 	}
-	if !tp.Hosts(1, 10) || tp.Hosts(1, 20) {
-		t.Error("Hosts wrong")
+	if got := tp.SwitchesHosting(20); !reflect.DeepEqual(got, []object.ID{2}) {
+		t.Errorf("SwitchesHosting(20) = %v", got)
 	}
 }
 
@@ -84,7 +81,7 @@ func TestFromPolicy(t *testing.T) {
 	if !reflect.DeepEqual(tp.Switches(), []object.ID{5, 6}) {
 		t.Errorf("Switches = %v", tp.Switches())
 	}
-	if !tp.Hosts(5, 10) || !tp.Hosts(6, 20) {
+	if !reflect.DeepEqual(tp.SwitchesHosting(10), []object.ID{5}) || !reflect.DeepEqual(tp.SwitchesHosting(20), []object.ID{6}) {
 		t.Error("attachments missing")
 	}
 	if err := tp.Validate(p); err != nil {

@@ -3,6 +3,8 @@ package scout_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"runtime"
 	"sort"
 	"strings"
@@ -227,6 +229,104 @@ func TestConcurrentAnalyzeCalls(t *testing.T) {
 				t.Errorf("probes=%v: concurrent call %d differs from the serial run", probes, i)
 			}
 		}
+	}
+}
+
+// TestConcurrentSessionUse drives one warm-store session from several
+// goroutines at once — Analyze, ApplyEvents over random switches,
+// AnalyzeState, Invalidate and Stats — beside a one-shot AnalyzeState of
+// the same state, then closes it. The faulted fabric does not change, so
+// every report must equal a cold AnalyzeState; under -race the test also
+// shows the session's lock covers everything its entry points share.
+func TestConcurrentSessionUse(t *testing.T) {
+	f := faultyFabricOf(t, scout.SmallFabricWorkloadSpec(), scout.FabricOptions{Seed: 3})
+	st := scout.State{Deployment: f.Deployment(), TCAM: f.CollectAll(),
+		Changes: f.ChangeLog(), Faults: f.FaultLog(), Now: f.Now()}
+	cold, err := scout.NewAnalyzer(scout.AnalyzerOptions{Workers: 1}).AnalyzeState(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := marshalReport(t, cold)
+	var switches []scout.ObjectID
+	for _, sr := range cold.Switches {
+		switches = append(switches, sr.Switch)
+	}
+
+	ws, err := scout.OpenWarmStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ws.Close()
+	opts := scout.AnalyzerOptions{Workers: 2, WarmStore: ws}
+	sess, err := scout.NewSession(f, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// check reads each report while the other goroutines run: a cached
+	// verdict a report shares must not be written after it is handed out.
+	check := func(op string, rep *scout.Report, err error) {
+		if err != nil {
+			t.Errorf("%s: %v", op, err)
+			return
+		}
+		rep.Elapsed = 0
+		if got, err := json.Marshal(rep); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s: report differs from a cold AnalyzeState (%v)", op, err)
+		}
+	}
+
+	const analysts, rounds = 3, 6
+	var wg sync.WaitGroup
+	for g := 0; g < analysts; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < rounds; i++ {
+				switch (g + i) % 3 {
+				case 0:
+					rep, err := sess.Analyze()
+					check("Analyze", rep, err)
+				case 1:
+					var batch scout.EventBatch
+					for _, sw := range switches {
+						if rng.Intn(3) == 0 {
+							batch.Switches = append(batch.Switches, sw)
+						}
+					}
+					rep, err := sess.ApplyEvents(batch)
+					check(fmt.Sprintf("ApplyEvents(%v)", batch.Switches), rep, err)
+				case 2:
+					rep, err := sess.AnalyzeState(st)
+					check("Session.AnalyzeState", rep, err)
+				}
+			}
+		}(g)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rep, err := scout.NewAnalyzer(opts).AnalyzeState(st)
+		check("one-shot AnalyzeState", rep, err)
+	}()
+	// Invalidate and Stats run until every analysis has returned.
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	rng := rand.New(rand.NewSource(int64(analysts)))
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+			sess.Invalidate(switches[rng.Intn(len(switches))])
+			sess.Stats()
+		}
+	}
+	if err := sess.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := sess.Stats(); st.Runs != analysts*rounds {
+		t.Errorf("Runs = %d, want %d", st.Runs, analysts*rounds)
 	}
 }
 
