@@ -26,11 +26,12 @@ type callSite struct {
 func (c callSite) String() string { return c.pos.String() }
 
 // sourceIndex parses every non-test Go file outside bench/ and testdata/:
-// the calls by the callee's last name, the imports by directory, and the
-// function declarations by "dir:Recv.Name".
+// the calls by the callee's last name, the go statements and the imports
+// by directory, and the function declarations by "dir:Recv.Name".
 type sourceIndex struct {
 	fset    *token.FileSet
 	calls   map[string][]callSite
+	spawns  map[string][]callSite
 	imports map[string][]string
 	funcs   map[string]*ast.FuncDecl
 }
@@ -40,6 +41,7 @@ func indexSource(t *testing.T) *sourceIndex {
 	ix := &sourceIndex{
 		fset:    token.NewFileSet(),
 		calls:   make(map[string][]callSite),
+		spawns:  make(map[string][]callSite),
 		imports: make(map[string][]string),
 		funcs:   make(map[string]*ast.FuncDecl),
 	}
@@ -80,6 +82,9 @@ func indexSource(t *testing.T) *sourceIndex {
 				ix.funcs[dir+":"+name] = fd
 			}
 			ast.Inspect(decl, func(n ast.Node) bool {
+				if g, ok := n.(*ast.GoStmt); ok {
+					ix.spawns[dir] = append(ix.spawns[dir], callSite{ix.fset.Position(g.Pos()), name, 0})
+				}
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
 					return true
@@ -123,10 +128,25 @@ func TestArchitecture(t *testing.T) {
 	ix := indexSource(t)
 
 	// The pipeline is written once: Session.run is the only orchestration,
-	// so every stage has one call site, and checkAll is the one fan-out.
-	for _, stage := range []string{"assemble", "checkAll", "buildSharedBase", "startRiskModels"} {
+	// so every stage has one call site.
+	for _, stage := range []string{"assemble", "buildSharedBase", "startRiskModels"} {
 		if sites := ix.sites(stage); len(sites) != 1 {
 			t.Errorf("%s has %d call sites, want 1: %v", stage, len(sites), sites)
+		}
+	}
+
+	// fanOut is the one fan-out: besides the controller-model build that
+	// startRiskModels runs beside the base build, it is the only place the
+	// root package starts a goroutine. Its workers share nothing but slots
+	// their indices own, so the package needs no atomic.
+	for _, g := range ix.spawns["."] {
+		if g.fn != "Analyzer.fanOut" && g.fn != "Analyzer.startRiskModels" {
+			t.Errorf("%s: %s starts a goroutine; the fan-out is Analyzer.fanOut", g.pos, g.fn)
+		}
+	}
+	for _, imp := range ix.imports["."] {
+		if imp == "sync/atomic" {
+			t.Error("the root package imports sync/atomic")
 		}
 	}
 

@@ -72,7 +72,7 @@ func run() error {
 		capacity    = flag.Int("tcam", 0, "per-switch TCAM capacity (0 = default)")
 		disconnect  = flag.Int("disconnect", -1, "switch ID to disconnect before analysis")
 		scenPath    = flag.String("scenario", "", "JSON scenario file to replay instead of -fault/-disconnect")
-		workers     = flag.Int("workers", 0, "parallel per-switch equivalence checkers (0 = NumCPU, 1 = serial)")
+		workers     = flag.Int("workers", 0, "parallel per-switch equivalence checkers (0 = GOMAXPROCS, 1 = serial)")
 		probes      = flag.Bool("probes", false, "observe via active dataplane probes (batched per-switch classification) instead of TCAM collection")
 		watch       = flag.Bool("watch", false, "drive an event-driven session daemon: full baseline, then coalesced per-batch incremental refreshes")
 		batchWindow = flag.Duration("batch-window", 2*time.Second, "watch mode: cut a pending batch after its oldest event waited this long (requires -watch)")

@@ -15,8 +15,8 @@ import (
 	"scout"
 )
 
-// workers shards the per-switch equivalence checks (0 = NumCPU).
-var workers = flag.Int("workers", 0, "parallel per-switch equivalence checkers (0 = NumCPU, 1 = serial)")
+// workers shards the per-switch equivalence checks (0 = GOMAXPROCS).
+var workers = flag.Int("workers", 0, "parallel per-switch equivalence checkers (0 = GOMAXPROCS, 1 = serial)")
 
 func main() {
 	flag.Parse()

@@ -183,8 +183,7 @@ func matchLess(a, b rule.Match) bool {
 type EncodeStats struct {
 	// Checkers is the number of checkers aggregated (the worker count).
 	Checkers int
-	// BaseNodes is the size of the shared frozen base; 0 when the run
-	// used private per-worker checkers.
+	// BaseNodes is the size of the shared frozen base.
 	BaseNodes int
 	// BaseSemantics is the number of whole-switch semantics roots frozen
 	// in the base (the top-K most duplicated rule-list fingerprints).
@@ -209,19 +208,14 @@ type EncodeStats struct {
 func (s *EncodeStats) FoldHits() int { return s.FoldBaseHits + s.FoldLocalHits }
 
 // AggregateEncodeStats sums the encoding counters of a run's checkers
-// over their shared base (nil for private-checker runs). Nil checker
-// slots (workers that never started) are skipped.
+// over the base they fork.
 func AggregateEncodeStats(base *Base, checkers []*Checker) *EncodeStats {
-	st := &EncodeStats{}
-	if base != nil {
-		st.BaseNodes = base.Size()
-		st.BaseSemantics = base.NumSemantics()
+	st := &EncodeStats{
+		Checkers:      len(checkers),
+		BaseNodes:     base.Size(),
+		BaseSemantics: base.NumSemantics(),
 	}
 	for _, c := range checkers {
-		if c == nil {
-			continue
-		}
-		st.Checkers++
 		st.DeltaNodes += c.DeltaSize()
 		cs := c.Stats()
 		st.FoldBaseHits += cs.FoldBaseHits

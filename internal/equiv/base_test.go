@@ -264,8 +264,7 @@ func TestSortMatchesTotalOrder(t *testing.T) {
 	}
 }
 
-// TestAggregateEncodeStats sums counters across forks and tolerates nil
-// slots.
+// TestAggregateEncodeStats sums counters across forks.
 func TestAggregateEncodeStats(t *testing.T) {
 	logical := withDeny(allowRule(1, 2, 3, 80))
 	base := newBase(logical)
@@ -276,7 +275,7 @@ func TestAggregateEncodeStats(t *testing.T) {
 	if _, err := f2.Check(logical, nil); err != nil {
 		t.Fatal(err)
 	}
-	st := AggregateEncodeStats(base, []*Checker{f1, nil, f2})
+	st := AggregateEncodeStats(base, []*Checker{f1, f2})
 	if st.Checkers != 2 {
 		t.Errorf("Checkers = %d, want 2", st.Checkers)
 	}

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"scout"
+	"scout/internal/equiv"
 	"scout/internal/rule"
 	"scout/internal/tcam"
 )
@@ -331,9 +332,10 @@ func TestConcurrentSessionUse(t *testing.T) {
 }
 
 // TestParallelCheckErrorPropagates forces an encoding error in the check
-// stage and verifies the pool surfaces it instead of deadlocking or
+// stage and verifies the fan-out surfaces it instead of deadlocking or
 // returning a partial report. The VRF id exceeds the checker's 16-bit
-// field encoding, which is the only way a check itself can fail.
+// field encoding, which is the only way a check itself can fail. Every
+// switch fails, and the error is the lowest one's at any worker count.
 func TestParallelCheckErrorPropagates(t *testing.T) {
 	badRule := scout.Rule{
 		Match:  rule.Match{VRF: 1 << 17, SrcEPG: 1, DstEPG: 2, PortLo: 80, PortHi: 80},
@@ -354,12 +356,99 @@ func TestParallelCheckErrorPropagates(t *testing.T) {
 		if err == nil {
 			t.Fatalf("Workers=%d: expected encoding error, got nil", workers)
 		}
-		// Which failing switch is reported is scheduler-dependent when
-		// several fail at once; the contract is only that the error names
-		// a switch.
-		if !strings.Contains(err.Error(), "equivalence check switch") {
-			t.Errorf("Workers=%d: error should name a failing switch, got: %v", workers, err)
+		if !strings.Contains(err.Error(), "equivalence check switch 1:") {
+			t.Errorf("Workers=%d: error should name switch 1, the lowest failing switch, got: %v", workers, err)
 		}
+	}
+}
+
+// TestParallelCountersRepeat pins that which worker's fork checks which
+// switch is a function of the input: two sessions over identically seeded
+// fabrics, driven through the same TCAM churn, keep equal counters — delta
+// nodes, fold hits, op-cache totals — after every run, at an even and an
+// uneven stride alike.
+func TestParallelCountersRepeat(t *testing.T) {
+	const rounds, batches = 4, 6
+	for _, workers := range []int{2, 3, runtime.NumCPU()} {
+		var fabs [2]*scout.Fabric
+		var sess [2]*scout.Session
+		var evicted [2]map[scout.ObjectID][]scout.Rule
+		for j := range fabs {
+			fabs[j] = faultyFabricOf(t, scout.SmallFabricWorkloadSpec(), scout.FabricOptions{Seed: 3})
+			s, err := scout.NewSession(fabs[j], scout.AnalyzerOptions{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess[j], evicted[j] = s, make(map[scout.ObjectID][]scout.Rule)
+		}
+		// churn reinstalls what the previous churn of sw evicted on fabric j
+		// and evicts n fresh rules.
+		churn := func(j int, sw scout.ObjectID, n int) {
+			s, err := fabs[j].Switch(sw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range evicted[j][sw] {
+				if err := s.TCAM().Install(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if evicted[j][sw], err = fabs[j].EvictTCAM(sw, n); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// step mutates and analyzes both sides, then compares their counters.
+		step := func(name string, mutate func(j int), analyze func(*scout.Session) (*scout.Report, error)) {
+			t.Helper()
+			var enc [2]equiv.EncodeStats
+			for j := range sess {
+				mutate(j)
+				rep, err := analyze(sess[j])
+				if err != nil {
+					t.Fatalf("Workers=%d %s: %v", workers, name, err)
+				}
+				enc[j] = *rep.EncodeStats
+			}
+			if a, b := sess[0].Stats(), sess[1].Stats(); a != b {
+				t.Fatalf("Workers=%d %s: session counters differ between identical runs:\n%+v\n%+v", workers, name, a, b)
+			}
+			if enc[0] != enc[1] {
+				t.Fatalf("Workers=%d %s: encode stats differ between identical runs:\n%+v\n%+v", workers, name, enc[0], enc[1])
+			}
+		}
+
+		switches := fabs[0].Topology().Switches()
+		for r := 0; r < rounds; r++ {
+			step(fmt.Sprintf("churn round %d", r), func(j int) {
+				for _, sw := range switches {
+					churn(j, sw, 2)
+				}
+			}, (*scout.Session).Analyze)
+		}
+		for b := 0; b < batches; b++ {
+			pair := []scout.ObjectID{switches[b%len(switches)], switches[(b+1)%len(switches)]}
+			step(fmt.Sprintf("event batch %d", b), func(j int) {
+				for _, sw := range pair {
+					churn(j, sw, 1)
+				}
+			}, func(s *scout.Session) (*scout.Report, error) {
+				return s.ApplyEvents(scout.EventBatch{Switches: pair})
+			})
+		}
+	}
+}
+
+// TestWorkersDefaultIsGOMAXPROCS: the default worker count is the number of
+// Ps, not of CPUs — a fork the scheduler cannot run beside the others only
+// costs its build.
+func TestWorkersDefaultIsGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	rep, err := scout.NewAnalyzer().Analyze(faultyFabric(t, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.EncodeStats.Checkers != 1 {
+		t.Errorf("Workers 0 at GOMAXPROCS 1 forked %d checkers, want 1", rep.EncodeStats.Checkers)
 	}
 }
 

@@ -32,7 +32,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"scout/internal/correlate"
@@ -64,12 +63,13 @@ type AnalyzerOptions struct {
 
 	// Workers bounds the number of concurrent per-switch equivalence
 	// checks. L-T checks are independent across switches (§III-C checks
-	// each switch on its own), so the check stage fans out over a pool of
-	// Workers goroutines, each owning its own equiv.Checker (a fork of the
-	// deployment's shared frozen base); results are folded back serially
-	// in ascending switch-ID order, so reports are byte-for-byte identical
-	// for any worker count. 0 (the default) selects runtime.NumCPU(); 1
-	// restores the fully serial pipeline.
+	// each switch on its own), so the check stage fans out over Workers
+	// goroutines, each owning its own equiv.Checker (a fork of the
+	// deployment's shared frozen base). Worker k checks the k-th, (k+W)-th,
+	// … switch in ascending switch-ID order and results are folded back in
+	// that order, so reports — and a session's counters — are identical
+	// from run to run at any worker count. 0 (the default) selects
+	// runtime.GOMAXPROCS(0); 1 restores the fully serial pipeline.
 	Workers int
 
 	// WarmStore, when set, gives Sessions durable warm state: on the
@@ -228,15 +228,6 @@ func checkState(st State, c *equiv.Checker, sw object.ID) (*equiv.Report, error)
 	return checkRep, nil
 }
 
-// checkFunc computes one switch's equivalence report. The checker argument
-// is private to the calling worker (nil in probe runs, which never touch
-// it); implementations must otherwise only read shared state, since
-// checkAll invokes them concurrently.
-type checkFunc func(c *equiv.Checker, sw object.ID) (*equiv.Report, error)
-
-// noChecker is the worker-checker source of probe runs.
-func noChecker(int) *equiv.Checker { return nil }
-
 // baseSemanticsTopK bounds how many whole-switch semantics roots the
 // warmup freezes into the shared base. Lists are ranked most-duplicated
 // first, so the cap sheds only the rarest fingerprints on fabrics with
@@ -244,7 +235,7 @@ func noChecker(int) *equiv.Checker { return nil }
 const baseSemanticsTopK = 1024
 
 // buildSharedBase is the check stage's warmup pass: it fingerprints every
-// switch's rule list over the worker pool, compiles the top-K most
+// switch's rule list over the fan-out, compiles the top-K most
 // duplicated whole-switch rule lists (ranked by canonical semantics
 // fingerprint, most shared first) into frozen semantics roots, and
 // freezes the result into an immutable base every worker's checker forks.
@@ -271,8 +262,9 @@ func (a *Analyzer) buildSharedBase(d *Deployment) *equiv.Base {
 	}
 	sort.Slice(switches, func(i, j int) bool { return switches[i] < switches[j] })
 	semFPs := make([]uint64, len(switches))
-	a.forEach(len(switches), func(i int) {
+	a.fanOut(len(switches), func(_, i int) error {
 		semFPs[i] = equiv.SemanticsFingerprint(d.BySwitch[switches[i]])
+		return nil
 	})
 
 	// Rank the distinct rule lists most-duplicated first (fingerprint
@@ -312,11 +304,13 @@ func (a *Analyzer) buildSharedBase(d *Deployment) *equiv.Base {
 	return equiv.NewBaseWith(fps, lists...)
 }
 
-// workers resolves the worker count for a check stage over n switches.
+// workers resolves the worker count of a fan-out over n items. The default
+// is one worker per P: the work is CPU-bound, so a worker the scheduler
+// cannot run at once with the others only costs its checker fork.
 func (a *Analyzer) workers(n int) int {
 	w := a.opts.Workers
 	if w <= 0 {
-		w = runtime.NumCPU()
+		w = runtime.GOMAXPROCS(0)
 	}
 	if w > n {
 		w = n
@@ -327,103 +321,43 @@ func (a *Analyzer) workers(n int) int {
 	return w
 }
 
-// checkAll runs the pure check stage of the pipeline: it fans check out
-// over the switches with the configured worker pool and returns the
-// reports aligned with the input slice. checker(k) returns worker k's
-// private checker: a Checker is not safe for concurrent use, but reusing
-// one per worker amortizes BDD construction across that worker's switches
-// (a session passes its pool of base forks — just forked in a one-shot's
-// session, kept by a long-lived one so memoized encodings survive across
-// runs; probe runs pass noChecker). Which worker checks which switch is
-// scheduling-dependent, which is safe because checker state never
-// influences check results, only their cost. With one worker — or one
-// switch — it degenerates to the serial loop the pipeline always ran. The
-// caller folds the aligned results serially, so report order never
-// depends on scheduling. On error the pool drains early and the
-// lowest-index recorded error is returned; when several switches fail
-// concurrently, which one is reported may vary (successful analyses are
-// deterministic, failures are exceptional).
-func (a *Analyzer) checkAll(switches []object.ID, checker func(worker int) *equiv.Checker, check checkFunc) ([]*equiv.Report, error) {
-	reports := make([]*equiv.Report, len(switches))
-	w := a.workers(len(switches))
-	if w <= 1 {
-		c := checker(0)
-		for i, sw := range switches {
-			rep, err := check(c, sw)
-			if err != nil {
-				return nil, err
+// fanOut is the pipeline's one fan-out: it calls fn(k, i) for every i in
+// [0, n) on w = a.workers(n) workers, and worker k takes indices k, k+w,
+// k+2w, … in ascending order, worker 0 on the calling goroutine. Which
+// worker runs an index is thus a function of n and w alone, never of
+// scheduling: a caller that hands worker k state of its own (a session's
+// checker k) does the same work on it on every identical run, so every
+// counter that state keeps repeats at any worker count. fn writes only
+// slots its index owns. A worker stops at its first error, and fanOut
+// returns the error of the lowest failing index — the one a serial loop
+// would have stopped at, since the worker that owns it ran every index
+// below it on its stride.
+func (a *Analyzer) fanOut(n int, fn func(worker, i int) error) error {
+	w := a.workers(n)
+	errs := make([]error, n)
+	stride := func(k int) {
+		for i := k; i < n; i += w {
+			if errs[i] = fn(k, i); errs[i] != nil {
+				return
 			}
-			reports[i] = rep
 		}
-		return reports, nil
 	}
-
-	var (
-		wg     sync.WaitGroup
-		next   atomic.Int64
-		failed atomic.Bool
-	)
-	errs := make([]error, len(switches))
-	for k := 0; k < w; k++ {
-		wg.Add(1)
-		go func(k int) {
+	var wg sync.WaitGroup
+	wg.Add(w - 1)
+	for k := 1; k < w; k++ {
+		go func() {
 			defer wg.Done()
-			c := checker(k)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(switches) || failed.Load() {
-					return
-				}
-				rep, err := check(c, switches[i])
-				if err != nil {
-					errs[i] = err
-					failed.Store(true)
-					return
-				}
-				reports[i] = rep
-			}
-		}(k)
+			stride(k)
+		}()
 	}
+	stride(0)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return reports, nil
-}
-
-// forEach runs fn(i) for every i in [0, n) over the configured worker
-// pool. It is the fan-out primitive for pipeline stages whose per-switch
-// work is independent and infallible (the fold's risk-model builds);
-// callers write results into index-addressed slices so output order never
-// depends on scheduling.
-func (a *Analyzer) forEach(n int, fn func(i int)) {
-	w := a.workers(n)
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var (
-		wg   sync.WaitGroup
-		next atomic.Int64
-	)
-	for k := 0; k < w; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
+	return nil
 }
 
 // riskModels are one deployment's pristine risk models: the controller
@@ -470,7 +404,7 @@ func changeOracle(changes *ChangeLog, now time.Time) localize.ChangeLogOracle {
 // assemble runs the pipeline stages downstream of the check stage. The
 // per-switch residue — overlay annotation plus localization for every
 // inequivalent switch, and the controller-model augmentation patch — fans
-// out over the worker pool (patches only read the pristine controller
+// out over the workers (patches only read the pristine controller
 // model); then the serial fold walks the switches in ascending ID order
 // to count missing rules and replay the patches, and the global
 // localization/correlation pass finishes the report. The only serial
@@ -490,11 +424,12 @@ func (a *Analyzer) assemble(models *riskModels, changes *ChangeLog, faults *Faul
 
 	srs := make([]SwitchReport, len(switches))
 	patches := make([]*risk.Patch, len(switches))
-	a.forEach(len(switches), func(i int) {
+	a.fanOut(len(switches), func(_, i int) error {
 		srs[i] = buildSwitchReport(models, oracle, switches[i], checkReps[i])
 		if !srs[i].Equivalent {
 			patches[i] = risk.AugmentControllerModelPatch(models.ctrl, switches[i], srs[i].MissingRules, prov)
 		}
+		return nil
 	})
 
 	rep := &Report{Consistent: true, Switches: srs, ControllerView: ctrl}

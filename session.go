@@ -3,7 +3,6 @@ package scout
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"scout/internal/collect"
@@ -453,7 +452,7 @@ func (s *Session) run(st State, live bool) (*Report, error) {
 	// A T list's fingerprint comes from the switch's cache entry when it is
 	// the very slice the entry's fingerprint was hashed from (snapshots are
 	// read-only, so one slice seen twice is unchanged content) and is
-	// otherwise hashed, over the worker pool like the checks. An empty list
+	// otherwise hashed, over the workers like the checks. An empty list
 	// has no address to recognise and a store-seeded entry no list: both are
 	// hashed, so no fingerprint is trusted for a list this process never read.
 	tcamFPs := make([]uint64, len(switches))
@@ -466,9 +465,10 @@ func (s *Session) run(st State, live bool) (*Report, error) {
 		}
 	}
 	if len(unhashed) > 0 { // a clean epoch's replay allocates nothing here
-		s.a.forEach(len(unhashed), func(k int) {
+		s.a.fanOut(len(unhashed), func(_, k int) error {
 			i := unhashed[k]
 			tcamFPs[i] = equiv.Fingerprint(st.TCAM[switches[i]])
+			return nil
 		})
 	}
 
@@ -482,24 +482,22 @@ func (s *Session) run(st State, live bool) (*Report, error) {
 	foldBefore := s.foldTotalsLocked()
 	checkReps, checked, err := s.replayOrCheckLocked(st.TCAM, switches, tcamFPs,
 		func(dirty []object.ID) ([]*equiv.Report, error) {
-			var checker func(worker int) *equiv.Checker
-			var check checkFunc
-			var sent atomic.Int64 // probes classified by this round's fan-out
-			if probes {
-				checker, check = noChecker, func(_ *equiv.Checker, sw object.ID) (*equiv.Report, error) {
-					rep, n, err := probeSwitch(s.f, s.dep.d.RulesFor(sw), sw)
-					sent.Add(int64(n))
-					return rep, err
-				}
-			} else {
+			reps := make([]*equiv.Report, len(dirty))
+			if !probes {
 				s.provisionCheckersLocked(s.a.workers(len(dirty)))
-				checker = func(k int) *equiv.Checker { return s.checkers[k] }
-				check = func(c *equiv.Checker, sw object.ID) (*equiv.Report, error) {
-					return checkState(st, c, sw)
-				}
+				return reps, s.a.fanOut(len(dirty), func(k, i int) (err error) {
+					reps[i], err = checkState(st, s.checkers[k], dirty[i])
+					return err
+				})
 			}
-			reps, err := s.a.checkAll(dirty, checker, check)
-			s.stats.ProbePacketsBatched += int(sent.Load())
+			sent := make([]int, len(dirty))
+			err := s.a.fanOut(len(dirty), func(_, i int) (err error) {
+				reps[i], sent[i], err = probeSwitch(s.f, s.dep.d.RulesFor(dirty[i]), dirty[i])
+				return err
+			})
+			for _, n := range sent {
+				s.stats.ProbePacketsBatched += n
+			}
 			return reps, err
 		})
 	if err != nil {
@@ -705,7 +703,7 @@ func (s *Session) saveVerdictsLocked() {
 
 // provisionCheckersLocked grows the persistent checker pool to n entries
 // — forks of the shared base — and resets any of them whose private delta
-// exceeded the node budget, before the worker pool starts (workers must
+// exceeded the node budget, before the fan-out starts (workers must
 // never mutate the slice concurrently).
 func (s *Session) provisionCheckersLocked(n int) {
 	for len(s.checkers) < n {
