@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"scout"
-	"scout/internal/localize"
 	"scout/internal/tcam"
 )
 
@@ -33,9 +32,6 @@ func TestAnalyzeRequiresDeploy(t *testing.T) {
 	}
 	if _, err := scout.NewAnalyzer().Analyze(f); err == nil {
 		t.Error("Analyze before Deploy must fail")
-	}
-	if _, err := scout.NewAnalyzer().AnalyzeSwitch(f, 1); err == nil {
-		t.Error("AnalyzeSwitch before Deploy must fail")
 	}
 }
 
@@ -62,57 +58,52 @@ func TestAnalyzeWithProbes(t *testing.T) {
 	}
 }
 
+// switchReport returns sw's report from rep.
+func switchReport(t *testing.T, rep *scout.Report, sw scout.ObjectID) scout.SwitchReport {
+	t.Helper()
+	for _, sr := range rep.Switches {
+		if sr.Switch == sw {
+			return sr
+		}
+	}
+	t.Fatalf("no report for switch %d", sw)
+	return scout.SwitchReport{}
+}
+
+// TestAnalyzeSwitchScoped: an inequivalent switch's report carries a
+// localization on its own switch risk model, so its hypothesis names that
+// switch's policy objects; a consistent switch's carries none.
 func TestAnalyzeSwitchScoped(t *testing.T) {
 	f := deployedThreeTier(t, 1)
 	if _, err := f.InjectObjectFault(scout.FilterRef(700), 1.0); err != nil {
 		t.Fatal(err)
 	}
-	// Filter 700 rules live on switches 2 and 3 only.
-	sr1, err := scout.NewAnalyzer().AnalyzeSwitch(f, 1)
+	rep, err := scout.NewAnalyzer().AnalyzeState(scout.State{
+		Deployment: f.Deployment(),
+		TCAM:       f.CollectAll(),
+		Changes:    f.ChangeLog(),
+		Faults:     f.FaultLog(),
+		Now:        f.Now(),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sr1.Equivalent || sr1.Result != nil {
+	// Filter 700 rules live on switches 2 and 3 only.
+	if sr1 := switchReport(t, rep, 1); !sr1.Equivalent || sr1.Result != nil {
 		t.Error("switch 1 must be consistent")
 	}
-	sr2, err := scout.NewAnalyzer().AnalyzeSwitch(f, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sr2 := switchReport(t, rep, 2)
 	if sr2.Equivalent || sr2.Result == nil {
 		t.Fatal("switch 2 must be inconsistent with a localization result")
 	}
-	found := false
-	for _, ref := range sr2.Result.Hypothesis {
-		if ref == scout.FilterRef(700) {
-			found = true
-		}
-	}
-	if !found {
+	if !slices.Contains(sr2.Result.Hypothesis, scout.FilterRef(700)) {
 		t.Errorf("switch-scoped hypothesis %v must contain filter:700", sr2.Result.Hypothesis)
 	}
-	if _, err := scout.NewAnalyzer().AnalyzeSwitch(f, 99); err == nil {
-		t.Error("unknown switch must fail")
-	}
 }
 
-// TestAnalyzeSwitchRequiresDeploy pins the event-driven single-switch
-// mode's precondition: no compiled desired state, no check.
-func TestAnalyzeSwitchRequiresDeploy(t *testing.T) {
-	p, topo := threeTier(t)
-	f, err := scout.NewFabric(p, topo, scout.FabricOptions{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := scout.NewAnalyzer().AnalyzeSwitch(f, 1); err == nil {
-		t.Error("AnalyzeSwitch before Deploy must fail")
-	}
-}
-
-// TestAnalyzeSwitchObservationSources runs the single-switch mode through
-// each observation source — a BDD check of the collected TCAM and
-// dataplane probes — which share the report assembly but take different
-// check paths.
+// TestAnalyzeSwitchObservationSources builds switch reports from each
+// observation source — a BDD check of the collected TCAM and dataplane
+// probes — which share the report assembly but take different check paths.
 func TestAnalyzeSwitchObservationSources(t *testing.T) {
 	for _, opts := range []scout.AnalyzerOptions{
 		{},
@@ -122,23 +113,15 @@ func TestAnalyzeSwitchObservationSources(t *testing.T) {
 		if _, err := f.InjectObjectFault(scout.FilterRef(700), 1.0); err != nil {
 			t.Fatal(err)
 		}
-		sr, err := scout.NewAnalyzer(opts).AnalyzeSwitch(f, 2)
+		rep, err := scout.NewAnalyzer(opts).Analyze(f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sr.Equivalent || len(sr.MissingRules) == 0 || sr.Result == nil {
+		if sr := switchReport(t, rep, 2); sr.Equivalent || len(sr.MissingRules) == 0 || sr.Result == nil {
 			t.Errorf("opts %+v: switch 2 report = %+v, want missing rules and a localization", opts, sr)
 		}
-		clean, err := scout.NewAnalyzer(opts).AnalyzeSwitch(f, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !clean.Equivalent || clean.Result != nil {
+		if clean := switchReport(t, rep, 1); !clean.Equivalent || clean.Result != nil {
 			t.Errorf("opts %+v: switch 1 must stay consistent", opts)
-		}
-		// Probing an unknown switch surfaces the fabric error too.
-		if _, err := scout.NewAnalyzer(opts).AnalyzeSwitch(f, 99); err == nil {
-			t.Errorf("opts %+v: unknown switch must fail", opts)
 		}
 	}
 }
@@ -355,31 +338,6 @@ func TestAnalyzeStateNilLogs(t *testing.T) {
 	}
 	if _, err := scout.NewAnalyzer().AnalyzeState(scout.State{}); err == nil {
 		t.Error("state without deployment must fail")
-	}
-}
-
-func TestMaxCoverageBaselineTradesPrecisionForRecall(t *testing.T) {
-	f := deployedThreeTier(t, 1)
-	if _, err := f.InjectObjectFault(scout.FilterRef(700), 1.0); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := scout.NewAnalyzer().Analyze(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := f.Deployment()
-	model := scout.BuildControllerRiskModel(d, scout.ControllerModelOptions{IncludeSwitchRisk: true})
-	for _, sr := range rep.Switches {
-		if !sr.Equivalent {
-			scout.AugmentControllerRiskModel(model, sr.Switch, sr.MissingRules, d.Provenance)
-		}
-	}
-	res := localize.MaxCoverage(model)
-	if len(res.Unexplained) != 0 {
-		t.Error("max coverage must explain every observation")
-	}
-	if len(res.Hypothesis) == 0 {
-		t.Error("hypothesis empty")
 	}
 }
 

@@ -25,15 +25,24 @@ type callSite struct {
 
 func (c callSite) String() string { return c.pos.String() }
 
-// sourceIndex parses every non-test Go file outside bench/ and testdata/:
-// the calls by the callee's last name, the go statements and the imports
-// by directory, and the function declarations by "dir:Recv.Name".
+// oracleDir is the package of test oracles: code only tests may import.
+var oracleDir = filepath.Join("internal", "oracle")
+
+// sourceIndex parses every non-test Go file outside testdata/: the
+// imports by directory, and every identifier's enclosing function. Outside
+// bench/ it also keeps the calls by the callee's last name, the go
+// statements, and the function declarations by "dir:Recv.Name".
 type sourceIndex struct {
 	fset    *token.FileSet
 	calls   map[string][]callSite
 	spawns  map[string][]callSite
 	imports map[string][]string
 	funcs   map[string]*ast.FuncDecl
+	// refs maps an identifier to the function declarations it appears in
+	// (nil at package scope), over every non-test file but the oracle's.
+	// Declared names — a function's own, fields and parameters — are not
+	// references; a method an interface names is.
+	refs map[string][]*ast.FuncDecl
 }
 
 func indexSource(t *testing.T) *sourceIndex {
@@ -44,13 +53,14 @@ func indexSource(t *testing.T) *sourceIndex {
 		spawns:  make(map[string][]callSite),
 		imports: make(map[string][]string),
 		funcs:   make(map[string]*ast.FuncDecl),
+		refs:    make(map[string][]*ast.FuncDecl),
 	}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
-			if path != "." && (path == "bench" || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+			if path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
 				return filepath.SkipDir
 			}
 			return nil
@@ -65,6 +75,12 @@ func indexSource(t *testing.T) *sourceIndex {
 		dir := filepath.Dir(path)
 		for _, imp := range file.Imports {
 			ix.imports[dir] = append(ix.imports[dir], strings.Trim(imp.Path.Value, `"`))
+		}
+		if dir != oracleDir {
+			ix.indexRefs(file)
+		}
+		if strings.HasPrefix(path, "bench"+string(filepath.Separator)) {
+			return nil
 		}
 		for _, decl := range file.Decls {
 			name := "package scope"
@@ -108,6 +124,50 @@ func indexSource(t *testing.T) *sourceIndex {
 	return ix
 }
 
+// indexRefs records every identifier of file that is not a declared name.
+// A method an interface names is the exception: calls through the
+// interface dispatch to every method of that name.
+func (ix *sourceIndex) indexRefs(file *ast.File) {
+	declared := make(map[*ast.Ident]bool)
+	dispatch := make(map[*ast.Ident]bool)
+	ast.Inspect(file, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncDecl:
+			declared[n.Name] = true
+		case *ast.InterfaceType:
+			for _, m := range n.Methods.List {
+				for _, id := range m.Names {
+					dispatch[id] = true
+				}
+			}
+		case *ast.Field:
+			for _, id := range n.Names {
+				declared[id] = !dispatch[id]
+			}
+		}
+		return true
+	})
+	for _, decl := range file.Decls {
+		fd, _ := decl.(*ast.FuncDecl)
+		ast.Inspect(decl, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !declared[id] {
+				ix.refs[id.Name] = append(ix.refs[id.Name], fd)
+			}
+			return true
+		})
+	}
+}
+
+// referenced reports whether fd's name appears anywhere outside fd itself.
+func (ix *sourceIndex) referenced(fd *ast.FuncDecl) bool {
+	for _, in := range ix.refs[fd.Name.Name] {
+		if in != fd {
+			return true
+		}
+	}
+	return false
+}
+
 // sites returns the calls a pattern names: "Name" is any call of that
 // name, "Name()" one that passes no arguments.
 func (ix *sourceIndex) sites(pattern string) []callSite {
@@ -119,6 +179,24 @@ func (ix *sourceIndex) sites(pattern string) []callSite {
 		}
 	}
 	return out
+}
+
+// unreferencedExports are the exported functions a production package may
+// keep with no caller outside tests, by "dir:Recv.Name", or by bare method
+// name for any receiver.
+var unreferencedExports = map[string]string{
+	"String":      "fmt calls it through fmt.Stringer",
+	"Error":       "callers reach it through the error interface",
+	"MarshalJSON": "encoding/json calls it through json.Marshaler",
+
+	".:Session.Invalidate": "the documented way to drop a switch's warm state",
+
+	filepath.Join("internal", "risk") + ":Model.EnsureElement": "goes with model marking (ROADMAP 7(a))",
+	filepath.Join("internal", "risk") + ":Model.ResetFailures": "goes with model marking (ROADMAP 7(a))",
+
+	filepath.Join("internal", "eval") + ":AccuracyResult.Curve":        "the accuracy goldens read it (ROADMAP 3(a))",
+	filepath.Join("internal", "eval") + ":AccuracyCurve.MeanRecall":    "the accuracy goldens read it (ROADMAP 3(a))",
+	filepath.Join("internal", "eval") + ":AccuracyCurve.MeanPrecision": "the accuracy goldens read it (ROADMAP 3(a))",
 }
 
 // TestArchitecture holds the design's invariants over the non-test Go
@@ -196,5 +274,41 @@ func TestArchitecture(t *testing.T) {
 		for _, c := range ix.sites(shim) {
 			t.Errorf("%s: %s calls the bench-only shim %s", c.pos, c.fn, shim)
 		}
+	}
+
+	// Oracles are for tests: a production package that imports them ships
+	// a second engine.
+	for dir, imps := range ix.imports {
+		for _, imp := range imps {
+			if imp == "scout/internal/oracle" {
+				t.Errorf("%s imports scout/internal/oracle, which only tests may", dir)
+			}
+		}
+	}
+
+	// A production package holds what production calls: every exported
+	// function under internal/ or the root is named outside its own body
+	// by some non-test file (bench/, cmd/ and examples/ count).
+	keys := make([]string, 0, len(ix.funcs))
+	for key := range ix.funcs {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	for _, key := range keys {
+		fd := ix.funcs[key]
+		dir, name, _ := strings.Cut(key, ":")
+		if dir == oracleDir || (dir != "." && !strings.HasPrefix(dir, "internal"+string(filepath.Separator))) {
+			continue
+		}
+		if !fd.Name.IsExported() || ix.referenced(fd) {
+			continue
+		}
+		if _, ok := unreferencedExports[key]; ok {
+			continue
+		}
+		if _, ok := unreferencedExports[fd.Name.Name]; ok && fd.Recv != nil {
+			continue
+		}
+		t.Errorf("%s: %s has no caller outside tests", ix.fset.Position(fd.Pos()), name)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"slices"
 	"strconv"
@@ -58,6 +59,16 @@ func main() {
 func run(cfg config, w io.Writer) error {
 	if cfg.experiment != "all" && !slices.Contains(experiments, cfg.experiment) {
 		return fmt.Errorf("unknown experiment %q (valid: %s, all)", cfg.experiment, strings.Join(experiments, ", "))
+	}
+	switch {
+	case !(cfg.scale > 0) || math.IsInf(cfg.scale, 1):
+		return fmt.Errorf("-scale %v: want a positive finite factor", cfg.scale)
+	case cfg.runs < 1:
+		return fmt.Errorf("-runs %d: want at least 1", cfg.runs)
+	case cfg.maxFaults < 1:
+		return fmt.Errorf("-faults %d: want at least 1", cfg.maxFaults)
+	case cfg.noise < 0:
+		return fmt.Errorf("-noise %d: want 0 or more", cfg.noise)
 	}
 	want := func(name string) bool { return cfg.experiment == "all" || cfg.experiment == name }
 	simEnv := func() (*eval.Env, error) {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -27,7 +28,7 @@ func TestRunScaleSmoke(t *testing.T) {
 		t.Skip("workload generation is seconds-scale")
 	}
 	var out bytes.Buffer
-	cfg := config{experiment: "scale", scale: 0.05, seed: 3, switchList: "4"}
+	cfg := config{experiment: "scale", scale: 0.05, seed: 3, runs: 1, maxFaults: 1, switchList: "4"}
 	if err := run(cfg, &out); err != nil {
 		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
 	}
@@ -40,7 +41,7 @@ func TestRunScaleSmoke(t *testing.T) {
 // -switches list must fail the scale experiment, not silently no-op.
 func TestRunRejectsUnknownList(t *testing.T) {
 	var out bytes.Buffer
-	cfg := config{experiment: "scale", scale: 0.05, seed: 3, switchList: "4,oops"}
+	cfg := config{experiment: "scale", scale: 0.05, seed: 3, runs: 1, maxFaults: 1, switchList: "4,oops"}
 	if err := run(cfg, &out); err == nil {
 		t.Error("malformed -switches must error")
 	}
@@ -62,6 +63,37 @@ func TestRunRejectsUnknownExperiment(t *testing.T) {
 		}
 		if out.Len() != 0 {
 			t.Errorf("experiment %q printed output before failing:\n%s", name, out.String())
+		}
+	}
+}
+
+// TestRunRejectsBadFlags: a scale, run count, fault count or noise level
+// no experiment can use fails naming its flag, before any work. A
+// non-positive scale used to print itself and run the full production
+// spec; zero runs or faults fell back to defaults.
+func TestRunRejectsBadFlags(t *testing.T) {
+	ok := config{experiment: "fig3", scale: 0.05, seed: 3, runs: 1, maxFaults: 1}
+	for _, tc := range []struct {
+		flag string
+		edit func(*config)
+	}{
+		{"-scale", func(c *config) { c.scale = -1 }},
+		{"-scale", func(c *config) { c.scale = 0 }},
+		{"-scale", func(c *config) { c.scale = math.NaN() }},
+		{"-scale", func(c *config) { c.scale = math.Inf(1) }},
+		{"-runs", func(c *config) { c.runs = 0 }},
+		{"-faults", func(c *config) { c.maxFaults = 0 }},
+		{"-noise", func(c *config) { c.noise = -1 }},
+	} {
+		cfg := ok
+		tc.edit(&cfg)
+		var out bytes.Buffer
+		err := run(cfg, &out)
+		if err == nil || !strings.HasPrefix(err.Error(), tc.flag+" ") {
+			t.Errorf("%+v: error %v, want one naming %s", cfg, err, tc.flag)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%+v printed output before failing:\n%s", cfg, out.String())
 		}
 	}
 }

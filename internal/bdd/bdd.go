@@ -10,9 +10,11 @@
 // the diagrams it compiles directly from rule lists; Diff, for the
 // behaviour one side has and the other lacks; and NodeAt, to walk that
 // difference under each rule's constraints. The rest of the standard
-// algebra (And, Or, Xor, Not, Intersects), satisfiability counting and
-// cube enumeration serve tests, the checker's apply-based oracles and
-// the missing-rule extractor.
+// algebra (Var, Cube, And, Or, Xor, Not) is what Diff is built from, and
+// what the benchmark's probe encoder and the tests build diagrams with.
+// Nothing here reads a diagram back but NodeAt: evaluation, model counting
+// and the map-backed reference engine the tests hold this one to live in
+// internal/oracle.
 //
 // Storage is struct-of-arrays: nodes live in a flat []nodeData slice and
 // the unique table and operation cache are custom open-addressed tables
@@ -65,13 +67,13 @@ const terminalLevel = math.MaxInt32
 // store writes and RebuildSnapshot reads back. It carries no operation
 // cache: a fork memoizes the operations it performs in a table of its
 // own. A Snapshot is safe for lock-free concurrent reads — any number of
-// goroutines may fork managers from it (NewManagerFrom), evaluate its
-// nodes (Eval), or share it between checkers; nothing ever mutates it.
+// goroutines may fork managers from it (NewManagerFrom) and read its
+// nodes through them, or share it between checkers; nothing ever mutates
+// it.
 type Snapshot struct {
 	numVars int
 	nodes   []nodeData
 	unique  nodeTable
-	pow2    []float64
 }
 
 // NumVars returns the number of variables in the snapshot's ordering.
@@ -83,20 +85,6 @@ func (s *Snapshot) Size() int { return len(s.nodes) }
 // Contains reports whether n is a node of the frozen prefix (valid in
 // every fork of this snapshot).
 func (s *Snapshot) Contains(n Node) bool { return n >= 0 && int(n) < len(s.nodes) }
-
-// Eval evaluates a frozen node under the given full assignment (indexed
-// by variable). It is safe for concurrent use.
-func (s *Snapshot) Eval(n Node, assignment []bool) bool {
-	for n != False && n != True {
-		d := s.nodes[n]
-		if assignment[d.level] {
-			n = d.hi
-		} else {
-			n = d.lo
-		}
-	}
-	return n == True
-}
 
 // deltaHint is the default fork table pre-sizing derived from the frozen
 // base's observed size: forks of a heavily-loaded base tend to build
@@ -148,16 +136,6 @@ type Manager struct {
 	unique  nodeTable
 	cache   opCache
 	stats   CacheStats
-	// pow2[i] = 2^i for i in [0, numVars], precomputed once so SatCount's
-	// per-node visits avoid math.Pow (hot in the missing-rule extractor).
-	pow2 []float64
-	// SatCount memo, reused across calls: satStamps[id] == satStamp marks
-	// satCounts[id] valid for the current call. Bumping satStamp is the
-	// whole between-call invalidation, so steady-state SatCount allocates
-	// nothing.
-	satCounts []float64
-	satStamps []uint32
-	satStamp  uint32
 }
 
 // NewManager creates a manager over numVars boolean variables.
@@ -167,7 +145,6 @@ func NewManager(numVars int) *Manager {
 		nodes:   make([]nodeData, 2, 1024),
 		unique:  newNodeTable(1024),
 		cache:   newOpCache(1024),
-		pow2:    pow2Table(numVars),
 	}
 	m.nodes[False] = nodeData{level: terminalLevel}
 	m.nodes[True] = nodeData{level: terminalLevel}
@@ -200,7 +177,6 @@ func NewManagerFromSized(s *Snapshot, deltaNodes int) *Manager {
 		nodes:   make([]nodeData, 0, deltaNodes),
 		unique:  newNodeTable(deltaNodes),
 		cache:   newOpCache(deltaNodes),
-		pow2:    s.pow2,
 	}
 }
 
@@ -218,18 +194,7 @@ func (m *Manager) Freeze() *Snapshot {
 		numVars: m.numVars,
 		nodes:   m.nodes,
 		unique:  m.unique,
-		pow2:    m.pow2,
 	}
-}
-
-func pow2Table(numVars int) []float64 {
-	t := make([]float64, numVars+1)
-	p := 1.0
-	for i := range t {
-		t[i] = p
-		p *= 2
-	}
-	return t
 }
 
 // NumVars returns the number of variables in the ordering.
@@ -244,14 +209,6 @@ func (m *Manager) Size() int { return m.baseLen + len(m.nodes) }
 // managers. Node budgets on long-lived forks watch DeltaSize — the base
 // is shared and immutable, only the delta is this manager's to shed.
 func (m *Manager) DeltaSize() int { return len(m.nodes) }
-
-// InBase reports whether n lives in the frozen prefix this manager forked
-// from (always false for standalone managers). It is the delta-accounting
-// probe the shared-semantics identity tests assert with: a function
-// resolved entirely from the base — a warmed match encoding or a frozen
-// whole-switch semantics root — is base-resident and costs the fork
-// nothing.
-func (m *Manager) InBase(n Node) bool { return int(n) < m.baseLen }
 
 // CacheStats returns the cumulative operation-cache hit/miss counters.
 func (m *Manager) CacheStats() CacheStats { return m.stats }
@@ -279,14 +236,6 @@ func (m *Manager) Var(v int) Node {
 		panic(fmt.Sprintf("bdd: variable %d out of range [0,%d)", v, m.numVars))
 	}
 	return m.mk(int32(v), False, True)
-}
-
-// NVar returns the BDD for the negation of variable v.
-func (m *Manager) NVar(v int) Node {
-	if v < 0 || v >= m.numVars {
-		panic(fmt.Sprintf("bdd: variable %d out of range [0,%d)", v, m.numVars))
-	}
-	return m.mk(int32(v), True, False)
 }
 
 // mk interns the node (level, lo, hi), applying the ROBDD reduction rule.
@@ -351,63 +300,11 @@ func (m *Manager) Not(a Node) Node { return m.apply(opXor, a, True) }
 // nodes built follow the paths that differ, not the size of b.
 func (m *Manager) Diff(a, b Node) Node { return m.Xor(a, m.And(a, b)) }
 
-// OrAll reduces nodes with a balanced binary OR tree. Compared to a left
-// fold, the balanced shape keeps intermediate BDDs small (O(N log N)
-// total apply work over N cubes) and the reduction deterministic in the
-// node IDs it creates. The equivalence checker no longer folds with it —
-// rule lists compile straight to their ROBDD through Mk — but its test
-// oracle still does.
-func (m *Manager) OrAll(nodes []Node) Node {
-	switch len(nodes) {
-	case 0:
-		return False
-	case 1:
-		return nodes[0]
-	}
-	mid := len(nodes) / 2
-	return m.Or(m.OrAll(nodes[:mid]), m.OrAll(nodes[mid:]))
-}
-
-// Implies reports whether a → b is a tautology (a's onset ⊆ b's onset).
-func (m *Manager) Implies(a, b Node) bool { return m.Diff(a, b) == False }
-
-// Intersects reports whether a ∧ b is satisfiable without building it: a
-// read-only descent that interns no node and fills no cache, and returns
-// on the first common satisfying path. Every non-False ROBDD node is
-// satisfiable, so a terminal True on either side settles the question,
-// and a cube- or chain-shaped operand (one False cofactor per node, the
-// shape of a rule match) is walked in time linear in its length. There is
-// no memo: two wide operands that never meet cost one visit per pair of
-// paths, which And's cache would bound — use And for those. It has no
-// non-test caller: internal/equiv's tests keep it as the oracle the
-// attribution walk (meets.go) is compared against.
-func (m *Manager) Intersects(a, b Node) bool {
-	if a == False || b == False {
-		return false
-	}
-	if a == True || b == True || a == b {
-		return true
-	}
-	da, db := m.node(a), m.node(b)
-	switch {
-	case da.level == db.level:
-		return m.Intersects(da.lo, db.lo) || m.Intersects(da.hi, db.hi)
-	case da.level < db.level:
-		return m.Intersects(da.lo, b) || m.Intersects(da.hi, b)
-	default:
-		return m.Intersects(a, db.lo) || m.Intersects(a, db.hi)
-	}
-}
-
-// Equiv reports whether a and b denote the same boolean function. Because
-// ROBDDs are canonical this is node-ID equality.
-func (m *Manager) Equiv(a, b Node) bool { return a == b }
-
 func (m *Manager) apply(op opKind, a, b Node) Node {
 	// A frozen manager's node array and unique table are shared with its
 	// snapshot's readers, and any operation may intern a node, so
-	// operations are cut off wholesale. (Reads — Eval, SatCount, AllSat —
-	// stay valid; they build nothing.)
+	// operations are cut off wholesale. (NodeAt stays valid; it builds
+	// nothing.)
 	if m.frozen {
 		panic("bdd: boolean operations on a frozen manager")
 	}
@@ -500,109 +397,4 @@ func (m *Manager) Cube(literals map[int]bool) Node {
 		}
 	}
 	return acc
-}
-
-// SatCount returns the number of satisfying assignments of n over the full
-// variable set, as a float64 (counts can exceed 2^53 for wide managers;
-// the checker only compares counts for equality at small widths in tests).
-// The memo is a stamped slice indexed by (dense) node ID, reused across
-// calls: steady-state SatCount allocates nothing.
-func (m *Manager) SatCount(n Node) float64 {
-	if size := m.Size(); len(m.satCounts) < size {
-		m.satCounts = make([]float64, size)
-		m.satStamps = make([]uint32, size)
-		m.satStamp = 0
-	}
-	m.satStamp++
-	if m.satStamp == 0 {
-		// Stamp wrap: zero the stamps so stale entries cannot alias.
-		for i := range m.satStamps {
-			m.satStamps[i] = 0
-		}
-		m.satStamp = 1
-	}
-	return m.satCount(n) * m.pow2[m.levelOf(n)]
-}
-
-func (m *Manager) satCount(n Node) float64 {
-	if n == False {
-		return 0
-	}
-	if n == True {
-		return 1
-	}
-	if m.satStamps[n] == m.satStamp {
-		return m.satCounts[n]
-	}
-	d := m.node(n)
-	c := m.satCount(d.lo)*m.pow2[m.levelOf(d.lo)-d.level-1] +
-		m.satCount(d.hi)*m.pow2[m.levelOf(d.hi)-d.level-1]
-	m.satCounts[n] = c
-	m.satStamps[n] = m.satStamp
-	return c
-}
-
-func (m *Manager) levelOf(n Node) int32 {
-	l := m.node(n).level
-	if l == terminalLevel {
-		return int32(m.numVars)
-	}
-	return l
-}
-
-// Lit is one literal of a satisfying cube: -1 don't-care, 0 false, 1 true.
-type Lit int8
-
-// Don't-care, false, and true literal values.
-const (
-	LitAny   Lit = -1
-	LitFalse Lit = 0
-	LitTrue  Lit = 1
-)
-
-// AllSat invokes fn for every satisfying cube of n. The cube slice is
-// reused between calls; fn must copy it if it retains it. fn returns false
-// to stop the enumeration early.
-func (m *Manager) AllSat(n Node, fn func(cube []Lit) bool) {
-	cube := make([]Lit, m.numVars)
-	for i := range cube {
-		cube[i] = LitAny
-	}
-	m.allSat(n, cube, fn)
-}
-
-func (m *Manager) allSat(n Node, cube []Lit, fn func([]Lit) bool) bool {
-	if n == False {
-		return true
-	}
-	if n == True {
-		return fn(cube)
-	}
-	d := m.node(n)
-	v := int(d.level)
-	cube[v] = LitFalse
-	if !m.allSat(d.lo, cube, fn) {
-		cube[v] = LitAny
-		return false
-	}
-	cube[v] = LitTrue
-	if !m.allSat(d.hi, cube, fn) {
-		cube[v] = LitAny
-		return false
-	}
-	cube[v] = LitAny
-	return true
-}
-
-// Eval evaluates n under the given full assignment (indexed by variable).
-func (m *Manager) Eval(n Node, assignment []bool) bool {
-	for n != False && n != True {
-		d := m.node(n)
-		if assignment[d.level] {
-			n = d.hi
-		} else {
-			n = d.lo
-		}
-	}
-	return n == True
 }

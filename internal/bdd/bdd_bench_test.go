@@ -1,8 +1,10 @@
-package bdd
+package bdd_test
 
 import (
 	"math/rand"
 	"testing"
+
+	. "scout/internal/bdd"
 )
 
 // BenchmarkApplyChain measures a long And/Or chain over disjoint cubes —
@@ -41,31 +43,5 @@ func BenchmarkCube(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Cube(lits)
-	}
-}
-
-// BenchmarkSatCount measures model counting on a mid-size BDD.
-func BenchmarkSatCount(b *testing.B) {
-	m := NewManager(24)
-	rng := rand.New(rand.NewSource(2))
-	n, _ := randomFormula(m, rng, 10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.SatCount(n)
-	}
-}
-
-// BenchmarkEval measures point evaluation.
-func BenchmarkEval(b *testing.B) {
-	m := NewManager(24)
-	rng := rand.New(rand.NewSource(3))
-	n, _ := randomFormula(m, rng, 10)
-	assign := make([]bool, 24)
-	for i := range assign {
-		assign[i] = i%2 == 0
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Eval(n, assign)
 	}
 }

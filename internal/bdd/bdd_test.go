@@ -1,9 +1,12 @@
-package bdd
+package bdd_test
 
 import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	. "scout/internal/bdd"
+	"scout/internal/oracle"
 )
 
 func TestTerminalsAndVar(t *testing.T) {
@@ -18,8 +21,8 @@ func TestTerminalsAndVar(t *testing.T) {
 	if m.Var(0) != v {
 		t.Error("Var must hash-cons")
 	}
-	if m.NVar(0) == v {
-		t.Error("NVar(0) must differ from Var(0)")
+	if m.Not(v) == v {
+		t.Error("¬x0 must differ from x0")
 	}
 }
 
@@ -88,7 +91,7 @@ func randomFormula(m *Manager, rng *rand.Rand, depth int) (Node, []bool) {
 		if rng.Intn(2) == 0 {
 			return m.Var(v), table(func(a uint) bool { return a&(1<<v) != 0 })
 		}
-		return m.NVar(v), table(func(a uint) bool { return a&(1<<v) == 0 })
+		return m.Not(m.Var(v)), table(func(a uint) bool { return a&(1<<v) == 0 })
 	}
 	l, lt := randomFormula(m, rng, depth-1)
 	r, rt := randomFormula(m, rng, depth-1)
@@ -115,7 +118,7 @@ func TestRandomFormulaMatchesTruthTable(t *testing.T) {
 			for v := 0; v < nVars; v++ {
 				assign[v] = a&(1<<v) != 0
 			}
-			if m.Eval(n, assign) != tt[a] {
+			if oracle.Eval(m, n, assign) != tt[a] {
 				return false
 			}
 		}
@@ -163,7 +166,7 @@ func TestSatCount(t *testing.T) {
 		{"xor", m.Xor(m.Var(2), m.Var(3)), 8},
 	}
 	for _, tt := range tests {
-		if got := m.SatCount(tt.n); got != tt.want {
+		if got := oracle.SatCount(m, tt.n); got != tt.want {
 			t.Errorf("%s: SatCount = %v, want %v", tt.name, got, tt.want)
 		}
 	}
@@ -181,7 +184,7 @@ func TestSatCountMatchesTruthTableQuick(t *testing.T) {
 				count++
 			}
 		}
-		return m.SatCount(n) == count
+		return oracle.SatCount(m, n) == count
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -191,17 +194,17 @@ func TestSatCountMatchesTruthTableQuick(t *testing.T) {
 func TestCube(t *testing.T) {
 	m := NewManager(4)
 	c := m.Cube(map[int]bool{0: true, 2: false})
-	if m.SatCount(c) != 4 { // two free variables
-		t.Errorf("cube SatCount = %v, want 4", m.SatCount(c))
+	if n := oracle.SatCount(m, c); n != 4 { // two free variables
+		t.Errorf("cube SatCount = %v, want 4", n)
 	}
-	if !m.Eval(c, []bool{true, false, false, true}) {
+	if !oracle.Eval(m, c, []bool{true, false, false, true}) {
 		t.Error("cube should accept x0=1,x2=0")
 	}
-	if m.Eval(c, []bool{true, false, true, true}) {
+	if oracle.Eval(m, c, []bool{true, false, true, true}) {
 		t.Error("cube should reject x2=1")
 	}
 	// Equivalent to explicit conjunction.
-	want := m.And(m.Var(0), m.NVar(2))
+	want := m.And(m.Var(0), m.Not(m.Var(2)))
 	if c != want {
 		t.Error("Cube must equal the literal conjunction")
 	}
@@ -210,79 +213,19 @@ func TestCube(t *testing.T) {
 	}
 }
 
-func TestAllSatEnumeratesDisjointCoveringCubes(t *testing.T) {
-	const nVars = 5
-	f := func(seed int64) bool {
-		m := NewManager(nVars)
-		rng := rand.New(rand.NewSource(seed))
-		n, tt := randomFormula(m, rng, 4)
-		covered := make([]bool, 1<<nVars)
-		ok := true
-		m.AllSat(n, func(cube []Lit) bool {
-			// Expand cube into concrete assignments.
-			expand(cube, 0, 0, func(a uint) {
-				if covered[a] {
-					ok = false // cubes must be disjoint
-				}
-				covered[a] = true
-				if !tt[a] {
-					ok = false // cube must be inside the onset
-				}
-			})
-			return true
-		})
-		for a, want := range tt {
-			if want && !covered[a] {
-				return false // full coverage
-			}
-		}
-		return ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-func expand(cube []Lit, v int, acc uint, visit func(uint)) {
-	if v == len(cube) {
-		visit(acc)
-		return
-	}
-	switch cube[v] {
-	case LitFalse:
-		expand(cube, v+1, acc, visit)
-	case LitTrue:
-		expand(cube, v+1, acc|1<<uint(v), visit)
-	default:
-		expand(cube, v+1, acc, visit)
-		expand(cube, v+1, acc|1<<uint(v), visit)
-	}
-}
-
-func TestAllSatEarlyStop(t *testing.T) {
-	m := NewManager(3)
-	n := m.Or(m.Var(0), m.Var(1))
-	calls := 0
-	m.AllSat(n, func([]Lit) bool {
-		calls++
-		return false
-	})
-	if calls != 1 {
-		t.Errorf("early stop: %d calls, want 1", calls)
-	}
-}
-
+// TestImplies: a implies b exactly when Diff(a, b), the part of a that b
+// lacks, is False.
 func TestImplies(t *testing.T) {
 	m := NewManager(3)
 	ab := m.And(m.Var(0), m.Var(1))
 	a := m.Var(0)
-	if !m.Implies(ab, a) {
+	if m.Diff(ab, a) != False {
 		t.Error("a∧b → a")
 	}
-	if m.Implies(a, ab) {
+	if m.Diff(a, ab) == False {
 		t.Error("a does not imply a∧b")
 	}
-	if !m.Implies(False, a) || !m.Implies(a, True) {
+	if m.Diff(False, a) != False || m.Diff(a, True) != False {
 		t.Error("False implies everything; everything implies True")
 	}
 }
@@ -315,60 +258,58 @@ func TestSizeGrowsAndIsShared(t *testing.T) {
 	}
 }
 
+// orAll ORs nodes as a balanced binary tree.
+func orAll(m *Manager, nodes []Node) Node {
+	switch len(nodes) {
+	case 0:
+		return False
+	case 1:
+		return nodes[0]
+	}
+	mid := len(nodes) / 2
+	return m.Or(orAll(m, nodes[:mid]), orAll(m, nodes[mid:]))
+}
+
+// TestOrAll: a disjunction is one node however it is associated — a
+// balanced OR tree and a left fold meet at the same root.
 func TestOrAll(t *testing.T) {
 	m := NewManager(6)
-	if m.OrAll(nil) != False {
-		t.Error("OrAll(nil) must be False")
-	}
-	a := m.Var(0)
-	if m.OrAll([]Node{a}) != a {
-		t.Error("OrAll of one node must be that node")
-	}
-	nodes := []Node{m.Var(0), m.Var(1), m.Var(2), m.Var(3), m.Var(4)}
-	want := False
-	for _, n := range nodes {
-		want = m.Or(want, n)
-	}
-	if got := m.OrAll(nodes); got != want {
-		t.Errorf("OrAll = node %d, left fold = node %d (canonicity violated)", got, want)
-	}
-	// Balanced reduction of a disjoint cube family must still equal the
-	// left fold (canonical form is association-independent).
-	cubes := []Node{
-		m.Cube(map[int]bool{0: true, 1: false}),
-		m.Cube(map[int]bool{0: false, 2: true}),
-		m.Cube(map[int]bool{3: true, 4: true, 5: false}),
-	}
-	want = False
-	for _, n := range cubes {
-		want = m.Or(want, n)
-	}
-	if got := m.OrAll(cubes); got != want {
-		t.Error("OrAll over cubes differs from left fold")
+	for _, nodes := range [][]Node{
+		{m.Var(0), m.Var(1), m.Var(2), m.Var(3), m.Var(4)},
+		{
+			m.Cube(map[int]bool{0: true, 1: false}),
+			m.Cube(map[int]bool{0: false, 2: true}),
+			m.Cube(map[int]bool{3: true, 4: true, 5: false}),
+		},
+	} {
+		fold := False
+		for _, n := range nodes {
+			fold = m.Or(fold, n)
+		}
+		if got := orAll(m, nodes); got != fold {
+			t.Errorf("balanced OR = node %d, left fold = node %d (canonicity violated)", got, fold)
+		}
 	}
 }
 
+// TestInBase: a function the snapshot holds — a frozen node, a terminal,
+// or one a fork rebuilds from frozen operands — is a frozen node in every
+// fork, and only a novel function lands in the fork's delta.
 func TestInBase(t *testing.T) {
 	m := NewManager(4)
 	frozen := m.And(m.Var(0), m.Var(1))
 	snap := m.Freeze()
 
 	fork := NewManagerFrom(snap)
-	if !fork.InBase(frozen) || !fork.InBase(True) || !fork.InBase(False) {
-		t.Error("frozen nodes and terminals must be InBase for a fork")
+	if !snap.Contains(frozen) || !snap.Contains(True) || !snap.Contains(False) {
+		t.Error("frozen nodes and terminals must be in the base")
 	}
-	// A function expressible in the base resolves to its frozen ID.
-	if got := fork.And(fork.Var(0), fork.Var(1)); !fork.InBase(got) {
-		t.Errorf("base-expressible function landed in the delta (node %d)", got)
+	if got := fork.And(fork.Var(0), fork.Var(1)); got != frozen {
+		t.Errorf("base-expressible function is node %d, want frozen node %d", got, frozen)
 	}
 	novel := fork.And(fork.Var(2), fork.Var(3))
-	if fork.InBase(novel) {
+	if snap.Contains(novel) || fork.DeltaSize() == 0 {
 		t.Error("novel function must live in the delta")
-	}
-
-	standalone := NewManager(4)
-	if standalone.InBase(standalone.Var(0)) || standalone.InBase(True) {
-		t.Error("standalone managers have no base")
 	}
 }
 
@@ -380,7 +321,7 @@ func TestMkChecksVariableOrder(t *testing.T) {
 		Var(v int) Node
 		Mk(level int, lo, hi Node) Node
 	}
-	for name, m := range map[string]mker{"manager": NewManager(4), "ref": NewRefManager(4)} {
+	for name, m := range map[string]mker{"manager": NewManager(4), "ref": oracle.NewRefManager(4)} {
 		x2 := m.Var(2)
 		if got := m.Mk(1, x2, x2); got != x2 {
 			t.Errorf("%s: Mk with equal cofactors = node %d, want the cofactor %d", name, got, x2)
@@ -406,27 +347,5 @@ func TestMkChecksVariableOrder(t *testing.T) {
 				m.Mk(bad.level, bad.lo, bad.hi)
 			}()
 		}
-	}
-}
-
-// TestIntersectsIsReadOnly: Intersects is valid where construction is
-// not — on a frozen manager — and costs a fork no delta node.
-func TestIntersectsIsReadOnly(t *testing.T) {
-	m := NewManager(6)
-	a := m.Cube(map[int]bool{0: true, 2: false, 5: true})
-	b := m.Or(m.Var(2), m.And(m.Var(1), m.Var(5)))
-	c := m.Cube(map[int]bool{1: false, 2: false})
-	snap := m.Freeze()
-	if !m.Intersects(a, b) || m.Intersects(c, b) || !m.Intersects(a, c) {
-		t.Error("Intersects wrong on a frozen manager")
-	}
-	fork := NewManagerFrom(snap)
-	d := fork.And(fork.Var(3), b)
-	delta := fork.DeltaSize()
-	if !fork.Intersects(a, d) || fork.Intersects(c, d) || fork.Intersects(d, False) || !fork.Intersects(d, True) {
-		t.Error("Intersects wrong across the base/delta boundary")
-	}
-	if fork.DeltaSize() != delta {
-		t.Errorf("Intersects grew the delta by %d nodes", fork.DeltaSize()-delta)
 	}
 }

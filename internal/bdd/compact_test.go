@@ -1,9 +1,12 @@
-package bdd
+package bdd_test
 
 import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	. "scout/internal/bdd"
+	"scout/internal/oracle"
 )
 
 // buildForkWorkload builds a frozen base plus a fork carrying both
@@ -42,7 +45,7 @@ func evalSignature(m *Manager, n Node, nVars int) []bool {
 		for j := range assign {
 			assign[j] = rng.Intn(2) == 0
 		}
-		sig[i] = m.Eval(n, assign)
+		sig[i] = oracle.Eval(m, n, assign)
 	}
 	return sig
 }
@@ -58,13 +61,13 @@ func sigEqual(a, b []bool) bool {
 
 func TestCompactDeltaForkOracle(t *testing.T) {
 	const nVars = 12
-	_, fork, keep, drop := buildForkWorkload(t, nVars, 1)
+	snap, fork, keep, drop := buildForkWorkload(t, nVars, 1)
 
 	sigs := make([][]bool, len(keep))
 	counts := make([]float64, len(keep))
 	for i, n := range keep {
 		sigs[i] = evalSignature(fork, n, nVars)
-		counts[i] = fork.SatCount(n)
+		counts[i] = oracle.SatCount(fork, n)
 	}
 	before := fork.DeltaSize()
 
@@ -81,7 +84,7 @@ func TestCompactDeltaForkOracle(t *testing.T) {
 	}
 
 	// Base nodes (and terminals) are pinned: identity under the remap.
-	for id := Node(0); int(id) < fork.baseLen; id++ {
+	for id := Node(0); int(id) < snap.Size(); id++ {
 		if remap.Node(id) != id {
 			t.Fatalf("base node %d remapped to %d", id, remap.Node(id))
 		}
@@ -92,18 +95,18 @@ func TestCompactDeltaForkOracle(t *testing.T) {
 		if rn == NoNode {
 			t.Fatalf("live root %d mapped to NoNode", n)
 		}
-		if fork.InBase(n) != fork.InBase(rn) {
+		if snap.Contains(n) != snap.Contains(rn) {
 			t.Fatalf("root %d changed base residency under remap", n)
 		}
 		if !sigEqual(evalSignature(fork, rn, nVars), sigs[i]) {
 			t.Fatalf("root %d evaluates differently after compaction", n)
 		}
-		if got := fork.SatCount(rn); got != counts[i] {
+		if got := oracle.SatCount(fork, rn); got != counts[i] {
 			t.Fatalf("root %d SatCount %v after compaction, want %v", n, got, counts[i])
 		}
 	}
 	for _, n := range drop {
-		if fork.InBase(n) {
+		if snap.Contains(n) {
 			continue // base-expressible roots survive by definition
 		}
 		if remap.Node(n) != NoNode {
@@ -144,7 +147,7 @@ func TestCompactDeltaInterning(t *testing.T) {
 	// resolve every step from the rebuilt unique table.
 	x := fork.Xor(fork.Var(0), fork.Var(3))
 	keepRoot := fork.And(x, fork.Var(5))
-	fork.OrAll([]Node{fork.Var(1), fork.Var(2), fork.Var(6)}) // dead
+	fork.Or(fork.Or(fork.Var(1), fork.Var(2)), fork.Var(6)) // dead
 
 	remap, _ := fork.CompactDelta([]Node{x, keepRoot})
 	want := remap.Node(keepRoot)
@@ -172,8 +175,8 @@ func TestCompactDeltaDropsOpCache(t *testing.T) {
 	snap := base.Freeze()
 	stream := func(m *Manager) []Node {
 		a := m.And(m.Var(0), m.Xor(m.Var(4), m.Var(7)))
-		b := m.Or(m.NVar(2), m.Var(8))
-		m.Xor(a, m.NVar(5)) // dead: no root below keeps it
+		b := m.Or(m.Not(m.Var(2)), m.Var(8))
+		m.Xor(a, m.Not(m.Var(5))) // dead: no root below keeps it
 		return []Node{a, b, m.And(a, b)}
 	}
 
@@ -238,16 +241,16 @@ func TestCompactDeltaStandalone(t *testing.T) {
 		for j := range assign {
 			assign[j] = a&(1<<j) != 0
 		}
-		if m.Eval(n2, assign) != tt[a] {
+		if oracle.Eval(m, n2, assign) != tt[a] {
 			t.Fatalf("post-compaction construction wrong at assignment %d", a)
 		}
 	}
 }
 
 // TestCompactDeltaConcurrentSnapshotReaders races per-goroutine fork
-// compactions against lock-free snapshot readers: compaction touches
-// only fork-private state, so readers of the shared frozen base must
-// never observe it (meaningful under -race).
+// compactions against lock-free readers of the shared frozen base, each
+// reading through a fork of its own: compaction touches only fork-private
+// state, so the readers must never observe it (meaningful under -race).
 func TestCompactDeltaConcurrentSnapshotReaders(t *testing.T) {
 	const nVars = 10
 	base := NewManager(nVars)
@@ -291,6 +294,7 @@ func TestCompactDeltaConcurrentSnapshotReaders(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(100 + g)))
+			reader := NewManagerFrom(snap)
 			assign := make([]bool, nVars)
 			for i := 0; i < 2000; i++ {
 				for j := range assign {
@@ -298,7 +302,7 @@ func TestCompactDeltaConcurrentSnapshotReaders(t *testing.T) {
 				}
 				v := rng.Intn(nVars - 1)
 				want := assign[v] && assign[v+1]
-				if snap.Eval(frozen[v], assign) != want {
+				if oracle.Eval(reader, frozen[v], assign) != want {
 					errs <- "snapshot reader observed a wrong value"
 					return
 				}

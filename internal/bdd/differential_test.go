@@ -1,8 +1,11 @@
-package bdd
+package bdd_test
 
 import (
 	"math/rand"
 	"testing"
+
+	. "scout/internal/bdd"
+	"scout/internal/oracle"
 )
 
 // diffHarness replays one operation stream against the open-addressed
@@ -14,7 +17,7 @@ import (
 type diffHarness struct {
 	t   *testing.T
 	m   *Manager
-	ref *RefManager
+	ref *oracle.RefManager
 	// held is every root produced so far, as the node each engine gave
 	// it. The two IDs are equal until the manager first compacts; after
 	// that its survivors have slid down over the slots it freed, and
@@ -32,7 +35,7 @@ func newDiffHarness(t *testing.T, nVars int) *diffHarness {
 	h := &diffHarness{
 		t:     t,
 		m:     NewManager(nVars),
-		ref:   NewRefManager(nVars),
+		ref:   oracle.NewRefManager(nVars),
 		refOf: make(map[Node]Node),
 		mOf:   make(map[Node]Node),
 	}
@@ -100,52 +103,47 @@ func (h *diffHarness) refLive() int {
 	return len(seen)
 }
 
+// topVar is the variable n tests, or m's variable count for a terminal.
+func topVar(m *Manager, n Node) int {
+	level, _, _ := m.NodeAt(n)
+	return min(int(level), m.NumVars())
+}
+
 // step applies one random operation to both engines.
 func (h *diffHarness) step(rng *rand.Rand) {
-	switch rng.Intn(11) {
+	switch rng.Intn(8) {
 	case 0:
 		v := rng.Intn(h.m.NumVars())
 		h.check("Var", h.m.Var(v), h.ref.Var(v))
 	case 1:
-		v := rng.Intn(h.m.NumVars())
-		h.check("NVar", h.m.NVar(v), h.ref.NVar(v))
-	case 2:
 		lits := make(map[int]bool)
 		for i, k := 0, rng.Intn(h.m.NumVars()); i < k; i++ {
 			lits[rng.Intn(h.m.NumVars())] = rng.Intn(2) == 0
 		}
 		h.check("Cube", h.m.Cube(lits), h.ref.Cube(lits))
-	case 3:
+	case 2:
 		a, b := h.pick(rng), h.pick(rng)
 		h.check("And", h.m.And(a.m, b.m), h.ref.And(a.ref, b.ref))
-	case 4:
+	case 3:
 		a, b := h.pick(rng), h.pick(rng)
 		h.check("Or", h.m.Or(a.m, b.m), h.ref.Or(a.ref, b.ref))
-	case 5:
+	case 4:
 		a, b := h.pick(rng), h.pick(rng)
 		h.check("Xor", h.m.Xor(a.m, b.m), h.ref.Xor(a.ref, b.ref))
-	case 6:
+	case 5:
 		a := h.pick(rng)
 		h.check("Not", h.m.Not(a.m), h.ref.Not(a.ref))
-	case 7:
-		k := rng.Intn(7)
-		set, refSet := make([]Node, k), make([]Node, k)
-		for i := range set {
-			n := h.pick(rng)
-			set[i], refSet[i] = n.m, n.ref
-		}
-		h.check("OrAll", h.m.OrAll(set), h.ref.OrAll(refSet))
-	case 8:
+	case 6:
 		a, b := h.pick(rng), h.pick(rng)
 		h.check("Diff", h.m.Diff(a.m, b.m), h.ref.Diff(a.ref, b.ref))
-	case 9:
+	case 7:
 		// Mk at a variable above both cofactors' tops, when there is one.
 		a, b := h.pick(rng), h.pick(rng)
-		top := min(h.m.levelOf(a.m), h.m.levelOf(b.m))
+		top := min(topVar(h.m, a.m), topVar(h.m, b.m))
 		if top == 0 {
 			return
 		}
-		v := rng.Intn(int(top))
+		v := rng.Intn(top)
 		got := h.check("Mk", h.m.Mk(v, a.m, b.m), h.ref.Mk(v, a.ref, b.ref))
 		// Mk(v, a, b) is the if-then-else on v, whatever built a and b.
 		x := h.check("Var", h.m.Var(v), h.ref.Var(v))
@@ -154,18 +152,6 @@ func (h *diffHarness) step(rng *rand.Rand) {
 		lo := h.check("And", h.m.And(nx.m, a.m), h.ref.And(nx.ref, a.ref))
 		if ite := h.check("Or", h.m.Or(hi.m, lo.m), h.ref.Or(hi.ref, lo.ref)); got != ite {
 			h.t.Fatalf("Mk(%d, %d, %d) = node %d, ite = node %d", v, a.m, b.m, got.m, ite.m)
-		}
-	case 10:
-		// Intersects answers And != False and builds nothing.
-		a, b := h.pick(rng), h.pick(rng)
-		size := h.m.Size()
-		got, refGot := h.m.Intersects(a.m, b.m), h.ref.Intersects(a.ref, b.ref)
-		if h.m.Size() != size {
-			h.t.Fatalf("Intersects(%d, %d) interned %d nodes", a.m, b.m, h.m.Size()-size)
-		}
-		and := h.check("And", h.m.And(a.m, b.m), h.ref.And(a.ref, b.ref))
-		if got != (and.m != False) || refGot != got {
-			h.t.Fatalf("Intersects(%d, %d): manager %v, reference %v, And = node %d", a.m, b.m, got, refGot, and.m)
 		}
 	}
 }
@@ -180,13 +166,13 @@ func (h *diffHarness) verify(rng *rand.Rand) {
 			assign[i] = rng.Intn(2) == 0
 		}
 		for _, n := range h.held {
-			if h.m.Eval(n.m, assign) != h.ref.Eval(n.ref, assign) {
+			if oracle.Eval(h.m, n.m, assign) != oracle.Eval(h.ref, n.ref, assign) {
 				h.t.Fatalf("Eval(%d) disagrees between manager and reference", n.m)
 			}
 		}
 	}
 	for _, n := range h.held {
-		if got, want := h.m.SatCount(n.m), h.ref.SatCount(n.ref); got != want {
+		if got, want := oracle.SatCount(h.m, n.m), oracle.SatCount(h.ref, n.ref); got != want {
 			h.t.Fatalf("SatCount(%d) = %v on manager, %v on reference", n.m, got, want)
 		}
 	}
@@ -262,22 +248,5 @@ func TestCacheStatsConsistency(t *testing.T) {
 	st2 := m.CacheStats()
 	if st2.Misses != st1.Misses || st2.HitCount <= st1.HitCount {
 		t.Fatalf("repeat of memoized operations recursed: %+v -> %+v", st1, st2)
-	}
-}
-
-// TestSatCountMemoReuse pins the satellite: repeated SatCount calls on a
-// warm manager must not allocate (the memo is a reused stamped slice).
-func TestSatCountMemoReuse(t *testing.T) {
-	m := NewManager(12)
-	rng := rand.New(rand.NewSource(3))
-	n, _ := randomFormula(m, rng, 6)
-	want := m.SatCount(n) // first call sizes the memo
-	allocs := testing.AllocsPerRun(50, func() {
-		if got := m.SatCount(n); got != want {
-			t.Fatalf("SatCount drifted: %v != %v", got, want)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("warm SatCount allocates %v times per call, want 0", allocs)
 	}
 }

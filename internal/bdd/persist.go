@@ -44,7 +44,6 @@ func RebuildSnapshot(numVars, numNodes int, node func(i int) (level int32, lo, h
 		numVars: numVars,
 		nodes:   make([]nodeData, 2, numNodes),
 		unique:  newNodeTable(numNodes),
-		pow2:    pow2Table(numVars),
 	}
 	s.nodes[False] = nodeData{level: terminalLevel}
 	s.nodes[True] = nodeData{level: terminalLevel}

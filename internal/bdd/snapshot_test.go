@@ -1,10 +1,13 @@
-package bdd
+package bdd_test
 
 import (
 	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
+
+	. "scout/internal/bdd"
+	"scout/internal/oracle"
 )
 
 // TestFreezeForkIdentity pins the fork contract: nodes built before the
@@ -14,7 +17,7 @@ import (
 func TestFreezeForkIdentity(t *testing.T) {
 	m := NewManager(6)
 	ab := m.And(m.Var(0), m.Var(1))
-	cd := m.Or(m.Var(2), m.NVar(3))
+	cd := m.Or(m.Var(2), m.Not(m.Var(3)))
 	snap := m.Freeze()
 
 	f1 := NewManagerFrom(snap)
@@ -67,11 +70,7 @@ func TestForkMatchesStandalone(t *testing.T) {
 			for v := 0; v < nVars; v++ {
 				assign[v] = a&(1<<v) != 0
 			}
-			if fork.Eval(n, assign) != tt[a] {
-				return false
-			}
-			// Frozen nodes also evaluate directly through the snapshot.
-			if snap.Contains(n) && snap.Eval(n, assign) != tt[a] {
+			if oracle.Eval(fork, n, assign) != tt[a] {
 				return false
 			}
 		}
@@ -103,11 +102,11 @@ func TestFrozenManagerPanics(t *testing.T) {
 	mustPanic("And", func() { m.And(True, True) }) // even a cache-hit-free terminal case
 	mustPanic("Cube", func() { m.Cube(map[int]bool{2: true, 3: false}) })
 
-	if !m.Eval(ab, []bool{true, true, false, false}) {
-		t.Error("Eval must keep working after Freeze")
+	if !oracle.Eval(m, ab, []bool{true, true, false, false}) {
+		t.Error("reads must keep working after Freeze")
 	}
-	if m.SatCount(ab) != 4 {
-		t.Errorf("SatCount after Freeze = %v, want 4", m.SatCount(ab))
+	if n := oracle.SatCount(m, ab); n != 4 {
+		t.Errorf("SatCount after Freeze = %v, want 4", n)
 	}
 }
 
@@ -173,10 +172,10 @@ func TestForkOfWarmSnapshotMatchesUnfrozen(t *testing.T) {
 // TestSnapshotConcurrentReaders is the -race guard for the shared-base
 // design: many goroutines fork the same frozen snapshot concurrently and
 // hammer it — rebuilding frozen functions and combining frozen nodes
-// (base node-array and unique-table reads), evaluating through fork and
-// snapshot — while each builds private delta structure. Any mutation
-// of shared state under this schedule is a data race the -race CI leg
-// must catch.
+// (base node-array and unique-table reads), evaluating frozen and delta
+// nodes through the fork — while each builds private delta structure.
+// Any mutation of shared state under this schedule is a data race the
+// -race CI leg must catch.
 func TestSnapshotConcurrentReaders(t *testing.T) {
 	const nVars = 8
 	base := NewManager(nVars)
@@ -207,15 +206,24 @@ func TestSnapshotConcurrentReaders(t *testing.T) {
 					errs <- "fork disagreed with frozen ID"
 					return
 				}
-				// Mixed frozen/delta work.
-				n := fork.Diff(frozen[len(frozen)-1], frozen[rng.Intn(len(frozen))])
+				// Mixed frozen/delta work: the union less one pair.
+				k := rng.Intn(len(frozen) - 1)
+				n := fork.Diff(frozen[len(frozen)-1], frozen[k])
 				assign := make([]bool, nVars)
 				for j := range assign {
 					assign[j] = rng.Intn(2) == 0
 				}
-				want := fork.Eval(n, assign)
-				if snap.Contains(n) && snap.Eval(n, assign) != want {
-					errs <- "snapshot Eval disagreed with fork Eval"
+				pair := func(j int) bool { return assign[j] && assign[j+1] }
+				if oracle.Eval(fork, frozen[v], assign) != pair(v) {
+					errs <- "fork read a frozen node wrong"
+					return
+				}
+				union := false
+				for j := 0; j < nVars-1; j++ {
+					union = union || pair(j)
+				}
+				if oracle.Eval(fork, n, assign) != (union && !pair(k)) {
+					errs <- "fork evaluated a delta node wrong"
 					return
 				}
 			}

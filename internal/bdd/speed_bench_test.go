@@ -1,12 +1,15 @@
-package bdd
+package bdd_test
 
 import (
 	"math/rand"
 	"testing"
+
+	. "scout/internal/bdd"
+	"scout/internal/oracle"
 )
 
 // engine is the operation surface the speed benchmarks drive on both the
-// open-addressed Manager and the map-backed RefManager, so the two share
+// open-addressed Manager and the map-backed oracle.RefManager, so the two share
 // one workload definition and the legs stay comparable.
 type engine interface {
 	Cube(map[int]bool) Node
@@ -60,7 +63,7 @@ func BenchmarkMkIntern(b *testing.B) {
 	b.Run("ref", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if runIntern(NewRefManager(nVars), lits) == False {
+			if runIntern(oracle.NewRefManager(nVars), lits) == False {
 				b.Fatal("union must be non-empty")
 			}
 		}
@@ -109,7 +112,7 @@ func BenchmarkApplyColdWarm(b *testing.B) {
 	b.Run("ref/cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			applyWorkload(NewRefManager(nVars), lits)
+			applyWorkload(oracle.NewRefManager(nVars), lits)
 		}
 	})
 	b.Run("open/warm", func(b *testing.B) {
@@ -122,7 +125,7 @@ func BenchmarkApplyColdWarm(b *testing.B) {
 		}
 	})
 	b.Run("ref/warm", func(b *testing.B) {
-		m := NewRefManager(nVars)
+		m := oracle.NewRefManager(nVars)
 		applyWorkload(m, lits)
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -166,23 +166,6 @@ func (c *Collector) Stats() Stats {
 	return c.stats
 }
 
-// History returns the retained epochs, oldest first.
-func (c *Collector) History() []*Epoch {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]*Epoch(nil), c.history...)
-}
-
-// Latest returns the most recent epoch, if any.
-func (c *Collector) Latest() (*Epoch, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.history) == 0 {
-		return nil, false
-	}
-	return c.history[len(c.history)-1], true
-}
-
 // Epoch returns the retained epoch with the given sequence number.
 func (c *Collector) Epoch(seq int) (*Epoch, error) {
 	c.mu.Lock()

@@ -325,7 +325,7 @@ func layOut(byPair map[policy.EPGPair]*pairFootprint, switches []object.ID) (Foo
 // list: the default-deny tail added, sorted, and each key kept once. Every
 // compiled rule has EntryPriority and no wildcard, so rules sharing a key
 // sort next to each other and the first of a run is the one a key-set
-// dedupe of the sorted list (rule.Dedupe) keeps.
+// dedupe of the sorted list keeps (the tests hold it to oracle.Dedupe).
 func finishSwitch(rules []rule.Rule) []rule.Rule {
 	rules = append(rules, rule.DefaultDeny())
 	rule.Sort(rules)

@@ -9,6 +9,7 @@ import (
 	"scout/internal/compile"
 	"scout/internal/eval"
 	"scout/internal/object"
+	"scout/internal/oracle"
 	"scout/internal/policy"
 	"scout/internal/rule"
 	"scout/internal/topo"
@@ -75,7 +76,7 @@ func refCompile(p *policy.Policy, t *topo.Topology) *compile.Deployment {
 	for sw, rules := range d.BySwitch {
 		rules = append(rules, rule.DefaultDeny())
 		sort.Slice(rules, func(i, j int) bool { return rule.Less(rules[i], rules[j]) })
-		d.BySwitch[sw] = rule.Dedupe(rules)
+		d.BySwitch[sw] = oracle.Dedupe(rules)
 	}
 	for sp, keys := range d.PairRules {
 		seen := make(map[rule.Key]struct{}, len(keys))

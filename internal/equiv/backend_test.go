@@ -5,8 +5,8 @@ import (
 	"reflect"
 	"testing"
 
-	"scout/internal/bdd"
 	"scout/internal/object"
+	"scout/internal/oracle"
 	"scout/internal/rule"
 )
 
@@ -49,7 +49,7 @@ func TestCheckerBackendDifferential(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		fast, replay := NewChecker(), NewChecker()
-		ref := NewCheckerBacked(func() Backend { return bdd.NewRefManager(NumVars) })
+		ref := NewCheckerBacked(func() Backend { return oracle.NewRefManager(NumVars) })
 
 		for i := 0; i < 12; i++ {
 			logical := randomRuleList(rng, 8)
@@ -169,7 +169,7 @@ func TestCheckerCompactShrinksDelta(t *testing.T) {
 // TestRefBackedCheckerCompactNoop: the reference backend cannot compact;
 // the call must refuse gracefully and change nothing.
 func TestRefBackedCheckerCompactNoop(t *testing.T) {
-	c := NewCheckerBacked(func() Backend { return bdd.NewRefManager(NumVars) })
+	c := NewCheckerBacked(func() Backend { return oracle.NewRefManager(NumVars) })
 	if _, err := c.Check(randomRuleList(rand.New(rand.NewSource(1)), 5), randomRuleList(rand.New(rand.NewSource(2)), 5)); err != nil {
 		t.Fatal(err)
 	}

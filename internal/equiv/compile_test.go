@@ -13,6 +13,7 @@ import (
 
 	"scout/internal/bdd"
 	"scout/internal/object"
+	"scout/internal/oracle"
 	"scout/internal/rule"
 )
 
@@ -132,7 +133,7 @@ func firstMatchAllows(rules []rule.Rule, vrf, src, dst object.ID, proto rule.Pro
 func checkCornerPackets(t *testing.T, m applyBackend, root bdd.Node, rules []rule.Rule, rng *rand.Rand) {
 	t.Helper()
 	if len(rules) == 0 {
-		if m.Eval(root, packetAssignment(1, 2, 3, rule.ProtoTCP, 80)) {
+		if oracle.Eval(m, root, packetAssignment(1, 2, 3, rule.ProtoTCP, 80)) {
 			t.Fatal("the empty list allows a packet")
 		}
 		return
@@ -148,7 +149,7 @@ func checkCornerPackets(t *testing.T, m applyBackend, root bdd.Node, rules []rul
 			proto = compileProtos[rng.Intn(len(compileProtos))]
 		}
 		for _, port := range []uint16{a.PortLo - 1, a.PortLo, a.PortHi, a.PortHi + 1, b.PortLo, b.PortHi} {
-			got := m.Eval(root, packetAssignment(vrf, src, dst, proto, port))
+			got := oracle.Eval(m, root, packetAssignment(vrf, src, dst, proto, port))
 			if want := firstMatchAllows(rules, vrf, src, dst, proto, port); got != want {
 				t.Fatalf("packet vrf=%d src=%d dst=%d proto=%d port=%d: BDD says %v, first match says %v\nrules: %v",
 					vrf, src, dst, proto, port, got, want, rules)
@@ -159,7 +160,7 @@ func checkCornerPackets(t *testing.T, m applyBackend, root bdd.Node, rules []rul
 
 var compileEngines = map[string]func() applyBackend{
 	"manager": func() applyBackend { return bdd.NewManager(NumVars) },
-	"ref":     func() applyBackend { return bdd.NewRefManager(NumVars) },
+	"ref":     func() applyBackend { return oracle.NewRefManager(NumVars) },
 }
 
 // TestCompileEqualsFold: in one manager, the compiled root of a rule list
@@ -374,7 +375,7 @@ func TestCompileChurnBoundedByEdit(t *testing.T) {
 	if st := fork.Stats(); st.FoldMisses != 1 {
 		t.Fatalf("edited list must compile in the fork: %+v", st)
 	}
-	if fork.m.(*bdd.Manager).InBase(root) {
+	if base.snap.Contains(root) {
 		t.Fatal("edited list resolved to a frozen root; the edit changed nothing")
 	}
 	if got, bound := fork.DeltaSize(), 2*k*NumVars; got == 0 || got > bound {

@@ -38,18 +38,16 @@ const maxID = 1<<vrfBits - 1
 
 // Backend is the BDD-manager surface the checker builds on: node
 // construction (Mk — rule lists compile straight to their ROBDD, see
-// compile.go), the difference of two compiled roots, read-only queries on
-// the result (NodeAt is how a difference is attributed to rules, see
-// meets.go), and size accounting. Its primary implementation
-// is *bdd.Manager (open-addressed tables); *bdd.RefManager (the
-// map-backed reference) satisfies it too, which is how the differential
-// tests run full checker workloads on both engines and compare the
-// reports byte for byte.
+// compile.go), the difference of two compiled roots, reading the result
+// one node at a time (NodeAt is how a difference is attributed to rules,
+// see meets.go), and size accounting. Its implementation is *bdd.Manager;
+// the tests' map-backed oracle.RefManager satisfies it too, which is how
+// the differential tests run full checker workloads on both engines and
+// compare the reports byte for byte.
 type Backend interface {
 	Mk(level int, lo, hi bdd.Node) bdd.Node
 	Diff(a, b bdd.Node) bdd.Node
 	NodeAt(n bdd.Node) (level int32, lo, hi bdd.Node)
-	AllSat(n bdd.Node, fn func(cube []bdd.Lit) bool)
 	Size() int
 	DeltaSize() int
 	CacheStats() bdd.CacheStats
@@ -351,35 +349,4 @@ func (c *Checker) resolve(fp uint64, rules []rule.Rule) (n bdd.Node, compiled bo
 	}
 	c.foldMisses++
 	return n, true, nil
-}
-
-// NaiveCheck is a key-set differ used as a test oracle (it has no
-// non-test caller; tests in this and the root package compare against
-// it): it reports logical rules whose exact Key is absent from the
-// deployed set and deployed allow rules absent from the logical set. It is
-// sound only when rule matches do not partially overlap (which holds for
-// compiler output with disjoint filter port ranges), whereas the BDD
-// checker is exact for arbitrary overlaps.
-func NaiveCheck(logical, deployed []rule.Rule) *Report {
-	depKeys := rule.KeySet(deployed)
-	logKeys := rule.KeySet(logical)
-	rep := &Report{Equivalent: true}
-	for _, r := range logical {
-		if r.Action != rule.Allow {
-			continue
-		}
-		if _, ok := depKeys[r.Key()]; !ok {
-			rep.MissingRules = append(rep.MissingRules, r)
-		}
-	}
-	for _, r := range deployed {
-		if r.Action != rule.Allow {
-			continue
-		}
-		if _, ok := logKeys[r.Key()]; !ok {
-			rep.ExtraRules = append(rep.ExtraRules, r)
-		}
-	}
-	rep.Equivalent = len(rep.MissingRules) == 0 && len(rep.ExtraRules) == 0
-	return rep
 }

@@ -72,18 +72,6 @@ func BenchmarkCheckerReuse(b *testing.B) {
 	}
 }
 
-// BenchmarkNaiveCheck is the key-differ baseline.
-func BenchmarkNaiveCheck(b *testing.B) {
-	rules := benchRules(1024)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if rep := NaiveCheck(rules, rules); !rep.Equivalent {
-			b.Fatal("check failed")
-		}
-	}
-}
-
 // benchFabricTables builds per-switch (logical, deployed) table pairs:
 // each switch carries a distinct slice of the rule space and a ~5%
 // degraded TCAM copy, mimicking a multi-switch fabric under faults.
@@ -163,26 +151,6 @@ func BenchmarkFanout4(b *testing.B) { benchFanout(b, 4, false) }
 // (warmup included in the measurement): each worker compiles only what
 // its switches' TCAM lists changed.
 func BenchmarkFanoutShared4(b *testing.B) { benchFanout(b, 4, true) }
-
-// BenchmarkMissingSpace measures cube extraction on a 5%-degraded table.
-func BenchmarkMissingSpace(b *testing.B) {
-	logical := benchRules(512)
-	deployed := make([]rule.Rule, 0, len(logical))
-	for i, r := range logical {
-		if i%20 == 7 {
-			continue
-		}
-		deployed = append(deployed, r)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := NewChecker()
-		cubes, err := c.MissingSpace(logical, deployed)
-		if err != nil || len(cubes) == 0 {
-			b.Fatal("extraction failed")
-		}
-	}
-}
 
 // BenchmarkCheckSemanticsShared measures a check whose whole-list folds
 // resolve from frozen base roots (the warm continuous-verification

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"scout/internal/object"
+	"scout/internal/oracle"
 	"scout/internal/rule"
 )
 
@@ -111,7 +112,7 @@ func TestSemanticEquivalenceDespiteDifferentRules(t *testing.T) {
 	if !rep.Equivalent {
 		t.Error("BDD checker must see through rule-splitting")
 	}
-	if naive := NaiveCheck(logical, deployed); naive.Equivalent {
+	if missing, extra := oracle.NaiveCheck(logical, deployed); len(missing)+len(extra) == 0 {
 		t.Error("naive differ cannot see through rule-splitting (oracle sanity)")
 	}
 }
@@ -223,7 +224,7 @@ func TestCheckerAgreesWithNaiveOnDisjointRules(t *testing.T) {
 				uint16(1000+i*16), // disjoint ports
 			))
 		}
-		universe = rule.Dedupe(universe)
+		universe = oracle.Dedupe(universe)
 		pick := func() []rule.Rule {
 			var out []rule.Rule
 			for _, r := range universe {
@@ -240,13 +241,12 @@ func TestCheckerAgreesWithNaiveOnDisjointRules(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		naive := NaiveCheck(logical, deployed)
-		if rep.Equivalent != naive.Equivalent {
+		missing, extra := oracle.NaiveCheck(logical, deployed)
+		if rep.Equivalent != (len(missing)+len(extra) == 0) {
 			return false
 		}
-		return rule.KeySet(rep.MissingRules) != nil &&
-			setsEqual(rule.KeySet(rep.MissingRules), rule.KeySet(naive.MissingRules)) &&
-			setsEqual(rule.KeySet(rep.ExtraRules), rule.KeySet(naive.ExtraRules))
+		return setsEqual(rule.KeySet(rep.MissingRules), rule.KeySet(missing)) &&
+			setsEqual(rule.KeySet(rep.ExtraRules), rule.KeySet(extra))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)

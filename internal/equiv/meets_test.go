@@ -1,8 +1,9 @@
 // Tests for the attribution walk (meets.go) against the construction it
 // replaced: in one manager, walking a difference under a rule's
-// constraints answers what intersecting the rule's match BDD with the
-// difference answered, on every engine — and reads a diagram with shared
-// subgraphs once per node, where the intersection costs once per path.
+// constraints answers whether the rule's match BDD And-ed with the
+// difference is satisfiable, on every engine — and reads a diagram with
+// shared subgraphs once per node, where a memo-less intersection costs
+// once per path.
 
 package equiv
 
@@ -65,10 +66,10 @@ func checkMeets(t *testing.T, m applyBackend, w *meetWalk, match rule.Match, dif
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := m.Intersects(enc, diff)
+	want := m.And(enc, diff) != bdd.False
 	size := m.Size()
 	if got := w.meets(rule.Rule{Match: match}, diff); got != want {
-		t.Fatalf("match %v against node %d: walk says %v, Intersects says %v", match, diff, got, want)
+		t.Fatalf("match %v against node %d: walk says %v, And says %v", match, diff, got, want)
 	}
 	if m.Size() != size {
 		t.Fatalf("the walk interned %d nodes", m.Size()-size)
@@ -137,6 +138,23 @@ func (c *readCounter) NodeAt(n bdd.Node) (int32, bdd.Node, bdd.Node) {
 	return c.applyBackend.NodeAt(n)
 }
 
+// paths counts n's paths to True.
+func paths(m Backend, n bdd.Node, memo map[bdd.Node]int) int {
+	switch n {
+	case bdd.False:
+		return 0
+	case bdd.True:
+		return 1
+	}
+	if p, ok := memo[n]; ok {
+		return p
+	}
+	_, lo, hi := m.NodeAt(n)
+	p := paths(m, lo, memo) + paths(m, hi, memo)
+	memo[n] = p
+	return p
+}
+
 // reachable counts the non-terminal nodes under n.
 func reachable(m Backend, n bdd.Node, seen map[bdd.Node]bool) int {
 	if n == bdd.False || n == bdd.True || seen[n] {
@@ -151,7 +169,7 @@ func reachable(m Backend, n bdd.Node, seen map[bdd.Node]bool) int {
 // is 4096 paths over some 700 nodes, every source leading to one shared
 // destination trie. A rule that wildcards both fields and misses all of
 // them on the protocol has to exhaust it, and does so reading each node at
-// most once — the case Manager.Intersects documents as one visit per path.
+// most once, where a memo-less intersection visits it once per path.
 // Missing on the port instead adds only the bounded port descent.
 func TestMeetsBoundedByNodes(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
@@ -170,10 +188,9 @@ func TestMeetsBoundedByNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	nodes := reachable(m.applyBackend, diff, map[bdd.Node]bool{})
-	paths := 0
-	m.AllSat(diff, func([]bdd.Lit) bool { paths++; return true })
-	if paths != len(cubes) || nodes*2 > paths {
-		t.Fatalf("diagram has %d nodes and %d paths; want %d paths over far fewer nodes", nodes, paths, len(cubes))
+	npaths := paths(m.applyBackend, diff, map[bdd.Node]int{})
+	if npaths != len(cubes) || nodes*2 > npaths {
+		t.Fatalf("diagram has %d nodes and %d paths; want %d paths over far fewer nodes", nodes, npaths, len(cubes))
 	}
 
 	w := &meetWalk{m: m}
@@ -190,14 +207,14 @@ func TestMeetsBoundedByNodes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.Intersects(enc, diff) {
+		if m.And(enc, diff) != bdd.False {
 			t.Fatalf("%s: the rule must miss every cube", tc.name)
 		}
 		m.reads = 0
 		if w.meets(rule.Rule{Match: tc.match}, diff) {
 			t.Fatalf("%s: walk found a meeting point", tc.name)
 		}
-		t.Logf("%s: %d reads over %d nodes (%d paths)", tc.name, m.reads, nodes, paths)
+		t.Logf("%s: %d reads over %d nodes (%d paths)", tc.name, m.reads, nodes, npaths)
 		if m.reads > tc.bound {
 			t.Errorf("%s: %d reads, want at most %d", tc.name, m.reads, tc.bound)
 		}
@@ -366,8 +383,8 @@ func fuzzDiagram(m applyBackend, data []byte) (bdd.Node, error) {
 
 // FuzzMeets: the first eight bytes are the rule under test (fuzzRules'
 // layout), the rest a difference (fuzzDiagram). On both engines the walk
-// answers what Intersects on the rule's match BDD answers, or the rule is
-// one the encoding rejects.
+// answers whether the rule's match BDD And-ed with the difference is
+// satisfiable, or the rule is one the encoding rejects.
 func FuzzMeets(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x20, 1, 2, 3, 0, 0, 0, 0, 0})

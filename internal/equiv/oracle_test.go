@@ -2,7 +2,7 @@
 // the direct compiler (compile.go): per-match field encoders built from
 // Var, Cube, And, Or and Not, and the priority fold over them. For the
 // attribution walk (meets.go): the per-match BDD the checker used to memo
-// (compileMatch) and the manager's Intersects against the difference. All
+// (compileMatch), And-ed with the difference and compared with False. All
 // run on either engine, in the same manager as the code under test, so
 // "equal" below always means the same node ID.
 
@@ -19,15 +19,13 @@ import (
 // boolean algebra production no longer calls.
 type applyBackend interface {
 	Backend
-	Intersects(a, b bdd.Node) bool
+	NumVars() int
 	Var(v int) bdd.Node
 	Cube(literals map[int]bool) bdd.Node
 	And(a, b bdd.Node) bdd.Node
 	Or(a, b bdd.Node) bdd.Node
 	Xor(a, b bdd.Node) bdd.Node
 	Not(a bdd.Node) bdd.Node
-	OrAll(nodes []bdd.Node) bdd.Node
-	Eval(n bdd.Node, assignment []bool) bool
 }
 
 // oracleSemantics folds a prioritized rule list into the BDD of packets
@@ -35,7 +33,7 @@ type applyBackend interface {
 // contributes only the header space not covered by earlier rules.
 // Consecutive rules with the same action cannot shadow each other into a
 // different outcome, so each maximal same-action run is collapsed with a
-// balanced OR reduction before the priority fold.
+// balanced OR reduction (orAll) before the priority fold.
 func oracleSemantics(m applyBackend, rules []rule.Rule) (bdd.Node, error) {
 	allowed := bdd.False
 	covered := bdd.False
@@ -53,7 +51,7 @@ func oracleSemantics(m applyBackend, rules []rule.Rule) (bdd.Node, error) {
 			}
 			run = append(run, enc)
 		}
-		runUnion := m.OrAll(run)
+		runUnion := orAll(m, run)
 		if action == rule.Allow {
 			allowed = m.Or(allowed, m.Diff(runUnion, covered))
 		}
@@ -61,6 +59,19 @@ func oracleSemantics(m applyBackend, rules []rule.Rule) (bdd.Node, error) {
 		start = end
 	}
 	return allowed, nil
+}
+
+// orAll reduces nodes with a balanced binary OR tree, which keeps the
+// intermediate diagrams small.
+func orAll(m applyBackend, nodes []bdd.Node) bdd.Node {
+	switch len(nodes) {
+	case 0:
+		return bdd.False
+	case 1:
+		return nodes[0]
+	}
+	mid := len(nodes) / 2
+	return m.Or(orAll(m, nodes[:mid]), orAll(m, nodes[mid:]))
 }
 
 // oracleMatch builds the BDD of header tuples covered by match in m.

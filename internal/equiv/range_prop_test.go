@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"scout/internal/bdd"
+	"scout/internal/oracle"
 )
 
 // assignBits expands value into a big-endian assignment of width vars
@@ -44,24 +45,22 @@ func TestRangeBDDBruteForce(t *testing.T) {
 			rg := rangeBDD(m, 0, width, lo, hi)
 			for v := uint32(0); v <= max; v++ {
 				assign := assignBits(width, 0, width, v)
-				if got, want := m.Eval(le, assign), v <= hi; got != want {
+				if got, want := oracle.Eval(m, le, assign), v <= hi; got != want {
 					t.Fatalf("width=%d leBDD(%d): value %d → %v, want %v", width, hi, v, got, want)
 				}
-				if got, want := m.Eval(ge, assign), v >= lo; got != want {
+				if got, want := oracle.Eval(m, ge, assign), v >= lo; got != want {
 					t.Fatalf("width=%d geBDD(%d): value %d → %v, want %v", width, lo, v, got, want)
 				}
-				if got, want := m.Eval(rg, assign), lo <= v && v <= hi; got != want {
+				if got, want := oracle.Eval(m, rg, assign), lo <= v && v <= hi; got != want {
 					t.Fatalf("width=%d rangeBDD(%d,%d): value %d → %v, want %v", width, lo, hi, v, got, want)
 				}
 			}
-			// Cross-check the satisfying-assignment count arithmetically
-			// (exercises the SatCount powers-of-two table on the same
-			// structures the extractor walks).
+			// Cross-check the satisfying-assignment count arithmetically.
 			wantCount := 0.0
 			if lo <= hi {
 				wantCount = float64(hi - lo + 1)
 			}
-			if got := m.SatCount(rg); got != wantCount {
+			if got := oracle.SatCount(m, rg); got != wantCount {
 				t.Fatalf("width=%d rangeBDD(%d,%d): SatCount = %v, want %v", width, lo, hi, got, wantCount)
 			}
 		}
@@ -87,7 +86,7 @@ func TestRangeBDDAtFieldOffset(t *testing.T) {
 					assign[j] = rng.Intn(2) == 0
 				}
 			}
-			if got, want := m.Eval(rg, assign), lo <= v && v <= hi; got != want {
+			if got, want := oracle.Eval(m, rg, assign), lo <= v && v <= hi; got != want {
 				t.Fatalf("off=%d rangeBDD(%d,%d): value %d → %v, want %v", off, lo, hi, v, got, want)
 			}
 		}

@@ -10,7 +10,6 @@ import (
 	"reflect"
 	"testing"
 
-	"scout/internal/bdd"
 	"scout/internal/object"
 	"scout/internal/rule"
 )
@@ -209,7 +208,7 @@ func TestSharedSemanticsIdentity(t *testing.T) {
 		// Delta accounting: every frozen root is base-resident, so
 		// resolving it costs the fork no nodes.
 		for fp, e := range base.semMem {
-			if !fork.m.(*bdd.Manager).InBase(e.node) {
+			if !base.snap.Contains(e.node) {
 				t.Errorf("trial %d: frozen root for fp %x lives outside the base", trial, fp)
 			}
 		}

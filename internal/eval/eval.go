@@ -51,13 +51,11 @@ func NewEnv(spec workload.Spec, seed int64) (*Env, error) {
 }
 
 // SimSpec returns the production-like simulation spec scaled by the given
-// factor (1.0 = the paper's full cluster size). Benchmarks use a reduced
-// scale to keep per-iteration cost sane; cmd/scout-bench runs full scale.
+// positive factor (1.0 = the paper's full cluster size); every count is
+// at least 2. Benchmarks use a reduced scale to keep per-iteration cost
+// sane; cmd/scout-bench defaults to 0.25.
 func SimSpec(scale float64) workload.Spec {
 	s := workload.ProductionSpec()
-	if scale <= 0 || scale == 1 {
-		return s
-	}
 	shrink := func(n int) int {
 		v := int(math.Round(float64(n) * scale))
 		if v < 2 {

@@ -71,12 +71,6 @@ type Switch struct {
 // TCAM exposes the switch's TCAM (primarily for tests and collection).
 func (s *Switch) TCAM() *tcam.TCAM { return s.tcam }
 
-// Reachable reports whether the control channel to the switch is up.
-func (s *Switch) Reachable() bool { return s.reachable }
-
-// AgentUp reports whether the switch agent process is running.
-func (s *Switch) AgentUp() bool { return s.agentUp }
-
 // Fabric is the simulated deployment plane.
 type Fabric struct {
 	pol      *policy.Policy

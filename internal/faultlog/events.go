@@ -147,6 +147,3 @@ func (c *Cursor) Drain() []Event {
 	}
 	return evs
 }
-
-// Pending reports how many events a Drain would currently return.
-func (c *Cursor) Pending() int { return c.log.LastSeq() - c.seq }

@@ -1,7 +1,6 @@
 package localize
 
-// Differential gate for the compiled-plan engine: Scout/Score/MaxCoverage
-// must return Results identical (reflect.DeepEqual, including Steps,
+// Differential gate for the compiled-plan engine: Scout/Score must return Results identical (reflect.DeepEqual, including Steps,
 // Iterations, ChangeLogPicks, Unexplained) to the retained reference
 // engine over randomized models, randomized partial-fault annotations,
 // and workload-generated overlay scenarios — and the plan cache must
@@ -68,7 +67,6 @@ func assertEngineIdentity(t *testing.T, label string, v risk.View, oracle Change
 		{"Scout/NoChanges", RefScout(v, NoChanges{}), Scout(v, NoChanges{})},
 		{"Score-0.6", RefScore(v, 0.6), Score(v, 0.6)},
 		{"Score-1.0", RefScore(v, 1.0), Score(v, 1.0)},
-		{"MaxCoverage", RefMaxCoverage(v), MaxCoverage(v)},
 	}
 	for _, p := range pairs {
 		if !reflect.DeepEqual(p.ref, p.plan) {
@@ -143,7 +141,6 @@ func TestPlanCompileOnce(t *testing.T) {
 	before := StatsSnapshot()
 	Scout(m, NoChanges{})
 	Score(m, 1.0)
-	MaxCoverage(m)
 	for i := 0; i < 5; i++ {
 		ov := risk.NewOverlay(m)
 		ov.MarkFailed(0, object.VRF(99))
@@ -153,8 +150,8 @@ func TestPlanCompileOnce(t *testing.T) {
 	if d.PlanCompiles != 1 {
 		t.Errorf("PlanCompiles = %d, want 1 (compile once, reuse everywhere)", d.PlanCompiles)
 	}
-	if d.PlanReuses != 7 {
-		t.Errorf("PlanReuses = %d, want 7", d.PlanReuses)
+	if d.PlanReuses != 6 {
+		t.Errorf("PlanReuses = %d, want 6", d.PlanReuses)
 	}
 
 	// Mutating the model invalidates the cached plan.

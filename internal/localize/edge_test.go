@@ -26,12 +26,10 @@ func TestEmptyFailureSignature(t *testing.T) {
 	m.AddEdge(e2, object.Contract(1))
 
 	for name, res := range map[string]*Result{
-		"Scout":       Scout(m, NoChanges{}),
-		"RefScout":    RefScout(m, NoChanges{}),
-		"Score":       Score(m, 1.0),
-		"RefScore":    RefScore(m, 1.0),
-		"MaxCoverage": MaxCoverage(m),
-		"RefMaxCov":   RefMaxCoverage(m),
+		"Scout":    Scout(m, NoChanges{}),
+		"RefScout": RefScout(m, NoChanges{}),
+		"Score":    Score(m, 1.0),
+		"RefScore": RefScore(m, 1.0),
 	} {
 		if len(res.Hypothesis) != 0 || res.Iterations != 0 ||
 			len(res.Unexplained) != 0 || res.Explained != 0 || len(res.Steps) != 0 {

@@ -1,5 +1,5 @@
-// Compiled-plan implementations of SCOUT, SCORE, and MaxCoverage. Each
-// is pinned Result-identical to its reference counterpart in ref_test.go
+// Compiled-plan implementations of SCOUT and SCORE. Each is pinned
+// Result-identical to its reference counterpart in ref_test.go
 // by the differential tests; the reference engine remains the readable
 // specification.
 
@@ -101,10 +101,9 @@ func pendingElements(rv *runView) []risk.ElementID {
 	return out
 }
 
-// planGreedy is the shared lazy-greedy pick loop of Score and
-// MaxCoverage: greedily pick the eligible risk with maximum residual
-// coverage (lowest ref on ties) until nothing new is covered. eligible
-// must be sorted by ref.
+// planGreedy is Score's lazy-greedy pick loop: greedily pick the
+// eligible risk with maximum residual coverage (lowest ref on ties) until
+// nothing new is covered. eligible must be sorted by ref.
 func planGreedy(rv *runView, eligible []int32, res *Result, hypothesis object.Set) {
 	start := time.Now()
 	h := make(lazyHeap, 0, len(eligible))
@@ -171,23 +170,6 @@ func planScore(p *plan, o *risk.Overlay, threshold float64) *Result {
 	}
 
 	planGreedy(rv, eligible, res, hypothesis)
-
-	res.Hypothesis = hypothesis.Sorted()
-	res.Unexplained = pendingElements(rv)
-	res.Explained = totalObs - rv.pendingCount
-	return res
-}
-
-// planMaxCoverage is MaxCoverage on a compiled plan: every risk with a
-// failed edge is eligible (risks without one can never cover anything, so
-// skipping them cannot change the picks).
-func planMaxCoverage(p *plan, o *risk.Overlay) *Result {
-	rv := newRunView(p, o)
-	res := &Result{}
-	hypothesis := make(object.Set)
-	totalObs := rv.pendingCount
-
-	planGreedy(rv, rv.failedRisks, res, hypothesis)
 
 	res.Hypothesis = hypothesis.Sorted()
 	res.Unexplained = pendingElements(rv)

@@ -99,17 +99,6 @@ type Result struct {
 	Steps []Step
 }
 
-// Gamma returns the suspect-set-reduction ratio γ = |H| / |suspect set|
-// for the result against the model it was computed from (paper §VI). It
-// returns 0 when there are no suspects.
-func (r *Result) Gamma(m risk.View) float64 {
-	suspects := m.SuspectSet()
-	if len(suspects) == 0 {
-		return 0
-	}
-	return float64(len(r.Hypothesis)) / float64(len(suspects))
-}
-
 // Scout runs the SCOUT algorithm (Algorithm 1) on the annotated model.
 // oracle supplies the change-log lookup for stage two; pass NoChanges{} to
 // disable it. m must be a *risk.Model or a *risk.Overlay.

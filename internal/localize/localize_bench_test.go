@@ -139,7 +139,7 @@ func BenchmarkScoreLargeOverlay(b *testing.B) {
 }
 
 // BenchmarkScoutSmall measures per-switch-model latency (hundreds of
-// elements), the event-driven AnalyzeSwitch path.
+// elements), the size an inequivalent switch's own report localizes.
 func BenchmarkScoutSmall(b *testing.B) {
 	m := benchModel(b, 400, 80, 5, 3)
 	b.ReportAllocs()

@@ -271,23 +271,6 @@ func TestEvaluate(t *testing.T) {
 	}
 }
 
-func TestGamma(t *testing.T) {
-	m := risk.NewModel("g")
-	e := m.EnsureElement("a")
-	for i := 0; i < 4; i++ {
-		m.AddEdge(e, object.Filter(object.ID(i)))
-		m.MarkFailed(e, object.Filter(object.ID(i)))
-	}
-	res := &Result{Hypothesis: []object.Ref{object.Filter(0)}}
-	if g := res.Gamma(m); g != 0.25 {
-		t.Errorf("Gamma = %v, want 0.25", g)
-	}
-	m.ResetFailures()
-	if g := res.Gamma(m); g != 0 {
-		t.Errorf("Gamma with no suspects = %v, want 0", g)
-	}
-}
-
 // randomAnnotatedModel builds a random bipartite model with fully-failed
 // risks so every observation is explainable by stage 1.
 func randomAnnotatedModel(seed int64) *risk.Model {
@@ -381,40 +364,6 @@ func TestScoreThresholdMonotonicity(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestMaxCoverageExplainsEverything(t *testing.T) {
-	// Pure set cover always explains the full signature (every failed
-	// edge's risk is eligible), trading precision for recall.
-	f := func(seed int64) bool {
-		m := randomAnnotatedModel(seed)
-		res := MaxCoverage(m)
-		return len(res.Unexplained) == 0 && res.Explained == len(m.FailureSignature())
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMaxCoverageFigure5(t *testing.T) {
-	m, refs := figure5Model(t)
-	res := MaxCoverage(m)
-	hyp := object.NewSet(res.Hypothesis...)
-	// F2 covers the most observations and must be picked; the tail is
-	// covered by C3 (covers E6-E7) or F3 — either explains everything.
-	if !hyp.Has(refs["F2"]) {
-		t.Errorf("max coverage must pick F2: %v", res.Hypothesis)
-	}
-	if len(res.Unexplained) != 0 {
-		t.Errorf("max coverage leaves nothing unexplained: %v", res.Unexplained)
-	}
-	// Steps trace the greedy picks in order.
-	if len(res.Steps) != len(res.Hypothesis) {
-		t.Errorf("steps = %d, hypothesis = %d", len(res.Steps), len(res.Hypothesis))
-	}
-	if res.Steps[0].Picked[0] != refs["F2"] {
-		t.Errorf("first pick = %v, want F2", res.Steps[0].Picked)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Reference localization engine: the original map-of-maps implementation
-// of SCOUT, SCORE, and MaxCoverage, retained as the readable
-// specification the compiled-plan engine (plan.go/engine.go) is pinned
-// against. RefScout/RefScore/RefMaxCoverage must stay Result-identical to
-// Scout/Score/MaxCoverage — the differential and edge tests enforce it.
+// of SCOUT and SCORE, retained as the readable specification the
+// compiled-plan engine (plan.go/engine.go) is pinned against.
+// RefScout/RefScore must stay Result-identical to Scout/Score — the
+// differential and edge tests enforce it.
 
 package localize
 
@@ -194,58 +194,6 @@ func RefScore(m risk.View, threshold float64) *Result {
 		best := object.Ref{}
 		bestCov := 0
 		for _, ref := range eligible {
-			if hypothesis.Has(ref) {
-				continue
-			}
-			cov := 0
-			for el := range v.failed[ref] {
-				if _, p := pending[el]; p {
-					cov++
-				}
-			}
-			if cov > bestCov || (cov == bestCov && cov > 0 && ref.Less(best)) {
-				best = ref
-				bestCov = cov
-			}
-		}
-		if bestCov == 0 {
-			break
-		}
-		res.Iterations++
-		hypothesis.Add(best)
-		pendingBefore := len(pending)
-		for el := range v.failed[best] {
-			delete(pending, el)
-		}
-		res.Steps = append(res.Steps, Step{
-			Picked:   []object.Ref{best},
-			Coverage: pendingBefore - len(pending),
-		})
-	}
-
-	res.Hypothesis = hypothesis.Sorted()
-	res.Unexplained = sortedElements(pending)
-	res.Explained = totalObs - len(pending)
-	return res
-}
-
-// RefMaxCoverage is the reference implementation of MaxCoverage.
-func RefMaxCoverage(m risk.View) *Result {
-	v := newView(m)
-	res := &Result{}
-	hypothesis := make(object.Set)
-
-	pending := make(map[risk.ElementID]struct{})
-	for _, el := range m.FailureSignature() {
-		pending[el] = struct{}{}
-	}
-	totalObs := len(pending)
-	risks := m.Risks()
-
-	for len(pending) > 0 {
-		var best object.Ref
-		bestCov := 0
-		for _, ref := range risks {
 			if hypothesis.Has(ref) {
 				continue
 			}

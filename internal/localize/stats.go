@@ -21,7 +21,7 @@ type EngineStats struct {
 	PlanCompiles int64
 	PlanReuses   int64
 	// LazyEvals counts coverage re-evaluations performed by the
-	// lazy-greedy heap in Score/MaxCoverage; FullScanEvals is the number
+	// lazy-greedy heap in Score; FullScanEvals is the number
 	// of coverage evaluations a per-round full rescan (the reference
 	// engine's strategy) would have performed for the same picks.
 	LazyEvals     int64
@@ -29,8 +29,7 @@ type EngineStats struct {
 	// LazyPicks counts greedy picks served from the heap.
 	LazyPicks int64
 	// Stage1 and Stage2 accumulate wall time in Scout's greedy-prune and
-	// change-log stages; Greedy accumulates Score/MaxCoverage pick-loop
-	// time.
+	// change-log stages; Greedy accumulates Score's pick-loop time.
 	Stage1 time.Duration
 	Stage2 time.Duration
 	Greedy time.Duration

@@ -45,12 +45,6 @@ func (k Kind) String() string {
 	return "kind(" + strconv.Itoa(int(k)) + ")"
 }
 
-// Valid reports whether k is one of the defined kinds.
-func (k Kind) Valid() bool {
-	_, ok := kindNames[k]
-	return ok
-}
-
 // ParseKind converts a canonical kind name back into a Kind.
 func ParseKind(s string) (Kind, error) {
 	for k, name := range kindNames {

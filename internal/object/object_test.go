@@ -28,15 +28,17 @@ func TestKindString(t *testing.T) {
 	}
 }
 
+// TestKindValid: exactly the defined kinds have a name ParseKind reads
+// back.
 func TestKindValid(t *testing.T) {
 	for _, k := range []Kind{KindVRF, KindEPG, KindContract, KindFilter, KindSwitch} {
-		if !k.Valid() {
-			t.Errorf("%v should be valid", k)
+		if _, err := ParseKind(k.String()); err != nil {
+			t.Errorf("%v should be valid: %v", k, err)
 		}
 	}
 	for _, k := range []Kind{0, 6, -1, 100} {
-		if k.Valid() {
-			t.Errorf("Kind(%d) should be invalid", int(k))
+		if got, err := ParseKind(k.String()); err == nil {
+			t.Errorf("Kind(%d) should be invalid, parsed as %v", int(k), got)
 		}
 	}
 }

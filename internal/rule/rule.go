@@ -276,7 +276,7 @@ func Less(a, b Rule) bool { return Compare(a, b) < 0 }
 // Compare is a deterministic ordering on rules: descending priority, then
 // every match field (including the wildcard flags), then action. It is
 // total up to Key equality — two rules it cannot separate share a Key,
-// which Dedupe collapses — so ties cannot occur within one switch's
+// which the compiler keeps once — so ties cannot occur within one switch's
 // deduped rule list; callers needing a tiebreak for sorted outputs
 // derived from such lists (e.g. probe violations) can rely on that.
 func Compare(a, b Rule) int {
@@ -324,27 +324,6 @@ func compareBool(a, b bool) int {
 	default:
 		return 1
 	}
-}
-
-// Dedupe removes rules with duplicate Keys, keeping the first (highest
-// priority after Sort). The input must already be sorted with Sort. It
-// has no non-test caller: internal/compile's tests keep it as the
-// reference the compiler's own deduplication is compared against.
-func Dedupe(rules []Rule) []Rule {
-	if len(rules) == 0 {
-		return rules
-	}
-	seen := make(map[Key]struct{}, len(rules))
-	out := rules[:0]
-	for _, r := range rules {
-		k := r.Key()
-		if _, dup := seen[k]; dup {
-			continue
-		}
-		seen[k] = struct{}{}
-		out = append(out, r)
-	}
-	return out
 }
 
 // KeySet builds a set of rule Keys from the given rules.

@@ -321,21 +321,6 @@ func TestSortPermutesLikeReflectiveSort(t *testing.T) {
 	}
 }
 
-func TestDedupeKeepsFirst(t *testing.T) {
-	r1 := Rule{Match: Match{VRF: 1}, Action: Allow, Priority: 20}
-	r2 := Rule{Match: Match{VRF: 1}, Action: Allow, Priority: 10} // same key
-	r3 := Rule{Match: Match{VRF: 2}, Action: Allow, Priority: 10}
-	rules := []Rule{r1, r2, r3}
-	Sort(rules)
-	out := Dedupe(rules)
-	if len(out) != 2 {
-		t.Fatalf("Dedupe len = %d, want 2", len(out))
-	}
-	if out[0].Priority != 20 {
-		t.Error("Dedupe must keep the higher-priority duplicate")
-	}
-}
-
 func TestKeySet(t *testing.T) {
 	rules := []Rule{
 		{Match: Match{VRF: 1}, Action: Allow},

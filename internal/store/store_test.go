@@ -16,6 +16,7 @@ import (
 	"scout/internal/bdd"
 	"scout/internal/equiv"
 	"scout/internal/object"
+	"scout/internal/oracle"
 	"scout/internal/rule"
 )
 
@@ -153,14 +154,14 @@ func TestBaseCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	assignment := make([]bool, equiv.NumVars)
 	for _, root := range roots {
-		if w, g := wantM.SatCount(root), gotM.SatCount(root); w != g {
+		if w, g := oracle.SatCount(wantM, root), oracle.SatCount(gotM, root); w != g {
 			t.Fatalf("SatCount(%d): %v vs %v", root, w, g)
 		}
 		for trial := 0; trial < 64; trial++ {
 			for i := range assignment {
 				assignment[i] = rng.Intn(2) == 1
 			}
-			if w, g := base.Snapshot().Eval(root, assignment), got.Snapshot().Eval(root, assignment); w != g {
+			if w, g := oracle.Eval(wantM, root, assignment), oracle.Eval(gotM, root, assignment); w != g {
 				t.Fatalf("Eval(%d) diverged on trial %d: %v vs %v", root, trial, w, g)
 			}
 		}

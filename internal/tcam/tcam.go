@@ -245,21 +245,8 @@ func (t *TCAM) Keys() map[rule.Key]struct{} {
 	return rule.KeySet(t.rules)
 }
 
-// Classify returns the action of the first (highest-priority) rule matching
-// the packet tuple, and whether any rule matched.
-func (t *TCAM) Classify(vrf, src, dst object.ID, proto rule.Protocol, port uint16) (rule.Action, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	for _, r := range t.rules {
-		if r.Match.Covers(vrf, src, dst, proto, port) {
-			return r.Action, true
-		}
-	}
-	return 0, false
-}
-
-// Packet is one classification query — the header tuple Classify takes,
-// reified so callers can assemble batches up front.
+// Packet is one classification query: the header tuple a rule's match
+// covers.
 type Packet struct {
 	VRF   object.ID
 	Src   object.ID
@@ -268,9 +255,8 @@ type Packet struct {
 	Port  uint16
 }
 
-// Outcome is the result of classifying one packet of a batch. Matched
-// mirrors Classify's second return; Action is meaningful only when
-// Matched is true.
+// Outcome is the result of classifying one packet of a batch: whether
+// any rule matched it, and if so the first matching rule's action.
 type Outcome struct {
 	Action  rule.Action
 	Matched bool
@@ -280,7 +266,8 @@ type Outcome struct {
 // pass over the rule table: rules on the outer loop, the still-unresolved
 // packet set on the inner, so an n-entry table is scanned once per batch
 // instead of once per packet and the read lock is taken once. The i-th
-// outcome is exactly what Classify would return for the i-th packet.
+// outcome is the action of the first (highest-priority) rule matching the
+// i-th packet.
 func (t *TCAM) ClassifyBatch(pkts []Packet) []Outcome {
 	out := make([]Outcome, len(pkts))
 	if len(pkts) == 0 {

@@ -56,21 +56,10 @@ func BenchmarkInstallAll(b *testing.B) {
 	}
 }
 
-// BenchmarkClassify measures first-match lookup in a half-full table.
-func BenchmarkClassify(b *testing.B) {
-	tc := populated(b, 2048)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tc.Classify(object.ID(i%8), object.ID(i%16), object.ID(i%32), rule.ProtoTCP, uint16(i%2048))
-	}
-}
-
-// BenchmarkClassifyBatch compares per-packet classification against the
-// rule-major batched pass at several table densities. The batch holds
-// one packet per installed rule (the probe workload shape: one probe
-// per filter entry) plus a tail of no-match packets that force full
-// table scans either way.
+// BenchmarkClassifyBatch measures the rule-major batched pass at several
+// table densities. The batch holds one packet per installed rule (the
+// probe workload shape: one probe per filter entry) plus a tail of
+// no-match packets that force full table scans.
 func BenchmarkClassifyBatch(b *testing.B) {
 	for _, size := range []int{256, 1024, 4096} {
 		tc := populated(b, size)
@@ -84,14 +73,6 @@ func BenchmarkClassifyBatch(b *testing.B) {
 		for i := 0; i < size/8; i++ {
 			pkts = append(pkts, Packet{VRF: 999, Src: 999, Dst: 999, Proto: rule.ProtoTCP, Port: 1})
 		}
-		b.Run(fmt.Sprintf("perpacket-%d", size), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for _, p := range pkts {
-					tc.Classify(p.VRF, p.Src, p.Dst, p.Proto, p.Port)
-				}
-			}
-		})
 		b.Run(fmt.Sprintf("batch-%d", size), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -100,6 +100,18 @@ func TestClearAndKeys(t *testing.T) {
 	}
 }
 
+// classify is first-match lookup over the table's rules, the oracle
+// ClassifyBatch is held to: the action of the first rule covering p, and
+// whether any rule did.
+func classify(tc *TCAM, p Packet) (rule.Action, bool) {
+	for _, r := range tc.Rules() {
+		if r.Match.Covers(p.VRF, p.Src, p.Dst, p.Proto, p.Port) {
+			return r.Action, true
+		}
+	}
+	return 0, false
+}
+
 func TestClassifyFirstMatchWins(t *testing.T) {
 	tc := New(8)
 	deny := mkRule(1, 2, 3, 80, 20)
@@ -110,11 +122,11 @@ func TestClassifyFirstMatchWins(t *testing.T) {
 	if err := tc.Install(mkRule(1, 2, 3, 80, 10)); err != nil {
 		t.Fatal(err)
 	}
-	action, matched := tc.Classify(1, 2, 3, rule.ProtoTCP, 80)
+	action, matched := classify(tc, Packet{1, 2, 3, rule.ProtoTCP, 80})
 	if !matched || action != rule.Deny {
-		t.Errorf("Classify = %v,%v; want deny (higher priority first)", action, matched)
+		t.Errorf("classify = %v,%v; want deny (higher priority first)", action, matched)
 	}
-	if _, matched := tc.Classify(9, 9, 9, rule.ProtoTCP, 80); matched {
+	if _, matched := classify(tc, Packet{9, 9, 9, rule.ProtoTCP, 80}); matched {
 		t.Error("no rule should match unrelated traffic")
 	}
 }
@@ -131,14 +143,14 @@ func TestClassifyInsertionOrderWithinPriority(t *testing.T) {
 	if err := tc.Install(second); err != nil {
 		t.Fatal(err)
 	}
-	action, _ := tc.Classify(1, 2, 3, rule.ProtoTCP, 80)
+	action, _ := classify(tc, Packet{1, 2, 3, rule.ProtoTCP, 80})
 	if action != rule.Allow {
 		t.Error("within a priority band, earlier-programmed entry wins")
 	}
 }
 
-// TestClassifyMatchesLinearOracle cross-checks Classify against a direct
-// scan over the Rules() snapshot.
+// TestClassifyMatchesLinearOracle cross-checks one-packet batches against
+// a direct scan over a Rules() snapshot.
 func TestClassifyMatchesLinearOracle(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -159,7 +171,8 @@ func TestClassifyMatchesLinearOracle(t *testing.T) {
 			src := object.ID(rng.Intn(4))
 			dst := object.ID(rng.Intn(4))
 			port := uint16(rng.Intn(96))
-			gotAction, gotMatch := tc.Classify(vrf, src, dst, rule.ProtoTCP, port)
+			got := tc.ClassifyBatch([]Packet{{vrf, src, dst, rule.ProtoTCP, port}})[0]
+			gotAction, gotMatch := got.Action, got.Matched
 			var wantAction rule.Action
 			wantMatch := false
 			for _, r := range snapshot {
@@ -182,7 +195,7 @@ func TestClassifyMatchesLinearOracle(t *testing.T) {
 // TestClassifyBatchMatchesClassify is the batch-path property test:
 // over randomized tables (priority ties included) and packet batches
 // (no-match packets included), ClassifyBatch must agree with per-packet
-// Classify outcome-for-outcome.
+// first-match lookup outcome-for-outcome.
 func TestClassifyBatchMatchesClassify(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -210,7 +223,7 @@ func TestClassifyBatchMatchesClassify(t *testing.T) {
 			return false
 		}
 		for i, p := range pkts {
-			action, matched := tc.Classify(p.VRF, p.Src, p.Dst, p.Proto, p.Port)
+			action, matched := classify(tc, p)
 			if got[i].Matched != matched || (matched && got[i].Action != action) {
 				return false
 			}
@@ -583,8 +596,8 @@ func TestRulesSnapshotIsACopy(t *testing.T) {
 	}
 	snap := tc.Rules()
 	snap[0].Match.VRF = 999
-	action, matched := tc.Classify(1, 2, 3, rule.ProtoTCP, 80)
-	if !matched || action != rule.Allow {
+	out := tc.ClassifyBatch([]Packet{{1, 2, 3, rule.ProtoTCP, 80}})[0]
+	if !out.Matched || out.Action != rule.Allow {
 		t.Error("mutating the snapshot must not affect the table")
 	}
 }
@@ -701,7 +714,7 @@ func TestConcurrentAccess(t *testing.T) {
 					}
 					seen[r.Key()] = struct{}{}
 				}
-				tc.Classify(1, 2, 3, rule.ProtoTCP, uint16(len(snap)))
+				tc.ClassifyBatch([]Packet{{1, 2, 3, rule.ProtoTCP, uint16(len(snap))}})
 				tc.Len()
 			}
 		}()

@@ -487,34 +487,6 @@ func probeSwitch(f *fabric.Fabric, logical []rule.Rule, sw object.ID) (*equiv.Re
 	}, sent, nil
 }
 
-// AnalyzeSwitch runs the pipeline for a single switch — the event-driven
-// collection mode of §III-C (e.g. triggered by a device fault event) —
-// using the configured observation source: one probe batch against its
-// live dataplane, or a BDD check of its collected TCAM on a checker of its
-// own. The risk model is the switch risk model, so the hypothesis is scoped
-// to that switch's policy objects.
-func (a *Analyzer) AnalyzeSwitch(f *fabric.Fabric, sw object.ID) (*SwitchReport, error) {
-	d := f.Deployment()
-	if d == nil {
-		return nil, fmt.Errorf("scout: fabric has never been deployed")
-	}
-	var checkRep *equiv.Report
-	var err error
-	if a.opts.UseProbes {
-		checkRep, _, err = probeSwitch(f, d.RulesFor(sw), sw)
-	} else if deployed, cerr := f.CollectTCAM(sw); cerr != nil {
-		err = fmt.Errorf("scout: collect switch %d: %w", sw, cerr)
-	} else {
-		st := State{Deployment: d, TCAM: map[object.ID][]rule.Rule{sw: deployed}}
-		checkRep, err = checkState(st, equiv.NewChecker(), sw)
-	}
-	if err != nil {
-		return nil, err
-	}
-	sr := buildSwitchReport(&riskModels{d: d}, changeOracle(f.ChangeLog(), f.Now()), sw, checkRep)
-	return &sr, nil
-}
-
 // MarshalJSON serializes the report (for dashboards and tooling).
 func (r *Report) MarshalJSON() ([]byte, error) {
 	type alias Report
