@@ -158,10 +158,15 @@ func (ix *sourceIndex) indexRefs(file *ast.File) {
 	}
 }
 
-// referenced reports whether fd's name appears anywhere outside fd itself.
+// referenced reports whether fd's name appears outside every function of
+// that name. A function is not its own caller, and neither is a namesake:
+// a method forwarding to a same-named function does not make either used.
+// Names are matched, not types, so a method named like an unrelated one
+// still counts as referenced — a Patch.Empty would pass on the calls of
+// stream.Batch.Empty.
 func (ix *sourceIndex) referenced(fd *ast.FuncDecl) bool {
 	for _, in := range ix.refs[fd.Name.Name] {
-		if in != fd {
+		if in == nil || in.Name.Name != fd.Name.Name {
 			return true
 		}
 	}

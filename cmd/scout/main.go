@@ -268,10 +268,9 @@ func emitReport(report *scout.Report, jsonOut, verbose bool) error {
 			fmt.Printf("bdd op cache: %d hits / %d misses (%.1f%%)\n", hits, misses, pct)
 		}
 		if ls := report.LocalizeStats; ls != nil {
-			fmt.Printf("\nlocalization: %d plan compiles / %d reuses, lazy heap %d re-evaluations for %d picks (vs %d eager scans)\n",
-				ls.PlanCompiles, ls.PlanReuses, ls.LazyEvals, ls.LazyPicks, ls.FullScanEvals)
-			fmt.Printf("localization stages: hit-ratio-1 %v, change-log %v, greedy set cover %v\n",
-				ls.Stage1.Round(time.Microsecond), ls.Stage2.Round(time.Microsecond), ls.Greedy.Round(time.Microsecond))
+			fmt.Printf("\nlocalization: %d plan compiles / %d reuses\n", ls.PlanCompiles, ls.PlanReuses)
+			fmt.Printf("localization stages: hit-ratio-1 %v, change-log %v\n",
+				ls.Stage1.Round(time.Microsecond), ls.Stage2.Round(time.Microsecond))
 		}
 		fmt.Println("\nper-switch details:")
 		for _, sr := range report.Switches {
@@ -429,8 +428,7 @@ func runWatch(f *scout.Fabric, faults []objectFault, opts watchOptions, w io.Wri
 	fmt.Fprintf(w, "event queue: %d pushed, %d coalesced, %d stale, %d overflows; %d batches (max %d switches)\n",
 		qs.Pushed, qs.Coalesced, qs.Stale, qs.Overflows, qs.Batches, qs.MaxBatch)
 	st := sess.Stats()
-	fmt.Fprintf(w, "session localization: %d plan compiles / %d reuses, lazy heap %d re-evaluations for %d picks (vs %d eager scans)\n",
-		st.PlanCompiles, st.PlanReuses, st.LazyEvals, st.LazyPicks, st.FullScanEvals)
+	fmt.Fprintf(w, "session localization: %d plan compiles / %d reuses\n", st.PlanCompiles, st.PlanReuses)
 	fmt.Fprintf(w, "streaming collection: %d partial refreshes, %d switches re-read, %d aliased\n",
 		st.EventBatches, st.EventSwitchesRead, st.EventSwitchesAliased)
 	if probeMode {

@@ -246,11 +246,22 @@ func TestRunWatch(t *testing.T) {
 		strings.Contains(out.String(), ", 0 aliased") {
 		t.Errorf("fault batch re-read every switch — partial refresh not engaged:\n%s", out.String())
 	}
+	// Localization counts plan compiles and reuses, and SCOUT's two
+	// stages are timed; nothing else in the engine is counted.
+	if !regexp.MustCompile(`(?m)^session localization: \d+ plan compiles / \d+ reuses$`).MatchString(out.String()) {
+		t.Errorf("output missing the session localization line:\n%s", out.String())
+	}
 	// The verbose dump of the final report counts the op cache as the one
 	// table it is: hits and misses of the checks that ran.
 	verbose := captureStdout(t, func() error { return emitReport(report, false, true) })
-	if !regexp.MustCompile(`(?m)^bdd op cache: \d+ hits / \d+ misses \(\d+\.\d%\)`).MatchString(verbose) {
-		t.Errorf("verbose report missing the op-cache line:\n%s", verbose)
+	for _, line := range []string{
+		`bdd op cache: \d+ hits / \d+ misses \(\d+\.\d%\)`,
+		`localization: \d+ plan compiles / \d+ reuses$`,
+		`localization stages: hit-ratio-1 \S+, change-log \S+$`,
+	} {
+		if !regexp.MustCompile(`(?m)^` + line).MatchString(verbose) {
+			t.Errorf("verbose report missing a line matching %q:\n%s", line, verbose)
+		}
 	}
 }
 

@@ -534,16 +534,17 @@ func Scalability(switchCounts []int, faults int, seed int64) (*ScaleResult, erro
 		if err != nil {
 			return nil, err
 		}
-		workload.ApplyToControllerModel(model, env.Deployment, env.Index, sc, rng)
+		ov := risk.NewOverlay(model)
+		workload.ApplyToControllerModel(ov, env.Deployment, env.Index, sc, rng)
 
 		start = time.Now()
-		localize.Scout(model, localize.SetOracle(sc.Changed))
+		localize.Scout(ov, localize.SetOracle(sc.Changed))
 		loc := time.Since(start)
 
 		out.Points = append(out.Points, ScalePoint{
 			Switches:     n,
-			Elements:     model.NumElements(),
-			Risks:        model.NumRisks(),
+			Elements:     ov.NumElements(),
+			Risks:        ov.NumRisks(),
 			BuildSecs:    build.Seconds(),
 			LocalizeSecs: loc.Seconds(),
 		})

@@ -114,9 +114,10 @@ func testbedRun(pol *policy.Policy, tp *topo.Topology, rng *rand.Rand, n, noise 
 		noisy++
 	}
 
-	// Full pipeline: check every switch, augment the controller model.
+	// Full pipeline: check every switch, augment an overlay over the
+	// controller model.
 	checker := equiv.NewChecker()
-	model := risk.BuildControllerModel(d, risk.ControllerModelOptions{IncludeSwitchRisk: true})
+	model := risk.NewOverlay(risk.BuildControllerModel(d, risk.ControllerModelOptions{IncludeSwitchRisk: true}))
 	for _, sw := range tp.Switches() {
 		deployed, err := f.CollectTCAM(sw)
 		if err != nil {

@@ -101,48 +101,35 @@ func pendingElements(rv *runView) []risk.ElementID {
 	return out
 }
 
-// planGreedy is Score's lazy-greedy pick loop: greedily pick the
-// eligible risk with maximum residual coverage (lowest ref on ties) until
-// nothing new is covered. eligible must be sorted by ref.
+// planGreedy is Score's pick loop: each round it rescans the eligible
+// risks and picks the one with the largest residual coverage, the first
+// in ref order on ties, until none covers a pending observation. eligible
+// must be sorted by ref. A picked risk covers nothing afterwards, so it is
+// never picked twice.
 func planGreedy(rv *runView, eligible []int32, res *Result, hypothesis object.Set) {
-	start := time.Now()
-	h := make(lazyHeap, 0, len(eligible))
-	for rank, i := range eligible {
-		// pending starts as the full failure signature, so the initial
-		// residual coverage is the risk's total failed-edge count.
-		h.push(lazyEntry{cov: rv.aliveFailed[i], rank: int32(rank), round: 0, idx: i})
-	}
-	round := int32(0)
-	for rv.pendingCount > 0 && len(h) > 0 {
-		e := h.pop()
-		if e.round != round {
-			e.cov = rv.coverage(e.idx)
-			e.round = round
-			engineCounters.lazyEvals.Add(1)
-			h.push(e)
-			continue
+	for rv.pendingCount > 0 {
+		best, bestCov := int32(-1), int32(0)
+		for _, i := range eligible {
+			if cov := rv.coverage(i); cov > bestCov {
+				best, bestCov = i, cov
+			}
 		}
-		if e.cov == 0 {
+		if best < 0 {
 			break
 		}
 		res.Iterations++
-		round++
-		engineCounters.lazyPicks.Add(1)
-		engineCounters.fullScanEvals.Add(int64(len(eligible)))
-		hypothesis.Add(rv.ref(e.idx))
-		pendingBefore := rv.pendingCount
-		rv.forEachFailed(e.idx, func(el int32) {
+		hypothesis.Add(rv.ref(best))
+		rv.forEachFailed(best, func(el int32) {
 			if rv.pending.test(el) {
 				rv.pending.clear(el)
 				rv.pendingCount--
 			}
 		})
 		res.Steps = append(res.Steps, Step{
-			Picked:   []object.Ref{rv.ref(e.idx)},
-			Coverage: pendingBefore - rv.pendingCount,
+			Picked:   []object.Ref{rv.ref(best)},
+			Coverage: int(bestCov),
 		})
 	}
-	engineCounters.greedy.Add(int64(time.Since(start)))
 }
 
 // planScore is Score on a compiled plan.

@@ -14,10 +14,10 @@
 //
 // The algorithms run on a compiled localization plan (plan.go): dense CSR
 // adjacency and packed bit masks compiled once per pristine model, cached
-// on the model, and composed with an O(marks) delta for overlay runs, with
-// a lazy-greedy heap for the submodular pick loops (engine.go). The
-// original map-of-maps implementation lives in ref_test.go as the readable
-// specification the package's differential tests compare against.
+// on the model, and composed with an O(marks) delta for overlay runs
+// (engine.go). The original map-of-maps implementation lives in
+// ref_test.go as the readable specification the package's differential
+// tests compare against.
 package localize
 
 import (

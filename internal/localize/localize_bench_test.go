@@ -48,12 +48,11 @@ func benchOverlay(b *testing.B, elems, risks, deg, faults int) *risk.Overlay {
 	return ov
 }
 
-// reportEngineMetrics attaches plan-compiles/op and coverage-evals/op to
-// a benchmark from the engine counter delta across the timed loop.
+// reportEngineMetrics attaches plan-compiles/op to a benchmark from the
+// engine counter delta across the timed loop.
 func reportEngineMetrics(b *testing.B, before EngineStats) {
 	d := StatsSnapshot().Delta(before)
 	b.ReportMetric(float64(d.PlanCompiles)/float64(b.N), "plan-compiles/op")
-	b.ReportMetric(float64(d.LazyEvals)/float64(b.N), "coverage-evals/op")
 }
 
 // BenchmarkScoutLarge measures SCOUT on a 50k-element model — roughly a

@@ -368,8 +368,7 @@ func (rv *runView) prune(el int32) bool {
 	return true
 }
 
-// failedRefsOf returns the sorted refs of risks with a failed edge to el
-// — the plan-side equivalent of View.FailedRisksOf.
+// failedRefsOf returns the sorted refs of risks with a failed edge to el.
 func (rv *runView) failedRefsOf(el int32) []object.Ref {
 	var out []object.Ref
 	p := rv.p

@@ -17,20 +17,21 @@ import (
 // extracted once from the (immutable) model plus an alive mask that
 // implements Algorithm 1's Prune.
 type view struct {
-	m risk.View
 	// deps[ref] = elements depending on ref.
 	deps map[object.Ref][]risk.ElementID
 	// failed[ref] = elements whose edge to ref is marked fail.
 	failed map[object.Ref]map[risk.ElementID]struct{}
-	alive  []bool
+	// failedRisks[el] = refs with a failed edge to el, sorted.
+	failedRisks map[risk.ElementID][]object.Ref
+	alive       []bool
 }
 
 func newView(m risk.View) *view {
 	v := &view{
-		m:      m,
-		deps:   make(map[object.Ref][]risk.ElementID),
-		failed: make(map[object.Ref]map[risk.ElementID]struct{}),
-		alive:  make([]bool, m.NumElements()),
+		deps:        make(map[object.Ref][]risk.ElementID),
+		failed:      make(map[object.Ref]map[risk.ElementID]struct{}),
+		failedRisks: make(map[risk.ElementID][]object.Ref),
+		alive:       make([]bool, m.NumElements()),
 	}
 	for i := range v.alive {
 		v.alive[i] = true
@@ -40,6 +41,7 @@ func newView(m risk.View) *view {
 		set := make(map[risk.ElementID]struct{})
 		for _, el := range m.FailedElementsOf(ref) {
 			set[el] = struct{}{}
+			v.failedRisks[el] = append(v.failedRisks[el], ref) // Risks is sorted
 		}
 		v.failed[ref] = set
 	}
@@ -79,7 +81,7 @@ func RefScout(m risk.View, oracle ChangeOracle) *Result {
 		// observation (lines 6-10).
 		candidates := make(object.Set)
 		for el := range pending {
-			for _, ref := range m.FailedRisksOf(el) {
+			for _, ref := range v.failedRisks[el] {
 				candidates.Add(ref)
 			}
 		}
@@ -113,7 +115,7 @@ func RefScout(m risk.View, oracle ChangeOracle) *Result {
 	if len(pending) > 0 && oracle != nil {
 		for _, el := range sortedElements(pending) {
 			picked := false
-			for _, ref := range m.FailedRisksOf(el) {
+			for _, ref := range v.failedRisks[el] {
 				if oracle.RecentlyChanged(ref) {
 					if !hypothesis.Has(ref) {
 						hypothesis.Add(ref)

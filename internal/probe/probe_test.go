@@ -3,6 +3,7 @@ package probe
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -189,7 +190,7 @@ func TestProbeSwitchModelAugmentation(t *testing.T) {
 		t.Fatal("switch-model augmentation marked nothing")
 	}
 	appDB, _ := m.ElementByLabel("2-3")
-	if !m.IsObservation(appDB) {
+	if !slices.Contains(m.FailureSignature(), appDB) {
 		t.Error("App-DB must be an observation on S2")
 	}
 }

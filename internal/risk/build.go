@@ -123,9 +123,6 @@ type patchMark struct {
 	ref object.Ref
 }
 
-// Empty reports whether the patch carries no marks.
-func (p *Patch) Empty() bool { return p == nil || len(p.marks) == 0 }
-
 // Apply replays the marks into m in recorded order and returns the number
 // of edges newly marked failed.
 func (p *Patch) Apply(m Marker) int {

@@ -19,12 +19,12 @@ type ElementID int
 // RiskID is a dense index of a shared risk within a Model.
 type RiskID int
 
-// View is the read interface over an annotated risk model. Localization,
-// rendering, and evaluation consume a View so that a *Model annotated in
-// place and a copy-on-write *Overlay over an immutable pristine core are
-// interchangeable: both yield the same element/risk IDs and failure sets,
-// so every downstream result is byte-identical regardless of which backs
-// the view.
+// View is the read interface over an annotated risk model: what
+// localization, augmentation, evaluation and the report's summary read.
+// A *Model annotated in place and a copy-on-write *Overlay over an
+// immutable pristine core are interchangeable behind it: both yield the
+// same element/risk IDs and failure sets, so every downstream result is
+// byte-identical regardless of which backs the view.
 type View interface {
 	fmt.Stringer
 	Name() string
@@ -33,20 +33,11 @@ type View interface {
 	NumEdges() int
 	NumFailedEdges() int
 	ElementByLabel(label string) (ElementID, bool)
-	Label(el ElementID) string
 	RiskByRef(ref object.Ref) (RiskID, bool)
-	Ref(r RiskID) object.Ref
-	EdgeFailed(el ElementID, ref object.Ref) bool
-	IsObservation(el ElementID) bool
-	RisksOf(el ElementID) []object.Ref
-	FailedRisksOf(el ElementID) []object.Ref
 	ElementsOf(ref object.Ref) []ElementID
-	NumDependents(ref object.Ref) int
 	FailedElementsOf(ref object.Ref) []ElementID
 	FailureSignature() []ElementID
 	Risks() []object.Ref
-	HitRatio(ref object.Ref) float64
-	CoverageRatio(ref object.Ref) float64
 	SuspectSet() []object.Ref
 }
 
@@ -63,16 +54,7 @@ var (
 	_ Marker = (*Overlay)(nil)
 )
 
-// adjacency is the package-internal edge-order access that DOT rendering
-// uses to reproduce insertion-ordered output for both view kinds.
-type adjacency interface {
-	risksAdj(el ElementID) []RiskID
-	refOf(r RiskID) object.Ref
-	edgeFailedID(el ElementID, r RiskID) bool
-}
-
 type elementData struct {
-	label  string
 	risks  []RiskID
 	failed map[RiskID]struct{}
 }
@@ -82,7 +64,7 @@ type riskData struct {
 	elements []ElementID
 }
 
-// Model is a bipartite risk graph. Build it with AddElement/AddEdge, then
+// Model is a bipartite risk graph. Build it with EnsureElement/AddEdge, then
 // annotate failures with MarkFailed. A Model is not safe for concurrent
 // mutation.
 type Model struct {
@@ -142,7 +124,7 @@ func (m *Model) EnsureElement(label string) ElementID {
 		return id
 	}
 	id := ElementID(len(m.elements))
-	m.elements = append(m.elements, elementData{label: label})
+	m.elements = append(m.elements, elementData{})
 	m.byLabel[label] = id
 	m.rev++
 	return id
@@ -153,9 +135,6 @@ func (m *Model) ElementByLabel(label string) (ElementID, bool) {
 	id, ok := m.byLabel[label]
 	return id, ok
 }
-
-// Label returns the element's label.
-func (m *Model) Label(el ElementID) string { return m.elements[el].label }
 
 // EnsureRisk returns the risk node for ref, creating it if needed.
 func (m *Model) EnsureRisk(ref object.Ref) RiskID {
@@ -174,9 +153,6 @@ func (m *Model) RiskByRef(ref object.Ref) (RiskID, bool) {
 	id, ok := m.byRef[ref]
 	return id, ok
 }
-
-// Ref returns the object reference of a risk node.
-func (m *Model) Ref(r RiskID) object.Ref { return m.risks[r].ref }
 
 // AddEdge connects an element to a risk (idempotent). New edges start in
 // the success state.
@@ -207,7 +183,7 @@ func (m *Model) addElement(label string, refs []object.Ref) ElementID {
 		risks[i] = r
 		m.risks[r].elements = append(m.risks[r].elements, el)
 	}
-	m.elements = append(m.elements, elementData{label: label, risks: risks})
+	m.elements = append(m.elements, elementData{risks: risks})
 	m.byLabel[label] = el
 	m.edges += len(refs)
 	m.rev += 1 + uint64(len(refs))
@@ -233,42 +209,6 @@ func (m *Model) MarkFailed(el ElementID, ref object.Ref) bool {
 	return true
 }
 
-// EdgeFailed reports whether the edge el↔ref exists and is marked fail.
-func (m *Model) EdgeFailed(el ElementID, ref object.Ref) bool {
-	r, ok := m.byRef[ref]
-	if !ok {
-		return false
-	}
-	_, failed := m.elements[el].failed[r]
-	return failed
-}
-
-// IsObservation reports whether the element has at least one failed edge.
-func (m *Model) IsObservation(el ElementID) bool {
-	return len(m.elements[el].failed) > 0
-}
-
-// RisksOf returns the risk refs the element depends on, sorted.
-func (m *Model) RisksOf(el ElementID) []object.Ref {
-	out := make([]object.Ref, 0, len(m.elements[el].risks))
-	for _, r := range m.elements[el].risks {
-		out = append(out, m.risks[r].ref)
-	}
-	object.SortRefs(out)
-	return out
-}
-
-// FailedRisksOf returns the refs of risks with a failed edge to el, sorted.
-func (m *Model) FailedRisksOf(el ElementID) []object.Ref {
-	e := m.elements[el]
-	out := make([]object.Ref, 0, len(e.failed))
-	for r := range e.failed {
-		out = append(out, m.risks[r].ref)
-	}
-	object.SortRefs(out)
-	return out
-}
-
 // ElementsOf returns the element IDs depending on risk ref.
 func (m *Model) ElementsOf(ref object.Ref) []ElementID {
 	r, ok := m.byRef[ref]
@@ -278,16 +218,6 @@ func (m *Model) ElementsOf(ref object.Ref) []ElementID {
 	out := make([]ElementID, len(m.risks[r].elements))
 	copy(out, m.risks[r].elements)
 	return out
-}
-
-// NumDependents returns |Gi| for risk ref: the number of elements that
-// depend on it.
-func (m *Model) NumDependents(ref object.Ref) int {
-	r, ok := m.byRef[ref]
-	if !ok {
-		return 0
-	}
-	return len(m.risks[r].elements)
 }
 
 // FailedElementsOf returns Oi for risk ref: the elements whose edge to ref
@@ -328,43 +258,6 @@ func (m *Model) Risks() []object.Ref {
 	return out
 }
 
-// HitRatio returns |Oi|/|Gi| for risk ref: the fraction of dependent
-// elements that are observations *due to a failed edge to this risk*.
-// It returns 0 for unknown risks or risks with no dependents.
-func (m *Model) HitRatio(ref object.Ref) float64 {
-	r, ok := m.byRef[ref]
-	if !ok || len(m.risks[r].elements) == 0 {
-		return 0
-	}
-	failed := 0
-	for _, el := range m.risks[r].elements {
-		if _, f := m.elements[el].failed[r]; f {
-			failed++
-		}
-	}
-	return float64(failed) / float64(len(m.risks[r].elements))
-}
-
-// CoverageRatio returns |Oi|/|F| for risk ref given the current failure
-// signature size.
-func (m *Model) CoverageRatio(ref object.Ref) float64 {
-	sig := len(m.FailureSignature())
-	if sig == 0 {
-		return 0
-	}
-	r, ok := m.byRef[ref]
-	if !ok {
-		return 0
-	}
-	failed := 0
-	for _, el := range m.risks[r].elements {
-		if _, f := m.elements[el].failed[r]; f {
-			failed++
-		}
-	}
-	return float64(failed) / float64(sig)
-}
-
 // SuspectSet returns the union of risks with a failed edge to any
 // observation: the objects an admin would have to examine without fault
 // localization (the denominator of the paper's suspect-set-reduction
@@ -399,15 +292,4 @@ func (m *Model) String() string { return summarize(m) }
 func summarize(v View) string {
 	return fmt.Sprintf("risk model %q: %d elements, %d risks, %d edges (%d failed)",
 		v.Name(), v.NumElements(), v.NumRisks(), v.NumEdges(), v.NumFailedEdges())
-}
-
-// risksAdj, refOf, and edgeFailedID expose adjacency in insertion order
-// for DOT rendering.
-func (m *Model) risksAdj(el ElementID) []RiskID { return m.elements[el].risks }
-
-func (m *Model) refOf(r RiskID) object.Ref { return m.risks[r].ref }
-
-func (m *Model) edgeFailedID(el ElementID, r RiskID) bool {
-	_, failed := m.elements[el].failed[r]
-	return failed
 }

@@ -14,7 +14,6 @@
 package risk
 
 import (
-	"io"
 	"sort"
 
 	"scout/internal/object"
@@ -23,9 +22,10 @@ import (
 // Overlay is a copy-on-write failure view over a base Model. The base is
 // treated as immutable for the overlay's lifetime: concurrent readers
 // (including other overlays over the same base) are safe as long as
-// nothing mutates the base itself. Element IDs, risk IDs, and adjacency
-// orders match what MarkFailed on the model itself would produce, so
-// results read through either are identical.
+// nothing mutates the base itself. Element IDs, risk IDs, and the order
+// ElementsOf lists a risk's dependents in match what MarkFailed on the
+// model itself would produce, so results read through either are
+// identical.
 //
 // An Overlay supports marking failures but not adding elements; risks and
 // edges are created implicitly when a mark names an edge the base lacks
@@ -90,11 +90,9 @@ func (o *Overlay) ElementByLabel(label string) (ElementID, bool) {
 	return o.base.ElementByLabel(label)
 }
 
-// Label returns the element's label.
-func (o *Overlay) Label(el ElementID) string { return o.base.elements[el].label }
-
-// riskByRef resolves a ref against base risks first, then overlay risks.
-func (o *Overlay) riskByRef(ref object.Ref) (RiskID, bool) {
+// RiskByRef looks up a risk node by object reference, among base risks
+// first, then overlay risks.
+func (o *Overlay) RiskByRef(ref object.Ref) (RiskID, bool) {
 	if r, ok := o.base.byRef[ref]; ok {
 		return r, true
 	}
@@ -102,31 +100,12 @@ func (o *Overlay) riskByRef(ref object.Ref) (RiskID, bool) {
 	return r, ok
 }
 
-// RiskByRef looks up a risk node by object reference.
-func (o *Overlay) RiskByRef(ref object.Ref) (RiskID, bool) { return o.riskByRef(ref) }
-
-// Ref returns the object reference of a risk node.
-func (o *Overlay) Ref(r RiskID) object.Ref { return o.refOf(r) }
-
+// refOf returns the object reference of a base or overlay risk.
 func (o *Overlay) refOf(r RiskID) object.Ref {
 	if int(r) < len(o.base.risks) {
 		return o.base.risks[r].ref
 	}
 	return o.extraRisks[int(r)-len(o.base.risks)].ref
-}
-
-// risksAdj returns the element's adjacency: base edges first, overlay
-// edges appended in creation order — the order a model marked in place
-// would hold.
-func (o *Overlay) risksAdj(el ElementID) []RiskID {
-	base := o.base.elements[el].risks
-	extra := o.extraDeps[el]
-	if len(extra) == 0 {
-		return base
-	}
-	out := make([]RiskID, 0, len(base)+len(extra))
-	out = append(out, base...)
-	return append(out, extra...)
 }
 
 // dependents returns the risk's dependent elements in the order a model
@@ -163,7 +142,7 @@ func (o *Overlay) hasEdge(el ElementID, r RiskID) bool {
 // edgeFailedID reports whether the edge el↔r is marked fail in base or
 // overlay.
 func (o *Overlay) edgeFailedID(el ElementID, r RiskID) bool {
-	if o.base.edgeFailedID(el, r) {
+	if _, failed := o.base.elements[el].failed[r]; failed {
 		return true
 	}
 	_, failed := o.failed[el][r]
@@ -174,7 +153,7 @@ func (o *Overlay) edgeFailedID(el ElementID, r RiskID) bool {
 // (and risk) in the overlay if the base lacks it. It reports whether the
 // edge transitioned to failed — the same contract as Model.MarkFailed.
 func (o *Overlay) MarkFailed(el ElementID, ref object.Ref) bool {
-	r, ok := o.riskByRef(ref)
+	r, ok := o.RiskByRef(ref)
 	if !ok {
 		r = RiskID(len(o.base.risks) + len(o.extraRisks))
 		o.extraRisks = append(o.extraRisks, riskData{ref: ref})
@@ -203,48 +182,9 @@ func (o *Overlay) MarkFailed(el ElementID, ref object.Ref) bool {
 	return true
 }
 
-// EdgeFailed reports whether the edge el↔ref exists and is marked fail.
-func (o *Overlay) EdgeFailed(el ElementID, ref object.Ref) bool {
-	r, ok := o.riskByRef(ref)
-	if !ok {
-		return false
-	}
-	return o.edgeFailedID(el, r)
-}
-
-// IsObservation reports whether the element has at least one failed edge.
-func (o *Overlay) IsObservation(el ElementID) bool {
-	return o.base.IsObservation(el) || len(o.failed[el]) > 0
-}
-
-// RisksOf returns the risk refs the element depends on, sorted.
-func (o *Overlay) RisksOf(el ElementID) []object.Ref {
-	adj := o.risksAdj(el)
-	out := make([]object.Ref, 0, len(adj))
-	for _, r := range adj {
-		out = append(out, o.refOf(r))
-	}
-	object.SortRefs(out)
-	return out
-}
-
-// FailedRisksOf returns the refs of risks with a failed edge to el,
-// sorted.
-func (o *Overlay) FailedRisksOf(el ElementID) []object.Ref {
-	out := make([]object.Ref, 0, len(o.failed[el]))
-	for r := range o.base.elements[el].failed {
-		out = append(out, o.base.risks[r].ref)
-	}
-	for r := range o.failed[el] {
-		out = append(out, o.refOf(r))
-	}
-	object.SortRefs(out)
-	return out
-}
-
 // ElementsOf returns the element IDs depending on risk ref.
 func (o *Overlay) ElementsOf(ref object.Ref) []ElementID {
-	r, ok := o.riskByRef(ref)
+	r, ok := o.RiskByRef(ref)
 	if !ok {
 		return nil
 	}
@@ -254,19 +194,10 @@ func (o *Overlay) ElementsOf(ref object.Ref) []ElementID {
 	return out
 }
 
-// NumDependents returns |Gi| for risk ref.
-func (o *Overlay) NumDependents(ref object.Ref) int {
-	r, ok := o.riskByRef(ref)
-	if !ok {
-		return 0
-	}
-	return len(o.dependents(r))
-}
-
 // FailedElementsOf returns Oi for risk ref: the elements whose edge to
 // ref is marked fail.
 func (o *Overlay) FailedElementsOf(ref object.Ref) []ElementID {
-	r, ok := o.riskByRef(ref)
+	r, ok := o.RiskByRef(ref)
 	if !ok {
 		return nil
 	}
@@ -293,7 +224,7 @@ func (o *Overlay) FailureSignature() []ElementID {
 	}
 	var out []ElementID
 	for i := range o.base.elements {
-		if o.IsObservation(ElementID(i)) {
+		if len(o.base.elements[i].failed) > 0 || len(o.failed[ElementID(i)]) > 0 {
 			out = append(out, ElementID(i))
 		}
 	}
@@ -311,45 +242,6 @@ func (o *Overlay) Risks() []object.Ref {
 	}
 	object.SortRefs(out)
 	return out
-}
-
-// HitRatio returns |Oi|/|Gi| for risk ref.
-func (o *Overlay) HitRatio(ref object.Ref) float64 {
-	r, ok := o.riskByRef(ref)
-	if !ok {
-		return 0
-	}
-	deps := o.dependents(r)
-	if len(deps) == 0 {
-		return 0
-	}
-	failed := 0
-	for _, el := range deps {
-		if o.edgeFailedID(el, r) {
-			failed++
-		}
-	}
-	return float64(failed) / float64(len(deps))
-}
-
-// CoverageRatio returns |Oi|/|F| for risk ref given the current failure
-// signature size.
-func (o *Overlay) CoverageRatio(ref object.Ref) float64 {
-	sig := len(o.FailureSignature())
-	if sig == 0 {
-		return 0
-	}
-	r, ok := o.riskByRef(ref)
-	if !ok {
-		return 0
-	}
-	failed := 0
-	for _, el := range o.dependents(r) {
-		if o.edgeFailedID(el, r) {
-			failed++
-		}
-	}
-	return float64(failed) / float64(sig)
 }
 
 // SuspectSet returns the union of risks with a failed edge to any
@@ -371,11 +263,6 @@ func (o *Overlay) SuspectSet() []object.Ref {
 
 // String summarizes the view with combined base + overlay counts.
 func (o *Overlay) String() string { return summarize(o) }
-
-// WriteDOT renders the overlay view as a Graphviz digraph.
-func (o *Overlay) WriteDOT(w io.Writer, maxElements int) error {
-	return WriteDOT(w, o, maxElements)
-}
 
 func sortElementIDs(els []ElementID) {
 	sort.Slice(els, func(i, j int) bool { return els[i] < els[j] })

@@ -2,7 +2,6 @@ package risk
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"scout/internal/compile"
@@ -27,11 +26,11 @@ func TestModelBasics(t *testing.T) {
 	if m.NumElements() != 1 || m.NumRisks() != 2 {
 		t.Errorf("elements=%d risks=%d", m.NumElements(), m.NumRisks())
 	}
-	if m.Label(e1) != "1-2" {
-		t.Errorf("Label = %q", m.Label(e1))
+	if got, ok := m.ElementByLabel("1-2"); !ok || got != e1 {
+		t.Errorf("ElementByLabel(1-2) = %d,%v", got, ok)
 	}
-	if got := m.RisksOf(e1); !reflect.DeepEqual(got, []object.Ref{object.VRF(9), object.Filter(1)}) {
-		t.Errorf("RisksOf = %v", got)
+	if got := risksOf(m, e1); !reflect.DeepEqual(got, []object.Ref{object.VRF(9), object.Filter(1)}) {
+		t.Errorf("risksOf = %v", got)
 	}
 }
 
@@ -42,7 +41,7 @@ func TestMarkFailedAndObservations(t *testing.T) {
 	m.AddEdge(e1, object.Filter(1))
 	m.AddEdge(e2, object.Filter(1))
 
-	if m.IsObservation(e1) {
+	if isObservation(m, e1) {
 		t.Error("fresh element is not an observation")
 	}
 	if !m.MarkFailed(e1, object.Filter(1)) {
@@ -51,14 +50,14 @@ func TestMarkFailedAndObservations(t *testing.T) {
 	if m.MarkFailed(e1, object.Filter(1)) {
 		t.Error("second MarkFailed is a no-op")
 	}
-	if !m.IsObservation(e1) || m.IsObservation(e2) {
+	if !isObservation(m, e1) || isObservation(m, e2) {
 		t.Error("observation status wrong")
 	}
 	if got := m.FailureSignature(); !reflect.DeepEqual(got, []ElementID{e1}) {
 		t.Errorf("FailureSignature = %v", got)
 	}
-	if !m.EdgeFailed(e1, object.Filter(1)) || m.EdgeFailed(e2, object.Filter(1)) {
-		t.Error("EdgeFailed wrong")
+	if !edgeFailed(m, e1, object.Filter(1)) || edgeFailed(m, e2, object.Filter(1)) {
+		t.Error("edgeFailed wrong")
 	}
 	if m.NumFailedEdges() != 1 {
 		t.Errorf("NumFailedEdges = %d", m.NumFailedEdges())
@@ -69,7 +68,7 @@ func TestMarkFailedCreatesMissingEdge(t *testing.T) {
 	m := NewModel("test")
 	e := m.EnsureElement("x")
 	m.MarkFailed(e, object.EPG(7))
-	if !m.EdgeFailed(e, object.EPG(7)) {
+	if !edgeFailed(m, e, object.EPG(7)) {
 		t.Error("MarkFailed on a new edge must create and fail it")
 	}
 	if m.NumEdges() != 1 {
@@ -96,20 +95,20 @@ func TestHitAndCoverageRatios(t *testing.T) {
 		m.MarkFailed(el, f2)
 	}
 
-	if got := m.HitRatio(f2); got != 1.0 {
+	if got := hitRatio(m, f2); got != 1.0 {
 		t.Errorf("hit(F2) = %v, want 1", got)
 	}
-	if got := m.HitRatio(c1); got != 0 {
+	if got := hitRatio(m, c1); got != 0 {
 		t.Errorf("hit(C1) = %v, want 0", got)
 	}
-	if got := m.CoverageRatio(f2); got != 1.0 {
+	if got := coverageRatio(m, f2); got != 1.0 {
 		t.Errorf("cov(F2) = %v, want 1 (covers all 4 observations)", got)
 	}
-	if m.HitRatio(object.Filter(99)) != 0 || m.CoverageRatio(object.Filter(99)) != 0 {
+	if hitRatio(m, object.Filter(99)) != 0 || coverageRatio(m, object.Filter(99)) != 0 {
 		t.Error("unknown risks have zero ratios")
 	}
-	if m.NumDependents(f2) != 4 {
-		t.Errorf("NumDependents(F2) = %d", m.NumDependents(f2))
+	if got := len(m.ElementsOf(f2)); got != 4 {
+		t.Errorf("ElementsOf(F2) = %d", got)
 	}
 	if got := len(m.FailedElementsOf(f2)); got != 4 {
 		t.Errorf("FailedElementsOf(F2) = %d", got)
@@ -138,7 +137,7 @@ func TestResetFailures(t *testing.T) {
 	m.AddEdge(e, object.VRF(1))
 	m.MarkFailed(e, object.VRF(1))
 	m.ResetFailures()
-	if m.NumFailedEdges() != 0 || m.IsObservation(e) || len(m.FailureSignature()) != 0 {
+	if m.NumFailedEdges() != 0 || len(m.FailureSignature()) != 0 {
 		t.Error("ResetFailures must clear all failure state")
 	}
 	if m.NumEdges() != 1 {
@@ -190,12 +189,12 @@ func TestBuildSwitchModelFigure4a(t *testing.T) {
 		object.VRF(101), object.EPG(1), object.EPG(2),
 		object.Contract(201), object.Filter(80),
 	}
-	if got := m.RisksOf(webApp); !reflect.DeepEqual(got, want) {
+	if got := risksOf(m, webApp); !reflect.DeepEqual(got, want) {
 		t.Errorf("Web-App risks = %v, want %v", got, want)
 	}
 	// App-DB additionally relies on Filter:700.
 	appDB, _ := m.ElementByLabel("2-3")
-	risks := object.NewSet(m.RisksOf(appDB)...)
+	risks := object.NewSet(risksOf(m, appDB)...)
 	if !risks.Has(object.Filter(700)) || !risks.Has(object.Filter(80)) {
 		t.Errorf("App-DB risks = %v", risks.Sorted())
 	}
@@ -217,7 +216,7 @@ func TestBuildControllerModelFigure4b(t *testing.T) {
 		t.Error("switch risks must be modeled when requested")
 	}
 	el, _ := withSwitch.ElementByLabel("S2:1-2")
-	risks := object.NewSet(withSwitch.RisksOf(el)...)
+	risks := object.NewSet(risksOf(withSwitch, el)...)
 	if !risks.Has(object.Switch(2)) {
 		t.Error("triplet must depend on its switch")
 	}
@@ -245,20 +244,20 @@ func TestAugmentSwitchModel(t *testing.T) {
 		t.Errorf("marked = %d, want 5 (vrf, 2 epgs, contract, filter)", marked)
 	}
 	webApp, _ := m.ElementByLabel("1-2")
-	if !m.IsObservation(webApp) {
+	if !isObservation(m, webApp) {
 		t.Error("Web-App must be an observation")
 	}
 	appDB, _ := m.ElementByLabel("2-3")
-	if m.IsObservation(appDB) {
+	if isObservation(m, appDB) {
 		t.Error("App-DB must stay healthy")
 	}
 	// Occam's razor setup: EPG:Web and Contract:201 have hit ratio 1 (only
 	// Web-App depends on them); VRF:101 and EPG:App are shared with the
 	// healthy App-DB pair so their hit ratio is 0.5.
-	if m.HitRatio(object.EPG(1)) != 1 || m.HitRatio(object.Contract(201)) != 1 {
+	if hitRatio(m, object.EPG(1)) != 1 || hitRatio(m, object.Contract(201)) != 1 {
 		t.Error("exclusive objects must have hit ratio 1")
 	}
-	if m.HitRatio(object.VRF(101)) != 0.5 || m.HitRatio(object.EPG(2)) != 0.5 {
+	if hitRatio(m, object.VRF(101)) != 0.5 || hitRatio(m, object.EPG(2)) != 0.5 {
 		t.Error("shared objects must have hit ratio 0.5")
 	}
 }
@@ -278,10 +277,10 @@ func TestAugmentControllerModel(t *testing.T) {
 	// the rule is present on S1.
 	s2, _ := m.ElementByLabel("S2:1-2")
 	s1, _ := m.ElementByLabel("S1:1-2")
-	if !m.IsObservation(s2) || m.IsObservation(s1) {
+	if !isObservation(m, s2) || isObservation(m, s1) {
 		t.Error("only the triplet on the faulty switch is an observation")
 	}
-	if !m.EdgeFailed(s2, object.Switch(2)) {
+	if !edgeFailed(m, s2, object.Switch(2)) {
 		t.Error("switch edge must be flagged for the failing triplet")
 	}
 }
@@ -306,32 +305,6 @@ func TestModelString(t *testing.T) {
 	}
 }
 
-func TestWriteDOT(t *testing.T) {
-	d := threeTier(t)
-	m := BuildSwitchModel(d, 2)
-	el, _ := m.ElementByLabel("1-2")
-	m.MarkFailed(el, object.Filter(80))
-
-	var buf strings.Builder
-	if err := m.WriteDOT(&buf, 0); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"digraph", `"1-2"`, `"filter:80"`, "color=red"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("DOT output missing %q:\n%s", want, out)
-		}
-	}
-	// Truncation bound.
-	buf.Reset()
-	if err := m.WriteDOT(&buf, 1); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "more elements") {
-		t.Error("truncated DOT must note the cut")
-	}
-}
-
 func TestAccessors(t *testing.T) {
 	m := NewModel("acc")
 	if m.Name() != "acc" {
@@ -342,12 +315,11 @@ func TestAccessors(t *testing.T) {
 	m.AddEdge(e, object.VRF(2))
 	m.MarkFailed(e, object.Filter(1))
 
-	r, ok := m.RiskByRef(object.Filter(1))
-	if !ok || m.Ref(r) != object.Filter(1) {
-		t.Error("RiskByRef/Ref round trip broken")
+	if r, ok := m.RiskByRef(object.Filter(1)); !ok || r != 0 {
+		t.Errorf("RiskByRef(filter:1) = %d,%v; want the first risk made", r, ok)
 	}
-	if got := m.FailedRisksOf(e); len(got) != 1 || got[0] != object.Filter(1) {
-		t.Errorf("FailedRisksOf = %v", got)
+	if got := failedRisksOf(m, e); len(got) != 1 || got[0] != object.Filter(1) {
+		t.Errorf("failedRisksOf = %v", got)
 	}
 	if got := m.ElementsOf(object.Filter(1)); len(got) != 1 || got[0] != e {
 		t.Errorf("ElementsOf = %v", got)
@@ -357,9 +329,6 @@ func TestAccessors(t *testing.T) {
 	}
 	if got := m.Risks(); len(got) != 2 {
 		t.Errorf("Risks = %v", got)
-	}
-	if m.NumDependents(object.Filter(99)) != 0 {
-		t.Error("unknown risk has no dependents")
 	}
 	// ElementsOf returns a copy.
 	els := m.ElementsOf(object.Filter(1))

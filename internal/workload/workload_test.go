@@ -314,8 +314,8 @@ func TestApplyToControllerModelFullFault(t *testing.T) {
 		t.Errorf("failed instances = %d, want all %d", failed, len(idx.Instances(target)))
 	}
 	// Full fault ⇒ hit ratio 1 for the target.
-	if got := m.HitRatio(target); got != 1 {
-		t.Errorf("hit ratio = %v, want 1 after full fault", got)
+	if failed, deps := len(m.FailedElementsOf(target)), len(m.ElementsOf(target)); failed != deps {
+		t.Errorf("hit ratio = %d/%d, want 1 after full fault", failed, deps)
 	}
 }
 
@@ -335,8 +335,8 @@ func TestApplyToControllerModelPartialFault(t *testing.T) {
 	sc := Scenario{Faults: []Fault{{Ref: target, Fraction: 0.3}}}
 	rng := rand.New(rand.NewSource(3))
 	ApplyToControllerModel(m, d, idx, sc, rng)
-	if got := m.HitRatio(target); got >= 1 || got <= 0 {
-		t.Errorf("partial fault hit ratio = %v, want in (0,1)", got)
+	if failed, deps := len(m.FailedElementsOf(target)), len(m.ElementsOf(target)); failed == 0 || failed >= deps {
+		t.Errorf("partial fault hit ratio = %d/%d, want in (0,1)", failed, deps)
 	}
 }
 
@@ -355,12 +355,14 @@ func TestBuildIndexDeterministic(t *testing.T) {
 	if len(wide) == 0 {
 		t.Fatal("no wide object in workload")
 	}
-	marks := func(idx *DepIndex) map[string][]object.Ref {
+	marks := func(idx *DepIndex) map[object.Ref][]risk.ElementID {
 		m := risk.BuildControllerModel(d, risk.ControllerModelOptions{IncludeSwitchRisk: true})
 		ApplyToControllerModel(m, d, idx, Scenario{Faults: wide}, rand.New(rand.NewSource(3)))
-		out := map[string][]object.Ref{}
-		for _, el := range m.FailureSignature() {
-			out[m.Label(el)] = m.FailedRisksOf(el)
+		out := map[object.Ref][]risk.ElementID{}
+		for _, ref := range m.Risks() {
+			if failed := m.FailedElementsOf(ref); len(failed) > 0 {
+				out[ref] = failed
+			}
 		}
 		return out
 	}
@@ -371,7 +373,7 @@ func TestBuildIndexDeterministic(t *testing.T) {
 			t.Fatalf("build %d of one deployment differs from the first", i+2)
 		}
 		if got := marks(again); !reflect.DeepEqual(got, want) {
-			t.Fatalf("build %d: one scenario and seed failed %d elements differently from the first build's %d",
+			t.Fatalf("build %d: one scenario and seed failed the edges of %d objects differently from the first build's %d",
 				i+2, len(got), len(want))
 		}
 	}

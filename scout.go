@@ -149,9 +149,8 @@ type Report struct {
 	// byte-identical across worker counts.
 	EncodeStats *equiv.EncodeStats `json:"-"`
 	// LocalizeStats is the localization engine's counter delta for this
-	// run: plan compiles vs cache reuses, lazy-greedy coverage
-	// re-evaluations vs the full rescans they replaced, and per-stage
-	// timings. Nil when the run localized nothing (consistent fabric).
+	// run: plan compiles vs cache reuses, and SCOUT's per-stage timings.
+	// Nil when the run localized nothing (consistent fabric).
 	// Diagnostics like EncodeStats, so excluded from the JSON form.
 	LocalizeStats *localize.EngineStats `json:"-"`
 	// Hypothesis is the controller-model hypothesis: the minimal set of

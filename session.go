@@ -221,16 +221,9 @@ type SessionStats struct {
 	// from a pristine risk model; PlanReuses counts localizations served
 	// by a cached plan — a warm session on an unchanged deployment shows
 	// zero compiles after its first inconsistent run, because every
-	// overlay run composes against the model's cached plan. LazyEvals
-	// counts lazy-greedy heap re-evaluations and LazyPicks the greedy
-	// picks they produced; their ratio versus FullScanEvals (the
-	// coverage evaluations an eager greedy would have done) is the
-	// CELF-style work saving.
-	PlanCompiles  int
-	PlanReuses    int
-	LazyEvals     int
-	FullScanEvals int
-	LazyPicks     int
+	// overlay run composes against the model's cached plan.
+	PlanCompiles int
+	PlanReuses   int
 }
 
 // addLocalizeStats folds one run's localization delta into the session
@@ -241,9 +234,6 @@ func (st *SessionStats) addLocalizeStats(d *localize.EngineStats) {
 	}
 	st.PlanCompiles += int(d.PlanCompiles)
 	st.PlanReuses += int(d.PlanReuses)
-	st.LazyEvals += int(d.LazyEvals)
-	st.FullScanEvals += int(d.FullScanEvals)
-	st.LazyPicks += int(d.LazyPicks)
 }
 
 // NewSession creates a persistent analysis session over the fabric. The
