@@ -217,14 +217,13 @@ type Scenario = scenario.Scenario
 // ParseScenario decodes and validates a JSON scenario.
 var ParseScenario = scenario.Parse
 
-// WarmStore is the content-addressed, write-behind warm-state store:
-// frozen encoding bases and per-switch verdicts persisted under deployment
-// fingerprints, restored by Sessions on construction
-// (AnalyzerOptions.WarmStore).
+// WarmStore is the content-addressed warm-state store: frozen encoding
+// bases and per-switch verdicts persisted under deployment fingerprints,
+// written by the Session run that produced them and restored by a
+// Session's first run of the deployment (AnalyzerOptions.WarmStore).
 type WarmStore = store.Store
 
-// OpenWarmStore opens (creating if needed) a warm-state store directory
-// and starts its write-behind goroutine.
+// OpenWarmStore opens (creating if needed) a warm-state store directory.
 var OpenWarmStore = store.Open
 
 // CorrelationReport ranks physical root causes for a hypothesis.

@@ -705,9 +705,6 @@ func BenchmarkWarmStartVsCold(b *testing.B) {
 	if err := sess.Close(); err != nil {
 		b.Fatal(err)
 	}
-	if err := seedStore.Close(); err != nil {
-		b.Fatal(err)
-	}
 	stateBytes := warmStateBytes(b, dir)
 
 	b.Run("cold", func(b *testing.B) {
@@ -746,17 +743,14 @@ func BenchmarkWarmStartVsCold(b *testing.B) {
 			// The loaded base is frozen state, not constructed nodes; only
 			// checker deltas (zero on a clean replay) are built per run.
 			nodes = rep.EncodeStats.DeltaNodes
-			if err := ws.Close(); err != nil {
-				b.Fatal(err)
-			}
 		}
 		b.ReportMetric(float64(nodes), "bdd-nodes/op")
 		b.ReportMetric(float64(stateBytes), "bytes/op")
 	})
 }
 
-// BenchmarkStoreRoundTrip measures the store codec under the write-behind
-// store: persisting the benchmark deployment's frozen base (encode +
+// BenchmarkStoreRoundTrip measures the store codec through the store:
+// persisting the benchmark deployment's frozen base (encode +
 // atomic publish) and restoring it (verify + rebuild the open-addressed
 // unique table). bytes/op is the base file size, bdd-nodes/op the frozen
 // nodes carried per operation.
@@ -767,7 +761,6 @@ func BenchmarkStoreRoundTrip(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer ws.Close()
 	sess, err := scout.NewSession(f, scout.AnalyzerOptions{WarmStore: ws})
 	if err != nil {
 		b.Fatal(err)
@@ -788,8 +781,7 @@ func BenchmarkStoreRoundTrip(b *testing.B) {
 	b.Run("save", func(b *testing.B) {
 		b.SetBytes(int64(fileBytes))
 		for i := 0; i < b.N; i++ {
-			ws.SaveBase(fp, base)
-			if err := ws.Flush(); err != nil {
+			if err := ws.SaveBase(fp, base); err != nil {
 				b.Fatal(err)
 			}
 		}

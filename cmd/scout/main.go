@@ -23,8 +23,10 @@
 // -state-dir names a durable warm-state directory: the session every
 // analysis runs through (a one-shot is its first run, -watch keeps it)
 // restores a fingerprint-matching frozen encoding base and verdict cache
-// on start and persists its deltas write-behind, so a restarted process
-// replays an unchanged fabric without rebuilding any BDD state.
+// on start and writes what a round built or re-checked before the round
+// returns, so a restarted process replays an unchanged fabric without
+// rebuilding any BDD state. A write that fails fails the command once the
+// session closes.
 // -state-gc-age and -state-cap bound the directory on shutdown (age-out
 // and least-recently-used eviction) and require -state-dir.
 package main
@@ -77,7 +79,7 @@ func run() error {
 		watch       = flag.Bool("watch", false, "drive an event-driven session daemon: full baseline, then coalesced per-batch incremental refreshes")
 		batchWindow = flag.Duration("batch-window", 2*time.Second, "watch mode: cut a pending batch after its oldest event waited this long (requires -watch)")
 		queueCap    = flag.Int("queue-cap", 64, "watch mode: distinct switches buffered before a batch is forced, and the max batch size (requires -watch)")
-		stateDir    = flag.String("state-dir", "", "durable warm-state directory: restore fingerprint-matching BDD state on start, persist deltas write-behind")
+		stateDir    = flag.String("state-dir", "", "durable warm-state directory: restore fingerprint-matching BDD state on start, write each round's deltas as it ends")
 		stateAge    = flag.Duration("state-gc-age", 0, "on shutdown, remove warm-state files unused longer than this (0 = no age bound; requires -state-dir)")
 		stateCap    = flag.Int("state-cap", 0, "on shutdown, keep at most this many warm-state files, least-recently-used evicted first (0 = no cap; requires -state-dir)")
 		jsonOut     = flag.Bool("json", false, "emit the analysis report as JSON")
@@ -169,7 +171,6 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		defer warm.Close() // idempotent; the happy path closes via finishWarmStore
 	}
 	aOpts := scout.AnalyzerOptions{Workers: *workers, UseProbes: *probes, WarmStore: warm}
 
@@ -183,7 +184,7 @@ func run() error {
 			return err
 		}
 		if warm != nil {
-			if err := finishWarmStore(warm, *stateAge, *stateCap, os.Stdout); err != nil {
+			if err := gcWarmStore(warm, *stateAge, *stateCap, os.Stdout); err != nil {
 				return err
 			}
 		}
@@ -200,7 +201,7 @@ func run() error {
 
 	// A one-shot is a session's first run, with or without durable state:
 	// with it, the session restores the persisted base and verdicts before
-	// the run and flushes its write-behind deltas on Close.
+	// the run, writes what it built, and reports a failed write on Close.
 	sess, err := scout.NewSession(f, aOpts)
 	if err != nil {
 		return err
@@ -216,25 +217,25 @@ func run() error {
 		if err := sess.Close(); err != nil {
 			return err
 		}
-		if err := finishWarmStore(warm, *stateAge, *stateCap, os.Stdout); err != nil {
+		if err := gcWarmStore(warm, *stateAge, *stateCap, os.Stdout); err != nil {
 			return err
 		}
 	}
 	return emitReport(report, *jsonOut, *verbose)
 }
 
-// finishWarmStore runs the configured shutdown GC over the warm-state
-// directory and closes the store, surfacing any write-behind
-// persistence error the run accumulated.
-func finishWarmStore(warm *scout.WarmStore, age time.Duration, maxFiles int, w io.Writer) error {
-	if age > 0 || maxFiles > 0 {
-		st, err := warm.GC(age, maxFiles)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "warm-state gc: kept %d files, removed %d\n", st.Kept, st.Removed)
+// gcWarmStore runs the configured shutdown GC over the warm-state
+// directory, if any bound is set.
+func gcWarmStore(warm *scout.WarmStore, age time.Duration, maxFiles int, w io.Writer) error {
+	if age == 0 && maxFiles == 0 {
+		return nil
 	}
-	return warm.Close()
+	st, err := warm.GC(age, maxFiles)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "warm-state gc: kept %d files, removed %d\n", st.Kept, st.Removed)
+	return nil
 }
 
 // emitReport renders the final analysis report (shared by the one-shot and
@@ -344,7 +345,7 @@ type watchOptions struct {
 // classification of their probe batches against the live dataplane. A
 // shutdown flush cuts whatever is still pending so no switch is stranded
 // below the deadline. It returns the last report produced (the baseline's
-// when no events arrive).
+// when no events arrive), or the session's first failed warm-state write.
 func runWatch(f *scout.Fabric, faults []objectFault, opts watchOptions, w io.Writer) (*scout.Report, error) {
 	sess, err := scout.NewSession(f, opts.analyzer)
 	if err != nil {
@@ -434,12 +435,15 @@ func runWatch(f *scout.Fabric, faults []objectFault, opts watchOptions, w io.Wri
 	if probeMode {
 		fmt.Fprintf(w, "probe replay: %d switches classified, %d replayed, %d packets batched\n",
 			st.Checked, st.Replayed, st.ProbePacketsBatched)
-		return report, nil
+	} else {
+		fmt.Fprintf(w, "session encodings: base %d nodes (%d rebuilds, %d semantics), delta %d nodes\n",
+			st.BaseNodes, st.BaseRebuilds, st.BaseSemantics, st.DeltaNodes)
+		fmt.Fprintf(w, "session fold sharing: hits %d / misses %d\n", st.FoldHits, st.FoldMisses)
+		fmt.Fprintf(w, "session checker resets: %d\n", st.CheckerResets)
 	}
-	fmt.Fprintf(w, "session encodings: base %d nodes (%d rebuilds, %d semantics), delta %d nodes\n",
-		st.BaseNodes, st.BaseRebuilds, st.BaseSemantics, st.DeltaNodes)
-	fmt.Fprintf(w, "session fold sharing: hits %d / misses %d\n", st.FoldHits, st.FoldMisses)
-	fmt.Fprintf(w, "session checker resets: %d\n", st.CheckerResets)
+	if err := sess.Close(); err != nil {
+		return nil, err
+	}
 	return report, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -135,6 +136,28 @@ func TestRunProbeRestartReportsReplays(t *testing.T) {
 		if !strings.Contains(out, "network state INCONSISTENT") {
 			t.Errorf("%s run lost the fault:\n%s", tc.name, out)
 		}
+	}
+}
+
+// TestRunWatchReportsFailedSave: a -watch -state-dir run whose base file
+// cannot be written (a directory squats on its name) exits with that
+// write's error once its session closes.
+func TestRunWatchReportsFailedSave(t *testing.T) {
+	args := []string{"-spec", "testbed", "-watch", "-fault", "filter:5002@1.0", "-state-dir"}
+	prime := t.TempDir()
+	if out, err := runCLI(t, append(args, prime)...); err != nil {
+		t.Fatalf("priming run: %v\n%s", err, out)
+	}
+	bases, err := filepath.Glob(filepath.Join(prime, "base-*"))
+	if err != nil || len(bases) != 1 {
+		t.Fatalf("priming run left bases %v (%v), want one", bases, err)
+	}
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, filepath.Base(bases[0])), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if out, err := runCLI(t, append(args, dir)...); err == nil || !strings.Contains(err.Error(), "base-") {
+		t.Fatalf("run over a blocked base file: err = %v, want the failed base write\n%s", err, out)
 	}
 }
 

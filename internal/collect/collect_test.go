@@ -5,6 +5,7 @@ import (
 
 	"scout/internal/fabric"
 	"scout/internal/object"
+	"scout/internal/oracle"
 	"scout/internal/policy"
 	"scout/internal/rule"
 	"scout/internal/topo"
@@ -209,10 +210,7 @@ func TestCleanSnapshotSharesSlices(t *testing.T) {
 		t.Errorf("clean epoch dirty = %v, want none", dirty)
 	}
 
-	before := make([]rule.Rule, len(e2.TCAM[1]))
-	for i, r := range e2.TCAM[1] {
-		before[i] = r.Clone()
-	}
+	before := oracle.CloneRules(e2.TCAM[1])
 	evicted, err := f.EvictTCAM(1, 1)
 	if err != nil || len(evicted) != 1 {
 		t.Fatalf("evict: %v, %v", evicted, err)

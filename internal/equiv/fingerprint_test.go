@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"scout/internal/object"
+	"scout/internal/oracle"
 	"scout/internal/rule"
 )
 
@@ -32,10 +33,7 @@ func TestFingerprintSensitivity(t *testing.T) {
 		"drop rule":         func(rs []rule.Rule) { copy(rs, rs[1:]) }, // truncation handled below
 	}
 	for name, f := range mutate {
-		rs := make([]rule.Rule, len(base))
-		for i, r := range base {
-			rs[i] = r.Clone()
-		}
+		rs := oracle.CloneRules(base)
 		f(rs)
 		if name == "drop rule" {
 			rs = rs[:len(rs)-1]

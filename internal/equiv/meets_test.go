@@ -236,7 +236,7 @@ func refAttribute(m Backend, rules []rule.Rule, diff bdd.Node) []rule.Rule {
 	var hit []rule.Rule
 	for _, r := range rules {
 		if r.Action == rule.Allow && w.meets(r, diff) {
-			hit = append(hit, r.Clone())
+			hit = append(hit, r)
 		}
 	}
 	return hit

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"scout/internal/object"
+	"scout/internal/oracle"
 	"scout/internal/rule"
 )
 
@@ -70,13 +71,7 @@ func TestSemanticsFingerprintCanonicalization(t *testing.T) {
 		t.Error("semantics keyspace must be domain-separated from Fingerprint")
 	}
 
-	clone := func() []rule.Rule {
-		rs := make([]rule.Rule, len(base))
-		for i, r := range base {
-			rs[i] = r.Clone()
-		}
-		return rs
-	}
+	clone := func() []rule.Rule { return oracle.CloneRules(base) }
 
 	moves := map[string]func([]rule.Rule){
 		"swap order":    func(rs []rule.Rule) { rs[0], rs[1] = rs[1], rs[0] },
@@ -160,19 +155,18 @@ func TestSharedSemanticsIdentity(t *testing.T) {
 		switch trial % 3 {
 		case 0: // consistent: same semantics, no provenance (the TCAM shape)
 			for _, r := range logical {
-				c := r.Clone()
-				c.Provenance = nil
-				deployed = append(deployed, c)
+				r.Provenance = nil
+				deployed = append(deployed, r)
 			}
 		case 1: // drifted: drop a rule
 			for i, r := range logical {
 				if i == len(logical)/2 {
 					continue
 				}
-				deployed = append(deployed, r.Clone())
+				deployed = append(deployed, r)
 			}
 		case 2: // corrupted: a novel match, warmed here via the deployed list
-			deployed = append(deployed, logical[0].Clone())
+			deployed = append(deployed, logical[0])
 			novel := randRule(rng)
 			novel.Match.DstEPG = object.ID(4000 + trial)
 			deployed = append(deployed, novel, rule.DefaultDeny())
@@ -224,14 +218,7 @@ func TestRebindSemantics(t *testing.T) {
 	listB := withDeny(allowRule(1, 3, 2, 443))
 	base := newBase(listA, listB)
 
-	cloneList := func(rs []rule.Rule) []rule.Rule {
-		out := make([]rule.Rule, len(rs))
-		for i, r := range rs {
-			out[i] = r.Clone()
-		}
-		return out
-	}
-	newA, newB := cloneList(listA), cloneList(listB)
+	newA, newB := oracle.CloneRules(listA), oracle.CloneRules(listB)
 	novel := withDeny(allowRule(9, 9, 9, 9))
 	base.RebindSemantics(map[object.ID][]rule.Rule{1: newA, 2: newB, 3: novel})
 

@@ -85,25 +85,11 @@ func (l *EventLog) Append(at time.Time, kind EventKind, sw object.ID, detail str
 	return ev
 }
 
-// Len returns the number of recorded events.
-func (l *EventLog) Len() int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return len(l.events)
-}
-
 // LastSeq returns the sequence number of the newest event (0 when empty).
 func (l *EventLog) LastSeq() int {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	return l.nextSeq
-}
-
-// Events returns a snapshot of all events in emission order.
-func (l *EventLog) Events() []Event {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return append([]Event(nil), l.events...)
 }
 
 // Since returns the events with sequence numbers strictly greater than
@@ -129,10 +115,6 @@ type Cursor struct {
 	log *EventLog
 	seq int
 }
-
-// Cursor returns a consumer position at the start of the stream: the
-// first Drain replays every retained event.
-func (l *EventLog) Cursor() *Cursor { return &Cursor{log: l} }
 
 // TailCursor returns a consumer position at the current end of the
 // stream: the first Drain returns only events appended after this call.

@@ -7,8 +7,8 @@ import (
 
 func TestEventLogAppendAndSince(t *testing.T) {
 	l := NewEventLog()
-	if l.Len() != 0 || l.LastSeq() != 0 {
-		t.Fatalf("fresh log not empty: Len %d LastSeq %d", l.Len(), l.LastSeq())
+	if l.LastSeq() != 0 || l.Since(0) != nil {
+		t.Fatalf("fresh log not empty: LastSeq %d, events %v", l.LastSeq(), l.Since(0))
 	}
 	at := time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
 	for i, kind := range []EventKind{EventTCAMChange, EventLink, EventEPG} {
@@ -17,8 +17,8 @@ func TestEventLogAppendAndSince(t *testing.T) {
 			t.Fatalf("append %d: Seq = %d, want dense numbering from 1", i, ev.Seq)
 		}
 	}
-	if l.Len() != 3 || l.LastSeq() != 3 {
-		t.Fatalf("Len %d LastSeq %d, want 3/3", l.Len(), l.LastSeq())
+	if l.LastSeq() != 3 {
+		t.Fatalf("LastSeq %d, want 3", l.LastSeq())
 	}
 	// Since is exclusive of seq and offset-indexed off dense numbering.
 	if evs := l.Since(0); len(evs) != 3 || evs[0].Seq != 1 {
@@ -33,21 +33,20 @@ func TestEventLogAppendAndSince(t *testing.T) {
 	if evs := l.Since(-5); len(evs) != 3 {
 		t.Fatalf("Since(negative) = %v, want all 3", evs)
 	}
-	// Events returns an isolated snapshot.
-	snap := l.Events()
+	// Since returns an isolated snapshot.
+	snap := l.Since(0)
 	snap[0].Seq = 99
-	if l.Events()[0].Seq != 1 {
-		t.Fatal("Events snapshot aliases log storage")
+	if l.Since(0)[0].Seq != 1 {
+		t.Fatal("Since snapshot aliases log storage")
 	}
 }
 
 func TestEventCursors(t *testing.T) {
 	l := NewEventLog()
 	at := time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
+	head := l.TailCursor() // the tail of an empty log is its head
 	l.Append(at, EventTCAMChange, 1, "")
 	l.Append(at, EventTCAMChange, 2, "")
-
-	head := l.Cursor()
 	tail := l.TailCursor()
 	if evs := head.Drain(); len(evs) != 2 || evs[1].Seq != 2 {
 		t.Fatalf("head Drain = %v, want seqs 1..2 (replays retained events)", evs)

@@ -1,6 +1,20 @@
 package oracle
 
-import "scout/internal/rule"
+import (
+	"slices"
+
+	"scout/internal/rule"
+)
+
+// CloneRules deep-copies a rule list, provenance included: a twin no write
+// to the original reaches. Production shares rules by assignment.
+func CloneRules(rules []rule.Rule) []rule.Rule {
+	out := slices.Clone(rules)
+	for i := range out {
+		out[i].Provenance = slices.Clone(out[i].Provenance)
+	}
+	return out
+}
 
 // NaiveCheck is a key-set differ: missing are the logical allow rules
 // whose exact Key is absent from the deployed set, extra the deployed

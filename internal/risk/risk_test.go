@@ -346,7 +346,7 @@ func TestAugmentResolvesProvenanceViaIndex(t *testing.T) {
 	var bare rule.Rule
 	for _, r := range d.RulesFor(2) {
 		if !r.IsDefaultDeny() {
-			bare = r.Clone()
+			bare = r
 			bare.Provenance = nil
 			break
 		}

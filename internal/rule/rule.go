@@ -180,17 +180,6 @@ func (r Rule) HasProvenance(ref object.Ref) bool {
 	return false
 }
 
-// Clone returns a deep copy of the rule (provenance slice copied). Nothing
-// in the pipeline calls it (see Rule); tests build mutated twins with it.
-func (r Rule) Clone() Rule {
-	out := r
-	if r.Provenance != nil {
-		out.Provenance = make([]object.Ref, len(r.Provenance))
-		copy(out.Provenance, r.Provenance)
-	}
-	return out
-}
-
 // Equal reports whether two rules are identical in every field that can
 // influence an equivalence check or a report: match, action, priority, and
 // provenance (elementwise, order-sensitive).

@@ -19,24 +19,27 @@ func TestRuleEqual(t *testing.T) {
 		Priority:   10,
 		Provenance: []object.Ref{object.Filter(5000), object.Contract(3000)},
 	}
-	if !base.Equal(base.Clone()) {
-		t.Fatal("clone must be Equal")
+	// twin shares no storage with base, so Equal must compare contents.
+	twin := base
+	twin.Provenance = []object.Ref{object.Filter(5000), object.Contract(3000)}
+	if !base.Equal(twin) {
+		t.Fatal("a field-for-field twin must be Equal")
 	}
 	variants := []Rule{}
-	v := base.Clone()
+	v := base
 	v.Match.PortHi = 81
 	variants = append(variants, v)
-	v = base.Clone()
+	v = base
 	v.Action = Deny
 	variants = append(variants, v)
-	v = base.Clone()
+	v = base
 	v.Priority = 11
 	variants = append(variants, v)
-	v = base.Clone()
+	v = base
 	v.Provenance = v.Provenance[:1]
 	variants = append(variants, v)
-	v = base.Clone()
-	v.Provenance[0], v.Provenance[1] = v.Provenance[1], v.Provenance[0]
+	v = base
+	v.Provenance = []object.Ref{object.Contract(3000), object.Filter(5000)}
 	variants = append(variants, v)
 	for i, v := range variants {
 		if base.Equal(v) {
@@ -45,7 +48,7 @@ func TestRuleEqual(t *testing.T) {
 	}
 
 	a := []Rule{base, DefaultDeny()}
-	if !SlicesEqual(a, []Rule{base.Clone(), DefaultDeny()}) {
+	if !SlicesEqual(a, []Rule{twin, DefaultDeny()}) {
 		t.Error("equal slices reported unequal")
 	}
 	if SlicesEqual(a, a[:1]) {
@@ -151,20 +154,11 @@ func TestDefaultDenyIsDefaultDeny(t *testing.T) {
 func TestRuleKeyIgnoresPriorityAndProvenance(t *testing.T) {
 	a := Rule{Match: Match{VRF: 1, SrcEPG: 2, DstEPG: 3, Proto: ProtoTCP, PortLo: 80, PortHi: 80}, Action: Allow, Priority: 10,
 		Provenance: []object.Ref{object.VRF(1)}}
-	b := a.Clone()
+	b := a
 	b.Priority = 99
 	b.Provenance = nil
 	if a.Key() != b.Key() {
 		t.Error("Key must ignore priority and provenance")
-	}
-}
-
-func TestCloneIsDeep(t *testing.T) {
-	orig := Rule{Match: Match{VRF: 1}, Action: Allow, Provenance: []object.Ref{object.VRF(1), object.EPG(2)}}
-	cp := orig.Clone()
-	cp.Provenance[0] = object.Filter(9)
-	if orig.Provenance[0] != object.VRF(1) {
-		t.Error("Clone shares provenance backing array")
 	}
 }
 

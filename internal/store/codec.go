@@ -13,8 +13,8 @@
 // whole load. The key is the content address the caller expects
 // (DeploymentFingerprints), so a renamed or misfiled entry is rejected
 // too. Encoding is deterministic for given content — iteration is over
-// canonically sorted views — which keeps repeated write-behind rounds
-// of unchanged state byte-identical.
+// canonically sorted views — which keeps repeated saves of unchanged
+// state byte-identical.
 
 package store
 
@@ -384,8 +384,8 @@ type Verdict struct {
 }
 
 // encodeVerdicts serializes verdicts under the deployment fingerprint.
-// Entries are sorted by switch ID (on a copy) so repeated write-behind
-// rounds of the same cache state produce byte-identical files.
+// Entries are sorted by switch ID (on a copy) so repeated saves of the
+// same cache state produce byte-identical files.
 func encodeVerdicts(depFP uint64, vs []Verdict) []byte {
 	sorted := append([]Verdict(nil), vs...)
 	for i := 1; i < len(sorted); i++ {

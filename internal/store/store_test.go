@@ -358,9 +358,8 @@ func TestVerdictCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStoreSaveLoad exercises the write-behind path end to end: save,
-// flush, reload — plus absence mapping to (nil, nil), corruption
-// mapping to an error, and saves after Close being dropped.
+// TestStoreSaveLoad exercises the store end to end: save, reload — plus
+// absence mapping to (nil, nil) and corruption mapping to an error.
 func TestStoreSaveLoad(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -369,12 +368,13 @@ func TestStoreSaveLoad(t *testing.T) {
 	}
 	base, _ := testBase(t, 5)
 	const depFP = 0xabc
-	s.SaveBase(depFP, base)
-	s.SaveVerdicts(depFP, false, []Verdict{
+	if err := s.SaveBase(depFP, base); err != nil {
+		t.Fatalf("SaveBase: %v", err)
+	}
+	if err := s.SaveVerdicts(depFP, false, []Verdict{
 		{Switch: 1, LogicalFP: 2, TCAMFP: 3, Report: &equiv.Report{Equivalent: true}},
-	})
-	if err := s.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
+	}); err != nil {
+		t.Fatalf("SaveVerdicts: %v", err)
 	}
 
 	got, err := s.LoadBase(depFP)
@@ -408,41 +408,27 @@ func TestStoreSaveLoad(t *testing.T) {
 	if _, err := s.LoadBase(depFP); err == nil {
 		t.Fatal("corrupted base loaded")
 	}
-
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	s.SaveBase(depFP+9, base) // dropped after Close
-	if _, err := os.Stat(filepath.Join(dir, baseFileName(depFP+9))); !os.IsNotExist(err) {
-		t.Fatal("save after Close was persisted")
-	}
 }
 
-// TestLoadDoesNotSwallowSaveError pins who reports a failed write: a load
-// waits for the queue, and the error of a save that could not be
-// persisted stays for Flush (or Close) — the calls whose caller surfaces
-// it. A load's caller reads any error as "cold start" and moves on.
+// TestLoadDoesNotSwallowSaveError pins who reports a failed write: the
+// save itself, to its caller. A load's caller reads any error as "cold
+// start" and moves on, so a later load of an absent file is (nil, nil).
 func TestLoadDoesNotSwallowSaveError(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "state")
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	defer s.Close()
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
-	s.SaveVerdicts(1, false, []Verdict{
+	if err := s.SaveVerdicts(1, false, []Verdict{
 		{Switch: 1, LogicalFP: 2, TCAMFP: 3, Report: &equiv.Report{Equivalent: true}},
-	})
+	}); err == nil || !strings.Contains(err.Error(), "checks-") {
+		t.Fatalf("SaveVerdicts into a removed directory: %v, want its write error", err)
+	}
 	if vs, err := s.LoadVerdicts(2, false); vs != nil || err != nil {
 		t.Fatalf("load of an absent file: %v, %v", vs, err)
-	}
-	if err := s.Flush(); err == nil {
-		t.Fatal("Flush returned nil: an unrelated load consumed the failed save's error")
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatalf("second Flush reports the error again: %v", err)
 	}
 }
 
@@ -455,13 +441,11 @@ func TestStoreGC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	base, _ := testBase(t, 6)
 	for fp := uint64(1); fp <= 4; fp++ {
-		s.SaveBase(fp, base)
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
+		if err := s.SaveBase(fp, base); err != nil {
+			t.Fatal(err)
+		}
 	}
 	foreign := filepath.Join(dir, "README.txt")
 	if err := os.WriteFile(foreign, []byte("not a store file"), 0o644); err != nil {
@@ -520,10 +504,8 @@ func TestGCRemovesOrphanedTempFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	base, _ := testBase(t, 6)
-	s.SaveBase(1, base)
-	if err := s.Flush(); err != nil {
+	if err := s.SaveBase(1, base); err != nil {
 		t.Fatal(err)
 	}
 	plant := func(age time.Duration) string {

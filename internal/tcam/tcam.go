@@ -207,14 +207,6 @@ func (t *TCAM) RemoveKeys(keys []rule.Key) int {
 	return len(victims)
 }
 
-// Clear removes every entry.
-func (t *TCAM) Clear() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.rules, t.seqs, t.snap = nil, nil, nil
-	t.index = make(map[rule.Key]entryID)
-}
-
 // Rules returns a snapshot of the installed rules in match order. The
 // snapshot is a list of its own, distinct from table storage (which writes
 // shift and corruption edits in place), built once per table generation:

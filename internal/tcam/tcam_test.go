@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 
 	"scout/internal/object"
+	"scout/internal/oracle"
 	"scout/internal/rule"
 )
 
@@ -94,10 +95,18 @@ func TestClearAndKeys(t *testing.T) {
 	if len(tc.Keys()) != 3 {
 		t.Errorf("Keys = %d", len(tc.Keys()))
 	}
-	tc.Clear()
-	if tc.Len() != 0 || len(tc.Keys()) != 0 {
-		t.Error("Clear must empty the table")
+	if got := removeAll(tc); got != 3 || tc.Len() != 0 || len(tc.Keys()) != 0 {
+		t.Errorf("removing every key removed %d, left %d rules", got, tc.Len())
 	}
+}
+
+// removeAll empties the table by removing each of its keys.
+func removeAll(tc *TCAM) int {
+	keys := make([]rule.Key, 0, tc.Len())
+	for k := range tc.Keys() {
+		keys = append(keys, k)
+	}
+	return tc.RemoveKeys(keys)
 }
 
 // classify is first-match lookup over the table's rules, the oracle
@@ -481,10 +490,7 @@ func TestInstallAllMatchesSequentialInstall(t *testing.T) {
 			// table operation changes a caller's rule. Run on the last round,
 			// after which the twins are compared no more.
 			if round == 2 && len(batch) > 0 {
-				want := make([]rule.Rule, len(batch))
-				for i, r := range batch {
-					want[i] = r.Clone()
-				}
+				want := oracle.CloneRules(batch)
 				bulk.Remove(batch[0].Key())
 				bulk.RemoveKeys([]rule.Key{batch[len(batch)-1].Key(), batch[len(batch)/2].Key()})
 				for _, field := range []CorruptionField{CorruptVRF, CorruptSrcEPG, CorruptDstEPG, CorruptPort} {
@@ -628,17 +634,14 @@ func TestRulesSnapshotSharedUntilWrite(t *testing.T) {
 			for len(tc.Corrupt(1, CorruptSrcEPG, rng)) == 0 {
 			}
 		}},
-		{"Clear", func() { tc.Clear() }},
+		{"remove every key", func() { removeAll(tc) }},
 	}
 	for _, w := range writes {
 		held := tc.Rules()
 		if !rule.SameSlice(held, tc.Rules()) {
 			t.Fatalf("before %s: two reads with no write between must share a backing array", w.name)
 		}
-		frozen := make([]rule.Rule, len(held))
-		for i, r := range held {
-			frozen[i] = r.Clone()
-		}
+		frozen := oracle.CloneRules(held)
 		w.write()
 		after := tc.Rules()
 		if rule.SameSlice(held, after) {

@@ -257,7 +257,6 @@ func TestConcurrentSessionUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ws.Close()
 	opts := scout.AnalyzerOptions{Workers: 2, WarmStore: ws}
 	sess, err := scout.NewSession(f, opts)
 	if err != nil {

@@ -75,11 +75,12 @@ type AnalyzerOptions struct {
 	// WarmStore, when set, gives Sessions durable warm state: on the
 	// first run of a deployment the session loads a fingerprint-matching
 	// frozen base and verdict cache from the store (a fresh process
-	// replays a clean fabric with zero compiles), and after every run it
-	// persists deltas through the store's write-behind queue (flushed by
-	// Session.Close). Probe sessions persist verdicts only — they build
-	// no base. One-shot Analyzers ignore it: only NewSession hands the
-	// store to the session it creates.
+	// replays a clean fabric with zero compiles), and every run that
+	// built a base or re-checked a switch writes it to the store before
+	// returning (Session.Close reports the session's first failed write).
+	// Probe sessions persist verdicts only — they build no base. One-shot
+	// Analyzers ignore it: only NewSession hands the store to the session
+	// it creates.
 	WarmStore *store.Store
 }
 

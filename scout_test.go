@@ -253,9 +253,6 @@ func TestPipelineNeverWritesProvenance(t *testing.T) {
 		if err := sess.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if err := ws.Close(); err != nil {
-			t.Fatal(err)
-		}
 	}
 
 	for _, h := range held {

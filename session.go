@@ -80,7 +80,10 @@ type Session struct {
 
 	// ws is the durable warm store (AnalyzerOptions.WarmStore). Only
 	// NewSession sets it: a one-shot's session loads and persists nothing.
-	ws *store.Store
+	// saveErr is the first of this session's saves to ws that failed, for
+	// Close: a store shared by several sessions reports no other's.
+	ws      *store.Store
+	saveErr error
 
 	// dep is what the session knows about the deployment of its latest
 	// run; resolveLocked brings it in step once per run, and nothing else
@@ -382,30 +385,14 @@ func (s *Session) Invalidate(switches ...ObjectID) {
 	}
 }
 
-// Reset drops every piece of cached state — per-switch verdicts, all the
-// session resolved from its deployment (fingerprints, the shared encoding
-// base, the pristine risk models with their compiled plans), and the
-// worker checkers — returning the session to cold. Statistics are
-// preserved.
-func (s *Session) Reset() {
+// Close reports the first of the session's warm-state saves that failed,
+// or nil. Every save is written before its run returns, so there is
+// nothing left to write; a save that failed cost the next process a cold
+// start, never a report.
+func (s *Session) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.cache = make(map[object.ID]*switchCheckState)
-	s.checkers = nil
-	s.dep = deploymentState{}
-	s.lastTCAM = nil
-}
-
-// Close flushes the session's pending warm-state writes and reports the
-// first persistence error. The warm store itself is shared — many
-// sessions may feed one — so Close does not close it;
-// the store's owner does, once, when the process winds down. A session
-// without a WarmStore has nothing to flush and Close is a no-op.
-func (s *Session) Close() error {
-	if s.ws == nil {
-		return nil
-	}
-	return s.ws.Flush()
+	return s.saveErr
 }
 
 // Stats returns the session's cumulative cache statistics.
@@ -508,8 +495,8 @@ func (s *Session) run(st State, live bool) (*Report, error) {
 		s.stats.FoldHits += enc.FoldHits() - foldBefore.hits
 		s.stats.FoldMisses += enc.FoldMisses - foldBefore.misses
 	}
-	// A run that re-checked something changed some verdict: schedule the
-	// cache's write-behind persistence under the deployment fingerprint.
+	// A run that re-checked something changed some verdict: persist the
+	// cache under the deployment fingerprint.
 	if s.ws != nil && checked > 0 {
 		s.saveVerdictsLocked()
 	}
@@ -621,7 +608,7 @@ func (s *Session) resolveLocked(d *compile.Deployment) {
 // fingerprint the session holds no base for: restored from the warm store
 // when a matching file verifies — the loaded base carries every semantics
 // root the previous process froze, so a clean fabric replays with zero
-// compiles — and otherwise built and handed to the store. A missing or
+// compiles — and otherwise built and saved to the store. A missing or
 // unverifiable file (one written by an older codec included) is just a
 // cold start: the build overwrites it. Rebinding re-points a loaded base's
 // collision-verification rule references at this deployment's slices,
@@ -637,7 +624,9 @@ func (s *Session) loadOrBuildBaseLocked(d *compile.Deployment, fp uint64) *equiv
 	base := s.a.buildSharedBase(d)
 	s.stats.BaseRebuilds++
 	if s.ws != nil {
-		s.ws.SaveBase(fp, base)
+		if err := s.ws.SaveBase(fp, base); err != nil && s.saveErr == nil {
+			s.saveErr = err
+		}
 	}
 	return base
 }
@@ -674,10 +663,8 @@ func (s *Session) seedVerdictsLocked(depFP uint64) {
 	}
 }
 
-// saveVerdictsLocked schedules write-behind persistence of the verdict
-// cache under the resolved deployment's fingerprint. The snapshot slice
-// is built here, under the run lock; cached reports are immutable, so
-// the background encode needs no further coordination.
+// saveVerdictsLocked persists the verdict cache under the resolved
+// deployment's fingerprint.
 func (s *Session) saveVerdictsLocked() {
 	vs := make([]store.Verdict, 0, len(s.cache))
 	for sw, ent := range s.cache {
@@ -688,7 +675,9 @@ func (s *Session) saveVerdictsLocked() {
 			Report:    ent.report,
 		})
 	}
-	s.ws.SaveVerdicts(s.dep.fp, s.a.opts.UseProbes, vs)
+	if err := s.ws.SaveVerdicts(s.dep.fp, s.a.opts.UseProbes, vs); err != nil && s.saveErr == nil {
+		s.saveErr = err
+	}
 }
 
 // provisionCheckersLocked grows the persistent checker pool to n entries

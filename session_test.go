@@ -247,8 +247,8 @@ func TestSessionLogicalInvalidation(t *testing.T) {
 	}
 }
 
-// TestSessionInvalidate covers manual invalidation: per-switch, full, and
-// the Reset that also drops the checker pool.
+// TestSessionInvalidate covers manual invalidation: per-switch and full.
+// A full invalidation re-checks every switch, as a fresh session does.
 func TestSessionInvalidate(t *testing.T) {
 	f := faultyFabric(t, 23)
 	sess, err := scout.NewSession(f)
@@ -281,9 +281,12 @@ func TestSessionInvalidate(t *testing.T) {
 	if got := run(); got != n {
 		t.Errorf("after Invalidate(): re-checked %d switches, want %d", got, n)
 	}
-	sess.Reset()
+	sess, err = scout.NewSession(f)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := run(); got != n {
-		t.Errorf("after Reset: re-checked %d switches, want %d", got, n)
+		t.Errorf("fresh session: re-checked %d switches, want %d", got, n)
 	}
 }
 
@@ -302,7 +305,13 @@ func TestSessionMissingRuleCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.TCAM().Clear()
+	var keys []scout.RuleKey
+	for _, r := range s.TCAM().Rules() {
+		keys = append(keys, r.Key())
+	}
+	if got := s.TCAM().RemoveKeys(keys); got != len(keys) || s.TCAM().Len() != 0 {
+		t.Fatalf("removed %d of %d rules, %d left", got, len(keys), s.TCAM().Len())
+	}
 
 	sess, err := scout.NewSession(f, scout.AnalyzerOptions{Workers: 2})
 	if err != nil {
@@ -411,13 +420,16 @@ func TestSessionSharedBasePersistence(t *testing.T) {
 		t.Errorf("deployment change: BaseRebuilds = %d, want 2", got)
 	}
 
-	// Reset returns to cold: the next run rebuilds.
-	sess.Reset()
-	if _, err := sess.Analyze(); err != nil {
+	// A fresh session starts cold: its first run rebuilds.
+	fresh, err := scout.NewSession(f)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sess.Stats().BaseRebuilds; got != 3 {
-		t.Errorf("after Reset: BaseRebuilds = %d, want 3", got)
+	if _, err := fresh.Analyze(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fresh.Stats().BaseRebuilds; got != 1 {
+		t.Errorf("fresh session: BaseRebuilds = %d, want 1", got)
 	}
 }
 

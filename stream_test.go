@@ -30,7 +30,7 @@ func TestFabricEmitsEvents(t *testing.T) {
 	if err := f.Deploy(); err != nil {
 		t.Fatal(err)
 	}
-	if f.EventLog().Len() == 0 {
+	if f.EventLog().LastSeq() == 0 {
 		t.Fatal("deploy emitted no events")
 	}
 	sw := topo.Switches()[0]

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"scout"
@@ -48,9 +49,6 @@ func TestSessionWarmRestartIdentity(t *testing.T) {
 		}
 		want := marshalReport(t, rep1)
 		if err := sess1.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := ws1.Close(); err != nil {
 			t.Fatal(err)
 		}
 
@@ -105,25 +103,21 @@ func TestSessionWarmRestartIdentity(t *testing.T) {
 		if err := sess2.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if err := ws2.Close(); err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 
 // TestSessionSurfacesLostStateDir pins what happens when the state
 // directory stops persisting under a running session (removed here after
-// OpenWarmStore): every write-behind save fails, the reports are the ones
-// a store-less analysis returns, and Close reports the first write that
-// failed — the base's. The verdict load that runs between the base save
-// and the verdict save waits for the queue without taking its error.
+// OpenWarmStore): every save fails, the reports are the ones a store-less
+// analysis returns, and Close reports the first write that failed — the
+// base's. The verdict load that runs between the base save and the verdict
+// save finds no file and takes nothing from the failed save.
 func TestSessionSurfacesLostStateDir(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "state")
 	ws, err := scout.OpenWarmStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ws.Close()
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -152,6 +146,75 @@ func TestSessionSurfacesLostStateDir(t *testing.T) {
 	}
 	if err := sess.Close(); err == nil || !strings.Contains(err.Error(), "base-") {
 		t.Fatalf("Close = %v, want the failed base write", err)
+	}
+}
+
+// TestSharedStoreKeepsSaveErrorsApart: two sessions over fabrics with
+// different deployments share one store and run at once, and a directory
+// squatting on A's base file makes A's save fail. A failed save belongs to
+// the session whose save failed: B's Close, asked first, reports nothing,
+// A's reports its base, and B's files are whole — a fresh session over B's
+// fabric restarts from them.
+func TestSharedStoreKeepsSaveErrorsApart(t *testing.T) {
+	fa, fb := faultyFabric(t, 11), faultyFabric(t, 13)
+	n := fb.Topology().NumSwitches()
+	open := func(dir string) scout.AnalyzerOptions {
+		t.Helper()
+		ws, err := scout.OpenWarmStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return scout.AnalyzerOptions{Workers: 2, WarmStore: ws}
+	}
+	newSession := func(f *scout.Fabric, opts scout.AnalyzerOptions) *scout.Session {
+		t.Helper()
+		sess, err := scout.NewSession(f, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sess
+	}
+
+	// A's base file name, from a store A's session fills on its own.
+	prime := t.TempDir()
+	if _, err := newSession(fa, open(prime)).Analyze(); err != nil {
+		t.Fatal(err)
+	}
+	bases, err := filepath.Glob(filepath.Join(prime, "base-*"))
+	if err != nil || len(bases) != 1 {
+		t.Fatalf("priming A left bases %v (%v), want one", bases, err)
+	}
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, filepath.Base(bases[0])), 0o755); err != nil {
+		t.Fatal(err)
+	}
+
+	shared := open(dir)
+	sessA, sessB := newSession(fa, shared), newSession(fb, shared)
+	var wg sync.WaitGroup
+	for _, sess := range []*scout.Session{sessA, sessB} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := sess.Analyze(); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if err := sessB.Close(); err != nil {
+		t.Errorf("B.Close = %v, want nil: only A's save failed", err)
+	}
+	if err := sessA.Close(); err == nil || !strings.Contains(err.Error(), "base-") {
+		t.Errorf("A.Close = %v, want A's failed base write", err)
+	}
+
+	restart := newSession(fb, open(dir))
+	if _, err := restart.Analyze(); err != nil {
+		t.Fatal(err)
+	}
+	if st := restart.Stats(); st.BaseLoads != 1 || st.Checked != 0 || st.Replayed != n {
+		t.Errorf("restart over B's files: %+v, want BaseLoads 1, Checked 0, Replayed %d", st, n)
 	}
 }
 
@@ -196,9 +259,6 @@ func TestOneShotIgnoresWarmStore(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := ws.Close(); err != nil {
-				t.Fatal(err)
-			}
 			return rep
 		}
 
@@ -220,9 +280,6 @@ func TestOneShotIgnoresWarmStore(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := sess.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := ws.Close(); err != nil {
 			t.Fatal(err)
 		}
 		populated := dirImage(t, dir)
@@ -313,9 +370,6 @@ func TestSessionRebuildsOverOldCodecBase(t *testing.T) {
 		if err := sess.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if err := ws.Close(); err != nil {
-			t.Fatal(err)
-		}
 		return sess.Stats(), marshalReport(t, rep)
 	}
 	files := func() map[string][]byte {
@@ -402,15 +456,11 @@ func TestSessionProbeWarmRestart(t *testing.T) {
 	if err := sess1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := ws1.Close(); err != nil {
-		t.Fatal(err)
-	}
 
 	ws2, err := scout.OpenWarmStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ws2.Close()
 	sess2, err := scout.NewSession(f, opts(ws2))
 	if err != nil {
 		t.Fatal(err)
@@ -507,9 +557,6 @@ func TestSessionEqualContentRedeploy(t *testing.T) {
 			if err := sess1.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if err := ws1.Close(); err != nil {
-				t.Fatal(err)
-			}
 
 			// Restart onto yet another equal-content deployment.
 			redeploy()
@@ -517,7 +564,6 @@ func TestSessionEqualContentRedeploy(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer ws2.Close()
 			sess2, err := scout.NewSession(f, opts(ws2))
 			if err != nil {
 				t.Fatal(err)
@@ -614,9 +660,6 @@ func TestSeededVerdictIsHashedNotTrusted(t *testing.T) {
 				return sess, func() {
 					t.Helper()
 					if err := sess.Close(); err != nil {
-						t.Fatal(err)
-					}
-					if err := ws.Close(); err != nil {
 						t.Fatal(err)
 					}
 				}
