@@ -11,50 +11,31 @@ import (
 	"scout/internal/tcam"
 )
 
-func deployedThreeTier(t *testing.T, seed int64) *scout.Fabric {
+// undeployed is the Figure 1 fabric before its first Deploy.
+func undeployed(t testing.TB) *scout.Fabric {
 	t.Helper()
-	p, topo := threeTier(t)
-	f, err := scout.NewFabric(p, topo, scout.FabricOptions{Seed: seed})
+	example := threeTier(t, 1)
+	f, err := scout.NewFabric(example.Policy(), example.Topology(), scout.FabricOptions{Seed: 1})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Deploy(); err != nil {
 		t.Fatal(err)
 	}
 	return f
 }
 
 func TestAnalyzeRequiresDeploy(t *testing.T) {
-	p, topo := threeTier(t)
-	f, err := scout.NewFabric(p, topo, scout.FabricOptions{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := scout.NewAnalyzer().Analyze(f); err == nil {
+	if _, err := scout.NewAnalyzer().Analyze(undeployed(t)); err == nil {
 		t.Error("Analyze before Deploy must fail")
 	}
 }
 
 func TestAnalyzeWithProbes(t *testing.T) {
-	f := deployedThreeTier(t, 1)
+	f := threeTier(t, 1)
 	if _, err := f.InjectObjectFault(scout.FilterRef(700), 1.0); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := scout.NewAnalyzer(scout.AnalyzerOptions{UseProbes: true}).Analyze(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Consistent {
-		t.Fatal("probe mode must detect the missing rules")
-	}
-	found := false
-	for _, ref := range rep.Hypothesis {
-		if ref == scout.FilterRef(700) {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("probe-mode hypothesis %v must contain filter:700", rep.Hypothesis)
+	rep := oneShot(t, f, scout.AnalyzerOptions{UseProbes: true})
+	if rep.Consistent || !slices.Contains(rep.Hypothesis, scout.FilterRef(700)) {
+		t.Errorf("probe mode must detect the missing rules, with filter:700 in the hypothesis %v", rep.Hypothesis)
 	}
 }
 
@@ -74,17 +55,11 @@ func switchReport(t *testing.T, rep *scout.Report, sw scout.ObjectID) scout.Swit
 // localization on its own switch risk model, so its hypothesis names that
 // switch's policy objects; a consistent switch's carries none.
 func TestAnalyzeSwitchScoped(t *testing.T) {
-	f := deployedThreeTier(t, 1)
+	f := threeTier(t, 1)
 	if _, err := f.InjectObjectFault(scout.FilterRef(700), 1.0); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := scout.NewAnalyzer().AnalyzeState(scout.State{
-		Deployment: f.Deployment(),
-		TCAM:       f.CollectAll(),
-		Changes:    f.ChangeLog(),
-		Faults:     f.FaultLog(),
-		Now:        f.Now(),
-	})
+	rep, err := scout.NewAnalyzer().AnalyzeState(fabricState(f))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,14 +84,11 @@ func TestAnalyzeSwitchObservationSources(t *testing.T) {
 		{},
 		{UseProbes: true},
 	} {
-		f := deployedThreeTier(t, 1)
+		f := threeTier(t, 1)
 		if _, err := f.InjectObjectFault(scout.FilterRef(700), 1.0); err != nil {
 			t.Fatal(err)
 		}
-		rep, err := scout.NewAnalyzer(opts).Analyze(f)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rep := oneShot(t, f, opts)
 		if sr := switchReport(t, rep, 2); sr.Equivalent || len(sr.MissingRules) == 0 || sr.Result == nil {
 			t.Errorf("opts %+v: switch 2 report = %+v, want missing rules and a localization", opts, sr)
 		}
@@ -127,28 +99,20 @@ func TestAnalyzeSwitchObservationSources(t *testing.T) {
 }
 
 func TestAnalyzeDetectsCorruptionAsExtraRules(t *testing.T) {
-	f := deployedThreeTier(t, 5)
+	f := threeTier(t, 5)
 	damaged, err := f.CorruptTCAM(2, 2, tcam.CorruptVRF)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(damaged) == 0 {
-		t.Skip("corruption hit nothing")
+		t.Fatal("corruption hit nothing")
 	}
-	rep, err := scout.NewAnalyzer().Analyze(f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := oneShot(t, f)
 	if rep.Consistent {
 		t.Fatal("corruption must break equivalence")
 	}
-	var s2 *scout.SwitchReport
-	for i := range rep.Switches {
-		if rep.Switches[i].Switch == 2 {
-			s2 = &rep.Switches[i]
-		}
-	}
-	if s2 == nil || s2.Equivalent {
+	s2 := switchReport(t, rep, 2)
+	if s2.Equivalent {
 		t.Fatal("switch 2 must be flagged")
 	}
 	if len(s2.MissingRules) == 0 {
@@ -160,7 +124,7 @@ func TestAnalyzeDetectsCorruptionAsExtraRules(t *testing.T) {
 }
 
 func TestAnalyzeEvictionLocalized(t *testing.T) {
-	f := deployedThreeTier(t, 11)
+	f := threeTier(t, 11)
 	evicted, err := f.EvictTCAM(3, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -168,10 +132,7 @@ func TestAnalyzeEvictionLocalized(t *testing.T) {
 	if len(evicted) == 0 {
 		t.Fatal("nothing evicted")
 	}
-	rep, err := scout.NewAnalyzer().Analyze(f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := oneShot(t, f)
 	if rep.Consistent {
 		t.Fatal("eviction must be detected")
 	}
@@ -187,18 +148,12 @@ func TestAnalyzeEvictionLocalized(t *testing.T) {
 }
 
 func TestReportJSON(t *testing.T) {
-	f := deployedThreeTier(t, 1)
+	f := threeTier(t, 1)
 	if _, err := f.InjectObjectFault(scout.FilterRef(700), 1.0); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := scout.NewAnalyzer().Analyze(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := oneShot(t, f)
+	data := marshalReport(t, rep)
 	s := string(data)
 	for _, want := range []string{`"Consistent":false`, `"Hypothesis"`, `"elapsedMillis"`} {
 		if !strings.Contains(s, want) {
@@ -220,7 +175,7 @@ func TestReportJSON(t *testing.T) {
 // hit ratio 1, so only the change-log stage can pick the filter — and only
 // while the injection's change entry is at most 24 h older than State.Now.
 func TestAnalyzerChangeWindow(t *testing.T) {
-	f := deployedThreeTier(t, 1)
+	f := threeTier(t, 1)
 	if _, err := f.InjectObjectFault(scout.FilterRef(80), 0.34); err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +214,7 @@ func TestAnalyzerChangeWindow(t *testing.T) {
 func TestAnalyzeStateFromEpoch(t *testing.T) {
 	// Post-incident forensics: snapshot state before and after a fault,
 	// then analyze the historical epochs offline via AnalyzeState.
-	f := deployedThreeTier(t, 1)
+	f := threeTier(t, 1)
 	collector := scout.NewCollector(f, 0)
 	before := collector.Snapshot()
 
@@ -269,13 +224,11 @@ func TestAnalyzeStateFromEpoch(t *testing.T) {
 	after := collector.Snapshot()
 
 	analyzer := scout.NewAnalyzer()
-	cleanRep, err := analyzer.AnalyzeState(scout.State{
-		Deployment: f.Deployment(),
-		TCAM:       before.TCAM,
-		Changes:    f.ChangeLog(),
-		Faults:     f.FaultLog(),
-		Now:        before.Time,
-	})
+	// The earlier epoch is the fabric's state with that epoch's rules and
+	// time.
+	st := fabricState(f)
+	st.TCAM, st.Now = before.TCAM, before.Time
+	cleanRep, err := analyzer.AnalyzeState(st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,27 +236,12 @@ func TestAnalyzeStateFromEpoch(t *testing.T) {
 		t.Error("pre-fault epoch must analyze consistent")
 	}
 
-	faultRep, err := analyzer.AnalyzeState(scout.State{
-		Deployment: f.Deployment(),
-		TCAM:       after.TCAM,
-		Changes:    f.ChangeLog(),
-		Faults:     f.FaultLog(),
-		Now:        after.Time,
-	})
+	faultRep, err := analyzer.AnalyzeState(fabricState(f))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if faultRep.Consistent {
-		t.Fatal("post-fault epoch must analyze inconsistent")
-	}
-	found := false
-	for _, ref := range faultRep.Hypothesis {
-		if ref == scout.FilterRef(700) {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("epoch hypothesis %v must contain filter:700", faultRep.Hypothesis)
+	if faultRep.Consistent || !slices.Contains(faultRep.Hypothesis, scout.FilterRef(700)) {
+		t.Fatalf("post-fault epoch must analyze inconsistent, with filter:700 in the hypothesis %v", faultRep.Hypothesis)
 	}
 
 	// The epoch diff pinpoints exactly the removed rules.
@@ -321,7 +259,7 @@ func TestAnalyzeStateFromEpoch(t *testing.T) {
 }
 
 func TestAnalyzeStateNilLogs(t *testing.T) {
-	f := deployedThreeTier(t, 1)
+	f := threeTier(t, 1)
 	if _, err := f.InjectObjectFault(scout.FilterRef(700), 1.0); err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +281,7 @@ func TestAnalyzeStateNilLogs(t *testing.T) {
 
 func TestSummaryRendering(t *testing.T) {
 	// Inconsistent + root cause path.
-	f := deployedThreeTier(t, 1)
+	f := threeTier(t, 1)
 	if err := f.Disconnect(2); err != nil {
 		t.Fatal(err)
 	}
@@ -355,10 +293,7 @@ func TestSummaryRendering(t *testing.T) {
 	if err := f.AddFilterToContract(202, 443); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := scout.NewAnalyzer().Analyze(f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := oneShot(t, f)
 	s := rep.Summary()
 	for _, want := range []string{"INCONSISTENT", "hypothesis", "root causes", "unreachable"} {
 		if !strings.Contains(s, want) {
@@ -367,14 +302,11 @@ func TestSummaryRendering(t *testing.T) {
 	}
 
 	// Inconsistent + silent fault path (no root cause matched).
-	f2 := deployedThreeTier(t, 2)
+	f2 := threeTier(t, 2)
 	if _, err := f2.EvictTCAM(1, 1); err != nil {
 		t.Fatal(err)
 	}
-	rep2, err := scout.NewAnalyzer().Analyze(f2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep2 := oneShot(t, f2)
 	if !strings.Contains(rep2.Summary(), "silent fault") {
 		t.Errorf("silent-fault summary wrong:\n%s", rep2.Summary())
 	}

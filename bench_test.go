@@ -12,11 +12,11 @@ package scout_test
 import (
 	"fmt"
 	"os"
-	"sort"
 	"sync"
 	"testing"
 
 	"scout"
+	"scout/internal/compile"
 	"scout/internal/equiv"
 	"scout/internal/eval"
 	"scout/internal/localize"
@@ -235,7 +235,7 @@ func BenchmarkCompile(b *testing.B) {
 	env := benchEnv(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := compileEnv(env); err != nil {
+		if _, err := compile.Compile(env.Policy, env.Topo); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -244,27 +244,14 @@ func BenchmarkCompile(b *testing.B) {
 // BenchmarkEndToEndAnalyze measures the full public-API pipeline on the
 // 3-tier example with one injected fault (the quickstart path).
 func BenchmarkEndToEndAnalyze(b *testing.B) {
-	pol := threeTierPolicy()
-	topo := scout.TopologyFromPolicy(pol)
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		f, err := scout.NewFabric(pol, topo, scout.FabricOptions{Seed: int64(i)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := f.Deploy(); err != nil {
-			b.Fatal(err)
-		}
+		f := threeTier(b, int64(i))
 		if _, err := f.InjectObjectFault(scout.FilterRef(700), 1.0); err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		rep, err := scout.NewAnalyzer().Analyze(f)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.Consistent {
+		if oneShot(b, f).Consistent {
 			b.Fatal("fault not detected")
 		}
 	}
@@ -293,25 +280,13 @@ func BenchmarkAnalyzeWorkers(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	f, err := scout.NewFabric(pol, topo, scout.FabricOptions{Seed: 42})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := f.Deploy(); err != nil {
-		b.Fatal(err)
-	}
+	f := deployed(b, pol, topo, scout.FabricOptions{Seed: 42})
 	for _, bind := range pol.Bindings[:3] {
 		if _, err := f.InjectObjectFault(scout.ContractRef(bind.Contract), 1.0); err != nil {
 			b.Fatal(err)
 		}
 	}
-	st := scout.State{
-		Deployment: f.Deployment(),
-		TCAM:       f.CollectAll(),
-		Changes:    f.ChangeLog(),
-		Faults:     f.FaultLog(),
-		Now:        f.Now(),
-	}
+	st := fabricState(f)
 	for _, workers := range []int{1, 2, 4, 8, 0} {
 		name := fmt.Sprintf("workers=%d", workers)
 		if workers == 0 {
@@ -335,264 +310,31 @@ func BenchmarkAnalyzeWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkSessionIncremental measures warm delta re-verification against
-// cold full analysis on the production-like spec (the same scaled
-// production dataset every other benchmark uses; the bench/ warm-churn
-// workload is the end-to-end journey). Each iteration touches
-// exactly one switch's TCAM: the cold path re-analyzes the whole fabric,
-// the warm path re-checks only the touched switch and replays cached
-// reports for the rest. The TCAM capacity is raised so the baseline
-// deploys cleanly and the comparison isolates the check-stage savings.
-func BenchmarkSessionIncremental(b *testing.B) {
-	pol, topo, err := scout.GenerateWorkload(eval.SimSpec(benchScale), 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	newFabric := func(b *testing.B) *scout.Fabric {
-		f, err := scout.NewFabric(pol, topo, scout.FabricOptions{Seed: 42, TCAMCapacity: 1 << 17})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := f.Deploy(); err != nil {
-			b.Fatal(err)
-		}
-		return f
-	}
-	// toggle alternates removing and re-installing one switch's
-	// highest-priority rule, so every iteration dirties exactly one switch.
-	makeToggle := func(b *testing.B, f *scout.Fabric) func(i int) {
-		sw := topo.Switches()[0]
-		s, err := f.Switch(sw)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rules, err := f.CollectTCAM(sw)
-		if err != nil || len(rules) == 0 {
-			b.Fatalf("no rules on switch %d: %v", sw, err)
-		}
-		target := rules[0]
-		return func(i int) {
-			if i%2 == 0 {
-				if !s.TCAM().Remove(target.Key()) {
-					b.Fatal("toggle remove failed")
-				}
-				return
-			}
-			if err := s.TCAM().Install(target); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-
-	b.Run("cold", func(b *testing.B) {
-		f := newFabric(b)
-		toggle := makeToggle(b, f)
-		a := scout.NewAnalyzer()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			toggle(i)
-			if _, err := a.Analyze(f); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		f := newFabric(b)
-		toggle := makeToggle(b, f)
-		sess, err := scout.NewSession(f)
-		if err != nil {
-			b.Fatal(err)
-		}
-		collector := scout.NewCollector(f, 2)
-		if _, err := sess.AnalyzeEpoch(collector.Snapshot()); err != nil {
-			b.Fatal(err) // warm-up: populate the per-switch cache
-		}
-		var es *equiv.EncodeStats
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			toggle(i)
-			rep, err := sess.AnalyzeEpoch(collector.Snapshot())
-			if err != nil {
-				b.Fatal(err)
-			}
-			es = rep.EncodeStats
-		}
-		b.StopTimer()
-		st := sess.Stats()
-		if st.Runs > 1 {
-			b.ReportMetric(float64(st.Checked-len(topo.Switches()))/float64(st.Runs-1), "switches-rechecked/op")
-		}
-		// The checkers are long-lived, so EncodeStats counters are
-		// cumulative over the session: report per-op deltas and the
-		// overall op-cache hit rate.
-		if es != nil {
-			b.ReportMetric(float64(es.DeltaNodes)/float64(b.N), "delta-nodes/op")
-			if lookups := es.OpCache.Hits() + es.OpCache.Misses; lookups > 0 {
-				b.ReportMetric(100*float64(es.OpCache.Hits())/float64(lookups), "cache-hit-%")
-			}
-		}
-	})
-}
-
 // BenchmarkSessionProbeWarm measures the probe-mode replay payoff on a
 // clean fabric: the cold path classifies every switch's probe batch
 // each round, the warm path fingerprints the TCAMs and replays every
 // cached verdict without a single Classify call.
 func BenchmarkSessionProbeWarm(b *testing.B) {
-	pol, topo, err := scout.GenerateWorkload(eval.SimSpec(benchScale), 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	newFabric := func(b *testing.B) *scout.Fabric {
-		f, err := scout.NewFabric(pol, topo, scout.FabricOptions{Seed: 42, TCAMCapacity: 1 << 17})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := f.Deploy(); err != nil {
-			b.Fatal(err)
-		}
-		return f
-	}
+	f := cleanFabric(b, eval.SimSpec(benchScale), scout.FabricOptions{Seed: 42, TCAMCapacity: 1 << 17})
 	opts := scout.AnalyzerOptions{UseProbes: true}
 
 	b.Run("cold", func(b *testing.B) {
-		f := newFabric(b)
-		a := scout.NewAnalyzer(opts)
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := a.Analyze(f); err != nil {
-				b.Fatal(err)
-			}
+			oneShot(b, f, opts)
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
-		f := newFabric(b)
-		sess, err := scout.NewSession(f, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sess.Analyze(); err != nil {
-			b.Fatal(err) // warm-up: populate the probe cache
-		}
+		sess := newSession(b, f, opts)
+		mustReport(b, sess.Analyze) // warm-up: populate the probe cache
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := sess.Analyze(); err != nil {
-				b.Fatal(err)
-			}
+			mustReport(b, sess.Analyze)
 		}
 		b.StopTimer()
 		st := sess.Stats()
 		if st.Runs > 1 {
-			b.ReportMetric(float64(st.Checked-len(topo.Switches()))/float64(st.Runs-1),
+			b.ReportMetric(float64(st.Checked-f.Topology().NumSwitches())/float64(st.Runs-1),
 				"switches-classified/op")
-		}
-	})
-}
-
-// BenchmarkSessionEventStorm measures the payoff of coalescing an event
-// storm: K events over S switches analyzed once per event (a full
-// snapshot + incremental round each) versus drained through the
-// coalescing queue into one batch and a single partial refresh that
-// re-reads only the S distinct switches. The toggles restore each
-// switch's TCAM every iteration so state stays bounded across b.N.
-func BenchmarkSessionEventStorm(b *testing.B) {
-	pol, topo, err := scout.GenerateWorkload(eval.SimSpec(benchScale), 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const stormSwitches = 4
-	const eventsPerSwitch = 4
-	if len(topo.Switches()) < stormSwitches {
-		b.Fatalf("spec has %d switches, need %d", len(topo.Switches()), stormSwitches)
-	}
-	newFabric := func(b *testing.B) *scout.Fabric {
-		f, err := scout.NewFabric(pol, topo, scout.FabricOptions{Seed: 42, TCAMCapacity: 1 << 17})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := f.Deploy(); err != nil {
-			b.Fatal(err)
-		}
-		return f
-	}
-	type toggler struct {
-		sw   scout.ObjectID
-		flip func(phase int)
-	}
-	makeTogglers := func(b *testing.B, f *scout.Fabric) []toggler {
-		out := make([]toggler, 0, stormSwitches)
-		for _, sw := range topo.Switches()[:stormSwitches] {
-			s, err := f.Switch(sw)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rules, err := f.CollectTCAM(sw)
-			if err != nil || len(rules) == 0 {
-				b.Fatalf("no rules on switch %d: %v", sw, err)
-			}
-			target := rules[0]
-			out = append(out, toggler{sw: sw, flip: func(phase int) {
-				if phase%2 == 0 {
-					if !s.TCAM().Remove(target.Key()) {
-						b.Fatal("toggle remove failed")
-					}
-					return
-				}
-				if err := s.TCAM().Install(target); err != nil {
-					b.Fatal(err)
-				}
-			}})
-		}
-		return out
-	}
-
-	b.Run("per-event", func(b *testing.B) {
-		f := newFabric(b)
-		togglers := makeTogglers(b, f)
-		sess, err := scout.NewSession(f)
-		if err != nil {
-			b.Fatal(err)
-		}
-		collector := scout.NewCollector(f, 2)
-		if _, err := sess.AnalyzeEpoch(collector.Snapshot()); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for e := 0; e < stormSwitches*eventsPerSwitch; e++ {
-				togglers[e%stormSwitches].flip(e / stormSwitches)
-				if _, err := sess.AnalyzeEpoch(collector.Snapshot()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("coalesced", func(b *testing.B) {
-		f := newFabric(b)
-		togglers := makeTogglers(b, f)
-		sess, err := scout.NewSession(f)
-		if err != nil {
-			b.Fatal(err)
-		}
-		queue := scout.NewEventQueue(scout.EventQueueOptions{Cap: 64})
-		events := f.EventLog()
-		if _, err := sess.ApplyEvents(scout.EventBatch{}); err != nil {
-			b.Fatal(err) // baseline: full collection anchors the session
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for e := 0; e < stormSwitches*eventsPerSwitch; e++ {
-				tg := togglers[e%stormSwitches]
-				tg.flip(e / stormSwitches)
-				queue.Push(events.Append(f.Now(), scout.EventTCAMChange, tg.sw, "storm"))
-			}
-			if _, err := sess.ApplyEvents(queue.Cut(f.Now())); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		if st := sess.Stats(); st.EventBatches > 0 {
-			b.ReportMetric(float64(st.EventSwitchesRead)/float64(st.EventBatches), "switches-read/batch")
 		}
 	})
 }
@@ -638,32 +380,6 @@ func BenchmarkWarmSetupOverlay(b *testing.B) {
 	}
 }
 
-// warmBenchFabric builds the standard benchmark fabric with a small
-// fault so warm-state benchmarks exercise non-trivial verdicts.
-func warmBenchFabric(b *testing.B) *scout.Fabric {
-	b.Helper()
-	pol, topo, err := scout.GenerateWorkload(eval.SimSpec(benchScale), 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	f, err := scout.NewFabric(pol, topo, scout.FabricOptions{Seed: 42, TCAMCapacity: 1 << 17})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := f.Deploy(); err != nil {
-		b.Fatal(err)
-	}
-	filters := make([]scout.ObjectID, 0, len(pol.Filters))
-	for id := range pol.Filters {
-		filters = append(filters, id)
-	}
-	sort.Slice(filters, func(i, j int) bool { return filters[i] < filters[j] })
-	if _, err := f.InjectObjectFault(scout.FilterRef(filters[0]), 1.0); err != nil {
-		b.Fatal(err)
-	}
-	return f
-}
-
 // warmStateBytes sums the on-disk size of a warm-state directory.
 func warmStateBytes(b *testing.B, dir string) int64 {
 	b.Helper()
@@ -682,92 +398,17 @@ func warmStateBytes(b *testing.B, dir string) int64 {
 	return total
 }
 
-// BenchmarkWarmStartVsCold measures the tentpole's payoff: the first
-// analysis of a fresh process with a populated warm-state store (load
-// base + verdicts, replay everything) against the same first analysis
-// cold (build the base, check every switch). bytes/op reports the state
-// read off disk per warm start; bdd-nodes/op the nodes constructed per
-// run — cold rebuilds them all, warm rebuilds none.
-func BenchmarkWarmStartVsCold(b *testing.B) {
-	f := warmBenchFabric(b)
-	dir := b.TempDir()
-	seedStore, err := scout.OpenWarmStore(dir)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sess, err := scout.NewSession(f, scout.AnalyzerOptions{WarmStore: seedStore})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := sess.Analyze(); err != nil {
-		b.Fatal(err)
-	}
-	if err := sess.Close(); err != nil {
-		b.Fatal(err)
-	}
-	stateBytes := warmStateBytes(b, dir)
-
-	b.Run("cold", func(b *testing.B) {
-		var nodes int
-		for i := 0; i < b.N; i++ {
-			sess, err := scout.NewSession(f)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rep, err := sess.Analyze()
-			if err != nil {
-				b.Fatal(err)
-			}
-			nodes = rep.EncodeStats.BaseNodes + rep.EncodeStats.DeltaNodes
-		}
-		b.ReportMetric(float64(nodes), "bdd-nodes/op")
-	})
-	b.Run("warm", func(b *testing.B) {
-		var nodes int
-		for i := 0; i < b.N; i++ {
-			ws, err := scout.OpenWarmStore(dir)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sess, err := scout.NewSession(f, scout.AnalyzerOptions{WarmStore: ws})
-			if err != nil {
-				b.Fatal(err)
-			}
-			rep, err := sess.Analyze()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if st := sess.Stats(); st.BaseLoads != 1 || st.Checked != 0 {
-				b.Fatalf("warm start not warm: %+v", st)
-			}
-			// The loaded base is frozen state, not constructed nodes; only
-			// checker deltas (zero on a clean replay) are built per run.
-			nodes = rep.EncodeStats.DeltaNodes
-		}
-		b.ReportMetric(float64(nodes), "bdd-nodes/op")
-		b.ReportMetric(float64(stateBytes), "bytes/op")
-	})
-}
-
 // BenchmarkStoreRoundTrip measures the store codec through the store:
 // persisting the benchmark deployment's frozen base (encode +
 // atomic publish) and restoring it (verify + rebuild the open-addressed
 // unique table). bytes/op is the base file size, bdd-nodes/op the frozen
 // nodes carried per operation.
 func BenchmarkStoreRoundTrip(b *testing.B) {
-	f := warmBenchFabric(b)
+	f := faultyFabricOf(b, eval.SimSpec(benchScale), scout.FabricOptions{Seed: 42, TCAMCapacity: 1 << 17})
 	dir := b.TempDir()
-	ws, err := scout.OpenWarmStore(dir)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sess, err := scout.NewSession(f, scout.AnalyzerOptions{WarmStore: ws})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := sess.Analyze(); err != nil {
-		b.Fatal(err)
-	}
+	ws := warmStore(b, dir)
+	sess := newSession(b, f, scout.AnalyzerOptions{WarmStore: ws})
+	mustReport(b, sess.Analyze)
 	if err := sess.Close(); err != nil {
 		b.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -18,9 +17,8 @@ import (
 )
 
 // faultyFabric builds a seeded multi-switch fabric (the paper's 6-switch
-// testbed spec) and injects a deterministic mix of faults so every
-// checker path — missing rules, extra rules, partial faults — is
-// exercised by the determinism tests.
+// testbed spec) with injectFaults' mix, so every checker path — missing
+// rules, extra rules, partial faults — is exercised.
 func faultyFabric(t testing.TB, seed int64) *scout.Fabric {
 	t.Helper()
 	return faultyFabricOf(t, scout.TestbedWorkloadSpec(), scout.FabricOptions{Seed: seed})
@@ -30,10 +28,24 @@ func faultyFabric(t testing.TB, seed int64) *scout.Fabric {
 // fabric generated and seeded from opts.Seed.
 func faultyFabricOf(t testing.TB, spec scout.WorkloadSpec, opts scout.FabricOptions) *scout.Fabric {
 	t.Helper()
+	f := cleanFabric(t, spec, opts)
+	injectFaults(t, f)
+	return f
+}
+
+// cleanFabric deploys the workload spec generates from opts.Seed.
+func cleanFabric(t testing.TB, spec scout.WorkloadSpec, opts scout.FabricOptions) *scout.Fabric {
+	t.Helper()
 	pol, topo, err := scout.GenerateWorkload(spec, opts.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return deployed(t, pol, topo, opts)
+}
+
+// deployed builds a fabric of pol on topo and deploys it.
+func deployed(t testing.TB, pol *scout.Policy, topo *scout.Topology, opts scout.FabricOptions) *scout.Fabric {
+	t.Helper()
 	f, err := scout.NewFabric(pol, topo, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -41,158 +53,106 @@ func faultyFabricOf(t testing.TB, spec scout.WorkloadSpec, opts scout.FabricOpti
 	if err := f.Deploy(); err != nil {
 		t.Fatal(err)
 	}
+	return f
+}
 
-	filters := make([]scout.ObjectID, 0, len(pol.Filters))
-	for id := range pol.Filters {
-		filters = append(filters, id)
+// injectFaults is faultyFabric's mix: missingFaults at half, then two
+// rules of the last switch corrupted into rules the policy never asked for.
+func injectFaults(t testing.TB, f *scout.Fabric) {
+	t.Helper()
+	missingFaults(t, f, 0.5)
+	switches := f.Topology().Switches()
+	if _, err := f.CorruptTCAM(switches[len(switches)-1], 2, tcam.CorruptDstEPG); err != nil {
+		t.Fatal(err)
 	}
-	sort.Slice(filters, func(i, j int) bool { return filters[i] < filters[j] })
+}
+
+// missingFaults fails the fabric's lowest filter in full and its second at
+// fraction, then evicts three rules from its first switch: faults that
+// only ever remove rules.
+func missingFaults(t testing.TB, f *scout.Fabric, fraction float64) {
+	t.Helper()
+	filters := sortedIDs(f.Policy().Filters)
 	if len(filters) < 2 {
-		t.Fatalf("spec %q produced %d filters, need at least 2", spec.Name, len(filters))
+		t.Fatalf("policy %q has %d filters, need at least 2", f.Policy().Name, len(filters))
 	}
 	if _, err := f.InjectObjectFault(scout.FilterRef(filters[0]), 1.0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.InjectObjectFault(scout.FilterRef(filters[1]), 0.5); err != nil {
+	if _, err := f.InjectObjectFault(scout.FilterRef(filters[1]), fraction); err != nil {
 		t.Fatal(err)
 	}
-
-	switches := topo.Switches()
-	if _, err := f.EvictTCAM(switches[0], 3); err != nil {
+	if _, err := f.EvictTCAM(f.Topology().Switches()[0], 3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.CorruptTCAM(switches[len(switches)-1], 2, tcam.CorruptDstEPG); err != nil {
-		t.Fatal(err)
-	}
-	return f
 }
 
-// reportJSON analyzes the fabric and returns the report serialized with
-// the wall-clock field zeroed, so byte comparison sees only pipeline
-// output.
-func reportJSON(t testing.TB, f *scout.Fabric, opts scout.AnalyzerOptions) []byte {
-	t.Helper()
-	rep, err := scout.NewAnalyzer(opts).Analyze(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep.Elapsed = 0
-	data, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
-// TestParallelAnalyzeDeterministic is the regression test for the
-// worker-pool pipeline: any worker count must produce a report
-// byte-identical to the serial pipeline. At Workers>1 this covers every
-// fanned-out stage — the per-switch check, the per-switch overlay
-// annotation and localization, and the patch-based parallel controller
-// augmentation — against the fully serial Workers=1 run.
+// TestParallelAnalyzeDeterministic: a first analysis at any worker count
+// is the serial pipeline's, over every fanned-out stage.
 func TestParallelAnalyzeDeterministic(t *testing.T) {
-	f := faultyFabric(t, 7)
-	serial := reportJSON(t, f, scout.AnalyzerOptions{Workers: 1})
-
-	var probe struct {
-		Consistent   bool
-		TotalMissing int
-	}
-	if err := json.Unmarshal(serial, &probe); err != nil {
-		t.Fatal(err)
-	}
-	if probe.Consistent || probe.TotalMissing == 0 {
-		t.Fatal("fault injection produced a consistent fabric; test is vacuous")
-	}
-
+	colds := make(map[int][]byte)
 	for _, workers := range []int{2, 3, 4, 8, 0} {
-		got := reportJSON(t, f, scout.AnalyzerOptions{Workers: workers})
-		if !bytes.Equal(serial, got) {
-			t.Errorf("Workers=%d report differs from serial:\nserial:   %s\nparallel: %s",
-				workers, serial, got)
-		}
+		equalsCold(t, coldCase{fabric: seeded(7), workers: workers, steps: baselineOnly, colds: colds})
 	}
 }
 
-// TestSharedBaseIdentity is the identity regression for the frozen
-// shared BDD base: every per-switch verdict an analysis through base+fork
-// checkers reports must be what a fresh checker of its own returns, and
-// the report must be byte-identical at worker counts 1, 2, and NumCPU —
-// the base moves encoding work, never check results.
+// TestSharedBaseIdentity: a state analyzed through base and fork checkers
+// is the reference pipeline's, which checks each switch on a fresh checker.
 func TestSharedBaseIdentity(t *testing.T) {
-	f := faultyFabric(t, 7)
-	st := fabricState(f)
-	var baseline []byte
-	for _, workers := range []int{1, 2, runtime.NumCPU()} {
-		rep, err := scout.NewAnalyzer(scout.AnalyzerOptions{Workers: workers}).AnalyzeState(st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if baseline == nil {
-			assertMatchesFreshCheckers(t, "Workers=1", st, rep)
-			baseline = marshalReport(t, rep)
-		} else if !bytes.Equal(baseline, marshalReport(t, rep)) {
-			t.Errorf("Workers=%d report differs from serial", workers)
-		}
-	}
+	equalsCold(t, coldCase{fabric: seeded(7), entry: viaState, workers: runtime.NumCPU(), steps: baselineOnly})
 }
 
 // TestSharedBaseEncodeStats pins what the check stage reports about its
 // encoding work: the base is built and consulted, what it shares does not
 // depend on the worker count, and the forks compile only the drifted TCAM
-// lists.
+// lists. On a state with byte-equal duplicate switches each twin's drifted
+// list compiles again, since a checker remembers logical lists only: nine
+// lists, twins included.
 func TestSharedBaseEncodeStats(t *testing.T) {
 	f := faultyFabric(t, 7)
-	analyze := func(opts scout.AnalyzerOptions) *scout.Report {
-		t.Helper()
-		rep, err := scout.NewAnalyzer(opts).Analyze(f)
-		if err != nil {
-			t.Fatal(err)
+	for _, st := range []scout.State{fabricState(f), dupState(t, f)} {
+		frozen, unwarmed := expectedFolds(st)
+		var baseNodes int
+		for _, workers := range []int{1, 2, 4} {
+			rep, err := scout.NewAnalyzer(scout.AnalyzerOptions{Workers: workers}).AnalyzeState(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			es := rep.EncodeStats
+			if es.BaseNodes == 0 || es.FoldBaseHits == 0 {
+				t.Errorf("Workers=%d: base not built or never consulted: %+v", workers, es)
+			}
+			// A warmed list is never re-compiled per worker: the base holds
+			// one root per distinct logical list, and a run's from-scratch
+			// compiles are only the drifted TCAM lists — at any worker count.
+			if es.BaseSemantics != frozen || es.FoldMisses != unwarmed {
+				t.Errorf("Workers=%d: %d frozen roots and %d fork folds, want %d and %d",
+					workers, es.BaseSemantics, es.FoldMisses, frozen, unwarmed)
+			}
+			// The base's nodes are a function of the deployment alone.
+			if workers == 1 {
+				baseNodes = es.BaseNodes
+			} else if es.BaseNodes != baseNodes {
+				t.Errorf("Workers=%d: base holds %d nodes, %d at 1 worker", workers, es.BaseNodes, baseNodes)
+			}
 		}
-		return rep
-	}
-
-	frozen, unwarmed := expectedFolds(fabricState(f))
-	var baseNodes int
-	for _, workers := range []int{1, 2, 4} {
-		es := analyze(scout.AnalyzerOptions{Workers: workers}).EncodeStats
-		if es == nil {
-			t.Fatal("BDD-checker analysis must report EncodeStats")
-		}
-		if es.BaseNodes == 0 || es.FoldBaseHits == 0 {
-			t.Errorf("Workers=%d: base not built or never consulted: %+v", workers, es)
-		}
-		// A warmed list is never re-compiled per worker: the base holds
-		// one root per distinct logical list, and a run's from-scratch
-		// compiles are only the drifted TCAM lists — at any worker count.
-		if es.BaseSemantics != frozen || es.FoldMisses != unwarmed {
-			t.Errorf("Workers=%d: %d frozen roots and %d fork folds, want %d and %d",
-				workers, es.BaseSemantics, es.FoldMisses, frozen, unwarmed)
-		}
-		// The base's nodes are a function of the deployment alone.
-		if workers == 1 {
-			baseNodes = es.BaseNodes
-		} else if es.BaseNodes != baseNodes {
-			t.Errorf("Workers=%d: base holds %d nodes, %d at 1 worker", workers, es.BaseNodes, baseNodes)
+		if len(st.TCAM) > f.Topology().NumSwitches() && unwarmed != 9 {
+			t.Errorf("the state with twins has %d drifted lists, want 9", unwarmed)
 		}
 	}
 
 	// Probe runs build no BDD checkers and carry no stats.
-	if probes := analyze(scout.AnalyzerOptions{UseProbes: true}); probes.EncodeStats != nil {
-		t.Error("probe analysis must not report EncodeStats")
+	if rep, err := scout.NewAnalyzer(scout.AnalyzerOptions{UseProbes: true}).Analyze(f); err != nil || rep.EncodeStats != nil {
+		t.Errorf("probe analysis must not report EncodeStats (%v)", err)
 	}
 }
 
-// TestParallelProbeAnalyzeDeterministic covers the probe-based
-// observation source going through the same fan-out machinery.
+// TestParallelProbeAnalyzeDeterministic is TestParallelAnalyzeDeterministic
+// for the probe observation source.
 func TestParallelProbeAnalyzeDeterministic(t *testing.T) {
-	f := faultyFabric(t, 11)
-	serial := reportJSON(t, f, scout.AnalyzerOptions{Workers: 1, UseProbes: true})
+	colds := make(map[int][]byte)
 	for _, workers := range []int{2, 4, 0} {
-		got := reportJSON(t, f, scout.AnalyzerOptions{Workers: workers, UseProbes: true})
-		if !bytes.Equal(serial, got) {
-			t.Errorf("UseProbes Workers=%d report differs from serial", workers)
-		}
+		equalsCold(t, coldCase{fabric: seeded(11), workers: workers, probes: true, steps: baselineOnly, colds: colds})
 	}
 }
 
@@ -203,12 +163,8 @@ func TestParallelProbeAnalyzeDeterministic(t *testing.T) {
 func TestConcurrentAnalyzeCalls(t *testing.T) {
 	for _, probes := range []bool{false, true} {
 		f := faultyFabric(t, 7)
-		a := scout.NewAnalyzer(scout.AnalyzerOptions{Workers: 2, UseProbes: probes})
-		serial, err := a.Analyze(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := marshalReport(t, serial)
+		opts := scout.AnalyzerOptions{Workers: 2, UseProbes: probes}
+		a, want := scout.NewAnalyzer(opts), marshalReport(t, oneShot(t, f, opts))
 
 		const calls = 8
 		reps := make([]*scout.Report, calls)
@@ -241,8 +197,7 @@ func TestConcurrentAnalyzeCalls(t *testing.T) {
 // shows the session's lock covers everything its entry points share.
 func TestConcurrentSessionUse(t *testing.T) {
 	f := faultyFabricOf(t, scout.SmallFabricWorkloadSpec(), scout.FabricOptions{Seed: 3})
-	st := scout.State{Deployment: f.Deployment(), TCAM: f.CollectAll(),
-		Changes: f.ChangeLog(), Faults: f.FaultLog(), Now: f.Now()}
+	st := fabricState(f)
 	cold, err := scout.NewAnalyzer(scout.AnalyzerOptions{Workers: 1}).AnalyzeState(st)
 	if err != nil {
 		t.Fatal(err)
@@ -253,15 +208,8 @@ func TestConcurrentSessionUse(t *testing.T) {
 		switches = append(switches, sr.Switch)
 	}
 
-	ws, err := scout.OpenWarmStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := scout.AnalyzerOptions{Workers: 2, WarmStore: ws}
-	sess, err := scout.NewSession(f, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opts := scout.AnalyzerOptions{Workers: 2, WarmStore: warmStore(t, t.TempDir())}
+	sess := newSession(t, f, opts)
 	// check reads each report while the other goroutines run: a cached
 	// verdict a report shares must not be written after it is handed out.
 	check := func(op string, rep *scout.Report, err error) {
@@ -330,26 +278,26 @@ func TestConcurrentSessionUse(t *testing.T) {
 	}
 }
 
+// badRule's VRF is past the checker's 16-bit field: no check can encode it.
+var badRule = scout.Rule{Match: rule.Match{VRF: 1 << 17, SrcEPG: 1, DstEPG: 2, PortLo: 80, PortHi: 80}, Action: rule.Allow}
+
+// unencodable is a state of n switches whose logical lists are badRule and
+// whose TCAMs are empty.
+func unencodable(n int) scout.State {
+	st := scout.State{Deployment: &scout.Deployment{BySwitch: make(map[scout.ObjectID][]scout.Rule)}, TCAM: make(map[scout.ObjectID][]scout.Rule)}
+	for sw := scout.ObjectID(1); sw <= scout.ObjectID(n); sw++ {
+		st.Deployment.BySwitch[sw], st.TCAM[sw] = []scout.Rule{badRule}, nil
+	}
+	return st
+}
+
 // TestParallelCheckErrorPropagates forces an encoding error in the check
 // stage and verifies the fan-out surfaces it instead of deadlocking or
 // returning a partial report. The VRF id exceeds the checker's 16-bit
 // field encoding, which is the only way a check itself can fail. Every
 // switch fails, and the error is the lowest one's at any worker count.
 func TestParallelCheckErrorPropagates(t *testing.T) {
-	badRule := scout.Rule{
-		Match:  rule.Match{VRF: 1 << 17, SrcEPG: 1, DstEPG: 2, PortLo: 80, PortHi: 80},
-		Action: rule.Allow,
-	}
-	bySwitch := make(map[scout.ObjectID][]scout.Rule)
-	tcamState := make(map[scout.ObjectID][]scout.Rule)
-	for sw := scout.ObjectID(1); sw <= 8; sw++ {
-		bySwitch[sw] = []scout.Rule{badRule}
-		tcamState[sw] = nil
-	}
-	st := scout.State{
-		Deployment: &scout.Deployment{BySwitch: bySwitch},
-		TCAM:       tcamState,
-	}
+	st := unencodable(8)
 	for _, workers := range []int{1, 4} {
 		_, err := scout.NewAnalyzer(scout.AnalyzerOptions{Workers: workers}).AnalyzeState(st)
 		if err == nil {
@@ -374,11 +322,7 @@ func TestParallelCountersRepeat(t *testing.T) {
 		var evicted [2]map[scout.ObjectID][]scout.Rule
 		for j := range fabs {
 			fabs[j] = faultyFabricOf(t, scout.SmallFabricWorkloadSpec(), scout.FabricOptions{Seed: 3})
-			s, err := scout.NewSession(fabs[j], scout.AnalyzerOptions{Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sess[j], evicted[j] = s, make(map[scout.ObjectID][]scout.Rule)
+			sess[j], evicted[j] = newSession(t, fabs[j], scout.AnalyzerOptions{Workers: workers}), make(map[scout.ObjectID][]scout.Rule)
 		}
 		// churn reinstalls what the previous churn of sw evicted on fabric j
 		// and evicts n fresh rules.
@@ -442,22 +386,13 @@ func TestParallelCountersRepeat(t *testing.T) {
 // costs its build.
 func TestWorkersDefaultIsGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	rep, err := scout.NewAnalyzer().Analyze(faultyFabric(t, 7))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := oneShot(t, faultyFabric(t, 7))
 	if rep.EncodeStats.Checkers != 1 {
 		t.Errorf("Workers 0 at GOMAXPROCS 1 forked %d checkers, want 1", rep.EncodeStats.Checkers)
 	}
 }
 
-// TestWorkersFloor checks that nonsensical worker counts degrade to the
-// serial pipeline rather than panicking or spawning nothing.
+// TestWorkersFloor: a nonsensical worker count is the serial pipeline.
 func TestWorkersFloor(t *testing.T) {
-	f := faultyFabric(t, 17)
-	serial := reportJSON(t, f, scout.AnalyzerOptions{Workers: 1})
-	got := reportJSON(t, f, scout.AnalyzerOptions{Workers: -3})
-	if !bytes.Equal(serial, got) {
-		t.Error("Workers=-3 report differs from serial")
-	}
+	equalsCold(t, coldCase{fabric: seeded(17), workers: -3, steps: baselineOnly})
 }

@@ -1,8 +1,7 @@
 package scout_test
 
 import (
-	"bytes"
-	"sort"
+	"slices"
 	"testing"
 	"time"
 
@@ -52,21 +51,21 @@ func refAnalyze(t testing.TB, st scout.State) *scout.Report {
 	return rep
 }
 
-// sortedIDs returns the collected switches in ascending order.
-func sortedIDs(tcam map[scout.ObjectID][]scout.Rule) []scout.ObjectID {
-	ids := make([]scout.ObjectID, 0, len(tcam))
-	for sw := range tcam {
-		ids = append(ids, sw)
+// sortedIDs returns a map's object IDs in ascending order.
+func sortedIDs[V any](m map[scout.ObjectID]V) []scout.ObjectID {
+	ids := make([]scout.ObjectID, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 
-// TestOrchestrationMatchesReference holds the three ways into the one
-// orchestration — a one-shot on collected state, a session's replaying
-// second epoch, and an event refresh after a new fault — to refAnalyze's
-// bytes, on the testbed, the small fabric and production x0.25.
+// TestOrchestrationMatchesReference holds an event-driven session through
+// a new fault to refAnalyze's bytes, on the testbed, the small fabric and
+// production x0.25: equalsCold ends every case on that comparison.
 func TestOrchestrationMatchesReference(t *testing.T) {
+	t.Parallel()
 	for _, tc := range []struct {
 		spec scout.WorkloadSpec
 		opts scout.FabricOptions
@@ -76,53 +75,12 @@ func TestOrchestrationMatchesReference(t *testing.T) {
 		{eval.SimSpec(0.25), scout.FabricOptions{Seed: 42, TCAMCapacity: 1 << 17}},
 	} {
 		t.Run(tc.spec.Name, func(t *testing.T) {
-			f := faultyFabricOf(t, tc.spec, tc.opts)
-			opts := scout.AnalyzerOptions{Workers: 2}
-			same := func(label string, got *scout.Report, st scout.State) {
-				t.Helper()
-				if got.Consistent {
-					t.Fatalf("%s: the faulty fabric analyzed consistent; the comparison is vacuous", label)
-				}
-				if !bytes.Equal(marshalReport(t, got), marshalReport(t, refAnalyze(t, st))) {
-					t.Errorf("%s differs from the serial reference pipeline", label)
-				}
-			}
-
-			st := fabricState(f)
-			cold, err := scout.NewAnalyzer(opts).AnalyzeState(st)
-			if err != nil {
-				t.Fatal(err)
-			}
-			same("Analyzer.AnalyzeState", cold, st)
-
-			sess, err := scout.NewSession(f, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			collector := scout.NewCollector(f, 2)
-			if _, err := sess.AnalyzeEpoch(collector.Snapshot()); err != nil {
-				t.Fatal(err)
-			}
-			e2 := collector.Snapshot()
-			warm, err := sess.AnalyzeEpoch(e2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := sess.Stats(); got.Replayed != len(e2.TCAM) {
-				t.Fatalf("second epoch replayed %d of %d switches", got.Replayed, len(e2.TCAM))
-			}
-			same("second-run Session.AnalyzeEpoch", warm, stateFromEpoch(f, e2))
-
-			sw := f.Topology().Switches()[1]
-			removeOneRule(t, f, sw)
-			refreshed, err := sess.ApplyEvents(scout.EventBatch{Switches: []scout.ObjectID{sw}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := sess.Stats(); got.EventSwitchesRead != 1 {
-				t.Fatalf("event refresh re-read %d switches, want 1", got.EventSwitchesRead)
-			}
-			same("post-fault Session.ApplyEvents", refreshed, fabricState(f))
+			equalsCold(t, coldCase{
+				fabric:  func(t testing.TB) *scout.Fabric { return faultyFabricOf(t, tc.spec, tc.opts) },
+				entry:   viaEvents,
+				workers: 2,
+				steps:   []step{func(t *testing.T, r *coldRun) { removeOneRule(t, r.f, r.f.Topology().Switches()[1]) }},
+			})
 		})
 	}
 }

@@ -9,9 +9,9 @@ import (
 	"scout/internal/tcam"
 )
 
-// threeTier builds the paper's running example (Figure 1): a 3-tier web
+// threeTier deploys the paper's running example (Figure 1): a 3-tier web
 // service with Web, App, and DB EPGs on three switches.
-func threeTier(t testing.TB) (*scout.Policy, *scout.Topology) {
+func threeTier(t testing.TB, seed int64) *scout.Fabric {
 	t.Helper()
 	p := scout.NewPolicy("three-tier")
 	p.AddVRF(scout.VRF{ID: 101, Name: "vrf-101"})
@@ -31,25 +31,52 @@ func threeTier(t testing.TB) (*scout.Policy, *scout.Topology) {
 	p.AddContract(scout.Contract{ID: 202, Name: "App-DB", Filters: []scout.ObjectID{80, 700}})
 	p.Bind(1, 2, 201)
 	p.Bind(2, 3, 202)
-	if err := p.Validate(); err != nil {
-		t.Fatalf("three-tier policy invalid: %v", err)
+	return deployed(t, p, scout.TopologyFromPolicy(p), scout.FabricOptions{Seed: seed})
+}
+
+// oneShot is a one-shot analysis of the fabric.
+func oneShot(t testing.TB, f *scout.Fabric, opts ...scout.AnalyzerOptions) *scout.Report {
+	t.Helper()
+	rep, err := scout.NewAnalyzer(opts...).Analyze(f)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return p, scout.TopologyFromPolicy(p)
+	return rep
+}
+
+// newSession is scout.NewSession, failing t on its error.
+func newSession(t testing.TB, f *scout.Fabric, opts ...scout.AnalyzerOptions) *scout.Session {
+	t.Helper()
+	sess, err := scout.NewSession(f, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sess
+}
+
+// warmStore opens the warm store at dir.
+func warmStore(t testing.TB, dir string) *scout.WarmStore {
+	t.Helper()
+	ws, err := scout.OpenWarmStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ws
+}
+
+// mustReport returns the report of analyze, failing t on its error.
+func mustReport(t testing.TB, analyze func() (*scout.Report, error)) *scout.Report {
+	t.Helper()
+	rep, err := analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
 }
 
 func TestAnalyzeConsistentFabric(t *testing.T) {
-	p, topo := threeTier(t)
-	f, err := scout.NewFabric(p, topo, scout.FabricOptions{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Deploy(); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := scout.NewAnalyzer().Analyze(f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := threeTier(t, 1)
+	rep := oneShot(t, f)
 	if !rep.Consistent {
 		t.Fatalf("expected consistent fabric, got report: %s", rep.Summary())
 	}
@@ -59,14 +86,7 @@ func TestAnalyzeConsistentFabric(t *testing.T) {
 }
 
 func TestAnalyzeLocalizesEvictedFilter(t *testing.T) {
-	p, topo := threeTier(t)
-	f, err := scout.NewFabric(p, topo, scout.FabricOptions{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Deploy(); err != nil {
-		t.Fatal(err)
-	}
+	f := threeTier(t, 1)
 
 	// Full fault on filter 700: every TCAM rule derived from it vanishes.
 	removed, err := f.InjectObjectFault(scout.FilterRef(700), 1.0)
@@ -77,33 +97,17 @@ func TestAnalyzeLocalizesEvictedFilter(t *testing.T) {
 		t.Fatal("fault injection removed no rules")
 	}
 
-	rep, err := scout.NewAnalyzer().Analyze(f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := oneShot(t, f)
 	if rep.Consistent {
 		t.Fatal("expected inconsistency after fault injection")
 	}
-	found := false
-	for _, ref := range rep.Hypothesis {
-		if ref == scout.FilterRef(700) {
-			found = true
-		}
-	}
-	if !found {
+	if !slices.Contains(rep.Hypothesis, scout.FilterRef(700)) {
 		t.Errorf("hypothesis %v should contain filter:700", rep.Hypothesis)
 	}
 }
 
 func TestAnalyzeUnresponsiveSwitch(t *testing.T) {
-	p, topo := threeTier(t)
-	f, err := scout.NewFabric(p, topo, scout.FabricOptions{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Deploy(); err != nil {
-		t.Fatal(err)
-	}
+	f := threeTier(t, 1)
 
 	// Switch 2 goes dark; a new filter is then pushed, so S2 misses it.
 	if err := f.Disconnect(2); err != nil {
@@ -118,10 +122,7 @@ func TestAnalyzeUnresponsiveSwitch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep, err := scout.NewAnalyzer().Analyze(f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := oneShot(t, f)
 	if rep.Consistent {
 		t.Fatal("expected inconsistency: switch 2 missed the new filter")
 	}
@@ -150,18 +151,7 @@ func TestAnalyzeUnresponsiveSwitch(t *testing.T) {
 // deep copies of while it drives every mutating path of the fabric and both
 // observation sources, a warm-store session closed and restarted included.
 func TestPipelineNeverWritesProvenance(t *testing.T) {
-	pol, topo, err := scout.GenerateWorkload(scout.TestbedWorkloadSpec(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := scout.NewFabric(pol, topo, scout.FabricOptions{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Deploy(); err != nil {
-		t.Fatal(err)
-	}
-
+	f := cleanFabric(t, scout.TestbedWorkloadSpec(), scout.FabricOptions{Seed: 3})
 	type heldRule struct {
 		rule *scout.Rule
 		want []scout.ObjectRef
@@ -191,23 +181,14 @@ func TestPipelineNeverWritesProvenance(t *testing.T) {
 
 	analyze := func(opts scout.AnalyzerOptions) {
 		t.Helper()
-		rep, err := scout.NewAnalyzer(opts).Analyze(f)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rep := oneShot(t, f, opts)
 		if rep.Consistent {
 			t.Fatal("the faulted fabric analyzed consistent; the reports under test carry no rules")
 		}
 	}
-	switches := topo.Switches()
+	switches := f.Topology().Switches()
 	first, last := switches[0], switches[len(switches)-1]
-	var filter scout.ObjectID
-	for id := range pol.Filters {
-		if filter == 0 || id < filter {
-			filter = id
-		}
-	}
-	if _, err := f.InjectObjectFault(scout.FilterRef(filter), 0.5); err != nil {
+	if _, err := f.InjectObjectFault(scout.FilterRef(sortedIDs(f.Policy().Filters)[0]), 0.5); err != nil {
 		t.Fatal(err)
 	}
 	for _, field := range []tcam.CorruptionField{tcam.CorruptVRF, tcam.CorruptSrcEPG, tcam.CorruptDstEPG, tcam.CorruptPort} {
@@ -239,17 +220,8 @@ func TestPipelineNeverWritesProvenance(t *testing.T) {
 
 	dir := t.TempDir()
 	for restart := 0; restart < 2; restart++ {
-		ws, err := scout.OpenWarmStore(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sess, err := scout.NewSession(f, scout.AnalyzerOptions{Workers: 2, WarmStore: ws})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sess.Analyze(); err != nil {
-			t.Fatal(err)
-		}
+		sess := newSession(t, f, scout.AnalyzerOptions{Workers: 2, WarmStore: warmStore(t, dir)})
+		mustReport(t, sess.Analyze)
 		if err := sess.Close(); err != nil {
 			t.Fatal(err)
 		}

@@ -2,15 +2,12 @@ package scout_test
 
 import (
 	"bytes"
-	"math/rand"
-	"runtime"
-	"sort"
+	"slices"
 	"testing"
 
 	"scout"
 	"scout/internal/collect"
 	"scout/internal/faultlog"
-	"scout/internal/rule"
 	"scout/internal/tcam"
 )
 
@@ -19,21 +16,11 @@ import (
 // silent faults a real event stream would miss — appends a switch-scoped
 // event to the fabric's stream.
 func TestFabricEmitsEvents(t *testing.T) {
-	pol, topo, err := scout.GenerateWorkload(scout.TestbedWorkloadSpec(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := scout.NewFabric(pol, topo, scout.FabricOptions{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Deploy(); err != nil {
-		t.Fatal(err)
-	}
+	f := cleanFabric(t, scout.TestbedWorkloadSpec(), scout.FabricOptions{Seed: 3})
 	if f.EventLog().LastSeq() == 0 {
 		t.Fatal("deploy emitted no events")
 	}
-	sw := topo.Switches()[0]
+	sw := f.Topology().Switches()[0]
 	cursor := f.EventLog().TailCursor()
 
 	expect := func(op string, kind faultlog.EventKind, wantSwitch scout.ObjectID) {
@@ -42,16 +29,10 @@ func TestFabricEmitsEvents(t *testing.T) {
 		if len(evs) == 0 {
 			t.Fatalf("%s emitted no events", op)
 		}
-		found := false
-		for _, ev := range evs {
-			if ev.Kind == kind && ev.Switch == wantSwitch {
-				found = true
-			}
-			if ev.Seq <= 0 {
-				t.Fatalf("%s: event without sequence number: %+v", op, ev)
-			}
+		if slices.ContainsFunc(evs, func(ev faultlog.Event) bool { return ev.Seq <= 0 }) {
+			t.Fatalf("%s: an event without sequence number in %+v", op, evs)
 		}
-		if !found {
+		if !slices.ContainsFunc(evs, func(ev faultlog.Event) bool { return ev.Kind == kind && ev.Switch == wantSwitch }) {
 			t.Fatalf("%s: no %v event for switch %d in %+v", op, kind, wantSwitch, evs)
 		}
 	}
@@ -73,13 +54,7 @@ func TestFabricEmitsEvents(t *testing.T) {
 	}
 	expect("CorruptTCAM", scout.EventTCAMChange, sw)
 
-	var filterID scout.ObjectID
-	for id := range pol.Filters {
-		if filterID == 0 || id < filterID {
-			filterID = id
-		}
-	}
-	if _, err := f.InjectObjectFault(scout.FilterRef(filterID), 1.0); err != nil {
+	if _, err := f.InjectObjectFault(scout.FilterRef(sortedIDs(f.Policy().Filters)[0]), 1.0); err != nil {
 		t.Fatal(err)
 	}
 	evs := cursor.Drain()
@@ -93,143 +68,29 @@ func TestFabricEmitsEvents(t *testing.T) {
 	}
 }
 
-// TestApplyEventsMatchesAnalyzeEpoch is the streaming equivalence
-// property: a session fed coalesced event batches (including
-// size-limited mid-stream cuts that leave work pending) must, once the
-// queue is drained, produce a report byte-identical to a full
-// AnalyzeEpoch of the same final state — at every worker count, over a
-// randomized fabric-mutation sequence. The final reports must also
-// agree across worker counts.
+// TestApplyEventsMatchesAnalyzeEpoch: a session fed coalesced event
+// batches over random mutations, cut three switches at a time so cuts leave
+// work pending, equals a cold analysis of the same state once the queue is
+// drained (equalsCold's ApplyEvents entry). Its collection counters are
+// what the batches named: every refresh after the baseline re-read exactly
+// its batch and aliased every other switch, and the queue lost and
+// duplicated no dirty mark and never cut past its batch size.
 func TestApplyEventsMatchesAnalyzeEpoch(t *testing.T) {
-	var finals [][]byte
-	for _, workers := range []int{1, 2, runtime.NumCPU()} {
-		f := faultyFabric(t, 11)
-		opts := scout.AnalyzerOptions{Workers: workers}
-		streamSess, err := scout.NewSession(f, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		refSess, err := scout.NewSession(f, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		collector := scout.NewCollector(f, 4)
-		// Tail from here: the baseline full collections below cover the
-		// seed faults the cursor skips.
-		cursor := f.EventLog().TailCursor()
-		// A batch size of 3 forces mid-stream cuts that leave switches
-		// pending, so the equivalence must survive partially-applied storms.
-		const batchSize = 3
-		queue := scout.NewEventQueue(scout.EventQueueOptions{Cap: 64, BatchSize: batchSize})
-		// apply feeds one batch to the streaming session, tallying what
-		// the session's collection counters must add up to.
-		var applied, namedSwitches int
-		apply := func(batch scout.EventBatch) (*scout.Report, error) {
-			applied++
-			namedSwitches += len(batch.Switches)
-			return streamSess.ApplyEvents(batch)
-		}
-
-		compare := func(step int) {
-			t.Helper()
-			// Drain everything pending, then take a fresh report at the
-			// current clock (an empty batch is a pure replay).
-			for _, ev := range cursor.Drain() {
-				queue.Push(ev)
-			}
-			for queue.Len() > 0 {
-				if _, err := apply(queue.Cut(f.Now())); err != nil {
-					t.Fatalf("step %d: ApplyEvents: %v", step, err)
-				}
-			}
-			got, err := apply(scout.EventBatch{})
-			if err != nil {
-				t.Fatalf("step %d: ApplyEvents(empty): %v", step, err)
-			}
-			want, err := refSess.AnalyzeEpoch(collector.Snapshot())
-			if err != nil {
-				t.Fatalf("step %d: AnalyzeEpoch: %v", step, err)
-			}
-			g, w := marshalReport(t, got), marshalReport(t, want)
-			if !bytes.Equal(g, w) {
-				t.Fatalf("workers=%d step %d: streaming report diverged from full AnalyzeEpoch\nstream: %s\nfull:   %s",
-					workers, step, g, w)
-			}
-		}
-		compare(-1) // baseline: both sessions anchor on the same full state
-
-		rng := rand.New(rand.NewSource(23))
-		switches := f.Topology().Switches()
-		var filters []scout.ObjectID
-		for id := range f.Policy().Filters {
-			filters = append(filters, id)
-		}
-		sort.Slice(filters, func(i, j int) bool { return filters[i] < filters[j] })
-
-		for step := 0; step < 12; step++ {
-			// Random fabric mutation; every op emits events for the
-			// switches it touches.
-			switch rng.Intn(3) {
-			case 0:
-				if _, err := f.EvictTCAM(switches[rng.Intn(len(switches))], 1+rng.Intn(2)); err != nil {
-					t.Fatal(err)
-				}
-			case 1:
-				if _, err := f.CorruptTCAM(switches[rng.Intn(len(switches))], 1, tcam.CorruptDstEPG); err != nil {
-					t.Fatal(err)
-				}
-			case 2:
-				if _, err := f.InjectObjectFault(scout.FilterRef(filters[rng.Intn(len(filters))]), 0.3); err != nil {
-					t.Fatal(err)
-				}
-			}
-			// Stream the new events; apply any size-triggered cuts as they
-			// come (these may leave switches pending past this step).
-			for _, ev := range cursor.Drain() {
-				if queue.Push(ev) {
-					if _, err := apply(queue.Cut(f.Now())); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			if step%4 == 3 {
-				compare(step)
-			}
-		}
-		compare(12)
-
-		st := streamSess.Stats()
-		if st.EventBatches == 0 || st.EventSwitchesAliased == 0 {
-			t.Fatalf("streaming path not engaged: %+v", st)
-		}
-		// Collection accounting: the first batch (empty, no epoch to alias)
-		// was the full baseline collection; every later one re-read exactly
-		// the switches it named and aliased the rest.
-		if st.EventBatches != applied-1 {
-			t.Fatalf("session counted %d partial refreshes over %d applied batches, want all but the baseline",
-				st.EventBatches, applied)
-		}
-		if st.EventSwitchesRead != namedSwitches {
-			t.Fatalf("partial refreshes read %d switches, want exactly the %d batch members",
-				st.EventSwitchesRead, namedSwitches)
-		}
-		// The drained queue lost and duplicated no dirty mark, and never
-		// cut past its batch size — which bounds re-check work per batch.
-		if qs := queue.Stats(); qs.BatchedSwitches != qs.Pushed-qs.Coalesced ||
-			qs.BatchedSwitches != namedSwitches || qs.MaxBatch > batchSize {
-			t.Fatalf("queue stats %+v: want batched = pushed - coalesced = %d switches named, batches of at most %d",
-				qs, namedSwitches, batchSize)
-		}
-		if got, want := st.EventSwitchesRead+st.EventSwitchesAliased, st.EventBatches*len(switches); got != want {
-			t.Fatalf("read %d + aliased %d switches, want batches x switches = %d",
-				st.EventSwitchesRead, st.EventSwitchesAliased, want)
-		}
-		finals = append(finals, marshalReport(t, mustLastReport(t, streamSess)))
+	t.Parallel()
+	r := equalsCold(t, coldCase{entry: viaEvents, workers: 2, steps: randomChurn(23, 12)})
+	st, qs := r.sess.Stats(), r.queue.Stats()
+	if st.EventBatches == 0 || st.EventSwitchesAliased == 0 {
+		t.Fatalf("streaming path not engaged: %+v", st)
 	}
-	for i := 1; i < len(finals); i++ {
-		if !bytes.Equal(finals[0], finals[i]) {
-			t.Fatal("final streaming reports differ across worker counts")
-		}
+	if st.EventBatches != r.partials || st.EventSwitchesRead != r.named {
+		t.Errorf("%d partial refreshes read %d switches, want %d reading the %d their batches named",
+			st.EventBatches, st.EventSwitchesRead, r.partials, r.named)
+	}
+	if qs.BatchedSwitches != qs.Pushed-qs.Coalesced || qs.BatchedSwitches != r.named || qs.MaxBatch > 3 {
+		t.Errorf("queue stats %+v: want batched = pushed - coalesced = %d switches named, batches of at most 3", qs, r.named)
+	}
+	if got, want := st.EventSwitchesRead+st.EventSwitchesAliased, st.EventBatches*r.f.Topology().NumSwitches(); got != want {
+		t.Errorf("read %d + aliased %d switches, want batches x switches = %d", st.EventSwitchesRead, st.EventSwitchesAliased, want)
 	}
 }
 
@@ -240,10 +101,7 @@ func TestApplyEventsMatchesAnalyzeEpoch(t *testing.T) {
 // nothing.
 func TestApplyEventsCountsWhatItRead(t *testing.T) {
 	f := faultyFabric(t, 11)
-	sess, err := scout.NewSession(f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := newSession(t, f)
 	if _, err := sess.ApplyEvents(scout.EventBatch{}); err != nil { // full baseline
 		t.Fatal(err)
 	}
@@ -263,21 +121,17 @@ func TestApplyEventsCountsWhatItRead(t *testing.T) {
 	if got := st.Checked - n; got != 1 {
 		t.Errorf("duplicated switch: re-checked %d switches, want 1", got)
 	}
-	cold, err := scout.NewAnalyzer().Analyze(f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold := oneShot(t, f)
 	if !bytes.Equal(marshalReport(t, rep), marshalReport(t, cold)) {
 		t.Error("duplicated switch: report differs from cold analyzer")
 	}
 
-	// A VRF past the checker's 16-bit field makes the re-check itself fail.
+	// An unencodable rule makes the re-check itself fail.
 	s, err := f.Switch(sw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := scout.Rule{Match: rule.Match{VRF: 1 << 17, SrcEPG: 1, DstEPG: 2, PortLo: 80, PortHi: 80}, Action: rule.Allow}
-	if err := s.TCAM().Install(bad); err != nil {
+	if err := s.TCAM().Install(badRule); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sess.ApplyEvents(scout.EventBatch{Switches: []scout.ObjectID{sw}}); err == nil {
@@ -322,15 +176,4 @@ func TestSnapshotSwitchesCountsWhatItRead(t *testing.T) {
 	if after := c.Stats(); after != st {
 		t.Errorf("failed partial epoch moved the counters: %+v -> %+v", st, after)
 	}
-}
-
-// mustLastReport replays the session's current verdicts as a report (an
-// empty batch reads nothing).
-func mustLastReport(t *testing.T, s *scout.Session) *scout.Report {
-	t.Helper()
-	rep, err := s.ApplyEvents(scout.EventBatch{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rep
 }

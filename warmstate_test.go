@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -16,94 +15,13 @@ import (
 	"scout/internal/eval"
 )
 
-// TestSessionWarmRestartIdentity pins the tentpole end to end: a fresh
-// process (new store handle, new session) over an unchanged fabric
-// restores the persisted base and verdicts and replays the previous
-// report byte-identically — zero switches re-checked, zero lists
-// compiled — at every worker count. A subsequent mutation re-checks
-// exactly the dirty switch, proving the restored cache stays live, not
-// just replayable.
+// TestSessionWarmRestartIdentity: a fresh process (new store handle, new
+// session) over an unchanged fabric loads the persisted base and replays
+// every verdict, and a mutation after a restart re-checks exactly the
+// dirty switch, so the restored cache is live, not just replayable.
 func TestSessionWarmRestartIdentity(t *testing.T) {
-	for _, workers := range []int{1, 2, runtime.NumCPU()} {
-		dir := t.TempDir()
-		f := faultyFabric(t, 11)
-		numSwitches := f.Topology().NumSwitches()
-		opts := func(ws *scout.WarmStore) scout.AnalyzerOptions {
-			return scout.AnalyzerOptions{Workers: workers, WarmStore: ws}
-		}
-
-		ws1, err := scout.OpenWarmStore(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sess1, err := scout.NewSession(f, opts(ws1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep1, err := sess1.Analyze()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st := sess1.Stats(); st.BaseRebuilds != 1 || st.BaseLoads != 0 || st.Checked != numSwitches {
-			t.Fatalf("workers=%d cold stats: %+v", workers, st)
-		}
-		want := marshalReport(t, rep1)
-		if err := sess1.Close(); err != nil {
-			t.Fatal(err)
-		}
-
-		// "Restart": a fresh store handle and session over the same
-		// unchanged fabric.
-		ws2, err := scout.OpenWarmStore(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sess2, err := scout.NewSession(f, opts(ws2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep2, err := sess2.Analyze()
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := sess2.Stats()
-		if st.BaseRebuilds != 0 || st.BaseLoads != 1 {
-			t.Errorf("workers=%d: warm restart rebuilt the base: %+v", workers, st)
-		}
-		if st.Checked != 0 || st.Replayed != numSwitches {
-			t.Errorf("workers=%d: warm restart checked %d, replayed %d, want 0/%d",
-				workers, st.Checked, st.Replayed, numSwitches)
-		}
-		if st.FoldMisses != 0 {
-			t.Errorf("workers=%d: warm restart compiled: %d fold misses", workers, st.FoldMisses)
-		}
-		if !bytes.Equal(want, marshalReport(t, rep2)) {
-			t.Errorf("workers=%d: restarted report differs from original", workers)
-		}
-
-		// Dirty restart leg: mutate one switch; only it re-checks, and the
-		// report still matches a cold analyzer on the same state.
-		dirtySw := f.Topology().Switches()[0]
-		removeOneRule(t, f, dirtySw)
-		rep3, err := sess2.Analyze()
-		if err != nil {
-			t.Fatal(err)
-		}
-		after := sess2.Stats()
-		if got := after.Checked - st.Checked; got != 1 {
-			t.Errorf("workers=%d: dirty restart re-checked %d switches, want 1", workers, got)
-		}
-		cold, err := scout.NewAnalyzer(scout.AnalyzerOptions{Workers: workers}).Analyze(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(marshalReport(t, rep3), marshalReport(t, cold)) {
-			t.Errorf("workers=%d: dirty restart report differs from cold analyzer", workers)
-		}
-		if err := sess2.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	remove := func(t *testing.T, r *coldRun) { removeOneRule(t, r.f, r.f.Topology().Switches()[0]) }
+	equalsCold(t, coldCase{fabric: seeded(11), entry: viaRestart, workers: 2, steps: []step{nil, remove}})
 }
 
 // TestSessionSurfacesLostStateDir pins what happens when the state
@@ -114,28 +32,16 @@ func TestSessionWarmRestartIdentity(t *testing.T) {
 // save finds no file and takes nothing from the failed save.
 func TestSessionSurfacesLostStateDir(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "state")
-	ws, err := scout.OpenWarmStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ws := warmStore(t, dir)
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
 
 	f := faultyFabric(t, 11)
-	sess, err := scout.NewSession(f, scout.AnalyzerOptions{Workers: 2, WarmStore: ws})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := newSession(t, f, scout.AnalyzerOptions{Workers: 2, WarmStore: ws})
 	for round := 0; round < 2; round++ {
-		rep, err := sess.Analyze()
-		if err != nil {
-			t.Fatal(err)
-		}
-		cold, err := scout.NewAnalyzer(scout.AnalyzerOptions{Workers: 2}).Analyze(f)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rep := mustReport(t, sess.Analyze)
+		cold := oneShot(t, f, scout.AnalyzerOptions{Workers: 2})
 		if !bytes.Equal(marshalReport(t, rep), marshalReport(t, cold)) {
 			t.Fatalf("round %d: report over a lost state directory differs from a cold analysis", round)
 		}
@@ -159,27 +65,12 @@ func TestSharedStoreKeepsSaveErrorsApart(t *testing.T) {
 	fa, fb := faultyFabric(t, 11), faultyFabric(t, 13)
 	n := fb.Topology().NumSwitches()
 	open := func(dir string) scout.AnalyzerOptions {
-		t.Helper()
-		ws, err := scout.OpenWarmStore(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return scout.AnalyzerOptions{Workers: 2, WarmStore: ws}
-	}
-	newSession := func(f *scout.Fabric, opts scout.AnalyzerOptions) *scout.Session {
-		t.Helper()
-		sess, err := scout.NewSession(f, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sess
+		return scout.AnalyzerOptions{Workers: 2, WarmStore: warmStore(t, dir)}
 	}
 
 	// A's base file name, from a store A's session fills on its own.
 	prime := t.TempDir()
-	if _, err := newSession(fa, open(prime)).Analyze(); err != nil {
-		t.Fatal(err)
-	}
+	mustReport(t, newSession(t, fa, open(prime)).Analyze)
 	bases, err := filepath.Glob(filepath.Join(prime, "base-*"))
 	if err != nil || len(bases) != 1 {
 		t.Fatalf("priming A left bases %v (%v), want one", bases, err)
@@ -190,7 +81,7 @@ func TestSharedStoreKeepsSaveErrorsApart(t *testing.T) {
 	}
 
 	shared := open(dir)
-	sessA, sessB := newSession(fa, shared), newSession(fb, shared)
+	sessA, sessB := newSession(t, fa, shared), newSession(t, fb, shared)
 	var wg sync.WaitGroup
 	for _, sess := range []*scout.Session{sessA, sessB} {
 		wg.Add(1)
@@ -209,10 +100,8 @@ func TestSharedStoreKeepsSaveErrorsApart(t *testing.T) {
 		t.Errorf("A.Close = %v, want A's failed base write", err)
 	}
 
-	restart := newSession(fb, open(dir))
-	if _, err := restart.Analyze(); err != nil {
-		t.Fatal(err)
-	}
+	restart := newSession(t, fb, open(dir))
+	mustReport(t, restart.Analyze)
 	if st := restart.Stats(); st.BaseLoads != 1 || st.Checked != 0 || st.Replayed != n {
 		t.Errorf("restart over B's files: %+v, want BaseLoads 1, Checked 0, Replayed %d", st, n)
 	}
@@ -245,40 +134,18 @@ func TestOneShotIgnoresWarmStore(t *testing.T) {
 	for _, probes := range []bool{false, true} {
 		dir := t.TempDir()
 		f := faultyFabric(t, 11)
-		open := func() *scout.WarmStore {
-			t.Helper()
-			ws, err := scout.OpenWarmStore(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return ws
-		}
-		oneShot := func(ws *scout.WarmStore) *scout.Report {
-			t.Helper()
-			rep, err := scout.NewAnalyzer(scout.AnalyzerOptions{UseProbes: probes, WarmStore: ws}).Analyze(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return rep
+		open := func() scout.AnalyzerOptions {
+			return scout.AnalyzerOptions{UseProbes: probes, WarmStore: warmStore(t, dir)}
 		}
 
-		plain, err := scout.NewAnalyzer(scout.AnalyzerOptions{UseProbes: probes}).Analyze(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		first := oneShot(open())
+		plain := oneShot(t, f, scout.AnalyzerOptions{UseProbes: probes})
+		first := oneShot(t, f, open())
 		if img := dirImage(t, dir); len(img) != 0 {
 			t.Fatalf("probes=%v: a one-shot wrote %d warm-state files", probes, len(img))
 		}
 
-		ws := open()
-		sess, err := scout.NewSession(f, scout.AnalyzerOptions{UseProbes: probes, WarmStore: ws})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sess.Analyze(); err != nil {
-			t.Fatal(err)
-		}
+		sess := newSession(t, f, open())
+		mustReport(t, sess.Analyze)
 		if err := sess.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -287,7 +154,7 @@ func TestOneShotIgnoresWarmStore(t *testing.T) {
 			t.Fatalf("probes=%v: the session persisted nothing; the second half is vacuous", probes)
 		}
 
-		second := oneShot(open())
+		second := oneShot(t, f, open())
 		if after := dirImage(t, dir); !reflect.DeepEqual(after, populated) {
 			t.Errorf("probes=%v: a one-shot changed the warm-state directory", probes)
 		}
@@ -355,18 +222,8 @@ func TestSessionRebuildsOverOldCodecBase(t *testing.T) {
 	numSwitches := f.Topology().NumSwitches()
 	run := func() (scout.SessionStats, []byte) {
 		t.Helper()
-		ws, err := scout.OpenWarmStore(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sess, err := scout.NewSession(f, scout.AnalyzerOptions{Workers: 2, WarmStore: ws})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := sess.Analyze()
-		if err != nil {
-			t.Fatal(err)
-		}
+		sess := newSession(t, f, scout.AnalyzerOptions{Workers: 2, WarmStore: warmStore(t, dir)})
+		rep := mustReport(t, sess.Analyze)
 		if err := sess.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -425,166 +282,25 @@ func TestSessionRebuildsOverOldCodecBase(t *testing.T) {
 	}
 }
 
-// TestSessionProbeWarmRestart pins the probe-mode half of durable warm
-// state: probe verdicts persist keyed by the deployment fingerprint, so
-// a restarted probe session replays a fingerprint-clean fabric with
-// zero switches classified.
+// TestSessionProbeWarmRestart: probe verdicts persist under the deployment
+// fingerprint, so a restarted probe session replays a clean fabric with no
+// switch probed.
 func TestSessionProbeWarmRestart(t *testing.T) {
-	dir := t.TempDir()
-	f := faultyFabric(t, 13)
-	numSwitches := f.Topology().NumSwitches()
-	opts := func(ws *scout.WarmStore) scout.AnalyzerOptions {
-		return scout.AnalyzerOptions{UseProbes: true, WarmStore: ws}
-	}
-
-	ws1, err := scout.OpenWarmStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess1, err := scout.NewSession(f, opts(ws1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep1, err := sess1.Analyze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := sess1.Stats(); st.Checked != numSwitches {
-		t.Fatalf("cold probe stats: %+v", st)
-	}
-	want := marshalReport(t, rep1)
-	if err := sess1.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	ws2, err := scout.OpenWarmStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess2, err := scout.NewSession(f, opts(ws2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep2, err := sess2.Analyze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := sess2.Stats()
-	if st.Checked != 0 || st.Replayed != numSwitches || st.ProbePacketsBatched != 0 {
-		t.Errorf("warm probe restart classified %d (%d packets), replayed %d, want 0 (0)/%d",
-			st.Checked, st.ProbePacketsBatched, st.Replayed, numSwitches)
-	}
-	if !bytes.Equal(want, marshalReport(t, rep2)) {
-		t.Error("restarted probe report differs from original")
-	}
+	equalsCold(t, coldCase{fabric: seeded(13), entry: viaRestart, probes: true, steps: []step{nil}})
 }
 
 // TestSessionEqualContentRedeploy covers the recompile that changes
 // nothing: Deploy on an unchanged policy hands the session a new
-// *Deployment with the old fingerprint. The session keeps its base and
-// its verdicts — nothing is built, loaded or re-checked, every switch
-// replays — and rebuilds only the identity-keyed risk models, with the
-// report still byte-equal to a cold analysis. The same holds across a
-// restart: a new process given the redeployed pointer finds the first
-// process's files under the unchanged fingerprint. Both observation
-// sources.
+// *Deployment with the old fingerprint. The session keeps its base and its
+// verdicts and rebuilds only the identity-keyed risk models, and a new
+// process given the redeployed pointer finds the first process's files
+// under the unchanged fingerprint. Both observation sources.
 func TestSessionEqualContentRedeploy(t *testing.T) {
 	for _, probes := range []bool{false, true} {
-		name := "tcam"
-		if probes {
-			name = "probes"
-		}
-		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			f := faultyFabric(t, 11)
-			n := f.Topology().NumSwitches()
-			opts := func(ws *scout.WarmStore) scout.AnalyzerOptions {
-				return scout.AnalyzerOptions{UseProbes: probes, WarmStore: ws}
-			}
-			// Both observation sources count under the same two counters.
-			work := func(st scout.SessionStats) (checked, replayed int) {
-				return st.Checked, st.Replayed
-			}
-			redeploy := func() {
-				t.Helper()
-				old := f.Deployment()
-				if err := f.Deploy(); err != nil {
-					t.Fatal(err)
-				}
-				if f.Deployment() == old {
-					t.Fatal("Deploy kept the deployment pointer; the case is vacuous")
-				}
-			}
-			coldJSON := func() []byte {
-				t.Helper()
-				cold, err := scout.NewAnalyzer(scout.AnalyzerOptions{UseProbes: probes}).Analyze(f)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return marshalReport(t, cold)
-			}
-
-			ws1, err := scout.OpenWarmStore(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sess1, err := scout.NewSession(f, opts(ws1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := sess1.Analyze(); err != nil {
-				t.Fatal(err)
-			}
-			before := sess1.Stats()
-			redeploy()
-			rep, err := sess1.Analyze()
-			if err != nil {
-				t.Fatal(err)
-			}
-			after := sess1.Stats()
-			if after.BaseRebuilds != before.BaseRebuilds || after.BaseLoads != before.BaseLoads {
-				t.Errorf("redeploy touched the base: rebuilds %d -> %d, loads %d -> %d",
-					before.BaseRebuilds, after.BaseRebuilds, before.BaseLoads, after.BaseLoads)
-			}
-			c0, r0 := work(before)
-			c1, r1 := work(after)
-			if c1-c0 != 0 || r1-r0 != n {
-				t.Errorf("redeploy checked %d, replayed %d, want 0/%d", c1-c0, r1-r0, n)
-			}
-			if !bytes.Equal(marshalReport(t, rep), coldJSON()) {
-				t.Error("redeployed report differs from cold analyzer")
-			}
-			if err := sess1.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			// Restart onto yet another equal-content deployment.
-			redeploy()
-			ws2, err := scout.OpenWarmStore(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sess2, err := scout.NewSession(f, opts(ws2))
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep2, err := sess2.Analyze()
-			if err != nil {
-				t.Fatal(err)
-			}
-			st := sess2.Stats()
-			wantLoads := 1
-			if probes {
-				wantLoads = 0 // probe sessions build and load no base
-			}
-			if st.BaseRebuilds != 0 || st.BaseLoads != wantLoads {
-				t.Errorf("restart after redeploy: rebuilds %d, loads %d, want 0/%d", st.BaseRebuilds, st.BaseLoads, wantLoads)
-			}
-			if c, r := work(st); c != 0 || r != n {
-				t.Errorf("restart after redeploy checked %d, replayed %d, want 0/%d", c, r, n)
-			}
-			if !bytes.Equal(marshalReport(t, rep2), coldJSON()) {
-				t.Error("restarted report differs from cold analyzer")
+		t.Run(modes[probes], func(t *testing.T) {
+			colds := make(map[int][]byte)
+			for _, e := range []entry{viaAnalyze, viaRestart} {
+				equalsCold(t, coldCase{fabric: seeded(11), entry: e, probes: probes, steps: []step{redeploy}, colds: colds})
 			}
 		})
 	}
@@ -603,39 +319,22 @@ func TestSessionEqualContentRedeploy(t *testing.T) {
 // TCAM to nothing, the one list with no address to tell from an entry that
 // has no list.
 func TestSeededVerdictIsHashedNotTrusted(t *testing.T) {
+	t.Parallel()
 	for _, emptied := range []bool{false, true} {
 		name := "three-left"
 		if emptied {
 			name = "emptied"
 		}
 		t.Run(name, func(t *testing.T) {
-			const seed, rollout = 7, 64123
-			pol, topo, err := scout.GenerateWorkload(eval.SimSpec(0.25), seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			f, err := scout.NewFabric(pol, topo, scout.FabricOptions{Seed: seed, TCAMCapacity: 1 << 17})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := f.Deploy(); err != nil {
-				t.Fatal(err)
-			}
-			contract := pol.Bindings[0].Contract
+			f := cleanFabric(t, eval.SimSpec(0.25), scout.FabricOptions{Seed: 7, TCAMCapacity: 1 << 17})
+			contract := f.Policy().Bindings[0].Contract
 			policyA := f.Deployment()
-			if err := f.AddFilter(scout.Filter{ID: rollout, Name: "rollout", Entries: []scout.FilterEntry{
-				scout.PortEntry(scout.ProtoTCP, rollout),
-			}}); err != nil {
-				t.Fatal(err)
-			}
-			if err := f.AddFilterToContract(contract, rollout); err != nil {
-				t.Fatal(err)
-			}
+			rollout(t, f)
 			// sw is a switch the rollout does not reach: its logical list,
 			// and so its persisted verdict's L fingerprint, is the same
 			// under both policies.
 			sw := scout.ObjectID(0)
-			for _, cand := range topo.Switches() {
+			for _, cand := range f.Topology().Switches() {
 				if reflect.DeepEqual(policyA.RulesFor(cand), f.Deployment().RulesFor(cand)) {
 					sw = cand
 					break
@@ -646,36 +345,12 @@ func TestSeededVerdictIsHashedNotTrusted(t *testing.T) {
 			}
 
 			dir := t.TempDir()
-			open := func(opts scout.AnalyzerOptions) (*scout.Session, func()) {
-				t.Helper()
-				ws, err := scout.OpenWarmStore(dir)
-				if err != nil {
-					t.Fatal(err)
-				}
-				opts.WarmStore = ws
-				sess, err := scout.NewSession(f, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return sess, func() {
-					t.Helper()
-					if err := sess.Close(); err != nil {
-						t.Fatal(err)
-					}
-				}
+			sess1 := newSession(t, f, scout.AnalyzerOptions{WarmStore: warmStore(t, dir)})
+			if rep := mustReport(t, sess1.Analyze); !rep.Consistent || sess1.Close() != nil {
+				t.Fatal("process 1: the clean fabric is inconsistent, or its state was not saved")
 			}
 
-			sess1, close1 := open(scout.AnalyzerOptions{})
-			rep, err := sess1.Analyze()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !rep.Consistent {
-				t.Fatal("process 1: the clean fabric is inconsistent")
-			}
-			close1()
-
-			if err := f.RemoveFilterFromContract(contract, rollout); err != nil {
+			if err := f.RemoveFilterFromContract(contract, rolloutFilter); err != nil {
 				t.Fatal(err)
 			}
 			s, err := f.Switch(sw)
@@ -694,10 +369,9 @@ func TestSeededVerdictIsHashedNotTrusted(t *testing.T) {
 				t.Fatalf("removed %d of %d rules from switch %d", got, len(keys), sw)
 			}
 
-			sess2, close2 := open(scout.AnalyzerOptions{})
-			defer close2()
+			sess2 := newSession(t, f, scout.AnalyzerOptions{WarmStore: warmStore(t, dir)})
 			collector := scout.NewCollector(f, 4)
-			rep, err = sess2.AnalyzeEpoch(collector.Snapshot())
+			rep, err := sess2.AnalyzeEpoch(collector.Snapshot())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -706,7 +380,7 @@ func TestSeededVerdictIsHashedNotTrusted(t *testing.T) {
 					sw, switchBroken(rep, sw), st.OverCap)
 			}
 
-			if err := f.AddFilterToContract(contract, rollout); err != nil {
+			if err := f.AddFilterToContract(contract, rolloutFilter); err != nil {
 				t.Fatal(err)
 			}
 			e2 := collector.Snapshot()
@@ -717,7 +391,7 @@ func TestSeededVerdictIsHashedNotTrusted(t *testing.T) {
 			if st := sess2.Stats(); st.BaseLoads != 1 {
 				t.Fatalf("process 2, policy B: BaseLoads %d, want 1 (process 1's files were not found, so nothing was seeded)", st.BaseLoads)
 			}
-			cold, err := scout.NewAnalyzer().AnalyzeState(stateFromEpoch(f, e2))
+			cold, err := scout.NewAnalyzer().AnalyzeState(fabricState(f))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -727,6 +401,9 @@ func TestSeededVerdictIsHashedNotTrusted(t *testing.T) {
 			if !bytes.Equal(marshalReport(t, warm), marshalReport(t, cold)) {
 				t.Errorf("warm report differs from a cold analysis of the same epoch: broken(%d) warm %v, cold %v",
 					sw, switchBroken(warm, sw), switchBroken(cold, sw))
+			}
+			if err := sess2.Close(); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
