@@ -14,8 +14,8 @@ import (
 // undeployed is the Figure 1 fabric before its first Deploy.
 func undeployed(t testing.TB) *scout.Fabric {
 	t.Helper()
-	example := threeTier(t, 1)
-	f, err := scout.NewFabric(example.Policy(), example.Topology(), scout.FabricOptions{Seed: 1})
+	p := threeTierPolicy()
+	f, err := scout.NewFabric(p, scout.TopologyFromPolicy(p), scout.FabricOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,194 +1,263 @@
 package scout_test
 
 import (
-	"bytes"
 	"go/ast"
+	"go/importer"
 	"go/parser"
-	"go/printer"
 	"go/token"
+	"go/types"
 	"io/fs"
-	"path/filepath"
+	"os"
+	"path"
 	"reflect"
 	"sort"
 	"strings"
 	"testing"
+	"testing/fstest"
 
 	"scout"
 )
 
-// callSite is one call in the module's non-test Go outside bench/.
-type callSite struct {
-	pos  token.Position
-	fn   string // enclosing function, "Name" or "Recv.Name"
-	args int
+// oracleDir is the package of test oracles: code only tests may import,
+// whose uses keep nothing alive.
+const oracleDir = "internal/oracle"
+
+// use is one identifier resolving to an object, and the function declared
+// around it (nil at package scope).
+type use struct {
+	pos token.Position
+	in  *types.Func
 }
 
-func (c callSite) String() string { return c.pos.String() }
-
-// oracleDir is the package of test oracles: code only tests may import.
-var oracleDir = filepath.Join("internal", "oracle")
-
-// sourceIndex parses every non-test Go file outside testdata/: the
-// imports by directory, and every identifier's enclosing function. Outside
-// bench/ it also keeps the calls by the callee's last name, the go
-// statements, and the function declarations by "dir:Recv.Name".
-type sourceIndex struct {
-	fset    *token.FileSet
-	calls   map[string][]callSite
-	spawns  map[string][]callSite
-	imports map[string][]string
-	funcs   map[string]*ast.FuncDecl
-	// refs maps an identifier to the function declarations it appears in
-	// (nil at package scope), over every non-test file but the oracle's.
-	// Declared names — a function's own, fields and parameters — are not
-	// references; a method an interface names is.
-	refs map[string][]*ast.FuncDecl
+// moduleIndex type-checks every non-test package of a module outside
+// testdata/ from source and keys each use by the object it resolves to.
+// It is the packages' one importer: a module path is checked once, and the
+// standard library comes from importer.Default.
+type moduleIndex struct {
+	module string
+	fset   *token.FileSet
+	files  map[string][]*ast.File    // by directory
+	pkgs   map[string]*types.Package // by directory
+	info   *types.Info
+	std    types.Importer
+	// funcs, uses and spawns leave out the oracle's files.
+	funcs  []*types.Func // every function declaration, in file order
+	uses   map[types.Object][]use
+	spawns map[string][]use // go statements by directory
 }
 
-func indexSource(t *testing.T) *sourceIndex {
+func indexModule(t *testing.T, fsys fs.FS, module string) *moduleIndex {
 	t.Helper()
-	ix := &sourceIndex{
-		fset:    token.NewFileSet(),
-		calls:   make(map[string][]callSite),
-		spawns:  make(map[string][]callSite),
-		imports: make(map[string][]string),
-		funcs:   make(map[string]*ast.FuncDecl),
-		refs:    make(map[string][]*ast.FuncDecl),
+	ix := &moduleIndex{
+		module: module,
+		fset:   token.NewFileSet(),
+		files:  make(map[string][]*ast.File),
+		pkgs:   make(map[string]*types.Package),
+		info:   &types.Info{Defs: make(map[*ast.Ident]types.Object), Uses: make(map[*ast.Ident]types.Object)},
+		std:    importer.Default(),
+		uses:   make(map[types.Object][]use),
+		spawns: make(map[string][]use),
 	}
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+	err := fs.WalkDir(fsys, ".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
-			if path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
-				return filepath.SkipDir
+			if p != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return fs.SkipDir
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
 			return nil
 		}
-		file, err := parser.ParseFile(ix.fset, path, nil, 0)
+		src, err := fs.ReadFile(fsys, p)
 		if err != nil {
 			return err
 		}
-		dir := filepath.Dir(path)
-		for _, imp := range file.Imports {
-			ix.imports[dir] = append(ix.imports[dir], strings.Trim(imp.Path.Value, `"`))
-		}
-		if dir != oracleDir {
-			ix.indexRefs(file)
-		}
-		if strings.HasPrefix(path, "bench"+string(filepath.Separator)) {
-			return nil
-		}
-		for _, decl := range file.Decls {
-			name := "package scope"
-			if fd, ok := decl.(*ast.FuncDecl); ok {
-				name = fd.Name.Name
-				if fd.Recv != nil {
-					recv := fd.Recv.List[0].Type
-					if star, ok := recv.(*ast.StarExpr); ok {
-						recv = star.X
-					}
-					if id, ok := recv.(*ast.Ident); ok {
-						name = id.Name + "." + name
-					}
-				}
-				ix.funcs[dir+":"+name] = fd
-			}
-			ast.Inspect(decl, func(n ast.Node) bool {
-				if g, ok := n.(*ast.GoStmt); ok {
-					ix.spawns[dir] = append(ix.spawns[dir], callSite{ix.fset.Position(g.Pos()), name, 0})
-				}
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				var callee string
-				switch fun := call.Fun.(type) {
-				case *ast.Ident:
-					callee = fun.Name
-				case *ast.SelectorExpr:
-					callee = fun.Sel.Name
-				}
-				ix.calls[callee] = append(ix.calls[callee], callSite{ix.fset.Position(call.Pos()), name, len(call.Args)})
-				return true
-			})
-		}
-		return nil
+		file, err := parser.ParseFile(ix.fset, p, src, 0)
+		ix.files[path.Dir(p)] = append(ix.files[path.Dir(p)], file)
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	dirs := make([]string, 0, len(ix.files))
+	for dir := range ix.files {
+		dirs = append(dirs, dir)
+	}
+	sort.Strings(dirs)
+	for _, dir := range dirs {
+		if _, err := ix.Import(path.Join(module, dir)); err != nil {
+			t.Fatal(err)
+		}
+		if dir == oracleDir {
+			continue
+		}
+		for _, file := range ix.files[dir] {
+			for _, decl := range file.Decls {
+				var in *types.Func
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					in = ix.info.Defs[fd.Name].(*types.Func)
+					ix.funcs = append(ix.funcs, in)
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.GoStmt:
+						ix.spawns[dir] = append(ix.spawns[dir], use{ix.fset.Position(n.Pos()), in})
+					case *ast.Ident:
+						if obj := ix.info.Uses[n]; obj != nil {
+							if fn, ok := obj.(*types.Func); ok {
+								obj = fn.Origin()
+							}
+							ix.uses[obj] = append(ix.uses[obj], use{ix.fset.Position(n.Pos()), in})
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
 	return ix
 }
 
-// indexRefs records every identifier of file that is not a declared name.
-// A method an interface names is the exception: calls through the
-// interface dispatch to every method of that name.
-func (ix *sourceIndex) indexRefs(file *ast.File) {
-	declared := make(map[*ast.Ident]bool)
-	dispatch := make(map[*ast.Ident]bool)
-	ast.Inspect(file, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncDecl:
-			declared[n.Name] = true
-		case *ast.InterfaceType:
-			for _, m := range n.Methods.List {
-				for _, id := range m.Names {
-					dispatch[id] = true
+// dirOf returns the directory of an import path, or false for a path
+// outside the module.
+func (ix *moduleIndex) dirOf(p string) (string, bool) {
+	if p == ix.module {
+		return ".", true
+	}
+	return strings.CutPrefix(p, ix.module+"/")
+}
+
+// Import type-checks a module package from source on its first import and
+// hands any other path to the standard library's importer.
+func (ix *moduleIndex) Import(p string) (*types.Package, error) {
+	dir, ok := ix.dirOf(p)
+	if !ok {
+		return ix.std.Import(p)
+	}
+	if pkg := ix.pkgs[dir]; pkg != nil {
+		return pkg, nil
+	}
+	conf := types.Config{Importer: ix}
+	pkg, err := conf.Check(p, ix.fset, ix.files[dir], ix.info)
+	ix.pkgs[dir] = pkg
+	return pkg, err
+}
+
+// lookup returns the function a key names: "dir:Name" or "dir:Recv.Name".
+func (ix *moduleIndex) lookup(t *testing.T, key string) *types.Func {
+	t.Helper()
+	dir, name, _ := strings.Cut(key, ":")
+	var obj types.Object
+	if pkg := ix.pkgs[dir]; pkg != nil {
+		recv, method, isMethod := strings.Cut(name, ".")
+		obj = pkg.Scope().Lookup(name)
+		if tn := pkg.Scope().Lookup(recv); isMethod && tn != nil {
+			obj, _, _ = types.LookupFieldOrMethod(tn.Type(), true, pkg, method)
+		}
+	}
+	fn, _ := obj.(*types.Func)
+	if fn == nil {
+		t.Errorf("%s is gone", key)
+	}
+	return fn
+}
+
+// key is fn's "dir:Name" or "dir:Recv.Name".
+func (ix *moduleIndex) key(fn *types.Func) string {
+	dir, _ := ix.dirOf(fn.Pkg().Path())
+	return dir + ":" + funcName(fn)
+}
+
+func funcName(fn *types.Func) string {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return fn.Name()
+	}
+	typ := recv.Type()
+	if ptr, ok := typ.(*types.Pointer); ok {
+		typ = ptr.Elem()
+	}
+	if named, ok := types.Unalias(typ).(*types.Named); ok {
+		return named.Obj().Name() + "." + fn.Name()
+	}
+	return fn.Name()
+}
+
+// unused returns, in source order, what the module's own code does not
+// need from its root and internal/ packages (the oracle aside): a function
+// or method that no non-test file uses outside its own body and no
+// interface call selects, and an interface method nothing calls through
+// its interface.
+func (ix *moduleIndex) unused() []*types.Func {
+	var concrete []types.Type // a pointer to every non-interface type declared
+	var ifaceMethods []*types.Func
+	inScope := make(map[*types.Package]bool)
+	for dir, pkg := range ix.pkgs {
+		inScope[pkg] = dir == "." || strings.HasPrefix(dir, "internal/") && dir != oracleDir
+		for _, name := range pkg.Scope().Names() {
+			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			iface, ok := tn.Type().Underlying().(*types.Interface)
+			if !ok {
+				concrete = append(concrete, types.NewPointer(tn.Type()))
+			} else if inScope[pkg] {
+				for i := 0; i < iface.NumExplicitMethods(); i++ {
+					ifaceMethods = append(ifaceMethods, iface.ExplicitMethod(i))
 				}
 			}
-		case *ast.Field:
-			for _, id := range n.Names {
-				declared[id] = !dispatch[id]
+		}
+	}
+
+	// A call through an interface selects the method of every type that
+	// implements it.
+	dispatched := make(map[types.Object]bool)
+	for obj := range ix.uses {
+		sig, ok := obj.Type().(*types.Signature)
+		if !ok || sig.Recv() == nil {
+			continue
+		}
+		iface, ok := sig.Recv().Type().Underlying().(*types.Interface)
+		if !ok {
+			continue
+		}
+		for _, typ := range concrete {
+			if types.Implements(typ, iface) {
+				sel, _, _ := types.LookupFieldOrMethod(typ, false, obj.Pkg(), obj.Name())
+				dispatched[sel] = true
 			}
 		}
-		return true
-	})
-	for _, decl := range file.Decls {
-		fd, _ := decl.(*ast.FuncDecl)
-		ast.Inspect(decl, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declared[id] {
-				ix.refs[id.Name] = append(ix.refs[id.Name], fd)
-			}
-			return true
-		})
 	}
-}
 
-// referenced reports whether fd's name appears outside every function of
-// that name. A function is not its own caller, and neither is a namesake:
-// a method forwarding to a same-named function does not make either used.
-// Names are matched, not types, so a method named like an unrelated one
-// still counts as referenced — a Patch.Empty would pass on the calls of
-// stream.Batch.Empty.
-func (ix *sourceIndex) referenced(fd *ast.FuncDecl) bool {
-	for _, in := range ix.refs[fd.Name.Name] {
-		if in == nil || in.Name.Name != fd.Name.Name {
-			return true
+	var out []*types.Func
+	for _, fn := range ix.funcs {
+		if !inScope[fn.Pkg()] || dispatched[fn] {
+			continue
+		}
+		used := false
+		for _, u := range ix.uses[fn] {
+			used = used || u.in != fn
+		}
+		if !used {
+			out = append(out, fn)
 		}
 	}
-	return false
-}
-
-// sites returns the calls a pattern names: "Name" is any call of that
-// name, "Name()" one that passes no arguments.
-func (ix *sourceIndex) sites(pattern string) []callSite {
-	name, noArgs := strings.CutSuffix(pattern, "()")
-	var out []callSite
-	for _, c := range ix.calls[name] {
-		if !noArgs || c.args == 0 {
-			out = append(out, c)
+	for _, m := range ifaceMethods {
+		if len(ix.uses[m]) == 0 {
+			out = append(out, m)
 		}
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Pos() < out[j].Pos() })
 	return out
 }
 
-// unreferencedExports are the exported functions a production package may
-// keep with no caller outside tests, by "dir:Recv.Name", or by bare method
-// name for any receiver.
+// unreferencedExports are the functions a production package may keep with
+// no use outside tests, by "dir:Recv.Name", or by bare method name for any
+// receiver.
 var unreferencedExports = map[string]string{
 	"String":      "fmt calls it through fmt.Stringer",
 	"Error":       "callers reach it through the error interface",
@@ -196,25 +265,25 @@ var unreferencedExports = map[string]string{
 
 	".:Session.Invalidate": "the documented way to drop a switch's warm state",
 
-	filepath.Join("internal", "risk") + ":Model.EnsureElement": "goes with model marking (ROADMAP 7(a))",
-	filepath.Join("internal", "risk") + ":Model.ResetFailures": "goes with model marking (ROADMAP 7(a))",
+	"internal/risk:Model.EnsureElement": "goes with model marking (ROADMAP 7(a))",
+	"internal/risk:Model.ResetFailures": "goes with model marking (ROADMAP 7(a))",
 
-	filepath.Join("internal", "eval") + ":AccuracyResult.Curve":        "the accuracy goldens read it (ROADMAP 3(a))",
-	filepath.Join("internal", "eval") + ":AccuracyCurve.MeanRecall":    "the accuracy goldens read it (ROADMAP 3(a))",
-	filepath.Join("internal", "eval") + ":AccuracyCurve.MeanPrecision": "the accuracy goldens read it (ROADMAP 3(a))",
+	"internal/eval:AccuracyResult.Curve":        "the accuracy goldens read it (ROADMAP 3(a))",
+	"internal/eval:AccuracyCurve.MeanRecall":    "the accuracy goldens read it (ROADMAP 3(a))",
+	"internal/eval:AccuracyCurve.MeanPrecision": "the accuracy goldens read it (ROADMAP 3(a))",
 }
 
-// TestArchitecture holds the design's invariants over the non-test Go
-// outside bench/. Each is a property of the design, not a list of names
-// that must not come back.
+// TestArchitecture holds the design's invariants over the module's
+// non-test Go. Each is a property of the design, not a list of names that
+// must not come back.
 func TestArchitecture(t *testing.T) {
-	ix := indexSource(t)
+	ix := indexModule(t, os.DirFS("."), "scout")
 
 	// The pipeline is written once: Session.run is the only orchestration,
 	// so every stage has one call site.
 	for _, stage := range []string{"assemble", "buildSharedBase", "startRiskModels"} {
-		if sites := ix.sites(stage); len(sites) != 1 {
-			t.Errorf("%s has %d call sites, want 1: %v", stage, len(sites), sites)
+		if uses := ix.uses[ix.lookup(t, ".:Analyzer."+stage)]; len(uses) != 1 {
+			t.Errorf("%s has %d call sites, want 1: %v", stage, len(uses), uses)
 		}
 	}
 
@@ -222,26 +291,24 @@ func TestArchitecture(t *testing.T) {
 	// startRiskModels runs beside the base build, it is the only place the
 	// root package starts a goroutine. Its workers share nothing but slots
 	// their indices own, so the package needs no atomic.
+	fanOut, startRiskModels := ix.lookup(t, ".:Analyzer.fanOut"), ix.lookup(t, ".:Analyzer.startRiskModels")
 	for _, g := range ix.spawns["."] {
-		if g.fn != "Analyzer.fanOut" && g.fn != "Analyzer.startRiskModels" {
-			t.Errorf("%s: %s starts a goroutine; the fan-out is Analyzer.fanOut", g.pos, g.fn)
+		if g.in != fanOut && g.in != startRiskModels {
+			t.Errorf("%s: %s starts a goroutine; the fan-out is Analyzer.fanOut", g.pos, funcName(g.in))
 		}
 	}
-	for _, imp := range ix.imports["."] {
-		if imp == "sync/atomic" {
+	for _, imp := range ix.pkgs["."].Imports() {
+		if imp.Path() == "sync/atomic" {
 			t.Error("the root package imports sync/atomic")
 		}
 	}
 
 	// Session.run takes the state and whether it was read live, and no
 	// hint: sameness is recognised by the caches, never told by a caller.
-	if fd := ix.funcs[".:Session.run"]; fd == nil {
-		t.Error("Session.run is gone")
-	} else {
-		var sig bytes.Buffer
-		printer.Fprint(&sig, ix.fset, fd.Type)
-		if want := "func(st State, live bool) (*Report, error)"; sig.String() != want {
-			t.Errorf("Session.run is %s, want %s", sig.String(), want)
+	if run := ix.lookup(t, ".:Session.run"); run != nil {
+		sig := types.TypeString(run.Type(), types.RelativeTo(run.Pkg()))
+		if want := "func(st State, live bool) (*Report, error)"; sig != want {
+			t.Errorf("Session.run is %s, want %s", sig, want)
 		}
 	}
 
@@ -259,70 +326,120 @@ func TestArchitecture(t *testing.T) {
 	// A probe round shares nothing, so probing needs no lock or atomic. A
 	// store save is written before it returns, so the store has no writer
 	// to start and no queue to guard.
-	for _, dir := range []string{"probe", "store"} {
-		for _, imp := range ix.imports[filepath.Join("internal", dir)] {
-			if imp == "sync" || imp == "sync/atomic" {
-				t.Errorf("internal/%s imports %s", dir, imp)
+	for _, dir := range []string{"internal/probe", "internal/store"} {
+		for _, imp := range ix.pkgs[dir].Imports() {
+			if imp.Path() == "sync" || imp.Path() == "sync/atomic" {
+				t.Errorf("%s imports %s", dir, imp.Path())
 			}
 		}
 	}
-	for _, g := range ix.spawns[filepath.Join("internal", "store")] {
-		t.Errorf("%s: %s starts a goroutine; a store save is written before it returns", g.pos, g.fn)
+	for _, g := range ix.spawns["internal/store"] {
+		t.Errorf("%s: %s starts a goroutine; a store save is written before it returns", g.pos, funcName(g.in))
 	}
 
 	// A rule is a value whose provenance is never written after
 	// construction, so layers share rules by assignment. The one copy is
 	// fabric.New's of the caller's policy.
-	for _, c := range ix.sites("Clone()") {
-		if c.fn != "New" || c.pos.Filename != filepath.Join("internal", "fabric", "fabric.go") {
-			t.Errorf("%s: .Clone() in %s; the only copy is fabric.New's", c.pos, c.fn)
+	newFabric := ix.lookup(t, "internal/fabric:New")
+	for _, fn := range ix.funcs {
+		if fn.Name() != "Clone" {
+			continue
+		}
+		for _, u := range ix.uses[fn] {
+			if u.in != newFabric && !strings.HasPrefix(u.pos.Filename, "bench/") {
+				t.Errorf("%s: %s in %s; the only copy is fabric.New's", u.pos, ix.key(fn), funcName(u.in))
+			}
 		}
 	}
 
 	// These survive only because bench/ still compiles against them: a
-	// caller anywhere else turns a shim back into an API. Store.Close is
-	// one too, but it cannot be listed: calls are matched by name, and
-	// writeAtomic's tmp.Close() shares it.
-	for _, shim := range []string{"BuildAnnotatedSwitchModel", "BuildControllerModelParallel",
-		"CollectMatches", "SortMatches", "NumMatches()", "NewCheckerSized", "Compact()", "Flush()"} {
-		for _, c := range ix.sites(shim) {
-			t.Errorf("%s: %s calls the bench-only shim %s", c.pos, c.fn, shim)
+	// caller anywhere else turns a shim back into an API.
+	for _, shim := range []string{"internal/equiv:NewBase", "internal/equiv:CollectMatches",
+		"internal/equiv:SortMatches", "internal/equiv:Base.NumMatches", "internal/equiv:Base.NewCheckerSized",
+		"internal/equiv:Checker.Compact", "internal/risk:BuildAnnotatedSwitchModel",
+		"internal/risk:BuildControllerModelParallel", "internal/store:Store.Flush", "internal/store:Store.Close"} {
+		for _, u := range ix.uses[ix.lookup(t, shim)] {
+			if !strings.HasPrefix(u.pos.Filename, "bench/") {
+				t.Errorf("%s: %s calls the bench-only shim %s", u.pos, funcName(u.in), shim)
+			}
 		}
 	}
 
 	// Oracles are for tests: a production package that imports them ships
 	// a second engine.
-	for dir, imps := range ix.imports {
-		for _, imp := range imps {
-			if imp == "scout/internal/oracle" {
-				t.Errorf("%s imports scout/internal/oracle, which only tests may", dir)
+	for dir, pkg := range ix.pkgs {
+		for _, imp := range pkg.Imports() {
+			if imp.Path() == "scout/"+oracleDir {
+				t.Errorf("%s imports %s, which only tests may", dir, imp.Path())
 			}
 		}
 	}
 
-	// A production package holds what production calls: every exported
-	// function under internal/ or the root is named outside its own body
-	// by some non-test file (bench/, cmd/ and examples/ count).
-	keys := make([]string, 0, len(ix.funcs))
-	for key := range ix.funcs {
-		keys = append(keys, key)
+	// A production package holds what production calls.
+	for _, fn := range ix.unused() {
+		if _, ok := unreferencedExports[ix.key(fn)]; ok {
+			continue
+		}
+		if _, ok := unreferencedExports[fn.Name()]; ok && fn.Type().(*types.Signature).Recv() != nil {
+			continue
+		}
+		t.Errorf("%s: %s has no use outside tests", ix.fset.Position(fn.Pos()), funcName(fn))
 	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		fd := ix.funcs[key]
-		dir, name, _ := strings.Cut(key, ":")
-		if dir == oracleDir || (dir != "." && !strings.HasPrefix(dir, "internal"+string(filepath.Separator))) {
-			continue
-		}
-		if !fd.Name.IsExported() || ix.referenced(fd) {
-			continue
-		}
-		if _, ok := unreferencedExports[key]; ok {
-			continue
-		}
-		if _, ok := unreferencedExports[fd.Name.Name]; ok && fd.Recv != nil {
-			continue
-		}
-		t.Errorf("%s: %s has no caller outside tests", ix.fset.Position(fd.Pos()), name)
+}
+
+// TestArchitectureUnused runs the rule of unused over a fixture module, with
+// and without the type checker's alias nodes.
+func TestArchitectureUnused(t *testing.T) {
+	fixture := fstest.MapFS{
+		"fix.go": {Data: []byte(`package fix
+
+type A struct{}
+
+func (A) Len() int { return 0 } // only B's Len is used
+
+type B struct{}
+
+func (B) Len() int { return 1 }
+
+type I interface {
+	M()
+	N() // nothing calls it through I
+}
+
+type J = I
+
+type T struct{}
+
+func (T) M() {} // reached only through J
+func (T) N() {}
+
+func Use(j J) int {
+	j.M()
+	return B{}.Len()
+}
+`)},
+		"cmd/fix/main.go": {Data: []byte(`package main
+
+import "fix"
+
+func main() { fix.Use(fix.T{}) }
+`)},
+	}
+	for _, mode := range []string{"0", "1"} {
+		t.Run("gotypesalias="+mode, func(t *testing.T) {
+			t.Setenv("GODEBUG", "gotypesalias="+mode)
+			ix := indexModule(t, fixture, "fix")
+			j := ix.pkgs["."].Scope().Lookup("J").Type()
+			if _, alias := j.(*types.Alias); alias != (mode == "1") {
+				t.Errorf("J is a %T under gotypesalias=%s", j, mode)
+			}
+			var got []string
+			for _, fn := range ix.unused() {
+				got = append(got, funcName(fn))
+			}
+			if want := []string{"A.Len", "I.N", "T.N"}; !reflect.DeepEqual(got, want) {
+				t.Errorf("unused = %v, want %v", got, want)
+			}
+		})
 	}
 }

@@ -333,7 +333,7 @@ func BenchmarkSessionProbeWarm(b *testing.B) {
 		b.StopTimer()
 		st := sess.Stats()
 		if st.Runs > 1 {
-			b.ReportMetric(float64(st.Checked-f.Topology().NumSwitches())/float64(st.Runs-1),
+			b.ReportMetric(float64(st.Checked-len(f.Deployment().BySwitch))/float64(st.Runs-1),
 				"switches-classified/op")
 		}
 	})

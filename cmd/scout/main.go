@@ -69,7 +69,7 @@ func main() {
 func run() error {
 	var (
 		policyPath  = flag.String("policy", "", "policy JSON file (from policygen); empty generates -spec")
-		specName    = flag.String("spec", "testbed", "spec to generate when -policy is empty: production or testbed")
+		specName    = flag.String("spec", "testbed", "spec to generate when -policy is empty: production, testbed, or small")
 		seed        = flag.Int64("seed", 1, "fabric and generator seed")
 		capacity    = flag.Int("tcam", 0, "per-switch TCAM capacity (0 = default)")
 		disconnect  = flag.Int("disconnect", -1, "switch ID to disconnect before analysis")
@@ -468,7 +468,7 @@ func loadPolicy(path, specName string, seed int64) (*scout.Policy, *scout.Topolo
 	case "small":
 		spec = scout.SmallFabricWorkloadSpec()
 	default:
-		return nil, nil, fmt.Errorf("unknown spec %q", specName)
+		return nil, nil, fmt.Errorf("unknown spec %q (want production, testbed, or small)", specName)
 	}
 	return scout.GenerateWorkload(spec, seed)
 }

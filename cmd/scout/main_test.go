@@ -169,8 +169,8 @@ func TestLoadPolicyGenerates(t *testing.T) {
 	if pol.Stats().EPGs == 0 || topo.NumSwitches() == 0 {
 		t.Error("generated policy empty")
 	}
-	if _, _, err := loadPolicy("", "nope", 1); err == nil {
-		t.Error("unknown spec must fail")
+	if _, _, err := loadPolicy("", "nope", 1); err == nil || !strings.Contains(err.Error(), "production, testbed, or small") {
+		t.Errorf("unknown spec: %v, want an error naming every spec", err)
 	}
 	if _, _, err := loadPolicy("/nonexistent/file.json", "", 1); err == nil {
 		t.Error("missing file must fail")

@@ -74,7 +74,7 @@ var churn = []step{
 		// A rule off the second switch and one off the first, which the
 		// fault mix broke, and more off three others: a batch of events
 		// names more than one switch.
-		sws := r.f.Topology().Switches()
+		sws := switchesOf(r.f)
 		removeOneRule(t, r.f, sws[1])
 		removeOneRule(t, r.f, sws[0])
 		for i, sw := range sws[2:5] {
@@ -108,7 +108,7 @@ func randomChurn(seed int64, n int) []step {
 	for i := range steps {
 		op, pick, k := rng.Intn(5), rng.Int(), 1+rng.Intn(2)
 		steps[i] = func(t *testing.T, r *coldRun) {
-			sws, ids := r.f.Topology().Switches(), sortedIDs(r.f.Policy().Filters)
+			sws, ids := switchesOf(r.f), deployedIDs(r.f, object.KindFilter)
 			sw := sws[pick%len(sws)]
 			var err error
 			switch op {
@@ -227,7 +227,7 @@ func (r *coldRun) restart(t *testing.T) {
 func (r *coldRun) invalidate(switches ...scout.ObjectID) {
 	r.sess.Invalidate(switches...)
 	if len(switches) == 0 {
-		switches = r.f.Topology().Switches()
+		switches = switchesOf(r.f)
 	}
 	for _, sw := range switches {
 		r.dropped[sw] = true

@@ -197,9 +197,6 @@ func (m *Manager) Freeze() *Snapshot {
 	}
 }
 
-// NumVars returns the number of variables in the ordering.
-func (m *Manager) NumVars() int { return m.numVars }
-
 // Size returns the number of live nodes reachable through this manager
 // (including the two terminals and, for forks, the whole frozen base).
 func (m *Manager) Size() int { return m.baseLen + len(m.nodes) }
@@ -228,14 +225,6 @@ func (m *Manager) node(n Node) nodeData {
 func (m *Manager) NodeAt(n Node) (level int32, lo, hi Node) {
 	d := m.node(n)
 	return d.level, d.lo, d.hi
-}
-
-// Var returns the BDD for the single variable v (true branch to True).
-func (m *Manager) Var(v int) Node {
-	if v < 0 || v >= m.numVars {
-		panic(fmt.Sprintf("bdd: variable %d out of range [0,%d)", v, m.numVars))
-	}
-	return m.mk(int32(v), False, True)
 }
 
 // mk interns the node (level, lo, hi), applying the ROBDD reduction rule.

@@ -11,15 +11,12 @@ import (
 
 func TestTerminalsAndVar(t *testing.T) {
 	m := NewManager(4)
-	if m.NumVars() != 4 {
-		t.Fatalf("NumVars = %d", m.NumVars())
-	}
-	v := m.Var(0)
+	v := m.Mk(0, False, True)
 	if v == False || v == True {
-		t.Fatal("Var(0) must be a fresh node")
+		t.Fatal("x0 must be a fresh node")
 	}
-	if m.Var(0) != v {
-		t.Error("Var must hash-cons")
+	if m.Mk(0, False, True) != v {
+		t.Error("Mk must hash-cons")
 	}
 	if m.Not(v) == v {
 		t.Error("¬x0 must differ from x0")
@@ -28,7 +25,7 @@ func TestTerminalsAndVar(t *testing.T) {
 
 func TestBasicAlgebra(t *testing.T) {
 	m := NewManager(3)
-	a, b := m.Var(0), m.Var(1)
+	a, b := m.Mk(0, False, True), m.Mk(1, False, True)
 	tests := []struct {
 		name string
 		got  Node
@@ -59,8 +56,8 @@ func TestBasicAlgebra(t *testing.T) {
 
 func TestCommutativityAndDeMorgan(t *testing.T) {
 	m := NewManager(4)
-	a := m.And(m.Var(0), m.Not(m.Var(2)))
-	b := m.Or(m.Var(1), m.Var(3))
+	a := m.And(m.Mk(0, False, True), m.Not(m.Mk(2, False, True)))
+	b := m.Or(m.Mk(1, False, True), m.Mk(3, False, True))
 	if m.And(a, b) != m.And(b, a) {
 		t.Error("And must commute")
 	}
@@ -77,8 +74,7 @@ func TestCommutativityAndDeMorgan(t *testing.T) {
 
 // randomFormula builds a random boolean function bottom-up and in parallel
 // evaluates it as a truth table, giving an exact oracle.
-func randomFormula(m *Manager, rng *rand.Rand, depth int) (Node, []bool) {
-	nVars := m.NumVars()
+func randomFormula(m *Manager, nVars int, rng *rand.Rand, depth int) (Node, []bool) {
 	table := func(f func(assign uint) bool) []bool {
 		tt := make([]bool, 1<<nVars)
 		for a := uint(0); a < uint(len(tt)); a++ {
@@ -89,12 +85,12 @@ func randomFormula(m *Manager, rng *rand.Rand, depth int) (Node, []bool) {
 	if depth == 0 || rng.Intn(3) == 0 {
 		v := rng.Intn(nVars)
 		if rng.Intn(2) == 0 {
-			return m.Var(v), table(func(a uint) bool { return a&(1<<v) != 0 })
+			return m.Mk(v, False, True), table(func(a uint) bool { return a&(1<<v) != 0 })
 		}
-		return m.Not(m.Var(v)), table(func(a uint) bool { return a&(1<<v) == 0 })
+		return m.Not(m.Mk(v, False, True)), table(func(a uint) bool { return a&(1<<v) == 0 })
 	}
-	l, lt := randomFormula(m, rng, depth-1)
-	r, rt := randomFormula(m, rng, depth-1)
+	l, lt := randomFormula(m, nVars, rng, depth-1)
+	r, rt := randomFormula(m, nVars, rng, depth-1)
 	switch rng.Intn(4) {
 	case 0:
 		return m.And(l, r), table(func(a uint) bool { return lt[a] && rt[a] })
@@ -112,7 +108,7 @@ func TestRandomFormulaMatchesTruthTable(t *testing.T) {
 	f := func(seed int64) bool {
 		m := NewManager(nVars)
 		rng := rand.New(rand.NewSource(seed))
-		n, tt := randomFormula(m, rng, 5)
+		n, tt := randomFormula(m, nVars, rng, 5)
 		for a := uint(0); a < 1<<nVars; a++ {
 			assign := make([]bool, nVars)
 			for v := 0; v < nVars; v++ {
@@ -135,8 +131,8 @@ func TestCanonicityQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		m := NewManager(nVars)
 		rng := rand.New(rand.NewSource(seed))
-		n1, t1 := randomFormula(m, rng, 4)
-		n2, t2 := randomFormula(m, rng, 4)
+		n1, t1 := randomFormula(m, nVars, rng, 4)
+		n2, t2 := randomFormula(m, nVars, rng, 4)
 		equalTables := true
 		for i := range t1 {
 			if t1[i] != t2[i] {
@@ -160,13 +156,13 @@ func TestSatCount(t *testing.T) {
 	}{
 		{"false", False, 0},
 		{"true", True, 16},
-		{"var", m.Var(0), 8},
-		{"and2", m.And(m.Var(0), m.Var(1)), 4},
-		{"or2", m.Or(m.Var(0), m.Var(1)), 12},
-		{"xor", m.Xor(m.Var(2), m.Var(3)), 8},
+		{"var", m.Mk(0, False, True), 8},
+		{"and2", m.And(m.Mk(0, False, True), m.Mk(1, False, True)), 4},
+		{"or2", m.Or(m.Mk(0, False, True), m.Mk(1, False, True)), 12},
+		{"xor", m.Xor(m.Mk(2, False, True), m.Mk(3, False, True)), 8},
 	}
 	for _, tt := range tests {
-		if got := oracle.SatCount(m, tt.n); got != tt.want {
+		if got := oracle.SatCount(m, 4, tt.n); got != tt.want {
 			t.Errorf("%s: SatCount = %v, want %v", tt.name, got, tt.want)
 		}
 	}
@@ -177,14 +173,14 @@ func TestSatCountMatchesTruthTableQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		m := NewManager(nVars)
 		rng := rand.New(rand.NewSource(seed))
-		n, tt := randomFormula(m, rng, 5)
+		n, tt := randomFormula(m, nVars, rng, 5)
 		count := 0.0
 		for _, v := range tt {
 			if v {
 				count++
 			}
 		}
-		return oracle.SatCount(m, n) == count
+		return oracle.SatCount(m, nVars, n) == count
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -194,7 +190,7 @@ func TestSatCountMatchesTruthTableQuick(t *testing.T) {
 func TestCube(t *testing.T) {
 	m := NewManager(4)
 	c := m.Cube(map[int]bool{0: true, 2: false})
-	if n := oracle.SatCount(m, c); n != 4 { // two free variables
+	if n := oracle.SatCount(m, 4, c); n != 4 { // two free variables
 		t.Errorf("cube SatCount = %v, want 4", n)
 	}
 	if !oracle.Eval(m, c, []bool{true, false, false, true}) {
@@ -204,7 +200,7 @@ func TestCube(t *testing.T) {
 		t.Error("cube should reject x2=1")
 	}
 	// Equivalent to explicit conjunction.
-	want := m.And(m.Var(0), m.Not(m.Var(2)))
+	want := m.And(m.Mk(0, False, True), m.Not(m.Mk(2, False, True)))
 	if c != want {
 		t.Error("Cube must equal the literal conjunction")
 	}
@@ -217,8 +213,8 @@ func TestCube(t *testing.T) {
 // lacks, is False.
 func TestImplies(t *testing.T) {
 	m := NewManager(3)
-	ab := m.And(m.Var(0), m.Var(1))
-	a := m.Var(0)
+	ab := m.And(m.Mk(0, False, True), m.Mk(1, False, True))
+	a := m.Mk(0, False, True)
 	if m.Diff(ab, a) != False {
 		t.Error("a∧b → a")
 	}
@@ -230,29 +226,15 @@ func TestImplies(t *testing.T) {
 	}
 }
 
-func TestVarPanicsOutOfRange(t *testing.T) {
-	m := NewManager(2)
-	for _, v := range []int{-1, 2} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Var(%d) should panic", v)
-				}
-			}()
-			m.Var(v)
-		}()
-	}
-}
-
 func TestSizeGrowsAndIsShared(t *testing.T) {
 	m := NewManager(8)
 	before := m.Size()
-	f1 := m.And(m.Var(0), m.Var(1))
+	f1 := m.And(m.Mk(0, False, True), m.Mk(1, False, True))
 	mid := m.Size()
 	if mid <= before {
 		t.Error("building a formula must allocate nodes")
 	}
-	f2 := m.And(m.Var(1), m.Var(0)) // same function
+	f2 := m.And(m.Mk(1, False, True), m.Mk(0, False, True)) // same function
 	if f1 != f2 || m.Size() != mid {
 		t.Error("equal functions must share structure without new nodes")
 	}
@@ -275,7 +257,7 @@ func orAll(m *Manager, nodes []Node) Node {
 func TestOrAll(t *testing.T) {
 	m := NewManager(6)
 	for _, nodes := range [][]Node{
-		{m.Var(0), m.Var(1), m.Var(2), m.Var(3), m.Var(4)},
+		{m.Mk(0, False, True), m.Mk(1, False, True), m.Mk(2, False, True), m.Mk(3, False, True), m.Mk(4, False, True)},
 		{
 			m.Cube(map[int]bool{0: true, 1: false}),
 			m.Cube(map[int]bool{0: false, 2: true}),
@@ -297,17 +279,17 @@ func TestOrAll(t *testing.T) {
 // fork, and only a novel function lands in the fork's delta.
 func TestInBase(t *testing.T) {
 	m := NewManager(4)
-	frozen := m.And(m.Var(0), m.Var(1))
+	frozen := m.And(m.Mk(0, False, True), m.Mk(1, False, True))
 	snap := m.Freeze()
 
 	fork := NewManagerFrom(snap)
 	if !snap.Contains(frozen) || !snap.Contains(True) || !snap.Contains(False) {
 		t.Error("frozen nodes and terminals must be in the base")
 	}
-	if got := fork.And(fork.Var(0), fork.Var(1)); got != frozen {
+	if got := fork.And(fork.Mk(0, False, True), fork.Mk(1, False, True)); got != frozen {
 		t.Errorf("base-expressible function is node %d, want frozen node %d", got, frozen)
 	}
-	novel := fork.And(fork.Var(2), fork.Var(3))
+	novel := fork.And(fork.Mk(2, False, True), fork.Mk(3, False, True))
 	if snap.Contains(novel) || fork.DeltaSize() == 0 {
 		t.Error("novel function must live in the delta")
 	}
@@ -318,11 +300,10 @@ func TestInBase(t *testing.T) {
 // a caller bug and panics on both engines.
 func TestMkChecksVariableOrder(t *testing.T) {
 	type mker interface {
-		Var(v int) Node
 		Mk(level int, lo, hi Node) Node
 	}
 	for name, m := range map[string]mker{"manager": NewManager(4), "ref": oracle.NewRefManager(4)} {
-		x2 := m.Var(2)
+		x2 := m.Mk(2, False, True)
 		if got := m.Mk(1, x2, x2); got != x2 {
 			t.Errorf("%s: Mk with equal cofactors = node %d, want the cofactor %d", name, got, x2)
 		}

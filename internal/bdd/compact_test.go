@@ -18,14 +18,14 @@ func buildForkWorkload(t *testing.T, nVars int, seed int64) (snap *Snapshot, for
 	rng := rand.New(rand.NewSource(seed))
 	var baseRoots []Node
 	for i := 0; i < 6; i++ {
-		n, _ := randomFormula(base, rng, 4)
+		n, _ := randomFormula(base, nVars, rng, 4)
 		baseRoots = append(baseRoots, n)
 	}
 	snap = base.Freeze()
 	fork = NewManagerFrom(snap)
 	keep = append(keep, baseRoots[:3]...)
 	for i := 0; i < 8; i++ {
-		n, _ := randomFormula(fork, rng, 5)
+		n, _ := randomFormula(fork, nVars, rng, 5)
 		if i%2 == 0 {
 			keep = append(keep, n)
 		} else {
@@ -67,7 +67,7 @@ func TestCompactDeltaForkOracle(t *testing.T) {
 	counts := make([]float64, len(keep))
 	for i, n := range keep {
 		sigs[i] = evalSignature(fork, n, nVars)
-		counts[i] = oracle.SatCount(fork, n)
+		counts[i] = oracle.SatCount(fork, nVars, n)
 	}
 	before := fork.DeltaSize()
 
@@ -101,7 +101,7 @@ func TestCompactDeltaForkOracle(t *testing.T) {
 		if !sigEqual(evalSignature(fork, rn, nVars), sigs[i]) {
 			t.Fatalf("root %d evaluates differently after compaction", n)
 		}
-		if got := oracle.SatCount(fork, rn); got != counts[i] {
+		if got := oracle.SatCount(fork, nVars, rn); got != counts[i] {
 			t.Fatalf("root %d SatCount %v after compaction, want %v", n, got, counts[i])
 		}
 	}
@@ -138,21 +138,21 @@ func TestCompactDeltaForkOracle(t *testing.T) {
 func TestCompactDeltaInterning(t *testing.T) {
 	base := NewManager(8)
 	for v := 0; v < 7; v++ {
-		base.And(base.Var(v), base.Var(v+1))
+		base.And(base.Mk(v, False, True), base.Mk(v+1, False, True))
 	}
 	snap := base.Freeze()
 	fork := NewManagerFrom(snap)
 
 	// Keep the Xor intermediate live too, so the re-derivation below can
 	// resolve every step from the rebuilt unique table.
-	x := fork.Xor(fork.Var(0), fork.Var(3))
-	keepRoot := fork.And(x, fork.Var(5))
-	fork.Or(fork.Or(fork.Var(1), fork.Var(2)), fork.Var(6)) // dead
+	x := fork.Xor(fork.Mk(0, False, True), fork.Mk(3, False, True))
+	keepRoot := fork.And(x, fork.Mk(5, False, True))
+	fork.Or(fork.Or(fork.Mk(1, False, True), fork.Mk(2, False, True)), fork.Mk(6, False, True)) // dead
 
 	remap, _ := fork.CompactDelta([]Node{x, keepRoot})
 	want := remap.Node(keepRoot)
 	size := fork.DeltaSize()
-	if got := fork.And(fork.Xor(fork.Var(0), fork.Var(3)), fork.Var(5)); got != want {
+	if got := fork.And(fork.Xor(fork.Mk(0, False, True), fork.Mk(3, False, True)), fork.Mk(5, False, True)); got != want {
 		t.Fatalf("re-derived kept function interned as %d, want remapped %d", got, want)
 	}
 	if fork.DeltaSize() != size {
@@ -170,13 +170,13 @@ func TestCompactDeltaInterning(t *testing.T) {
 func TestCompactDeltaDropsOpCache(t *testing.T) {
 	base := NewManager(10)
 	for v := 0; v < 9; v++ {
-		base.Or(base.Var(v), base.Var(v+1))
+		base.Or(base.Mk(v, False, True), base.Mk(v+1, False, True))
 	}
 	snap := base.Freeze()
 	stream := func(m *Manager) []Node {
-		a := m.And(m.Var(0), m.Xor(m.Var(4), m.Var(7)))
-		b := m.Or(m.Not(m.Var(2)), m.Var(8))
-		m.Xor(a, m.Not(m.Var(5))) // dead: no root below keeps it
+		a := m.And(m.Mk(0, False, True), m.Xor(m.Mk(4, False, True), m.Mk(7, False, True)))
+		b := m.Or(m.Not(m.Mk(2, False, True)), m.Mk(8, False, True))
+		m.Xor(a, m.Not(m.Mk(5, False, True))) // dead: no root below keeps it
 		return []Node{a, b, m.And(a, b)}
 	}
 
@@ -208,18 +208,19 @@ func TestCompactDeltaDropsOpCache(t *testing.T) {
 }
 
 func TestCompactDeltaStandalone(t *testing.T) {
-	m := NewManager(10)
+	const nVars = 10
+	m := NewManager(nVars)
 	rng := rand.New(rand.NewSource(5))
 	var keep []Node
 	for i := 0; i < 6; i++ {
-		n, _ := randomFormula(m, rng, 5)
+		n, _ := randomFormula(m, nVars, rng, 5)
 		if i%2 == 0 {
 			keep = append(keep, n)
 		}
 	}
 	sigs := make([][]bool, len(keep))
 	for i, n := range keep {
-		sigs[i] = evalSignature(m, n, 10)
+		sigs[i] = evalSignature(m, n, nVars)
 	}
 	remap, stats := m.CompactDelta(keep)
 	// Terminals are pinned even without a frozen base.
@@ -230,14 +231,14 @@ func TestCompactDeltaStandalone(t *testing.T) {
 		t.Fatalf("standalone DeltaSize %d != retained %d + terminals", m.DeltaSize(), stats.Retained)
 	}
 	for i, n := range keep {
-		if !sigEqual(evalSignature(m, remap.Node(n), 10), sigs[i]) {
+		if !sigEqual(evalSignature(m, remap.Node(n), nVars), sigs[i]) {
 			t.Fatalf("root %d evaluates differently after standalone compaction", n)
 		}
 	}
 	// The compacted manager keeps working: new construction interns fine.
-	n2, tt := randomFormula(m, rng, 5)
-	assign := make([]bool, 10)
-	for a := 0; a < 1<<10; a += 37 {
+	n2, tt := randomFormula(m, nVars, rng, 5)
+	assign := make([]bool, nVars)
+	for a := 0; a < 1<<nVars; a += 37 {
 		for j := range assign {
 			assign[j] = a&(1<<j) != 0
 		}
@@ -256,7 +257,7 @@ func TestCompactDeltaConcurrentSnapshotReaders(t *testing.T) {
 	base := NewManager(nVars)
 	var frozen []Node
 	for v := 0; v < nVars-1; v++ {
-		frozen = append(frozen, base.And(base.Var(v), base.Var(v+1)))
+		frozen = append(frozen, base.And(base.Mk(v, False, True), base.Mk(v+1, False, True)))
 	}
 	snap := base.Freeze()
 
@@ -270,7 +271,7 @@ func TestCompactDeltaConcurrentSnapshotReaders(t *testing.T) {
 			fork := NewManagerFrom(snap)
 			var keep []Node
 			for i := 0; i < 40; i++ {
-				n, _ := randomFormula(fork, rng, 4)
+				n, _ := randomFormula(fork, nVars, rng, 4)
 				keep = append(keep, n)
 				if i%10 == 9 {
 					roots := keep[len(keep)-3:]
@@ -283,7 +284,7 @@ func TestCompactDeltaConcurrentSnapshotReaders(t *testing.T) {
 			}
 			// Base-expressible rebuilds must still resolve to frozen IDs.
 			v := rng.Intn(nVars - 1)
-			if fork.And(fork.Var(v), fork.Var(v+1)) != frozen[v] {
+			if fork.And(fork.Mk(v, False, True), fork.Mk(v+1, False, True)) != frozen[v] {
 				errs <- "fork disagreed with frozen ID after compactions"
 			}
 		}(g)

@@ -15,9 +15,10 @@ import (
 // never evicting, so the two engines construct the same nodes in the same
 // order.
 type diffHarness struct {
-	t   *testing.T
-	m   *Manager
-	ref *oracle.RefManager
+	t     *testing.T
+	nVars int
+	m     *Manager
+	ref   *oracle.RefManager
 	// held is every root produced so far, as the node each engine gave
 	// it. The two IDs are equal until the manager first compacts; after
 	// that its survivors have slid down over the slots it freed, and
@@ -34,6 +35,7 @@ type heldNode struct{ m, ref Node }
 func newDiffHarness(t *testing.T, nVars int) *diffHarness {
 	h := &diffHarness{
 		t:     t,
+		nVars: nVars,
 		m:     NewManager(nVars),
 		ref:   oracle.NewRefManager(nVars),
 		refOf: make(map[Node]Node),
@@ -103,22 +105,22 @@ func (h *diffHarness) refLive() int {
 	return len(seen)
 }
 
-// topVar is the variable n tests, or m's variable count for a terminal.
-func topVar(m *Manager, n Node) int {
-	level, _, _ := m.NodeAt(n)
-	return min(int(level), m.NumVars())
+// topVar is the variable n tests, or the variable count for a terminal.
+func (h *diffHarness) topVar(n Node) int {
+	level, _, _ := h.m.NodeAt(n)
+	return min(int(level), h.nVars)
 }
 
 // step applies one random operation to both engines.
 func (h *diffHarness) step(rng *rand.Rand) {
 	switch rng.Intn(8) {
 	case 0:
-		v := rng.Intn(h.m.NumVars())
-		h.check("Var", h.m.Var(v), h.ref.Var(v))
+		v := rng.Intn(h.nVars)
+		h.check("Var", h.m.Mk(v, False, True), h.ref.Mk(v, False, True))
 	case 1:
 		lits := make(map[int]bool)
-		for i, k := 0, rng.Intn(h.m.NumVars()); i < k; i++ {
-			lits[rng.Intn(h.m.NumVars())] = rng.Intn(2) == 0
+		for i, k := 0, rng.Intn(h.nVars); i < k; i++ {
+			lits[rng.Intn(h.nVars)] = rng.Intn(2) == 0
 		}
 		h.check("Cube", h.m.Cube(lits), h.ref.Cube(lits))
 	case 2:
@@ -139,14 +141,14 @@ func (h *diffHarness) step(rng *rand.Rand) {
 	case 7:
 		// Mk at a variable above both cofactors' tops, when there is one.
 		a, b := h.pick(rng), h.pick(rng)
-		top := min(topVar(h.m, a.m), topVar(h.m, b.m))
+		top := min(h.topVar(a.m), h.topVar(b.m))
 		if top == 0 {
 			return
 		}
 		v := rng.Intn(top)
 		got := h.check("Mk", h.m.Mk(v, a.m, b.m), h.ref.Mk(v, a.ref, b.ref))
 		// Mk(v, a, b) is the if-then-else on v, whatever built a and b.
-		x := h.check("Var", h.m.Var(v), h.ref.Var(v))
+		x := h.check("Var", h.m.Mk(v, False, True), h.ref.Mk(v, False, True))
 		nx := h.check("Not", h.m.Not(x.m), h.ref.Not(x.ref))
 		hi := h.check("And", h.m.And(x.m, b.m), h.ref.And(x.ref, b.ref))
 		lo := h.check("And", h.m.And(nx.m, a.m), h.ref.And(nx.ref, a.ref))
@@ -160,7 +162,7 @@ func (h *diffHarness) step(rng *rand.Rand) {
 // accumulated so far.
 func (h *diffHarness) verify(rng *rand.Rand) {
 	h.t.Helper()
-	assign := make([]bool, h.m.NumVars())
+	assign := make([]bool, h.nVars)
 	for trial := 0; trial < 32; trial++ {
 		for i := range assign {
 			assign[i] = rng.Intn(2) == 0
@@ -172,7 +174,7 @@ func (h *diffHarness) verify(rng *rand.Rand) {
 		}
 	}
 	for _, n := range h.held {
-		if got, want := oracle.SatCount(h.m, n.m), oracle.SatCount(h.ref, n.ref); got != want {
+		if got, want := oracle.SatCount(h.m, h.nVars, n.m), oracle.SatCount(h.ref, h.nVars, n.ref); got != want {
 			h.t.Fatalf("SatCount(%d) = %v on manager, %v on reference", n.m, got, want)
 		}
 	}
@@ -226,11 +228,12 @@ func TestDifferentialDeepFormulas(t *testing.T) {
 // is a hit or a miss, neither counter runs backwards, and a repeat of
 // operations already applied is answered from the table — hits only.
 func TestCacheStatsConsistency(t *testing.T) {
-	m := NewManager(10)
+	const nVars = 10
+	m := NewManager(nVars)
 	rng := rand.New(rand.NewSource(7))
 	var roots []Node
 	for i := 0; i < 40; i++ {
-		n, _ := randomFormula(m, rng, 4)
+		n, _ := randomFormula(m, nVars, rng, 4)
 		roots = append(roots, n)
 	}
 	pairwise := func() {

@@ -16,8 +16,8 @@ import (
 // distinct forks agree on those IDs.
 func TestFreezeForkIdentity(t *testing.T) {
 	m := NewManager(6)
-	ab := m.And(m.Var(0), m.Var(1))
-	cd := m.Or(m.Var(2), m.Not(m.Var(3)))
+	ab := m.And(m.Mk(0, False, True), m.Mk(1, False, True))
+	cd := m.Or(m.Mk(2, False, True), m.Not(m.Mk(3, False, True)))
 	snap := m.Freeze()
 
 	f1 := NewManagerFrom(snap)
@@ -27,7 +27,7 @@ func TestFreezeForkIdentity(t *testing.T) {
 	}
 	// Rebuilding a frozen function in a fork must yield the frozen ID,
 	// not a delta node.
-	if got := f1.And(f1.Var(0), f1.Var(1)); got != ab {
+	if got := f1.And(f1.Mk(0, False, True), f1.Mk(1, False, True)); got != ab {
 		t.Errorf("fork rebuild of a∧b = node %d, want frozen node %d", got, ab)
 	}
 	if f1.DeltaSize() != 0 {
@@ -42,8 +42,8 @@ func TestFreezeForkIdentity(t *testing.T) {
 		t.Error("Contains must separate frozen prefix from fork delta")
 	}
 	// Forks agree on every base ID even after divergent private work.
-	_ = f2.Xor(f2.Var(4), f2.Var(5))
-	if f2.And(f2.Var(0), f2.Var(1)) != ab {
+	_ = f2.Xor(f2.Mk(4, False, True), f2.Mk(5, False, True))
+	if f2.And(f2.Mk(0, False, True), f2.Mk(1, False, True)) != ab {
 		t.Error("forks must agree on base-expressible node IDs")
 	}
 }
@@ -57,14 +57,14 @@ func TestForkMatchesStandalone(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	// Warm the base with some frozen structure first.
 	for i := 0; i < 5; i++ {
-		randomFormula(base, rng, 3)
+		randomFormula(base, nVars, rng, 3)
 	}
 	snap := base.Freeze()
 
 	f := func(seed int64) bool {
 		fork := NewManagerFrom(snap)
 		rng := rand.New(rand.NewSource(seed))
-		n, tt := randomFormula(fork, rng, 5)
+		n, tt := randomFormula(fork, nVars, rng, 5)
 		for a := uint(0); a < 1<<nVars; a++ {
 			assign := make([]bool, nVars)
 			for v := 0; v < nVars; v++ {
@@ -86,7 +86,7 @@ func TestForkMatchesStandalone(t *testing.T) {
 // with concurrent snapshot readers), while reads stay valid.
 func TestFrozenManagerPanics(t *testing.T) {
 	m := NewManager(4)
-	ab := m.And(m.Var(0), m.Var(1))
+	ab := m.And(m.Mk(0, False, True), m.Mk(1, False, True))
 	m.Freeze()
 
 	mustPanic := func(name string, fn func()) {
@@ -98,14 +98,14 @@ func TestFrozenManagerPanics(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("Or", func() { m.Or(ab, m.Var(2)) })
+	mustPanic("Or", func() { m.Or(ab, m.Mk(2, False, True)) })
 	mustPanic("And", func() { m.And(True, True) }) // even a cache-hit-free terminal case
 	mustPanic("Cube", func() { m.Cube(map[int]bool{2: true, 3: false}) })
 
 	if !oracle.Eval(m, ab, []bool{true, true, false, false}) {
 		t.Error("reads must keep working after Freeze")
 	}
-	if n := oracle.SatCount(m, ab); n != 4 {
+	if n := oracle.SatCount(m, 4, ab); n != 4 {
 		t.Errorf("SatCount after Freeze = %v, want 4", n)
 	}
 }
@@ -133,7 +133,7 @@ func TestForkOfWarmSnapshotMatchesUnfrozen(t *testing.T) {
 		rng := rand.New(rand.NewSource(4))
 		var roots []Node
 		for i := 0; i < 6; i++ {
-			n, _ := randomFormula(m, rng, 4)
+			n, _ := randomFormula(m, nVars, rng, 4)
 			roots = append(roots, n)
 		}
 		return roots
@@ -181,7 +181,7 @@ func TestSnapshotConcurrentReaders(t *testing.T) {
 	base := NewManager(nVars)
 	frozen := make([]Node, 0, 16)
 	for v := 0; v < nVars-1; v++ {
-		frozen = append(frozen, base.And(base.Var(v), base.Var(v+1)))
+		frozen = append(frozen, base.And(base.Mk(v, False, True), base.Mk(v+1, False, True)))
 	}
 	union := False
 	for _, n := range frozen {
@@ -202,7 +202,7 @@ func TestSnapshotConcurrentReaders(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				// Base-expressible rebuilds must resolve to frozen IDs.
 				v := rng.Intn(nVars - 1)
-				if fork.And(fork.Var(v), fork.Var(v+1)) != frozen[v] {
+				if fork.And(fork.Mk(v, False, True), fork.Mk(v+1, False, True)) != frozen[v] {
 					errs <- "fork disagreed with frozen ID"
 					return
 				}

@@ -143,7 +143,7 @@ func BenchmarkCompactDelta(b *testing.B) {
 	base := NewManager(nVars)
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 32; i++ {
-		randomFormula(base, rng, 6)
+		randomFormula(base, nVars, rng, 6)
 	}
 	snap := base.Freeze()
 	lits := internWorkload(nVars, 384)

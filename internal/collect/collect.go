@@ -41,20 +41,6 @@ func (e *Epoch) RuleCount() int {
 	return n
 }
 
-// Stats counts a collector's snapshot work — the observability hook for
-// event-driven collection, where the payoff is precisely the switches a
-// partial epoch did NOT re-read.
-type Stats struct {
-	// FullSnapshots and PartialSnapshots count epochs by kind.
-	FullSnapshots    int
-	PartialSnapshots int
-	// SwitchesRead counts per-switch TCAM reads across all snapshots;
-	// SwitchesAliased counts the switches a partial epoch carried
-	// forward from the previous epoch without touching the device.
-	SwitchesRead    int
-	SwitchesAliased int
-}
-
 // Collector snapshots a fabric and retains a bounded epoch history. It is
 // safe for concurrent use.
 type Collector struct {
@@ -63,7 +49,6 @@ type Collector struct {
 	history []*Epoch
 	limit   int
 	nextSeq int
-	stats   Stats
 }
 
 // New creates a collector keeping at most limit epochs (<= 0 keeps 16).
@@ -84,10 +69,7 @@ func (c *Collector) Snapshot() *Epoch {
 }
 
 func (c *Collector) snapshotLocked() *Epoch {
-	tcams := c.f.CollectAll()
-	c.stats.FullSnapshots++
-	c.stats.SwitchesRead += len(tcams)
-	return c.retainLocked(tcams)
+	return c.retainLocked(c.f.CollectAll())
 }
 
 // retainLocked stamps a collected TCAM map as the next epoch and retains
@@ -123,13 +105,10 @@ func (c *Collector) SnapshotSwitches(dirty []object.ID) (*Epoch, error) {
 	if len(c.history) == 0 {
 		return c.snapshotLocked(), nil
 	}
-	tcams, reread, err := Partial(c.f, c.history[len(c.history)-1].TCAM, dirty)
+	tcams, _, err := Partial(c.f, c.history[len(c.history)-1].TCAM, dirty)
 	if err != nil {
 		return nil, err
 	}
-	c.stats.PartialSnapshots++
-	c.stats.SwitchesRead += len(reread)
-	c.stats.SwitchesAliased += len(tcams) - len(reread)
 	return c.retainLocked(tcams), nil
 }
 
@@ -157,25 +136,6 @@ func Partial(f *fabric.Fabric, prev map[object.ID][]rule.Rule, named []object.ID
 		reread[sw] = true
 	}
 	return tcams, reread, nil
-}
-
-// Stats returns the collector's cumulative snapshot counters.
-func (c *Collector) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
-}
-
-// Epoch returns the retained epoch with the given sequence number.
-func (c *Collector) Epoch(seq int) (*Epoch, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, e := range c.history {
-		if e.Seq == seq {
-			return e, nil
-		}
-	}
-	return nil, fmt.Errorf("collect: epoch %d not retained", seq)
 }
 
 // SwitchDelta is the per-switch difference between two epochs.

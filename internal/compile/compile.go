@@ -142,9 +142,6 @@ func (sp SwitchPair) String() string {
 	return string(sp.Pair.AppendTo(b))
 }
 
-// Less orders SwitchPairs deterministically.
-func (sp SwitchPair) Less(other SwitchPair) bool { return sp.Compare(other) < 0 }
-
 // Compare orders SwitchPairs by switch, then pair.
 func (sp SwitchPair) Compare(other SwitchPair) int {
 	return cmp.Or(cmp.Compare(sp.Switch, other.Switch), sp.Pair.Compare(other.Pair))

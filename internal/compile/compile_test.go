@@ -203,7 +203,7 @@ func TestSwitchPairOrdering(t *testing.T) {
 	a := SwitchPair{Switch: 1, Pair: policy.MakeEPGPair(1, 2)}
 	b := SwitchPair{Switch: 1, Pair: policy.MakeEPGPair(1, 3)}
 	c := SwitchPair{Switch: 2, Pair: policy.MakeEPGPair(1, 2)}
-	if !a.Less(b) || !b.Less(c) || c.Less(a) {
+	if a.Compare(b) >= 0 || b.Compare(c) >= 0 || c.Compare(a) <= 0 {
 		t.Error("SwitchPair ordering broken")
 	}
 	if a.String() != "S1:1-2" {

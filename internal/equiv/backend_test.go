@@ -74,8 +74,8 @@ func TestCheckerBackendDifferential(t *testing.T) {
 		}
 		// Node construction totals must agree too: the engines build the
 		// same nodes, not just the same answers.
-		if fast.Size() != ref.Size() {
-			t.Fatalf("seed %d: node counts diverged: fast %d, ref %d", seed, fast.Size(), ref.Size())
+		if fast.DeltaSize() != ref.DeltaSize() {
+			t.Fatalf("seed %d: node counts diverged: fast %d, ref %d", seed, fast.DeltaSize(), ref.DeltaSize())
 		}
 		// Cache behaviour is a pure function of the operation stream: the
 		// same checks on a second fresh checker reproduce every tier
@@ -173,11 +173,11 @@ func TestRefBackedCheckerCompactNoop(t *testing.T) {
 	if _, err := c.Check(randomRuleList(rand.New(rand.NewSource(1)), 5), randomRuleList(rand.New(rand.NewSource(2)), 5)); err != nil {
 		t.Fatal(err)
 	}
-	size := c.Size()
+	size := c.DeltaSize()
 	if _, ok := c.Compact(); ok {
 		t.Fatal("Compact claimed success on the reference backend")
 	}
-	if c.Size() != size {
-		t.Fatalf("no-op Compact changed Size: %d -> %d", size, c.Size())
+	if c.DeltaSize() != size {
+		t.Fatalf("no-op Compact changed DeltaSize: %d -> %d", size, c.DeltaSize())
 	}
 }

@@ -133,9 +133,6 @@ func TestForkResetKeepsBase(t *testing.T) {
 	if fork.DeltaSize() != 0 {
 		t.Errorf("Reset left %d delta nodes", fork.DeltaSize())
 	}
-	if fork.Size() != base.Size() {
-		t.Errorf("post-Reset Size = %d, want base size %d", fork.Size(), base.Size())
-	}
 	before := fork.Stats()
 	rep, err := fork.Check(logical, drifted)
 	if err != nil {

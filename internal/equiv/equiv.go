@@ -48,7 +48,6 @@ type Backend interface {
 	Mk(level int, lo, hi bdd.Node) bdd.Node
 	Diff(a, b bdd.Node) bdd.Node
 	NodeAt(n bdd.Node) (level int32, lo, hi bdd.Node)
-	Size() int
 	DeltaSize() int
 	CacheStats() bdd.CacheStats
 }
@@ -128,17 +127,12 @@ func NewCheckerBacked(newM func() Backend) *Checker {
 	}
 }
 
-// Size returns the number of nodes reachable through the checker's BDD
-// manager — for forks this includes the shared frozen base. The manager
-// never frees nodes, so long-lived checkers (analysis sessions reusing
-// one checker per worker across runs) watch DeltaSize and Reset past a
-// budget.
-func (c *Checker) Size() int { return c.m.Size() }
-
 // DeltaSize returns the number of nodes this checker itself owns: the
-// copy-on-write delta beyond the shared base for forks, Size() for
-// standalone checkers. Node budgets watch DeltaSize — a fork's Reset can
-// only shed its delta, never the base.
+// copy-on-write delta beyond the shared base for forks, every node for
+// standalone checkers. The manager never frees nodes, so long-lived
+// checkers (analysis sessions reusing one checker per worker across runs)
+// watch DeltaSize and Reset past a budget — a fork's Reset can only shed
+// its delta, never the base.
 func (c *Checker) DeltaSize() int { return c.m.DeltaSize() }
 
 // Stats returns the checker's cumulative counters.

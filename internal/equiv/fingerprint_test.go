@@ -58,17 +58,17 @@ func TestCheckerReset(t *testing.T) {
 		rule.DefaultDeny(),
 	}
 	c := NewChecker()
-	fresh := c.Size()
+	fresh := c.DeltaSize()
 	before, err := c.Check(logical, deployed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Size() <= fresh {
-		t.Errorf("Size after a check = %d, want growth over %d", c.Size(), fresh)
+	if c.DeltaSize() <= fresh {
+		t.Errorf("DeltaSize after a check = %d, want growth over %d", c.DeltaSize(), fresh)
 	}
 	c.Reset()
-	if c.Size() != fresh {
-		t.Errorf("Size after Reset = %d, want %d", c.Size(), fresh)
+	if c.DeltaSize() != fresh {
+		t.Errorf("DeltaSize after Reset = %d, want %d", c.DeltaSize(), fresh)
 	}
 	after, err := c.Check(logical, deployed)
 	if err != nil {

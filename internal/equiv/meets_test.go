@@ -67,12 +67,12 @@ func checkMeets(t *testing.T, m applyBackend, w *meetWalk, match rule.Match, dif
 		t.Fatal(err)
 	}
 	want := m.And(enc, diff) != bdd.False
-	size := m.Size()
+	size := m.DeltaSize()
 	if got := w.meets(rule.Rule{Match: match}, diff); got != want {
 		t.Fatalf("match %v against node %d: walk says %v, And says %v", match, diff, got, want)
 	}
-	if m.Size() != size {
-		t.Fatalf("the walk interned %d nodes", m.Size()-size)
+	if m.DeltaSize() != size {
+		t.Fatalf("the walk interned %d nodes", m.DeltaSize()-size)
 	}
 	// The path filter in front of the walk may pass a rule the walk then
 	// rejects, never drop one it accepts.

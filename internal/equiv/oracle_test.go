@@ -1,6 +1,6 @@
 // The constructions production replaced, kept as the test oracles. For
 // the direct compiler (compile.go): per-match field encoders built from
-// Var, Cube, And, Or and Not, and the priority fold over them. For the
+// Mk, Cube, And, Or and Not, and the priority fold over them. For the
 // attribution walk (meets.go): the per-match BDD the checker used to memo
 // (compileMatch), And-ed with the difference and compared with False. All
 // run on either engine, in the same manager as the code under test, so
@@ -19,8 +19,6 @@ import (
 // boolean algebra production no longer calls.
 type applyBackend interface {
 	Backend
-	NumVars() int
-	Var(v int) bdd.Node
 	Cube(literals map[int]bool) bdd.Node
 	And(a, b bdd.Node) bdd.Node
 	Or(a, b bdd.Node) bdd.Node
@@ -128,7 +126,7 @@ func leBDD(m applyBackend, off, width, i int, value uint32) bdd.Node {
 	if i == width {
 		return bdd.True
 	}
-	v := m.Var(off + i)
+	v := m.Mk(off+i, bdd.False, bdd.True)
 	rest := leBDD(m, off, width, i+1, value)
 	if (value>>uint(width-1-i))&1 == 1 {
 		// bit set: x_i=0 → anything below; x_i=1 → compare remaining bits
@@ -143,7 +141,7 @@ func geBDD(m applyBackend, off, width, i int, value uint32) bdd.Node {
 	if i == width {
 		return bdd.True
 	}
-	v := m.Var(off + i)
+	v := m.Mk(off+i, bdd.False, bdd.True)
 	rest := geBDD(m, off, width, i+1, value)
 	if (value>>uint(width-1-i))&1 == 1 {
 		// bit set: x_i=0 → smaller, fail; x_i=1 → compare remaining bits

@@ -60,7 +60,7 @@ func TestRangeBDDBruteForce(t *testing.T) {
 			if lo <= hi {
 				wantCount = float64(hi - lo + 1)
 			}
-			if got := oracle.SatCount(m, rg); got != wantCount {
+			if got := oracle.SatCount(m, width, rg); got != wantCount {
 				t.Fatalf("width=%d rangeBDD(%d,%d): SatCount = %v, want %v", width, lo, hi, got, wantCount)
 			}
 		}

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -128,13 +129,6 @@ func New(p *policy.Policy, t *topo.Topology, opts Options) (*Fabric, error) {
 	}
 	return f, nil
 }
-
-// Policy returns the controller's current desired policy (the global
-// network policy). Callers must not mutate it directly.
-func (f *Fabric) Policy() *policy.Policy { return f.pol }
-
-// Topology returns the fabric topology.
-func (f *Fabric) Topology() *topo.Topology { return f.topology }
 
 // ChangeLog returns the controller change log.
 func (f *Fabric) ChangeLog() *faultlog.ChangeLog { return f.changes }
@@ -260,8 +254,12 @@ func (f *Fabric) renderRules(s *Switch, rules []rule.Rule) bool {
 // neither the policy nor the change log, so it cannot leave the fabric with
 // a policy every later Deploy refuses.
 
-// AddFilter adds a filter object to the policy.
+// AddFilter adds a filter object to the policy. An ID the policy holds is
+// refused: reusing it would rewrite that filter under every contract using it.
 func (f *Fabric) AddFilter(flt policy.Filter) error {
+	if _, ok := f.pol.Filters[flt.ID]; ok {
+		return fmt.Errorf("fabric: filter %d already exists", flt.ID)
+	}
 	if err := flt.Validate(); err != nil {
 		return fmt.Errorf("fabric: filter %d has %w", flt.ID, err)
 	}
@@ -272,7 +270,7 @@ func (f *Fabric) AddFilter(flt policy.Filter) error {
 
 // AddFilterToContract appends an existing filter to a contract and
 // redeploys — the paper's "add filter" instruction used by the §V-B use
-// cases.
+// cases. A filter the contract already references is refused.
 func (f *Fabric) AddFilterToContract(contract, filter object.ID) error {
 	c, ok := f.pol.Contracts[contract]
 	if !ok {
@@ -280,6 +278,9 @@ func (f *Fabric) AddFilterToContract(contract, filter object.ID) error {
 	}
 	if _, ok := f.pol.Filters[filter]; !ok {
 		return fmt.Errorf("fabric: unknown filter %d", filter)
+	}
+	if slices.Contains(c.Filters, filter) {
+		return fmt.Errorf("fabric: contract %d already references filter %d", contract, filter)
 	}
 	c.Filters = append(c.Filters, filter)
 	at := f.advance()
@@ -317,10 +318,16 @@ func (f *Fabric) RemoveFilterFromContract(contract, filter object.ID) error {
 
 // AddBinding binds a contract to an EPG pair and redeploys. Each switch
 // hosting the pair gets an EPG placement event (the subsequent push emits
-// TCAM-change events only for switches whose TCAM actually moved).
+// TCAM-change events only for switches whose TCAM actually moved). A
+// contract the pair is already bound to is refused, in either direction.
 func (f *Fabric) AddBinding(from, to, contract object.ID) error {
 	if err := f.pol.ValidateBinding(policy.Binding{From: from, To: to, Contract: contract}); err != nil {
 		return fmt.Errorf("fabric: binding of contract %d to epgs %d-%d %w", contract, from, to, err)
+	}
+	for _, b := range f.pol.Bindings {
+		if b.Contract == contract && policy.MakeEPGPair(b.From, b.To) == policy.MakeEPGPair(from, to) {
+			return fmt.Errorf("fabric: contract %d is already bound to epgs %d-%d", contract, from, to)
+		}
 	}
 	f.pol.Bind(from, to, contract)
 	at := f.advance()

@@ -51,7 +51,7 @@ func TestDeployRendersAllRules(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := f.Deployment()
-	for _, sw := range f.Topology().Switches() {
+	for _, sw := range f.topology.Switches() {
 		got, err := f.CollectTCAM(sw)
 		if err != nil {
 			t.Fatal(err)
@@ -408,7 +408,7 @@ func TestAddBindingDeploysNewPair(t *testing.T) {
 	if !found {
 		t.Error("S1 must carry the new Web-DB rules")
 	}
-	if f.ChangeLog().Len() == 0 {
+	if _, ok := f.ChangeLog().LastChange(object.Contract(201)); !ok {
 		t.Error("AddBinding must log changes")
 	}
 }
@@ -488,7 +488,7 @@ func TestFabricPolicyCloneIsolation(t *testing.T) {
 	}
 	// Mutating the caller's policy must not affect the fabric.
 	p.AddEPG(policy.EPG{ID: 99, VRF: 101})
-	if _, ok := f.Policy().EPGs[99]; ok {
+	if _, ok := f.pol.EPGs[99]; ok {
 		t.Error("fabric must clone the policy at construction")
 	}
 }
@@ -497,7 +497,10 @@ func TestFabricPolicyCloneIsolation(t *testing.T) {
 // unknown EPG or contract, a binding across VRFs, an inverted port range —
 // is refused before it changes the policy or the change log, so the next
 // valid edit and a plain Deploy still succeed. Such an edit used to stay in
-// the policy, and every later Deploy failed on it.
+// the policy, and every later Deploy failed on it. So is an edit that cannot
+// mean what it says: a filter ID the policy holds (filter 80 is shared by
+// contracts 201 and 202), a filter the contract already references, and a
+// binding the policy holds.
 func TestRefusedEditLeavesFabricDeployable(t *testing.T) {
 	p, _ := threeTier(t)
 	p.AddVRF(policy.VRF{ID: 102})
@@ -513,7 +516,7 @@ func TestRefusedEditLeavesFabricDeployable(t *testing.T) {
 	inverted := policy.Filter{ID: 443, Entries: []policy.FilterEntry{
 		{Proto: rule.ProtoTCP, PortLo: 9, PortHi: 1, Action: rule.Allow},
 	}}
-	for _, tc := range []struct {
+	for i, tc := range []struct {
 		name, want string
 		edit       func() error
 	}{
@@ -521,20 +524,27 @@ func TestRefusedEditLeavesFabricDeployable(t *testing.T) {
 		{"unknown-contract", "unknown contract 999", func() error { return f.AddBinding(1, 2, 999) }},
 		{"cross-vrf", "crosses VRFs", func() error { return f.AddBinding(1, 4, 201) }},
 		{"inverted-range", "inverted port range", func() error { return f.AddFilter(inverted) }},
+		{"duplicate-filter", "filter 80 already exists", func() error {
+			return f.AddFilter(policy.Filter{ID: 80, Entries: []policy.FilterEntry{policy.PortEntry(rule.ProtoTCP, 8080)}})
+		}},
+		{"duplicate-attach", "contract 201 already references filter 80", func() error { return f.AddFilterToContract(201, 80) }},
+		{"duplicate-binding", "contract 201 is already bound to epgs 2-1", func() error { return f.AddBinding(2, 1, 201) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			before, logged := f.Policy().Clone(), f.ChangeLog().Len()
+			// Every change-log entry is stamped with a fresh tick of the clock.
+			before, at := f.pol.Clone(), f.Now()
 			err := tc.edit()
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("edit returned %v, want an error naming %q", err, tc.want)
 			}
-			if !reflect.DeepEqual(f.Policy(), before) {
+			if !reflect.DeepEqual(f.pol, before) {
 				t.Error("a refused edit changed the policy")
 			}
-			if got := f.ChangeLog().Len(); got != logged {
-				t.Errorf("a refused edit logged %d changes", got-logged)
+			if !f.Now().Equal(at) {
+				t.Error("a refused edit logged a change")
 			}
-			if err := f.AddFilter(policy.Filter{ID: 8443, Entries: []policy.FilterEntry{policy.PortEntry(rule.ProtoTCP, 8443)}}); err != nil {
+			port := uint16(8443 + i) // each row's valid edit adds a filter of its own
+			if err := f.AddFilter(policy.Filter{ID: object.ID(port), Entries: []policy.FilterEntry{policy.PortEntry(rule.ProtoTCP, port)}}); err != nil {
 				t.Fatalf("a valid edit after the refused one: %v", err)
 			}
 			if err := f.Deploy(); err != nil {

@@ -147,13 +147,13 @@ func TestPushMatchesSequentialOracle(t *testing.T) {
 				t.Fatalf("%s: switch %d: agent queues differ from the oracle's", stage, sw)
 			}
 		}
-		if !reflect.DeepEqual(got.faults.Faults(), want.faults.Faults()) {
+		if !reflect.DeepEqual(got.faults, want.faults) {
 			t.Fatalf("%s: fault log differs from the oracle's", stage)
 		}
 		if !reflect.DeepEqual(got.events.Since(0), want.events.Since(0)) {
 			t.Fatalf("%s: event log differs from the oracle's", stage)
 		}
-		if !reflect.DeepEqual(got.changes.Entries(), want.changes.Entries()) {
+		if !reflect.DeepEqual(got.changes, want.changes) {
 			t.Fatalf("%s: change log differs from the oracle's", stage)
 		}
 	}

@@ -78,20 +78,6 @@ func (l *ChangeLog) Append(at time.Time, op ChangeOp, obj object.Ref, detail str
 	return c
 }
 
-// Len returns the number of entries.
-func (l *ChangeLog) Len() int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return len(l.entries)
-}
-
-// Entries returns a snapshot of all entries in append order.
-func (l *ChangeLog) Entries() []Change {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return append([]Change(nil), l.entries...)
-}
-
 // LastChange returns the most recent entry for obj, if any.
 func (l *ChangeLog) LastChange(obj object.Ref) (Change, bool) {
 	l.mu.RLock()
@@ -207,13 +193,6 @@ func (l *FaultLog) Len() int {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	return len(l.faults)
-}
-
-// Faults returns a snapshot of all faults in raise order.
-func (l *FaultLog) Faults() []Fault {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return append([]Fault(nil), l.faults...)
 }
 
 // ActiveAt returns the faults whose condition held at time t, ordered by

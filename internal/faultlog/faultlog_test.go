@@ -19,8 +19,8 @@ func TestChangeLogAppendAndQuery(t *testing.T) {
 	if c1.Seq != 1 || c2.Seq != 2 {
 		t.Errorf("sequence numbers: %d, %d", c1.Seq, c2.Seq)
 	}
-	if l.Len() != 3 {
-		t.Errorf("Len = %d", l.Len())
+	if len(l.entries) != 3 {
+		t.Errorf("%d entries, want 3", len(l.entries))
 	}
 	last, ok := l.LastChange(object.Filter(1))
 	if !ok || last.Op != OpModify {
@@ -63,7 +63,7 @@ func TestFaultLifecycle(t *testing.T) {
 	if l.Len() != 1 {
 		t.Fatalf("Len = %d", l.Len())
 	}
-	f := l.Faults()[0]
+	f := l.faults[0]
 	if !f.ActiveAt(t0) || !f.ActiveAt(t0.Add(time.Hour)) {
 		t.Error("uncleared fault stays active")
 	}
@@ -77,7 +77,7 @@ func TestFaultLifecycle(t *testing.T) {
 	if l.Clear(t0, FaultSwitchUnreachable, 2) {
 		t.Error("second Clear must fail")
 	}
-	f = l.Faults()[0]
+	f = l.faults[0]
 	if !f.ActiveAt(t0.Add(5 * time.Minute)) {
 		t.Error("fault active inside its window")
 	}

@@ -17,6 +17,8 @@ import (
 // extracted once from the (immutable) model plus an alive mask that
 // implements Algorithm 1's Prune.
 type view struct {
+	// risks are the view's refs, sorted.
+	risks []object.Ref
 	// deps[ref] = elements depending on ref.
 	deps map[object.Ref][]risk.ElementID
 	// failed[ref] = elements whose edge to ref is marked fail.
@@ -26,6 +28,8 @@ type view struct {
 	alive       []bool
 }
 
+// newView reads m's adjacency: a model's through its methods, an
+// overlay's as its base's plus the edges and marks the overlay adds.
 func newView(m risk.View) *view {
 	v := &view{
 		deps:        make(map[object.Ref][]risk.ElementID),
@@ -36,16 +40,46 @@ func newView(m risk.View) *view {
 	for i := range v.alive {
 		v.alive[i] = true
 	}
-	for _, ref := range m.Risks() {
-		v.deps[ref] = m.ElementsOf(ref)
-		set := make(map[risk.ElementID]struct{})
-		for _, el := range m.FailedElementsOf(ref) {
-			set[el] = struct{}{}
-			v.failedRisks[el] = append(v.failedRisks[el], ref) // Risks is sorted
+	markFailed := func(el risk.ElementID, ref object.Ref) {
+		if v.failed[ref] == nil {
+			v.failed[ref] = make(map[risk.ElementID]struct{})
 		}
-		v.failed[ref] = set
+		v.failed[ref][el] = struct{}{}
+		v.failedRisks[el] = append(v.failedRisks[el], ref)
+	}
+	base, _ := m.(*risk.Model)
+	ov, isOverlay := m.(*risk.Overlay)
+	if isOverlay {
+		base = ov.Base()
+	}
+	for _, ref := range base.Risks() {
+		v.deps[ref] = base.ElementsOf(ref)
+		for _, el := range base.FailedElementsOf(ref) {
+			markFailed(el, ref)
+		}
+	}
+	if isOverlay {
+		ov.ForEachOverlayEdge(func(el risk.ElementID, ref object.Ref) { v.deps[ref] = append(v.deps[ref], el) })
+		ov.ForEachOverlayMark(markFailed)
+	}
+	for ref := range v.deps {
+		v.risks = append(v.risks, ref)
+	}
+	object.SortRefs(v.risks)
+	for _, refs := range v.failedRisks {
+		object.SortRefs(refs)
 	}
 	return v
+}
+
+// observations returns the elements with a failed edge: the failure
+// signature.
+func (v *view) observations() map[risk.ElementID]struct{} {
+	out := make(map[risk.ElementID]struct{}, len(v.failedRisks))
+	for el := range v.failedRisks {
+		out[el] = struct{}{}
+	}
+	return out
 }
 
 // aliveCounts returns (|Gi ∩ alive|, |Oi ∩ alive|) for risk ref.
@@ -68,11 +102,7 @@ func RefScout(m risk.View, oracle ChangeOracle) *Result {
 	res := &Result{}
 	hypothesis := make(object.Set)
 
-	// P: unexplained observations.
-	pending := make(map[risk.ElementID]struct{})
-	for _, el := range m.FailureSignature() {
-		pending[el] = struct{}{}
-	}
+	pending := v.observations() // P: unexplained observations
 	totalObs := len(pending)
 
 	for len(pending) > 0 {
@@ -174,15 +204,12 @@ func RefScore(m risk.View, threshold float64) *Result {
 	res := &Result{}
 	hypothesis := make(object.Set)
 
-	pending := make(map[risk.ElementID]struct{})
-	for _, el := range m.FailureSignature() {
-		pending[el] = struct{}{}
-	}
+	pending := v.observations()
 	totalObs := len(pending)
 
 	// Eligible risks: hit ratio >= threshold on the full model.
 	var eligible []object.Ref
-	for _, ref := range m.Risks() {
+	for _, ref := range v.risks {
 		deps, failed := v.aliveCounts(ref) // full model: everything alive
 		if deps == 0 || failed == 0 {
 			continue

@@ -84,9 +84,6 @@ func Filter(id ID) Ref { return Ref{Kind: KindFilter, ID: id} }
 // Switch returns a Ref naming a physical switch.
 func Switch(id ID) Ref { return Ref{Kind: KindSwitch, ID: id} }
 
-// IsZero reports whether r is the zero Ref (no object).
-func (r Ref) IsZero() bool { return r.Kind == 0 && r.ID == 0 }
-
 // String renders the Ref as "kind:id", e.g. "vrf:101".
 func (r Ref) String() string {
 	return r.Kind.String() + ":" + strconv.FormatUint(uint64(r.ID), 10)
@@ -155,9 +152,6 @@ func (s Set) Has(r Ref) bool {
 	_, ok := s[r]
 	return ok
 }
-
-// Remove deletes r from the set.
-func (s Set) Remove(r Ref) { delete(s, r) }
 
 // Len returns the number of refs in the set.
 func (s Set) Len() int { return len(s) }

@@ -140,10 +140,6 @@ func TestSetBasics(t *testing.T) {
 	if s.Len() != 3 {
 		t.Errorf("Len after adds = %d, want 3", s.Len())
 	}
-	s.Remove(VRF(1))
-	if s.Has(VRF(1)) || s.Len() != 2 {
-		t.Error("Remove failed")
-	}
 }
 
 func TestSetSortedDeterministic(t *testing.T) {
@@ -151,16 +147,6 @@ func TestSetSortedDeterministic(t *testing.T) {
 	want := []Ref{VRF(1), VRF(3), EPG(7), Contract(5), Filter(1), Switch(9)}
 	if got := s.Sorted(); !reflect.DeepEqual(got, want) {
 		t.Errorf("Sorted() = %v, want %v", got, want)
-	}
-}
-
-func TestRefIsZero(t *testing.T) {
-	var zero Ref
-	if !zero.IsZero() {
-		t.Error("zero Ref should be zero")
-	}
-	if VRF(0).IsZero() {
-		t.Error("vrf:0 is a real ref, not zero")
 	}
 }
 

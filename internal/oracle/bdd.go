@@ -62,9 +62,6 @@ func NewRefManager(numVars int) *RefManager {
 	return m
 }
 
-// NumVars returns the number of variables in the ordering.
-func (m *RefManager) NumVars() int { return m.numVars }
-
 // Size returns the number of nodes (including the two terminals).
 func (m *RefManager) Size() int { return len(m.nodes) }
 
@@ -80,14 +77,6 @@ func (m *RefManager) CacheStats() bdd.CacheStats { return bdd.CacheStats{} }
 func (m *RefManager) NodeAt(n bdd.Node) (level int32, lo, hi bdd.Node) {
 	d := m.nodes[n]
 	return d.level, d.lo, d.hi
-}
-
-// Var returns the BDD for the single variable v.
-func (m *RefManager) Var(v int) bdd.Node {
-	if v < 0 || v >= m.numVars {
-		panic(fmt.Sprintf("bdd: variable %d out of range [0,%d)", v, m.numVars))
-	}
-	return m.mk(int32(v), bdd.False, bdd.True)
 }
 
 func (m *RefManager) mk(level int32, lo, hi bdd.Node) bdd.Node {
@@ -213,7 +202,6 @@ func (m *RefManager) Cube(literals map[int]bool) bdd.Node {
 // reader is a manager read one node at a time: *bdd.Manager (frozen,
 // fork or standalone) and *RefManager both are.
 type reader interface {
-	NumVars() int
 	NodeAt(n bdd.Node) (level int32, lo, hi bdd.Node)
 }
 
@@ -230,12 +218,12 @@ func Eval(m reader, n bdd.Node, assignment []bool) bool {
 	return n == bdd.True
 }
 
-// SatCount returns the number of assignments over all m.NumVars()
-// variables that satisfy n.
-func SatCount(m reader, n bdd.Node) float64 {
+// SatCount returns the number of assignments over all numVars variables
+// that satisfy n.
+func SatCount(m reader, numVars int, n bdd.Node) float64 {
 	top := func(n bdd.Node) int {
 		level, _, _ := m.NodeAt(n)
-		return min(int(level), m.NumVars())
+		return min(int(level), numVars)
 	}
 	memo := make(map[bdd.Node]float64)
 	// count is n's satisfying assignments of the variables from its level down.

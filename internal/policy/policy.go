@@ -259,26 +259,6 @@ func (p *Policy) Pairs() []EPGPair {
 	return out
 }
 
-// Objects returns the refs of every policy object in the policy (VRFs,
-// EPGs, contracts, filters), sorted.
-func (p *Policy) Objects() []object.Ref {
-	out := make([]object.Ref, 0, len(p.VRFs)+len(p.EPGs)+len(p.Contracts)+len(p.Filters))
-	for id := range p.VRFs {
-		out = append(out, object.VRF(id))
-	}
-	for id := range p.EPGs {
-		out = append(out, object.EPG(id))
-	}
-	for id := range p.Contracts {
-		out = append(out, object.Contract(id))
-	}
-	for id := range p.Filters {
-		out = append(out, object.Filter(id))
-	}
-	object.SortRefs(out)
-	return out
-}
-
 // Stats summarizes object counts, mirroring the dataset description in the
 // paper's §VI-A.
 type Stats struct {

@@ -124,19 +124,6 @@ func TestPairsDedupesAndSorts(t *testing.T) {
 	}
 }
 
-func TestObjectsSorted(t *testing.T) {
-	objs := validPolicy().Objects()
-	want := []object.Ref{
-		object.VRF(101),
-		object.EPG(1), object.EPG(2), object.EPG(3),
-		object.Contract(201),
-		object.Filter(80),
-	}
-	if !reflect.DeepEqual(objs, want) {
-		t.Errorf("Objects = %v, want %v", objs, want)
-	}
-}
-
 func TestStats(t *testing.T) {
 	s := validPolicy().Stats()
 	want := Stats{VRFs: 1, EPGs: 3, Endpoints: 2, Contracts: 1, Filters: 1, Bindings: 1, EPGPairs: 1}
@@ -155,11 +142,8 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Stats() != p.Stats() {
-		t.Errorf("round trip stats: got %+v, want %+v", got.Stats(), p.Stats())
-	}
-	if !reflect.DeepEqual(got.Objects(), p.Objects()) {
-		t.Error("round trip lost objects")
+	if !reflect.DeepEqual(got, p) {
+		t.Errorf("round trip: got %+v, want %+v", got, p)
 	}
 }
 

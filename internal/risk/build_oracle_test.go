@@ -3,7 +3,7 @@ package risk_test
 import (
 	"fmt"
 	"reflect"
-	"sort"
+	"slices"
 	"testing"
 
 	"scout/internal/compile"
@@ -30,7 +30,7 @@ func refBuildSwitchModel(d *compile.Deployment, sw object.ID) *risk.Model {
 			pairs = append(pairs, sp)
 		}
 	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].Less(pairs[j]) })
+	slices.SortFunc(pairs, compile.SwitchPair.Compare)
 	for _, sp := range pairs {
 		el := m.EnsureElement(sp.Pair.String())
 		for _, k := range d.PairRules[sp] {
@@ -48,7 +48,7 @@ func refBuildControllerModel(d *compile.Deployment, opts risk.ControllerModelOpt
 	for sp := range d.PairRules {
 		sps = append(sps, sp)
 	}
-	sort.Slice(sps, func(i, j int) bool { return sps[i].Less(sps[j]) })
+	slices.SortFunc(sps, compile.SwitchPair.Compare)
 	for _, sp := range sps {
 		el := m.EnsureElement(sp.String())
 		for _, k := range d.PairRules[sp] {

@@ -34,11 +34,6 @@ type View interface {
 	NumFailedEdges() int
 	ElementByLabel(label string) (ElementID, bool)
 	RiskByRef(ref object.Ref) (RiskID, bool)
-	ElementsOf(ref object.Ref) []ElementID
-	FailedElementsOf(ref object.Ref) []ElementID
-	FailureSignature() []ElementID
-	Risks() []object.Ref
-	SuspectSet() []object.Ref
 }
 
 // Marker is a View that also accepts failure annotation — what risk-model
@@ -256,20 +251,6 @@ func (m *Model) Risks() []object.Ref {
 	}
 	object.SortRefs(out)
 	return out
-}
-
-// SuspectSet returns the union of risks with a failed edge to any
-// observation: the objects an admin would have to examine without fault
-// localization (the denominator of the paper's suspect-set-reduction
-// metric γ).
-func (m *Model) SuspectSet() []object.Ref {
-	set := make(object.Set)
-	for i := range m.elements {
-		for r := range m.elements[i].failed {
-			set.Add(m.risks[r].ref)
-		}
-	}
-	return set.Sorted()
 }
 
 // ResetFailures clears every failed-edge mark, returning the model to its

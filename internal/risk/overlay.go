@@ -22,10 +22,9 @@ import (
 // Overlay is a copy-on-write failure view over a base Model. The base is
 // treated as immutable for the overlay's lifetime: concurrent readers
 // (including other overlays over the same base) are safe as long as
-// nothing mutates the base itself. Element IDs, risk IDs, and the order
-// ElementsOf lists a risk's dependents in match what MarkFailed on the
-// model itself would produce, so results read through either are
-// identical.
+// nothing mutates the base itself. Element and risk IDs match what
+// MarkFailed on the model itself would produce, so results read through
+// either are identical.
 //
 // An Overlay supports marking failures but not adding elements; risks and
 // edges are created implicitly when a mark names an edge the base lacks
@@ -38,14 +37,11 @@ type Overlay struct {
 	// extraRisks holds risks created by overlay marks; their IDs continue
 	// the base's dense numbering in creation order, mirroring EnsureRisk
 	// on the model itself.
-	extraRisks []riskData
+	extraRisks []object.Ref
 	extraByRef map[object.Ref]RiskID
 
-	// extraDeps appends overlay-created edges to an element's adjacency;
-	// extraElems appends overlay-gained dependents to a *base* risk
-	// (overlay risks keep dependents in extraRisks[..].elements).
-	extraDeps  map[ElementID][]RiskID
-	extraElems map[RiskID][]ElementID
+	// extraDeps appends overlay-created edges to an element's adjacency.
+	extraDeps map[ElementID][]RiskID
 
 	// failed records the overlay's failure marks per element.
 	failed map[ElementID]map[RiskID]struct{}
@@ -61,7 +57,6 @@ func NewOverlay(base *Model) *Overlay {
 		base:       base,
 		extraByRef: make(map[object.Ref]RiskID),
 		extraDeps:  make(map[ElementID][]RiskID),
-		extraElems: make(map[RiskID][]ElementID),
 		failed:     make(map[ElementID]map[RiskID]struct{}),
 	}
 }
@@ -105,23 +100,7 @@ func (o *Overlay) refOf(r RiskID) object.Ref {
 	if int(r) < len(o.base.risks) {
 		return o.base.risks[r].ref
 	}
-	return o.extraRisks[int(r)-len(o.base.risks)].ref
-}
-
-// dependents returns the risk's dependent elements in the order a model
-// marked in place holds them (base dependents, then overlay-gained ones).
-func (o *Overlay) dependents(r RiskID) []ElementID {
-	if int(r) < len(o.base.risks) {
-		base := o.base.risks[r].elements
-		extra := o.extraElems[r]
-		if len(extra) == 0 {
-			return base
-		}
-		out := make([]ElementID, 0, len(base)+len(extra))
-		out = append(out, base...)
-		return append(out, extra...)
-	}
-	return o.extraRisks[int(r)-len(o.base.risks)].elements
+	return o.extraRisks[int(r)-len(o.base.risks)]
 }
 
 // hasEdge reports whether the edge el↔r exists in base or overlay.
@@ -156,17 +135,11 @@ func (o *Overlay) MarkFailed(el ElementID, ref object.Ref) bool {
 	r, ok := o.RiskByRef(ref)
 	if !ok {
 		r = RiskID(len(o.base.risks) + len(o.extraRisks))
-		o.extraRisks = append(o.extraRisks, riskData{ref: ref})
+		o.extraRisks = append(o.extraRisks, ref)
 		o.extraByRef[ref] = r
 	}
 	if !o.hasEdge(el, r) {
 		o.extraDeps[el] = append(o.extraDeps[el], r)
-		if int(r) < len(o.base.risks) {
-			o.extraElems[r] = append(o.extraElems[r], el)
-		} else {
-			rd := &o.extraRisks[int(r)-len(o.base.risks)]
-			rd.elements = append(rd.elements, el)
-		}
 		o.edges++
 	}
 	if o.edgeFailedID(el, r) {
@@ -180,34 +153,6 @@ func (o *Overlay) MarkFailed(el ElementID, ref object.Ref) bool {
 	set[r] = struct{}{}
 	o.numFailed++
 	return true
-}
-
-// ElementsOf returns the element IDs depending on risk ref.
-func (o *Overlay) ElementsOf(ref object.Ref) []ElementID {
-	r, ok := o.RiskByRef(ref)
-	if !ok {
-		return nil
-	}
-	deps := o.dependents(r)
-	out := make([]ElementID, len(deps))
-	copy(out, deps)
-	return out
-}
-
-// FailedElementsOf returns Oi for risk ref: the elements whose edge to
-// ref is marked fail.
-func (o *Overlay) FailedElementsOf(ref object.Ref) []ElementID {
-	r, ok := o.RiskByRef(ref)
-	if !ok {
-		return nil
-	}
-	var out []ElementID
-	for _, el := range o.dependents(r) {
-		if o.edgeFailedID(el, r) {
-			out = append(out, el)
-		}
-	}
-	return out
 }
 
 // FailureSignature returns the sorted IDs of all observations. Over a
@@ -231,21 +176,10 @@ func (o *Overlay) FailureSignature() []ElementID {
 	return out
 }
 
-// Risks returns all risk refs in the view, sorted.
-func (o *Overlay) Risks() []object.Ref {
-	out := make([]object.Ref, 0, o.NumRisks())
-	for i := range o.base.risks {
-		out = append(out, o.base.risks[i].ref)
-	}
-	for i := range o.extraRisks {
-		out = append(out, o.extraRisks[i].ref)
-	}
-	object.SortRefs(out)
-	return out
-}
-
 // SuspectSet returns the union of risks with a failed edge to any
-// observation.
+// observation: the objects an admin would have to examine without fault
+// localization (the denominator of the paper's suspect-set-reduction
+// metric γ).
 func (o *Overlay) SuspectSet() []object.Ref {
 	set := make(object.Set)
 	for i := range o.base.elements {

@@ -54,14 +54,7 @@ type planCacheSlot = atomic.Pointer[planEntry]
 // ExtraRiskRefs returns the refs of risks created by overlay marks, in
 // creation order (their RiskIDs continue the base's dense numbering).
 func (o *Overlay) ExtraRiskRefs() []object.Ref {
-	if len(o.extraRisks) == 0 {
-		return nil
-	}
-	out := make([]object.Ref, len(o.extraRisks))
-	for i := range o.extraRisks {
-		out[i] = o.extraRisks[i].ref
-	}
-	return out
+	return append([]object.Ref(nil), o.extraRisks...)
 }
 
 // ForEachOverlayEdge invokes fn for every overlay-created edge (an edge a

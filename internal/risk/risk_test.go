@@ -115,16 +115,19 @@ func TestHitAndCoverageRatios(t *testing.T) {
 	}
 }
 
+// TestSuspectSet: an overlay's suspects are the risks failed in its base
+// and the risks it marks itself.
 func TestSuspectSet(t *testing.T) {
 	m := NewModel("t")
 	e := m.EnsureElement("a")
 	m.AddEdge(e, object.VRF(1))
 	m.AddEdge(e, object.Filter(2))
 	m.MarkFailed(e, object.Filter(2))
-	m.MarkFailed(e, object.VRF(1))
 	e2 := m.EnsureElement("b")
 	m.AddEdge(e2, object.Contract(3)) // healthy edge: not a suspect
-	got := m.SuspectSet()
+	ov := NewOverlay(m)
+	ov.MarkFailed(e, object.VRF(1))
+	got := ov.SuspectSet()
 	want := []object.Ref{object.VRF(1), object.Filter(2)}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("SuspectSet = %v, want %v", got, want)

@@ -154,7 +154,7 @@ func TestBaseCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	assignment := make([]bool, equiv.NumVars)
 	for _, root := range roots {
-		if w, g := oracle.SatCount(wantM, root), oracle.SatCount(gotM, root); w != g {
+		if w, g := oracle.SatCount(wantM, equiv.NumVars, root), oracle.SatCount(gotM, equiv.NumVars, root); w != g {
 			t.Fatalf("SatCount(%d): %v vs %v", root, w, g)
 		}
 		for trial := 0; trial < 64; trial++ {

@@ -304,7 +304,7 @@ func TestApplyToControllerModelFullFault(t *testing.T) {
 			break
 		}
 	}
-	if target.IsZero() {
+	if target == (object.Ref{}) {
 		t.Skip("no suitable filter in workload")
 	}
 	sc := Scenario{Faults: []Fault{{Ref: target, Fraction: 1}}}
@@ -329,7 +329,7 @@ func TestApplyToControllerModelPartialFault(t *testing.T) {
 			break
 		}
 	}
-	if target.IsZero() {
+	if target == (object.Ref{}) {
 		t.Skip("no wide object in workload")
 	}
 	sc := Scenario{Faults: []Fault{{Ref: target, Fraction: 0.3}}}

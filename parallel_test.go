@@ -12,6 +12,7 @@ import (
 
 	"scout"
 	"scout/internal/equiv"
+	"scout/internal/object"
 	"scout/internal/rule"
 	"scout/internal/tcam"
 )
@@ -61,20 +62,20 @@ func deployed(t testing.TB, pol *scout.Policy, topo *scout.Topology, opts scout.
 func injectFaults(t testing.TB, f *scout.Fabric) {
 	t.Helper()
 	missingFaults(t, f, 0.5)
-	switches := f.Topology().Switches()
+	switches := switchesOf(f)
 	if _, err := f.CorruptTCAM(switches[len(switches)-1], 2, tcam.CorruptDstEPG); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// missingFaults fails the fabric's lowest filter in full and its second at
-// fraction, then evicts three rules from its first switch: faults that
-// only ever remove rules.
+// missingFaults fails the fabric's lowest deployed filter in full and its
+// second at fraction, then evicts three rules from its first switch: faults
+// that only ever remove rules.
 func missingFaults(t testing.TB, f *scout.Fabric, fraction float64) {
 	t.Helper()
-	filters := sortedIDs(f.Policy().Filters)
+	filters := deployedIDs(f, object.KindFilter)
 	if len(filters) < 2 {
-		t.Fatalf("policy %q has %d filters, need at least 2", f.Policy().Name, len(filters))
+		t.Fatalf("the fabric deploys %d filters, need at least 2", len(filters))
 	}
 	if _, err := f.InjectObjectFault(scout.FilterRef(filters[0]), 1.0); err != nil {
 		t.Fatal(err)
@@ -82,7 +83,7 @@ func missingFaults(t testing.TB, f *scout.Fabric, fraction float64) {
 	if _, err := f.InjectObjectFault(scout.FilterRef(filters[1]), fraction); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.EvictTCAM(f.Topology().Switches()[0], 3); err != nil {
+	if _, err := f.EvictTCAM(switchesOf(f)[0], 3); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -136,7 +137,7 @@ func TestSharedBaseEncodeStats(t *testing.T) {
 				t.Errorf("Workers=%d: base holds %d nodes, %d at 1 worker", workers, es.BaseNodes, baseNodes)
 			}
 		}
-		if len(st.TCAM) > f.Topology().NumSwitches() && unwarmed != 9 {
+		if len(st.TCAM) > len(f.Deployment().BySwitch) && unwarmed != 9 {
 			t.Errorf("the state with twins has %d drifted lists, want 9", unwarmed)
 		}
 	}
@@ -360,7 +361,7 @@ func TestParallelCountersRepeat(t *testing.T) {
 			}
 		}
 
-		switches := fabs[0].Topology().Switches()
+		switches := switchesOf(fabs[0])
 		for r := 0; r < rounds; r++ {
 			step(fmt.Sprintf("churn round %d", r), func(j int) {
 				for _, sw := range switches {

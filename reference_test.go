@@ -10,6 +10,7 @@ import (
 	"scout/internal/equiv"
 	"scout/internal/eval"
 	"scout/internal/localize"
+	"scout/internal/object"
 	"scout/internal/risk"
 )
 
@@ -61,6 +62,23 @@ func sortedIDs[V any](m map[scout.ObjectID]V) []scout.ObjectID {
 	return ids
 }
 
+// switchesOf returns a deployed fabric's switches, ascending.
+func switchesOf(f *scout.Fabric) []scout.ObjectID { return sortedIDs(f.Deployment().BySwitch) }
+
+// deployedIDs returns the IDs of the objects of a kind that a fabric's
+// deployed rules carry, ascending.
+func deployedIDs(f *scout.Fabric, kind object.Kind) []scout.ObjectID {
+	ids := make(map[scout.ObjectID]bool)
+	for _, refs := range f.Deployment().Provenance {
+		for _, ref := range refs {
+			if ref.Kind == kind {
+				ids[ref.ID] = true
+			}
+		}
+	}
+	return sortedIDs(ids)
+}
+
 // TestOrchestrationMatchesReference holds an event-driven session through
 // a new fault to refAnalyze's bytes, on the testbed, the small fabric and
 // production x0.25: equalsCold ends every case on that comparison.
@@ -79,7 +97,7 @@ func TestOrchestrationMatchesReference(t *testing.T) {
 				fabric:  func(t testing.TB) *scout.Fabric { return faultyFabricOf(t, tc.spec, tc.opts) },
 				entry:   viaEvents,
 				workers: 2,
-				steps:   []step{func(t *testing.T, r *coldRun) { removeOneRule(t, r.f, r.f.Topology().Switches()[1]) }},
+				steps:   []step{func(t *testing.T, r *coldRun) { removeOneRule(t, r.f, switchesOf(r.f)[1]) }},
 			})
 		})
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"scout"
+	"scout/internal/object"
 	"scout/internal/tcam"
 )
 
@@ -13,6 +14,12 @@ import (
 // service with Web, App, and DB EPGs on three switches.
 func threeTier(t testing.TB, seed int64) *scout.Fabric {
 	t.Helper()
+	p := threeTierPolicy()
+	return deployed(t, p, scout.TopologyFromPolicy(p), scout.FabricOptions{Seed: seed})
+}
+
+// threeTierPolicy is threeTier's policy.
+func threeTierPolicy() *scout.Policy {
 	p := scout.NewPolicy("three-tier")
 	p.AddVRF(scout.VRF{ID: 101, Name: "vrf-101"})
 	p.AddEPG(scout.EPG{ID: 1, Name: "Web", VRF: 101})
@@ -31,7 +38,7 @@ func threeTier(t testing.TB, seed int64) *scout.Fabric {
 	p.AddContract(scout.Contract{ID: 202, Name: "App-DB", Filters: []scout.ObjectID{80, 700}})
 	p.Bind(1, 2, 201)
 	p.Bind(2, 3, 202)
-	return deployed(t, p, scout.TopologyFromPolicy(p), scout.FabricOptions{Seed: seed})
+	return p
 }
 
 // oneShot is a one-shot analysis of the fabric.
@@ -186,9 +193,9 @@ func TestPipelineNeverWritesProvenance(t *testing.T) {
 			t.Fatal("the faulted fabric analyzed consistent; the reports under test carry no rules")
 		}
 	}
-	switches := f.Topology().Switches()
+	switches := switchesOf(f)
 	first, last := switches[0], switches[len(switches)-1]
-	if _, err := f.InjectObjectFault(scout.FilterRef(sortedIDs(f.Policy().Filters)[0]), 0.5); err != nil {
+	if _, err := f.InjectObjectFault(scout.FilterRef(deployedIDs(f, object.KindFilter)[0]), 0.5); err != nil {
 		t.Fatal(err)
 	}
 	for _, field := range []tcam.CorruptionField{tcam.CorruptVRF, tcam.CorruptSrcEPG, tcam.CorruptDstEPG, tcam.CorruptPort} {

@@ -8,6 +8,7 @@ import (
 
 	"scout"
 	"scout/internal/eval"
+	"scout/internal/object"
 )
 
 // marshalReport serializes a report with the wall-clock field zeroed so
@@ -69,19 +70,21 @@ func removeOneRule(t *testing.T, f *scout.Fabric, sw scout.ObjectID) scout.Rule 
 // rolloutFilter is the filter rollout adds.
 const rolloutFilter = 64123
 
-// rollout adds a filter to the policy and attaches it to the first
-// binding's contract: the logical lists of every switch that contract
-// reaches change.
-func rollout(t testing.TB, f *scout.Fabric) {
+// rollout adds a filter to the policy and attaches it to the lowest
+// deployed contract, which it returns: the logical lists of every switch
+// that contract reaches change.
+func rollout(t testing.TB, f *scout.Fabric) (contract scout.ObjectID) {
 	t.Helper()
 	if err := f.AddFilter(scout.Filter{ID: rolloutFilter, Name: "rollout", Entries: []scout.FilterEntry{
 		scout.PortEntry(scout.ProtoTCP, rolloutFilter),
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.AddFilterToContract(f.Policy().Bindings[0].Contract, rolloutFilter); err != nil {
+	contract = deployedIDs(f, object.KindContract)[0]
+	if err := f.AddFilterToContract(contract, rolloutFilter); err != nil {
 		t.Fatal(err)
 	}
+	return contract
 }
 
 // TestSessionIncrementalSingleSwitch: an epoch after one switch lost a rule
@@ -93,7 +96,7 @@ func TestSessionIncrementalSingleSwitch(t *testing.T) {
 	var plans int // PlanCompiles when the previous step ran
 	record := func(_ *testing.T, r *coldRun) { plans = r.sess.Stats().PlanCompiles }
 	remove := func(t *testing.T, r *coldRun) {
-		sw, st := r.f.Topology().Switches()[1], r.sess.Stats()
+		sw, st := switchesOf(r.f)[1], r.sess.Stats()
 		if r.round == 1 && st.PlanCompiles != 1+brokenSwitches(r.last) {
 			t.Errorf("the cold run compiled %d plans, want 1 + %d broken switches", st.PlanCompiles, brokenSwitches(r.last))
 		}
@@ -120,7 +123,7 @@ func TestSessionLogicalInvalidation(t *testing.T) {
 func TestSessionInvalidate(t *testing.T) {
 	equalsCold(t, coldCase{fabric: seeded(23), steps: []step{
 		nil,
-		func(_ *testing.T, r *coldRun) { r.invalidate(r.f.Topology().Switches()[0]) },
+		func(_ *testing.T, r *coldRun) { r.invalidate(switchesOf(r.f)[0]) },
 		func(_ *testing.T, r *coldRun) { r.invalidate() },
 	}})
 }
@@ -162,7 +165,7 @@ func TestSessionSharedBasePersistence(t *testing.T) {
 		if cold = r.sess.Stats(); cold.BaseNodes == 0 || cold.FoldHits == 0 || cold.FoldMisses == 0 || cold.DeltaNodes == 0 {
 			t.Errorf("cold run: %+v, want base nodes, fold hits and misses, and delta nodes", cold)
 		}
-		removeOneRule(t, r.f, r.f.Topology().Switches()[0])
+		removeOneRule(t, r.f, switchesOf(r.f)[0])
 	}
 	folds := func(t *testing.T, r *coldRun) {
 		if st := r.sess.Stats(); st.BaseNodes != cold.BaseNodes || st.FoldHits <= cold.FoldHits || st.FoldMisses != cold.FoldMisses+1 {
@@ -176,7 +179,7 @@ func TestSessionSharedBasePersistence(t *testing.T) {
 // nothing, a fault re-probes exactly its switch with exactly its probes,
 // and an equal-content redeploy replays everything.
 func TestSessionProbeWarmReplay(t *testing.T) {
-	remove := func(t *testing.T, r *coldRun) { removeOneRule(t, r.f, r.f.Topology().Switches()[1]) }
+	remove := func(t *testing.T, r *coldRun) { removeOneRule(t, r.f, switchesOf(r.f)[1]) }
 	equalsCold(t, coldCase{fabric: seeded(3), probes: true, workers: 2, steps: []step{nil, remove, remove, redeploy}})
 }
 
@@ -239,7 +242,7 @@ func TestSessionFoldSharing(t *testing.T) {
 		t.Fatalf("clean cold run: %+v, want frozen semantics roots resolving every fold, and no plan", st)
 	}
 	st := sess.Stats()
-	removeOneRule(t, f, f.Topology().Switches()[0])
+	removeOneRule(t, f, switchesOf(f)[0])
 	mustReport(t, sess.Analyze)
 	if st2 := sess.Stats(); st2.Checked-st.Checked != 1 || st2.FoldMisses-st.FoldMisses != 1 || st2.FoldHits <= st.FoldHits {
 		t.Errorf("one drifted switch: %+v after %+v, want one check folding its TCAM side privately and its logical side from the base", st2, st)
@@ -261,7 +264,7 @@ func TestSessionNodeBudgetReset(t *testing.T) {
 	for i := range steps {
 		steps[i] = func(t *testing.T, r *coldRun) {
 			scout.ResetCheckersOver(r.sess, 256)
-			switches := r.f.Topology().Switches()
+			switches := switchesOf(r.f)
 			removeOneRule(t, r.f, switches[i%len(switches)])
 		}
 	}
@@ -285,7 +288,6 @@ func TestWatchMemoryIsBounded(t *testing.T) {
 		t.Skip("120 rounds of full-fabric churn")
 	}
 	f := cleanFabric(t, scout.SmallFabricWorkloadSpec(), scout.FabricOptions{Seed: 42, TCAMCapacity: 1 << 17})
-	topo := f.Topology()
 	opts := scout.AnalyzerOptions{Workers: 2}
 	sess := newSession(t, f, opts)
 	collector := scout.NewCollector(f, 2)
@@ -298,7 +300,7 @@ func TestWatchMemoryIsBounded(t *testing.T) {
 
 	var at20 uint64
 	for round := 1; round <= 120; round++ {
-		for _, sw := range topo.Switches() {
+		for _, sw := range switchesOf(f) {
 			if _, err := f.EvictTCAM(sw, 2); err != nil {
 				t.Fatal(err)
 			}
@@ -329,7 +331,7 @@ func TestWatchMemoryIsBounded(t *testing.T) {
 			float64(grown)/(1<<20), bound>>20)
 	}
 	st := sess.Stats()
-	if want := 120 * topo.NumSwitches(); st.Checked != want {
+	if want := 120 * len(f.Deployment().BySwitch); st.Checked != want {
 		t.Errorf("session checked %d switches, want %d (every switch dirty every round)", st.Checked, want)
 	}
 	if st.CheckerResets != 0 {

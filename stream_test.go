@@ -8,6 +8,8 @@ import (
 	"scout"
 	"scout/internal/collect"
 	"scout/internal/faultlog"
+	"scout/internal/object"
+	"scout/internal/rule"
 	"scout/internal/tcam"
 )
 
@@ -20,7 +22,7 @@ func TestFabricEmitsEvents(t *testing.T) {
 	if f.EventLog().LastSeq() == 0 {
 		t.Fatal("deploy emitted no events")
 	}
-	sw := f.Topology().Switches()[0]
+	sw := switchesOf(f)[0]
 	cursor := f.EventLog().TailCursor()
 
 	expect := func(op string, kind faultlog.EventKind, wantSwitch scout.ObjectID) {
@@ -54,7 +56,7 @@ func TestFabricEmitsEvents(t *testing.T) {
 	}
 	expect("CorruptTCAM", scout.EventTCAMChange, sw)
 
-	if _, err := f.InjectObjectFault(scout.FilterRef(sortedIDs(f.Policy().Filters)[0]), 1.0); err != nil {
+	if _, err := f.InjectObjectFault(scout.FilterRef(deployedIDs(f, object.KindFilter)[0]), 1.0); err != nil {
 		t.Fatal(err)
 	}
 	evs := cursor.Drain()
@@ -89,7 +91,7 @@ func TestApplyEventsMatchesAnalyzeEpoch(t *testing.T) {
 	if qs.BatchedSwitches != qs.Pushed-qs.Coalesced || qs.BatchedSwitches != r.named || qs.MaxBatch > 3 {
 		t.Errorf("queue stats %+v: want batched = pushed - coalesced = %d switches named, batches of at most 3", qs, r.named)
 	}
-	if got, want := st.EventSwitchesRead+st.EventSwitchesAliased, st.EventBatches*r.f.Topology().NumSwitches(); got != want {
+	if got, want := st.EventSwitchesRead+st.EventSwitchesAliased, st.EventBatches*len(r.f.Deployment().BySwitch); got != want {
 		t.Errorf("read %d + aliased %d switches, want batches x switches = %d", st.EventSwitchesRead, st.EventSwitchesAliased, want)
 	}
 }
@@ -105,8 +107,8 @@ func TestApplyEventsCountsWhatItRead(t *testing.T) {
 	if _, err := sess.ApplyEvents(scout.EventBatch{}); err != nil { // full baseline
 		t.Fatal(err)
 	}
-	n := f.Topology().NumSwitches()
-	sw := f.Topology().Switches()[1]
+	n := len(f.Deployment().BySwitch)
+	sw := switchesOf(f)[1]
 	removeOneRule(t, f, sw)
 
 	rep, err := sess.ApplyEvents(scout.EventBatch{Switches: []scout.ObjectID{sw, sw}})
@@ -145,24 +147,23 @@ func TestApplyEventsCountsWhatItRead(t *testing.T) {
 
 // TestSnapshotSwitchesCountsWhatItRead is the collector's half of the same
 // contract — both run collect.Partial: a partial epoch naming a switch
-// twice reads it once and aliases every other switch, and a switch the
-// previous epoch lacked simply joins as one more read.
+// twice re-reads it and hands every other switch the previous epoch's
+// slice, and a switch the fabric lacks fails it.
 func TestSnapshotSwitchesCountsWhatItRead(t *testing.T) {
 	f := faultyFabric(t, 11)
 	c := scout.NewCollector(f, 4)
 	e1 := c.Snapshot()
-	n := f.Topology().NumSwitches()
-	sw := f.Topology().Switches()[1]
+	sw := switchesOf(f)[1]
 	removeOneRule(t, f, sw)
 
 	e2, err := c.SnapshotSwitches([]scout.ObjectID{sw, sw})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := c.Stats()
-	if st.PartialSnapshots != 1 || st.SwitchesRead != n+1 || st.SwitchesAliased != n-1 {
-		t.Errorf("duplicated switch: %d partial epochs, read %d, aliased %d; want 1, %d (the full epoch's %d + 1), %d",
-			st.PartialSnapshots, st.SwitchesRead, st.SwitchesAliased, n+1, n, n-1)
+	for other, rules := range e1.TCAM {
+		if other != sw && !rule.SameSlice(rules, e2.TCAM[other]) {
+			t.Errorf("switch %d was re-read; only switch %d was named", other, sw)
+		}
 	}
 	if len(e2.TCAM[sw]) != len(e1.TCAM[sw])-1 {
 		t.Errorf("re-read switch holds %d rules, want %d", len(e2.TCAM[sw]), len(e1.TCAM[sw])-1)
@@ -172,8 +173,5 @@ func TestSnapshotSwitchesCountsWhatItRead(t *testing.T) {
 	}
 	if _, err := c.SnapshotSwitches([]scout.ObjectID{1 << 20}); err == nil {
 		t.Error("a switch the fabric does not have must fail the partial epoch")
-	}
-	if after := c.Stats(); after != st {
-		t.Errorf("failed partial epoch moved the counters: %+v -> %+v", st, after)
 	}
 }

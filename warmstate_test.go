@@ -20,7 +20,7 @@ import (
 // every verdict, and a mutation after a restart re-checks exactly the
 // dirty switch, so the restored cache is live, not just replayable.
 func TestSessionWarmRestartIdentity(t *testing.T) {
-	remove := func(t *testing.T, r *coldRun) { removeOneRule(t, r.f, r.f.Topology().Switches()[0]) }
+	remove := func(t *testing.T, r *coldRun) { removeOneRule(t, r.f, switchesOf(r.f)[0]) }
 	equalsCold(t, coldCase{fabric: seeded(11), entry: viaRestart, workers: 2, steps: []step{nil, remove}})
 }
 
@@ -45,7 +45,7 @@ func TestSessionSurfacesLostStateDir(t *testing.T) {
 		if !bytes.Equal(marshalReport(t, rep), marshalReport(t, cold)) {
 			t.Fatalf("round %d: report over a lost state directory differs from a cold analysis", round)
 		}
-		removeOneRule(t, f, f.Topology().Switches()[0])
+		removeOneRule(t, f, switchesOf(f)[0])
 	}
 	if st := sess.Stats(); st.BaseRebuilds != 1 || st.BaseLoads != 0 {
 		t.Errorf("stats over a lost state directory: %+v", st)
@@ -63,7 +63,7 @@ func TestSessionSurfacesLostStateDir(t *testing.T) {
 // fabric restarts from them.
 func TestSharedStoreKeepsSaveErrorsApart(t *testing.T) {
 	fa, fb := faultyFabric(t, 11), faultyFabric(t, 13)
-	n := fb.Topology().NumSwitches()
+	n := len(fb.Deployment().BySwitch)
 	open := func(dir string) scout.AnalyzerOptions {
 		return scout.AnalyzerOptions{Workers: 2, WarmStore: warmStore(t, dir)}
 	}
@@ -219,7 +219,7 @@ func asCodecV1(t *testing.T, img []byte, isBase bool) []byte {
 func TestSessionRebuildsOverOldCodecBase(t *testing.T) {
 	dir := t.TempDir()
 	f := faultyFabric(t, 11)
-	numSwitches := f.Topology().NumSwitches()
+	numSwitches := len(f.Deployment().BySwitch)
 	run := func() (scout.SessionStats, []byte) {
 		t.Helper()
 		sess := newSession(t, f, scout.AnalyzerOptions{Workers: 2, WarmStore: warmStore(t, dir)})
@@ -327,14 +327,13 @@ func TestSeededVerdictIsHashedNotTrusted(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			f := cleanFabric(t, eval.SimSpec(0.25), scout.FabricOptions{Seed: 7, TCAMCapacity: 1 << 17})
-			contract := f.Policy().Bindings[0].Contract
 			policyA := f.Deployment()
-			rollout(t, f)
+			contract := rollout(t, f)
 			// sw is a switch the rollout does not reach: its logical list,
 			// and so its persisted verdict's L fingerprint, is the same
 			// under both policies.
 			sw := scout.ObjectID(0)
-			for _, cand := range f.Topology().Switches() {
+			for _, cand := range switchesOf(f) {
 				if reflect.DeepEqual(policyA.RulesFor(cand), f.Deployment().RulesFor(cand)) {
 					sw = cand
 					break
