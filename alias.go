@@ -125,8 +125,8 @@ type (
 	EventQueue = stream.Queue
 	// EventQueueOptions configures an EventQueue.
 	EventQueueOptions = stream.Options
-	// EventBatch is one coalesced unit of refresh work cut from an
-	// EventQueue, the input of Session.ApplyEvents.
+	// EventBatch is one coalesced batch cut from an EventQueue: the cue
+	// for one Session.Analyze refresh, and the switches that prompted it.
 	EventBatch = stream.Batch
 )
 

@@ -357,7 +357,8 @@ func TestArchitecture(t *testing.T) {
 	for _, shim := range []string{"internal/equiv:NewBase", "internal/equiv:CollectMatches",
 		"internal/equiv:SortMatches", "internal/equiv:Base.NumMatches", "internal/equiv:Base.NewCheckerSized",
 		"internal/equiv:Checker.Compact", "internal/risk:BuildAnnotatedSwitchModel",
-		"internal/risk:BuildControllerModelParallel", "internal/store:Store.Flush", "internal/store:Store.Close"} {
+		"internal/risk:BuildControllerModelParallel", "internal/store:Store.Flush", "internal/store:Store.Close",
+		".:Session.ApplyEvents", "internal/collect:Collector.SnapshotSwitches", "internal/collect:DirtySwitches"} {
 		for _, u := range ix.uses[ix.lookup(t, shim)] {
 			if !strings.HasPrefix(u.pos.Filename, "bench/") {
 				t.Errorf("%s: %s calls the bench-only shim %s", u.pos, funcName(u.in), shim)

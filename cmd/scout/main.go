@@ -339,13 +339,15 @@ type watchOptions struct {
 // tail, a full baseline round anchors the session, then events drain
 // through a bounded coalescing queue and every batch cut — by size, by
 // the deadline window, or by overflow backpressure — triggers one
-// refresh round: one partial collection (Session.ApplyEvents) and
-// incremental re-verification of just the switches the batch names — a
-// BDD re-check of their collected rules, or in probe mode (UseProbes) a
-// classification of their probe batches against the live dataplane. A
-// shutdown flush cuts whatever is still pending so no switch is stranded
-// below the deadline. It returns the last report produced (the baseline's
-// when no events arrive), or the session's first failed warm-state write.
+// refresh round (Session.Analyze). The batch decides when a round runs,
+// not what it reads: the round collects every switch and re-verifies the
+// ones written since their last read — a BDD re-check of their collected
+// rules, or in probe mode (UseProbes) a classification of their probe
+// batches against the live dataplane — so a write no event names is still
+// caught. A shutdown flush cuts whatever is still pending so no event is
+// stranded below the deadline. It returns the last report produced (the
+// baseline's when no events arrive), or the session's first failed
+// warm-state write.
 func runWatch(f *scout.Fabric, faults []objectFault, opts watchOptions, w io.Writer) (*scout.Report, error) {
 	sess, err := scout.NewSession(f, opts.analyzer)
 	if err != nil {
@@ -357,9 +359,9 @@ func runWatch(f *scout.Fabric, faults []objectFault, opts watchOptions, w io.Wri
 	cursor := f.EventLog().TailCursor()
 	queue := scout.NewEventQueue(scout.EventQueueOptions{Cap: opts.queueCap, Window: opts.window})
 
-	round := func(batch scout.EventBatch, label string) (*scout.Report, error) {
+	round := func(label string) (*scout.Report, error) {
 		before := sess.Stats()
-		report, err := sess.ApplyEvents(batch)
+		report, err := sess.Analyze()
 		if err != nil {
 			return nil, err
 		}
@@ -380,14 +382,14 @@ func runWatch(f *scout.Fabric, faults []objectFault, opts watchOptions, w io.Wri
 		batch := queue.Cut(f.Now())
 		label := fmt.Sprintf("batch %d: %d switches (waited %v)",
 			queue.Stats().Batches, len(batch.Switches), batch.Latency())
-		return round(batch, label)
+		return round(label)
 	}
 
 	baselineLabel := "baseline: full collection"
 	if probeMode {
 		baselineLabel = "baseline: full probe round"
 	}
-	report, err := round(scout.EventBatch{}, baselineLabel)
+	report, err := round(baselineLabel)
 	if err != nil {
 		return nil, err
 	}
@@ -430,8 +432,6 @@ func runWatch(f *scout.Fabric, faults []objectFault, opts watchOptions, w io.Wri
 		qs.Pushed, qs.Coalesced, qs.Stale, qs.Overflows, qs.Batches, qs.MaxBatch)
 	st := sess.Stats()
 	fmt.Fprintf(w, "session localization: %d plan compiles / %d reuses\n", st.PlanCompiles, st.PlanReuses)
-	fmt.Fprintf(w, "streaming collection: %d partial refreshes, %d switches re-read, %d aliased\n",
-		st.EventBatches, st.EventSwitchesRead, st.EventSwitchesAliased)
 	if probeMode {
 		fmt.Fprintf(w, "probe replay: %d switches classified, %d replayed, %d packets batched\n",
 			st.Checked, st.Replayed, st.ProbePacketsBatched)

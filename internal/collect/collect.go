@@ -4,14 +4,15 @@
 // snapshots the fabric's TCAMs into immutable epochs, keeps a bounded
 // history, and can diff epochs to show which rules appeared or vanished
 // between collections — the raw material for trend analysis and
-// post-incident forensics. It also collects *partial* epochs: only the
-// switches the caller names (from the events it drained) are re-read,
-// everything else aliases the previous epoch's rule slices, so a
-// collection round costs O(dirty switches) instead of O(fabric).
+// post-incident forensics. Events decide when to collect, not what: a TCAM
+// hands back the snapshot it last published until it is written, so a full
+// collection copies only the written switches, and an unwritten switch
+// contributes the previous epoch's very slice.
 package collect
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"time"
@@ -90,52 +91,28 @@ func (c *Collector) retainLocked(tcams map[object.ID][]rule.Rule) *Epoch {
 
 // SnapshotSwitches collects a partial epoch: only the named switches are
 // re-read from the fabric; every other switch's rule slice aliases the
-// previous epoch's (same backing array, zero copy), so the epoch is a
-// complete fabric view at the cost of the dirty subset. DirtySwitches
+// previous epoch's (same backing array, zero copy), and a named switch the
+// previous epoch lacked simply joins. DirtySwitches
 // and Diff semantics are intact — an aliased slice compares equal to its
 // predecessor, a re-read one compares by content. Without a previous
 // epoch the call degrades to a full Snapshot (there is nothing to alias).
-//
-// Correctness rests on the event contract: a switch not named since the
-// previous epoch has an unchanged TCAM. Callers that cannot trust the
-// stream end to end should interleave periodic full Snapshots.
+// A write to a switch the caller does not name is missed until the next
+// full Snapshot, which costs no more.
 func (c *Collector) SnapshotSwitches(dirty []object.ID) (*Epoch, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(c.history) == 0 {
 		return c.snapshotLocked(), nil
 	}
-	tcams, _, err := Partial(c.f, c.history[len(c.history)-1].TCAM, dirty)
-	if err != nil {
-		return nil, err
+	tcams := maps.Clone(c.history[len(c.history)-1].TCAM)
+	for _, sw := range dirty {
+		rules, err := c.f.CollectTCAM(sw)
+		if err != nil {
+			return nil, fmt.Errorf("collect: partial collection: %w", err)
+		}
+		tcams[sw] = rules
 	}
 	return c.retainLocked(tcams), nil
-}
-
-// Partial is the partial collection, written once for the Collector and for
-// an analysis session's event refresh: prev's rule lists with the named
-// switches re-read from the fabric. Every other switch aliases prev's
-// slice. A switch named twice is read once, and one prev lacked simply
-// joins (dirty by definition for a diff). reread is the set actually read,
-// so the call carried len(tcams)-len(reread) switches forward untouched.
-func Partial(f *fabric.Fabric, prev map[object.ID][]rule.Rule, named []object.ID) (tcams map[object.ID][]rule.Rule, reread map[object.ID]bool, err error) {
-	tcams = make(map[object.ID][]rule.Rule, len(prev))
-	for sw, rules := range prev {
-		tcams[sw] = rules
-	}
-	reread = make(map[object.ID]bool, len(named))
-	for _, sw := range named {
-		if reread[sw] {
-			continue
-		}
-		rules, err := f.CollectTCAM(sw)
-		if err != nil {
-			return nil, nil, fmt.Errorf("collect: partial collection: %w", err)
-		}
-		tcams[sw] = rules
-		reread[sw] = true
-	}
-	return tcams, reread, nil
 }
 
 // SwitchDelta is the per-switch difference between two epochs.

@@ -191,11 +191,12 @@ func TestConcurrentAnalyzeCalls(t *testing.T) {
 }
 
 // TestConcurrentSessionUse drives one warm-store session from several
-// goroutines at once — Analyze, ApplyEvents over random switches,
-// AnalyzeState, Invalidate and Stats — beside a one-shot AnalyzeState of
-// the same state, then closes it. The faulted fabric does not change, so
-// every report must equal a cold AnalyzeState; under -race the test also
-// shows the session's lock covers everything its entry points share.
+// goroutines at once — Analyze, AnalyzeEpoch of snapshots from one shared
+// Collector, AnalyzeState, Invalidate and Stats — beside a one-shot
+// AnalyzeState of the same state, then closes it. The faulted fabric does
+// not change, so every report must equal a cold AnalyzeState; under -race
+// the test also shows the session's and the collector's locks cover
+// everything their callers share.
 func TestConcurrentSessionUse(t *testing.T) {
 	f := faultyFabricOf(t, scout.SmallFabricWorkloadSpec(), scout.FabricOptions{Seed: 3})
 	st := fabricState(f)
@@ -225,26 +226,20 @@ func TestConcurrentSessionUse(t *testing.T) {
 	}
 
 	const analysts, rounds = 3, 6
+	col := scout.NewCollector(f, 4)
 	var wg sync.WaitGroup
 	for g := 0; g < analysts; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(g)))
 			for i := 0; i < rounds; i++ {
 				switch (g + i) % 3 {
 				case 0:
 					rep, err := sess.Analyze()
 					check("Analyze", rep, err)
 				case 1:
-					var batch scout.EventBatch
-					for _, sw := range switches {
-						if rng.Intn(3) == 0 {
-							batch.Switches = append(batch.Switches, sw)
-						}
-					}
-					rep, err := sess.ApplyEvents(batch)
-					check(fmt.Sprintf("ApplyEvents(%v)", batch.Switches), rep, err)
+					rep, err := sess.AnalyzeEpoch(col.Snapshot())
+					check("AnalyzeEpoch", rep, err)
 				case 2:
 					rep, err := sess.AnalyzeState(st)
 					check("Session.AnalyzeState", rep, err)
@@ -375,9 +370,7 @@ func TestParallelCountersRepeat(t *testing.T) {
 				for _, sw := range pair {
 					churn(j, sw, 1)
 				}
-			}, func(s *scout.Session) (*scout.Report, error) {
-				return s.ApplyEvents(scout.EventBatch{Switches: pair})
-			})
+			}, (*scout.Session).Analyze)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"scout/internal/collect"
 	"scout/internal/compile"
 	"scout/internal/equiv"
 	"scout/internal/fabric"
@@ -103,12 +102,6 @@ type Session struct {
 	// switch's logical rules and TCAM content, so the same fingerprint
 	// pair keys a valid replay.
 	cache map[object.ID]*switchCheckState
-
-	// lastTCAM holds the T lists of the immediately preceding successful
-	// AnalyzeEpoch or ApplyEvents run, nil after any other (or failed) run.
-	// It is what ApplyEvents aliases the unnamed switches' lists from, and
-	// nothing else: which lists a run hashes is decided by the cache.
-	lastTCAM map[object.ID][]rule.Rule
 
 	// loadedVerdicts records which deployment fingerprints' warm-store
 	// verdict files have already seeded the cache, so each is read at most
@@ -210,15 +203,6 @@ type SessionStats struct {
 	// rule-major batch pass per Checked switch: the sum of those switches'
 	// eligible rules. Zero in TCAM-observation sessions.
 	ProbePacketsBatched int
-	// EventBatches counts ApplyEvents runs that refreshed against a
-	// prior epoch (partial collections); EventSwitchesRead the switches
-	// those runs re-read from the fabric, EventSwitchesAliased the
-	// switches carried forward from the previous epoch without a read.
-	// Together they pin the streaming path's collection cost: an event
-	// batch touches only the switches its events name.
-	EventBatches         int
-	EventSwitchesRead    int
-	EventSwitchesAliased int
 	// Localization-engine counters, accumulated from each run's
 	// Report.LocalizeStats. PlanCompiles counts CSR/bitset plan builds
 	// from a pristine risk model; PlanReuses counts localizations served
@@ -247,9 +231,9 @@ func (st *SessionStats) addLocalizeStats(d *localize.EngineStats) {
 // dataplane instead of a BDD check of its collected rules, so a probe
 // session builds no base and forks no checker. Collection, fingerprint
 // replay, slice recognition, the warm store and the Checked / Replayed
-// counters work the same, so a probe session is driven by Analyze or
-// ApplyEvents; AnalyzeEpoch and AnalyzeState hand over snapshots, which
-// have no dataplane to probe, and are refused.
+// counters work the same, so a probe session is driven by Analyze;
+// AnalyzeEpoch and AnalyzeState hand over snapshots, which have no
+// dataplane to probe, and are refused.
 func NewSession(f *fabric.Fabric, opts ...AnalyzerOptions) (*Session, error) {
 	s := NewAnalyzer(opts...).session(f)
 	s.ws = s.a.opts.WarmStore
@@ -282,7 +266,10 @@ func (s *Session) fabricState(tcams map[object.ID][]rule.Rule, now time.Time) St
 // Analyze collects the fabric's current state and analyzes it,
 // re-checking only switches whose logical or TCAM rules changed since the
 // session's previous run. A TCAM hands back the same snapshot until it is
-// written, so only the written switches' lists are hashed to find them.
+// written, so only the written switches' lists are hashed to find them. It
+// is also the event-driven refresh: a watch loop calls it for every batch
+// its EventQueue cuts, so events decide when a refresh runs, and the
+// snapshots which switches it re-checks — a write no event names included.
 func (s *Session) Analyze() (*Report, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -298,64 +285,14 @@ func (s *Session) Analyze() (*Report, error) {
 func (s *Session) AnalyzeEpoch(e *Epoch) (*Report, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rep, err := s.run(s.fabricState(e.TCAM, e.Time), false)
-	if err != nil {
-		return nil, err
-	}
-	s.lastTCAM = e.TCAM
-	return rep, nil
+	return s.run(s.fabricState(e.TCAM, e.Time), false)
 }
 
-// ApplyEvents is the event-driven refresh path: instead of analyzing a
-// fully collected epoch, the session re-reads only the switches the
-// batch names (one coalesced batch from a stream.Queue), aliases every
-// other switch's rules from its previous run, and runs the usual
-// incremental pipeline — so a storm of K events over S switches costs
-// one partial collection and at most min(S, batch) re-checks per batch,
-// while the report stays byte-identical to a full AnalyzeEpoch of the
-// same final state at any worker count (the fold stages are unchanged).
-// It reads the session's own fabric, so it drives a probe session too:
-// only the named switches are re-read and — if written since their last
-// read — re-hashed and, if dirty, probed.
+// ApplyEvents is Analyze; the batch is ignored.
 //
-// The first ApplyEvents run of a session (or the first after Invalidate
-// or a failed run dropped the previous lists) has nothing to alias, so it
-// falls back to a full collection — the baseline every event-driven loop
-// needs anyway. Correctness afterwards rests on the event contract: a
-// switch with no event since the previous run has an unchanged TCAM. Feed
-// every dataplane event through the queue (or interleave periodic
-// AnalyzeEpoch rounds) to keep that true.
-//
-// An empty batch (a deadline timer firing with nothing pending) replays
-// the previous verdicts without touching the fabric.
-func (s *Session) ApplyEvents(batch EventBatch) (*Report, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	prev, now := s.lastTCAM, s.f.Now()
-	var tcams map[object.ID][]rule.Rule
-	var reread map[object.ID]bool
-	if prev == nil {
-		tcams = s.f.CollectAll()
-	} else {
-		var err error
-		if tcams, reread, err = collect.Partial(s.f, prev, batch.Switches); err != nil {
-			return nil, fmt.Errorf("scout: event refresh: %w", err)
-		}
-	}
-	rep, err := s.run(s.fabricState(tcams, now), true)
-	if err != nil {
-		return nil, err
-	}
-	if prev != nil {
-		// Counted from what the collection did, not from the batch's
-		// length: a batch may name a switch twice.
-		s.stats.EventBatches++
-		s.stats.EventSwitchesRead += len(reread)
-		s.stats.EventSwitchesAliased += len(tcams) - len(reread)
-	}
-	s.lastTCAM = tcams
-	return rep, nil
-}
+// Deprecated: call Analyze once per batch. It stays until bench/ stops
+// calling it (ROADMAP item 1, shims).
+func (s *Session) ApplyEvents(EventBatch) (*Report, error) { return s.Analyze() }
 
 // AnalyzeState analyzes raw collected state incrementally (production
 // users populating State themselves); a T list is hashed unless it is the
@@ -375,7 +312,6 @@ func (s *Session) AnalyzeState(st State) (*Report, error) {
 func (s *Session) Invalidate(switches ...ObjectID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.lastTCAM = nil
 	if len(switches) == 0 {
 		s.cache = make(map[object.ID]*switchCheckState)
 		return
@@ -417,11 +353,8 @@ func (s *Session) run(st State, live bool) (*Report, error) {
 	case st.Deployment == nil:
 		return nil, fmt.Errorf("scout: nothing to analyze: the fabric has never been deployed, or the state has no deployment")
 	case probes && !live:
-		return nil, fmt.Errorf("scout: probe mode classifies packets against a live dataplane, which collected TCAM snapshots (AnalyzeEpoch, AnalyzeState) do not have; use Analyze or ApplyEvents")
+		return nil, fmt.Errorf("scout: probe mode classifies packets against a live dataplane, which collected TCAM snapshots (AnalyzeEpoch, AnalyzeState) do not have; use Analyze")
 	}
-	// A run that fails leaves nothing to alias: the next event batch
-	// collects in full instead of trusting lists the cache may not reflect.
-	s.lastTCAM = nil
 	st = st.withDefaultLogs()
 	switches := st.sortedSwitches()
 	s.resolveLocked(st.Deployment)

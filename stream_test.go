@@ -2,7 +2,9 @@ package scout_test
 
 import (
 	"bytes"
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"scout"
@@ -73,80 +75,53 @@ func TestFabricEmitsEvents(t *testing.T) {
 // TestApplyEventsMatchesAnalyzeEpoch: a session fed coalesced event
 // batches over random mutations, cut three switches at a time so cuts leave
 // work pending, equals a cold analysis of the same state once the queue is
-// drained (equalsCold's ApplyEvents entry). Its collection counters are
-// what the batches named: every refresh after the baseline re-read exactly
-// its batch and aliased every other switch, and the queue lost and
+// drained (equalsCold's ApplyEvents entry), and the queue lost and
 // duplicated no dirty mark and never cut past its batch size.
 func TestApplyEventsMatchesAnalyzeEpoch(t *testing.T) {
 	t.Parallel()
 	r := equalsCold(t, coldCase{entry: viaEvents, workers: 2, steps: randomChurn(23, 12)})
-	st, qs := r.sess.Stats(), r.queue.Stats()
-	if st.EventBatches == 0 || st.EventSwitchesAliased == 0 {
-		t.Fatalf("streaming path not engaged: %+v", st)
-	}
-	if st.EventBatches != r.partials || st.EventSwitchesRead != r.named {
-		t.Errorf("%d partial refreshes read %d switches, want %d reading the %d their batches named",
-			st.EventBatches, st.EventSwitchesRead, r.partials, r.named)
-	}
-	if qs.BatchedSwitches != qs.Pushed-qs.Coalesced || qs.BatchedSwitches != r.named || qs.MaxBatch > 3 {
-		t.Errorf("queue stats %+v: want batched = pushed - coalesced = %d switches named, batches of at most 3", qs, r.named)
-	}
-	if got, want := st.EventSwitchesRead+st.EventSwitchesAliased, st.EventBatches*len(r.f.Deployment().BySwitch); got != want {
-		t.Errorf("read %d + aliased %d switches, want batches x switches = %d", st.EventSwitchesRead, st.EventSwitchesAliased, want)
+	qs := r.queue.Stats()
+	if qs.Batches == 0 || qs.BatchedSwitches != qs.Pushed-qs.Coalesced || qs.MaxBatch > 3 || r.queue.Len() != 0 {
+		t.Errorf("queue stats %+v (%d pending): want batched = pushed - coalesced, batches of at most 3, none pending", qs, r.queue.Len())
 	}
 }
 
-// TestApplyEventsCountsWhatItRead pins the collection counters to what a
-// partial refresh did rather than to the batch's length: a batch naming a
-// switch twice re-reads it once and aliases every other switch, the report
-// still matches a cold analysis, and a refresh whose analysis fails counts
-// nothing.
-func TestApplyEventsCountsWhatItRead(t *testing.T) {
+// TestSessionRecoversFromFailedRun: a run whose check fails names the
+// switch and returns no report, and once the switch is repaired the next
+// run re-checks it — the failed run cached nothing — and equals a cold
+// analysis.
+func TestSessionRecoversFromFailedRun(t *testing.T) {
 	f := faultyFabric(t, 11)
 	sess := newSession(t, f)
-	if _, err := sess.ApplyEvents(scout.EventBatch{}); err != nil { // full baseline
-		t.Fatal(err)
-	}
-	n := len(f.Deployment().BySwitch)
+	mustReport(t, sess.Analyze)
 	sw := switchesOf(f)[1]
 	removeOneRule(t, f, sw)
-
-	rep, err := sess.ApplyEvents(scout.EventBatch{Switches: []scout.ObjectID{sw, sw}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := sess.Stats()
-	if st.EventBatches != 1 || st.EventSwitchesRead != 1 || st.EventSwitchesAliased != n-1 {
-		t.Errorf("duplicated switch: batches %d, read %d, aliased %d; want 1, 1, %d",
-			st.EventBatches, st.EventSwitchesRead, st.EventSwitchesAliased, n-1)
-	}
-	if got := st.Checked - n; got != 1 {
-		t.Errorf("duplicated switch: re-checked %d switches, want 1", got)
-	}
-	cold := oneShot(t, f)
-	if !bytes.Equal(marshalReport(t, rep), marshalReport(t, cold)) {
-		t.Error("duplicated switch: report differs from cold analyzer")
-	}
-
-	// An unencodable rule makes the re-check itself fail.
 	s, err := f.Switch(sw)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// An unencodable rule makes the re-check itself fail.
 	if err := s.TCAM().Install(badRule); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.ApplyEvents(scout.EventBatch{Switches: []scout.ObjectID{sw}}); err == nil {
-		t.Fatal("expected the refresh to fail on an unencodable rule")
+	if rep, err := sess.Analyze(); err == nil || rep != nil || !strings.Contains(err.Error(), fmt.Sprintf("switch %d:", sw)) {
+		t.Fatalf("a run over an unencodable rule returned %v, %v; want an error naming switch %d", rep, err, sw)
 	}
-	if after := sess.Stats(); after.EventBatches != st.EventBatches ||
-		after.EventSwitchesRead != st.EventSwitchesRead || after.EventSwitchesAliased != st.EventSwitchesAliased {
-		t.Errorf("failed refresh moved the event counters: %+v -> %+v", st, after)
+	if !s.TCAM().Remove(badRule.Key()) {
+		t.Fatal("the unencodable rule is not installed")
+	}
+	before := sess.Stats()
+	rep := mustReport(t, sess.Analyze)
+	if after := sess.Stats(); after.Checked-before.Checked != 1 || after.Runs-before.Runs != 1 {
+		t.Errorf("the run after the failure checked %d switches in %d runs, want switch %d alone in 1",
+			after.Checked-before.Checked, after.Runs-before.Runs, sw)
+	}
+	if !bytes.Equal(marshalReport(t, rep), marshalReport(t, oneShot(t, f))) {
+		t.Error("the run after the failure differs from a cold analysis")
 	}
 }
 
-// TestSnapshotSwitchesCountsWhatItRead is the collector's half of the same
-// contract — both run collect.Partial: a partial epoch naming a switch
+// TestSnapshotSwitchesCountsWhatItRead: a partial epoch naming a switch
 // twice re-reads it and hands every other switch the previous epoch's
 // slice, and a switch the fabric lacks fails it.
 func TestSnapshotSwitchesCountsWhatItRead(t *testing.T) {
