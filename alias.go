@@ -121,7 +121,8 @@ type (
 	// and watch loops tail.
 	EventStream = faultlog.EventLog
 	// EventQueue coalesces switch-scoped events into bounded batches
-	// (per-switch dedupe, size/deadline cuts, overflow-to-coalesce).
+	// (per-switch dedupe, size cuts, overflow-to-coalesce). Only the
+	// benchmark's event-storm journey uses it (ROADMAP 13(b)).
 	EventQueue = stream.Queue
 	// EventQueueOptions configures an EventQueue.
 	EventQueueOptions = stream.Options

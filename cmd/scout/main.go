@@ -13,11 +13,11 @@
 // object fault and anything lower a partial fault. -disconnect takes a
 // switch ID to render unreachable before a final no-op policy touch.
 // -watch replaces the one-shot analysis with an event-driven daemon
-// loop over a persistent session: a full baseline round, then dataplane
-// events drain from the fabric's event stream through a coalescing
-// queue — bounded by -queue-cap, cut by size or the -batch-window
-// deadline — and every batch triggers one partial collection and
-// incremental re-verification of only the switches its events name.
+// loop over a persistent session: a full baseline round, then the loop
+// drains the fabric's event stream and, once -batch-window has passed
+// since the first event not yet analyzed, runs one refresh round that
+// collects every switch and re-verifies the ones written since their
+// last read.
 // -scenario is a one-shot replay and cannot be combined with -watch.
 //
 // -state-dir names a durable warm-state directory: the session every
@@ -76,9 +76,8 @@ func run() error {
 		scenPath    = flag.String("scenario", "", "JSON scenario file to replay instead of -fault/-disconnect")
 		workers     = flag.Int("workers", 0, "parallel per-switch equivalence checkers (0 = GOMAXPROCS, 1 = serial)")
 		probes      = flag.Bool("probes", false, "observe via active dataplane probes (batched per-switch classification) instead of TCAM collection")
-		watch       = flag.Bool("watch", false, "drive an event-driven session daemon: full baseline, then coalesced per-batch incremental refreshes")
-		batchWindow = flag.Duration("batch-window", 2*time.Second, "watch mode: cut a pending batch after its oldest event waited this long (requires -watch)")
-		queueCap    = flag.Int("queue-cap", 64, "watch mode: distinct switches buffered before a batch is forced, and the max batch size (requires -watch)")
+		watch       = flag.Bool("watch", false, "drive an event-driven session daemon: full baseline, then an incremental refresh per window of events")
+		batchWindow = flag.Duration("batch-window", 2*time.Second, "watch mode: refresh once the first event not yet analyzed has waited this long (requires -watch)")
 		stateDir    = flag.String("state-dir", "", "durable warm-state directory: restore fingerprint-matching BDD state on start, write each round's deltas as it ends")
 		stateAge    = flag.Duration("state-gc-age", 0, "on shutdown, remove warm-state files unused longer than this (0 = no age bound; requires -state-dir)")
 		stateCap    = flag.Int("state-cap", 0, "on shutdown, keep at most this many warm-state files, least-recently-used evicted first (0 = no cap; requires -state-dir)")
@@ -91,7 +90,7 @@ func run() error {
 
 	set := make(map[string]bool)
 	flag.Visit(func(fl *flag.Flag) { set[fl.Name] = true })
-	if err := checkWatchFlags(*watch, set); err != nil {
+	if err := checkWatchFlags(*watch, *batchWindow, set); err != nil {
 		return err
 	}
 	if err := checkStateFlags(*stateDir, set); err != nil {
@@ -175,11 +174,7 @@ func run() error {
 	aOpts := scout.AnalyzerOptions{Workers: *workers, UseProbes: *probes, WarmStore: warm}
 
 	if *watch {
-		report, err := runWatch(f, parsed, watchOptions{
-			analyzer: aOpts,
-			window:   *batchWindow,
-			queueCap: *queueCap,
-		}, os.Stdout)
+		report, err := runWatch(f, parsed, watchOptions{analyzer: aOpts, window: *batchWindow}, os.Stdout)
 		if err != nil {
 			return err
 		}
@@ -295,19 +290,21 @@ type objectFault struct {
 
 // checkWatchFlags rejects flag combinations that mix the one-shot and
 // daemon modes: -scenario is a one-shot replay (its effects would fold
-// invisibly into the watch baseline), and the batching knobs do nothing
-// without the daemon loop. set holds the names of explicitly-set flags.
-func checkWatchFlags(watch bool, set map[string]bool) error {
+// invisibly into the watch baseline), and -batch-window does nothing
+// without the daemon loop. A negative window is refused: no wait can be
+// negative. set holds the names of explicitly-set flags.
+func checkWatchFlags(watch bool, window time.Duration, set map[string]bool) error {
+	if window < 0 {
+		return fmt.Errorf("-batch-window %v is negative", window)
+	}
 	if watch {
 		if set["scenario"] {
 			return fmt.Errorf("-scenario is a one-shot replay and cannot drive the -watch event loop; run it without -watch")
 		}
 		return nil
 	}
-	for _, name := range []string{"batch-window", "queue-cap"} {
-		if set[name] {
-			return fmt.Errorf("-%s only applies to the -watch daemon loop; add -watch or drop the flag", name)
-		}
+	if set["batch-window"] {
+		return fmt.Errorf("-batch-window only applies to the -watch daemon loop; add -watch or drop the flag")
 	}
 	return nil
 }
@@ -331,23 +328,21 @@ func checkStateFlags(stateDir string, set map[string]bool) error {
 type watchOptions struct {
 	analyzer scout.AnalyzerOptions
 	window   time.Duration
-	queueCap int
 }
 
 // runWatch drives the event-driven session daemon the way a production
 // deployment would: a cursor is parked at the dataplane event stream's
-// tail, a full baseline round anchors the session, then events drain
-// through a bounded coalescing queue and every batch cut — by size, by
-// the deadline window, or by overflow backpressure — triggers one
-// refresh round (Session.Analyze). The batch decides when a round runs,
-// not what it reads: the round collects every switch and re-verifies the
-// ones written since their last read — a BDD re-check of their collected
-// rules, or in probe mode (UseProbes) a classification of their probe
-// batches against the live dataplane — so a write no event names is still
-// caught. A shutdown flush cuts whatever is still pending so no event is
-// stranded below the deadline. It returns the last report produced (the
-// baseline's when no events arrive), or the session's first failed
-// warm-state write.
+// tail and a full baseline round anchors the session. After each
+// injection the loop drains the cursor, and once opts.window has passed
+// on the fabric's clock since the first event not yet analyzed, it runs
+// one refresh round (Session.Analyze); at shutdown it runs one more if any
+// event is still pending. Events decide when a round runs, not what it
+// reads: the round collects every switch and re-verifies the ones written
+// since their last read — a BDD re-check of their collected rules, or in
+// probe mode (UseProbes) a classification of their probe batches against
+// the live dataplane — so a write no event names is still caught. It
+// returns the last report produced (the baseline's when no events
+// arrive), or the session's first failed warm-state write.
 func runWatch(f *scout.Fabric, faults []objectFault, opts watchOptions, w io.Writer) (*scout.Report, error) {
 	sess, err := scout.NewSession(f, opts.analyzer)
 	if err != nil {
@@ -357,7 +352,6 @@ func runWatch(f *scout.Fabric, faults []objectFault, opts watchOptions, w io.Wri
 	// Park the cursor before the baseline collection so no mutation can
 	// slip between the stream position and the collected state.
 	cursor := f.EventLog().TailCursor()
-	queue := scout.NewEventQueue(scout.EventQueueOptions{Cap: opts.queueCap, Window: opts.window})
 
 	round := func(label string) (*scout.Report, error) {
 		before := sess.Stats()
@@ -378,12 +372,6 @@ func runWatch(f *scout.Fabric, faults []objectFault, opts watchOptions, w io.Wri
 		}
 		return report, nil
 	}
-	cut := func() (*scout.Report, error) {
-		batch := queue.Cut(f.Now())
-		label := fmt.Sprintf("batch %d: %d switches (waited %v)",
-			queue.Stats().Batches, len(batch.Switches), batch.Latency())
-		return round(label)
-	}
 
 	baselineLabel := "baseline: full collection"
 	if probeMode {
@@ -394,42 +382,42 @@ func runWatch(f *scout.Fabric, faults []objectFault, opts watchOptions, w io.Wri
 		return nil, err
 	}
 
-	// pump drains new events into the queue and cuts every batch that
-	// came due (size, deadline, or overflow backpressure).
-	pump := func() error {
-		due := false
-		for _, ev := range cursor.Drain() {
-			due = queue.Push(ev) || due
-		}
-		for due || queue.Due(f.Now()) {
-			due = false
-			if report, err = cut(); err != nil {
-				return err
-			}
-		}
-		return nil
+	// pending counts the events drained since the last round, the first of
+	// which arrived at first.
+	var (
+		rounds, pending int
+		first           time.Time
+	)
+	refresh := func() error {
+		rounds++
+		label := fmt.Sprintf("batch %d: %d events (waited %v)", rounds, pending, f.Now().Sub(first))
+		pending = 0
+		report, err = round(label)
+		return err
 	}
-
 	for _, flt := range faults {
 		removed, err := f.InjectObjectFault(flt.ref, flt.fraction)
 		if err != nil {
 			return nil, err
 		}
 		fmt.Fprintf(w, "injected %s @%.2f: %d rules removed\n", flt.ref, flt.fraction, removed)
-		if err := pump(); err != nil {
-			return nil, err
+		evs := cursor.Drain()
+		if pending == 0 && len(evs) > 0 {
+			first = evs[0].Time
+		}
+		pending += len(evs)
+		if pending > 0 && f.Now().Sub(first) >= opts.window {
+			if err := refresh(); err != nil {
+				return nil, err
+			}
 		}
 	}
-	// Shutdown flush: cut whatever is still below size and deadline.
-	for queue.Len() > 0 {
-		if report, err = cut(); err != nil {
+	if pending > 0 {
+		if err := refresh(); err != nil {
 			return nil, err
 		}
 	}
 
-	qs := queue.Stats()
-	fmt.Fprintf(w, "event queue: %d pushed, %d coalesced, %d stale, %d overflows; %d batches (max %d switches)\n",
-		qs.Pushed, qs.Coalesced, qs.Stale, qs.Overflows, qs.Batches, qs.MaxBatch)
 	st := sess.Stats()
 	fmt.Fprintf(w, "session localization: %d plan compiles / %d reuses\n", st.PlanCompiles, st.PlanReuses)
 	if probeMode {

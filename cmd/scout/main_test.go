@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -214,45 +215,24 @@ func TestLoadPolicySmallSpec(t *testing.T) {
 }
 
 // TestRunWatch drives the event-driven daemon loop: a full baseline
-// round, then fault-injection events drain through the coalescing queue
-// and the shutdown flush cuts one batch, whose round re-checks only the
-// switches the fault wrote.
+// round, then the fault's events wait out the window and the shutdown
+// round re-checks only the switches the fault wrote; its report is a cold
+// analysis's.
 func TestRunWatch(t *testing.T) {
-	pol, topo, err := loadPolicy("", "testbed", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := scout.NewFabric(pol, topo, scout.FabricOptions{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Deploy(); err != nil {
-		t.Fatal(err)
-	}
-	// The lowest EPG's rules live on a strict subset of the testbed's
-	// switches (unlike a filter fault, which touches everything), so the
-	// batch's round replays a switch.
-	var epgID scout.ObjectID
-	for id := range pol.EPGs {
-		if epgID == 0 || id < epgID {
-			epgID = id
-		}
-	}
-
+	f, epgID, n := watchFabric(t)
 	var out bytes.Buffer
-	report, err := runWatch(f, []objectFault{{ref: scout.EPGRef(epgID), fraction: 1.0}},
-		watchOptions{analyzer: scout.AnalyzerOptions{Workers: 2}, window: 2 * time.Second, queueCap: 64}, &out)
+	opts := watchOptions{analyzer: scout.AnalyzerOptions{Workers: 2}, window: 2 * time.Second}
+	report, err := runWatch(f, []objectFault{{ref: scout.EPGRef(epgID), fraction: 1.0}}, opts, &out)
 	if err != nil {
 		t.Fatalf("runWatch: %v\noutput:\n%s", err, out.String())
 	}
 	if report == nil || report.Consistent {
 		t.Fatalf("final watch report must flag the fault; output:\n%s", out.String())
 	}
-	n := topo.NumSwitches()
+	equalsCold(t, f, opts, report)
 	for _, want := range []string{
 		fmt.Sprintf("baseline: full collection: re-checked %d/%d", n, n),
 		"injected epg:",
-		"event queue: ",
 		"session encodings: base ",
 		"(1 rebuilds, ",
 		"session fold sharing: hits ",
@@ -261,10 +241,13 @@ func TestRunWatch(t *testing.T) {
 			t.Errorf("output missing %q:\n%s", want, out.String())
 		}
 	}
-	// The batch names the switches the fault wrote, and its round re-checks
-	// exactly those and replays the one it left alone.
-	if !regexp.MustCompile(fmt.Sprintf(`(?m)^batch 1: 5 switches \(waited \S+\): re-checked 5/%d switches \(1 replayed\), `, n)).MatchString(out.String()) {
-		t.Errorf("output missing the fault batch's round:\n%s", out.String())
+	if strings.Contains(out.String(), "event queue") {
+		t.Errorf("the loop has no queue to summarize:\n%s", out.String())
+	}
+	// The round re-checks exactly the switches the fault wrote and replays
+	// the one it left alone.
+	if !regexp.MustCompile(fmt.Sprintf(`(?m)^batch 1: 5 events \(waited 0s\): re-checked 5/%d switches \(1 replayed\), `, n)).MatchString(out.String()) {
+		t.Errorf("output missing the fault's round:\n%s", out.String())
 	}
 	// Localization counts plan compiles and reuses, and SCOUT's two
 	// stages are timed; nothing else in the engine is counted.
@@ -282,6 +265,56 @@ func TestRunWatch(t *testing.T) {
 		if !regexp.MustCompile(`(?m)^` + line).MatchString(verbose) {
 			t.Errorf("verbose report missing a line matching %q:\n%s", line, verbose)
 		}
+	}
+}
+
+// watchFabric deploys the testbed at seed 1 and returns it with its lowest
+// EPG, whose rules live on a strict subset of the switches (unlike a
+// filter fault, which touches everything), and the switch count.
+func watchFabric(t *testing.T) (*scout.Fabric, scout.ObjectID, int) {
+	t.Helper()
+	pol, topo, err := loadPolicy("", "testbed", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := scout.NewFabric(pol, topo, scout.FabricOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Deploy(); err != nil {
+		t.Fatal(err)
+	}
+	var epgID scout.ObjectID
+	for id := range pol.EPGs {
+		if epgID == 0 || id < epgID {
+			epgID = id
+		}
+	}
+	return f, epgID, topo.NumSwitches()
+}
+
+// equalsCold holds a -watch run's last report to a fresh session's
+// analysis of the fabric it left, wall-clock fields aside.
+func equalsCold(t *testing.T, f *scout.Fabric, opts watchOptions, report *scout.Report) {
+	t.Helper()
+	sess, err := scout.NewSession(f, opts.analyzer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := sess.Analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	marshal := func(rep *scout.Report) string {
+		rep.Elapsed = 0
+		data, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	if got, want := marshal(report), marshal(cold); got != want {
+		t.Errorf("the -watch report differs from a cold analysis\n got %s\nwant %s", got, want)
 	}
 }
 
@@ -312,50 +345,29 @@ func captureStdout(t *testing.T, fn func() error) string {
 
 // TestRunWatchProbes drives the daemon loop in probe mode: the baseline
 // round probes every switch, and the fault round's fingerprint pass
-// replays clean switches so only the dirtied subset is re-classified.
+// replays clean switches so only the dirtied subset is re-classified; its
+// report is a cold probe analysis's.
 func TestRunWatchProbes(t *testing.T) {
-	pol, topo, err := loadPolicy("", "testbed", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := scout.NewFabric(pol, topo, scout.FabricOptions{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Deploy(); err != nil {
-		t.Fatal(err)
-	}
-	var epgID scout.ObjectID
-	for id := range pol.EPGs {
-		if epgID == 0 || id < epgID {
-			epgID = id
-		}
-	}
-
+	f, epgID, n := watchFabric(t)
 	var out bytes.Buffer
-	report, err := runWatch(f, []objectFault{{ref: scout.EPGRef(epgID), fraction: 1.0}},
-		watchOptions{analyzer: scout.AnalyzerOptions{Workers: 2, UseProbes: true}, window: 2 * time.Second, queueCap: 64}, &out)
+	opts := watchOptions{analyzer: scout.AnalyzerOptions{Workers: 2, UseProbes: true}, window: 2 * time.Second}
+	report, err := runWatch(f, []objectFault{{ref: scout.EPGRef(epgID), fraction: 1.0}}, opts, &out)
 	if err != nil {
 		t.Fatalf("runWatch: %v\noutput:\n%s", err, out.String())
 	}
 	if report == nil || report.Consistent {
 		t.Fatalf("final probe-watch report must flag the fault; output:\n%s", out.String())
 	}
-	n := topo.NumSwitches()
+	equalsCold(t, f, opts, report)
 	for _, want := range []string{
 		fmt.Sprintf("baseline: full probe round: classified %d/%d switches (0 replayed", n, n),
 		"injected epg:",
-		"batch 1: ",
+		fmt.Sprintf("batch 1: 5 events (waited 0s): classified 5/%d switches (1 replayed, ", n),
 		"probe replay: ",
 	} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output missing %q:\n%s", want, out.String())
 		}
-	}
-	// The fault batch must replay at least one clean switch — the EPG
-	// fault only dirties a subset of the testbed.
-	if strings.Contains(out.String(), fmt.Sprintf("batch 1: classified %d/%d switches (0 replayed", n, n)) {
-		t.Errorf("fault round re-classified every switch — fingerprint replay not engaged:\n%s", out.String())
 	}
 }
 
@@ -365,23 +377,24 @@ func TestCheckWatchFlags(t *testing.T) {
 	tests := []struct {
 		name    string
 		watch   bool
+		window  time.Duration
 		set     []string
 		wantErr bool
 	}{
-		{"watch alone", true, nil, false},
-		{"watch with fault", true, []string{"fault", "v"}, false},
-		{"watch with scenario", true, []string{"scenario"}, true},
-		{"one-shot with scenario", false, []string{"scenario"}, false},
-		{"batch-window without watch", false, []string{"batch-window"}, true},
-		{"queue-cap without watch", false, []string{"queue-cap"}, true},
-		{"watch with batching knobs", true, []string{"batch-window", "queue-cap"}, false},
+		{"watch alone", true, time.Second, nil, false},
+		{"watch with fault", true, time.Second, []string{"fault", "v"}, false},
+		{"watch with scenario", true, time.Second, []string{"scenario"}, true},
+		{"one-shot with scenario", false, time.Second, []string{"scenario"}, false},
+		{"batch-window without watch", false, time.Second, []string{"batch-window"}, true},
+		{"watch with batch-window", true, 0, []string{"batch-window"}, false},
+		{"negative batch-window", true, -time.Second, []string{"batch-window"}, true},
 	}
 	for _, tt := range tests {
 		set := make(map[string]bool, len(tt.set))
 		for _, name := range tt.set {
 			set[name] = true
 		}
-		err := checkWatchFlags(tt.watch, set)
+		err := checkWatchFlags(tt.watch, tt.window, set)
 		if (err != nil) != tt.wantErr {
 			t.Errorf("%s: checkWatchFlags = %v, wantErr %v", tt.name, err, tt.wantErr)
 		}

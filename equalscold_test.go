@@ -282,8 +282,8 @@ func (r *coldRun) analyze(t *testing.T, st scout.State) *scout.Report {
 			r.apply(t, r.queue.Cut(r.f.Now()))
 		}
 	}
-	for r.queue.Len() > 0 {
-		r.apply(t, r.queue.Cut(r.f.Now()))
+	for b := r.queue.Cut(r.f.Now()); len(b.Switches) > 0; b = r.queue.Cut(r.f.Now()) {
+		r.apply(t, b)
 	}
 	return r.apply(t, scout.EventBatch{})
 }

@@ -141,10 +141,7 @@ func BenchmarkApplyColdWarm(b *testing.B) {
 func BenchmarkCompactDelta(b *testing.B) {
 	const nVars = 24
 	base := NewManager(nVars)
-	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < 32; i++ {
-		randomFormula(base, nVars, rng, 6)
-	}
+	applyWorkload(base, internWorkload(nVars, 128))
 	snap := base.Freeze()
 	lits := internWorkload(nVars, 384)
 

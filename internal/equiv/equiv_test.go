@@ -1,282 +1,250 @@
 package equiv
 
 import (
-	"math/rand"
+	"slices"
 	"testing"
-	"testing/quick"
 
+	"scout/internal/bdd"
 	"scout/internal/object"
 	"scout/internal/oracle"
 	"scout/internal/rule"
 )
 
-func allowRule(vrf, src, dst object.ID, port uint16, prov ...object.Ref) rule.Rule {
-	return rule.Rule{
-		Match: rule.Match{
-			VRF: vrf, SrcEPG: src, DstEPG: dst,
-			Proto: rule.ProtoTCP, PortLo: port, PortHi: port,
-		},
-		Action:     rule.Allow,
-		Priority:   10,
-		Provenance: prov,
-	}
-}
-
-func withDeny(rules ...rule.Rule) []rule.Rule {
-	return append(rules, rule.DefaultDeny())
-}
+// Hand-made checks: every step of the runner (harness_test.go), then the
+// report they must produce.
 
 func TestEquivalentIdenticalSets(t *testing.T) {
-	c := NewChecker()
 	l := withDeny(allowRule(1, 2, 3, 80), allowRule(1, 3, 2, 80))
-	rep, err := c.Check(l, l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Equivalent || len(rep.MissingRules) != 0 || len(rep.ExtraRules) != 0 {
-		t.Errorf("identical sets must be equivalent: %+v", rep)
-	}
+	checkPair(t, l, l, "equivalent")
 }
 
+// Missing rules keep their provenance: verdict finds them in the list by
+// value.
 func TestMissingRuleDetected(t *testing.T) {
-	c := NewChecker()
-	logical := withDeny(
-		allowRule(1, 2, 3, 80, object.Filter(80)),
-		allowRule(1, 2, 3, 700, object.Filter(700)),
-	)
-	deployed := withDeny(allowRule(1, 2, 3, 80))
-	rep, err := c.Check(logical, deployed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Equivalent {
-		t.Fatal("must detect missing rule")
-	}
-	if len(rep.MissingRules) != 1 || rep.MissingRules[0].Match.PortLo != 700 {
-		t.Errorf("MissingRules = %v, want the port-700 rule", rep.MissingRules)
-	}
-	if len(rep.MissingRules[0].Provenance) == 0 {
-		t.Error("missing rules must keep their provenance")
-	}
-	if len(rep.ExtraRules) != 0 {
-		t.Errorf("no extra rules expected, got %v", rep.ExtraRules)
-	}
+	checkPair(t, withDeny(allowRule(1, 2, 3, 80, object.Filter(80)), allowRule(1, 2, 3, 700, object.Filter(700))),
+		withDeny(allowRule(1, 2, 3, 80)), "missing [1] extra []")
 }
 
 func TestExtraRuleDetected(t *testing.T) {
-	c := NewChecker()
-	logical := withDeny(allowRule(1, 2, 3, 80))
-	deployed := withDeny(allowRule(1, 2, 3, 80), allowRule(1, 9, 9, 22))
-	rep, err := c.Check(logical, deployed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Equivalent {
-		t.Fatal("must detect extra behaviour")
-	}
-	if len(rep.ExtraRules) != 1 || rep.ExtraRules[0].Match.SrcEPG != 9 {
-		t.Errorf("ExtraRules = %v", rep.ExtraRules)
-	}
+	checkPair(t, withDeny(allowRule(1, 2, 3, 80)), withDeny(allowRule(1, 2, 3, 80), allowRule(1, 9, 9, 22)), "missing [] extra [1]")
 }
 
+// A VRF with bit 12 flipped: the intended behaviour is absent and a bogus
+// one present.
 func TestCorruptedRuleIsMissingPlusExtra(t *testing.T) {
-	// A corrupted VRF field: intended behaviour absent AND bogus
-	// behaviour present — the checker should flag both.
-	c := NewChecker()
-	logical := withDeny(allowRule(1, 2, 3, 80))
-	deployed := withDeny(allowRule(4097, 2, 3, 80)) // bit 12 flipped
-	rep, err := c.Check(logical, deployed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Equivalent || len(rep.MissingRules) != 1 || len(rep.ExtraRules) != 1 {
-		t.Errorf("corruption: missing=%d extra=%d", len(rep.MissingRules), len(rep.ExtraRules))
-	}
+	checkPair(t, withDeny(allowRule(1, 2, 3, 80)), withDeny(allowRule(4097, 2, 3, 80)), "missing [0] extra [0]")
 }
 
+// Ports [80,81] are two single-port rules: the BDD checker sees through
+// the split, the naive key differ does not.
 func TestSemanticEquivalenceDespiteDifferentRules(t *testing.T) {
-	// Port range [80,81] equals two single-port rules — behaviourally
-	// identical even though the key sets differ. The BDD checker must say
-	// equivalent; the naive differ (documented limitation) must not.
-	c := NewChecker()
-	ranged := rule.Rule{
-		Match:  rule.Match{VRF: 1, SrcEPG: 2, DstEPG: 3, Proto: rule.ProtoTCP, PortLo: 80, PortHi: 81},
-		Action: rule.Allow, Priority: 10,
-	}
-	logical := withDeny(ranged)
-	deployed := withDeny(allowRule(1, 2, 3, 80), allowRule(1, 2, 3, 81))
-	rep, err := c.Check(logical, deployed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Equivalent {
-		t.Error("BDD checker must see through rule-splitting")
-	}
+	ranged := allowRule(1, 2, 3, 80)
+	ranged.Match.PortHi = 81
+	logical, deployed := withDeny(ranged), withDeny(allowRule(1, 2, 3, 80), allowRule(1, 2, 3, 81))
+	checkPair(t, logical, deployed, "equivalent")
 	if missing, extra := oracle.NaiveCheck(logical, deployed); len(missing)+len(extra) == 0 {
-		t.Error("naive differ cannot see through rule-splitting (oracle sanity)")
+		t.Error("the naive differ saw through rule-splitting")
 	}
 }
 
 func TestPartialRangeOverlapMissing(t *testing.T) {
-	// Logical allows ports [100,110]; deployed only [100,105]: missing.
-	c := NewChecker()
-	logical := withDeny(rule.Rule{
-		Match:  rule.Match{VRF: 1, SrcEPG: 2, DstEPG: 3, Proto: rule.ProtoTCP, PortLo: 100, PortHi: 110},
-		Action: rule.Allow, Priority: 10,
-	})
-	deployed := withDeny(rule.Rule{
-		Match:  rule.Match{VRF: 1, SrcEPG: 2, DstEPG: 3, Proto: rule.ProtoTCP, PortLo: 100, PortHi: 105},
-		Action: rule.Allow, Priority: 10,
-	})
-	rep, err := c.Check(logical, deployed)
-	if err != nil {
-		t.Fatal(err)
+	ranged := func(lo, hi uint16) rule.Rule {
+		r := allowRule(1, 2, 3, lo)
+		r.Match.PortHi = hi
+		return r
 	}
-	if rep.Equivalent || len(rep.MissingRules) != 1 {
-		t.Errorf("partially-covered range must be missing: %+v", rep)
-	}
+	checkPair(t, withDeny(ranged(100, 110)), withDeny(ranged(100, 105)), "missing [0] extra []")
 }
 
+// A deny above an allow shadows it: the list allows nothing.
 func TestPriorityShadowing(t *testing.T) {
-	// A deny above an allow shadows it: semantics = nothing allowed.
-	c := NewChecker()
-	deny := rule.Rule{
-		Match:  rule.Match{VRF: 1, SrcEPG: 2, DstEPG: 3, Proto: rule.ProtoTCP, PortLo: 80, PortHi: 80},
-		Action: rule.Deny, Priority: 20,
-	}
-	shadowed := []rule.Rule{deny, allowRule(1, 2, 3, 80), rule.DefaultDeny()}
-	empty := []rule.Rule{rule.DefaultDeny()}
-	rep, err := c.Check(shadowed, empty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Equivalent {
-		t.Error("shadowed allow contributes nothing; sets must be equivalent")
-	}
+	deny := allowRule(1, 2, 3, 80)
+	deny.Action, deny.Priority = rule.Deny, 20
+	checkPair(t, []rule.Rule{deny, allowRule(1, 2, 3, 80), rule.DefaultDeny()}, []rule.Rule{rule.DefaultDeny()}, "equivalent")
 }
 
 func TestEmptySets(t *testing.T) {
-	c := NewChecker()
-	rep, err := c.Check(nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Equivalent {
-		t.Error("two empty rule sets are equivalent")
-	}
-	rep, err = c.Check(withDeny(allowRule(1, 2, 3, 80)), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Equivalent || len(rep.MissingRules) != 1 {
-		t.Error("allow vs empty must be missing")
-	}
+	checkPair(t, nil, nil, "equivalent")
+	checkPair(t, withDeny(allowRule(1, 2, 3, 80)), nil, "missing [0] extra []")
 }
 
 func TestEncodingRejectsOversizeIDs(t *testing.T) {
-	c := NewChecker()
-	bad := allowRule(1<<17, 2, 3, 80)
-	if _, err := c.Check(withDeny(bad), nil); err == nil {
-		t.Error("IDs beyond the bit width must be rejected")
-	}
+	checkPair(t, withDeny(allowRule(1<<17, 2, 3, 80)), nil, "error: encode logical rules: vrf id 131072 exceeds 16-bit encoding")
 }
 
+// A wildcard source covers strictly more than the one source deployed.
 func TestWildcardFields(t *testing.T) {
+	anySrc := allowRule(1, 0, 3, 80)
+	anySrc.Match.WildcardSrc = true
+	checkPair(t, withDeny(anySrc), withDeny(allowRule(1, 2, 3, 80)), "missing [0] extra []")
+}
+
+func TestCheckerReuseAcrossChecks(t *testing.T) {
 	c := NewChecker()
-	anySrc := rule.Rule{
-		Match: rule.Match{
-			VRF: 1, WildcardSrc: true, DstEPG: 3,
-			Proto: rule.ProtoTCP, PortLo: 80, PortHi: 80,
-		},
-		Action: rule.Allow, Priority: 10,
-	}
-	specific := withDeny(allowRule(1, 2, 3, 80))
-	rep, err := c.Check(withDeny(anySrc), specific)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Wildcard-src allows more than the single src=2 rule.
-	if rep.Equivalent {
-		t.Error("wildcard src covers strictly more traffic")
-	}
-	if len(rep.MissingRules) != 1 {
-		t.Errorf("the wildcard rule is partially missing: %+v", rep.MissingRules)
-	}
-	if len(rep.ExtraRules) != 0 {
-		t.Errorf("specific ⊆ wildcard, no extra behaviour: %v", rep.ExtraRules)
+	l1, l2 := withDeny(allowRule(1, 2, 3, 80)), withDeny(allowRule(1, 2, 3, 81))
+	for i := 0; i < 3; i++ {
+		r1, err1 := c.Check(l1, l1)
+		r2, err2 := c.Check(l1, l2)
+		if verdict(r1, err1, l1, l1) != "equivalent" || verdict(r2, err2, l1, l2) != "missing [0] extra [0]" {
+			t.Fatalf("round %d: %s, %s", i, verdict(r1, err1, l1, l1), verdict(r2, err2, l1, l2))
+		}
 	}
 }
 
-// TestCheckerAgreesWithNaiveOnDisjointRules is the oracle property: when
-// every rule has a distinct, non-overlapping match (as compiler output on
-// generated workloads does), BDD missing/extra results must exactly equal
-// naive key-set differences.
+// TestCheckerAgreesWithNaiveOnDisjointRules: subsets of a universe of
+// disjoint allows, where checkStep holds the report to the naive key
+// difference.
 func TestCheckerAgreesWithNaiveOnDisjointRules(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		// Universe of disjoint rules: distinct (src, dst, port-block).
+	c := oracle.FromSeed(1)
+	for i := 0; i < 30; i++ {
 		var universe []rule.Rule
-		for i := 0; i < 12; i++ {
-			universe = append(universe, allowRule(
-				object.ID(1+rng.Intn(2)),
-				object.ID(rng.Intn(4)),
-				object.ID(4+rng.Intn(4)),
-				uint16(1000+i*16), // disjoint ports
-			))
+		for _, r := range genRules(c, 24) {
+			if r.Action == rule.Allow && !slices.ContainsFunc(universe, func(o rule.Rule) bool { return overlaps(o.Match, r.Match) }) {
+				universe = append(universe, r)
+			}
 		}
-		universe = oracle.Dedupe(universe)
 		pick := func() []rule.Rule {
 			var out []rule.Rule
 			for _, r := range universe {
-				if rng.Intn(2) == 0 {
+				if c.Chance(2) {
 					out = append(out, r)
 				}
 			}
 			return withDeny(out...)
 		}
 		logical, deployed := pick(), pick()
-
-		c := NewChecker()
-		rep, err := c.Check(logical, deployed)
-		if err != nil {
-			return false
+		if !naiveApplies(logical, deployed) {
+			t.Fatalf("not a universe of disjoint rules: %v", universe)
 		}
-		missing, extra := oracle.NaiveCheck(logical, deployed)
-		if rep.Equivalent != (len(missing)+len(extra) == 0) {
-			return false
-		}
-		return setsEqual(rule.KeySet(rep.MissingRules), rule.KeySet(missing)) &&
-			setsEqual(rule.KeySet(rep.ExtraRules), rule.KeySet(extra))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
+		runPair(t, c, logical, deployed, checkStep)
 	}
 }
 
-func setsEqual(a, b map[rule.Key]struct{}) bool {
-	if len(a) != len(b) {
-		return false
+// Drawn cases, each through the steps its name is about.
+
+func TestCompileEqualsFold(t *testing.T) {
+	wide := rule.DefaultDeny().Match
+	for _, rules := range [][]rule.Rule{
+		nil,
+		{rule.DefaultDeny()},
+		{{Match: wide, Action: rule.Allow}},
+		{ // deny shadows allow
+			{Match: rule.Match{VRF: 1, SrcEPG: 2, DstEPG: 3, Proto: rule.ProtoTCP, PortLo: 100, PortHi: 200}, Action: rule.Deny},
+			{Match: rule.Match{VRF: 1, SrcEPG: 2, DstEPG: 3, Proto: rule.ProtoTCP, PortLo: 0, PortHi: rule.PortMax}, Action: rule.Allow},
+		},
+		{ // adjacent ranges merge
+			{Match: rule.Match{VRF: 1, SrcEPG: 2, DstEPG: 3, PortLo: 0, PortHi: 32767}, Action: rule.Allow},
+			{Match: rule.Match{VRF: 1, SrcEPG: 2, DstEPG: 3, PortLo: 32768, PortHi: rule.PortMax}, Action: rule.Allow},
+		},
+		{ // wildcards above exact matches
+			{Match: rule.Match{WildcardVRF: true, SrcEPG: 2, DstEPG: 3, PortLo: 80, PortHi: 80}, Action: rule.Deny},
+			{Match: rule.Match{VRF: 1, WildcardSrc: true, DstEPG: 3, PortLo: 0, PortHi: 1000}, Action: rule.Allow},
+			{Match: rule.Match{VRF: 1, SrcEPG: 2, WildcardDst: true, Proto: rule.ProtoUDP, PortLo: 53, PortHi: 53}, Action: rule.Allow},
+		},
+	} {
+		runPair(t, oracle.FromSeed(0), rules, rules, compileStep)
 	}
-	for k := range a {
-		if _, ok := b[k]; !ok {
-			return false
-		}
-	}
-	return true
+	runCases(t, 12, 150, compileStep)
 }
 
-func TestCheckerReuseAcrossChecks(t *testing.T) {
-	c := NewChecker()
-	l1 := withDeny(allowRule(1, 2, 3, 80))
-	l2 := withDeny(allowRule(1, 2, 3, 81))
-	for i := 0; i < 3; i++ {
-		r1, err := c.Check(l1, l1)
-		if err != nil || !r1.Equivalent {
-			t.Fatalf("iteration %d: %v %v", i, err, r1)
-		}
-		r2, err := c.Check(l1, l2)
-		if err != nil || r2.Equivalent {
-			t.Fatalf("iteration %d: reuse broke the checker", i)
+func TestCompileAddsOnlyResultNodes(t *testing.T) { runCases(t, 5, 50, compileStep) }
+
+func TestCompileMatchEqualsOracle(t *testing.T) { runCases(t, 3, 50, compileStep) }
+
+// TestCompileErrorParity: the compiler rejects what the encoders it
+// replaced rejected, with their text, for the first offending rule in list
+// order — even one a higher-priority rule shadows — and reads no ID behind
+// a wildcard.
+func TestCompileErrorParity(t *testing.T) {
+	good := allowRule(1, 2, 3, 80)
+	bad := func(vrf, src, dst object.ID, lo, hi uint16) rule.Rule {
+		return rule.Rule{Match: rule.Match{VRF: vrf, SrcEPG: src, DstEPG: dst, PortLo: lo, PortHi: hi}, Action: rule.Allow}
+	}
+	bigVRF, bigSrc, bigDst := bad(maxID+1, 2, 3, 0, rule.PortMax), bad(1, maxID+2, 3, 0, rule.PortMax), bad(1, 2, maxID+3, 0, rule.PortMax)
+	inverted, both := bad(1, 2, 3, 90, 80), bad(1, 2, maxID+3, 9, 8)
+	allowAll := rule.Rule{Match: rule.DefaultDeny().Match, Action: rule.Allow}
+	for i, rules := range [][]rule.Rule{
+		{good, bigVRF, bigSrc}, {bigSrc, bigVRF}, {good, bigDst, inverted}, {inverted, bigDst},
+		{both}, {allowAll, inverted}, {rule.DefaultDeny(), good, bigVRF},
+	} {
+		runPair(t, oracle.FromSeed(0), rules, rules, compileStep)
+		if _, err := compileSemantics(bdd.NewManager(NumVars), rules); err == nil {
+			t.Errorf("list %d compiled", i)
 		}
 	}
+	wild := bad(maxID+1, maxID+1, maxID+1, 443, 443)
+	wild.Match.WildcardVRF, wild.Match.WildcardSrc, wild.Match.WildcardDst = true, true, true
+	runPair(t, oracle.FromSeed(0), []rule.Rule{wild}, nil, compileStep)
+	if _, err := compileSemantics(bdd.NewManager(NumVars), []rule.Rule{wild}); err != nil {
+		t.Errorf("out-of-range IDs behind wildcards: %v", err)
+	}
+}
+
+func TestMeetsEqualsIntersects(t *testing.T) { runCases(t, 5, 40, meetsStep) }
+
+// TestAttributeEqualsUnfiltered: drawn cases, most of which encode, with
+// differences the filter lists and rules it attributes; and one missing
+// rule in each of 3·maxDiffPaths groups — a difference with more paths
+// than the filter lists, so the filter is off.
+func TestAttributeEqualsUnfiltered(t *testing.T) {
+	var n attributeTally
+	runCases(t, 23, 300, n.step)
+	if n.cases < 200 || n.filtered == 0 || n.hits == 0 { // 247, 560 and 3,714 at this seed
+		t.Fatalf("%d of 300 cases encoded, %d filtered differences, %d attributed rules: the comparison is all but vacuous", n.cases, n.filtered, n.hits)
+	}
+	var wide []rule.Rule
+	for i := 0; i < 3*maxDiffPaths; i++ {
+		wide = append(wide, allowRule(object.ID(1+i%3), object.ID(10+i), object.ID(500+i%7), uint16(80+i%2)))
+	}
+	wide = withDeny(wide...)
+	ch := NewChecker()
+	root, err := ch.semantics(wide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := diffPaths(ch.m, root); ok {
+		t.Fatalf("a difference over %d groups was listed within the bound of %d paths", 3*maxDiffPaths, maxDiffPaths)
+	}
+	runPair(t, oracle.FromSeed(0), wide, nil, attributeStep)
+	if got, _ := ch.attribute(wide, root); len(got) != len(wide)-1 {
+		t.Errorf("past the bound: %d of %d allow rules attributed", len(got), len(wide)-1)
+	}
+}
+
+func TestMemoInvisibleOnShapes(t *testing.T) {
+	for _, shape := range compileShapes {
+		checkMemoInvisible(t, [][]rule.Rule{shape.rules}, [][]rule.Rule{evictFour(shape.rules), shape.rules})
+	}
+	runCases(t, 17, 200, memoStep)
+}
+
+func TestSharedSemanticsIdentity(t *testing.T) { runCases(t, 7, 40, checkStep) }
+
+func TestCheckerBackendDifferential(t *testing.T) { runSweep(t, 0, 48) }
+
+func TestCheckerCompactPreservesReports(t *testing.T) { runSweep(t, 11, 16) }
+
+// FuzzCompileSemantics decodes a case and compiles it: on every engine, to
+// the fold's node or its error, agreeing with a first-match scan, and
+// through the shared memo to the memo-less nodes.
+func FuzzCompileSemantics(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c := oracle.FromBytes(data)
+		logical, deployed := genPair(c)
+		runPair(t, c, logical, deployed, compileStep, memoStep)
+	})
+}
+
+// FuzzMeets decodes a case and walks its differences with every rule, and
+// attributes them.
+func FuzzMeets(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{5, 0x20, 1, 2, 3, 0, 0, 0, 0, 0, 9, 8, 7})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c := oracle.FromBytes(data)
+		logical, deployed := genPair(c)
+		runPair(t, c, logical, deployed, meetsStep, attributeStep)
+	})
 }

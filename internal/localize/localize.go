@@ -83,7 +83,9 @@ type Step struct {
 
 // Result is the outcome of a localization run.
 type Result struct {
-	// Hypothesis is the minimal set of most-likely faulty objects, sorted.
+	// Hypothesis is the objects the algorithm picked, sorted; each has at
+	// least one failed edge. SCOUT and SCORE both pick greedily, so nothing
+	// makes it a smallest set of objects (ROADMAP 14).
 	Hypothesis []object.Ref
 	// Explained counts observations covered by the hypothesis.
 	Explained int

@@ -8,9 +8,11 @@
 // re-read the switch's *current* state, so a burst of K events on one
 // switch needs exactly one refresh, and the refresh is correct no matter
 // which of the K events triggered it. The queue therefore keeps at most
-// one pending entry per switch (newest event wins), cuts batches by size
-// or deadline, and under an event storm degrades to coalescing — never
-// to dropping a switch, which would silently stale a report.
+// one pending entry per switch (newest event wins), cuts batches by size,
+// and under an event storm degrades to coalescing — never to dropping a
+// switch, which would silently stale a report. Only the benchmark's
+// event-storm journey feeds it: cmd/scout -watch drains its cursor and
+// refreshes on a timer.
 package stream
 
 import (
@@ -35,11 +37,6 @@ type Options struct {
 	// BatchSize cuts a batch once this many distinct switches are
 	// pending. <= 0 selects Cap (batches bounded only by capacity).
 	BatchSize int
-	// Window is the batch deadline: with pending work older than this,
-	// Due reports true even below BatchSize, bounding refresh latency
-	// under a trickle of events. <= 0 means no deadline (cut on size or
-	// explicitly).
-	Window time.Duration
 }
 
 // Stats counts the queue's coalescing behaviour, the assertion surface
@@ -72,18 +69,12 @@ type Queue struct {
 	mu        sync.Mutex
 	cap       int
 	batchSize int
-	window    time.Duration
 
 	// pending holds the newest event per marked switch; order remembers
 	// first-arrival order so size-limited cuts drain the longest-waiting
 	// switches first (FIFO fairness under a storm).
 	pending map[object.ID]faultlog.Event
 	order   []object.ID
-	// oldest is the event time of the earliest still-pending arrival,
-	// the deadline anchor. Event times come from the producer's clock
-	// (the fabric's logical clock in simulation), keeping deadline
-	// behaviour deterministic.
-	oldest time.Time
 	// lastSeq is the highest sequence number ever pushed, the
 	// out-of-order detector.
 	lastSeq int
@@ -102,7 +93,6 @@ func New(opts Options) *Queue {
 	return &Queue{
 		cap:       opts.Cap,
 		batchSize: opts.BatchSize,
-		window:    opts.Window,
 		pending:   make(map[object.ID]faultlog.Event),
 	}
 }
@@ -130,40 +120,14 @@ func (q *Queue) Push(ev faultlog.Event) bool {
 	if len(q.pending) >= q.cap {
 		q.stats.Overflows++
 	}
-	if len(q.pending) == 0 || ev.Time.Before(q.oldest) {
-		q.oldest = ev.Time
-	}
 	q.pending[ev.Switch] = ev
 	q.order = append(q.order, ev.Switch)
 	return len(q.pending) >= q.batchSize
 }
 
-// Len returns the number of distinct pending switches.
-func (q *Queue) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.pending)
-}
-
-// Due reports whether a batch should be cut at time now: pending
-// switches reached BatchSize, or the oldest pending arrival has waited
-// at least the configured Window. An empty queue is never due.
-func (q *Queue) Due(now time.Time) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.pending) == 0 {
-		return false
-	}
-	if len(q.pending) >= q.batchSize {
-		return true
-	}
-	return q.window > 0 && !now.Before(q.oldest.Add(q.window))
-}
-
 // Cut drains up to BatchSize pending switches — longest-waiting first —
 // into a batch stamped with the cut time. Cutting an empty queue returns
-// an empty batch (a deadline timer firing with nothing pending is a
-// no-op, not an error).
+// an empty batch and counts none.
 func (q *Queue) Cut(now time.Time) Batch {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -177,7 +141,6 @@ func (q *Queue) Cut(now time.Time) Batch {
 	b := Batch{
 		Switches: make([]object.ID, n),
 		Events:   make([]faultlog.Event, n),
-		OldestAt: q.oldest,
 		CutAt:    now,
 	}
 	copy(b.Switches, q.order[:n])
@@ -191,13 +154,6 @@ func (q *Queue) Cut(now time.Time) Batch {
 		delete(q.pending, sw)
 	}
 	q.order = append(q.order[:0], q.order[n:]...)
-	// Re-anchor the deadline on the remaining pending entries.
-	q.oldest = time.Time{}
-	for _, sw := range q.order {
-		if t := q.pending[sw].Time; q.oldest.IsZero() || t.Before(q.oldest) {
-			q.oldest = t
-		}
-	}
 	q.stats.Batches++
 	q.stats.BatchedSwitches += len(b.Switches)
 	if len(b.Switches) > q.stats.MaxBatch {
@@ -223,21 +179,6 @@ type Batch struct {
 	Events   []faultlog.Event
 	// MaxSeq is the highest event sequence number in the batch.
 	MaxSeq int
-	// OldestAt is the event time of the batch's longest-waiting member
-	// at cut time; CutAt is when the batch was cut. Their difference is
-	// the queueing latency the batching traded for coalescing.
-	OldestAt time.Time
-	CutAt    time.Time
-}
-
-// Empty reports whether the batch carries no work.
-func (b Batch) Empty() bool { return len(b.Switches) == 0 }
-
-// Latency returns how long the batch's oldest member waited in the
-// queue (zero for an empty batch).
-func (b Batch) Latency() time.Duration {
-	if b.Empty() {
-		return 0
-	}
-	return b.CutAt.Sub(b.OldestAt)
+	// CutAt is when the batch was cut.
+	CutAt time.Time
 }

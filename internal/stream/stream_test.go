@@ -24,17 +24,15 @@ func at(sec int) time.Time {
 }
 
 // TestQueueCoalescesDuplicates pins the core property: K events for one
-// switch occupy one pending slot, the newest sequence number wins, and
-// the cut batch carries exactly one entry for the switch.
+// switch occupy one pending slot, the newest sequence number wins, the
+// cut batch carries exactly one entry for the switch, and cutting the
+// drained queue returns an empty batch and counts none.
 func TestQueueCoalescesDuplicates(t *testing.T) {
 	q := New(Options{Cap: 8})
 	for seq := 1; seq <= 5; seq++ {
 		if q.Push(ev(seq, 3, seq)) {
 			t.Fatalf("push %d: batch due below BatchSize", seq)
 		}
-	}
-	if got := q.Len(); got != 1 {
-		t.Fatalf("Len = %d after 5 events for one switch, want 1", got)
 	}
 	st := q.Stats()
 	if st.Pushed != 5 || st.Coalesced != 4 || st.Stale != 0 {
@@ -47,8 +45,8 @@ func TestQueueCoalescesDuplicates(t *testing.T) {
 	if b.Events[0].Seq != 5 || b.MaxSeq != 5 {
 		t.Fatalf("coalesced entry seq = %d (MaxSeq %d), want newest 5", b.Events[0].Seq, b.MaxSeq)
 	}
-	if q.Len() != 0 {
-		t.Fatalf("queue not drained after cut: Len = %d", q.Len())
+	if b := q.Cut(at(11)); len(b.Switches) != 0 || q.Stats().Batches != 1 {
+		t.Fatalf("cut of the drained queue = %+v, %d batches counted; want empty, 1", b, q.Stats().Batches)
 	}
 }
 
@@ -65,67 +63,15 @@ func TestQueueOutOfOrderSequences(t *testing.T) {
 	if st.Stale != 2 {
 		t.Fatalf("Stale = %d, want 2", st.Stale)
 	}
-	if q.Len() != 2 {
-		t.Fatalf("Len = %d, want 2 (stale event must still mark its switch)", q.Len())
-	}
 	b := q.Cut(at(4))
 	if len(b.Switches) != 2 || b.Switches[0] != 1 || b.Switches[1] != 2 {
-		t.Fatalf("batch switches = %v, want [1 2]", b.Switches)
+		t.Fatalf("batch switches = %v, want [1 2] (a stale event still marks its switch)", b.Switches)
 	}
 	if b.Events[0].Seq != 5 {
 		t.Fatalf("switch 1 entry seq = %d, want 5 (stale dup must not roll back)", b.Events[0].Seq)
 	}
 	if b.MaxSeq != 5 {
 		t.Fatalf("MaxSeq = %d, want 5", b.MaxSeq)
-	}
-}
-
-// TestQueueDeadline pins Window semantics: an empty queue is never due
-// (a timer firing with nothing pending is a no-op), pending work is due
-// only once the oldest arrival has waited the full window, and cutting
-// an empty queue returns an empty batch without counting a batch.
-func TestQueueDeadline(t *testing.T) {
-	q := New(Options{Cap: 8, Window: 5 * time.Second})
-	if q.Due(at(1000)) {
-		t.Fatal("empty queue reported due")
-	}
-	b := q.Cut(at(1000))
-	if !b.Empty() || b.Latency() != 0 {
-		t.Fatalf("cut of empty queue = %+v, want empty batch with zero latency", b)
-	}
-	if st := q.Stats(); st.Batches != 0 {
-		t.Fatalf("empty cut counted as a batch: %+v", st)
-	}
-
-	q.Push(ev(1, 1, 10))
-	if q.Due(at(14)) {
-		t.Fatal("due before the window elapsed")
-	}
-	if !q.Due(at(15)) {
-		t.Fatal("not due once the oldest arrival waited the full window")
-	}
-	b = q.Cut(at(16))
-	if b.Latency() != 6*time.Second {
-		t.Fatalf("Latency = %v, want 6s", b.Latency())
-	}
-	if q.Due(at(1000)) {
-		t.Fatal("drained queue still due")
-	}
-}
-
-// TestQueueDeadlineReanchors pins that cutting re-anchors the deadline
-// on the remaining pending entries instead of the drained ones.
-func TestQueueDeadlineReanchors(t *testing.T) {
-	q := New(Options{Cap: 8, BatchSize: 2, Window: 5 * time.Second})
-	q.Push(ev(1, 1, 0))
-	q.Push(ev(2, 2, 1))
-	q.Push(ev(3, 3, 10))
-	q.Cut(at(11)) // drains switches 1 and 2 (longest waiting)
-	if q.Due(at(12)) {
-		t.Fatal("due off a drained entry's age; deadline must re-anchor on switch 3")
-	}
-	if !q.Due(at(15)) {
-		t.Fatal("not due once the remaining entry waited the full window")
 	}
 }
 
@@ -148,16 +94,13 @@ func TestQueueOverflowCoalesces(t *testing.T) {
 	if st.Overflows != 1 {
 		t.Fatalf("Overflows = %d, want 1", st.Overflows)
 	}
-	if q.Len() != 3 {
-		t.Fatalf("Len = %d, want 3 (overflow must admit, never drop)", q.Len())
-	}
 	b := q.Cut(at(4))
 	if len(b.Switches) != 2 || b.Switches[0] != 10 || b.Switches[1] != 20 {
 		t.Fatalf("batch = %v, want the two longest-waiting switches [10 20]", b.Switches)
 	}
 	b = q.Cut(at(5))
 	if len(b.Switches) != 1 || b.Switches[0] != 30 {
-		t.Fatalf("second batch = %v, want [30]", b.Switches)
+		t.Fatalf("second batch = %v, want [30] (overflow must admit, never drop)", b.Switches)
 	}
 	st = q.Stats()
 	if st.Batches != 2 || st.BatchedSwitches != 3 || st.MaxBatch != 2 {
@@ -169,10 +112,8 @@ func TestQueueOverflowCoalesces(t *testing.T) {
 // batch switches come out ascending regardless of arrival order.
 func TestQueueBatchSize(t *testing.T) {
 	q := New(Options{Cap: 16, BatchSize: 3})
-	q.Push(ev(1, 9, 1))
-	q.Push(ev(2, 4, 2))
-	if q.Due(at(2)) {
-		t.Fatal("due below BatchSize with no window")
+	if q.Push(ev(1, 9, 1)) || q.Push(ev(2, 4, 2)) {
+		t.Fatal("due below BatchSize")
 	}
 	if !q.Push(ev(3, 7, 3)) {
 		t.Fatal("push reaching BatchSize must signal a cut")

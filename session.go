@@ -267,9 +267,10 @@ func (s *Session) fabricState(tcams map[object.ID][]rule.Rule, now time.Time) St
 // re-checking only switches whose logical or TCAM rules changed since the
 // session's previous run. A TCAM hands back the same snapshot until it is
 // written, so only the written switches' lists are hashed to find them. It
-// is also the event-driven refresh: a watch loop calls it for every batch
-// its EventQueue cuts, so events decide when a refresh runs, and the
-// snapshots which switches it re-checks — a write no event names included.
+// is also the event-driven refresh: a watch loop calls it once the events
+// it drained have waited out its window, so events decide when a refresh
+// runs, and the snapshots which switches it re-checks — a write no event
+// names included.
 func (s *Session) Analyze() (*Report, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
