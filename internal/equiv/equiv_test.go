@@ -1,13 +1,17 @@
 package equiv
 
 import (
+	"math"
 	"slices"
 	"testing"
+	"time"
 
 	"scout/internal/bdd"
+	"scout/internal/compile"
 	"scout/internal/object"
 	"scout/internal/oracle"
 	"scout/internal/rule"
+	"scout/internal/workload"
 )
 
 // Hand-made checks: every step of the runner (harness_test.go), then the
@@ -208,6 +212,131 @@ func TestAttributeEqualsUnfiltered(t *testing.T) {
 	runPair(t, oracle.FromSeed(0), wide, nil, attributeStep)
 	if got, _ := ch.attribute(wide, root); len(got) != len(wide)-1 {
 		t.Errorf("past the bound: %d of %d allow rules attributed", len(got), len(wide)-1)
+	}
+}
+
+// typicalRules is n disjoint allow rules plus the default deny.
+func typicalRules(n int) []rule.Rule {
+	rules := make([]rule.Rule, 0, n+1)
+	for i := 0; i < n; i++ {
+		rules = append(rules, allowRule(1, object.ID(i%64), object.ID(64+(i%64)), uint16(1024+i)))
+	}
+	return append(rules, rule.DefaultDeny())
+}
+
+// portLadder is n rules on one (vrf, src, dst, proto), each on its own
+// port, every third a deny: the whole list lands in one leaf, so the
+// port-axis first-match resolution is all there is to do.
+func portLadder(n int) []rule.Rule {
+	rules := make([]rule.Rule, 0, n+1)
+	for i := 0; i < n; i++ {
+		r := allowRule(1, 2, 3, uint16(1000+7*i))
+		if i%3 == 2 {
+			r.Action = rule.Deny
+		}
+		rules = append(rules, r)
+	}
+	return append(rules, rule.DefaultDeny())
+}
+
+// halfWildcard is n rules of which every other one wildcards a field
+// (VRF, source and destination in rotation) over a port range, so
+// wildcard rules are merged into many exact branches at every level.
+func halfWildcard(n int) []rule.Rule {
+	rules := make([]rule.Rule, 0, n+1)
+	for i := 0; i < n; i++ {
+		r := allowRule(object.ID(1+i%4), object.ID(10+i%37), object.ID(100+i%41), uint16(2000+i))
+		if i%2 == 1 {
+			switch i / 2 % 3 {
+			case 0:
+				r.Match.WildcardVRF = true
+			case 1:
+				r.Match.WildcardSrc = true
+			default:
+				r.Match.WildcardDst = true
+			}
+			r.Match.PortHi = r.Match.PortLo + 40
+			if i%8 == 1 {
+				r.Action = rule.Deny
+			}
+		}
+		rules = append(rules, r)
+	}
+	return append(rules, rule.DefaultDeny())
+}
+
+// compileShapes are the common all-allow list and the two shapes that
+// stress the compiler's own loops: one crowded leaf, and wildcards merged
+// into every branch.
+var compileShapes = []struct {
+	name  string
+	rules []rule.Rule
+}{
+	{"typical", typicalRules(5000)},
+	{"port-ladder", portLadder(5000)},
+	{"half-wildcard", halfWildcard(2500)},
+}
+
+// productionQuarter compiles the production spec scaled by 0.25 (the
+// repository benchmark's input at seed 42: 8 switches, 46,216 rules) and
+// returns the switches' logical rule lists in ascending switch order.
+func productionQuarter(tb testing.TB, seed int64) [][]rule.Rule {
+	tb.Helper()
+	// eval.SimSpec(0.25), which this package cannot import.
+	spec := workload.ProductionSpec()
+	for _, n := range []*int{&spec.Switches, &spec.EPGs, &spec.Contracts, &spec.Filters, &spec.TargetPairs} {
+		*n = int(math.Round(float64(*n) * 0.25))
+	}
+	pol, tp, err := workload.Generate(spec, seed)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	dep, err := compile.Compile(pol, tp)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var lists [][]rule.Rule
+	for _, sw := range tp.Switches() {
+		lists = append(lists, dep.BySwitch[sw])
+	}
+	return lists
+}
+
+// evictFour is a switch's TCAM after a four-rule eviction from the middle
+// of its list: the dirty side of a rolling-change check.
+func evictFour(logical []rule.Rule) []rule.Rule {
+	mid := len(logical) / 2
+	return append(append([]rule.Rule(nil), logical[:mid]...), logical[mid+4:]...)
+}
+
+// TestCompileShapeGuards keeps the compiler's worst shapes honest: on
+// each list it must produce the oracle's node and take no longer than the
+// oracle fold does (the compile's best of three against the fold's one
+// run, so a scheduling hiccup cannot fail it). A leaf resolved by
+// rescanning the list per port segment, or wildcards re-sorted per
+// branch, fails this.
+func TestCompileShapeGuards(t *testing.T) {
+	for _, shape := range compileShapes {
+		m := bdd.NewManager(NumVars)
+		start := time.Now()
+		want, err := oracleSemantics(m, shape.rules)
+		fold := time.Since(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := compileSemantics(m, shape.rules); got != want {
+			t.Fatalf("%s: compiled root %d, fold root %d", shape.name, got, want)
+		}
+		best := fold
+		for i := 0; i < 3; i++ {
+			start := time.Now()
+			compileSemantics(bdd.NewManager(NumVars), shape.rules)
+			best = min(best, time.Since(start))
+		}
+		t.Logf("%s: compile %v, oracle fold %v", shape.name, best, fold)
+		if best >= fold {
+			t.Errorf("%s: compile never beat the oracle fold's %v", shape.name, fold)
+		}
 	}
 }
 

@@ -315,26 +315,10 @@ func TestParallelCountersRepeat(t *testing.T) {
 	for _, workers := range []int{2, 3, runtime.NumCPU()} {
 		var fabs [2]*scout.Fabric
 		var sess [2]*scout.Session
-		var evicted [2]map[scout.ObjectID][]scout.Rule
+		var churn [2]func(sw scout.ObjectID, n int)
 		for j := range fabs {
 			fabs[j] = faultyFabricOf(t, scout.SmallFabricWorkloadSpec(), scout.FabricOptions{Seed: 3})
-			sess[j], evicted[j] = newSession(t, fabs[j], scout.AnalyzerOptions{Workers: workers}), make(map[scout.ObjectID][]scout.Rule)
-		}
-		// churn reinstalls what the previous churn of sw evicted on fabric j
-		// and evicts n fresh rules.
-		churn := func(j int, sw scout.ObjectID, n int) {
-			s, err := fabs[j].Switch(sw)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range evicted[j][sw] {
-				if err := s.TCAM().Install(r); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if evicted[j][sw], err = fabs[j].EvictTCAM(sw, n); err != nil {
-				t.Fatal(err)
-			}
+			sess[j], churn[j] = newSession(t, fabs[j], scout.AnalyzerOptions{Workers: workers}), churner(t, fabs[j])
 		}
 		// step mutates and analyzes both sides, then compares their counters.
 		step := func(name string, mutate func(j int), analyze func(*scout.Session) (*scout.Report, error)) {
@@ -360,7 +344,7 @@ func TestParallelCountersRepeat(t *testing.T) {
 		for r := 0; r < rounds; r++ {
 			step(fmt.Sprintf("churn round %d", r), func(j int) {
 				for _, sw := range switches {
-					churn(j, sw, 2)
+					churn[j](sw, 2)
 				}
 			}, (*scout.Session).Analyze)
 		}
@@ -368,7 +352,7 @@ func TestParallelCountersRepeat(t *testing.T) {
 			pair := []scout.ObjectID{switches[b%len(switches)], switches[(b+1)%len(switches)]}
 			step(fmt.Sprintf("event batch %d", b), func(j int) {
 				for _, sw := range pair {
-					churn(j, sw, 1)
+					churn[j](sw, 1)
 				}
 			}, (*scout.Session).Analyze)
 		}
