@@ -139,19 +139,13 @@ var NewEventQueue = stream.New
 
 // Risk models and localization.
 type (
-	// RiskModel is a bipartite shared-risk model.
-	RiskModel = risk.Model
 	// RiskView is the read interface over an annotated risk model; a
 	// mutable model and a copy-on-write overlay are interchangeable
 	// behind it.
 	RiskView = risk.View
-	// RiskMarker is a RiskView that accepts failure annotation.
-	RiskMarker = risk.Marker
 	// RiskOverlay is a copy-on-write failure overlay over an immutable
 	// pristine risk model.
 	RiskOverlay = risk.Overlay
-	// ControllerModelOptions configures controller-model construction.
-	ControllerModelOptions = risk.ControllerModelOptions
 	// Deployment is the compiled per-switch logical rule set.
 	Deployment = compile.Deployment
 	// LocalizationResult is the output of SCOUT or SCORE.
@@ -163,14 +157,6 @@ type (
 )
 
 var (
-	// BuildControllerRiskModel builds the fabric-wide risk model.
-	BuildControllerRiskModel = risk.BuildControllerModel
-	// NewRiskOverlay stacks a fresh copy-on-write failure overlay on a
-	// pristine risk model (which must not be mutated afterwards).
-	NewRiskOverlay = risk.NewOverlay
-	// AugmentControllerRiskModel marks failures from a switch's missing
-	// rules in the controller risk model.
-	AugmentControllerRiskModel = risk.AugmentControllerModel
 	// Localize runs the SCOUT algorithm on an annotated risk model.
 	Localize = localize.Scout
 	// LocalizeSCORE runs the SCORE baseline with a hit-ratio threshold.

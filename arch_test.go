@@ -280,10 +280,24 @@ func TestArchitecture(t *testing.T) {
 	ix := indexModule(t, os.DirFS("."), "scout")
 
 	// The pipeline is written once: Session.run is the only orchestration,
-	// so every stage has one call site.
-	for _, stage := range []string{"assemble", "buildSharedBase", "startRiskModels"} {
-		if uses := ix.uses[ix.lookup(t, ".:Analyzer."+stage)]; len(uses) != 1 {
-			t.Errorf("%s has %d call sites, want 1: %v", stage, len(uses), uses)
+	// so every stage has one call site. Outside bench/ that holds for the
+	// check and the controller-model augmentation too: an experiment or an
+	// example reads a Report instead of running them.
+	for key, caller := range map[string]string{
+		".:Analyzer.assemble":                       ".:Session.run",
+		".:Analyzer.buildSharedBase":                ".:Session.loadOrBuildBaseLocked",
+		".:Analyzer.startRiskModels":                ".:Session.resolveLocked",
+		"internal/equiv:Checker.Check":              ".:checkState",
+		"internal/risk:AugmentControllerModelPatch": ".:Analyzer.assemble",
+	} {
+		var sites []use
+		for _, u := range ix.uses[ix.lookup(t, key)] {
+			if !strings.HasPrefix(u.pos.Filename, "bench/") {
+				sites = append(sites, u)
+			}
+		}
+		if len(sites) != 1 || sites[0].in != ix.lookup(t, caller) {
+			t.Errorf("%s has %d call sites outside bench/, want 1, in %s: %v", key, len(sites), caller, sites)
 		}
 	}
 

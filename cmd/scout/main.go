@@ -255,8 +255,7 @@ func emitReport(report *scout.Report, jsonOut, verbose bool) error {
 		if es := report.EncodeStats; es != nil {
 			fmt.Printf("\nbdd encoding: base %d nodes (%d semantics warmed), delta %d nodes across %d checkers\n",
 				es.BaseNodes, es.BaseSemantics, es.DeltaNodes, es.Checkers)
-			fmt.Printf("fold sharing: hits %d (%d from base) / misses %d\n",
-				es.FoldHits(), es.FoldBaseHits, es.FoldMisses)
+			fmt.Printf("fold sharing: hits %d / misses %d\n", es.FoldBaseHits, es.FoldMisses)
 			hits, misses, pct := es.OpCache.Hits(), es.OpCache.Misses, 0.0
 			if hits+misses > 0 {
 				pct = 100 * float64(hits) / float64(hits+misses)

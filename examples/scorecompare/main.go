@@ -63,23 +63,14 @@ func run() error {
 	groundTruth := []scout.ObjectRef{full, partial}
 	fmt.Printf("injected faults (ground truth): full %s, partial %s\n\n", full, partial)
 
-	// Shared pipeline front half: the analyzer produces per-switch missing
-	// rules; stack a copy-on-write failure overlay on a pristine
-	// controller model and annotate it from them, so SCOUT and SCORE run
-	// on identical inputs (an overlay and an annotated clone are
-	// interchangeable behind scout.RiskView).
+	// Shared pipeline front half: the analyzer checks every switch and
+	// marks the controller risk view its SCOUT run localized on, so SCOUT
+	// and SCORE run on identical inputs.
 	report, err := scout.NewAnalyzer(scout.AnalyzerOptions{Workers: *workers}).Analyze(f)
 	if err != nil {
 		return err
 	}
-	d := f.Deployment()
-	pristine := scout.BuildControllerRiskModel(d, scout.ControllerModelOptions{IncludeSwitchRisk: true})
-	model := scout.NewRiskOverlay(pristine)
-	for _, sr := range report.Switches {
-		if !sr.Equivalent {
-			scout.AugmentControllerRiskModel(model, sr.Switch, sr.MissingRules, d.Provenance)
-		}
-	}
+	model := report.ControllerView
 	fmt.Printf("annotated view: %s\n", model)
 	fmt.Printf("failure signature: %d observations, %d suspect objects\n\n",
 		len(model.FailureSignature()), len(model.SuspectSet()))

@@ -1,9 +1,8 @@
 // Delta garbage collection. A long-lived fork accumulates delta nodes
-// from every re-encode it performs; most become unreachable as memo
-// roots are replaced. CompactDelta rebuilds the delta densely around the
-// caller's live roots, so a session checker under a node budget can shed
-// dead nodes and keep the roots it memoized, which a whole-delta Reset
-// would have it compile again.
+// from every compile it performs; most become unreachable once their
+// check reports. CompactDelta rebuilds the delta densely around the
+// caller's live roots and returns where each surviving node moved, so a
+// caller can shed dead nodes and keep the roots it still names.
 
 package bdd
 
@@ -18,15 +17,6 @@ const NoNode Node = -1
 type Remap struct {
 	pin   int
 	delta []Node
-}
-
-// Node maps an old node ID to its post-compaction ID, or NoNode if the
-// node was dropped.
-func (r *Remap) Node(n Node) Node {
-	if int(n) < r.pin {
-		return n
-	}
-	return r.delta[int(n)-r.pin]
 }
 
 // CompactStats reports what one CompactDelta call kept and shed.

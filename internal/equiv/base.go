@@ -1,10 +1,9 @@
 // Shared encoding base for the check-stage fan-out: the whole-switch
-// semantics roots of a deployment's most duplicated rule-list
-// fingerprints are compiled once into one BDD manager, which is then
-// frozen into an immutable snapshot that every worker's checker forks.
-// Without it, each check-stage worker owns a private manager and rebuilds
-// every semantics root shared across its switches — duplicated node
-// construction that grows with the worker count.
+// semantics roots of a deployment's distinct rule lists are compiled once
+// into one BDD manager, which is then frozen into an immutable snapshot
+// that every worker's checker forks. Without it, each check-stage worker
+// would rebuild every semantics root shared across its switches —
+// duplicated node construction that grows with the worker count.
 //
 // The roots are built by the direct compiler (compile.go), so the
 // snapshot holds result nodes only, and its unique table doubles as the
@@ -42,6 +41,14 @@ type Base struct {
 	memo compileMemo
 }
 
+// semRoot is one frozen whole-list semantics root plus a reference to the
+// exact rule list it canonicalizes, kept for collision verification on
+// every fingerprint hit.
+type semRoot struct {
+	rules []rule.Rule
+	node  bdd.Node
+}
+
 // NewBase compiles each semantics rule list into its whole-list
 // allowed-set BDD (keyed by SemanticsFingerprint, duplicates collapsed)
 // and freezes the result. Lists that cannot be encoded (out-of-range IDs,
@@ -64,8 +71,9 @@ func NewBase(_ []rule.Match, semantics ...[]rule.Rule) *Base {
 // NewChecker forks the base: the returned checker resolves every warmed
 // whole-switch semantics root from the base's frozen memo and compiles
 // only novel lists in its private copy-on-write delta. Forking is O(1);
-// use one fork per worker goroutine. The fork's
-// delta tables are pre-sized from the base's observed load.
+// use one fork per worker goroutine. The fork's delta tables are pre-sized
+// from the base's observed load. It is the one way to get a checker: a
+// fork of NewBaseWith(nil) compiles every list it is handed.
 func (b *Base) NewChecker() *Checker {
 	return b.newChecker(func() Backend { return bdd.NewManagerFrom(b.snap) })
 }
@@ -80,13 +88,7 @@ func (b *Base) NewCheckerSized(deltaNodes int) *Checker {
 }
 
 func (b *Base) newChecker(newM func() Backend) *Checker {
-	return &Checker{
-		m:      newM(),
-		newM:   newM,
-		base:   b,
-		semMem: make(map[uint64]semRoot, 64),
-		memo:   compileMemo{},
-	}
+	return &Checker{m: newM(), newM: newM, base: b, memo: compileMemo{}}
 }
 
 // Size returns the number of frozen BDD nodes in the base.
@@ -186,26 +188,21 @@ type EncodeStats struct {
 	// BaseNodes is the size of the shared frozen base.
 	BaseNodes int
 	// BaseSemantics is the number of whole-switch semantics roots frozen
-	// in the base (the top-K most duplicated rule-list fingerprints).
+	// in the base (one per distinct encodable logical list).
 	BaseSemantics int
 	// DeltaNodes sums every checker's private node count.
 	DeltaNodes int
-	// FoldBaseHits, FoldLocalHits, and FoldMisses sum the checkers'
-	// cumulative whole-list semantics counters: folds resolved from the
-	// base's frozen roots, from a checker's own memo, or built from
-	// scratch.
-	FoldBaseHits  int
-	FoldLocalHits int
-	FoldMisses    int
+	// FoldBaseHits and FoldMisses sum the checkers' cumulative whole-list
+	// semantics counters: folds resolved from the base's frozen roots, or
+	// built from scratch.
+	FoldBaseHits int
+	FoldMisses   int
 
 	// OpCache sums the checkers' BDD operation-cache hits and misses.
 	// Like the fold counters, cumulative over each checker's lifetime
 	// for session-produced reports.
 	OpCache bdd.CacheStats
 }
-
-// FoldHits is the total memo-resolved whole-list folds (base + local).
-func (s *EncodeStats) FoldHits() int { return s.FoldBaseHits + s.FoldLocalHits }
 
 // AggregateEncodeStats sums the encoding counters of a run's checkers
 // over the base they fork.
@@ -219,7 +216,6 @@ func AggregateEncodeStats(base *Base, checkers []*Checker) *EncodeStats {
 		st.DeltaNodes += c.DeltaSize()
 		cs := c.Stats()
 		st.FoldBaseHits += cs.FoldBaseHits
-		st.FoldLocalHits += cs.FoldLocalHits
 		st.FoldMisses += cs.FoldMisses
 		st.OpCache.Add(cs.Cache)
 	}

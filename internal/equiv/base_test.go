@@ -19,27 +19,25 @@ import (
 // and the walk.
 
 // TestForkReportMatchesStandalone: a fork of a warmed base reports what a
-// standalone checker reports on every path (equivalent, missing, extra,
+// fork of an empty base reports on every path (equivalent, missing, extra,
 // empty), and counts its folds. The logical list was warmed, so each of
 // its four appearances resolves from the base; the deployed list compiles
-// as the T side of pair 1 and is not remembered, compiles again as the L
-// side of pair 2 and is, so pair 3's T side finds it in the fork's memo;
-// the empty list compiles once.
+// each of its three times, and the empty list once.
 func TestForkReportMatchesStandalone(t *testing.T) {
 	logical := withDeny(allowRule(1, 2, 3, 80, object.Filter(9)), allowRule(1, 3, 2, 443), allowRule(2, 4, 5, 8080))
 	deployed := withDeny(allowRule(1, 2, 3, 80), allowRule(7, 7, 7, 22))
-	fork := newBase(logical).NewChecker()
+	fork, cold := newBase(logical).NewChecker(), emptyFork()
 	for i, p := range [][2][]rule.Rule{{logical, logical}, {logical, deployed}, {deployed, logical}, {nil, deployed}} {
-		want, err := NewChecker().Check(p[0], p[1])
+		want, err := cold.Check(p[0], p[1])
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got, err := fork.Check(p[0], p[1]); err != nil || !reflect.DeepEqual(want, got) {
-			t.Errorf("pair %d: fork report %+v (%v), standalone %+v", i, got, err, want)
+			t.Errorf("pair %d: fork report %+v (%v), empty base's fork %+v", i, got, err, want)
 		}
 	}
-	if st := fork.Stats(); st.FoldBaseHits != 4 || st.FoldMisses != 3 || st.FoldLocalHits != 1 {
-		t.Errorf("fold counters %+v, want 4 base hits, 3 misses, 1 local hit", st)
+	if st := fork.Stats(); st.FoldBaseHits != 4 || st.FoldMisses != 4 {
+		t.Errorf("fold counters %+v, want 4 base hits, 4 misses", st)
 	}
 }
 
@@ -83,11 +81,11 @@ func TestForkResetKeepsBase(t *testing.T) {
 	}
 }
 
-// TestCheckerReset: Reset returns a standalone checker to cold, and it
+// TestCheckerReset: Reset returns a fork of an empty base to cold, and it
 // reports what it did before.
 func TestCheckerReset(t *testing.T) {
 	logical, deployed := withDeny(allowRule(101, 1, 2, 80), allowRule(101, 3, 4, 443)), withDeny(allowRule(101, 1, 2, 80))
-	c := NewChecker()
+	c := emptyFork()
 	fresh := c.DeltaSize()
 	before, err := c.Check(logical, deployed)
 	if err != nil || c.DeltaSize() <= fresh {
@@ -105,7 +103,7 @@ func TestCheckerReset(t *testing.T) {
 // TestConcurrentForks runs forks of one base concurrently (-race guards
 // the lock-free shared reads: the snapshot's tables and the frozen compile
 // memo, which every drifted list's compile reads) and checks they agree
-// with a serial standalone checker.
+// with a serial fork of an empty base.
 func TestConcurrentForks(t *testing.T) {
 	logical := withDeny(allowRule(1, 2, 3, 80), allowRule(1, 3, 2, 443), allowRule(2, 4, 5, 8080), allowRule(2, 5, 4, 8080))
 	// One drifted TCAM per dropped rule: each compiles in the fork, its
@@ -114,7 +112,7 @@ func TestConcurrentForks(t *testing.T) {
 	var want []*Report
 	for drop := 0; drop < len(logical)-1; drop++ {
 		d := append(append([]rule.Rule(nil), logical[:drop]...), logical[drop+1:]...)
-		rep, err := NewChecker().Check(logical, d)
+		rep, err := emptyFork().Check(logical, d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +131,7 @@ func TestConcurrentForks(t *testing.T) {
 			for i := 0; i < 20; i++ {
 				j := (i + k) % len(drifted)
 				if rep, err := c.Check(logical, drifted[j]); err != nil || !reflect.DeepEqual(want[j], rep) {
-					t.Errorf("fork %d, drifted list %d: report %+v (%v) differs from standalone", k, j, rep, err)
+					t.Errorf("fork %d, drifted list %d: report %+v (%v) differs from the empty base's fork", k, j, rep, err)
 					return
 				}
 				if i%7 == 6 {
@@ -216,7 +214,7 @@ func TestAggregateEncodeStats(t *testing.T) {
 	}
 	st := AggregateEncodeStats(base, []*Checker{f1, f2})
 	if st.Checkers != 2 || st.BaseNodes != base.Size() || st.BaseSemantics != base.NumSemantics() ||
-		st.DeltaNodes != f1.DeltaSize()+f2.DeltaSize() || st.FoldHits() != st.FoldBaseHits+st.FoldLocalHits {
+		st.DeltaNodes != f1.DeltaSize()+f2.DeltaSize() {
 		t.Errorf("aggregate %+v does not sum the base and its two forks", st)
 	}
 	if st.FoldBaseHits != 3 || st.FoldMisses != 1 {
@@ -356,9 +354,8 @@ func TestRebindSemantics(t *testing.T) {
 // TestSemanticsBaseMissFoldsInDelta: a collected list absent from the base
 // compiles into the fork's delta (a fold miss) and is not remembered — a
 // repeat compiles it again while the logical side still hits — and the
-// base stays untouched; Reset discards the local memo with the delta and
-// leaves the frozen roots warm. The drifted list keeps two rules: a
-// one-rule list is its rule's match, which the base warmed.
+// base stays untouched; Reset discards the delta and leaves the frozen
+// roots warm.
 func TestSemanticsBaseMissFoldsInDelta(t *testing.T) {
 	logical := withDeny(allowRule(1, 2, 3, 80), allowRule(1, 3, 2, 443), allowRule(2, 4, 5, 22))
 	drifted := withDeny(allowRule(1, 2, 3, 80), allowRule(2, 4, 5, 22))
@@ -372,13 +369,12 @@ func TestSemanticsBaseMissFoldsInDelta(t *testing.T) {
 	if st.FoldBaseHits != 1 || st.FoldMisses != 1 || fork.DeltaSize() == 0 || base.Size() != base.snap.Size() {
 		t.Errorf("first check: %+v, delta %d; want the logical list hit, the drifted one compiled in the delta", st, fork.DeltaSize())
 	}
-	remembered := len(fork.semMem)
 	if again, err := fork.Check(logical, drifted); err != nil || !reflect.DeepEqual(first, again) {
 		t.Errorf("repeat check reported %+v (%v), first %+v", again, err, first)
 	}
 	st2 := fork.Stats()
-	if st2.FoldBaseHits != st.FoldBaseHits+1 || st2.FoldMisses != st.FoldMisses+1 || st2.FoldLocalHits != st.FoldLocalHits || len(fork.semMem) != remembered {
-		t.Errorf("repeat check: %+v -> %+v, memo %d -> %d; want the collected list compiled again, not remembered", st, st2, remembered, len(fork.semMem))
+	if st2.FoldBaseHits != st.FoldBaseHits+1 || st2.FoldMisses != st.FoldMisses+1 {
+		t.Errorf("repeat check: %+v -> %+v; want the collected list compiled again, not remembered", st, st2)
 	}
 	fork.Reset()
 	if _, err := fork.Check(logical, drifted); err != nil {
@@ -392,7 +388,7 @@ func TestSemanticsBaseMissFoldsInDelta(t *testing.T) {
 // TestSemanticsCollisionFallsThrough plants a fingerprint collision — a
 // base entry whose stored list disagrees with the checker's input, which
 // nothing but a whitebox edit can produce: the hit verification must
-// reject it and fold privately, reporting what a standalone checker does.
+// reject it and fold privately, reporting what an empty base's fork does.
 func TestSemanticsCollisionFallsThrough(t *testing.T) {
 	listA, listB := withDeny(allowRule(1, 2, 3, 80)), withDeny(allowRule(1, 2, 3, 443), allowRule(1, 3, 2, 80))
 	base := newBase(listA)
@@ -400,7 +396,7 @@ func TestSemanticsCollisionFallsThrough(t *testing.T) {
 	delete(base.semMem, SemanticsFingerprint(listA))
 	base.semMem[SemanticsFingerprint(listB)] = entry
 	fork := base.NewChecker()
-	want, err := NewChecker().Check(listB, listA)
+	want, err := emptyFork().Check(listB, listA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +411,7 @@ func TestSemanticsCollisionFallsThrough(t *testing.T) {
 // TestCheckerCompactShrinksDelta: compaction sheds the dead intermediates
 // of a fold-heavy run of drawn cases.
 func TestCheckerCompactShrinksDelta(t *testing.T) {
-	c, ch := oracle.FromSeed(23), NewChecker()
+	c, ch := oracle.FromSeed(23), emptyFork()
 	for i := 0; i < 16; i++ {
 		_, _ = ch.Check(genPair(c)) // an unencodable case fails and builds nothing
 	}
@@ -428,7 +424,7 @@ func TestCheckerCompactShrinksDelta(t *testing.T) {
 // TestRefBackedCheckerCompactNoop: the reference backend cannot compact;
 // the call refuses and changes nothing.
 func TestRefBackedCheckerCompactNoop(t *testing.T) {
-	c := NewCheckerBacked(func() Backend { return oracle.NewRefManager(NumVars) })
+	c := newBase().newChecker(func() Backend { return oracle.NewRefManager(NumVars) })
 	if _, err := c.Check(withDeny(allowRule(1, 2, 3, 80)), withDeny(allowRule(1, 2, 3, 81))); err != nil {
 		t.Fatal(err)
 	}
@@ -442,8 +438,8 @@ func TestRefBackedCheckerCompactNoop(t *testing.T) {
 // own error for an allow rule it cannot represent, and never encodes a
 // deny rule.
 func TestAttributeRejectsUnencodableRule(t *testing.T) {
-	c := NewChecker()
-	diff, err := c.semantics(withDeny(allowRule(1, 2, 3, 80)))
+	c := emptyFork()
+	diff, err := c.resolve(withDeny(allowRule(1, 2, 3, 80)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,7 +489,7 @@ func TestCompileChurnBoundedByEdit(t *testing.T) {
 		}
 	}
 	fork := base.NewChecker()
-	root, err := fork.semantics(edited)
+	root, err := fork.resolve(edited)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,8 +499,8 @@ func TestCompileChurnBoundedByEdit(t *testing.T) {
 	if got, bound := fork.DeltaSize(), 2*k*NumVars; got == 0 || got > bound {
 		t.Errorf("compiling a %d-rule edit of a %d-rule frozen list added %d delta nodes, want 1..%d", k, len(full), got, bound)
 	}
-	cold := newBase().NewChecker()
-	if _, err := cold.semantics(edited); err != nil || cold.DeltaSize() < 10*fork.DeltaSize() {
+	cold := emptyFork()
+	if _, err := cold.resolve(edited); err != nil || cold.DeltaSize() < 10*fork.DeltaSize() {
 		t.Errorf("cold compile built %d nodes, warm %d (%v): the frozen base is not being reused", cold.DeltaSize(), fork.DeltaSize(), err)
 	}
 }
@@ -573,7 +569,7 @@ func TestMemoDiesWithItsNodeIDs(t *testing.T) {
 	a3 := editCells(editCells(a1, 11, 30, 150, 270), 13, 200)
 	check := func(c *Checker, when string) {
 		t.Helper()
-		got, err := c.semantics(a3)
+		got, err := c.resolve(a3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -582,7 +578,7 @@ func TestMemoDiesWithItsNodeIDs(t *testing.T) {
 		}
 		for _, pair := range [][2][]rule.Rule{{a, a3}, {a3, a1}, {a2, a3}} {
 			rep, err := c.Check(pair[0], pair[1])
-			if fresh, ferr := NewChecker().Check(pair[0], pair[1]); err != nil || ferr != nil || rep.Equivalent || !reflect.DeepEqual(rep, fresh) {
+			if fresh, ferr := emptyFork().Check(pair[0], pair[1]); err != nil || ferr != nil || rep.Equivalent || !reflect.DeepEqual(rep, fresh) {
 				t.Fatalf("%s: report differs from a fresh checker's (%v, %v)", when, err, ferr)
 			}
 		}

@@ -84,7 +84,7 @@ func TestWildcardFields(t *testing.T) {
 }
 
 func TestCheckerReuseAcrossChecks(t *testing.T) {
-	c := NewChecker()
+	c := emptyFork()
 	l1, l2 := withDeny(allowRule(1, 2, 3, 80)), withDeny(allowRule(1, 2, 3, 81))
 	for i := 0; i < 3; i++ {
 		r1, err1 := c.Check(l1, l1)
@@ -201,8 +201,8 @@ func TestAttributeEqualsUnfiltered(t *testing.T) {
 		wide = append(wide, allowRule(object.ID(1+i%3), object.ID(10+i), object.ID(500+i%7), uint16(80+i%2)))
 	}
 	wide = withDeny(wide...)
-	ch := NewChecker()
-	root, err := ch.semantics(wide)
+	ch := emptyFork()
+	root, err := ch.resolve(wide)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -399,10 +399,10 @@ func attributeStep(t *testing.T, c *oracle.Choices, logical, deployed []rule.Rul
 // step is attributeStep, counted.
 func (n *attributeTally) step(t *testing.T, c *oracle.Choices, logical, deployed []rule.Rule) {
 	t.Helper()
-	ch := NewChecker()
+	ch := emptyFork()
 	m := ch.m.(*bdd.Manager)
-	a, errA := ch.semantics(logical)
-	b, errB := ch.semantics(deployed)
+	a, errA := ch.resolve(logical)
+	b, errB := ch.resolve(deployed)
 	if errA != nil || errB != nil {
 		return
 	}
@@ -422,14 +422,13 @@ func (n *attributeTally) step(t *testing.T, c *oracle.Choices, logical, deployed
 }
 
 // sweep is a run of checks on long-lived checkers, as a session's workers
-// keep theirs, so the memo, op-cache and node state one case leaves meets
-// the next: a fresh checker; a second one, whose op cache counts alike
-// (the counts are a function of the operation stream); one over the
-// reference engine, which builds as many nodes; and a fork of an empty
-// base.
+// keep theirs, so the compile memo, op-cache and node state one case
+// leaves meets the next: a fork of an empty base; a second one, whose op
+// cache counts alike (the counts are a function of the operation stream);
+// and one over the reference engine, which builds as many nodes.
 type sweep struct {
-	fresh, second, ref, cold *Checker
-	cases                    []sweptCase
+	fresh, second, ref *Checker
+	cases              []sweptCase
 }
 
 // sweptCase is a case a sweep checked and what its fresh checker said.
@@ -440,12 +439,8 @@ type sweptCase struct {
 }
 
 func newSweep() *sweep {
-	return &sweep{
-		fresh:  NewChecker(),
-		second: NewChecker(),
-		ref:    NewCheckerBacked(func() Backend { return oracle.NewRefManager(NumVars) }),
-		cold:   newBase().NewChecker(),
-	}
+	ref := newBase().newChecker(func() Backend { return oracle.NewRefManager(NumVars) })
+	return &sweep{fresh: emptyFork(), second: emptyFork(), ref: ref}
 }
 
 // checkStep checks one case on a sweep of its own, then compacts it.
@@ -462,7 +457,7 @@ func runSweep(t *testing.T, seed int64, n int) {
 	s := newSweep()
 	runCases(t, seed, n, s.check)
 	if s.compact(t) == 0 {
-		t.Fatalf("no logical list of %d encoded: the compaction kept nothing to find", n)
+		t.Fatalf("no logical list of %d encoded: the re-checks after compaction compiled nothing", n)
 	}
 }
 
@@ -488,8 +483,8 @@ func (s *sweep) check(t *testing.T, _ *oracle.Choices, logical, deployed []rule.
 		t.Fatalf("op cache counts %+v on one checker, %+v on another", s.second.Stats().Cache, s.fresh.Stats().Cache)
 	}
 	same("the reference engine", s.ref)
-	if s.ref.DeltaSize() != s.fresh.DeltaSize() {
-		t.Fatalf("the reference engine built %d nodes, the manager %d", s.ref.DeltaSize(), s.fresh.DeltaSize())
+	if size := s.fresh.m.(*bdd.Manager).Size(); s.ref.DeltaSize() != size {
+		t.Fatalf("the reference engine built %d nodes, the manager %d", s.ref.DeltaSize(), size)
 	}
 	warm := newBase(logical, deployed)
 	fork := warm.NewChecker()
@@ -502,7 +497,6 @@ func (s *sweep) check(t *testing.T, _ *oracle.Choices, logical, deployed []rule.
 			t.Fatalf("the frozen root for %x lives outside the base", fp)
 		}
 	}
-	same("a fork of an empty base", s.cold)
 	if wantErr == nil && naiveApplies(logical, deployed) {
 		missing, extra := oracle.NaiveCheck(logical, deployed)
 		if want.Equivalent != (len(missing)+len(extra) == 0) ||
@@ -513,60 +507,41 @@ func (s *sweep) check(t *testing.T, _ *oracle.Choices, logical, deployed []rule.
 	}
 }
 
-// compact compacts the fresh checker and the empty base's fork and
-// re-checks every case on each. Reports and errors are alike again,
-// Compact's Dropped is the delta it shed, and the memo — one root per
-// distinct logical list that encoded — neither grows nor shrinks: each such
-// list is found in it, and a collected list is compiled anew unless a
-// logical one shares its semantics. It returns the number of roots the
-// memo holds.
+// compact compacts the fresh checker and re-checks every case on it.
+// Reports and errors are alike again, Compact's Dropped is the delta it
+// shed — all of it, since a checker keeps no root of its own — and every
+// list that encodes is compiled anew: a logical list, and a collected one
+// behind a logical list that encoded. It returns the number of lists the
+// re-checks compiled.
 func (s *sweep) compact(t *testing.T) int {
 	t.Helper()
-	encodes := func(k sweptCase) (logical, deployed bool) {
+	ch := s.fresh
+	pre, delta := ch.Stats(), ch.DeltaSize()
+	st, ok := ch.Compact()
+	if !ok {
+		t.Fatal("Compact refused on a manager-backed checker")
+	}
+	if shed := delta - ch.DeltaSize(); shed != st.Dropped || ch.DeltaSize() != 0 {
+		t.Fatalf("Compact shed %d delta nodes, kept %d and reported %d dropped", shed, ch.DeltaSize(), st.Dropped)
+	}
+	compiles := 0
+	for i, k := range s.cases {
+		if got, err := ch.Check(k.logical, k.deployed); fmt.Sprint(err) != fmt.Sprint(k.err) || !reflect.DeepEqual(got, k.rep) {
+			t.Fatalf("case %d after Compact reports %+v (%v), before %+v (%v)", i, got, err, k.rep, k.err)
+		}
 		failed := func(side string) bool { return k.err != nil && strings.HasPrefix(k.err.Error(), "encode "+side) }
-		return !failed("logical"), !failed("logical") && !failed("deployed")
-	}
-	remembered := map[uint64]bool{}
-	for _, k := range s.cases {
-		if l, _ := encodes(k); l {
-			remembered[SemanticsFingerprint(k.logical)] = true
-		}
-	}
-	hits, misses := 0, 0
-	for _, k := range s.cases {
-		switch l, d := encodes(k); {
-		case d && remembered[SemanticsFingerprint(k.deployed)]:
-			hits += 2
-		case d:
-			hits, misses = hits+1, misses+1
-		case l:
-			hits++
-		}
-	}
-	for _, ch := range []*Checker{s.fresh, s.cold} {
-		pre, delta := ch.Stats(), ch.DeltaSize()
-		if len(ch.semMem) != len(remembered) {
-			t.Fatalf("the memo holds %d roots, want one for each of %d logical lists that encoded", len(ch.semMem), len(remembered))
-		}
-		st, ok := ch.Compact()
-		if !ok {
-			t.Fatal("Compact refused on a manager-backed checker")
-		}
-		if shed := delta - ch.DeltaSize(); shed != st.Dropped {
-			t.Fatalf("Compact shed %d delta nodes and reported %d dropped", shed, st.Dropped)
-		}
-		for i, k := range s.cases {
-			if got, err := ch.Check(k.logical, k.deployed); fmt.Sprint(err) != fmt.Sprint(k.err) || !reflect.DeepEqual(got, k.rep) {
-				t.Fatalf("case %d after Compact reports %+v (%v), before %+v (%v)", i, got, err, k.rep, k.err)
+		if !failed("logical") {
+			compiles++
+			if !failed("deployed") {
+				compiles++
 			}
 		}
-		post := ch.Stats()
-		if post.FoldLocalHits-pre.FoldLocalHits != hits || post.FoldMisses-pre.FoldMisses != misses || len(ch.semMem) != len(remembered) {
-			t.Fatalf("re-checks after Compact: %d memo hits and %d compiles, memo %d -> %d; want %d and %d, memo unchanged",
-				post.FoldLocalHits-pre.FoldLocalHits, post.FoldMisses-pre.FoldMisses, len(remembered), len(ch.semMem), hits, misses)
-		}
 	}
-	return len(remembered)
+	if post := ch.Stats(); post.FoldMisses-pre.FoldMisses != compiles || post.FoldBaseHits != pre.FoldBaseHits {
+		t.Fatalf("re-checks after Compact: %d compiles and %d base hits, want %d and none",
+			post.FoldMisses-pre.FoldMisses, post.FoldBaseHits-pre.FoldBaseHits, compiles)
+	}
+	return compiles
 }
 
 // naiveApplies reports whether the naive key difference is a check's
@@ -603,7 +578,7 @@ func overlaps(a, b rule.Match) bool {
 func checkPair(t *testing.T, logical, deployed []rule.Rule, want string) {
 	t.Helper()
 	runPair(t, oracle.FromSeed(0), logical, deployed)
-	rep, err := NewChecker().Check(logical, deployed)
+	rep, err := emptyFork().Check(logical, deployed)
 	if got := verdict(rep, err, logical, deployed); got != want {
 		t.Errorf("report %q, want %q", got, want)
 	}
@@ -647,3 +622,7 @@ func withDeny(rules ...rule.Rule) []rule.Rule {
 func newBase(lists ...[]rule.Rule) *Base {
 	return NewBaseWith(nil, lists...)
 }
+
+// emptyFork is a checker with nothing warmed: a fork of an empty base,
+// which compiles every list it is handed.
+func emptyFork() *Checker { return newBase().NewChecker() }

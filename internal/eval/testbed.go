@@ -1,22 +1,22 @@
 // Figure 10: testbed accuracy, measured through the full end-to-end
-// pipeline — fabric deployment, TCAM fault injection, BDD equivalence
-// checking, risk-model augmentation, and localization — rather than
-// model-level fault simulation. This mirrors the paper's hardware-testbed
-// methodology (§VI-A) on the simulated fabric.
+// pipeline — fabric deployment, TCAM fault injection, then the analyzer's
+// collection, BDD equivalence checking, risk-model augmentation and
+// localization — rather than model-level fault simulation. This mirrors
+// the paper's hardware-testbed methodology (§VI-A) on the simulated
+// fabric.
 
 package eval
 
 import (
 	"math/rand"
 
+	"scout"
 	"scout/internal/compile"
-	"scout/internal/equiv"
 	"scout/internal/fabric"
 	"scout/internal/faultlog"
 	"scout/internal/localize"
 	"scout/internal/object"
 	"scout/internal/policy"
-	"scout/internal/risk"
 	"scout/internal/topo"
 	"scout/internal/workload"
 )
@@ -73,23 +73,22 @@ func TestbedAccuracy(spec workload.Spec, opts TestbedOptions) (*AccuracyResult, 
 }
 
 // testbedRun executes one end-to-end experiment: deploy the policy onto a
-// fresh fabric, inject n object faults into the TCAMs, collect and check
-// every switch, augment the controller risk model, and localize with both
-// SCOUT and SCORE-1, scoring against the ground truth.
+// fresh fabric, inject n object faults into the TCAMs, analyze the fabric,
+// and score the report's SCOUT hypothesis and SCORE-1 on the report's
+// controller view against the ground truth. Every change-log entry lands
+// moments after the fabric is created, well inside the analysis' window.
 func testbedRun(pol *policy.Policy, tp *topo.Topology, rng *rand.Rand, n, noise int) ([2]localize.Accuracy, error) {
 	var out [2]localize.Accuracy
 	f, err := fabric.New(pol, tp, fabric.Options{Seed: rng.Int63()})
 	if err != nil {
 		return out, err
 	}
-	since := f.Now()
 	if err := f.Deploy(); err != nil {
 		return out, err
 	}
-	d := f.Deployment()
 
 	// Sample the fault scenario among deployed objects.
-	candidates := deployedObjects(d)
+	candidates := deployedObjects(f.Deployment())
 	sc, err := workload.NewScenario(rng, candidates, n, 0)
 	if err != nil {
 		return out, err
@@ -114,27 +113,14 @@ func testbedRun(pol *policy.Policy, tp *topo.Topology, rng *rand.Rand, n, noise 
 		noisy++
 	}
 
-	// Full pipeline: check every switch, augment an overlay over the
-	// controller model.
-	checker := equiv.NewChecker()
-	model := risk.NewOverlay(risk.BuildControllerModel(d, risk.ControllerModelOptions{IncludeSwitchRisk: true}))
-	for _, sw := range tp.Switches() {
-		deployed, err := f.CollectTCAM(sw)
-		if err != nil {
-			return out, err
-		}
-		rep, err := checker.Check(d.RulesFor(sw), deployed)
-		if err != nil {
-			return out, err
-		}
-		if !rep.Equivalent {
-			risk.AugmentControllerModel(model, sw, rep.MissingRules, d.Provenance)
-		}
+	rep, err := scout.NewAnalyzer().Analyze(f)
+	if err != nil {
+		return out, err
 	}
-
-	oracle := localize.ChangeLogOracle{Log: f.ChangeLog(), Since: since}
-	out[0] = localize.Scout(model, oracle).Evaluate(sc.GroundTruth)
-	out[1] = localize.Score(model, 1.0).Evaluate(sc.GroundTruth)
+	// rep.Controller is nil on a consistent fabric; rep.Hypothesis is then
+	// empty, which is what SCOUT picks on an unmarked model.
+	out[0] = (&localize.Result{Hypothesis: rep.Hypothesis}).Evaluate(sc.GroundTruth)
+	out[1] = localize.Score(rep.ControllerView, 1.0).Evaluate(sc.GroundTruth)
 	return out, nil
 }
 

@@ -160,7 +160,7 @@ func TestProbeLocalizationEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		violations, _ := Switch(sw, d.RulesFor(sw), s.TCAM())
-		marked += risk.AugmentControllerModel(m, sw, MissingRules(violations), d.Provenance)
+		marked += risk.AugmentControllerModelPatch(m, sw, MissingRules(violations), d.Provenance).Apply(m)
 	}
 	if marked == 0 {
 		t.Fatal("augmentation marked nothing")

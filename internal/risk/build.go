@@ -100,14 +100,6 @@ func AugmentSwitchModel(m Marker, missing []rule.Rule, prov map[rule.Key][]objec
 	return marked
 }
 
-// AugmentControllerModel marks failures in the controller risk model from
-// the per-switch missing-rule reports: each implicated triplet's edge to
-// the rule's provenance objects — and to its switch risk, when modeled —
-// is flagged fail. It returns the number of edges newly marked failed.
-func AugmentControllerModel(m Marker, sw object.ID, missing []rule.Rule, prov map[rule.Key][]object.Ref) int {
-	return AugmentControllerModelPatch(m, sw, missing, prov).Apply(m)
-}
-
 // Patch is an ordered list of failure marks computed against a read-only
 // View, replayable into a Marker with Apply. It decouples computing
 // controller-model augmentation (per-switch, read-only, safe to fan out)
@@ -138,13 +130,15 @@ func (p *Patch) Apply(m Marker) int {
 	return marked
 }
 
-// AugmentControllerModelPatch computes the failure marks
-// AugmentControllerModel would make for one switch's missing rules,
-// without mutating the view. It only reads v, so patches for distinct
-// switches compute concurrently against a shared pristine view; replaying
-// them with Apply in ascending switch-ID order is equivalent to the
-// serial augmentation (marking never creates elements, and never creates
-// switch risks — the only base state the computation reads).
+// AugmentControllerModelPatch computes the failure marks one switch's
+// missing rules make in the controller risk model, without mutating the
+// view: each implicated triplet's edge to the rule's provenance objects —
+// and to its switch risk, when modeled — is flagged fail. It only reads v,
+// so patches for distinct switches compute concurrently against a shared
+// pristine view; replaying them with Apply in ascending switch-ID order is
+// equivalent to marking switch by switch (marking never creates elements,
+// and never creates switch risks — the only base state the computation
+// reads).
 func AugmentControllerModelPatch(v View, sw object.ID, missing []rule.Rule, prov map[rule.Key][]object.Ref) *Patch {
 	p := &Patch{}
 	_, hasSwitchRisk := v.RiskByRef(object.Switch(sw))

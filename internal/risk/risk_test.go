@@ -274,7 +274,7 @@ func TestAugmentControllerModel(t *testing.T) {
 			missing = append(missing, r)
 		}
 	}
-	AugmentControllerModel(m, 2, missing, d.Provenance)
+	AugmentControllerModelPatch(m, 2, missing, d.Provenance).Apply(m)
 
 	// Figure 4(b): only S2:1-2 is marked fail; S1:1-2 stays healthy since
 	// the rule is present on S1.

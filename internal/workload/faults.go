@@ -186,10 +186,11 @@ func NewScenario(rng *rand.Rand, candidates []object.Ref, n, noiseCount int) (Sc
 // risk model built from deployment d: for every selected rule instance the
 // (switch, pair) triplet's edges to all of the rule's provenance objects
 // are marked fail (and to the switch risk when modeled), mirroring what
-// AugmentControllerModel would do with the checker's missing rules. m may
-// be the model itself or a copy-on-write overlay over it — experiment
-// harnesses stack a fresh overlay per scenario instead of resetting and
-// re-marking the model. It returns the number of rule instances failed.
+// risk.AugmentControllerModelPatch marks for the checker's missing rules.
+// m may be the model itself or a copy-on-write overlay over it —
+// experiment harnesses stack a fresh overlay per scenario instead of
+// resetting and re-marking the model. It returns the number of rule
+// instances failed.
 func ApplyToControllerModel(m risk.Marker, d *compile.Deployment, idx *DepIndex, sc Scenario, rng *rand.Rand) int {
 	failed := 0
 	for _, f := range sc.Faults {

@@ -16,10 +16,10 @@ import (
 
 // refAnalyze is the pipeline of the paper's Figure 6 spelled serially, with
 // none of the machinery the production path adds: a fresh checker per
-// switch (no base, no dedup, no cache), models built per call, one overlay
-// each, no worker pool. Cold and warm analyses share one orchestration, so
-// "warm bytes = cold bytes" only proves a replay equals a fresh check; this
-// is what proves the orchestration.
+// switch (an empty base's fork: no dedup, no cache), models built per call,
+// one overlay each, no worker pool. Cold and warm analyses share one
+// orchestration, so "warm bytes = cold bytes" only proves a replay equals a
+// fresh check; this is what proves the orchestration.
 func refAnalyze(t testing.TB, st scout.State) *scout.Report {
 	t.Helper()
 	d := st.Deployment
@@ -28,7 +28,7 @@ func refAnalyze(t testing.TB, st scout.State) *scout.Report {
 	ctrl := risk.NewOverlay(ctrlModel)
 	rep := &scout.Report{Consistent: true}
 	for _, sw := range sortedIDs(st.TCAM) {
-		check, err := equiv.NewChecker().Check(d.RulesFor(sw), st.TCAM[sw])
+		check, err := equiv.NewBaseWith(nil).NewChecker().Check(d.RulesFor(sw), st.TCAM[sw])
 		if err != nil {
 			t.Fatal(err)
 		}

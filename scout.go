@@ -12,7 +12,8 @@
 //  3. Build switch and controller risk models and augment them with the
 //     missing rules.
 //  4. Run the SCOUT greedy localization algorithm to produce a hypothesis:
-//     a minimal set of most-likely faulty policy objects.
+//     a small set of most-likely faulty policy objects, picked greedily
+//     (not a minimum).
 //  5. Correlate the hypothesis with controller change logs and device
 //     fault logs to infer physical-level root causes.
 //
@@ -138,10 +139,13 @@ type Report struct {
 	// ControllerView is the annotated controller risk view the global
 	// localization ran on: a copy-on-write overlay holding this run's
 	// failure marks over the deployment's pristine controller model, in
-	// one-shot and session runs alike. It is a live structure (not a
-	// serializable result), so it is excluded from the JSON form; its
-	// String() reports overlay-aware element/edge/failure counts.
-	ControllerView risk.View `json:"-"`
+	// one-shot and session runs alike. Its readers are cmd/scout -v and
+	// examples/forensics, which print its overlay-aware String(),
+	// examples/scorecompare, which reads its failure signature and runs
+	// SCORE on it, and Figure 10 (internal/eval), which scores SCORE-1 on
+	// it. It is a live structure (not a serializable result), so it is
+	// excluded from the JSON form.
+	ControllerView *risk.Overlay `json:"-"`
 	// EncodeStats summarizes the check stage's BDD encoding work: the
 	// shared frozen base's size, every worker checker's private delta,
 	// and where match encodings were resolved from. Nil for probe runs,
@@ -154,8 +158,9 @@ type Report struct {
 	// Nil when the run localized nothing (consistent fabric).
 	// Diagnostics like EncodeStats, so excluded from the JSON form.
 	LocalizeStats *localize.EngineStats `json:"-"`
-	// Hypothesis is the controller-model hypothesis: the minimal set of
-	// most-likely faulty policy objects (may include switch objects).
+	// Hypothesis is the controller-model hypothesis: the most-likely
+	// faulty policy objects (may include switch objects), picked greedily
+	// by SCOUT — a small explaining set, not a minimum one.
 	Hypothesis []object.Ref
 	// RootCauses is the event-correlation outcome for the hypothesis.
 	RootCauses *correlate.Report
@@ -228,17 +233,13 @@ func checkState(st State, c *equiv.Checker, sw object.ID) (*equiv.Report, error)
 	return checkRep, nil
 }
 
-// baseSemanticsTopK bounds how many whole-switch semantics roots the
-// warmup freezes into the shared base. Lists are ranked most-duplicated
-// first, so the cap sheds only the rarest fingerprints on fabrics with
-// more distinct rule lists than this; those compile in worker deltas.
-const baseSemanticsTopK = 1024
-
 // buildSharedBase is the check stage's warmup pass: it fingerprints every
-// switch's rule list over the fan-out, compiles the top-K most
-// duplicated whole-switch rule lists (ranked by canonical semantics
-// fingerprint, most shared first) into frozen semantics roots, and
-// freezes the result into an immutable base every worker's checker forks.
+// switch's rule list over the fan-out, compiles every distinct
+// whole-switch rule list (ranked by canonical semantics fingerprint, most
+// shared first) into frozen semantics roots, and freezes the result into
+// an immutable base every worker's checker forks. A checker remembers no
+// list of its own, so a logical list outside the base would compile on
+// every check; the base holds them all.
 //
 // The base covers logical rule lists only: a consistent switch's TCAM
 // side shares its logical list's semantics fingerprint, so its whole-list
@@ -292,9 +293,6 @@ func (a *Analyzer) buildSharedBase(d *Deployment) *equiv.Base {
 		}
 		return groups[i].fp < groups[j].fp
 	})
-	if len(groups) > baseSemanticsTopK {
-		groups = groups[:baseSemanticsTopK]
-	}
 	lists := make([][]rule.Rule, len(groups))
 	fps := make([]uint64, len(groups))
 	for i, g := range groups {

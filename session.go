@@ -18,8 +18,8 @@ import (
 // accumulate before the session resets it. A session watching a churning
 // fabric holds three things, each bounded by what it follows. The verdict
 // cache follows the fabric: one entry a switch, each under
-// sessionMissingRuleCap. A checker's semantics memo follows the deployment:
-// it remembers logical lists only, and resolveLocked drops the forks with the
+// sessionMissingRuleCap. The logical lists' roots follow the deployment: the
+// base holds them, and resolveLocked drops it and its forks with the
 // deployment. What grows with the rounds watched is each checker's private
 // delta (equiv.Checker.DeltaSize) and the compile memo naming its nodes, and
 // that is what this budget governs; the shared frozen base is
@@ -91,8 +91,8 @@ type Session struct {
 
 	// checkers are the persistent per-worker BDD checkers (forks of
 	// dep.base); entry k is owned by worker k of the current run only, so
-	// its memoized logical roots and the delta its compiles intern into
-	// amortize across every run of the session.
+	// the delta its compiles intern into and the compile memo naming its
+	// nodes amortize across every run of the session.
 	checkers []*equiv.Checker
 
 	// cache holds the newest verdict per switch, from whichever
@@ -195,8 +195,8 @@ type SessionStats struct {
 	DeltaNodes    int
 	BaseSemantics int
 	// FoldHits and FoldMisses accumulate across runs: whole-list
-	// semantics folds resolved from a memo (frozen base root or
-	// checker-local) versus folded from scratch into a worker's delta.
+	// semantics folds resolved from a frozen base root versus folded from
+	// scratch into a worker's delta.
 	FoldHits   int
 	FoldMisses int
 	// ProbePacketsBatched accumulates the probe packets classified, one
@@ -388,8 +388,8 @@ func (s *Session) run(st State, live bool) (*Report, error) {
 	// live TCAM (O(rules × probes), which a replay skips entirely). A BDD
 	// check runs on the session's forks — worker k owns checker k for the
 	// run. Every dirty switch is checked on its own: byte-equal twins share
-	// their logical root through the semantics memo (base or fork), not
-	// through a plan of the fan-out, and each compiles its own T list.
+	// their logical root through the base, not through a plan of the
+	// fan-out, and each compiles its own T list.
 	foldBefore := s.foldTotalsLocked()
 	checkReps, checked, err := s.replayOrCheckLocked(st.TCAM, switches, tcamFPs,
 		func(dirty []object.ID) ([]*equiv.Report, error) {
@@ -426,7 +426,7 @@ func (s *Session) run(st State, live bool) (*Report, error) {
 		s.stats.BaseNodes = enc.BaseNodes
 		s.stats.DeltaNodes = enc.DeltaNodes
 		s.stats.BaseSemantics = enc.BaseSemantics
-		s.stats.FoldHits += enc.FoldHits() - foldBefore.hits
+		s.stats.FoldHits += enc.FoldBaseHits - foldBefore.hits
 		s.stats.FoldMisses += enc.FoldMisses - foldBefore.misses
 	}
 	// A run that re-checked something changed some verdict: persist the
@@ -499,7 +499,7 @@ func (s *Session) foldTotalsLocked() foldTotals {
 	var t foldTotals
 	for _, c := range s.checkers {
 		cs := c.Stats()
-		t.hits += cs.FoldBaseHits + cs.FoldLocalHits
+		t.hits += cs.FoldBaseHits
 		t.misses += cs.FoldMisses
 	}
 	return t
