@@ -183,7 +183,7 @@ var (
 
 // State collection.
 type (
-	// Collector snapshots fabric TCAM state into bounded epoch history.
+	// Collector snapshots fabric TCAM state into epochs, keeping the latest.
 	Collector = collect.Collector
 	// Epoch is one immutable TCAM collection.
 	Epoch = collect.Epoch

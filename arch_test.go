@@ -10,6 +10,7 @@ import (
 	"os"
 	"path"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -23,10 +24,12 @@ import (
 const oracleDir = "internal/oracle"
 
 // use is one identifier resolving to an object, and the function declared
-// around it (nil at package scope).
+// around it (nil at package scope). A package-level `var X = F` re-exports
+// F: that use of F stands for X's uses.
 type use struct {
 	pos token.Position
 	in  *types.Func
+	as  types.Object
 }
 
 // moduleIndex type-checks every non-test package of a module outside
@@ -97,20 +100,35 @@ func indexModule(t *testing.T, fsys fs.FS, module string) *moduleIndex {
 		for _, file := range ix.files[dir] {
 			for _, decl := range file.Decls {
 				var in *types.Func
-				if fd, ok := decl.(*ast.FuncDecl); ok {
-					in = ix.info.Defs[fd.Name].(*types.Func)
+				reexports := make(map[*ast.Ident]types.Object)
+				switch decl := decl.(type) {
+				case *ast.FuncDecl:
+					in = ix.info.Defs[decl.Name].(*types.Func)
 					ix.funcs = append(ix.funcs, in)
+				case *ast.GenDecl:
+					for _, spec := range decl.Specs {
+						if vs, ok := spec.(*ast.ValueSpec); ok && len(vs.Values) == len(vs.Names) {
+							for i, v := range vs.Values {
+								if sel, ok := v.(*ast.SelectorExpr); ok {
+									v = sel.Sel
+								}
+								if id, ok := v.(*ast.Ident); ok {
+									reexports[id] = ix.info.Defs[vs.Names[i]]
+								}
+							}
+						}
+					}
 				}
 				ast.Inspect(decl, func(n ast.Node) bool {
 					switch n := n.(type) {
 					case *ast.GoStmt:
-						ix.spawns[dir] = append(ix.spawns[dir], use{ix.fset.Position(n.Pos()), in})
+						ix.spawns[dir] = append(ix.spawns[dir], use{ix.fset.Position(n.Pos()), in, nil})
 					case *ast.Ident:
 						if obj := ix.info.Uses[n]; obj != nil {
 							if fn, ok := obj.(*types.Func); ok {
 								obj = fn.Origin()
 							}
-							ix.uses[obj] = append(ix.uses[obj], use{ix.fset.Position(n.Pos()), in})
+							ix.uses[obj] = append(ix.uses[obj], use{ix.fset.Position(n.Pos()), in, reexports[n]})
 						}
 					}
 					return true
@@ -190,8 +208,15 @@ func funcName(fn *types.Func) string {
 // need from its root and internal/ packages (the oracle aside): a function
 // or method that no non-test file uses outside its own body and no
 // interface call selects, and an interface method nothing calls through
-// its interface.
-func (ix *moduleIndex) unused() []*types.Func {
+// its interface. Only the uses counts accepts count.
+func (ix *moduleIndex) unused(counts func(use) bool) []*types.Func {
+	counted := func(u use) bool {
+		if u.as != nil {
+			return slices.ContainsFunc(ix.uses[u.as], counts)
+		}
+		return counts(u)
+	}
+
 	var concrete []types.Type // a pointer to every non-interface type declared
 	var ifaceMethods []*types.Func
 	inScope := make(map[*types.Package]bool)
@@ -216,9 +241,9 @@ func (ix *moduleIndex) unused() []*types.Func {
 	// A call through an interface selects the method of every type that
 	// implements it.
 	dispatched := make(map[types.Object]bool)
-	for obj := range ix.uses {
+	for obj, uses := range ix.uses {
 		sig, ok := obj.Type().(*types.Signature)
-		if !ok || sig.Recv() == nil {
+		if !ok || sig.Recv() == nil || !slices.ContainsFunc(uses, counted) {
 			continue
 		}
 		iface, ok := sig.Recv().Type().Underlying().(*types.Interface)
@@ -240,18 +265,39 @@ func (ix *moduleIndex) unused() []*types.Func {
 		}
 		used := false
 		for _, u := range ix.uses[fn] {
-			used = used || u.in != fn
+			used = used || u.in != fn && counted(u)
 		}
 		if !used {
 			out = append(out, fn)
 		}
 	}
 	for _, m := range ifaceMethods {
-		if len(ix.uses[m]) == 0 {
+		if !slices.ContainsFunc(ix.uses[m], counted) {
 			out = append(out, m)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Pos() < out[j].Pos() })
+	return out
+}
+
+func anyUse(use) bool { return true }
+
+func outsideBench(u use) bool { return !strings.HasPrefix(u.pos.Filename, "bench/") }
+
+// benchOnly returns, in source order, what only bench/ keeps: the
+// functions unused reports once bench/'s uses stop counting, less those it
+// reports anyway.
+func (ix *moduleIndex) benchOnly() []*types.Func {
+	unused := make(map[*types.Func]bool)
+	for _, fn := range ix.unused(anyUse) {
+		unused[fn] = true
+	}
+	var out []*types.Func
+	for _, fn := range ix.unused(outsideBench) {
+		if !unused[fn] {
+			out = append(out, fn)
+		}
+	}
 	return out
 }
 
@@ -263,7 +309,8 @@ var unreferencedExports = map[string]string{
 	"Error":       "callers reach it through the error interface",
 	"MarshalJSON": "encoding/json calls it through json.Marshaler",
 
-	".:Session.Invalidate": "the documented way to drop a switch's warm state",
+	".:Session.Invalidate":    "the documented way to drop a switch's warm state",
+	".:Analyzer.AnalyzeState": "README documents it for state collected outside the simulator",
 
 	"internal/risk:Model.EnsureElement": "goes with model marking (ROADMAP 7(a))",
 	"internal/risk:Model.ResetFailures": "goes with model marking (ROADMAP 7(a))",
@@ -366,29 +413,33 @@ func TestArchitecture(t *testing.T) {
 		}
 	}
 
-	// These survive only because bench/ still compiles against them: a
-	// caller anywhere else turns a shim back into an API. alias.go
-	// re-exports stream.New as the variable NewEventQueue; that line is no
-	// caller, and the variable's users are held to the same rule.
-	newEventQueue := ix.pkgs["."].Scope().Lookup("NewEventQueue")
-	for _, shim := range []string{"internal/equiv:NewBase", "internal/equiv:CollectMatches",
+	// These survive only because bench/ still compiles against them
+	// (ROADMAP 1(b)). The list is exactly what bench/ alone keeps: a caller
+	// anywhere else turns a shim back into an API, and a function only
+	// bench/ keeps is a shim whether or not it is listed. alias.go
+	// re-exports stream.New as NewEventQueue, whose users stand for its.
+	shims := map[string]bool{}
+	for _, key := range []string{"internal/equiv:NewBase", "internal/equiv:CollectMatches",
 		"internal/equiv:SortMatches", "internal/equiv:Base.NumMatches", "internal/equiv:Base.NewCheckerSized",
 		"internal/equiv:Checker.Compact", "internal/risk:BuildAnnotatedSwitchModel",
 		"internal/risk:BuildControllerModelParallel", "internal/store:Store.Flush", "internal/store:Store.Close",
 		".:Session.ApplyEvents", "internal/collect:Collector.SnapshotSwitches", "internal/collect:DirtySwitches",
-		"internal/stream:New"} {
-		uses, reexported := ix.uses[ix.lookup(t, shim)], shim == "internal/stream:New"
-		if reexported {
-			uses = append(uses, ix.uses[newEventQueue]...)
+		"internal/stream:New", "internal/stream:Queue.Push", "internal/stream:Queue.Cut", "internal/stream:Queue.Stats",
+		"internal/bdd:Manager.Size", "internal/bdd:Manager.Or", "internal/bdd:Manager.Not", "internal/bdd:Manager.Cube",
+		"internal/faultlog:FaultLog.Len", "internal/tcam:TCAM.Install", "internal/tcam:TCAM.Remove",
+		"internal/tcam:TCAM.Keys"} {
+		shims[key] = true
+	}
+	for _, fn := range ix.benchOnly() {
+		if key := ix.key(fn); !shims[key] && !ix.allowed(fn) {
+			t.Errorf("%s: %s is kept only by bench/; list it with the shims", ix.fset.Position(fn.Pos()), key)
+		} else {
+			delete(shims, key)
 		}
-		for _, u := range uses {
-			if reexported && u.in == nil && u.pos.Filename == "alias.go" {
-				continue
-			}
-			if !strings.HasPrefix(u.pos.Filename, "bench/") {
-				t.Errorf("%s: %s calls the bench-only shim %s", u.pos, funcName(u.in), shim)
-			}
-		}
+	}
+	for key := range shims {
+		ix.lookup(t, key)
+		t.Errorf("the shim %s has a use outside bench/, or none", key)
 	}
 
 	// Oracles are for tests: a production package that imports them ships
@@ -402,19 +453,22 @@ func TestArchitecture(t *testing.T) {
 	}
 
 	// A production package holds what production calls.
-	for _, fn := range ix.unused() {
-		if _, ok := unreferencedExports[ix.key(fn)]; ok {
-			continue
+	for _, fn := range ix.unused(anyUse) {
+		if !ix.allowed(fn) {
+			t.Errorf("%s: %s has no use outside tests", ix.fset.Position(fn.Pos()), funcName(fn))
 		}
-		if _, ok := unreferencedExports[fn.Name()]; ok && fn.Type().(*types.Signature).Recv() != nil {
-			continue
-		}
-		t.Errorf("%s: %s has no use outside tests", ix.fset.Position(fn.Pos()), funcName(fn))
 	}
 }
 
-// TestArchitectureUnused runs the rule of unused over a fixture module, with
-// and without the type checker's alias nodes.
+// allowed reports whether unreferencedExports names fn.
+func (ix *moduleIndex) allowed(fn *types.Func) bool {
+	_, byKey := unreferencedExports[ix.key(fn)]
+	_, byName := unreferencedExports[fn.Name()]
+	return byKey || byName && fn.Type().(*types.Signature).Recv() != nil
+}
+
+// TestArchitectureUnused runs the rule of unused, and the bench-only set,
+// over a fixture module, with and without the type checker's alias nodes.
 func TestArchitectureUnused(t *testing.T) {
 	fixture := fstest.MapFS{
 		"fix.go": {Data: []byte(`package fix
@@ -443,6 +497,16 @@ func Use(j J) int {
 	j.M()
 	return B{}.Len()
 }
+
+func OnlyBench() {}
+
+var Reexported = OnlyBench // kept by bench/ alone
+`)},
+		"bench/main.go": {Data: []byte(`package main
+
+import "fix"
+
+func main() { fix.Reexported() }
 `)},
 		"cmd/fix/main.go": {Data: []byte(`package main
 
@@ -460,11 +524,14 @@ func main() { fix.Use(fix.T{}) }
 				t.Errorf("J is a %T under gotypesalias=%s", j, mode)
 			}
 			var got []string
-			for _, fn := range ix.unused() {
+			for _, fn := range ix.unused(anyUse) {
 				got = append(got, funcName(fn))
 			}
 			if want := []string{"A.Len", "I.N", "T.N"}; !reflect.DeepEqual(got, want) {
 				t.Errorf("unused = %v, want %v", got, want)
+			}
+			if got := ix.benchOnly(); len(got) != 1 || got[0].Name() != "OnlyBench" {
+				t.Errorf("bench-only = %v, want OnlyBench", got)
 			}
 		})
 	}

@@ -73,7 +73,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	collector := scout.NewCollector(f, 8)
+	collector := scout.NewCollector(f, 0)
 	baseline := collector.Snapshot()
 	baseRep, err := sess.AnalyzeEpoch(baseline)
 	if err != nil {

@@ -1,10 +1,11 @@
 // Package collect implements periodic and event-driven network-state
 // collection (§III-C: "collecting the TCAM rules deployed across all
 // switches periodically and/or in an event-driven fashion"). A Collector
-// snapshots the fabric's TCAMs into immutable epochs, keeps a bounded
-// history, and can diff epochs to show which rules appeared or vanished
-// between collections — the raw material for trend analysis and
-// post-incident forensics. Events decide when to collect, not what: a TCAM
+// snapshots the fabric's TCAMs into immutable epochs, keeps the latest one
+// for a partial collection to build on, and can diff epochs to show which
+// rules appeared or vanished between collections — the raw material for
+// trend analysis and post-incident forensics; a caller keeps the epochs it
+// wants to compare. Events decide when to collect, not what: a TCAM
 // hands back the snapshot it last published until it is written, so a full
 // collection copies only the written switches, and an unwritten switch
 // contributes the previous epoch's very slice.
@@ -42,22 +43,21 @@ func (e *Epoch) RuleCount() int {
 	return n
 }
 
-// Collector snapshots a fabric and retains a bounded epoch history. It is
-// safe for concurrent use.
+// Collector snapshots a fabric and keeps its latest epoch, which
+// SnapshotSwitches builds on; an older epoch would only pin the superseded
+// snapshots of the switches written since. It is safe for concurrent use.
 type Collector struct {
 	mu      sync.Mutex
 	f       *fabric.Fabric
-	history []*Epoch
-	limit   int
+	last    *Epoch
 	nextSeq int
 }
 
-// New creates a collector keeping at most limit epochs (<= 0 keeps 16).
-func New(f *fabric.Fabric, limit int) *Collector {
-	if limit <= 0 {
-		limit = 16
-	}
-	return &Collector{f: f, limit: limit}
+// New creates a collector over f. The limit argument is ignored: a
+// collector keeps no history. It stays until bench/ stops passing it
+// (ROADMAP item 1, shims).
+func New(f *fabric.Fabric, _ int) *Collector {
+	return &Collector{f: f}
 }
 
 // Snapshot collects every switch's TCAM into a new epoch. Only switches
@@ -73,20 +73,16 @@ func (c *Collector) snapshotLocked() *Epoch {
 	return c.retainLocked(c.f.CollectAll())
 }
 
-// retainLocked stamps a collected TCAM map as the next epoch and retains
-// it in the bounded history.
+// retainLocked stamps a collected TCAM map as the next epoch and keeps it
+// as the latest.
 func (c *Collector) retainLocked(tcams map[object.ID][]rule.Rule) *Epoch {
 	c.nextSeq++
-	e := &Epoch{
+	c.last = &Epoch{
 		Seq:  c.nextSeq,
 		Time: c.f.Now(),
 		TCAM: tcams,
 	}
-	c.history = append(c.history, e)
-	if len(c.history) > c.limit {
-		c.history = c.history[len(c.history)-c.limit:]
-	}
-	return e
+	return c.last
 }
 
 // SnapshotSwitches collects a partial epoch: only the named switches are
@@ -101,10 +97,10 @@ func (c *Collector) retainLocked(tcams map[object.ID][]rule.Rule) *Epoch {
 func (c *Collector) SnapshotSwitches(dirty []object.ID) (*Epoch, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.history) == 0 {
+	if c.last == nil {
 		return c.snapshotLocked(), nil
 	}
-	tcams := maps.Clone(c.history[len(c.history)-1].TCAM)
+	tcams := maps.Clone(c.last.TCAM)
 	for _, sw := range dirty {
 		rules, err := c.f.CollectTCAM(sw)
 		if err != nil {

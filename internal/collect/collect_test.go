@@ -1,16 +1,44 @@
 package collect
 
 import (
+	"errors"
+	"fmt"
+	"maps"
+	"slices"
 	"testing"
 
 	"scout/internal/fabric"
+	"scout/internal/faultlog"
 	"scout/internal/object"
 	"scout/internal/oracle"
 	"scout/internal/policy"
 	"scout/internal/rule"
+	"scout/internal/tcam"
 	"scout/internal/topo"
 )
 
+// The package's case runner: a stream of fabric writes and collections,
+// generated from an oracle.Choices, with the fabric's event log as the
+// record of which switches were written. After every step every epoch the
+// run holds must equal its rules as collected; after a collection the new
+// epoch must equal the fabric's state where it read it and share the
+// previous epoch's slice where it did not or nothing was written, and
+// DirtySwitches and Diff against every held epoch — sometimes with a
+// switch dropped from a copy of one, or a list reversed — must agree with
+// a slice and key-set comparison. Each test is a case: a seed range and
+// the steps its name says it stresses.
+
+type op int
+
+const (
+	opSnapshot op = iota // a full collection
+	opPartial            // SnapshotSwitches over a drawn subset
+	opEvict
+	opCorrupt
+	opEdit // a filter joins contract 201: every switch gains rules
+)
+
+// deployedFabric is two switches, each hosting one EPG of a bound pair.
 func deployedFabric(t *testing.T) *fabric.Fabric {
 	t.Helper()
 	p := policy.New("t")
@@ -32,264 +60,166 @@ func deployedFabric(t *testing.T) *fabric.Fabric {
 	return f
 }
 
-func TestSnapshotAndHistory(t *testing.T) {
-	f := deployedFabric(t)
-	c := New(f, 0)
-	e1 := c.Snapshot()
-	if e1.Seq != 1 || e1.RuleCount() == 0 {
-		t.Fatalf("epoch 1 = %+v", e1)
-	}
-	e2 := c.Snapshot()
-	if e2.Seq != 2 {
-		t.Errorf("seq = %d", e2.Seq)
-	}
-	if len(c.history) != 2 || c.history[0] != e1 || c.history[1] != e2 {
-		t.Errorf("history = %v, want epochs 1 and 2", c.history)
-	}
-}
-
-func TestHistoryBounded(t *testing.T) {
-	f := deployedFabric(t)
-	c := New(f, 3)
-	for i := 0; i < 5; i++ {
-		c.Snapshot()
-	}
-	if len(c.history) != 3 || c.history[0].Seq != 3 {
-		t.Errorf("history holds %d epochs from seq %d, want the last 3 of 5", len(c.history), c.history[0].Seq)
-	}
-}
-
-func TestDiffDetectsEviction(t *testing.T) {
-	f := deployedFabric(t)
-	c := New(f, 0)
-	before := c.Snapshot()
-
-	evicted, err := f.EvictTCAM(1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evicted) != 1 {
-		t.Fatal("nothing evicted")
-	}
-	after := c.Snapshot()
-
-	deltas := Diff(before, after)
-	if len(deltas) != 1 || deltas[0].Switch != 1 {
-		t.Fatalf("deltas = %+v", deltas)
-	}
-	if len(deltas[0].Removed) != 1 || len(deltas[0].Added) != 0 {
-		t.Errorf("delta = +%d -%d, want +0 -1", len(deltas[0].Added), len(deltas[0].Removed))
-	}
-	if deltas[0].Removed[0].Key() != evicted[0].Key() {
-		t.Error("removed rule mismatch")
-	}
-}
-
-func TestDiffDetectsAddition(t *testing.T) {
-	f := deployedFabric(t)
-	c := New(f, 0)
-	before := c.Snapshot()
-	if err := f.AddFilter(policy.Filter{ID: 443, Entries: []policy.FilterEntry{policy.PortEntry(rule.ProtoTCP, 443)}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.AddFilterToContract(201, 443); err != nil {
-		t.Fatal(err)
-	}
-	after := c.Snapshot()
-	deltas := Diff(before, after)
-	if len(deltas) != 2 { // both switches gained rules
-		t.Fatalf("deltas = %+v", deltas)
-	}
-	for _, d := range deltas {
-		if len(d.Added) == 0 || len(d.Removed) != 0 {
-			t.Errorf("switch %d delta = +%d -%d", d.Switch, len(d.Added), len(d.Removed))
+// runCollect drives steps drawn from ops for each seed below seeds.
+func runCollect(t *testing.T, seeds int64, steps int, ops ...op) {
+	t.Helper()
+	for seed := int64(0); seed < seeds; seed++ {
+		c, f := oracle.FromSeed(seed), deployedFabric(t)
+		col, sws := New(f, 0), switches
+		var held []*Epoch
+		var copies []*Epoch
+		// written is the switches written since the collection that last
+		// read them.
+		seq, written := 0, map[object.ID]bool{}
+		for i := 0; i < steps; i++ {
+			label := fmt.Sprintf("seed %d step %d", seed, i)
+			sw := sws[c.Intn(2)]
+			var e *Epoch
+			var read []object.ID
+			switch ops[c.Intn(len(ops))] {
+			case opSnapshot:
+				e, read = col.Snapshot(), sws
+			case opPartial:
+				for _, sw := range sws {
+					if c.Chance(2) {
+						read = append(read, sw)
+					}
+				}
+				var err error
+				if e, err = col.SnapshotSwitches(read); err != nil {
+					t.Fatal(err)
+				}
+				if len(held) == 0 {
+					read = sws // nothing to alias: a full collection
+				}
+			case opEvict:
+				_, _ = f.EvictTCAM(sw, 1)
+			case opCorrupt:
+				_, _ = f.CorruptTCAM(sw, 1, tcam.CorruptionField(1+c.Intn(4)))
+			case opEdit:
+				id := object.ID(1000 + i)
+				flt := policy.Filter{ID: id, Entries: []policy.FilterEntry{policy.PortEntry(rule.ProtoTCP, uint16(id))}}
+				if err := errors.Join(f.AddFilter(flt), f.AddFilterToContract(201, id)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for j, old := range held {
+				if changed := naiveDirty(old, copies[j]); len(changed) > 0 {
+					t.Fatalf("%s: epoch %d changed on switches %v", label, old.Seq, changed)
+				}
+			}
+			for _, ev := range f.EventLog().Since(seq) {
+				written[ev.Switch] = written[ev.Switch] || ev.Kind == faultlog.EventTCAMChange
+			}
+			seq = f.EventLog().LastSeq()
+			if e == nil {
+				continue
+			}
+			if e.Seq != len(held)+1 || !e.Time.Equal(f.Now()) || col.last != e || len(e.TCAM) != len(sws) {
+				t.Fatalf("%s: epoch %d at %v over %d switches, the collector's latest %p", label, e.Seq, e.Time, len(e.TCAM), col.last)
+			}
+			for _, sw := range sws {
+				now, _ := f.CollectTCAM(sw)
+				switch {
+				case slices.Contains(read, sw) && !rule.SlicesEqual(e.TCAM[sw], now):
+					t.Fatalf("%s: switch %d was read but differs from the fabric", label, sw)
+				case len(held) > 0 && (!written[sw] || !slices.Contains(read, sw)) && !rule.SameSlice(e.TCAM[sw], held[len(held)-1].TCAM[sw]):
+					t.Fatalf("%s: switch %d was not read, or not written, but its slice is not the previous epoch's", label, sw)
+				}
+			}
+			for _, sw := range read {
+				written[sw] = false
+			}
+			copies = append(copies, &Epoch{TCAM: map[object.ID][]rule.Rule{}})
+			for sw, rules := range e.TCAM {
+				copies[len(copies)-1].TCAM[sw] = oracle.CloneRules(rules)
+			}
+			held = append(held, e)
+			for _, old := range held {
+				older, newer := derive(c, old), derive(c, e)
+				if got, want := DirtySwitches(older, newer), naiveDirty(older, newer); !slices.Equal(got, want) {
+					t.Fatalf("%s: DirtySwitches(%d, %d) = %v, want %v", label, old.Seq, e.Seq, got, want)
+				}
+				if got, want := Diff(older, newer), naiveDiff(older, newer); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("%s: Diff(%d, %d) = %v, want %v", label, old.Seq, e.Seq, got, want)
+				}
+			}
 		}
 	}
 }
 
-// TestDirtySwitchesNoChange covers the steady-state edge case of the
-// incremental dirty-set path: identical epochs dirty nothing.
-func TestDirtySwitchesNoChange(t *testing.T) {
-	f := deployedFabric(t)
-	c := New(f, 0)
-	a := c.Snapshot()
-	b := c.Snapshot()
-	if dirty := DirtySwitches(a, b); len(dirty) != 0 {
-		t.Errorf("identical epochs dirty = %v, want none", dirty)
+// derive returns e, or one time in four a copy with one switch dropped, or
+// its list emptied or reversed.
+func derive(c *oracle.Choices, e *Epoch) *Epoch {
+	if !c.Chance(4) {
+		return e
 	}
+	d := &Epoch{Seq: e.Seq, TCAM: maps.Clone(e.TCAM)}
+	switch sw := object.ID(1 + c.Intn(2)); c.Intn(3) {
+	case 0:
+		delete(d.TCAM, sw)
+	case 1:
+		d.TCAM[sw] = []rule.Rule{}
+	default:
+		d.TCAM[sw] = slices.Clone(d.TCAM[sw])
+		slices.Reverse(d.TCAM[sw])
+	}
+	return d
 }
 
-// TestDirtySwitchesAllChange covers the opposite edge: a policy rollout
-// touching every switch dirties the whole fabric, sorted ascending.
-func TestDirtySwitchesAllChange(t *testing.T) {
-	f := deployedFabric(t)
-	c := New(f, 0)
-	before := c.Snapshot()
-	if err := f.AddFilter(policy.Filter{ID: 443, Entries: []policy.FilterEntry{policy.PortEntry(rule.ProtoTCP, 443)}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.AddFilterToContract(201, 443); err != nil {
-		t.Fatal(err)
-	}
-	after := c.Snapshot()
-	dirty := DirtySwitches(before, after)
-	if len(dirty) != 2 || dirty[0] != 1 || dirty[1] != 2 {
-		t.Fatalf("dirty = %v, want [1 2]", dirty)
-	}
-}
+// switches is every switch an epoch of the run can hold.
+var switches = []object.ID{1, 2}
 
-func TestDirtySwitchesSingleEviction(t *testing.T) {
-	f := deployedFabric(t)
-	c := New(f, 0)
-	before := c.Snapshot()
-	if _, err := f.EvictTCAM(2, 1); err != nil {
-		t.Fatal(err)
-	}
-	after := c.Snapshot()
-	if dirty := DirtySwitches(before, after); len(dirty) != 1 || dirty[0] != 2 {
-		t.Fatalf("dirty = %v, want [2]", dirty)
-	}
-}
-
-// TestDirtySwitchesMembershipAndOrder pins the contract details on
-// synthetic epochs: switches present in only one epoch are dirty, and
-// the comparison is order-sensitive (the same sensitivity the
-// equivalence checker has), so a reordered rule list counts as dirty.
-func TestDirtySwitchesMembershipAndOrder(t *testing.T) {
-	r1 := rule.Rule{Match: rule.Match{VRF: 101, SrcEPG: 1, DstEPG: 2, Proto: rule.ProtoTCP, PortLo: 80, PortHi: 80}, Action: rule.Allow, Priority: 10}
-	r2 := rule.Rule{Match: rule.Match{VRF: 101, SrcEPG: 2, DstEPG: 1, Proto: rule.ProtoTCP, PortLo: 80, PortHi: 80}, Action: rule.Allow, Priority: 10}
-	older := &Epoch{TCAM: map[object.ID][]rule.Rule{
-		1: {r1, r2},
-		2: {r1},
-	}}
-	newer := &Epoch{TCAM: map[object.ID][]rule.Rule{
-		1: {r2, r1}, // same set, different order
-		3: {r2},     // switch 2 vanished, switch 3 appeared
-	}}
-	dirty := DirtySwitches(older, newer)
-	want := []object.ID{1, 2, 3}
-	// Membership is checked before rule content: a switch present in only
-	// one epoch is dirty even when its rule list is empty.
-	if got := DirtySwitches(&Epoch{TCAM: map[object.ID][]rule.Rule{5: {}}}, &Epoch{TCAM: map[object.ID][]rule.Rule{}}); len(got) != 1 || got[0] != 5 {
-		t.Errorf("empty-TCAM switch present only in older: dirty = %v, want [5]", got)
-	}
-	if len(dirty) != len(want) {
-		t.Fatalf("dirty = %v, want %v", dirty, want)
-	}
-	for i := range want {
-		if dirty[i] != want[i] {
-			t.Fatalf("dirty = %v, want %v", dirty, want)
+func naiveDirty(a, b *Epoch) []object.ID {
+	var out []object.ID
+	for _, sw := range switches {
+		ra, inA := a.TCAM[sw]
+		rb, inB := b.TCAM[sw]
+		if inA != inB || !rule.SlicesEqual(ra, rb) {
+			out = append(out, sw)
 		}
 	}
+	return out
 }
 
-// TestCleanSnapshotSharesSlices pins what makes a clean warm epoch
-// O(switches): a full Snapshot of a fabric nobody wrote to hands back, per
-// switch, the very slice the previous epoch holds, so DirtySwitches and
-// Diff have nothing to compare; a one-rule change re-copies that switch
-// alone and leaves the older epoch as it was.
+func naiveDiff(a, b *Epoch) []SwitchDelta {
+	var out []SwitchDelta
+	for _, sw := range switches {
+		d := SwitchDelta{Switch: sw, Added: absent(b.TCAM[sw], a.TCAM[sw]), Removed: absent(a.TCAM[sw], b.TCAM[sw])}
+		if len(d.Added)+len(d.Removed) > 0 {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+// absent returns the rules of from whose key to lacks, sorted.
+func absent(from, to []rule.Rule) []rule.Rule {
+	var out []rule.Rule
+	for _, r := range from {
+		if !slices.ContainsFunc(to, func(x rule.Rule) bool { return x.Key() == r.Key() }) {
+			out = append(out, r)
+		}
+	}
+	rule.Sort(out)
+	return out
+}
+
+func TestSnapshotAndHistory(t *testing.T)        { runCollect(t, 2, 6, opSnapshot) }
+func TestSnapshotSwitchesNoHistory(t *testing.T) { runCollect(t, 4, 3, opPartial, opEvict) }
+func TestSnapshotSwitchesAliases(t *testing.T)   { runCollect(t, 8, 30, opPartial, opEvict, opCorrupt) }
 func TestCleanSnapshotSharesSlices(t *testing.T) {
-	f := deployedFabric(t)
-	c := New(f, 0)
-	e1 := c.Snapshot()
-	e2 := c.Snapshot()
-	for sw, rules := range e1.TCAM {
-		if len(rules) == 0 || !rule.SameSlice(rules, e2.TCAM[sw]) {
-			t.Errorf("switch %d: clean re-collection must return the same slice", sw)
-		}
-	}
-	if dirty := DirtySwitches(e1, e2); len(dirty) != 0 {
-		t.Errorf("clean epoch dirty = %v, want none", dirty)
-	}
-
-	before := oracle.CloneRules(e2.TCAM[1])
-	evicted, err := f.EvictTCAM(1, 1)
-	if err != nil || len(evicted) != 1 {
-		t.Fatalf("evict: %v, %v", evicted, err)
-	}
-	e3 := c.Snapshot()
-	if rule.SameSlice(e2.TCAM[1], e3.TCAM[1]) || len(e3.TCAM[1]) != len(e2.TCAM[1])-1 {
-		t.Error("written switch 1 must be re-copied and reflect the eviction")
-	}
-	if !rule.SameSlice(e2.TCAM[2], e3.TCAM[2]) {
-		t.Error("untouched switch 2 must still share its slice")
-	}
-	if !rule.SlicesEqual(e2.TCAM[1], before) {
-		t.Error("the older epochs must not see the write")
-	}
-	if dirty := DirtySwitches(e2, e3); len(dirty) != 1 || dirty[0] != 1 {
-		t.Errorf("dirty = %v, want [1]", dirty)
-	}
-	if deltas := Diff(e2, e3); len(deltas) != 1 || deltas[0].Switch != 1 || len(deltas[0].Removed) != 1 {
-		t.Errorf("deltas = %+v, want one removal on switch 1", deltas)
-	}
+	runCollect(t, 8, 30, opSnapshot, opSnapshot, opEvict)
 }
-
-func TestDiffIdenticalEpochsEmpty(t *testing.T) {
-	f := deployedFabric(t)
-	c := New(f, 0)
-	a := c.Snapshot()
-	b := c.Snapshot()
-	if deltas := Diff(a, b); len(deltas) != 0 {
-		t.Errorf("identical epochs must diff empty: %+v", deltas)
-	}
+func TestDiffDetectsAddition(t *testing.T)         { runCollect(t, 4, 20, opSnapshot, opEdit) }
+func TestDiffDetectsEviction(t *testing.T)         { runCollect(t, 8, 20, opSnapshot, opEvict) }
+func TestDiffIdenticalEpochsEmpty(t *testing.T)    { runCollect(t, 2, 6, opSnapshot, opPartial) }
+func TestDirtySwitchesNoChange(t *testing.T)       { runCollect(t, 2, 6, opSnapshot) }
+func TestDirtySwitchesAllChange(t *testing.T)      { runCollect(t, 4, 20, opSnapshot, opEdit, opCorrupt) }
+func TestDirtySwitchesSingleEviction(t *testing.T) { runCollect(t, 8, 20, opSnapshot, opEvict) }
+func TestDirtySwitchesMembershipAndOrder(t *testing.T) {
+	runCollect(t, 16, 30, opSnapshot, opPartial, opEvict, opCorrupt, opEdit)
 }
-
 func TestEpochImmutableAgainstFabricChanges(t *testing.T) {
-	f := deployedFabric(t)
-	c := New(f, 0)
-	e := c.Snapshot()
-	countBefore := e.RuleCount()
-	if _, err := f.EvictTCAM(1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if e.RuleCount() != countBefore {
-		t.Error("epoch must be an immutable snapshot")
-	}
-}
-
-// TestSnapshotSwitchesAliases pins the partial-epoch contract: only the
-// named switches are re-read, every other switch's slice aliases the
-// previous epoch's backing array (zero copy), and diff semantics over
-// the mixed epoch are intact.
-func TestSnapshotSwitchesAliases(t *testing.T) {
-	f := deployedFabric(t)
-	c := New(f, 0)
-	e1 := c.Snapshot()
-
-	if _, err := f.EvictTCAM(1, 1); err != nil {
-		t.Fatal(err)
-	}
-	e2, err := c.SnapshotSwitches([]object.ID{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e2.Seq != e1.Seq+1 {
-		t.Fatalf("partial epoch Seq = %d, want %d", e2.Seq, e1.Seq+1)
-	}
-	// Clean switch 2 aliases the previous epoch's storage.
-	if len(e2.TCAM[2]) == 0 || &e2.TCAM[2][0] != &e1.TCAM[2][0] {
-		t.Error("clean switch must alias the previous epoch's rule slice")
-	}
-	// Dirty switch 1 was re-read and reflects the eviction.
-	if len(e2.TCAM[1]) != len(e1.TCAM[1])-1 {
-		t.Errorf("dirty switch rules = %d, want %d", len(e2.TCAM[1]), len(e1.TCAM[1])-1)
-	}
-	if dirty := DirtySwitches(e1, e2); len(dirty) != 1 || dirty[0] != 1 {
-		t.Errorf("dirty = %v, want [1]", dirty)
-	}
-}
-
-// TestSnapshotSwitchesNoHistory pins the degradation rule: with nothing
-// to alias, a partial snapshot is a full one.
-func TestSnapshotSwitchesNoHistory(t *testing.T) {
-	f := deployedFabric(t)
-	c := New(f, 0)
-	e, err := c.SnapshotSwitches([]object.ID{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(e.TCAM) != 2 || e.RuleCount() == 0 {
-		t.Fatalf("fallback epoch = %+v, want a full collection", e)
-	}
+	runCollect(t, 8, 40, opSnapshot, opEvict, opCorrupt, opEdit)
 }

@@ -237,15 +237,17 @@ func (f *Fabric) pushToSwitch(s *Switch, desired []rule.Rule) {
 }
 
 // renderRules installs rules into TCAM in order, logging one overflow fault
-// per rule the full table refused. It reports whether the table holds any
-// of them afterwards.
+// per rule the full table refused. It reports whether it installed any: a
+// rule the table already holds (planted through Switch.TCAM, or re-added
+// while the agent was down) counts as held but writes nothing.
 func (f *Fabric) renderRules(s *Switch, rules []rule.Rule) bool {
+	before := s.tcam.Len()
 	held := s.tcam.InstallAll(rules)
 	for refused := len(rules) - held; refused > 0; refused-- {
 		f.faults.Raise(f.now, faultlog.FaultTCAMOverflow, s.ID,
 			fmt.Sprintf("tcam at %d/%d entries", s.tcam.Len(), s.tcam.Capacity()))
 	}
-	return held > 0
+	return s.tcam.Len() > before
 }
 
 // --- Policy change operations (recorded in the change log) ---
