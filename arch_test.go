@@ -313,7 +313,6 @@ var unreferencedExports = map[string]string{
 	".:Analyzer.AnalyzeState": "README documents it for state collected outside the simulator",
 
 	"internal/risk:Model.EnsureElement": "goes with model marking (ROADMAP 7(a))",
-	"internal/risk:Model.ResetFailures": "goes with model marking (ROADMAP 7(a))",
 
 	"internal/eval:AccuracyResult.Curve":        "the accuracy goldens read it (ROADMAP 3(a))",
 	"internal/eval:AccuracyCurve.MeanRecall":    "the accuracy goldens read it (ROADMAP 3(a))",

@@ -250,12 +250,13 @@ func TestEvaluate(t *testing.T) {
 // one again after the model changes.
 func TestPlanCompileOnce(t *testing.T) {
 	s, _ := randomModel(oracle.FromSeed(11), true)
-	m := s.model(true)
+	m := s.model(false)
 	before := StatsSnapshot()
 	Scout(m, NoChanges{})
 	Score(m, 1)
 	for i := 0; i < 5; i++ {
 		ov := risk.NewOverlay(m)
+		s.mark(ov)
 		ov.MarkFailed(0, object.VRF(99))
 		Scout(ov, NoChanges{})
 	}

@@ -153,16 +153,15 @@ func TestProbeLocalizationEndToEnd(t *testing.T) {
 	d := f.Deployment()
 
 	m := risk.BuildControllerModel(d, risk.ControllerModelOptions{IncludeSwitchRisk: true})
-	marked := 0
 	for _, sw := range threeTierSwitches {
 		s, err := f.Switch(sw)
 		if err != nil {
 			t.Fatal(err)
 		}
 		violations, _ := Switch(sw, d.RulesFor(sw), s.TCAM())
-		marked += risk.AugmentControllerModelPatch(m, sw, MissingRules(violations), d.Provenance).Apply(m)
+		risk.AugmentControllerModelPatch(m, sw, MissingRules(violations), d.Provenance).Apply(m)
 	}
-	if marked == 0 {
+	if m.NumFailedEdges() == 0 {
 		t.Fatal("augmentation marked nothing")
 	}
 	res := localize.Scout(m, localize.NoChanges{})
@@ -189,7 +188,7 @@ func TestProbeSwitchModelAugmentation(t *testing.T) {
 	}
 	violations, _ := Switch(2, d.RulesFor(2), s.TCAM())
 	m := risk.BuildSwitchModel(d, 2)
-	if marked := risk.AugmentSwitchModel(m, MissingRules(violations), d.Provenance); marked == 0 {
+	if risk.AugmentSwitchModel(m, MissingRules(violations), d.Provenance); m.NumFailedEdges() == 0 {
 		t.Fatal("switch-model augmentation marked nothing")
 	}
 	appDB, _ := m.ElementByLabel("2-3")

@@ -80,11 +80,9 @@ func BuildControllerModelParallel(d *compile.Deployment, opts ControllerModelOpt
 // AugmentSwitchModel marks failures in a switch risk model from the
 // missing rules the equivalence checker reported for that switch. For
 // every missing rule, the EPG pair it serves becomes an observation and
-// the edges to all objects in the rule's provenance are flagged fail. It
-// returns the number of edges newly marked failed. m may be a mutable
-// model or an overlay.
-func AugmentSwitchModel(m Marker, missing []rule.Rule, prov map[rule.Key][]object.Ref) int {
-	marked := 0
+// the edges to all objects in the rule's provenance are flagged fail. m
+// may be a mutable model or an overlay.
+func AugmentSwitchModel(m Marker, missing []rule.Rule, prov map[rule.Key][]object.Ref) {
 	for _, r := range missing {
 		pair := policy.MakeEPGPair(r.Match.SrcEPG, r.Match.DstEPG)
 		el, ok := m.ElementByLabel(pair.String())
@@ -92,12 +90,9 @@ func AugmentSwitchModel(m Marker, missing []rule.Rule, prov map[rule.Key][]objec
 			continue // rule for a pair not modeled on this switch
 		}
 		for _, ref := range provenanceOf(r, prov) {
-			if m.MarkFailed(el, ref) {
-				marked++
-			}
+			m.MarkFailed(el, ref)
 		}
 	}
-	return marked
 }
 
 // Patch is an ordered list of failure marks computed against a read-only
@@ -115,19 +110,11 @@ type patchMark struct {
 	ref object.Ref
 }
 
-// Apply replays the marks into m in recorded order and returns the number
-// of edges newly marked failed.
-func (p *Patch) Apply(m Marker) int {
-	if p == nil {
-		return 0
-	}
-	marked := 0
+// Apply replays the marks into m in recorded order.
+func (p *Patch) Apply(m Marker) {
 	for _, mk := range p.marks {
-		if m.MarkFailed(mk.el, mk.ref) {
-			marked++
-		}
+		m.MarkFailed(mk.el, mk.ref)
 	}
-	return marked
 }
 
 // AugmentControllerModelPatch computes the failure marks one switch's

@@ -41,7 +41,7 @@ type View interface {
 // *Overlay implement it.
 type Marker interface {
 	View
-	MarkFailed(el ElementID, ref object.Ref) bool
+	MarkFailed(el ElementID, ref object.Ref)
 }
 
 var (
@@ -187,8 +187,8 @@ func (m *Model) addElement(label string, refs []object.Ref) ElementID {
 
 // MarkFailed flags the edge between el and ref as fail, creating the edge
 // if it did not exist (an observed violation always implicates the object,
-// §III-C). It reports whether the edge transitioned to failed.
-func (m *Model) MarkFailed(el ElementID, ref object.Ref) bool {
+// §III-C). Marking a failed edge again changes nothing.
+func (m *Model) MarkFailed(el ElementID, ref object.Ref) {
 	m.AddEdge(el, ref)
 	r := m.byRef[ref]
 	e := &m.elements[el]
@@ -196,12 +196,11 @@ func (m *Model) MarkFailed(el ElementID, ref object.Ref) bool {
 		e.failed = make(map[RiskID]struct{})
 	}
 	if _, already := e.failed[r]; already {
-		return false
+		return
 	}
 	e.failed[r] = struct{}{}
 	m.failed++
 	m.rev++
-	return true
 }
 
 // ElementsOf returns the element IDs depending on risk ref.
@@ -253,23 +252,13 @@ func (m *Model) Risks() []object.Ref {
 	return out
 }
 
-// ResetFailures clears every failed-edge mark, returning the model to its
-// pristine (pre-augmentation) state. Experiment harnesses reuse one model
-// across many fault scenarios this way instead of rebuilding it.
-func (m *Model) ResetFailures() {
-	for i := range m.elements {
-		m.elements[i].failed = nil
-	}
-	m.failed = 0
-	m.rev++
-}
-
 // String summarizes the model.
 func (m *Model) String() string { return summarize(m) }
 
 // summarize renders the one-line digest shared by every view kind; the
-// counts go through the View interface, so an overlay reports its
-// combined (base + overlay) failure numbers.
+// counts go through the View interface, so an overlay reports its base's
+// elements, risks and edges with its own added, and its own failure
+// marks.
 func summarize(v View) string {
 	return fmt.Sprintf("risk model %q: %d elements, %d risks, %d edges (%d failed)",
 		v.Name(), v.NumElements(), v.NumRisks(), v.NumEdges(), v.NumFailedEdges())

@@ -4,16 +4,18 @@
 // one round's failures is O(failures). Annotation mutates a Model, so a
 // continuous-verification loop marking a cached model in place would pay
 // a build or a deep copy every warm run anyway. An Overlay removes that:
-// the pristine Model becomes a shared read-only core, and each run stacks
-// a small overlay that records only its own failed-edge marks (plus the
-// rare edges/risks a mark creates). Creating an overlay is O(1); reads
-// merge base and overlay state so the overlay is indistinguishable from a
-// second build of the model annotated in place with the same MarkFailed
-// sequence — the property the localization identity tests pin.
+// the pristine Model becomes a shared read-only core, and each run puts
+// a small overlay over it that records only its own failed-edge marks
+// (plus the rare edges/risks a mark creates). Creating an overlay is
+// O(1); reads merge base and overlay state so the overlay is
+// indistinguishable from a second build of the model annotated in place
+// with the same MarkFailed sequence — the property the risk and
+// localization runners pin.
 
 package risk
 
 import (
+	"fmt"
 	"sort"
 
 	"scout/internal/object"
@@ -29,8 +31,8 @@ import (
 // An Overlay supports marking failures but not adding elements; risks and
 // edges are created implicitly when a mark names an edge the base lacks
 // (the §III-C rule that an observed violation always implicates the
-// object). Overlays may stack: the base may itself carry failed edges,
-// which the overlay's counts and failure sets include.
+// object). The base is pristine: every failure an overlay reports is one
+// of its own marks.
 type Overlay struct {
 	base *Model
 
@@ -50,9 +52,13 @@ type Overlay struct {
 	numFailed int // overlay-added failure marks
 }
 
-// NewOverlay creates an empty failure overlay over base. The caller must
-// not mutate base while the overlay is alive.
+// NewOverlay creates an empty failure overlay over base, which must carry
+// no failed edge; it panics on one that does. The caller must not mutate
+// base while the overlay is alive.
 func NewOverlay(base *Model) *Overlay {
+	if base.failed > 0 {
+		panic(fmt.Sprintf("risk: overlay over %s, which is not pristine", base))
+	}
 	return &Overlay{
 		base:       base,
 		extraByRef: make(map[object.Ref]RiskID),
@@ -77,8 +83,8 @@ func (o *Overlay) NumRisks() int { return len(o.base.risks) + len(o.extraRisks) 
 // NumEdges returns the combined number of element↔risk edges.
 func (o *Overlay) NumEdges() int { return o.base.edges + o.edges }
 
-// NumFailedEdges returns the combined number of edges marked fail.
-func (o *Overlay) NumFailedEdges() int { return o.base.failed + o.numFailed }
+// NumFailedEdges returns the number of edges the overlay marked fail.
+func (o *Overlay) NumFailedEdges() int { return o.numFailed }
 
 // ElementByLabel looks up an element by label.
 func (o *Overlay) ElementByLabel(label string) (ElementID, bool) {
@@ -118,20 +124,10 @@ func (o *Overlay) hasEdge(el ElementID, r RiskID) bool {
 	return false
 }
 
-// edgeFailedID reports whether the edge el↔r is marked fail in base or
-// overlay.
-func (o *Overlay) edgeFailedID(el ElementID, r RiskID) bool {
-	if _, failed := o.base.elements[el].failed[r]; failed {
-		return true
-	}
-	_, failed := o.failed[el][r]
-	return failed
-}
-
 // MarkFailed flags the edge between el and ref as fail, creating the edge
-// (and risk) in the overlay if the base lacks it. It reports whether the
-// edge transitioned to failed — the same contract as Model.MarkFailed.
-func (o *Overlay) MarkFailed(el ElementID, ref object.Ref) bool {
+// (and risk) in the overlay if the base lacks it — the same contract as
+// Model.MarkFailed.
+func (o *Overlay) MarkFailed(el ElementID, ref object.Ref) {
 	r, ok := o.RiskByRef(ref)
 	if !ok {
 		r = RiskID(len(o.base.risks) + len(o.extraRisks))
@@ -142,37 +138,25 @@ func (o *Overlay) MarkFailed(el ElementID, ref object.Ref) bool {
 		o.extraDeps[el] = append(o.extraDeps[el], r)
 		o.edges++
 	}
-	if o.edgeFailedID(el, r) {
-		return false
-	}
 	set := o.failed[el]
 	if set == nil {
 		set = make(map[RiskID]struct{})
 		o.failed[el] = set
 	}
-	set[r] = struct{}{}
-	o.numFailed++
-	return true
+	if _, already := set[r]; !already {
+		set[r] = struct{}{}
+		o.numFailed++
+	}
 }
 
-// FailureSignature returns the sorted IDs of all observations. Over a
-// pristine base this is O(overlay marks), the per-run cost the overlay
-// exists to bound.
+// FailureSignature returns the sorted IDs of all observations in
+// O(overlay marks), the per-run cost the overlay exists to bound.
 func (o *Overlay) FailureSignature() []ElementID {
-	if o.base.failed == 0 {
-		var out []ElementID
-		for el := range o.failed {
-			out = append(out, el)
-		}
-		sortElementIDs(out)
-		return out
-	}
 	var out []ElementID
-	for i := range o.base.elements {
-		if len(o.base.elements[i].failed) > 0 || len(o.failed[ElementID(i)]) > 0 {
-			out = append(out, ElementID(i))
-		}
+	for el := range o.failed {
+		out = append(out, el)
 	}
+	sortElementIDs(out)
 	return out
 }
 
@@ -182,11 +166,6 @@ func (o *Overlay) FailureSignature() []ElementID {
 // metric γ).
 func (o *Overlay) SuspectSet() []object.Ref {
 	set := make(object.Set)
-	for i := range o.base.elements {
-		for r := range o.base.elements[i].failed {
-			set.Add(o.base.risks[r].ref)
-		}
-	}
 	for _, marks := range o.failed {
 		for r := range marks {
 			set.Add(o.refOf(r))
@@ -195,7 +174,7 @@ func (o *Overlay) SuspectSet() []object.Ref {
 	return set.Sorted()
 }
 
-// String summarizes the view with combined base + overlay counts.
+// String summarizes the view with the overlay's counts.
 func (o *Overlay) String() string { return summarize(o) }
 
 func sortElementIDs(els []ElementID) {

@@ -70,8 +70,8 @@ func (o *Overlay) ForEachOverlayEdge(fn func(el ElementID, ref object.Ref)) {
 }
 
 // ForEachOverlayMark invokes fn for every failure mark the overlay added
-// (marks on base edges and on overlay-created edges alike; base-failed
-// edges are never re-marked), in ascending element order.
+// (marks on base edges and on overlay-created edges alike), in ascending
+// element order, then ascending risk ID.
 func (o *Overlay) ForEachOverlayMark(fn func(el ElementID, ref object.Ref)) {
 	for _, el := range sortedKeys(o.failed) {
 		marks := o.failed[el]

@@ -1,159 +1,113 @@
-package risk
+package risk_test
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"scout/internal/compile"
+	"scout/internal/eval"
 	"scout/internal/object"
+	"scout/internal/oracle"
 	"scout/internal/policy"
+	"scout/internal/risk"
 	"scout/internal/rule"
 	"scout/internal/topo"
+	"scout/internal/workload"
 )
 
-func TestModelBasics(t *testing.T) {
-	m := NewModel("test")
-	e1 := m.EnsureElement("1-2")
-	if again := m.EnsureElement("1-2"); again != e1 {
-		t.Error("EnsureElement must be idempotent")
+// Each test is a case of the model runner (harness_test.go): a seed range
+// and a shape, whose steps its name says it stresses. Every case holds the
+// model, the overlay and its pristine base to their references, and the
+// plan cache to the model's changes, after every step. The builds are
+// held to refBuild, the pre-footprint build.
+
+// runModels runs a case per seed below seeds (see runModel); drawn runs
+// them from an empty model.
+func runModels(t *testing.T, d *compile.Deployment, sw object.ID, seeds int64, steps int, ops ...op) modelStats {
+	t.Helper()
+	var stats modelStats
+	for seed := int64(0); seed < seeds; seed++ {
+		runModel(t, oracle.FromSeed(seed), d, sw, steps, ops, &stats)
 	}
-	m.AddEdge(e1, object.Filter(1))
-	m.AddEdge(e1, object.Filter(1)) // duplicate edge
-	m.AddEdge(e1, object.VRF(9))
-	if m.NumEdges() != 2 {
-		t.Errorf("NumEdges = %d, want 2", m.NumEdges())
-	}
-	if m.NumElements() != 1 || m.NumRisks() != 2 {
-		t.Errorf("elements=%d risks=%d", m.NumElements(), m.NumRisks())
-	}
-	if got, ok := m.ElementByLabel("1-2"); !ok || got != e1 {
-		t.Errorf("ElementByLabel(1-2) = %d,%v", got, ok)
-	}
-	if got := risksOf(m, e1); !reflect.DeepEqual(got, []object.Ref{object.VRF(9), object.Filter(1)}) {
-		t.Errorf("risksOf = %v", got)
+	return stats
+}
+
+func drawn(t *testing.T, seeds int64, steps int, ops ...op) modelStats {
+	t.Helper()
+	return runModels(t, nil, 0, seeds, steps, ops...)
+}
+
+// exercised fails the test unless the runs did what the case is for.
+func exercised(t *testing.T, what string, n int) {
+	t.Helper()
+	if n == 0 {
+		t.Errorf("no run %s; the case proves nothing", what)
 	}
 }
 
-func TestMarkFailedAndObservations(t *testing.T) {
-	m := NewModel("test")
-	e1 := m.EnsureElement("1-2")
-	e2 := m.EnsureElement("2-3")
-	m.AddEdge(e1, object.Filter(1))
-	m.AddEdge(e2, object.Filter(1))
+func TestModelBasics(t *testing.T) { drawn(t, 8, 40, opElement, opEdge, opEdge) }
 
-	if isObservation(m, e1) {
-		t.Error("fresh element is not an observation")
-	}
-	if !m.MarkFailed(e1, object.Filter(1)) {
-		t.Error("first MarkFailed transitions the edge")
-	}
-	if m.MarkFailed(e1, object.Filter(1)) {
-		t.Error("second MarkFailed is a no-op")
-	}
-	if !isObservation(m, e1) || isObservation(m, e2) {
-		t.Error("observation status wrong")
-	}
-	if got := m.FailureSignature(); !reflect.DeepEqual(got, []ElementID{e1}) {
-		t.Errorf("FailureSignature = %v", got)
-	}
-	if !edgeFailed(m, e1, object.Filter(1)) || edgeFailed(m, e2, object.Filter(1)) {
-		t.Error("edgeFailed wrong")
-	}
-	if m.NumFailedEdges() != 1 {
-		t.Errorf("NumFailedEdges = %d", m.NumFailedEdges())
-	}
+func TestMarkFailedAndObservations(t *testing.T) {
+	s := drawn(t, 8, 60, opElement, opEdge, opMark)
+	exercised(t, "marked a failed edge again", s.remarked)
 }
 
 func TestMarkFailedCreatesMissingEdge(t *testing.T) {
-	m := NewModel("test")
-	e := m.EnsureElement("x")
-	m.MarkFailed(e, object.EPG(7))
-	if !edgeFailed(m, e, object.EPG(7)) {
-		t.Error("MarkFailed on a new edge must create and fail it")
-	}
-	if m.NumEdges() != 1 {
-		t.Errorf("NumEdges = %d", m.NumEdges())
-	}
+	s := drawn(t, 8, 40, opElement, opMark, opMark, opOverlay)
+	exercised(t, "created an overlay edge by marking it", s.created)
 }
 
-func TestHitAndCoverageRatios(t *testing.T) {
-	// Figure 5 topology (left model): F2 depends on 4 pairs, all failed;
-	// C1 on 1 pair, none failed.
-	m := NewModel("fig5")
-	pairs := []string{"E1-E2", "E2-E3", "E3-E4", "E4-E5", "E5-E6"}
-	var els []ElementID
-	for _, p := range pairs {
-		els = append(els, m.EnsureElement(p))
-	}
-	f2 := object.Filter(2)
-	c1 := object.Contract(1)
-	for _, el := range els[1:] {
-		m.AddEdge(el, f2)
-	}
-	m.AddEdge(els[0], c1)
-	for _, el := range els[1:] {
-		m.MarkFailed(el, f2)
-	}
+func TestHitAndCoverageRatios(t *testing.T) { drawn(t, 10, 80, opElement, opEdge, opEdge, opMark) }
 
-	if got := hitRatio(m, f2); got != 1.0 {
-		t.Errorf("hit(F2) = %v, want 1", got)
-	}
-	if got := hitRatio(m, c1); got != 0 {
-		t.Errorf("hit(C1) = %v, want 0", got)
-	}
-	if got := coverageRatio(m, f2); got != 1.0 {
-		t.Errorf("cov(F2) = %v, want 1 (covers all 4 observations)", got)
-	}
-	if hitRatio(m, object.Filter(99)) != 0 || coverageRatio(m, object.Filter(99)) != 0 {
-		t.Error("unknown risks have zero ratios")
-	}
-	if got := len(m.ElementsOf(f2)); got != 4 {
-		t.Errorf("ElementsOf(F2) = %d", got)
-	}
-	if got := len(m.FailedElementsOf(f2)); got != 4 {
-		t.Errorf("FailedElementsOf(F2) = %d", got)
-	}
-}
-
-// TestSuspectSet: an overlay's suspects are the risks failed in its base
-// and the risks it marks itself.
+// TestSuspectSet: an overlay's suspects are the risks it marked, and an
+// overlay goes only over a pristine model.
 func TestSuspectSet(t *testing.T) {
-	m := NewModel("t")
-	e := m.EnsureElement("a")
-	m.AddEdge(e, object.VRF(1))
-	m.AddEdge(e, object.Filter(2))
-	m.MarkFailed(e, object.Filter(2))
-	e2 := m.EnsureElement("b")
-	m.AddEdge(e2, object.Contract(3)) // healthy edge: not a suspect
-	ov := NewOverlay(m)
-	ov.MarkFailed(e, object.VRF(1))
-	got := ov.SuspectSet()
-	want := []object.Ref{object.VRF(1), object.Filter(2)}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("SuspectSet = %v, want %v", got, want)
-	}
+	s := drawn(t, 8, 60, opElement, opEdge, opMark, opOverlay)
+	exercised(t, "was refused an overlay over a marked model", s.refused)
 }
 
-func TestResetFailures(t *testing.T) {
-	m := NewModel("t")
-	e := m.EnsureElement("a")
-	m.AddEdge(e, object.VRF(1))
-	m.MarkFailed(e, object.VRF(1))
-	m.ResetFailures()
-	if m.NumFailedEdges() != 0 || len(m.FailureSignature()) != 0 {
-		t.Error("ResetFailures must clear all failure state")
-	}
-	if m.NumEdges() != 1 {
-		t.Error("ResetFailures must keep edges")
-	}
-	// Model must be reusable.
-	if !m.MarkFailed(e, object.VRF(1)) {
-		t.Error("model unusable after reset")
-	}
+func TestModelString(t *testing.T) { drawn(t, 2, 10, opElement, opEdge) }
+
+func TestAccessors(t *testing.T) { drawn(t, 20, 80, allOps...) }
+
+func TestOverlayEmpty(t *testing.T) { drawn(t, 4, 30, opElement, opEdge, opOverlay) }
+
+// TestOverlayMatchesClone: marks on the three-tier controller model and
+// on overlays over its twins read as the reference marked alike.
+func TestOverlayMatchesClone(t *testing.T) {
+	s := runModels(t, threeTier(t), 0, 20, 30, opMark, opAugment, opPatch, opOverlay)
+	exercised(t, "created an overlay edge by marking it", s.created)
 }
 
-// threeTier builds the Figure 1 example deployment used by builder tests.
-func threeTier(t *testing.T) *compile.Deployment {
+func TestAugmentSwitchModel(t *testing.T) {
+	runModels(t, threeTier(t), 2, 8, 30, opAugment, opMark, opOverlay)
+}
+
+func TestAugmentControllerModel(t *testing.T) {
+	runModels(t, threeTier(t), 0, 8, 30, opPatch, opOverlay)
+}
+
+func TestAugmentControllerModelPatch(t *testing.T) {
+	drawn(t, 12, 60, opElement, opEdge, opPatch, opOverlay)
+}
+
+func TestAugmentIgnoresUnknownPairs(t *testing.T) {
+	s := drawn(t, 8, 30, opElement, opAugment)
+	exercised(t, "augmented a rule for a pair the model lacks", s.skipped)
+}
+
+// TestAugmentResolvesProvenanceViaIndex: a rule's own provenance comes
+// first, and one without looks its key up in the map.
+func TestAugmentResolvesProvenanceViaIndex(t *testing.T) {
+	s := drawn(t, 12, 40, opElement, opEdge, opAugment)
+	exercised(t, "resolved a rule's provenance through the map", s.resolved)
+	exercised(t, "augmented a rule whose own provenance is not the map's", s.own)
+}
+
+// threeTier builds the Figure 1 example deployment.
+func threeTier(t testing.TB) *compile.Deployment {
 	t.Helper()
 	p := policy.New("three-tier")
 	p.AddVRF(policy.VRF{ID: 101})
@@ -176,190 +130,170 @@ func threeTier(t *testing.T) *compile.Deployment {
 	return d
 }
 
+// TestBuildSwitchModelFigure4a: S2 holds Web-App, relying on VRF:101,
+// EPG:Web, EPG:App, Contract:201 and Filter:80, and App-DB, on Filter:700
+// too. The runs start from the build, held to the reference.
 func TestBuildSwitchModelFigure4a(t *testing.T) {
-	d := threeTier(t)
-	m := BuildSwitchModel(d, 2)
-	// Figure 4(a): S2 has pairs Web-App and App-DB.
-	if m.NumElements() != 2 {
-		t.Fatalf("S2 elements = %d, want 2", m.NumElements())
-	}
-	webApp, ok := m.ElementByLabel("1-2")
-	if !ok {
-		t.Fatal("Web-App pair missing")
-	}
-	// Web-App relies on VRF:101, EPG:Web, EPG:App, Contract:201, Filter:80.
-	want := []object.Ref{
-		object.VRF(101), object.EPG(1), object.EPG(2),
-		object.Contract(201), object.Filter(80),
-	}
-	if got := risksOf(m, webApp); !reflect.DeepEqual(got, want) {
-		t.Errorf("Web-App risks = %v, want %v", got, want)
-	}
-	// App-DB additionally relies on Filter:700.
-	appDB, _ := m.ElementByLabel("2-3")
-	risks := object.NewSet(risksOf(m, appDB)...)
-	if !risks.Has(object.Filter(700)) || !risks.Has(object.Filter(80)) {
-		t.Errorf("App-DB risks = %v", risks.Sorted())
-	}
+	d, vrf, app := threeTier(t), object.VRF(101), object.EPG(2)
+	same(t, "S2", "edges", refBuild(d, 2, false).order, []edge{
+		{0, vrf}, {0, object.EPG(1)}, {0, app}, {0, object.Contract(201)}, {0, object.Filter(80)},
+		{1, vrf}, {1, app}, {1, object.EPG(3)}, {1, object.Contract(202)}, {1, object.Filter(80)}, {1, object.Filter(700)}})
+	runModels(t, d, 2, 4, 20, allOps...)
 }
 
+// TestBuildControllerModelFigure4b: the triplets S1:1-2, S2:1-2, S2:2-3
+// and S3:2-3, each depending on its own switch when switch risks are
+// modeled.
 func TestBuildControllerModelFigure4b(t *testing.T) {
 	d := threeTier(t)
-	m := BuildControllerModel(d, ControllerModelOptions{})
-	// Triplets: S1:1-2, S2:1-2, S2:2-3, S3:2-3.
-	if m.NumElements() != 4 {
-		t.Fatalf("controller elements = %d, want 4", m.NumElements())
-	}
-	if _, ok := m.RiskByRef(object.Switch(1)); ok {
-		t.Error("switch risks must be absent without IncludeSwitchRisk")
-	}
-
-	withSwitch := BuildControllerModel(d, ControllerModelOptions{IncludeSwitchRisk: true})
-	if _, ok := withSwitch.RiskByRef(object.Switch(1)); !ok {
-		t.Error("switch risks must be modeled when requested")
-	}
-	el, _ := withSwitch.ElementByLabel("S2:1-2")
-	risks := object.NewSet(risksOf(withSwitch, el)...)
-	if !risks.Has(object.Switch(2)) {
-		t.Error("triplet must depend on its switch")
-	}
-	if risks.Has(object.Switch(1)) {
-		t.Error("triplet must not depend on other switches")
-	}
+	r := refBuild(d, 0, true)
+	same(t, "controller", "triplets", r.labels, []string{"S1:1-2", "S2:1-2", "S2:2-3", "S3:2-3"})
+	same(t, "controller", "switch 2's dependents", r.elementsOf(object.Switch(2), false), []int{1, 2})
+	same(t, "controller", "edges without switch risks", len(refBuild(d, 0, false).order), len(r.order)-4)
+	checkBuildsMatchOracle(t, "three-tier", d)
+	runModels(t, d, 0, 4, 20, allOps...)
 }
 
-func TestAugmentSwitchModel(t *testing.T) {
-	d := threeTier(t)
-	m := BuildSwitchModel(d, 2)
-	// Simulate the paper's §III-C example: the Web→App rule (1st rule of
-	// Figure 2) missing from S2's TCAM.
-	var missing []rule.Rule
-	for _, r := range d.RulesFor(2) {
-		if r.Match.SrcEPG == 1 && r.Match.DstEPG == 2 {
-			missing = append(missing, r)
+// refBuild is the model builds as they stood before the deployment
+// carried its footprint: this switch's pairs (sw 0: every switch's
+// triplets) picked out of the whole PairRules map and sorted, then every
+// key of every pair looked up in Provenance and every ref offered to the
+// edge map, which finds most of them already there.
+func refBuild(d *compile.Deployment, sw object.ID, switchRisk bool) *refModel {
+	r := newRef("controller")
+	if sw != 0 {
+		r.name = fmt.Sprintf("switch-%d", sw)
+	}
+	var sps []compile.SwitchPair
+	for sp := range d.PairRules {
+		if sw == 0 || sp.Switch == sw {
+			sps = append(sps, sp)
 		}
 	}
-	if len(missing) != 1 {
-		t.Fatalf("setup: %d missing rules", len(missing))
-	}
-	marked := AugmentSwitchModel(m, missing, d.Provenance)
-	if marked != 5 {
-		t.Errorf("marked = %d, want 5 (vrf, 2 epgs, contract, filter)", marked)
-	}
-	webApp, _ := m.ElementByLabel("1-2")
-	if !isObservation(m, webApp) {
-		t.Error("Web-App must be an observation")
-	}
-	appDB, _ := m.ElementByLabel("2-3")
-	if isObservation(m, appDB) {
-		t.Error("App-DB must stay healthy")
-	}
-	// Occam's razor setup: EPG:Web and Contract:201 have hit ratio 1 (only
-	// Web-App depends on them); VRF:101 and EPG:App are shared with the
-	// healthy App-DB pair so their hit ratio is 0.5.
-	if hitRatio(m, object.EPG(1)) != 1 || hitRatio(m, object.Contract(201)) != 1 {
-		t.Error("exclusive objects must have hit ratio 1")
-	}
-	if hitRatio(m, object.VRF(101)) != 0.5 || hitRatio(m, object.EPG(2)) != 0.5 {
-		t.Error("shared objects must have hit ratio 0.5")
-	}
-}
-
-func TestAugmentControllerModel(t *testing.T) {
-	d := threeTier(t)
-	m := BuildControllerModel(d, ControllerModelOptions{IncludeSwitchRisk: true})
-	var missing []rule.Rule
-	for _, r := range d.RulesFor(2) {
-		if r.Match.SrcEPG == 1 && r.Match.DstEPG == 2 {
-			missing = append(missing, r)
+	slices.SortFunc(sps, compile.SwitchPair.Compare)
+	for _, sp := range sps {
+		label := sp.String()
+		if sw != 0 {
+			label = sp.Pair.String()
+		}
+		el := r.element(label)
+		for _, k := range d.PairRules[sp] {
+			for _, ref := range d.Provenance[k] {
+				r.add(edge{el, ref}, false)
+			}
+		}
+		if switchRisk {
+			r.add(edge{el, object.Switch(sp.Switch)}, false)
 		}
 	}
-	AugmentControllerModelPatch(m, 2, missing, d.Provenance).Apply(m)
-
-	// Figure 4(b): only S2:1-2 is marked fail; S1:1-2 stays healthy since
-	// the rule is present on S1.
-	s2, _ := m.ElementByLabel("S2:1-2")
-	s1, _ := m.ElementByLabel("S1:1-2")
-	if !isObservation(m, s2) || isObservation(m, s1) {
-		t.Error("only the triplet on the faulty switch is an observation")
-	}
-	if !edgeFailed(m, s2, object.Switch(2)) {
-		t.Error("switch edge must be flagged for the failing triplet")
-	}
+	return r
 }
 
-func TestAugmentIgnoresUnknownPairs(t *testing.T) {
-	d := threeTier(t)
-	m := BuildSwitchModel(d, 1)
-	ghost := rule.Rule{
-		Match:      rule.Match{VRF: 101, SrcEPG: 8, DstEPG: 9, Proto: rule.ProtoTCP, PortLo: 1, PortHi: 1},
-		Action:     rule.Allow,
-		Provenance: []object.Ref{object.VRF(101)},
+// checkBuildsMatchOracle compares whole models — element and risk IDs,
+// adjacency order on both sides, edge counts and the mutation revision the
+// plan cache keys on — for every switch and for the controller model with
+// and without switch risks.
+func checkBuildsMatchOracle(t *testing.T, name string, d *compile.Deployment) {
+	t.Helper()
+	switches := make([]object.ID, 0, len(d.BySwitch))
+	for sw := range d.BySwitch {
+		switches = append(switches, sw)
 	}
-	if marked := AugmentSwitchModel(m, []rule.Rule{ghost}, d.Provenance); marked != 0 {
-		t.Error("rules for unmodeled pairs must be skipped")
-	}
-}
-
-func TestModelString(t *testing.T) {
-	m := NewModel("demo")
-	if got := m.String(); got == "" {
-		t.Error("String must describe the model")
-	}
-}
-
-func TestAccessors(t *testing.T) {
-	m := NewModel("acc")
-	if m.Name() != "acc" {
-		t.Errorf("Name = %q", m.Name())
-	}
-	e := m.EnsureElement("1-2")
-	m.AddEdge(e, object.Filter(1))
-	m.AddEdge(e, object.VRF(2))
-	m.MarkFailed(e, object.Filter(1))
-
-	if r, ok := m.RiskByRef(object.Filter(1)); !ok || r != 0 {
-		t.Errorf("RiskByRef(filter:1) = %d,%v; want the first risk made", r, ok)
-	}
-	if got := failedRisksOf(m, e); len(got) != 1 || got[0] != object.Filter(1) {
-		t.Errorf("failedRisksOf = %v", got)
-	}
-	if got := m.ElementsOf(object.Filter(1)); len(got) != 1 || got[0] != e {
-		t.Errorf("ElementsOf = %v", got)
-	}
-	if m.ElementsOf(object.Filter(99)) != nil {
-		t.Error("unknown risk has no elements")
-	}
-	if got := m.Risks(); len(got) != 2 {
-		t.Errorf("Risks = %v", got)
-	}
-	// ElementsOf returns a copy.
-	els := m.ElementsOf(object.Filter(1))
-	els[0] = ElementID(99)
-	if m.ElementsOf(object.Filter(1))[0] != e {
-		t.Error("ElementsOf must copy")
-	}
-}
-
-func TestAugmentResolvesProvenanceViaIndex(t *testing.T) {
-	d := threeTier(t)
-	m := BuildSwitchModel(d, 2)
-	// A T-type rule (no provenance) whose key exists in the deployment:
-	// provenanceOf must resolve through the index.
-	var bare rule.Rule
-	for _, r := range d.RulesFor(2) {
-		if !r.IsDefaultDeny() {
-			bare = r
-			bare.Provenance = nil
-			break
+	for _, sw := range append(switches, 60000) { // and a switch that hosts nothing
+		if got, want := risk.BuildSwitchModel(d, sw), refBuild(d, sw, false).replay(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: switch %d: %v, oracle built %v", name, sw, got, want)
 		}
 	}
-	if marked := AugmentSwitchModel(m, []rule.Rule{bare}, d.Provenance); marked == 0 {
-		t.Error("augmentation must resolve provenance through the index")
+	for _, withSwitch := range []bool{true, false} {
+		opts := risk.ControllerModelOptions{IncludeSwitchRisk: withSwitch}
+		if got, want := risk.BuildControllerModel(d, opts), refBuild(d, 0, withSwitch).replay(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: controller (switch risks %v): %v, oracle built %v", name, withSwitch, got, want)
+		}
 	}
-	// Without any index, the rule is unattributable and skipped.
-	m2 := BuildSwitchModel(d, 2)
-	if marked := AugmentSwitchModel(m2, []rule.Rule{bare}, nil); marked != 0 {
-		t.Error("unattributable rules must be skipped")
+}
+
+// withoutFootprint is d as a deployment assembled by hand has it: the
+// three maps and nothing Compile derived from them.
+func withoutFootprint(d *compile.Deployment) *compile.Deployment {
+	return &compile.Deployment{BySwitch: d.BySwitch, Provenance: d.Provenance, PairRules: d.PairRules}
+}
+
+func TestModelBuildsMatchOracle(t *testing.T) {
+	for _, spec := range []workload.Spec{workload.TestbedSpec(), workload.SmallFabricSpec(), eval.SimSpec(0.25)} {
+		p, tp, err := workload.Generate(spec, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := compile.Compile(p, tp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkBuildsMatchOracle(t, spec.Name, d)
+		if spec.Name != "production" {
+			checkBuildsMatchOracle(t, spec.Name+" by hand", withoutFootprint(d))
+			continue
+		}
+		// The benchmark's input, by the counts its controller model is
+		// reported with.
+		m := risk.BuildControllerModel(d, risk.ControllerModelOptions{IncludeSwitchRisk: true})
+		if m.NumElements() != 4290 || m.NumEdges() != 39221 {
+			t.Errorf("production x0.25: %d elements, %d edges; want 4290, 39221", m.NumElements(), m.NumEdges())
+		}
+	}
+}
+
+// TestModelBuildsFirstEncounterOrder is the case where a pair's risk order
+// is not its bindings' order: two contracts of one pair share a filter, so
+// the second binding's keys under that filter are not fresh and its
+// contract is first met through the filter only it has. The footprint —
+// Compile's, gathered per pair, and the one derived key by key for a
+// deployment without — must list the risks in the order a walk of the
+// pair's keys meets them, and the models built from either must be the
+// oracle's.
+func TestModelBuildsFirstEncounterOrder(t *testing.T) {
+	p := policy.New("shared-filter")
+	p.AddVRF(policy.VRF{ID: 7})
+	p.AddEPG(policy.EPG{ID: 1, Name: "a", VRF: 7})
+	p.AddEPG(policy.EPG{ID: 2, Name: "b", VRF: 7})
+	p.AddEPG(policy.EPG{ID: 3, Name: "c", VRF: 7})
+	p.AddEndpoint(policy.Endpoint{ID: 11, EPG: 1, Switch: 1})
+	p.AddEndpoint(policy.Endpoint{ID: 12, EPG: 2, Switch: 2})
+	p.AddEndpoint(policy.Endpoint{ID: 13, EPG: 3, Switch: 2})
+	for _, port := range []uint16{100, 101, 102} {
+		p.AddFilter(policy.Filter{ID: object.ID(port), Entries: []policy.FilterEntry{policy.PortEntry(rule.ProtoTCP, port)}})
+	}
+	p.AddContract(policy.Contract{ID: 20, Filters: []object.ID{101, 100}})
+	p.AddContract(policy.Contract{ID: 10, Filters: []object.ID{102, 101}})
+	p.Bind(1, 2, 20)
+	p.Bind(2, 3, 10)
+	p.Bind(2, 1, 10) // the pair 1-2 again, sharing filter 101 with contract 20
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	d, err := compile.Compile(p, topo.FromPolicy(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	byHand := withoutFootprint(d)
+
+	want := []object.Ref{
+		object.VRF(7), object.EPG(1), object.EPG(2), object.Contract(20), object.Filter(101), // 1-2 under 20, filter 101
+		object.Filter(100),                      // then 20's filter 100
+		object.Contract(10), object.Filter(102), // 10 is first met under 102; its 101 keys are 20's
+	}
+	for name, dep := range map[string]*compile.Deployment{"compiled": d, "by hand": byHand} {
+		fp := dep.Footprint()
+		for i, sp := range fp.Pairs {
+			if sp.Pair == policy.MakeEPGPair(1, 2) && !reflect.DeepEqual(fp.Risks[i], want) {
+				t.Errorf("%s: %v depends on %v, want %v", name, sp, fp.Risks[i], want)
+			}
+		}
+		if len(fp.Pairs) != 3 { // 1-2 on both switches, 2-3 on switch 2
+			t.Errorf("%s: footprint %v, want three triplets", name, fp.Pairs)
+		}
+		checkBuildsMatchOracle(t, name, dep)
+	}
+	if !reflect.DeepEqual(d.Footprint(), byHand.Footprint()) {
+		t.Errorf("Compile's footprint %v differs from the derived one %v", d.Footprint(), byHand.Footprint())
 	}
 }

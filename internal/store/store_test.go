@@ -1,14 +1,32 @@
+// The package's case runner and codec check. The runner applies one
+// stream of steps, read from an oracle.Choices, to a store directory:
+// saves, loads and GC, between steps that plant temp and foreign files,
+// damage or misfile a file, put a directory at a file's name, and age a
+// file. The reference is each name's content and logical mtime. The
+// runner owns the clock: before every step each file's mtime is its own
+// tick, so LRU order never ties, and a save or a load must leave its file
+// newer than every tick. After every step loads and GC returned what the
+// reference says, and the directory lists exactly the reference's files.
+//
+// The codec check writes a drawn base or verdicts field by field through
+// encoder, with at most one deviation from what the encoder writes. An
+// accepted image must re-encode to itself, an image the deviation left
+// alone must be accepted, and another codec version must be refused as
+// one.
+
 package store
 
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
+	"maps"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -20,569 +38,581 @@ import (
 	"scout/internal/rule"
 )
 
-// testRules builds a deterministic pseudo-random rule list whose IDs all
-// fit the BDD encoding's bit widths.
-func testRules(rng *rand.Rand, n int) []rule.Rule {
-	rules := make([]rule.Rule, n)
-	for i := range rules {
-		m := rule.Match{
-			VRF:    object.ID(rng.Intn(1 << 10)),
-			SrcEPG: object.ID(rng.Intn(1 << 12)),
-			DstEPG: object.ID(rng.Intn(1 << 12)),
-			Proto:  rule.Protocol(rng.Intn(256)),
+// op is one step of a run.
+type op int
+
+const (
+	opSave op = iota
+	opLoad
+	opGC
+	opPlant
+	opDamage
+	opDirectory
+	opAge
+)
+
+var opNames = [...]string{"save", "load", "GC", "plant", "damage", "directory", "age"}
+
+// entry is the reference's view of one name in the directory.
+type entry struct {
+	data  []byte
+	dir   bool
+	good  bool // a save's whole image
+	young bool // a temp file at its real, fresh mtime
+	tick  int
+}
+
+// storeStats is what a run exercised.
+type storeStats struct {
+	refused    int // saves a directory at the name refused
+	unreadable int // loads of a directory or a damaged file
+	aged       int // files the age bound removed
+	evicted    int // files the count bound removed
+	orphans    int // old temp files GC removed
+	live       int // young temp files GC kept
+}
+
+type storeHarness struct {
+	t         *testing.T
+	c         *oracle.Choices
+	s         *Store
+	dir       string
+	files     map[string]*entry
+	t0        time.Time
+	clock, lo int // the newest tick, and the oldest
+	stats     *storeStats
+}
+
+// runStores runs a case per seed below seeds, of steps drawn from ops.
+func runStores(t *testing.T, seeds int64, steps int, ops ...op) storeStats {
+	t.Helper()
+	var stats storeStats
+	for seed := int64(0); seed < seeds; seed++ {
+		dir := filepath.Join(t.TempDir(), "state")
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
 		}
-		lo := uint16(rng.Intn(rule.PortMax))
-		m.PortLo, m.PortHi = lo, lo+uint16(rng.Intn(int(rule.PortMax)-int(lo)+1))
-		switch rng.Intn(4) {
-		case 0:
-			m.WildcardVRF = true
-		case 1:
-			m.WildcardSrc = true
-		case 2:
-			m.WildcardDst = true
+		c := oracle.FromSeed(seed)
+		h := &storeHarness{t: t, c: c, s: s, dir: dir, files: map[string]*entry{}, t0: time.Now().Add(-24 * time.Hour), stats: &stats}
+		for i := 0; i < steps; i++ {
+			h.step(i, ops[c.Intn(len(ops))])
 		}
-		r := rule.Rule{Match: m, Action: rule.Allow, Priority: rng.Intn(100) - 50}
-		if rng.Intn(2) == 0 {
-			r.Action = rule.Deny
+	}
+	return stats
+}
+
+// at is a tick's time: a minute a tick, from a day ago.
+func (h *storeHarness) at(tick int) time.Time { return h.t0.Add(time.Duration(tick) * time.Minute) }
+
+func (h *storeHarness) write(name string, e *entry) {
+	if err := os.WriteFile(filepath.Join(h.dir, name), e.data, 0o644); err != nil {
+		h.t.Fatal(err)
+	}
+	h.files[name] = e
+}
+
+func (h *storeHarness) step(i int, kind op) {
+	t, c := h.t, h.c
+	t.Helper()
+	for name, e := range h.files {
+		if mt := h.at(e.tick); !e.young && os.Chtimes(filepath.Join(h.dir, name), mt, mt) != nil {
+			t.Fatalf("setting %s's mtime failed", name)
 		}
-		if rng.Intn(3) == 0 {
-			r.Provenance = []object.Ref{
-				object.Filter(object.ID(rng.Intn(1000))),
-				object.Contract(object.ID(rng.Intn(1000))),
+	}
+	// A base, or check- or probe-mode verdicts, under one of three
+	// fingerprints.
+	k, fp := c.Intn(3), uint64(1+c.Intn(3))
+	name := verdictFileName(fp, k == 2)
+	if k == 0 {
+		name = baseFileName(fp)
+	}
+	label := fmt.Sprintf("step %d (%s %s)", i, opNames[kind], name)
+	e := h.files[name]
+	used := false // the step saved or loaded name
+	switch kind {
+	case opSave:
+		var data []byte
+		var err error
+		if k == 0 {
+			b := drawBase(c)
+			data, err = encodeBase(fp, b), h.s.SaveBase(fp, b)
+		} else {
+			vs := drawVerdicts(c)
+			data, err = encodeVerdicts(fp, vs), h.s.SaveVerdicts(fp, k == 2, vs)
+		}
+		if e != nil && e.dir {
+			h.stats.refused++
+			if err == nil || !strings.Contains(err.Error(), name) {
+				t.Fatalf("%s over a directory: %v, want its write error", label, err)
+			}
+		} else if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		} else {
+			h.files[name], used = &entry{data: data, good: true}, true
+		}
+	case opLoad:
+		var again []byte
+		var err error
+		if k == 0 {
+			var b *equiv.Base
+			if b, err = h.s.LoadBase(fp); b != nil {
+				again = encodeBase(fp, b)
+			}
+		} else {
+			var vs []Verdict
+			if vs, err = h.s.LoadVerdicts(fp, k == 2); vs != nil {
+				again = encodeVerdicts(fp, vs)
 			}
 		}
-		rules[i] = r
+		switch {
+		case e == nil:
+			if again != nil || err != nil {
+				t.Fatalf("%s of an absent file: %d bytes, %v; want (nil, nil)", label, len(again), err)
+			}
+		case e.dir || !e.good:
+			h.stats.unreadable++
+			if err == nil {
+				t.Fatalf("%s loaded an unreadable or damaged file", label)
+			}
+		case err != nil || !bytes.Equal(again, e.data):
+			t.Fatalf("%s: %v; the load re-encodes to %d bytes, the save wrote %d", label, err, len(again), len(e.data))
+		default:
+			used = true
+		}
+	case opGC:
+		age, below, count := time.Duration(0), h.lo-1+c.Intn(h.clock-h.lo+2), 0
+		if c.Chance(2) {
+			age = time.Since(h.at(below)) - 30*time.Second // removes ticks up to below
+		}
+		if c.Chance(2) {
+			count = 1 + c.Intn(4)
+		}
+		got, err := h.s.GC(age, count)
+		if want := h.gc(age > 0, below, count); err != nil || got != want {
+			t.Fatalf("%s (age %v to tick %d, count %d): %+v, %v; want %+v", label, age, below, count, got, err, want)
+		}
+	case opPlant:
+		planted := name + tempMark + fmt.Sprint(c.Intn(1000))
+		if c.Chance(4) {
+			planted = []string{"README.txt", name + ".bak"}[c.Intn(2)]
+		}
+		h.clock++
+		h.write(planted, &entry{data: []byte("half a file"), young: c.Chance(2), tick: h.clock})
+	case opDamage:
+		if e == nil || e.dir || len(e.data) < frameOverhead {
+			break
+		}
+		data := slices.Clone(e.data)
+		switch c.Intn(4) {
+		case 0:
+			data[c.Intn(len(data))] ^= 1 << c.Intn(8)
+		case 1:
+			data = data[:c.Intn(len(data))]
+		case 2:
+			version := codecVersion + 1 - 2*uint32(c.Intn(2))
+			data = frame(string(data[:4]), version, binary.LittleEndian.Uint64(data[8:]), data[16:len(data)-8])
+		case 3: // misfiled under the next fingerprint
+			name = strings.Replace(name, fmt.Sprintf("%016x", fp), fmt.Sprintf("%016x", fp%3+1), 1)
+		}
+		if h.files[name] == nil || !h.files[name].dir {
+			h.clock++
+			h.write(name, &entry{data: data, tick: h.clock})
+		}
+	case opDirectory: // or, over a directory, its removal
+		path, made := filepath.Join(h.dir, name), e == nil || !e.dir
+		delete(h.files, name)
+		if os.RemoveAll(path) != nil || made && os.Mkdir(path, 0o755) != nil {
+			t.Fatalf("%s failed", label)
+		}
+		if made {
+			h.files[name] = &entry{dir: true}
+		}
+	case opAge:
+		if e != nil {
+			h.lo--
+			e.tick = h.lo
+		}
+	}
+	if used {
+		if info, err := os.Stat(filepath.Join(h.dir, name)); err != nil || !info.ModTime().After(h.at(h.clock)) {
+			t.Fatalf("%s left its file at %v, not newer than every tick", label, info.ModTime())
+		}
+		h.clock++
+		h.files[name].tick = h.clock
+	}
+	h.check(label)
+}
+
+// gc is the reference GC: old temp files go; store files at or below tick
+// below go when aged, then the oldest past count; the rest is kept.
+func (h *storeHarness) gc(aged bool, below, count int) GCStats {
+	var st GCStats
+	var kept []string
+	for name, e := range h.files {
+		switch {
+		case e.dir:
+		case strings.Contains(name, fileSuffix+tempMark) && e.young:
+			h.stats.live++
+		case strings.Contains(name, fileSuffix+tempMark):
+			delete(h.files, name)
+			h.stats.orphans++
+			st.Removed++
+		case strings.HasSuffix(name, fileSuffix) && aged && e.tick <= below:
+			delete(h.files, name)
+			h.stats.aged++
+			st.Removed++
+		case strings.HasSuffix(name, fileSuffix):
+			kept = append(kept, name)
+		}
+	}
+	slices.SortFunc(kept, func(a, b string) int { return h.files[a].tick - h.files[b].tick })
+	for ; count > 0 && len(kept) > count; kept = kept[1:] {
+		delete(h.files, kept[0])
+		h.stats.evicted++
+		st.Removed++
+	}
+	st.Kept = len(kept)
+	return st
+}
+
+// check holds the directory to the reference: the same names, each a
+// directory or a file holding the reference's bytes.
+func (h *storeHarness) check(label string) {
+	got, want := map[string]string{}, map[string]string{}
+	ents, err := os.ReadDir(h.dir)
+	for _, ent := range ents {
+		data, _ := os.ReadFile(filepath.Join(h.dir, ent.Name()))
+		got[ent.Name()] = fmt.Sprint(ent.IsDir(), data)
+	}
+	for name, e := range h.files {
+		want[name] = fmt.Sprint(e.dir, e.data)
+	}
+	if err != nil || !maps.Equal(got, want) {
+		h.t.Fatalf("%s: the directory holds %v (%v), the reference %v", label, got, err, want)
+	}
+}
+
+// exercised fails the test unless the runs did what the case is for.
+func exercised(t *testing.T, what string, n int) {
+	t.Helper()
+	if n == 0 {
+		t.Errorf("no run %s; the case proves nothing", what)
+	}
+}
+
+func TestStoreSaveLoad(t *testing.T) {
+	runStores(t, 20, 80, opSave, opLoad, opGC, opPlant, opDamage, opDirectory, opAge)
+}
+
+func TestBaseCodecRejectsDamage(t *testing.T) {
+	s := runStores(t, 12, 40, opSave, opLoad, opLoad, opDamage)
+	exercised(t, "loaded a damaged file", s.unreadable)
+}
+
+// TestLoadDoesNotSwallowSaveError: a failed write is the save's error, to
+// its caller, and a load of what is not a file is an error, not "absent".
+func TestLoadDoesNotSwallowSaveError(t *testing.T) {
+	s := runStores(t, 8, 40, opSave, opLoad, opDirectory)
+	exercised(t, "saved over a directory", s.refused)
+	exercised(t, "loaded a directory", s.unreadable)
+}
+
+// TestStoreGC: the age bound removes stale files, the count bound the
+// least recently used, and foreign files and directories stay.
+func TestStoreGC(t *testing.T) {
+	s := runStores(t, 12, 60, opSave, opSave, opLoad, opGC, opAge, opPlant, opDirectory)
+	exercised(t, "aged a file out", s.aged)
+	exercised(t, "evicted a file past the count", s.evicted)
+}
+
+// TestGCRemovesOrphanedTempFiles: a writer killed before its rename leaves
+// a temp file; GC removes an old one and leaves a live writer's.
+func TestGCRemovesOrphanedTempFiles(t *testing.T) {
+	s := runStores(t, 8, 40, opSave, opPlant, opGC)
+	exercised(t, "removed an orphaned temp file", s.orphans)
+	exercised(t, "kept a young temp file", s.live)
+}
+
+// deviation is what an image differs by from the encoder's.
+type deviation int
+
+const (
+	devNone     deviation = iota
+	devPadded             // a uvarint with a redundant zero continuation byte
+	devCount              // a count no payload can back
+	devBound              // a rule action past int32
+	devFlag               // a verdict flag of 2
+	devUnsorted           // verdicts out of switch order
+	devTrailing           // a byte after the payload
+	devMagic              // the other file kind's magic
+	devVersion            // another codec version
+	devKey                // filed under another fingerprint
+	numDeviations
+)
+
+// writer writes an image through encoder. A deviation that can hit many
+// fields hits the at-th one; deviated says whether it hit.
+type writer struct {
+	encoder
+	dev      deviation
+	at       int
+	deviated bool
+}
+
+func (w *writer) hit(dev deviation) bool {
+	if w.dev != dev || w.deviated {
+		return false
+	}
+	if w.at > 0 && dev <= devFlag {
+		w.at--
+		return false
+	}
+	w.deviated = true
+	return true
+}
+
+func (w *writer) uv(v uint64) {
+	w.uvarint(v)
+	if w.hit(devPadded) {
+		w.buf[len(w.buf)-1] |= 0x80
+		w.u8(0)
+	}
+}
+
+func (w *writer) count(n uint64) {
+	if w.hit(devCount) {
+		n = math.MaxUint64
+	}
+	w.uv(n)
+}
+
+// list writes a slice's length as n+1, or 0 for nil.
+func (w *writer) list(isNil bool, n int) {
+	if isNil {
+		n = -1
+	}
+	w.count(uint64(n + 1))
+}
+
+func (w *writer) rules(rules []rule.Rule) {
+	w.list(rules == nil, len(rules))
+	for _, r := range rules {
+		m := r.Match
+		w.u32(uint32(m.VRF))
+		w.u32(uint32(m.SrcEPG))
+		w.u32(uint32(m.DstEPG))
+		w.u8(byte(m.Proto))
+		w.uv(uint64(m.PortLo))
+		w.uv(uint64(m.PortHi))
+		var flags byte
+		for i, on := range []bool{m.WildcardVRF, m.WildcardSrc, m.WildcardDst} {
+			if on {
+				flags |= 1 << i
+			}
+		}
+		w.u8(flags)
+		action := uint64(r.Action)
+		if w.hit(devBound) {
+			action = math.MaxInt32 + 1
+		}
+		w.uv(action)
+		w.uv(uint64(r.Priority<<1) ^ uint64(r.Priority>>63)) // zig-zag
+		w.list(r.Provenance == nil, len(r.Provenance))
+		for _, ref := range r.Provenance {
+			w.uv(uint64(ref.Kind))
+			w.uv(uint64(ref.ID))
+		}
+	}
+}
+
+func (w *writer) verdicts(vs []Verdict) {
+	vs = slices.Clone(vs)
+	slices.SortFunc(vs, func(a, b Verdict) int { return int(a.Switch) - int(b.Switch) })
+	if len(vs) > 1 && w.hit(devUnsorted) {
+		slices.Reverse(vs)
+	}
+	w.count(uint64(len(vs)))
+	for _, v := range vs {
+		w.uv(uint64(v.Switch))
+		w.u64(v.LogicalFP)
+		w.u64(v.TCAMFP)
+		flag := byte(0)
+		if v.Report.Equivalent {
+			flag = 1
+		}
+		if w.hit(devFlag) {
+			flag = 2
+		}
+		w.u8(flag)
+		w.rules(v.Report.MissingRules)
+		w.rules(v.Report.ExtraRules)
+	}
+}
+
+func (w *writer) base(b *equiv.Base) {
+	s := b.Snapshot()
+	w.uv(uint64(s.NumVars()))
+	w.count(uint64(s.Size()))
+	for i := 2; i < s.Size(); i++ {
+		level, lo, hi := s.NodeAt(i)
+		w.uv(uint64(level))
+		w.uv(uint64(lo))
+		w.uv(uint64(hi))
+	}
+	w.count(uint64(b.NumSemantics()))
+	b.ForEachSemantics(func(_ uint64, rules []rule.Rule, root bdd.Node) {
+		w.rules(rules)
+		w.uv(uint64(root))
+	})
+}
+
+// seal frames the payload under magic and key.
+func (w *writer) seal(magic string, key uint64) []byte {
+	version := uint32(codecVersion)
+	if w.hit(devTrailing) {
+		w.u8(0)
+	}
+	if w.hit(devMagic) {
+		magic = map[string]string{baseMagic: verdictMagic, verdictMagic: baseMagic}[magic]
+	}
+	if w.hit(devVersion) {
+		version--
+	}
+	if w.hit(devKey) {
+		key ^= 1
+	}
+	return frame(magic, version, key, w.buf)
+}
+
+// frame is a file image with its checksum computed.
+func frame(magic string, version uint32, key uint64, payload []byte) []byte {
+	e := encoder{buf: []byte(magic)}
+	e.u32(version)
+	e.u64(key)
+	e.buf = append(e.buf, payload...)
+	h := fnv.New64a()
+	h.Write(e.buf)
+	e.u64(h.Sum64())
+	return e.buf
+}
+
+// drawRules returns nil, an empty list, or up to four rules over small
+// IDs, each with nil, empty or drawn provenance.
+func drawRules(c *oracle.Choices) []rule.Rule {
+	switch c.Intn(3) {
+	case 0:
+		return nil
+	case 1:
+		return []rule.Rule{}
+	}
+	rules := make([]rule.Rule, 1+c.Intn(4))
+	for i := range rules {
+		lo, r := c.Uint16(), &rules[i]
+		r.Match = rule.Match{VRF: object.ID(c.Intn(4)), SrcEPG: object.ID(c.Intn(8)), DstEPG: object.ID(c.Intn(8)),
+			Proto: rule.Protocol(c.Intn(18)), PortLo: lo, PortHi: lo + uint16(c.Intn(int(rule.PortMax-lo)+1)),
+			WildcardVRF: c.Chance(4), WildcardSrc: c.Chance(4), WildcardDst: c.Chance(4)}
+		r.Action, r.Priority = rule.Action(1+c.Intn(2)), c.Intn(200)-100
+		if c.Chance(3) {
+			r.Provenance = []object.Ref{}
+			for n := c.Intn(3); n > 0; n-- {
+				r.Provenance = append(r.Provenance, object.Ref{Kind: object.Kind(c.Intn(6)), ID: object.ID(c.Uint16())})
+			}
+		}
 	}
 	return rules
 }
 
-func testBase(t testing.TB, seed int64) (*equiv.Base, [][]rule.Rule) {
+// drawVerdicts returns up to three verdicts on distinct switches, in any
+// order.
+func drawVerdicts(c *oracle.Choices) []Verdict {
+	vs := make([]Verdict, c.Intn(4))
+	sw := object.ID(c.Intn(3))
+	for i := range vs {
+		vs[i] = Verdict{Switch: sw, LogicalFP: uint64(c.Uint16()) << 40, TCAMFP: uint64(c.Uint16()),
+			Report: &equiv.Report{Equivalent: c.Chance(3), MissingRules: drawRules(c), ExtraRules: drawRules(c)}}
+		sw += object.ID(1 + c.Intn(300))
+	}
+	if c.Chance(2) {
+		slices.Reverse(vs)
+	}
+	return vs
+}
+
+// drawBase freezes up to three drawn rule lists.
+func drawBase(c *oracle.Choices) *equiv.Base {
+	lists := make([][]rule.Rule, c.Intn(4))
+	for i := range lists {
+		lists[i] = drawRules(c)
+	}
+	return equiv.NewBaseWith(nil, lists...)
+}
+
+// checkImage writes a base or verdict image drawn from c with deviation
+// dev and holds the decoder to the codec check.
+func checkImage(t *testing.T, c *oracle.Choices, base bool, dev deviation) {
 	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	listA := testRules(rng, 40)
-	listB := testRules(rng, 25)
-	base := equiv.NewBaseWith(nil, listA, listB)
-	if base.Size() <= 2 || base.NumSemantics() != 2 {
-		t.Fatalf("unexpected test base: %d nodes, %d semantics", base.Size(), base.NumSemantics())
+	w := &writer{dev: dev, at: c.Intn(8)}
+	key := uint64(c.Uint16())
+	var img, again []byte
+	var err error
+	if base {
+		w.base(drawBase(c))
+		img = w.seal(baseMagic, key)
+		var b *equiv.Base
+		if b, err = decodeBase(img, key); err == nil {
+			again = encodeBase(key, b)
+		}
+	} else {
+		w.verdicts(drawVerdicts(c))
+		img = w.seal(verdictMagic, key)
+		var vs []Verdict
+		if vs, err = decodeVerdicts(img, key); err == nil {
+			again = encodeVerdicts(key, vs)
+		}
 	}
-	return base, [][]rule.Rule{listA, listB}
-}
-
-// reframe stamps a file image with a codec version and recomputes its
-// trailing checksum, so only the header tells it from a current file.
-func reframe(img []byte, version uint32) []byte {
-	out := append([]byte(nil), img[:len(img)-8]...)
-	binary.LittleEndian.PutUint32(out[4:], version)
-	h := fnv.New64a()
-	h.Write(out)
-	return binary.LittleEndian.AppendUint64(out, h.Sum64())
-}
-
-// v1BaseImage frames base the way codec version 1 did: a match-memo
-// section (here one entry bound to the first frozen node) between the
-// snapshot and the semantics memo, under a version-1 header.
-func v1BaseImage(depFP uint64, b *equiv.Base) []byte {
-	var snap, memo encoder
-	encodeSnapshot(&snap, b.Snapshot())
-	memo.uvarint(1)
-	for _, id := range []uint32{1, 2, 3} { // VRF, source EPG, destination EPG
-		memo.u32(id)
+	if err == nil && !bytes.Equal(again, img) || err != nil && !w.deviated ||
+		err != nil && dev == devVersion && !strings.Contains(err.Error(), "version") {
+		t.Fatalf("deviation %d (made: %v): %v; a %d-byte image re-encodes to %d bytes", dev, w.deviated, err, len(img), len(again))
 	}
-	memo.u8(0) // any protocol
-	memo.uvarint(80)
-	memo.uvarint(80)
-	memo.u8(0)      // no wildcards
-	memo.uvarint(2) // the node the match is bound to
-	v2 := encodeBase(depFP, b)
-	payload := v2[16 : len(v2)-8]
-	v1 := append(append(append([]byte(nil), payload[:len(snap.buf)]...), memo.buf...), payload[len(snap.buf):]...)
-	return reframe(seal(baseMagic, depFP, v1), 1)
 }
 
-// snapshotsEqual compares two frozen snapshots node for node.
-func snapshotsEqual(t *testing.T, a, b *bdd.Snapshot) {
+// checkImages runs the codec check on an image per seed below seeds, for
+// each of devs.
+func checkImages(t *testing.T, base bool, seeds int64, devs ...deviation) {
 	t.Helper()
-	if a.NumVars() != b.NumVars() || a.Size() != b.Size() {
-		t.Fatalf("snapshot shape: %d vars/%d nodes vs %d vars/%d nodes",
-			a.NumVars(), a.Size(), b.NumVars(), b.Size())
-	}
-	for i := 2; i < a.Size(); i++ {
-		al, alo, ahi := a.NodeAt(i)
-		bl, blo, bhi := b.NodeAt(i)
-		if al != bl || alo != blo || ahi != bhi {
-			t.Fatalf("node %d: (%d,%d,%d) vs (%d,%d,%d)", i, al, alo, ahi, bl, blo, bhi)
+	for _, dev := range devs {
+		for seed := int64(0); seed < seeds; seed++ {
+			checkImage(t, oracle.FromSeed(seed), base, dev)
 		}
 	}
 }
 
-// TestBaseCodecRoundTrip pins the tentpole's identity property: a
-// decoded base is node-for-node the encoder's base — same snapshot, same
-// memo bindings, same Eval and SatCount behaviour against a live
-// manager — so a warm restart replays the exact BDD state, not an
-// approximation of it.
-func TestBaseCodecRoundTrip(t *testing.T) {
-	base, _ := testBase(t, 1)
-	const depFP = 0xfeedface12345678
-	data := encodeBase(depFP, base)
-	got, err := decodeBase(data, depFP)
-	if err != nil {
-		t.Fatalf("decodeBase: %v", err)
-	}
+func TestBaseCodecRoundTrip(t *testing.T) { checkImages(t, true, 40, devNone) }
 
-	snapshotsEqual(t, base.Snapshot(), got.Snapshot())
+func TestVerdictCodecRoundTrip(t *testing.T) { checkImages(t, false, 80, devNone, devUnsorted) }
 
-	// Memo bindings: identical node IDs for every semantics fingerprint.
-	wantSem := make(map[uint64]bdd.Node)
-	base.ForEachSemantics(func(fp uint64, _ []rule.Rule, root bdd.Node) { wantSem[fp] = root })
-	gotSem := make(map[uint64]bdd.Node)
-	roots := make([]bdd.Node, 0, 2)
-	got.ForEachSemantics(func(fp uint64, rules []rule.Rule, root bdd.Node) {
-		gotSem[fp] = root
-		roots = append(roots, root)
-		if fp != equiv.SemanticsFingerprint(rules) {
-			t.Fatalf("semantics fp %#x does not match decoded rules", fp)
-		}
-	})
-	if !reflect.DeepEqual(wantSem, gotSem) {
-		t.Fatalf("semantics memo mismatch: %v vs %v", wantSem, gotSem)
-	}
-
-	// Behavioural identity against live managers: Eval on random
-	// assignments and exact SatCount for every frozen root.
-	wantM := bdd.NewManagerFrom(base.Snapshot())
-	gotM := bdd.NewManagerFrom(got.Snapshot())
-	rng := rand.New(rand.NewSource(2))
-	assignment := make([]bool, equiv.NumVars)
-	for _, root := range roots {
-		if w, g := oracle.SatCount(wantM, equiv.NumVars, root), oracle.SatCount(gotM, equiv.NumVars, root); w != g {
-			t.Fatalf("SatCount(%d): %v vs %v", root, w, g)
-		}
-		for trial := 0; trial < 64; trial++ {
-			for i := range assignment {
-				assignment[i] = rng.Intn(2) == 1
-			}
-			if w, g := oracle.Eval(wantM, root, assignment), oracle.Eval(gotM, root, assignment); w != g {
-				t.Fatalf("Eval(%d) diverged on trial %d: %v vs %v", root, trial, w, g)
-			}
-		}
-	}
-
-	// Determinism: re-encoding either side yields the same bytes.
-	if again := encodeBase(depFP, got); !reflect.DeepEqual(data, again) {
-		t.Fatal("re-encoding the decoded base changed the bytes")
-	}
-}
-
-// TestBaseCodecRejectsDamage walks the rejection surface: every
-// truncation and every single-bit flip must fail verification (checksum
-// or structural validation) — a damaged file is never loaded partially.
-func TestBaseCodecRejectsDamage(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	list := testRules(rng, 6)
-	base := equiv.NewBaseWith(nil, list)
-	const depFP = 0x0123456789abcdef
-	data := encodeBase(depFP, base)
-
-	for _, n := range []int{0, 1, frameOverhead - 1, frameOverhead, len(data) / 2, len(data) - 1} {
-		if _, err := decodeBase(data[:n], depFP); err == nil {
-			t.Fatalf("truncation to %d bytes accepted", n)
-		}
-	}
-	for i := 0; i < len(data); i++ {
-		corrupt := append([]byte(nil), data...)
-		corrupt[i] ^= 1 << (i % 8)
-		if _, err := decodeBase(corrupt, depFP); err == nil {
-			t.Fatalf("bit flip at byte %d accepted", i)
-		}
-	}
-	if _, err := decodeBase(data, depFP+1); err == nil {
-		t.Fatal("wrong content key accepted")
-	}
-}
-
-// TestCodecRejectsVersionMismatch pins that a well-formed file from
-// another codec revision is rejected on its header — distinctly from
-// corruption — even though its checksum is valid.
 func TestCodecRejectsVersionMismatch(t *testing.T) {
-	payload := []byte{1, 2, 3}
-	for _, v := range []uint32{codecVersion - 1, codecVersion + 1} {
-		forged := reframe(seal(baseMagic, 42, payload), v)
-		if _, err := open(forged, baseMagic, 42); err == nil {
-			t.Fatalf("version-%d file accepted", v)
-		} else if !strings.Contains(err.Error(), "version") {
-			t.Fatalf("want a version error, got %q", err)
-		}
-	}
-	// A genuine version-1 base — match memo and all — is a version miss,
-	// never handed to the version-2 payload decoder.
-	base, _ := testBase(t, 4)
-	if _, err := decodeBase(v1BaseImage(42, base), 42); err == nil || !strings.Contains(err.Error(), "version 1") {
-		t.Fatalf("version-1 base image: %v, want the version error", err)
-	}
-	// Wrong magic is rejected before anything else.
-	if _, err := open(seal(verdictMagic, 42, payload), baseMagic, 42); err == nil {
-		t.Fatal("wrong magic accepted")
-	}
+	checkImages(t, true, 8, devMagic, devVersion, devKey)
+	checkImages(t, false, 8, devMagic, devVersion, devKey)
 }
 
-// FuzzDecodeVerdicts: whatever the bytes, the verdict decoder returns — it
-// never panics, never sizes an allocation from a length it has not held
-// against the bytes left, never accepts an image under a fingerprint it
-// was not filed under — and an image it accepts is the one encoding of
-// what it decoded. As in FuzzDecodeBase, each input is also tried with its
-// checksum recomputed so mutated payloads reach the verdict and rule
-// decoders.
-func FuzzDecodeVerdicts(f *testing.F) {
-	rng := rand.New(rand.NewSource(6))
-	const depFP = 0x5c07
-	// A check-mode file (missing and extra rules, a clean switch) and a
-	// probe-mode one (violations only); the two share the format.
-	check := encodeVerdicts(depFP, []Verdict{
-		{Switch: 101, LogicalFP: 1, TCAMFP: 2, Report: &equiv.Report{Equivalent: true}},
-		{Switch: 102, LogicalFP: 3, TCAMFP: 4, Report: &equiv.Report{MissingRules: testRules(rng, 6), ExtraRules: []rule.Rule{}}},
-		{Switch: 103, LogicalFP: 5, TCAMFP: 6, Report: &equiv.Report{MissingRules: testRules(rng, 2), ExtraRules: testRules(rng, 3)}},
-	})
-	probe := encodeVerdicts(depFP, []Verdict{
-		{Switch: 101, LogicalFP: 1, TCAMFP: 0, Report: &equiv.Report{Equivalent: true}},
-		{Switch: 102, LogicalFP: 3, TCAMFP: 0, Report: &equiv.Report{MissingRules: testRules(rng, 4)}},
-	})
-	f.Add(check)
-	f.Add(probe)
-	for _, n := range []int{0, frameOverhead - 1, frameOverhead, len(check) / 3, len(check) - 9, len(check) - 1} {
-		f.Add(check[:n])
+// fuzzImages feeds the fuzzer's bytes to the codec check, the first byte
+// naming the deviation. The seeds are a stream per seed below seeds, each
+// naming a deviation in turn, to make at its first chance.
+func fuzzImages(f *testing.F, base bool, seeds int) {
+	for i := range seeds {
+		data := make([]byte, 98)
+		rand.New(rand.NewSource(int64(i))).Read(data[2:])
+		data[0], data[1] = byte(i%int(numDeviations)), 0
+		f.Add(data)
 	}
-	flipped := append([]byte(nil), check...)
-	flipped[len(flipped)/2] ^= 0x10
-	f.Add(flipped)
-	f.Add(encodeVerdicts(depFP+1, nil))
-	// Two clean verdicts out of switch order: not what the encoder writes.
-	var unsorted encoder
-	unsorted.uvarint(2)
-	for _, sw := range []uint64{9, 3} {
-		unsorted.uvarint(sw)
-		unsorted.u64(1)
-		unsorted.u64(2)
-		unsorted.u8(1)
-		unsorted.uvarint(0)
-		unsorted.uvarint(0)
-	}
-	f.Add(seal(verdictMagic, depFP, unsorted.buf))
-	// Lengths no payload can back: a verdict count, a rule count and a
-	// provenance count, the last two past what an int holds.
-	var counts, rules, prov encoder
-	counts.uvarint(1 << 40)
-	f.Add(seal(verdictMagic, depFP, counts.buf))
-	for _, e := range []*encoder{&rules, &prov} {
-		e.uvarint(1)
-		e.uvarint(101)
-		e.u64(1)
-		e.u64(2)
-		e.u8(0)
-	}
-	rules.uvarint(math.MaxUint64)
-	f.Add(seal(verdictMagic, depFP, rules.buf))
-	prov.uvarint(2) // one missing rule
-	prov.buf = append(prov.buf, make([]byte, 12+1+1+1+1+1+1)...)
-	prov.uvarint(math.MaxUint64)
-	f.Add(seal(verdictMagic, depFP, prov.buf))
-
 	f.Fuzz(func(t *testing.T, data []byte) {
-		images := [][]byte{data}
-		if len(data) >= frameOverhead {
-			images = append(images, reframe(data, binary.LittleEndian.Uint32(data[4:])))
-		}
-		for _, img := range images {
-			var key uint64
-			if len(img) >= 16 {
-				key = binary.LittleEndian.Uint64(img[8:])
-			}
-			if _, err := decodeVerdicts(img, key+1); err == nil {
-				t.Fatalf("accepted a %d-byte image under a fingerprint it was not filed under", len(img))
-			}
-			vs, err := decodeVerdicts(img, key)
-			if err != nil {
-				continue
-			}
-			if again := encodeVerdicts(key, vs); !bytes.Equal(again, img) {
-				t.Fatalf("accepted a %d-byte image that re-encodes to %d different bytes", len(img), len(again))
-			}
-		}
+		c := oracle.FromBytes(data)
+		checkImage(t, c, base, deviation(c.Intn(int(numDeviations))))
 	})
 }
 
-// TestVerdictCodecRoundTrip pins verdict round-trip fidelity, including
-// the nil-vs-empty rule slice distinction JSON report identity depends
-// on, and the canonical (switch-sorted) encoding order.
-func TestVerdictCodecRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	vs := []Verdict{
-		{
-			Switch: 7, LogicalFP: 11, TCAMFP: 12,
-			Report: &equiv.Report{Equivalent: true},
-		},
-		{
-			Switch: 3, LogicalFP: 21, TCAMFP: 22,
-			Report: &equiv.Report{MissingRules: testRules(rng, 5), ExtraRules: []rule.Rule{}},
-		},
-		{
-			Switch: 5, LogicalFP: 31, TCAMFP: 32,
-			Report: &equiv.Report{ExtraRules: testRules(rng, 3)},
-		},
-	}
-	const depFP = 0xdeadbeef
-	data := encodeVerdicts(depFP, vs)
-	got, err := decodeVerdicts(data, depFP)
-	if err != nil {
-		t.Fatalf("decodeVerdicts: %v", err)
-	}
-	want := []Verdict{vs[1], vs[2], vs[0]} // switch-sorted
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("round trip mismatch:\nwant %+v\ngot  %+v", want, got)
-	}
-	// Nil-vs-empty survived explicitly.
-	if got[0].Report.MissingRules == nil || got[0].Report.ExtraRules == nil {
-		t.Fatal("empty rule slices decoded as nil")
-	}
-	if got[2].Report.MissingRules != nil || got[2].Report.ExtraRules != nil {
-		t.Fatal("nil rule slices decoded as non-nil")
-	}
-	// Input order does not change the bytes.
-	shuffled := []Verdict{vs[2], vs[0], vs[1]}
-	if again := encodeVerdicts(depFP, shuffled); !reflect.DeepEqual(data, again) {
-		t.Fatal("encoding is sensitive to input order")
-	}
-	for _, n := range []int{frameOverhead, len(data) - 2} {
-		if _, err := decodeVerdicts(data[:n], depFP); err == nil {
-			t.Fatalf("truncation to %d bytes accepted", n)
-		}
-	}
-}
+func FuzzDecodeBase(f *testing.F) { fuzzImages(f, true, 10) }
 
-// TestStoreSaveLoad exercises the store end to end: save, reload — plus
-// absence mapping to (nil, nil) and corruption mapping to an error.
-func TestStoreSaveLoad(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	base, _ := testBase(t, 5)
-	const depFP = 0xabc
-	if err := s.SaveBase(depFP, base); err != nil {
-		t.Fatalf("SaveBase: %v", err)
-	}
-	if err := s.SaveVerdicts(depFP, false, []Verdict{
-		{Switch: 1, LogicalFP: 2, TCAMFP: 3, Report: &equiv.Report{Equivalent: true}},
-	}); err != nil {
-		t.Fatalf("SaveVerdicts: %v", err)
-	}
-
-	got, err := s.LoadBase(depFP)
-	if err != nil || got == nil {
-		t.Fatalf("LoadBase: %v, %v", got, err)
-	}
-	snapshotsEqual(t, base.Snapshot(), got.Snapshot())
-	vs, err := s.LoadVerdicts(depFP, false)
-	if err != nil || len(vs) != 1 || vs[0].Switch != 1 || !vs[0].Report.Equivalent {
-		t.Fatalf("LoadVerdicts: %+v, %v", vs, err)
-	}
-
-	// Absence is (nil, nil) for both kinds, and for the other mode's file.
-	if b, err := s.LoadBase(depFP + 1); b != nil || err != nil {
-		t.Fatalf("missing base: %v, %v", b, err)
-	}
-	if v, err := s.LoadVerdicts(depFP, true); v != nil || err != nil {
-		t.Fatalf("missing probe verdicts: %v, %v", v, err)
-	}
-
-	// A corrupted file is an error, not a partial load.
-	path := filepath.Join(dir, baseFileName(depFP))
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)/2] ^= 0x40
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.LoadBase(depFP); err == nil {
-		t.Fatal("corrupted base loaded")
-	}
-}
-
-// TestLoadDoesNotSwallowSaveError pins who reports a failed write: the
-// save itself, to its caller. A load's caller reads any error as "cold
-// start" and moves on, so a later load of an absent file is (nil, nil).
-func TestLoadDoesNotSwallowSaveError(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "state")
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	if err := os.RemoveAll(dir); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SaveVerdicts(1, false, []Verdict{
-		{Switch: 1, LogicalFP: 2, TCAMFP: 3, Report: &equiv.Report{Equivalent: true}},
-	}); err == nil || !strings.Contains(err.Error(), "checks-") {
-		t.Fatalf("SaveVerdicts into a removed directory: %v, want its write error", err)
-	}
-	if vs, err := s.LoadVerdicts(2, false); vs != nil || err != nil {
-		t.Fatalf("load of an absent file: %v, %v", vs, err)
-	}
-}
-
-// TestStoreGC pins the hygiene satellite: the age bound removes stale
-// files, the count bound evicts least-recently-used beyond the cap, and
-// foreign files in the directory are never touched.
-func TestStoreGC(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, _ := testBase(t, 6)
-	for fp := uint64(1); fp <= 4; fp++ {
-		if err := s.SaveBase(fp, base); err != nil {
-			t.Fatal(err)
-		}
-	}
-	foreign := filepath.Join(dir, "README.txt")
-	if err := os.WriteFile(foreign, []byte("not a store file"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// Age files 1 and 2 beyond the bound; 2 is then "used" (loaded),
-	// which refreshes its mtime and must rescue it from the age GC.
-	old := time.Now().Add(-2 * time.Hour)
-	for fp := uint64(1); fp <= 2; fp++ {
-		if err := os.Chtimes(filepath.Join(dir, baseFileName(fp)), old, old); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := s.LoadBase(2); err != nil {
-		t.Fatal(err)
-	}
-	st, err := s.GC(time.Hour, 0)
-	if err != nil {
-		t.Fatalf("GC: %v", err)
-	}
-	if st.Removed != 1 || st.Kept != 3 {
-		t.Fatalf("age GC: %+v", st)
-	}
-	if _, err := os.Stat(filepath.Join(dir, baseFileName(1))); !os.IsNotExist(err) {
-		t.Fatal("stale file survived age GC")
-	}
-
-	// LRU bound: cap at 2 files, oldest goes first.
-	older := time.Now().Add(-time.Minute)
-	if err := os.Chtimes(filepath.Join(dir, baseFileName(3)), older, older); err != nil {
-		t.Fatal(err)
-	}
-	st, err = s.GC(0, 2)
-	if err != nil {
-		t.Fatalf("GC: %v", err)
-	}
-	if st.Removed != 1 || st.Kept != 2 {
-		t.Fatalf("LRU GC: %+v", st)
-	}
-	if _, err := os.Stat(filepath.Join(dir, baseFileName(3))); !os.IsNotExist(err) {
-		t.Fatal("LRU GC kept the oldest file")
-	}
-	if _, err := os.Stat(foreign); err != nil {
-		t.Fatal("GC touched a foreign file")
-	}
-}
-
-// TestGCRemovesOrphanedTempFiles: a writer killed between creating its temp
-// file and renaming it leaves "<name>.scout.tmp<random>" behind, which is
-// not a store file and which Open does not clean up; GC removes one old
-// enough to be nobody's and leaves a live writer's alone.
-func TestGCRemovesOrphanedTempFiles(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, _ := testBase(t, 6)
-	if err := s.SaveBase(1, base); err != nil {
-		t.Fatal(err)
-	}
-	plant := func(age time.Duration) string {
-		t.Helper()
-		tmp, err := os.CreateTemp(dir, baseFileName(1)+tempMark+"*")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tmp.Write([]byte("half a base")); err != nil {
-			t.Fatal(err)
-		}
-		if err := tmp.Close(); err != nil {
-			t.Fatal(err)
-		}
-		at := time.Now().Add(-age)
-		if err := os.Chtimes(tmp.Name(), at, at); err != nil {
-			t.Fatal(err)
-		}
-		return tmp.Name()
-	}
-	orphan, live := plant(2*time.Minute), plant(0)
-
-	st, err := s.GC(0, 0)
-	if err != nil {
-		t.Fatalf("GC: %v", err)
-	}
-	if st.Removed != 1 || st.Kept != 1 {
-		t.Fatalf("GC: %+v, want the orphan removed and the one store file kept", st)
-	}
-	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
-		t.Error("a two-minute-old temp file survived GC")
-	}
-	if _, err := os.Stat(live); err != nil {
-		t.Error("GC removed a fresh temp file, which a live writer may be about to rename")
-	}
-	if b, err := s.LoadBase(1); err != nil || b == nil {
-		t.Errorf("the store file beside the orphan no longer loads: %v", err)
-	}
-}
-
-// FuzzDecodeBase: whatever the bytes, the base decoder returns — it never
-// panics — and an image it accepts is the one encoding of what it decoded.
-// The checksum stops nearly every mutation at the frame, so each input is
-// also tried with its checksum recomputed, which lets mutated payloads
-// reach the snapshot, rule and memo decoders.
-func FuzzDecodeBase(f *testing.F) {
-	base, _ := testBase(f, 9)
-	const depFP = 0x5c07
-	img := encodeBase(depFP, base)
-	f.Add(img)
-	for _, n := range []int{0, frameOverhead - 1, frameOverhead, len(img) / 3, len(img) - 9, len(img) - 1} {
-		f.Add(img[:n])
-	}
-	flipped := append([]byte(nil), img...)
-	flipped[len(flipped)/2] ^= 0x10
-	f.Add(flipped)
-	f.Add(v1BaseImage(depFP, base))
-	small := equiv.NewBaseWith(nil, []rule.Rule{{Match: rule.Match{VRF: 1, SrcEPG: 2, DstEPG: 3, PortLo: 80, PortHi: 80}, Action: rule.Allow}})
-	f.Add(encodeBase(1, small))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		images := [][]byte{data}
-		if len(data) >= frameOverhead {
-			images = append(images, reframe(data, binary.LittleEndian.Uint32(data[4:])))
-		}
-		for _, img := range images {
-			var key uint64
-			if len(img) >= 16 {
-				key = binary.LittleEndian.Uint64(img[8:])
-			}
-			b, err := decodeBase(img, key)
-			if err != nil {
-				continue
-			}
-			if again := encodeBase(key, b); !bytes.Equal(again, img) {
-				t.Fatalf("accepted a %d-byte image that re-encodes to %d different bytes", len(img), len(again))
-			}
-		}
-	})
-}
+func FuzzDecodeVerdicts(f *testing.F) { fuzzImages(f, false, 14) }

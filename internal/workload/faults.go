@@ -188,9 +188,8 @@ func NewScenario(rng *rand.Rand, candidates []object.Ref, n, noiseCount int) (Sc
 // are marked fail (and to the switch risk when modeled), mirroring what
 // risk.AugmentControllerModelPatch marks for the checker's missing rules.
 // m may be the model itself or a copy-on-write overlay over it —
-// experiment harnesses stack a fresh overlay per scenario instead of
-// resetting and re-marking the model. It returns the number of rule
-// instances failed.
+// experiment harnesses put a fresh overlay over the pristine model per
+// scenario. It returns the number of rule instances failed.
 func ApplyToControllerModel(m risk.Marker, d *compile.Deployment, idx *DepIndex, sc Scenario, rng *rand.Rand) int {
 	failed := 0
 	for _, f := range sc.Faults {
