@@ -201,8 +201,8 @@ type runView struct {
 	aliveDeps   []int32
 	aliveFailed []int32
 
-	// failedRisks: indices with ≥1 failed edge (base or overlay), sorted
-	// by ref.
+	// failedRisks: indices with ≥1 failed edge (the model's, or the
+	// overlay's), sorted by ref.
 	failedRisks []int32
 }
 
@@ -228,7 +228,8 @@ func (rv *runView) forEachDep(i int32, fn func(el int32)) {
 }
 
 // forEachFailed invokes fn for every element whose edge to risk i is
-// failed (base marks, then overlay marks; the two sets are disjoint).
+// failed: the plan's marks for a *Model, the overlay's over its pristine
+// base.
 func (rv *runView) forEachFailed(i int32, fn func(el int32)) {
 	if int(i) < rv.p.nRisks {
 		for _, el := range rv.p.failEls[rv.p.failOff[i]:rv.p.failOff[i+1]] {
@@ -318,22 +319,14 @@ func newRunView(p *plan, o *risk.Overlay) *runView {
 		rv.aliveFailed[i] += int32(len(els))
 	}
 
-	if len(rv.marks) == 0 {
-		rv.failedRisks = p.failedRisks
-	} else {
-		seen := make(map[int32]struct{}, len(p.failedRisks)+len(rv.marks))
-		merged := make([]int32, 0, len(p.failedRisks)+len(rv.marks))
-		for _, i := range p.failedRisks {
-			seen[i] = struct{}{}
-			merged = append(merged, i)
-		}
+	// An overlay's base is pristine, so its failed risks are its marks'.
+	rv.failedRisks = p.failedRisks
+	if o != nil {
+		rv.failedRisks = make([]int32, 0, len(rv.marks))
 		for i := range rv.marks {
-			if _, ok := seen[i]; !ok {
-				merged = append(merged, i)
-			}
+			rv.failedRisks = append(rv.failedRisks, i)
 		}
-		sort.Slice(merged, func(a, b int) bool { return rv.refLess(merged[a], merged[b]) })
-		rv.failedRisks = merged
+		sort.Slice(rv.failedRisks, func(a, b int) bool { return rv.refLess(rv.failedRisks[a], rv.failedRisks[b]) })
 	}
 	return rv
 }

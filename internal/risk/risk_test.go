@@ -23,7 +23,7 @@ import (
 // plan cache to the model's changes, after every step. The builds are
 // held to refBuild, the pre-footprint build.
 
-// runModels runs a case per seed below seeds (see runModel); drawn runs
+// runModels runs a case per seed below seeds (see runModel); a nil d runs
 // them from an empty model.
 func runModels(t *testing.T, d *compile.Deployment, sw object.ID, seeds int64, steps int, ops ...op) modelStats {
 	t.Helper()
@@ -34,11 +34,6 @@ func runModels(t *testing.T, d *compile.Deployment, sw object.ID, seeds int64, s
 	return stats
 }
 
-func drawn(t *testing.T, seeds int64, steps int, ops ...op) modelStats {
-	t.Helper()
-	return runModels(t, nil, 0, seeds, steps, ops...)
-}
-
 // exercised fails the test unless the runs did what the case is for.
 func exercised(t *testing.T, what string, n int) {
 	t.Helper()
@@ -47,32 +42,34 @@ func exercised(t *testing.T, what string, n int) {
 	}
 }
 
-func TestModelBasics(t *testing.T) { drawn(t, 8, 40, opElement, opEdge, opEdge) }
+func TestModelBasics(t *testing.T) { runModels(t, nil, 0, 8, 40, opElement, opEdge, opEdge) }
 
 func TestMarkFailedAndObservations(t *testing.T) {
-	s := drawn(t, 8, 60, opElement, opEdge, opMark)
+	s := runModels(t, nil, 0, 8, 60, opElement, opEdge, opMark)
 	exercised(t, "marked a failed edge again", s.remarked)
 }
 
 func TestMarkFailedCreatesMissingEdge(t *testing.T) {
-	s := drawn(t, 8, 40, opElement, opMark, opMark, opOverlay)
+	s := runModels(t, nil, 0, 8, 40, opElement, opMark, opMark, opOverlay)
 	exercised(t, "created an overlay edge by marking it", s.created)
 }
 
-func TestHitAndCoverageRatios(t *testing.T) { drawn(t, 10, 80, opElement, opEdge, opEdge, opMark) }
+func TestHitAndCoverageRatios(t *testing.T) {
+	runModels(t, nil, 0, 10, 80, opElement, opEdge, opEdge, opMark)
+}
 
 // TestSuspectSet: an overlay's suspects are the risks it marked, and an
 // overlay goes only over a pristine model.
 func TestSuspectSet(t *testing.T) {
-	s := drawn(t, 8, 60, opElement, opEdge, opMark, opOverlay)
+	s := runModels(t, nil, 0, 8, 60, opElement, opEdge, opMark, opOverlay)
 	exercised(t, "was refused an overlay over a marked model", s.refused)
 }
 
-func TestModelString(t *testing.T) { drawn(t, 2, 10, opElement, opEdge) }
+func TestModelString(t *testing.T) { runModels(t, nil, 0, 2, 10, opElement, opEdge) }
 
-func TestAccessors(t *testing.T) { drawn(t, 20, 80, allOps...) }
+func TestAccessors(t *testing.T) { runModels(t, nil, 0, 20, 80, allOps...) }
 
-func TestOverlayEmpty(t *testing.T) { drawn(t, 4, 30, opElement, opEdge, opOverlay) }
+func TestOverlayEmpty(t *testing.T) { runModels(t, nil, 0, 4, 30, opElement, opEdge, opOverlay) }
 
 // TestOverlayMatchesClone: marks on the three-tier controller model and
 // on overlays over its twins read as the reference marked alike.
@@ -90,18 +87,18 @@ func TestAugmentControllerModel(t *testing.T) {
 }
 
 func TestAugmentControllerModelPatch(t *testing.T) {
-	drawn(t, 12, 60, opElement, opEdge, opPatch, opOverlay)
+	runModels(t, nil, 0, 12, 60, opElement, opEdge, opPatch, opOverlay)
 }
 
 func TestAugmentIgnoresUnknownPairs(t *testing.T) {
-	s := drawn(t, 8, 30, opElement, opAugment)
+	s := runModels(t, nil, 0, 8, 30, opElement, opAugment)
 	exercised(t, "augmented a rule for a pair the model lacks", s.skipped)
 }
 
 // TestAugmentResolvesProvenanceViaIndex: a rule's own provenance comes
 // first, and one without looks its key up in the map.
 func TestAugmentResolvesProvenanceViaIndex(t *testing.T) {
-	s := drawn(t, 12, 40, opElement, opEdge, opAugment)
+	s := runModels(t, nil, 0, 12, 40, opElement, opEdge, opAugment)
 	exercised(t, "resolved a rule's provenance through the map", s.resolved)
 	exercised(t, "augmented a rule whose own provenance is not the map's", s.own)
 }
@@ -195,20 +192,18 @@ func refBuild(d *compile.Deployment, sw object.ID, switchRisk bool) *refModel {
 // and without switch risks.
 func checkBuildsMatchOracle(t *testing.T, name string, d *compile.Deployment) {
 	t.Helper()
-	switches := make([]object.ID, 0, len(d.BySwitch))
-	for sw := range d.BySwitch {
-		switches = append(switches, sw)
-	}
-	for _, sw := range append(switches, 60000) { // and a switch that hosts nothing
-		if got, want := risk.BuildSwitchModel(d, sw), refBuild(d, sw, false).replay(); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: switch %d: %v, oracle built %v", name, sw, got, want)
+	check := func(what string, got, want *risk.Model) {
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: %s: %v, oracle built %v", name, what, got, want)
 		}
 	}
+	for sw := range d.BySwitch {
+		check(fmt.Sprint("switch ", sw), risk.BuildSwitchModel(d, sw), refBuild(d, sw, false).replay())
+	}
+	check("a switch that hosts nothing", risk.BuildSwitchModel(d, 60000), refBuild(d, 60000, false).replay())
 	for _, withSwitch := range []bool{true, false} {
 		opts := risk.ControllerModelOptions{IncludeSwitchRisk: withSwitch}
-		if got, want := risk.BuildControllerModel(d, opts), refBuild(d, 0, withSwitch).replay(); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: controller (switch risks %v): %v, oracle built %v", name, withSwitch, got, want)
-		}
+		check(fmt.Sprint("controller, switch risks ", withSwitch), risk.BuildControllerModel(d, opts), refBuild(d, 0, withSwitch).replay())
 	}
 }
 
@@ -267,9 +262,6 @@ func TestModelBuildsFirstEncounterOrder(t *testing.T) {
 	p.Bind(1, 2, 20)
 	p.Bind(2, 3, 10)
 	p.Bind(2, 1, 10) // the pair 1-2 again, sharing filter 101 with contract 20
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	d, err := compile.Compile(p, topo.FromPolicy(p))
 	if err != nil {
 		t.Fatal(err)

@@ -9,7 +9,8 @@
 // reference says, and the directory lists exactly the reference's files.
 //
 // The codec check writes a drawn base or verdicts field by field through
-// encoder, with at most one deviation from what the encoder writes. An
+// encoder, with at most one deviation from what the encoder writes, or
+// frames raw bytes as the payload. The decoder must not panic, an
 // accepted image must re-encode to itself, an image the deviation left
 // alone must be accepted, and another codec version must be refused as
 // one.
@@ -305,9 +306,33 @@ func TestStoreSaveLoad(t *testing.T) {
 	runStores(t, 20, 80, opSave, opLoad, opGC, opPlant, opDamage, opDirectory, opAge)
 }
 
+// TestBaseCodecRejectsDamage: neither a damaged file loads nor a base that
+// breaks one invariant of a reduced, ordered BDD or of the semantics memo.
 func TestBaseCodecRejectsDamage(t *testing.T) {
 	s := runStores(t, 12, 40, opSave, opLoad, opLoad, opDamage)
 	exercised(t, "loaded a damaged file", s.unreadable)
+	for i, payload := range malformedBases() {
+		if _, err := decodeBase(frame(baseMagic, codecVersion, 0, payload), 0); err == nil {
+			t.Errorf("accepted malformed base %d", i)
+		}
+	}
+}
+
+// malformedBases are base payloads the encoder can not write, of one-byte
+// uvarints: variables, nodes, each node's level, lo and hi, then the memo.
+func malformedBases() [][]byte {
+	nv := byte(equiv.NumVars)
+	return [][]byte{
+		{0, 2, 0},                       // no variables
+		{nv - 1, 2, 0},                  // another variable count
+		{nv, 3, nv, 0, 1, 0},            // a level out of range
+		{nv, 3, 0, 2, 1, 0},             // a forward child
+		{nv, 3, 0, 1, 1, 0},             // a redundant node
+		{nv, 4, 5, 0, 1, 5, 0, 2, 0},    // a child above its node
+		{nv, 4, 0, 0, 1, 0, 0, 1, 0},    // a duplicate node
+		{nv, 3, 0, 0, 1, 1, 0, 3},       // a semantics root past the nodes
+		{nv, 3, 0, 0, 1, 2, 0, 2, 0, 2}, // one rule list twice
+	}
 }
 
 // TestLoadDoesNotSwallowSaveError: a failed write is the save's error, to
@@ -348,6 +373,7 @@ const (
 	devMagic              // the other file kind's magic
 	devVersion            // another codec version
 	devKey                // filed under another fingerprint
+	devRaw                // up to 255 drawn bytes for the payload
 	numDeviations
 )
 
@@ -470,16 +496,14 @@ func (w *writer) base(b *equiv.Base) {
 // seal frames the payload under magic and key.
 func (w *writer) seal(magic string, key uint64) []byte {
 	version := uint32(codecVersion)
-	if w.hit(devTrailing) {
+	switch {
+	case w.hit(devTrailing):
 		w.u8(0)
-	}
-	if w.hit(devMagic) {
+	case w.hit(devMagic):
 		magic = map[string]string{baseMagic: verdictMagic, verdictMagic: baseMagic}[magic]
-	}
-	if w.hit(devVersion) {
+	case w.hit(devVersion):
 		version--
-	}
-	if w.hit(devKey) {
+	case w.hit(devKey):
 		key ^= 1
 	}
 	return frame(magic, version, key, w.buf)
@@ -554,17 +578,26 @@ func checkImage(t *testing.T, c *oracle.Choices, base bool, dev deviation) {
 	t.Helper()
 	w := &writer{dev: dev, at: c.Intn(8)}
 	key := uint64(c.Uint16())
+	switch {
+	case dev == devRaw:
+		for n := c.Intn(256); n > 0; n-- {
+			w.u8(c.Byte())
+		}
+		w.deviated = true
+	case base:
+		w.base(drawBase(c))
+	default:
+		w.verdicts(drawVerdicts(c))
+	}
 	var img, again []byte
 	var err error
 	if base {
-		w.base(drawBase(c))
 		img = w.seal(baseMagic, key)
 		var b *equiv.Base
 		if b, err = decodeBase(img, key); err == nil {
 			again = encodeBase(key, b)
 		}
 	} else {
-		w.verdicts(drawVerdicts(c))
 		img = w.seal(verdictMagic, key)
 		var vs []Verdict
 		if vs, err = decodeVerdicts(img, key); err == nil {
@@ -599,13 +632,17 @@ func TestCodecRejectsVersionMismatch(t *testing.T) {
 
 // fuzzImages feeds the fuzzer's bytes to the codec check, the first byte
 // naming the deviation. The seeds are a stream per seed below seeds, each
-// naming a deviation in turn, to make at its first chance.
-func fuzzImages(f *testing.F, base bool, seeds int) {
+// naming a deviation in turn, to make at its first chance; then each raw
+// payload, under key 0.
+func fuzzImages(f *testing.F, base bool, seeds int, raw ...[]byte) {
 	for i := range seeds {
 		data := make([]byte, 98)
 		rand.New(rand.NewSource(int64(i))).Read(data[2:])
 		data[0], data[1] = byte(i%int(numDeviations)), 0
 		f.Add(data)
+	}
+	for _, payload := range raw {
+		f.Add(append([]byte{byte(devRaw), 0, 0, 0, byte(len(payload))}, payload...))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := oracle.FromBytes(data)
@@ -613,6 +650,6 @@ func fuzzImages(f *testing.F, base bool, seeds int) {
 	})
 }
 
-func FuzzDecodeBase(f *testing.F) { fuzzImages(f, true, 10) }
+func FuzzDecodeBase(f *testing.F) { fuzzImages(f, true, 11, malformedBases()...) }
 
 func FuzzDecodeVerdicts(f *testing.F) { fuzzImages(f, false, 14) }
