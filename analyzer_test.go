@@ -1,15 +1,51 @@
 package scout_test
 
+// The paper's running example (Figure 1) through the pipeline: most tests
+// are a case of the runner (equalscold_test.go) on the three-tier fabric,
+// with its faults taken before the baseline, and assert what the report
+// says about them.
+
 import (
 	"encoding/json"
+	"errors"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"scout"
-	"scout/internal/tcam"
 )
+
+// threeTier deploys the paper's running example (Figure 1): a 3-tier web
+// service with Web, App, and DB EPGs on three switches.
+func threeTier(t testing.TB, seed int64) *scout.Fabric {
+	t.Helper()
+	p := threeTierPolicy()
+	return deployed(t, p, scout.TopologyFromPolicy(p), scout.FabricOptions{Seed: seed})
+}
+
+// threeTierPolicy is threeTier's policy.
+func threeTierPolicy() *scout.Policy {
+	p := scout.NewPolicy("three-tier")
+	p.AddVRF(scout.VRF{ID: 101, Name: "vrf-101"})
+	p.AddEPG(scout.EPG{ID: 1, Name: "Web", VRF: 101})
+	p.AddEPG(scout.EPG{ID: 2, Name: "App", VRF: 101})
+	p.AddEPG(scout.EPG{ID: 3, Name: "DB", VRF: 101})
+	p.AddEndpoint(scout.Endpoint{ID: 11, Name: "EP1", EPG: 1, Switch: 1})
+	p.AddEndpoint(scout.Endpoint{ID: 12, Name: "EP2", EPG: 2, Switch: 2})
+	p.AddEndpoint(scout.Endpoint{ID: 13, Name: "EP3", EPG: 3, Switch: 3})
+	p.AddFilter(scout.Filter{ID: 80, Name: "port-80", Entries: []scout.FilterEntry{
+		scout.PortEntry(scout.ProtoTCP, 80),
+	}})
+	p.AddFilter(scout.Filter{ID: 700, Name: "port-700", Entries: []scout.FilterEntry{
+		scout.PortEntry(scout.ProtoTCP, 700),
+	}})
+	p.AddContract(scout.Contract{ID: 201, Name: "Web-App", Filters: []scout.ObjectID{80}})
+	p.AddContract(scout.Contract{ID: 202, Name: "App-DB", Filters: []scout.ObjectID{80, 700}})
+	p.Bind(1, 2, 201)
+	p.Bind(2, 3, 202)
+	return p
+}
 
 // undeployed is the Figure 1 fabric before its first Deploy.
 func undeployed(t testing.TB) *scout.Fabric {
@@ -22,57 +58,104 @@ func undeployed(t testing.TB) *scout.Fabric {
 	return f
 }
 
-func TestAnalyzeRequiresDeploy(t *testing.T) {
-	if _, err := scout.NewAnalyzer().Analyze(undeployed(t)); err == nil {
-		t.Error("Analyze before Deploy must fail")
+// Faults of the three-tier fabric, as steps. Its switches are 1, 2 and 3,
+// its filters 80 and 700 (newest first: 700 is 0) and its contracts 201 and
+// 202.
+var (
+	filter700Lost = step{opFault, 0, 0}
+	// Switch 2 goes dark, then misses a new filter of contract 202.
+	unresponsive = []step{{opLink, 1, 0}, {opAddFilter, 1, 0}}
+)
+
+// threeTierCase runs c on the three-tier fabric at seed 1 after faults and
+// returns its report.
+func threeTierCase(t *testing.T, c coldCase, faults ...step) *scout.Report {
+	t.Helper()
+	c.fabric = func(t testing.TB) *scout.Fabric {
+		f := threeTier(t, 1)
+		mutate(t, f, faults)
+		return f
 	}
+	c.clean = len(faults) == 0
+	return equalsCold(t, c).last
 }
 
-func TestAnalyzeWithProbes(t *testing.T) {
-	f := threeTier(t, 1)
-	if _, err := f.InjectObjectFault(scout.FilterRef(700), 1.0); err != nil {
+// oneShot is a one-shot analysis of the fabric.
+func oneShot(t testing.TB, f *scout.Fabric, opts ...scout.AnalyzerOptions) *scout.Report {
+	t.Helper()
+	return mustReport(t, func() (*scout.Report, error) { return scout.NewAnalyzer(opts...).Analyze(f) })
+}
+
+// newSession is scout.NewSession, failing t on its error.
+func newSession(t testing.TB, f *scout.Fabric, opts ...scout.AnalyzerOptions) *scout.Session {
+	t.Helper()
+	sess, err := scout.NewSession(f, opts...)
+	if err != nil {
 		t.Fatal(err)
 	}
-	rep := oneShot(t, f, scout.AnalyzerOptions{UseProbes: true})
-	if rep.Consistent || !slices.Contains(rep.Hypothesis, scout.FilterRef(700)) {
-		t.Errorf("probe mode must detect the missing rules, with filter:700 in the hypothesis %v", rep.Hypothesis)
+	return sess
+}
+
+// warmStore opens the warm store at dir.
+func warmStore(t testing.TB, dir string) *scout.WarmStore {
+	t.Helper()
+	ws, err := scout.OpenWarmStore(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return ws
+}
+
+// mustReport returns the report of analyze, failing t on its error.
+func mustReport(t testing.TB, analyze func() (*scout.Report, error)) *scout.Report {
+	t.Helper()
+	rep, err := analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
 }
 
 // switchReport returns sw's report from rep.
 func switchReport(t *testing.T, rep *scout.Report, sw scout.ObjectID) scout.SwitchReport {
 	t.Helper()
-	for _, sr := range rep.Switches {
-		if sr.Switch == sw {
-			return sr
-		}
+	i := slices.IndexFunc(rep.Switches, func(sr scout.SwitchReport) bool { return sr.Switch == sw })
+	if i < 0 {
+		t.Fatalf("no report for switch %d", sw)
 	}
-	t.Fatalf("no report for switch %d", sw)
-	return scout.SwitchReport{}
+	return rep.Switches[i]
+}
+
+func TestAnalyzeRequiresDeploy(t *testing.T) {
+	refuses(t, "undeployed", func() (*scout.Report, error) { return scout.NewAnalyzer().Analyze(undeployed(t)) })
+}
+
+func TestAnalyzeConsistentFabric(t *testing.T) {
+	if rep := threeTierCase(t, coldCase{}); !strings.Contains(rep.Summary(), "consistent") {
+		t.Errorf("summary should mention consistency: %q", rep.Summary())
+	}
+}
+
+func TestAnalyzeLocalizesEvictedFilter(t *testing.T) {
+	if rep := threeTierCase(t, coldCase{}, filter700Lost); !slices.Contains(rep.Hypothesis, scout.FilterRef(700)) {
+		t.Errorf("hypothesis %v should contain filter:700", rep.Hypothesis)
+	}
+}
+
+func TestAnalyzeWithProbes(t *testing.T) {
+	if rep := threeTierCase(t, coldCase{probes: true}, filter700Lost); !slices.Contains(rep.Hypothesis, scout.FilterRef(700)) {
+		t.Errorf("probe mode must detect the missing rules, with filter:700 in the hypothesis %v", rep.Hypothesis)
+	}
 }
 
 // TestAnalyzeSwitchScoped: an inequivalent switch's report carries a
 // localization on its own switch risk model, so its hypothesis names that
-// switch's policy objects; a consistent switch's carries none.
+// switch's policy objects; a consistent switch's carries none. Filter 700
+// rules live on switches 2 and 3 only.
 func TestAnalyzeSwitchScoped(t *testing.T) {
-	f := threeTier(t, 1)
-	if _, err := f.InjectObjectFault(scout.FilterRef(700), 1.0); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := scout.NewAnalyzer().AnalyzeState(fabricState(f))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Filter 700 rules live on switches 2 and 3 only.
-	if sr1 := switchReport(t, rep, 1); !sr1.Equivalent || sr1.Result != nil {
-		t.Error("switch 1 must be consistent")
-	}
-	sr2 := switchReport(t, rep, 2)
-	if sr2.Equivalent || sr2.Result == nil {
-		t.Fatal("switch 2 must be inconsistent with a localization result")
-	}
-	if !slices.Contains(sr2.Result.Hypothesis, scout.FilterRef(700)) {
-		t.Errorf("switch-scoped hypothesis %v must contain filter:700", sr2.Result.Hypothesis)
+	rep := threeTierCase(t, coldCase{entry: viaState}, filter700Lost)
+	if sr1, sr2 := switchReport(t, rep, 1), switchReport(t, rep, 2); sr1.Result != nil || sr2.Result == nil || !slices.Contains(sr2.Result.Hypothesis, scout.FilterRef(700)) {
+		t.Errorf("switch 1 localized %+v, switch 2 %+v; want nothing, and filter:700", sr1.Result, sr2.Result)
 	}
 }
 
@@ -80,93 +163,39 @@ func TestAnalyzeSwitchScoped(t *testing.T) {
 // observation source — a BDD check of the collected TCAM and dataplane
 // probes — which share the report assembly but take different check paths.
 func TestAnalyzeSwitchObservationSources(t *testing.T) {
-	for _, opts := range []scout.AnalyzerOptions{
-		{},
-		{UseProbes: true},
-	} {
-		f := threeTier(t, 1)
-		if _, err := f.InjectObjectFault(scout.FilterRef(700), 1.0); err != nil {
-			t.Fatal(err)
-		}
-		rep := oneShot(t, f, opts)
+	for _, probes := range []bool{false, true} {
+		rep := threeTierCase(t, coldCase{probes: probes}, filter700Lost)
 		if sr := switchReport(t, rep, 2); sr.Equivalent || len(sr.MissingRules) == 0 || sr.Result == nil {
-			t.Errorf("opts %+v: switch 2 report = %+v, want missing rules and a localization", opts, sr)
+			t.Errorf("%s: switch 2 report = %+v, want missing rules and a localization", modes[probes], sr)
 		}
 		if clean := switchReport(t, rep, 1); !clean.Equivalent || clean.Result != nil {
-			t.Errorf("opts %+v: switch 1 must stay consistent", opts)
+			t.Errorf("%s: switch 1 must stay consistent", modes[probes])
 		}
 	}
 }
 
+// TestAnalyzeDetectsCorruptionAsExtraRules: two rules of switch 2 with a
+// corrupted VRF are missing (intended behaviour absent) and extra (bogus
+// behaviour present).
 func TestAnalyzeDetectsCorruptionAsExtraRules(t *testing.T) {
-	f := threeTier(t, 5)
-	damaged, err := f.CorruptTCAM(2, 2, tcam.CorruptVRF)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(damaged) == 0 {
-		t.Fatal("corruption hit nothing")
-	}
-	rep := oneShot(t, f)
-	if rep.Consistent {
-		t.Fatal("corruption must break equivalence")
-	}
-	s2 := switchReport(t, rep, 2)
-	if s2.Equivalent {
-		t.Fatal("switch 2 must be flagged")
-	}
-	if len(s2.MissingRules) == 0 {
-		t.Error("corrupted rules must appear missing (intended behaviour absent)")
-	}
-	if len(s2.ExtraRules) == 0 {
-		t.Error("corrupted rules must appear extra (bogus behaviour present)")
+	if s2 := switchReport(t, threeTierCase(t, coldCase{}, step{opCorrupt, 1, 4}), 2); s2.Equivalent || len(s2.MissingRules) == 0 || len(s2.ExtraRules) == 0 {
+		t.Errorf("switch 2: %+v, want it flagged with missing and extra rules", s2)
 	}
 }
 
 func TestAnalyzeEvictionLocalized(t *testing.T) {
-	f := threeTier(t, 11)
-	evicted, err := f.EvictTCAM(3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evicted) == 0 {
-		t.Fatal("nothing evicted")
-	}
-	rep := oneShot(t, f)
-	if rep.Consistent {
-		t.Fatal("eviction must be detected")
-	}
-	// Only switch 3 is affected.
-	for _, sr := range rep.Switches {
-		if sr.Switch == 3 && sr.Equivalent {
-			t.Error("switch 3 must be inconsistent")
-		}
-		if sr.Switch != 3 && !sr.Equivalent {
-			t.Errorf("switch %d must stay consistent", sr.Switch)
+	for _, sr := range threeTierCase(t, coldCase{}, step{opEvict, 2, 1}).Switches {
+		if sr.Equivalent != (sr.Switch != 3) {
+			t.Errorf("switch %d equivalent=%v; only switch 3 lost rules", sr.Switch, sr.Equivalent)
 		}
 	}
 }
 
 func TestReportJSON(t *testing.T) {
-	f := threeTier(t, 1)
-	if _, err := f.InjectObjectFault(scout.FilterRef(700), 1.0); err != nil {
-		t.Fatal(err)
-	}
-	rep := oneShot(t, f)
-	data := marshalReport(t, rep)
-	s := string(data)
-	for _, want := range []string{`"Consistent":false`, `"Hypothesis"`, `"elapsedMillis"`} {
-		if !strings.Contains(s, want) {
-			t.Errorf("JSON missing %s:\n%s", want, s[:200])
-		}
-	}
-	// Round-trippable into a generic map (schema sanity).
-	var m map[string]interface{}
-	if err := json.Unmarshal(data, &m); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := m["Switches"]; !ok {
-		t.Error("JSON must carry per-switch reports")
+	data, err := json.Marshal(threeTierCase(t, coldCase{}, filter700Lost))
+	var m map[string]any
+	if err = errors.Join(err, json.Unmarshal(data, &m)); err != nil || m["Consistent"] != false || m["Hypothesis"] == nil || m["Switches"] == nil || m["elapsedMillis"] == nil {
+		t.Errorf("JSON lacks the verdict, hypothesis, switch reports or elapsed time (%v):\n%.200s", err, data)
 	}
 }
 
@@ -175,139 +204,97 @@ func TestReportJSON(t *testing.T) {
 // hit ratio 1, so only the change-log stage can pick the filter — and only
 // while the injection's change entry is at most 24 h older than State.Now.
 func TestAnalyzerChangeWindow(t *testing.T) {
-	f := threeTier(t, 1)
-	if _, err := f.InjectObjectFault(scout.FilterRef(80), 0.34); err != nil {
-		t.Fatal(err)
+	at := func(after time.Duration) coldCase {
+		return coldCase{entry: viaState, state: func(_ testing.TB, f *scout.Fabric) scout.State {
+			st := fabricState(f)
+			st.Now = st.Now.Add(after)
+			return st
+		}}
 	}
-	changed := f.Now() // the injection's change-log entry
-	analyze := func(now time.Time) *scout.Report {
-		t.Helper()
-		rep, err := scout.NewAnalyzer().AnalyzeState(scout.State{
-			Deployment: f.Deployment(),
-			TCAM:       f.CollectAll(),
-			Changes:    f.ChangeLog(),
-			Faults:     f.FaultLog(),
-			Now:        now,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Consistent {
-			t.Fatal("partial fault must be detected")
-		}
-		return rep
-	}
-	inside := analyze(changed.Add(24 * time.Hour))
-	outside := analyze(changed.Add(24*time.Hour + time.Nanosecond))
+	partial := step{opFault, 1, 2}
+	inside, outside := threeTierCase(t, at(24*time.Hour), partial), threeTierCase(t, at(24*time.Hour+time.Nanosecond), partial)
 	if !slices.Contains(inside.Controller.ChangeLogPicks, scout.FilterRef(80)) {
 		t.Errorf("a change exactly 24 h old is recent: change-log picks %v, want filter:80", inside.Controller.ChangeLogPicks)
 	}
-	if len(outside.Controller.ChangeLogPicks) != 0 {
-		t.Errorf("a change older than 24 h is not recent: change-log picks %v, want none", outside.Controller.ChangeLogPicks)
-	}
-	if len(outside.Controller.Unexplained) <= len(inside.Controller.Unexplained) {
-		t.Errorf("leaving the window must leave observations unexplained: %d outside vs %d inside",
-			len(outside.Controller.Unexplained), len(inside.Controller.Unexplained))
+	if len(outside.Controller.ChangeLogPicks) != 0 || len(outside.Controller.Unexplained) <= len(inside.Controller.Unexplained) {
+		t.Errorf("a change older than 24 h is not recent: change-log picks %v, and %d observations unexplained outside vs %d inside",
+			outside.Controller.ChangeLogPicks, len(outside.Controller.Unexplained), len(inside.Controller.Unexplained))
 	}
 }
 
+// TestAnalyzeStateFromEpoch: post-incident forensics. An epoch collected
+// before a fault analyzes consistent offline, and its diff with one
+// collected after names exactly the rules the fault's analysis misses.
 func TestAnalyzeStateFromEpoch(t *testing.T) {
-	// Post-incident forensics: snapshot state before and after a fault,
-	// then analyze the historical epochs offline via AnalyzeState.
 	f := threeTier(t, 1)
 	collector := scout.NewCollector(f, 0)
 	before := collector.Snapshot()
-
-	if _, err := f.InjectObjectFault(scout.FilterRef(700), 1.0); err != nil {
-		t.Fatal(err)
-	}
-	after := collector.Snapshot()
-
-	analyzer := scout.NewAnalyzer()
-	// The earlier epoch is the fabric's state with that epoch's rules and
-	// time.
-	st := fabricState(f)
+	mutate(t, f, []step{filter700Lost})
+	st, removed, added := fabricState(f), 0, 0
 	st.TCAM, st.Now = before.TCAM, before.Time
-	cleanRep, err := analyzer.AnalyzeState(st)
-	if err != nil {
-		t.Fatal(err)
+	for _, d := range scout.DiffEpochs(before, collector.Snapshot()) {
+		removed, added = removed+len(d.Removed), added+len(d.Added)
 	}
-	if !cleanRep.Consistent {
-		t.Error("pre-fault epoch must analyze consistent")
+	if rep, err := scout.NewAnalyzer().AnalyzeState(st); err != nil || !rep.Consistent {
+		t.Errorf("the pre-fault epoch must analyze consistent (%v)", err)
 	}
-
-	faultRep, err := analyzer.AnalyzeState(fabricState(f))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if faultRep.Consistent || !slices.Contains(faultRep.Hypothesis, scout.FilterRef(700)) {
-		t.Fatalf("post-fault epoch must analyze inconsistent, with filter:700 in the hypothesis %v", faultRep.Hypothesis)
-	}
-
-	// The epoch diff pinpoints exactly the removed rules.
-	deltas := scout.DiffEpochs(before, after)
-	removed := 0
-	for _, d := range deltas {
-		removed += len(d.Removed)
-		if len(d.Added) != 0 {
-			t.Errorf("switch %d gained rules unexpectedly", d.Switch)
-		}
-	}
-	if removed != faultRep.TotalMissing {
-		t.Errorf("epoch diff removed %d rules, checker reported %d missing", removed, faultRep.TotalMissing)
+	if want := oneShot(t, f).TotalMissing; removed != want || added != 0 {
+		t.Errorf("the epochs' diff removes %d rules and adds %d, want %d and none", removed, added, want)
 	}
 }
 
+// TestAnalyzeStateNilLogs: a state without logs still analyzes, and one
+// without a deployment is refused.
 func TestAnalyzeStateNilLogs(t *testing.T) {
-	f := threeTier(t, 1)
-	if _, err := f.InjectObjectFault(scout.FilterRef(700), 1.0); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := scout.NewAnalyzer().AnalyzeState(scout.State{
-		Deployment: f.Deployment(),
-		TCAM:       f.CollectAll(),
-		Now:        f.Now(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Consistent {
-		t.Error("fault must be detected even without logs")
-	}
+	threeTierCase(t, coldCase{entry: viaState, state: func(_ testing.TB, f *scout.Fabric) scout.State {
+		return scout.State{Deployment: f.Deployment(), TCAM: f.CollectAll(), Now: f.Now()}
+	}}, filter700Lost)
 	if _, err := scout.NewAnalyzer().AnalyzeState(scout.State{}); err == nil {
 		t.Error("state without deployment must fail")
 	}
 }
 
+// TestAnalyzeUnresponsiveSwitch: only the dark switch misses the new
+// filter, and the top root cause names it unresponsive.
+func TestAnalyzeUnresponsiveSwitch(t *testing.T) {
+	rep := threeTierCase(t, coldCase{}, unresponsive...)
+	for _, sr := range rep.Switches {
+		if sr.Equivalent != (sr.Switch != 2) {
+			t.Errorf("switch %d equivalent=%v; only switch 2 missed the filter", sr.Switch, sr.Equivalent)
+		}
+	}
+	if rc := rep.RootCauses.RootCauses; len(rc) == 0 || rc[0].Signature != "unresponsive-switch" || rc[0].Switch != 2 {
+		t.Errorf("root causes %+v, want unresponsive-switch on 2 first", rc)
+	}
+}
+
 func TestSummaryRendering(t *testing.T) {
-	// Inconsistent + root cause path.
-	f := threeTier(t, 1)
-	if err := f.Disconnect(2); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.AddFilter(scout.Filter{ID: 443, Entries: []scout.FilterEntry{
-		scout.PortEntry(scout.ProtoTCP, 443),
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.AddFilterToContract(202, 443); err != nil {
-		t.Fatal(err)
-	}
-	rep := oneShot(t, f)
-	s := rep.Summary()
+	s := threeTierCase(t, coldCase{}, unresponsive...).Summary()
 	for _, want := range []string{"INCONSISTENT", "hypothesis", "root causes", "unreachable"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("summary missing %q:\n%s", want, s)
 		}
 	}
-
-	// Inconsistent + silent fault path (no root cause matched).
-	f2 := threeTier(t, 2)
-	if _, err := f2.EvictTCAM(1, 1); err != nil {
-		t.Fatal(err)
+	if s := threeTierCase(t, coldCase{}, step{opEvict, 0, 1}).Summary(); !strings.Contains(s, "silent fault") {
+		t.Errorf("silent-fault summary wrong:\n%s", s)
 	}
-	rep2 := oneShot(t, f2)
-	if !strings.Contains(rep2.Summary(), "silent fault") {
-		t.Errorf("silent-fault summary wrong:\n%s", rep2.Summary())
+}
+
+// TestPipelineNeverWritesProvenance guards the contract every layer relies
+// on since rules are shared, not copied (rule.Rule): no rule's provenance
+// slice is written after the compiler made it, which the runner checks at
+// the end of every case, here after the tour. The compiler shares a slice
+// between the rules of one binding and filter, so a write would show in all.
+func TestPipelineNeverWritesProvenance(t *testing.T) {
+	t.Parallel()
+	r, holders, shared := equalsCold(t, coldCase{steps: tour, workers: 2}), make(map[*scout.ObjectRef]bool), false
+	for _, h := range r.held {
+		if len(h.orig) > 0 {
+			shared = shared || holders[&h.orig[0]]
+			holders[&h.orig[0]] = true
+		}
+	}
+	if !shared {
+		t.Fatal("no two logical rules share a provenance slice; the case is vacuous")
 	}
 }

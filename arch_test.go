@@ -426,7 +426,7 @@ func TestArchitecture(t *testing.T) {
 		"internal/stream:New", "internal/stream:Queue.Push", "internal/stream:Queue.Cut", "internal/stream:Queue.Stats",
 		"internal/bdd:Manager.Size", "internal/bdd:Manager.Or", "internal/bdd:Manager.Not", "internal/bdd:Manager.Cube",
 		"internal/faultlog:FaultLog.Len", "internal/tcam:TCAM.Install", "internal/tcam:TCAM.Remove",
-		"internal/tcam:TCAM.Keys"} {
+		"internal/tcam:TCAM.Keys", "internal/localize:StatsSnapshot", "internal/localize:EngineStats.Delta"} {
 		shims[key] = true
 	}
 	for _, fn := range ix.benchOnly() {

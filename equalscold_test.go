@@ -1,54 +1,151 @@
 package scout_test
 
+// The package's case runner, equalsCold. A case is a fabric, a session over
+// it with a warm store of its own, and a script of steps: a literal list,
+// or one drawn from an oracle.Choices (a seed's stream or a fuzzer's bytes).
+// The session analyzes the fabric before the script and after every step
+// through the case's entry point, and the runner holds each run to
+//   - a serial one-shot analysis of the same state, byte for byte (or its
+//     error), which must leave the store it is handed as it found it, fold
+//     what expectedFolds says and, on the last state, be refAnalyze's;
+//   - a model of the session kept from what each step touched: the verdicts
+//     cached and their rule lists, the store files that load and what a
+//     verdict file holds, the risk models that carry a plan. From it follow
+//     every counter the session keeps and what Close reports.
+//
+// At the end every deployment's rules still carry the provenance they were
+// compiled with. Each Test* is a case: a seed, a step list or an option set.
+
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"hash/fnv"
 	"maps"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"scout"
-	"scout/internal/faultlog"
+	"scout/internal/equiv"
 	"scout/internal/object"
+	"scout/internal/oracle"
 	"scout/internal/rule"
 	"scout/internal/tcam"
 	"scout/internal/topo"
 )
 
-// entry is the way a harness case hands each state to its session.
-type entry int
+// entry is the way a case hands each state to its session.
+type entry byte
 
 const (
 	viaAnalyze entry = iota // Session.Analyze
 	viaEpoch                // Session.AnalyzeEpoch of a fresh collector snapshot
-	viaEvents               // Session.ApplyEvents of the fabric's events, cut three switches at a time
 	viaState                // Session.AnalyzeState of the case's state
-	viaRestart              // Session.Analyze of a session reopened on the case's warm store
+	viaRestart              // Session.Analyze of a session reopened on the case's store
 )
 
 func (e entry) String() string {
-	return [...]string{"Analyze", "AnalyzeEpoch", "ApplyEvents", "AnalyzeState", "Restart"}[e]
+	return [...]string{"Analyze", "AnalyzeEpoch", "AnalyzeState", "Restart"}[e]
 }
 
-// coldCase is one input of equalsCold: a faulty fabric, a mutation script,
-// the entry point every run goes through, and the session's options.
+// op is a step's kind: every mutation the public API offers, then (from
+// opInvalidate on) the session calls, which leave the fabric alone.
+type op byte
+
+const (
+	opNone       op = iota // nothing changes: every verdict replays
+	opEvict                // 1+y%3 rules evicted from switch x
+	opCorrupt              // 1+y/4%2 rules of switch x corrupted in field 1+y%4
+	opFault                // filter x failed in full, at half or at 0.3
+	opSilent               // probed rule y of switch x removed through Switch.TCAM, which emits no event
+	opStrip                // switch x stripped to its first y%4 rules through Switch.TCAM
+	opRestore              // the rules steps removed through switch x's TCAM reinstalled
+	opAgent                // switch x's agent crashed, or restarted
+	opLink                 // switch x disconnected, or reconnected
+	opAddFilter            // a new filter on port 9000+y attached to contract x
+	opShare                // filter y attached to contract x as well
+	opDetach               // filter y of those contract x deploys detached from it
+	opBind                 // contract x+y bound to deployed EPGs x and y
+	opRevert               // filter y attached to contract x and detached again, or the reverse
+	opPoison               // an unencodable rule installed on switch x, or removed
+	opRedeploy             // Deploy of the unchanged policy
+	opInvalidate           // Invalidate of 1+y%3 switches from x, or of every switch when y is 0
+	opShrink               // the session's checkers reset at a 256-node budget
+	opRestart              // a restart onto the store: harm y%8 to store file x first, then workers y/8%4
+	numOps
+)
+
+// badRule is opPoison's rule: its VRF is past the checker's 16-bit field,
+// so no check can encode it.
+var badRule = scout.Rule{Match: rule.Match{VRF: 1 << 17, SrcEPG: 1, DstEPG: 2, PortLo: 80, PortHi: 80}, Action: rule.Allow}
+
+// step is one op and its arguments. A switch, contract or EPG argument
+// picks among the deployed ones in ascending ID order, cyclically (a switch
+// among those that host endpoints); a filter, among the deployed ones and
+// those opAddFilter added, newest first.
+type step struct {
+	op   op
+	x, y byte
+}
+
+// touchesFabric reports whether s can change the analyzed state.
+func (s step) touchesFabric() bool { return s.op != opNone && s.op < opInvalidate }
+
+// Harms to a store file before a restart (opRestart's y%8); 0, 6 and 7
+// leave the store alone.
+const (
+	harmFlip   = 1 + iota // a bit flipped
+	harmCut               // truncated to half
+	harmV1                // reframed as codec version 1 wrote it (asCodecV1)
+	harmSquat             // replaced by a directory, so a read and a save of it fail
+	harmLoseIt            // the whole directory removed once the new session opened it
+)
+
+// drawSteps draws n steps from c, each of an op among ops (any op when
+// none are given).
+func drawSteps(c *oracle.Choices, n int, ops ...op) []step {
+	steps := make([]step, n)
+	for i := range steps {
+		o := op(c.Intn(int(numOps)))
+		if len(ops) > 0 {
+			o = ops[int(o)%len(ops)]
+		}
+		steps[i] = step{o, c.Byte(), c.Byte()}
+	}
+	return steps
+}
+
+// drawn is n steps drawn from seed.
+func drawn(seed int64, n int, ops ...op) []step { return drawSteps(oracle.FromSeed(seed), n, ops...) }
+
+// tour takes every op, the session calls between fabric writes.
+var tour = []step{
+	{opNone, 0, 0}, {opEvict, 1, 1}, {opCorrupt, 4, 6}, {opInvalidate, 2, 1}, {opSilent, 5, 0},
+	{opFault, 1, 1}, {opRestart, 0, harmFlip}, {opAgent, 0, 0}, {opAddFilter, 0, 3}, {opAgent, 0, 0},
+	{opLink, 3, 0}, {opShare, 1, 0}, {opDetach, 1, 0}, {opStrip, 2, 1}, {opShrink, 0, 0}, {opBind, 0, 1},
+	{opRevert, 1, 1}, {opRestore, 2, 0}, {opPoison, 3, 0}, {opPoison, 3, 0}, {opRedeploy, 0, 0},
+	{opRestart, 1, 8*2 + harmV1},
+}
+
+// coldCase is one input of equalsCold.
 type coldCase struct {
 	fabric func(testing.TB) *scout.Fabric // nil is faultyFabric at seed 11
 	// state is what viaState analyzes; nil is fabricState.
-	state func(testing.TB, *scout.Fabric) scout.State
-	// steps run one before each analysis after the baseline; nil is churn.
+	state   func(testing.TB, *scout.Fabric) scout.State
 	steps   []step
 	entry   entry
 	workers int
 	probes  bool
-	// overCap are the switches whose report is over the session's
-	// 4,096-rule cap on every run, so no run caches their verdicts.
-	overCap []scout.ObjectID
+	clean   bool // the fabric starts consistent
 	// colds keeps each step's cold report. Cases sharing one must run the
 	// same fabric, script and mode, so their states are equal step by step.
 	colds map[int][]byte
@@ -59,324 +156,536 @@ func seeded(seed int64) func(testing.TB) *scout.Fabric {
 	return func(t testing.TB) *scout.Fabric { return faultyFabric(t, seed) }
 }
 
-// step mutates a case's fabric, or its session, before a run. A nil step
-// changes nothing.
-type step func(t *testing.T, r *coldRun)
+// verdict is a cached verdict's key in the model: the L and T lists it was
+// computed from.
+type verdict [2][]scout.Rule
 
-// baselineOnly is the script of a case analyzed once.
-var baselineOnly = []step{}
-
-// churn is the default script: each kind of change a session must tell
-// apart from no change.
-var churn = []step{
-	nil, // every verdict replays
-	func(t *testing.T, r *coldRun) {
-		// A rule off the second switch and one off the first, which the
-		// fault mix broke, and more off three others: a batch of events
-		// names more than one switch.
-		sws := switchesOf(r.f)
-		removeOneRule(t, r.f, sws[1])
-		removeOneRule(t, r.f, sws[0])
-		for i, sw := range sws[2:5] {
-			if _, err := r.f.EvictTCAM(sw, 1+i); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := r.f.CorruptTCAM(sws[4], 1, tcam.CorruptSrcEPG); err != nil {
-			t.Fatal(err)
-		}
-	},
-	silentWrite, // a write no event names
-	lostEvent,   // an event no batch names
-	editPolicy,  // new L lists: a new base
-}
-
-// silentWrite removes a probed rule from the last switch through its TCAM,
-// which emits no event: a refresh sees it only by reading every switch.
-func silentWrite(t *testing.T, r *coldRun) {
-	sws := switchesOf(r.f)
-	sw := sws[len(sws)-1]
-	s, err := r.f.Switch(sw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rules := s.TCAM().Rules()
-	i := slices.IndexFunc(rules, func(x scout.Rule) bool { return probesOf([]scout.Rule{x}) > 0 })
-	if i < 0 || !s.TCAM().Remove(rules[i].Key()) {
-		t.Fatalf("switch %d has no probed rule to remove", sw)
-	}
-}
-
-// lostEvent evicts a rule from the next-to-last switch and drains its event
-// before the queue sees it.
-func lostEvent(t *testing.T, r *coldRun) {
-	sws := switchesOf(r.f)
-	if _, err := r.f.EvictTCAM(sws[len(sws)-2], 1); err != nil {
-		t.Fatal(err)
-	}
-	if len(r.events.Drain()) == 0 {
-		t.Fatal("the eviction emitted no event to lose")
-	}
-}
-
-// editPolicy rolls a new filter out to the first binding's contract.
-func editPolicy(t *testing.T, r *coldRun) { rollout(t, r.f) }
-
-// redeploy recompiles the unchanged policy.
-func redeploy(t *testing.T, r *coldRun) {
-	old := r.f.Deployment()
-	if err := r.f.Deploy(); err != nil || r.f.Deployment() == old {
-		t.Fatalf("Deploy kept the deployment's address (%v); the step is vacuous", err)
-	}
-}
-
-// randomChurn is a script of n seeded steps, each an eviction, a
-// corruption, a partial object fault, a redeploy or nothing.
-func randomChurn(seed int64, n int) []step {
-	rng := rand.New(rand.NewSource(seed))
-	steps := make([]step, n)
-	for i := range steps {
-		op, pick, k := rng.Intn(5), rng.Int(), 1+rng.Intn(2)
-		steps[i] = func(t *testing.T, r *coldRun) {
-			sws, ids := switchesOf(r.f), deployedIDs(r.f, object.KindFilter)
-			sw := sws[pick%len(sws)]
-			var err error
-			switch op {
-			case 0:
-				_, err = r.f.EvictTCAM(sw, k)
-			case 1:
-				_, err = r.f.CorruptTCAM(sw, k, tcam.CorruptionField(1+pick%4))
-			case 2:
-				_, err = r.f.InjectObjectFault(scout.FilterRef(ids[pick%len(ids)]), 0.3)
-			case 3:
-				err = r.f.Deploy()
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	return steps
-}
-
-// coldRun is a case in progress: its fabric and session, and what the
-// session must hold after the previous run.
+// coldRun is a case in progress: its fabric, session and store, and the
+// model of what the session holds.
 type coldRun struct {
 	coldCase
-	f     *scout.Fabric
-	sess  *scout.Session
-	stats scout.SessionStats // the session's after the previous run
-	last  *scout.Report      // the previous step's report
-	round int
-
-	dir    string // viaRestart's warm store
+	f      *scout.Fabric
+	sess   *scout.Session
+	ws     *scout.WarmStore
+	dir    string
 	epochs *scout.Collector
-	events *faultlog.Cursor
-	queue  *scout.EventQueue
+	last   *scout.Report // the latest report
+	round  int
 
-	// lists are each switch's L and T lists at the previous run, and
-	// dropped are the switches a step invalidated.
-	lists   map[scout.ObjectID][2][]scout.Rule
-	dropped map[scout.ObjectID]bool
+	// What the steps did to the fabric, for the ops that toggle or undo:
+	// the switches an opAgent, opLink or opPoison left on, the rules steps
+	// removed through a TCAM, and the filters opAddFilter added.
+	on      map[toggle]bool
+	removed map[scout.ObjectID][]scout.Rule
+	added   []scout.ObjectID
 
-	// based is the deployment the session's base is for; a warm store holds
-	// the base and verdicts of every deployment in stored.
-	based  *scout.Deployment
-	stored []*scout.Deployment
+	// The session's model.
+	want    scout.SessionStats // the counters the session must show
+	cache   map[scout.ObjectID]verdict
+	dep     *scout.Deployment       // the latest run's deployment, nil after a restart
+	fp      uint64                  // dep's fingerprint
+	sem     map[uint64]bool         // dep's logical semantics fingerprints
+	seeded  map[uint64]bool         // deployments whose verdict file seeded the cache
+	planned map[scout.ObjectID]bool // the risk models that carry a plan
+	saveErr string
+
+	// The store's model: the files that load, with a verdict file's
+	// entries; the names a directory squats on; whether the directory is
+	// gone; and each base file's first image.
+	good    map[string]map[scout.ObjectID]verdict
+	squat   map[string]bool
+	lost    bool
+	baseImg map[string][]byte
+
+	held     []heldRule
+	heldDeps map[*scout.Deployment]bool
+	// counts are the session's and the report's counters after each run.
+	counts []string
 }
 
-// equalsCold runs c: a baseline, then each step and one analysis through
-// c's entry point. After every run it holds the session to what the script
-// says the run did:
-//   - Checked + Replayed grew by the switch count, and Checked by the
-//     switches whose L or T list changed since the previous run (every
-//     switch, after a restart onto a deployment new to the store), those
-//     the step invalidated, and those over the rule cap, which OverCap counts;
-//   - in probe mode ProbePacketsBatched grew by exactly those switches'
-//     probes, and no base was built or loaded;
-//   - in TCAM mode BaseRebuilds moved only when the deployment's content
-//     did, and a restart loaded the base its store holds (BaseLoads 1).
-//
-// After every step the report's JSON is a cold analysis's of the same
-// state. equalsCold returns the run for the caller's own checks.
+// toggle is an op that a second step on the same switch undoes.
+type toggle struct {
+	op op
+	sw scout.ObjectID
+}
+
+// heldRule is a deployed rule and the provenance it was compiled with.
+type heldRule struct {
+	rule       *scout.Rule
+	orig, want []scout.ObjectRef
+}
+
+// equalsCold runs c and returns the run for the caller's own checks.
 func equalsCold(t *testing.T, c coldCase) *coldRun {
 	t.Helper()
-	r := &coldRun{coldCase: c, lists: make(map[scout.ObjectID][2][]scout.Rule), dropped: make(map[scout.ObjectID]bool)}
-	if r.fabric == nil {
-		r.fabric = seeded(11)
+	if c.fabric == nil {
+		c.fabric = seeded(11)
 	}
-	if r.state == nil {
-		r.state = func(_ testing.TB, f *scout.Fabric) scout.State { return fabricState(f) }
+	if c.state == nil {
+		c.state = func(_ testing.TB, f *scout.Fabric) scout.State { return fabricState(f) }
 	}
-	if r.steps == nil {
-		r.steps = churn
+	if c.colds == nil {
+		c.colds = make(map[int][]byte)
 	}
-	if r.colds == nil {
-		r.colds = make(map[int][]byte)
-	}
-	r.dir = t.TempDir()
-	r.f = r.fabric(t)
-	r.epochs, r.events = scout.NewCollector(r.f, 2), r.f.EventLog().TailCursor()
-	r.queue = scout.NewEventQueue(scout.EventQueueOptions{Cap: 64, BatchSize: 3})
-	r.sess = newSession(t, r.f, scout.AnalyzerOptions{Workers: r.workers, UseProbes: r.probes})
+	r := newRun(c.fabric(t))
+	r.coldCase, r.dir = c, t.TempDir()
+	r.epochs, r.ws = scout.NewCollector(r.f, 2), warmStore(t, r.dir)
+	r.sess = newSession(t, r.f, scout.AnalyzerOptions{Workers: r.workers, UseProbes: r.probes, WarmStore: r.ws})
 	for r.round = 0; r.round <= len(r.steps); r.round++ {
-		if r.round > 0 && r.steps[r.round-1] != nil {
-			r.steps[r.round-1](t, r)
+		if r.round > 0 {
+			r.apply(t, r.steps[r.round-1])
 		}
-		st := r.state(t, r.f)
-		r.last = r.analyze(t, st)
-		if !bytes.Equal(marshalReport(t, r.last), r.cold(t, st)) {
-			t.Fatalf("step %d: the %s report differs from a cold analysis of the same state", r.round, r.entry)
+		if r.entry == viaRestart {
+			r.restart(t, 0, 0)
 		}
+		r.analyze(t)
 	}
-	if err := r.sess.Close(); err != nil {
-		t.Error(err)
+	r.close(t)
+	for _, h := range r.held {
+		if !slices.Equal(h.rule.Provenance, h.want) || len(h.orig) > 0 && &h.rule.Provenance[0] != &h.orig[0] {
+			t.Fatalf("provenance of %s was written: %v, compiled as %v", h.rule, h.rule.Provenance, h.want)
+		}
 	}
 	return r
 }
 
-// restart closes the case's session and opens a new one on its warm store,
-// which is all the new session holds.
-func (r *coldRun) restart(t *testing.T) {
-	t.Helper()
-	if err := r.sess.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r.sess = newSession(t, r.f, scout.AnalyzerOptions{Workers: r.workers, UseProbes: r.probes, WarmStore: warmStore(t, r.dir)})
-	r.stats, r.based = scout.SessionStats{}, nil
+func newRun(f *scout.Fabric) *coldRun {
+	return &coldRun{f: f, on: map[toggle]bool{}, removed: map[scout.ObjectID][]scout.Rule{},
+		cache: map[scout.ObjectID]verdict{}, seeded: map[uint64]bool{}, planned: map[scout.ObjectID]bool{},
+		good: map[string]map[scout.ObjectID]verdict{}, squat: map[string]bool{}, baseImg: map[string][]byte{},
+		heldDeps: map[*scout.Deployment]bool{}}
 }
 
-// invalidate drops switches' verdicts through Session.Invalidate, every
-// switch's when none are named; the next run must re-check them.
-func (r *coldRun) invalidate(switches ...scout.ObjectID) {
-	r.sess.Invalidate(switches...)
-	if len(switches) == 0 {
-		switches = switchesOf(r.f)
-	}
-	for _, sw := range switches {
-		r.dropped[sw] = true
+// mutate takes steps that touch only the fabric, analyzing nothing.
+func mutate(t testing.TB, f *scout.Fabric, steps []step) {
+	r := newRun(f)
+	for _, s := range steps {
+		r.apply(t, s)
 	}
 }
 
-// analyze hands st to the session through the case's entry point and
-// returns the step's report. ApplyEvents runs on each batch the queue cuts
-// from the step's events, then on an empty batch once the queue is drained:
-// the first run after a step checks every switch written since the
-// previous step, whatever the batch names, and later runs replay.
-func (r *coldRun) analyze(t *testing.T, st scout.State) *scout.Report {
-	t.Helper()
-	switch r.entry {
-	case viaRestart:
-		r.restart(t)
-		fallthrough
-	case viaAnalyze:
-		return r.run(t, st, r.sess.Analyze)
-	case viaEpoch:
-		e := r.epochs.Snapshot()
-		return r.run(t, st, func() (*scout.Report, error) { return r.sess.AnalyzeEpoch(e) })
-	case viaState:
-		return r.run(t, st, func() (*scout.Report, error) { return r.sess.AnalyzeState(st) })
+// switches are the fabric's switches that hold rules between endpoint
+// groups, ascending: one that hosts no endpoint holds only defaults.
+func (r *coldRun) switches() []scout.ObjectID {
+	d := r.f.Deployment()
+	return slices.DeleteFunc(switchesOf(r.f), func(sw scout.ObjectID) bool { return probesOf(d.BySwitch[sw]) == 0 })
+}
+
+// pick returns the x-th of ids, cyclically.
+func pick[T any](ids []T, x byte) T { return ids[int(x)%len(ids)] }
+
+// apply takes one step.
+func (r *coldRun) apply(t testing.TB, s step) {
+	f, sw := r.f, pick(r.switches(), s.x)
+	contract := func(x byte) scout.ObjectID { return pick(deployedIDs(f, object.KindContract), x) }
+	filter := func(x byte) scout.ObjectID {
+		ids := append(deployedIDs(f, object.KindFilter), r.added...)
+		slices.Sort(ids)
+		ids = slices.Compact(ids)
+		slices.Reverse(ids)
+		return pick(ids, x)
 	}
-	for _, ev := range r.events.Drain() {
-		if r.queue.Push(ev) {
-			r.apply(t, r.queue.Cut(r.f.Now()))
+	table := func() *tcam.TCAM {
+		w, err := f.Switch(sw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w.TCAM()
+	}
+	remove := func(gone []scout.Rule) {
+		keys := make([]scout.RuleKey, len(gone))
+		for i, x := range gone {
+			keys[i] = x.Key()
+		}
+		table().RemoveKeys(keys)
+		r.removed[sw] = append(r.removed[sw], gone...)
+	}
+	// flip toggles the op on the switch and reports whether it is now on.
+	flip := func() bool {
+		k := toggle{s.op, sw}
+		r.on[k] = !r.on[k]
+		return r.on[k]
+	}
+	var err error
+	switch s.op {
+	case opEvict:
+		_, err = f.EvictTCAM(sw, 1+int(s.y)%3)
+	case opCorrupt:
+		_, err = f.CorruptTCAM(sw, 1+int(s.y)/4%2, tcam.CorruptionField(1+s.y%4))
+	case opFault:
+		_, err = f.InjectObjectFault(scout.FilterRef(filter(s.x)), []float64{1, 0.5, 0.3}[s.y%3])
+	case opSilent:
+		rules := slices.DeleteFunc(slices.Clone(table().Rules()), func(x scout.Rule) bool { return probesOf([]scout.Rule{x}) == 0 })
+		if len(rules) > 0 {
+			remove([]scout.Rule{pick(rules, s.y)})
+		}
+	case opStrip:
+		rules := table().Rules()
+		remove(rules[min(int(s.y)%4, len(rules)):])
+	case opRestore:
+		table().InstallAll(r.removed[sw])
+		delete(r.removed, sw)
+	case opAgent:
+		if flip() {
+			err = f.CrashAgent(sw)
+		} else {
+			err = f.RestartAgent(sw)
+		}
+	case opLink:
+		if flip() {
+			err = f.Disconnect(sw)
+		} else {
+			err = f.Reconnect(sw)
+		}
+	case opAddFilter:
+		id := 64001 + scout.ObjectID(len(r.added))
+		r.added = append(r.added, id)
+		err = errors.Join(f.AddFilter(scout.Filter{ID: id, Name: "drawn", Entries: []scout.FilterEntry{
+			scout.PortEntry(scout.ProtoTCP, 9000+uint16(s.y)),
+		}}), f.AddFilterToContract(contract(s.x), id))
+	case opShare:
+		f.AddFilterToContract(contract(s.x), filter(s.y)) // refused when the contract has it
+	case opDetach:
+		if ids := filtersOf(f, contract(s.x)); len(ids) > 0 {
+			slices.Reverse(ids)
+			err = f.RemoveFilterFromContract(contract(s.x), pick(ids, s.y))
+		}
+	case opBind:
+		epgs := deployedIDs(f, object.KindEPG)
+		f.AddBinding(pick(epgs, s.x), pick(epgs, s.y), contract(s.x+s.y)) // refused when bound, or across VRFs
+	case opRevert:
+		c, id := contract(s.x), filter(s.y)
+		if f.AddFilterToContract(c, id) == nil {
+			err = f.RemoveFilterFromContract(c, id)
+		} else {
+			err = errors.Join(f.RemoveFilterFromContract(c, id), f.AddFilterToContract(c, id))
+		}
+	case opPoison:
+		if flip() {
+			table().InstallAll([]scout.Rule{badRule})
+		} else {
+			table().Remove(badRule.Key())
+		}
+	case opRedeploy:
+		err = f.Deploy()
+	case opInvalidate:
+		var named []scout.ObjectID
+		for i := 0; s.y > 0 && i <= int(s.y)%3; i++ {
+			named = append(named, pick(r.switches(), s.x+byte(i)))
+		}
+		r.sess.Invalidate(named...)
+		if len(named) == 0 {
+			clear(r.cache)
+		}
+		for _, sw := range named {
+			delete(r.cache, sw)
+		}
+	case opShrink:
+		scout.ResetCheckersOver(r.sess, 256)
+	case opRestart:
+		r.restart(t, s.x, s.y)
+	}
+	if err != nil {
+		t.Fatalf("step %d %+v: %v", r.round, s, err)
+	}
+}
+
+// filtersOf returns the deployed filters of a contract, ascending.
+func filtersOf(f *scout.Fabric, contract scout.ObjectID) []scout.ObjectID {
+	ids := make(map[scout.ObjectID]bool)
+	for _, refs := range f.Deployment().Provenance {
+		if slices.Contains(refs, scout.ContractRef(contract)) {
+			for _, ref := range refs {
+				if ref.Kind == object.KindFilter {
+					ids[ref.ID] = true
+				}
+			}
 		}
 	}
-	for b := r.queue.Cut(r.f.Now()); len(b.Switches) > 0; b = r.queue.Cut(r.f.Now()) {
-		r.apply(t, b)
-	}
-	return r.apply(t, scout.EventBatch{})
+	return sortedIDs(ids)
 }
 
-// apply runs ApplyEvents on one batch, which analyzes the fabric's state.
-func (r *coldRun) apply(t *testing.T, batch scout.EventBatch) *scout.Report {
-	t.Helper()
-	return r.run(t, fabricState(r.f), func() (*scout.Report, error) { return r.sess.ApplyEvents(batch) })
+// close closes the session, whose Close reports its first failed save.
+func (r *coldRun) close(t testing.TB) {
+	if err := r.sess.Close(); r.saveErr == "" && err != nil || r.saveErr != "" && (err == nil || !strings.Contains(err.Error(), r.saveErr)) {
+		t.Errorf("step %d: Close = %v, want the failed save of %q", r.round, err, r.saveErr)
+	}
+	r.saveErr = ""
 }
 
-// run calls analyze, which analyzes st, and checks the session's counters.
-func (r *coldRun) run(t *testing.T, st scout.State, analyze func() (*scout.Report, error)) *scout.Report {
-	t.Helper()
-	rep := mustReport(t, analyze)
-	before, now := r.stats, r.sess.Stats()
-	r.stats = now
-
-	stored := slices.ContainsFunc(r.stored, func(d *scout.Deployment) bool { return sameDeployment(d, st.Deployment) })
-	if !stored {
-		r.stored = append(r.stored, st.Deployment)
-	}
-	dirty, probes := 0, 0
-	for sw, tl := range st.TCAM {
-		l := st.Deployment.RulesFor(sw)
-		prev, seen := r.lists[sw]
-		if !seen || r.entry == viaRestart && !stored || r.dropped[sw] || slices.Contains(r.overCap, sw) ||
-			!sameRules(prev[0], l) || !sameRules(prev[1], tl) {
-			dirty++
-			probes += probesOf(l)
+// restart closes the session, harms store file x as harm%8 says, and opens
+// a session at worker count harm/8%4 (0 keeps it) on the store, which is
+// all the new session holds.
+func (r *coldRun) restart(t testing.TB, x, harm byte) {
+	r.close(t)
+	paths, _ := filepath.Glob(filepath.Join(r.dir, "*.scout"))
+	paths = slices.DeleteFunc(paths, func(path string) bool { return r.squat[filepath.Base(path)] })
+	if h := harm % 8; h >= harmFlip && h <= harmSquat && len(paths) > 0 {
+		path := pick(paths, x)
+		name := filepath.Base(path)
+		img, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
 		}
-		r.lists[sw] = [2][]scout.Rule{l, tl}
-	}
-	clear(r.dropped)
-	if c, p := now.Checked-before.Checked, now.Replayed-before.Replayed; c != dirty || p != len(st.TCAM)-dirty {
-		t.Errorf("step %d: checked %d and replayed %d switches, want %d of %d checked", r.round, c, p, dirty, len(st.TCAM))
-	}
-	if got := now.OverCap - before.OverCap; got != len(r.overCap) {
-		t.Errorf("step %d: %d reports over the cap, want %d", r.round, got, len(r.overCap))
-	}
-
-	built, loaded := 0, 0
-	if r.probes {
-		if got := now.ProbePacketsBatched - before.ProbePacketsBatched; got != probes {
-			t.Errorf("step %d: %d probe packets, want %d", r.round, got, probes)
+		switch h {
+		case harmFlip:
+			img[len(img)/2] ^= 1
+		case harmCut:
+			img = img[:len(img)/2]
+		case harmV1:
+			img = asCodecV1(img)
+		case harmSquat:
+			r.squat[name] = true
+			err = errors.Join(os.Remove(path), os.Mkdir(path, 0o755))
 		}
-	} else if !sameDeployment(r.based, st.Deployment) {
-		r.based = st.Deployment
-		if r.entry == viaRestart && stored {
+		if h != harmSquat {
+			err = os.WriteFile(path, img, 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		delete(r.good, name)
+	}
+	r.workers = []int{r.workers, 1, 2, 0}[harm/8%4]
+	r.ws, r.lost = warmStore(t, r.dir), false
+	r.sess = newSession(t, r.f, scout.AnalyzerOptions{Workers: r.workers, UseProbes: r.probes, WarmStore: r.ws})
+	if harm%8 == harmLoseIt {
+		if err := os.RemoveAll(r.dir); err != nil {
+			t.Fatal(err)
+		}
+		r.lost = true
+		clear(r.good)
+		clear(r.squat)
+	}
+	r.want, r.dep = scout.SessionStats{}, nil
+	clear(r.cache)
+	clear(r.seeded)
+	clear(r.planned)
+}
+
+// save models a store save: it fails on a lost directory or a squatted
+// name, and the session's first failure is what Close reports.
+func (r *coldRun) save(name string, entries map[scout.ObjectID]verdict) {
+	if r.lost || r.squat[name] {
+		if r.saveErr == "" {
+			r.saveErr = name
+		}
+		return
+	}
+	r.good[name] = entries
+}
+
+// verdictFile names the session's verdict file for a deployment fingerprint.
+func (r *coldRun) verdictFile(fp uint64) string {
+	return fmt.Sprintf("%s-%016x.scout", map[bool]string{false: "checks", true: "probes"}[r.probes], fp)
+}
+
+// resolve brings the model in step with the run's deployment, as
+// Session.run does before it checks anything, and returns how many bases
+// the run builds and loads. A new deployment pointer rebuilds the risk
+// models; new content loads its base if the store holds it whole and builds
+// and saves it otherwise, and seeds the verdicts of its file the session has
+// not read yet into the switches the cache holds nothing for.
+func (r *coldRun) resolve(d *scout.Deployment) (built, loaded int) {
+	if d == r.dep {
+		return 0, 0
+	}
+	clear(r.planned)
+	r.hold(d)
+	_, fp := equiv.DeploymentFingerprints(d.BySwitch)
+	fresh := r.dep == nil || fp != r.fp
+	r.dep, r.fp = d, fp
+	if !fresh {
+		return 0, 0
+	}
+	r.sem = make(map[uint64]bool)
+	for _, rules := range d.BySwitch {
+		r.sem[equiv.SemanticsFingerprint(rules)] = true
+	}
+	if name := fmt.Sprintf("base-%016x.scout", fp); !r.probes {
+		if _, ok := r.good[name]; ok {
 			loaded = 1
 		} else {
 			built = 1
+			r.save(name, map[scout.ObjectID]verdict{})
 		}
 	}
-	if b, l := now.BaseRebuilds-before.BaseRebuilds, now.BaseLoads-before.BaseLoads; b != built || l != loaded || (rep.EncodeStats == nil) != r.probes {
-		t.Errorf("step %d: %d bases built and %d loaded, want %d and %d (encode stats: %v)", r.round, b, l, built, loaded, rep.EncodeStats != nil)
+	if !r.seeded[fp] {
+		r.seeded[fp] = true
+		for sw, v := range r.good[r.verdictFile(fp)] {
+			if _, ok := r.cache[sw]; !ok {
+				r.cache[sw] = v
+			}
+		}
+	}
+	return built, loaded
+}
+
+// hold records the provenance of d's rules, once per deployment.
+func (r *coldRun) hold(d *scout.Deployment) {
+	if r.heldDeps[d] {
+		return
+	}
+	r.heldDeps[d] = true
+	for _, rules := range d.BySwitch {
+		for i := range rules {
+			r.held = append(r.held, heldRule{&rules[i], rules[i].Provenance, slices.Clone(rules[i].Provenance)})
+		}
+	}
+}
+
+// analyze runs the session on the fabric's state through the case's entry
+// point and holds the run to the cold analysis and the model.
+func (r *coldRun) analyze(t *testing.T) {
+	t.Helper()
+	st := fabricState(r.f)
+	if r.entry == viaState {
+		st = r.state(t, r.f)
+	}
+	want := r.cold(t, st)
+	built, loaded := r.resolve(st.Deployment)
+	var rep *scout.Report
+	var err error
+	switch r.entry {
+	case viaEpoch:
+		rep, err = r.sess.AnalyzeEpoch(r.epochs.Snapshot())
+	case viaState:
+		rep, err = r.sess.AnalyzeState(st)
+	default:
+		rep, err = r.sess.Analyze()
+	}
+	got := []byte(fmt.Sprint("error: ", err))
+	if err != nil && rep != nil {
+		t.Fatalf("step %d: a failed run returned a report", r.round)
+	} else if err == nil {
+		got, r.last = marshalReport(t, rep), rep
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("step %d: the %s report differs from a cold analysis of the same state:\n%.300s\n%.300s", r.round, r.entry, got, want)
 	}
 
-	return rep
+	// The session's counters, as the model says. A switch replays if the
+	// cache holds a verdict for its lists, and otherwise is checked and
+	// cached unless its report is over the cap.
+	exp, checked, compiles, reuses := &r.want, 0, 0, 0
+	exp.BaseRebuilds, exp.BaseLoads = exp.BaseRebuilds+built, exp.BaseLoads+loaded
+	for i := 0; err == nil && i < len(rep.Switches); i++ {
+		sr := rep.Switches[i]
+		l, tl := st.Deployment.RulesFor(sr.Switch), st.TCAM[sr.Switch]
+		if v, ok := r.cache[sr.Switch]; ok && sameRules(v[0], l) && sameRules(v[1], tl) {
+			exp.Replayed++
+			continue
+		}
+		checked++
+		if len(sr.MissingRules)+len(sr.ExtraRules) > 4096 {
+			exp.OverCap++
+			delete(r.cache, sr.Switch)
+		} else {
+			r.cache[sr.Switch] = verdict{l, tl}
+		}
+		if r.probes {
+			exp.ProbePacketsBatched += probesOf(l)
+		} else if r.sem[equiv.SemanticsFingerprint(tl)] { // both lists fold from the base
+			exp.FoldHits += 2
+		} else {
+			exp.FoldHits, exp.FoldMisses = exp.FoldHits+1, exp.FoldMisses+1
+		}
+	}
+	if err == nil {
+		compiles, reuses = r.plans(rep)
+		exp.Runs, exp.Checked = exp.Runs+1, exp.Checked+checked
+		exp.PlanCompiles, exp.PlanReuses = exp.PlanCompiles+compiles, exp.PlanReuses+reuses
+		if checked > 0 {
+			r.save(r.verdictFile(r.fp), maps.Clone(r.cache))
+		}
+	}
+	now := r.sess.Stats()
+	kept := now // the counters the model keeps: gauges and resets aside
+	kept.CheckerCompactions, kept.CheckerResets, kept.BaseNodes, kept.DeltaNodes, kept.BaseSemantics = 0, 0, 0, 0, 0
+	if kept != *exp {
+		t.Fatalf("step %d: the session counted\n%+v, want\n%+v", r.round, kept, *exp)
+	}
+	if err != nil {
+		return
+	}
+	r.counts = append(r.counts, fmt.Sprintf("%+v %+v", now, rep.EncodeStats))
+	if ls := rep.LocalizeStats; (ls == nil) != rep.Consistent || ls != nil && (ls.PlanCompiles != int64(compiles) || ls.PlanReuses != int64(reuses)) {
+		t.Fatalf("step %d: the report's localization counters %+v, want %d compiles and %d reuses", r.round, ls, compiles, reuses)
+	}
+	if (rep.EncodeStats == nil) != r.probes || !r.probes && now.BaseSemantics != len(r.sem) {
+		t.Fatalf("step %d: encode stats %+v and %d frozen roots, want %d", r.round, rep.EncodeStats, now.BaseSemantics, len(r.sem))
+	}
+	// A base file is a function of the deployment: every build writes the
+	// same image.
+	if name := fmt.Sprintf("base-%016x.scout", r.fp); built == 1 && r.good[name] != nil {
+		img, err := os.ReadFile(filepath.Join(r.dir, name))
+		if first, ok := r.baseImg[name]; err != nil || ok && !bytes.Equal(img, first) {
+			t.Fatalf("step %d: the rebuilt %s differs from the first one written (%v)", r.round, name, err)
+		}
+		r.baseImg[name] = img
+	}
+}
+
+// plans models the plan cache: a run localizes the controller and every
+// broken switch, each on a plan its model compiles on first use. Switch 0,
+// which no fabric has, stands for the controller.
+func (r *coldRun) plans(rep *scout.Report) (compiles, reuses int) {
+	for _, sr := range append([]scout.SwitchReport{{}}, rep.Switches...) {
+		if !rep.Consistent && (sr.Switch == 0 || !sr.Equivalent) {
+			if r.planned[sr.Switch] {
+				reuses++
+			} else {
+				compiles++
+			}
+			r.planned[sr.Switch] = true
+		}
+	}
+	return compiles, reuses
 }
 
 // cold is the JSON of a one-shot serial analysis of st, or in probe mode of
-// the fabric; after a nil step it is the previous step's. It checks the
-// analysis too: the baseline's is inconsistent, or every comparison is
-// vacuous, and the final state's TCAM analysis is refAnalyze's.
+// the fabric, or its error; after a step that leaves the fabric alone it is
+// the previous step's. The analysis is handed the case's store and must
+// leave every file as it found it; the baseline's must be inconsistent
+// unless the case is clean, or every comparison is vacuous; the final
+// state's TCAM analysis, if the state is new, is refAnalyze's.
 func (r *coldRun) cold(t *testing.T, st scout.State) []byte {
 	t.Helper()
 	if want, ok := r.colds[r.round]; ok {
 		return want
 	}
 	analyze := func(probes bool) []byte {
-		a := scout.NewAnalyzer(scout.AnalyzerOptions{Workers: 1, UseProbes: probes})
+		image := storeImage(r.dir)
+		a := scout.NewAnalyzer(scout.AnalyzerOptions{Workers: 1, UseProbes: probes, WarmStore: r.ws})
 		rep, err := a.AnalyzeState(st)
 		if probes {
 			rep, err = a.Analyze(r.f)
 		}
-		if err != nil {
-			t.Fatal(err)
+		if !maps.Equal(image, storeImage(r.dir)) {
+			t.Fatalf("step %d: a one-shot analysis handed the store changed it", r.round)
 		}
-		if r.round == 0 && rep.Consistent {
-			t.Fatal("the faulty fabric analyzed consistent; the comparison is vacuous")
+		if err != nil {
+			return []byte(fmt.Sprint("error: ", err))
+		}
+		if r.round == 0 && rep.Consistent != r.clean {
+			t.Fatalf("the fabric analyzed consistent: %v, want %v", rep.Consistent, r.clean)
+		}
+		if frozen, unwarmed := expectedFolds(st); !probes && (rep.EncodeStats.BaseSemantics != frozen || rep.EncodeStats.FoldMisses != unwarmed) {
+			t.Fatalf("step %d: a cold run froze %d roots and folded %d lists, want %d and %d",
+				r.round, rep.EncodeStats.BaseSemantics, rep.EncodeStats.FoldMisses, frozen, unwarmed)
 		}
 		return marshalReport(t, rep)
 	}
-	want := r.colds[r.round-1]
-	if r.round == 0 || r.steps[r.round-1] != nil {
+	want, fresh := r.colds[r.round-1], r.round == 0 || r.steps[r.round-1].touchesFabric()
+	if fresh {
 		want = analyze(r.probes)
 	}
-	if r.round == len(r.steps) {
+	if r.round == len(r.steps) && fresh {
 		tcam := want
 		if r.probes {
 			tcam = analyze(false)
 		}
-		if !bytes.Equal(tcam, marshalReport(t, refAnalyze(t, st))) {
+		if !bytes.HasPrefix(tcam, []byte("error: ")) && !bytes.Equal(tcam, marshalReport(t, refAnalyze(t, st))) {
 			t.Error("the cold analysis of the final state differs from the serial reference pipeline")
 		}
 	}
@@ -384,14 +693,32 @@ func (r *coldRun) cold(t *testing.T, st scout.State) []byte {
 	return want
 }
 
+// storeImage is each store file's size and mtime, which a save or a load changes.
+func storeImage(dir string) map[string]string {
+	img := make(map[string]string)
+	entries, _ := os.ReadDir(dir)
+	for _, e := range entries {
+		if info, err := e.Info(); err == nil {
+			img[e.Name()] = fmt.Sprint(info.Size(), info.ModTime().UnixNano())
+		}
+	}
+	return img
+}
+
+// asCodecV1 reframes a warm-store file image as codec version 1 framed
+// it: version 1 in the header, under a fresh checksum. The decoder must
+// refuse it before it reads the payload, whose layout version 1 differs in.
+func asCodecV1(img []byte) []byte {
+	body := append([]byte(nil), img[:len(img)-8]...)
+	binary.LittleEndian.PutUint32(body[4:], 1)
+	h := fnv.New64a()
+	h.Write(body)
+	return binary.LittleEndian.AppendUint64(body, h.Sum64())
+}
+
 // sameRules reports whether two rule lists have equal content.
 func sameRules(a, b []scout.Rule) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0] || reflect.DeepEqual(a, b))
-}
-
-// sameDeployment reports whether two deployments compile to equal lists.
-func sameDeployment(a, b *scout.Deployment) bool {
-	return a != nil && (a == b || reflect.DeepEqual(a.BySwitch, b.BySwitch))
 }
 
 // probesOf counts the probes a round sends a switch with logical list l:
@@ -409,22 +736,27 @@ func probesOf(l []scout.Rule) int {
 // modes names the observation sources.
 var modes = map[bool]string{false: "tcam", true: "probes"}
 
-// TestEveryEntryPointEqualsCold states the three-entry-points-over-one-core
-// claim once: churn analyzed through each entry point, through the batches
-// an event queue cuts, and through a restart before every step, equals a
-// serial cold analysis at every worker count, in TCAM and probe mode. Probe
-// mode refuses the snapshot entry points, which hand it no dataplane.
+// TestEveryEntryPointEqualsCold states the entry-points-over-one-core claim
+// once: the tour analyzed through each entry point, and through a restart
+// before every step, equals a serial cold analysis at every worker count,
+// in TCAM and probe mode. Probe mode refuses the snapshot entry points,
+// which hand it no dataplane.
 func TestEveryEntryPointEqualsCold(t *testing.T) {
 	t.Parallel()
 	for _, probes := range []bool{false, true} {
 		colds := make(map[int][]byte)
-		for _, e := range []entry{viaAnalyze, viaEpoch, viaEvents, viaState, viaRestart} {
+		for _, e := range []entry{viaAnalyze, viaEpoch, viaState, viaRestart} {
 			if probes && (e == viaEpoch || e == viaState) {
 				continue
 			}
 			for i, workers := range slices.Compact([]int{1, 2, runtime.NumCPU(), 0, -3}) {
 				t.Run(fmt.Sprintf("%s/%s/workers=%d", e, modes[probes], workers), func(t *testing.T) {
-					c := coldCase{entry: e, workers: workers, probes: probes, colds: colds}
+					c := coldCase{steps: tour, entry: e, workers: workers, probes: probes, colds: colds}
+					if workers <= 0 {
+						// 0 and -3 resolve to counts toured already: the
+						// resolution is what is left to check.
+						c.steps = tour[:6]
+					}
 					if e != viaAnalyze || i > 0 {
 						// The first case of a mode fills colds alone; the
 						// rest read a copy of it, in parallel.
@@ -438,9 +770,52 @@ func TestEveryEntryPointEqualsCold(t *testing.T) {
 	}
 }
 
+// sessionSeed is FuzzSession's input for a case: a header byte, and steps.
+func sessionSeed(probes bool, e entry, workers byte, steps ...step) []byte {
+	data := []byte{byte(e)<<1 | workers<<3 | map[bool]byte{true: 1}[probes]}
+	for _, s := range steps {
+		data = append(data, byte(s.op), s.x, s.y)
+	}
+	return data
+}
+
+// FuzzSession runs the fuzzer's bytes as a case on faultyFabric at seed 11:
+// the first byte picks probe mode, the entry point and the worker count
+// (1, 2, 3, 0 or -3), and every three after it a step, sixteen at most.
+func FuzzSession(f *testing.F) {
+	for _, seed := range [][]byte{
+		sessionSeed(true, viaAnalyze, 1, tour[:8]...),
+		// Invalidate(a, b) drops both verdicts.
+		sessionSeed(false, viaEpoch, 1, step{opInvalidate, 1, 1}),
+		// New content discards the old base's checker forks with it.
+		sessionSeed(false, viaAnalyze, 1, step{opAddFilter, 0, 0}),
+		// A verdict file seeds only the switches the cache holds nothing
+		// for: switch 4, which the rollout misses, keeps its newer verdict.
+		sessionSeed(false, viaAnalyze, 0, step{opAddFilter, 0, 0}, step{opRestart, 0, 0},
+			step{opEvict, 3, 0}, step{opDetach, 0, 0}),
+		sessionSeed(true, viaAnalyze, 2, step{opAddFilter, 0, 0}, step{opRestart, 0, 0},
+			step{opSilent, 3, 0}, step{opDetach, 0, 0}),
+		// Every harm before a restart.
+		sessionSeed(false, viaAnalyze, 2, step{opRestart, 0, harmCut}, step{opRestart, 1, harmSquat},
+			step{opEvict, 0, 0}, step{opRestart, 0, harmLoseIt}, step{opRestart, 0, 8 + harmFlip}),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c := oracle.FromBytes(data)
+		h := c.Byte()
+		e, probes := entry(h>>1%4), h&1 == 1
+		if probes && (e == viaEpoch || e == viaState) {
+			e = viaAnalyze
+		}
+		equalsCold(t, coldCase{entry: e, probes: probes, workers: []int{1, 2, 3, 0, -3}[h>>3%5],
+			steps: drawSteps(c, min(max(len(data)-1, 0)/3, 16))})
+	})
+}
+
 // TestMetamorphic holds Algorithm 1's answer to properties of its input
-// rather than to a reference. Each side of a property is a harness case,
-// and the property compares the cases' reports.
+// rather than to a reference, on states a seed draws. Each side of a
+// property is a case, and the property compares the cases' reports.
 func TestMetamorphic(t *testing.T) {
 	t.Parallel()
 	const seed = 7
@@ -449,7 +824,7 @@ func TestMetamorphic(t *testing.T) {
 		t.Fatal(err)
 	}
 	filters := sortedIDs(pol.Filters)
-	// analyze returns the report of a baseline-only case: pol deployed on
+	// analyze returns the report of a case analyzed once: pol deployed on
 	// tp, then faults.
 	analyze := func(t *testing.T, pol *scout.Policy, tp *scout.Topology, faults func(testing.TB, *scout.Fabric), probes bool) *scout.Report {
 		t.Helper()
@@ -457,12 +832,14 @@ func TestMetamorphic(t *testing.T) {
 			f := deployed(t, pol, tp, scout.FabricOptions{Seed: seed})
 			faults(t, f)
 			return f
-		}, steps: baselineOnly, probes: probes}).last
+		}, probes: probes}).last
 	}
-	// The side most properties leave alone: faults of missing rules only,
-	// or with injectFaults' corruption too.
-	missing := func(t testing.TB, f *scout.Fabric) { missingFaults(t, f, 0.5) }
-	withMissing, withAll := analyze(t, pol, topology, missing, false), analyze(t, pol, topology, injectFaults, false)
+	// The side most properties leave alone: drawn faults of missing rules
+	// only — object faults, and probed rules removed — or of any kind.
+	missingOnly, anyFault := drawn(seed, 6, opFault, opSilent), drawn(seed, 8, opFault, opSilent, opEvict, opCorrupt)
+	missing := func(t testing.TB, f *scout.Fabric) { mutate(t, f, missingOnly) }
+	faulty := func(t testing.TB, f *scout.Fabric) { mutate(t, f, anyFault) }
+	withMissing, withAll := analyze(t, pol, topology, missing, false), analyze(t, pol, topology, faulty, false)
 	same := func(t *testing.T, a, b *scout.Report, change string) {
 		t.Helper()
 		if !bytes.Equal(marshalReport(t, a), marshalReport(t, b)) {
@@ -491,7 +868,7 @@ func TestMetamorphic(t *testing.T) {
 	t.Run("install-order", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		same(t, withAll, analyze(t, pol, topology, func(t testing.TB, f *scout.Fabric) {
-			injectFaults(t, f)
+			faulty(t, f)
 			for _, sw := range topology.Switches() {
 				s, err := f.Switch(sw)
 				if err != nil {
@@ -521,7 +898,7 @@ func TestMetamorphic(t *testing.T) {
 				reversed.Attach(epg, sw)
 			}
 		}
-		same(t, withAll, analyze(t, pol, reversed, injectFaults, false), "registering the switches and their EPGs in reverse")
+		same(t, withAll, analyze(t, pol, reversed, faulty, false), "registering the switches and their EPGs in reverse")
 	})
 
 	t.Run("consistent-switch", func(t *testing.T) {
@@ -542,10 +919,8 @@ func TestMetamorphic(t *testing.T) {
 		grown := scout.FilterRef(filters[1])
 		faults := func(fraction float64) func(testing.TB, *scout.Fabric) {
 			return func(t testing.TB, f *scout.Fabric) {
+				mutate(t, f, drawn(seed, 4, opEvict, opSilent))
 				if _, err := f.InjectObjectFault(scout.FilterRef(filters[0]), 1); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := f.EvictTCAM(topology.Switches()[0], 3); err != nil {
 					t.Fatal(err)
 				}
 				if n, err := f.InjectObjectFault(grown, fraction); err != nil || n == 0 {
@@ -589,7 +964,7 @@ func TestMetamorphic(t *testing.T) {
 		t.Skip("ROADMAP 1(c): Compile keeps the first binding's provenance in the map and the sort's in the list")
 		reversed := pol.Clone()
 		slices.Reverse(reversed.Bindings)
-		same(t, withAll, analyze(t, reversed, topology, injectFaults, false), "binding the contracts in reverse")
+		same(t, withAll, analyze(t, reversed, topology, faulty, false), "binding the contracts in reverse")
 	})
 }
 

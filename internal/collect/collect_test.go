@@ -21,8 +21,10 @@ import (
 // generated from an oracle.Choices, with the fabric's event log as the
 // record of which switches were written. After every step every epoch the
 // run holds must equal its rules as collected; after a collection the new
-// epoch must equal the fabric's state where it read it and share the
-// previous epoch's slice where it did not or nothing was written, and
+// epoch must equal the fabric's state where it read it (a switch named
+// twice is read once) and share the previous epoch's slice where it did
+// not or nothing was written, a partial one naming a switch the fabric
+// lacks must fail and leave the latest epoch as it was, and
 // DirtySwitches and Diff against every held epoch — sometimes with a
 // switch dropped from a copy of one, or a list reversed — must agree with
 // a slice and key-set comparison. Each test is a case: a seed range and
@@ -80,13 +82,26 @@ func runCollect(t *testing.T, seeds int64, steps int, ops ...op) {
 			case opSnapshot:
 				e, read = col.Snapshot(), sws
 			case opPartial:
+				// A switch may be named twice, and one time in four the
+				// list names a switch the fabric lacks, which fails the
+				// epoch unless there is none to build on.
 				for _, sw := range sws {
-					if c.Chance(2) {
+					for n := c.Intn(3); n > 0; n-- {
 						read = append(read, sw)
 					}
 				}
+				named, unknown := slices.Clip(read), c.Chance(4)
+				if unknown {
+					named = append(named, 1<<20)
+				}
 				var err error
-				if e, err = col.SnapshotSwitches(read); err != nil {
+				if e, err = col.SnapshotSwitches(named); unknown && len(held) > 0 {
+					if err == nil || e != nil || col.last != held[len(held)-1] {
+						t.Fatalf("%s: a partial epoch naming an unknown switch returned %v, %v", label, e, err)
+					}
+					continue
+				}
+				if err != nil {
 					t.Fatal(err)
 				}
 				if len(held) == 0 {
@@ -208,6 +223,9 @@ func absent(from, to []rule.Rule) []rule.Rule {
 func TestSnapshotAndHistory(t *testing.T)        { runCollect(t, 2, 6, opSnapshot) }
 func TestSnapshotSwitchesNoHistory(t *testing.T) { runCollect(t, 4, 3, opPartial, opEvict) }
 func TestSnapshotSwitchesAliases(t *testing.T)   { runCollect(t, 8, 30, opPartial, opEvict, opCorrupt) }
+func TestSnapshotSwitchesCountsWhatItRead(t *testing.T) {
+	runCollect(t, 8, 20, opPartial, opEvict)
+}
 func TestCleanSnapshotSharesSlices(t *testing.T) {
 	runCollect(t, 8, 30, opSnapshot, opSnapshot, opEvict)
 }

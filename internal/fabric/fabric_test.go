@@ -146,6 +146,28 @@ func TestDisconnectBlocksUpdatesAndLogsFault(t *testing.T) {
 	}
 }
 
+// TestFabricEmitsEvents: the monitoring plane sees each kind of write,
+// silent faults included, through the runner's per-step event check.
+func TestFabricEmitsEvents(t *testing.T) {
+	h := deployed(t, Options{Seed: 3})
+	for _, sw := range []object.ID{1, 2} {
+		h.must("disconnect", func(f *Fabric) error { return f.Disconnect(sw) })
+		h.must("reconnect", func(f *Fabric) error { return f.Reconnect(sw) })
+		h.do("evict", func(f *Fabric) (any, error) { return f.EvictTCAM(sw, 1) })
+		h.do("corrupt", func(f *Fabric) (any, error) { return f.CorruptTCAM(sw, 1, tcam.CorruptDstEPG) })
+	}
+	seq := h.f.events.LastSeq()
+	h.do("fault", func(f *Fabric) (any, error) { return f.InjectObjectFault(object.Filter(700), 1) })
+	if len(h.changed) == 0 {
+		t.Error("the object fault replaced no snapshot; the case is vacuous")
+	}
+	for _, ev := range h.f.events.Since(seq) {
+		if ev.Kind != faultlog.EventTCAMChange {
+			t.Errorf("the object fault emitted %+v, want TCAM changes only", ev)
+		}
+	}
+}
+
 func TestAgentCrashQueuesPendingRules(t *testing.T) {
 	h := deployed(t, Options{Seed: 1})
 	h.must("crash", func(f *Fabric) error { return f.CrashAgent(3) })

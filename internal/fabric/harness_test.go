@@ -7,7 +7,9 @@ package fabric
 // corruption, eviction, deploys and rules planted through Switch.TCAM.
 // After every step check holds the twins to each other in everything a
 // step can touch, and f to the event contract: the step's TCAM-change
-// events name exactly the switches whose snapshot it replaced, once each.
+// events name exactly the switches whose snapshot it replaced, and its
+// link events those whose control channel went down or up, once each,
+// every event numbered past the step's first.
 
 import (
 	"errors"
@@ -106,7 +108,10 @@ func newTwins(t *testing.T, p *policy.Policy, tp *topo.Topology, opts Options) *
 func (h *twins) do(label string, op func(*Fabric) (any, error)) (any, error) {
 	t, f := h.t, h.f
 	t.Helper()
-	before := f.CollectAll()
+	before, reachable := f.CollectAll(), make(map[object.ID]bool)
+	for sw, s := range f.switches {
+		reachable[sw] = s.reachable
+	}
 	seq, pol, at := f.events.LastSeq(), f.pol.Clone(), f.Now()
 	var got, want any
 	var err, refErr error
@@ -124,10 +129,16 @@ func (h *twins) do(label string, op func(*Fabric) (any, error)) (any, error) {
 	}
 	h.check(label)
 	h.changed = h.changed[:0]
-	named := make(map[object.ID]int)
+	named, links := make(map[object.ID]int), make(map[object.ID]int)
 	for _, ev := range f.events.Since(seq) {
-		if ev.Kind == faultlog.EventTCAMChange {
+		if ev.Seq <= seq {
+			t.Fatalf("%s: event %+v has no sequence number past %d", label, ev, seq)
+		}
+		switch ev.Kind {
+		case faultlog.EventTCAMChange:
 			named[ev.Switch]++
+		case faultlog.EventLink:
+			links[ev.Switch]++
 		}
 	}
 	for _, sw := range f.topology.Switches() {
@@ -137,6 +148,9 @@ func (h *twins) do(label string, op func(*Fabric) (any, error)) (any, error) {
 		}
 		if replaced && named[sw] != 1 || !replaced && named[sw] != 0 {
 			t.Fatalf("%s: switch %d: %d TCAM-change events, and its snapshot replaced: %v", label, sw, named[sw], replaced)
+		}
+		if flipped := reachable[sw] != f.switches[sw].reachable; flipped && links[sw] != 1 || !flipped && links[sw] != 0 {
+			t.Fatalf("%s: switch %d: %d link events, and its control channel changed: %v", label, sw, links[sw], flipped)
 		}
 	}
 	return got, err

@@ -16,8 +16,9 @@ import (
 // per-round candidate rescan with the incrementally-maintained alive
 // counters: a risk is a candidate iff aliveFailed > 0 (some pending
 // observation has a failed edge to it), has hit ratio 1 iff
-// aliveFailed == aliveDeps, and its coverage is aliveFailed itself.
-func planScout(p *plan, o *risk.Overlay, oracle ChangeOracle) *Result {
+// aliveFailed == aliveDeps, and its coverage is aliveFailed itself. The
+// stages' times are added to st.
+func planScout(p *plan, o *risk.Overlay, oracle ChangeOracle, st *EngineStats) *Result {
 	start := time.Now()
 	rv := newRunView(p, o)
 	res := &Result{}
@@ -60,7 +61,7 @@ func planScout(p *plan, o *risk.Overlay, oracle ChangeOracle) *Result {
 		step.Coverage = pendingBefore - rv.pendingCount
 		res.Steps = append(res.Steps, step)
 	}
-	engineCounters.stage1Nanos.Add(int64(time.Since(start)))
+	st.Stage1 += time.Since(start)
 
 	// Stage two: explain leftovers via the change log, walking pending in
 	// ascending element order so the oracle call sequence is
@@ -84,7 +85,7 @@ func planScout(p *plan, o *risk.Overlay, oracle ChangeOracle) *Result {
 			}
 		})
 		object.SortRefs(res.ChangeLogPicks)
-		engineCounters.stage2Nanos.Add(int64(time.Since(start)))
+		st.Stage2 += time.Since(start)
 	}
 
 	res.Hypothesis = hypothesis.Sorted()

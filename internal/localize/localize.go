@@ -105,8 +105,18 @@ type Result struct {
 // oracle supplies the change-log lookup for stage two; pass NoChanges{} to
 // disable it. m must be a *risk.Model or a *risk.Overlay.
 func Scout(m risk.View, oracle ChangeOracle) *Result {
-	p, o := planFor(m)
-	return planScout(p, o, oracle)
+	res, _ := ScoutWithStats(m, oracle)
+	return res
+}
+
+// ScoutWithStats is Scout, and also returns the call's own engine counters:
+// whether it compiled m's plan or reused it, and its stage times.
+func ScoutWithStats(m risk.View, oracle ChangeOracle) (*Result, EngineStats) {
+	var st EngineStats
+	p, o := planFor(m, &st)
+	res := planScout(p, o, oracle, &st)
+	addTotals(st)
+	return res, st
 }
 
 // Score runs the SCORE baseline with the given hit-ratio threshold
@@ -114,7 +124,9 @@ func Scout(m risk.View, oracle ChangeOracle) *Result {
 // computed once on the full model; eligible risks are greedily selected by
 // residual coverage until no eligible risk explains a new observation.
 func Score(m risk.View, threshold float64) *Result {
-	p, o := planFor(m)
+	var st EngineStats
+	p, o := planFor(m, &st)
+	addTotals(st)
 	return planScore(p, o, threshold)
 }
 

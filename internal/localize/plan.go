@@ -155,24 +155,26 @@ func compilePlan(m *risk.Model) *plan {
 // reuses) its own plan; an *Overlay reuses its base's plan plus a per-run
 // delta. Those are the tree's only two View implementations; handing the
 // engine anything else is a programming error.
-func planFor(v risk.View) (*plan, *risk.Overlay) {
+func planFor(v risk.View, st *EngineStats) (*plan, *risk.Overlay) {
 	switch m := v.(type) {
 	case *risk.Model:
-		return modelPlan(m), nil
+		return modelPlan(m, st), nil
 	case *risk.Overlay:
-		return modelPlan(m.Base()), m
+		return modelPlan(m.Base(), st), m
 	}
 	panic(fmt.Sprintf("localize: no compiled plan for view type %T", v))
 }
 
-func modelPlan(m *risk.Model) *plan {
+// modelPlan returns m's cached plan, or compiles and caches one, and
+// counts which in st.
+func modelPlan(m *risk.Model, st *EngineStats) *plan {
 	if p, ok := m.CachedPlan().(*plan); ok {
-		engineCounters.planReuses.Add(1)
+		st.PlanReuses++
 		return p
 	}
 	p := compilePlan(m)
 	m.StorePlan(p)
-	engineCounters.planCompiles.Add(1)
+	st.PlanCompiles++
 	return p
 }
 

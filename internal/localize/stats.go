@@ -1,14 +1,13 @@
-// Process-wide engine counters. The compiled-plan engine is invoked from
-// concurrent per-switch workers, so the counters are atomics; callers
-// that want per-run numbers (the analyzer, sessions, benchmarks) snapshot
-// before and after and diff. Under the normal serialized run loop the
-// delta attributes cleanly to the run; overlapping analyses in one
-// process share the totals, which is fine for diagnostics.
+// Engine counters. Every Scout or Score call counts its own plan compile or
+// reuse and stage times; ScoutWithStats hands them to its caller, so a run
+// that sums its own calls counts its own work whatever else runs beside
+// it. Each call also adds its counts to process-wide totals, and a delta of
+// two snapshots counts every call that fell between them, from any caller.
 
 package localize
 
 import (
-	"sync/atomic"
+	"sync"
 	"time"
 )
 
@@ -30,18 +29,33 @@ type EngineStats struct {
 	Stage2 time.Duration
 }
 
-var engineCounters struct {
-	planCompiles, planReuses atomic.Int64
-	stage1Nanos, stage2Nanos atomic.Int64
+// totals sums every call's counters, for StatsSnapshot.
+var totals struct {
+	sync.Mutex
+	EngineStats
+}
+
+// addTotals adds one call's counters to the process-wide totals.
+func addTotals(st EngineStats) {
+	totals.Lock()
+	defer totals.Unlock()
+	totals.EngineStats = totals.Add(st)
 }
 
 // StatsSnapshot returns the engine's cumulative counters.
 func StatsSnapshot() EngineStats {
+	totals.Lock()
+	defer totals.Unlock()
+	return totals.EngineStats
+}
+
+// Add returns s + d, field-wise.
+func (s EngineStats) Add(d EngineStats) EngineStats {
 	return EngineStats{
-		PlanCompiles: engineCounters.planCompiles.Load(),
-		PlanReuses:   engineCounters.planReuses.Load(),
-		Stage1:       time.Duration(engineCounters.stage1Nanos.Load()),
-		Stage2:       time.Duration(engineCounters.stage2Nanos.Load()),
+		PlanCompiles: s.PlanCompiles + d.PlanCompiles,
+		PlanReuses:   s.PlanReuses + d.PlanReuses,
+		Stage1:       s.Stage1 + d.Stage1,
+		Stage2:       s.Stage2 + d.Stage2,
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"scout/internal/faultlog"
 	"scout/internal/object"
+	"scout/internal/oracle"
 )
 
 // ev builds a test event; t is seconds on a fixed logical clock.
@@ -125,6 +126,26 @@ func TestQueueBatchSize(t *testing.T) {
 	for i, sw := range b.Switches {
 		if b.Events[i].Switch != sw {
 			t.Fatalf("Events misaligned at %d: event switch %d vs %d", i, b.Events[i].Switch, sw)
+		}
+	}
+}
+
+// TestQueueBatchesEveryMark: a seeded storm over six switches, cut
+// whenever a push says a batch is due and drained at the end, makes every
+// distinct mark a batch member exactly once (batched = pushed - coalesced)
+// in batches of at most BatchSize, and leaves nothing pending.
+func TestQueueBatchesEveryMark(t *testing.T) {
+	for seed := int64(0); seed < 4; seed++ {
+		c, q := oracle.FromSeed(seed), New(Options{Cap: 64, BatchSize: 3})
+		for seq := 1; seq <= 40; seq++ {
+			if q.Push(ev(seq, object.ID(1+c.Intn(6)), seq)) {
+				q.Cut(at(seq))
+			}
+		}
+		for len(q.Cut(at(41)).Switches) > 0 {
+		}
+		if st := q.Stats(); st.Batches == 0 || st.BatchedSwitches != st.Pushed-st.Coalesced || st.MaxBatch > 3 || len(q.order) != 0 {
+			t.Errorf("seed %d: stats %+v, %d pending; want batched = pushed - coalesced, batches of at most 3", seed, st, len(q.order))
 		}
 	}
 }

@@ -3,9 +3,14 @@ package scout_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -13,7 +18,6 @@ import (
 	"scout"
 	"scout/internal/equiv"
 	"scout/internal/object"
-	"scout/internal/rule"
 	"scout/internal/tcam"
 )
 
@@ -57,33 +61,26 @@ func deployed(t testing.TB, pol *scout.Policy, topo *scout.Topology, opts scout.
 	return f
 }
 
-// injectFaults is faultyFabric's mix: missingFaults at half, then two
-// rules of the last switch corrupted into rules the policy never asked for.
+// injectFaults is faultyFabric's mix: the fabric's lowest deployed filter
+// failed in full and its second at half, three rules evicted from its first
+// switch, and two rules of its last corrupted into rules the policy never
+// asked for.
 func injectFaults(t testing.TB, f *scout.Fabric) {
 	t.Helper()
-	missingFaults(t, f, 0.5)
-	switches := switchesOf(f)
-	if _, err := f.CorruptTCAM(switches[len(switches)-1], 2, tcam.CorruptDstEPG); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// missingFaults fails the fabric's lowest deployed filter in full and its
-// second at fraction, then evicts three rules from its first switch: faults
-// that only ever remove rules.
-func missingFaults(t testing.TB, f *scout.Fabric, fraction float64) {
-	t.Helper()
-	filters := deployedIDs(f, object.KindFilter)
+	filters, switches := deployedIDs(f, object.KindFilter), switchesOf(f)
 	if len(filters) < 2 {
 		t.Fatalf("the fabric deploys %d filters, need at least 2", len(filters))
 	}
 	if _, err := f.InjectObjectFault(scout.FilterRef(filters[0]), 1.0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.InjectObjectFault(scout.FilterRef(filters[1]), fraction); err != nil {
+	if _, err := f.InjectObjectFault(scout.FilterRef(filters[1]), 0.5); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.EvictTCAM(switchesOf(f)[0], 3); err != nil {
+	if _, err := f.EvictTCAM(switches[0], 3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.CorruptTCAM(switches[len(switches)-1], 2, tcam.CorruptDstEPG); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -93,58 +90,7 @@ func missingFaults(t testing.TB, f *scout.Fabric, fraction float64) {
 func TestParallelAnalyzeDeterministic(t *testing.T) {
 	colds := make(map[int][]byte)
 	for _, workers := range []int{2, 3, 4, 8, 0} {
-		equalsCold(t, coldCase{fabric: seeded(7), workers: workers, steps: baselineOnly, colds: colds})
-	}
-}
-
-// TestSharedBaseIdentity: a state analyzed through base and fork checkers
-// is the reference pipeline's, which checks each switch on a fresh checker.
-func TestSharedBaseIdentity(t *testing.T) {
-	equalsCold(t, coldCase{fabric: seeded(7), entry: viaState, workers: runtime.NumCPU(), steps: baselineOnly})
-}
-
-// TestSharedBaseEncodeStats pins what the check stage reports about its
-// encoding work: the base is built and consulted, what it shares does not
-// depend on the worker count, and the forks compile only the drifted TCAM
-// lists. On a state with byte-equal duplicate switches each twin's drifted
-// list compiles again, since a checker remembers logical lists only: nine
-// lists, twins included.
-func TestSharedBaseEncodeStats(t *testing.T) {
-	f := faultyFabric(t, 7)
-	for _, st := range []scout.State{fabricState(f), dupState(t, f)} {
-		frozen, unwarmed := expectedFolds(st)
-		var baseNodes int
-		for _, workers := range []int{1, 2, 4} {
-			rep, err := scout.NewAnalyzer(scout.AnalyzerOptions{Workers: workers}).AnalyzeState(st)
-			if err != nil {
-				t.Fatal(err)
-			}
-			es := rep.EncodeStats
-			if es.BaseNodes == 0 || es.FoldBaseHits == 0 {
-				t.Errorf("Workers=%d: base not built or never consulted: %+v", workers, es)
-			}
-			// A warmed list is never re-compiled per worker: the base holds
-			// one root per distinct logical list, and a run's from-scratch
-			// compiles are only the drifted TCAM lists — at any worker count.
-			if es.BaseSemantics != frozen || es.FoldMisses != unwarmed {
-				t.Errorf("Workers=%d: %d frozen roots and %d fork folds, want %d and %d",
-					workers, es.BaseSemantics, es.FoldMisses, frozen, unwarmed)
-			}
-			// The base's nodes are a function of the deployment alone.
-			if workers == 1 {
-				baseNodes = es.BaseNodes
-			} else if es.BaseNodes != baseNodes {
-				t.Errorf("Workers=%d: base holds %d nodes, %d at 1 worker", workers, es.BaseNodes, baseNodes)
-			}
-		}
-		if len(st.TCAM) > len(f.Deployment().BySwitch) && unwarmed != 9 {
-			t.Errorf("the state with twins has %d drifted lists, want 9", unwarmed)
-		}
-	}
-
-	// Probe runs build no BDD checkers and carry no stats.
-	if rep, err := scout.NewAnalyzer(scout.AnalyzerOptions{UseProbes: true}).Analyze(f); err != nil || rep.EncodeStats != nil {
-		t.Errorf("probe analysis must not report EncodeStats (%v)", err)
+		equalsCold(t, coldCase{fabric: seeded(7), workers: workers, colds: colds})
 	}
 }
 
@@ -153,7 +99,79 @@ func TestSharedBaseEncodeStats(t *testing.T) {
 func TestParallelProbeAnalyzeDeterministic(t *testing.T) {
 	colds := make(map[int][]byte)
 	for _, workers := range []int{2, 4, 0} {
-		equalsCold(t, coldCase{fabric: seeded(11), workers: workers, probes: true, steps: baselineOnly, colds: colds})
+		equalsCold(t, coldCase{fabric: seeded(11), workers: workers, probes: true, colds: colds})
+	}
+}
+
+// TestSharedBaseIdentity: a state analyzed through base and fork checkers
+// is the reference pipeline's, which checks each switch on a fresh checker.
+func TestSharedBaseIdentity(t *testing.T) {
+	equalsCold(t, coldCase{fabric: seeded(7), entry: viaState, workers: runtime.NumCPU()})
+}
+
+// TestDedupIdentityWithDuplicateSwitches: on a state with byte-equal
+// duplicate switches, consistent and faulty pairs alike, the report at
+// every worker count is the reference pipeline's.
+func TestDedupIdentityWithDuplicateSwitches(t *testing.T) {
+	colds := make(map[int][]byte)
+	for _, workers := range []int{1, runtime.NumCPU()} {
+		equalsCold(t, coldCase{fabric: seeded(7), state: dupState, entry: viaState, workers: workers, colds: colds})
+	}
+}
+
+// TestSharedBaseEncodeStats: the base, written to the store byte for byte
+// alike, and what the forks fold (the runner's model) do not depend on the
+// worker count. A checker remembers logical lists only, so on the state
+// with twins each twin's drifted list compiles again: nine lists.
+func TestSharedBaseEncodeStats(t *testing.T) {
+	t.Parallel()
+	var bases map[string][]byte
+	for _, workers := range []int{1, 2, 4} {
+		r := equalsCold(t, coldCase{fabric: seeded(7), state: dupState, entry: viaState, workers: workers, steps: []step{{opEvict, 2, 0}}})
+		if bases != nil && !maps.EqualFunc(bases, r.baseImg, bytes.Equal) {
+			t.Errorf("Workers=%d built another base than Workers=1", workers)
+		}
+		bases = r.baseImg
+	}
+	if _, unwarmed := expectedFolds(dupState(t, faultyFabric(t, 7))); unwarmed != 9 {
+		t.Errorf("the state with twins has %d drifted lists, want 9", unwarmed)
+	}
+}
+
+// TestWorkersFloor: a nonsensical worker count is the serial pipeline.
+func TestWorkersFloor(t *testing.T) {
+	equalsCold(t, coldCase{fabric: seeded(17), workers: -3})
+}
+
+// TestWorkersDefaultIsGOMAXPROCS: the default worker count is the number of
+// Ps, not of CPUs — a fork the scheduler cannot run beside the others only
+// costs its build.
+func TestWorkersDefaultIsGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	rep := oneShot(t, faultyFabric(t, 7))
+	if rep.EncodeStats.Checkers != 1 {
+		t.Errorf("Workers 0 at GOMAXPROCS 1 forked %d checkers, want 1", rep.EncodeStats.Checkers)
+	}
+}
+
+// TestParallelCountersRepeat pins that which worker's fork checks which
+// switch is a function of the input: a case run twice keeps equal counters
+// — delta nodes, fold hits, op-cache totals — after every run, at an even
+// and an uneven stride alike.
+func TestParallelCountersRepeat(t *testing.T) {
+	t.Parallel()
+	small := func(t testing.TB) *scout.Fabric {
+		return faultyFabricOf(t, scout.SmallFabricWorkloadSpec(), scout.FabricOptions{Seed: 3})
+	}
+	steps, colds := drawn(3, 5, opEvict, opCorrupt, opFault, opNone), make(map[int][]byte)
+	for _, workers := range slices.Compact([]int{2, runtime.NumCPU(), 3}) {
+		a := equalsCold(t, coldCase{fabric: small, workers: workers, steps: steps, colds: colds})
+		b := equalsCold(t, coldCase{fabric: small, workers: workers, steps: steps, colds: colds})
+		for i := range a.counts {
+			if a.counts[i] != b.counts[i] {
+				t.Fatalf("Workers=%d step %d: counters differ between identical runs:\n%s\n%s", workers, i, a.counts[i], b.counts[i])
+			}
+		}
 	}
 }
 
@@ -166,86 +184,112 @@ func TestConcurrentAnalyzeCalls(t *testing.T) {
 		f := faultyFabric(t, 7)
 		opts := scout.AnalyzerOptions{Workers: 2, UseProbes: probes}
 		a, want := scout.NewAnalyzer(opts), marshalReport(t, oneShot(t, f, opts))
-
-		const calls = 8
-		reps := make([]*scout.Report, calls)
-		errs := make([]error, calls)
+		reps, errs := make([]*scout.Report, 8), make([]error, 8)
 		var wg sync.WaitGroup
-		for i := 0; i < calls; i++ {
+		for i := range reps {
 			wg.Add(1)
-			go func(i int) {
+			go func() {
 				defer wg.Done()
 				reps[i], errs[i] = a.Analyze(f)
-			}(i)
+			}()
 		}
 		wg.Wait()
-		for i := range reps {
-			if errs[i] != nil {
-				t.Fatalf("probes=%v call %d: %v", probes, i, errs[i])
+		for i, rep := range reps {
+			if errs[i] != nil || !bytes.Equal(marshalReport(t, rep), want) {
+				t.Fatalf("probes=%v: concurrent call %d differs from the serial run (%v)", probes, i, errs[i])
 			}
-			if !bytes.Equal(marshalReport(t, reps[i]), want) {
-				t.Errorf("probes=%v: concurrent call %d differs from the serial run", probes, i)
+		}
+	}
+}
+
+// TestConcurrentSessionsCountTheirOwnPlans: sessions that run at the same
+// time count the localization plans their own runs compiled and reused.
+// Fresh sessions over faultyFabric seeds 7 and 11 run twice each, every
+// verdict invalidated first, at once, ten times over, and every run counts,
+// in SessionStats and in its report, what the same run counts alone.
+func TestConcurrentSessionsCountTheirOwnPlans(t *testing.T) {
+	fabs := []*scout.Fabric{faultyFabric(t, 7), faultyFabric(t, 11)}
+	counts := func(sess *scout.Session, start <-chan struct{}) (out string) {
+		<-start
+		for range 2 {
+			sess.Invalidate()
+			rep, err := sess.Analyze()
+			if err != nil {
+				return err.Error()
+			}
+			st := sess.Stats()
+			out += fmt.Sprint(st.PlanCompiles, st.PlanReuses, rep.LocalizeStats.PlanCompiles, rep.LocalizeStats.PlanReuses, " ")
+		}
+		return out
+	}
+	lone, start := make([]string, len(fabs)), make(chan struct{})
+	close(start)
+	for i, f := range fabs {
+		lone[i] = counts(newSession(t, f, scout.AnalyzerOptions{Workers: 2}), start)
+	}
+	for round := 0; round < 10; round++ {
+		got, start := make([]string, len(fabs)), make(chan struct{})
+		var wg sync.WaitGroup
+		for i, f := range fabs {
+			wg.Add(1)
+			go func(sess *scout.Session) {
+				defer wg.Done()
+				got[i] = counts(sess, start)
+			}(newSession(t, f, scout.AnalyzerOptions{Workers: 2}))
+		}
+		close(start)
+		wg.Wait()
+		for i := range fabs {
+			if got[i] != lone[i] {
+				t.Fatalf("round %d, session %d counted %s, alone %s", round, i, got[i], lone[i])
 			}
 		}
 	}
 }
 
 // TestConcurrentSessionUse drives one warm-store session from several
-// goroutines at once — Analyze, AnalyzeEpoch of snapshots from one shared
-// Collector, AnalyzeState, Invalidate and Stats — beside a one-shot
-// AnalyzeState of the same state, then closes it. The faulted fabric does
-// not change, so every report must equal a cold AnalyzeState; under -race
-// the test also shows the session's and the collector's locks cover
-// everything their callers share.
+// goroutines at once — Analyze, AnalyzeEpoch of one shared Collector's
+// snapshots, AnalyzeState, Invalidate and Stats — beside a one-shot of the
+// same unchanged state: every report is a cold AnalyzeState's, and under
+// -race the session's and the collector's locks cover what callers share.
 func TestConcurrentSessionUse(t *testing.T) {
 	f := faultyFabricOf(t, scout.SmallFabricWorkloadSpec(), scout.FabricOptions{Seed: 3})
 	st := fabricState(f)
-	cold, err := scout.NewAnalyzer(scout.AnalyzerOptions{Workers: 1}).AnalyzeState(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := marshalReport(t, cold)
-	var switches []scout.ObjectID
-	for _, sr := range cold.Switches {
-		switches = append(switches, sr.Switch)
-	}
-
+	want := marshalReport(t, mustReport(t, func() (*scout.Report, error) {
+		return scout.NewAnalyzer(scout.AnalyzerOptions{Workers: 1}).AnalyzeState(st)
+	}))
 	opts := scout.AnalyzerOptions{Workers: 2, WarmStore: warmStore(t, t.TempDir())}
-	sess := newSession(t, f, opts)
-	// check reads each report while the other goroutines run: a cached
+	sess, col := newSession(t, f, opts), scout.NewCollector(f, 4)
+	// Each goroutine reads its reports while the others run: a cached
 	// verdict a report shares must not be written after it is handed out.
-	check := func(op string, rep *scout.Report, err error) {
-		if err != nil {
-			t.Errorf("%s: %v", op, err)
-			return
+	check := func(what string, rep *scout.Report, err error) {
+		if err == nil {
+			rep.Elapsed = 0
+			var got []byte
+			if got, err = json.Marshal(rep); err == nil && !bytes.Equal(got, want) {
+				err = errors.New("the report differs from a cold AnalyzeState")
+			}
 		}
-		rep.Elapsed = 0
-		if got, err := json.Marshal(rep); err != nil || !bytes.Equal(got, want) {
-			t.Errorf("%s: report differs from a cold AnalyzeState (%v)", op, err)
+		if err != nil {
+			t.Errorf("%s: %v", what, err)
 		}
 	}
-
+	analyses := []func() (*scout.Report, error){
+		sess.Analyze,
+		func() (*scout.Report, error) { return sess.AnalyzeEpoch(col.Snapshot()) },
+		func() (*scout.Report, error) { return sess.AnalyzeState(st) },
+	}
 	const analysts, rounds = 3, 6
-	col := scout.NewCollector(f, 4)
 	var wg sync.WaitGroup
 	for g := 0; g < analysts; g++ {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				switch (g + i) % 3 {
-				case 0:
-					rep, err := sess.Analyze()
-					check("Analyze", rep, err)
-				case 1:
-					rep, err := sess.AnalyzeEpoch(col.Snapshot())
-					check("AnalyzeEpoch", rep, err)
-				case 2:
-					rep, err := sess.AnalyzeState(st)
-					check("Session.AnalyzeState", rep, err)
-				}
+				rep, err := analyses[(g+i)%3]()
+				check(fmt.Sprintf("analyst %d, call %d", g, i), rep, err)
 			}
-		}(g)
+		}()
 	}
 	wg.Add(1)
 	go func() {
@@ -256,7 +300,7 @@ func TestConcurrentSessionUse(t *testing.T) {
 	// Invalidate and Stats run until every analysis has returned.
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
-	rng := rand.New(rand.NewSource(int64(analysts)))
+	rng, switches := rand.New(rand.NewSource(analysts)), switchesOf(f)
 	for running := true; running; {
 		select {
 		case <-done:
@@ -274,103 +318,56 @@ func TestConcurrentSessionUse(t *testing.T) {
 	}
 }
 
-// badRule's VRF is past the checker's 16-bit field: no check can encode it.
-var badRule = scout.Rule{Match: rule.Match{VRF: 1 << 17, SrcEPG: 1, DstEPG: 2, PortLo: 80, PortHi: 80}, Action: rule.Allow}
-
-// unencodable is a state of n switches whose logical lists are badRule and
-// whose TCAMs are empty.
-func unencodable(n int) scout.State {
-	st := scout.State{Deployment: &scout.Deployment{BySwitch: make(map[scout.ObjectID][]scout.Rule)}, TCAM: make(map[scout.ObjectID][]scout.Rule)}
-	for sw := scout.ObjectID(1); sw <= scout.ObjectID(n); sw++ {
-		st.Deployment.BySwitch[sw], st.TCAM[sw] = []scout.Rule{badRule}, nil
+// TestSharedStoreKeepsSaveErrorsApart: sessions over two deployments share
+// one store and run at once, and a directory squatting on A's base file
+// fails A's save. B's Close, asked first, reports nothing, A's reports its
+// base, and a fresh session over B's fabric restarts from B's whole files.
+func TestSharedStoreKeepsSaveErrorsApart(t *testing.T) {
+	fa, fb := faultyFabric(t, 11), faultyFabric(t, 13)
+	dir := t.TempDir()
+	_, fp := equiv.DeploymentFingerprints(fa.Deployment().BySwitch)
+	if err := os.Mkdir(filepath.Join(dir, fmt.Sprintf("base-%016x.scout", fp)), 0o755); err != nil {
+		t.Fatal(err)
 	}
-	return st
+	shared := scout.AnalyzerOptions{Workers: 2, WarmStore: warmStore(t, dir)}
+	sessA, sessB := newSession(t, fa, shared), newSession(t, fb, shared)
+	var wg sync.WaitGroup
+	for _, sess := range []*scout.Session{sessA, sessB} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := sess.Analyze(); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if err := sessB.Close(); err != nil {
+		t.Errorf("B.Close = %v, want nil: only A's save failed", err)
+	}
+	if err := sessA.Close(); err == nil || !strings.Contains(err.Error(), "base-") {
+		t.Errorf("A.Close = %v, want A's failed base write", err)
+	}
+
+	restart := newSession(t, fb, shared)
+	mustReport(t, restart.Analyze)
+	if st, n := restart.Stats(), len(fb.Deployment().BySwitch); st.BaseLoads != 1 || st.Checked != 0 || st.Replayed != n {
+		t.Errorf("restart over B's files: %+v, want BaseLoads 1, Checked 0, Replayed %d", st, n)
+	}
 }
 
-// TestParallelCheckErrorPropagates forces an encoding error in the check
-// stage and verifies the fan-out surfaces it instead of deadlocking or
-// returning a partial report. The VRF id exceeds the checker's 16-bit
-// field encoding, which is the only way a check itself can fail. Every
-// switch fails, and the error is the lowest one's at any worker count.
+// TestParallelCheckErrorPropagates: a rule no check can encode, installed
+// on switch after switch, fails every run, and the fan-out surfaces the
+// lowest failing switch's error at any worker count — the cold serial
+// run's — instead of deadlocking or returning a partial report.
 func TestParallelCheckErrorPropagates(t *testing.T) {
-	st := unencodable(8)
 	for _, workers := range []int{1, 4} {
-		_, err := scout.NewAnalyzer(scout.AnalyzerOptions{Workers: workers}).AnalyzeState(st)
-		if err == nil {
-			t.Fatalf("Workers=%d: expected encoding error, got nil", workers)
-		}
-		if !strings.Contains(err.Error(), "equivalence check switch 1:") {
-			t.Errorf("Workers=%d: error should name switch 1, the lowest failing switch, got: %v", workers, err)
-		}
+		equalsCold(t, coldCase{workers: workers, steps: []step{{opPoison, 4, 0}, {opPoison, 1, 0}, {opPoison, 2, 0}}})
 	}
 }
 
-// TestParallelCountersRepeat pins that which worker's fork checks which
-// switch is a function of the input: two sessions over identically seeded
-// fabrics, driven through the same TCAM churn, keep equal counters — delta
-// nodes, fold hits, op-cache totals — after every run, at an even and an
-// uneven stride alike.
-func TestParallelCountersRepeat(t *testing.T) {
-	const rounds, batches = 4, 6
-	for _, workers := range []int{2, 3, runtime.NumCPU()} {
-		var fabs [2]*scout.Fabric
-		var sess [2]*scout.Session
-		var churn [2]func(sw scout.ObjectID, n int)
-		for j := range fabs {
-			fabs[j] = faultyFabricOf(t, scout.SmallFabricWorkloadSpec(), scout.FabricOptions{Seed: 3})
-			sess[j], churn[j] = newSession(t, fabs[j], scout.AnalyzerOptions{Workers: workers}), churner(t, fabs[j])
-		}
-		// step mutates and analyzes both sides, then compares their counters.
-		step := func(name string, mutate func(j int), analyze func(*scout.Session) (*scout.Report, error)) {
-			t.Helper()
-			var enc [2]equiv.EncodeStats
-			for j := range sess {
-				mutate(j)
-				rep, err := analyze(sess[j])
-				if err != nil {
-					t.Fatalf("Workers=%d %s: %v", workers, name, err)
-				}
-				enc[j] = *rep.EncodeStats
-			}
-			if a, b := sess[0].Stats(), sess[1].Stats(); a != b {
-				t.Fatalf("Workers=%d %s: session counters differ between identical runs:\n%+v\n%+v", workers, name, a, b)
-			}
-			if enc[0] != enc[1] {
-				t.Fatalf("Workers=%d %s: encode stats differ between identical runs:\n%+v\n%+v", workers, name, enc[0], enc[1])
-			}
-		}
-
-		switches := switchesOf(fabs[0])
-		for r := 0; r < rounds; r++ {
-			step(fmt.Sprintf("churn round %d", r), func(j int) {
-				for _, sw := range switches {
-					churn[j](sw, 2)
-				}
-			}, (*scout.Session).Analyze)
-		}
-		for b := 0; b < batches; b++ {
-			pair := []scout.ObjectID{switches[b%len(switches)], switches[(b+1)%len(switches)]}
-			step(fmt.Sprintf("event batch %d", b), func(j int) {
-				for _, sw := range pair {
-					churn[j](sw, 1)
-				}
-			}, (*scout.Session).Analyze)
-		}
-	}
-}
-
-// TestWorkersDefaultIsGOMAXPROCS: the default worker count is the number of
-// Ps, not of CPUs — a fork the scheduler cannot run beside the others only
-// costs its build.
-func TestWorkersDefaultIsGOMAXPROCS(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	rep := oneShot(t, faultyFabric(t, 7))
-	if rep.EncodeStats.Checkers != 1 {
-		t.Errorf("Workers 0 at GOMAXPROCS 1 forked %d checkers, want 1", rep.EncodeStats.Checkers)
-	}
-}
-
-// TestWorkersFloor: a nonsensical worker count is the serial pipeline.
-func TestWorkersFloor(t *testing.T) {
-	equalsCold(t, coldCase{fabric: seeded(17), workers: -3, steps: baselineOnly})
+// TestDedupErrorAttribution: when byte-equal switches cannot be encoded,
+// the error names the lowest, as a serial run does.
+func TestDedupErrorAttribution(t *testing.T) {
+	equalsCold(t, coldCase{state: dupState, entry: viaState, workers: 2, steps: []step{{opPoison, 0, 0}}})
 }

@@ -1,11 +1,13 @@
 package scout_test
 
 import (
+	"maps"
 	"slices"
 	"testing"
 	"time"
 
 	"scout"
+	"scout/internal/compile"
 	"scout/internal/correlate"
 	"scout/internal/equiv"
 	"scout/internal/eval"
@@ -22,6 +24,9 @@ import (
 // fresh check; this is what proves the orchestration.
 func refAnalyze(t testing.TB, st scout.State) *scout.Report {
 	t.Helper()
+	if st.Changes == nil {
+		st.Changes, st.Faults = &scout.ChangeLog{}, &scout.FaultLog{}
+	}
 	d := st.Deployment
 	oracle := localize.ChangeLogOracle{Log: st.Changes, Since: st.Now.Add(-24 * time.Hour)}
 	ctrlModel := risk.BuildControllerModel(d, risk.ControllerModelOptions{IncludeSwitchRisk: true})
@@ -79,9 +84,61 @@ func deployedIDs(f *scout.Fabric, kind object.Kind) []scout.ObjectID {
 	return sortedIDs(ids)
 }
 
-// TestOrchestrationMatchesReference holds an event-driven session through
-// a new fault to refAnalyze's bytes, on the testbed, the small fabric and
-// production x0.25: equalsCold ends every case on that comparison.
+// dupState is the fabric's collected state with byte-equal clone switches,
+// a supported input no generated workload produces: every other switch gets
+// a twin 100,000 IDs up sharing its logical list, TCAM snapshot and
+// pair-rule entries. The fabric's own deployment is not mutated.
+func dupState(_ testing.TB, f *scout.Fabric) scout.State {
+	st, d := fabricState(f), f.Deployment()
+	dup := &scout.Deployment{BySwitch: maps.Clone(d.BySwitch), Provenance: d.Provenance, PairRules: maps.Clone(d.PairRules)}
+	for i, sw := range sortedIDs(st.TCAM) {
+		if i%2 != 0 {
+			continue
+		}
+		twin := sw + 100000
+		dup.BySwitch[twin], st.TCAM[twin] = d.BySwitch[sw], st.TCAM[sw]
+		for sp, keys := range d.PairRules {
+			if sp.Switch == sw {
+				dup.PairRules[compile.SwitchPair{Switch: twin, Pair: sp.Pair}] = keys
+			}
+		}
+	}
+	st.Deployment = dup
+	return st
+}
+
+// fabricState is the fabric's current collected state.
+func fabricState(f *scout.Fabric) scout.State {
+	return scout.State{
+		Deployment: f.Deployment(),
+		TCAM:       f.CollectAll(),
+		Changes:    f.ChangeLog(),
+		Faults:     f.FaultLog(),
+		Now:        f.Now(),
+	}
+}
+
+// expectedFolds derives a one-worker cold run's semantics-build counts
+// from the state itself: the base freezes one root per distinct logical
+// semantics fingerprint, and the single fork compiles the TCAM list of
+// every switch no logical list warmed — a checker remembers logical lists
+// only, so a twin's equal drifted list is compiled again.
+func expectedFolds(st scout.State) (frozen, unwarmed int) {
+	logicalSem := make(map[uint64]bool)
+	for _, rules := range st.Deployment.BySwitch {
+		logicalSem[equiv.SemanticsFingerprint(rules)] = true
+	}
+	for _, rules := range st.TCAM {
+		if !logicalSem[equiv.SemanticsFingerprint(rules)] {
+			unwarmed++
+		}
+	}
+	return len(logicalSem), unwarmed
+}
+
+// TestOrchestrationMatchesReference holds a session through a new fault to
+// refAnalyze's bytes, on the testbed, the small fabric and production
+// x0.25: equalsCold ends every case on that comparison.
 func TestOrchestrationMatchesReference(t *testing.T) {
 	t.Parallel()
 	for _, tc := range []struct {
@@ -93,12 +150,8 @@ func TestOrchestrationMatchesReference(t *testing.T) {
 		{eval.SimSpec(0.25), scout.FabricOptions{Seed: 42, TCAMCapacity: 1 << 17}},
 	} {
 		t.Run(tc.spec.Name, func(t *testing.T) {
-			equalsCold(t, coldCase{
-				fabric:  func(t testing.TB) *scout.Fabric { return faultyFabricOf(t, tc.spec, tc.opts) },
-				entry:   viaEvents,
-				workers: 2,
-				steps:   []step{func(t *testing.T, r *coldRun) { removeOneRule(t, r.f, switchesOf(r.f)[1]) }},
-			})
+			fabric := func(t testing.TB) *scout.Fabric { return faultyFabricOf(t, tc.spec, tc.opts) }
+			equalsCold(t, coldCase{fabric: fabric, workers: 2, steps: []step{{opEvict, 1, 0}}})
 		})
 	}
 }

@@ -153,8 +153,8 @@ type Report struct {
 	// not result: it is excluded from the JSON form so reports stay
 	// byte-identical across worker counts.
 	EncodeStats *equiv.EncodeStats `json:"-"`
-	// LocalizeStats is the localization engine's counter delta for this
-	// run: plan compiles vs cache reuses, and SCOUT's per-stage timings.
+	// LocalizeStats sums this run's own localizations' counters: plan
+	// compiles vs cache reuses, and SCOUT's per-stage timings.
 	// Nil when the run localized nothing (consistent fabric).
 	// Diagnostics like EncodeStats, so excluded from the JSON form.
 	LocalizeStats *localize.EngineStats `json:"-"`
@@ -416,14 +416,16 @@ func changeOracle(changes *ChangeLog, now time.Time) localize.ChangeLogOracle {
 func (a *Analyzer) assemble(models *riskModels, changes *ChangeLog, faults *FaultLog,
 	now time.Time, switches []object.ID, checkReps []*equiv.Report) *Report {
 	oracle := changeOracle(changes, now)
-	lstatsBefore := localize.StatsSnapshot()
 	prov := models.d.Provenance
 	ctrl := risk.NewOverlay(models.ctrl)
 
 	srs := make([]SwitchReport, len(switches))
 	patches := make([]*risk.Patch, len(switches))
+	// Each localization's own counters, summed below: a run counts its own
+	// calls, not the process's.
+	lstats := make([]localize.EngineStats, len(switches)+1)
 	a.fanOut(len(switches), func(_, i int) error {
-		srs[i] = buildSwitchReport(models, oracle, switches[i], checkReps[i])
+		srs[i], lstats[i] = buildSwitchReport(models, oracle, switches[i], checkReps[i])
 		if !srs[i].Equivalent {
 			patches[i] = risk.AugmentControllerModelPatch(models.ctrl, switches[i], srs[i].MissingRules, prov)
 		}
@@ -440,11 +442,14 @@ func (a *Analyzer) assemble(models *riskModels, changes *ChangeLog, faults *Faul
 		patches[i].Apply(ctrl)
 	}
 	if !rep.Consistent {
-		rep.Controller = localize.Scout(ctrl, oracle)
+		rep.Controller, lstats[len(switches)] = localize.ScoutWithStats(ctrl, oracle)
 		rep.Hypothesis = rep.Controller.Hypothesis
 		rep.RootCauses = correlator.Correlate(rep.Hypothesis, changes, faults)
-		delta := localize.StatsSnapshot().Delta(lstatsBefore)
-		rep.LocalizeStats = &delta
+		var sum localize.EngineStats
+		for _, st := range lstats {
+			sum = sum.Add(st)
+		}
+		rep.LocalizeStats = &sum
 	}
 	return rep
 }
@@ -452,20 +457,22 @@ func (a *Analyzer) assemble(models *riskModels, changes *ChangeLog, faults *Faul
 // buildSwitchReport assembles one switch's report from its check result.
 // An inequivalent switch is localized on a fresh overlay over its pristine
 // risk model, marked with the report's missing rules. It only reads shared
-// state, so reports for distinct switches build concurrently.
-func buildSwitchReport(models *riskModels, oracle localize.ChangeOracle, sw object.ID, checkRep *equiv.Report) SwitchReport {
+// state, so reports for distinct switches build concurrently. It also
+// returns the localization's counters (zero for a consistent switch).
+func buildSwitchReport(models *riskModels, oracle localize.ChangeOracle, sw object.ID, checkRep *equiv.Report) (SwitchReport, localize.EngineStats) {
 	sr := SwitchReport{
 		Switch:       sw,
 		Equivalent:   checkRep.Equivalent,
 		MissingRules: checkRep.MissingRules,
 		ExtraRules:   checkRep.ExtraRules,
 	}
+	var st localize.EngineStats
 	if !checkRep.Equivalent {
 		view := risk.NewOverlay(models.switchModel(sw))
 		risk.AugmentSwitchModel(view, checkRep.MissingRules, models.d.Provenance)
-		sr.Result = localize.Scout(view, oracle)
+		sr.Result, st = localize.ScoutWithStats(view, oracle)
 	}
-	return sr
+	return sr, st
 }
 
 // probeSwitch is the probe observation source's verdict for one switch:
