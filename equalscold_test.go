@@ -36,6 +36,7 @@ import (
 
 	"scout"
 	"scout/internal/equiv"
+	"scout/internal/faultlog"
 	"scout/internal/object"
 	"scout/internal/oracle"
 	"scout/internal/rule"
@@ -51,10 +52,11 @@ const (
 	viaEpoch                // Session.AnalyzeEpoch of a fresh collector snapshot
 	viaState                // Session.AnalyzeState of the case's state
 	viaRestart              // Session.Analyze of a session reopened on the case's store
+	viaEvents               // Session.ApplyEvents of the fabric's events, cut three switches at a time
 )
 
 func (e entry) String() string {
-	return [...]string{"Analyze", "AnalyzeEpoch", "AnalyzeState", "Restart"}[e]
+	return [...]string{"Analyze", "AnalyzeEpoch", "AnalyzeState", "Restart", "ApplyEvents"}[e]
 }
 
 // op is a step's kind: every mutation the public API offers, then (from
@@ -169,7 +171,10 @@ type coldRun struct {
 	ws     *scout.WarmStore
 	dir    string
 	epochs *scout.Collector
-	last   *scout.Report // the latest report
+	events *faultlog.Cursor
+	queue  *scout.EventQueue
+	batch  scout.EventBatch // what viaEvents hands ApplyEvents
+	last   *scout.Report    // the latest report
 	round  int
 
 	// What the steps did to the fabric, for the ops that toggle or undo:
@@ -230,13 +235,17 @@ func equalsCold(t *testing.T, c coldCase) *coldRun {
 	r := newRun(c.fabric(t))
 	r.coldCase, r.dir = c, t.TempDir()
 	r.epochs, r.ws = scout.NewCollector(r.f, 2), warmStore(t, r.dir)
+	r.events, r.queue = r.f.EventLog().TailCursor(), scout.NewEventQueue(scout.EventQueueOptions{Cap: 64, BatchSize: 3})
 	r.sess = newSession(t, r.f, scout.AnalyzerOptions{Workers: r.workers, UseProbes: r.probes, WarmStore: r.ws})
 	for r.round = 0; r.round <= len(r.steps); r.round++ {
 		if r.round > 0 {
 			r.apply(t, r.steps[r.round-1])
 		}
-		if r.entry == viaRestart {
+		switch r.entry {
+		case viaRestart:
 			r.restart(t, 0, 0)
+		case viaEvents:
+			r.applyEvents(t)
 		}
 		r.analyze(t)
 	}
@@ -534,6 +543,22 @@ func (r *coldRun) hold(d *scout.Deployment) {
 	}
 }
 
+// applyEvents analyzes each batch the queue cuts from the fabric's events
+// since the previous run, leaving r.batch empty once the queue is drained
+// for the round's own analysis.
+func (r *coldRun) applyEvents(t *testing.T) {
+	t.Helper()
+	for _, ev := range r.events.Drain() {
+		if r.queue.Push(ev) {
+			r.batch = r.queue.Cut(r.f.Now())
+			r.analyze(t)
+		}
+	}
+	for r.batch = r.queue.Cut(r.f.Now()); len(r.batch.Switches) > 0; r.batch = r.queue.Cut(r.f.Now()) {
+		r.analyze(t)
+	}
+}
+
 // analyze runs the session on the fabric's state through the case's entry
 // point and holds the run to the cold analysis and the model.
 func (r *coldRun) analyze(t *testing.T) {
@@ -551,6 +576,8 @@ func (r *coldRun) analyze(t *testing.T) {
 		rep, err = r.sess.AnalyzeEpoch(r.epochs.Snapshot())
 	case viaState:
 		rep, err = r.sess.AnalyzeState(st)
+	case viaEvents:
+		rep, err = r.sess.ApplyEvents(r.batch)
 	default:
 		rep, err = r.sess.Analyze()
 	}
@@ -737,15 +764,16 @@ func probesOf(l []scout.Rule) int {
 var modes = map[bool]string{false: "tcam", true: "probes"}
 
 // TestEveryEntryPointEqualsCold states the entry-points-over-one-core claim
-// once: the tour analyzed through each entry point, and through a restart
-// before every step, equals a serial cold analysis at every worker count,
+// once: the tour analyzed through each entry point, on each batch an event
+// queue cuts, and through a restart before every step, equals a serial cold
+// analysis at every worker count,
 // in TCAM and probe mode. Probe mode refuses the snapshot entry points,
 // which hand it no dataplane.
 func TestEveryEntryPointEqualsCold(t *testing.T) {
 	t.Parallel()
 	for _, probes := range []bool{false, true} {
 		colds := make(map[int][]byte)
-		for _, e := range []entry{viaAnalyze, viaEpoch, viaState, viaRestart} {
+		for _, e := range []entry{viaAnalyze, viaEpoch, viaEvents, viaState, viaRestart} {
 			if probes && (e == viaEpoch || e == viaState) {
 				continue
 			}
