@@ -18,7 +18,9 @@
 // since the first event not yet analyzed, runs one refresh round that
 // collects every switch and re-verifies the ones written since their
 // last read.
-// -scenario is a one-shot replay and cannot be combined with -watch.
+// -scenario replays a JSON scenario file instead of -fault and
+// -disconnect, and refuses either beside it; it is a one-shot replay and
+// cannot be combined with -watch.
 //
 // -state-dir names a durable warm-state directory: the session every
 // analysis runs through (a one-shot is its first run, -watch keeps it)
@@ -290,8 +292,10 @@ type objectFault struct {
 // checkWatchFlags rejects flag combinations that mix the one-shot and
 // daemon modes: -scenario is a one-shot replay (its effects would fold
 // invisibly into the watch baseline), and -batch-window does nothing
-// without the daemon loop. A negative window is refused: no wait can be
-// negative. set holds the names of explicitly-set flags.
+// without the daemon loop. -scenario also replaces -fault and -disconnect,
+// so either beside it is refused rather than applied on top of the
+// replay. A negative window is refused: no wait can be negative. set holds
+// the names of explicitly-set flags.
 func checkWatchFlags(watch bool, window time.Duration, set map[string]bool) error {
 	if window < 0 {
 		return fmt.Errorf("-batch-window %v is negative", window)
@@ -301,6 +305,11 @@ func checkWatchFlags(watch bool, window time.Duration, set map[string]bool) erro
 			return fmt.Errorf("-scenario is a one-shot replay and cannot drive the -watch event loop; run it without -watch")
 		}
 		return nil
+	}
+	for _, name := range []string{"fault", "disconnect"} {
+		if set["scenario"] && set[name] {
+			return fmt.Errorf("-scenario replays instead of -%s; write the step into the scenario or drop -scenario", name)
+		}
 	}
 	if set["batch-window"] {
 		return fmt.Errorf("-batch-window only applies to the -watch daemon loop; add -watch or drop the flag")

@@ -385,6 +385,9 @@ func TestCheckWatchFlags(t *testing.T) {
 		{"watch with fault", true, time.Second, []string{"fault", "v"}, false},
 		{"watch with scenario", true, time.Second, []string{"scenario"}, true},
 		{"one-shot with scenario", false, time.Second, []string{"scenario"}, false},
+		{"scenario with fault", false, time.Second, []string{"scenario", "fault"}, true},
+		{"scenario with disconnect", false, time.Second, []string{"scenario", "disconnect"}, true},
+		{"scenario with v and json", false, time.Second, []string{"scenario", "v", "json"}, false},
 		{"batch-window without watch", false, time.Second, []string{"batch-window"}, true},
 		{"watch with batch-window", true, 0, []string{"batch-window"}, false},
 		{"negative batch-window", true, -time.Second, []string{"batch-window"}, true},
