@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"scout"
@@ -52,22 +53,15 @@ func buildSpec(specName string, scale float64) (scout.WorkloadSpec, error) {
 	default:
 		return spec, fmt.Errorf("unknown spec %q (want production, testbed, or small)", specName)
 	}
-	if scale != 1.0 {
-		if scale <= 0 {
-			return spec, fmt.Errorf("scale must be positive")
+	if !(scale > 0) || math.IsInf(scale, 1) {
+		return spec, fmt.Errorf("-scale %v: want a positive finite factor", scale)
+	}
+	for _, n := range []*int{&spec.EPGs, &spec.Contracts, &spec.Filters, &spec.TargetPairs, &spec.Switches} {
+		v := float64(*n) * scale
+		if v >= math.MaxInt {
+			return spec, fmt.Errorf("-scale %v: scaling the %s spec's count %d overflows an int", scale, specName, *n)
 		}
-		shrink := func(n int) int {
-			v := int(float64(n) * scale)
-			if v < 2 {
-				v = 2
-			}
-			return v
-		}
-		spec.EPGs = shrink(spec.EPGs)
-		spec.Contracts = shrink(spec.Contracts)
-		spec.Filters = shrink(spec.Filters)
-		spec.TargetPairs = shrink(spec.TargetPairs)
-		spec.Switches = shrink(spec.Switches)
+		*n = max(int(v), 2)
 	}
 	return spec, nil
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -31,8 +32,15 @@ func TestBuildSpec(t *testing.T) {
 	if _, err := buildSpec("nope", 1.0); err == nil {
 		t.Error("unknown spec must fail")
 	}
-	if _, err := buildSpec("production", -1); err == nil {
-		t.Error("negative scale must fail")
+	// A scale that is not a positive finite factor, or that scales a count
+	// past an int, fails naming -scale; each once generated a 2-EPG policy.
+	for _, tc := range []struct {
+		spec  string
+		scale float64
+	}{{"production", -1}, {"production", math.NaN()}, {"production", math.Inf(1)}, {"testbed", 1e300}} {
+		if _, err := buildSpec(tc.spec, tc.scale); err == nil || !strings.HasPrefix(err.Error(), "-scale ") {
+			t.Errorf("%s at scale %v: error %v, want one naming -scale", tc.spec, tc.scale, err)
+		}
 	}
 }
 

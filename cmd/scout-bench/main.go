@@ -60,9 +60,14 @@ func run(cfg config, w io.Writer) error {
 	if cfg.experiment != "all" && !slices.Contains(experiments, cfg.experiment) {
 		return fmt.Errorf("unknown experiment %q (valid: %s, all)", cfg.experiment, strings.Join(experiments, ", "))
 	}
+	// The production spec's largest count is its EPG pairs; SimSpec rounds
+	// each scaled count to an int.
+	pairs := workload.ProductionSpec().TargetPairs
 	switch {
 	case !(cfg.scale > 0) || math.IsInf(cfg.scale, 1):
 		return fmt.Errorf("-scale %v: want a positive finite factor", cfg.scale)
+	case math.Round(float64(pairs)*cfg.scale) >= math.MaxInt:
+		return fmt.Errorf("-scale %v: scaling the production spec's %d EPG pairs overflows an int", cfg.scale, pairs)
 	case cfg.runs < 1:
 		return fmt.Errorf("-runs %d: want at least 1", cfg.runs)
 	case cfg.maxFaults < 1:
@@ -71,6 +76,16 @@ func run(cfg config, w io.Writer) error {
 		return fmt.Errorf("-noise %d: want 0 or more", cfg.noise)
 	}
 	want := func(name string) bool { return cfg.experiment == "all" || cfg.experiment == name }
+	var switchCounts []int
+	if want("scale") {
+		var err error
+		if switchCounts, err = parseInts(cfg.switchList); err != nil {
+			return fmt.Errorf("-switches %s: %w", cfg.switchList, err)
+		}
+		if slices.Min(switchCounts) < 1 {
+			return fmt.Errorf("-switches %s: want counts of at least 1", cfg.switchList)
+		}
+	}
 	simEnv := func() (*eval.Env, error) {
 		start := time.Now()
 		env, err := eval.NewEnv(eval.SimSpec(cfg.scale), cfg.seed)
@@ -138,7 +153,8 @@ func run(cfg config, w io.Writer) error {
 		fmt.Fprintln(w, res.Render())
 	}
 
-	accOpts := eval.AccuracyOptions{MaxFaults: cfg.maxFaults, Runs: cfg.runs, Noise: cfg.noise, Seed: cfg.seed}
+	accOpts := eval.AccuracyOptions{MaxFaults: cfg.maxFaults, Runs: cfg.runs, Noise: cfg.noise, Seed: cfg.seed,
+		Algorithms: eval.StandardAlgorithms()}
 
 	if want("fig8") {
 		e, err := getEnv()
@@ -197,11 +213,7 @@ func run(cfg config, w io.Writer) error {
 
 	if want("scale") {
 		fmt.Fprintln(w, "== Scalability: SCOUT runtime vs switch count (§VI-B) ==")
-		counts, err := parseInts(cfg.switchList)
-		if err != nil {
-			return err
-		}
-		res, err := eval.Scalability(counts, 5, cfg.seed)
+		res, err := eval.Scalability(switchCounts, 5, cfg.seed)
 		if err != nil {
 			return err
 		}

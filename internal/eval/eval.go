@@ -230,116 +230,117 @@ type AccuracyResult struct {
 
 // AccuracyOptions configures an accuracy experiment.
 type AccuracyOptions struct {
-	MaxFaults int // x-axis upper bound (paper: 10)
-	Runs      int // repetitions per point (paper: 30 sim, 10 testbed)
-	Noise     int // healthy objects added to the change oracle per run
-	Seed      int64
-	// Algorithms to compare; nil selects StandardAlgorithms.
-	Algorithms []Algorithm
-}
-
-func (o AccuracyOptions) withDefaults() AccuracyOptions {
-	if o.MaxFaults <= 0 {
-		o.MaxFaults = 10
-	}
-	if o.Runs <= 0 {
-		o.Runs = 30
-	}
-	if o.Noise < 0 {
-		o.Noise = 0
-	}
-	if o.Algorithms == nil {
-		o.Algorithms = StandardAlgorithms()
-	}
-	return o
+	MaxFaults  int // x-axis upper bound (paper: 10)
+	Runs       int // repetitions per point (paper: 30 sim, 10 testbed)
+	Noise      int // healthy objects added to the change oracle per run
+	Seed       int64
+	Algorithms []Algorithm // the curves, in column order
 }
 
 // SwitchModelAccuracy reproduces Figure 8: faults are injected into the
 // rules of a single switch and localized on that switch's risk model.
 func SwitchModelAccuracy(env *Env, opts AccuracyOptions) (*AccuracyResult, error) {
-	opts = opts.withDefaults()
-	rng := rand.New(rand.NewSource(opts.Seed))
-
 	// Choose the switch with the most dependent objects so every fault
 	// count is feasible.
-	sw := busiestSwitch(env)
-	candidates := env.Index.ObjectsOnSwitch(sw)
+	sw, local := busiestSwitch(env)
 	model := risk.BuildSwitchModel(env.Deployment, sw)
-
-	return accuracySweep("switch risk model", model, candidates, opts, rng,
-		func(m risk.Marker, sc workload.Scenario, r *rand.Rand) {
-			workload.ApplyToSwitchModel(m, env.Deployment, env.Index, sw, sc, r)
+	return simulate("switch risk model", model, local.Objects(), opts,
+		func(m risk.Marker, sc workload.Scenario, rng *rand.Rand) {
+			risk.AugmentSwitchModel(m, sc.Missing(local, rng)[sw], env.Deployment.Provenance)
 		})
 }
 
 // ControllerModelAccuracy reproduces Figure 9: faults are injected across
 // switches and localized on the controller risk model.
 func ControllerModelAccuracy(env *Env, opts AccuracyOptions) (*AccuracyResult, error) {
-	opts = opts.withDefaults()
-	rng := rand.New(rand.NewSource(opts.Seed))
-	candidates := env.Index.Objects()
-	model := risk.BuildControllerModel(env.Deployment, risk.ControllerModelOptions{IncludeSwitchRisk: true})
-
-	return accuracySweep("controller risk model", model, candidates, opts, rng,
-		func(m risk.Marker, sc workload.Scenario, r *rand.Rand) {
-			workload.ApplyToControllerModel(m, env.Deployment, env.Index, sc, r)
-		})
+	return simulate("controller risk model", controllerModel(env), env.Index.Objects(), opts, env.markMissing)
 }
 
-// accuracySweep drives one accuracy figure. The pristine model is shared
-// read-only across every run: each scenario's faults land in a fresh
-// copy-on-write overlay and the algorithms localize through the overlay
-// view, so runs never pay a model reset (or clone) and cannot leak marks
-// into each other.
-func accuracySweep(title string, pristine *risk.Model, candidates []object.Ref,
-	opts AccuracyOptions, rng *rand.Rand,
-	apply func(risk.Marker, workload.Scenario, *rand.Rand)) (*AccuracyResult, error) {
+func controllerModel(env *Env) *risk.Model {
+	return risk.BuildControllerModel(env.Deployment, risk.ControllerModelOptions{IncludeSwitchRisk: true})
+}
 
-	res := &AccuracyResult{Title: title}
-	curves := make([]AccuracyCurve, len(opts.Algorithms))
-	for i, alg := range opts.Algorithms {
-		curves[i].Name = alg.Name
+// markMissing marks the rules sc's faults remove in the controller view m
+// as Analyzer.assemble does: one augmentation patch a switch, applied in
+// ascending switch order.
+func (env *Env) markMissing(m risk.Marker, sc workload.Scenario, rng *rand.Rand) {
+	missing := sc.Missing(env.Index, rng)
+	for _, sw := range env.Topo.Switches() {
+		risk.AugmentControllerModelPatch(m, sw, missing[sw], env.Deployment.Provenance).Apply(m)
 	}
+}
 
-	for n := 1; n <= opts.MaxFaults; n++ {
-		sumsP := make([]float64, len(opts.Algorithms))
-		sumsR := make([]float64, len(opts.Algorithms))
-		for run := 0; run < opts.Runs; run++ {
-			sc, err := workload.NewScenario(rng, candidates, n, opts.Noise)
+// simulate drives one simulated accuracy figure. The pristine model is
+// shared read-only across every run: each scenario's faults land in a
+// fresh copy-on-write overlay and the algorithms localize through the
+// overlay view, so runs never pay a model reset (or clone) and cannot leak
+// marks into each other.
+func simulate(title string, pristine *risk.Model, candidates []object.Ref, opts AccuracyOptions,
+	mark func(risk.Marker, workload.Scenario, *rand.Rand)) (*AccuracyResult, error) {
+	rng := rand.New(rand.NewSource(opts.Seed))
+	names := make([]string, len(opts.Algorithms))
+	for i, alg := range opts.Algorithms {
+		names[i] = alg.Name
+	}
+	return accuracySweep(title, names, opts.MaxFaults, opts.Runs, func(n int) ([]localize.Accuracy, error) {
+		sc, err := workload.NewScenario(rng, candidates, n, opts.Noise)
+		if err != nil {
+			return nil, err
+		}
+		ov := risk.NewOverlay(pristine)
+		mark(ov, sc, rng)
+		accs := make([]localize.Accuracy, len(opts.Algorithms))
+		for i, alg := range opts.Algorithms {
+			accs[i] = alg.Run(ov, sc.Changed).Evaluate(sc.GroundTruth)
+		}
+		return accs, nil
+	})
+}
+
+// accuracySweep averages each curve's precision and recall over runs
+// trials at every fault count from 1 to maxFaults. A trial scores one
+// scenario of n faults, one accuracy per curve.
+func accuracySweep(title string, names []string, maxFaults, runs int,
+	trial func(n int) ([]localize.Accuracy, error)) (*AccuracyResult, error) {
+	curves := make([]AccuracyCurve, len(names))
+	for i, name := range names {
+		curves[i].Name = name
+	}
+	for n := 1; n <= maxFaults; n++ {
+		sumsP := make([]float64, len(names))
+		sumsR := make([]float64, len(names))
+		for run := 0; run < runs; run++ {
+			accs, err := trial(n)
 			if err != nil {
 				return nil, err
 			}
-			ov := risk.NewOverlay(pristine)
-			apply(ov, sc, rng)
-			for i, alg := range opts.Algorithms {
-				r := alg.Run(ov, sc.Changed)
-				acc := r.Evaluate(sc.GroundTruth)
+			for i, acc := range accs {
 				sumsP[i] += acc.Precision
 				sumsR[i] += acc.Recall
 			}
 		}
-		for i := range opts.Algorithms {
+		for i := range curves {
 			curves[i].Points = append(curves[i].Points, AccuracyPoint{
 				Faults:    n,
-				Precision: sumsP[i] / float64(opts.Runs),
-				Recall:    sumsR[i] / float64(opts.Runs),
+				Precision: sumsP[i] / float64(runs),
+				Recall:    sumsR[i] / float64(runs),
 			})
 		}
 	}
-	res.Curves = curves
-	return res, nil
+	return &AccuracyResult{Title: title, Curves: curves}, nil
 }
 
-func busiestSwitch(env *Env) object.ID {
-	best := object.ID(0)
-	bestObjs := -1
+// busiestSwitch returns the switch with the most dependent objects, and
+// the index restricted to it.
+func busiestSwitch(env *Env) (object.ID, *workload.DepIndex) {
+	best, bestIdx, bestObjs := object.ID(0), (*workload.DepIndex)(nil), -1
 	for _, sw := range env.Topo.Switches() {
-		n := len(env.Index.ObjectsOnSwitch(sw))
-		if n > bestObjs {
-			best, bestObjs = sw, n
+		local := env.Index.OnSwitch(sw)
+		if n := len(local.Objects()); n > bestObjs {
+			best, bestIdx, bestObjs = sw, local, n
 		}
 	}
-	return best
+	return best, bestIdx
 }
 
 // Render returns the accuracy result as an aligned text table.
@@ -361,40 +362,6 @@ func (r *AccuracyResult) Render() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// Curve returns the named curve, if present.
-func (r *AccuracyResult) Curve(name string) (AccuracyCurve, bool) {
-	for _, c := range r.Curves {
-		if c.Name == name {
-			return c, true
-		}
-	}
-	return AccuracyCurve{}, false
-}
-
-// MeanRecall averages recall across a curve's points.
-func (c AccuracyCurve) MeanRecall() float64 {
-	if len(c.Points) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, p := range c.Points {
-		sum += p.Recall
-	}
-	return sum / float64(len(c.Points))
-}
-
-// MeanPrecision averages precision across a curve's points.
-func (c AccuracyCurve) MeanPrecision() float64 {
-	if len(c.Points) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, p := range c.Points {
-		sum += p.Precision
-	}
-	return sum / float64(len(c.Points))
 }
 
 // ---------------------------------------------------------------------------
@@ -427,15 +394,9 @@ type GammaOptions struct {
 // for each sampled single-object fault, γ = |hypothesis| / |suspect set|,
 // bucketed by suspect-set size.
 func SuspectSetReduction(env *Env, opts GammaOptions) (*GammaResult, error) {
-	if opts.Faults <= 0 {
-		opts.Faults = 200
-	}
-	if opts.Buckets == nil {
-		opts.Buckets = [][2]int{{1, 10}, {10, 50}, {50, 100}, {100, 500}, {500, 1000}}
-	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	candidates := env.Index.Objects()
-	model := risk.BuildControllerModel(env.Deployment, risk.ControllerModelOptions{IncludeSwitchRisk: true})
+	model := controllerModel(env)
 
 	sums := make([]float64, len(opts.Buckets))
 	counts := make([]int, len(opts.Buckets))
@@ -445,7 +406,7 @@ func SuspectSetReduction(env *Env, opts GammaOptions) (*GammaResult, error) {
 			return nil, err
 		}
 		ov := risk.NewOverlay(model)
-		workload.ApplyToControllerModel(ov, env.Deployment, env.Index, sc, rng)
+		env.markMissing(ov, sc, rng)
 		suspects := len(ov.SuspectSet())
 		if suspects == 0 {
 			continue
@@ -516,9 +477,6 @@ func ScaleSpec(switches int) workload.Spec {
 // Scalability measures controller-risk-model construction and SCOUT
 // runtime at each switch count.
 func Scalability(switchCounts []int, faults int, seed int64) (*ScaleResult, error) {
-	if faults <= 0 {
-		faults = 5
-	}
 	out := &ScaleResult{}
 	for _, n := range switchCounts {
 		env, err := NewEnv(ScaleSpec(n), seed)
@@ -527,7 +485,7 @@ func Scalability(switchCounts []int, faults int, seed int64) (*ScaleResult, erro
 		}
 		rng := rand.New(rand.NewSource(seed + int64(n)))
 		start := time.Now()
-		model := risk.BuildControllerModel(env.Deployment, risk.ControllerModelOptions{IncludeSwitchRisk: true})
+		model := controllerModel(env)
 		build := time.Since(start)
 
 		sc, err := workload.NewScenario(rng, env.Index.Objects(), faults, 10)
@@ -535,7 +493,7 @@ func Scalability(switchCounts []int, faults int, seed int64) (*ScaleResult, erro
 			return nil, err
 		}
 		ov := risk.NewOverlay(model)
-		workload.ApplyToControllerModel(ov, env.Deployment, env.Index, sc, rng)
+		env.markMissing(ov, sc, rng)
 
 		start = time.Now()
 		localize.Scout(ov, localize.SetOracle(sc.Changed))

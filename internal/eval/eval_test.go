@@ -1,27 +1,6 @@
 package eval
 
-import (
-	"strings"
-	"testing"
-
-	"scout/internal/workload"
-)
-
-// testEnv builds a small production-like environment once per test run.
-func testEnv(t testing.TB) *Env {
-	t.Helper()
-	spec := workload.ProductionSpec()
-	spec.EPGs = 120
-	spec.Contracts = 80
-	spec.Filters = 40
-	spec.TargetPairs = 1200
-	spec.Switches = 10
-	env, err := NewEnv(spec, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return env
-}
+import "testing"
 
 func TestSimSpecScaling(t *testing.T) {
 	full := SimSpec(1)
@@ -34,31 +13,6 @@ func TestSimSpecScaling(t *testing.T) {
 	}
 	if tiny := SimSpec(0.0001); tiny.EPGs < 2 {
 		t.Error("scaling must clamp to a usable floor")
-	}
-}
-
-func TestFigure3Shapes(t *testing.T) {
-	env := testEnv(t)
-	res := Figure3(env)
-	for _, series := range []string{"switches", "vrfs", "epgs", "contracts", "filters"} {
-		if len(res.Series[series]) == 0 {
-			t.Errorf("series %q empty", series)
-		}
-	}
-	// Paper shapes: the largest VRFs serve far more pairs than the median
-	// contract; switches carry big pair populations.
-	vrfs := res.Series["vrfs"]
-	contracts := res.Series["contracts"]
-	if vrfs[len(vrfs)-1] <= Percentile(contracts, 50) {
-		t.Error("largest VRF must dominate median contract")
-	}
-	switches := res.Series["switches"]
-	if Percentile(switches, 50) < 50 {
-		t.Errorf("median switch pairs = %d, want substantial sharing", Percentile(switches, 50))
-	}
-	out := res.Render()
-	if !strings.Contains(out, "vrfs") || !strings.Contains(out, "filters") {
-		t.Errorf("render incomplete:\n%s", out)
 	}
 }
 
@@ -78,157 +32,5 @@ func TestFractionAboveAndPercentile(t *testing.T) {
 	}
 	if Percentile(nil, 50) != 0 {
 		t.Error("empty percentile must be 0")
-	}
-}
-
-func TestSwitchModelAccuracyShape(t *testing.T) {
-	env := testEnv(t)
-	res, err := SwitchModelAccuracy(env, AccuracyOptions{MaxFaults: 5, Runs: 10, Noise: 3, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkAccuracyShape(t, res)
-}
-
-func TestControllerModelAccuracyShape(t *testing.T) {
-	env := testEnv(t)
-	res, err := ControllerModelAccuracy(env, AccuracyOptions{MaxFaults: 5, Runs: 10, Noise: 3, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkAccuracyShape(t, res)
-}
-
-// checkAccuracyShape asserts the paper's qualitative claims: SCOUT recall
-// exceeds SCORE's substantially; precision stays comparable; changing
-// SCORE's threshold changes little.
-func checkAccuracyShape(t *testing.T, res *AccuracyResult) {
-	t.Helper()
-	scout, ok := res.Curve("SCOUT")
-	if !ok {
-		t.Fatal("SCOUT curve missing")
-	}
-	score06, _ := res.Curve("SCORE-0.6")
-	score1, _ := res.Curve("SCORE-1")
-
-	if scout.MeanRecall() < score1.MeanRecall()+0.15 {
-		t.Errorf("SCOUT recall %.3f should beat SCORE-1 %.3f by a wide margin\n%s",
-			scout.MeanRecall(), score1.MeanRecall(), res.Render())
-	}
-	if scout.MeanRecall() < 0.8 {
-		t.Errorf("SCOUT mean recall = %.3f, want high (paper: finds most faults)", scout.MeanRecall())
-	}
-	if scout.MeanPrecision() < score1.MeanPrecision()-0.25 {
-		t.Errorf("SCOUT precision %.3f must stay comparable to SCORE-1 %.3f",
-			scout.MeanPrecision(), score1.MeanPrecision())
-	}
-	// SCORE's threshold barely matters (both miss partial faults).
-	d := score06.MeanRecall() - score1.MeanRecall()
-	if d < -0.2 || d > 0.35 {
-		t.Errorf("SCORE thresholds should behave similarly: 0.6→%.3f 1.0→%.3f",
-			score06.MeanRecall(), score1.MeanRecall())
-	}
-	if !strings.Contains(res.Render(), "SCOUT") {
-		t.Error("render must include curve names")
-	}
-}
-
-func TestAblationChangeLogStage(t *testing.T) {
-	env := testEnv(t)
-	opts := AccuracyOptions{
-		MaxFaults:  4,
-		Runs:       10,
-		Seed:       2,
-		Algorithms: append(StandardAlgorithms(), ScoutNoChangeLog()),
-	}
-	res, err := ControllerModelAccuracy(env, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, _ := res.Curve("SCOUT")
-	ablated, _ := res.Curve("SCOUT-nolog")
-	if full.MeanRecall() <= ablated.MeanRecall() {
-		t.Errorf("change-log stage must add recall: with=%.3f without=%.3f",
-			full.MeanRecall(), ablated.MeanRecall())
-	}
-}
-
-func TestSuspectSetReduction(t *testing.T) {
-	env := testEnv(t)
-	res, err := SuspectSetReduction(env, GammaOptions{Faults: 100, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, b := range res.Buckets {
-		total += b.Samples
-		if b.Samples > 0 && (b.MeanGamma <= 0 || b.MeanGamma > 1) {
-			t.Errorf("bucket %d-%d gamma = %v out of (0,1]", b.Lo, b.Hi, b.MeanGamma)
-		}
-	}
-	if total == 0 {
-		t.Fatal("no samples landed in any bucket")
-	}
-	// Paper: γ mostly below ~0.2; buckets with bigger suspect sets have
-	// smaller γ. Check the widest populated bucket.
-	for i := len(res.Buckets) - 1; i >= 0; i-- {
-		if res.Buckets[i].Samples > 0 {
-			if res.Buckets[i].MeanGamma > 0.25 {
-				t.Errorf("large-suspect-set gamma = %v, want small", res.Buckets[i].MeanGamma)
-			}
-			break
-		}
-	}
-	if !strings.Contains(res.Render(), "gamma") {
-		t.Error("render missing header")
-	}
-}
-
-func TestScalabilitySmall(t *testing.T) {
-	if testing.Short() {
-		t.Skip("scalability sweep is slow")
-	}
-	res, err := Scalability([]int{5, 10}, 3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Points) != 2 {
-		t.Fatalf("points = %d", len(res.Points))
-	}
-	if res.Points[1].Elements <= res.Points[0].Elements {
-		t.Error("model size must grow with switch count")
-	}
-	for _, p := range res.Points {
-		if p.LocalizeSecs < 0 || p.BuildSecs < 0 {
-			t.Error("negative timings")
-		}
-	}
-	if !strings.Contains(res.Render(), "switches") {
-		t.Error("render missing header")
-	}
-}
-
-func TestAccuracyOptionsDefaults(t *testing.T) {
-	o := AccuracyOptions{}.withDefaults()
-	if o.MaxFaults != 10 || o.Runs != 30 || o.Algorithms == nil {
-		t.Errorf("defaults = %+v", o)
-	}
-}
-
-func TestTestbedAccuracyEndToEnd(t *testing.T) {
-	spec := workload.TestbedSpec()
-	res, err := TestbedAccuracy(spec, TestbedOptions{MaxFaults: 4, Runs: 5, Noise: 2, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	scout, _ := res.Curve("SCOUT")
-	score, _ := res.Curve("SCORE-1")
-	if scout.MeanRecall() <= score.MeanRecall() {
-		t.Errorf("end-to-end: SCOUT recall %.3f must beat SCORE-1 %.3f\n%s",
-			scout.MeanRecall(), score.MeanRecall(), res.Render())
-	}
-	// Paper: SCOUT finds everything at low fault counts on the testbed.
-	if scout.Points[0].Recall < 0.9 {
-		t.Errorf("SCOUT single-fault recall = %.3f, want near 1\n%s", scout.Points[0].Recall, res.Render())
 	}
 }

@@ -33,43 +33,13 @@ type TestbedOptions struct {
 // policy with up to MaxFaults simultaneous object faults, run through the
 // complete pipeline.
 func TestbedAccuracy(spec workload.Spec, opts TestbedOptions) (*AccuracyResult, error) {
-	if opts.MaxFaults <= 0 {
-		opts.MaxFaults = 10
-	}
-	if opts.Runs <= 0 {
-		opts.Runs = 10
-	}
 	rng := rand.New(rand.NewSource(opts.Seed))
-
 	pol, tp, err := workload.Generate(spec, opts.Seed)
 	if err != nil {
 		return nil, err
 	}
-
-	res := &AccuracyResult{Title: "testbed end-to-end"}
-	curves := []AccuracyCurve{{Name: "SCOUT"}, {Name: "SCORE-1"}}
-	for n := 1; n <= opts.MaxFaults; n++ {
-		var sumP, sumR [2]float64
-		for run := 0; run < opts.Runs; run++ {
-			accs, err := testbedRun(pol, tp, rng, n, opts.Noise)
-			if err != nil {
-				return nil, err
-			}
-			for i := range accs {
-				sumP[i] += accs[i].Precision
-				sumR[i] += accs[i].Recall
-			}
-		}
-		for i := range curves {
-			curves[i].Points = append(curves[i].Points, AccuracyPoint{
-				Faults:    n,
-				Precision: sumP[i] / float64(opts.Runs),
-				Recall:    sumR[i] / float64(opts.Runs),
-			})
-		}
-	}
-	res.Curves = curves
-	return res, nil
+	return accuracySweep("testbed end-to-end", []string{"SCOUT", "SCORE-1"}, opts.MaxFaults, opts.Runs,
+		func(n int) ([]localize.Accuracy, error) { return testbedRun(pol, tp, rng, n, opts.Noise) })
 }
 
 // testbedRun executes one end-to-end experiment: deploy the policy onto a
@@ -77,25 +47,24 @@ func TestbedAccuracy(spec workload.Spec, opts TestbedOptions) (*AccuracyResult, 
 // and score the report's SCOUT hypothesis and SCORE-1 on the report's
 // controller view against the ground truth. Every change-log entry lands
 // moments after the fabric is created, well inside the analysis' window.
-func testbedRun(pol *policy.Policy, tp *topo.Topology, rng *rand.Rand, n, noise int) ([2]localize.Accuracy, error) {
-	var out [2]localize.Accuracy
+func testbedRun(pol *policy.Policy, tp *topo.Topology, rng *rand.Rand, n, noise int) ([]localize.Accuracy, error) {
 	f, err := fabric.New(pol, tp, fabric.Options{Seed: rng.Int63()})
 	if err != nil {
-		return out, err
+		return nil, err
 	}
 	if err := f.Deploy(); err != nil {
-		return out, err
+		return nil, err
 	}
 
 	// Sample the fault scenario among deployed objects.
 	candidates := deployedObjects(f.Deployment())
 	sc, err := workload.NewScenario(rng, candidates, n, 0)
 	if err != nil {
-		return out, err
+		return nil, err
 	}
 	for _, flt := range sc.Faults {
 		if _, err := f.InjectObjectFault(flt.Ref, flt.Fraction); err != nil {
-			return out, err
+			return nil, err
 		}
 	}
 	// Noise: healthy objects with recent change-log entries.
@@ -115,13 +84,14 @@ func testbedRun(pol *policy.Policy, tp *topo.Topology, rng *rand.Rand, n, noise 
 
 	rep, err := scout.NewAnalyzer().Analyze(f)
 	if err != nil {
-		return out, err
+		return nil, err
 	}
 	// rep.Controller is nil on a consistent fabric; rep.Hypothesis is then
 	// empty, which is what SCOUT picks on an unmarked model.
-	out[0] = (&localize.Result{Hypothesis: rep.Hypothesis}).Evaluate(sc.GroundTruth)
-	out[1] = localize.Score(rep.ControllerView, 1.0).Evaluate(sc.GroundTruth)
-	return out, nil
+	return []localize.Accuracy{
+		(&localize.Result{Hypothesis: rep.Hypothesis}).Evaluate(sc.GroundTruth),
+		localize.Score(rep.ControllerView, 1.0).Evaluate(sc.GroundTruth),
+	}, nil
 }
 
 // deployedObjects lists the distinct policy objects with deployed rules.

@@ -38,13 +38,13 @@ type Options struct {
 	TCAMCapacity int
 	// Seed seeds the fabric's RNG (fault injection randomness).
 	Seed int64
-	// Start is the logical wall-clock origin; the zero value selects a
-	// fixed deterministic epoch.
-	Start time.Time
-	// Tick is the logical time advanced by every fabric operation;
-	// <= 0 selects one second.
-	Tick time.Duration
 }
+
+// The fabric's logical clock starts at a fixed epoch, ICDCS'18 day one,
+// and every fabric operation advances it by one tick.
+var epoch = time.Date(2018, 7, 2, 0, 0, 0, 0, time.UTC)
+
+const tick = time.Second
 
 // Switch is the per-device state: agent health, reachability, the agent's
 // local logical view of the policy, and the TCAM.
@@ -84,9 +84,8 @@ type Fabric struct {
 
 	deployed *compile.Deployment // last compiled desired state
 
-	now  time.Time
-	tick time.Duration
-	rng  *rand.Rand
+	now time.Time
+	rng *rand.Rand
 }
 
 // New creates a fabric for the given policy and topology. The policy is
@@ -99,14 +98,6 @@ func New(p *policy.Policy, t *topo.Topology, opts Options) (*Fabric, error) {
 	if err := t.Validate(p); err != nil {
 		return nil, fmt.Errorf("fabric: %w", err)
 	}
-	start := opts.Start
-	if start.IsZero() {
-		start = time.Date(2018, 7, 2, 0, 0, 0, 0, time.UTC) // ICDCS'18 day one
-	}
-	tick := opts.Tick
-	if tick <= 0 {
-		tick = time.Second
-	}
 	f := &Fabric{
 		pol:      p.Clone(),
 		topology: t,
@@ -114,8 +105,7 @@ func New(p *policy.Policy, t *topo.Topology, opts Options) (*Fabric, error) {
 		changes:  faultlog.NewChangeLog(),
 		faults:   faultlog.NewFaultLog(),
 		events:   faultlog.NewEventLog(),
-		now:      start,
-		tick:     tick,
+		now:      epoch,
 		rng:      rand.New(rand.NewSource(opts.Seed)),
 	}
 	for _, sw := range t.Switches() {
@@ -167,7 +157,7 @@ func (f *Fabric) Switch(sw object.ID) (*Switch, error) {
 }
 
 func (f *Fabric) advance() time.Time {
-	f.now = f.now.Add(f.tick)
+	f.now = f.now.Add(tick)
 	return f.now
 }
 

@@ -246,7 +246,8 @@ func runWorkload(t *testing.T, fc fabricCase) []results {
 				sw, most = s, n
 			}
 		}
-		candidates = idx.ObjectsOnSwitch(sw)
+		idx = idx.OnSwitch(sw)
+		candidates = idx.Objects()
 		build = func() *risk.Model { return risk.BuildSwitchModel(d, sw) }
 	}
 	pristine := build()
@@ -257,13 +258,16 @@ func runWorkload(t *testing.T, fc fabricCase) []results {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Marking draws the instances each fault hits: one stream a view.
+			// Both views mark the same missing rules through the pipeline's
+			// augmentation, a controller view in ascending switch order.
+			missing := sc.Missing(idx, rand.New(rand.NewSource(seed*1000)))
 			mark := func(v risk.Marker) {
-				rng := rand.New(rand.NewSource(seed * 1000))
 				if fc.onSwitch {
-					workload.ApplyToSwitchModel(v, d, idx, sw, sc, rng)
-				} else {
-					workload.ApplyToControllerModel(v, d, idx, sc, rng)
+					risk.AugmentSwitchModel(v, missing[sw], d.Provenance)
+					return
+				}
+				for _, s := range tp.Switches() {
+					risk.AugmentControllerModelPatch(v, s, missing[s], d.Provenance).Apply(v)
 				}
 			}
 			model, ov := build(), risk.NewOverlay(pristine)

@@ -1,13 +1,14 @@
-// Fault scenario generation and risk-model-level fault application.
+// Fault scenario generation: which objects fail, and which deployed rules
+// each failure removes.
 //
 // The paper's simulation setup (§VI-A) injects two fault types with equal
 // weight: full object faults (every TCAM rule derived from the object goes
 // missing) and partial object faults (only a subset goes missing — the
 // regime where SCORE's fixed hit-ratio threshold fails and SCOUT's
-// change-log stage recovers accuracy). Scenarios apply faults directly at
-// the risk-model level, which is exactly the information the equivalence
-// checker would produce, without paying for per-rule TCAM and BDD work in
-// large simulations.
+// change-log stage recovers accuracy). A scenario's Missing rules are
+// exactly what the equivalence checker would report, so an experiment
+// marks them through the pipeline's own risk-model augmentation without
+// paying for per-rule TCAM and BDD work in large simulations.
 
 package workload
 
@@ -17,7 +18,6 @@ import (
 
 	"scout/internal/compile"
 	"scout/internal/object"
-	"scout/internal/risk"
 	"scout/internal/rule"
 )
 
@@ -32,7 +32,6 @@ type Instance struct {
 // provenance contains it.
 type DepIndex struct {
 	byObject map[object.Ref][]Instance
-	d        *compile.Deployment
 }
 
 // BuildIndex constructs the object → instances index for a deployment.
@@ -90,7 +89,7 @@ func BuildIndex(d *compile.Deployment) *DepIndex {
 			}
 		}
 	}
-	idx := &DepIndex{byObject: make(map[object.Ref][]Instance, len(lists)), d: d}
+	idx := &DepIndex{byObject: make(map[object.Ref][]Instance, len(lists))}
 	for ref, slot := range slotOf {
 		idx.byObject[ref] = lists[slot]
 	}
@@ -111,19 +110,18 @@ func (idx *DepIndex) Objects() []object.Ref {
 // Instances returns the deployed rule instances depending on ref.
 func (idx *DepIndex) Instances(ref object.Ref) []Instance { return idx.byObject[ref] }
 
-// ObjectsOnSwitch returns the policy objects with at least one rule
-// instance deployed on switch sw, sorted.
-func (idx *DepIndex) ObjectsOnSwitch(sw object.ID) []object.Ref {
-	set := make(object.Set)
+// OnSwitch returns the index restricted to switch sw: each object with an
+// instance there, listed with those instances only, in their order.
+func (idx *DepIndex) OnSwitch(sw object.ID) *DepIndex {
+	out := &DepIndex{byObject: make(map[object.Ref][]Instance)}
 	for ref, instances := range idx.byObject {
 		for _, in := range instances {
 			if in.SP.Switch == sw {
-				set.Add(ref)
-				break
+				out.byObject[ref] = append(out.byObject[ref], in)
 			}
 		}
 	}
-	return set.Sorted()
+	return out
 }
 
 // Fault is one injected object fault. Fraction 1 is a full object fault;
@@ -182,58 +180,18 @@ func NewScenario(rng *rand.Rand, candidates []object.Ref, n, noiseCount int) (Sc
 	return sc, nil
 }
 
-// ApplyToControllerModel injects the scenario's faults into a controller
-// risk model built from deployment d: for every selected rule instance the
-// (switch, pair) triplet's edges to all of the rule's provenance objects
-// are marked fail (and to the switch risk when modeled), mirroring what
-// risk.AugmentControllerModelPatch marks for the checker's missing rules.
-// m may be the model itself or a copy-on-write overlay over it —
-// experiment harnesses put a fresh overlay over the pristine model per
-// scenario. It returns the number of rule instances failed.
-func ApplyToControllerModel(m risk.Marker, d *compile.Deployment, idx *DepIndex, sc Scenario, rng *rand.Rand) int {
-	failed := 0
+// Missing draws the rules the scenario's faults remove from the instances
+// idx lists, by switch: all of a full fault's instances, a random part of
+// a partial fault's, drawn from rng in fault order. A rule carries only
+// its key; the deployment's provenance names the objects it came from.
+func (sc Scenario) Missing(idx *DepIndex, rng *rand.Rand) map[object.ID][]rule.Rule {
+	missing := make(map[object.ID][]rule.Rule)
 	for _, f := range sc.Faults {
 		for _, in := range selectInstances(idx.Instances(f.Ref), f, rng) {
-			el, ok := m.ElementByLabel(in.SP.String())
-			if !ok {
-				continue
-			}
-			for _, ref := range d.Provenance[in.Key] {
-				m.MarkFailed(el, ref)
-			}
-			swRef := object.Switch(in.SP.Switch)
-			if _, modeled := m.RiskByRef(swRef); modeled {
-				m.MarkFailed(el, swRef)
-			}
-			failed++
+			missing[in.SP.Switch] = append(missing[in.SP.Switch], rule.Rule{Match: in.Key.Match, Action: in.Key.Action})
 		}
 	}
-	return failed
-}
-
-// ApplyToSwitchModel injects the scenario's faults restricted to switch sw
-// into that switch's risk model.
-func ApplyToSwitchModel(m risk.Marker, d *compile.Deployment, idx *DepIndex, sw object.ID, sc Scenario, rng *rand.Rand) int {
-	failed := 0
-	for _, f := range sc.Faults {
-		var local []Instance
-		for _, in := range idx.Instances(f.Ref) {
-			if in.SP.Switch == sw {
-				local = append(local, in)
-			}
-		}
-		for _, in := range selectInstances(local, f, rng) {
-			el, ok := m.ElementByLabel(in.SP.Pair.String())
-			if !ok {
-				continue
-			}
-			for _, ref := range d.Provenance[in.Key] {
-				m.MarkFailed(el, ref)
-			}
-			failed++
-		}
-	}
-	return failed
+	return missing
 }
 
 // selectInstances picks the instances a fault damages: all of them for a

@@ -8,6 +8,7 @@ import (
 	"scout/internal/compile"
 	"scout/internal/object"
 	"scout/internal/risk"
+	"scout/internal/rule"
 	"scout/internal/tcam"
 )
 
@@ -212,26 +213,28 @@ func TestBuildIndexCoversDeployment(t *testing.T) {
 	}
 }
 
+// TestObjectsOnSwitch: OnSwitch lists each object with the instances it
+// has on the switch, in the index's order, and no object without one.
 func TestObjectsOnSwitch(t *testing.T) {
 	d, idx := buildEnv(t)
-	var anySwitch object.ID
+	var sw object.ID
 	for sp := range d.PairRules {
-		anySwitch = sp.Switch
+		sw = sp.Switch
 		break
 	}
-	objs := idx.ObjectsOnSwitch(anySwitch)
-	if len(objs) == 0 {
+	local := idx.OnSwitch(sw)
+	if len(local.Objects()) == 0 {
 		t.Fatal("busy switch should have objects")
 	}
-	for _, ref := range objs {
-		onSwitch := false
+	for _, ref := range idx.Objects() {
+		var want []Instance
 		for _, in := range idx.Instances(ref) {
-			if in.SP.Switch == anySwitch {
-				onSwitch = true
+			if in.SP.Switch == sw {
+				want = append(want, in)
 			}
 		}
-		if !onSwitch {
-			t.Fatalf("%v reported on switch %d but has no instance there", ref, anySwitch)
+		if got := local.Instances(ref); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v on switch %d: %v, want %v", ref, sw, got, want)
 		}
 	}
 }
@@ -293,6 +296,17 @@ func TestScenarioMixesFullAndPartial(t *testing.T) {
 	}
 }
 
+// markController marks missing rules in a controller model through the
+// pipeline's augmentation and returns how many rules it marked.
+func markController(m risk.Marker, d *compile.Deployment, missing map[object.ID][]rule.Rule) int {
+	n := 0
+	for sw, rules := range missing {
+		risk.AugmentControllerModelPatch(m, sw, rules, d.Provenance).Apply(m)
+		n += len(rules)
+	}
+	return n
+}
+
 func TestApplyToControllerModelFullFault(t *testing.T) {
 	d, idx := buildEnv(t)
 	m := risk.BuildControllerModel(d, risk.ControllerModelOptions{IncludeSwitchRisk: true})
@@ -308,8 +322,7 @@ func TestApplyToControllerModelFullFault(t *testing.T) {
 		t.Skip("no suitable filter in workload")
 	}
 	sc := Scenario{Faults: []Fault{{Ref: target, Fraction: 1}}}
-	rng := rand.New(rand.NewSource(3))
-	failed := ApplyToControllerModel(m, d, idx, sc, rng)
+	failed := markController(m, d, sc.Missing(idx, rand.New(rand.NewSource(3))))
 	if failed != len(idx.Instances(target)) {
 		t.Errorf("failed instances = %d, want all %d", failed, len(idx.Instances(target)))
 	}
@@ -333,17 +346,16 @@ func TestApplyToControllerModelPartialFault(t *testing.T) {
 		t.Skip("no wide object in workload")
 	}
 	sc := Scenario{Faults: []Fault{{Ref: target, Fraction: 0.3}}}
-	rng := rand.New(rand.NewSource(3))
-	ApplyToControllerModel(m, d, idx, sc, rng)
+	markController(m, d, sc.Missing(idx, rand.New(rand.NewSource(3))))
 	if failed, deps := len(m.FailedElementsOf(target)), len(m.ElementsOf(target)); failed == 0 || failed >= deps {
 		t.Errorf("partial fault hit ratio = %d/%d, want in (0,1)", failed, deps)
 	}
 }
 
 // TestBuildIndexDeterministic: two builds of one deployment list every
-// object's instances in the same order, so a partial fault applied with one
-// seed marks the same edges whichever build it drew from. (BuildIndex once
-// ranged over the PairRules map, and a scenario was not reproducible.)
+// object's instances in the same order, so partial faults drawn with one
+// seed remove the same rules whichever build they drew from. (BuildIndex
+// once ranged over the PairRules map, and a scenario was not reproducible.)
 func TestBuildIndexDeterministic(t *testing.T) {
 	d, first := buildEnv(t)
 	var wide []Fault
@@ -355,25 +367,17 @@ func TestBuildIndexDeterministic(t *testing.T) {
 	if len(wide) == 0 {
 		t.Fatal("no wide object in workload")
 	}
-	marks := func(idx *DepIndex) map[object.Ref][]risk.ElementID {
-		m := risk.BuildControllerModel(d, risk.ControllerModelOptions{IncludeSwitchRisk: true})
-		ApplyToControllerModel(m, d, idx, Scenario{Faults: wide}, rand.New(rand.NewSource(3)))
-		out := map[object.Ref][]risk.ElementID{}
-		for _, ref := range m.Risks() {
-			if failed := m.FailedElementsOf(ref); len(failed) > 0 {
-				out[ref] = failed
-			}
-		}
-		return out
+	missing := func(idx *DepIndex) map[object.ID][]rule.Rule {
+		return Scenario{Faults: wide}.Missing(idx, rand.New(rand.NewSource(3)))
 	}
-	want := marks(first)
+	want := missing(first)
 	for i := 0; i < 5; i++ {
 		again := BuildIndex(d)
 		if !reflect.DeepEqual(again, first) {
 			t.Fatalf("build %d of one deployment differs from the first", i+2)
 		}
-		if got := marks(again); !reflect.DeepEqual(got, want) {
-			t.Fatalf("build %d: one scenario and seed failed the edges of %d objects differently from the first build's %d",
+		if got := missing(again); !reflect.DeepEqual(got, want) {
+			t.Fatalf("build %d: one scenario and seed removed rules on %d switches, the first build on %d, or other rules",
 				i+2, len(got), len(want))
 		}
 	}
@@ -387,17 +391,18 @@ func TestApplyToSwitchModel(t *testing.T) {
 		sw = sp.Switch
 		break
 	}
-	objs := idx.ObjectsOnSwitch(sw)
+	local := idx.OnSwitch(sw)
+	objs := local.Objects()
 	if len(objs) == 0 {
 		t.Skip("empty switch")
 	}
 	m := risk.BuildSwitchModel(d, sw)
 	sc := Scenario{Faults: []Fault{{Ref: objs[0], Fraction: 1}}}
-	rng := rand.New(rand.NewSource(4))
-	failed := ApplyToSwitchModel(m, d, idx, sw, sc, rng)
-	if failed == 0 {
-		t.Fatal("switch-scoped fault must fail instances")
+	missing := sc.Missing(local, rand.New(rand.NewSource(4)))
+	if len(missing) != 1 || len(missing[sw]) == 0 {
+		t.Fatalf("a fault drawn on switch %d removed rules on %d switches, %d there", sw, len(missing), len(missing[sw]))
 	}
+	risk.AugmentSwitchModel(m, missing[sw], d.Provenance)
 	if len(m.FailureSignature()) == 0 {
 		t.Error("model must have observations after injection")
 	}
