@@ -336,13 +336,14 @@ func TestArchitecture(t *testing.T) {
 	} {
 		var sites []string
 		for _, u := range ix.uses[ix.lookup(t, key)] {
-			switch {
-			case strings.HasPrefix(u.pos.Filename, "bench/"):
-			case u.in == nil: // a package-level use
-				sites = append(sites, u.pos.String())
-			default:
-				sites = append(sites, ix.key(u.in))
+			if strings.HasPrefix(u.pos.Filename, "bench/") {
+				continue
 			}
+			site := u.pos.String() // a package-level use
+			if u.in != nil {
+				site = ix.key(u.in)
+			}
+			sites = append(sites, site)
 		}
 		sort.Strings(sites)
 		if !slices.Equal(sites, callers) {
