@@ -311,8 +311,6 @@ var unreferencedExports = map[string]string{
 
 	".:Session.Invalidate":    "the documented way to drop a switch's warm state",
 	".:Analyzer.AnalyzeState": "README documents it for state collected outside the simulator",
-
-	"internal/risk:Model.EnsureElement": "goes with model marking (ROADMAP 7(a))",
 }
 
 // TestArchitecture holds the design's invariants over the module's
@@ -326,13 +324,16 @@ func TestArchitecture(t *testing.T) {
 	// check too: an experiment or an example reads a Report instead of
 	// running it. The controller-model augmentation has one more: the
 	// simulated §VI figures inject their faults at the model level, as
-	// §VI-A does, through eval's one injector.
+	// §VI-A does, through eval's one injector. The switch-model
+	// augmentation has the switch report, Figure 8 and the annotated
+	// build that bench/ calls.
 	for key, callers := range map[string][]string{
 		".:Analyzer.assemble":                       {".:Session.run"},
 		".:Analyzer.buildSharedBase":                {".:Session.loadOrBuildBaseLocked"},
 		".:Analyzer.startRiskModels":                {".:Session.resolveLocked"},
 		"internal/equiv:Checker.Check":              {".:checkState"},
 		"internal/risk:AugmentControllerModelPatch": {".:Analyzer.assemble", "internal/eval:Env.markMissing"},
+		"internal/risk:AugmentSwitchModel":          {".:buildSwitchReport", "internal/eval:SwitchModelAccuracy", "internal/risk:BuildAnnotatedSwitchModel"},
 	} {
 		var sites []string
 		for _, u := range ix.uses[ix.lookup(t, key)] {

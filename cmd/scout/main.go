@@ -95,7 +95,10 @@ func run() error {
 	if err := checkWatchFlags(*watch, *batchWindow, set); err != nil {
 		return err
 	}
-	if err := checkStateFlags(*stateDir, set); err != nil {
+	if err := checkStateFlags(*stateDir, *stateAge, *stateCap, set); err != nil {
+		return err
+	}
+	if err := checkFabricFlags(*capacity, *disconnect, set); err != nil {
 		return err
 	}
 
@@ -318,9 +321,15 @@ func checkWatchFlags(watch bool, window time.Duration, set map[string]bool) erro
 }
 
 // checkStateFlags rejects the warm-state GC knobs without a warm-state
-// directory to bound: they silently do nothing otherwise. set holds the
-// names of explicitly-set flags.
-func checkStateFlags(stateDir string, set map[string]bool) error {
+// directory to bound, and a negative bound: either silently does nothing
+// otherwise. set holds the names of explicitly-set flags.
+func checkStateFlags(stateDir string, age time.Duration, capacity int, set map[string]bool) error {
+	if age < 0 {
+		return fmt.Errorf("-state-gc-age %v is negative", age)
+	}
+	if capacity < 0 {
+		return fmt.Errorf("-state-cap %d is negative", capacity)
+	}
 	if stateDir != "" {
 		return nil
 	}
@@ -328,6 +337,19 @@ func checkStateFlags(stateDir string, set map[string]bool) error {
 		if set[name] {
 			return fmt.Errorf("-%s bounds the -state-dir directory; add -state-dir or drop the flag", name)
 		}
+	}
+	return nil
+}
+
+// checkFabricFlags rejects a negative -tcam, which would deploy at the
+// default capacity, and an explicitly-set negative -disconnect, which would
+// disconnect nothing. set holds the names of explicitly-set flags.
+func checkFabricFlags(capacity, disconnect int, set map[string]bool) error {
+	if capacity < 0 {
+		return fmt.Errorf("-tcam %d is negative", capacity)
+	}
+	if set["disconnect"] && disconnect < 0 {
+		return fmt.Errorf("-disconnect %d is negative", disconnect)
 	}
 	return nil
 }

@@ -404,29 +404,43 @@ func TestCheckWatchFlags(t *testing.T) {
 	}
 }
 
-// TestCheckStateFlags pins the warm-state flag rules: the GC bounds are
-// meaningless without a directory to bound and must fail loudly.
+// TestCheckStateFlags pins the warm-state and fabric flag rules: the GC
+// bounds are meaningless without a directory to bound, and no bound,
+// capacity or switch ID is negative; each must fail loudly, naming its
+// flag.
 func TestCheckStateFlags(t *testing.T) {
 	tests := []struct {
 		name     string
 		stateDir string
+		age      time.Duration
+		n        int // -state-cap, or -tcam and -disconnect
 		set      []string
-		wantErr  bool
+		wantErr  string
 	}{
-		{"no state flags", "", nil, false},
-		{"state-dir alone", "/tmp/warm", []string{"state-dir"}, false},
-		{"state-dir with both bounds", "/tmp/warm", []string{"state-dir", "state-gc-age", "state-cap"}, false},
-		{"gc-age without state-dir", "", []string{"state-gc-age"}, true},
-		{"cap without state-dir", "", []string{"state-cap"}, true},
+		{"no state flags", "", 0, 0, nil, ""},
+		{"state-dir alone", "/tmp/warm", 0, 0, []string{"state-dir"}, ""},
+		{"state-dir with both bounds", "/tmp/warm", time.Hour, 3, []string{"state-dir", "state-gc-age", "state-cap"}, ""},
+		{"gc-age without state-dir", "", time.Hour, 0, []string{"state-gc-age"}, "-state-gc-age"},
+		{"cap without state-dir", "", 0, 3, []string{"state-cap"}, "-state-cap"},
+		{"negative gc-age", "/tmp/warm", -time.Hour, 0, []string{"state-dir", "state-gc-age"}, "-state-gc-age"},
+		{"negative cap", "/tmp/warm", 0, -1, []string{"state-dir", "state-cap"}, "-state-cap"},
+		{"negative tcam", "", 0, -5, []string{"tcam"}, "-tcam"},
+		{"negative disconnect", "", 0, -7, []string{"disconnect"}, "-disconnect"},
+		{"disconnect switch 0", "", 0, 0, []string{"disconnect"}, ""},
 	}
 	for _, tt := range tests {
 		set := make(map[string]bool, len(tt.set))
 		for _, name := range tt.set {
 			set[name] = true
 		}
-		err := checkStateFlags(tt.stateDir, set)
-		if (err != nil) != tt.wantErr {
-			t.Errorf("%s: checkStateFlags = %v, wantErr %v", tt.name, err, tt.wantErr)
+		err := checkStateFlags(tt.stateDir, tt.age, tt.n, set)
+		if set["tcam"] {
+			err = checkFabricFlags(tt.n, -1, set)
+		} else if set["disconnect"] {
+			err = checkFabricFlags(0, tt.n, set)
+		}
+		if err == nil && tt.wantErr != "" || err != nil && (tt.wantErr == "" || !strings.Contains(err.Error(), tt.wantErr+" ")) {
+			t.Errorf("%s: flag check = %v, want an error naming %q", tt.name, err, tt.wantErr)
 		}
 	}
 }

@@ -16,13 +16,12 @@ import (
 	"scout/internal/object"
 )
 
-// Signature describes a known physical-fault class. Match decides whether
-// a fault event explains a policy-object failure; Describe renders the
-// inferred root cause for the report.
+// Signature describes a known physical-fault class: a fault event with its
+// Code explains a policy-object failure, and Describe renders the inferred
+// root cause for the report.
 type Signature struct {
 	Name     string
 	Code     faultlog.FaultCode
-	Match    func(f faultlog.Fault, change faultlog.Change) bool
 	Describe func(f faultlog.Fault) string
 }
 
@@ -49,13 +48,6 @@ func DefaultSignatures() []Signature {
 			Code: faultlog.FaultAgentCrash,
 			Describe: func(f faultlog.Fault) string {
 				return fmt.Sprintf("switch %d agent crashed mid-update (%s)", f.Switch, f.Detail)
-			},
-		},
-		{
-			Name: "control-channel-disruption",
-			Code: faultlog.FaultControlChannel,
-			Describe: func(f faultlog.Fault) string {
-				return fmt.Sprintf("control channel to switch %d disrupted (%s)", f.Switch, f.Detail)
 			},
 		},
 	}
@@ -135,7 +127,7 @@ func (e *Engine) Correlate(hypothesis []object.Ref, changes *faultlog.ChangeLog,
 			// against faults on that switch, active now or in the past.
 			relevantSwitches = map[object.ID]struct{}{obj.ID: {}}
 			for _, f := range faults.OnSwitch(obj.ID) {
-				e.matchFault(&d, f, faultlog.Change{})
+				e.matchFault(&d, f)
 			}
 		} else {
 			change, ok := changes.LastChange(obj)
@@ -155,7 +147,7 @@ func (e *Engine) Correlate(hypothesis []object.Ref, changes *faultlog.ChangeLog,
 							continue
 						}
 					}
-					e.matchFault(&d, f, change)
+					e.matchFault(&d, f)
 				}
 			}
 		}
@@ -201,12 +193,9 @@ func (e *Engine) Correlate(hypothesis []object.Ref, changes *faultlog.ChangeLog,
 	return rep
 }
 
-func (e *Engine) matchFault(d *Diagnosis, f faultlog.Fault, change faultlog.Change) {
+func (e *Engine) matchFault(d *Diagnosis, f faultlog.Fault) {
 	for _, sig := range e.sigs {
 		if sig.Code != f.Code {
-			continue
-		}
-		if sig.Match != nil && !sig.Match(f, change) {
 			continue
 		}
 		desc := f.Code.String()

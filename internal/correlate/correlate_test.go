@@ -117,17 +117,20 @@ func TestRootCauseRanking(t *testing.T) {
 	}
 }
 
+// TestCustomSignature: an admin's signature for a code the fabric does not
+// raise matches like the defaults.
 func TestCustomSignature(t *testing.T) {
+	const parity faultlog.FaultCode = 99
 	eng := NewEngine(append(DefaultSignatures(), Signature{
 		Name: "corruption-heuristic",
-		Code: faultlog.FaultTCAMCorruption,
+		Code: parity,
 		Describe: func(f faultlog.Fault) string {
 			return fmt.Sprintf("suspected bit corruption on switch %d", f.Switch)
 		},
 	}))
 	changes := faultlog.NewChangeLog()
 	faults := faultlog.NewFaultLog()
-	faults.Raise(t0, faultlog.FaultTCAMCorruption, 5, "parity mismatch")
+	faults.Raise(t0, parity, 5, "parity mismatch")
 	changes.Append(t0.Add(time.Second), faultlog.OpModify, object.Filter(1), "", 5)
 
 	rep := eng.Correlate([]object.Ref{object.Filter(1)}, changes, faults)
@@ -136,24 +139,5 @@ func TestCustomSignature(t *testing.T) {
 	}
 	if !strings.Contains(rep.Diagnoses[0].Causes[0].Description, "suspected bit corruption") {
 		t.Errorf("description = %q", rep.Diagnoses[0].Causes[0].Description)
-	}
-}
-
-func TestSignatureMatchPredicate(t *testing.T) {
-	eng := NewEngine([]Signature{{
-		Name: "overflow-on-add-only",
-		Code: faultlog.FaultTCAMOverflow,
-		Match: func(f faultlog.Fault, c faultlog.Change) bool {
-			return c.Op == faultlog.OpAdd
-		},
-	}})
-	changes := faultlog.NewChangeLog()
-	faults := faultlog.NewFaultLog()
-	faults.Raise(t0, faultlog.FaultTCAMOverflow, 2, "")
-	changes.Append(t0.Add(time.Second), faultlog.OpDelete, object.Filter(1), "", 2)
-
-	rep := eng.Correlate([]object.Ref{object.Filter(1)}, changes, faults)
-	if !rep.Diagnoses[0].Unknown {
-		t.Error("predicate must filter out delete changes")
 	}
 }

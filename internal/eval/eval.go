@@ -246,18 +246,14 @@ func SwitchModelAccuracy(env *Env, opts AccuracyOptions) (*AccuracyResult, error
 	model := risk.BuildSwitchModel(env.Deployment, sw)
 	return simulate("switch risk model", model, local.Objects(), opts,
 		func(m risk.Marker, sc workload.Scenario, rng *rand.Rand) {
-			risk.AugmentSwitchModel(m, sc.Missing(local, rng)[sw], env.Deployment.Provenance)
+			risk.AugmentSwitchModel(m, sw, sc.Missing(local, rng)[sw], env.Deployment.Provenance)
 		})
 }
 
 // ControllerModelAccuracy reproduces Figure 9: faults are injected across
 // switches and localized on the controller risk model.
 func ControllerModelAccuracy(env *Env, opts AccuracyOptions) (*AccuracyResult, error) {
-	return simulate("controller risk model", controllerModel(env), env.Index.Objects(), opts, env.markMissing)
-}
-
-func controllerModel(env *Env) *risk.Model {
-	return risk.BuildControllerModel(env.Deployment, risk.ControllerModelOptions{IncludeSwitchRisk: true})
+	return simulate("controller risk model", risk.BuildControllerModel(env.Deployment), env.Index.Objects(), opts, env.markMissing)
 }
 
 // markMissing marks the rules sc's faults remove in the controller view m
@@ -396,7 +392,7 @@ type GammaOptions struct {
 func SuspectSetReduction(env *Env, opts GammaOptions) (*GammaResult, error) {
 	rng := rand.New(rand.NewSource(opts.Seed))
 	candidates := env.Index.Objects()
-	model := controllerModel(env)
+	model := risk.BuildControllerModel(env.Deployment)
 
 	sums := make([]float64, len(opts.Buckets))
 	counts := make([]int, len(opts.Buckets))
@@ -485,7 +481,7 @@ func Scalability(switchCounts []int, faults int, seed int64) (*ScaleResult, erro
 		}
 		rng := rand.New(rand.NewSource(seed + int64(n)))
 		start := time.Now()
-		model := controllerModel(env)
+		model := risk.BuildControllerModel(env.Deployment)
 		build := time.Since(start)
 
 		sc, err := workload.NewScenario(rng, env.Index.Objects(), faults, 10)

@@ -101,13 +101,12 @@ func (l *ChangeLog) ChangedSince(obj object.Ref, t time.Time) bool {
 // against.
 type FaultCode int
 
-// Physical fault codes.
+// Physical fault codes: the ones the fabric raises. A silent fault, such
+// as TCAM corruption, raises nothing.
 const (
 	FaultTCAMOverflow FaultCode = iota + 1
 	FaultSwitchUnreachable
 	FaultAgentCrash
-	FaultControlChannel
-	FaultTCAMCorruption // usually NOT logged by devices (silent fault)
 )
 
 // String returns the canonical fault-code name.
@@ -119,10 +118,6 @@ func (c FaultCode) String() string {
 		return "switch-unreachable"
 	case FaultAgentCrash:
 		return "agent-crash"
-	case FaultControlChannel:
-		return "control-channel-disruption"
-	case FaultTCAMCorruption:
-		return "tcam-corruption"
 	default:
 		return fmt.Sprintf("fault(%d)", int(c))
 	}

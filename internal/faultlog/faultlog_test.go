@@ -124,8 +124,6 @@ func TestFaultCodeString(t *testing.T) {
 		FaultTCAMOverflow:      "tcam-overflow",
 		FaultSwitchUnreachable: "switch-unreachable",
 		FaultAgentCrash:        "agent-crash",
-		FaultControlChannel:    "control-channel-disruption",
-		FaultTCAMCorruption:    "tcam-corruption",
 	}
 	for code, want := range codes {
 		if code.String() != want {

@@ -125,17 +125,19 @@ func failAll(deps ...[]object.Ref) scenario {
 	return s
 }
 
-func labelFor(i int) string { return string(rune('a'+i%26)) + string(rune('0'+i/26)) }
-
-// model builds the scenario's model, marked or pristine.
+// model builds the scenario's model, marked or pristine: element i is a
+// triplet on switch i, depending on each of s.deps[i] once.
 func (s scenario) model(marked bool) *risk.Model {
-	m := risk.NewModel("scenario")
+	fp := compile.Footprint{Pairs: make([]compile.SwitchPair, len(s.deps)), Risks: make([][]object.Ref, len(s.deps))}
 	for i, refs := range s.deps {
-		el := m.EnsureElement(labelFor(i))
+		fp.Pairs[i].Switch = object.ID(i)
 		for _, ref := range refs {
-			m.AddEdge(el, ref)
+			if !slices.Contains(fp.Risks[i], ref) {
+				fp.Risks[i] = append(fp.Risks[i], ref)
+			}
 		}
 	}
+	m := risk.NewModel("scenario", fp)
 	if marked {
 		s.mark(m)
 	}
@@ -263,7 +265,7 @@ func runWorkload(t *testing.T, fc fabricCase) []results {
 			missing := sc.Missing(idx, rand.New(rand.NewSource(seed*1000)))
 			mark := func(v risk.Marker) {
 				if fc.onSwitch {
-					risk.AugmentSwitchModel(v, missing[sw], d.Provenance)
+					risk.AugmentSwitchModel(v, sw, missing[sw], d.Provenance)
 					return
 				}
 				for _, s := range tp.Switches() {

@@ -216,7 +216,7 @@ func TestUnknownViewPanics(t *testing.T) {
 			t.Fatalf("Scout on an unknown View: recovered %v, want a panic naming the type", r)
 		}
 	}()
-	Scout(wrappedModel{risk.NewModel("m")}, NoChanges{})
+	Scout(wrappedModel{risk.NewModel("m", compile.Footprint{})}, NoChanges{})
 }
 
 func TestChangeLogOracle(t *testing.T) {
@@ -263,7 +263,7 @@ func TestPlanCompileOnce(t *testing.T) {
 	if d := StatsSnapshot().Delta(before); d.PlanCompiles != 1 || d.PlanReuses != 6 {
 		t.Errorf("%d plan compiles and %d reuses, want 1 and 6", d.PlanCompiles, d.PlanReuses)
 	}
-	m.MarkFailed(m.EnsureElement("fresh-element"), object.VRF(1))
+	m.MarkFailed(0, object.VRF(1))
 	before = StatsSnapshot()
 	got, want := Scout(m, NoChanges{}), RefScout(m, NoChanges{})
 	if d := StatsSnapshot().Delta(before); !reflect.DeepEqual(got, want) || d.PlanCompiles != 1 {
@@ -296,7 +296,7 @@ func TestStageTwoOracleOrderDeterministic(t *testing.T) { runModels(t, 30, 30, t
 
 func TestOverlayCloneInterchangeable(t *testing.T) {
 	runWorkload(t, fabricCase{seeds: 5, faults: 6, noise: 5, build: func(d *compile.Deployment) *risk.Model {
-		return risk.BuildControllerModel(d, risk.ControllerModelOptions{IncludeSwitchRisk: true})
+		return risk.BuildControllerModel(d)
 	}})
 }
 

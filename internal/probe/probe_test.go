@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"scout/internal/compile"
 	"scout/internal/fabric"
 	"scout/internal/localize"
 	"scout/internal/object"
@@ -152,7 +153,7 @@ func TestProbeLocalizationEndToEnd(t *testing.T) {
 	}
 	d := f.Deployment()
 
-	m := risk.BuildControllerModel(d, risk.ControllerModelOptions{IncludeSwitchRisk: true})
+	m := risk.BuildControllerModel(d)
 	for _, sw := range threeTierSwitches {
 		s, err := f.Switch(sw)
 		if err != nil {
@@ -188,10 +189,10 @@ func TestProbeSwitchModelAugmentation(t *testing.T) {
 	}
 	violations, _ := Switch(2, d.RulesFor(2), s.TCAM())
 	m := risk.BuildSwitchModel(d, 2)
-	if risk.AugmentSwitchModel(m, MissingRules(violations), d.Provenance); m.NumFailedEdges() == 0 {
+	if risk.AugmentSwitchModel(m, 2, MissingRules(violations), d.Provenance); m.NumFailedEdges() == 0 {
 		t.Fatal("switch-model augmentation marked nothing")
 	}
-	appDB, _ := m.ElementByLabel("2-3")
+	appDB, _ := m.ElementOf(compile.SwitchPair{Switch: 2, Pair: policy.MakeEPGPair(2, 3)})
 	if !slices.Contains(m.FailureSignature(), appDB) {
 		t.Error("App-DB must be an observation on S2")
 	}

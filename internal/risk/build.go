@@ -5,6 +5,7 @@ package risk
 
 import (
 	"fmt"
+	"slices"
 
 	"scout/internal/compile"
 	"scout/internal/object"
@@ -14,19 +15,12 @@ import (
 
 // BuildSwitchModel constructs the switch risk model for a single switch
 // (paper Figure 4(a)): elements are the EPG pairs deployed on the switch,
-// risks are the policy objects each pair's rules depend on.
+// risks are the policy objects each pair's rules depend on. It is the
+// model of the switch's run of the deployment's footprint, in its sorted
+// order: element IDs are footprint indices, and every downstream
+// localization tie-break follows them.
 func BuildSwitchModel(d *compile.Deployment, sw object.ID) *Model {
-	// Elements go in in sorted pair order: element IDs are dense insertion
-	// indices, and every downstream localization tie-break follows them.
-	// The deployment's footprint has this switch's pairs as one sorted run
-	// with each pair's risks already gathered, so the build reads its own
-	// pairs and nothing else.
-	fp := d.OnSwitch(sw)
-	m := newModelSized(fmt.Sprintf("switch-%d", sw), len(fp.Pairs))
-	for i, sp := range fp.Pairs {
-		m.addElement(sp.Pair.String(), fp.Risks[i])
-	}
-	return m
+	return NewModel(fmt.Sprintf("switch-%d", sw), d.OnSwitch(sw))
 }
 
 // BuildAnnotatedSwitchModel builds the switch risk model for sw and marks
@@ -37,60 +31,57 @@ func BuildSwitchModel(d *compile.Deployment, sw object.ID) *Model {
 // until bench/ stops calling it (ROADMAP item 1, shims).
 func BuildAnnotatedSwitchModel(d *compile.Deployment, sw object.ID, missing []rule.Rule) *Model {
 	m := BuildSwitchModel(d, sw)
-	AugmentSwitchModel(m, missing, d.Provenance)
+	AugmentSwitchModel(m, sw, missing, d.Provenance)
 	return m
 }
 
-// ControllerModelOptions configures controller-model construction.
+// ControllerModelOptions is the ignored argument of
+// BuildControllerModelParallel.
+//
+// Deprecated: the controller model always carries switch risks. It stays
+// until bench/ stops passing it (ROADMAP item 1, shims).
 type ControllerModelOptions struct {
-	// IncludeSwitchRisk adds each triplet's switch as a shared risk, so
-	// that whole-switch failures (unresponsive switch, §V-B use case 3)
-	// are localizable to the physical object.
 	IncludeSwitchRisk bool
 }
 
 // BuildControllerModel constructs the controller risk model (paper Figure
-// 4(b)): elements are (switch, EPG pair) triplets across the whole fabric;
-// risks are the policy objects each pair relies on in that switch, plus
-// optionally the switch itself. Elements go in in the footprint's sorted
-// order — ascending switch, then pair — reading the risk list the
-// deployment's footprint already holds per pair.
-func BuildControllerModel(d *compile.Deployment, opts ControllerModelOptions) *Model {
+// 4(b)): elements are (switch, EPG pair) triplets across the whole fabric,
+// in the footprint's sorted order — ascending switch, then pair; risks are
+// the policy objects each pair relies on in that switch, then the switch
+// itself, so that whole-switch failures (unresponsive switch, §V-B use
+// case 3) are localizable to the physical object.
+func BuildControllerModel(d *compile.Deployment) *Model {
 	fp := d.Footprint()
-	m := newModelSized("controller", len(fp.Pairs))
+	risks := make([][]object.Ref, len(fp.Pairs))
 	for i, sp := range fp.Pairs {
-		el := m.addElement(sp.String(), fp.Risks[i])
-		if opts.IncludeSwitchRisk {
-			m.AddEdge(el, object.Switch(sp.Switch))
-		}
+		risks[i] = append(slices.Clip(fp.Risks[i]), object.Switch(sp.Switch))
 	}
-	return m
+	return NewModel("controller", compile.Footprint{Pairs: fp.Pairs, Risks: risks})
 }
 
-// BuildControllerModelParallel is BuildControllerModel; workers is ignored.
+// BuildControllerModelParallel is BuildControllerModel; opts and workers
+// are ignored.
 //
 // Deprecated: the build sharded by switch stopped paying once the
 // footprint carried per-pair risk lists — its merge pass cost what the
 // serial build does. It stays until bench/ stops calling it (ROADMAP item
 // 1, shims).
 func BuildControllerModelParallel(d *compile.Deployment, opts ControllerModelOptions, workers int) *Model {
-	return BuildControllerModel(d, opts)
+	return BuildControllerModel(d)
 }
 
-// AugmentSwitchModel marks failures in a switch risk model from the
-// missing rules the equivalence checker reported for that switch. For
-// every missing rule, the EPG pair it serves becomes an observation and
-// the edges to all objects in the rule's provenance are flagged fail. m
-// may be a mutable model or an overlay.
-func AugmentSwitchModel(m Marker, missing []rule.Rule, prov map[rule.Key][]object.Ref) {
+// AugmentSwitchModel marks failures in a risk model from the missing rules
+// the equivalence checker reported for switch sw. For every missing rule,
+// the triplet it serves on sw becomes an observation and the edges to all
+// objects in the rule's provenance are flagged fail. m may be a mutable
+// model or an overlay, of a switch model or of the controller's: the
+// lookup is AugmentControllerModelPatch's.
+func AugmentSwitchModel(m Marker, sw object.ID, missing []rule.Rule, prov map[rule.Key][]object.Ref) {
 	for _, r := range missing {
-		pair := policy.MakeEPGPair(r.Match.SrcEPG, r.Match.DstEPG)
-		el, ok := m.ElementByLabel(pair.String())
-		if !ok {
-			continue // rule for a pair not modeled on this switch
-		}
-		for _, ref := range provenanceOf(r, prov) {
-			m.MarkFailed(el, ref)
+		if el, ok := implicated(m, sw, r); ok {
+			for _, ref := range provenanceOf(r, prov) {
+				m.MarkFailed(el, ref)
+			}
 		}
 	}
 }
@@ -119,39 +110,37 @@ func (p *Patch) Apply(m Marker) {
 
 // AugmentControllerModelPatch computes the failure marks one switch's
 // missing rules make in the controller risk model, without mutating the
-// view: each implicated triplet's edge to the rule's provenance objects —
-// and to its switch risk, when modeled — is flagged fail. It only reads v,
-// so patches for distinct switches compute concurrently against a shared
-// pristine view; replaying them with Apply in ascending switch-ID order is
-// equivalent to marking switch by switch (marking never creates elements,
-// and never creates switch risks — the only base state the computation
-// reads).
+// view: the marks AugmentSwitchModel makes, and each implicated triplet's
+// edge to its switch risk, when modeled. It only reads v, so patches for
+// distinct switches compute concurrently against a shared pristine view;
+// replaying them with Apply in ascending switch-ID order is equivalent to
+// marking switch by switch (marking never creates elements, and never
+// creates switch risks — the only base state the computation reads).
 func AugmentControllerModelPatch(v View, sw object.ID, missing []rule.Rule, prov map[rule.Key][]object.Ref) *Patch {
 	p := &Patch{}
 	_, hasSwitchRisk := v.RiskByRef(object.Switch(sw))
 	for _, r := range missing {
-		pair := policy.MakeEPGPair(r.Match.SrcEPG, r.Match.DstEPG)
-		sp := compile.SwitchPair{Switch: sw, Pair: pair}
-		el, ok := v.ElementByLabel(sp.String())
-		if !ok {
-			continue
-		}
-		for _, ref := range provenanceOf(r, prov) {
-			p.marks = append(p.marks, patchMark{el: el, ref: ref})
-		}
-		if hasSwitchRisk {
-			p.marks = append(p.marks, patchMark{el: el, ref: object.Switch(sw)})
+		if el, ok := implicated(v, sw, r); ok {
+			for _, ref := range provenanceOf(r, prov) {
+				p.marks = append(p.marks, patchMark{el: el, ref: ref})
+			}
+			if hasSwitchRisk {
+				p.marks = append(p.marks, patchMark{el: el, ref: object.Switch(sw)})
+			}
 		}
 	}
 	return p
 }
 
+// implicated returns the element of the triplet a missing rule of switch
+// sw serves in v, if v models it: the one lookup both augmentations make.
+func implicated(v View, sw object.ID, r rule.Rule) (ElementID, bool) {
+	return v.ElementOf(compile.SwitchPair{Switch: sw, Pair: policy.MakeEPGPair(r.Match.SrcEPG, r.Match.DstEPG)})
+}
+
 func provenanceOf(r rule.Rule, prov map[rule.Key][]object.Ref) []object.Ref {
 	if len(r.Provenance) > 0 {
 		return r.Provenance
-	}
-	if prov == nil {
-		return nil
 	}
 	return prov[r.Key()]
 }

@@ -1,16 +1,19 @@
-// The package's case runner. One stream of steps, read from an
-// oracle.Choices, goes to a model marked in place and to an overlay over a
-// pristine twin: EnsureElement, AddEdge and MarkFailed, AugmentSwitchModel,
-// AugmentControllerModelPatch with Apply, and NewOverlay, which puts a
-// fresh overlay over a new twin of the model's edges. The reference is a
-// plain edge map in insertion order. After every step the model, the twin
-// and the overlay must read as their references do, the twin must be
-// untouched, and a plan stored on the model before the step must survive
-// exactly when the step changed nothing.
+// The package's case runner. A case starts from a drawn footprint, which
+// NewModel must refuse unless its triplets strictly ascend, or from a
+// deployment's model. One stream of steps, read from an oracle.Choices,
+// goes to a model marked in place and to an overlay over a pristine twin:
+// AddEdge and MarkFailed, AugmentSwitchModel, AugmentControllerModelPatch
+// with Apply, both augmentations of one switch's rules side by side, and
+// NewOverlay, which puts a fresh overlay over a new twin of the model's
+// edges. The reference is a plain edge map in insertion order. After every
+// step the model, the twin and the overlay must read as their references
+// do, the twin must be untouched, and a plan stored on the model before
+// the step must survive exactly when the step changed nothing.
 
 package risk_test
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"testing"
@@ -27,43 +30,36 @@ import (
 type op int
 
 const (
-	opElement op = iota
-	opEdge
+	opEdge op = iota
 	opMark
 	opAugment
 	opPatch
+	opBoth
 	opOverlay
 )
 
-var opNames = [...]string{"EnsureElement", "AddEdge", "MarkFailed", "AugmentSwitchModel", "Patch.Apply", "NewOverlay"}
+var opNames = [...]string{"AddEdge", "MarkFailed", "AugmentSwitchModel", "Patch.Apply", "both augmentations", "NewOverlay"}
 
-var allOps = []op{opElement, opEdge, opMark, opAugment, opPatch, opOverlay}
+var allOps = []op{opEdge, opMark, opAugment, opPatch, opBoth, opOverlay}
 
 type edge struct {
 	el  risk.ElementID
 	ref object.Ref
 }
 
-// refModel is the reference: element labels in ID order, and a plain map
-// of the edges to whether each failed, with their insertion order.
+// refModel is the reference: element triplets in ID order, and a plain
+// map of the edges to whether each failed, with their insertion order.
 // changes counts what changed it.
 type refModel struct {
 	name    string
-	labels  []string
+	pairs   []compile.SwitchPair
 	order   []edge
 	edges   map[edge]bool
 	changes int
 }
 
-func newRef(name string) *refModel { return &refModel{name: name, edges: map[edge]bool{}} }
-
-func (r *refModel) element(label string) risk.ElementID {
-	if i := slices.Index(r.labels, label); i >= 0 {
-		return risk.ElementID(i)
-	}
-	r.labels = append(r.labels, label)
-	r.changes++
-	return risk.ElementID(len(r.labels) - 1)
+func newRef(name string, pairs []compile.SwitchPair) *refModel {
+	return &refModel{name: name, pairs: pairs, edges: map[edge]bool{}}
 }
 
 // add adds edge e if it is new, and marks it if failed.
@@ -117,24 +113,22 @@ func (r *refModel) signature() (els []risk.ElementID, refs []object.Ref) {
 
 func (r *refModel) String() string {
 	return fmt.Sprintf("risk model %q: %d elements, %d risks, %d edges (%d failed)",
-		r.name, len(r.labels), len(r.risks()), len(r.order), len(r.failed()))
+		r.name, len(r.pairs), len(r.risks()), len(r.order), len(r.failed()))
 }
 
 // pristine returns r's elements and edges, none failed.
 func (r *refModel) pristine() *refModel {
-	p := &refModel{name: r.name, labels: slices.Clone(r.labels), edges: map[edge]bool{}}
+	p := newRef(r.name, r.pairs)
 	for _, e := range r.order {
 		p.add(e, false)
 	}
 	return p
 }
 
-// replay builds pristine r through EnsureElement and AddEdge.
+// replay builds pristine r: its triplets through NewModel, then its edges
+// through AddEdge.
 func (r *refModel) replay() *risk.Model {
-	m := risk.NewModel(r.name)
-	for _, label := range r.labels {
-		m.EnsureElement(label)
-	}
+	m := risk.NewModel(r.name, compile.Footprint{Pairs: r.pairs, Risks: make([][]object.Ref, len(r.pairs))})
 	for _, e := range r.order {
 		m.AddEdge(e.el, e.ref)
 	}
@@ -147,8 +141,10 @@ type modelStats struct {
 	remarked int // marks of an edge already failed
 	resolved int // augmented rules whose provenance came from the map
 	own      int // augmented rules whose own provenance is not the map's
-	skipped  int // augmented rules for a pair the model lacks
+	skipped  int // augmented rules for a triplet the model lacks
 	refused  int // overlays refused over a marked model
+	unsorted int // drawn footprints NewModel refused
+	switched int // switch-risk marks the patch made beside AugmentSwitchModel's
 }
 
 // refPool is what steps draw refs from besides the model's risks, and
@@ -168,23 +164,29 @@ type harness struct {
 }
 
 // runModel drives one case from c: steps each drawn uniformly from ops,
-// from an empty model, or d's controller model (sw 0) or switch sw's,
-// counting into stats what it exercised.
+// from a drawn footprint's model, or d's controller model (sw 0) or switch
+// sw's, counting into stats what it exercised.
 func runModel(t *testing.T, c *oracle.Choices, d *compile.Deployment, sw object.ID, steps int, ops []op, stats *modelStats) {
 	t.Helper()
 	h := &harness{t: t, c: c, d: d, stats: stats, prov: map[rule.Key][]object.Ref{}}
 	switch {
 	case d == nil:
-		h.m, h.ref = risk.NewModel("drawn"), newRef("drawn")
+		fp := h.footprint()
+		h.m, h.ref = risk.NewModel("drawn", fp), newRef("drawn", fp.Pairs)
+		for el, refs := range fp.Risks {
+			for _, ref := range refs {
+				h.ref.add(edge{risk.ElementID(el), ref}, false)
+			}
+		}
 		for _, x := range h.rules(18) {
 			if !c.Chance(4) {
 				h.prov[x.Key()] = h.provenance()
 			}
 		}
 	case sw == 0:
-		h.m, h.ref = risk.BuildControllerModel(d, risk.ControllerModelOptions{IncludeSwitchRisk: true}), refBuild(d, 0, true)
+		h.m, h.ref = risk.BuildControllerModel(d), refBuild(d, 0)
 	default:
-		h.m, h.ref = risk.BuildSwitchModel(d, sw), refBuild(d, sw, false)
+		h.m, h.ref = risk.BuildSwitchModel(d, sw), refBuild(d, sw)
 	}
 	if d != nil {
 		h.prov = d.Provenance
@@ -195,15 +197,40 @@ func runModel(t *testing.T, c *oracle.Choices, d *compile.Deployment, sw object.
 	}
 }
 
-// label draws an EPG pair's label, or one time in two a triplet's.
-func (h *harness) label() string {
+// footprint draws one to six triplets on switches 1-2 between EPGs 1-3,
+// which NewModel must refuse unless they strictly ascend, and returns them
+// sorted without repeats, each depending on up to three pool refs.
+func (h *harness) footprint() compile.Footprint {
 	c := h.c
-	pair := policy.MakeEPGPair(object.ID(1+c.Intn(3)), object.ID(1+c.Intn(3)))
-	if c.Chance(2) {
-		return compile.SwitchPair{Switch: object.ID(1 + c.Intn(2)), Pair: pair}.String()
+	drawn := make([]compile.SwitchPair, 1+c.Intn(6))
+	for i := range drawn {
+		drawn[i] = compile.SwitchPair{Switch: object.ID(1 + c.Intn(2)), Pair: policy.MakeEPGPair(object.ID(1+c.Intn(3)), object.ID(1+c.Intn(3)))}
 	}
-	return pair.String()
+	fp := compile.Footprint{Pairs: slices.Clone(drawn)}
+	slices.SortFunc(fp.Pairs, compile.SwitchPair.Compare)
+	fp.Pairs = slices.Compact(fp.Pairs)
+	if !slices.Equal(fp.Pairs, drawn) {
+		h.stats.unsorted++
+		func() {
+			defer func() {
+				same(h.t, "footprint", "NewModel over triplets that do not ascend panics", recover() != nil, true)
+			}()
+			risk.NewModel("unsorted", compile.Footprint{Pairs: drawn, Risks: make([][]object.Ref, len(drawn))})
+		}()
+	}
+	fp.Risks = make([][]object.Ref, len(fp.Pairs))
+	for i := range fp.Risks {
+		for k := c.Intn(4); k > 0; k-- {
+			if ref := refPool[c.Intn(len(refPool))]; !slices.Contains(fp.Risks[i], ref) {
+				fp.Risks[i] = append(fp.Risks[i], ref)
+			}
+		}
+	}
+	return fp
 }
+
+// sw draws a switch of the three-tier deployment.
+func (h *harness) sw() object.ID { return object.ID(1 + h.c.Intn(3)) }
 
 // refFrom draws one of r's risks, or one time in four a pool ref.
 func (h *harness) refFrom(r *refModel) object.Ref {
@@ -245,20 +272,16 @@ func (h *harness) rules(n int) []rule.Rule {
 	return out
 }
 
-// augmentMarks returns the marks augmentation makes as read in r: on a
-// switch model (sw 0) the pair's edges to each rule's provenance — its
-// own list first, then the map's — and on the controller model the
-// triplet's on switch sw, and its edge to the switch when r has that risk.
-func (h *harness) augmentMarks(r *refModel, sw object.ID, missing []rule.Rule) []edge {
+// augmentMarks returns the marks augmentation of switch sw's missing
+// rules makes as read in r: the edges of the triplet each rule serves on
+// sw to the rule's provenance — its own list first, then the map's — and,
+// for a patch, to the switch when r has that risk.
+func (h *harness) augmentMarks(r *refModel, sw object.ID, missing []rule.Rule, patch bool) []edge {
 	var out []edge
-	switchRisk := slices.Contains(r.risks(), object.Switch(sw))
+	switchRisk := patch && slices.Contains(r.risks(), object.Switch(sw))
 	for _, x := range missing {
-		pair := policy.MakeEPGPair(x.Match.SrcEPG, x.Match.DstEPG)
-		label := pair.String()
-		if sw != 0 {
-			label = compile.SwitchPair{Switch: sw, Pair: pair}.String()
-		}
-		el := risk.ElementID(slices.Index(r.labels, label))
+		sp := compile.SwitchPair{Switch: sw, Pair: policy.MakeEPGPair(x.Match.SrcEPG, x.Match.DstEPG)}
+		el := risk.ElementID(slices.Index(r.pairs, sp))
 		mapped, ok := h.prov[x.Key()]
 		switch refs := x.Provenance; {
 		case el < 0:
@@ -273,7 +296,7 @@ func (h *harness) augmentMarks(r *refModel, sw object.ID, missing []rule.Rule) [
 		for _, ref := range x.Provenance {
 			out = append(out, edge{el, ref})
 		}
-		if sw != 0 && switchRisk {
+		if switchRisk {
 			out = append(out, edge{el, object.Switch(sw)})
 		}
 	}
@@ -295,20 +318,14 @@ func (h *harness) apply(r *refModel, es []edge) {
 func (h *harness) step(i int, kind op) {
 	t, c := h.t, h.c
 	t.Helper()
-	if len(h.ref.labels) == 0 && kind != opOverlay {
-		kind = opElement
-	}
 	label := fmt.Sprintf("step %d (%s)", i, opNames[kind])
 	before, sentinel, baseSentinel := h.ref.changes, new(int), new(int)
 	h.m.StorePlan(sentinel)
 	if h.base != nil {
 		h.base.StorePlan(baseSentinel)
 	}
-	el := risk.ElementID(c.Intn(max(1, len(h.ref.labels))))
+	el := risk.ElementID(c.Intn(len(h.ref.pairs)))
 	switch kind {
-	case opElement:
-		l := h.label()
-		same(t, label, "EnsureElement("+l+")", h.m.EnsureElement(l), h.ref.element(l))
 	case opEdge:
 		ref := h.refFrom(h.ref)
 		h.m.AddEdge(el, ref)
@@ -317,29 +334,39 @@ func (h *harness) step(i int, kind op) {
 		ref := h.refFrom(h.ref)
 		h.m.MarkFailed(el, ref)
 		h.apply(h.ref, []edge{{el, ref}})
-		if int(el) < len(h.twin.labels) {
-			h.ov.MarkFailed(el, ref)
-			h.apply(h.ovr, []edge{{el, ref}})
-		}
+		h.ov.MarkFailed(el, ref)
+		h.apply(h.ovr, []edge{{el, ref}})
 	case opAugment:
-		missing := h.rules(4)
-		risk.AugmentSwitchModel(h.m, missing, h.prov)
-		h.apply(h.ref, h.augmentMarks(h.ref, 0, missing))
-		risk.AugmentSwitchModel(h.ov, missing, h.prov)
-		h.apply(h.ovr, h.augmentMarks(h.ovr, 0, missing))
+		sw, missing := h.sw(), h.rules(4)
+		risk.AugmentSwitchModel(h.m, sw, missing, h.prov)
+		h.apply(h.ref, h.augmentMarks(h.ref, sw, missing, false))
+		risk.AugmentSwitchModel(h.ov, sw, missing, h.prov)
+		h.apply(h.ovr, h.augmentMarks(h.ovr, sw, missing, false))
 	case opPatch:
-		sw, missing := object.ID(1+c.Intn(2)), h.rules(4)
+		sw, missing := h.sw(), h.rules(4)
 		risk.AugmentControllerModelPatch(h.m, sw, missing, h.prov).Apply(h.m)
-		h.apply(h.ref, h.augmentMarks(h.ref, sw, missing))
+		h.apply(h.ref, h.augmentMarks(h.ref, sw, missing, true))
 		// Computed as the analyzer computes it, against the pristine base,
 		// or against the overlay itself.
 		at, atRef := risk.View(h.base), h.twin
 		if c.Chance(2) {
 			at, atRef = h.ov, h.ovr
 		}
-		marks := h.augmentMarks(atRef, sw, missing)
+		marks := h.augmentMarks(atRef, sw, missing, true)
 		risk.AugmentControllerModelPatch(at, sw, missing, h.prov).Apply(h.ov)
 		h.apply(h.ovr, marks)
+	case opBoth:
+		// One switch's rules augmented each way on a fresh overlay over the
+		// base: one lookup, so the patch's marks are AugmentSwitchModel's
+		// and the implicated triplets' switch risk, and nothing else.
+		sw, missing := h.sw(), h.rules(4)
+		aug, patched := risk.NewOverlay(h.base), risk.NewOverlay(h.base)
+		risk.AugmentSwitchModel(aug, sw, missing, h.prov)
+		risk.AugmentControllerModelPatch(h.base, sw, missing, h.prov).Apply(patched)
+		augMarks, patchMarks := marksOf(aug), marksOf(patched)
+		same(t, label, "AugmentSwitchModel's marks", augMarks, sortEdges(h.augmentMarks(h.twin, sw, missing, false)))
+		same(t, label, "the patch's marks", patchMarks, sortEdges(h.augmentMarks(h.twin, sw, missing, true)))
+		h.stats.switched += len(patchMarks) - len(augMarks)
 	case opOverlay:
 		if len(h.ref.failed()) > 0 {
 			h.stats.refused++
@@ -385,15 +412,28 @@ func (h *harness) check(label string, changed bool, sentinel, baseSentinel *int)
 	same(t, label, "the suspects", h.ov.SuspectSet(), suspects)
 }
 
-// checkView holds every read of v to r: the summary, each label's
+// marksOf returns an overlay's failure marks as sortEdges orders them.
+func marksOf(ov *risk.Overlay) []edge {
+	var out []edge
+	ov.ForEachOverlayMark(func(el risk.ElementID, ref object.Ref) { out = append(out, edge{el, ref}) })
+	return sortEdges(out)
+}
+
+// sortEdges sorts es by element, then ref, and drops repeats.
+func sortEdges(es []edge) []edge {
+	slices.SortFunc(es, func(a, b edge) int { return cmp.Or(cmp.Compare(a.el, b.el), a.ref.Compare(b.ref)) })
+	return slices.Compact(es)
+}
+
+// checkView holds every read of v to r: the summary, each triplet's
 // element, each ref's risk, the failure signature and, on a model, each
 // risk's dependents and failed dependents and the sorted risk list.
 func checkView(t *testing.T, label string, v risk.View, r *refModel) {
 	t.Helper()
 	same(t, label, "the summary", v, r)
-	for i, l := range append(slices.Clone(r.labels), "absent") {
-		id, ok := v.ElementByLabel(l)
-		same(t, label, "ElementByLabel("+l+") is the reference's", ok && int(id) == i, i < len(r.labels))
+	for i, sp := range append(slices.Clone(r.pairs), compile.SwitchPair{Switch: 2}, compile.SwitchPair{Switch: 999}) {
+		id, ok := v.ElementOf(sp)
+		same(t, label, "ElementOf("+sp.String()+") is the reference's", ok && int(id) == i, i < len(r.pairs))
 	}
 	risks := r.risks()
 	for i, ref := range append(slices.Clone(risks), object.Filter(999)) {
@@ -425,8 +465,9 @@ func same(t *testing.T, label, what string, got, want any) {
 	}
 }
 
-// FuzzModel runs the fuzzer's bytes as a case over every step, from an
-// empty model or, one time in two, the three-tier controller model.
+// FuzzModel runs the fuzzer's bytes as a case over every step, from a
+// drawn footprint's model or, one time in two, the three-tier controller
+// model.
 func FuzzModel(f *testing.F) {
 	f.Add([]byte{})
 	d := threeTier(f)

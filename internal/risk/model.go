@@ -1,15 +1,18 @@
 // Package risk implements the paper's risk models (§III): bipartite
 // graphs between shared risks (policy objects, and switches in the
 // controller model) and the elements they can impact (EPG pairs, or
-// (switch, EPG pair) triplets). Edges are flagged success or fail; an
-// element with at least one failed edge is an observation, and the set of
-// observations forms the failure signature consumed by the localization
-// algorithms.
+// (switch, EPG pair) triplets). An element is the compile.SwitchPair it
+// models — in a switch model, its pair on that switch — and is found by
+// that triplet. Edges are flagged success or fail; an element with at
+// least one failed edge is an observation, and the set of observations
+// forms the failure signature consumed by the localization algorithms.
 package risk
 
 import (
 	"fmt"
+	"slices"
 
+	"scout/internal/compile"
 	"scout/internal/object"
 )
 
@@ -24,7 +27,8 @@ type RiskID int
 // A *Model annotated in place and a copy-on-write *Overlay over an
 // immutable pristine core are interchangeable behind it: both yield the
 // same element/risk IDs and failure sets, so every downstream result is
-// byte-identical regardless of which backs the view.
+// byte-identical regardless of which backs the view. An element is looked
+// up by its (switch, EPG pair) triplet.
 type View interface {
 	fmt.Stringer
 	Name() string
@@ -32,7 +36,7 @@ type View interface {
 	NumRisks() int
 	NumEdges() int
 	NumFailedEdges() int
-	ElementByLabel(label string) (ElementID, bool)
+	ElementOf(sp compile.SwitchPair) (ElementID, bool)
 	RiskByRef(ref object.Ref) (RiskID, bool)
 }
 
@@ -59,13 +63,13 @@ type riskData struct {
 	elements []ElementID
 }
 
-// Model is a bipartite risk graph. Build it with EnsureElement/AddEdge, then
-// annotate failures with MarkFailed. A Model is not safe for concurrent
-// mutation.
+// Model is a bipartite risk graph whose elements are a footprint's
+// triplets. Build it with NewModel, then annotate failures with
+// MarkFailed. A Model is not safe for concurrent mutation.
 type Model struct {
 	name     string
+	pairs    []compile.SwitchPair // element i's triplet, ascending
 	elements []elementData
-	byLabel  map[string]ElementID
 
 	risks  []riskData
 	byRef  map[object.Ref]RiskID
@@ -78,21 +82,33 @@ type Model struct {
 	planCache planCacheSlot
 }
 
-// NewModel creates an empty risk model with a diagnostic name.
-func NewModel(name string) *Model {
-	return &Model{
-		name:    name,
-		byLabel: make(map[string]ElementID),
-		byRef:   make(map[object.Ref]RiskID),
+// NewModel builds a pristine model with a diagnostic name and one element
+// per triplet of fp: element i is fp.Pairs[i] and depends on fp.Risks[i],
+// whose refs must not repeat. Risks are numbered in the order the
+// elements first name them. The model keeps fp.Pairs, which must not
+// change after, and panics unless its triplets strictly ascend: an element
+// is found by binary search on its triplet.
+func NewModel(name string, fp compile.Footprint) *Model {
+	m := &Model{
+		name:     name,
+		pairs:    fp.Pairs,
+		elements: make([]elementData, len(fp.Pairs)),
+		byRef:    make(map[object.Ref]RiskID),
 	}
-}
-
-// newModelSized is NewModel with room for the given number of elements.
-func newModelSized(name string, elements int) *Model {
-	m := NewModel(name)
-	if elements > 0 {
-		m.elements = make([]elementData, 0, elements)
-		m.byLabel = make(map[string]ElementID, elements)
+	for i := range fp.Pairs {
+		if i > 0 && fp.Pairs[i-1].Compare(fp.Pairs[i]) >= 0 {
+			panic(fmt.Sprintf("risk: model %q: triplet %d does not ascend", name, i))
+		}
+		refs := fp.Risks[i]
+		risks := make([]RiskID, len(refs))
+		for j, ref := range refs {
+			r := m.EnsureRisk(ref)
+			risks[j] = r
+			m.risks[r].elements = append(m.risks[r].elements, ElementID(i))
+		}
+		m.elements[i].risks = risks
+		m.edges += len(refs)
+		m.rev += 1 + uint64(len(refs))
 	}
 	return m
 }
@@ -112,23 +128,10 @@ func (m *Model) NumEdges() int { return m.edges }
 // NumFailedEdges returns the number of edges marked fail.
 func (m *Model) NumFailedEdges() int { return m.failed }
 
-// EnsureElement returns the element with the given label, creating it if
-// needed.
-func (m *Model) EnsureElement(label string) ElementID {
-	if id, ok := m.byLabel[label]; ok {
-		return id
-	}
-	id := ElementID(len(m.elements))
-	m.elements = append(m.elements, elementData{})
-	m.byLabel[label] = id
-	m.rev++
-	return id
-}
-
-// ElementByLabel looks up an element by label.
-func (m *Model) ElementByLabel(label string) (ElementID, bool) {
-	id, ok := m.byLabel[label]
-	return id, ok
+// ElementOf looks up the element of triplet sp.
+func (m *Model) ElementOf(sp compile.SwitchPair) (ElementID, bool) {
+	i, ok := slices.BinarySearchFunc(m.pairs, sp, compile.SwitchPair.Compare)
+	return ElementID(i), ok
 }
 
 // EnsureRisk returns the risk node for ref, creating it if needed.
@@ -162,27 +165,6 @@ func (m *Model) AddEdge(el ElementID, ref object.Ref) {
 	m.risks[r].elements = append(m.risks[r].elements, el)
 	m.edges++
 	m.rev++
-}
-
-// addElement is EnsureElement and one AddEdge per ref, for a label the
-// model does not hold and refs that do not repeat: nothing is searched
-// for, and the adjacency is allocated once at its final size.
-func (m *Model) addElement(label string, refs []object.Ref) ElementID {
-	el := ElementID(len(m.elements))
-	var risks []RiskID
-	if len(refs) > 0 {
-		risks = make([]RiskID, len(refs), len(refs)+1) // and a switch risk
-	}
-	for i, ref := range refs {
-		r := m.EnsureRisk(ref)
-		risks[i] = r
-		m.risks[r].elements = append(m.risks[r].elements, el)
-	}
-	m.elements = append(m.elements, elementData{risks: risks})
-	m.byLabel[label] = el
-	m.edges += len(refs)
-	m.rev += 1 + uint64(len(refs))
-	return el
 }
 
 // MarkFailed flags the edge between el and ref as fail, creating the edge

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"sort"
 
+	"scout/internal/compile"
 	"scout/internal/object"
 )
 
@@ -86,9 +87,9 @@ func (o *Overlay) NumEdges() int { return o.base.edges + o.edges }
 // NumFailedEdges returns the number of edges the overlay marked fail.
 func (o *Overlay) NumFailedEdges() int { return o.numFailed }
 
-// ElementByLabel looks up an element by label.
-func (o *Overlay) ElementByLabel(label string) (ElementID, bool) {
-	return o.base.ElementByLabel(label)
+// ElementOf looks up the element of triplet sp.
+func (o *Overlay) ElementOf(sp compile.SwitchPair) (ElementID, bool) {
+	return o.base.ElementOf(sp)
 }
 
 // RiskByRef looks up a risk node by object reference, among base risks

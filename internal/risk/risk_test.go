@@ -24,7 +24,7 @@ import (
 // held to refBuild, the pre-footprint build.
 
 // runModels runs a case per seed below seeds (see runModel); a nil d runs
-// them from an empty model.
+// them from a drawn footprint.
 func runModels(t *testing.T, d *compile.Deployment, sw object.ID, seeds int64, steps int, ops ...op) modelStats {
 	t.Helper()
 	var stats modelStats
@@ -42,34 +42,39 @@ func exercised(t *testing.T, what string, n int) {
 	}
 }
 
-func TestModelBasics(t *testing.T) { runModels(t, nil, 0, 8, 40, opElement, opEdge, opEdge) }
+// TestModelBasics: a drawn footprint's model, which NewModel refuses when
+// its triplets do not strictly ascend.
+func TestModelBasics(t *testing.T) {
+	s := runModels(t, nil, 0, 8, 40, opEdge, opEdge)
+	exercised(t, "was refused a footprint whose triplets do not ascend", s.unsorted)
+}
 
 func TestMarkFailedAndObservations(t *testing.T) {
-	s := runModels(t, nil, 0, 8, 60, opElement, opEdge, opMark)
+	s := runModels(t, nil, 0, 8, 60, opEdge, opMark)
 	exercised(t, "marked a failed edge again", s.remarked)
 }
 
 func TestMarkFailedCreatesMissingEdge(t *testing.T) {
-	s := runModels(t, nil, 0, 8, 40, opElement, opMark, opMark, opOverlay)
+	s := runModels(t, nil, 0, 8, 40, opMark, opMark, opOverlay)
 	exercised(t, "created an overlay edge by marking it", s.created)
 }
 
 func TestHitAndCoverageRatios(t *testing.T) {
-	runModels(t, nil, 0, 10, 80, opElement, opEdge, opEdge, opMark)
+	runModels(t, nil, 0, 10, 80, opEdge, opEdge, opMark)
 }
 
 // TestSuspectSet: an overlay's suspects are the risks it marked, and an
 // overlay goes only over a pristine model.
 func TestSuspectSet(t *testing.T) {
-	s := runModels(t, nil, 0, 8, 60, opElement, opEdge, opMark, opOverlay)
+	s := runModels(t, nil, 0, 8, 60, opEdge, opMark, opOverlay)
 	exercised(t, "was refused an overlay over a marked model", s.refused)
 }
 
-func TestModelString(t *testing.T) { runModels(t, nil, 0, 2, 10, opElement, opEdge) }
+func TestModelString(t *testing.T) { runModels(t, nil, 0, 2, 10, opEdge) }
 
 func TestAccessors(t *testing.T) { runModels(t, nil, 0, 20, 80, allOps...) }
 
-func TestOverlayEmpty(t *testing.T) { runModels(t, nil, 0, 4, 30, opElement, opEdge, opOverlay) }
+func TestOverlayEmpty(t *testing.T) { runModels(t, nil, 0, 4, 30, opEdge, opOverlay) }
 
 // TestOverlayMatchesClone: marks on the three-tier controller model and
 // on overlays over its twins read as the reference marked alike.
@@ -82,23 +87,27 @@ func TestAugmentSwitchModel(t *testing.T) {
 	runModels(t, threeTier(t), 2, 8, 30, opAugment, opMark, opOverlay)
 }
 
+// TestAugmentControllerModel: on the controller model, AugmentSwitchModel
+// and the patch find a switch's triplets by one lookup, and the patch adds
+// only their switch risk.
 func TestAugmentControllerModel(t *testing.T) {
-	runModels(t, threeTier(t), 0, 8, 30, opPatch, opOverlay)
+	s := runModels(t, threeTier(t), 0, 8, 30, opPatch, opBoth, opOverlay)
+	exercised(t, "marked a switch risk through the patch alone", s.switched)
 }
 
 func TestAugmentControllerModelPatch(t *testing.T) {
-	runModels(t, nil, 0, 12, 60, opElement, opEdge, opPatch, opOverlay)
+	runModels(t, nil, 0, 12, 60, opEdge, opPatch, opBoth, opOverlay)
 }
 
 func TestAugmentIgnoresUnknownPairs(t *testing.T) {
-	s := runModels(t, nil, 0, 8, 30, opElement, opAugment)
-	exercised(t, "augmented a rule for a pair the model lacks", s.skipped)
+	s := runModels(t, nil, 0, 8, 30, opAugment)
+	exercised(t, "augmented a rule for a triplet the model lacks", s.skipped)
 }
 
 // TestAugmentResolvesProvenanceViaIndex: a rule's own provenance comes
 // first, and one without looks its key up in the map.
 func TestAugmentResolvesProvenanceViaIndex(t *testing.T) {
-	s := runModels(t, nil, 0, 12, 40, opElement, opEdge, opAugment)
+	s := runModels(t, nil, 0, 12, 40, opEdge, opAugment)
 	exercised(t, "resolved a rule's provenance through the map", s.resolved)
 	exercised(t, "augmented a rule whose own provenance is not the map's", s.own)
 }
@@ -132,21 +141,20 @@ func threeTier(t testing.TB) *compile.Deployment {
 // too. The runs start from the build, held to the reference.
 func TestBuildSwitchModelFigure4a(t *testing.T) {
 	d, vrf, app := threeTier(t), object.VRF(101), object.EPG(2)
-	same(t, "S2", "edges", refBuild(d, 2, false).order, []edge{
+	same(t, "S2", "edges", refBuild(d, 2).order, []edge{
 		{0, vrf}, {0, object.EPG(1)}, {0, app}, {0, object.Contract(201)}, {0, object.Filter(80)},
 		{1, vrf}, {1, app}, {1, object.EPG(3)}, {1, object.Contract(202)}, {1, object.Filter(80)}, {1, object.Filter(700)}})
 	runModels(t, d, 2, 4, 20, allOps...)
 }
 
 // TestBuildControllerModelFigure4b: the triplets S1:1-2, S2:1-2, S2:2-3
-// and S3:2-3, each depending on its own switch when switch risks are
-// modeled.
+// and S3:2-3, each depending on its own switch.
 func TestBuildControllerModelFigure4b(t *testing.T) {
 	d := threeTier(t)
-	r := refBuild(d, 0, true)
-	same(t, "controller", "triplets", r.labels, []string{"S1:1-2", "S2:1-2", "S2:2-3", "S3:2-3"})
+	r := refBuild(d, 0)
+	same(t, "controller", "triplets", r.pairs, []string{"S1:1-2", "S2:1-2", "S2:2-3", "S3:2-3"})
 	same(t, "controller", "switch 2's dependents", r.elementsOf(object.Switch(2), false), []int{1, 2})
-	same(t, "controller", "edges without switch risks", len(refBuild(d, 0, false).order), len(r.order)-4)
+	same(t, "controller", "switch edges", len(slices.DeleteFunc(slices.Clone(r.order), func(e edge) bool { return e.ref.Kind != object.KindSwitch })), 4)
 	checkBuildsMatchOracle(t, "three-tier", d)
 	runModels(t, d, 0, 4, 20, allOps...)
 }
@@ -155,12 +163,9 @@ func TestBuildControllerModelFigure4b(t *testing.T) {
 // carried its footprint: this switch's pairs (sw 0: every switch's
 // triplets) picked out of the whole PairRules map and sorted, then every
 // key of every pair looked up in Provenance and every ref offered to the
-// edge map, which finds most of them already there.
-func refBuild(d *compile.Deployment, sw object.ID, switchRisk bool) *refModel {
-	r := newRef("controller")
-	if sw != 0 {
-		r.name = fmt.Sprintf("switch-%d", sw)
-	}
+// edge map, which finds most of them already there, and on the
+// controller model the triplet's switch.
+func refBuild(d *compile.Deployment, sw object.ID) *refModel {
 	var sps []compile.SwitchPair
 	for sp := range d.PairRules {
 		if sw == 0 || sp.Switch == sw {
@@ -168,28 +173,28 @@ func refBuild(d *compile.Deployment, sw object.ID, switchRisk bool) *refModel {
 		}
 	}
 	slices.SortFunc(sps, compile.SwitchPair.Compare)
-	for _, sp := range sps {
-		label := sp.String()
-		if sw != 0 {
-			label = sp.Pair.String()
-		}
-		el := r.element(label)
+	r := newRef("controller", sps)
+	if sw != 0 {
+		r.name = fmt.Sprintf("switch-%d", sw)
+	}
+	for i, sp := range sps {
+		el := risk.ElementID(i)
 		for _, k := range d.PairRules[sp] {
 			for _, ref := range d.Provenance[k] {
 				r.add(edge{el, ref}, false)
 			}
 		}
-		if switchRisk {
+		if sw == 0 {
 			r.add(edge{el, object.Switch(sp.Switch)}, false)
 		}
 	}
 	return r
 }
 
-// checkBuildsMatchOracle compares whole models — element and risk IDs,
-// adjacency order on both sides, edge counts and the mutation revision the
-// plan cache keys on — for every switch and for the controller model with
-// and without switch risks.
+// checkBuildsMatchOracle compares whole models — element triplets, element
+// and risk IDs, adjacency order on both sides, edge counts and the
+// mutation revision the plan cache keys on — for every switch and for the
+// controller model.
 func checkBuildsMatchOracle(t *testing.T, name string, d *compile.Deployment) {
 	t.Helper()
 	check := func(what string, got, want *risk.Model) {
@@ -198,13 +203,10 @@ func checkBuildsMatchOracle(t *testing.T, name string, d *compile.Deployment) {
 		}
 	}
 	for sw := range d.BySwitch {
-		check(fmt.Sprint("switch ", sw), risk.BuildSwitchModel(d, sw), refBuild(d, sw, false).replay())
+		check(fmt.Sprint("switch ", sw), risk.BuildSwitchModel(d, sw), refBuild(d, sw).replay())
 	}
-	check("a switch that hosts nothing", risk.BuildSwitchModel(d, 60000), refBuild(d, 60000, false).replay())
-	for _, withSwitch := range []bool{true, false} {
-		opts := risk.ControllerModelOptions{IncludeSwitchRisk: withSwitch}
-		check(fmt.Sprint("controller, switch risks ", withSwitch), risk.BuildControllerModel(d, opts), refBuild(d, 0, withSwitch).replay())
-	}
+	checkView(t, name+": a switch that hosts nothing", risk.BuildSwitchModel(d, 60000), refBuild(d, 60000))
+	check("controller", risk.BuildControllerModel(d), refBuild(d, 0).replay())
 }
 
 // withoutFootprint is d as a deployment assembled by hand has it: the
@@ -230,7 +232,7 @@ func TestModelBuildsMatchOracle(t *testing.T) {
 		}
 		// The benchmark's input, by the counts its controller model is
 		// reported with.
-		m := risk.BuildControllerModel(d, risk.ControllerModelOptions{IncludeSwitchRisk: true})
+		m := risk.BuildControllerModel(d)
 		if m.NumElements() != 4290 || m.NumEdges() != 39221 {
 			t.Errorf("production x0.25: %d elements, %d edges; want 4290, 39221", m.NumElements(), m.NumEdges())
 		}

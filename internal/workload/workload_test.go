@@ -309,7 +309,7 @@ func markController(m risk.Marker, d *compile.Deployment, missing map[object.ID]
 
 func TestApplyToControllerModelFullFault(t *testing.T) {
 	d, idx := buildEnv(t)
-	m := risk.BuildControllerModel(d, risk.ControllerModelOptions{IncludeSwitchRisk: true})
+	m := risk.BuildControllerModel(d)
 	// Pick an object with a decent footprint.
 	var target object.Ref
 	for _, ref := range idx.Objects() {
@@ -334,7 +334,7 @@ func TestApplyToControllerModelFullFault(t *testing.T) {
 
 func TestApplyToControllerModelPartialFault(t *testing.T) {
 	d, idx := buildEnv(t)
-	m := risk.BuildControllerModel(d, risk.ControllerModelOptions{IncludeSwitchRisk: true})
+	m := risk.BuildControllerModel(d)
 	var target object.Ref
 	for _, ref := range idx.Objects() {
 		if len(idx.Instances(ref)) >= 10 {
@@ -402,7 +402,7 @@ func TestApplyToSwitchModel(t *testing.T) {
 	if len(missing) != 1 || len(missing[sw]) == 0 {
 		t.Fatalf("a fault drawn on switch %d removed rules on %d switches, %d there", sw, len(missing), len(missing[sw]))
 	}
-	risk.AugmentSwitchModel(m, missing[sw], d.Provenance)
+	risk.AugmentSwitchModel(m, sw, missing[sw], d.Provenance)
 	if len(m.FailureSignature()) == 0 {
 		t.Error("model must have observations after injection")
 	}

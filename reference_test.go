@@ -29,7 +29,7 @@ func refAnalyze(t testing.TB, st scout.State) *scout.Report {
 	}
 	d := st.Deployment
 	oracle := localize.ChangeLogOracle{Log: st.Changes, Since: st.Now.Add(-24 * time.Hour)}
-	ctrlModel := risk.BuildControllerModel(d, risk.ControllerModelOptions{IncludeSwitchRisk: true})
+	ctrlModel := risk.BuildControllerModel(d)
 	ctrl := risk.NewOverlay(ctrlModel)
 	rep := &scout.Report{Consistent: true}
 	for _, sw := range sortedIDs(st.TCAM) {
@@ -41,7 +41,7 @@ func refAnalyze(t testing.TB, st scout.State) *scout.Report {
 			MissingRules: check.MissingRules, ExtraRules: check.ExtraRules}
 		if !check.Equivalent {
 			view := risk.NewOverlay(risk.BuildSwitchModel(d, sw))
-			risk.AugmentSwitchModel(view, check.MissingRules, d.Provenance)
+			risk.AugmentSwitchModel(view, sw, check.MissingRules, d.Provenance)
 			sr.Result = localize.Scout(view, oracle)
 			risk.AugmentControllerModelPatch(ctrlModel, sw, check.MissingRules, d.Provenance).Apply(ctrl)
 			rep.Consistent = false

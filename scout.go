@@ -389,7 +389,7 @@ func (m *riskModels) switchModel(sw object.ID) *risk.Model {
 func (a *Analyzer) startRiskModels(d *Deployment) (join func() *riskModels) {
 	built := make(chan *risk.Model, 1)
 	go func() {
-		built <- risk.BuildControllerModel(d, risk.ControllerModelOptions{IncludeSwitchRisk: true})
+		built <- risk.BuildControllerModel(d)
 	}()
 	return func() *riskModels { return &riskModels{d: d, ctrl: <-built} }
 }
@@ -469,7 +469,7 @@ func buildSwitchReport(models *riskModels, oracle localize.ChangeOracle, sw obje
 	var st localize.EngineStats
 	if !checkRep.Equivalent {
 		view := risk.NewOverlay(models.switchModel(sw))
-		risk.AugmentSwitchModel(view, checkRep.MissingRules, models.d.Provenance)
+		risk.AugmentSwitchModel(view, sw, checkRep.MissingRules, models.d.Provenance)
 		sr.Result, st = localize.ScoutWithStats(view, oracle)
 	}
 	return sr, st
