@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"scout"
+	"scout/internal/compile"
 )
 
 // threeTier deploys the paper's running example (Figure 1): a 3-tier web
@@ -251,6 +252,35 @@ func TestAnalyzeStateNilLogs(t *testing.T) {
 	}}, filter700Lost)
 	if _, err := scout.NewAnalyzer().AnalyzeState(scout.State{}); err == nil {
 		t.Error("state without deployment must fail")
+	}
+}
+
+// TestAnalyzeStateRefusesBadFootprint: a hand-filled footprint whose
+// triplets do not strictly ascend, or whose risk or key lists do not align
+// with them, is refused with an error before any work, not left to panic
+// in a risk-model build.
+func TestAnalyzeStateRefusesBadFootprint(t *testing.T) {
+	f := threeTier(t, 1)
+	d := f.Deployment()
+	for name, harm := range map[string]func(fp *compile.Footprint){
+		"unsorted pairs": func(fp *compile.Footprint) {
+			fp.Pairs[0], fp.Pairs[1] = fp.Pairs[1], fp.Pairs[0]
+		},
+		"a duplicate triplet": func(fp *compile.Footprint) {
+			fp.Pairs[1], fp.Risks[1], fp.Keys[1] = fp.Pairs[0], fp.Risks[0], fp.Keys[0]
+		},
+		"risks shorter than pairs": func(fp *compile.Footprint) { fp.Risks = fp.Risks[1:] },
+		"keys shorter than pairs":  func(fp *compile.Footprint) { fp.Keys = fp.Keys[1:] },
+	} {
+		dep := *d
+		fp := &dep.Footprint
+		fp.Pairs, fp.Risks, fp.Keys = slices.Clone(fp.Pairs), slices.Clone(fp.Risks), slices.Clone(fp.Keys)
+		harm(fp)
+		st := fabricState(f)
+		st.Deployment = &dep
+		if rep, err := scout.NewAnalyzer().AnalyzeState(st); err == nil || rep != nil || !strings.Contains(err.Error(), "footprint") {
+			t.Errorf("%s: AnalyzeState returned %v, %v; want a footprint error", name, rep, err)
+		}
 	}
 }
 

@@ -98,7 +98,7 @@ func run() error {
 	if err := checkStateFlags(*stateDir, *stateAge, *stateCap, set); err != nil {
 		return err
 	}
-	if err := checkFabricFlags(*capacity, *disconnect, set); err != nil {
+	if err := checkFabricFlags(*capacity, *disconnect, *workers, set); err != nil {
 		return err
 	}
 
@@ -342,14 +342,18 @@ func checkStateFlags(stateDir string, age time.Duration, capacity int, set map[s
 }
 
 // checkFabricFlags rejects a negative -tcam, which would deploy at the
-// default capacity, and an explicitly-set negative -disconnect, which would
-// disconnect nothing. set holds the names of explicitly-set flags.
-func checkFabricFlags(capacity, disconnect int, set map[string]bool) error {
+// default capacity, an explicitly-set negative -disconnect, which would
+// disconnect nothing, and a negative -workers, which would run at
+// GOMAXPROCS. set holds the names of explicitly-set flags.
+func checkFabricFlags(capacity, disconnect, workers int, set map[string]bool) error {
 	if capacity < 0 {
 		return fmt.Errorf("-tcam %d is negative", capacity)
 	}
 	if set["disconnect"] && disconnect < 0 {
 		return fmt.Errorf("-disconnect %d is negative", disconnect)
+	}
+	if workers < 0 {
+		return fmt.Errorf("-workers %d is negative", workers)
 	}
 	return nil
 }

@@ -413,7 +413,7 @@ func TestCheckStateFlags(t *testing.T) {
 		name     string
 		stateDir string
 		age      time.Duration
-		n        int // -state-cap, or -tcam and -disconnect
+		n        int // -state-cap, or -tcam, -disconnect and -workers
 		set      []string
 		wantErr  string
 	}{
@@ -427,6 +427,8 @@ func TestCheckStateFlags(t *testing.T) {
 		{"negative tcam", "", 0, -5, []string{"tcam"}, "-tcam"},
 		{"negative disconnect", "", 0, -7, []string{"disconnect"}, "-disconnect"},
 		{"disconnect switch 0", "", 0, 0, []string{"disconnect"}, ""},
+		{"negative workers", "", 0, -3, []string{"workers"}, "-workers"},
+		{"serial workers", "", 0, 1, []string{"workers"}, ""},
 	}
 	for _, tt := range tests {
 		set := make(map[string]bool, len(tt.set))
@@ -434,10 +436,13 @@ func TestCheckStateFlags(t *testing.T) {
 			set[name] = true
 		}
 		err := checkStateFlags(tt.stateDir, tt.age, tt.n, set)
-		if set["tcam"] {
-			err = checkFabricFlags(tt.n, -1, set)
-		} else if set["disconnect"] {
-			err = checkFabricFlags(0, tt.n, set)
+		switch {
+		case set["tcam"]:
+			err = checkFabricFlags(tt.n, -1, 0, set)
+		case set["disconnect"]:
+			err = checkFabricFlags(0, tt.n, 0, set)
+		case set["workers"]:
+			err = checkFabricFlags(0, -1, tt.n, set)
 		}
 		if err == nil && tt.wantErr != "" || err != nil && (tt.wantErr == "" || !strings.Contains(err.Error(), tt.wantErr+" ")) {
 			t.Errorf("%s: flag check = %v, want an error naming %q", tt.name, err, tt.wantErr)

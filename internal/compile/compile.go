@@ -28,7 +28,9 @@ import (
 const EntryPriority = 10
 
 // Deployment is the compiled desired state: the logical rules every switch
-// should carry, plus lookup indexes used by risk-model construction.
+// should carry, the provenance of every rule key, and the footprint the
+// risk models are built over. Compile fills all three; a deployment built
+// by hand fills them itself, its footprint as Footprint says.
 type Deployment struct {
 	// BySwitch maps a switch ID to its sorted, deduped logical rules
 	// (including the default-deny tail).
@@ -39,81 +41,51 @@ type Deployment struct {
 	// arrive from the equivalence checker without provenance.
 	Provenance map[rule.Key][]object.Ref
 
-	// PairRules maps (switch, EPG pair) to the keys of the logical rules
-	// serving that pair on that switch. Read-only: in a compiled deployment
-	// the switches of a pair share one list.
-	PairRules map[SwitchPair][]rule.Key
-
-	// footprint is Compile's own account of Footprint, which a deployment
-	// assembled by hand lacks (see compiled). A Deployment is copied by
-	// value, so nothing in here is a lock or a once.
-	footprint Footprint
+	// Footprint is the deployment's one index of (switch, EPG pair)
+	// triplets.
+	Footprint Footprint
 }
 
 // Footprint is where a deployment's pairs land and what each depends on.
-// Pairs is the (switch, pair) triplets in ascending order. Risks[i] is the
-// policy objects the rules of Pairs[i] carry: every provenance ref of
-// every key PairRules lists for it, each once, in the order that walk
-// first meets them — the order a risk model registers them in. It is a
-// fact about the pair, so in a compiled deployment the switches of a pair
-// share one list. Read-only.
+// Pairs is the (switch, pair) triplets in strictly ascending order; Keys
+// and Risks align with it. Keys[i] is the keys of the logical rules
+// serving Pairs[i], each once. Risks[i] is the policy objects those rules
+// carry: every provenance ref of every key, each once, in the order a walk
+// of Keys[i] first meets them — the order a risk model registers them in.
+// Both are facts about the pair, so in a compiled deployment the switches
+// of a pair share one list of each. Read-only.
 type Footprint struct {
 	Pairs []SwitchPair
 	Risks [][]object.Ref
+	Keys  [][]rule.Key
 }
 
-// compiled reports whether Compile left a footprint that still covers
-// PairRules. Without one, Footprint and OnSwitch derive what they return
-// from PairRules and Provenance on every call, with the same result.
-func (d *Deployment) compiled() bool { return len(d.footprint.Pairs) == len(d.PairRules) }
-
-// Footprint returns the deployment's footprint.
-func (d *Deployment) Footprint() Footprint {
-	if d.compiled() {
-		return d.footprint
+// Validate reports a footprint whose triplets do not strictly ascend or
+// whose Risks or Keys do not align with its Pairs.
+func (fp Footprint) Validate() error {
+	if len(fp.Risks) != len(fp.Pairs) || len(fp.Keys) != len(fp.Pairs) {
+		return fmt.Errorf("footprint has %d triplets, %d risk lists and %d key lists", len(fp.Pairs), len(fp.Risks), len(fp.Keys))
 	}
-	fp := Footprint{Pairs: make([]SwitchPair, 0, len(d.PairRules))}
-	for sp := range d.PairRules {
-		fp.Pairs = append(fp.Pairs, sp)
+	for i := 1; i < len(fp.Pairs); i++ {
+		if fp.Pairs[i-1].Compare(fp.Pairs[i]) >= 0 {
+			return fmt.Errorf("footprint triplet %d (%v) does not ascend past %v", i, fp.Pairs[i], fp.Pairs[i-1])
+		}
 	}
-	return d.deriveRisks(fp)
+	return nil
 }
 
-// OnSwitch returns the run of the deployment's footprint on one switch.
+// OnSwitch returns the run of the deployment's footprint on one switch:
+// sub-slices of its Pairs, Risks and Keys.
 func (d *Deployment) OnSwitch(sw object.ID) Footprint {
-	if d.compiled() {
-		fp := d.footprint
-		lo, _ := slices.BinarySearchFunc(fp.Pairs, sw, func(sp SwitchPair, sw object.ID) int {
-			return cmp.Compare(sp.Switch, sw)
-		})
-		hi := lo
-		for hi < len(fp.Pairs) && fp.Pairs[hi].Switch == sw {
-			hi++
-		}
-		return Footprint{Pairs: fp.Pairs[lo:hi], Risks: fp.Risks[lo:hi]}
+	fp := d.Footprint
+	lo, _ := slices.BinarySearchFunc(fp.Pairs, sw, func(sp SwitchPair, sw object.ID) int {
+		return cmp.Compare(sp.Switch, sw)
+	})
+	hi := lo
+	for hi < len(fp.Pairs) && fp.Pairs[hi].Switch == sw {
+		hi++
 	}
-	var fp Footprint
-	for sp := range d.PairRules {
-		if sp.Switch == sw {
-			fp.Pairs = append(fp.Pairs, sp)
-		}
-	}
-	return d.deriveRisks(fp)
-}
-
-// deriveRisks sorts fp.Pairs and fills fp.Risks from PairRules and
-// Provenance, key by key.
-func (d *Deployment) deriveRisks(fp Footprint) Footprint {
-	slices.SortFunc(fp.Pairs, SwitchPair.Compare)
-	fp.Risks = make([][]object.Ref, len(fp.Pairs))
-	for i, sp := range fp.Pairs {
-		var risks []object.Ref
-		for _, k := range d.PairRules[sp] {
-			risks = appendNew(risks, d.Provenance[k])
-		}
-		fp.Risks[i] = risks
-	}
-	return fp
+	return Footprint{Pairs: fp.Pairs[lo:hi], Risks: fp.Risks[lo:hi], Keys: fp.Keys[lo:hi]}
 }
 
 // appendNew appends the refs that risks does not hold yet. The lists are a
@@ -142,7 +114,7 @@ func (sp SwitchPair) String() string {
 	return string(sp.Pair.AppendTo(b))
 }
 
-// Compare orders SwitchPairs by switch, then pair.
+// Compare orders triplets by switch, then pair.
 func (sp SwitchPair) Compare(other SwitchPair) int {
 	return cmp.Or(cmp.Compare(sp.Switch, other.Switch), sp.Pair.Compare(other.Pair))
 }
@@ -154,7 +126,7 @@ func (sp SwitchPair) Compare(other SwitchPair) int {
 // entry) is a duplicate on every one of those switches. One Provenance
 // lookup per rule therefore settles identity for the whole deployment: the
 // first binding's provenance is the key's, and only a fresh key joins its
-// pair's PairRules. Every instance still joins its switches' lists — which
+// pair's Keys. Every instance still joins its switches' lists — which
 // of a key's instances survives there is the sort's choice (rule.Sort) —
 // and duplicates end up adjacent, where finishSwitch drops them.
 func Compile(p *policy.Policy, t *topo.Topology) (*Deployment, error) {
@@ -264,7 +236,7 @@ func Compile(p *policy.Policy, t *topo.Topology) (*Deployment, error) {
 	for i, sw := range switches {
 		d.BySwitch[sw] = lists[i]
 	}
-	d.footprint, d.PairRules = layOut(byPair, switches)
+	d.Footprint = layOut(byPair, switches)
 	return d, nil
 }
 
@@ -280,10 +252,8 @@ type pairFootprint struct {
 
 // layOut arranges the pairs that got rules into the deployment's
 // Footprint: one sort of the pairs, dealt out to their switches in that
-// order, the switches' runs laid end to end. switches is ascending. Each
-// triplet also enters the PairRules index with its pair's keys — like its
-// risks a fact about the pair, so its switches share the one list.
-func layOut(byPair map[policy.EPGPair]*pairFootprint, switches []object.ID) (Footprint, map[SwitchPair][]rule.Key) {
+// order, the switches' runs laid end to end. switches is ascending.
+func layOut(byPair map[policy.EPGPair]*pairFootprint, switches []object.ID) Footprint {
 	pairs := make([]policy.EPGPair, 0, len(byPair))
 	start := make([]int, len(switches)+1)
 	for pair, pf := range byPair {
@@ -302,20 +272,19 @@ func layOut(byPair map[policy.EPGPair]*pairFootprint, switches []object.ID) (Foo
 	fp := Footprint{
 		Pairs: make([]SwitchPair, start[len(switches)]),
 		Risks: make([][]object.Ref, start[len(switches)]),
+		Keys:  make([][]rule.Key, start[len(switches)]),
 	}
-	pairRules := make(map[SwitchPair][]rule.Key, len(fp.Pairs))
 	next := start[:len(switches)]
 	for _, pair := range pairs {
 		pf := byPair[pair]
 		for _, i := range pf.slots {
-			sp := SwitchPair{Switch: switches[i], Pair: pair}
-			fp.Pairs[next[i]] = sp
+			fp.Pairs[next[i]] = SwitchPair{Switch: switches[i], Pair: pair}
 			fp.Risks[next[i]] = pf.risks
-			pairRules[sp] = pf.keys
+			fp.Keys[next[i]] = pf.keys
 			next[i]++
 		}
 	}
-	return fp, pairRules
+	return fp
 }
 
 // finishSwitch turns the rules emitted for one switch into its logical rule
@@ -358,7 +327,3 @@ func directionalRules(vrf, a, b object.ID, e policy.FilterEntry, prov []object.R
 func (d *Deployment) RulesFor(sw object.ID) []rule.Rule {
 	return d.BySwitch[sw]
 }
-
-// SwitchPairs returns the sorted (switch, pair) deployment footprint.
-// Read-only: a compiled deployment hands out the one list it holds.
-func (d *Deployment) SwitchPairs() []SwitchPair { return d.Footprint().Pairs }

@@ -112,30 +112,29 @@ func TestCompileProvenance(t *testing.T) {
 	}
 }
 
-func TestCompilePairRules(t *testing.T) {
+func TestCompileFootprintKeys(t *testing.T) {
 	p, tp := threeTier(t)
 	d, err := Compile(p, tp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Web-App pair (1-2) deployed on S1 and S2; App-DB (2-3) on S2 and S3.
-	sps := d.SwitchPairs()
+	fp := d.Footprint
 	var labels []string
-	for _, sp := range sps {
+	for _, sp := range fp.Pairs {
 		labels = append(labels, sp.String())
 	}
 	want := []string{"S1:1-2", "S2:1-2", "S2:2-3", "S3:2-3"}
 	if !reflect.DeepEqual(labels, want) {
-		t.Errorf("SwitchPairs = %v, want %v", labels, want)
+		t.Fatalf("footprint = %v, want %v", labels, want)
 	}
 	// The App-DB pair on S2 relies on 4 rule keys (2 ports × 2 dirs).
-	keys := d.PairRules[SwitchPair{Switch: 2, Pair: policy.MakeEPGPair(2, 3)}]
+	keys := fp.Keys[2]
 	if len(keys) != 4 {
 		t.Errorf("App-DB keys on S2 = %d, want 4", len(keys))
 	}
 	// A pair's keys are a fact about the pair: its switches share one list.
-	onS3 := d.PairRules[SwitchPair{Switch: 3, Pair: policy.MakeEPGPair(2, 3)}]
-	if len(onS3) != len(keys) || &onS3[0] != &keys[0] {
+	if onS3 := fp.Keys[3]; len(onS3) != len(keys) || &onS3[0] != &keys[0] {
 		t.Error("S2 and S3 hold separate key lists for the App-DB pair, want one shared list")
 	}
 }
@@ -192,7 +191,7 @@ func TestCompileSkipsUnattachedPairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sp := range d.SwitchPairs() {
+	for _, sp := range d.Footprint.Pairs {
 		if sp.Pair == policy.MakeEPGPair(4, 4) {
 			t.Error("unattached pair must not appear in deployment")
 		}

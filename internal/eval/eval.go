@@ -87,22 +87,21 @@ type Figure3Result struct {
 func Figure3(env *Env) *Figure3Result {
 	perObject := make(map[object.Ref]map[policy.EPGPair]struct{})
 	perSwitch := make(map[object.ID]map[policy.EPGPair]struct{})
-	for sp, keys := range env.Deployment.PairRules {
+	fp := env.Deployment.Footprint
+	for i, sp := range fp.Pairs {
 		swSet, ok := perSwitch[sp.Switch]
 		if !ok {
 			swSet = make(map[policy.EPGPair]struct{})
 			perSwitch[sp.Switch] = swSet
 		}
 		swSet[sp.Pair] = struct{}{}
-		for _, k := range keys {
-			for _, ref := range env.Deployment.Provenance[k] {
-				set, ok := perObject[ref]
-				if !ok {
-					set = make(map[policy.EPGPair]struct{})
-					perObject[ref] = set
-				}
-				set[sp.Pair] = struct{}{}
+		for _, ref := range fp.Risks[i] {
+			set, ok := perObject[ref]
+			if !ok {
+				set = make(map[policy.EPGPair]struct{})
+				perObject[ref] = set
 			}
+			set[sp.Pair] = struct{}{}
 		}
 	}
 

@@ -97,7 +97,7 @@ func testbedRun(pol *policy.Policy, tp *topo.Topology, rng *rand.Rand, n, noise 
 // deployedObjects lists the distinct policy objects with deployed rules.
 func deployedObjects(d *compile.Deployment) []object.Ref {
 	set := make(object.Set)
-	for _, refs := range d.Provenance {
+	for _, refs := range d.Footprint.Risks {
 		for _, ref := range refs {
 			set.Add(ref)
 		}

@@ -51,7 +51,7 @@ type ControllerModelOptions struct {
 // itself, so that whole-switch failures (unresponsive switch, §V-B use
 // case 3) are localizable to the physical object.
 func BuildControllerModel(d *compile.Deployment) *Model {
-	fp := d.Footprint()
+	fp := d.Footprint
 	risks := make([][]object.Ref, len(fp.Pairs))
 	for i, sp := range fp.Pairs {
 		risks[i] = append(slices.Clip(fp.Risks[i]), object.Switch(sp.Switch))

@@ -159,27 +159,28 @@ func TestBuildControllerModelFigure4b(t *testing.T) {
 	runModels(t, d, 0, 4, 20, allOps...)
 }
 
-// refBuild is the model builds as they stood before the deployment
-// carried its footprint: this switch's pairs (sw 0: every switch's
-// triplets) picked out of the whole PairRules map and sorted, then every
-// key of every pair looked up in Provenance and every ref offered to the
-// edge map, which finds most of them already there, and on the
-// controller model the triplet's switch.
+// refBuild is the model builds as they stood before the footprint carried
+// per-pair risk lists: this switch's triplets (sw 0: every switch's)
+// picked out of the footprint one by one, then every key of every pair
+// looked up in Provenance and every ref offered to the edge map, which
+// finds most of them already there, and on the controller model the
+// triplet's switch. It reads the footprint's Keys, never its Risks.
 func refBuild(d *compile.Deployment, sw object.ID) *refModel {
 	var sps []compile.SwitchPair
-	for sp := range d.PairRules {
+	var keys [][]rule.Key
+	for i, sp := range d.Footprint.Pairs {
 		if sw == 0 || sp.Switch == sw {
 			sps = append(sps, sp)
+			keys = append(keys, d.Footprint.Keys[i])
 		}
 	}
-	slices.SortFunc(sps, compile.SwitchPair.Compare)
 	r := newRef("controller", sps)
 	if sw != 0 {
 		r.name = fmt.Sprintf("switch-%d", sw)
 	}
 	for i, sp := range sps {
 		el := risk.ElementID(i)
-		for _, k := range d.PairRules[sp] {
+		for _, k := range keys[i] {
 			for _, ref := range d.Provenance[k] {
 				r.add(edge{el, ref}, false)
 			}
@@ -209,12 +210,6 @@ func checkBuildsMatchOracle(t *testing.T, name string, d *compile.Deployment) {
 	check("controller", risk.BuildControllerModel(d), refBuild(d, 0).replay())
 }
 
-// withoutFootprint is d as a deployment assembled by hand has it: the
-// three maps and nothing Compile derived from them.
-func withoutFootprint(d *compile.Deployment) *compile.Deployment {
-	return &compile.Deployment{BySwitch: d.BySwitch, Provenance: d.Provenance, PairRules: d.PairRules}
-}
-
 func TestModelBuildsMatchOracle(t *testing.T) {
 	for _, spec := range []workload.Spec{workload.TestbedSpec(), workload.SmallFabricSpec(), eval.SimSpec(0.25)} {
 		p, tp, err := workload.Generate(spec, 42)
@@ -227,7 +222,6 @@ func TestModelBuildsMatchOracle(t *testing.T) {
 		}
 		checkBuildsMatchOracle(t, spec.Name, d)
 		if spec.Name != "production" {
-			checkBuildsMatchOracle(t, spec.Name+" by hand", withoutFootprint(d))
 			continue
 		}
 		// The benchmark's input, by the counts its controller model is
@@ -242,10 +236,9 @@ func TestModelBuildsMatchOracle(t *testing.T) {
 // TestModelBuildsFirstEncounterOrder is the case where a pair's risk order
 // is not its bindings' order: two contracts of one pair share a filter, so
 // the second binding's keys under that filter are not fresh and its
-// contract is first met through the filter only it has. The footprint —
-// Compile's, gathered per pair, and the one derived key by key for a
-// deployment without — must list the risks in the order a walk of the
-// pair's keys meets them, and the models built from either must be the
+// contract is first met through the filter only it has. Compile's
+// footprint, gathered per pair, must list the risks in the order a walk of
+// the pair's keys meets them, and the models built from it must be the
 // oracle's.
 func TestModelBuildsFirstEncounterOrder(t *testing.T) {
 	p := policy.New("shared-filter")
@@ -268,26 +261,20 @@ func TestModelBuildsFirstEncounterOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byHand := withoutFootprint(d)
 
 	want := []object.Ref{
 		object.VRF(7), object.EPG(1), object.EPG(2), object.Contract(20), object.Filter(101), // 1-2 under 20, filter 101
 		object.Filter(100),                      // then 20's filter 100
 		object.Contract(10), object.Filter(102), // 10 is first met under 102; its 101 keys are 20's
 	}
-	for name, dep := range map[string]*compile.Deployment{"compiled": d, "by hand": byHand} {
-		fp := dep.Footprint()
-		for i, sp := range fp.Pairs {
-			if sp.Pair == policy.MakeEPGPair(1, 2) && !reflect.DeepEqual(fp.Risks[i], want) {
-				t.Errorf("%s: %v depends on %v, want %v", name, sp, fp.Risks[i], want)
-			}
+	fp := d.Footprint
+	for i, sp := range fp.Pairs {
+		if sp.Pair == policy.MakeEPGPair(1, 2) && !reflect.DeepEqual(fp.Risks[i], want) {
+			t.Errorf("%v depends on %v, want %v", sp, fp.Risks[i], want)
 		}
-		if len(fp.Pairs) != 3 { // 1-2 on both switches, 2-3 on switch 2
-			t.Errorf("%s: footprint %v, want three triplets", name, fp.Pairs)
-		}
-		checkBuildsMatchOracle(t, name, dep)
 	}
-	if !reflect.DeepEqual(d.Footprint(), byHand.Footprint()) {
-		t.Errorf("Compile's footprint %v differs from the derived one %v", d.Footprint(), byHand.Footprint())
+	if len(fp.Pairs) != 3 { // 1-2 on both switches, 2-3 on switch 2
+		t.Errorf("footprint %v, want three triplets", fp.Pairs)
 	}
+	checkBuildsMatchOracle(t, "shared filter", d)
 }

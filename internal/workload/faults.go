@@ -51,8 +51,9 @@ func BuildIndex(d *compile.Deployment) *DepIndex {
 	var runs []run
 	slotOf := make(map[object.Ref]int)
 	var counts []int
-	for _, sp := range d.SwitchPairs() {
-		keys := d.PairRules[sp]
+	fp := d.Footprint
+	for pi, sp := range fp.Pairs {
+		keys := fp.Keys[pi]
 		var prov []object.Ref
 		for i, k := range keys {
 			p := d.Provenance[k]

@@ -137,8 +137,8 @@ func TestGeneratedSharingIsHeavyTailed(t *testing.T) {
 		t.Fatal(err)
 	}
 	pairsPer := make(map[object.Ref]map[string]struct{})
-	for sp, keys := range d.PairRules {
-		for _, k := range keys {
+	for i, sp := range d.Footprint.Pairs {
+		for _, k := range d.Footprint.Keys[i] {
 			for _, ref := range d.Provenance[k] {
 				set, ok := pairsPer[ref]
 				if !ok {
@@ -217,11 +217,7 @@ func TestBuildIndexCoversDeployment(t *testing.T) {
 // has on the switch, in the index's order, and no object without one.
 func TestObjectsOnSwitch(t *testing.T) {
 	d, idx := buildEnv(t)
-	var sw object.ID
-	for sp := range d.PairRules {
-		sw = sp.Switch
-		break
-	}
+	sw := d.Footprint.Pairs[0].Switch
 	local := idx.OnSwitch(sw)
 	if len(local.Objects()) == 0 {
 		t.Fatal("busy switch should have objects")
@@ -355,7 +351,8 @@ func TestApplyToControllerModelPartialFault(t *testing.T) {
 // TestBuildIndexDeterministic: two builds of one deployment list every
 // object's instances in the same order, so partial faults drawn with one
 // seed remove the same rules whichever build they drew from. (BuildIndex
-// once ranged over the PairRules map, and a scenario was not reproducible.)
+// once ranged over a map of the deployment's pairs, and a scenario was not
+// reproducible.)
 func TestBuildIndexDeterministic(t *testing.T) {
 	d, first := buildEnv(t)
 	var wide []Fault
@@ -386,11 +383,7 @@ func TestBuildIndexDeterministic(t *testing.T) {
 func TestApplyToSwitchModel(t *testing.T) {
 	d, idx := buildEnv(t)
 	// Find a switch and an object deployed there.
-	var sw object.ID
-	for sp := range d.PairRules {
-		sw = sp.Switch
-		break
-	}
+	sw := d.Footprint.Pairs[0].Switch
 	local := idx.OnSwitch(sw)
 	objs := local.Objects()
 	if len(objs) == 0 {

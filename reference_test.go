@@ -87,21 +87,25 @@ func deployedIDs(f *scout.Fabric, kind object.Kind) []scout.ObjectID {
 // dupState is the fabric's collected state with byte-equal clone switches,
 // a supported input no generated workload produces: every other switch gets
 // a twin 100,000 IDs up sharing its logical list, TCAM snapshot and
-// pair-rule entries. The fabric's own deployment is not mutated.
+// footprint run, the twins' triplets appended to a clone of the footprint
+// (every twin ID is above every fabric switch, so they still ascend). The
+// fabric's own deployment is not mutated.
 func dupState(_ testing.TB, f *scout.Fabric) scout.State {
 	st, d := fabricState(f), f.Deployment()
-	dup := &scout.Deployment{BySwitch: maps.Clone(d.BySwitch), Provenance: d.Provenance, PairRules: maps.Clone(d.PairRules)}
+	dup := &scout.Deployment{BySwitch: maps.Clone(d.BySwitch), Provenance: d.Provenance}
+	fp := &dup.Footprint
+	fp.Pairs, fp.Risks, fp.Keys = slices.Clone(d.Footprint.Pairs), slices.Clone(d.Footprint.Risks), slices.Clone(d.Footprint.Keys)
 	for i, sw := range sortedIDs(st.TCAM) {
 		if i%2 != 0 {
 			continue
 		}
 		twin := sw + 100000
 		dup.BySwitch[twin], st.TCAM[twin] = d.BySwitch[sw], st.TCAM[sw]
-		for sp, keys := range d.PairRules {
-			if sp.Switch == sw {
-				dup.PairRules[compile.SwitchPair{Switch: twin, Pair: sp.Pair}] = keys
-			}
+		run := d.OnSwitch(sw)
+		for _, sp := range run.Pairs {
+			fp.Pairs = append(fp.Pairs, compile.SwitchPair{Switch: twin, Pair: sp.Pair})
 		}
+		fp.Risks, fp.Keys = append(fp.Risks, run.Risks...), append(fp.Keys, run.Keys...)
 	}
 	st.Deployment = dup
 	return st

@@ -173,7 +173,10 @@ type Report struct {
 // populate it from their own controller and devices; Analyze populates
 // it from the simulated fabric.
 type State struct {
-	// Deployment is the compiled desired state (L-type rules).
+	// Deployment is the compiled desired state (L-type rules). One built
+	// by hand fills BySwitch, Provenance and a Footprint whose triplets
+	// strictly ascend, with Risks and Keys aligned to them; an analysis
+	// refuses any other footprint before doing any work.
 	Deployment *Deployment
 	// TCAM maps each switch to its collected rules (T-type). Collected
 	// from a Fabric or an Epoch, the slices are the TCAMs' shared

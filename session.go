@@ -356,6 +356,9 @@ func (s *Session) run(st State, live bool) (*Report, error) {
 	case probes && !live:
 		return nil, fmt.Errorf("scout: probe mode classifies packets against a live dataplane, which collected TCAM snapshots (AnalyzeEpoch, AnalyzeState) do not have; use Analyze")
 	}
+	if err := st.Deployment.Footprint.Validate(); err != nil {
+		return nil, fmt.Errorf("scout: the state's deployment: %w", err)
+	}
 	st = st.withDefaultLogs()
 	switches := st.sortedSwitches()
 	s.resolveLocked(st.Deployment)
