@@ -10,7 +10,7 @@ package scout_test
 //     what expectedFolds says and, on the last state, be refAnalyze's;
 //   - a model of the session kept from what each step touched: the verdicts
 //     cached and their rule lists, the store files that load and what a
-//     verdict file holds, the risk models that carry a plan. From it follow
+//     verdict file holds, whether the risk model carries a plan. From it follow
 //     every counter the session keeps and what Close reports.
 //
 // At the end every deployment's rules still carry the provenance they were
@@ -187,11 +187,11 @@ type coldRun struct {
 	// The session's model.
 	want    scout.SessionStats // the counters the session must show
 	cache   map[scout.ObjectID]verdict
-	dep     *scout.Deployment       // the latest run's deployment, nil after a restart
-	fp      uint64                  // dep's fingerprint
-	sem     map[uint64]bool         // dep's logical semantics fingerprints
-	seeded  map[uint64]bool         // deployments whose verdict file seeded the cache
-	planned map[scout.ObjectID]bool // the risk models that carry a plan
+	dep     *scout.Deployment // the latest run's deployment, nil after a restart
+	fp      uint64            // dep's fingerprint
+	sem     map[uint64]bool   // dep's logical semantics fingerprints
+	seeded  map[uint64]bool   // deployments whose verdict file seeded the cache
+	planned bool              // the deployment's risk model carries a plan
 	saveErr string
 
 	// The store's model: the files that load, with a verdict file's
@@ -260,7 +260,7 @@ func equalsCold(t *testing.T, c coldCase) *coldRun {
 
 func newRun(f *scout.Fabric) *coldRun {
 	return &coldRun{f: f, on: map[toggle]bool{}, removed: map[scout.ObjectID][]scout.Rule{},
-		cache: map[scout.ObjectID]verdict{}, seeded: map[uint64]bool{}, planned: map[scout.ObjectID]bool{},
+		cache: map[scout.ObjectID]verdict{}, seeded: map[uint64]bool{},
 		good: map[string]map[scout.ObjectID]verdict{}, squat: map[string]bool{}, baseImg: map[string][]byte{},
 		heldDeps: map[*scout.Deployment]bool{}}
 }
@@ -469,7 +469,7 @@ func (r *coldRun) restart(t testing.TB, x, harm byte) {
 	r.want, r.dep = scout.SessionStats{}, nil
 	clear(r.cache)
 	clear(r.seeded)
-	clear(r.planned)
+	r.planned = false
 }
 
 // save models a store save: it fails on a lost directory or a squatted
@@ -492,14 +492,14 @@ func (r *coldRun) verdictFile(fp uint64) string {
 // resolve brings the model in step with the run's deployment, as
 // Session.run does before it checks anything, and returns how many bases
 // the run builds and loads. A new deployment pointer rebuilds the risk
-// models; new content loads its base if the store holds it whole and builds
+// model; new content loads its base if the store holds it whole and builds
 // and saves it otherwise, and seeds the verdicts of its file the session has
 // not read yet into the switches the cache holds nothing for.
 func (r *coldRun) resolve(d *scout.Deployment) (built, loaded int) {
 	if d == r.dep {
 		return 0, 0
 	}
-	clear(r.planned)
+	r.planned = false
 	r.hold(d)
 	_, fp := equiv.DeploymentFingerprints(d.BySwitch)
 	fresh := r.dep == nil || fp != r.fp
@@ -653,18 +653,21 @@ func (r *coldRun) analyze(t *testing.T) {
 	}
 }
 
-// plans models the plan cache: a run localizes the controller and every
-// broken switch, each on a plan its model compiles on first use. Switch 0,
-// which no fabric has, stands for the controller.
+// plans models the plan cache: an inconsistent run compiles the
+// deployment's one plan if its model has none yet, and then localizes the
+// controller and every broken switch on it, each a reuse. A consistent run
+// compiles nothing.
 func (r *coldRun) plans(rep *scout.Report) (compiles, reuses int) {
-	for _, sr := range append([]scout.SwitchReport{{}}, rep.Switches...) {
-		if !rep.Consistent && (sr.Switch == 0 || !sr.Equivalent) {
-			if r.planned[sr.Switch] {
-				reuses++
-			} else {
-				compiles++
-			}
-			r.planned[sr.Switch] = true
+	if rep.Consistent {
+		return 0, 0
+	}
+	if !r.planned {
+		compiles, r.planned = 1, true
+	}
+	reuses = 1
+	for _, sr := range rep.Switches {
+		if !sr.Equivalent {
+			reuses++
 		}
 	}
 	return compiles, reuses

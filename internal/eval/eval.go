@@ -237,13 +237,14 @@ type AccuracyOptions struct {
 }
 
 // SwitchModelAccuracy reproduces Figure 8: faults are injected into the
-// rules of a single switch and localized on that switch's risk model.
+// rules of a single switch and localized on that switch's risk model, its
+// range of the controller model.
 func SwitchModelAccuracy(env *Env, opts AccuracyOptions) (*AccuracyResult, error) {
 	// Choose the switch with the most dependent objects so every fault
 	// count is feasible.
 	sw, local := busiestSwitch(env)
-	model := risk.BuildSwitchModel(env.Deployment, sw)
-	return simulate("switch risk model", model, local.Objects(), opts,
+	ctrl := risk.BuildControllerModel(env.Deployment)
+	return simulate("switch risk model", func() *risk.Overlay { return risk.NewSwitchOverlay(ctrl, sw) }, local.Objects(), opts,
 		func(m risk.Marker, sc workload.Scenario, rng *rand.Rand) {
 			risk.AugmentSwitchModel(m, sw, sc.Missing(local, rng)[sw], env.Deployment.Provenance)
 		})
@@ -252,7 +253,8 @@ func SwitchModelAccuracy(env *Env, opts AccuracyOptions) (*AccuracyResult, error
 // ControllerModelAccuracy reproduces Figure 9: faults are injected across
 // switches and localized on the controller risk model.
 func ControllerModelAccuracy(env *Env, opts AccuracyOptions) (*AccuracyResult, error) {
-	return simulate("controller risk model", risk.BuildControllerModel(env.Deployment), env.Index.Objects(), opts, env.markMissing)
+	ctrl := risk.BuildControllerModel(env.Deployment)
+	return simulate("controller risk model", func() *risk.Overlay { return risk.NewOverlay(ctrl) }, env.Index.Objects(), opts, env.markMissing)
 }
 
 // markMissing marks the rules sc's faults remove in the controller view m
@@ -267,10 +269,10 @@ func (env *Env) markMissing(m risk.Marker, sc workload.Scenario, rng *rand.Rand)
 
 // simulate drives one simulated accuracy figure. The pristine model is
 // shared read-only across every run: each scenario's faults land in a
-// fresh copy-on-write overlay and the algorithms localize through the
-// overlay view, so runs never pay a model reset (or clone) and cannot leak
-// marks into each other.
-func simulate(title string, pristine *risk.Model, candidates []object.Ref, opts AccuracyOptions,
+// fresh copy-on-write overlay over it, made by fresh, and the algorithms
+// localize through the overlay view, so runs never pay a model reset (or
+// clone) and cannot leak marks into each other.
+func simulate(title string, fresh func() *risk.Overlay, candidates []object.Ref, opts AccuracyOptions,
 	mark func(risk.Marker, workload.Scenario, *rand.Rand)) (*AccuracyResult, error) {
 	rng := rand.New(rand.NewSource(opts.Seed))
 	names := make([]string, len(opts.Algorithms))
@@ -282,7 +284,7 @@ func simulate(title string, pristine *risk.Model, candidates []object.Ref, opts 
 		if err != nil {
 			return nil, err
 		}
-		ov := risk.NewOverlay(pristine)
+		ov := fresh()
 		mark(ov, sc, rng)
 		accs := make([]localize.Accuracy, len(opts.Algorithms))
 		for i, alg := range opts.Algorithms {

@@ -19,14 +19,10 @@ func (b bitset) set(i int32) { b[i>>6] |= 1 << (uint32(i) & 63) }
 
 func (b bitset) clear(i int32) { b[i>>6] &^= 1 << (uint32(i) & 63) }
 
-// setFirst sets bits [0, n).
-func (b bitset) setFirst(n int) {
-	full := n >> 6
-	for w := 0; w < full; w++ {
-		b[w] = ^uint64(0)
-	}
-	if rem := uint(n & 63); rem != 0 {
-		b[full] |= (1 << rem) - 1
+// setRange sets bits [lo, hi).
+func (b bitset) setRange(lo, hi int32) {
+	for i := lo; i < hi; i++ {
+		b.set(i)
 	}
 }
 

@@ -6,6 +6,7 @@
 package localize
 
 import (
+	"slices"
 	"time"
 
 	"scout/internal/object"
@@ -94,11 +95,12 @@ func planScout(p *plan, o *risk.Overlay, oracle ChangeOracle, st *EngineStats) *
 	return res
 }
 
-// pendingElements lists the remaining pending observations, matching the
-// reference engine's sortedElements shape (non-nil even when empty).
+// pendingElements lists the remaining pending observations in the view's
+// own element IDs, matching the reference engine's sortedElements shape
+// (non-nil even when empty).
 func pendingElements(rv *runView) []risk.ElementID {
 	out := make([]risk.ElementID, 0, rv.pendingCount)
-	rv.pending.forEach(func(el int32) { out = append(out, risk.ElementID(el)) })
+	rv.pending.forEach(func(el int32) { out = append(out, risk.ElementID(el-rv.lo)) })
 	return out
 }
 
@@ -153,8 +155,8 @@ func planScore(p *plan, o *risk.Overlay, threshold float64) *Result {
 			eligible = append(eligible, i)
 		}
 	}
-	if len(rv.extraRefs) > 0 {
-		sortByRef(rv, eligible)
+	if len(rv.extraRefs) > 0 { // overlay risks interleave with the plan's
+		slices.SortFunc(eligible, rv.refCmp)
 	}
 
 	planGreedy(rv, eligible, res, hypothesis)
@@ -163,14 +165,4 @@ func planScore(p *plan, o *risk.Overlay, threshold float64) *Result {
 	res.Unexplained = pendingElements(rv)
 	res.Explained = totalObs - rv.pendingCount
 	return res
-}
-
-// sortByRef sorts risk indices by their object refs (needed only when
-// overlay-created risks interleave with the base ordering).
-func sortByRef(rv *runView, idxs []int32) {
-	for i := 1; i < len(idxs); i++ {
-		for j := i; j > 0 && rv.refLess(idxs[j], idxs[j-1]); j-- {
-			idxs[j], idxs[j-1] = idxs[j-1], idxs[j]
-		}
-	}
 }

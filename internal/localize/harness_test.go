@@ -2,9 +2,12 @@
 // the failures marked on it — marked once on a model in place and once on
 // an overlay over a pristine twin; check holds the model to the reference
 // engine (ref_test.go), the overlay to the model, and both to the
-// properties every localization must have. Random cases come from one generator,
-// randomModel, and workload cases from internal/workload's fault
-// scenarios through one loop, runWorkload.
+// properties every localization must have. A scenario's elements spread
+// over switches, and each switch's run is checked too: on its own model,
+// and on an overlay of its range of the controller model. Random cases
+// come from one generator, randomModel (FuzzLocalize feeds it a fuzzer's
+// bytes), and workload cases from internal/workload's fault scenarios
+// through one loop, runWorkload.
 
 package localize
 
@@ -18,7 +21,9 @@ import (
 	"scout/internal/compile"
 	"scout/internal/object"
 	"scout/internal/oracle"
+	"scout/internal/policy"
 	"scout/internal/risk"
+	"scout/internal/rule"
 	"scout/internal/workload"
 )
 
@@ -110,10 +115,12 @@ func check(t *testing.T, label string, model *risk.Model, ov *risk.Overlay, chan
 
 // scenario is a model's elements, each the risks it depends on, and the
 // failed edges marked on it by element; marking an edge the model lacks
-// creates it.
+// creates it. The elements lie in order on switches 1 to switches (one
+// when 0), each switch's a run of consecutive elements.
 type scenario struct {
-	deps   [][]object.Ref
-	failed map[int][]object.Ref
+	deps     [][]object.Ref
+	failed   map[int][]object.Ref
+	switches int
 }
 
 // failAll is the scenario whose every edge failed.
@@ -125,39 +132,69 @@ func failAll(deps ...[]object.Ref) scenario {
 	return s
 }
 
-// model builds the scenario's model, marked or pristine: element i is a
-// triplet on switch i, depending on each of s.deps[i] once.
-func (s scenario) model(marked bool) *risk.Model {
-	fp := compile.Footprint{Pairs: make([]compile.SwitchPair, len(s.deps)), Risks: make([][]object.Ref, len(s.deps))}
+// switchOf returns the switch element i lies on.
+func (s scenario) switchOf(i int) object.ID {
+	return object.ID(1 + i*max(s.switches, 1)/len(s.deps))
+}
+
+// deployment is the scenario's footprint: element i is the triplet of pair
+// i-i on its switch, depending on each of s.deps[i] once.
+func (s scenario) deployment() *compile.Deployment {
+	n := len(s.deps)
+	fp := compile.Footprint{Pairs: make([]compile.SwitchPair, n), Risks: make([][]object.Ref, n), Keys: make([][]rule.Key, n)}
 	for i, refs := range s.deps {
-		fp.Pairs[i].Switch = object.ID(i)
+		fp.Pairs[i] = compile.SwitchPair{Switch: s.switchOf(i), Pair: policy.MakeEPGPair(object.ID(i), object.ID(i))}
 		for _, ref := range refs {
 			if !slices.Contains(fp.Risks[i], ref) {
 				fp.Risks[i] = append(fp.Risks[i], ref)
 			}
 		}
 	}
-	m := risk.NewModel("scenario", fp)
+	return &compile.Deployment{Footprint: fp}
+}
+
+// model builds the scenario's model, marked or pristine.
+func (s scenario) model(marked bool) *risk.Model {
+	m := risk.NewModel("scenario", s.deployment().Footprint)
 	if marked {
-		s.mark(m)
+		s.mark(m, 0)
 	}
 	return m
 }
 
-func (s scenario) mark(v risk.Marker) {
+// mark marks the scenario's failed edges on v: every element's, or when sw
+// is set, those of sw's elements, numbered from sw's first.
+func (s scenario) mark(v risk.Marker, sw object.ID) {
+	el := risk.ElementID(0)
 	for i := range s.deps {
-		for _, ref := range s.failed[i] {
-			v.MarkFailed(risk.ElementID(i), ref)
+		if sw != 0 && s.switchOf(i) != sw {
+			continue
 		}
+		for _, ref := range s.failed[i] {
+			v.MarkFailed(el, ref)
+		}
+		el++
 	}
 }
 
-// run checks the scenario with changed as the change log.
+// run checks the scenario with changed as the change log, then every
+// switch's run of it: its own model, NewModel over the deployment's
+// OnSwitch, held to an overlay of its range of the pristine controller
+// model, each marked with the switch's failed edges.
 func (s scenario) run(t *testing.T, label string, changed object.Set) results {
 	t.Helper()
 	ov := risk.NewOverlay(s.model(false))
-	s.mark(ov)
-	return check(t, label, s.model(true), ov, changed)
+	s.mark(ov, 0)
+	r := check(t, label, s.model(true), ov, changed)
+	d := s.deployment()
+	ctrl := risk.BuildControllerModel(d)
+	for sw := object.ID(1); int(sw) <= max(s.switches, 1); sw++ {
+		model, ov := risk.NewModel("scenario", d.OnSwitch(sw)), risk.NewSwitchOverlay(ctrl, sw)
+		s.mark(model, sw)
+		s.mark(ov, sw)
+		check(t, fmt.Sprintf("%s, switch %d", label, sw), model, ov, changed)
+	}
+	return r
 }
 
 // randomModel draws a scenario: 4 to 43 elements, each depending on one to
@@ -165,7 +202,8 @@ func (s scenario) run(t *testing.T, label string, changed object.Set) results {
 // (every dependent). When partial, one to three more fail partially (each
 // dependent one time in two), each in the change log one time in two, and
 // one or two failed edges land where the model may have none, to a filter
-// it may not have: marking creates them.
+// it may not have: marking creates them. The elements spread over 2 to 4
+// switches.
 func randomModel(c *oracle.Choices, partial bool) (scenario, object.Set) {
 	nRisks := 3 + c.Intn(12)
 	filter := func(n int) object.Ref { return object.Filter(object.ID(c.Intn(n))) }
@@ -199,6 +237,7 @@ func randomModel(c *oracle.Choices, partial bool) (scenario, object.Set) {
 			s.failed[i] = append(s.failed[i], filter(nRisks+2))
 		}
 	}
+	s.switches = 2 + c.Intn(3)
 	return s, changed
 }
 
@@ -218,7 +257,7 @@ func runModels(t *testing.T, seed int64, n int, partial bool) []results {
 // faults object faults — full and partial, with noise change-log entries,
 // the paper's §VI-A regime — one scenario of internal/workload's over the
 // small fabric, on the controller model build makes, or on the busiest
-// switch's model.
+// switch's model, its overlay on its range of the controller model.
 type fabricCase struct {
 	seeds         int64
 	faults, noise int
@@ -227,7 +266,8 @@ type fabricCase struct {
 }
 
 // runWorkload checks every scenario of fc that marks an edge, each on a
-// fresh build and on an overlay over one pristine build.
+// fresh build and on an overlay over one pristine build: build's, or on a
+// switch the controller model's.
 func runWorkload(t *testing.T, fc fabricCase) []results {
 	t.Helper()
 	pol, tp, err := workload.Generate(workload.SmallFabricSpec(), 7)
@@ -241,6 +281,7 @@ func runWorkload(t *testing.T, fc fabricCase) []results {
 	idx := workload.BuildIndex(d)
 	candidates, sw := idx.Objects(), object.ID(0)
 	build := func() *risk.Model { return fc.build(d) }
+	var overlay func() *risk.Overlay // a fresh one over a pristine build
 	if fc.onSwitch {
 		most := -1
 		for s, rules := range d.BySwitch {
@@ -250,9 +291,13 @@ func runWorkload(t *testing.T, fc fabricCase) []results {
 		}
 		idx = idx.OnSwitch(sw)
 		candidates = idx.Objects()
-		build = func() *risk.Model { return risk.BuildSwitchModel(d, sw) }
+		build = func() *risk.Model { return risk.NewModel("switch", d.OnSwitch(sw)) }
+		ctrl := risk.BuildControllerModel(d)
+		overlay = func() *risk.Overlay { return risk.NewSwitchOverlay(ctrl, sw) }
+	} else {
+		pristine := build()
+		overlay = func() *risk.Overlay { return risk.NewOverlay(pristine) }
 	}
-	pristine := build()
 	var out []results
 	for seed := int64(1); seed <= fc.seeds; seed++ {
 		for n := 1; n <= fc.faults; n++ {
@@ -272,7 +317,7 @@ func runWorkload(t *testing.T, fc fabricCase) []results {
 					risk.AugmentControllerModelPatch(v, s, missing[s], d.Provenance).Apply(v)
 				}
 			}
-			model, ov := build(), risk.NewOverlay(pristine)
+			model, ov := build(), overlay()
 			mark(model)
 			mark(ov)
 			if model.NumFailedEdges() > 0 { // a scenario can hit only undeployed objects
@@ -284,4 +329,17 @@ func runWorkload(t *testing.T, fc fabricCase) []results {
 		t.Fatal("no scenario marked an edge")
 	}
 	return out
+}
+
+// FuzzLocalize runs the fuzzer's bytes as a drawn scenario, with partial
+// faults or without, through the runner: every switch's range included.
+func FuzzLocalize(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 9, 3, 2, 7, 1, 0, 5})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c := oracle.FromBytes(data)
+		partial := c.Chance(2)
+		s, changed := randomModel(c, partial)
+		s.run(t, "fuzzed", changed)
+	})
 }

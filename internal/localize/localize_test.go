@@ -256,7 +256,7 @@ func TestPlanCompileOnce(t *testing.T) {
 	Score(m, 1)
 	for i := 0; i < 5; i++ {
 		ov := risk.NewOverlay(m)
-		s.mark(ov)
+		s.mark(ov, 0)
 		ov.MarkFailed(0, object.VRF(99))
 		Scout(ov, NoChanges{})
 	}

@@ -6,7 +6,9 @@
 // adjacency once into dense CSR arrays indexed by a ref-sorted risk
 // ordering:
 //
-//   - risk → dependent elements (deps/depOff)
+//   - risk → dependent elements (deps/depOff), each row ascending, so a
+//     run on a range of the elements (one switch's, risk.NewSwitchOverlay)
+//     finds a risk's dependents in it by binary search
 //   - risk → base failed elements (failEls/failOff)
 //   - element → risks with a per-edge failed flag (adj/adjOff/adjFailed),
 //     sorted by plan index so walking an element's failed risks yields
@@ -22,7 +24,7 @@ package localize
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"scout/internal/object"
 	"scout/internal/risk"
@@ -57,16 +59,22 @@ type plan struct {
 	failedRisks []int32
 }
 
-func (p *plan) deg(i int32) int32     { return p.depOff[i+1] - p.depOff[i] }
 func (p *plan) failCnt(i int32) int32 { return p.failOff[i+1] - p.failOff[i] }
+
+// depsIn returns risk i's dependent elements in [lo, hi).
+func (p *plan) depsIn(i, lo, hi int32) []int32 {
+	row := p.deps[p.depOff[i]:p.depOff[i+1]]
+	a, _ := slices.BinarySearch(row, lo)
+	b, _ := slices.BinarySearch(row[a:], hi)
+	return row[a : a+b]
+}
 
 // compilePlan builds a plan from the model through its public read
 // surface. Called once per model revision; every subsequent run reuses
 // the cached result.
 func compilePlan(m *risk.Model) *plan {
 	refs := m.Risks() // sorted by Ref.Less
-	nR := len(refs)
-	nE := m.NumElements()
+	nR, nE := len(refs), m.NumElements()
 	p := &plan{
 		nElements: nE,
 		nRisks:    nR,
@@ -76,36 +84,22 @@ func compilePlan(m *risk.Model) *plan {
 		failOff:   make([]int32, nR+1),
 		adjOff:    make([]int32, nE+1),
 	}
+
+	// First pass: each risk's dependents and failed dependents, ascending
+	// (an edge added after the build appends), and adjacency counts per
+	// element.
+	elems, failed := make([][]risk.ElementID, nR), make([][]risk.ElementID, nR)
 	for i, ref := range refs {
 		p.idxByRef[ref] = int32(i)
-	}
-
-	// First pass: per-risk element lists and failed sets, plus adjacency
-	// counts per element.
-	elems := make([][]risk.ElementID, nR)
-	failedOf := make([]map[risk.ElementID]struct{}, nR)
-	for i, ref := range refs {
-		elems[i] = m.ElementsOf(ref)
-		fe := m.FailedElementsOf(ref)
-		if len(fe) > 0 {
-			set := make(map[risk.ElementID]struct{}, len(fe))
-			for _, el := range fe {
-				set[el] = struct{}{}
-			}
-			failedOf[i] = set
-		}
+		elems[i], failed[i] = m.ElementsOf(ref), m.FailedElementsOf(ref)
+		slices.Sort(elems[i])
+		slices.Sort(failed[i])
 		for _, el := range elems[i] {
 			p.adjOff[el+1]++
 		}
-	}
-	for i := 0; i < nR; i++ {
 		p.depOff[i+1] = p.depOff[i] + int32(len(elems[i]))
-		nf := 0
-		if failedOf[i] != nil {
-			nf = len(failedOf[i])
-		}
-		p.failOff[i+1] = p.failOff[i] + int32(nf)
-		if nf > 0 {
+		p.failOff[i+1] = p.failOff[i] + int32(len(failed[i]))
+		if len(failed[i]) > 0 {
 			p.failedRisks = append(p.failedRisks, int32(i))
 		}
 	}
@@ -116,33 +110,24 @@ func compilePlan(m *risk.Model) *plan {
 	// Second pass: fill the CSR bodies. Filling element adjacency in
 	// ascending risk-index order leaves each element's row sorted by plan
 	// index, i.e. by ref.
-	p.deps = make([]int32, p.depOff[nR])
-	p.failEls = make([]int32, p.failOff[nR])
+	p.deps = make([]int32, 0, p.depOff[nR])
+	p.failEls = make([]int32, 0, p.failOff[nR])
 	p.adj = make([]int32, p.adjOff[nE])
 	p.adjFailed = make([]bool, p.adjOff[nE])
-	adjNext := make([]int32, nE)
-	copy(adjNext, p.adjOff[:nE])
-	for i := 0; i < nR; i++ {
-		di := p.depOff[i]
-		fi := p.failOff[i]
+	adjNext := slices.Clone(p.adjOff[:nE])
+	for i := range refs {
+		fe := failed[i]
 		for _, el := range elems[i] {
-			p.deps[di] = int32(el)
-			di++
 			k := adjNext[el]
-			adjNext[el] = k + 1
+			adjNext[el]++
 			p.adj[k] = int32(i)
-			if failedOf[i] != nil {
-				if _, f := failedOf[i][el]; f {
-					p.adjFailed[k] = true
-					p.failEls[fi] = int32(el)
-					fi++
-				}
+			p.deps = append(p.deps, int32(el))
+			if len(fe) > 0 && fe[0] == el {
+				p.adjFailed[k] = true
+				p.failEls = append(p.failEls, int32(el))
+				fe = fe[1:]
 			}
 		}
-		// Keep each risk's failed-element row ascending for deterministic
-		// stage-two and coverage walks.
-		row := p.failEls[p.failOff[i]:fi]
-		sort.Slice(row, func(a, b int) bool { return row[a] < row[b] })
 	}
 
 	for _, el := range m.FailureSignature() {
@@ -178,12 +163,27 @@ func modelPlan(m *risk.Model, st *EngineStats) *plan {
 	return p
 }
 
-// runView is the mutable per-call state: the shared plan, the overlay
-// delta (nil maps for pure-model runs), the alive/pending masks, and the
+// Prepare compiles m's plan unless m holds one, so that localizations
+// fanned out over overlays of m, which reuse it, never race to compile it.
+// It returns the call's counters: one compile, or nothing.
+func Prepare(m *risk.Model) EngineStats {
+	var st EngineStats
+	if m.CachedPlan() == nil {
+		modelPlan(m, &st)
+		addTotals(st)
+	}
+	return st
+}
+
+// runView is the mutable per-call state: the shared plan, the element
+// range [lo, hi) the run sees (elements outside it are neither alive nor
+// pending), the overlay delta in base element IDs (nil maps for
+// pure-model runs), the alive/pending masks, and the
 // incrementally-maintained per-risk alive counters.
 type runView struct {
-	p    *plan
-	nAll int32
+	p      *plan
+	nAll   int32
+	lo, hi int32
 
 	// Overlay delta. Risk indices ≥ p.nRisks address extraRefs.
 	extraRefs []object.Ref
@@ -215,12 +215,12 @@ func (rv *runView) ref(i int32) object.Ref {
 	return rv.extraRefs[int(i)-rv.p.nRisks]
 }
 
-func (rv *runView) refLess(a, b int32) bool { return rv.ref(a).Less(rv.ref(b)) }
+func (rv *runView) refCmp(a, b int32) int { return rv.ref(a).Compare(rv.ref(b)) }
 
-// forEachDep invokes fn for every dependent element of risk i.
+// forEachDep invokes fn for every dependent element of risk i in range.
 func (rv *runView) forEachDep(i int32, fn func(el int32)) {
 	if int(i) < rv.p.nRisks {
-		for _, el := range rv.p.deps[rv.p.depOff[i]:rv.p.depOff[i+1]] {
+		for _, el := range rv.p.depsIn(i, rv.lo, rv.hi) {
 			fn(el)
 		}
 	}
@@ -254,11 +254,14 @@ func (rv *runView) coverage(i int32) int32 {
 	return cov
 }
 
-// newRunView composes the plan with the overlay delta (o may be nil) and
-// initializes the masks and counters.
+// newRunView composes the plan with the overlay delta (o may be nil),
+// moving its elements into the base's numbering, and initializes the masks
+// and counters over the overlay's range.
 func newRunView(p *plan, o *risk.Overlay) *runView {
-	rv := &runView{p: p, nAll: int32(p.nRisks)}
+	rv := &runView{p: p, nAll: int32(p.nRisks), hi: int32(p.nElements)}
 	if o != nil {
+		lo, hi := o.Range()
+		rv.lo, rv.hi = int32(lo), int32(hi)
 		rv.extraRefs = o.ExtraRiskRefs()
 		rv.nAll += int32(len(rv.extraRefs))
 		extraIdx := make(map[object.Ref]int32, len(rv.extraRefs))
@@ -273,7 +276,7 @@ func newRunView(p *plan, o *risk.Overlay) *runView {
 		}
 		created := make(map[int64]struct{})
 		o.ForEachOverlayEdge(func(el risk.ElementID, ref object.Ref) {
-			i := lookup(ref)
+			i, el := lookup(ref), el+lo
 			if rv.extraDeps == nil {
 				rv.extraDeps = make(map[int32][]int32)
 				rv.elCreated = make(map[int32][]int32)
@@ -283,7 +286,7 @@ func newRunView(p *plan, o *risk.Overlay) *runView {
 			created[int64(el)<<32|int64(i)] = struct{}{}
 		})
 		o.ForEachOverlayMark(func(el risk.ElementID, ref object.Ref) {
-			i := lookup(ref)
+			i, el := lookup(ref), el+lo
 			if rv.marks == nil {
 				rv.marks = make(map[int32][]int32)
 				rv.elMarked = make(map[int32][]int32)
@@ -296,7 +299,7 @@ func newRunView(p *plan, o *risk.Overlay) *runView {
 	}
 
 	rv.alive = newBitset(p.nElements)
-	rv.alive.setFirst(p.nElements)
+	rv.alive.setRange(rv.lo, rv.hi)
 	rv.pending = newBitset(p.nElements)
 	for _, el := range p.sig {
 		rv.pending.set(el)
@@ -311,7 +314,7 @@ func newRunView(p *plan, o *risk.Overlay) *runView {
 	rv.aliveDeps = make([]int32, rv.nAll)
 	rv.aliveFailed = make([]int32, rv.nAll)
 	for i := int32(0); int(i) < p.nRisks; i++ {
-		rv.aliveDeps[i] = p.deg(i)
+		rv.aliveDeps[i] = int32(len(p.depsIn(i, rv.lo, rv.hi)))
 		rv.aliveFailed[i] = p.failCnt(i)
 	}
 	for i, els := range rv.extraDeps {
@@ -328,7 +331,7 @@ func newRunView(p *plan, o *risk.Overlay) *runView {
 		for i := range rv.marks {
 			rv.failedRisks = append(rv.failedRisks, i)
 		}
-		sort.Slice(rv.failedRisks, func(a, b int) bool { return rv.refLess(rv.failedRisks[a], rv.failedRisks[b]) })
+		slices.SortFunc(rv.failedRisks, rv.refCmp)
 	}
 	return rv
 }

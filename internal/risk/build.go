@@ -13,24 +13,14 @@ import (
 	"scout/internal/rule"
 )
 
-// BuildSwitchModel constructs the switch risk model for a single switch
-// (paper Figure 4(a)): elements are the EPG pairs deployed on the switch,
-// risks are the policy objects each pair's rules depend on. It is the
-// model of the switch's run of the deployment's footprint, in its sorted
-// order: element IDs are footprint indices, and every downstream
-// localization tie-break follows them.
-func BuildSwitchModel(d *compile.Deployment, sw object.ID) *Model {
-	return NewModel(fmt.Sprintf("switch-%d", sw), d.OnSwitch(sw))
-}
-
-// BuildAnnotatedSwitchModel builds the switch risk model for sw and marks
-// it in place with the switch's missing rules.
+// BuildAnnotatedSwitchModel builds sw's switch risk model on its own and
+// marks it in place with the switch's missing rules.
 //
-// Deprecated: the analyzer builds each switch model once per deployment
-// (BuildSwitchModel) and annotates a fresh Overlay per analysis. It stays
-// until bench/ stops calling it (ROADMAP item 1, shims).
+// Deprecated: the analyzer localizes each switch on a range of the
+// controller model (NewSwitchOverlay), annotated afresh per analysis. It
+// stays until bench/ stops calling it (ROADMAP item 1, shims).
 func BuildAnnotatedSwitchModel(d *compile.Deployment, sw object.ID, missing []rule.Rule) *Model {
-	m := BuildSwitchModel(d, sw)
+	m := NewModel(fmt.Sprintf("switch-%d", sw), d.OnSwitch(sw))
 	AugmentSwitchModel(m, sw, missing, d.Provenance)
 	return m
 }
@@ -49,7 +39,9 @@ type ControllerModelOptions struct {
 // in the footprint's sorted order — ascending switch, then pair; risks are
 // the policy objects each pair relies on in that switch, then the switch
 // itself, so that whole-switch failures (unresponsive switch, §V-B use
-// case 3) are localizable to the physical object.
+// case 3) are localizable to the physical object. It is the deployment's
+// one risk model: a switch's model (Figure 4(a)) is the run of its
+// triplets, viewed through NewSwitchOverlay.
 func BuildControllerModel(d *compile.Deployment) *Model {
 	fp := d.Footprint
 	risks := make([][]object.Ref, len(fp.Pairs))
@@ -74,8 +66,8 @@ func BuildControllerModelParallel(d *compile.Deployment, opts ControllerModelOpt
 // the equivalence checker reported for switch sw. For every missing rule,
 // the triplet it serves on sw becomes an observation and the edges to all
 // objects in the rule's provenance are flagged fail. m may be a mutable
-// model or an overlay, of a switch model or of the controller's: the
-// lookup is AugmentControllerModelPatch's.
+// model or an overlay, of the controller model or of one switch's range of
+// it: the lookup is AugmentControllerModelPatch's.
 func AugmentSwitchModel(m Marker, sw object.ID, missing []rule.Rule, prov map[rule.Key][]object.Ref) {
 	for _, r := range missing {
 		if el, ok := implicated(m, sw, r); ok {

@@ -186,7 +186,7 @@ func runModel(t *testing.T, c *oracle.Choices, d *compile.Deployment, sw object.
 	case sw == 0:
 		h.m, h.ref = risk.BuildControllerModel(d), refBuild(d, 0)
 	default:
-		h.m, h.ref = risk.BuildSwitchModel(d, sw), refBuild(d, sw)
+		h.m, h.ref = switchModel(d, sw), refBuild(d, sw)
 	}
 	if d != nil {
 		h.prov = d.Provenance

@@ -1,11 +1,13 @@
 // Package risk implements the paper's risk models (§III): bipartite
-// graphs between shared risks (policy objects, and switches in the
-// controller model) and the elements they can impact (EPG pairs, or
-// (switch, EPG pair) triplets). An element is the compile.SwitchPair it
-// models — in a switch model, its pair on that switch — and is found by
-// that triplet. Edges are flagged success or fail; an element with at
-// least one failed edge is an observation, and the set of observations
-// forms the failure signature consumed by the localization algorithms.
+// graphs between shared risks (policy objects, and switches) and the
+// elements they can impact, (switch, EPG pair) triplets. An element is
+// the compile.SwitchPair it models and is found by that triplet. A
+// deployment has one model, the controller's (Figure 4(b)); a switch
+// model (Figure 4(a)) is the range of its triplets on that switch,
+// viewed through an overlay (NewSwitchOverlay). Edges are flagged success
+// or fail; an element with at least one failed edge is an observation,
+// and the set of observations forms the failure signature consumed by the
+// localization algorithms.
 package risk
 
 import (

@@ -34,8 +34,12 @@ import (
 // (the §III-C rule that an observed violation always implicates the
 // object). The base is pristine: every failure an overlay reports is one
 // of its own marks.
+//
+// An overlay views a range of its base's elements: all of them, or one
+// switch's run (NewSwitchOverlay). Its element i is base element lo+i.
 type Overlay struct {
-	base *Model
+	base   *Model
+	lo, hi ElementID
 
 	// extraRisks holds risks created by overlay marks; their IDs continue
 	// the base's dense numbering in creation order, mirroring EnsureRisk
@@ -62,34 +66,61 @@ func NewOverlay(base *Model) *Overlay {
 	}
 	return &Overlay{
 		base:       base,
+		hi:         ElementID(len(base.elements)),
 		extraByRef: make(map[object.Ref]RiskID),
 		extraDeps:  make(map[ElementID][]RiskID),
 		failed:     make(map[ElementID]map[RiskID]struct{}),
 	}
 }
 
+// NewSwitchOverlay creates an empty failure overlay over the run of base's
+// elements on switch sw. Over the controller model, whose triplets ascend
+// by switch, that run is sw's switch risk model (paper Figure 4(a)): the
+// same elements in the same order, numbered from 0, with the same edges
+// and one more, to sw's switch risk. No switch mark names that risk
+// (AugmentSwitchModel makes none), so localization on the overlay never
+// picks it. The overlay shares its base's risk numbering.
+func NewSwitchOverlay(base *Model, sw object.ID) *Overlay {
+	o := NewOverlay(base)
+	o.lo = ElementID(sort.Search(len(base.pairs), func(i int) bool { return base.pairs[i].Switch >= sw }))
+	o.hi = ElementID(sort.Search(len(base.pairs), func(i int) bool { return base.pairs[i].Switch > sw }))
+	return o
+}
+
 // Base returns the pristine model the overlay stacks on.
 func (o *Overlay) Base() *Model { return o.base }
+
+// Range returns the base elements [lo, hi) the overlay views.
+func (o *Overlay) Range() (lo, hi ElementID) { return o.lo, o.hi }
 
 // Name returns the base model's diagnostic name.
 func (o *Overlay) Name() string { return o.base.name }
 
-// NumElements returns the number of affected elements (overlays never add
-// elements).
-func (o *Overlay) NumElements() int { return len(o.base.elements) }
+// NumElements returns the number of affected elements in the overlay's
+// range (overlays never add elements).
+func (o *Overlay) NumElements() int { return int(o.hi - o.lo) }
 
-// NumRisks returns the combined number of shared risks.
+// NumRisks returns the combined number of shared risks, every base risk
+// included.
 func (o *Overlay) NumRisks() int { return len(o.base.risks) + len(o.extraRisks) }
 
-// NumEdges returns the combined number of element↔risk edges.
-func (o *Overlay) NumEdges() int { return o.base.edges + o.edges }
+// NumEdges returns the combined number of element↔risk edges in the
+// overlay's range.
+func (o *Overlay) NumEdges() int {
+	n := o.edges
+	for _, e := range o.base.elements[o.lo:o.hi] {
+		n += len(e.risks)
+	}
+	return n
+}
 
 // NumFailedEdges returns the number of edges the overlay marked fail.
 func (o *Overlay) NumFailedEdges() int { return o.numFailed }
 
-// ElementOf looks up the element of triplet sp.
+// ElementOf looks up the element of triplet sp in the overlay's range.
 func (o *Overlay) ElementOf(sp compile.SwitchPair) (ElementID, bool) {
-	return o.base.ElementOf(sp)
+	el, ok := o.base.ElementOf(sp)
+	return el - o.lo, ok && o.lo <= el && el < o.hi
 }
 
 // RiskByRef looks up a risk node by object reference, among base risks
@@ -112,7 +143,7 @@ func (o *Overlay) refOf(r RiskID) object.Ref {
 
 // hasEdge reports whether the edge el↔r exists in base or overlay.
 func (o *Overlay) hasEdge(el ElementID, r RiskID) bool {
-	for _, existing := range o.base.elements[el].risks {
+	for _, existing := range o.base.elements[o.lo+el].risks {
 		if existing == r {
 			return true
 		}
@@ -127,8 +158,11 @@ func (o *Overlay) hasEdge(el ElementID, r RiskID) bool {
 
 // MarkFailed flags the edge between el and ref as fail, creating the edge
 // (and risk) in the overlay if the base lacks it — the same contract as
-// Model.MarkFailed.
+// Model.MarkFailed. el must be in the overlay's range.
 func (o *Overlay) MarkFailed(el ElementID, ref object.Ref) {
+	if el < 0 || el >= o.hi-o.lo {
+		panic(fmt.Sprintf("risk: overlay %q has no element %d", o.Name(), el))
+	}
 	r, ok := o.RiskByRef(ref)
 	if !ok {
 		r = RiskID(len(o.base.risks) + len(o.extraRisks))
@@ -152,14 +186,7 @@ func (o *Overlay) MarkFailed(el ElementID, ref object.Ref) {
 
 // FailureSignature returns the sorted IDs of all observations in
 // O(overlay marks), the per-run cost the overlay exists to bound.
-func (o *Overlay) FailureSignature() []ElementID {
-	var out []ElementID
-	for el := range o.failed {
-		out = append(out, el)
-	}
-	sortElementIDs(out)
-	return out
-}
+func (o *Overlay) FailureSignature() []ElementID { return sortedKeys(o.failed) }
 
 // SuspectSet returns the union of risks with a failed edge to any
 // observation: the objects an admin would have to examine without fault
@@ -177,7 +204,3 @@ func (o *Overlay) SuspectSet() []object.Ref {
 
 // String summarizes the view with the overlay's counts.
 func (o *Overlay) String() string { return summarize(o) }
-
-func sortElementIDs(els []ElementID) {
-	sort.Slice(els, func(i, j int) bool { return els[i] < els[j] })
-}

@@ -17,7 +17,8 @@
 package risk
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync/atomic"
 
 	"scout/internal/object"
@@ -74,27 +75,17 @@ func (o *Overlay) ForEachOverlayEdge(fn func(el ElementID, ref object.Ref)) {
 // element order, then ascending risk ID.
 func (o *Overlay) ForEachOverlayMark(fn func(el ElementID, ref object.Ref)) {
 	for _, el := range sortedKeys(o.failed) {
-		marks := o.failed[el]
-		ids := make([]RiskID, 0, len(marks))
-		for r := range marks {
-			ids = append(ids, r)
-		}
-		sortRiskIDs(ids)
-		for _, r := range ids {
+		for _, r := range sortedKeys(o.failed[el]) {
 			fn(el, o.refOf(r))
 		}
 	}
 }
 
-func sortRiskIDs(ids []RiskID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-}
-
-func sortedKeys[V any](m map[ElementID]V) []ElementID {
-	out := make([]ElementID, 0, len(m))
-	for el := range m {
-		out = append(out, el)
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	out := make([]K, 0, len(m))
+	for k := range m {
+		out = append(out, k)
 	}
-	sortElementIDs(out)
+	slices.Sort(out)
 	return out
 }

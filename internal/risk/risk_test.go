@@ -192,10 +192,18 @@ func refBuild(d *compile.Deployment, sw object.ID) *refModel {
 	return r
 }
 
+// switchModel is sw's switch risk model built on its own, the reference
+// its range of the controller model (NewSwitchOverlay) answers to.
+func switchModel(d *compile.Deployment, sw object.ID) *risk.Model {
+	return risk.NewModel(fmt.Sprintf("switch-%d", sw), d.OnSwitch(sw))
+}
+
 // checkBuildsMatchOracle compares whole models — element triplets, element
 // and risk IDs, adjacency order on both sides, edge counts and the
 // mutation revision the plan cache keys on — for every switch and for the
-// controller model.
+// controller model. Each switch's overlay of its range of the controller
+// model finds the switch model's elements by the same triplets, and no
+// other, and has one more edge an element: to the switch.
 func checkBuildsMatchOracle(t *testing.T, name string, d *compile.Deployment) {
 	t.Helper()
 	check := func(what string, got, want *risk.Model) {
@@ -203,11 +211,22 @@ func checkBuildsMatchOracle(t *testing.T, name string, d *compile.Deployment) {
 			t.Errorf("%s: %s: %v, oracle built %v", name, what, got, want)
 		}
 	}
+	ctrl := risk.BuildControllerModel(d)
 	for sw := range d.BySwitch {
-		check(fmt.Sprint("switch ", sw), risk.BuildSwitchModel(d, sw), refBuild(d, sw).replay())
+		m, ov := switchModel(d, sw), risk.NewSwitchOverlay(ctrl, sw)
+		check(fmt.Sprint("switch ", sw), m, refBuild(d, sw).replay())
+		same(t, fmt.Sprint(name, ": switch ", sw, "'s range"), "elements and edges",
+			[]int{ov.NumElements(), ov.NumEdges()}, []int{m.NumElements(), m.NumEdges() + m.NumElements()})
+		for _, sp := range d.Footprint.Pairs {
+			got, inRange := ov.ElementOf(sp)
+			want, ok := m.ElementOf(sp)
+			if inRange != ok || ok && got != want {
+				t.Errorf("%s: switch %d's range finds %v at %d (%v), its model at %d (%v)", name, sw, sp, got, inRange, want, ok)
+			}
+		}
 	}
-	checkView(t, name+": a switch that hosts nothing", risk.BuildSwitchModel(d, 60000), refBuild(d, 60000))
-	check("controller", risk.BuildControllerModel(d), refBuild(d, 0).replay())
+	checkView(t, name+": a switch that hosts nothing", switchModel(d, 60000), refBuild(d, 60000))
+	check("controller", ctrl, refBuild(d, 0).replay())
 }
 
 func TestModelBuildsMatchOracle(t *testing.T) {

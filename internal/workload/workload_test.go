@@ -389,7 +389,7 @@ func TestApplyToSwitchModel(t *testing.T) {
 	if len(objs) == 0 {
 		t.Skip("empty switch")
 	}
-	m := risk.BuildSwitchModel(d, sw)
+	m := risk.NewModel("switch", d.OnSwitch(sw))
 	sc := Scenario{Faults: []Fault{{Ref: objs[0], Fraction: 1}}}
 	missing := sc.Missing(local, rand.New(rand.NewSource(4)))
 	if len(missing) != 1 || len(missing[sw]) == 0 {

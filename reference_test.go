@@ -40,7 +40,7 @@ func refAnalyze(t testing.TB, st scout.State) *scout.Report {
 		sr := scout.SwitchReport{Switch: sw, Equivalent: check.Equivalent,
 			MissingRules: check.MissingRules, ExtraRules: check.ExtraRules}
 		if !check.Equivalent {
-			view := risk.NewOverlay(risk.BuildSwitchModel(d, sw))
+			view := risk.NewOverlay(risk.NewModel("switch", d.OnSwitch(sw)))
 			risk.AugmentSwitchModel(view, sw, check.MissingRules, d.Provenance)
 			sr.Result = localize.Scout(view, oracle)
 			risk.AugmentControllerModelPatch(ctrlModel, sw, check.MissingRules, d.Provenance).Apply(ctrl)

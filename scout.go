@@ -9,7 +9,8 @@
 //     (L) from the controller's network policy.
 //  2. Run the ROBDD-based L-T equivalence checker per switch; differences
 //     yield missing rules.
-//  3. Build switch and controller risk models and augment them with the
+//  3. Build the controller risk model and augment it, and each
+//     inconsistent switch's range of it (its switch model), with the
 //     missing rules.
 //  4. Run the SCOUT greedy localization algorithm to produce a hypothesis:
 //     a small set of most-likely faulty policy objects, picked greedily
@@ -30,6 +31,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -361,40 +363,20 @@ func (a *Analyzer) fanOut(n int, fn func(worker, i int) error) error {
 	return nil
 }
 
-// riskModels are one deployment's pristine risk models: the controller
-// model, and each switch's model built the first time that switch fails.
-// A risk model is a function of the compiled policy alone (paper Figure
-// 4) — only its fail marks come from the L-T check — so the models are
-// never marked: every analysis annotates the controller and each
-// inequivalent switch through a fresh risk.Overlay, and the localization
-// plan compiled from a pristine model serves every later analysis of the
-// deployment. A session keeps them for as long as it is handed the same
-// *Deployment — one run, for a one-shot's.
-type riskModels struct {
-	d    *Deployment
-	ctrl *risk.Model
-	sw   sync.Map // object.ID → *risk.Model; assemble's fan-out fills it
-}
-
-// switchModel returns sw's pristine risk model, building it on first use.
-func (m *riskModels) switchModel(sw object.ID) *risk.Model {
-	if sm, ok := m.sw.Load(sw); ok {
-		return sm.(*risk.Model)
-	}
-	sm, _ := m.sw.LoadOrStore(sw, risk.BuildSwitchModel(m.d, sw))
-	return sm.(*risk.Model)
-}
-
-// startRiskModels begins the deployment's controller-model build on its own
-// goroutine and returns the function that waits for it; the caller calls it
-// once, on every path. Every switch is modelled as a shared risk, so
-// whole-switch failures are localizable.
-func (a *Analyzer) startRiskModels(d *Deployment) (join func() *riskModels) {
+// startRiskModels begins the build of the deployment's one risk model, the
+// controller's (paper Figure 4(b)), on its own goroutine and returns the
+// function that waits for it; the caller calls it once, on every path.
+// Every switch is modelled as a shared risk, so whole-switch failures are
+// localizable, and a switch's model (4(a)) is the range of its triplets.
+// The model is a function of the compiled policy alone, so it is never
+// marked: every analysis annotates fresh overlays, and the plan compiled
+// from it serves every later analysis of the deployment.
+func (a *Analyzer) startRiskModels(d *Deployment) (join func() *risk.Model) {
 	built := make(chan *risk.Model, 1)
 	go func() {
 		built <- risk.BuildControllerModel(d)
 	}()
-	return func() *riskModels { return &riskModels{d: d, ctrl: <-built} }
+	return func() *risk.Model { return <-built }
 }
 
 // changeOracle builds the change-log oracle anchored at now.
@@ -402,53 +384,57 @@ func changeOracle(changes *ChangeLog, now time.Time) localize.ChangeLogOracle {
 	return localize.ChangeLogOracle{Log: changes, Since: now.Add(-changeWindow)}
 }
 
-// assemble runs the pipeline stages downstream of the check stage. The
-// per-switch residue — overlay annotation plus localization for every
-// inequivalent switch, and the controller-model augmentation patch — fans
-// out over the workers (patches only read the pristine controller
-// model); then the serial fold walks the switches in ascending ID order
-// to count missing rules and replay the patches, and the global
+// assemble runs the pipeline stages downstream of the check stage. An
+// inconsistent run first compiles ctrl's localization plan if ctrl holds
+// none, so the localizations below all reuse it. The per-switch residue —
+// localization on a fresh overlay of every inequivalent switch's range,
+// and the controller-model augmentation patch — fans out over the workers
+// (both only read ctrl); then the serial fold walks the switches in
+// ascending ID order to count missing rules and replay the patches, and
+// the global
 // localization/correlation pass finishes the report. The only serial
 // stages left are order-dependent by construction: the O(failures) patch
 // replay and the single controller localize.Scout, which runs on the
 // compiled-plan engine (cached CSR/bitset plan plus O(marks) overlay
 // delta), so its cost is the greedy rounds themselves, not model-sized
 // setup. switches must be sorted ascending and aligned with checkReps.
-// models are the deployment's pristine risk models and stay pristine:
-// this run's failure marks live in overlays that die with its report.
-func (a *Analyzer) assemble(models *riskModels, changes *ChangeLog, faults *FaultLog,
+// ctrl is the deployment's pristine risk model and stays pristine: this
+// run's failure marks live in overlays that die with its report.
+func (a *Analyzer) assemble(d *Deployment, ctrl *risk.Model, changes *ChangeLog, faults *FaultLog,
 	now time.Time, switches []object.ID, checkReps []*equiv.Report) *Report {
 	oracle := changeOracle(changes, now)
-	prov := models.d.Provenance
-	ctrl := risk.NewOverlay(models.ctrl)
+	view := risk.NewOverlay(ctrl)
 
 	srs := make([]SwitchReport, len(switches))
 	patches := make([]*risk.Patch, len(switches))
-	// Each localization's own counters, summed below: a run counts its own
-	// calls, not the process's.
+	// Each localization's own counters, summed below with the plan
+	// compile's: a run counts its own calls, not the process's.
 	lstats := make([]localize.EngineStats, len(switches)+1)
+	var sum localize.EngineStats
+	if slices.ContainsFunc(checkReps, func(c *equiv.Report) bool { return !c.Equivalent }) {
+		sum = localize.Prepare(ctrl)
+	}
 	a.fanOut(len(switches), func(_, i int) error {
-		srs[i], lstats[i] = buildSwitchReport(models, oracle, switches[i], checkReps[i])
+		srs[i], lstats[i] = buildSwitchReport(ctrl, d.Provenance, oracle, switches[i], checkReps[i])
 		if !srs[i].Equivalent {
-			patches[i] = risk.AugmentControllerModelPatch(models.ctrl, switches[i], srs[i].MissingRules, prov)
+			patches[i] = risk.AugmentControllerModelPatch(ctrl, switches[i], srs[i].MissingRules, d.Provenance)
 		}
 		return nil
 	})
 
-	rep := &Report{Consistent: true, Switches: srs, ControllerView: ctrl}
+	rep := &Report{Consistent: true, Switches: srs, ControllerView: view}
 	for i := range srs {
 		if srs[i].Equivalent {
 			continue
 		}
 		rep.Consistent = false
 		rep.TotalMissing += len(srs[i].MissingRules)
-		patches[i].Apply(ctrl)
+		patches[i].Apply(view)
 	}
 	if !rep.Consistent {
-		rep.Controller, lstats[len(switches)] = localize.ScoutWithStats(ctrl, oracle)
+		rep.Controller, lstats[len(switches)] = localize.ScoutWithStats(view, oracle)
 		rep.Hypothesis = rep.Controller.Hypothesis
 		rep.RootCauses = correlator.Correlate(rep.Hypothesis, changes, faults)
-		var sum localize.EngineStats
 		for _, st := range lstats {
 			sum = sum.Add(st)
 		}
@@ -458,11 +444,12 @@ func (a *Analyzer) assemble(models *riskModels, changes *ChangeLog, faults *Faul
 }
 
 // buildSwitchReport assembles one switch's report from its check result.
-// An inequivalent switch is localized on a fresh overlay over its pristine
-// risk model, marked with the report's missing rules. It only reads shared
-// state, so reports for distinct switches build concurrently. It also
-// returns the localization's counters (zero for a consistent switch).
-func buildSwitchReport(models *riskModels, oracle localize.ChangeOracle, sw object.ID, checkRep *equiv.Report) (SwitchReport, localize.EngineStats) {
+// An inequivalent switch is localized on its switch risk model: a fresh
+// overlay over its range of the pristine controller model ctrl, marked
+// with the report's missing rules. It only reads shared state, so reports
+// for distinct switches build concurrently. It also returns the
+// localization's counters (zero for a consistent switch).
+func buildSwitchReport(ctrl *risk.Model, prov map[rule.Key][]object.Ref, oracle localize.ChangeOracle, sw object.ID, checkRep *equiv.Report) (SwitchReport, localize.EngineStats) {
 	sr := SwitchReport{
 		Switch:       sw,
 		Equivalent:   checkRep.Equivalent,
@@ -471,8 +458,8 @@ func buildSwitchReport(models *riskModels, oracle localize.ChangeOracle, sw obje
 	}
 	var st localize.EngineStats
 	if !checkRep.Equivalent {
-		view := risk.NewOverlay(models.switchModel(sw))
-		risk.AugmentSwitchModel(view, sw, checkRep.MissingRules, models.d.Provenance)
+		view := risk.NewSwitchOverlay(ctrl, sw)
+		risk.AugmentSwitchModel(view, sw, checkRep.MissingRules, prov)
 		sr.Result, st = localize.ScoutWithStats(view, oracle)
 	}
 	return sr, st

@@ -10,6 +10,7 @@ import (
 	"scout/internal/fabric"
 	"scout/internal/localize"
 	"scout/internal/object"
+	"scout/internal/risk"
 	"scout/internal/rule"
 	"scout/internal/store"
 )
@@ -37,7 +38,7 @@ const sessionNodeBudget = 4 << 20
 // (counted in SessionStats.OverCap) — and nothing else in the session
 // refers to them: the verdict cache is the only per-switch state that holds
 // rule lists (an entry also references, never copies, its one T snapshot),
-// since risk models stay pristine and failure marks die with each run's
+// since the risk model stays pristine and failure marks die with each run's
 // overlays.
 const sessionMissingRuleCap = 4096
 
@@ -49,8 +50,8 @@ const sessionMissingRuleCap = 4096
 // of a Session nobody keeps. A Session keeps state between runs, in two
 // lifetimes. What follows from the compiled deployment alone — its
 // fingerprints, the frozen BDD base (TCAM mode only: a probe is read off
-// its rule, so probe mode adds nothing here), the pristine risk models and
-// their compiled localization plans — is resolved once per deployment and
+// its rule, so probe mode adds nothing here), the pristine risk model and
+// its compiled localization plan — is resolved once per deployment and
 // reused until the policy is recompiled. What follows from an
 // observation — each switch's newest verdict, keyed by the fingerprints
 // of the exact logical and TCAM rule lists it was computed from — is
@@ -133,11 +134,11 @@ type deploymentState struct {
 	// fingerprint does. Nil in probe mode, which builds no BDDs.
 	base *equiv.Base
 
-	// models are the deployment's pristine risk models. They are keyed on
-	// d's identity, not its content: an equal-content recompile rebuilds
-	// them rather than pin the superseded deployment, whose provenance
-	// they read.
-	models *riskModels
+	// ctrl is the deployment's one pristine risk model, the controller's;
+	// each switch's model is a range of it. It is keyed on d's identity,
+	// not its content: an equal-content recompile rebuilds it rather than
+	// pin the superseded deployment's footprint, which it shares.
+	ctrl *risk.Model
 }
 
 // switchCheckState is one switch's cached verdict: the report and the
@@ -204,11 +205,13 @@ type SessionStats struct {
 	// eligible rules. Zero in TCAM-observation sessions.
 	ProbePacketsBatched int
 	// Localization-engine counters, accumulated from each run's
-	// Report.LocalizeStats. PlanCompiles counts CSR/bitset plan builds
-	// from a pristine risk model; PlanReuses counts localizations served
-	// by a cached plan — a warm session on an unchanged deployment shows
-	// zero compiles after its first inconsistent run, because every
-	// overlay run composes against the model's cached plan.
+	// Report.LocalizeStats. PlanCompiles counts CSR/bitset plan builds: a
+	// deployment has one risk model, and compiles its plan once, before
+	// the fan-out of its first inconsistent run. PlanReuses counts
+	// localizations served by that plan: the controller's, and each
+	// inconsistent switch's on its range of the model. So a warm session
+	// on an unchanged deployment shows zero compiles after its first
+	// inconsistent run, whichever switches fail later.
 	PlanCompiles int
 	PlanReuses   int
 }
@@ -309,7 +312,7 @@ func (s *Session) AnalyzeState(st State) (*Report, error) {
 // every switch when none are given — forcing their re-check on the next
 // run. Use it when out-of-band knowledge (a device RMA, a firmware
 // upgrade) makes cached verdicts suspect. Deployment-scoped state (base,
-// risk models, compiled plans) follows from the policy alone and stays.
+// risk model, compiled plan) follows from the policy alone and stays.
 func (s *Session) Invalidate(switches ...ObjectID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -342,7 +345,7 @@ func (s *Session) Stats() SessionStats {
 // run is the pipeline's one orchestration, reached by every entry point
 // and by every one-shot: resolve the deployment, hash the T lists the cache
 // does not recognise, replay or re-check each switch, assemble the report
-// on the deployment's pristine risk models, and persist what changed. st
+// on the deployment's pristine risk model, and persist what changed. st
 // holds the T lists to analyze. live says the lists were read from the
 // session's own fabric during this call, so its dataplane is what they
 // describe. Every run ends byte-identical to a cold run on the same State:
@@ -418,7 +421,7 @@ func (s *Session) run(st State, live bool) (*Report, error) {
 		return nil, err
 	}
 
-	rep := s.a.assemble(s.dep.models, st.Changes, st.Faults, st.Now, switches, checkReps)
+	rep := s.a.assemble(s.dep.d, s.dep.ctrl, st.Changes, st.Faults, st.Now, switches, checkReps)
 	s.stats.Runs++
 	s.stats.addLocalizeStats(rep.LocalizeStats)
 	s.stats.Checked += checked
@@ -514,7 +517,7 @@ func (s *Session) foldTotalsLocked() foldTotals {
 // once: equal content (a recompile that changed nothing) keeps the
 // fingerprints and the base — re-pointed at the new deployment's slices so
 // the superseded one is not pinned; safe here, the run lock is held and no
-// checker is mid-check — and rebuilds only the risk models. New content
+// checker is mid-check — and rebuilds only the risk model. New content
 // also replaces them, discarding the old base's checker forks before any
 // worker is provisioned, and seeds the verdict cache from the warm store.
 // A probe session holds no base, so for it equal content re-points nothing
@@ -538,7 +541,7 @@ func (s *Session) resolveLocked(d *compile.Deployment) {
 	case base != nil:
 		base.RebindSemantics(d.BySwitch)
 	}
-	s.dep = deploymentState{d: d, fp: fp, logFPs: logFPs, base: base, models: joinModels()}
+	s.dep = deploymentState{d: d, fp: fp, logFPs: logFPs, base: base, ctrl: joinModels()}
 }
 
 // loadOrBuildBaseLocked returns the frozen base for a deployment

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"scout"
@@ -32,8 +33,8 @@ func marshalReport(t testing.TB, rep *scout.Report) []byte {
 
 // TestSessionIncrementalSingleSwitch: an epoch after one switch lost a rule
 // re-checks that switch alone, and so does a second fault on it once it is
-// broken. The cold run compiles one localization plan for the controller
-// and one per broken switch; a replay and the second fault compile none.
+// broken. The cold run compiles the deployment's one localization plan; a
+// replay and the second fault compile none.
 func TestSessionIncrementalSingleSwitch(t *testing.T) {
 	equalsCold(t, coldCase{fabric: seeded(7), entry: viaEpoch, workers: 2, steps: []step{{opEvict, 1, 0}, {}, {opEvict, 1, 0}}})
 }
@@ -139,6 +140,23 @@ func TestSessionFoldSharing(t *testing.T) {
 		return cleanFabric(t, scout.TestbedWorkloadSpec(), scout.FabricOptions{Seed: 7})
 	}
 	equalsCold(t, coldCase{fabric: clean, clean: true, steps: []step{{opSilent, 0, 0}}})
+}
+
+// TestSessionOnePlanPerDeployment: a deployment compiles its one
+// localization plan at its first inconsistent run, and only then. The
+// clean baseline compiles none; a rule evicted from one switch compiles
+// it; a rule evicted from another switch next compiles nothing, localizing
+// both switches and the controller on that plan.
+func TestSessionOnePlanPerDeployment(t *testing.T) {
+	clean := func(t testing.TB) *scout.Fabric {
+		return cleanFabric(t, scout.TestbedWorkloadSpec(), scout.FabricOptions{Seed: 7})
+	}
+	r := equalsCold(t, coldCase{fabric: clean, clean: true, steps: []step{{opEvict, 0, 0}, {opEvict, 1, 0}}})
+	broken := slices.DeleteFunc(slices.Clone(r.last.Switches), func(sr scout.SwitchReport) bool { return sr.Equivalent })
+	if ls, st := r.last.LocalizeStats, r.sess.Stats(); len(broken) != 2 || ls == nil || ls.PlanCompiles != 0 || ls.PlanReuses != 3 || st.PlanCompiles != 1 {
+		t.Errorf("%d broken switches; the last run counted %+v, the session %d compiles; want 2, no compile and 3 reuses, and 1",
+			len(broken), ls, st.PlanCompiles)
+	}
 }
 
 // TestSessionDedupReplays: a session over byte-equal duplicate switches
