@@ -122,7 +122,7 @@ func cmdline(args []string) string { return "scout " + strings.Join(args, " ") }
 // run's timings taken out.
 func runGolden(t *testing.T, args []string) []byte {
 	t.Helper()
-	out, err := runCLI(t, args...)
+	out, _, err := runCLI(t, args...)
 	if err != nil {
 		t.Fatalf("%s: %v", cmdline(args), err)
 	}

@@ -31,6 +31,9 @@
 // session closes.
 // -state-gc-age and -state-cap bound the directory on shutdown (age-out
 // and least-recently-used eviction) and require -state-dir.
+//
+// -json prints the final report as one JSON document, and nothing else,
+// on stdout; the lines that narrate the run go to stderr instead.
 package main
 
 import (
@@ -83,7 +86,7 @@ func run() error {
 		stateDir    = flag.String("state-dir", "", "durable warm-state directory: restore fingerprint-matching BDD state on start, write each round's deltas as it ends")
 		stateAge    = flag.Duration("state-gc-age", 0, "on shutdown, remove warm-state files unused longer than this (0 = no age bound; requires -state-dir)")
 		stateCap    = flag.Int("state-cap", 0, "on shutdown, keep at most this many warm-state files, least-recently-used evicted first (0 = no cap; requires -state-dir)")
-		jsonOut     = flag.Bool("json", false, "emit the analysis report as JSON")
+		jsonOut     = flag.Bool("json", false, "print the analysis report alone on stdout, as JSON; progress lines go to stderr")
 		verbose     = flag.Bool("v", false, "print per-switch details")
 	)
 	var faults faultFlags
@@ -106,8 +109,14 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	// Under -json, stdout carries the report alone; the lines that narrate
+	// the run go to stderr.
+	prose := io.Writer(os.Stdout)
+	if *jsonOut {
+		prose = os.Stderr
+	}
 	st := pol.Stats()
-	fmt.Printf("policy %q: %d VRFs, %d EPGs, %d contracts, %d filters, %d EPG pairs\n",
+	fmt.Fprintf(prose, "policy %q: %d VRFs, %d EPGs, %d contracts, %d filters, %d EPG pairs\n",
 		pol.Name, st.VRFs, st.EPGs, st.Contracts, st.Filters, st.EPGPairs)
 
 	f, err := scout.NewFabric(pol, topo, scout.FabricOptions{Seed: *seed, TCAMCapacity: *capacity})
@@ -131,7 +140,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("scenario %q: %d steps, %d rules removed, %d corrupted\n",
+		fmt.Fprintf(prose, "scenario %q: %d steps, %d rules removed, %d corrupted\n",
 			sc.Name, res.StepsRun, res.RulesRemoved, res.RulesCorrupted)
 	}
 
@@ -166,7 +175,7 @@ func run() error {
 				return err
 			}
 		}
-		fmt.Printf("disconnected switch %d during a policy change\n", sw)
+		fmt.Fprintf(prose, "disconnected switch %d during a policy change\n", sw)
 	}
 
 	var warm *scout.WarmStore
@@ -179,12 +188,12 @@ func run() error {
 	aOpts := scout.AnalyzerOptions{Workers: *workers, UseProbes: *probes, WarmStore: warm}
 
 	if *watch {
-		report, err := runWatch(f, parsed, watchOptions{analyzer: aOpts, window: *batchWindow}, os.Stdout)
+		report, err := runWatch(f, parsed, watchOptions{analyzer: aOpts, window: *batchWindow}, prose)
 		if err != nil {
 			return err
 		}
 		if warm != nil {
-			if err := gcWarmStore(warm, *stateAge, *stateCap, os.Stdout); err != nil {
+			if err := gcWarmStore(warm, *stateAge, *stateCap, prose); err != nil {
 				return err
 			}
 		}
@@ -196,7 +205,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("injected %s @%.2f: %d rules removed\n", flt.ref, flt.fraction, removed)
+		fmt.Fprintf(prose, "injected %s @%.2f: %d rules removed\n", flt.ref, flt.fraction, removed)
 	}
 
 	// A one-shot is a session's first run, with or without durable state:
@@ -212,12 +221,12 @@ func run() error {
 	}
 	if warm != nil {
 		st := sess.Stats()
-		fmt.Printf("warm state: base loaded %d / rebuilt %d, switches replayed %d / checked %d\n",
+		fmt.Fprintf(prose, "warm state: base loaded %d / rebuilt %d, switches replayed %d / checked %d\n",
 			st.BaseLoads, st.BaseRebuilds, st.Replayed, st.Checked)
 		if err := sess.Close(); err != nil {
 			return err
 		}
-		if err := gcWarmStore(warm, *stateAge, *stateCap, os.Stdout); err != nil {
+		if err := gcWarmStore(warm, *stateAge, *stateCap, prose); err != nil {
 			return err
 		}
 	}

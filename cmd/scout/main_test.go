@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -86,23 +87,26 @@ func FuzzParseFault(f *testing.F) {
 }
 
 // runCLI runs the command's run() under the given arguments on a fresh
-// flag set and returns what it printed and its error.
-func runCLI(t *testing.T, args ...string) (string, error) {
+// flag set and returns what it printed on stdout and on stderr, and its
+// error.
+func runCLI(t *testing.T, args ...string) (stdout, stderr string, err error) {
 	t.Helper()
 	oldArgs, oldFlags := os.Args, flag.CommandLine
 	t.Cleanup(func() { os.Args, flag.CommandLine = oldArgs, oldFlags })
 	os.Args = append([]string{"scout"}, args...)
 	flag.CommandLine = flag.NewFlagSet("scout", flag.ContinueOnError)
-	var runErr error
-	out := captureStdout(t, func() error { runErr = run(); return nil })
-	return out, runErr
+	stderr = capture(t, &os.Stderr, func() error {
+		stdout = capture(t, &os.Stdout, func() error { err = run(); return nil })
+		return nil
+	})
+	return stdout, stderr, err
 }
 
 // TestRunRejectsNaNFault: a NaN fraction passes `<= 0 || > 1`, and used to
 // remove every rule of the object; the CLI refuses it before touching the
 // fabric, naming the flag.
 func TestRunRejectsNaNFault(t *testing.T) {
-	out, err := runCLI(t, "-spec", "testbed", "-fault", "filter:5002@NaN")
+	out, _, err := runCLI(t, "-spec", "testbed", "-fault", "filter:5002@NaN")
 	if err == nil || !strings.Contains(err.Error(), "-fault") {
 		t.Fatalf("run with a NaN fault fraction: err = %v, want one naming -fault", err)
 	}
@@ -127,7 +131,7 @@ func TestRunProbeRestartReportsReplays(t *testing.T) {
 		{"cold", fmt.Sprintf("switches replayed 0 / checked %d\n", n)},
 		{"restart", fmt.Sprintf("switches replayed %d / checked 0\n", n)},
 	} {
-		out, err := runCLI(t, args...)
+		out, _, err := runCLI(t, args...)
 		if err != nil {
 			t.Fatalf("%s run: %v\n%s", tc.name, err, out)
 		}
@@ -146,7 +150,7 @@ func TestRunProbeRestartReportsReplays(t *testing.T) {
 func TestRunWatchReportsFailedSave(t *testing.T) {
 	args := []string{"-spec", "testbed", "-watch", "-fault", "filter:5002@1.0", "-state-dir"}
 	prime := t.TempDir()
-	if out, err := runCLI(t, append(args, prime)...); err != nil {
+	if out, _, err := runCLI(t, append(args, prime)...); err != nil {
 		t.Fatalf("priming run: %v\n%s", err, out)
 	}
 	bases, err := filepath.Glob(filepath.Join(prime, "base-*"))
@@ -157,8 +161,47 @@ func TestRunWatchReportsFailedSave(t *testing.T) {
 	if err := os.Mkdir(filepath.Join(dir, filepath.Base(bases[0])), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if out, err := runCLI(t, append(args, dir)...); err == nil || !strings.Contains(err.Error(), "base-") {
+	if out, _, err := runCLI(t, append(args, dir)...); err == nil || !strings.Contains(err.Error(), "base-") {
 		t.Fatalf("run over a blocked base file: err = %v, want the failed base write\n%s", err, out)
+	}
+}
+
+// TestJSONStdoutIsOneDocument: under -json, stdout is the report as one
+// JSON value and nothing after it, so `scout -json | jq` reads it; the
+// lines that narrate the run — the policy, each fault, a disconnect, the
+// warm state and its GC, the -watch rounds — are on stderr. A one-shot, a
+// -state-dir run, a -watch run and a -scenario replay.
+func TestJSONStdoutIsOneDocument(t *testing.T) {
+	for _, c := range []struct {
+		args  []string
+		prose []string
+	}{
+		{[]string{"-spec", "testbed", "-fault", "filter:5002@1.0", "-disconnect", "3"},
+			[]string{"policy ", "injected filter:5002", "disconnected switch 3"}},
+		{[]string{"-spec", "small", "-fault", "filter:5002@1.0", "-state-dir", t.TempDir(), "-state-cap", "8"},
+			[]string{"policy ", "injected filter:5002", "warm state: ", "warm-state gc: "}},
+		{[]string{"-spec", "testbed", "-watch", "-fault", "filter:5002@1.0", "-state-dir", t.TempDir(), "-state-cap", "8"},
+			[]string{"policy ", "baseline: full collection", "injected filter:5002", "batch 1: ", "session localization: ", "warm-state gc: "}},
+		{[]string{"-spec", "testbed", "-scenario", filepath.Join("testdata", "testbed-scenario.json")},
+			[]string{"policy ", "scenario "}},
+	} {
+		args := append(c.args, "-json")
+		stdout, stderr, err := runCLI(t, args...)
+		if err != nil {
+			t.Fatalf("%s: %v", cmdline(args), err)
+		}
+		dec := json.NewDecoder(strings.NewReader(stdout))
+		var report struct{ Consistent *bool }
+		if err := dec.Decode(&report); err != nil || report.Consistent == nil {
+			t.Errorf("%s: stdout does not open with the report (%v):\n%s", cmdline(args), err, stdout)
+		} else if _, err := dec.Token(); err != io.EOF {
+			t.Errorf("%s: stdout goes on after the report (%v):\n%s", cmdline(args), err, stdout)
+		}
+		for _, line := range c.prose {
+			if !strings.Contains(stderr, line) {
+				t.Errorf("%s: stderr lacks %q:\n%s", cmdline(args), line, stderr)
+			}
+		}
 	}
 }
 
@@ -256,7 +299,7 @@ func TestRunWatch(t *testing.T) {
 	}
 	// The verbose dump of the final report counts the op cache as the one
 	// table it is: hits and misses of the checks that ran.
-	verbose := captureStdout(t, func() error { return emitReport(report, false, true) })
+	verbose := capture(t, &os.Stdout, func() error { return emitReport(report, false, true) })
 	for _, line := range []string{
 		`bdd op cache: \d+ hits / \d+ misses \(\d+\.\d%\)`,
 		`localization: \d+ plan compiles / \d+ reuses$`,
@@ -318,18 +361,19 @@ func equalsCold(t *testing.T, f *scout.Fabric, opts watchOptions, report *scout.
 	}
 }
 
-// captureStdout runs fn with os.Stdout redirected to a file and returns
-// what it printed (emitReport writes to the process's stdout).
-func captureStdout(t *testing.T, fn func() error) string {
+// capture runs fn with *stream (os.Stdout or os.Stderr) redirected to a
+// file and returns what fn printed there (the command writes to the
+// process's own streams).
+func capture(t *testing.T, stream **os.File, fn func() error) string {
 	t.Helper()
-	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	f, err := os.CreateTemp(t.TempDir(), "out")
 	if err != nil {
 		t.Fatal(err)
 	}
-	stdout := os.Stdout
-	os.Stdout = f
+	saved := *stream
+	*stream = f
 	err = fn()
-	os.Stdout = stdout
+	*stream = saved
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -613,6 +613,37 @@ func (c *readCounter) NodeAt(n bdd.Node) (int32, bdd.Node, bdd.Node) {
 	return c.applyBackend.NodeAt(n)
 }
 
+// TestAttributeDescendsOncePerTriple: attributing a difference to n rules
+// on one (VRF, src, dst) reads the difference's VRF/src/dst nodes once —
+// the descent, and the node below it — and then, rule by rule, at most the
+// protocol's nodes, the first port node and two nodes a port depth. The
+// difference is every other rule, so half the walks find their port and
+// half rule it out.
+func TestAttributeDescendsOncePerTriple(t *testing.T) {
+	const n = 64
+	var rules, half []rule.Rule
+	for i := 0; i < n; i++ {
+		rules = append(rules, allowRule(7, 300, 4000, uint16(1000+3*i)))
+		if i%2 == 0 {
+			half = append(half, rules[i])
+		}
+	}
+	m := &readCounter{applyBackend: bdd.NewManager(NumVars)}
+	ch := newBase().newChecker(func() Backend { return m })
+	diff, err := ch.resolve(half)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.reads = 0
+	got, err := ch.attribute(rules, diff)
+	if err != nil || !reflect.DeepEqual(got, half) {
+		t.Fatalf("attributed %v (%v), want the %d rules of the difference", got, err, len(half))
+	}
+	if bound := protoOff + 1 + n*(protoBits+1+2*portBits); m.reads < protoOff || m.reads > bound {
+		t.Errorf("%d rules on one triple read %d nodes, want %d..%d: one descent and %d walks below it", n, m.reads, protoOff, bound, n)
+	}
+}
+
 // TestMeetsBoundedByNodes: a difference of 64×64 disjoint (src, dst) cubes
 // is 4096 paths over some 700 nodes, every source leading to one shared
 // destination trie. A rule that wildcards both fields and misses all of

@@ -180,6 +180,9 @@ type Report struct {
 // Check compares logical rules against deployed rules. Both slices are
 // interpreted in match order (priority descending); callers should pass
 // them as produced by the compiler and the TCAM snapshot respectively.
+// When they differ, every allow rule of each list is walked against the
+// packets its side allows and the other does not (attribute), however
+// large that difference is.
 func (c *Checker) Check(logical, deployed []rule.Rule) (*Report, error) {
 	lAllowed, err := c.resolve(logical)
 	if err != nil {
@@ -206,16 +209,15 @@ func (c *Checker) Check(logical, deployed []rule.Rule) (*Report, error) {
 }
 
 // attribute returns the allow rules whose match meets the header space
-// diff. Each candidate is tested by walking diff under the rule's
-// constraints (meets.go), which only reads the diagram: attributing a
-// difference to rules adds no node to the checker's manager and keeps no
-// per-match state. The candidates are the rules on one of diff's paths
-// through the VRF/src/dst bits, so a k-rule edit walks O(k) rules.
+// diff, in list order. Every allow rule is tested by walking diff under
+// the rule's constraints (meets.go), which only reads the diagram:
+// attributing a difference to rules adds no node to the checker's manager
+// and keeps no per-match state. Consecutive rules on one exact
+// VRF/src/dst triple share the walk down to it.
 func (c *Checker) attribute(rules []rule.Rule, diff bdd.Node) ([]rule.Rule, error) {
 	if diff == bdd.False {
 		return nil, nil
 	}
-	paths, filtered := diffPaths(c.m, diff)
 	w := meetWalk{m: c.m}
 	var hit []rule.Rule
 	for _, r := range rules {
@@ -224,9 +226,6 @@ func (c *Checker) attribute(rules []rule.Rule, diff bdd.Node) ([]rule.Rule, erro
 		}
 		if err := checkMatch(r.Match); err != nil {
 			return nil, err
-		}
-		if filtered && !onPath(paths, r.Match) {
-			continue
 		}
 		if w.meets(r, diff) {
 			hit = append(hit, r)

@@ -1,6 +1,7 @@
 package equiv
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -186,18 +187,26 @@ func TestCompileErrorParity(t *testing.T) {
 
 func TestMeetsEqualsIntersects(t *testing.T) { runCases(t, 5, 40, meetsStep) }
 
-// TestAttributeEqualsUnfiltered: drawn cases, most of which encode, with
-// differences the filter lists and rules it attributes; and one missing
-// rule in each of 3·maxDiffPaths groups — a difference with more paths
-// than the filter lists, so the filter is off.
-func TestAttributeEqualsUnfiltered(t *testing.T) {
+// TestAttributeEqualsWalkOfEveryRule: drawn cases, most of which encode,
+// whose exact-triple rules both reuse the descent of the rule before them
+// and descend anew; and one missing rule in each of 384 groups, a
+// difference of as many VRF/src/dst paths.
+func TestAttributeEqualsWalkOfEveryRule(t *testing.T) {
 	var n attributeTally
 	runCases(t, 23, 300, n.step)
-	if n.cases < 200 || n.filtered == 0 || n.hits == 0 { // 247, 560 and 3,714 at this seed
-		t.Fatalf("%d of 300 cases encoded, %d filtered differences, %d attributed rules: the comparison is all but vacuous", n.cases, n.filtered, n.hits)
+	if n.pairs < 400 || n.reused == 0 || n.redone == 0 || n.hits == 0 { // 509, 2,155, 6,903 and 10,524 at this seed
+		t.Fatalf("%d of 600 list pairs encoded, %d descents reused and %d redone, %d attributed rules: the comparison is all but vacuous",
+			n.pairs, n.reused, n.redone, n.hits)
+	}
+	logical, deployed := genPair(oracle.FromBytes(alternatingSeed))
+	rep, err := emptyFork().Check(logical, deployed)
+	if got, want := fmt.Sprint(logical[:4]), "[[p10] vrf=1 src=2 dst=3 tcp 80-80 -> allow [p10] vrf=1 src=4 dst=5 tcp 80-80 -> allow "+
+		"[p10] vrf=1 src=2 dst=3 tcp 81-81 -> allow [p10] vrf=* src=2 dst=6 tcp 80-80 -> allow]"; got != want ||
+		verdict(rep, err, logical, deployed) != "missing [2] extra []" {
+		t.Errorf("alternatingSeed decodes to %s, %s", got, verdict(rep, err, logical, deployed))
 	}
 	var wide []rule.Rule
-	for i := 0; i < 3*maxDiffPaths; i++ {
+	for i := 0; i < 384; i++ {
 		wide = append(wide, allowRule(object.ID(1+i%3), object.ID(10+i), object.ID(500+i%7), uint16(80+i%2)))
 	}
 	wide = withDeny(wide...)
@@ -206,12 +215,9 @@ func TestAttributeEqualsUnfiltered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := diffPaths(ch.m, root); ok {
-		t.Fatalf("a difference over %d groups was listed within the bound of %d paths", 3*maxDiffPaths, maxDiffPaths)
-	}
 	runPair(t, oracle.FromSeed(0), wide, nil, attributeStep)
 	if got, _ := ch.attribute(wide, root); len(got) != len(wide)-1 {
-		t.Errorf("past the bound: %d of %d allow rules attributed", len(got), len(wide)-1)
+		t.Errorf("%d of %d allow rules attributed", len(got), len(wide)-1)
 	}
 }
 
@@ -366,11 +372,25 @@ func FuzzCompileSemantics(f *testing.F) {
 	})
 }
 
+// alternatingSeed decodes to a logical list whose allow rules go A, B, A
+// over two triples and then wildcard the VRF, and a deployed list that
+// lost the second A: attribution descends for A, for B and for A again,
+// and walks the wildcard rule from the root (TestAttributeEqualsWalkOfEveryRule).
+var alternatingSeed = []byte{3,
+	1, 1, 1, 2, 1, 3, 2, 1, 1, 1, 0, 3, 0, 3, 1, 1, 1, // vrf=1 src=2 dst=3 tcp 80
+	1, 1, 1, 1, 4, 1, 5, 2, 1, 1, 1, 1, 0, 3, 0, 3, 1, 1, 1, // vrf=1 src=4 dst=5 tcp 80
+	1, 1, 1, 1, 2, 1, 3, 2, 1, 1, 1, 1, 0, 4, 0, 4, 1, 1, 1, // vrf=1 src=2 dst=3 tcp 81
+	1, 1, 1, 1, 2, 1, 6, 2, 0, 1, 1, 1, 0, 3, 0, 3, 1, 1, 1, // vrf=* src=2 dst=6 tcp 80
+	1,                // the default deny
+	1, 1, 2, 0, 0, 1, // the deployed list drops rule 2 and nothing else
+}
+
 // FuzzMeets decodes a case and walks its differences with every rule, and
 // attributes them.
 func FuzzMeets(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{5, 0x20, 1, 2, 3, 0, 0, 0, 0, 0, 9, 8, 7})
+	f.Add(alternatingSeed)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := oracle.FromBytes(data)
 		logical, deployed := genPair(c)

@@ -327,8 +327,7 @@ func checkMemoInvisible(t *testing.T, baseLists, forkLists [][]rule.Rule) (plain
 // both ways, their Xor, a sparse cube, that cube cutting the difference,
 // and the terminals, the walk answers whether each rule's match — of both
 // lists and of drawn rules — And-ed with the diagram is other than False,
-// interning nothing, and the path filter in front of it never drops a rule
-// it accepts.
+// interning nothing.
 func meetsStep(t *testing.T, c *oracle.Choices, logical, deployed []rule.Rule) {
 	t.Helper()
 	drawn := genRules(c, 8)
@@ -349,9 +348,6 @@ func meetsStep(t *testing.T, c *oracle.Choices, logical, deployed []rule.Rule) {
 				if got := w.meets(r, diff); got != want || m.DeltaSize() != size {
 					t.Fatalf("%s: match %v against node %d: walk says %v, And says %v; the walk interned %d nodes", e.name, r.Match, diff, got, want, m.DeltaSize()-size)
 				}
-				if paths, ok := diffPaths(m, diff); ok && want && !onPath(paths, r.Match) {
-					t.Fatalf("%s: match %v meets node %d but is on none of its %d paths", e.name, r.Match, diff, len(paths))
-				}
 			}
 		}
 	}
@@ -371,26 +367,56 @@ func sparseCube(m applyBackend, c *oracle.Choices) bdd.Node {
 	return n
 }
 
-// refAttribute is attribution as it stood before the path filter: every
-// allow rule walked against the difference.
+// genAlternating decodes a deployed list whose rules take turns between
+// two (VRF, src, dst) triples of logical's rules (of its own when logical
+// is empty), A, B, A, …, each keeping the one before's triple one time in
+// four, so a triple's rules are both adjacent and split by the other's.
+// One rule in four wildcards the VRF, the source or the destination
+// instead. Protocols, ports and actions are genRules'.
+func genAlternating(c *oracle.Choices, logical []rule.Rule) []rule.Rule {
+	rules := genRules(c, 2+c.Intn(12))
+	from := logical
+	if len(from) == 0 {
+		from = rules
+	}
+	a, b := from[c.Intn(len(from))].Match, from[c.Intn(len(from))].Match
+	for i := range rules {
+		if i > 0 && !c.Chance(4) {
+			a, b = b, a
+		}
+		m := &rules[i].Match
+		m.VRF, m.SrcEPG, m.DstEPG = a.VRF, a.SrcEPG, a.DstEPG
+		m.WildcardVRF, m.WildcardSrc, m.WildcardDst = false, false, false
+		if c.Chance(4) {
+			*[]*bool{&m.WildcardVRF, &m.WildcardSrc, &m.WildcardDst}[c.Intn(3)] = true
+		}
+	}
+	return rules
+}
+
+// refAttribute is attribution with nothing shared between rules: every
+// allow rule walked against the difference from its root by a walk of
+// its own.
 func refAttribute(m Backend, rules []rule.Rule, diff bdd.Node) []rule.Rule {
-	w := meetWalk{m: m}
 	var hit []rule.Rule
 	for _, r := range rules {
-		if r.Action == rule.Allow && w.meets(r, diff) {
+		if w := (meetWalk{m: m}); r.Action == rule.Allow && w.meets(r, diff) {
 			hit = append(hit, r)
 		}
 	}
 	return hit
 }
 
-// attributeTally counts what attributeStep compared: cases whose lists
-// both encode, differences the path filter listed, and rules attributed.
-type attributeTally struct{ cases, filtered, hits int }
+// attributeTally counts what attributeStep compared: pairs of lists that
+// both encode; exact-triple allow rules that follow one on the same triple,
+// so attribution reuses its descent, and those that do not, so it descends
+// anew; and rules attributed.
+type attributeTally struct{ pairs, reused, redone, hits int }
 
-// attributeStep: filtered attribution names exactly the rules the
-// walk-every-rule loop names, in order, for both lists against their
-// differences both ways, their Xor and a sparse cube.
+// attributeStep: attribution names exactly the rules the walk of every
+// rule from the root names, in order, for the case's lists and for the
+// logical list beside a drawn alternating one (genAlternating), against
+// their differences both ways, their Xor and a sparse cube.
 func attributeStep(t *testing.T, c *oracle.Choices, logical, deployed []rule.Rule) {
 	t.Helper()
 	new(attributeTally).step(t, c, logical, deployed)
@@ -399,6 +425,13 @@ func attributeStep(t *testing.T, c *oracle.Choices, logical, deployed []rule.Rul
 // step is attributeStep, counted.
 func (n *attributeTally) step(t *testing.T, c *oracle.Choices, logical, deployed []rule.Rule) {
 	t.Helper()
+	n.pair(t, c, logical, deployed)
+	n.pair(t, c, logical, genAlternating(c, logical))
+}
+
+// pair compares and counts attribution on one pair of lists.
+func (n *attributeTally) pair(t *testing.T, c *oracle.Choices, logical, deployed []rule.Rule) {
+	t.Helper()
 	ch := emptyFork()
 	m := ch.m.(*bdd.Manager)
 	a, errA := ch.resolve(logical)
@@ -406,19 +439,40 @@ func (n *attributeTally) step(t *testing.T, c *oracle.Choices, logical, deployed
 	if errA != nil || errB != nil {
 		return
 	}
-	n.cases++
+	n.pairs++
 	for _, diff := range []bdd.Node{m.Diff(a, b), m.Diff(b, a), m.Xor(a, b), sparseCube(m, c)} {
-		if _, ok := diffPaths(m, diff); ok && diff != bdd.False {
-			n.filtered++
-		}
 		for _, rules := range [][]rule.Rule{logical, deployed} {
 			got, err := ch.attribute(rules, diff)
 			if want := refAttribute(m, rules, diff); err != nil || !reflect.DeepEqual(got, want) {
-				t.Fatalf("filtered attribution names %v (%v), the full walk %v\nrules: %v", got, err, want, rules)
+				t.Fatalf("attribution names %v (%v), the walk of every rule %v\nrules: %v", got, err, want, rules)
 			}
 			n.hits += len(got)
+			if diff != bdd.False {
+				reused, redone := descents(rules)
+				n.reused, n.redone = n.reused+reused, n.redone+redone
+			}
 		}
 	}
+}
+
+// descents counts the allow rules of rules whose VRF, source and
+// destination are exact: those on the triple of the last such rule before
+// them, and the others.
+func descents(rules []rule.Rule) (reused, redone int) {
+	var prev *rule.Match
+	for i, r := range rules {
+		m := &rules[i].Match
+		if r.Action != rule.Allow || m.WildcardVRF || m.WildcardSrc || m.WildcardDst {
+			continue
+		}
+		if prev != nil && prev.VRF == m.VRF && prev.SrcEPG == m.SrcEPG && prev.DstEPG == m.DstEPG {
+			reused++
+		} else {
+			redone++
+		}
+		prev = m
+	}
+	return reused, redone
 }
 
 // sweep is a run of checks on long-lived checkers, as a session's workers

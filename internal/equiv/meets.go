@@ -7,13 +7,12 @@
 // range cuts the block of ports the path has narrowed to. A bit the
 // diagram skips is free on its side and never contradicts the rule.
 //
-// The walk decides; a filter in front of it keeps it from being asked
-// about every rule. A k-rule edit leaves a difference with a handful of
-// paths through the 48 VRF/src/dst bits, and a rule whose exact fields
-// contradict every one of them cannot meet it: diffPaths lists those
-// paths once per difference and only the rules compatible with one are
-// walked. A difference with more than maxDiffPaths of them is not
-// filtered at all.
+// A rule whose VRF, source and destination are all exact follows one path
+// through their 48 bits, to one node: its descent. The walk keeps the last
+// descent it took, so consecutive rules on one triple — a compiled list
+// sorted by rule.Compare runs them together — descend once and each walk
+// only the proto and port levels below. A rule with a wildcard among them
+// walks from the root.
 
 package equiv
 
@@ -21,76 +20,6 @@ import (
 	"scout/internal/bdd"
 	"scout/internal/rule"
 )
-
-// maxDiffPaths bounds the paths diffPaths lists. A rule off every path is
-// tested against each of them, a few instructions a path, so the bound is
-// where that scan starts to cost what the walk it spares does.
-const maxDiffPaths = 128
-
-// idPath is one path of a difference through the VRF/src/dst variables:
-// mask has a bit for every variable the path tests, val the branch taken
-// there. Variable v sits at bit protoOff-1-v, so a field's value packs in
-// as it is written (idBits).
-type idPath struct{ val, mask uint64 }
-
-// idBits packs a match's VRF/src/dst the way idPath does: exact has the
-// bits of the fields the match does not wildcard, val their values (a
-// wildcard field's ID is never read). The match must have passed
-// checkMatch.
-func idBits(m rule.Match) (val, exact uint64) {
-	const field = uint64(maxID)
-	if !m.WildcardVRF {
-		val |= uint64(m.VRF) << (protoOff - srcOff)
-		exact |= field << (protoOff - srcOff)
-	}
-	if !m.WildcardSrc {
-		val |= uint64(m.SrcEPG) << (protoOff - dstOff)
-		exact |= field << (protoOff - dstOff)
-	}
-	if !m.WildcardDst {
-		val |= uint64(m.DstEPG)
-		exact |= field
-	}
-	return val, exact
-}
-
-// diffPaths lists the paths of diff through the VRF/src/dst variables
-// that do not end in False. ok is false when there are more than
-// maxDiffPaths of them.
-func diffPaths(m Backend, diff bdd.Node) (paths []idPath, ok bool) {
-	var walk func(n bdd.Node, val, mask uint64) bool
-	walk = func(n bdd.Node, val, mask uint64) bool {
-		if n == bdd.False {
-			return true
-		}
-		if n != bdd.True {
-			if level, lo, hi := m.NodeAt(n); level < protoOff {
-				bit := uint64(1) << uint(protoOff-1-level)
-				return walk(lo, val, mask|bit) && walk(hi, val|bit, mask|bit)
-			}
-		}
-		if len(paths) == maxDiffPaths {
-			return false
-		}
-		paths = append(paths, idPath{val, mask})
-		return true
-	}
-	ok = walk(diff, 0, 0)
-	return paths, ok
-}
-
-// onPath reports whether m agrees with some path wherever both name a
-// bit. A match the walk accepts always does: the packet that witnesses it
-// follows one of the paths.
-func onPath(paths []idPath, m rule.Match) bool {
-	val, exact := idBits(m)
-	for _, p := range paths {
-		if (val^p.val)&p.mask&exact == 0 {
-			return true
-		}
-	}
-	return false
-}
 
 // meetWalk tests rules against difference diagrams in one manager. It
 // only reads nodes (Backend.NodeAt), so attribution interns nothing.
@@ -104,6 +33,13 @@ type meetWalk struct {
 	// path down to the port bits and needs no record.
 	wide bool
 	dead map[bdd.Node]struct{}
+	// last is the last descent taken: from diff along the 48 bits of
+	// triple (VRF, src and dst packed in variable order) to node. The zero
+	// value is one too: False descends to False.
+	last struct {
+		diff, node bdd.Node
+		triple     uint64
+	}
 }
 
 // meets reports whether r's match covers some packet in diff. The match
@@ -112,7 +48,25 @@ func (w *meetWalk) meets(r rule.Rule, diff bdd.Node) bool {
 	w.r = reduceRule(r)
 	w.wide = w.r.wild != [numIDFields]bool{}
 	clear(w.dead)
-	return w.ids(diff)
+	if w.r.wild[0] || w.r.wild[1] || w.r.wild[2] {
+		return w.ids(diff)
+	}
+	v := w.r.val
+	triple := uint64(v[0])<<(protoOff-srcOff) | uint64(v[1])<<(protoOff-dstOff) | uint64(v[2])
+	if l := &w.last; l.diff != diff || l.triple != triple {
+		l.diff, l.triple = diff, triple
+		for l.node = diff; l.node != bdd.False && l.node != bdd.True; {
+			level, lo, hi := w.m.NodeAt(l.node)
+			if level >= protoOff {
+				break
+			}
+			l.node = lo
+			if triple>>uint(protoOff-1-level)&1 == 1 {
+				l.node = hi
+			}
+		}
+	}
+	return w.ids(w.last.node)
 }
 
 // ids walks n through the exact-or-wildcard fields.

@@ -23,7 +23,7 @@ var readmeTables = []struct {
 	render func(t *testing.T, source string, data []byte) string
 }{
 	{"testdata/work.txt", workTable},
-	{"cmd/scout-bench/testdata/figures.txt", claimsTable},
+	{"cmd/scout-bench/testdata/figures-paper.txt", claimsTable},
 	{"bench/baseline/BENCH_11.json", baselineTable},
 }
 
@@ -38,8 +38,8 @@ const (
 var timing = regexp.MustCompile(`(-[\w-]+[ =])?\b\d+(?:[.,]\d+)? ?(?:ns|µs|us|ms|s|secs?|seconds?|mins?|minutes?|h|hours?)\b`)
 
 // TestReadme holds README.md to what HEAD measures. Its three tables are
-// regenerated from testdata/work.txt, the figure golden and the committed
-// benchmark baseline; no timing appears outside them; it stays within
+// regenerated from testdata/work.txt, the paper-size figure golden and
+// the committed benchmark baseline; no timing appears outside them; it stays within
 // readmeMaxLines; and every `go run` line of its shell blocks runs in CI. A
 // stale table fails with the text to paste in its place.
 func TestReadme(t *testing.T) {
@@ -169,8 +169,8 @@ type figureTable struct {
 	vals map[string][]float64
 }
 
-// figureTables parses figures.txt into its tables, by the title between
-// the == markers.
+// figureTables parses a figure golden into its tables, by the title
+// between the == markers.
 func figureTables(t *testing.T, data []byte) map[string]*figureTable {
 	tables := make(map[string]*figureTable)
 	var title string
@@ -190,7 +190,7 @@ func figureTables(t *testing.T, data []byte) map[string]*figureTable {
 			for i, c := range cur.cols[1:] {
 				v, err := strconv.ParseFloat(f[i+1], 64)
 				if err != nil {
-					t.Fatalf("figures.txt %s: %v", title, err)
+					t.Fatalf("figure golden %s: %v", title, err)
 				}
 				cur.vals[c] = append(cur.vals[c], v)
 			}
@@ -199,10 +199,11 @@ func figureTables(t *testing.T, data []byte) map[string]*figureTable {
 	return tables
 }
 
-// claimsTable sets §VI's claims beside the figure golden's numbers. A
-// claim is a test on one figure's table; the generator computes whether
-// it holds, and where it does not.
-func claimsTable(t *testing.T, _ string, data []byte) string {
+// claimsTable sets §VI's claims beside the numbers of the figure golden
+// at paper size, every fault count from 1 to 10. A claim is a test on one
+// figure's table; the generator computes whether it holds, and where it
+// does not.
+func claimsTable(t *testing.T, source string, data []byte) string {
 	tables := figureTables(t, data)
 	get := func(prefix string) *figureTable {
 		for title, tab := range tables {
@@ -210,12 +211,12 @@ func claimsTable(t *testing.T, _ string, data []byte) string {
 				return tab
 			}
 		}
-		t.Fatalf("figures.txt has no table titled %q", prefix)
+		t.Fatalf("%s has no table titled %q", source, prefix)
 		return nil
 	}
 	fig8, fig9, fig10, ablation := get("Figure 8:"), get("Figure 9:"), get("Figure 10:"), get("Ablation:")
 	var b strings.Builder
-	b.WriteString("| §VI claim | test on figures.txt | reproduced | holds |\n|---|---|---|---|\n")
+	fmt.Fprintf(&b, "| §VI claim | test on %s | reproduced | holds |\n|---|---|---|---|\n", filepath.Base(source))
 	row := func(claim, test string, v claimVerdict) {
 		fmt.Fprintf(&b, "| %s | %s | %s | %s |\n", claim, test, v.reproduced, v.holds)
 	}

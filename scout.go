@@ -150,7 +150,8 @@ type Report struct {
 	ControllerView *risk.Overlay `json:"-"`
 	// EncodeStats summarizes the check stage's BDD encoding work: the
 	// shared frozen base's size, every worker checker's private delta,
-	// and where match encodings were resolved from. Nil for probe runs,
+	// how many whole-list roots the base answered and how many were
+	// compiled, and the op cache's hits and misses. Nil for probe runs,
 	// which build no BDD checkers. Like ControllerView it is diagnostics,
 	// not result: it is excluded from the JSON form so reports stay
 	// byte-identical across worker counts.
