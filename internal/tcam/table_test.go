@@ -19,7 +19,7 @@ import (
 // The table runner: one operation stream, read from an oracle.Choices,
 // applied to a TCAM and to refTable, a plain slice in match order. After
 // every step the table must hold the reference's rules and have returned
-// what it returned, its key index must pass checkIndex, the snapshot
+// what it returned, its key count must pass checkCount, the snapshot
 // Rules hands out must be republished exactly when the step changed the
 // table and never change once handed out, and no rule a caller lent the
 // table may have changed. Concurrent snapshot readers are an option of the
@@ -190,7 +190,8 @@ func (s *source) Seed(int64) {}
 type tableStats struct {
 	overflowed int // rules the full table refused
 	aliased    int // removals from a table holding some key twice
-	adjacent   int // deletions the promotion of the entry right behind had to follow
+	adjacent   int // deletions of a key's first entry with another entry of that key right behind it
+	repeated   int // RemoveKeys calls naming a key twice or more while the table holds two entries of it or more
 	denied     int // corruptions that drew the default deny
 }
 
@@ -331,6 +332,9 @@ func (h *harness) step(i int, kind op) {
 		for n := c.Intn(5); n > 0; n-- {
 			keys = append(keys, h.key()) // may repeat
 		}
+		if repeatsAliased(keys, ref.rules) {
+			h.stats.repeated++
+		}
 		got, want = tc.RemoveKeys(keys), ref.remove(keys...)
 	case opEvict:
 		n := c.Intn(4)
@@ -359,6 +363,26 @@ func (h *harness) step(i int, kind op) {
 	h.check(label, ref.writes != writes)
 }
 
+// repeatsAliased reports whether keys names some key at least twice while
+// rules hold at least two entries of it: the case where RemoveKeys must
+// drop that key's first entries, as many as named, in match order.
+func repeatsAliased(keys []rule.Key, rules []rule.Rule) bool {
+	named := make(map[rule.Key]int)
+	for _, k := range keys {
+		named[k]++
+	}
+	held := make(map[rule.Key]int)
+	for _, r := range rules {
+		held[r.Key()]++
+	}
+	for k, m := range named {
+		if m >= 2 && held[k] >= 2 {
+			return true
+		}
+	}
+	return false
+}
+
 // check holds the table to the reference after a step that changed it, or
 // not, and keeps the snapshot the step leaves.
 func (h *harness) check(label string, changed bool) {
@@ -368,7 +392,7 @@ func (h *harness) check(label string, changed bool) {
 	if !rule.SlicesEqual(snap, h.ref.rules) || h.tc.Len() != len(h.ref.rules) {
 		t.Fatalf("%s: the table holds %v, the reference %v", label, snap, h.ref.rules)
 	}
-	if err := checkIndex(h.tc); err != nil {
+	if err := checkCount(h.tc); err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
 	if changed == rule.SameSlice(h.snap, snap) {
@@ -388,37 +412,22 @@ func (h *harness) check(label string, changed bool) {
 	}
 }
 
-// checkIndex verifies the table's invariants against a linear oracle:
-// the table is in match order (priority descending, install sequence
-// ascending), every key resolves to the ID of its first occurrence and
-// that ID binary-searches back to the occurrence's position, and no rule
-// stays alive in the slack behind len.
-func checkIndex(tc *TCAM) error {
+// checkCount verifies the table's invariants against a linear recount:
+// the entries are in non-increasing priority, count holds each key's
+// number of entries and no key at zero, and no rule stays alive in the
+// slack behind len.
+func checkCount(tc *TCAM) error {
 	tc.mu.RLock()
 	defer tc.mu.RUnlock()
-	if len(tc.seqs) != len(tc.rules) {
-		return fmt.Errorf("%d seqs for %d rules", len(tc.seqs), len(tc.rules))
-	}
-	firsts := make(map[rule.Key]int)
+	recount := make(map[rule.Key]int)
 	for i, r := range tc.rules {
-		if i > 0 && !tc.idLocked(i-1).before(tc.idLocked(i)) {
-			return fmt.Errorf("entries %d and %d out of match order", i-1, i)
+		if i > 0 && tc.rules[i-1].Priority < r.Priority {
+			return fmt.Errorf("entries %d and %d out of priority order", i-1, i)
 		}
-		if got := tc.posLocked(tc.idLocked(i)); got != i {
-			return fmt.Errorf("entry %d resolves to position %d", i, got)
-		}
-		k := r.Key()
-		if _, seen := firsts[k]; !seen {
-			firsts[k] = i
-		}
+		recount[r.Key()]++
 	}
-	if len(firsts) != len(tc.index) {
-		return fmt.Errorf("index has %d entries, want %d", len(tc.index), len(firsts))
-	}
-	for k, want := range firsts {
-		if got, ok := tc.index[k]; !ok || got != tc.idLocked(want) {
-			return fmt.Errorf("index[%v] = %v, want first occurrence %d (%v)", k, got, want, tc.idLocked(want))
-		}
+	if !maps.Equal(tc.count, recount) {
+		return fmt.Errorf("count is %v, a recount of the table %v", tc.count, recount)
 	}
 	for i, r := range tc.rules[len(tc.rules):cap(tc.rules)] {
 		if r.Match != (rule.Match{}) || r.Action != 0 || r.Provenance != nil {
@@ -431,6 +440,13 @@ func checkIndex(tc *TCAM) error {
 // FuzzTable runs the fuzzer's bytes as a case over every step.
 func FuzzTable(f *testing.F) {
 	f.Add([]byte{})
+	// Capacity 8; install two allow rules that differ only in VRF (0, 1);
+	// corrupt the second's VRF low bit, so both entries carry one key; then
+	// RemoveKeys over every entry's key, which names that key twice.
+	f.Add([]byte{8,
+		0, 2, 1, 0, 0, 0, 0, 0, 1, 1, 1, 0, 0, 0, 0, 1, 1,
+		5, 0, 0, 1, 0, 0, 0,
+		3, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := oracle.FromBytes(data)
 		runTable(t, c, tableCase{capacity: c.Intn(48), steps: min(len(data), 400), ops: allOps}, &tableStats{})

@@ -26,38 +26,15 @@ var ErrFull = errors.New("tcam: table full")
 // on ACL TCAM bank sizes of datacenter leaf switches.
 const DefaultCapacity = 4096
 
-// entryID identifies an installed entry independently of where it sits in
-// the table: match order is priority descending, then install sequence
-// ascending, so an ID locates its entry by binary search and survives
-// every insertion and deletion around it.
-type entryID struct {
-	priority int
-	seq      uint64
-}
-
-// before reports whether a precedes b in match order.
-func (a entryID) before(b entryID) bool {
-	if a.priority != b.priority {
-		return a.priority > b.priority
-	}
-	return a.seq < b.seq
-}
-
 // TCAM is a fixed-capacity rule table. It is safe for concurrent use.
 type TCAM struct {
 	mu       sync.RWMutex
 	capacity int
-	rules    []rule.Rule // match order: priority desc, then install sequence
-	seqs     []uint64    // seqs[i] is the install sequence of rules[i]
-	nextSeq  uint64
-	// index maps each installed key to the ID of its first occurrence in
-	// match order, so Install's duplicate check and Remove's lookup are
-	// one map operation and a binary search, and a write never re-keys
-	// the entries behind it; what stays O(n) per write is the memmove
-	// that closes or opens the slot. Corruption can alias two entries
-	// onto one key (len(index) < len(rules) exactly then); the index
-	// tracks the earlier, higher-precedence occurrence.
-	index map[rule.Key]entryID
+	rules    []rule.Rule // match order: priority desc, then install order
+	// count is the number of entries carrying each key, so Install's
+	// duplicate check is one map lookup. Corruption can alias two entries
+	// onto one key, the only way a count exceeds 1; no key counts 0.
+	count map[rule.Key]int
 	// snap is the published read-only list Rules hands out, built on the
 	// first read after a write and dropped by the next write.
 	snap []rule.Rule
@@ -69,7 +46,7 @@ func New(capacity int) *TCAM {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &TCAM{capacity: capacity, index: make(map[rule.Key]entryID)}
+	return &TCAM{capacity: capacity, count: make(map[rule.Key]int)}
 }
 
 // Capacity returns the table capacity in entries.
@@ -105,16 +82,15 @@ func (t *TCAM) InstallAll(rules []rule.Rule) int {
 	room := min(len(rules), t.capacity-len(t.rules))
 	if room > 0 {
 		t.rules = slices.Grow(t.rules, room)
-		t.seqs = slices.Grow(t.seqs, room)
-		if len(t.index) == 0 {
-			t.index = make(map[rule.Key]entryID, room)
+		if len(t.count) == 0 {
+			t.count = make(map[rule.Key]int, room)
 		}
 	}
 	held := 0
 	for i := range rules {
 		r := &rules[i]
 		k := r.Key()
-		if _, ok := t.index[k]; ok {
+		if t.count[k] > 0 {
 			held++
 			continue
 		}
@@ -123,7 +99,7 @@ func (t *TCAM) InstallAll(rules []rule.Rule) int {
 		}
 		// Match order is priority descending with programming order inside a
 		// band, and a fresh install is the youngest entry of its band — so
-		// its slot is the first index of strictly lower priority. Deploys
+		// its slot is the first position of strictly lower priority. Deploys
 		// install in sorted order, which makes this an append.
 		pos := len(t.rules)
 		if pos > 0 && t.rules[pos-1].Priority < r.Priority {
@@ -131,14 +107,8 @@ func (t *TCAM) InstallAll(rules []rule.Rule) int {
 				return t.rules[i].Priority < r.Priority
 			})
 		}
-		t.nextSeq++
-		t.rules = append(t.rules, rule.Rule{})
-		copy(t.rules[pos+1:], t.rules[pos:])
-		t.rules[pos] = *r
-		t.seqs = append(t.seqs, 0)
-		copy(t.seqs[pos+1:], t.seqs[pos:])
-		t.seqs[pos] = t.nextSeq
-		t.index[k] = entryID{r.Priority, t.nextSeq}
+		t.rules = slices.Insert(t.rules, pos, *r)
+		t.count[k]++
 		t.snap = nil
 		held++
 	}
@@ -150,61 +120,49 @@ func (t *TCAM) InstallAll(rules []rule.Rule) int {
 func (t *TCAM) Remove(k rule.Key) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.removeLocked(k)
-}
-
-func (t *TCAM) removeLocked(k rule.Key) bool {
-	id, ok := t.index[k]
-	if !ok {
+	if t.count[k] == 0 {
 		return false
 	}
-	t.deleteAtLocked(t.posLocked(id))
+	t.deleteAtLocked(slices.IndexFunc(t.rules, func(r rule.Rule) bool { return r.Key() == k }))
 	return true
 }
 
 // RemoveKeys deletes, for each key in order, the first entry with that
 // key — exactly what calling Remove per key would do — and returns how
-// many entries were removed. The victims are marked through the index and
-// the table is compacted once, so withdrawing k entries moves every
-// survivor at most once instead of up to k times.
+// many entries were removed. A key named m times thus loses its first
+// min(m, count) entries in match order, and the table is compacted in one
+// pass that stops judging entries once every victim is gone, so
+// withdrawing k entries moves every survivor at most once.
 func (t *TCAM) RemoveKeys(keys []rule.Key) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.index) < len(t.rules) {
-		// Corruption has aliased keys: removing one occurrence promotes
-		// the next, which a later duplicate in keys must see.
-		removed := 0
-		for _, k := range keys {
-			if t.removeLocked(k) {
-				removed++
-			}
-		}
-		return removed
-	}
-	victims := make([]int, 0, len(keys))
+	drop := make(map[rule.Key]int)
+	victims := 0
 	for _, k := range keys {
-		if id, ok := t.index[k]; ok {
-			delete(t.index, k)
-			victims = append(victims, t.posLocked(id))
+		if drop[k] < t.count[k] {
+			drop[k]++
+			victims++
 		}
 	}
-	if len(victims) == 0 {
+	if victims == 0 {
 		return 0
 	}
-	sort.Ints(victims)
-	w := victims[0]
-	for v, pos := range victims {
-		end := len(t.rules)
-		if v+1 < len(victims) {
-			end = victims[v+1]
+	left := victims
+	t.rules = slices.DeleteFunc(t.rules, func(r rule.Rule) bool {
+		if left == 0 {
+			return false
 		}
-		copy(t.seqs[w:], t.seqs[pos+1:end])
-		w += copy(t.rules[w:], t.rules[pos+1:end])
-	}
-	clear(t.rules[w:])
-	t.rules, t.seqs = t.rules[:w], t.seqs[:w]
+		k := r.Key()
+		if drop[k] == 0 {
+			return false
+		}
+		drop[k]--
+		left--
+		t.uncountLocked(k)
+		return true
+	})
 	t.snap = nil
-	return len(victims)
+	return victims
 }
 
 // Rules returns a snapshot of the installed rules in match order. The
@@ -348,75 +306,29 @@ func (t *TCAM) Corrupt(n int, field CorruptionField, rng *rand.Rand) []rule.Key 
 				r.Match.PortLo, r.Match.PortHi = r.Match.PortHi, r.Match.PortLo
 			}
 		}
-		t.rekeyLocked(idx, oldKey, r.Key())
+		if k := r.Key(); k != oldKey {
+			t.uncountLocked(oldKey)
+			t.count[k]++
+		}
 		t.snap = nil
 	}
 	return damaged
 }
 
-// idLocked returns the ID of the entry at position i.
-func (t *TCAM) idLocked(i int) entryID {
-	return entryID{t.rules[i].Priority, t.seqs[i]}
-}
-
-// posLocked returns the position of the installed entry with the given ID.
-func (t *TCAM) posLocked(id entryID) int {
-	return sort.Search(len(t.rules), func(i int) bool {
-		return !t.idLocked(i).before(id)
-	})
-}
-
-// promoteLocked points the index at the first entry at or after from that
-// carries key k, if one exists: the aliased duplicate that takes over when
-// the occurrence the index tracked is deleted or re-keyed.
-func (t *TCAM) promoteLocked(k rule.Key, from int) {
-	for j := from; j < len(t.rules); j++ {
-		if t.rules[j].Key() == k {
-			t.index[k] = t.idLocked(j)
-			return
-		}
+// uncountLocked takes one entry of key k off its count.
+func (t *TCAM) uncountLocked(k rule.Key) {
+	if t.count[k] == 1 {
+		delete(t.count, k)
+	} else {
+		t.count[k]--
 	}
 }
 
-// rekeyLocked repairs the key index after the entry at idx changed its
-// key in place (corruption).
-func (t *TCAM) rekeyLocked(idx int, oldKey, newKey rule.Key) {
-	if oldKey == newKey {
-		return
-	}
-	id := t.idLocked(idx)
-	if t.index[oldKey] == id {
-		aliased := len(t.index) < len(t.rules)
-		delete(t.index, oldKey)
-		if aliased {
-			// Entries before idx cannot carry oldKey: the index tracked
-			// idx as its first occurrence.
-			t.promoteLocked(oldKey, idx+1)
-		}
-	}
-	// The corrupted entry may now alias another entry's key; the index
-	// keeps whichever occurs first in match order.
-	if cur, ok := t.index[newKey]; !ok || id.before(cur) {
-		t.index[newKey] = id
-	}
-}
-
+// deleteAtLocked deletes the entry at position i. slices.Delete zeroes the
+// vacated slot (as DeleteFunc does in RemoveKeys), so the table does not
+// keep the last rule's provenance slice alive past len.
 func (t *TCAM) deleteAtLocked(i int) {
-	k := t.rules[i].Key()
-	first := t.index[k] == t.idLocked(i)
-	if first {
-		delete(t.index, k)
-	}
-	last := len(t.rules) - 1
-	copy(t.rules[i:], t.rules[i+1:])
-	copy(t.seqs[i:], t.seqs[i+1:])
-	// Zero the vacated slot so the table does not keep the last rule's
-	// provenance slice alive past len.
-	t.rules[last] = rule.Rule{}
-	t.rules, t.seqs = t.rules[:last], t.seqs[:last]
+	t.uncountLocked(t.rules[i].Key())
+	t.rules = slices.Delete(t.rules, i, i+1)
 	t.snap = nil
-	if first && len(t.index) < len(t.rules) {
-		// A corruption-aliased duplicate of k may survive past i.
-		t.promoteLocked(k, i)
-	}
 }

@@ -8,8 +8,8 @@ import (
 
 // Each test is a case of the table runner (table_test.go): a seed range
 // and a shape, whose steps its name says it stresses. Every case holds the
-// table to the reference slice, its index to checkIndex and its snapshots
-// to their contract after every step.
+// table to the reference slice, its key count to checkCount and its
+// snapshots to their contract after every step.
 
 // runTables runs a case per seed below seeds: a table of capacity entries
 // taking steps steps, each drawn from ops.
@@ -68,10 +68,10 @@ func TestClassifyBatchEmpty(t *testing.T) {
 	runTables(t, 4, 4, 20, opClassify, opInstall)
 }
 
-// TestIndexConsistentUnderChurn: the key index under the full mutation
+// TestCountConsistentUnderChurn: the key count under the full mutation
 // surface, corruption aliasing keys included, down to a removal whose
 // key's next occurrence sits right behind the removed one.
-func TestIndexConsistentUnderChurn(t *testing.T) {
+func TestCountConsistentUnderChurn(t *testing.T) {
 	s := runTables(t, 200, 32, 300, allOps...)
 	exercised(t, "removed an entry with an aliased duplicate right behind it", s.adjacent)
 }
@@ -79,6 +79,7 @@ func TestIndexConsistentUnderChurn(t *testing.T) {
 func TestRemoveKeysMatchesSequentialRemove(t *testing.T) {
 	s := runTables(t, 20, 64, 200, opInstallAll, opInstallAll, opCorrupt, opRemoveKeys)
 	exercised(t, "removed keys from an aliased table", s.aliased)
+	exercised(t, "named an aliased key twice in one RemoveKeys", s.repeated)
 }
 
 func TestInstallAllMatchesSequentialInstall(t *testing.T) {
