@@ -198,7 +198,8 @@ func StandardAlgorithms() []Algorithm {
 	}
 }
 
-// ScoutNoChangeLog is the DESIGN.md ablation: SCOUT stage one only.
+// ScoutNoChangeLog is the ablation `cmd/scout-bench -experiment ablation`
+// runs, scored in README's claims table: SCOUT stage one only.
 func ScoutNoChangeLog() Algorithm {
 	return Algorithm{
 		Name: "SCOUT-nolog",

@@ -26,15 +26,6 @@ func (b bitset) setRange(lo, hi int32) {
 	}
 }
 
-// count returns the number of set bits.
-func (b bitset) count() int {
-	n := 0
-	for _, w := range b {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
 // forEach invokes fn for every set bit in ascending order. fn may clear
 // the bit it was invoked for.
 func (b bitset) forEach(fn func(i int32)) {

@@ -19,9 +19,9 @@ import (
 // observation has a failed edge to it), has hit ratio 1 iff
 // aliveFailed == aliveDeps, and its coverage is aliveFailed itself. The
 // stages' times are added to st.
-func planScout(p *plan, o *risk.Overlay, oracle ChangeOracle, st *EngineStats) *Result {
+func planScout(p *plan, v risk.View, oracle ChangeOracle, st *EngineStats) *Result {
 	start := time.Now()
-	rv := newRunView(p, o)
+	rv := newRunView(p, v)
 	res := &Result{}
 	hypothesis := make(object.Set)
 	totalObs := rv.pendingCount
@@ -122,12 +122,12 @@ func planGreedy(rv *runView, eligible []int32, res *Result, hypothesis object.Se
 		}
 		res.Iterations++
 		hypothesis.Add(rv.ref(best))
-		rv.forEachFailed(best, func(el int32) {
+		for _, el := range rv.marks[best] {
 			if rv.pending.test(el) {
 				rv.pending.clear(el)
 				rv.pendingCount--
 			}
-		})
+		}
 		res.Steps = append(res.Steps, Step{
 			Picked:   []object.Ref{rv.ref(best)},
 			Coverage: int(bestCov),
@@ -136,8 +136,8 @@ func planGreedy(rv *runView, eligible []int32, res *Result, hypothesis object.Se
 }
 
 // planScore is Score on a compiled plan.
-func planScore(p *plan, o *risk.Overlay, threshold float64) *Result {
-	rv := newRunView(p, o)
+func planScore(p *plan, v risk.View, threshold float64) *Result {
+	rv := newRunView(p, v)
 	res := &Result{}
 	hypothesis := make(object.Set)
 	totalObs := rv.pendingCount

@@ -4,10 +4,12 @@
 // engine (ref_test.go), the overlay to the model, and both to the
 // properties every localization must have. A scenario's elements spread
 // over switches, and each switch's run is checked too: on its own model,
-// and on an overlay of its range of the controller model. Random cases
-// come from one generator, randomModel (FuzzLocalize feeds it a fuzzer's
-// bytes), and workload cases from internal/workload's fault scenarios
-// through one loop, runWorkload.
+// and on an overlay of its range of the controller model. A scenario may
+// mark more of the model's edges after its first localization, which must
+// then run on the plan the model kept. Random cases come from one
+// generator, randomModel (FuzzLocalize feeds it a fuzzer's bytes), and
+// workload cases from internal/workload's fault scenarios through one
+// loop, runWorkload.
 
 package localize
 
@@ -28,8 +30,12 @@ import (
 )
 
 // results are one view's localizations: SCOUT with the case's change
-// oracle and blind to change, and SCORE at thresholds 0.6 and 1.
-type results struct{ scout, blind, score06, score1 *Result }
+// oracle and blind to change, and SCORE at thresholds 0.6 and 1; and
+// whether the model was then marked again and localized on its kept plan.
+type results struct {
+	scout, blind, score06, score1 *Result
+	remarked                      bool
+}
 
 // recordingOracle answers from changed and records the calls it gets.
 type recordingOracle struct {
@@ -59,11 +65,11 @@ func check(t *testing.T, label string, model *risk.Model, ov *risk.Overlay, chan
 	var calls []object.Ref
 	for i, v := range []risk.View{model, ov} {
 		plan, again := &recordingOracle{changed: changed}, &recordingOracle{changed: changed}
-		got := results{Scout(v, plan), Scout(v, NoChanges{}), Score(v, 0.6), Score(v, 1)}
+		got := results{scout: Scout(v, plan), blind: Scout(v, NoChanges{}), score06: Score(v, 0.6), score1: Score(v, 1)}
 		want, wantCalls, against := r, calls, "the overlay, against the model"
 		if i == 0 {
 			ref := &recordingOracle{changed: changed}
-			want = results{RefScout(v, ref), RefScout(v, NoChanges{}), RefScore(v, 0.6), RefScore(v, 1)}
+			want = results{scout: RefScout(v, ref), blind: RefScout(v, NoChanges{}), score06: RefScore(v, 0.6), score1: RefScore(v, 1)}
 			wantCalls, against = ref.calls, "the model, against the reference engine"
 		}
 		for _, p := range []struct {
@@ -84,19 +90,20 @@ func check(t *testing.T, label string, model *risk.Model, ov *risk.Overlay, chan
 		}
 		r, calls = got, plan.calls
 	}
-	observed := len(model.FailureSignature())
+	failed, observed := map[object.Ref]int{}, map[risk.ElementID]bool{}
+	model.ForEachMark(func(el risk.ElementID, ref object.Ref) { failed[ref]++; observed[el] = true })
 	for _, res := range []*Result{r.scout, r.blind, r.score06, r.score1} {
-		if !slices.IsSortedFunc(res.Hypothesis, object.Ref.Compare) || res.Explained+len(res.Unexplained) != observed {
-			t.Fatalf("%s: hypothesis %v unsorted, or %d explained and %d unexplained of %d observations", label, res.Hypothesis, res.Explained, len(res.Unexplained), observed)
+		if !slices.IsSortedFunc(res.Hypothesis, object.Ref.Compare) || res.Explained+len(res.Unexplained) != len(observed) {
+			t.Fatalf("%s: hypothesis %v unsorted, or %d explained and %d unexplained of %d observations", label, res.Hypothesis, res.Explained, len(res.Unexplained), len(observed))
 		}
 		for _, ref := range res.Hypothesis {
-			if len(model.FailedElementsOf(ref)) == 0 {
+			if failed[ref] == 0 {
 				t.Fatalf("%s: %v is in the hypothesis with no failed edge", label, ref)
 			}
 		}
 	}
 	for _, ref := range model.Risks() {
-		if deps := model.ElementsOf(ref); len(model.FailedElementsOf(ref)) == len(deps) {
+		if deps := model.ElementsOf(ref); failed[ref] == len(deps) {
 			for _, el := range deps {
 				if slices.Contains(r.blind.Unexplained, el) {
 					t.Fatalf("%s: %v failed fully, and SCOUT left its dependent %d unexplained", label, ref, el)
@@ -115,12 +122,13 @@ func check(t *testing.T, label string, model *risk.Model, ov *risk.Overlay, chan
 
 // scenario is a model's elements, each the risks it depends on, and the
 // failed edges marked on it by element; marking an edge the model lacks
-// creates it. The elements lie in order on switches 1 to switches (one
+// creates it. later are edges the model has, marked after a first
+// localization. The elements lie in order on switches 1 to switches (one
 // when 0), each switch's a run of consecutive elements.
 type scenario struct {
-	deps     [][]object.Ref
-	failed   map[int][]object.Ref
-	switches int
+	deps          [][]object.Ref
+	failed, later map[int][]object.Ref
+	switches      int
 }
 
 // failAll is the scenario whose every edge failed.
@@ -177,15 +185,32 @@ func (s scenario) mark(v risk.Marker, sw object.ID) {
 	}
 }
 
-// run checks the scenario with changed as the change log, then every
-// switch's run of it: its own model, NewModel over the deployment's
-// OnSwitch, held to an overlay of its range of the pristine controller
-// model, each marked with the switch's failed edges.
+// run checks the scenario with changed as the change log; then, if it has
+// later edges, marks them on the model and the overlay, and holds the
+// model's next SCOUT run to one plan reuse and no compile, and to the
+// reference engine, change-log calls included, before checking both again;
+// then every switch's run of it: its own model, NewModel over the
+// deployment's OnSwitch, held to an overlay of its range of the pristine
+// controller model, each marked with the switch's failed edges. It returns
+// the first check's results.
 func (s scenario) run(t *testing.T, label string, changed object.Set) results {
 	t.Helper()
-	ov := risk.NewOverlay(s.model(false))
+	model, ov := s.model(true), risk.NewOverlay(s.model(false))
 	s.mark(ov, 0)
-	r := check(t, label, s.model(true), ov, changed)
+	r := check(t, label, model, ov, changed)
+	if len(s.later) > 0 {
+		later := scenario{deps: s.deps, failed: s.later}
+		later.mark(model, 0)
+		later.mark(ov, 0)
+		plan, ref := &recordingOracle{changed: changed}, &recordingOracle{changed: changed}
+		got, st := ScoutWithStats(model, plan)
+		if want := RefScout(model, ref); st.PlanCompiles != 0 || st.PlanReuses != 1 || !reflect.DeepEqual(got, want) || !reflect.DeepEqual(plan.calls, ref.calls) {
+			t.Fatalf("%s, marked again: %d plan compiles and %d reuses, want 0 and 1; SCOUT %+v calling %v, the reference %+v calling %v",
+				label, st.PlanCompiles, st.PlanReuses, got, plan.calls, want, ref.calls)
+		}
+		check(t, label+", marked again", model, ov, changed)
+		r.remarked = true
+	}
 	d := s.deployment()
 	ctrl := risk.BuildControllerModel(d)
 	for sw := object.ID(1); int(sw) <= max(s.switches, 1); sw++ {
@@ -203,7 +228,8 @@ func (s scenario) run(t *testing.T, label string, changed object.Set) results {
 // dependent one time in two), each in the change log one time in two, and
 // one or two failed edges land where the model may have none, to a filter
 // it may not have: marking creates them. The elements spread over 2 to 4
-// switches.
+// switches. One time in two, up to three edges the model has and no mark
+// names are marked later.
 func randomModel(c *oracle.Choices, partial bool) (scenario, object.Set) {
 	nRisks := 3 + c.Intn(12)
 	filter := func(n int) object.Ref { return object.Filter(object.ID(c.Intn(n))) }
@@ -238,6 +264,15 @@ func randomModel(c *oracle.Choices, partial bool) (scenario, object.Set) {
 		}
 	}
 	s.switches = 2 + c.Intn(3)
+	if c.Chance(2) {
+		s.later = map[int][]object.Ref{}
+		for k := 1 + c.Intn(3); k > 0; k-- {
+			i := c.Intn(len(s.deps))
+			if ref := s.deps[i][c.Intn(len(s.deps[i]))]; !slices.Contains(s.failed[i], ref) && !slices.Contains(s.later[i], ref) {
+				s.later[i] = append(s.later[i], ref)
+			}
+		}
+	}
 	return s, changed
 }
 
@@ -332,10 +367,12 @@ func runWorkload(t *testing.T, fc fabricCase) []results {
 }
 
 // FuzzLocalize runs the fuzzer's bytes as a drawn scenario, with partial
-// faults or without, through the runner: every switch's range included.
+// faults or without, through the runner: later marks and every switch's
+// range included. The last two seeds draw later marks.
 func FuzzLocalize(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 9, 3, 2, 7, 1, 0, 5})
+	f.Add([]byte{0, 1, 1, 0, 3, 1, 2, 1, 4, 0, 2, 0}) // partial, then a later mark
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := oracle.FromBytes(data)
 		partial := c.Chance(2)

@@ -13,8 +13,9 @@
 //     noise, which is the accuracy gap SCOUT closes.
 //
 // The algorithms run on a compiled localization plan (plan.go): dense CSR
-// adjacency and packed bit masks compiled once per pristine model, cached
-// on the model, and composed with an O(marks) delta for overlay runs
+// adjacency compiled once from a model's topology alone and cached on the
+// model. Each run composes it with its own delta — the view's failure
+// marks, and an overlay's created edges and risks — under packed bit masks
 // (engine.go). The original map-of-maps implementation lives in
 // ref_test.go as the readable specification the package's differential
 // tests compare against.
@@ -57,7 +58,8 @@ func (o SetOracle) RecentlyChanged(ref object.Ref) bool {
 }
 
 // NoChanges is an oracle that never reports changes; using it disables
-// SCOUT's second stage (the ablation in DESIGN.md §5).
+// SCOUT's second stage (the ablation `cmd/scout-bench -experiment
+// ablation` runs, scored in README's claims table).
 type NoChanges struct{}
 
 // RecentlyChanged always returns false.
@@ -113,8 +115,7 @@ func Scout(m risk.View, oracle ChangeOracle) *Result {
 // whether it compiled m's plan or reused it, and its stage times.
 func ScoutWithStats(m risk.View, oracle ChangeOracle) (*Result, EngineStats) {
 	var st EngineStats
-	p, o := planFor(m, &st)
-	res := planScout(p, o, oracle, &st)
+	res := planScout(planFor(m, &st), m, oracle, &st)
 	addTotals(st)
 	return res, st
 }
@@ -125,9 +126,9 @@ func ScoutWithStats(m risk.View, oracle ChangeOracle) (*Result, EngineStats) {
 // residual coverage until no eligible risk explains a new observation.
 func Score(m risk.View, threshold float64) *Result {
 	var st EngineStats
-	p, o := planFor(m, &st)
+	p := planFor(m, &st)
 	addTotals(st)
-	return planScore(p, o, threshold)
+	return planScore(p, m, threshold)
 }
 
 // Accuracy holds precision/recall of a hypothesis against ground truth.

@@ -29,7 +29,8 @@ type view struct {
 }
 
 // newView reads m's adjacency: a model's through its methods, an
-// overlay's as its base's plus the edges and marks the overlay adds.
+// overlay's as its base's plus the edges the overlay adds; and m's
+// failure marks.
 func newView(m risk.View) *view {
 	v := &view{
 		deps:        make(map[object.Ref][]risk.ElementID),
@@ -54,14 +55,11 @@ func newView(m risk.View) *view {
 	}
 	for _, ref := range base.Risks() {
 		v.deps[ref] = base.ElementsOf(ref)
-		for _, el := range base.FailedElementsOf(ref) {
-			markFailed(el, ref)
-		}
 	}
 	if isOverlay {
 		ov.ForEachOverlayEdge(func(el risk.ElementID, ref object.Ref) { v.deps[ref] = append(v.deps[ref], el) })
-		ov.ForEachOverlayMark(markFailed)
 	}
+	m.ForEachMark(markFailed)
 	for ref := range v.deps {
 		v.risks = append(v.risks, ref)
 	}

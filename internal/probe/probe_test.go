@@ -188,7 +188,7 @@ func TestProbeSwitchModelAugmentation(t *testing.T) {
 		t.Fatal(err)
 	}
 	violations, _ := Switch(2, d.RulesFor(2), s.TCAM())
-	m := risk.NewModel("switch-2", d.OnSwitch(2))
+	m := risk.NewOverlay(risk.NewModel("switch-2", d.OnSwitch(2)))
 	if risk.AugmentSwitchModel(m, 2, MissingRules(violations), d.Provenance); m.NumFailedEdges() == 0 {
 		t.Fatal("switch-model augmentation marked nothing")
 	}

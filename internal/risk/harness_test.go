@@ -8,7 +8,7 @@
 // edges. The reference is a plain edge map in insertion order. After every
 // step the model, the twin and the overlay must read as their references
 // do, the twin must be untouched, and a plan stored on the model before
-// the step must survive exactly when the step changed nothing.
+// the step must survive exactly when the step added no edge or risk.
 
 package risk_test
 
@@ -49,7 +49,8 @@ type edge struct {
 
 // refModel is the reference: element triplets in ID order, and a plain
 // map of the edges to whether each failed, with their insertion order.
-// changes counts what changed it.
+// changes counts the edges added to it, a new risk's included: what a
+// compiled plan holds.
 type refModel struct {
 	name    string
 	pairs   []compile.SwitchPair
@@ -64,13 +65,12 @@ func newRef(name string, pairs []compile.SwitchPair) *refModel {
 
 // add adds edge e if it is new, and marks it if failed.
 func (r *refModel) add(e edge, failed bool) {
-	if was, ok := r.edges[e]; !ok || failed && !was {
-		if !ok {
-			r.order = append(r.order, e)
-		}
-		r.edges[e] = failed || was
+	was, ok := r.edges[e]
+	if !ok {
+		r.order = append(r.order, e)
 		r.changes++
 	}
+	r.edges[e] = failed || was
 }
 
 // risks returns the refs in the order an edge first named them: RiskID
@@ -85,11 +85,11 @@ func (r *refModel) risks() []object.Ref {
 	return out
 }
 
-// elementsOf returns ref's dependents in edge order, or its failed ones.
-func (r *refModel) elementsOf(ref object.Ref, failed bool) []risk.ElementID {
+// elementsOf returns ref's dependents in edge order.
+func (r *refModel) elementsOf(ref object.Ref) []risk.ElementID {
 	var out []risk.ElementID
 	for _, e := range r.order {
-		if e.ref == ref && (!failed || r.edges[e]) {
+		if e.ref == ref {
 			out = append(out, e.el)
 		}
 	}
@@ -145,6 +145,7 @@ type modelStats struct {
 	refused  int // overlays refused over a marked model
 	unsorted int // drawn footprints NewModel refused
 	switched int // switch-risk marks the patch made beside AugmentSwitchModel's
+	kept     int // steps that marked only edges the model had, so it kept its plan
 }
 
 // refPool is what steps draw refs from besides the model's risks, and
@@ -319,7 +320,7 @@ func (h *harness) step(i int, kind op) {
 	t, c := h.t, h.c
 	t.Helper()
 	label := fmt.Sprintf("step %d (%s)", i, opNames[kind])
-	before, sentinel, baseSentinel := h.ref.changes, new(int), new(int)
+	before, failed, sentinel, baseSentinel := h.ref.changes, len(h.ref.failed()), new(int), new(int)
 	h.m.StorePlan(sentinel)
 	if h.base != nil {
 		h.base.StorePlan(baseSentinel)
@@ -363,7 +364,7 @@ func (h *harness) step(i int, kind op) {
 		aug, patched := risk.NewOverlay(h.base), risk.NewOverlay(h.base)
 		risk.AugmentSwitchModel(aug, sw, missing, h.prov)
 		risk.AugmentControllerModelPatch(h.base, sw, missing, h.prov).Apply(patched)
-		augMarks, patchMarks := marksOf(aug), marksOf(patched)
+		augMarks, patchMarks := sortEdges(marksOf(aug)), sortEdges(marksOf(patched))
 		same(t, label, "AugmentSwitchModel's marks", augMarks, sortEdges(h.augmentMarks(h.twin, sw, missing, false)))
 		same(t, label, "the patch's marks", patchMarks, sortEdges(h.augmentMarks(h.twin, sw, missing, true)))
 		h.stats.switched += len(patchMarks) - len(augMarks)
@@ -379,7 +380,11 @@ func (h *harness) step(i int, kind op) {
 		h.base, h.ovr = h.twin.replay(), h.twin.pristine()
 		h.ov, baseSentinel = risk.NewOverlay(h.base), nil
 	}
-	h.check(label, h.ref.changes != before, sentinel, baseSentinel)
+	changed := h.ref.changes != before
+	h.check(label, changed, sentinel, baseSentinel)
+	if !changed && len(h.ref.failed()) > failed {
+		h.stats.kept++
+	}
 }
 
 // check holds the model, the base and the overlay to their references
@@ -394,29 +399,21 @@ func (h *harness) check(label string, changed bool, sentinel, baseSentinel *int)
 	checkView(t, label+", model", h.m, h.ref)
 	checkView(t, label+", base", h.base, h.twin)
 	checkView(t, label+", overlay", h.ov, h.ovr)
-	var created, marked []edge
+	var created []edge
 	h.ov.ForEachOverlayEdge(func(el risk.ElementID, ref object.Ref) { created = append(created, edge{el, ref}) })
-	h.ov.ForEachOverlayMark(func(el risk.ElementID, ref object.Ref) { marked = append(marked, edge{el, ref}) })
-	risks, wantCreated, wantMarked := h.ovr.risks(), slices.Clone(h.ovr.order[len(h.twin.order):]), h.ovr.failed()
+	wantCreated := slices.Clone(h.ovr.order[len(h.twin.order):])
 	slices.SortStableFunc(wantCreated, func(a, b edge) int { return int(a.el - b.el) })
-	slices.SortFunc(wantMarked, func(a, b edge) int {
-		if a.el != b.el {
-			return int(a.el - b.el)
-		}
-		return slices.Index(risks, a.ref) - slices.Index(risks, b.ref)
-	})
 	_, suspects := h.ovr.signature()
 	same(t, label, "the overlay's edges", created, wantCreated)
-	same(t, label, "the overlay's marks", marked, wantMarked)
-	same(t, label, "the overlay's risks", h.ov.ExtraRiskRefs(), risks[len(h.twin.risks()):])
+	same(t, label, "the overlay's risks", h.ov.ExtraRiskRefs(), h.ovr.risks()[len(h.twin.risks()):])
 	same(t, label, "the suspects", h.ov.SuspectSet(), suspects)
 }
 
-// marksOf returns an overlay's failure marks as sortEdges orders them.
-func marksOf(ov *risk.Overlay) []edge {
+// marksOf returns v's failure marks in the order ForEachMark yields them.
+func marksOf(v risk.View) []edge {
 	var out []edge
-	ov.ForEachOverlayMark(func(el risk.ElementID, ref object.Ref) { out = append(out, edge{el, ref}) })
-	return sortEdges(out)
+	v.ForEachMark(func(el risk.ElementID, ref object.Ref) { out = append(out, edge{el, ref}) })
+	return out
 }
 
 // sortEdges sorts es by element, then ref, and drops repeats.
@@ -426,8 +423,9 @@ func sortEdges(es []edge) []edge {
 }
 
 // checkView holds every read of v to r: the summary, each triplet's
-// element, each ref's risk, the failure signature and, on a model, each
-// risk's dependents and failed dependents and the sorted risk list.
+// element, each ref's risk, the failed edges ForEachMark yields, by
+// element and then RiskID, on an overlay the failure signature, and on a
+// model each risk's dependents and the sorted risk list.
 func checkView(t *testing.T, label string, v risk.View, r *refModel) {
 	t.Helper()
 	same(t, label, "the summary", v, r)
@@ -440,18 +438,22 @@ func checkView(t *testing.T, label string, v risk.View, r *refModel) {
 		id, ok := v.RiskByRef(ref)
 		same(t, label, "RiskByRef("+ref.String()+") is the reference's", ok && int(id) == i, i < len(risks))
 	}
-	sig, _ := r.signature()
-	same(t, label, "the failure signature", v.(interface{ FailureSignature() []risk.ElementID }).FailureSignature(), sig)
+	marks := r.failed()
+	slices.SortFunc(marks, func(a, b edge) int {
+		return cmp.Or(cmp.Compare(a.el, b.el), cmp.Compare(slices.Index(risks, a.ref), slices.Index(risks, b.ref)))
+	})
+	same(t, label, "the marks", marksOf(v), marks)
 	m, ok := v.(*risk.Model)
 	if !ok {
+		sig, _ := r.signature()
+		same(t, label, "the failure signature", v.(*risk.Overlay).FailureSignature(), sig)
 		return
 	}
 	for _, ref := range append(risks, object.Filter(999)) {
 		if deps := m.ElementsOf(ref); len(deps) > 0 {
 			deps[0] = -1 // the caller's copy
 		}
-		same(t, label, "ElementsOf("+ref.String()+")", m.ElementsOf(ref), r.elementsOf(ref, false))
-		same(t, label, "FailedElementsOf("+ref.String()+")", m.FailedElementsOf(ref), r.elementsOf(ref, true))
+		same(t, label, "ElementsOf("+ref.String()+")", m.ElementsOf(ref), r.elementsOf(ref))
 	}
 	slices.SortFunc(risks, object.Ref.Compare)
 	same(t, label, "Risks()", m.Risks(), risks)

@@ -40,6 +40,9 @@ type View interface {
 	NumFailedEdges() int
 	ElementOf(sp compile.SwitchPair) (ElementID, bool)
 	RiskByRef(ref object.Ref) (RiskID, bool)
+	// ForEachMark invokes fn for every failed edge, in ascending element
+	// order, then ascending risk ID.
+	ForEachMark(fn func(el ElementID, ref object.Ref))
 }
 
 // Marker is a View that also accepts failure annotation — what risk-model
@@ -67,7 +70,10 @@ type riskData struct {
 
 // Model is a bipartite risk graph whose elements are a footprint's
 // triplets. Build it with NewModel, then annotate failures with
-// MarkFailed. A Model is not safe for concurrent mutation.
+// MarkFailed. Its topology (elements, risks, edges) is what a localization
+// plan compiles; its failure marks are not in the plan, and every run reads
+// them through ForEachMark, as it reads an overlay's. A Model is not safe
+// for concurrent mutation.
 type Model struct {
 	name     string
 	pairs    []compile.SwitchPair // element i's triplet, ascending
@@ -78,8 +84,9 @@ type Model struct {
 	edges  int
 	failed int // failed edge count
 
-	// rev counts mutations; planCache holds the compiled localization
-	// plan for the revision it was built at (see plancache.go).
+	// rev counts topology changes, a new edge or risk; planCache holds
+	// the compiled localization plan for the revision it was built at
+	// (see plancache.go).
 	rev       uint64
 	planCache planCacheSlot
 }
@@ -184,7 +191,6 @@ func (m *Model) MarkFailed(el ElementID, ref object.Ref) {
 	}
 	e.failed[r] = struct{}{}
 	m.failed++
-	m.rev++
 }
 
 // ElementsOf returns the element IDs depending on risk ref.
@@ -198,32 +204,15 @@ func (m *Model) ElementsOf(ref object.Ref) []ElementID {
 	return out
 }
 
-// FailedElementsOf returns Oi for risk ref: the elements whose edge to ref
-// is marked fail.
-func (m *Model) FailedElementsOf(ref object.Ref) []ElementID {
-	r, ok := m.byRef[ref]
-	if !ok {
-		return nil
-	}
-	var out []ElementID
-	for _, el := range m.risks[r].elements {
-		if _, f := m.elements[el].failed[r]; f {
-			out = append(out, el)
+// ForEachMark invokes fn for every edge marked fail, in ascending element
+// order, then ascending risk ID: the failures a localization run reads as
+// its delta over the model's compiled topology.
+func (m *Model) ForEachMark(fn func(el ElementID, ref object.Ref)) {
+	for el := range m.elements {
+		for _, r := range sortedKeys(m.elements[el].failed) {
+			fn(ElementID(el), m.risks[r].ref)
 		}
 	}
-	return out
-}
-
-// FailureSignature returns the sorted IDs of all observations (elements
-// with at least one failed edge) — the paper's failure signature F.
-func (m *Model) FailureSignature() []ElementID {
-	var out []ElementID
-	for i := range m.elements {
-		if len(m.elements[i].failed) > 0 {
-			out = append(out, ElementID(i))
-		}
-	}
-	return out
 }
 
 // Risks returns all risk refs in the model, sorted.

@@ -1,18 +1,19 @@
-// Compiled-plan cache hook and overlay delta export.
+// Compiled-plan cache hook and failure delta export.
 //
-// The localization engine compiles a pristine *Model into a dense
-// CSR/bitset plan (internal/localize). The plan is valid exactly as long
-// as the model is not mutated, so Model carries a mutation revision and a
-// single-slot atomic cache: StorePlan records an artifact against the
-// current revision, CachedPlan returns it only while the revision still
-// matches. The slot holds `any` so risk does not depend on localize — the
-// same inversion the frozen BDD base uses (the session owns the cache,
-// the producer package defines the artifact).
+// The localization engine compiles a model's topology — its risks and
+// edges, never its failure marks — into a dense CSR/bitset plan
+// (internal/localize). The plan is valid as long as no edge or risk is
+// added, so Model carries a topology revision and a single-slot atomic
+// cache: StorePlan records an artifact against the current revision,
+// CachedPlan returns it only while the revision still matches. Marking an
+// edge the model has leaves the plan valid. The slot holds `any` so risk
+// does not depend on localize — the same inversion the frozen BDD base
+// uses (the session owns the cache, the producer package defines the
+// artifact).
 //
-// Overlays never recompile: the delta exports below enumerate exactly
-// what an overlay adds on top of its base (created risks, created edges,
-// failure marks), which is all the engine needs to compose a per-run
-// delta in O(marks).
+// Every run composes the plan with a per-run delta: the failure marks
+// ForEachMark enumerates on a model or an overlay, and, on an overlay, the
+// risks and edges its marks created, which the exports below enumerate.
 
 package risk
 
@@ -32,8 +33,8 @@ type planEntry struct {
 }
 
 // CachedPlan returns the artifact stored by StorePlan, or nil if none was
-// stored or the model has been mutated since. Safe for concurrent readers
-// of an otherwise-immutable model.
+// stored or an edge or risk has been added since. Safe for concurrent
+// readers of an otherwise-immutable model.
 func (m *Model) CachedPlan() any {
 	e := m.planCache.Load()
 	if e == nil || e.rev != m.rev {
@@ -70,10 +71,11 @@ func (o *Overlay) ForEachOverlayEdge(fn func(el ElementID, ref object.Ref)) {
 	}
 }
 
-// ForEachOverlayMark invokes fn for every failure mark the overlay added
-// (marks on base edges and on overlay-created edges alike), in ascending
-// element order, then ascending risk ID.
-func (o *Overlay) ForEachOverlayMark(fn func(el ElementID, ref object.Ref)) {
+// ForEachMark invokes fn for every failure mark the overlay added (marks on
+// base edges and on overlay-created edges alike), in ascending element
+// order, then ascending risk ID. The base is pristine, so these are every
+// failed edge the overlay has.
+func (o *Overlay) ForEachMark(fn func(el ElementID, ref object.Ref)) {
 	for _, el := range sortedKeys(o.failed) {
 		for _, r := range sortedKeys(o.failed[el]) {
 			fn(el, o.refOf(r))

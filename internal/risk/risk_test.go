@@ -52,6 +52,7 @@ func TestModelBasics(t *testing.T) {
 func TestMarkFailedAndObservations(t *testing.T) {
 	s := runModels(t, nil, 0, 8, 60, opEdge, opMark)
 	exercised(t, "marked a failed edge again", s.remarked)
+	exercised(t, "kept its plan through a mark on an existing edge", s.kept)
 }
 
 func TestMarkFailedCreatesMissingEdge(t *testing.T) {
@@ -153,7 +154,7 @@ func TestBuildControllerModelFigure4b(t *testing.T) {
 	d := threeTier(t)
 	r := refBuild(d, 0)
 	same(t, "controller", "triplets", r.pairs, []string{"S1:1-2", "S2:1-2", "S2:2-3", "S3:2-3"})
-	same(t, "controller", "switch 2's dependents", r.elementsOf(object.Switch(2), false), []int{1, 2})
+	same(t, "controller", "switch 2's dependents", r.elementsOf(object.Switch(2)), []int{1, 2})
 	same(t, "controller", "switch edges", len(slices.DeleteFunc(slices.Clone(r.order), func(e edge) bool { return e.ref.Kind != object.KindSwitch })), 4)
 	checkBuildsMatchOracle(t, "three-tier", d)
 	runModels(t, d, 0, 4, 20, allOps...)
