@@ -246,8 +246,8 @@ func SwitchModelAccuracy(env *Env, opts AccuracyOptions) (*AccuracyResult, error
 	sw, local := busiestSwitch(env)
 	ctrl := risk.BuildControllerModel(env.Deployment)
 	return simulate("switch risk model", func() *risk.Overlay { return risk.NewSwitchOverlay(ctrl, sw) }, local.Objects(), opts,
-		func(m risk.Marker, sc workload.Scenario, rng *rand.Rand) {
-			risk.AugmentSwitchModel(m, sw, sc.Missing(local, rng)[sw], env.Deployment.Provenance)
+		func(o *risk.Overlay, sc workload.Scenario, rng *rand.Rand) {
+			risk.AugmentSwitchModel(o, sw, sc.Missing(local, rng)[sw], env.Deployment.Provenance)
 		})
 }
 
@@ -258,13 +258,13 @@ func ControllerModelAccuracy(env *Env, opts AccuracyOptions) (*AccuracyResult, e
 	return simulate("controller risk model", func() *risk.Overlay { return risk.NewOverlay(ctrl) }, env.Index.Objects(), opts, env.markMissing)
 }
 
-// markMissing marks the rules sc's faults remove in the controller view m
+// markMissing marks the rules sc's faults remove in the controller view o
 // as Analyzer.assemble does: one augmentation patch a switch, applied in
 // ascending switch order.
-func (env *Env) markMissing(m risk.Marker, sc workload.Scenario, rng *rand.Rand) {
+func (env *Env) markMissing(o *risk.Overlay, sc workload.Scenario, rng *rand.Rand) {
 	missing := sc.Missing(env.Index, rng)
 	for _, sw := range env.Topo.Switches() {
-		risk.AugmentControllerModelPatch(m, sw, missing[sw], env.Deployment.Provenance).Apply(m)
+		risk.AugmentControllerModelPatch(o, sw, missing[sw], env.Deployment.Provenance).Apply(o)
 	}
 }
 
@@ -274,7 +274,7 @@ func (env *Env) markMissing(m risk.Marker, sc workload.Scenario, rng *rand.Rand)
 // localize through the overlay view, so runs never pay a model reset (or
 // clone) and cannot leak marks into each other.
 func simulate(title string, fresh func() *risk.Overlay, candidates []object.Ref, opts AccuracyOptions,
-	mark func(risk.Marker, workload.Scenario, *rand.Rand)) (*AccuracyResult, error) {
+	mark func(*risk.Overlay, workload.Scenario, *rand.Rand)) (*AccuracyResult, error) {
 	rng := rand.New(rand.NewSource(opts.Seed))
 	names := make([]string, len(opts.Algorithms))
 	for i, alg := range opts.Algorithms {

@@ -2,18 +2,24 @@ package localize
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"scout/internal/compile"
+	"scout/internal/equiv"
+	"scout/internal/fabric"
 	"scout/internal/faultlog"
 	"scout/internal/object"
 	"scout/internal/oracle"
 	"scout/internal/risk"
+	"scout/internal/rule"
+	"scout/internal/workload"
 )
 
 // fig5 names the risks of the paper's Figure 5 switch risk model.
@@ -67,7 +73,7 @@ func TestScoutWithoutChangeLogLeavesTailUnexplained(t *testing.T) {
 }
 
 func TestScoutNilOracle(t *testing.T) {
-	m := figure5().model(true)
+	m := figure5().overlay()
 	if got, want := Scout(m, nil), Scout(m, NoChanges{}); !reflect.DeepEqual(got, want) {
 		t.Errorf("a nil oracle: %+v; NoChanges gives %+v", got, want)
 	}
@@ -253,12 +259,12 @@ func TestEvaluate(t *testing.T) {
 	}
 }
 
-// TestPlanCompileOnce pins plan reuse: one compile per pristine model
-// revision, none for warm re-runs or for overlays over the same model, and
-// one again after the model changes.
+// TestPlanCompileOnce pins plan reuse: one compile per model, and reuse
+// ever after — warm re-runs, overlays over the model and Prepare compile
+// nothing.
 func TestPlanCompileOnce(t *testing.T) {
 	s, _ := randomModel(oracle.FromSeed(11), true)
-	m := s.model(false)
+	m := s.model()
 	before := StatsSnapshot()
 	Scout(m, NoChanges{})
 	Score(m, 1)
@@ -268,15 +274,123 @@ func TestPlanCompileOnce(t *testing.T) {
 		ov.MarkFailed(0, object.VRF(99))
 		Scout(ov, NoChanges{})
 	}
+	if st := Prepare(m); st.PlanCompiles != 0 {
+		t.Errorf("Prepare on a model with a plan compiled %d", st.PlanCompiles)
+	}
 	if d := StatsSnapshot().Delta(before); d.PlanCompiles != 1 || d.PlanReuses != 6 {
 		t.Errorf("%d plan compiles and %d reuses, want 1 and 6", d.PlanCompiles, d.PlanReuses)
 	}
-	m.MarkFailed(0, object.VRF(1))
-	before = StatsSnapshot()
-	got, want := Scout(m, NoChanges{}), RefScout(m, NoChanges{})
-	if d := StatsSnapshot().Delta(before); !reflect.DeepEqual(got, want) || d.PlanCompiles != 1 {
-		t.Errorf("after a change: %d plan compiles, want 1; plan engine %+v, reference %+v", d.PlanCompiles, got, want)
+}
+
+// TestConcurrentFirstLocalizations: SCOUT on eight overlays of one
+// unprepared model from eight goroutines, each compiling the model's plan
+// or reusing one another stored. Every result equals the reference, and
+// the model keeps a plan. CI runs it under -race.
+func TestConcurrentFirstLocalizations(t *testing.T) {
+	s, changed := randomModel(oracle.FromSeed(5), true)
+	m := s.model()
+	ov := risk.NewOverlay(m)
+	s.mark(ov, 0)
+	want := RefScout(ov, SetOracle(changed))
+	got := make([]*Result, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ov := risk.NewOverlay(m)
+			s.mark(ov, 0)
+			got[i] = Scout(ov, SetOracle(changed))
+		}()
 	}
+	wg.Wait()
+	for i, res := range got {
+		if !reflect.DeepEqual(res, want) {
+			t.Errorf("goroutine %d: SCOUT %+v, the reference %+v", i, res, want)
+		}
+	}
+	if m.CachedPlan() == nil {
+		t.Error("the model holds no plan after its first localizations")
+	}
+}
+
+// TestAnnotatedSwitchModel: BuildAnnotatedSwitchModel's marked model, on
+// which bench/'s staged trace localizes each inconsistent switch, is the
+// one place marks are localized on a model itself. For every inconsistent
+// switch of the testbed fabric, faulted as cmd/scout's golden testbed case
+// is, and of a drawn fault scenario over the small fabric, SCOUT and SCORE
+// on that model equal the reference engine, change-log calls included, and
+// an overlay of the switch's range of the controller model marked with the
+// same rules localizes alike.
+func TestAnnotatedSwitchModel(t *testing.T) {
+	pol, tp, err := workload.Generate(workload.TestbedSpec(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := fabric.New(pol, tp, fabric.Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Deploy(); err != nil {
+		t.Fatal(err)
+	}
+	for ref, frac := range map[object.Ref]float64{object.Filter(5002): 1, object.EPG(1004): 0.4} {
+		if _, err := f.InjectObjectFault(ref, frac); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d, missing := f.Deployment(), map[object.ID][]rule.Rule{}
+	for _, sw := range tp.Switches() {
+		s, err := f.Switch(sw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := equiv.NewBaseWith(nil).NewChecker().Check(d.RulesFor(sw), s.TCAM().Rules())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Equivalent {
+			missing[sw] = rep.MissingRules
+		}
+	}
+	checkAnnotated(t, "testbed", d, missing, object.NewSet(object.EPG(1004)))
+
+	pol, tp, err = workload.Generate(workload.SmallFabricSpec(), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, err = compile.Compile(pol, tp); err != nil {
+		t.Fatal(err)
+	}
+	idx := workload.BuildIndex(d)
+	sc, err := workload.NewScenario(rand.New(rand.NewSource(3)), idx.Objects(), 6, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAnnotated(t, "small fabric", d, sc.Missing(idx, rand.New(rand.NewSource(4))), sc.Changed)
+}
+
+// checkAnnotated checks, in ascending switch order, each switch's model
+// annotated with its missing rules against an overlay of its range of the
+// controller model marked with them.
+func checkAnnotated(t *testing.T, label string, d *compile.Deployment, missing map[object.ID][]rule.Rule, changed object.Set) {
+	t.Helper()
+	ctrl, marked := risk.BuildControllerModel(d), 0
+	var switches []object.ID
+	for sw := range missing {
+		switches = append(switches, sw)
+	}
+	slices.Sort(switches)
+	for _, sw := range switches {
+		m := risk.BuildAnnotatedSwitchModel(d, sw, missing[sw])
+		ov := risk.NewSwitchOverlay(ctrl, sw)
+		risk.AugmentSwitchModel(ov, sw, missing[sw], d.Provenance)
+		check(t, fmt.Sprintf("%s, switch %d", label, sw), m, ov, changed)
+		if m.NumFailedEdges() > 0 {
+			marked++
+		}
+	}
+	exercised(t, label+" localized a marked switch model", marked)
 }
 
 // Drawn cases.
@@ -298,8 +412,8 @@ func TestScoutDeterministic(t *testing.T) { runModels(t, 3, 40, false) }
 
 func TestScoreThresholdMonotonicity(t *testing.T) { runModels(t, 42, 40, true) }
 
-// TestDifferentialRandomModels: partial faults, and models marked again
-// after a first localization, which must localize on the plan they kept.
+// TestDifferentialRandomModels: partial faults, and overlays marked again
+// after a first localization, which must localize on the model's plan.
 func TestDifferentialRandomModels(t *testing.T) {
 	remarked := 0
 	for _, r := range runModels(t, 1, 120, true) {
@@ -325,8 +439,8 @@ func TestOverlayCloneInterchangeableSwitchModel(t *testing.T) {
 // TestDifferentialOverlays: every build of the controller model goes
 // through the shim that once took a worker count, at 1, 2 and NumCPU in
 // turn — the pristine twin at 1, then each scenario's model at the next —
-// so every scenario holds a model built at one count to an overlay over a
-// build at another: separate builds localize alike.
+// so every scenario holds an overlay over a model built at one count to an
+// overlay over a build at another: separate builds localize alike.
 func TestDifferentialOverlays(t *testing.T) {
 	workers, builds := []int{1, 2, runtime.NumCPU()}, 0
 	runWorkload(t, fabricCase{seeds: 4, faults: 5, noise: 5, build: func(d *compile.Deployment) *risk.Model {

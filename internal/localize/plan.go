@@ -11,13 +11,12 @@
 //     finds a risk's dependents in it by binary search
 //   - element → risks (adj/adjOff), sorted by plan index
 //
-// The plan is cached on the model against its topology revision (the way
-// the frozen BDD base is cached against its deployment fingerprint), so
-// repeated runs — and every overlay stacked on the model — reuse it
-// without recompiling, and marking an edge the model has keeps it. Every
-// run composes the plan with a per-run delta: the view's failure marks,
-// enumerated by ForEachMark, and an overlay's created edges
-// and risks.
+// A model never changes once built, so its plan is compiled once and
+// cached on it (the way the frozen BDD base is cached on its deployment's
+// fingerprint): repeated runs, and every overlay stacked on the model,
+// reuse it without recompiling. Every run composes the plan with a per-run
+// delta: the view's failure marks, enumerated by ForEachMark, and an
+// overlay's created edges and risks.
 
 package localize
 
@@ -56,8 +55,8 @@ func (p *plan) depsIn(i, lo, hi int32) []int32 {
 }
 
 // compilePlan builds a plan from the model's topology through its public
-// read surface. Called once per topology revision; every subsequent run
-// reuses the cached result.
+// read surface. Called once per model; every subsequent run reuses the
+// cached result.
 func compilePlan(m *risk.Model) *plan {
 	refs := m.Risks() // sorted by Ref.Less
 	nR, nE := len(refs), m.NumElements()
@@ -70,8 +69,8 @@ func compilePlan(m *risk.Model) *plan {
 		adjOff:    make([]int32, nE+1),
 	}
 
-	// First pass: each risk's dependents, ascending (an edge added after
-	// the build appends), and adjacency counts per element.
+	// First pass: each risk's dependents, ascending (an edge a folded
+	// overlay created comes last), and adjacency counts per element.
 	elems := make([][]risk.ElementID, nR)
 	for i, ref := range refs {
 		p.idxByRef[ref] = int32(i)

@@ -153,7 +153,7 @@ func TestProbeLocalizationEndToEnd(t *testing.T) {
 	}
 	d := f.Deployment()
 
-	m := risk.BuildControllerModel(d)
+	m := risk.NewOverlay(risk.BuildControllerModel(d))
 	for _, sw := range threeTierSwitches {
 		s, err := f.Switch(sw)
 		if err != nil {

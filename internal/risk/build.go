@@ -13,16 +13,17 @@ import (
 	"scout/internal/rule"
 )
 
-// BuildAnnotatedSwitchModel builds sw's switch risk model on its own and
-// marks it in place with the switch's missing rules.
+// BuildAnnotatedSwitchModel builds sw's switch risk model on its own,
+// marks an overlay over it with the switch's missing rules, and returns
+// the overlay folded into a model.
 //
 // Deprecated: the analyzer localizes each switch on a range of the
 // controller model (NewSwitchOverlay), annotated afresh per analysis. It
 // stays until bench/ stops calling it (ROADMAP item 1, shims).
 func BuildAnnotatedSwitchModel(d *compile.Deployment, sw object.ID, missing []rule.Rule) *Model {
-	m := NewModel(fmt.Sprintf("switch-%d", sw), d.OnSwitch(sw))
-	AugmentSwitchModel(m, sw, missing, d.Provenance)
-	return m
+	o := NewOverlay(NewModel(fmt.Sprintf("switch-%d", sw), d.OnSwitch(sw)))
+	AugmentSwitchModel(o, sw, missing, d.Provenance)
+	return o.fold()
 }
 
 // ControllerModelOptions is the ignored argument of
@@ -62,24 +63,24 @@ func BuildControllerModelParallel(d *compile.Deployment, opts ControllerModelOpt
 	return BuildControllerModel(d)
 }
 
-// AugmentSwitchModel marks failures in a risk model from the missing rules
+// AugmentSwitchModel marks failures in an overlay from the missing rules
 // the equivalence checker reported for switch sw. For every missing rule,
 // the triplet it serves on sw becomes an observation and the edges to all
-// objects in the rule's provenance are flagged fail. m may be a mutable
-// model or an overlay, of the controller model or of one switch's range of
-// it: the lookup is AugmentControllerModelPatch's.
-func AugmentSwitchModel(m Marker, sw object.ID, missing []rule.Rule, prov map[rule.Key][]object.Ref) {
+// objects in the rule's provenance are flagged fail. o may view the
+// controller model or one switch's range of it: the lookup is
+// AugmentControllerModelPatch's.
+func AugmentSwitchModel(o *Overlay, sw object.ID, missing []rule.Rule, prov map[rule.Key][]object.Ref) {
 	for _, r := range missing {
-		if el, ok := implicated(m, sw, r); ok {
+		if el, ok := implicated(o, sw, r); ok {
 			for _, ref := range provenanceOf(r, prov) {
-				m.MarkFailed(el, ref)
+				o.MarkFailed(el, ref)
 			}
 		}
 	}
 }
 
 // Patch is an ordered list of failure marks computed against a read-only
-// View, replayable into a Marker with Apply. It decouples computing
+// View, replayable into an Overlay with Apply. It decouples computing
 // controller-model augmentation (per-switch, read-only, safe to fan out)
 // from applying it (serial, in ascending switch-ID order), which is what
 // lets the analyzer's fold stage parallelize everything but the final
@@ -93,10 +94,10 @@ type patchMark struct {
 	ref object.Ref
 }
 
-// Apply replays the marks into m in recorded order.
-func (p *Patch) Apply(m Marker) {
+// Apply replays the marks into o in recorded order.
+func (p *Patch) Apply(o *Overlay) {
 	for _, mk := range p.marks {
-		m.MarkFailed(mk.el, mk.ref)
+		o.MarkFailed(mk.el, mk.ref)
 	}
 }
 

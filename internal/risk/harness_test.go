@@ -1,20 +1,22 @@
 // The package's case runner. A case starts from a drawn footprint, which
 // NewModel must refuse unless its triplets strictly ascend, or from a
 // deployment's model. One stream of steps, read from an oracle.Choices,
-// goes to a model marked in place and to an overlay over a pristine twin:
-// AddEdge and MarkFailed, AugmentSwitchModel, AugmentControllerModelPatch
-// with Apply, both augmentations of one switch's rules side by side, and
-// NewOverlay, which puts a fresh overlay over a new twin of the model's
-// edges. The reference is a plain edge map in insertion order. After every
-// step the model, the twin and the overlay must read as their references
-// do, the twin must be untouched, and a plan stored on the model before
-// the step must survive exactly when the step added no edge or risk.
+// marks an overlay over that model: MarkFailed, AugmentSwitchModel,
+// AugmentControllerModelPatch with Apply, both augmentations of one
+// switch's rules side by side, and NewOverlay, which puts a fresh overlay
+// over a new model, NewModel's build of the overlay's edges. The reference
+// is a plain edge map in insertion order. After every step the model, the
+// overlay and the overlay folded into a model must read as their
+// references do, the model must be untouched and still hold the plan
+// stored on it, and an overlay over the folded model must be refused once
+// it carries a mark.
 
 package risk_test
 
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 	"testing"
 
@@ -30,17 +32,16 @@ import (
 type op int
 
 const (
-	opEdge op = iota
-	opMark
+	opMark op = iota
 	opAugment
 	opPatch
 	opBoth
 	opOverlay
 )
 
-var opNames = [...]string{"AddEdge", "MarkFailed", "AugmentSwitchModel", "Patch.Apply", "both augmentations", "NewOverlay"}
+var opNames = [...]string{"MarkFailed", "AugmentSwitchModel", "Patch.Apply", "both augmentations", "NewOverlay"}
 
-var allOps = []op{opEdge, opMark, opAugment, opPatch, opBoth, opOverlay}
+var allOps = []op{opMark, opAugment, opPatch, opBoth, opOverlay}
 
 type edge struct {
 	el  risk.ElementID
@@ -49,14 +50,11 @@ type edge struct {
 
 // refModel is the reference: element triplets in ID order, and a plain
 // map of the edges to whether each failed, with their insertion order.
-// changes counts the edges added to it, a new risk's included: what a
-// compiled plan holds.
 type refModel struct {
-	name    string
-	pairs   []compile.SwitchPair
-	order   []edge
-	edges   map[edge]bool
-	changes int
+	name  string
+	pairs []compile.SwitchPair
+	order []edge
+	edges map[edge]bool
 }
 
 func newRef(name string, pairs []compile.SwitchPair) *refModel {
@@ -68,7 +66,6 @@ func (r *refModel) add(e edge, failed bool) {
 	was, ok := r.edges[e]
 	if !ok {
 		r.order = append(r.order, e)
-		r.changes++
 	}
 	r.edges[e] = failed || was
 }
@@ -116,23 +113,31 @@ func (r *refModel) String() string {
 		r.name, len(r.pairs), len(r.risks()), len(r.order), len(r.failed()))
 }
 
-// pristine returns r's elements and edges, none failed.
+// clone returns a copy of r.
+func (r *refModel) clone() *refModel {
+	return &refModel{name: r.name, pairs: r.pairs, order: slices.Clone(r.order), edges: maps.Clone(r.edges)}
+}
+
+// pristine returns r's elements and edges, none failed, the edges
+// element-major: the order NewModel numbers risks and dependents in.
 func (r *refModel) pristine() *refModel {
 	p := newRef(r.name, r.pairs)
-	for _, e := range r.order {
+	order := slices.Clone(r.order)
+	slices.SortStableFunc(order, func(a, b edge) int { return cmp.Compare(a.el, b.el) })
+	for _, e := range order {
 		p.add(e, false)
 	}
 	return p
 }
 
-// replay builds pristine r: its triplets through NewModel, then its edges
-// through AddEdge.
+// replay builds pristine r, whose edges are element-major, through
+// NewModel: element i depends on the refs of its edges in r's order.
 func (r *refModel) replay() *risk.Model {
-	m := risk.NewModel(r.name, compile.Footprint{Pairs: r.pairs, Risks: make([][]object.Ref, len(r.pairs))})
+	fp := compile.Footprint{Pairs: r.pairs, Risks: make([][]object.Ref, len(r.pairs))}
 	for _, e := range r.order {
-		m.AddEdge(e.el, e.ref)
+		fp.Risks[e.el] = append(fp.Risks[e.el], e.ref)
 	}
-	return m
+	return risk.NewModel(r.name, fp)
 }
 
 // modelStats is what a run exercised.
@@ -142,10 +147,9 @@ type modelStats struct {
 	resolved int // augmented rules whose provenance came from the map
 	own      int // augmented rules whose own provenance is not the map's
 	skipped  int // augmented rules for a triplet the model lacks
-	refused  int // overlays refused over a marked model
+	refused  int // overlays refused over a folded, marked overlay
 	unsorted int // drawn footprints NewModel refused
 	switched int // switch-risk marks the patch made beside AugmentSwitchModel's
-	kept     int // steps that marked only edges the model had, so it kept its plan
 }
 
 // refPool is what steps draw refs from besides the model's risks, and
@@ -154,14 +158,19 @@ var refPool = []object.Ref{object.VRF(1), object.EPG(1), object.EPG(2), object.E
 	object.Contract(2), object.Filter(1), object.Filter(2), object.Filter(3), object.Filter(4), object.Switch(1), object.Switch(2)}
 
 type harness struct {
-	t              *testing.T
-	c              *oracle.Choices
-	d              *compile.Deployment
-	prov           map[rule.Key][]object.Ref
-	m, base        *risk.Model
-	ov             *risk.Overlay
-	ref, twin, ovr *refModel // the model's, the base's and the overlay's
-	stats          *modelStats
+	t         *testing.T
+	c         *oracle.Choices
+	d         *compile.Deployment
+	prov      map[rule.Key][]object.Ref
+	base      *risk.Model
+	ov        *risk.Overlay
+	twin, ovr *refModel // the base's and the overlay's
+	plan      *int      // the plan stored on base
+	// folded is the overlay folded at the last check; was is what its
+	// reference was then.
+	folded *risk.Model
+	was    *refModel
+	stats  *modelStats
 }
 
 // runModel drives one case from c: steps each drawn uniformly from ops,
@@ -173,10 +182,10 @@ func runModel(t *testing.T, c *oracle.Choices, d *compile.Deployment, sw object.
 	switch {
 	case d == nil:
 		fp := h.footprint()
-		h.m, h.ref = risk.NewModel("drawn", fp), newRef("drawn", fp.Pairs)
+		h.base, h.twin = risk.NewModel("drawn", fp), newRef("drawn", fp.Pairs)
 		for el, refs := range fp.Risks {
 			for _, ref := range refs {
-				h.ref.add(edge{risk.ElementID(el), ref}, false)
+				h.twin.add(edge{risk.ElementID(el), ref}, false)
 			}
 		}
 		for _, x := range h.rules(18) {
@@ -185,14 +194,15 @@ func runModel(t *testing.T, c *oracle.Choices, d *compile.Deployment, sw object.
 			}
 		}
 	case sw == 0:
-		h.m, h.ref = risk.BuildControllerModel(d), refBuild(d, 0)
+		h.base, h.twin = risk.BuildControllerModel(d), refBuild(d, 0)
 	default:
-		h.m, h.ref = switchModel(d, sw), refBuild(d, sw)
+		h.base, h.twin = switchModel(d, sw), refBuild(d, sw)
 	}
 	if d != nil {
 		h.prov = d.Provenance
 	}
-	h.step(-1, opOverlay)
+	h.fresh()
+	h.check("the build")
 	for i := 0; i < steps; i++ {
 		h.step(i, ops[c.Intn(len(ops))])
 	}
@@ -316,39 +326,32 @@ func (h *harness) apply(r *refModel, es []edge) {
 	}
 }
 
+// fresh puts a fresh overlay over the new base, and stores a plan on the
+// base; a second store must not replace it.
+func (h *harness) fresh() {
+	h.ov, h.ovr, h.plan = risk.NewOverlay(h.base), h.twin.pristine(), new(int)
+	h.base.StorePlan(h.plan)
+	h.base.StorePlan(new(int))
+}
+
 func (h *harness) step(i int, kind op) {
 	t, c := h.t, h.c
 	t.Helper()
 	label := fmt.Sprintf("step %d (%s)", i, opNames[kind])
-	before, failed, sentinel, baseSentinel := h.ref.changes, len(h.ref.failed()), new(int), new(int)
-	h.m.StorePlan(sentinel)
-	if h.base != nil {
-		h.base.StorePlan(baseSentinel)
-	}
-	el := risk.ElementID(c.Intn(len(h.ref.pairs)))
+	el := risk.ElementID(c.Intn(len(h.twin.pairs)))
 	switch kind {
-	case opEdge:
-		ref := h.refFrom(h.ref)
-		h.m.AddEdge(el, ref)
-		h.ref.add(edge{el, ref}, false)
 	case opMark:
-		ref := h.refFrom(h.ref)
-		h.m.MarkFailed(el, ref)
-		h.apply(h.ref, []edge{{el, ref}})
+		ref := h.refFrom(h.ovr)
 		h.ov.MarkFailed(el, ref)
 		h.apply(h.ovr, []edge{{el, ref}})
 	case opAugment:
 		sw, missing := h.sw(), h.rules(4)
-		risk.AugmentSwitchModel(h.m, sw, missing, h.prov)
-		h.apply(h.ref, h.augmentMarks(h.ref, sw, missing, false))
 		risk.AugmentSwitchModel(h.ov, sw, missing, h.prov)
 		h.apply(h.ovr, h.augmentMarks(h.ovr, sw, missing, false))
 	case opPatch:
-		sw, missing := h.sw(), h.rules(4)
-		risk.AugmentControllerModelPatch(h.m, sw, missing, h.prov).Apply(h.m)
-		h.apply(h.ref, h.augmentMarks(h.ref, sw, missing, true))
 		// Computed as the analyzer computes it, against the pristine base,
 		// or against the overlay itself.
+		sw, missing := h.sw(), h.rules(4)
 		at, atRef := risk.View(h.base), h.twin
 		if c.Chance(2) {
 			at, atRef = h.ov, h.ovr
@@ -369,36 +372,43 @@ func (h *harness) step(i int, kind op) {
 		same(t, label, "the patch's marks", patchMarks, sortEdges(h.augmentMarks(h.twin, sw, missing, true)))
 		h.stats.switched += len(patchMarks) - len(augMarks)
 	case opOverlay:
-		if len(h.ref.failed()) > 0 {
-			h.stats.refused++
-			func() {
-				defer func() { same(t, label, "NewOverlay over a marked model panics", recover() != nil, true) }()
-				risk.NewOverlay(h.m)
-			}()
-		}
-		h.twin = h.ref.pristine()
-		h.base, h.ovr = h.twin.replay(), h.twin.pristine()
-		h.ov, baseSentinel = risk.NewOverlay(h.base), nil
+		// A new model of the overlay's edges, element-major as NewModel
+		// numbers them.
+		h.twin = h.ovr.pristine()
+		h.base = h.twin.replay()
+		h.fresh()
 	}
-	changed := h.ref.changes != before
-	h.check(label, changed, sentinel, baseSentinel)
-	if !changed && len(h.ref.failed()) > failed {
-		h.stats.kept++
-	}
+	h.check(label)
 }
 
-// check holds the model, the base and the overlay to their references
-// after a step that changed the model, or not.
-func (h *harness) check(label string, changed bool, sentinel, baseSentinel *int) {
+// check holds the model, the overlay and the overlay folded into a model
+// to their references after a step.
+func (h *harness) check(label string) {
 	t := h.t
 	t.Helper()
-	same(t, label, "the model changed, and its plan", []bool{changed, h.m.CachedPlan() == any(sentinel)}, []bool{changed, !changed})
-	if baseSentinel != nil && h.base.CachedPlan() != any(baseSentinel) || h.ov.Base() != h.base {
-		t.Fatalf("%s: the overlay's base changed", label)
+	if h.base.CachedPlan() != any(h.plan) || h.ov.Base() != h.base {
+		t.Fatalf("%s: the overlay's base changed, or its plan did", label)
 	}
-	checkView(t, label+", model", h.m, h.ref)
-	checkView(t, label+", base", h.base, h.twin)
+	checkView(t, label+", model", h.base, h.twin)
 	checkView(t, label+", overlay", h.ov, h.ovr)
+	if h.folded != nil {
+		checkView(t, label+", the last check's fold", h.folded, h.was)
+	}
+	h.folded, h.was = risk.Fold(h.ov), h.ovr.clone()
+	checkView(t, label+", folded overlay", h.folded, h.ovr)
+	if e, ok := h.rival(); ok {
+		other := risk.NewOverlay(h.base)
+		other.MarkFailed(e.el, e.ref)
+		risk.Fold(other)
+		checkView(t, label+", folded overlay after another fold", h.folded, h.ovr)
+	}
+	if len(h.ovr.failed()) > 0 {
+		h.stats.refused++
+		func() {
+			defer func() { same(t, label, "NewOverlay over a marked model panics", recover() != nil, true) }()
+			risk.NewOverlay(h.folded)
+		}()
+	}
 	var created []edge
 	h.ov.ForEachOverlayEdge(func(el risk.ElementID, ref object.Ref) { created = append(created, edge{el, ref}) })
 	wantCreated := slices.Clone(h.ovr.order[len(h.twin.order):])
@@ -407,6 +417,25 @@ func (h *harness) check(label string, changed bool, sentinel, baseSentinel *int)
 	same(t, label, "the overlay's edges", created, wantCreated)
 	same(t, label, "the overlay's risks", h.ov.ExtraRiskRefs(), h.ovr.risks()[len(h.twin.risks()):])
 	same(t, label, "the suspects", h.ov.SuspectSet(), suspects)
+}
+
+// rival returns an edge the base lacks to the risk of the overlay's first
+// created edge to a base risk, from another element: a second fold of the
+// base appends it where the overlay's fold appended that edge.
+func (h *harness) rival() (edge, bool) {
+	risks := h.twin.risks()
+	for _, c := range h.ovr.order[len(h.twin.order):] {
+		if !slices.Contains(risks, c.ref) {
+			continue
+		}
+		for el := range h.twin.pairs {
+			if e := (edge{risk.ElementID(el), c.ref}); e.el != c.el && !slices.Contains(h.twin.order, e) {
+				return e, true
+			}
+		}
+		return edge{}, false
+	}
+	return edge{}, false
 }
 
 // marksOf returns v's failure marks in the order ForEachMark yields them.

@@ -13,6 +13,7 @@ package risk
 import (
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"scout/internal/compile"
 	"scout/internal/object"
@@ -26,11 +27,12 @@ type RiskID int
 
 // View is the read interface over an annotated risk model: what
 // localization, augmentation, evaluation and the report's summary read.
-// A *Model annotated in place and a copy-on-write *Overlay over an
-// immutable pristine core are interchangeable behind it: both yield the
+// Failures are marked on a copy-on-write *Overlay over an immutable
+// pristine *Model; a *Model carries marks only when an overlay was folded
+// into it (BuildAnnotatedSwitchModel). An overlay and its fold yield the
 // same element/risk IDs and failure sets, so every downstream result is
-// byte-identical regardless of which backs the view. An element is looked
-// up by its (switch, EPG pair) triplet.
+// byte-identical whichever backs the view. An element is looked up by its
+// (switch, EPG pair) triplet.
 type View interface {
 	fmt.Stringer
 	Name() string
@@ -45,19 +47,6 @@ type View interface {
 	ForEachMark(fn func(el ElementID, ref object.Ref))
 }
 
-// Marker is a View that also accepts failure annotation — what risk-model
-// augmentation and fault injection write against. Both *Model and
-// *Overlay implement it.
-type Marker interface {
-	View
-	MarkFailed(el ElementID, ref object.Ref)
-}
-
-var (
-	_ Marker = (*Model)(nil)
-	_ Marker = (*Overlay)(nil)
-)
-
 type elementData struct {
 	risks  []RiskID
 	failed map[RiskID]struct{}
@@ -69,26 +58,23 @@ type riskData struct {
 }
 
 // Model is a bipartite risk graph whose elements are a footprint's
-// triplets. Build it with NewModel, then annotate failures with
-// MarkFailed. Its topology (elements, risks, edges) is what a localization
-// plan compiles; its failure marks are not in the plan, and every run reads
-// them through ForEachMark, as it reads an overlay's. A Model is not safe
-// for concurrent mutation.
+// triplets. Nothing changes a Model once NewModel returns it: failures
+// are marked on an Overlay over it, so concurrent readers and overlays
+// share one. Its topology (elements, risks, edges) is what a localization
+// plan compiles, once per model.
 type Model struct {
 	name     string
 	pairs    []compile.SwitchPair // element i's triplet, ascending
 	elements []elementData
 
-	risks  []riskData
-	byRef  map[object.Ref]RiskID
-	edges  int
-	failed int // failed edge count
+	risks []riskData
+	byRef map[object.Ref]RiskID
+	edges int
+	// failed counts failed edges; only a folded overlay has any (the
+	// elements' failed sets hold them).
+	failed int
 
-	// rev counts topology changes, a new edge or risk; planCache holds
-	// the compiled localization plan for the revision it was built at
-	// (see plancache.go).
-	rev       uint64
-	planCache planCacheSlot
+	plan atomic.Pointer[any] // the compiled localization plan (plancache.go)
 }
 
 // NewModel builds a pristine model with a diagnostic name and one element
@@ -111,13 +97,17 @@ func NewModel(name string, fp compile.Footprint) *Model {
 		refs := fp.Risks[i]
 		risks := make([]RiskID, len(refs))
 		for j, ref := range refs {
-			r := m.EnsureRisk(ref)
+			r, ok := m.byRef[ref]
+			if !ok {
+				r = RiskID(len(m.risks))
+				m.risks = append(m.risks, riskData{ref: ref})
+				m.byRef[ref] = r
+			}
 			risks[j] = r
 			m.risks[r].elements = append(m.risks[r].elements, ElementID(i))
 		}
 		m.elements[i].risks = risks
 		m.edges += len(refs)
-		m.rev += 1 + uint64(len(refs))
 	}
 	return m
 }
@@ -143,54 +133,10 @@ func (m *Model) ElementOf(sp compile.SwitchPair) (ElementID, bool) {
 	return ElementID(i), ok
 }
 
-// EnsureRisk returns the risk node for ref, creating it if needed.
-func (m *Model) EnsureRisk(ref object.Ref) RiskID {
-	if id, ok := m.byRef[ref]; ok {
-		return id
-	}
-	id := RiskID(len(m.risks))
-	m.risks = append(m.risks, riskData{ref: ref})
-	m.byRef[ref] = id
-	m.rev++
-	return id
-}
-
 // RiskByRef looks up a risk node by object reference.
 func (m *Model) RiskByRef(ref object.Ref) (RiskID, bool) {
 	id, ok := m.byRef[ref]
 	return id, ok
-}
-
-// AddEdge connects an element to a risk (idempotent). New edges start in
-// the success state.
-func (m *Model) AddEdge(el ElementID, ref object.Ref) {
-	r := m.EnsureRisk(ref)
-	for _, existing := range m.elements[el].risks {
-		if existing == r {
-			return
-		}
-	}
-	m.elements[el].risks = append(m.elements[el].risks, r)
-	m.risks[r].elements = append(m.risks[r].elements, el)
-	m.edges++
-	m.rev++
-}
-
-// MarkFailed flags the edge between el and ref as fail, creating the edge
-// if it did not exist (an observed violation always implicates the object,
-// §III-C). Marking a failed edge again changes nothing.
-func (m *Model) MarkFailed(el ElementID, ref object.Ref) {
-	m.AddEdge(el, ref)
-	r := m.byRef[ref]
-	e := &m.elements[el]
-	if e.failed == nil {
-		e.failed = make(map[RiskID]struct{})
-	}
-	if _, already := e.failed[r]; already {
-		return
-	}
-	e.failed[r] = struct{}{}
-	m.failed++
 }
 
 // ElementsOf returns the element IDs depending on risk ref.
@@ -205,8 +151,9 @@ func (m *Model) ElementsOf(ref object.Ref) []ElementID {
 }
 
 // ForEachMark invokes fn for every edge marked fail, in ascending element
-// order, then ascending risk ID: the failures a localization run reads as
-// its delta over the model's compiled topology.
+// order, then ascending risk ID: the marks of the overlay folded into the
+// model, which a localization run reads as its delta over the model's
+// compiled topology.
 func (m *Model) ForEachMark(fn func(el ElementID, ref object.Ref)) {
 	for el := range m.elements {
 		for _, r := range sortedKeys(m.elements[el].failed) {

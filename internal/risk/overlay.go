@@ -1,33 +1,30 @@
 // Copy-on-write failure overlays over an immutable pristine risk model.
 //
 // Building the controller risk model is O(deployment); annotating it with
-// one round's failures is O(failures). Annotation mutates a Model, so a
-// continuous-verification loop marking a cached model in place would pay
-// a build or a deep copy every warm run anyway. An Overlay removes that:
-// the pristine Model becomes a shared read-only core, and each run puts
-// a small overlay over it that records only its own failed-edge marks
-// (plus the rare edges/risks a mark creates). Creating an overlay is
-// O(1); reads merge base and overlay state so the overlay is
-// indistinguishable from a second build of the model annotated in place
-// with the same MarkFailed sequence — the property the risk and
-// localization runners pin.
+// one round's failures is O(failures). The pristine Model is a shared
+// read-only core that nothing marks, and each run puts a small overlay
+// over it that records only its own failed-edge marks (plus the rare
+// edges/risks a mark creates). Creating an overlay is O(1); reads merge
+// base and overlay state, numbering the risks and edges a mark creates
+// after the base's. fold turns an overlay into a Model of its own, for
+// the one caller that wants a marked model.
 
 package risk
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"scout/internal/compile"
 	"scout/internal/object"
 )
 
-// Overlay is a copy-on-write failure view over a base Model. The base is
-// treated as immutable for the overlay's lifetime: concurrent readers
-// (including other overlays over the same base) are safe as long as
-// nothing mutates the base itself. Element and risk IDs match what
-// MarkFailed on the model itself would produce, so results read through
-// either are identical.
+// Overlay is a copy-on-write failure view over a base Model. The base
+// never changes, so concurrent readers (including other overlays over the
+// same base) are safe. Risks a mark creates are numbered after the base's
+// in creation order.
 //
 // An Overlay supports marking failures but not adding elements; risks and
 // edges are created implicitly when a mark names an edge the base lacks
@@ -42,24 +39,26 @@ type Overlay struct {
 	lo, hi ElementID
 
 	// extraRisks holds risks created by overlay marks; their IDs continue
-	// the base's dense numbering in creation order, mirroring EnsureRisk
-	// on the model itself.
+	// the base's dense numbering in creation order.
 	extraRisks []object.Ref
 	extraByRef map[object.Ref]RiskID
 
-	// extraDeps appends overlay-created edges to an element's adjacency.
-	extraDeps map[ElementID][]RiskID
+	// created lists the edges overlay marks created, in mark order.
+	created []createdEdge
 
 	// failed records the overlay's failure marks per element.
 	failed map[ElementID]map[RiskID]struct{}
 
-	edges     int // overlay-created edges
 	numFailed int // overlay-added failure marks
 }
 
+type createdEdge struct {
+	el ElementID
+	r  RiskID
+}
+
 // NewOverlay creates an empty failure overlay over base, which must carry
-// no failed edge; it panics on one that does. The caller must not mutate
-// base while the overlay is alive.
+// no failed edge; it panics on a folded overlay that does.
 func NewOverlay(base *Model) *Overlay {
 	if base.failed > 0 {
 		panic(fmt.Sprintf("risk: overlay over %s, which is not pristine", base))
@@ -68,7 +67,6 @@ func NewOverlay(base *Model) *Overlay {
 		base:       base,
 		hi:         ElementID(len(base.elements)),
 		extraByRef: make(map[object.Ref]RiskID),
-		extraDeps:  make(map[ElementID][]RiskID),
 		failed:     make(map[ElementID]map[RiskID]struct{}),
 	}
 }
@@ -107,7 +105,7 @@ func (o *Overlay) NumRisks() int { return len(o.base.risks) + len(o.extraRisks) 
 // NumEdges returns the combined number of element↔risk edges in the
 // overlay's range.
 func (o *Overlay) NumEdges() int {
-	n := o.edges
+	n := len(o.created)
 	for _, e := range o.base.elements[o.lo:o.hi] {
 		n += len(e.risks)
 	}
@@ -141,24 +139,11 @@ func (o *Overlay) refOf(r RiskID) object.Ref {
 	return o.extraRisks[int(r)-len(o.base.risks)]
 }
 
-// hasEdge reports whether the edge el↔r exists in base or overlay.
-func (o *Overlay) hasEdge(el ElementID, r RiskID) bool {
-	for _, existing := range o.base.elements[o.lo+el].risks {
-		if existing == r {
-			return true
-		}
-	}
-	for _, existing := range o.extraDeps[el] {
-		if existing == r {
-			return true
-		}
-	}
-	return false
-}
-
 // MarkFailed flags the edge between el and ref as fail, creating the edge
-// (and risk) in the overlay if the base lacks it — the same contract as
-// Model.MarkFailed. el must be in the overlay's range.
+// (and risk) in the overlay if the base lacks it: an observed violation
+// always implicates the object (§III-C). Marking a failed edge again
+// changes nothing. el must be in the overlay's range. It is the one way a
+// failure is marked.
 func (o *Overlay) MarkFailed(el ElementID, ref object.Ref) {
 	if el < 0 || el >= o.hi-o.lo {
 		panic(fmt.Sprintf("risk: overlay %q has no element %d", o.Name(), el))
@@ -169,9 +154,8 @@ func (o *Overlay) MarkFailed(el ElementID, ref object.Ref) {
 		o.extraRisks = append(o.extraRisks, ref)
 		o.extraByRef[ref] = r
 	}
-	if !o.hasEdge(el, r) {
-		o.extraDeps[el] = append(o.extraDeps[el], r)
-		o.edges++
+	if e := (createdEdge{el, r}); !slices.Contains(o.base.elements[o.lo+el].risks, r) && !slices.Contains(o.created, e) {
+		o.created = append(o.created, e)
 	}
 	set := o.failed[el]
 	if set == nil {
@@ -204,3 +188,27 @@ func (o *Overlay) SuspectSet() []object.Ref {
 
 // String summarizes the view with the overlay's counts.
 func (o *Overlay) String() string { return summarize(o) }
+
+// fold returns a fresh Model that reads as o does: its base's elements,
+// risks and edges, then the risks o's marks created in creation order and
+// the edges in mark order, and o's marks — the IDs, edges and marks that
+// marking a copy of the base in place would give. o must view its base's
+// whole range.
+func (o *Overlay) fold() *Model {
+	b := o.base
+	m := &Model{name: b.name, pairs: b.pairs, elements: slices.Clone(b.elements), risks: slices.Clone(b.risks),
+		byRef: maps.Clone(b.byRef), edges: b.edges + len(o.created), failed: o.numFailed}
+	for _, ref := range o.extraRisks {
+		m.byRef[ref] = RiskID(len(m.risks))
+		m.risks = append(m.risks, riskData{ref: ref})
+	}
+	// Clipped, an append never writes into the base's arrays.
+	for _, e := range o.created {
+		m.elements[e.el].risks = append(slices.Clip(m.elements[e.el].risks), e.r)
+		m.risks[e.r].elements = append(slices.Clip(m.risks[e.r].elements), e.el)
+	}
+	for el, set := range o.failed {
+		m.elements[el].failed = maps.Clone(set)
+	}
+	return m
+}

@@ -19,9 +19,9 @@ import (
 
 // Each test is a case of the model runner (harness_test.go): a seed range
 // and a shape, whose steps its name says it stresses. Every case holds the
-// model, the overlay and its pristine base to their references, and the
-// plan cache to the model's changes, after every step. The builds are
-// held to refBuild, the pre-footprint build.
+// pristine model, the overlay over it and the overlay folded into a model
+// to their references, and the model to the plan stored on it, after every
+// step. The builds are held to refBuild, the pre-footprint build.
 
 // runModels runs a case per seed below seeds (see runModel); a nil d runs
 // them from a drawn footprint.
@@ -45,14 +45,15 @@ func exercised(t *testing.T, what string, n int) {
 // TestModelBasics: a drawn footprint's model, which NewModel refuses when
 // its triplets do not strictly ascend.
 func TestModelBasics(t *testing.T) {
-	s := runModels(t, nil, 0, 8, 40, opEdge, opEdge)
+	s := runModels(t, nil, 0, 8, 40, opOverlay)
 	exercised(t, "was refused a footprint whose triplets do not ascend", s.unsorted)
 }
 
+// TestMarkFailedAndObservations: an overlay's marks, an edge marked again
+// included, are its failure signature, and folded they are a model's.
 func TestMarkFailedAndObservations(t *testing.T) {
-	s := runModels(t, nil, 0, 8, 60, opEdge, opMark)
+	s := runModels(t, nil, 0, 8, 60, opMark, opMark, opOverlay)
 	exercised(t, "marked a failed edge again", s.remarked)
-	exercised(t, "kept its plan through a mark on an existing edge", s.kept)
 }
 
 func TestMarkFailedCreatesMissingEdge(t *testing.T) {
@@ -61,24 +62,25 @@ func TestMarkFailedCreatesMissingEdge(t *testing.T) {
 }
 
 func TestHitAndCoverageRatios(t *testing.T) {
-	runModels(t, nil, 0, 10, 80, opEdge, opEdge, opMark)
+	runModels(t, nil, 0, 10, 80, opMark, opOverlay, opOverlay)
 }
 
 // TestSuspectSet: an overlay's suspects are the risks it marked, and an
 // overlay goes only over a pristine model.
 func TestSuspectSet(t *testing.T) {
-	s := runModels(t, nil, 0, 8, 60, opEdge, opMark, opOverlay)
+	s := runModels(t, nil, 0, 8, 60, opMark, opOverlay)
 	exercised(t, "was refused an overlay over a marked model", s.refused)
 }
 
-func TestModelString(t *testing.T) { runModels(t, nil, 0, 2, 10, opEdge) }
+func TestModelString(t *testing.T) { runModels(t, nil, 0, 2, 10, opMark) }
 
 func TestAccessors(t *testing.T) { runModels(t, nil, 0, 20, 80, allOps...) }
 
-func TestOverlayEmpty(t *testing.T) { runModels(t, nil, 0, 4, 30, opEdge, opOverlay) }
+func TestOverlayEmpty(t *testing.T) { runModels(t, nil, 0, 4, 30, opOverlay) }
 
-// TestOverlayMatchesClone: marks on the three-tier controller model and
-// on overlays over its twins read as the reference marked alike.
+// TestOverlayMatchesClone: marks on overlays over the three-tier
+// controller model and its rebuilds, and their folds, read as the
+// reference marked alike.
 func TestOverlayMatchesClone(t *testing.T) {
 	s := runModels(t, threeTier(t), 0, 20, 30, opMark, opAugment, opPatch, opOverlay)
 	exercised(t, "created an overlay edge by marking it", s.created)
@@ -97,7 +99,7 @@ func TestAugmentControllerModel(t *testing.T) {
 }
 
 func TestAugmentControllerModelPatch(t *testing.T) {
-	runModels(t, nil, 0, 12, 60, opEdge, opPatch, opBoth, opOverlay)
+	runModels(t, nil, 0, 12, 60, opMark, opPatch, opBoth, opOverlay)
 }
 
 func TestAugmentIgnoresUnknownPairs(t *testing.T) {
@@ -108,7 +110,7 @@ func TestAugmentIgnoresUnknownPairs(t *testing.T) {
 // TestAugmentResolvesProvenanceViaIndex: a rule's own provenance comes
 // first, and one without looks its key up in the map.
 func TestAugmentResolvesProvenanceViaIndex(t *testing.T) {
-	s := runModels(t, nil, 0, 12, 40, opEdge, opAugment)
+	s := runModels(t, nil, 0, 12, 40, opAugment, opOverlay)
 	exercised(t, "resolved a rule's provenance through the map", s.resolved)
 	exercised(t, "augmented a rule whose own provenance is not the map's", s.own)
 }
@@ -200,9 +202,8 @@ func switchModel(d *compile.Deployment, sw object.ID) *risk.Model {
 }
 
 // checkBuildsMatchOracle compares whole models — element triplets, element
-// and risk IDs, adjacency order on both sides, edge counts and the
-// mutation revision the plan cache keys on — for every switch and for the
-// controller model. Each switch's overlay of its range of the controller
+// and risk IDs, adjacency order on both sides and edge counts — for every
+// switch and for the controller model. Each switch's overlay of its range of the controller
 // model finds the switch model's elements by the same triplets, and no
 // other, and has one more edge an element: to the switch.
 func checkBuildsMatchOracle(t *testing.T, name string, d *compile.Deployment) {

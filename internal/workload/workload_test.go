@@ -292,12 +292,12 @@ func TestScenarioMixesFullAndPartial(t *testing.T) {
 	}
 }
 
-// markController marks missing rules in a controller model through the
-// pipeline's augmentation and returns how many rules it marked.
-func markController(m risk.Marker, d *compile.Deployment, missing map[object.ID][]rule.Rule) int {
+// markController marks missing rules in an overlay of the controller model
+// through the pipeline's augmentation and returns how many rules it marked.
+func markController(o *risk.Overlay, d *compile.Deployment, missing map[object.ID][]rule.Rule) int {
 	n := 0
 	for sw, rules := range missing {
-		risk.AugmentControllerModelPatch(m, sw, rules, d.Provenance).Apply(m)
+		risk.AugmentControllerModelPatch(o, sw, rules, d.Provenance).Apply(o)
 		n += len(rules)
 	}
 	return n
@@ -316,7 +316,8 @@ func failedOf(m risk.View, ref object.Ref) int {
 
 func TestApplyToControllerModelFullFault(t *testing.T) {
 	d, idx := buildEnv(t)
-	m := risk.BuildControllerModel(d)
+	ctrl := risk.BuildControllerModel(d)
+	m := risk.NewOverlay(ctrl)
 	// Pick an object with a decent footprint.
 	var target object.Ref
 	for _, ref := range idx.Objects() {
@@ -334,14 +335,15 @@ func TestApplyToControllerModelFullFault(t *testing.T) {
 		t.Errorf("failed instances = %d, want all %d", failed, len(idx.Instances(target)))
 	}
 	// Full fault ⇒ hit ratio 1 for the target.
-	if failed, deps := failedOf(m, target), len(m.ElementsOf(target)); failed != deps {
+	if failed, deps := failedOf(m, target), len(ctrl.ElementsOf(target)); failed != deps {
 		t.Errorf("hit ratio = %d/%d, want 1 after full fault", failed, deps)
 	}
 }
 
 func TestApplyToControllerModelPartialFault(t *testing.T) {
 	d, idx := buildEnv(t)
-	m := risk.BuildControllerModel(d)
+	ctrl := risk.BuildControllerModel(d)
+	m := risk.NewOverlay(ctrl)
 	var target object.Ref
 	for _, ref := range idx.Objects() {
 		if len(idx.Instances(ref)) >= 10 {
@@ -354,7 +356,7 @@ func TestApplyToControllerModelPartialFault(t *testing.T) {
 	}
 	sc := Scenario{Faults: []Fault{{Ref: target, Fraction: 0.3}}}
 	markController(m, d, sc.Missing(idx, rand.New(rand.NewSource(3))))
-	if failed, deps := failedOf(m, target), len(m.ElementsOf(target)); failed == 0 || failed >= deps {
+	if failed, deps := failedOf(m, target), len(ctrl.ElementsOf(target)); failed == 0 || failed >= deps {
 		t.Errorf("partial fault hit ratio = %d/%d, want in (0,1)", failed, deps)
 	}
 }
