@@ -15,6 +15,7 @@ import (
 
 	"scout"
 	"scout/internal/compile"
+	"scout/internal/object"
 )
 
 // threeTier deploys the paper's running example (Figure 1): a 3-tier web
@@ -258,7 +259,9 @@ func TestAnalyzeStateNilLogs(t *testing.T) {
 // TestAnalyzeStateRefusesBadFootprint: a hand-filled footprint whose
 // triplets do not strictly ascend, or whose risk or key lists do not align
 // with them, is refused with an error before any work, not left to panic
-// in a risk-model build.
+// in a risk-model build; one whose risk list names a ref twice (which would
+// keep every hit ratio below 1) or a switch (the model adds each triplet's
+// own) is refused when the risk model is built.
 func TestAnalyzeStateRefusesBadFootprint(t *testing.T) {
 	f := threeTier(t, 1)
 	d := f.Deployment()
@@ -271,6 +274,14 @@ func TestAnalyzeStateRefusesBadFootprint(t *testing.T) {
 		},
 		"risks shorter than pairs": func(fp *compile.Footprint) { fp.Risks = fp.Risks[1:] },
 		"keys shorter than pairs":  func(fp *compile.Footprint) { fp.Keys = fp.Keys[1:] },
+		"a repeated risk": func(fp *compile.Footprint) {
+			for i, refs := range fp.Risks {
+				fp.Risks[i] = append(slices.Clone(refs), refs...)
+			}
+		},
+		"a switch risk": func(fp *compile.Footprint) {
+			fp.Risks[0] = append(slices.Clone(fp.Risks[0]), object.Switch(fp.Pairs[0].Switch))
+		},
 	} {
 		dep := *d
 		fp := &dep.Footprint

@@ -277,8 +277,7 @@ func emitReport(report *scout.Report, jsonOut, verbose bool) error {
 			fmt.Printf("bdd op cache: %d hits / %d misses (%.1f%%)\n", hits, misses, pct)
 		}
 		if ls := report.LocalizeStats; ls != nil {
-			fmt.Printf("\nlocalization: %d plan compiles / %d reuses\n", ls.PlanCompiles, ls.PlanReuses)
-			fmt.Printf("localization stages: hit-ratio-1 %v, change-log %v\n",
+			fmt.Printf("\nlocalization stages: hit-ratio-1 %v, change-log %v\n",
 				ls.Stage1.Round(time.Microsecond), ls.Stage2.Round(time.Microsecond))
 		}
 		fmt.Println("\nper-switch details:")
@@ -462,7 +461,6 @@ func runWatch(f *scout.Fabric, faults []objectFault, opts watchOptions, w io.Wri
 	}
 
 	st := sess.Stats()
-	fmt.Fprintf(w, "session localization: %d plan compiles / %d reuses\n", st.PlanCompiles, st.PlanReuses)
 	if probeMode {
 		fmt.Fprintf(w, "probe replay: %d switches classified, %d replayed, %d packets batched\n",
 			st.Checked, st.Replayed, st.ProbePacketsBatched)

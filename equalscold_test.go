@@ -10,8 +10,8 @@ package scout_test
 //     what expectedFolds says and, on the last state, be refAnalyze's;
 //   - a model of the session kept from what each step touched: the verdicts
 //     cached and their rule lists, the store files that load and what a
-//     verdict file holds, whether the risk model carries a plan. From it follow
-//     every counter the session keeps and what Close reports.
+//     verdict file holds. From it follow every counter the session keeps
+//     and what Close reports.
 //
 // At the end every deployment's rules still carry the provenance they were
 // compiled with. Each Test* is a case: a seed, a step list or an option set.
@@ -191,7 +191,6 @@ type coldRun struct {
 	fp      uint64            // dep's fingerprint
 	sem     map[uint64]bool   // dep's logical semantics fingerprints
 	seeded  map[uint64]bool   // deployments whose verdict file seeded the cache
-	planned bool              // the deployment's risk model carries a plan
 	saveErr string
 
 	// The store's model: the files that load, with a verdict file's
@@ -469,7 +468,6 @@ func (r *coldRun) restart(t testing.TB, x, harm byte) {
 	r.want, r.dep = scout.SessionStats{}, nil
 	clear(r.cache)
 	clear(r.seeded)
-	r.planned = false
 }
 
 // save models a store save: it fails on a lost directory or a squatted
@@ -499,7 +497,6 @@ func (r *coldRun) resolve(d *scout.Deployment) (built, loaded int) {
 	if d == r.dep {
 		return 0, 0
 	}
-	r.planned = false
 	r.hold(d)
 	_, fp := equiv.DeploymentFingerprints(d.BySwitch)
 	fresh := r.dep == nil || fp != r.fp
@@ -594,7 +591,7 @@ func (r *coldRun) analyze(t *testing.T) {
 	// The session's counters, as the model says. A switch replays if the
 	// cache holds a verdict for its lists, and otherwise is checked and
 	// cached unless its report is over the cap.
-	exp, checked, compiles, reuses := &r.want, 0, 0, 0
+	exp, checked := &r.want, 0
 	exp.BaseRebuilds, exp.BaseLoads = exp.BaseRebuilds+built, exp.BaseLoads+loaded
 	for i := 0; err == nil && i < len(rep.Switches); i++ {
 		sr := rep.Switches[i]
@@ -619,9 +616,7 @@ func (r *coldRun) analyze(t *testing.T) {
 		}
 	}
 	if err == nil {
-		compiles, reuses = r.plans(rep)
 		exp.Runs, exp.Checked = exp.Runs+1, exp.Checked+checked
-		exp.PlanCompiles, exp.PlanReuses = exp.PlanCompiles+compiles, exp.PlanReuses+reuses
 		if checked > 0 {
 			r.save(r.verdictFile(r.fp), maps.Clone(r.cache))
 		}
@@ -636,8 +631,8 @@ func (r *coldRun) analyze(t *testing.T) {
 		return
 	}
 	r.counts = append(r.counts, fmt.Sprintf("%+v %+v", now, rep.EncodeStats))
-	if ls := rep.LocalizeStats; (ls == nil) != rep.Consistent || ls != nil && (ls.PlanCompiles != int64(compiles) || ls.PlanReuses != int64(reuses)) {
-		t.Fatalf("step %d: the report's localization counters %+v, want %d compiles and %d reuses", r.round, ls, compiles, reuses)
+	if ls := rep.LocalizeStats; (ls == nil) != rep.Consistent {
+		t.Fatalf("step %d: the report's localization counters %+v on a run consistent %v", r.round, ls, rep.Consistent)
 	}
 	if (rep.EncodeStats == nil) != r.probes || !r.probes && now.BaseSemantics != len(r.sem) {
 		t.Fatalf("step %d: encode stats %+v and %d frozen roots, want %d", r.round, rep.EncodeStats, now.BaseSemantics, len(r.sem))
@@ -651,26 +646,6 @@ func (r *coldRun) analyze(t *testing.T) {
 		}
 		r.baseImg[name] = img
 	}
-}
-
-// plans models the plan cache: an inconsistent run compiles the
-// deployment's one plan if its model has none yet, and then localizes the
-// controller and every broken switch on it, each a reuse. A consistent run
-// compiles nothing.
-func (r *coldRun) plans(rep *scout.Report) (compiles, reuses int) {
-	if rep.Consistent {
-		return 0, 0
-	}
-	if !r.planned {
-		compiles, r.planned = 1, true
-	}
-	reuses = 1
-	for _, sr := range rep.Switches {
-		if !sr.Equivalent {
-			reuses++
-		}
-	}
-	return compiles, reuses
 }
 
 // cold is the JSON of a one-shot serial analysis of st, or in probe mode of

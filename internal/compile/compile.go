@@ -51,7 +51,7 @@ type Deployment struct {
 // and Risks align with it. Keys[i] is the keys of the logical rules
 // serving Pairs[i], each once. Risks[i] is the policy objects those rules
 // carry: every provenance ref of every key, each once, in the order a walk
-// of Keys[i] first meets them — the order a risk model registers them in.
+// of Keys[i] first meets them.
 // Both are facts about the pair, so in a compiled deployment the switches
 // of a pair share one list of each. Read-only.
 type Footprint struct {

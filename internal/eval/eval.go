@@ -244,7 +244,10 @@ func SwitchModelAccuracy(env *Env, opts AccuracyOptions) (*AccuracyResult, error
 	// Choose the switch with the most dependent objects so every fault
 	// count is feasible.
 	sw, local := busiestSwitch(env)
-	ctrl := risk.BuildControllerModel(env.Deployment)
+	ctrl, err := risk.BuildControllerModel(env.Deployment)
+	if err != nil {
+		return nil, err
+	}
 	return simulate("switch risk model", func() *risk.Overlay { return risk.NewSwitchOverlay(ctrl, sw) }, local.Objects(), opts,
 		func(o *risk.Overlay, sc workload.Scenario, rng *rand.Rand) {
 			risk.AugmentSwitchModel(o, sw, sc.Missing(local, rng)[sw], env.Deployment.Provenance)
@@ -254,7 +257,10 @@ func SwitchModelAccuracy(env *Env, opts AccuracyOptions) (*AccuracyResult, error
 // ControllerModelAccuracy reproduces Figure 9: faults are injected across
 // switches and localized on the controller risk model.
 func ControllerModelAccuracy(env *Env, opts AccuracyOptions) (*AccuracyResult, error) {
-	ctrl := risk.BuildControllerModel(env.Deployment)
+	ctrl, err := risk.BuildControllerModel(env.Deployment)
+	if err != nil {
+		return nil, err
+	}
 	return simulate("controller risk model", func() *risk.Overlay { return risk.NewOverlay(ctrl) }, env.Index.Objects(), opts, env.markMissing)
 }
 
@@ -394,7 +400,10 @@ type GammaOptions struct {
 func SuspectSetReduction(env *Env, opts GammaOptions) (*GammaResult, error) {
 	rng := rand.New(rand.NewSource(opts.Seed))
 	candidates := env.Index.Objects()
-	model := risk.BuildControllerModel(env.Deployment)
+	model, err := risk.BuildControllerModel(env.Deployment)
+	if err != nil {
+		return nil, err
+	}
 
 	sums := make([]float64, len(opts.Buckets))
 	counts := make([]int, len(opts.Buckets))
@@ -483,7 +492,10 @@ func Scalability(switchCounts []int, faults int, seed int64) (*ScaleResult, erro
 		}
 		rng := rand.New(rand.NewSource(seed + int64(n)))
 		start := time.Now()
-		model := risk.BuildControllerModel(env.Deployment)
+		model, err := risk.BuildControllerModel(env.Deployment)
+		if err != nil {
+			return nil, err
+		}
 		build := time.Since(start)
 
 		sc, err := workload.NewScenario(rng, env.Index.Objects(), faults, 10)

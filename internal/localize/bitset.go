@@ -5,34 +5,38 @@
 
 package localize
 
-import "math/bits"
+import (
+	"math/bits"
 
-// bitset is a packed set of small non-negative integers.
+	"scout/internal/risk"
+)
+
+// bitset is a packed set of a model's elements.
 type bitset []uint64
 
-// newBitset returns a bitset able to hold values in [0, n).
+// newBitset returns a bitset able to hold elements [0, n).
 func newBitset(n int) bitset { return make(bitset, (n+63)>>6) }
 
-func (b bitset) test(i int32) bool { return b[i>>6]&(1<<(uint32(i)&63)) != 0 }
+func (b bitset) test(i risk.ElementID) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
 
-func (b bitset) set(i int32) { b[i>>6] |= 1 << (uint32(i) & 63) }
+func (b bitset) set(i risk.ElementID) { b[i>>6] |= 1 << (uint(i) & 63) }
 
-func (b bitset) clear(i int32) { b[i>>6] &^= 1 << (uint32(i) & 63) }
+func (b bitset) clear(i risk.ElementID) { b[i>>6] &^= 1 << (uint(i) & 63) }
 
-// setRange sets bits [lo, hi).
-func (b bitset) setRange(lo, hi int32) {
+// setRange sets elements [lo, hi).
+func (b bitset) setRange(lo, hi risk.ElementID) {
 	for i := lo; i < hi; i++ {
 		b.set(i)
 	}
 }
 
-// forEach invokes fn for every set bit in ascending order. fn may clear
-// the bit it was invoked for.
-func (b bitset) forEach(fn func(i int32)) {
+// forEach invokes fn for every element in the set in ascending order. fn
+// may clear the element it was invoked for.
+func (b bitset) forEach(fn func(i risk.ElementID)) {
 	for wi, w := range b {
-		base := int32(wi) << 6
+		base := risk.ElementID(wi) << 6
 		for w != 0 {
-			fn(base + int32(bits.TrailingZeros64(w)))
+			fn(base + risk.ElementID(bits.TrailingZeros64(w)))
 			w &= w - 1
 		}
 	}

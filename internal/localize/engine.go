@@ -1,7 +1,7 @@
-// Compiled-plan implementations of SCOUT and SCORE. Each is pinned
-// Result-identical to its reference counterpart in ref_test.go
-// by the differential tests; the reference engine remains the readable
-// specification.
+// The engine's SCOUT and SCORE, on a run's view of the model (plan.go).
+// Each is pinned Result-identical to its reference counterpart in
+// ref_test.go by the differential tests; the reference engine remains the
+// readable specification.
 
 package localize
 
@@ -13,24 +13,24 @@ import (
 	"scout/internal/risk"
 )
 
-// planScout is Scout on a compiled plan. Stage one replaces the
+// runScout is Scout on a run's view. Stage one replaces the
 // per-round candidate rescan with the incrementally-maintained alive
 // counters: a risk is a candidate iff aliveFailed > 0 (some pending
 // observation has a failed edge to it), has hit ratio 1 iff
 // aliveFailed == aliveDeps, and its coverage is aliveFailed itself. The
 // stages' times are added to st.
-func planScout(p *plan, v risk.View, oracle ChangeOracle, st *EngineStats) *Result {
+func runScout(v risk.View, oracle ChangeOracle, st *EngineStats) *Result {
 	start := time.Now()
-	rv := newRunView(p, v)
+	rv := newRunView(v)
 	res := &Result{}
 	hypothesis := make(object.Set)
 	totalObs := rv.pendingCount
 
-	var maxSet []int32
+	var maxSet []risk.RiskID
 	for rv.pendingCount > 0 {
 		res.Iterations++
 		// pickCandidates (Algorithm 2) over the ref-sorted failed risks.
-		maxCov := int32(0)
+		maxCov := 0
 		maxSet = maxSet[:0]
 		for _, i := range rv.failedRisks {
 			cov := rv.aliveFailed[i]
@@ -52,7 +52,7 @@ func planScout(p *plan, v risk.View, oracle ChangeOracle, st *EngineStats) *Resu
 		pendingBefore := rv.pendingCount
 		for _, i := range maxSet {
 			step.Picked = append(step.Picked, rv.ref(i))
-			rv.forEachDep(i, func(el int32) {
+			rv.forEachDep(i, func(el risk.ElementID) {
 				if rv.prune(el) {
 					step.Pruned++
 				}
@@ -69,7 +69,7 @@ func planScout(p *plan, v risk.View, oracle ChangeOracle, st *EngineStats) *Resu
 	// deterministic.
 	if rv.pendingCount > 0 && oracle != nil {
 		start = time.Now()
-		rv.pending.forEach(func(el int32) {
+		rv.pending.forEach(func(el risk.ElementID) {
 			picked := false
 			for _, ref := range rv.failedRefsOf(el) {
 				if oracle.RecentlyChanged(ref) {
@@ -100,18 +100,18 @@ func planScout(p *plan, v risk.View, oracle ChangeOracle, st *EngineStats) *Resu
 // (non-nil even when empty).
 func pendingElements(rv *runView) []risk.ElementID {
 	out := make([]risk.ElementID, 0, rv.pendingCount)
-	rv.pending.forEach(func(el int32) { out = append(out, risk.ElementID(el-rv.lo)) })
+	rv.pending.forEach(func(el risk.ElementID) { out = append(out, el-rv.lo) })
 	return out
 }
 
-// planGreedy is Score's pick loop: each round it rescans the eligible
+// runGreedy is Score's pick loop: each round it rescans the eligible
 // risks and picks the one with the largest residual coverage, the first
 // in ref order on ties, until none covers a pending observation. eligible
 // must be sorted by ref. A picked risk covers nothing afterwards, so it is
 // never picked twice.
-func planGreedy(rv *runView, eligible []int32, res *Result, hypothesis object.Set) {
+func runGreedy(rv *runView, eligible []risk.RiskID, res *Result, hypothesis object.Set) {
 	for rv.pendingCount > 0 {
-		best, bestCov := int32(-1), int32(0)
+		best, bestCov := risk.RiskID(-1), 0
 		for _, i := range eligible {
 			if cov := rv.coverage(i); cov > bestCov {
 				best, bestCov = i, cov
@@ -130,14 +130,14 @@ func planGreedy(rv *runView, eligible []int32, res *Result, hypothesis object.Se
 		}
 		res.Steps = append(res.Steps, Step{
 			Picked:   []object.Ref{rv.ref(best)},
-			Coverage: int(bestCov),
+			Coverage: bestCov,
 		})
 	}
 }
 
-// planScore is Score on a compiled plan.
-func planScore(p *plan, v risk.View, threshold float64) *Result {
-	rv := newRunView(p, v)
+// runScore is Score on a run's view.
+func runScore(v risk.View, threshold float64) *Result {
+	rv := newRunView(v)
 	res := &Result{}
 	hypothesis := make(object.Set)
 	totalObs := rv.pendingCount
@@ -145,8 +145,8 @@ func planScore(p *plan, v risk.View, threshold float64) *Result {
 	// Eligible risks: hit ratio >= threshold on the full model. The
 	// freshly-initialized alive counters are exactly the full-model
 	// dependent/failed counts.
-	var eligible []int32
-	for i := int32(0); i < rv.nAll; i++ {
+	var eligible []risk.RiskID
+	for i := range risk.RiskID(rv.nAll) {
 		deps, failed := rv.aliveDeps[i], rv.aliveFailed[i]
 		if deps == 0 || failed == 0 {
 			continue
@@ -155,11 +155,11 @@ func planScore(p *plan, v risk.View, threshold float64) *Result {
 			eligible = append(eligible, i)
 		}
 	}
-	if len(rv.extraRefs) > 0 { // overlay risks interleave with the plan's
+	if len(rv.extraRefs) > 0 { // overlay risks interleave with the model's
 		slices.SortFunc(eligible, rv.refCmp)
 	}
 
-	planGreedy(rv, eligible, res, hypothesis)
+	runGreedy(rv, eligible, res, hypothesis)
 
 	res.Hypothesis = hypothesis.Sorted()
 	res.Unexplained = pendingElements(rv)

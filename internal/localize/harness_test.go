@@ -5,8 +5,8 @@
 // have. A scenario's elements spread over switches, and each switch's run
 // is checked too: on an overlay of its own model, and on an overlay of its
 // range of the controller model. A scenario may mark more of the
-// overlays' edges after their first localization, which must then run on
-// the plan the model kept. Random cases come from one generator,
+// overlays' edges after their first localization, which must then
+// localize as the reference does. Random cases come from one generator,
 // randomModel (FuzzLocalize feeds it a fuzzer's bytes), and workload cases
 // from internal/workload's fault scenarios through one loop, runWorkload.
 
@@ -30,8 +30,7 @@ import (
 
 // results are one view's localizations: SCOUT with the case's change
 // oracle and blind to change, and SCORE at thresholds 0.6 and 1; and
-// whether the view was then marked again and localized on its model's
-// plan.
+// whether the view was then marked again and localized once more.
 type results struct {
 	scout, blind, score06, score1 *Result
 	remarked                      bool
@@ -49,7 +48,7 @@ func (o *recordingOracle) RecentlyChanged(ref object.Ref) bool {
 }
 
 // check is the runner's check on a case: v, an overlay or a marked model,
-// and twin, an overlay carrying the same marks. On v the plan engine
+// and twin, an overlay carrying the same marks. On v the engine
 // returns what the reference engine returns, consulting the change oracle
 // in the same order (ascending pending element, then ref); on twin it
 // returns what it returned on v, with the same calls; on each, a second
@@ -63,8 +62,8 @@ func check(t *testing.T, label string, v risk.View, twin *risk.Overlay, changed 
 	var r results
 	var calls []object.Ref
 	for i, view := range []risk.View{v, twin} {
-		plan, again := &recordingOracle{changed: changed}, &recordingOracle{changed: changed}
-		got := results{scout: Scout(view, plan), blind: Scout(view, NoChanges{}), score06: Score(view, 0.6), score1: Score(view, 1)}
+		eng, again := &recordingOracle{changed: changed}, &recordingOracle{changed: changed}
+		got := results{scout: Scout(view, eng), blind: Scout(view, NoChanges{}), score06: Score(view, 0.6), score1: Score(view, 1)}
 		want, wantCalls, against := r, calls, "the twin, against the view"
 		if i == 0 {
 			ref := &recordingOracle{changed: changed}
@@ -76,18 +75,18 @@ func check(t *testing.T, label string, v risk.View, twin *risk.Overlay, changed 
 			want, got any
 		}{
 			{"Scout", want.scout, got.scout},
-			{"Scout's change-log calls", wantCalls, plan.calls},
+			{"Scout's change-log calls", wantCalls, eng.calls},
 			{"Scout blind to change", want.blind, got.blind},
 			{"Score-0.6", want.score06, got.score06},
 			{"Score-1", want.score1, got.score1},
 			{"a second Scout", got.scout, Scout(view, again)},
-			{"a second Scout's change-log calls", plan.calls, again.calls},
+			{"a second Scout's change-log calls", eng.calls, again.calls},
 		} {
 			if !reflect.DeepEqual(p.want, p.got) {
 				t.Fatalf("%s, %s: %s\nwant %+v\n got %+v", label, against, p.name, p.want, p.got)
 			}
 		}
-		r, calls = got, plan.calls
+		r, calls = got, eng.calls
 	}
 	failed, observed := map[object.Ref]int{}, map[risk.ElementID]bool{}
 	v.ForEachMark(func(el risk.ElementID, ref object.Ref) { failed[ref]++; observed[el] = true })
@@ -185,9 +184,8 @@ func (s scenario) mark(o *risk.Overlay, sw object.ID) {
 
 // run checks the scenario with changed as the change log on overlays over
 // two builds of its model; then, if it has later edges, marks them on
-// both, and holds the first's next SCOUT run to one plan reuse and no
-// compile, and to the reference engine, change-log calls included, before
-// checking both again; then every switch's run of it: an overlay of its
+// both, and holds the first's next SCOUT run to the reference engine,
+// change-log calls included, before checking both again; then every switch's run of it: an overlay of its
 // own model, NewModel over the deployment's OnSwitch, held to an overlay
 // of its range of the pristine controller model, each marked with the
 // switch's failed edges. It returns the first check's results.
@@ -199,17 +197,15 @@ func (s scenario) run(t *testing.T, label string, changed object.Set) results {
 		later := scenario{deps: s.deps, failed: s.later}
 		later.mark(ov, 0)
 		later.mark(twin, 0)
-		plan, ref := &recordingOracle{changed: changed}, &recordingOracle{changed: changed}
-		got, st := ScoutWithStats(ov, plan)
-		if want := RefScout(ov, ref); st.PlanCompiles != 0 || st.PlanReuses != 1 || !reflect.DeepEqual(got, want) || !reflect.DeepEqual(plan.calls, ref.calls) {
-			t.Fatalf("%s, marked again: %d plan compiles and %d reuses, want 0 and 1; SCOUT %+v calling %v, the reference %+v calling %v",
-				label, st.PlanCompiles, st.PlanReuses, got, plan.calls, want, ref.calls)
+		eng, ref := &recordingOracle{changed: changed}, &recordingOracle{changed: changed}
+		if got, want := Scout(ov, eng), RefScout(ov, ref); !reflect.DeepEqual(got, want) || !reflect.DeepEqual(eng.calls, ref.calls) {
+			t.Fatalf("%s, marked again: SCOUT %+v calling %v, the reference %+v calling %v", label, got, eng.calls, want, ref.calls)
 		}
 		check(t, label+", marked again", ov, twin, changed)
 		r.remarked = true
 	}
 	d := s.deployment()
-	ctrl := risk.BuildControllerModel(d)
+	ctrl := controllerModel(t, d)
 	for sw := object.ID(1); int(sw) <= max(s.switches, 1); sw++ {
 		ov, twin := risk.NewOverlay(risk.NewModel("scenario", d.OnSwitch(sw))), risk.NewSwitchOverlay(ctrl, sw)
 		s.mark(ov, sw)
@@ -324,7 +320,7 @@ func runWorkload(t *testing.T, fc fabricCase) []results {
 		idx = idx.OnSwitch(sw)
 		candidates = idx.Objects()
 		build = func() *risk.Model { return risk.NewModel("switch", d.OnSwitch(sw)) }
-		ctrl := risk.BuildControllerModel(d)
+		ctrl := controllerModel(t, d)
 		overlay = func() *risk.Overlay { return risk.NewSwitchOverlay(ctrl, sw) }
 	} else {
 		pristine := build()
@@ -361,6 +357,16 @@ func runWorkload(t *testing.T, fc fabricCase) []results {
 		t.Fatal("no scenario marked an edge")
 	}
 	return out
+}
+
+// controllerModel builds d's controller model, failing t on its error.
+func controllerModel(t testing.TB, d *compile.Deployment) *risk.Model {
+	t.Helper()
+	m, err := risk.BuildControllerModel(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 // FuzzLocalize runs the fuzzer's bytes as a drawn scenario, with partial

@@ -12,11 +12,11 @@
 //     by coverage. Partial faults below the threshold are treated as
 //     noise, which is the accuracy gap SCOUT closes.
 //
-// The algorithms run on a compiled localization plan (plan.go): dense CSR
-// adjacency compiled once from a model's topology alone and cached on the
-// model. Each run composes it with its own delta — the view's failure
-// marks, and an overlay's created edges and risks — under packed bit masks
-// (engine.go). The original map-of-maps implementation lives in
+// The algorithms read the risk model's own arrays (plan.go): risks in ref
+// order and compressed adjacency rows both ways, laid out once when the
+// model is built. Each run composes them with its own delta — the view's
+// failure marks, and an overlay's created edges and risks — under packed
+// bit masks (engine.go). The original map-of-maps implementation lives in
 // ref_test.go as the readable specification the package's differential
 // tests compare against.
 package localize
@@ -111,11 +111,10 @@ func Scout(m risk.View, oracle ChangeOracle) *Result {
 	return res
 }
 
-// ScoutWithStats is Scout, and also returns the call's own engine counters:
-// whether it compiled m's plan or reused it, and its stage times.
+// ScoutWithStats is Scout, and also returns the call's own stage times.
 func ScoutWithStats(m risk.View, oracle ChangeOracle) (*Result, EngineStats) {
 	var st EngineStats
-	res := planScout(planFor(m, &st), m, oracle, &st)
+	res := runScout(m, oracle, &st)
 	addTotals(st)
 	return res, st
 }
@@ -125,10 +124,7 @@ func ScoutWithStats(m risk.View, oracle ChangeOracle) (*Result, EngineStats) {
 // computed once on the full model; eligible risks are greedily selected by
 // residual coverage until no eligible risk explains a new observation.
 func Score(m risk.View, threshold float64) *Result {
-	var st EngineStats
-	p := planFor(m, &st)
-	addTotals(st)
-	return planScore(p, m, threshold)
+	return runScore(m, threshold)
 }
 
 // Accuracy holds precision/recall of a hypothesis against ground truth.

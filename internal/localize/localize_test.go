@@ -220,7 +220,7 @@ func TestOverlayOnlyFailures(t *testing.T) {
 	}
 }
 
-// TestUnknownViewPanics: the plan engine runs *risk.Model and
+// TestUnknownViewPanics: the engine runs *risk.Model and
 // *risk.Overlay only; any other View is a programming error reported by
 // type name, not a silent slow path.
 func TestUnknownViewPanics(t *testing.T) {
@@ -259,33 +259,54 @@ func TestEvaluate(t *testing.T) {
 	}
 }
 
-// TestPlanCompileOnce pins plan reuse: one compile per model, and reuse
-// ever after — warm re-runs, overlays over the model and Prepare compile
-// nothing.
-func TestPlanCompileOnce(t *testing.T) {
-	s, _ := randomModel(oracle.FromSeed(11), true)
-	m := s.model()
-	before := StatsSnapshot()
-	Scout(m, NoChanges{})
-	Score(m, 1)
-	for i := 0; i < 5; i++ {
-		ov := risk.NewOverlay(m)
-		s.mark(ov, 0)
-		ov.MarkFailed(0, object.VRF(99))
-		Scout(ov, NoChanges{})
-	}
-	if st := Prepare(m); st.PlanCompiles != 0 {
-		t.Errorf("Prepare on a model with a plan compiled %d", st.PlanCompiles)
-	}
-	if d := StatsSnapshot().Delta(before); d.PlanCompiles != 1 || d.PlanReuses != 6 {
-		t.Errorf("%d plan compiles and %d reuses, want 1 and 6", d.PlanCompiles, d.PlanReuses)
+// TestModelArraysMatchReference: the engine reads the model's arrays as
+// they are, so they must be the scenario's edges as the reference reads
+// them — risks in ref order, each risk's dependents and each element's
+// risks ascending, each edge once — on drawn scenarios whose lists repeat
+// refs.
+func TestModelArraysMatchReference(t *testing.T) {
+	c := oracle.FromSeed(11)
+	for i := 0; i < 20; i++ {
+		s, _ := randomModel(c, true)
+		m, deps := s.model(), map[object.Ref][]risk.ElementID{}
+		var refs []object.Ref
+		for el, rs := range s.deps {
+			for _, ref := range rs {
+				if len(deps[ref]) == 0 {
+					refs = append(refs, ref)
+				}
+				if !slices.Contains(deps[ref], risk.ElementID(el)) {
+					deps[ref] = append(deps[ref], risk.ElementID(el))
+				}
+			}
+		}
+		object.SortRefs(refs)
+		if !slices.Equal(m.Risks(), refs) {
+			t.Fatalf("model %d: risks %v, want %v", i, m.Risks(), refs)
+		}
+		for r, ref := range refs {
+			if got := m.Dependents(risk.RiskID(r)); !slices.Equal(got, deps[ref]) {
+				t.Fatalf("model %d: %v's dependents %v, want %v", i, ref, got, deps[ref])
+			}
+		}
+		for el, rs := range s.deps {
+			want := slices.Clone(rs)
+			object.SortRefs(want)
+			want = slices.Compact(want)
+			var got []object.Ref
+			for _, r := range m.RisksOf(risk.ElementID(el)) {
+				got = append(got, refs[r])
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("model %d: element %d's risks %v, want %v", i, el, got, want)
+			}
+		}
 	}
 }
 
-// TestConcurrentFirstLocalizations: SCOUT on eight overlays of one
-// unprepared model from eight goroutines, each compiling the model's plan
-// or reusing one another stored. Every result equals the reference, and
-// the model keeps a plan. CI runs it under -race.
+// TestConcurrentFirstLocalizations: SCOUT on eight overlays of one model
+// from eight goroutines, each reading the model's arrays at once. Every
+// result equals the reference. CI runs it under -race.
 func TestConcurrentFirstLocalizations(t *testing.T) {
 	s, changed := randomModel(oracle.FromSeed(5), true)
 	m := s.model()
@@ -308,9 +329,6 @@ func TestConcurrentFirstLocalizations(t *testing.T) {
 		if !reflect.DeepEqual(res, want) {
 			t.Errorf("goroutine %d: SCOUT %+v, the reference %+v", i, res, want)
 		}
-	}
-	if m.CachedPlan() == nil {
-		t.Error("the model holds no plan after its first localizations")
 	}
 }
 
@@ -375,7 +393,7 @@ func TestAnnotatedSwitchModel(t *testing.T) {
 // controller model marked with them.
 func checkAnnotated(t *testing.T, label string, d *compile.Deployment, missing map[object.ID][]rule.Rule, changed object.Set) {
 	t.Helper()
-	ctrl, marked := risk.BuildControllerModel(d), 0
+	ctrl, marked := controllerModel(t, d), 0
 	var switches []object.ID
 	for sw := range missing {
 		switches = append(switches, sw)
@@ -413,7 +431,7 @@ func TestScoutDeterministic(t *testing.T) { runModels(t, 3, 40, false) }
 func TestScoreThresholdMonotonicity(t *testing.T) { runModels(t, 42, 40, true) }
 
 // TestDifferentialRandomModels: partial faults, and overlays marked again
-// after a first localization, which must localize on the model's plan.
+// after a first localization, which must localize as the reference does.
 func TestDifferentialRandomModels(t *testing.T) {
 	remarked := 0
 	for _, r := range runModels(t, 1, 120, true) {
@@ -428,7 +446,7 @@ func TestStageTwoOracleOrderDeterministic(t *testing.T) { runModels(t, 30, 30, t
 
 func TestOverlayCloneInterchangeable(t *testing.T) {
 	runWorkload(t, fabricCase{seeds: 5, faults: 6, noise: 5, build: func(d *compile.Deployment) *risk.Model {
-		return risk.BuildControllerModel(d)
+		return controllerModel(t, d)
 	}})
 }
 

@@ -1,12 +1,13 @@
 // Reference localization engine: the original map-of-maps implementation
 // of SCOUT and SCORE, retained as the readable specification the
-// compiled-plan engine (plan.go/engine.go) is pinned against.
+// engine (plan.go/engine.go) is pinned against.
 // RefScout/RefScore must stay Result-identical to Scout/Score — the
 // differential and edge tests enforce it.
 
 package localize
 
 import (
+	"slices"
 	"sort"
 
 	"scout/internal/object"
@@ -53,8 +54,8 @@ func newView(m risk.View) *view {
 	if isOverlay {
 		base = ov.Base()
 	}
-	for _, ref := range base.Risks() {
-		v.deps[ref] = base.ElementsOf(ref)
+	for r, ref := range base.Risks() {
+		v.deps[ref] = slices.Clone(base.Dependents(risk.RiskID(r)))
 	}
 	if isOverlay {
 		ov.ForEachOverlayEdge(func(el risk.ElementID, ref object.Ref) { v.deps[ref] = append(v.deps[ref], el) })

@@ -1,8 +1,8 @@
-// Engine counters. Every Scout or Score call counts its own plan compile or
-// reuse and stage times; ScoutWithStats hands them to its caller, so a run
-// that sums its own calls counts its own work whatever else runs beside
-// it. Each call also adds its counts to process-wide totals, and a delta of
-// two snapshots counts every call that fell between them, from any caller.
+// Engine counters. Every Scout call counts its own stage times;
+// ScoutWithStats hands them to its caller, so a run that sums its own calls
+// counts its own work whatever else runs beside it. Each call also adds its
+// counts to process-wide totals, and a delta of two snapshots counts every
+// call that fell between them, from any caller.
 
 package localize
 
@@ -11,12 +11,12 @@ import (
 	"time"
 )
 
-// EngineStats is a snapshot (or delta) of the compiled-plan engine's
-// cumulative counters.
+// EngineStats is a snapshot (or delta) of the engine's cumulative
+// counters.
 type EngineStats struct {
-	// PlanCompiles counts CSR plan compilations from a pristine model;
-	// PlanReuses counts calls served by a model's cached plan (warm and
-	// overlay runs).
+	// Deprecated: PlanCompiles and PlanReuses are always 0 — the engine
+	// reads the risk model's own arrays, and compiles no plan. They stay
+	// until bench/ stops reading them (ROADMAP item 1, shims).
 	PlanCompiles int64
 	PlanReuses   int64
 	// Deprecated: LazyEvals is always 0 — Score's pick loop rescans and
@@ -51,20 +51,10 @@ func StatsSnapshot() EngineStats {
 
 // Add returns s + d, field-wise.
 func (s EngineStats) Add(d EngineStats) EngineStats {
-	return EngineStats{
-		PlanCompiles: s.PlanCompiles + d.PlanCompiles,
-		PlanReuses:   s.PlanReuses + d.PlanReuses,
-		Stage1:       s.Stage1 + d.Stage1,
-		Stage2:       s.Stage2 + d.Stage2,
-	}
+	return EngineStats{Stage1: s.Stage1 + d.Stage1, Stage2: s.Stage2 + d.Stage2}
 }
 
 // Delta returns s - prev, field-wise.
 func (s EngineStats) Delta(prev EngineStats) EngineStats {
-	return EngineStats{
-		PlanCompiles: s.PlanCompiles - prev.PlanCompiles,
-		PlanReuses:   s.PlanReuses - prev.PlanReuses,
-		Stage1:       s.Stage1 - prev.Stage1,
-		Stage2:       s.Stage2 - prev.Stage2,
-	}
+	return EngineStats{Stage1: s.Stage1 - prev.Stage1, Stage2: s.Stage2 - prev.Stage2}
 }

@@ -153,7 +153,11 @@ func TestProbeLocalizationEndToEnd(t *testing.T) {
 	}
 	d := f.Deployment()
 
-	m := risk.NewOverlay(risk.BuildControllerModel(d))
+	ctrl, err := risk.BuildControllerModel(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := risk.NewOverlay(ctrl)
 	for _, sw := range threeTierSwitches {
 		s, err := f.Switch(sw)
 		if err != nil {

@@ -42,25 +42,40 @@ type ControllerModelOptions struct {
 // itself, so that whole-switch failures (unresponsive switch, §V-B use
 // case 3) are localizable to the physical object. It is the deployment's
 // one risk model: a switch's model (Figure 4(a)) is the run of its
-// triplets, viewed through NewSwitchOverlay.
-func BuildControllerModel(d *compile.Deployment) *Model {
+// triplets, viewed through NewSwitchOverlay. It refuses, with a footprint
+// error, a footprint NewModel would refuse, or one whose risk list names a
+// switch: the model adds each triplet's switch itself.
+func BuildControllerModel(d *compile.Deployment) (*Model, error) {
 	fp := d.Footprint
-	risks := make([][]object.Ref, len(fp.Pairs))
-	for i, sp := range fp.Pairs {
-		risks[i] = append(slices.Clip(fp.Risks[i]), object.Switch(sp.Switch))
+	n := len(fp.Pairs)
+	for _, refs := range fp.Risks {
+		n += len(refs)
 	}
-	return NewModel("controller", compile.Footprint{Pairs: fp.Pairs, Risks: risks})
+	// Every triplet's list and its switch, in one array.
+	risks, flat := make([][]object.Ref, len(fp.Pairs)), make([]object.Ref, 0, n)
+	for i, sp := range fp.Pairs {
+		if k := slices.IndexFunc(fp.Risks[i], func(ref object.Ref) bool { return ref.Kind == object.KindSwitch }); k >= 0 {
+			return nil, fmt.Errorf("footprint triplet %d (%v) names %v; the controller model adds its switch itself", i, sp, fp.Risks[i][k])
+		}
+		flat = append(append(flat, fp.Risks[i]...), object.Switch(sp.Switch))
+		risks[i] = flat[len(flat)-len(fp.Risks[i])-1:]
+	}
+	return newModel("controller", compile.Footprint{Pairs: fp.Pairs, Risks: risks})
 }
 
-// BuildControllerModelParallel is BuildControllerModel; opts and workers
-// are ignored.
+// BuildControllerModelParallel is BuildControllerModel, panicking on its
+// error; opts and workers are ignored.
 //
 // Deprecated: the build sharded by switch stopped paying once the
 // footprint carried per-pair risk lists — its merge pass cost what the
 // serial build does. It stays until bench/ stops calling it (ROADMAP item
 // 1, shims).
 func BuildControllerModelParallel(d *compile.Deployment, opts ControllerModelOptions, workers int) *Model {
-	return BuildControllerModel(d)
+	m, err := BuildControllerModel(d)
+	if err != nil {
+		panic(err)
+	}
+	return m
 }
 
 // AugmentSwitchModel marks failures in an overlay from the missing rules

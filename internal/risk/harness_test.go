@@ -5,11 +5,12 @@
 // AugmentControllerModelPatch with Apply, both augmentations of one
 // switch's rules side by side, and NewOverlay, which puts a fresh overlay
 // over a new model, NewModel's build of the overlay's edges. The reference
-// is a plain edge map in insertion order. After every step the model, the
-// overlay and the overlay folded into a model must read as their
-// references do, the model must be untouched and still hold the plan
-// stored on it, and an overlay over the folded model must be refused once
-// it carries a mark.
+// is a plain edge map in insertion order, whose refs a model numbers in ref
+// order and an overlay numbers after its model's as first named. After
+// every step the model, the overlay and the overlay folded into a model
+// must read as their references do, the models' adjacency rows must ascend
+// and transpose each other, the model must be untouched, and an overlay
+// over the folded model must be refused once it carries a mark.
 
 package risk_test
 
@@ -50,11 +51,13 @@ type edge struct {
 
 // refModel is the reference: element triplets in ID order, and a plain
 // map of the edges to whether each failed, with their insertion order.
+// The first nBase edges are what a model was built with.
 type refModel struct {
 	name  string
 	pairs []compile.SwitchPair
 	order []edge
 	edges map[edge]bool
+	nBase int
 }
 
 func newRef(name string, pairs []compile.SwitchPair) *refModel {
@@ -70,19 +73,24 @@ func (r *refModel) add(e edge, failed bool) {
 	r.edges[e] = failed || was
 }
 
-// risks returns the refs in the order an edge first named them: RiskID
-// order.
+// risks returns the refs in RiskID order: the model's in ref order, then
+// those of later edges in the order an edge first named them.
 func (r *refModel) risks() []object.Ref {
 	var out []object.Ref
-	for _, e := range r.order {
-		if !slices.Contains(out, e.ref) {
-			out = append(out, e.ref)
+	add := func(es []edge) {
+		for _, e := range es {
+			if !slices.Contains(out, e.ref) {
+				out = append(out, e.ref)
+			}
 		}
 	}
+	add(r.order[:r.nBase])
+	slices.SortFunc(out, object.Ref.Compare)
+	add(r.order[r.nBase:])
 	return out
 }
 
-// elementsOf returns ref's dependents in edge order.
+// elementsOf returns ref's dependents, ascending.
 func (r *refModel) elementsOf(ref object.Ref) []risk.ElementID {
 	var out []risk.ElementID
 	for _, e := range r.order {
@@ -90,6 +98,7 @@ func (r *refModel) elementsOf(ref object.Ref) []risk.ElementID {
 			out = append(out, e.el)
 		}
 	}
+	slices.Sort(out)
 	return out
 }
 
@@ -113,13 +122,14 @@ func (r *refModel) String() string {
 		r.name, len(r.pairs), len(r.risks()), len(r.order), len(r.failed()))
 }
 
-// clone returns a copy of r.
-func (r *refModel) clone() *refModel {
-	return &refModel{name: r.name, pairs: r.pairs, order: slices.Clone(r.order), edges: maps.Clone(r.edges)}
+// built returns a copy of r as a model built from all its edges reads:
+// every ref numbered in ref order, as a fold's are.
+func (r *refModel) built() *refModel {
+	return &refModel{name: r.name, pairs: r.pairs, order: slices.Clone(r.order), edges: maps.Clone(r.edges), nBase: len(r.order)}
 }
 
 // pristine returns r's elements and edges, none failed, the edges
-// element-major: the order NewModel numbers risks and dependents in.
+// element-major, as a model built from them.
 func (r *refModel) pristine() *refModel {
 	p := newRef(r.name, r.pairs)
 	order := slices.Clone(r.order)
@@ -127,7 +137,7 @@ func (r *refModel) pristine() *refModel {
 	for _, e := range order {
 		p.add(e, false)
 	}
-	return p
+	return p.built()
 }
 
 // replay builds pristine r, whose edges are element-major, through
@@ -165,7 +175,6 @@ type harness struct {
 	base      *risk.Model
 	ov        *risk.Overlay
 	twin, ovr *refModel // the base's and the overlay's
-	plan      *int      // the plan stored on base
 	// folded is the overlay folded at the last check; was is what its
 	// reference was then.
 	folded *risk.Model
@@ -188,13 +197,14 @@ func runModel(t *testing.T, c *oracle.Choices, d *compile.Deployment, sw object.
 				h.twin.add(edge{risk.ElementID(el), ref}, false)
 			}
 		}
+		h.twin = h.twin.built()
 		for _, x := range h.rules(18) {
 			if !c.Chance(4) {
 				h.prov[x.Key()] = h.provenance()
 			}
 		}
 	case sw == 0:
-		h.base, h.twin = risk.BuildControllerModel(d), refBuild(d, 0)
+		h.base, h.twin = controllerModel(h.t, d), refBuild(d, 0)
 	default:
 		h.base, h.twin = switchModel(d, sw), refBuild(d, sw)
 	}
@@ -326,12 +336,9 @@ func (h *harness) apply(r *refModel, es []edge) {
 	}
 }
 
-// fresh puts a fresh overlay over the new base, and stores a plan on the
-// base; a second store must not replace it.
+// fresh puts a fresh overlay over the new base.
 func (h *harness) fresh() {
-	h.ov, h.ovr, h.plan = risk.NewOverlay(h.base), h.twin.pristine(), new(int)
-	h.base.StorePlan(h.plan)
-	h.base.StorePlan(new(int))
+	h.ov, h.ovr = risk.NewOverlay(h.base), h.twin.pristine()
 }
 
 func (h *harness) step(i int, kind op) {
@@ -386,21 +393,21 @@ func (h *harness) step(i int, kind op) {
 func (h *harness) check(label string) {
 	t := h.t
 	t.Helper()
-	if h.base.CachedPlan() != any(h.plan) || h.ov.Base() != h.base {
-		t.Fatalf("%s: the overlay's base changed, or its plan did", label)
+	if h.ov.Base() != h.base {
+		t.Fatalf("%s: the overlay's base changed", label)
 	}
 	checkView(t, label+", model", h.base, h.twin)
 	checkView(t, label+", overlay", h.ov, h.ovr)
 	if h.folded != nil {
 		checkView(t, label+", the last check's fold", h.folded, h.was)
 	}
-	h.folded, h.was = risk.Fold(h.ov), h.ovr.clone()
-	checkView(t, label+", folded overlay", h.folded, h.ovr)
+	h.folded, h.was = risk.Fold(h.ov), h.ovr.built()
+	checkView(t, label+", folded overlay", h.folded, h.was)
 	if e, ok := h.rival(); ok {
 		other := risk.NewOverlay(h.base)
 		other.MarkFailed(e.el, e.ref)
 		risk.Fold(other)
-		checkView(t, label+", folded overlay after another fold", h.folded, h.ovr)
+		checkView(t, label+", folded overlay after another fold", h.folded, h.was)
 	}
 	if len(h.ovr.failed()) > 0 {
 		h.stats.refused++
@@ -421,7 +428,8 @@ func (h *harness) check(label string) {
 
 // rival returns an edge the base lacks to the risk of the overlay's first
 // created edge to a base risk, from another element: a second fold of the
-// base appends it where the overlay's fold appended that edge.
+// base adds it to the row the overlay's fold added that edge to, and must
+// leave the first fold's arrays alone.
 func (h *harness) rival() (edge, bool) {
 	risks := h.twin.risks()
 	for _, c := range h.ovr.order[len(h.twin.order):] {
@@ -454,7 +462,8 @@ func sortEdges(es []edge) []edge {
 // checkView holds every read of v to r: the summary, each triplet's
 // element, each ref's risk, the failed edges ForEachMark yields, by
 // element and then RiskID, on an overlay the failure signature, and on a
-// model each risk's dependents and the sorted risk list.
+// model the risk list, each risk's dependents, and its adjacency: every
+// row ascends, and the element and risk rows are transposes.
 func checkView(t *testing.T, label string, v risk.View, r *refModel) {
 	t.Helper()
 	same(t, label, "the summary", v, r)
@@ -478,14 +487,23 @@ func checkView(t *testing.T, label string, v risk.View, r *refModel) {
 		same(t, label, "the failure signature", v.(*risk.Overlay).FailureSignature(), sig)
 		return
 	}
-	for _, ref := range append(risks, object.Filter(999)) {
-		if deps := m.ElementsOf(ref); len(deps) > 0 {
-			deps[0] = -1 // the caller's copy
-		}
-		same(t, label, "ElementsOf("+ref.String()+")", m.ElementsOf(ref), r.elementsOf(ref))
-	}
-	slices.SortFunc(risks, object.Ref.Compare)
 	same(t, label, "Risks()", m.Risks(), risks)
+	edges := 0
+	for i, ref := range risks {
+		deps := m.Dependents(risk.RiskID(i))
+		same(t, label, "Dependents("+ref.String()+")", deps, r.elementsOf(ref))
+		edges += len(deps)
+	}
+	for el := range r.pairs {
+		row := m.RisksOf(risk.ElementID(el))
+		for k, id := range row {
+			if k > 0 && row[k-1] >= id || !slices.Contains(m.Dependents(id), risk.ElementID(el)) {
+				t.Fatalf("%s: element %d's risks %v do not ascend, or risk %d's dependents %v lack it", label, el, row, id, m.Dependents(id))
+			}
+		}
+		edges -= len(row)
+	}
+	same(t, label, "risk rows' edges less element rows'", edges, 0)
 }
 
 // same fails the test unless got and want print alike.
@@ -494,6 +512,16 @@ func same(t *testing.T, label, what string, got, want any) {
 	if g, w := fmt.Sprint(got), fmt.Sprint(want); g != w {
 		t.Fatalf("%s: %s %s, want %s", label, what, g, w)
 	}
+}
+
+// controllerModel builds d's controller model, failing t on its error.
+func controllerModel(t testing.TB, d *compile.Deployment) *risk.Model {
+	t.Helper()
+	m, err := risk.BuildControllerModel(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 // FuzzModel runs the fuzzer's bytes as a case over every step, from a

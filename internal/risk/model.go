@@ -13,26 +13,26 @@ package risk
 import (
 	"fmt"
 	"slices"
-	"sync/atomic"
 
 	"scout/internal/compile"
 	"scout/internal/object"
 )
 
 // ElementID is a dense index of an affected element within a Model.
-type ElementID int
+type ElementID int32
 
 // RiskID is a dense index of a shared risk within a Model.
-type RiskID int
+type RiskID int32
 
 // View is the read interface over an annotated risk model: what
 // localization, augmentation, evaluation and the report's summary read.
 // Failures are marked on a copy-on-write *Overlay over an immutable
 // pristine *Model; a *Model carries marks only when an overlay was folded
-// into it (BuildAnnotatedSwitchModel). An overlay and its fold yield the
-// same element/risk IDs and failure sets, so every downstream result is
-// byte-identical whichever backs the view. An element is looked up by its
-// (switch, EPG pair) triplet.
+// into it (BuildAnnotatedSwitchModel). An overlay and its fold read the
+// same elements, refs, edges and failure sets, though not always the same
+// risk IDs (the fold numbers the overlay's created risks among the base's),
+// so every downstream result is byte-identical whichever backs the view.
+// An element is looked up by its (switch, EPG pair) triplet.
 type View interface {
 	fmt.Stringer
 	Name() string
@@ -47,85 +47,123 @@ type View interface {
 	ForEachMark(fn func(el ElementID, ref object.Ref))
 }
 
-type elementData struct {
-	risks  []RiskID
-	failed map[RiskID]struct{}
-}
-
-type riskData struct {
-	ref      object.Ref
-	elements []ElementID
-}
-
 // Model is a bipartite risk graph whose elements are a footprint's
 // triplets. Nothing changes a Model once NewModel returns it: failures
 // are marked on an Overlay over it, so concurrent readers and overlays
-// share one. Its topology (elements, risks, edges) is what a localization
-// plan compiles, once per model.
+// share one. Its risks are numbered in Ref.Less order, and its edges are
+// laid out both ways as compressed rows, each ascending — the arrays
+// localization reads as they are.
 type Model struct {
-	name     string
-	pairs    []compile.SwitchPair // element i's triplet, ascending
-	elements []elementData
-
-	risks []riskData
+	name  string
+	pairs []compile.SwitchPair // element i's triplet, ascending
+	refs  []object.Ref         // risk r's ref, ascending
 	byRef map[object.Ref]RiskID
-	edges int
-	// failed counts failed edges; only a folded overlay has any (the
-	// elements' failed sets hold them).
-	failed int
 
-	plan atomic.Pointer[any] // the compiled localization plan (plancache.go)
+	// Risk r's dependents are deps[depOff[r]:depOff[r+1]]; element el's
+	// risks are adj[adjOff[el]:adjOff[el+1]].
+	depOff []int
+	deps   []ElementID
+	adjOff []int
+	adj    []RiskID
+
+	// marks are the failed edges, by element, then risk; only a folded
+	// overlay has any.
+	marks []edge
+}
+
+// edge is an element's edge to a risk.
+type edge struct {
+	el ElementID
+	r  RiskID
 }
 
 // NewModel builds a pristine model with a diagnostic name and one element
-// per triplet of fp: element i is fp.Pairs[i] and depends on fp.Risks[i],
-// whose refs must not repeat. Risks are numbered in the order the
-// elements first name them. The model keeps fp.Pairs, which must not
-// change after, and panics unless its triplets strictly ascend: an element
-// is found by binary search on its triplet.
+// per triplet of fp: element i is fp.Pairs[i] and depends on fp.Risks[i].
+// The model keeps fp.Pairs, which must not change after, and panics unless
+// its triplets strictly ascend (an element is found by binary search on its
+// triplet) and no risk list repeats a ref.
 func NewModel(name string, fp compile.Footprint) *Model {
-	m := &Model{
-		name:     name,
-		pairs:    fp.Pairs,
-		elements: make([]elementData, len(fp.Pairs)),
-		byRef:    make(map[object.Ref]RiskID),
-	}
-	for i := range fp.Pairs {
-		if i > 0 && fp.Pairs[i-1].Compare(fp.Pairs[i]) >= 0 {
-			panic(fmt.Sprintf("risk: model %q: triplet %d does not ascend", name, i))
-		}
-		refs := fp.Risks[i]
-		risks := make([]RiskID, len(refs))
-		for j, ref := range refs {
-			r, ok := m.byRef[ref]
-			if !ok {
-				r = RiskID(len(m.risks))
-				m.risks = append(m.risks, riskData{ref: ref})
-				m.byRef[ref] = r
-			}
-			risks[j] = r
-			m.risks[r].elements = append(m.risks[r].elements, ElementID(i))
-		}
-		m.elements[i].risks = risks
-		m.edges += len(refs)
+	m, err := newModel(name, fp)
+	if err != nil {
+		panic(fmt.Sprintf("risk: model %q: %v", name, err))
 	}
 	return m
+}
+
+// newModel is NewModel, returning its refusal as a footprint error. Each
+// element's risks are first numbered as met, then renumbered in ref order;
+// sorted, a repeated ref in an element's row is an adjacent pair.
+func newModel(name string, fp compile.Footprint) (*Model, error) {
+	n := len(fp.Pairs)
+	m := &Model{name: name, pairs: fp.Pairs, byRef: make(map[object.Ref]RiskID), adjOff: make([]int, n+1)}
+	for i := range fp.Pairs {
+		if i > 0 && fp.Pairs[i-1].Compare(fp.Pairs[i]) >= 0 {
+			return nil, fmt.Errorf("footprint triplet %d (%v) does not ascend", i, fp.Pairs[i])
+		}
+		m.adjOff[i+1] = m.adjOff[i] + len(fp.Risks[i])
+	}
+	m.adj = make([]RiskID, 0, m.adjOff[n])
+	for _, refs := range fp.Risks {
+		for _, ref := range refs {
+			r, ok := m.byRef[ref]
+			if !ok {
+				r = RiskID(len(m.refs))
+				m.refs = append(m.refs, ref)
+				m.byRef[ref] = r
+			}
+			m.adj = append(m.adj, r)
+		}
+	}
+	renum := make([]RiskID, len(m.refs)) // first-met ID → ref-order ID
+	object.SortRefs(m.refs)
+	for r, ref := range m.refs {
+		renum[m.byRef[ref]] = RiskID(r)
+		m.byRef[ref] = RiskID(r)
+	}
+
+	m.depOff = make([]int, len(m.refs)+1)
+	for el := range fp.Pairs {
+		row := m.adj[m.adjOff[el]:m.adjOff[el+1]]
+		for k, old := range row {
+			row[k] = renum[old]
+		}
+		slices.Sort(row)
+		for k, r := range row {
+			if k > 0 && row[k-1] == r {
+				return nil, fmt.Errorf("footprint triplet %d (%v) lists %v twice", el, fp.Pairs[el], m.refs[r])
+			}
+			m.depOff[r+1]++
+		}
+	}
+	for r := range m.refs {
+		m.depOff[r+1] += m.depOff[r]
+	}
+	// Filled element by element, every risk's row ascends.
+	m.deps = make([]ElementID, len(m.adj))
+	next := slices.Clone(m.depOff[:len(m.refs)])
+	for el := range fp.Pairs {
+		for _, r := range m.RisksOf(ElementID(el)) {
+			m.deps[next[r]] = ElementID(el)
+			next[r]++
+		}
+	}
+	return m, nil
 }
 
 // Name returns the model's diagnostic name.
 func (m *Model) Name() string { return m.name }
 
 // NumElements returns the number of affected elements.
-func (m *Model) NumElements() int { return len(m.elements) }
+func (m *Model) NumElements() int { return len(m.pairs) }
 
 // NumRisks returns the number of shared risks.
-func (m *Model) NumRisks() int { return len(m.risks) }
+func (m *Model) NumRisks() int { return len(m.refs) }
 
 // NumEdges returns the number of element↔risk edges.
-func (m *Model) NumEdges() int { return m.edges }
+func (m *Model) NumEdges() int { return len(m.adj) }
 
 // NumFailedEdges returns the number of edges marked fail.
-func (m *Model) NumFailedEdges() int { return m.failed }
+func (m *Model) NumFailedEdges() int { return len(m.marks) }
 
 // ElementOf looks up the element of triplet sp.
 func (m *Model) ElementOf(sp compile.SwitchPair) (ElementID, bool) {
@@ -139,37 +177,29 @@ func (m *Model) RiskByRef(ref object.Ref) (RiskID, bool) {
 	return id, ok
 }
 
-// ElementsOf returns the element IDs depending on risk ref.
-func (m *Model) ElementsOf(ref object.Ref) []ElementID {
-	r, ok := m.byRef[ref]
-	if !ok {
-		return nil
-	}
-	out := make([]ElementID, len(m.risks[r].elements))
-	copy(out, m.risks[r].elements)
-	return out
+// Risks returns every risk's ref, indexed by RiskID: ascending. The slice
+// is the model's own; callers must not modify it.
+func (m *Model) Risks() []object.Ref { return m.refs }
+
+// Dependents returns the elements depending on risk r, ascending. The row
+// is the model's own; callers must not modify it.
+func (m *Model) Dependents(r RiskID) []ElementID {
+	return m.deps[m.depOff[r]:m.depOff[r+1]:m.depOff[r+1]]
+}
+
+// RisksOf returns the risks element el depends on, ascending. The row is
+// the model's own; callers must not modify it.
+func (m *Model) RisksOf(el ElementID) []RiskID {
+	return m.adj[m.adjOff[el]:m.adjOff[el+1]:m.adjOff[el+1]]
 }
 
 // ForEachMark invokes fn for every edge marked fail, in ascending element
 // order, then ascending risk ID: the marks of the overlay folded into the
-// model, which a localization run reads as its delta over the model's
-// compiled topology.
+// model, which a localization run reads as its delta over the model.
 func (m *Model) ForEachMark(fn func(el ElementID, ref object.Ref)) {
-	for el := range m.elements {
-		for _, r := range sortedKeys(m.elements[el].failed) {
-			fn(ElementID(el), m.risks[r].ref)
-		}
+	for _, e := range m.marks {
+		fn(e.el, m.refs[e.r])
 	}
-}
-
-// Risks returns all risk refs in the model, sorted.
-func (m *Model) Risks() []object.Ref {
-	out := make([]object.Ref, 0, len(m.risks))
-	for i := range m.risks {
-		out = append(out, m.risks[i].ref)
-	}
-	object.SortRefs(out)
-	return out
 }
 
 // String summarizes the model.

@@ -6,14 +6,16 @@
 // over it that records only its own failed-edge marks (plus the rare
 // edges/risks a mark creates). Creating an overlay is O(1); reads merge
 // base and overlay state, numbering the risks and edges a mark creates
-// after the base's. fold turns an overlay into a Model of its own, for
-// the one caller that wants a marked model.
+// after the base's. A localization run reads the base's arrays as they
+// are and the overlay's marks, created edges and created risks, which the
+// exports below enumerate, as its delta. fold turns an overlay into a
+// Model of its own, for the one caller that wants a marked model.
 
 package risk
 
 import (
+	"cmp"
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 
@@ -44,7 +46,7 @@ type Overlay struct {
 	extraByRef map[object.Ref]RiskID
 
 	// created lists the edges overlay marks created, in mark order.
-	created []createdEdge
+	created []edge
 
 	// failed records the overlay's failure marks per element.
 	failed map[ElementID]map[RiskID]struct{}
@@ -52,20 +54,15 @@ type Overlay struct {
 	numFailed int // overlay-added failure marks
 }
 
-type createdEdge struct {
-	el ElementID
-	r  RiskID
-}
-
 // NewOverlay creates an empty failure overlay over base, which must carry
 // no failed edge; it panics on a folded overlay that does.
 func NewOverlay(base *Model) *Overlay {
-	if base.failed > 0 {
+	if len(base.marks) > 0 {
 		panic(fmt.Sprintf("risk: overlay over %s, which is not pristine", base))
 	}
 	return &Overlay{
 		base:       base,
-		hi:         ElementID(len(base.elements)),
+		hi:         ElementID(len(base.pairs)),
 		extraByRef: make(map[object.Ref]RiskID),
 		failed:     make(map[ElementID]map[RiskID]struct{}),
 	}
@@ -100,16 +97,12 @@ func (o *Overlay) NumElements() int { return int(o.hi - o.lo) }
 
 // NumRisks returns the combined number of shared risks, every base risk
 // included.
-func (o *Overlay) NumRisks() int { return len(o.base.risks) + len(o.extraRisks) }
+func (o *Overlay) NumRisks() int { return len(o.base.refs) + len(o.extraRisks) }
 
 // NumEdges returns the combined number of element↔risk edges in the
 // overlay's range.
 func (o *Overlay) NumEdges() int {
-	n := len(o.created)
-	for _, e := range o.base.elements[o.lo:o.hi] {
-		n += len(e.risks)
-	}
-	return n
+	return o.base.adjOff[o.hi] - o.base.adjOff[o.lo] + len(o.created)
 }
 
 // NumFailedEdges returns the number of edges the overlay marked fail.
@@ -133,10 +126,10 @@ func (o *Overlay) RiskByRef(ref object.Ref) (RiskID, bool) {
 
 // refOf returns the object reference of a base or overlay risk.
 func (o *Overlay) refOf(r RiskID) object.Ref {
-	if int(r) < len(o.base.risks) {
-		return o.base.risks[r].ref
+	if int(r) < len(o.base.refs) {
+		return o.base.refs[r]
 	}
-	return o.extraRisks[int(r)-len(o.base.risks)]
+	return o.extraRisks[int(r)-len(o.base.refs)]
 }
 
 // MarkFailed flags the edge between el and ref as fail, creating the edge
@@ -150,11 +143,12 @@ func (o *Overlay) MarkFailed(el ElementID, ref object.Ref) {
 	}
 	r, ok := o.RiskByRef(ref)
 	if !ok {
-		r = RiskID(len(o.base.risks) + len(o.extraRisks))
+		r = RiskID(o.NumRisks())
 		o.extraRisks = append(o.extraRisks, ref)
 		o.extraByRef[ref] = r
 	}
-	if e := (createdEdge{el, r}); !slices.Contains(o.base.elements[o.lo+el].risks, r) && !slices.Contains(o.created, e) {
+	_, onBase := slices.BinarySearch(o.base.RisksOf(o.lo+el), r)
+	if e := (edge{el, r}); !onBase && !slices.Contains(o.created, e) {
 		o.created = append(o.created, e)
 	}
 	set := o.failed[el]
@@ -189,26 +183,63 @@ func (o *Overlay) SuspectSet() []object.Ref {
 // String summarizes the view with the overlay's counts.
 func (o *Overlay) String() string { return summarize(o) }
 
-// fold returns a fresh Model that reads as o does: its base's elements,
-// risks and edges, then the risks o's marks created in creation order and
-// the edges in mark order, and o's marks — the IDs, edges and marks that
-// marking a copy of the base in place would give. o must view its base's
-// whole range.
+// ExtraRiskRefs returns the refs of risks created by overlay marks, in
+// creation order (their RiskIDs continue the base's dense numbering).
+func (o *Overlay) ExtraRiskRefs() []object.Ref {
+	return append([]object.Ref(nil), o.extraRisks...)
+}
+
+// ForEachOverlayEdge invokes fn for every overlay-created edge (an edge a
+// mark named that the base lacked), in ascending element order, then mark
+// order. Every overlay-created edge also carries a failure mark, by
+// construction of MarkFailed.
+func (o *Overlay) ForEachOverlayEdge(fn func(el ElementID, ref object.Ref)) {
+	created := slices.Clone(o.created)
+	slices.SortStableFunc(created, func(a, b edge) int { return cmp.Compare(a.el, b.el) })
+	for _, e := range created {
+		fn(e.el, o.refOf(e.r))
+	}
+}
+
+// ForEachMark invokes fn for every failure mark the overlay added (marks on
+// base edges and on overlay-created edges alike), in ascending element
+// order, then ascending risk ID. The base is pristine, so these are every
+// failed edge the overlay has.
+func (o *Overlay) ForEachMark(fn func(el ElementID, ref object.Ref)) {
+	for _, el := range sortedKeys(o.failed) {
+		for _, r := range sortedKeys(o.failed[el]) {
+			fn(el, o.refOf(r))
+		}
+	}
+}
+
+// fold returns a fresh Model that reads as o does: NewModel's build of its
+// base's triplets, each depending on its base refs and the refs of o's
+// edges created on it, carrying o's marks. Its risks are numbered in ref
+// order, o's created risks among the base's. o must view its base's whole
+// range.
 func (o *Overlay) fold() *Model {
 	b := o.base
-	m := &Model{name: b.name, pairs: b.pairs, elements: slices.Clone(b.elements), risks: slices.Clone(b.risks),
-		byRef: maps.Clone(b.byRef), edges: b.edges + len(o.created), failed: o.numFailed}
-	for _, ref := range o.extraRisks {
-		m.byRef[ref] = RiskID(len(m.risks))
-		m.risks = append(m.risks, riskData{ref: ref})
+	risks := make([][]object.Ref, len(b.pairs))
+	for el := range risks {
+		for _, r := range b.RisksOf(ElementID(el)) {
+			risks[el] = append(risks[el], b.refs[r])
+		}
 	}
-	// Clipped, an append never writes into the base's arrays.
 	for _, e := range o.created {
-		m.elements[e.el].risks = append(slices.Clip(m.elements[e.el].risks), e.r)
-		m.risks[e.r].elements = append(slices.Clip(m.risks[e.r].elements), e.el)
+		risks[e.el] = append(risks[e.el], o.refOf(e.r))
 	}
-	for el, set := range o.failed {
-		m.elements[el].failed = maps.Clone(set)
-	}
+	m := NewModel(b.name, compile.Footprint{Pairs: b.pairs, Risks: risks})
+	o.ForEachMark(func(el ElementID, ref object.Ref) { m.marks = append(m.marks, edge{el, m.byRef[ref]}) })
+	slices.SortFunc(m.marks, func(x, y edge) int { return cmp.Or(cmp.Compare(x.el, y.el), cmp.Compare(x.r, y.r)) })
 	return m
+}
+
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	out := make([]K, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	slices.Sort(out)
+	return out
 }

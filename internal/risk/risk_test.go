@@ -20,8 +20,9 @@ import (
 // Each test is a case of the model runner (harness_test.go): a seed range
 // and a shape, whose steps its name says it stresses. Every case holds the
 // pristine model, the overlay over it and the overlay folded into a model
-// to their references, and the model to the plan stored on it, after every
-// step. The builds are held to refBuild, the pre-footprint build.
+// to their references, and the models' adjacency rows to their
+// invariants, after every step. The builds are held to refBuild, the
+// pre-footprint build.
 
 // runModels runs a case per seed below seeds (see runModel); a nil d runs
 // them from a drawn footprint.
@@ -192,6 +193,7 @@ func refBuild(d *compile.Deployment, sw object.ID) *refModel {
 			r.add(edge{el, object.Switch(sp.Switch)}, false)
 		}
 	}
+	r.nBase = len(r.order)
 	return r
 }
 
@@ -213,7 +215,7 @@ func checkBuildsMatchOracle(t *testing.T, name string, d *compile.Deployment) {
 			t.Errorf("%s: %s: %v, oracle built %v", name, what, got, want)
 		}
 	}
-	ctrl := risk.BuildControllerModel(d)
+	ctrl := controllerModel(t, d)
 	for sw := range d.BySwitch {
 		m, ov := switchModel(d, sw), risk.NewSwitchOverlay(ctrl, sw)
 		check(fmt.Sprint("switch ", sw), m, refBuild(d, sw).replay())
@@ -247,7 +249,7 @@ func TestModelBuildsMatchOracle(t *testing.T) {
 		}
 		// The benchmark's input, by the counts its controller model is
 		// reported with.
-		m := risk.BuildControllerModel(d)
+		m := controllerModel(t, d)
 		if m.NumElements() != 4290 || m.NumEdges() != 39221 {
 			t.Errorf("production x0.25: %d elements, %d edges; want 4290, 39221", m.NumElements(), m.NumEdges())
 		}

@@ -314,9 +314,26 @@ func failedOf(m risk.View, ref object.Ref) int {
 	return n
 }
 
+// controller builds d's controller model and counts the dependents of a
+// ref in it.
+func controller(t *testing.T, d *compile.Deployment) (*risk.Model, func(ref object.Ref) int) {
+	t.Helper()
+	m, err := risk.BuildControllerModel(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, func(ref object.Ref) int {
+		r, ok := m.RiskByRef(ref)
+		if !ok {
+			return 0
+		}
+		return len(m.Dependents(r))
+	}
+}
+
 func TestApplyToControllerModelFullFault(t *testing.T) {
 	d, idx := buildEnv(t)
-	ctrl := risk.BuildControllerModel(d)
+	ctrl, depsOf := controller(t, d)
 	m := risk.NewOverlay(ctrl)
 	// Pick an object with a decent footprint.
 	var target object.Ref
@@ -335,14 +352,14 @@ func TestApplyToControllerModelFullFault(t *testing.T) {
 		t.Errorf("failed instances = %d, want all %d", failed, len(idx.Instances(target)))
 	}
 	// Full fault ⇒ hit ratio 1 for the target.
-	if failed, deps := failedOf(m, target), len(ctrl.ElementsOf(target)); failed != deps {
+	if failed, deps := failedOf(m, target), depsOf(target); failed != deps {
 		t.Errorf("hit ratio = %d/%d, want 1 after full fault", failed, deps)
 	}
 }
 
 func TestApplyToControllerModelPartialFault(t *testing.T) {
 	d, idx := buildEnv(t)
-	ctrl := risk.BuildControllerModel(d)
+	ctrl, depsOf := controller(t, d)
 	m := risk.NewOverlay(ctrl)
 	var target object.Ref
 	for _, ref := range idx.Objects() {
@@ -356,7 +373,7 @@ func TestApplyToControllerModelPartialFault(t *testing.T) {
 	}
 	sc := Scenario{Faults: []Fault{{Ref: target, Fraction: 0.3}}}
 	markController(m, d, sc.Missing(idx, rand.New(rand.NewSource(3))))
-	if failed, deps := failedOf(m, target), len(ctrl.ElementsOf(target)); failed == 0 || failed >= deps {
+	if failed, deps := failedOf(m, target), depsOf(target); failed == 0 || failed >= deps {
 		t.Errorf("partial fault hit ratio = %d/%d, want in (0,1)", failed, deps)
 	}
 }

@@ -202,51 +202,6 @@ func TestConcurrentAnalyzeCalls(t *testing.T) {
 	}
 }
 
-// TestConcurrentSessionsCountTheirOwnPlans: sessions that run at the same
-// time count the localization plans their own runs compiled and reused.
-// Fresh sessions over faultyFabric seeds 7 and 11 run twice each, every
-// verdict invalidated first, at once, ten times over, and every run counts,
-// in SessionStats and in its report, what the same run counts alone.
-func TestConcurrentSessionsCountTheirOwnPlans(t *testing.T) {
-	fabs := []*scout.Fabric{faultyFabric(t, 7), faultyFabric(t, 11)}
-	counts := func(sess *scout.Session, start <-chan struct{}) (out string) {
-		<-start
-		for range 2 {
-			sess.Invalidate()
-			rep, err := sess.Analyze()
-			if err != nil {
-				return err.Error()
-			}
-			st := sess.Stats()
-			out += fmt.Sprint(st.PlanCompiles, st.PlanReuses, rep.LocalizeStats.PlanCompiles, rep.LocalizeStats.PlanReuses, " ")
-		}
-		return out
-	}
-	lone, start := make([]string, len(fabs)), make(chan struct{})
-	close(start)
-	for i, f := range fabs {
-		lone[i] = counts(newSession(t, f, scout.AnalyzerOptions{Workers: 2}), start)
-	}
-	for round := 0; round < 10; round++ {
-		got, start := make([]string, len(fabs)), make(chan struct{})
-		var wg sync.WaitGroup
-		for i, f := range fabs {
-			wg.Add(1)
-			go func(sess *scout.Session) {
-				defer wg.Done()
-				got[i] = counts(sess, start)
-			}(newSession(t, f, scout.AnalyzerOptions{Workers: 2}))
-		}
-		close(start)
-		wg.Wait()
-		for i := range fabs {
-			if got[i] != lone[i] {
-				t.Fatalf("round %d, session %d counted %s, alone %s", round, i, got[i], lone[i])
-			}
-		}
-	}
-}
-
 // TestConcurrentSessionUse drives one warm-store session from several
 // goroutines at once — Analyze, AnalyzeEpoch of one shared Collector's
 // snapshots, AnalyzeState, Invalidate and Stats — beside a one-shot of the

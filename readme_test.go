@@ -132,7 +132,7 @@ func ciLines(t *testing.T) []string {
 // after the run it starts from.
 func workTable(t *testing.T, _ string, data []byte) string {
 	cols := []string{"checked", "replayed", "fold_misses", "base_builds", "base_loads",
-		"plan_compiles", "plan_reuses", "probe_packets", "state_bytes"}
+		"probe_packets", "state_bytes", "allocs"}
 	var header []string
 	var b strings.Builder
 	b.WriteString("| journey | " + strings.ReplaceAll(strings.Join(cols, " | "), "_", " ") + " |\n")

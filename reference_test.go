@@ -29,7 +29,10 @@ func refAnalyze(t testing.TB, st scout.State) *scout.Report {
 	}
 	d := st.Deployment
 	oracle := localize.ChangeLogOracle{Log: st.Changes, Since: st.Now.Add(-24 * time.Hour)}
-	ctrlModel := risk.BuildControllerModel(d)
+	ctrlModel, err := risk.BuildControllerModel(d)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctrl := risk.NewOverlay(ctrlModel)
 	rep := &scout.Report{Consistent: true}
 	for _, sw := range sortedIDs(st.TCAM) {

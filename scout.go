@@ -31,7 +31,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -156,9 +155,9 @@ type Report struct {
 	// not result: it is excluded from the JSON form so reports stay
 	// byte-identical across worker counts.
 	EncodeStats *equiv.EncodeStats `json:"-"`
-	// LocalizeStats sums this run's own localizations' counters: plan
-	// compiles vs cache reuses, and SCOUT's per-stage timings.
-	// Nil when the run localized nothing (consistent fabric).
+	// LocalizeStats sums this run's own localizations' counters: SCOUT's
+	// per-stage timings. Nil when the run localized nothing (consistent
+	// fabric).
 	// Diagnostics like EncodeStats, so excluded from the JSON form.
 	LocalizeStats *localize.EngineStats `json:"-"`
 	// Hypothesis is the controller-model hypothesis: the most-likely
@@ -178,8 +177,9 @@ type Report struct {
 type State struct {
 	// Deployment is the compiled desired state (L-type rules). One built
 	// by hand fills BySwitch, Provenance and a Footprint whose triplets
-	// strictly ascend, with Risks and Keys aligned to them; an analysis
-	// refuses any other footprint before doing any work.
+	// strictly ascend, with Risks and Keys aligned to them, each risk list
+	// naming a ref once and no switch; an analysis refuses any other
+	// footprint with an error.
 	Deployment *Deployment
 	// TCAM maps each switch to its collected rules (T-type). Collected
 	// from a Fabric or an Epoch, the slices are the TCAMs' shared
@@ -366,18 +366,24 @@ func (a *Analyzer) fanOut(n int, fn func(worker, i int) error) error {
 
 // startRiskModels begins the build of the deployment's one risk model, the
 // controller's (paper Figure 4(b)), on its own goroutine and returns the
-// function that waits for it; the caller calls it once, on every path.
-// Every switch is modelled as a shared risk, so whole-switch failures are
-// localizable, and a switch's model (4(a)) is the range of its triplets.
-// The model is a function of the compiled policy alone, so it is never
-// marked: every analysis annotates fresh overlays, and the plan compiled
-// from it serves every later analysis of the deployment.
-func (a *Analyzer) startRiskModels(d *Deployment) (join func() *risk.Model) {
-	built := make(chan *risk.Model, 1)
+// function that waits for it, or for the footprint error that refused it;
+// the caller calls it once, on every path. Every switch is modelled as a
+// shared risk, so whole-switch failures are localizable, and a switch's
+// model (4(a)) is the range of its triplets. The model is a function of
+// the compiled policy alone, so it is never marked: every analysis
+// annotates fresh overlays over it and reads its arrays as they are.
+func (a *Analyzer) startRiskModels(d *Deployment) (join func() (*risk.Model, error)) {
+	var m *risk.Model
+	var err error
+	done := make(chan struct{})
 	go func() {
-		built <- risk.BuildControllerModel(d)
+		defer close(done)
+		m, err = risk.BuildControllerModel(d)
 	}()
-	return func() *risk.Model { return <-built }
+	return func() (*risk.Model, error) {
+		<-done
+		return m, err
+	}
 }
 
 // changeOracle builds the change-log oracle anchored at now.
@@ -385,22 +391,20 @@ func changeOracle(changes *ChangeLog, now time.Time) localize.ChangeLogOracle {
 	return localize.ChangeLogOracle{Log: changes, Since: now.Add(-changeWindow)}
 }
 
-// assemble runs the pipeline stages downstream of the check stage. An
-// inconsistent run first compiles ctrl's localization plan if ctrl holds
-// none, so the localizations below all reuse it. The per-switch residue —
-// localization on a fresh overlay of every inequivalent switch's range,
-// and the controller-model augmentation patch — fans out over the workers
-// (both only read ctrl); then the serial fold walks the switches in
-// ascending ID order to count missing rules and replay the patches, and
-// the global
-// localization/correlation pass finishes the report. The only serial
-// stages left are order-dependent by construction: the O(failures) patch
-// replay and the single controller localize.Scout, which runs on the
-// compiled-plan engine (cached CSR/bitset plan plus O(marks) overlay
-// delta), so its cost is the greedy rounds themselves, not model-sized
-// setup. switches must be sorted ascending and aligned with checkReps.
-// ctrl is the deployment's pristine risk model and stays pristine: this
-// run's failure marks live in overlays that die with its report.
+// assemble runs the pipeline stages downstream of the check stage. The
+// per-switch residue — localization on a fresh overlay of every
+// inequivalent switch's range, and the controller-model augmentation patch
+// — fans out over the workers (both only read ctrl); then the serial fold
+// walks the switches in ascending ID order to count missing rules and
+// replay the patches, and the global localization/correlation pass
+// finishes the report. The only serial stages left are order-dependent by
+// construction: the O(failures) patch replay and the single controller
+// localize.Scout, which reads ctrl's own adjacency arrays plus the
+// overlay's O(marks) delta, so its cost is the greedy rounds themselves,
+// not model-sized setup. switches must be sorted ascending and aligned
+// with checkReps. ctrl is the deployment's pristine risk model and stays
+// pristine: this run's failure marks live in overlays that die with its
+// report.
 func (a *Analyzer) assemble(d *Deployment, ctrl *risk.Model, changes *ChangeLog, faults *FaultLog,
 	now time.Time, switches []object.ID, checkReps []*equiv.Report) *Report {
 	oracle := changeOracle(changes, now)
@@ -408,13 +412,9 @@ func (a *Analyzer) assemble(d *Deployment, ctrl *risk.Model, changes *ChangeLog,
 
 	srs := make([]SwitchReport, len(switches))
 	patches := make([]*risk.Patch, len(switches))
-	// Each localization's own counters, summed below with the plan
-	// compile's: a run counts its own calls, not the process's.
+	// Each localization's own counters, summed below: a run counts its own
+	// calls, not the process's.
 	lstats := make([]localize.EngineStats, len(switches)+1)
-	var sum localize.EngineStats
-	if slices.ContainsFunc(checkReps, func(c *equiv.Report) bool { return !c.Equivalent }) {
-		sum = localize.Prepare(ctrl)
-	}
 	a.fanOut(len(switches), func(_, i int) error {
 		srs[i], lstats[i] = buildSwitchReport(ctrl, d.Provenance, oracle, switches[i], checkReps[i])
 		if !srs[i].Equivalent {
@@ -436,6 +436,7 @@ func (a *Analyzer) assemble(d *Deployment, ctrl *risk.Model, changes *ChangeLog,
 		rep.Controller, lstats[len(switches)] = localize.ScoutWithStats(view, oracle)
 		rep.Hypothesis = rep.Controller.Hypothesis
 		rep.RootCauses = correlator.Correlate(rep.Hypothesis, changes, faults)
+		var sum localize.EngineStats
 		for _, st := range lstats {
 			sum = sum.Add(st)
 		}

@@ -8,7 +8,6 @@ import (
 	"scout/internal/compile"
 	"scout/internal/equiv"
 	"scout/internal/fabric"
-	"scout/internal/localize"
 	"scout/internal/object"
 	"scout/internal/risk"
 	"scout/internal/rule"
@@ -50,18 +49,18 @@ const sessionMissingRuleCap = 4096
 // of a Session nobody keeps. A Session keeps state between runs, in two
 // lifetimes. What follows from the compiled deployment alone — its
 // fingerprints, the frozen BDD base (TCAM mode only: a probe is read off
-// its rule, so probe mode adds nothing here), the pristine risk model and
-// its compiled localization plan — is resolved once per deployment and
-// reused until the policy is recompiled. What follows from an
+// its rule, so probe mode adds nothing here) and the pristine risk model,
+// whose arrays localization reads as they are — is resolved once per
+// deployment and reused until the policy is recompiled. What follows from an
 // observation — each switch's newest verdict, keyed by the fingerprints
 // of the exact logical and TCAM rule lists it was computed from — is
 // replayed while both fingerprints hold; a T list that is the very slice it
 // was hashed from (an unwritten TCAM's snapshot) is not even re-hashed. A
 // re-analysis re-checks only the switches whose rules actually changed,
-// builds no risk model and compiles no plan for a deployment it has seen
-// fail before, and still produces a report byte-identical to a cold full
-// Analyze at any worker count (the fold stages are unchanged and
-// order-deterministic, and failure marks only ever go into per-run overlays).
+// builds no risk model for a deployment it has seen, and still produces a
+// report byte-identical to a cold full Analyze at any worker count (the
+// fold stages are unchanged and order-deterministic, and failure marks
+// only ever go into per-run overlays).
 //
 // Use a Session when the same fabric is analyzed repeatedly (watch loops,
 // collectors feeding epochs); use Analyzer for one-off analyses. Rule
@@ -204,26 +203,6 @@ type SessionStats struct {
 	// rule-major batch pass per Checked switch: the sum of those switches'
 	// eligible rules. Zero in TCAM-observation sessions.
 	ProbePacketsBatched int
-	// Localization-engine counters, accumulated from each run's
-	// Report.LocalizeStats. PlanCompiles counts CSR/bitset plan builds: a
-	// deployment has one risk model, and compiles its plan once, before
-	// the fan-out of its first inconsistent run. PlanReuses counts
-	// localizations served by that plan: the controller's, and each
-	// inconsistent switch's on its range of the model. So a warm session
-	// on an unchanged deployment shows zero compiles after its first
-	// inconsistent run, whichever switches fail later.
-	PlanCompiles int
-	PlanReuses   int
-}
-
-// addLocalizeStats folds one run's localization delta into the session
-// counters (no-op for consistent runs, which localize nothing).
-func (st *SessionStats) addLocalizeStats(d *localize.EngineStats) {
-	if d == nil {
-		return
-	}
-	st.PlanCompiles += int(d.PlanCompiles)
-	st.PlanReuses += int(d.PlanReuses)
 }
 
 // NewSession creates a persistent analysis session over the fabric. The
@@ -312,7 +291,7 @@ func (s *Session) AnalyzeState(st State) (*Report, error) {
 // every switch when none are given — forcing their re-check on the next
 // run. Use it when out-of-band knowledge (a device RMA, a firmware
 // upgrade) makes cached verdicts suspect. Deployment-scoped state (base,
-// risk model, compiled plan) follows from the policy alone and stays.
+// risk model) follows from the policy alone and stays.
 func (s *Session) Invalidate(switches ...ObjectID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -364,7 +343,9 @@ func (s *Session) run(st State, live bool) (*Report, error) {
 	}
 	st = st.withDefaultLogs()
 	switches := st.sortedSwitches()
-	s.resolveLocked(st.Deployment)
+	if err := s.resolveLocked(st.Deployment); err != nil {
+		return nil, fmt.Errorf("scout: the state's deployment: %w", err)
+	}
 
 	// A T list's fingerprint comes from the switch's cache entry when it is
 	// the very slice the entry's fingerprint was hashed from (snapshots are
@@ -423,7 +404,6 @@ func (s *Session) run(st State, live bool) (*Report, error) {
 
 	rep := s.a.assemble(s.dep.d, s.dep.ctrl, st.Changes, st.Faults, st.Now, switches, checkReps)
 	s.stats.Runs++
-	s.stats.addLocalizeStats(rep.LocalizeStats)
 	s.stats.Checked += checked
 	s.stats.Replayed += len(switches) - checked
 	if !probes {
@@ -523,10 +503,11 @@ func (s *Session) foldTotalsLocked() foldTotals {
 // A probe session holds no base, so for it equal content re-points nothing
 // and new content builds nothing. The controller model builds beside the
 // hashing and the base build: they share nothing, and the base builds
-// serially in one manager.
-func (s *Session) resolveLocked(d *compile.Deployment) {
+// serially in one manager. A footprint the model build refuses is an
+// error, and the session stays on the deployment it knew.
+func (s *Session) resolveLocked(d *compile.Deployment) error {
 	if d == s.dep.d {
-		return
+		return nil
 	}
 	joinModels := s.a.startRiskModels(d)
 	logFPs, fp := equiv.DeploymentFingerprints(d.BySwitch)
@@ -541,7 +522,12 @@ func (s *Session) resolveLocked(d *compile.Deployment) {
 	case base != nil:
 		base.RebindSemantics(d.BySwitch)
 	}
-	s.dep = deploymentState{d: d, fp: fp, logFPs: logFPs, base: base, ctrl: joinModels()}
+	ctrl, err := joinModels()
+	if err != nil {
+		return err
+	}
+	s.dep = deploymentState{d: d, fp: fp, logFPs: logFPs, base: base, ctrl: ctrl}
+	return nil
 }
 
 // loadOrBuildBaseLocked returns the frozen base for a deployment

@@ -17,6 +17,8 @@ import (
 
 	"scout"
 	"scout/internal/eval"
+	"scout/internal/object"
+	"scout/internal/risk"
 )
 
 // marshalReport serializes a report with the wall-clock field zeroed so
@@ -33,8 +35,7 @@ func marshalReport(t testing.TB, rep *scout.Report) []byte {
 
 // TestSessionIncrementalSingleSwitch: an epoch after one switch lost a rule
 // re-checks that switch alone, and so does a second fault on it once it is
-// broken. The cold run compiles the deployment's one localization plan; a
-// replay and the second fault compile none.
+// broken.
 func TestSessionIncrementalSingleSwitch(t *testing.T) {
 	equalsCold(t, coldCase{fabric: seeded(7), entry: viaEpoch, workers: 2, steps: []step{{opEvict, 1, 0}, {}, {opEvict, 1, 0}}})
 }
@@ -142,20 +143,49 @@ func TestSessionFoldSharing(t *testing.T) {
 	equalsCold(t, coldCase{fabric: clean, clean: true, steps: []step{{opSilent, 0, 0}}})
 }
 
-// TestSessionOnePlanPerDeployment: a deployment compiles its one
-// localization plan at its first inconsistent run, and only then. The
-// clean baseline compiles none; a rule evicted from one switch compiles
-// it; a rule evicted from another switch next compiles nothing, localizing
-// both switches and the controller on that plan.
-func TestSessionOnePlanPerDeployment(t *testing.T) {
+// TestSessionOneModelPerDeployment: a deployment has one risk model,
+// built at its first run. The clean baseline and a rule evicted from one
+// switch, then from another, annotate overlays over it, and a run after
+// them reads the same model, whose arrays are the footprint's edges read
+// both ways: each triplet's risk list and its switch, in ref order, and
+// each risk's dependents, ascending.
+func TestSessionOneModelPerDeployment(t *testing.T) {
 	clean := func(t testing.TB) *scout.Fabric {
 		return cleanFabric(t, scout.TestbedWorkloadSpec(), scout.FabricOptions{Seed: 7})
 	}
 	r := equalsCold(t, coldCase{fabric: clean, clean: true, steps: []step{{opEvict, 0, 0}, {opEvict, 1, 0}}})
-	broken := slices.DeleteFunc(slices.Clone(r.last.Switches), func(sr scout.SwitchReport) bool { return sr.Equivalent })
-	if ls, st := r.last.LocalizeStats, r.sess.Stats(); len(broken) != 2 || ls == nil || ls.PlanCompiles != 0 || ls.PlanReuses != 3 || st.PlanCompiles != 1 {
-		t.Errorf("%d broken switches; the last run counted %+v, the session %d compiles; want 2, no compile and 3 reuses, and 1",
-			len(broken), ls, st.PlanCompiles)
+	m := r.last.ControllerView.Base()
+	if mustReport(t, r.sess.Analyze).ControllerView.Base() != m {
+		t.Error("a run on the same deployment read another risk model")
+	}
+	fp, refs, edges := r.f.Deployment().Footprint, m.Risks(), 0
+	if !slices.IsSortedFunc(refs, scout.ObjectRef.Compare) || len(slices.Compact(slices.Clone(refs))) != len(refs) {
+		t.Fatalf("risks %v are not in strict ref order", refs)
+	}
+	for el, sp := range fp.Pairs {
+		want := append(slices.Clone(fp.Risks[el]), object.Switch(sp.Switch))
+		slices.SortFunc(want, scout.ObjectRef.Compare)
+		var got []object.Ref
+		for _, id := range m.RisksOf(risk.ElementID(el)) {
+			got = append(got, refs[id])
+			if !slices.Contains(m.Dependents(id), risk.ElementID(el)) {
+				t.Errorf("%v depends on %v, which does not list it", sp, refs[id])
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%v depends on %v, want %v", sp, got, want)
+		}
+		edges += len(got)
+	}
+	for id := range refs {
+		deps := m.Dependents(risk.RiskID(id))
+		if !slices.IsSorted(deps) {
+			t.Errorf("%v's dependents %v do not ascend", refs[id], deps)
+		}
+		edges -= len(deps)
+	}
+	if edges != 0 {
+		t.Errorf("the element rows hold %d more edges than the risk rows", edges)
 	}
 }
 

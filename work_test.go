@@ -22,7 +22,7 @@ import (
 // allocations the op made, in objects and KiB.
 var workColumns = []string{"journey", "op", "checked", "replayed", "fold_hits", "fold_misses",
 	"base_nodes", "delta_nodes", "base_semantics", "base_builds", "base_loads",
-	"plan_compiles", "plan_reuses", "probe_packets", "state_bytes", "allocs", "alloc_kb"}
+	"probe_packets", "state_bytes", "allocs", "alloc_kb"}
 
 // deltaNodesCol is the one counter a worker count moves: each fork's delta
 // holds what its own switches compiled, and forks share nothing. The
@@ -184,8 +184,7 @@ func workRows(t *testing.T, workers int) [][]string {
 				}
 				for _, n := range []int{a.Checked - b.Checked, a.Replayed - b.Replayed, a.FoldHits - b.FoldHits,
 					a.FoldMisses - b.FoldMisses, a.BaseNodes, a.DeltaNodes, a.BaseSemantics,
-					a.BaseRebuilds - b.BaseRebuilds, a.BaseLoads - b.BaseLoads, a.PlanCompiles - b.PlanCompiles,
-					a.PlanReuses - b.PlanReuses, a.ProbePacketsBatched - b.ProbePacketsBatched, stateBytes,
+					a.BaseRebuilds - b.BaseRebuilds, a.BaseLoads - b.BaseLoads, a.ProbePacketsBatched - b.ProbePacketsBatched, stateBytes,
 					int(m1.Mallocs - m0.Mallocs), int((m1.TotalAlloc - m0.TotalAlloc) / 1024)} {
 					row = append(row, strconv.Itoa(n))
 				}
@@ -198,9 +197,8 @@ func workRows(t *testing.T, workers int) [][]string {
 
 // TestWork pins the work of every journey in testdata/work.txt, as
 // TestGolden pins report bytes: a change to what an op checks, replays,
-// folds, builds, loads, compiles, classifies, writes or allocates is a
-// reviewed diff of that file. It runs serially: plan counters are
-// process-global.
+// folds, builds, loads, classifies, writes or allocates is a reviewed diff
+// of that file. It runs serially: MemStats is process-global.
 func TestWork(t *testing.T) {
 	rows := workRows(t, 1)
 	for _, workers := range slices.Compact([]int{1, 2, runtime.NumCPU()})[1:] {
