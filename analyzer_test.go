@@ -6,8 +6,10 @@ package scout_test
 // says about them.
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"maps"
 	"slices"
 	"strings"
 	"testing"
@@ -261,11 +263,11 @@ func TestAnalyzeStateNilLogs(t *testing.T) {
 // with them, is refused with an error before any work, not left to panic
 // in a risk-model build; one whose risk list names a ref twice (which would
 // keep every hit ratio below 1) or a switch (the model adds each triplet's
-// own) is refused when the risk model is built.
+// own) is refused when the risk model is built. A warm session handed any
+// of them, on new content, keeps its counters and its store directory as
+// they were, and its next good run equals a cold one.
 func TestAnalyzeStateRefusesBadFootprint(t *testing.T) {
-	f := threeTier(t, 1)
-	d := f.Deployment()
-	for name, harm := range map[string]func(fp *compile.Footprint){
+	harms := map[string]func(fp *compile.Footprint){
 		"unsorted pairs": func(fp *compile.Footprint) {
 			fp.Pairs[0], fp.Pairs[1] = fp.Pairs[1], fp.Pairs[0]
 		},
@@ -282,16 +284,52 @@ func TestAnalyzeStateRefusesBadFootprint(t *testing.T) {
 		"a switch risk": func(fp *compile.Footprint) {
 			fp.Risks[0] = append(slices.Clone(fp.Risks[0]), object.Switch(fp.Pairs[0].Switch))
 		},
-	} {
-		dep := *d
+	}
+	// harmed is f's state with its footprint harmed.
+	harmed := func(f *scout.Fabric, harm func(fp *compile.Footprint)) scout.State {
+		dep := *f.Deployment()
 		fp := &dep.Footprint
 		fp.Pairs, fp.Risks, fp.Keys = slices.Clone(fp.Pairs), slices.Clone(fp.Risks), slices.Clone(fp.Keys)
 		harm(fp)
 		st := fabricState(f)
 		st.Deployment = &dep
-		if rep, err := scout.NewAnalyzer().AnalyzeState(st); err == nil || rep != nil || !strings.Contains(err.Error(), "footprint") {
+		return st
+	}
+	refused := func(name string, rep *scout.Report, err error) {
+		if err == nil || rep != nil || !strings.Contains(err.Error(), "footprint") {
 			t.Errorf("%s: AnalyzeState returned %v, %v; want a footprint error", name, rep, err)
 		}
+	}
+
+	f := threeTier(t, 1)
+	for name, harm := range harms {
+		rep, err := scout.NewAnalyzer().AnalyzeState(harmed(f, harm))
+		refused(name, rep, err)
+	}
+
+	dir := t.TempDir()
+	sess := newSession(t, f, scout.AnalyzerOptions{WarmStore: warmStore(t, dir)})
+	mustReport(t, sess.Analyze)
+	mutate(t, f, []step{{opAddFilter, 1, 0}})
+	stats, img := sess.Stats(), dirImage(t, dir)
+	for name, harm := range harms {
+		rep, err := sess.AnalyzeState(harmed(f, harm))
+		refused("warm session, "+name, rep, err)
+		if got := sess.Stats(); got != stats {
+			t.Errorf("warm session, %s: stats moved from %+v to %+v", name, stats, got)
+		}
+		if got := dirImage(t, dir); !maps.Equal(got, img) {
+			t.Errorf("warm session, %s: the store directory changed", name)
+		}
+	}
+	warm := mustReport(t, func() (*scout.Report, error) { return sess.AnalyzeState(fabricState(f)) })
+	cold := mustReport(t, func() (*scout.Report, error) { return scout.NewAnalyzer().AnalyzeState(fabricState(f)) })
+	if w, c := marshalReport(t, warm), marshalReport(t, cold); !bytes.Equal(w, c) {
+		t.Errorf("warm session after the refusals:\n%s\nwant the cold report:\n%s", w, c)
+	}
+	if got := sess.Stats(); got.BaseRebuilds != stats.BaseRebuilds+1 || got.Runs != stats.Runs+1 {
+		t.Errorf("the good run after the refusals built %d bases in %d runs, want 1 in 1",
+			got.BaseRebuilds-stats.BaseRebuilds, got.Runs-stats.Runs)
 	}
 }
 

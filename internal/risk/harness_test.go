@@ -487,15 +487,19 @@ func checkView(t *testing.T, label string, v risk.View, r *refModel) {
 		same(t, label, "the failure signature", v.(*risk.Overlay).FailureSignature(), sig)
 		return
 	}
+	// Every row is the model's own, clipped: a caller's append copies.
 	same(t, label, "Risks()", m.Risks(), risks)
+	same(t, label, "Risks()' spare capacity", cap(m.Risks())-len(risks), 0)
 	edges := 0
 	for i, ref := range risks {
 		deps := m.Dependents(risk.RiskID(i))
 		same(t, label, "Dependents("+ref.String()+")", deps, r.elementsOf(ref))
+		same(t, label, "Dependents("+ref.String()+")' spare capacity", cap(deps)-len(deps), 0)
 		edges += len(deps)
 	}
 	for el := range r.pairs {
 		row := m.RisksOf(risk.ElementID(el))
+		same(t, label, "RisksOf's spare capacity", cap(row)-len(row), 0)
 		for k, id := range row {
 			if k > 0 && row[k-1] >= id || !slices.Contains(m.Dependents(id), risk.ElementID(el)) {
 				t.Fatalf("%s: element %d's risks %v do not ascend, or risk %d's dependents %v lack it", label, el, row, id, m.Dependents(id))

@@ -179,7 +179,7 @@ func (m *Model) RiskByRef(ref object.Ref) (RiskID, bool) {
 
 // Risks returns every risk's ref, indexed by RiskID: ascending. The slice
 // is the model's own; callers must not modify it.
-func (m *Model) Risks() []object.Ref { return m.refs }
+func (m *Model) Risks() []object.Ref { return m.refs[:len(m.refs):len(m.refs)] }
 
 // Dependents returns the elements depending on risk r, ascending. The row
 // is the model's own; callers must not modify it.

@@ -502,15 +502,19 @@ func (s *Session) foldTotalsLocked() foldTotals {
 // worker is provisioned, and seeds the verdict cache from the warm store.
 // A probe session holds no base, so for it equal content re-points nothing
 // and new content builds nothing. The controller model builds beside the
-// hashing and the base build: they share nothing, and the base builds
-// serially in one manager. A footprint the model build refuses is an
-// error, and the session stays on the deployment it knew.
+// hashing: they share nothing. A footprint the model build refuses is an
+// error returned before anything changes, so the session keeps the
+// deployment it knew, with its base, checker forks, verdicts and counters.
 func (s *Session) resolveLocked(d *compile.Deployment) error {
 	if d == s.dep.d {
 		return nil
 	}
 	joinModels := s.a.startRiskModels(d)
 	logFPs, fp := equiv.DeploymentFingerprints(d.BySwitch)
+	ctrl, err := joinModels()
+	if err != nil {
+		return err
+	}
 	base := s.dep.base
 	switch {
 	case s.dep.d == nil || fp != s.dep.fp:
@@ -521,10 +525,6 @@ func (s *Session) resolveLocked(d *compile.Deployment) error {
 		s.seedVerdictsLocked(fp)
 	case base != nil:
 		base.RebindSemantics(d.BySwitch)
-	}
-	ctrl, err := joinModels()
-	if err != nil {
-		return err
 	}
 	s.dep = deploymentState{d: d, fp: fp, logFPs: logFPs, base: base, ctrl: ctrl}
 	return nil
