@@ -322,18 +322,18 @@ func TestArchitecture(t *testing.T) {
 	// The pipeline is written once: Session.run is the only orchestration,
 	// so every stage has one call site. Outside bench/ that holds for the
 	// check too: an experiment or an example reads a Report instead of
-	// running it. The controller-model augmentation has one more: the
-	// simulated §VI figures inject their faults at the model level, as
-	// §VI-A does, through eval's one injector. The switch-model
-	// augmentation has the switch report, Figure 8 and the annotated
-	// build that bench/ calls.
+	// running it. Marking has the switch report, whose marks the
+	// controller view joins, and besides it the simulated §VI figures,
+	// which inject their faults at the model level, as §VI-A does: eval's
+	// one controller injector and Figure 8's switch. The annotated build
+	// and the patch that bench/ calls mark through it too.
 	for key, callers := range map[string][]string{
-		".:Analyzer.assemble":                       {".:Session.run"},
-		".:Analyzer.buildSharedBase":                {".:Session.loadOrBuildBaseLocked"},
-		".:Analyzer.startRiskModels":                {".:Session.resolveLocked"},
-		"internal/equiv:Checker.Check":              {".:checkState"},
-		"internal/risk:AugmentControllerModelPatch": {".:Analyzer.assemble", "internal/eval:Env.markMissing"},
-		"internal/risk:AugmentSwitchModel":          {".:buildSwitchReport", "internal/eval:SwitchModelAccuracy", "internal/risk:BuildAnnotatedSwitchModel"},
+		".:Analyzer.assemble":          {".:Session.run"},
+		".:Analyzer.buildSharedBase":   {".:Session.loadOrBuildBaseLocked"},
+		".:Analyzer.startRiskModels":   {".:Session.resolveLocked"},
+		"internal/equiv:Checker.Check": {".:checkState"},
+		"internal/risk:MarkSwitch": {".:buildSwitchReport", "internal/eval:Env.markMissing", "internal/eval:SwitchModelAccuracy",
+			"internal/risk:AugmentControllerModelPatch", "internal/risk:BuildAnnotatedSwitchModel"},
 	} {
 		var sites []string
 		for _, u := range ix.uses[ix.lookup(t, key)] {
@@ -426,7 +426,7 @@ func TestArchitecture(t *testing.T) {
 	for _, key := range []string{"internal/equiv:NewBase", "internal/equiv:CollectMatches",
 		"internal/equiv:SortMatches", "internal/equiv:Base.NumMatches", "internal/equiv:Base.NewCheckerSized",
 		"internal/equiv:Checker.Compact", "internal/risk:BuildAnnotatedSwitchModel",
-		"internal/risk:BuildControllerModelParallel", "internal/store:Store.Flush", "internal/store:Store.Close",
+		"internal/risk:BuildControllerModelParallel", "internal/risk:AugmentControllerModelPatch", "internal/risk:Patch.Apply", "internal/store:Store.Flush", "internal/store:Store.Close",
 		".:Session.ApplyEvents", "internal/collect:Collector.SnapshotSwitches", "internal/collect:DirtySwitches",
 		"internal/stream:New", "internal/stream:Queue.Push", "internal/stream:Queue.Cut", "internal/stream:Queue.Stats",
 		"internal/bdd:Manager.Size", "internal/bdd:Manager.Or", "internal/bdd:Manager.Not", "internal/bdd:Manager.Cube",

@@ -248,10 +248,9 @@ func SwitchModelAccuracy(env *Env, opts AccuracyOptions) (*AccuracyResult, error
 	if err != nil {
 		return nil, err
 	}
-	return simulate("switch risk model", func() *risk.Overlay { return risk.NewSwitchOverlay(ctrl, sw) }, local.Objects(), opts,
-		func(o *risk.Overlay, sc workload.Scenario, rng *rand.Rand) {
-			risk.AugmentSwitchModel(o, sw, sc.Missing(local, rng)[sw], env.Deployment.Provenance)
-		})
+	return simulate("switch risk model", local.Objects(), opts, func(sc workload.Scenario, rng *rand.Rand) *risk.Overlay {
+		return risk.MarkSwitch(ctrl, sw, sc.Missing(local, rng)[sw], env.Deployment.Provenance).View()
+	})
 }
 
 // ControllerModelAccuracy reproduces Figure 9: faults are injected across
@@ -261,26 +260,30 @@ func ControllerModelAccuracy(env *Env, opts AccuracyOptions) (*AccuracyResult, e
 	if err != nil {
 		return nil, err
 	}
-	return simulate("controller risk model", func() *risk.Overlay { return risk.NewOverlay(ctrl) }, env.Index.Objects(), opts, env.markMissing)
+	return simulate("controller risk model", env.Index.Objects(), opts, func(sc workload.Scenario, rng *rand.Rand) *risk.Overlay {
+		return env.markMissing(ctrl, sc, rng)
+	})
 }
 
-// markMissing marks the rules sc's faults remove in the controller view o
-// as Analyzer.assemble does: one augmentation patch a switch, applied in
-// ascending switch order.
-func (env *Env) markMissing(o *risk.Overlay, sc workload.Scenario, rng *rand.Rand) {
+// markMissing returns the controller view of ctrl marked with the rules
+// sc's faults remove, as Analyzer.assemble marks it: one run of marks a
+// switch, joined in ascending switch order.
+func (env *Env) markMissing(ctrl *risk.Model, sc workload.Scenario, rng *rand.Rand) *risk.Overlay {
 	missing := sc.Missing(env.Index, rng)
+	var runs []*risk.SwitchMarks
 	for _, sw := range env.Topo.Switches() {
-		risk.AugmentControllerModelPatch(o, sw, missing[sw], env.Deployment.Provenance).Apply(o)
+		runs = append(runs, risk.MarkSwitch(ctrl, sw, missing[sw], env.Deployment.Provenance))
 	}
+	return risk.NewOverlay(ctrl, runs...)
 }
 
 // simulate drives one simulated accuracy figure. The pristine model is
 // shared read-only across every run: each scenario's faults land in a
-// fresh copy-on-write overlay over it, made by fresh, and the algorithms
+// fresh copy-on-write overlay over it, made by mark, and the algorithms
 // localize through the overlay view, so runs never pay a model reset (or
 // clone) and cannot leak marks into each other.
-func simulate(title string, fresh func() *risk.Overlay, candidates []object.Ref, opts AccuracyOptions,
-	mark func(*risk.Overlay, workload.Scenario, *rand.Rand)) (*AccuracyResult, error) {
+func simulate(title string, candidates []object.Ref, opts AccuracyOptions,
+	mark func(workload.Scenario, *rand.Rand) *risk.Overlay) (*AccuracyResult, error) {
 	rng := rand.New(rand.NewSource(opts.Seed))
 	names := make([]string, len(opts.Algorithms))
 	for i, alg := range opts.Algorithms {
@@ -291,8 +294,7 @@ func simulate(title string, fresh func() *risk.Overlay, candidates []object.Ref,
 		if err != nil {
 			return nil, err
 		}
-		ov := fresh()
-		mark(ov, sc, rng)
+		ov := mark(sc, rng)
 		accs := make([]localize.Accuracy, len(opts.Algorithms))
 		for i, alg := range opts.Algorithms {
 			accs[i] = alg.Run(ov, sc.Changed).Evaluate(sc.GroundTruth)
@@ -412,8 +414,7 @@ func SuspectSetReduction(env *Env, opts GammaOptions) (*GammaResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		ov := risk.NewOverlay(model)
-		env.markMissing(ov, sc, rng)
+		ov := env.markMissing(model, sc, rng)
 		suspects := len(ov.SuspectSet())
 		if suspects == 0 {
 			continue
@@ -502,8 +503,7 @@ func Scalability(switchCounts []int, faults int, seed int64) (*ScaleResult, erro
 		if err != nil {
 			return nil, err
 		}
-		ov := risk.NewOverlay(model)
-		env.markMissing(ov, sc, rng)
+		ov := env.markMissing(model, sc, rng)
 
 		start = time.Now()
 		localize.Scout(ov, localize.SetOracle(sc.Changed))

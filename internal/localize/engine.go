@@ -6,7 +6,6 @@
 package localize
 
 import (
-	"slices"
 	"time"
 
 	"scout/internal/object"
@@ -104,17 +103,24 @@ func pendingElements(rv *runView) []risk.ElementID {
 	return out
 }
 
-// runGreedy is Score's pick loop: each round it rescans the eligible
-// risks and picks the one with the largest residual coverage, the first
-// in ref order on ties, until none covers a pending observation. eligible
-// must be sorted by ref. A picked risk covers nothing afterwards, so it is
-// never picked twice.
+// runGreedy is Score's pick loop: each round it counts every risk's
+// marks on pending observations and picks the eligible risk with the
+// largest count, the first in ref order on ties, until none covers a
+// pending observation. eligible must be sorted by ref. A picked risk
+// covers nothing afterwards, so it is never picked twice.
 func runGreedy(rv *runView, eligible []risk.RiskID, res *Result, hypothesis object.Set) {
+	cov := make([]int, rv.nAll)
 	for rv.pendingCount > 0 {
-		best, bestCov := risk.RiskID(-1), 0
+		clear(cov)
+		for _, mk := range rv.marks {
+			if rv.pending.test(mk.El) {
+				cov[mk.Risk]++
+			}
+		}
+		best := risk.RiskID(-1)
 		for _, i := range eligible {
-			if cov := rv.coverage(i); cov > bestCov {
-				best, bestCov = i, cov
+			if cov[i] > 0 && (best < 0 || cov[i] > cov[best]) {
+				best = i
 			}
 		}
 		if best < 0 {
@@ -122,15 +128,15 @@ func runGreedy(rv *runView, eligible []risk.RiskID, res *Result, hypothesis obje
 		}
 		res.Iterations++
 		hypothesis.Add(rv.ref(best))
-		for _, el := range rv.marks[best] {
-			if rv.pending.test(el) {
-				rv.pending.clear(el)
+		for _, mk := range rv.marks {
+			if mk.Risk == best && rv.pending.test(mk.El) {
+				rv.pending.clear(mk.El)
 				rv.pendingCount--
 			}
 		}
 		res.Steps = append(res.Steps, Step{
 			Picked:   []object.Ref{rv.ref(best)},
-			Coverage: bestCov,
+			Coverage: cov[best],
 		})
 	}
 }
@@ -142,21 +148,14 @@ func runScore(v risk.View, threshold float64) *Result {
 	hypothesis := make(object.Set)
 	totalObs := rv.pendingCount
 
-	// Eligible risks: hit ratio >= threshold on the full model. The
-	// freshly-initialized alive counters are exactly the full-model
-	// dependent/failed counts.
+	// Eligible risks: hit ratio >= threshold on the full model, in ref
+	// order. The freshly-initialized alive counters are exactly the
+	// full-model dependent/failed counts, and a failed edge is an edge.
 	var eligible []risk.RiskID
-	for i := range risk.RiskID(rv.nAll) {
-		deps, failed := rv.aliveDeps[i], rv.aliveFailed[i]
-		if deps == 0 || failed == 0 {
-			continue
-		}
-		if float64(failed)/float64(deps) >= threshold {
+	for _, i := range rv.failedRisks {
+		if float64(rv.aliveFailed[i])/float64(rv.aliveDeps[i]) >= threshold {
 			eligible = append(eligible, i)
 		}
-	}
-	if len(rv.extraRefs) > 0 { // overlay risks interleave with the model's
-		slices.SortFunc(eligible, rv.refCmp)
 	}
 
 	runGreedy(rv, eligible, res, hypothesis)

@@ -2,10 +2,10 @@
 // the failures marked on it — marked on overlays over two builds of the
 // model; check holds the first to the reference engine (ref_test.go), the
 // second to the first, and both to the properties every localization must
-// have. A scenario's elements spread over switches, and each switch's run
-// is checked too: on an overlay of its own model, and on an overlay of its
-// range of the controller model. A scenario may mark more of the
-// overlays' edges after their first localization, which must then
+// have. A scenario's elements spread over switches, and each switch's view
+// of its marks is checked too: on its range of the controller model,
+// against the reference, and on its own model. A scenario may mark more
+// of the overlays' edges after their first localization, which must then
 // localize as the reference does. Random cases come from one generator,
 // randomModel (FuzzLocalize feeds it a fuzzer's bytes), and workload cases
 // from internal/workload's fault scenarios through one loop, runWorkload.
@@ -89,7 +89,7 @@ func check(t *testing.T, label string, v risk.View, twin *risk.Overlay, changed 
 		r, calls = got, eng.calls
 	}
 	failed, observed := map[object.Ref]int{}, map[risk.ElementID]bool{}
-	v.ForEachMark(func(el risk.ElementID, ref object.Ref) { failed[ref]++; observed[el] = true })
+	forEachMark(v, func(el risk.ElementID, ref object.Ref) { failed[ref]++; observed[el] = true })
 	for _, res := range []*Result{r.scout, r.blind, r.score06, r.score1} {
 		if !slices.IsSortedFunc(res.Hypothesis, object.Ref.Compare) || res.Explained+len(res.Unexplained) != len(observed) {
 			t.Fatalf("%s: hypothesis %v unsorted, or %d explained and %d unexplained of %d observations", label, res.Hypothesis, res.Explained, len(res.Unexplained), len(observed))
@@ -159,44 +159,53 @@ func (s scenario) deployment() *compile.Deployment {
 // model builds the scenario's pristine model.
 func (s scenario) model() *risk.Model { return risk.NewModel("scenario", s.deployment().Footprint) }
 
-// overlay marks the scenario's failed edges on an overlay over a fresh
-// build of its model.
-func (s scenario) overlay() *risk.Overlay {
-	o := risk.NewOverlay(s.model())
-	s.mark(o, 0)
-	return o
+// rules returns, for each of sw's elements with failed edges, a missing
+// rule for its triplet whose provenance is those edges' refs.
+func (s scenario) rules(sw object.ID, failed map[int][]object.Ref) []rule.Rule {
+	var out []rule.Rule
+	for i := range s.deps {
+		if s.switchOf(i) == sw && len(failed[i]) > 0 {
+			out = append(out, rule.Rule{Match: rule.Match{SrcEPG: object.ID(i), DstEPG: object.ID(i)}, Provenance: failed[i]})
+		}
+	}
+	return out
 }
 
-// mark marks the scenario's failed edges on o: every element's, or when sw
-// is set, those of sw's elements, numbered from sw's first.
-func (s scenario) mark(o *risk.Overlay, sw object.ID) {
-	el := risk.ElementID(0)
-	for i := range s.deps {
-		if sw != 0 && s.switchOf(i) != sw {
-			continue
-		}
-		for _, ref := range s.failed[i] {
-			o.MarkFailed(el, ref)
-		}
-		el++
+// runs marks failed on m, one run of marks a switch, in ascending switch
+// order.
+func (s scenario) runs(m *risk.Model, failed map[int][]object.Ref) []*risk.SwitchMarks {
+	var out []*risk.SwitchMarks
+	for sw := object.ID(1); int(sw) <= max(s.switches, 1); sw++ {
+		out = append(out, risk.MarkSwitch(m, sw, s.rules(sw, failed), nil))
 	}
+	return out
+}
+
+// overlay is the controller view of m marked with the scenario's failed
+// edges.
+func (s scenario) overlay(m *risk.Model) *risk.Overlay {
+	return risk.NewOverlay(m, s.runs(m, s.failed)...)
 }
 
 // run checks the scenario with changed as the change log on overlays over
 // two builds of its model; then, if it has later edges, marks them on
-// both, and holds the first's next SCOUT run to the reference engine,
-// change-log calls included, before checking both again; then every switch's run of it: an overlay of its
-// own model, NewModel over the deployment's OnSwitch, held to an overlay
-// of its range of the pristine controller model, each marked with the
-// switch's failed edges. It returns the first check's results.
+// both, the first through the deprecated Patch.Apply onto the localized
+// overlay, the second as one overlay of every run, and holds the first's
+// next SCOUT run to the reference engine, change-log calls included,
+// before checking both again; then every switch's view of its marks: on
+// its range of the pristine controller model, held to the reference, and
+// on its own model, NewModel over the deployment's OnSwitch, held to the
+// first. It returns the first check's results.
 func (s scenario) run(t *testing.T, label string, changed object.Set) results {
 	t.Helper()
-	ov, twin := s.overlay(), s.overlay()
+	m := s.model()
+	ov, twin := s.overlay(s.model()), s.overlay(m)
 	r := check(t, label, ov, twin, changed)
 	if len(s.later) > 0 {
-		later := scenario{deps: s.deps, failed: s.later}
-		later.mark(ov, 0)
-		later.mark(twin, 0)
+		for sw := object.ID(1); int(sw) <= max(s.switches, 1); sw++ {
+			risk.AugmentControllerModelPatch(ov, sw, s.rules(sw, s.later), nil).Apply(ov)
+		}
+		twin = risk.NewOverlay(m, append(s.runs(m, s.failed), s.runs(m, s.later)...)...)
 		eng, ref := &recordingOracle{changed: changed}, &recordingOracle{changed: changed}
 		if got, want := Scout(ov, eng), RefScout(ov, ref); !reflect.DeepEqual(got, want) || !reflect.DeepEqual(eng.calls, ref.calls) {
 			t.Fatalf("%s, marked again: SCOUT %+v calling %v, the reference %+v calling %v", label, got, eng.calls, want, ref.calls)
@@ -207,10 +216,9 @@ func (s scenario) run(t *testing.T, label string, changed object.Set) results {
 	d := s.deployment()
 	ctrl := controllerModel(t, d)
 	for sw := object.ID(1); int(sw) <= max(s.switches, 1); sw++ {
-		ov, twin := risk.NewOverlay(risk.NewModel("scenario", d.OnSwitch(sw))), risk.NewSwitchOverlay(ctrl, sw)
-		s.mark(ov, sw)
-		s.mark(twin, sw)
-		check(t, fmt.Sprintf("%s, switch %d", label, sw), ov, twin, changed)
+		rules := s.rules(sw, s.failed)
+		own := risk.MarkSwitch(risk.NewModel("scenario", d.OnSwitch(sw)), sw, rules, nil).View()
+		check(t, fmt.Sprintf("%s, switch %d", label, sw), risk.MarkSwitch(ctrl, sw, rules, nil).View(), own, changed)
 	}
 	return r
 }
@@ -293,9 +301,10 @@ type fabricCase struct {
 	build         func(*compile.Deployment) *risk.Model
 }
 
-// runWorkload checks every scenario of fc that marks an edge, each on an
-// overlay over a fresh build, held to an overlay over one pristine build:
-// build's, or on a switch the controller model's.
+// runWorkload checks every scenario of fc that marks an edge, each on a
+// view over one pristine build — build's, or on a switch its range of the
+// controller model — held to the reference and to a view over a fresh
+// build (on a switch, of its own model).
 func runWorkload(t *testing.T, fc fabricCase) []results {
 	t.Helper()
 	pol, tp, err := workload.Generate(workload.SmallFabricSpec(), 7)
@@ -309,7 +318,7 @@ func runWorkload(t *testing.T, fc fabricCase) []results {
 	idx := workload.BuildIndex(d)
 	candidates, sw := idx.Objects(), object.ID(0)
 	build := func() *risk.Model { return fc.build(d) }
-	var overlay func() *risk.Overlay // a fresh one over a pristine build
+	var pristine *risk.Model
 	if fc.onSwitch {
 		most := -1
 		for s, rules := range d.BySwitch {
@@ -320,11 +329,9 @@ func runWorkload(t *testing.T, fc fabricCase) []results {
 		idx = idx.OnSwitch(sw)
 		candidates = idx.Objects()
 		build = func() *risk.Model { return risk.NewModel("switch", d.OnSwitch(sw)) }
-		ctrl := controllerModel(t, d)
-		overlay = func() *risk.Overlay { return risk.NewSwitchOverlay(ctrl, sw) }
+		pristine = controllerModel(t, d)
 	} else {
-		pristine := build()
-		overlay = func() *risk.Overlay { return risk.NewOverlay(pristine) }
+		pristine = build()
 	}
 	var out []results
 	for seed := int64(1); seed <= fc.seeds; seed++ {
@@ -333,21 +340,21 @@ func runWorkload(t *testing.T, fc fabricCase) []results {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Both views mark the same missing rules through the pipeline's
-			// augmentation, a controller view in ascending switch order.
+			// Both views mark the same missing rules as the pipeline does:
+			// a switch's view of its marks, or the controller view of
+			// every switch's, in ascending switch order.
 			missing := sc.Missing(idx, rand.New(rand.NewSource(seed*1000)))
-			mark := func(o *risk.Overlay) {
+			view := func(m *risk.Model) *risk.Overlay {
 				if fc.onSwitch {
-					risk.AugmentSwitchModel(o, sw, missing[sw], d.Provenance)
-					return
+					return risk.MarkSwitch(m, sw, missing[sw], d.Provenance).View()
 				}
+				var runs []*risk.SwitchMarks
 				for _, s := range tp.Switches() {
-					risk.AugmentControllerModelPatch(o, s, missing[s], d.Provenance).Apply(o)
+					runs = append(runs, risk.MarkSwitch(m, s, missing[s], d.Provenance))
 				}
+				return risk.NewOverlay(m, runs...)
 			}
-			ov, twin := risk.NewOverlay(build()), overlay()
-			mark(ov)
-			mark(twin)
+			ov, twin := view(pristine), view(build())
 			if ov.NumFailedEdges() > 0 { // a scenario can hit only undeployed objects
 				out = append(out, check(t, fmt.Sprintf("seed %d, %d faults", seed, n), ov, twin, sc.Changed))
 			}

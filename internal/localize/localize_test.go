@@ -17,8 +17,10 @@ import (
 	"scout/internal/faultlog"
 	"scout/internal/object"
 	"scout/internal/oracle"
+	"scout/internal/policy"
 	"scout/internal/risk"
 	"scout/internal/rule"
+	"scout/internal/topo"
 	"scout/internal/workload"
 )
 
@@ -73,7 +75,8 @@ func TestScoutWithoutChangeLogLeavesTailUnexplained(t *testing.T) {
 }
 
 func TestScoutNilOracle(t *testing.T) {
-	m := figure5().overlay()
+	s := figure5()
+	m := s.overlay(s.model())
 	if got, want := Scout(m, nil), Scout(m, NoChanges{}); !reflect.DeepEqual(got, want) {
 		t.Errorf("a nil oracle: %+v; NoChanges gives %+v", got, want)
 	}
@@ -220,6 +223,78 @@ func TestOverlayOnlyFailures(t *testing.T) {
 	}
 }
 
+// TestCreatedRisksKeepSerialOrder: switch 1's element creates X, and
+// switch 2's creates Y, then X, edges outside their risk lists. Every
+// view localizes as the reference does, each switch's range included; the
+// controller view numbers X before Y, as marking rule by rule in switch
+// order did; and every count reads as that marking's two overlays read.
+func TestCreatedRisksKeepSerialOrder(t *testing.T) {
+	x, y := object.Filter(9), object.Filter(8)
+	s := scenario{deps: [][]object.Ref{{object.Filter(1)}, {object.Filter(1)}}, failed: map[int][]object.Ref{0: {x}, 1: {y, x}}, switches: 2}
+	s.run(t, "X, then Y and X", nil)
+	ov, ctrl := s.overlay(s.model()), controllerModel(t, s.deployment())
+	if got, want := ov.ExtraRiskRefs(), []object.Ref{x, y}; !reflect.DeepEqual(got, want) {
+		t.Errorf("the controller view's created risks %v, want %v", got, want)
+	}
+	for _, c := range []struct {
+		view risk.View
+		want string
+	}{
+		{ov, `risk model "scenario": 2 elements, 3 risks, 5 edges (3 failed)`},
+		{risk.MarkSwitch(ctrl, 1, s.rules(1, s.failed), nil).View(), `risk model "controller": 1 elements, 4 risks, 3 edges (1 failed)`},
+		{risk.MarkSwitch(ctrl, 2, s.rules(2, s.failed), nil).View(), `risk model "controller": 1 elements, 5 risks, 4 edges (2 failed)`},
+	} {
+		if got := c.view.String(); got != c.want {
+			t.Errorf("%s, want %s", got, c.want)
+		}
+	}
+}
+
+// TestListProvenanceCreatedEdges: a compiled deployment whose pair is
+// bound by two contracts sharing a filter, the second with no filter of
+// its own. The rules the sort keeps under the shared filter carry the
+// second contract's provenance, which the pair's risk list, read from the
+// first binding, lacks (ROADMAP 1(c)): marking them creates edges, and the
+// contract's risk. Every switch's view and the controller view of those
+// rules missing, and of all the pair's rules missing, localize as the
+// reference does.
+func TestListProvenanceCreatedEdges(t *testing.T) {
+	p := policy.New("list-provenance")
+	p.AddVRF(policy.VRF{ID: 7})
+	p.AddEPG(policy.EPG{ID: 1, Name: "a", VRF: 7})
+	p.AddEPG(policy.EPG{ID: 2, Name: "b", VRF: 7})
+	p.AddEndpoint(policy.Endpoint{ID: 11, EPG: 1, Switch: 1})
+	p.AddEndpoint(policy.Endpoint{ID: 12, EPG: 2, Switch: 2})
+	for _, port := range []uint16{100, 101, 102, 103, 104} {
+		p.AddFilter(policy.Filter{ID: object.ID(port), Entries: []policy.FilterEntry{policy.PortEntry(rule.ProtoTCP, port)}})
+	}
+	p.AddContract(policy.Contract{ID: 20, Filters: []object.ID{101, 100, 102, 103, 104}})
+	p.AddContract(policy.Contract{ID: 10, Filters: []object.ID{101}})
+	p.Bind(1, 2, 20)
+	p.Bind(2, 1, 10)
+	d, err := compile.Compile(p, topo.FromPolicy(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl, twin, created := controllerModel(t, d), controllerModel(t, d), 0
+	for _, only := range []object.Ref{object.Contract(10), {}} {
+		var runs, twins []*risk.SwitchMarks
+		for _, sw := range []object.ID{1, 2} {
+			missing := slices.DeleteFunc(slices.Clone(d.RulesFor(sw)), func(r rule.Rule) bool {
+				return r.Action != rule.Allow || only != (object.Ref{}) && !slices.Contains(r.Provenance, only)
+			})
+			runs = append(runs, risk.MarkSwitch(ctrl, sw, missing, d.Provenance))
+			twins = append(twins, risk.MarkSwitch(twin, sw, missing, d.Provenance))
+			own := risk.MarkSwitch(risk.NewModel("switch", d.OnSwitch(sw)), sw, missing, d.Provenance).View()
+			view := runs[len(runs)-1].View()
+			check(t, fmt.Sprintf("%v missing, switch %d", only, sw), view, own, nil)
+			created += len(view.CreatedEdges())
+		}
+		check(t, fmt.Sprintf("%v missing, the controller", only), risk.NewOverlay(ctrl, runs...), risk.NewOverlay(twin, twins...), nil)
+	}
+	exercised(t, "created an edge a rule's own provenance names", created)
+}
+
 // TestUnknownViewPanics: the engine runs *risk.Model and
 // *risk.Overlay only; any other View is a programming error reported by
 // type name, not a silent slow path.
@@ -310,18 +385,14 @@ func TestModelArraysMatchReference(t *testing.T) {
 func TestConcurrentFirstLocalizations(t *testing.T) {
 	s, changed := randomModel(oracle.FromSeed(5), true)
 	m := s.model()
-	ov := risk.NewOverlay(m)
-	s.mark(ov, 0)
-	want := RefScout(ov, SetOracle(changed))
+	want := RefScout(s.overlay(m), SetOracle(changed))
 	got := make([]*Result, 8)
 	var wg sync.WaitGroup
 	for i := range got {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ov := risk.NewOverlay(m)
-			s.mark(ov, 0)
-			got[i] = Scout(ov, SetOracle(changed))
+			got[i] = Scout(s.overlay(m), SetOracle(changed))
 		}()
 	}
 	wg.Wait()
@@ -401,8 +472,7 @@ func checkAnnotated(t *testing.T, label string, d *compile.Deployment, missing m
 	slices.Sort(switches)
 	for _, sw := range switches {
 		m := risk.BuildAnnotatedSwitchModel(d, sw, missing[sw])
-		ov := risk.NewSwitchOverlay(ctrl, sw)
-		risk.AugmentSwitchModel(ov, sw, missing[sw], d.Provenance)
+		ov := risk.MarkSwitch(ctrl, sw, missing[sw], d.Provenance).View()
 		check(t, fmt.Sprintf("%s, switch %d", label, sw), m, ov, changed)
 		if m.NumFailedEdges() > 0 {
 			marked++

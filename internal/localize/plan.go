@@ -4,18 +4,19 @@
 // in ref order, and compressed rows both ways, each ascending —
 //
 //   - risk → dependent elements (risk.Model.Dependents), so a run on a
-//     range of the elements (one switch's, risk.NewSwitchOverlay) finds a
+//     range of the elements (one switch's, risk.SwitchMarks.View) finds a
 //     risk's dependents in it by binary search
 //   - element → risks (risk.Model.RisksOf)
 //
 // A run reads those rows as they are and composes them with its own
-// delta: the view's failure marks, enumerated by ForEachMark, and an
-// overlay's created edges and risks, numbered after the model's as the
-// overlay numbers them.
+// delta, the view's sorted slices: its failed edges (Marks), which are
+// also its per-element mark rows, and an overlay's created edges and
+// risks, numbered after the model's as the overlay numbers them.
 
 package localize
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -26,7 +27,7 @@ import (
 // runView is the mutable per-call state: the model, the element range
 // [lo, hi) the run sees (elements outside it are neither alive nor
 // pending), the run's delta in the model's element IDs — the view's
-// failure marks and an overlay's created edges and risks — the
+// failed edges and an overlay's created edges and risks — the
 // alive/pending masks, and the incrementally-maintained per-risk alive
 // counters.
 type runView struct {
@@ -37,10 +38,9 @@ type runView struct {
 	// Risk IDs ≥ m.NumRisks() address extraRefs, an overlay's created
 	// risks.
 	extraRefs []object.Ref
-	extraDeps map[risk.RiskID][]risk.ElementID // risk → overlay-created dependent elements
-	elCreated map[risk.ElementID][]risk.RiskID // element → risks via overlay-created edges
-	marks     map[risk.RiskID][]risk.ElementID // risk → marked elements, ascending
-	elMarked  map[risk.ElementID][]risk.RiskID // element → marked risks
+	// marks are the failed edges and created the marks on edges the model
+	// lacks, each ascending by element, then risk.
+	marks, created []risk.Mark
 
 	alive        bitset
 	pending      bitset
@@ -81,44 +81,33 @@ func (rv *runView) forEachDep(i risk.RiskID, fn func(el risk.ElementID)) {
 			fn(el)
 		}
 	}
-	for _, el := range rv.extraDeps[i] {
-		fn(el)
-	}
-}
-
-// coverage returns |Oi ∩ pending| for risk i.
-func (rv *runView) coverage(i risk.RiskID) int {
-	cov := 0
-	for _, el := range rv.marks[i] {
-		if rv.pending.test(el) {
-			cov++
+	for _, mk := range rv.created {
+		if mk.Risk == i {
+			fn(mk.El)
 		}
 	}
-	return cov
 }
 
-// newRunView composes v's model with v's delta, moving an overlay's
-// elements into its base's numbering, and initializes the masks and
-// counters over the view's range. v must be a *risk.Model or a
+// rowOf returns el's marks in marks, which ascend by element.
+func rowOf(marks []risk.Mark, el risk.ElementID) []risk.Mark {
+	byEl := func(mk risk.Mark, el risk.ElementID) int { return cmp.Compare(mk.El, el) }
+	i, _ := slices.BinarySearchFunc(marks, el, byEl)
+	j, _ := slices.BinarySearchFunc(marks, el+1, byEl)
+	return marks[i:j]
+}
+
+// newRunView composes v's model with v's delta and initializes the masks
+// and counters over the view's range. v must be a *risk.Model or a
 // *risk.Overlay, the tree's two View implementations; anything else is a
 // programming error.
 func newRunView(v risk.View) *runView {
 	rv := &runView{}
 	switch v := v.(type) {
 	case *risk.Model:
-		rv.m, rv.hi = v, risk.ElementID(v.NumElements())
+		rv.m, rv.hi, rv.marks = v, risk.ElementID(v.NumElements()), v.Marks()
 	case *risk.Overlay:
-		rv.m, rv.extraRefs = v.Base(), v.ExtraRiskRefs()
+		rv.m, rv.extraRefs, rv.marks, rv.created = v.Base(), v.ExtraRiskRefs(), v.Marks(), v.CreatedEdges()
 		rv.lo, rv.hi = v.Range()
-		v.ForEachOverlayEdge(func(el risk.ElementID, ref object.Ref) {
-			i, _ := v.RiskByRef(ref)
-			if rv.extraDeps == nil {
-				rv.extraDeps = make(map[risk.RiskID][]risk.ElementID)
-				rv.elCreated = make(map[risk.ElementID][]risk.RiskID)
-			}
-			rv.extraDeps[i] = append(rv.extraDeps[i], el+rv.lo)
-			rv.elCreated[el+rv.lo] = append(rv.elCreated[el+rv.lo], i)
-		})
 	default:
 		panic(fmt.Sprintf("localize: cannot localize on view type %T", v))
 	}
@@ -127,62 +116,70 @@ func newRunView(v risk.View) *runView {
 	rv.alive = newBitset(nElements)
 	rv.alive.setRange(rv.lo, rv.hi)
 	rv.pending = newBitset(nElements)
-	rv.marks, rv.elMarked = make(map[risk.RiskID][]risk.ElementID), make(map[risk.ElementID][]risk.RiskID)
-	v.ForEachMark(func(el risk.ElementID, ref object.Ref) {
-		i, _ := v.RiskByRef(ref)
-		el += rv.lo
-		rv.marks[i] = append(rv.marks[i], el)
-		rv.elMarked[el] = append(rv.elMarked[el], i)
-		rv.pending.set(el)
-	})
-	rv.pendingCount = len(rv.elMarked)
 
 	rv.aliveDeps = make([]int, rv.nAll)
 	rv.aliveFailed = make([]int, rv.nAll)
 	for i := range rv.m.NumRisks() {
 		rv.aliveDeps[i] = len(rv.depsIn(risk.RiskID(i)))
 	}
-	for i, els := range rv.extraDeps {
-		rv.aliveDeps[i] += len(els)
+	for _, mk := range rv.created {
+		rv.aliveDeps[mk.Risk]++
 	}
-	rv.failedRisks = make([]risk.RiskID, 0, len(rv.marks))
-	for i, els := range rv.marks {
-		rv.aliveFailed[i] = len(els)
-		rv.failedRisks = append(rv.failedRisks, i)
+	for _, mk := range rv.marks {
+		rv.aliveFailed[mk.Risk]++
+		if !rv.pending.test(mk.El) {
+			rv.pending.set(mk.El)
+			rv.pendingCount++
+		}
 	}
-	slices.SortFunc(rv.failedRisks, rv.refCmp)
+	n := 0
+	for _, k := range rv.aliveFailed {
+		n += min(k, 1)
+	}
+	rv.failedRisks = make([]risk.RiskID, 0, n)
+	for i, k := range rv.aliveFailed {
+		if k > 0 {
+			rv.failedRisks = append(rv.failedRisks, risk.RiskID(i))
+		}
+	}
+	if len(rv.extraRefs) > 0 { // created risks interleave with the model's
+		slices.SortFunc(rv.failedRisks, rv.refCmp)
+	}
 	return rv
 }
 
 // prune removes element el from the working model, decrementing the
 // alive counters of every risk it depends on. Returns false if el was
-// already pruned.
+// already pruned. Only SCOUT's first stage prunes, and it clears no
+// pending element but by pruning it, so an element has marks, and
+// created edges, only if it is pending.
 func (rv *runView) prune(el risk.ElementID) bool {
 	if !rv.alive.test(el) {
 		return false
 	}
 	rv.alive.clear(el)
-	if rv.pending.test(el) {
-		rv.pending.clear(el)
-		rv.pendingCount--
-	}
 	for _, r := range rv.m.RisksOf(el) {
 		rv.aliveDeps[r]--
 	}
-	for _, r := range rv.elCreated[el] {
-		rv.aliveDeps[r]--
-	}
-	for _, r := range rv.elMarked[el] {
-		rv.aliveFailed[r]--
+	if rv.pending.test(el) {
+		rv.pending.clear(el)
+		rv.pendingCount--
+		for _, mk := range rowOf(rv.marks, el) {
+			rv.aliveFailed[mk.Risk]--
+		}
+		for _, mk := range rowOf(rv.created, el) {
+			rv.aliveDeps[mk.Risk]--
+		}
 	}
 	return true
 }
 
 // failedRefsOf returns the sorted refs of risks with a failed edge to el.
 func (rv *runView) failedRefsOf(el risk.ElementID) []object.Ref {
-	out := make([]object.Ref, 0, len(rv.elMarked[el]))
-	for _, r := range rv.elMarked[el] {
-		out = append(out, rv.ref(r))
+	row := rowOf(rv.marks, el)
+	out := make([]object.Ref, len(row))
+	for i, mk := range row {
+		out[i] = rv.ref(mk.Risk)
 	}
 	object.SortRefs(out)
 	return out

@@ -7,7 +7,7 @@
 package localize
 
 import (
-	"slices"
+	"fmt"
 	"sort"
 
 	"scout/internal/object"
@@ -30,8 +30,8 @@ type view struct {
 }
 
 // newView reads m's adjacency: a model's through its methods, an
-// overlay's as its base's plus the edges the overlay adds; and m's
-// failure marks.
+// overlay's as its base's in its range plus the edges the overlay creates,
+// in the view's element numbering; and m's failure marks.
 func newView(m risk.View) *view {
 	v := &view{
 		deps:        make(map[object.Ref][]risk.ElementID),
@@ -49,18 +49,20 @@ func newView(m risk.View) *view {
 		v.failed[ref][el] = struct{}{}
 		v.failedRisks[el] = append(v.failedRisks[el], ref)
 	}
-	base, _ := m.(*risk.Model)
-	ov, isOverlay := m.(*risk.Overlay)
-	if isOverlay {
-		base = ov.Base()
-	}
+	base, lo, refs := viewOf(m)
 	for r, ref := range base.Risks() {
-		v.deps[ref] = slices.Clone(base.Dependents(risk.RiskID(r)))
+		for _, el := range base.Dependents(risk.RiskID(r)) {
+			if el -= lo; 0 <= el && int(el) < len(v.alive) {
+				v.deps[ref] = append(v.deps[ref], el)
+			}
+		}
 	}
-	if isOverlay {
-		ov.ForEachOverlayEdge(func(el risk.ElementID, ref object.Ref) { v.deps[ref] = append(v.deps[ref], el) })
+	if ov, ok := m.(*risk.Overlay); ok {
+		for _, e := range ov.CreatedEdges() {
+			v.deps[refs[e.Risk]] = append(v.deps[refs[e.Risk]], e.El-lo)
+		}
 	}
-	m.ForEachMark(markFailed)
+	forEachMark(m, markFailed)
 	for ref := range v.deps {
 		v.risks = append(v.risks, ref)
 	}
@@ -69,6 +71,32 @@ func newView(m risk.View) *view {
 		object.SortRefs(refs)
 	}
 	return v
+}
+
+// viewOf returns m's base model, the first base element m views, and the
+// refs of m's risks by ID.
+func viewOf(m risk.View) (base *risk.Model, lo risk.ElementID, refs []object.Ref) {
+	switch m := m.(type) {
+	case *risk.Model:
+		return m, 0, m.Risks()
+	case *risk.Overlay:
+		lo, _ = m.Range()
+		return m.Base(), lo, append(m.Base().Risks(), m.ExtraRiskRefs()...)
+	}
+	panic(fmt.Sprintf("localize: cannot read view type %T", m))
+}
+
+// forEachMark invokes fn for every failed edge of m, in m's element
+// numbering.
+func forEachMark(m risk.View, fn func(el risk.ElementID, ref object.Ref)) {
+	base, lo, refs := viewOf(m)
+	marks := base.Marks()
+	if ov, ok := m.(*risk.Overlay); ok {
+		marks = ov.Marks()
+	}
+	for _, mk := range marks {
+		fn(mk.El-lo, refs[mk.Risk])
+	}
 }
 
 // observations returns the elements with a failed edge: the failure

@@ -192,11 +192,12 @@ func TestProbeSwitchModelAugmentation(t *testing.T) {
 		t.Fatal(err)
 	}
 	violations, _ := Switch(2, d.RulesFor(2), s.TCAM())
-	m := risk.NewOverlay(risk.NewModel("switch-2", d.OnSwitch(2)))
-	if risk.AugmentSwitchModel(m, 2, MissingRules(violations), d.Provenance); m.NumFailedEdges() == 0 {
+	own := risk.NewModel("switch-2", d.OnSwitch(2))
+	m := risk.MarkSwitch(own, 2, MissingRules(violations), d.Provenance).View()
+	if m.NumFailedEdges() == 0 {
 		t.Fatal("switch-model augmentation marked nothing")
 	}
-	appDB, _ := m.ElementOf(compile.SwitchPair{Switch: 2, Pair: policy.MakeEPGPair(2, 3)})
+	appDB, _ := own.ElementOf(compile.SwitchPair{Switch: 2, Pair: policy.MakeEPGPair(2, 3)})
 	if !slices.Contains(m.FailureSignature(), appDB) {
 		t.Error("App-DB must be an observation on S2")
 	}

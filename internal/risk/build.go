@@ -6,25 +6,13 @@ package risk
 import (
 	"fmt"
 	"slices"
+	"sort"
 
 	"scout/internal/compile"
 	"scout/internal/object"
 	"scout/internal/policy"
 	"scout/internal/rule"
 )
-
-// BuildAnnotatedSwitchModel builds sw's switch risk model on its own,
-// marks an overlay over it with the switch's missing rules, and returns
-// the overlay folded into a model.
-//
-// Deprecated: the analyzer localizes each switch on a range of the
-// controller model (NewSwitchOverlay), annotated afresh per analysis. It
-// stays until bench/ stops calling it (ROADMAP item 1, shims).
-func BuildAnnotatedSwitchModel(d *compile.Deployment, sw object.ID, missing []rule.Rule) *Model {
-	o := NewOverlay(NewModel(fmt.Sprintf("switch-%d", sw), d.OnSwitch(sw)))
-	AugmentSwitchModel(o, sw, missing, d.Provenance)
-	return o.fold()
-}
 
 // ControllerModelOptions is the ignored argument of
 // BuildControllerModelParallel.
@@ -42,7 +30,7 @@ type ControllerModelOptions struct {
 // itself, so that whole-switch failures (unresponsive switch, §V-B use
 // case 3) are localizable to the physical object. It is the deployment's
 // one risk model: a switch's model (Figure 4(a)) is the run of its
-// triplets, viewed through NewSwitchOverlay. It refuses, with a footprint
+// triplets, viewed through SwitchMarks.View. It refuses, with a footprint
 // error, a footprint NewModel would refuse, or one whose risk list names a
 // switch: the model adds each triplet's switch itself.
 func BuildControllerModel(d *compile.Deployment) (*Model, error) {
@@ -78,72 +66,122 @@ func BuildControllerModelParallel(d *compile.Deployment, opts ControllerModelOpt
 	return m
 }
 
-// AugmentSwitchModel marks failures in an overlay from the missing rules
-// the equivalence checker reported for switch sw. For every missing rule,
-// the triplet it serves on sw becomes an observation and the edges to all
-// objects in the rule's provenance are flagged fail. o may view the
-// controller model or one switch's range of it: the lookup is
-// AugmentControllerModelPatch's.
-func AugmentSwitchModel(o *Overlay, sw object.ID, missing []rule.Rule, prov map[rule.Key][]object.Ref) {
+// SwitchMarks are the failed edges one switch's missing rules mark in a
+// pristine model (§III-C): for every missing rule, the triplet it serves
+// on the switch becomes an observation, and its edges to every object in
+// the rule's provenance fail. Computing them only reads the model, so the
+// marks of distinct switches compute concurrently.
+type SwitchMarks struct {
+	base *Model
+	sw   object.ID
+
+	// own are the switch view's marks, and ctrl the controller view's: own
+	// and, when the model has the switch's risk, each observation's edge
+	// to it. Both ascend by element, then risk, in the model's element
+	// numbering; risk NumRisks()+k of the model is extra[k], a risk the
+	// rules create, numbered in the order they first name it.
+	own, ctrl []Mark
+	extra     []object.Ref
+}
+
+// MarkSwitch computes the marks switch sw's missing rules make in base. A
+// rule's provenance is its own list, or else prov's entry for its key; a
+// rule serving a triplet base lacks marks nothing.
+func MarkSwitch(base *Model, sw object.ID, missing []rule.Rule, prov map[rule.Key][]object.Ref) *SwitchMarks {
+	s := &SwitchMarks{base: base, sw: sw}
+	nb := RiskID(len(base.refs))
+	var observed []ElementID
+	var last compile.SwitchPair
+	seg := 0 // the marks since the last rule of another triplet
 	for _, r := range missing {
-		if el, ok := implicated(o, sw, r); ok {
-			for _, ref := range provenanceOf(r, prov) {
-				o.MarkFailed(el, ref)
+		sp := compile.SwitchPair{Switch: sw, Pair: policy.MakeEPGPair(r.Match.SrcEPG, r.Match.DstEPG)}
+		if len(observed) == 0 || sp != last {
+			el, ok := base.ElementOf(sp)
+			if !ok {
+				continue
+			}
+			observed, last, seg = append(observed, el), sp, len(s.own)
+		}
+		el := observed[len(observed)-1]
+		for _, ref := range provenanceOf(r, prov) {
+			id, ok := base.RiskByRef(ref)
+			if !ok {
+				id = nb + indexOf(&s.extra, ref)
+			}
+			// A triplet's rules are mostly consecutive and share refs: a
+			// repeat within the run is dropped here, the rest by the sort.
+			if mk := (Mark{el, id}); !slices.Contains(s.own[seg:], mk) {
+				s.own = append(s.own, mk)
 			}
 		}
 	}
+	slices.SortFunc(s.own, Mark.compare)
+	s.own = slices.Clip(slices.Compact(s.own))
+	s.ctrl = s.own
+	if r, ok := base.RiskByRef(object.Switch(sw)); ok && len(observed) > 0 {
+		slices.Sort(observed)
+		observed = slices.Compact(observed)
+		switched := make([]Mark, len(observed))
+		for i, el := range observed {
+			switched[i] = Mark{el, r}
+		}
+		s.ctrl = union(s.own, switched)
+	}
+	return s
 }
 
-// Patch is an ordered list of failure marks computed against a read-only
-// View, replayable into an Overlay with Apply. It decouples computing
-// controller-model augmentation (per-switch, read-only, safe to fan out)
-// from applying it (serial, in ascending switch-ID order), which is what
-// lets the analyzer's fold stage parallelize everything but the final
-// O(failures) replay.
+// View returns the switch's own view (paper Figure 4(a)): an overlay over
+// the switch's range of the model, its marks without their edges to the
+// switch's risk, which localization on it thus never picks, and the risks
+// they create numbered in the switch's order.
+func (s *SwitchMarks) View() *Overlay {
+	pairs := s.base.pairs
+	lo := sort.Search(len(pairs), func(i int) bool { return pairs[i].Switch >= s.sw })
+	hi := sort.Search(len(pairs), func(i int) bool { return pairs[i].Switch > s.sw })
+	return &Overlay{base: s.base, lo: ElementID(lo), hi: ElementID(hi), marks: s.own, extra: slices.Clip(s.extra)}
+}
+
+// BuildAnnotatedSwitchModel builds sw's switch risk model on its own,
+// marks it with the switch's missing rules, and returns its view folded
+// into a model.
+//
+// Deprecated: the analyzer localizes each switch on its range of the
+// controller model, annotated afresh per analysis. It stays until bench/
+// stops calling it (ROADMAP item 1, shims).
+func BuildAnnotatedSwitchModel(d *compile.Deployment, sw object.ID, missing []rule.Rule) *Model {
+	return MarkSwitch(NewModel(fmt.Sprintf("switch-%d", sw), d.OnSwitch(sw)), sw, missing, d.Provenance).View().fold()
+}
+
+// Patch is one switch's controller-view marks, replayable into an
+// overlay with Apply.
+//
+// Deprecated: NewOverlay joins the switches' marks. It stays until bench/
+// stops calling it (ROADMAP item 1, shims).
 type Patch struct {
-	marks []patchMark
+	marks *SwitchMarks
 }
 
-type patchMark struct {
-	el  ElementID
-	ref object.Ref
+// Apply merges the patch's marks into o, an overlay over the same model
+// that views the switch's elements.
+//
+// Deprecated: see Patch.
+func (p *Patch) Apply(o *Overlay) { o.add(p.marks.ctrl, p.marks.extra) }
+
+// AugmentControllerModelPatch is MarkSwitch against o's base.
+//
+// Deprecated: see Patch.
+func AugmentControllerModelPatch(o *Overlay, sw object.ID, missing []rule.Rule, prov map[rule.Key][]object.Ref) *Patch {
+	return &Patch{MarkSwitch(o.base, sw, missing, prov)}
 }
 
-// Apply replays the marks into o in recorded order.
-func (p *Patch) Apply(o *Overlay) {
-	for _, mk := range p.marks {
-		o.MarkFailed(mk.el, mk.ref)
+// indexOf returns ref's index in refs, appending it when absent.
+func indexOf(refs *[]object.Ref, ref object.Ref) RiskID {
+	k := slices.Index(*refs, ref)
+	if k < 0 {
+		k = len(*refs)
+		*refs = append(*refs, ref)
 	}
-}
-
-// AugmentControllerModelPatch computes the failure marks one switch's
-// missing rules make in the controller risk model, without mutating the
-// view: the marks AugmentSwitchModel makes, and each implicated triplet's
-// edge to its switch risk, when modeled. It only reads v, so patches for
-// distinct switches compute concurrently against a shared pristine view;
-// replaying them with Apply in ascending switch-ID order is equivalent to
-// marking switch by switch (marking never creates elements, and never
-// creates switch risks — the only base state the computation reads).
-func AugmentControllerModelPatch(v View, sw object.ID, missing []rule.Rule, prov map[rule.Key][]object.Ref) *Patch {
-	p := &Patch{}
-	_, hasSwitchRisk := v.RiskByRef(object.Switch(sw))
-	for _, r := range missing {
-		if el, ok := implicated(v, sw, r); ok {
-			for _, ref := range provenanceOf(r, prov) {
-				p.marks = append(p.marks, patchMark{el: el, ref: ref})
-			}
-			if hasSwitchRisk {
-				p.marks = append(p.marks, patchMark{el: el, ref: object.Switch(sw)})
-			}
-		}
-	}
-	return p
-}
-
-// implicated returns the element of the triplet a missing rule of switch
-// sw serves in v, if v models it: the one lookup both augmentations make.
-func implicated(v View, sw object.ID, r rule.Rule) (ElementID, bool) {
-	return v.ElementOf(compile.SwitchPair{Switch: sw, Pair: policy.MakeEPGPair(r.Match.SrcEPG, r.Match.DstEPG)})
+	return RiskID(k)
 }
 
 func provenanceOf(r rule.Rule, prov map[rule.Key][]object.Ref) []object.Ref {

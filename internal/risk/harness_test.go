@@ -1,16 +1,19 @@
 // The package's case runner. A case starts from a drawn footprint, which
 // NewModel must refuse unless its triplets strictly ascend, or from a
 // deployment's model. One stream of steps, read from an oracle.Choices,
-// marks an overlay over that model: MarkFailed, AugmentSwitchModel,
-// AugmentControllerModelPatch with Apply, both augmentations of one
-// switch's rules side by side, and NewOverlay, which puts a fresh overlay
-// over a new model, NewModel's build of the overlay's edges. The reference
-// is a plain edge map in insertion order, whose refs a model numbers in ref
-// order and an overlay numbers after its model's as first named. After
-// every step the model, the overlay and the overlay folded into a model
-// must read as their references do, the models' adjacency rows must ascend
-// and transpose each other, the model must be untouched, and an overlay
-// over the folded model must be refused once it carries a mark.
+// marks switches' missing rules against that model with MarkSwitch and
+// joins the runs into an overlay with NewOverlay: one edge's rule, a
+// switch's rules whose own view is checked too, the deprecated
+// AugmentControllerModelPatch with Apply onto the overlay, the runs of a
+// few switches joined afresh beside each switch's view, and NewOverlay
+// alone over a new model, NewModel's build of the overlay's edges. The
+// reference is a plain edge map in insertion order, whose refs a model
+// numbers in ref order and an overlay numbers after its model's as first
+// named. After every step the model, the overlay and the overlay folded
+// into a model must read as their references do, the models' adjacency
+// rows must ascend and transpose each other, the model must be untouched,
+// and an overlay over the folded model must be refused once it carries a
+// mark.
 
 package risk_test
 
@@ -40,7 +43,7 @@ const (
 	opOverlay
 )
 
-var opNames = [...]string{"MarkFailed", "AugmentSwitchModel", "Patch.Apply", "both augmentations", "NewOverlay"}
+var opNames = [...]string{"one edge's run", "a switch's run", "Patch.Apply", "runs joined", "NewOverlay"}
 
 var allOps = []op{opMark, opAugment, opPatch, opBoth, opOverlay}
 
@@ -58,6 +61,8 @@ type refModel struct {
 	order []edge
 	edges map[edge]bool
 	nBase int
+	// all, when set, are the risks: a range's are its model's.
+	all []object.Ref
 }
 
 func newRef(name string, pairs []compile.SwitchPair) *refModel {
@@ -76,6 +81,9 @@ func (r *refModel) add(e edge, failed bool) {
 // risks returns the refs in RiskID order: the model's in ref order, then
 // those of later edges in the order an edge first named them.
 func (r *refModel) risks() []object.Ref {
+	if r.all != nil {
+		return r.all
+	}
 	var out []object.Ref
 	add := func(es []edge) {
 		for _, e := range es {
@@ -140,6 +148,37 @@ func (r *refModel) pristine() *refModel {
 	return p.built()
 }
 
+// rangeOf returns r's view of its elements [lo, hi), numbered from lo:
+// their edges in r's order, and every risk of r's.
+func (r *refModel) rangeOf(lo, hi int) *refModel {
+	out := &refModel{name: r.name, pairs: r.pairs[lo:hi], edges: map[edge]bool{}, all: r.risks()}
+	for i, e := range r.order {
+		if int(e.el) < lo || int(e.el) >= hi {
+			continue
+		}
+		if i < r.nBase {
+			out.nBase++
+		}
+		f := edge{e.el - risk.ElementID(lo), e.ref}
+		out.order = append(out.order, f)
+		out.edges[f] = r.edges[e]
+	}
+	return out
+}
+
+// switchRange returns the elements [lo, hi) of r on switch sw.
+func (r *refModel) switchRange(sw object.ID) (lo, hi int) {
+	lo = slices.IndexFunc(r.pairs, func(sp compile.SwitchPair) bool { return sp.Switch >= sw })
+	if lo < 0 {
+		return len(r.pairs), len(r.pairs)
+	}
+	hi = lo + slices.IndexFunc(r.pairs[lo:], func(sp compile.SwitchPair) bool { return sp.Switch > sw })
+	if hi < lo {
+		hi = len(r.pairs)
+	}
+	return lo, hi
+}
+
 // replay builds pristine r, whose edges are element-major, through
 // NewModel: element i depends on the refs of its edges in r's order.
 func (r *refModel) replay() *risk.Model {
@@ -156,10 +195,11 @@ type modelStats struct {
 	remarked int // marks of an edge already failed
 	resolved int // augmented rules whose provenance came from the map
 	own      int // augmented rules whose own provenance is not the map's
+	listOnly int // edges such a rule's own provenance names that the base lacks
 	skipped  int // augmented rules for a triplet the model lacks
 	refused  int // overlays refused over a folded, marked overlay
 	unsorted int // drawn footprints NewModel refused
-	switched int // switch-risk marks the patch made beside AugmentSwitchModel's
+	switched int // switch-risk marks a controller view had beside its switches' views
 }
 
 // refPool is what steps draw refs from besides the model's risks, and
@@ -174,7 +214,8 @@ type harness struct {
 	prov      map[rule.Key][]object.Ref
 	base      *risk.Model
 	ov        *risk.Overlay
-	twin, ovr *refModel // the base's and the overlay's
+	runs      []*risk.SwitchMarks // the overlay's, in the order it joined them
+	twin, ovr *refModel           // the base's and the overlay's
 	// folded is the overlay folded at the last check; was is what its
 	// reference was then.
 	folded *risk.Model
@@ -190,14 +231,7 @@ func runModel(t *testing.T, c *oracle.Choices, d *compile.Deployment, sw object.
 	h := &harness{t: t, c: c, d: d, stats: stats, prov: map[rule.Key][]object.Ref{}}
 	switch {
 	case d == nil:
-		fp := h.footprint()
-		h.base, h.twin = risk.NewModel("drawn", fp), newRef("drawn", fp.Pairs)
-		for el, refs := range fp.Risks {
-			for _, ref := range refs {
-				h.twin.add(edge{risk.ElementID(el), ref}, false)
-			}
-		}
-		h.twin = h.twin.built()
+		h.start("drawn", h.footprint())
 		for _, x := range h.rules(18) {
 			if !c.Chance(4) {
 				h.prov[x.Key()] = h.provenance()
@@ -216,6 +250,17 @@ func runModel(t *testing.T, c *oracle.Choices, d *compile.Deployment, sw object.
 	for i := 0; i < steps; i++ {
 		h.step(i, ops[c.Intn(len(ops))])
 	}
+}
+
+// start sets the base to the model of fp, with its reference.
+func (h *harness) start(name string, fp compile.Footprint) {
+	h.base, h.twin = risk.NewModel(name, fp), newRef(name, fp.Pairs)
+	for el, refs := range fp.Risks {
+		for _, ref := range refs {
+			h.twin.add(edge{risk.ElementID(el), ref}, false)
+		}
+	}
+	h.twin = h.twin.built()
 }
 
 // footprint draws one to six triplets on switches 1-2 between EPGs 1-3,
@@ -293,13 +338,13 @@ func (h *harness) rules(n int) []rule.Rule {
 	return out
 }
 
-// augmentMarks returns the marks augmentation of switch sw's missing
-// rules makes as read in r: the edges of the triplet each rule serves on
-// sw to the rule's provenance — its own list first, then the map's — and,
-// for a patch, to the switch when r has that risk.
-func (h *harness) augmentMarks(r *refModel, sw object.ID, missing []rule.Rule, patch bool) []edge {
+// augmentMarks returns the marks switch sw's missing rules make as read
+// in r: the edges of the triplet each rule serves on sw to the rule's
+// provenance — its own list first, then the map's — and, in the
+// controller's view (ctrl), to the switch when the base has that risk.
+func (h *harness) augmentMarks(r *refModel, sw object.ID, missing []rule.Rule, ctrl bool) []edge {
 	var out []edge
-	switchRisk := patch && slices.Contains(r.risks(), object.Switch(sw))
+	switchRisk := ctrl && slices.Contains(h.twin.risks(), object.Switch(sw))
 	for _, x := range missing {
 		sp := compile.SwitchPair{Switch: sw, Pair: policy.MakeEPGPair(x.Match.SrcEPG, x.Match.DstEPG)}
 		el := risk.ElementID(slices.Index(r.pairs, sp))
@@ -313,6 +358,11 @@ func (h *harness) augmentMarks(r *refModel, sw object.ID, missing []rule.Rule, p
 			x.Provenance = mapped
 		case ok && !slices.Equal(refs, mapped):
 			h.stats.own++
+			for _, ref := range refs {
+				if _, onBase := h.twin.edges[edge{el, ref}]; !onBase {
+					h.stats.listOnly++
+				}
+			}
 		}
 		for _, ref := range x.Provenance {
 			out = append(out, edge{el, ref})
@@ -338,7 +388,64 @@ func (h *harness) apply(r *refModel, es []edge) {
 
 // fresh puts a fresh overlay over the new base.
 func (h *harness) fresh() {
-	h.ov, h.ovr = risk.NewOverlay(h.base), h.twin.pristine()
+	h.ov, h.ovr, h.runs = risk.NewOverlay(h.base), h.twin.pristine(), nil
+}
+
+// edgeRule returns the missing rule that marks edge e alone, and its
+// switch.
+func (h *harness) edgeRule(e edge) (object.ID, []rule.Rule) {
+	sp := h.twin.pairs[e.el]
+	return sp.Switch, []rule.Rule{{Match: rule.Match{SrcEPG: sp.Pair.A, DstEPG: sp.Pair.B}, Provenance: []object.Ref{e.ref}}}
+}
+
+// switchRules is one switch's missing rules.
+type switchRules struct {
+	sw    object.ID
+	rules []rule.Rule
+}
+
+// mark marks one switch's missing rules against the base: the run joins
+// the overlay, rebuilt over every run so far, and its own view is checked.
+func (h *harness) mark(label string, sr switchRules) {
+	s := risk.MarkSwitch(h.base, sr.sw, sr.rules, h.prov)
+	h.switchView(label, s, sr)
+	h.runs = append(h.runs, s)
+	h.ov = risk.NewOverlay(h.base, h.runs...)
+	h.apply(h.ovr, h.augmentMarks(h.ovr, sr.sw, sr.rules, true))
+}
+
+// switchView holds switch s's view of its marks to the pristine base's
+// reference marked with the switch's rules as its own view reads them, on
+// the switch's range.
+func (h *harness) switchView(label string, s *risk.SwitchMarks, sr switchRules) *risk.Overlay {
+	r := h.twin.pristine()
+	h.apply(r, h.augmentMarks(r, sr.sw, sr.rules, false))
+	lo, hi := r.switchRange(sr.sw)
+	v := s.View()
+	vlo, vhi := v.Range()
+	same(h.t, label, fmt.Sprintf("switch %d's range", sr.sw), []risk.ElementID{vlo, vhi}, []int{lo, hi})
+	checkOverlay(h.t, fmt.Sprintf("%s, switch %d's view", label, sr.sw), v, r.rangeOf(lo, hi), len(h.twin.risks()))
+	return v
+}
+
+// join joins runs of the switches' rules, in their order, into a fresh
+// overlay over the base, and holds it and each switch's view to the
+// reference: the controller view marked switch by switch, and each
+// switch's own. It returns the overlay and the switches' views.
+func (h *harness) join(label string, srs []switchRules) (*risk.Overlay, []*risk.Overlay) {
+	r := h.twin.pristine()
+	runs, views := make([]*risk.SwitchMarks, len(srs)), make([]*risk.Overlay, len(srs))
+	for i, sr := range srs {
+		runs[i] = risk.MarkSwitch(h.base, sr.sw, sr.rules, h.prov)
+		views[i] = h.switchView(label, runs[i], sr)
+		ctrl := h.augmentMarks(r, sr.sw, sr.rules, true)
+		h.stats.switched += len(sortEdges(slices.Clone(ctrl))) - len(sortEdges(h.augmentMarks(r, sr.sw, sr.rules, false)))
+		h.apply(r, ctrl)
+	}
+	o := risk.NewOverlay(h.base, runs...)
+	checkView(h.t, label+", the joined runs", o, r)
+	checkOverlay(h.t, label+", the joined runs", o, r, len(h.twin.risks()))
+	return o, views
 }
 
 func (h *harness) step(i int, kind op) {
@@ -348,36 +455,24 @@ func (h *harness) step(i int, kind op) {
 	el := risk.ElementID(c.Intn(len(h.twin.pairs)))
 	switch kind {
 	case opMark:
-		ref := h.refFrom(h.ovr)
-		h.ov.MarkFailed(el, ref)
-		h.apply(h.ovr, []edge{{el, ref}})
+		sw, rules := h.edgeRule(edge{el, h.refFrom(h.ovr)})
+		h.mark(label, switchRules{sw, rules})
 	case opAugment:
-		sw, missing := h.sw(), h.rules(4)
-		risk.AugmentSwitchModel(h.ov, sw, missing, h.prov)
-		h.apply(h.ovr, h.augmentMarks(h.ovr, sw, missing, false))
+		h.mark(label, switchRules{h.sw(), h.rules(4)})
 	case opPatch:
-		// Computed as the analyzer computes it, against the pristine base,
-		// or against the overlay itself.
 		sw, missing := h.sw(), h.rules(4)
-		at, atRef := risk.View(h.base), h.twin
-		if c.Chance(2) {
-			at, atRef = h.ov, h.ovr
-		}
-		marks := h.augmentMarks(atRef, sw, missing, true)
-		risk.AugmentControllerModelPatch(at, sw, missing, h.prov).Apply(h.ov)
-		h.apply(h.ovr, marks)
+		risk.AugmentControllerModelPatch(h.ov, sw, missing, h.prov).Apply(h.ov)
+		h.runs = append(h.runs, risk.MarkSwitch(h.base, sw, missing, h.prov))
+		h.apply(h.ovr, h.augmentMarks(h.ovr, sw, missing, true))
 	case opBoth:
-		// One switch's rules augmented each way on a fresh overlay over the
-		// base: one lookup, so the patch's marks are AugmentSwitchModel's
-		// and the implicated triplets' switch risk, and nothing else.
-		sw, missing := h.sw(), h.rules(4)
-		aug, patched := risk.NewOverlay(h.base), risk.NewOverlay(h.base)
-		risk.AugmentSwitchModel(aug, sw, missing, h.prov)
-		risk.AugmentControllerModelPatch(h.base, sw, missing, h.prov).Apply(patched)
-		augMarks, patchMarks := sortEdges(marksOf(aug)), sortEdges(marksOf(patched))
-		same(t, label, "AugmentSwitchModel's marks", augMarks, sortEdges(h.augmentMarks(h.twin, sw, missing, false)))
-		same(t, label, "the patch's marks", patchMarks, sortEdges(h.augmentMarks(h.twin, sw, missing, true)))
-		h.stats.switched += len(patchMarks) - len(augMarks)
+		// A few switches' rules, in any order and a switch maybe twice,
+		// joined afresh: their own views are the controller view's range
+		// without its marks to their switch.
+		srs := make([]switchRules, 1+c.Intn(3))
+		for k := range srs {
+			srs[k] = switchRules{h.sw(), h.rules(4)}
+		}
+		h.join(label, srs)
 	case opOverlay:
 		// A new model of the overlay's edges, element-major as NewModel
 		// numbers them.
@@ -398,15 +493,15 @@ func (h *harness) check(label string) {
 	}
 	checkView(t, label+", model", h.base, h.twin)
 	checkView(t, label+", overlay", h.ov, h.ovr)
+	checkOverlay(t, label+", overlay", h.ov, h.ovr, len(h.twin.risks()))
 	if h.folded != nil {
 		checkView(t, label+", the last check's fold", h.folded, h.was)
 	}
 	h.folded, h.was = risk.Fold(h.ov), h.ovr.built()
 	checkView(t, label+", folded overlay", h.folded, h.was)
 	if e, ok := h.rival(); ok {
-		other := risk.NewOverlay(h.base)
-		other.MarkFailed(e.el, e.ref)
-		risk.Fold(other)
+		sw, rules := h.edgeRule(e)
+		risk.Fold(risk.NewOverlay(h.base, risk.MarkSwitch(h.base, sw, rules, nil)))
 		checkView(t, label+", folded overlay after another fold", h.folded, h.was)
 	}
 	if len(h.ovr.failed()) > 0 {
@@ -416,14 +511,28 @@ func (h *harness) check(label string) {
 			risk.NewOverlay(h.folded)
 		}()
 	}
+}
+
+// checkOverlay holds what an overlay adds to its base to r, whose first
+// nRisks risks are the base's: the created edges, by element and then
+// RiskID, the created risks, and the suspects.
+func checkOverlay(t *testing.T, label string, o *risk.Overlay, r *refModel, nRisks int) {
+	t.Helper()
+	lo, _ := o.Range()
+	refs := append(o.Base().Risks(), o.ExtraRiskRefs()...)
 	var created []edge
-	h.ov.ForEachOverlayEdge(func(el risk.ElementID, ref object.Ref) { created = append(created, edge{el, ref}) })
-	wantCreated := slices.Clone(h.ovr.order[len(h.twin.order):])
-	slices.SortStableFunc(wantCreated, func(a, b edge) int { return int(a.el - b.el) })
-	_, suspects := h.ovr.signature()
-	same(t, label, "the overlay's edges", created, wantCreated)
-	same(t, label, "the overlay's risks", h.ov.ExtraRiskRefs(), h.ovr.risks()[len(h.twin.risks()):])
-	same(t, label, "the suspects", h.ov.SuspectSet(), suspects)
+	for _, e := range o.CreatedEdges() {
+		created = append(created, edge{e.El - lo, refs[e.Risk]})
+	}
+	risks := r.risks()
+	want := slices.Clone(r.order[r.nBase:])
+	slices.SortFunc(want, func(a, b edge) int {
+		return cmp.Or(cmp.Compare(a.el, b.el), cmp.Compare(slices.Index(risks, a.ref), slices.Index(risks, b.ref)))
+	})
+	_, suspects := r.signature()
+	same(t, label, "the overlay's edges", created, want)
+	same(t, label, "the overlay's risks", o.ExtraRiskRefs(), risks[nRisks:])
+	same(t, label, "the suspects", o.SuspectSet(), suspects)
 }
 
 // rival returns an edge the base lacks to the risk of the overlay's first
@@ -446,10 +555,22 @@ func (h *harness) rival() (edge, bool) {
 	return edge{}, false
 }
 
-// marksOf returns v's failure marks in the order ForEachMark yields them.
+// marksOf returns v's failed edges in the order its Marks are, in v's
+// element numbering.
 func marksOf(v risk.View) []edge {
 	var out []edge
-	v.ForEachMark(func(el risk.ElementID, ref object.Ref) { out = append(out, edge{el, ref}) })
+	switch v := v.(type) {
+	case *risk.Model:
+		for _, mk := range v.Marks() {
+			out = append(out, edge{mk.El, v.Risks()[mk.Risk]})
+		}
+	case *risk.Overlay:
+		lo, _ := v.Range()
+		refs := append(v.Base().Risks(), v.ExtraRiskRefs()...)
+		for _, mk := range v.Marks() {
+			out = append(out, edge{mk.El - lo, refs[mk.Risk]})
+		}
+	}
 	return out
 }
 
@@ -459,23 +580,15 @@ func sortEdges(es []edge) []edge {
 	return slices.Compact(es)
 }
 
-// checkView holds every read of v to r: the summary, each triplet's
-// element, each ref's risk, the failed edges ForEachMark yields, by
-// element and then RiskID, on an overlay the failure signature, and on a
-// model the risk list, each risk's dependents, and its adjacency: every
-// row ascends, and the element and risk rows are transposes.
+// checkView holds every read of v to r: the summary, each ref's risk,
+// the failed edges Marks lists, by element and then RiskID, on an overlay
+// the failure signature, and on a model each triplet's element, the risk
+// list, each risk's dependents, and its adjacency: every row ascends, and
+// the element and risk rows are transposes.
 func checkView(t *testing.T, label string, v risk.View, r *refModel) {
 	t.Helper()
 	same(t, label, "the summary", v, r)
-	for i, sp := range append(slices.Clone(r.pairs), compile.SwitchPair{Switch: 2}, compile.SwitchPair{Switch: 999}) {
-		id, ok := v.ElementOf(sp)
-		same(t, label, "ElementOf("+sp.String()+") is the reference's", ok && int(id) == i, i < len(r.pairs))
-	}
 	risks := r.risks()
-	for i, ref := range append(slices.Clone(risks), object.Filter(999)) {
-		id, ok := v.RiskByRef(ref)
-		same(t, label, "RiskByRef("+ref.String()+") is the reference's", ok && int(id) == i, i < len(risks))
-	}
 	marks := r.failed()
 	slices.SortFunc(marks, func(a, b edge) int {
 		return cmp.Or(cmp.Compare(a.el, b.el), cmp.Compare(slices.Index(risks, a.ref), slices.Index(risks, b.ref)))
@@ -486,6 +599,14 @@ func checkView(t *testing.T, label string, v risk.View, r *refModel) {
 		sig, _ := r.signature()
 		same(t, label, "the failure signature", v.(*risk.Overlay).FailureSignature(), sig)
 		return
+	}
+	for i, sp := range append(slices.Clone(r.pairs), compile.SwitchPair{Switch: 2}, compile.SwitchPair{Switch: 999}) {
+		id, ok := m.ElementOf(sp)
+		same(t, label, "ElementOf("+sp.String()+") is the reference's", ok && int(id) == i, i < len(r.pairs))
+	}
+	for i, ref := range append(slices.Clone(risks), object.Filter(999)) {
+		id, ok := m.RiskByRef(ref)
+		same(t, label, "RiskByRef("+ref.String()+") is the reference's", ok && int(id) == i, i < len(risks))
 	}
 	// Every row is the model's own, clipped: a caller's append copies.
 	same(t, label, "Risks()", m.Risks(), risks)

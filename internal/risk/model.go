@@ -3,14 +3,19 @@
 // elements they can impact, (switch, EPG pair) triplets. An element is
 // the compile.SwitchPair it models and is found by that triplet. A
 // deployment has one model, the controller's (Figure 4(b)); a switch
-// model (Figure 4(a)) is the range of its triplets on that switch,
-// viewed through an overlay (NewSwitchOverlay). Edges are flagged success
-// or fail; an element with at least one failed edge is an observation,
-// and the set of observations forms the failure signature consumed by the
-// localization algorithms.
+// model (Figure 4(a)) is the range of its triplets on that switch. Edges
+// are flagged success or fail; an element with at least one failed edge
+// is an observation, and the set of observations forms the failure
+// signature consumed by the localization algorithms.
+//
+// Failures are marked once per run (§III-C): MarkSwitch turns a switch's
+// missing rules into one sorted run of failed edges, which the switch
+// localizes on (SwitchMarks.View), and NewOverlay concatenates the runs,
+// in ascending switch order, into the controller's overlay.
 package risk
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -25,14 +30,13 @@ type ElementID int32
 type RiskID int32
 
 // View is the read interface over an annotated risk model: what
-// localization, augmentation, evaluation and the report's summary read.
-// Failures are marked on a copy-on-write *Overlay over an immutable
-// pristine *Model; a *Model carries marks only when an overlay was folded
-// into it (BuildAnnotatedSwitchModel). An overlay and its fold read the
-// same elements, refs, edges and failure sets, though not always the same
-// risk IDs (the fold numbers the overlay's created risks among the base's),
-// so every downstream result is byte-identical whichever backs the view.
-// An element is looked up by its (switch, EPG pair) triplet.
+// localization, evaluation and the report's summary read. Failures are
+// marked on an *Overlay over an immutable pristine *Model; a *Model
+// carries marks only when an overlay was folded into it
+// (BuildAnnotatedSwitchModel). An overlay and its fold read the same
+// elements, refs, edges and failure sets, though not always the same risk
+// IDs (the fold numbers the overlay's created risks among the base's), so
+// every downstream result is byte-identical whichever backs the view.
 type View interface {
 	fmt.Stringer
 	Name() string
@@ -40,11 +44,6 @@ type View interface {
 	NumRisks() int
 	NumEdges() int
 	NumFailedEdges() int
-	ElementOf(sp compile.SwitchPair) (ElementID, bool)
-	RiskByRef(ref object.Ref) (RiskID, bool)
-	// ForEachMark invokes fn for every failed edge, in ascending element
-	// order, then ascending risk ID.
-	ForEachMark(fn func(el ElementID, ref object.Ref))
 }
 
 // Model is a bipartite risk graph whose elements are a footprint's
@@ -68,13 +67,21 @@ type Model struct {
 
 	// marks are the failed edges, by element, then risk; only a folded
 	// overlay has any.
-	marks []edge
+	marks []Mark
 }
 
-// edge is an element's edge to a risk.
-type edge struct {
-	el ElementID
-	r  RiskID
+// Mark is a failed edge: element El's edge to risk Risk.
+type Mark struct {
+	El   ElementID
+	Risk RiskID
+}
+
+// compare orders marks by element, then risk, as every mark slice is.
+func (a Mark) compare(b Mark) int {
+	if a.El != b.El {
+		return cmp.Compare(a.El, b.El)
+	}
+	return cmp.Compare(a.Risk, b.Risk)
 }
 
 // NewModel builds a pristine model with a diagnostic name and one element
@@ -193,14 +200,11 @@ func (m *Model) RisksOf(el ElementID) []RiskID {
 	return m.adj[m.adjOff[el]:m.adjOff[el+1]:m.adjOff[el+1]]
 }
 
-// ForEachMark invokes fn for every edge marked fail, in ascending element
-// order, then ascending risk ID: the marks of the overlay folded into the
-// model, which a localization run reads as its delta over the model.
-func (m *Model) ForEachMark(fn func(el ElementID, ref object.Ref)) {
-	for _, e := range m.marks {
-		fn(e.el, m.refs[e.r])
-	}
-}
+// Marks returns the failed edges, ascending by element, then risk: the
+// marks of the overlay folded into the model, which a localization run
+// reads as its delta over the model. The slice is the model's own;
+// callers must not modify it.
+func (m *Model) Marks() []Mark { return m.marks[:len(m.marks):len(m.marks)] }
 
 // String summarizes the model.
 func (m *Model) String() string { return summarize(m) }

@@ -91,12 +91,12 @@ func TestAugmentSwitchModel(t *testing.T) {
 	runModels(t, threeTier(t), 2, 8, 30, opAugment, opMark, opOverlay)
 }
 
-// TestAugmentControllerModel: on the controller model, AugmentSwitchModel
-// and the patch find a switch's triplets by one lookup, and the patch adds
-// only their switch risk.
+// TestAugmentControllerModel: on the controller model, a switch's view
+// and the controller's find its triplets by one lookup, and the
+// controller's adds only their switch risk.
 func TestAugmentControllerModel(t *testing.T) {
 	s := runModels(t, threeTier(t), 0, 8, 30, opPatch, opBoth, opOverlay)
-	exercised(t, "marked a switch risk through the patch alone", s.switched)
+	exercised(t, "marked a switch risk in the controller view alone", s.switched)
 }
 
 func TestAugmentControllerModelPatch(t *testing.T) {
@@ -114,6 +114,69 @@ func TestAugmentResolvesProvenanceViaIndex(t *testing.T) {
 	s := runModels(t, nil, 0, 12, 40, opAugment, opOverlay)
 	exercised(t, "resolved a rule's provenance through the map", s.resolved)
 	exercised(t, "augmented a rule whose own provenance is not the map's", s.own)
+}
+
+// TestSwitchRunsNumberCreatedRisksSerially: switch 1 creates X, and
+// switch 2 creates Y, then X, each on an edge outside its triplet's risk
+// list. Joined in switch order, the controller view numbers X before Y,
+// as marking rule by rule in switch order did, while switch 2's own view
+// numbers Y first; every count reads as that marking's two overlays, the
+// controller's and each switch's, read.
+func TestSwitchRunsNumberCreatedRisksSerially(t *testing.T) {
+	x, y, pair := object.Filter(9), object.Filter(8), policy.MakeEPGPair(1, 2)
+	h := &harness{t: t, c: oracle.FromSeed(0), stats: &modelStats{}}
+	h.start("literal", compile.Footprint{
+		Pairs: []compile.SwitchPair{{Switch: 1, Pair: pair}, {Switch: 2, Pair: pair}},
+		Risks: [][]object.Ref{{object.EPG(1), object.EPG(2), object.Switch(1)}, {object.EPG(1), object.EPG(2), object.Switch(2)}},
+	})
+	h.fresh()
+	missing := func(refs ...object.Ref) []rule.Rule {
+		return []rule.Rule{{Match: rule.Match{VRF: 1, SrcEPG: 1, DstEPG: 2, Proto: rule.ProtoTCP, PortLo: 80, PortHi: 80}, Action: rule.Allow, Provenance: refs}}
+	}
+	ctrl, views := h.join("X, then Y and X", []switchRules{{1, missing(x)}, {2, missing(y, x)}})
+	same(t, "the controller view", "created risks", ctrl.ExtraRiskRefs(), []object.Ref{x, y})
+	same(t, "switch 2's view", "created risks", views[1].ExtraRiskRefs(), []object.Ref{y, x})
+	same(t, "the controller view", "summary", ctrl, `risk model "literal": 2 elements, 6 risks, 9 edges (5 failed)`)
+	same(t, "switch 1's view", "summary", views[0], `risk model "literal": 1 elements, 5 risks, 4 edges (1 failed)`)
+	same(t, "switch 2's view", "summary", views[1], `risk model "literal": 1 elements, 6 risks, 5 edges (2 failed)`)
+}
+
+// TestListProvenanceCreatesEdges: in a compiled deployment whose pair is
+// bound by two contracts sharing a filter, the second with no filter of
+// its own, every key of the second's is the first's, so the triplet's risk
+// list names only the first; yet the rules the sort keeps under the shared
+// filter carry the second's provenance (ROADMAP 1(c)). Marking them by
+// their own lists creates an edge, and a risk, the model lacks.
+func TestListProvenanceCreatesEdges(t *testing.T) {
+	s := runModels(t, sharedFilter(t), 0, 12, 30, opAugment, opPatch, opBoth, opOverlay)
+	exercised(t, "created an edge a deployed rule's own provenance names", s.listOnly)
+}
+
+// sharedFilter compiles TestListProvenanceCreatesEdges' deployment: EPGs
+// 1 on switch 1 and 2 on switch 2, bound by contract 20 (filters 101 and
+// 100 to 104) and, the other way, by contract 10 (filter 101). Five
+// filters put 13 rules on each switch before deduplication, enough that
+// the sort keeps contract 10's instances.
+func sharedFilter(t testing.TB) *compile.Deployment {
+	t.Helper()
+	p := policy.New("list-provenance")
+	p.AddVRF(policy.VRF{ID: 7})
+	p.AddEPG(policy.EPG{ID: 1, Name: "a", VRF: 7})
+	p.AddEPG(policy.EPG{ID: 2, Name: "b", VRF: 7})
+	p.AddEndpoint(policy.Endpoint{ID: 11, EPG: 1, Switch: 1})
+	p.AddEndpoint(policy.Endpoint{ID: 12, EPG: 2, Switch: 2})
+	for _, port := range []uint16{100, 101, 102, 103, 104} {
+		p.AddFilter(policy.Filter{ID: object.ID(port), Entries: []policy.FilterEntry{policy.PortEntry(rule.ProtoTCP, port)}})
+	}
+	p.AddContract(policy.Contract{ID: 20, Filters: []object.ID{101, 100, 102, 103, 104}})
+	p.AddContract(policy.Contract{ID: 10, Filters: []object.ID{101}})
+	p.Bind(1, 2, 20)
+	p.Bind(2, 1, 10)
+	d, err := compile.Compile(p, topo.FromPolicy(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }
 
 // threeTier builds the Figure 1 example deployment.
@@ -198,7 +261,7 @@ func refBuild(d *compile.Deployment, sw object.ID) *refModel {
 }
 
 // switchModel is sw's switch risk model built on its own, the reference
-// its range of the controller model (NewSwitchOverlay) answers to.
+// its range of the controller model (SwitchMarks.View) answers to.
 func switchModel(d *compile.Deployment, sw object.ID) *risk.Model {
 	return risk.NewModel(fmt.Sprintf("switch-%d", sw), d.OnSwitch(sw))
 }
@@ -217,12 +280,14 @@ func checkBuildsMatchOracle(t *testing.T, name string, d *compile.Deployment) {
 	}
 	ctrl := controllerModel(t, d)
 	for sw := range d.BySwitch {
-		m, ov := switchModel(d, sw), risk.NewSwitchOverlay(ctrl, sw)
+		m, ov := switchModel(d, sw), risk.MarkSwitch(ctrl, sw, nil, nil).View()
 		check(fmt.Sprint("switch ", sw), m, refBuild(d, sw).replay())
 		same(t, fmt.Sprint(name, ": switch ", sw, "'s range"), "elements and edges",
 			[]int{ov.NumElements(), ov.NumEdges()}, []int{m.NumElements(), m.NumEdges() + m.NumElements()})
+		lo, hi := ov.Range()
 		for _, sp := range d.Footprint.Pairs {
-			got, inRange := ov.ElementOf(sp)
+			got, inRange := ctrl.ElementOf(sp)
+			inRange, got = inRange && lo <= got && got < hi, got-lo
 			want, ok := m.ElementOf(sp)
 			if inRange != ok || ok && got != want {
 				t.Errorf("%s: switch %d's range finds %v at %d (%v), its model at %d (%v)", name, sw, sp, got, inRange, want, ok)

@@ -303,14 +303,15 @@ func markController(o *risk.Overlay, d *compile.Deployment, missing map[object.I
 	return n
 }
 
-// failedOf counts m's failed edges to ref.
-func failedOf(m risk.View, ref object.Ref) int {
+// failedOf counts m's failed edges to ref, a risk of m's base.
+func failedOf(m *risk.Overlay, ref object.Ref) int {
+	r, _ := m.Base().RiskByRef(ref)
 	n := 0
-	m.ForEachMark(func(_ risk.ElementID, r object.Ref) {
-		if r == ref {
+	for _, mk := range m.Marks() {
+		if mk.Risk == r {
 			n++
 		}
-	})
+	}
 	return n
 }
 
@@ -419,13 +420,12 @@ func TestApplyToSwitchModel(t *testing.T) {
 	if len(objs) == 0 {
 		t.Skip("empty switch")
 	}
-	m := risk.NewOverlay(risk.NewModel("switch", d.OnSwitch(sw)))
 	sc := Scenario{Faults: []Fault{{Ref: objs[0], Fraction: 1}}}
 	missing := sc.Missing(local, rand.New(rand.NewSource(4)))
 	if len(missing) != 1 || len(missing[sw]) == 0 {
 		t.Fatalf("a fault drawn on switch %d removed rules on %d switches, %d there", sw, len(missing), len(missing[sw]))
 	}
-	risk.AugmentSwitchModel(m, sw, missing[sw], d.Provenance)
+	m := risk.MarkSwitch(risk.NewModel("switch", d.OnSwitch(sw)), sw, missing[sw], d.Provenance).View()
 	if len(m.FailureSignature()) == 0 {
 		t.Error("model must have observations after injection")
 	}

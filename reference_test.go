@@ -43,10 +43,9 @@ func refAnalyze(t testing.TB, st scout.State) *scout.Report {
 		sr := scout.SwitchReport{Switch: sw, Equivalent: check.Equivalent,
 			MissingRules: check.MissingRules, ExtraRules: check.ExtraRules}
 		if !check.Equivalent {
-			view := risk.NewOverlay(risk.NewModel("switch", d.OnSwitch(sw)))
-			risk.AugmentSwitchModel(view, sw, check.MissingRules, d.Provenance)
-			sr.Result = localize.Scout(view, oracle)
-			risk.AugmentControllerModelPatch(ctrlModel, sw, check.MissingRules, d.Provenance).Apply(ctrl)
+			own := risk.NewModel("switch", d.OnSwitch(sw))
+			sr.Result = localize.Scout(risk.MarkSwitch(own, sw, check.MissingRules, d.Provenance).View(), oracle)
+			risk.AugmentControllerModelPatch(ctrl, sw, check.MissingRules, d.Provenance).Apply(ctrl)
 			rep.Consistent = false
 			rep.TotalMissing += len(check.MissingRules)
 		}

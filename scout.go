@@ -9,9 +9,9 @@
 //     (L) from the controller's network policy.
 //  2. Run the ROBDD-based L-T equivalence checker per switch; differences
 //     yield missing rules.
-//  3. Build the controller risk model and augment it, and each
-//     inconsistent switch's range of it (its switch model), with the
-//     missing rules.
+//  3. Build the controller risk model and mark each missing rule once:
+//     every inconsistent switch's range of it (its switch model) and the
+//     whole model read the same marks.
 //  4. Run the SCOUT greedy localization algorithm to produce a hypothesis:
 //     a small set of most-likely faulty policy objects, picked greedily
 //     (not a minimum).
@@ -391,49 +391,42 @@ func changeOracle(changes *ChangeLog, now time.Time) localize.ChangeLogOracle {
 	return localize.ChangeLogOracle{Log: changes, Since: now.Add(-changeWindow)}
 }
 
-// assemble runs the pipeline stages downstream of the check stage. The
-// per-switch residue — localization on a fresh overlay of every
-// inequivalent switch's range, and the controller-model augmentation patch
-// — fans out over the workers (both only read ctrl); then the serial fold
-// walks the switches in ascending ID order to count missing rules and
-// replay the patches, and the global localization/correlation pass
-// finishes the report. The only serial stages left are order-dependent by
-// construction: the O(failures) patch replay and the single controller
-// localize.Scout, which reads ctrl's own adjacency arrays plus the
-// overlay's O(marks) delta, so its cost is the greedy rounds themselves,
-// not model-sized setup. switches must be sorted ascending and aligned
-// with checkReps. ctrl is the deployment's pristine risk model and stays
-// pristine: this run's failure marks live in overlays that die with its
-// report.
+// assemble runs the pipeline stages downstream of the check stage, marking
+// each missing rule once (§III-C). The fan-out turns every inequivalent
+// switch's missing rules into one sorted run of marks against the pristine
+// model ctrl and localizes the switch on its view of them; the serial pass
+// counts missing rules and joins the runs, in ascending switch order, into
+// the controller overlay, whose localize.Scout reads ctrl's own arrays
+// plus the overlay's O(marks) delta. switches must be sorted ascending and
+// aligned with checkReps. ctrl stays pristine: this run's marks live in
+// overlays that die with its report.
 func (a *Analyzer) assemble(d *Deployment, ctrl *risk.Model, changes *ChangeLog, faults *FaultLog,
 	now time.Time, switches []object.ID, checkReps []*equiv.Report) *Report {
 	oracle := changeOracle(changes, now)
-	view := risk.NewOverlay(ctrl)
 
 	srs := make([]SwitchReport, len(switches))
-	patches := make([]*risk.Patch, len(switches))
+	runs := make([]*risk.SwitchMarks, len(switches))
 	// Each localization's own counters, summed below: a run counts its own
 	// calls, not the process's.
 	lstats := make([]localize.EngineStats, len(switches)+1)
 	a.fanOut(len(switches), func(_, i int) error {
-		srs[i], lstats[i] = buildSwitchReport(ctrl, d.Provenance, oracle, switches[i], checkReps[i])
-		if !srs[i].Equivalent {
-			patches[i] = risk.AugmentControllerModelPatch(ctrl, switches[i], srs[i].MissingRules, d.Provenance)
-		}
+		srs[i], runs[i], lstats[i] = buildSwitchReport(ctrl, d.Provenance, oracle, switches[i], checkReps[i])
 		return nil
 	})
 
-	rep := &Report{Consistent: true, Switches: srs, ControllerView: view}
+	rep := &Report{Consistent: true, Switches: srs}
+	marked := runs[:0]
 	for i := range srs {
 		if srs[i].Equivalent {
 			continue
 		}
 		rep.Consistent = false
 		rep.TotalMissing += len(srs[i].MissingRules)
-		patches[i].Apply(view)
+		marked = append(marked, runs[i])
 	}
+	rep.ControllerView = risk.NewOverlay(ctrl, marked...)
 	if !rep.Consistent {
-		rep.Controller, lstats[len(switches)] = localize.ScoutWithStats(view, oracle)
+		rep.Controller, lstats[len(switches)] = localize.ScoutWithStats(rep.ControllerView, oracle)
 		rep.Hypothesis = rep.Controller.Hypothesis
 		rep.RootCauses = correlator.Correlate(rep.Hypothesis, changes, faults)
 		var sum localize.EngineStats
@@ -446,25 +439,24 @@ func (a *Analyzer) assemble(d *Deployment, ctrl *risk.Model, changes *ChangeLog,
 }
 
 // buildSwitchReport assembles one switch's report from its check result.
-// An inequivalent switch is localized on its switch risk model: a fresh
-// overlay over its range of the pristine controller model ctrl, marked
-// with the report's missing rules. It only reads shared state, so reports
-// for distinct switches build concurrently. It also returns the
-// localization's counters (zero for a consistent switch).
-func buildSwitchReport(ctrl *risk.Model, prov map[rule.Key][]object.Ref, oracle localize.ChangeOracle, sw object.ID, checkRep *equiv.Report) (SwitchReport, localize.EngineStats) {
-	sr := SwitchReport{
+// An inequivalent switch's missing rules are marked against the pristine
+// controller model ctrl, and it is localized on its view of the marks, its
+// switch risk model. It only reads shared state, so reports for distinct
+// switches build concurrently. It also returns the marks and the
+// localization's counters (nil and zero for a consistent switch).
+func buildSwitchReport(ctrl *risk.Model, prov map[rule.Key][]object.Ref, oracle localize.ChangeOracle, sw object.ID,
+	checkRep *equiv.Report) (sr SwitchReport, marks *risk.SwitchMarks, st localize.EngineStats) {
+	sr = SwitchReport{
 		Switch:       sw,
 		Equivalent:   checkRep.Equivalent,
 		MissingRules: checkRep.MissingRules,
 		ExtraRules:   checkRep.ExtraRules,
 	}
-	var st localize.EngineStats
 	if !checkRep.Equivalent {
-		view := risk.NewSwitchOverlay(ctrl, sw)
-		risk.AugmentSwitchModel(view, sw, checkRep.MissingRules, prov)
-		sr.Result, st = localize.ScoutWithStats(view, oracle)
+		marks = risk.MarkSwitch(ctrl, sw, checkRep.MissingRules, prov)
+		sr.Result, st = localize.ScoutWithStats(marks.View(), oracle)
 	}
-	return sr, st
+	return sr, marks, st
 }
 
 // probeSwitch is the probe observation source's verdict for one switch:
