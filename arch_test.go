@@ -368,11 +368,12 @@ func TestArchitecture(t *testing.T) {
 		}
 	}
 
-	// Session.run takes the state and whether it was read live, and no
-	// hint: sameness is recognised by the caches, never told by a caller.
+	// Session.run takes the state alone, with no hint: sameness is
+	// recognised by the caches, never told by a caller, and both observation
+	// sources read the state's T lists.
 	if run := ix.lookup(t, ".:Session.run"); run != nil {
 		sig := types.TypeString(run.Type(), types.RelativeTo(run.Pkg()))
-		if want := "func(st State, live bool) (*Report, error)"; sig != want {
+		if want := "func(st State) (*Report, error)"; sig != want {
 			t.Errorf("Session.run is %s, want %s", sig, want)
 		}
 	}
@@ -430,7 +431,7 @@ func TestArchitecture(t *testing.T) {
 		".:Session.ApplyEvents", "internal/collect:Collector.SnapshotSwitches", "internal/collect:DirtySwitches",
 		"internal/stream:New", "internal/stream:Queue.Push", "internal/stream:Queue.Cut", "internal/stream:Queue.Stats",
 		"internal/bdd:Manager.Size", "internal/bdd:Manager.Or", "internal/bdd:Manager.Not", "internal/bdd:Manager.Cube",
-		"internal/faultlog:FaultLog.Len", "internal/tcam:TCAM.Install", "internal/tcam:TCAM.Remove",
+		"internal/faultlog:FaultLog.Len", "internal/fabric:Switch.TCAM", "internal/tcam:TCAM.Install", "internal/tcam:TCAM.Remove",
 		"internal/tcam:TCAM.Keys", "internal/localize:StatsSnapshot", "internal/localize:EngineStats.Delta"} {
 		shims[key] = true
 	}

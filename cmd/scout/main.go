@@ -80,7 +80,7 @@ func run() error {
 		disconnect  = flag.Int("disconnect", -1, "switch ID to disconnect before analysis")
 		scenPath    = flag.String("scenario", "", "JSON scenario file to replay instead of -fault/-disconnect")
 		workers     = flag.Int("workers", 0, "parallel per-switch equivalence checkers (0 = GOMAXPROCS, 1 = serial)")
-		probes      = flag.Bool("probes", false, "observe via active dataplane probes (batched per-switch classification) instead of TCAM collection")
+		probes      = flag.Bool("probes", false, "observe via probes (batched per-switch classification of the collected TCAM rules) instead of exhaustive TCAM verification")
 		watch       = flag.Bool("watch", false, "drive an event-driven session daemon: full baseline, then an incremental refresh per window of events")
 		batchWindow = flag.Duration("batch-window", 2*time.Second, "watch mode: refresh once the first event not yet analyzed has waited this long (requires -watch)")
 		stateDir    = flag.String("state-dir", "", "durable warm-state directory: restore fingerprint-matching BDD state on start, write each round's deltas as it ends")
@@ -382,7 +382,7 @@ type watchOptions struct {
 // reads: the round collects every switch and re-verifies the ones written
 // since their last read — a BDD re-check of their collected rules, or in
 // probe mode (UseProbes) a classification of their probe batches against
-// the live dataplane — so a write no event names is still caught. It
+// those rules — so a write no event names is still caught. It
 // returns the last report produced (the baseline's when no events
 // arrive), or the session's first failed warm-state write.
 func runWatch(f *scout.Fabric, faults []objectFault, opts watchOptions, w io.Writer) (*scout.Report, error) {

@@ -648,8 +648,8 @@ func (r *coldRun) analyze(t *testing.T) {
 	}
 }
 
-// cold is the JSON of a one-shot serial analysis of st, or in probe mode of
-// the fabric, or its error; after a step that leaves the fabric alone it is
+// cold is the JSON of a one-shot serial analysis of st in the case's mode, or
+// its error; after a step that leaves the fabric alone it is
 // the previous step's. The analysis is handed the case's store and must
 // leave every file as it found it; the baseline's must be inconsistent
 // unless the case is clean, or every comparison is vacuous; the final
@@ -663,9 +663,6 @@ func (r *coldRun) cold(t *testing.T, st scout.State) []byte {
 		image := storeImage(r.dir)
 		a := scout.NewAnalyzer(scout.AnalyzerOptions{Workers: 1, UseProbes: probes, WarmStore: r.ws})
 		rep, err := a.AnalyzeState(st)
-		if probes {
-			rep, err = a.Analyze(r.f)
-		}
 		if !maps.Equal(image, storeImage(r.dir)) {
 			t.Fatalf("step %d: a one-shot analysis handed the store changed it", r.round)
 		}
@@ -745,16 +742,12 @@ var modes = map[bool]string{false: "tcam", true: "probes"}
 // once: the tour analyzed through each entry point, on each batch an event
 // queue cuts, and through a restart before every step, equals a serial cold
 // analysis at every worker count,
-// in TCAM and probe mode. Probe mode refuses the snapshot entry points,
-// which hand it no dataplane.
+// in TCAM and probe mode.
 func TestEveryEntryPointEqualsCold(t *testing.T) {
 	t.Parallel()
 	for _, probes := range []bool{false, true} {
 		colds := make(map[int][]byte)
 		for _, e := range []entry{viaAnalyze, viaEpoch, viaEvents, viaState, viaRestart} {
-			if probes && (e == viaEpoch || e == viaState) {
-				continue
-			}
 			for i, workers := range slices.Compact([]int{1, 2, runtime.NumCPU(), 0, -3}) {
 				t.Run(fmt.Sprintf("%s/%s/workers=%d", e, modes[probes], workers), func(t *testing.T) {
 					c := coldCase{steps: tour, entry: e, workers: workers, probes: probes, colds: colds}
@@ -801,6 +794,9 @@ func FuzzSession(f *testing.F) {
 			step{opEvict, 3, 0}, step{opDetach, 0, 0}),
 		sessionSeed(true, viaAnalyze, 2, step{opAddFilter, 0, 0}, step{opRestart, 0, 0},
 			step{opSilent, 3, 0}, step{opDetach, 0, 0}),
+		// A probe session's snapshot entry points probe the state they are
+		// handed.
+		sessionSeed(true, viaState, 2, step{opSilent, 3, 0}),
 		// Every harm before a restart.
 		sessionSeed(false, viaAnalyze, 2, step{opRestart, 0, harmCut}, step{opRestart, 1, harmSquat},
 			step{opEvict, 0, 0}, step{opRestart, 0, harmLoseIt}, step{opRestart, 0, 8 + harmFlip}),
@@ -811,9 +807,6 @@ func FuzzSession(f *testing.F) {
 		c := oracle.FromBytes(data)
 		h := c.Byte()
 		e, probes := entry(h>>1%4), h&1 == 1
-		if probes && (e == viaEpoch || e == viaState) {
-			e = viaAnalyze
-		}
 		equalsCold(t, coldCase{entry: e, probes: probes, workers: []int{1, 2, 3, 0, -3}[h>>3%5],
 			steps: drawSteps(c, min(max(len(data)-1, 0)/3, 16))})
 	})

@@ -69,7 +69,9 @@ type Switch struct {
 	tcam *tcam.TCAM
 }
 
-// TCAM exposes the switch's TCAM (primarily for tests and collection).
+// TCAM exposes the switch's table to writes the fabric does not record:
+// tests and bench/ plant and remove rules through it. Analysis reads tables
+// only through CollectTCAM and CollectAll.
 func (s *Switch) TCAM() *tcam.TCAM { return s.tcam }
 
 // Fabric is the simulated deployment plane.

@@ -4,15 +4,17 @@
 // policy but fail to do so* in the dataplane. A probe is its rule's own
 // header — the five match fields of an allow rule between concrete EPGs,
 // at the rule's low port — so probing a switch is one function of its
-// logical rules and its TCAM: Switch reads the packets off the rules,
-// classifies them in one batch pass, and reports the violations —
-// policy-allowed probes the hardware does not allow (missing rules).
-// Nothing is kept between calls.
+// logical rules and its collected TCAM: Switch reads the packets off the
+// rules, classifies them in one batch pass, and reports the violations —
+// policy-allowed probes the table does not allow (missing rules). Nothing
+// is kept between calls.
 //
-// Probing complements the ROBDD equivalence checker: it needs no access
-// to the full TCAM dump (only forwarding behaviour), at the cost of
-// sampling rather than exhaustively verifying the header space. Both
-// sources feed the same risk-model augmentation.
+// Probing complements the ROBDD equivalence checker: it samples the
+// collected table at each allow rule's header instead of verifying the
+// whole header space, and encodes nothing, so it reads rules a checker
+// could not encode. The table is collected all the same, because a
+// session keys its verdict replay on it. Both sources feed the same
+// risk-model augmentation.
 package probe
 
 import (
@@ -62,11 +64,12 @@ func eligible(r *rule.Rule) bool {
 // Switch probes switch sw: every eligible rule of logical (the switch's
 // compiled rule list) contributes one packet — its own match header at
 // its low port, the paper's per-rule missing/present granularity — the
-// packets are classified against t in one rule-major batch pass, and the
-// outcomes that contradict their rules are returned in deterministic
-// order, with the number of probes sent. It reads logical and t and
-// writes nothing shared, so switches probe concurrently.
-func Switch(sw object.ID, logical []rule.Rule, t *tcam.TCAM) (violations []Violation, probes int) {
+// packets are classified against deployed (its collected TCAM rules, in
+// match order) in one rule-major batch pass, and the outcomes that
+// contradict their rules are returned in deterministic order, with the
+// number of probes sent. It reads logical and deployed and writes nothing
+// shared, so switches probe concurrently.
+func Switch(sw object.ID, logical, deployed []rule.Rule) (violations []Violation, probes int) {
 	pkts := make([]Packet, 0, len(logical)) // all but the default rules are eligible
 	for i := range logical {
 		if r := &logical[i]; eligible(r) {
@@ -77,7 +80,7 @@ func Switch(sw object.ID, logical []rule.Rule, t *tcam.TCAM) (violations []Viola
 	if len(pkts) == 0 {
 		return nil, 0
 	}
-	outcomes := t.ClassifyBatch(pkts)
+	outcomes := tcam.Classify(deployed, pkts)
 	next := 0 // the probe the next eligible rule sent
 	for i := range logical {
 		r := &logical[i]

@@ -61,7 +61,7 @@ func probeAll(t testing.TB, f *fabric.Fabric, switches []object.ID) ([]Violation
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, n := Switch(sw, f.Deployment().RulesFor(sw), s.TCAM())
+		v, n := Switch(sw, f.Deployment().RulesFor(sw), s.TCAM().Rules())
 		out = append(out, v...)
 		sent += n
 	}
@@ -163,7 +163,7 @@ func TestProbeLocalizationEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		violations, _ := Switch(sw, d.RulesFor(sw), s.TCAM())
+		violations, _ := Switch(sw, d.RulesFor(sw), s.TCAM().Rules())
 		risk.AugmentControllerModelPatch(m, sw, MissingRules(violations), d.Provenance).Apply(m)
 	}
 	if m.NumFailedEdges() == 0 {
@@ -191,7 +191,7 @@ func TestProbeSwitchModelAugmentation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	violations, _ := Switch(2, d.RulesFor(2), s.TCAM())
+	violations, _ := Switch(2, d.RulesFor(2), s.TCAM().Rules())
 	own := risk.NewModel("switch-2", d.OnSwitch(2))
 	m := risk.MarkSwitch(own, 2, MissingRules(violations), d.Provenance).View()
 	if m.NumFailedEdges() == 0 {
@@ -282,7 +282,7 @@ func TestProbeSwitchConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	logical := f.Deployment().RulesFor(2)
-	want, wantSent := Switch(2, logical, s.TCAM())
+	want, wantSent := Switch(2, logical, s.TCAM().Rules())
 	if len(want) == 0 {
 		t.Fatal("switch 2 must violate after the filter fault")
 	}
@@ -294,7 +294,7 @@ func TestProbeSwitchConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			got[g], sent[g] = Switch(2, logical, s.TCAM())
+			got[g], sent[g] = Switch(2, logical, s.TCAM().Rules())
 		}(g)
 	}
 	wg.Wait()

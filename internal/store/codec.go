@@ -19,10 +19,12 @@
 package store
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 
 	"scout/internal/bdd"
 	"scout/internal/equiv"
@@ -384,15 +386,12 @@ type Verdict struct {
 }
 
 // encodeVerdicts serializes verdicts under the deployment fingerprint.
-// Entries are sorted by switch ID (on a copy) so repeated saves of the
-// same cache state produce byte-identical files.
+// Entries are sorted by switch ID (on a copy; switches are unique, so the
+// order is total) so repeated saves of the same cache state produce
+// byte-identical files.
 func encodeVerdicts(depFP uint64, vs []Verdict) []byte {
-	sorted := append([]Verdict(nil), vs...)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j].Switch < sorted[j-1].Switch; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
+	sorted := slices.Clone(vs)
+	slices.SortFunc(sorted, func(a, b Verdict) int { return cmp.Compare(a.Switch, b.Switch) })
 	var e encoder
 	e.uvarint(uint64(len(sorted)))
 	for _, v := range sorted {

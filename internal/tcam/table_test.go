@@ -40,7 +40,7 @@ const (
 	opClassify
 )
 
-var opNames = [...]string{"InstallAll", "Install", "Remove", "RemoveKeys", "EvictRandom", "Corrupt", "Rules", "ClassifyBatch"}
+var opNames = [...]string{"InstallAll", "Install", "Remove", "RemoveKeys", "EvictRandom", "Corrupt", "Rules", "Classify"}
 
 // allOps is every step.
 var allOps = []op{opInstallAll, opInstall, opRemove, opRemoveKeys, opEvict, opCorrupt, opRules, opClassify}
@@ -231,10 +231,11 @@ func runTable(t *testing.T, c *oracle.Choices, cs tableCase, stats *tableStats) 
 		go func() {
 			defer wg.Done()
 			for !stop.Load() {
-				if snap := h.tc.Rules(); len(seen[g]) == 0 || !rule.SameSlice(snap, seen[g][len(seen[g])-1]) {
+				snap := h.tc.Rules()
+				if len(seen[g]) == 0 || !rule.SameSlice(snap, seen[g][len(seen[g])-1]) {
 					seen[g] = append(seen[g], snap)
 				}
-				h.tc.ClassifyBatch([]Packet{{1, 2, 3, rule.ProtoTCP, 1}})
+				Classify(snap, []Packet{{1, 2, 3, rule.ProtoTCP, 1}})
 				h.tc.RemoveKeys(nil) // takes the write lock and writes nothing
 			}
 		}()
@@ -355,7 +356,7 @@ func (h *harness) step(i int, kind op) {
 			pkts[j] = Packet{object.ID(c.Intn(3)), object.ID(c.Intn(3)), object.ID(c.Intn(3)), rule.ProtoTCP, uint16(c.Intn(3))}
 			outs[j] = ref.classify(pkts[j])
 		}
-		got, want = tc.ClassifyBatch(pkts), outs
+		got, want = Classify(tc.Rules(), pkts), outs
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s returned %v, the reference %v", label, got, want)

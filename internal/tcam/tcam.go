@@ -212,13 +212,13 @@ type Outcome struct {
 	Matched bool
 }
 
-// ClassifyBatch resolves every packet of the batch in one priority-ordered
-// pass over the rule table: rules on the outer loop, the still-unresolved
-// packet set on the inner, so an n-entry table is scanned once per batch
-// instead of once per packet and the read lock is taken once. The i-th
+// Classify resolves every packet of the batch in one priority-ordered pass
+// over rules, a table in match order such as a Rules snapshot: rules on the
+// outer loop, the still-unresolved packet set on the inner, so an n-entry
+// table is scanned once per batch instead of once per packet. The i-th
 // outcome is the action of the first (highest-priority) rule matching the
-// i-th packet.
-func (t *TCAM) ClassifyBatch(pkts []Packet) []Outcome {
+// i-th packet. It reads rules and pkts and writes neither.
+func Classify(rules []rule.Rule, pkts []Packet) []Outcome {
 	out := make([]Outcome, len(pkts))
 	if len(pkts) == 0 {
 		return out
@@ -229,10 +229,8 @@ func (t *TCAM) ClassifyBatch(pkts []Packet) []Outcome {
 	for i := range unresolved {
 		unresolved[i] = i
 	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	for ri := range t.rules {
-		r := &t.rules[ri]
+	for ri := range rules {
+		r := &rules[ri]
 		live := unresolved[:0]
 		for _, i := range unresolved {
 			p := pkts[i]

@@ -112,9 +112,9 @@ func TestRulesSnapshotSharedUntilWrite(t *testing.T) {
 	runTables(t, 8, 32, 100, allOps...)
 }
 
-// TestConcurrentAccess races snapshot readers against the writes (run
-// under -race in CI): every snapshot a reader takes is the table as some
-// write left it.
+// TestConcurrentAccess races snapshot readers, which classify what they
+// take, against the writes (run under -race in CI): every snapshot a reader
+// takes is the table as some write left it.
 func TestConcurrentAccess(t *testing.T) {
 	runTable(t, oracle.FromSeed(0), tableCase{capacity: 64, steps: 600, ops: allOps, readers: 4}, &tableStats{})
 }

@@ -52,15 +52,17 @@ import (
 // whether a session's state survives a restart; the rest of the pipeline is
 // the paper's configuration, fixed below.
 type AnalyzerOptions struct {
-	// UseProbes derives observations from active connectivity probes
-	// against the switch dataplane instead of exhaustive TCAM
-	// verification (§III-C's "allowed to communicate but fail to do so"
-	// observation source). A probe is an allow rule's own header, one per
-	// rule, classified a switch at a time in one batch pass; probing
-	// samples the header space, so extra behaviour from corrupted rules is
-	// not reported in this mode. The option is fixed for a session's life
-	// and adds no state to it: a dirty switch is probed (SessionStats.
-	// Checked), a clean one replays its cached verdict (Replayed).
+	// UseProbes derives observations from connectivity probes instead of
+	// exhaustive TCAM verification (§III-C's "allowed to communicate but
+	// fail to do so" observation source). A probe is an allow rule's own
+	// header, one per rule, classified against the switch's collected TCAM
+	// rules a switch at a time in one batch pass; probing samples the
+	// header space, so extra behaviour from corrupted rules is not reported
+	// in this mode, and encodes nothing, so it accepts rules the checker's
+	// encoder would refuse. The option is fixed for a session's life and
+	// adds no state to it: a dirty switch is probed (SessionStats.Checked),
+	// a clean one replays its cached verdict (Replayed), and every entry
+	// point, snapshots included, works as in TCAM mode.
 	UseProbes bool
 
 	// Workers bounds the number of concurrent per-switch equivalence
@@ -200,8 +202,7 @@ func (a *Analyzer) Analyze(f *fabric.Fabric) (*Report, error) {
 }
 
 // AnalyzeState runs the pipeline on raw collected state, independent of
-// the simulator. Collected state has no dataplane to probe, so a UseProbes
-// analyzer refuses it rather than run a check the caller did not ask for.
+// the simulator, in either observation mode.
 func (a *Analyzer) AnalyzeState(st State) (*Report, error) {
 	return a.session(nil).AnalyzeState(st)
 }
@@ -459,21 +460,17 @@ func buildSwitchReport(ctrl *risk.Model, prov map[rule.Key][]object.Ref, oracle 
 	return sr, marks, st
 }
 
-// probeSwitch is the probe observation source's verdict for one switch:
-// the headers of its logical rules are classified against its live TCAM in
-// one batch pass, and every allowed packet the dataplane drops names a
-// missing rule. It also returns how many probes were sent. It keeps and
-// shares nothing, so the fan-out calls it concurrently.
-func probeSwitch(f *fabric.Fabric, logical []rule.Rule, sw object.ID) (*equiv.Report, int, error) {
-	s, err := f.Switch(sw)
-	if err != nil {
-		return nil, 0, fmt.Errorf("scout: probe switch %d: %w", sw, err)
-	}
-	violations, sent := probe.Switch(sw, logical, s.TCAM())
+// probeSwitch is the probe observation source's verdict for one switch of
+// collected state: the headers of its logical rules are classified against
+// its collected TCAM rules in one batch pass, and every allowed packet the
+// table drops names a missing rule. It also returns how many probes were
+// sent. It keeps and shares nothing, so the fan-out calls it concurrently.
+func probeSwitch(st State, sw object.ID) (*equiv.Report, int) {
+	violations, sent := probe.Switch(sw, st.Deployment.RulesFor(sw), st.TCAM[sw])
 	return &equiv.Report{
 		Equivalent:   len(violations) == 0,
 		MissingRules: probe.MissingRules(violations),
-	}, sent, nil
+	}, sent
 }
 
 // MarshalJSON serializes the report (for dashboards and tooling).

@@ -73,8 +73,8 @@ const sessionMissingRuleCap = 4096
 type Session struct {
 	mu sync.Mutex
 	a  *Analyzer
-	// f is the fabric the session collects from and probes; nil in the
-	// session behind Analyzer.AnalyzeState, which is handed its state.
+	// f is the fabric Analyze collects from; nil in the session behind
+	// Analyzer.AnalyzeState, which is handed its state.
 	f *fabric.Fabric
 
 	// ws is the durable warm store (AnalyzerOptions.WarmStore). Only
@@ -97,10 +97,10 @@ type Session struct {
 
 	// cache holds the newest verdict per switch, from whichever
 	// observation source the session was created with (UseProbes is fixed
-	// for a session's lifetime): a BDD check of collected TCAM rules or a
-	// probe round against the live TCAM. Either is a pure function of the
-	// switch's logical rules and TCAM content, so the same fingerprint
-	// pair keys a valid replay.
+	// for a session's lifetime): a BDD check or a probe round, both of the
+	// collected TCAM rules. Either is a pure function of the switch's
+	// logical rules and TCAM list, so the same fingerprint pair keys a
+	// valid replay.
 	cache map[object.ID]*switchCheckState
 
 	// loadedVerdicts records which deployment fingerprints' warm-store
@@ -209,13 +209,11 @@ type SessionStats struct {
 // options are the Analyzer's; nothing is built until the first run
 // resolves the fabric's deployment. UseProbes picks the session's
 // observation source for its lifetime and changes one thing: a dirty
-// switch's verdict comes from classifying its probe batch against the live
-// dataplane instead of a BDD check of its collected rules, so a probe
-// session builds no base and forks no checker. Collection, fingerprint
-// replay, slice recognition, the warm store and the Checked / Replayed
-// counters work the same, so a probe session is driven by Analyze;
-// AnalyzeEpoch and AnalyzeState hand over snapshots, which have no
-// dataplane to probe, and are refused.
+// switch's verdict comes from classifying its probe batch against its
+// collected rules instead of a BDD check of them, so a probe session builds
+// no base and forks no checker. Every entry point, fingerprint replay, slice
+// recognition, the warm store and the Checked / Replayed counters work the
+// same.
 func NewSession(f *fabric.Fabric, opts ...AnalyzerOptions) (*Session, error) {
 	s := NewAnalyzer(opts...).session(f)
 	s.ws = s.a.opts.WarmStore
@@ -256,7 +254,7 @@ func (s *Session) fabricState(tcams map[object.ID][]rule.Rule, now time.Time) St
 func (s *Session) Analyze() (*Report, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.run(s.fabricState(s.f.CollectAll(), s.f.Now()), true)
+	return s.run(s.fabricState(s.f.CollectAll(), s.f.Now()))
 }
 
 // AnalyzeEpoch analyzes one collector epoch against the fabric's current
@@ -268,7 +266,7 @@ func (s *Session) Analyze() (*Report, error) {
 func (s *Session) AnalyzeEpoch(e *Epoch) (*Report, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.run(s.fabricState(e.TCAM, e.Time), false)
+	return s.run(s.fabricState(e.TCAM, e.Time))
 }
 
 // ApplyEvents is Analyze; the batch is ignored.
@@ -284,7 +282,7 @@ func (s *Session) ApplyEvents(EventBatch) (*Report, error) { return s.Analyze() 
 func (s *Session) AnalyzeState(st State) (*Report, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.run(st, false)
+	return s.run(st)
 }
 
 // Invalidate drops the cached verdicts of the given switches — or of
@@ -325,18 +323,14 @@ func (s *Session) Stats() SessionStats {
 // and by every one-shot: resolve the deployment, hash the T lists the cache
 // does not recognise, replay or re-check each switch, assemble the report
 // on the deployment's pristine risk model, and persist what changed. st
-// holds the T lists to analyze. live says the lists were read from the
-// session's own fabric during this call, so its dataplane is what they
-// describe. Every run ends byte-identical to a cold run on the same State:
-// caching only ever short-circuits the check stage, never the folds.
-func (s *Session) run(st State, live bool) (*Report, error) {
+// holds the T lists to analyze, which both observation sources read. Every
+// run ends byte-identical to a cold run on the same State: caching only
+// ever short-circuits the check stage, never the folds.
+func (s *Session) run(st State) (*Report, error) {
 	start := time.Now()
 	probes := s.a.opts.UseProbes
-	switch {
-	case st.Deployment == nil:
+	if st.Deployment == nil {
 		return nil, fmt.Errorf("scout: nothing to analyze: the fabric has never been deployed, or the state has no deployment")
-	case probes && !live:
-		return nil, fmt.Errorf("scout: probe mode classifies packets against a live dataplane, which collected TCAM snapshots (AnalyzeEpoch, AnalyzeState) do not have; use Analyze")
 	}
 	if err := st.Deployment.Footprint.Validate(); err != nil {
 		return nil, fmt.Errorf("scout: the state's deployment: %w", err)
@@ -371,8 +365,8 @@ func (s *Session) run(st State, live bool) (*Report, error) {
 	}
 
 	// The observation source decides one thing: how a dirty switch gets
-	// its verdict. Probes classify its packet batch against the fabric's
-	// live TCAM (O(rules × probes), which a replay skips entirely). A BDD
+	// its verdict. Probes classify its packet batch against its T list
+	// (O(rules × probes), which a replay skips entirely). A BDD
 	// check runs on the session's forks — worker k owns checker k for the
 	// run. Every dirty switch is checked on its own: byte-equal twins share
 	// their logical root through the base, not through a plan of the
@@ -389,14 +383,14 @@ func (s *Session) run(st State, live bool) (*Report, error) {
 				})
 			}
 			sent := make([]int, len(dirty))
-			err := s.a.fanOut(len(dirty), func(_, i int) (err error) {
-				reps[i], sent[i], err = probeSwitch(s.f, s.dep.d.RulesFor(dirty[i]), dirty[i])
-				return err
+			s.a.fanOut(len(dirty), func(_, i int) error {
+				reps[i], sent[i] = probeSwitch(st, dirty[i])
+				return nil
 			})
 			for _, n := range sent {
 				s.stats.ProbePacketsBatched += n
 			}
-			return reps, err
+			return reps, nil
 		})
 	if err != nil {
 		return nil, err

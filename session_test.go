@@ -108,18 +108,45 @@ func refuses(t *testing.T, what string, analyses ...func() (*scout.Report, error
 	}
 }
 
-// TestSessionProbeRejectsSnapshotEntryPoints: the entry points handed
-// collected TCAM snapshots have no dataplane to probe and refuse a probe
-// session — a one-shot probe Analyzer's AnalyzeState included — without
-// counting a run.
-func TestSessionProbeRejectsSnapshotEntryPoints(t *testing.T) {
+// TestSessionProbeReadsItsState: a probe session probes the T lists it is
+// handed, not the fabric's tables. An epoch is taken, then one probed allow
+// rule is removed through Switch.TCAM, which emits no event. AnalyzeEpoch
+// of the epoch equals a cold one-shot AnalyzeState of the epoch's state —
+// so a one-shot probe Analyzer takes collected state too — and neither
+// reports the rule; the next Analyze collects the removal, reports it, and
+// equals a cold analysis.
+func TestSessionProbeReadsItsState(t *testing.T) {
 	f, opts := faultyFabric(t, 3), scout.AnalyzerOptions{UseProbes: true}
 	sess := newSession(t, f, opts)
-	refuses(t, "probe mode", func() (*scout.Report, error) { return sess.AnalyzeEpoch(scout.NewCollector(f, 0).Snapshot()) },
-		func() (*scout.Report, error) { return sess.AnalyzeState(fabricState(f)) },
-		func() (*scout.Report, error) { return scout.NewAnalyzer(opts).AnalyzeState(fabricState(f)) })
-	if st := sess.Stats(); st.Runs != 0 {
-		t.Errorf("refused entry points counted %d runs", st.Runs)
+	epoch := scout.NewCollector(f, 0).Snapshot()
+	st := fabricState(f)
+	st.TCAM, st.Now = epoch.TCAM, epoch.Time
+
+	d, sw := f.Deployment(), switchesOf(f)[0]
+	s, err := f.Switch(sw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := slices.IndexFunc(s.TCAM().Rules(), func(x scout.Rule) bool {
+		return probesOf([]scout.Rule{x}) == 1 && slices.ContainsFunc(d.RulesFor(sw), func(l scout.Rule) bool { return l.Key() == x.Key() })
+	})
+	if i < 0 {
+		t.Fatalf("switch %d holds no probed rule of its logical list", sw)
+	}
+	gone := s.TCAM().Rules()[i]
+	s.TCAM().Remove(gone.Key())
+	reports := func(rep *scout.Report) bool {
+		return slices.ContainsFunc(switchReport(t, rep, sw).MissingRules, func(x scout.Rule) bool { return x.Key() == gone.Key() })
+	}
+
+	got := mustReport(t, func() (*scout.Report, error) { return sess.AnalyzeEpoch(epoch) })
+	want := mustReport(t, func() (*scout.Report, error) { return scout.NewAnalyzer(opts).AnalyzeState(st) })
+	if reports(got) || !bytes.Equal(marshalReport(t, got), marshalReport(t, want)) {
+		t.Errorf("AnalyzeEpoch of the epoch reports the rule removed after it (%v), or differs from a cold AnalyzeState of it", reports(got))
+	}
+	got = mustReport(t, sess.Analyze)
+	if !reports(got) || !bytes.Equal(marshalReport(t, got), marshalReport(t, oneShot(t, f, opts))) {
+		t.Errorf("Analyze misses the removed rule (%v), or differs from a cold analysis", !reports(got))
 	}
 }
 
