@@ -205,10 +205,11 @@ func funcName(fn *types.Func) string {
 }
 
 // unused returns, in source order, what the module's own code does not
-// need from its root and internal/ packages (the oracle aside): a function
-// or method that no non-test file uses outside its own body and no
-// interface call selects, and an interface method nothing calls through
-// its interface. Only the uses counts accepts count.
+// need from its root, internal/, cmd/ and examples/ packages (the oracle
+// aside): a function or method that no non-test file uses outside its own
+// body and no interface call selects, and an interface method nothing
+// calls through its interface. A command's main is its own use. Only the
+// uses counts accepts count.
 func (ix *moduleIndex) unused(counts func(use) bool) []*types.Func {
 	counted := func(u use) bool {
 		if u.as != nil {
@@ -221,7 +222,8 @@ func (ix *moduleIndex) unused(counts func(use) bool) []*types.Func {
 	var ifaceMethods []*types.Func
 	inScope := make(map[*types.Package]bool)
 	for dir, pkg := range ix.pkgs {
-		inScope[pkg] = dir == "." || strings.HasPrefix(dir, "internal/") && dir != oracleDir
+		inScope[pkg] = dir == "." || strings.HasPrefix(dir, "internal/") && dir != oracleDir ||
+			strings.HasPrefix(dir, "cmd/") || strings.HasPrefix(dir, "examples/")
 		for _, name := range pkg.Scope().Names() {
 			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
 			if !ok || tn.IsAlias() {
@@ -260,7 +262,7 @@ func (ix *moduleIndex) unused(counts func(use) bool) []*types.Func {
 
 	var out []*types.Func
 	for _, fn := range ix.funcs {
-		if !inScope[fn.Pkg()] || dispatched[fn] {
+		if !inScope[fn.Pkg()] || dispatched[fn] || fn.Pkg().Name() == "main" && fn.Name() == "main" {
 			continue
 		}
 		used := false
@@ -308,6 +310,8 @@ var unreferencedExports = map[string]string{
 	"String":      "fmt calls it through fmt.Stringer",
 	"Error":       "callers reach it through the error interface",
 	"MarshalJSON": "encoding/json calls it through json.Marshaler",
+
+	"cmd/scout:faultFlags.Set": "flag calls it through flag.Value",
 
 	".:Session.Invalidate":    "the documented way to drop a switch's warm state",
 	".:Analyzer.AnalyzeState": "README documents it for state collected outside the simulator",
@@ -515,9 +519,24 @@ func main() { fix.Reexported() }
 `)},
 		"cmd/fix/main.go": {Data: []byte(`package main
 
-import "fix"
+import (
+	"flag"
+	"fix"
+)
 
-func main() { fix.Use(fix.T{}) }
+type list []string // flag calls its methods through flag.Value
+
+func (l *list) String() string { return "" }
+
+func (l *list) Set(v string) error { *l = append(*l, v); return nil }
+
+func helper() {} // only a test would call it
+
+func main() { // its own use
+	var l list
+	flag.Var(&l, "l", "")
+	fix.Use(fix.T{})
+}
 `)},
 	}
 	for _, mode := range []string{"0", "1"} {
@@ -528,12 +547,21 @@ func main() { fix.Use(fix.T{}) }
 			if _, alias := j.(*types.Alias); alias != (mode == "1") {
 				t.Errorf("J is a %T under gotypesalias=%s", j, mode)
 			}
-			var got []string
+			// A command's main is exempt, and String is allowed by name;
+			// Set is not, so the one flag.Value cmd/scout keeps is
+			// allowed by its key.
+			var got, kept []string
 			for _, fn := range ix.unused(anyUse) {
 				got = append(got, funcName(fn))
+				if !ix.allowed(fn) {
+					kept = append(kept, funcName(fn))
+				}
 			}
-			if want := []string{"A.Len", "I.N", "T.N"}; !reflect.DeepEqual(got, want) {
+			if want := []string{"list.String", "list.Set", "helper", "A.Len", "I.N", "T.N"}; !reflect.DeepEqual(got, want) {
 				t.Errorf("unused = %v, want %v", got, want)
+			}
+			if want := []string{"list.Set", "helper", "A.Len", "I.N", "T.N"}; !reflect.DeepEqual(kept, want) {
+				t.Errorf("unused and not allowed = %v, want %v", kept, want)
 			}
 			if got := ix.benchOnly(); len(got) != 1 || got[0].Name() != "OnlyBench" {
 				t.Errorf("bench-only = %v, want OnlyBench", got)

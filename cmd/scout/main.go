@@ -49,11 +49,6 @@ import (
 	"scout"
 )
 
-// marshalPolicy and writeFile are seams for tests.
-func marshalPolicy(p *scout.Policy) ([]byte, error) { return json.Marshal(p) }
-
-func writeFile(path string, data []byte) error { return os.WriteFile(path, data, 0o644) }
-
 // faultFlags accumulates repeated -fault arguments.
 type faultFlags []string
 

@@ -228,11 +228,11 @@ func TestLoadPolicyFromFile(t *testing.T) {
 	}
 	dir := t.TempDir()
 	path := dir + "/policy.json"
-	data, err := marshalPolicy(pol)
+	data, err := json.Marshal(pol)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFile(path, data); err != nil {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	loaded, topo, err := loadPolicy(path, "", 0)

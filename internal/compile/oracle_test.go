@@ -79,7 +79,7 @@ func refCompile(p *policy.Policy, t *topo.Topology) *compile.Deployment {
 	}
 	for sw, rules := range d.BySwitch {
 		rules = append(rules, rule.DefaultDeny())
-		sort.Slice(rules, func(i, j int) bool { return rule.Less(rules[i], rules[j]) })
+		sort.Slice(rules, func(i, j int) bool { return rule.Compare(rules[i], rules[j]) < 0 })
 		d.BySwitch[sw] = oracle.Dedupe(rules)
 	}
 	fp := &d.Footprint

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
-	"sort"
 	"testing"
 
 	"scout/internal/compile"
@@ -64,7 +63,7 @@ func refDeploy(f *Fabric) error {
 				adds = append(adds, r)
 			}
 		}
-		sort.Slice(adds, func(i, j int) bool { return rule.Less(adds[i], adds[j]) })
+		slices.SortFunc(adds, rule.Compare)
 		for _, r := range adds {
 			s.view[r.Key()] = r
 			if !s.agentUp {

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -51,18 +50,20 @@ func threeTierFabric(t testing.TB) *fabric.Fabric {
 }
 
 // probeAll probes the given switches of the fabric in order and returns
-// the concatenated violations and the probes sent.
-func probeAll(t testing.TB, f *fabric.Fabric, switches []object.ID) ([]Violation, int) {
+// each switch's missing rules and the probes sent in all.
+func probeAll(t testing.TB, f *fabric.Fabric, switches []object.ID) (map[object.ID][]rule.Rule, int) {
 	t.Helper()
-	var out []Violation
+	out := make(map[object.ID][]rule.Rule)
 	sent := 0
 	for _, sw := range switches {
 		s, err := f.Switch(sw)
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, n := Switch(sw, f.Deployment().RulesFor(sw), s.TCAM().Rules())
-		out = append(out, v...)
+		missing, n := Switch(f.Deployment().RulesFor(sw), s.TCAM().Rules())
+		if len(missing) > 0 {
+			out[sw] = missing
+		}
 		sent += n
 	}
 	return out, sent
@@ -70,9 +71,9 @@ func probeAll(t testing.TB, f *fabric.Fabric, switches []object.ID) ([]Violation
 
 func TestProbeCleanFabricNoViolations(t *testing.T) {
 	f := threeTierFabric(t)
-	v, sent := probeAll(t, f, threeTierSwitches)
-	if len(v) != 0 {
-		t.Fatalf("clean fabric must probe clean, got %v", v)
+	missing, sent := probeAll(t, f, threeTierSwitches)
+	if len(missing) != 0 {
+		t.Fatalf("clean fabric must probe clean, got %v", missing)
 	}
 	// One probe per allow rule between concrete EPGs: Web-App on S1 and S2
 	// (port 80), App-DB on S2 and S3 (ports 80 and 700), both directions.
@@ -86,24 +87,22 @@ func TestProbeDetectsMissingRules(t *testing.T) {
 	if _, err := f.InjectObjectFault(object.Filter(700), 1.0); err != nil {
 		t.Fatal(err)
 	}
-	violations, _ := probeAll(t, f, threeTierSwitches)
-	if len(violations) == 0 {
+	missing, _ := probeAll(t, f, threeTierSwitches)
+	if len(missing) == 0 {
 		t.Fatal("probes must detect the missing port-700 rules")
 	}
-	for _, v := range violations {
-		if v.Packet.Port != 700 {
-			t.Errorf("unexpected violation %v (only port 700 is broken)", v)
+	n := 0
+	for sw, rules := range missing {
+		for _, r := range rules {
+			if r.Match.PortLo != 700 || r.Action != rule.Allow || !r.HasProvenance(object.Filter(700)) {
+				t.Errorf("switch %d: unexpected missing rule %v (only port 700 is broken)", sw, r)
+			}
 		}
-		if v.Expected != rule.Allow || v.Got == rule.Allow {
-			t.Errorf("violation %v: expected allow denied", v)
-		}
-		if !strings.Contains(v.String(), "700") {
-			t.Errorf("String() = %q", v.String())
-		}
+		n += len(rules)
 	}
 	// Port 700 is broken on S2 and S3, both directions: 4 probes fail.
-	if len(violations) != 4 {
-		t.Errorf("violations = %d, want 4", len(violations))
+	if _, s1 := missing[1]; s1 || n != 4 {
+		t.Errorf("missing = %v, want 4 rules on S2 and S3", missing)
 	}
 }
 
@@ -114,38 +113,38 @@ func TestProbeDeterministicOrder(t *testing.T) {
 	}
 	a, _ := probeAll(t, f, threeTierSwitches)
 	b, _ := probeAll(t, f, threeTierSwitches)
-	if len(a) != len(b) {
-		t.Fatal("probe runs differ in length")
+	if len(a) == 0 || !reflect.DeepEqual(a, b) {
+		t.Fatalf("probe runs differ: %v vs %v", a, b)
 	}
-	for i := range a {
-		if a[i].String() != b[i].String() {
-			t.Fatalf("probe order nondeterministic at %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-	// Sorted by switch.
-	for i := 1; i < len(a); i++ {
-		if a[i].Switch < a[i-1].Switch {
-			t.Fatal("violations not sorted by switch")
+	// Each switch's missing rules ascend by pair, then rule.Compare.
+	for sw, rules := range a {
+		if !slices.IsSortedFunc(rules, missingOrder) {
+			t.Errorf("switch %d: missing rules out of order: %v", sw, rules)
 		}
 	}
 }
 
+// TestMissingRulesDedupes pins which rule of a key Switch keeps, and the
+// order it returns them in, on a list no rule of which is deployed: two
+// allow rules share a key at priorities 20 and 10, two others share one
+// at priority 10 with different provenance, and their pairs interleave.
+// The expected list pins the order and which rule of each key is kept.
 func TestMissingRulesDedupes(t *testing.T) {
-	r := rule.Rule{
-		Match:  rule.Match{VRF: 1, SrcEPG: 2, DstEPG: 3, Proto: rule.ProtoTCP, PortLo: 80, PortHi: 80},
-		Action: rule.Allow,
+	allow := func(src, dst object.ID, port uint16, prio int, filter object.ID) rule.Rule {
+		return rule.Rule{Match: rule.Match{VRF: 1, SrcEPG: src, DstEPG: dst, Proto: rule.ProtoTCP, PortLo: port, PortHi: port},
+			Action: rule.Allow, Priority: prio, Provenance: []object.Ref{object.Filter(filter)}}
 	}
-	vs := []Violation{
-		{Switch: 1, Rule: r},
-		{Switch: 2, Rule: r}, // same rule key on another switch
-	}
-	if got := MissingRules(vs); len(got) != 1 {
-		t.Errorf("MissingRules = %d, want 1 after dedupe", len(got))
+	logical := []rule.Rule{allow(5, 4, 443, 10, 3), allow(2, 3, 80, 10, 2), allow(5, 4, 443, 10, 4),
+		allow(2, 3, 81, 10, 5), allow(2, 3, 80, 20, 1), allow(5, 4, 22, 30, 6), rule.DefaultDeny()}
+	missing, sent := Switch(logical, []rule.Rule{rule.DefaultDeny()})
+	want := []rule.Rule{allow(2, 3, 80, 20, 1), allow(2, 3, 81, 10, 5), allow(5, 4, 22, 30, 6), allow(5, 4, 443, 10, 3)}
+	if sent != 6 || !reflect.DeepEqual(missing, want) {
+		t.Errorf("Switch = %v after %d probes, want %v after 6", missing, sent, want)
 	}
 }
 
 func TestProbeLocalizationEndToEnd(t *testing.T) {
-	// Probe violations must drive SCOUT to the same culprit the
+	// Probed missing rules must drive SCOUT to the same culprit the
 	// equivalence checker would find.
 	f := threeTierFabric(t)
 	if _, err := f.InjectObjectFault(object.Filter(700), 1.0); err != nil {
@@ -163,8 +162,8 @@ func TestProbeLocalizationEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		violations, _ := Switch(sw, d.RulesFor(sw), s.TCAM().Rules())
-		risk.AugmentControllerModelPatch(m, sw, MissingRules(violations), d.Provenance).Apply(m)
+		missing, _ := Switch(d.RulesFor(sw), s.TCAM().Rules())
+		risk.AugmentControllerModelPatch(m, sw, missing, d.Provenance).Apply(m)
 	}
 	if m.NumFailedEdges() == 0 {
 		t.Fatal("augmentation marked nothing")
@@ -191,9 +190,9 @@ func TestProbeSwitchModelAugmentation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	violations, _ := Switch(2, d.RulesFor(2), s.TCAM().Rules())
+	missing, _ := Switch(d.RulesFor(2), s.TCAM().Rules())
 	own := risk.NewModel("switch-2", d.OnSwitch(2))
-	m := risk.MarkSwitch(own, 2, MissingRules(violations), d.Provenance).View()
+	m := risk.MarkSwitch(own, 2, missing, d.Provenance).View()
 	if m.NumFailedEdges() == 0 {
 		t.Fatal("switch-model augmentation marked nothing")
 	}
@@ -233,19 +232,21 @@ func TestProbeAgreesWithCheckerOnGeneratedWorkloads(t *testing.T) {
 				removed[r.Key()] = struct{}{}
 			}
 		}
-		violations, _ := probeAll(t, f, tp.Switches())
-		// Every violation must correspond to a removed rule key.
-		for _, v := range violations {
-			if _, ok := removed[v.Rule.Key()]; !ok {
-				return false
-			}
+		missing, _ := probeAll(t, f, tp.Switches())
+		// Every missing rule must have a removed rule key, and each
+		// (switch, removed key) the deployment puts there must be flagged.
+		type swKey struct {
+			sw  object.ID
+			key rule.Key
 		}
-		// Every removed allow rule still deployed somewhere may or may not
-		// violate per switch, but each (switch, removed key) present in the
-		// deployment must be flagged.
-		flagged := make(map[[2]interface{}]struct{})
-		for _, v := range violations {
-			flagged[[2]interface{}{v.Switch, v.Rule.Key()}] = struct{}{}
+		flagged := make(map[swKey]struct{})
+		for sw, rules := range missing {
+			for _, r := range rules {
+				if _, ok := removed[r.Key()]; !ok {
+					return false
+				}
+				flagged[swKey{sw, r.Key()}] = struct{}{}
+			}
 		}
 		for _, sw := range tp.Switches() {
 			s, _ := f.Switch(sw)
@@ -257,7 +258,7 @@ func TestProbeAgreesWithCheckerOnGeneratedWorkloads(t *testing.T) {
 				if _, present := keys[r.Key()]; present {
 					continue
 				}
-				if _, ok := flagged[[2]interface{}{sw, r.Key()}]; !ok {
+				if _, ok := flagged[swKey{sw, r.Key()}]; !ok {
 					return false
 				}
 			}
@@ -282,25 +283,25 @@ func TestProbeSwitchConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	logical := f.Deployment().RulesFor(2)
-	want, wantSent := Switch(2, logical, s.TCAM().Rules())
+	want, wantSent := Switch(logical, s.TCAM().Rules())
 	if len(want) == 0 {
-		t.Fatal("switch 2 must violate after the filter fault")
+		t.Fatal("switch 2 must miss rules after the filter fault")
 	}
 	const goroutines = 8
-	got := make([][]Violation, goroutines)
+	got := make([][]rule.Rule, goroutines)
 	sent := make([]int, goroutines)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			got[g], sent[g] = Switch(2, logical, s.TCAM().Rules())
+			got[g], sent[g] = Switch(logical, s.TCAM().Rules())
 		}(g)
 	}
 	wg.Wait()
 	for g := range got {
 		if sent[g] != wantSent || !reflect.DeepEqual(got[g], want) {
-			t.Errorf("goroutine %d: %d probes, violations %v; want %d, %v", g, sent[g], got[g], wantSent, want)
+			t.Errorf("goroutine %d: %d probes, missing %v; want %d, %v", g, sent[g], got[g], wantSent, want)
 		}
 	}
 }

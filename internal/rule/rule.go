@@ -253,21 +253,18 @@ func (r Rule) IsDefaultDeny() bool {
 // order), then by match fields. It sorts in place. The sort is unstable, so
 // which of several rules with one Key and one priority comes first is the
 // algorithm's choice; it is the pattern-defeating quicksort sort.Slice also
-// runs, making the same comparisons, so that choice is the one a reflective
-// sort by Less makes.
+// runs, making the same comparisons, so that choice is the one sort.Slice
+// makes when it asks whether Compare(a, b) < 0.
 func Sort(rules []Rule) {
 	slices.SortFunc(rules, Compare)
 }
-
-// Less reports whether a sorts before b: Compare(a, b) < 0.
-func Less(a, b Rule) bool { return Compare(a, b) < 0 }
 
 // Compare is a deterministic ordering on rules: descending priority, then
 // every match field (including the wildcard flags), then action. It is
 // total up to Key equality — two rules it cannot separate share a Key,
 // which the compiler keeps once — so ties cannot occur within one switch's
 // deduped rule list; callers needing a tiebreak for sorted outputs
-// derived from such lists (e.g. probe violations) can rely on that.
+// derived from such lists (e.g. a probe's missing rules) can rely on that.
 func Compare(a, b Rule) int {
 	if a.Priority != b.Priority {
 		return cmp.Compare(b.Priority, a.Priority)

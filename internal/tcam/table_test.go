@@ -152,14 +152,15 @@ func (r *refTable) corrupt(n int, field CorruptionField, rng *rand.Rand) []rule.
 	return out
 }
 
-// classify is a first-match scan.
-func (r *refTable) classify(p Packet) Outcome {
+// classify is a first-match scan: whether the first rule covering p
+// allows it.
+func (r *refTable) classify(p Packet) bool {
 	for _, x := range r.rules {
 		if x.Match.Covers(p.VRF, p.Src, p.Dst, p.Proto, p.Port) {
-			return Outcome{Action: x.Action, Matched: true}
+			return x.Action == rule.Allow
 		}
 	}
-	return Outcome{}
+	return false
 }
 
 // draws is the random stream EvictRandom and Corrupt read: the TCAM and
@@ -351,7 +352,7 @@ func (h *harness) step(i int, kind op) {
 		}
 	case opClassify:
 		pkts := make([]Packet, c.Intn(6))
-		outs := make([]Outcome, len(pkts))
+		outs := make([]bool, len(pkts))
 		for j := range pkts {
 			pkts[j] = Packet{object.ID(c.Intn(3)), object.ID(c.Intn(3)), object.ID(c.Intn(3)), rule.ProtoTCP, uint16(c.Intn(3))}
 			outs[j] = ref.classify(pkts[j])

@@ -205,23 +205,18 @@ type Packet struct {
 	Port  uint16
 }
 
-// Outcome is the result of classifying one packet of a batch: whether
-// any rule matched it, and if so the first matching rule's action.
-type Outcome struct {
-	Action  rule.Action
-	Matched bool
-}
-
-// Classify resolves every packet of the batch in one priority-ordered pass
-// over rules, a table in match order such as a Rules snapshot: rules on the
-// outer loop, the still-unresolved packet set on the inner, so an n-entry
-// table is scanned once per batch instead of once per packet. The i-th
-// outcome is the action of the first (highest-priority) rule matching the
-// i-th packet. It reads rules and pkts and writes neither.
-func Classify(rules []rule.Rule, pkts []Packet) []Outcome {
-	out := make([]Outcome, len(pkts))
+// Classify reports, for every packet of the batch, whether rules — a
+// table in match order such as a Rules snapshot — allow it: entry i is
+// true when the first (highest-priority) rule covering packet i allows it,
+// and false when that rule denies it or no rule covers it. It resolves the
+// batch in one priority-ordered pass: rules on the outer loop, the
+// still-unresolved packet set on the inner, so an n-entry table is scanned
+// once per batch instead of once per packet. It reads rules and pkts and
+// writes neither.
+func Classify(rules []rule.Rule, pkts []Packet) []bool {
+	allowed := make([]bool, len(pkts))
 	if len(pkts) == 0 {
-		return out
+		return allowed
 	}
 	// unresolved holds the indices of packets no rule has claimed yet,
 	// compacted in place (order-preserving) as rules resolve them.
@@ -235,7 +230,7 @@ func Classify(rules []rule.Rule, pkts []Packet) []Outcome {
 		for _, i := range unresolved {
 			p := pkts[i]
 			if r.Match.Covers(p.VRF, p.Src, p.Dst, p.Proto, p.Port) {
-				out[i] = Outcome{Action: r.Action, Matched: true}
+				allowed[i] = r.Action == rule.Allow
 			} else {
 				live = append(live, i)
 			}
@@ -245,7 +240,7 @@ func Classify(rules []rule.Rule, pkts []Packet) []Outcome {
 			break
 		}
 	}
-	return out
+	return allowed
 }
 
 // EvictRandom removes up to n random entries (a local eviction mechanism

@@ -56,13 +56,15 @@ type AnalyzerOptions struct {
 	// exhaustive TCAM verification (§III-C's "allowed to communicate but
 	// fail to do so" observation source). A probe is an allow rule's own
 	// header, one per rule, classified against the switch's collected TCAM
-	// rules a switch at a time in one batch pass; probing samples the
-	// header space, so extra behaviour from corrupted rules is not reported
-	// in this mode, and encodes nothing, so it accepts rules the checker's
-	// encoder would refuse. The option is fixed for a session's life and
-	// adds no state to it: a dirty switch is probed (SessionStats.Checked),
-	// a clean one replays its cached verdict (Replayed), and every entry
-	// point, snapshots included, works as in TCAM mode.
+	// rules a switch at a time in one batch pass, and a rule whose probe
+	// the table does not allow is missing, as the checker would report it.
+	// Probing samples the header space, so extra behaviour from corrupted
+	// rules is not reported in this mode, and encodes nothing, so it
+	// accepts rules the checker's encoder would refuse. The option is fixed
+	// for a session's life and adds no state to it: a dirty switch is
+	// probed (SessionStats.Checked), a clean one replays its cached verdict
+	// (Replayed), and every entry point, snapshots included, works as in
+	// TCAM mode.
 	UseProbes bool
 
 	// Workers bounds the number of concurrent per-switch equivalence
@@ -462,15 +464,12 @@ func buildSwitchReport(ctrl *risk.Model, prov map[rule.Key][]object.Ref, oracle 
 
 // probeSwitch is the probe observation source's verdict for one switch of
 // collected state: the headers of its logical rules are classified against
-// its collected TCAM rules in one batch pass, and every allowed packet the
-// table drops names a missing rule. It also returns how many probes were
+// its collected TCAM rules in one batch pass, and each rule whose probe the
+// table does not allow is missing. It also returns how many probes were
 // sent. It keeps and shares nothing, so the fan-out calls it concurrently.
 func probeSwitch(st State, sw object.ID) (*equiv.Report, int) {
-	violations, sent := probe.Switch(sw, st.Deployment.RulesFor(sw), st.TCAM[sw])
-	return &equiv.Report{
-		Equivalent:   len(violations) == 0,
-		MissingRules: probe.MissingRules(violations),
-	}, sent
+	missing, sent := probe.Switch(st.Deployment.RulesFor(sw), st.TCAM[sw])
+	return &equiv.Report{Equivalent: len(missing) == 0, MissingRules: missing}, sent
 }
 
 // MarshalJSON serializes the report (for dashboards and tooling).
