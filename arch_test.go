@@ -330,12 +330,14 @@ func TestArchitecture(t *testing.T) {
 	// controller view joins, and besides it the simulated §VI figures,
 	// which inject their faults at the model level, as §VI-A does: eval's
 	// one controller injector and Figure 8's switch. The annotated build
-	// and the patch that bench/ calls mark through it too.
+	// and the patch that bench/ calls mark through it too. Correlation's
+	// second caller is the bench shim Engine.Correlate, which forwards.
 	for key, callers := range map[string][]string{
 		".:Analyzer.assemble":          {".:Session.run"},
 		".:Analyzer.buildSharedBase":   {".:Session.loadOrBuildBaseLocked"},
 		".:Analyzer.startRiskModels":   {".:Session.resolveLocked"},
 		"internal/equiv:Checker.Check": {".:checkState"},
+		"internal/correlate:Correlate": {".:Analyzer.assemble", "internal/correlate:Engine.Correlate"},
 		"internal/risk:MarkSwitch": {".:buildSwitchReport", "internal/eval:Env.markMissing", "internal/eval:SwitchModelAccuracy",
 			"internal/risk:AugmentControllerModelPatch", "internal/risk:BuildAnnotatedSwitchModel"},
 	} {
@@ -436,7 +438,8 @@ func TestArchitecture(t *testing.T) {
 		"internal/stream:New", "internal/stream:Queue.Push", "internal/stream:Queue.Cut", "internal/stream:Queue.Stats",
 		"internal/bdd:Manager.Size", "internal/bdd:Manager.Or", "internal/bdd:Manager.Not", "internal/bdd:Manager.Cube",
 		"internal/faultlog:FaultLog.Len", "internal/fabric:Switch.TCAM", "internal/tcam:TCAM.Install", "internal/tcam:TCAM.Remove",
-		"internal/tcam:TCAM.Keys", "internal/localize:StatsSnapshot", "internal/localize:EngineStats.Delta"} {
+		"internal/tcam:TCAM.Keys", "internal/localize:StatsSnapshot", "internal/localize:EngineStats.Delta",
+		"internal/correlate:NewEngine", "internal/correlate:Engine.Correlate"} {
 		shims[key] = true
 	}
 	for _, fn := range ix.benchOnly() {

@@ -1,7 +1,7 @@
 // Datacenter runs the SCOUT pipeline against a production-like policy
 // (hundreds of EPGs, heavy risk sharing, calibrated to the paper's
 // cluster statistics) with several simultaneous, heterogeneous faults:
-// an evicted filter, a TCAM corruption, and a disconnected switch that
+// an evicted filter, a partial EPG fault, and a disconnected switch that
 // misses a policy change.
 //
 //	go run ./examples/datacenter
@@ -54,7 +54,6 @@ func run() error {
 	// Fault 1: full object fault on a filter (e.g. a software bug dropped
 	// it from every switch agent's logical view). Scan for a filter that
 	// actually has deployed rules.
-	var fullRef scout.ObjectRef
 	for i := scout.ObjectID(0); i < 50; i++ {
 		ref := scout.FilterRef(5000 + i)
 		removed, err := f.InjectObjectFault(ref, 1.0)
@@ -62,30 +61,23 @@ func run() error {
 			return err
 		}
 		if removed > 0 {
-			fullRef = ref
 			fmt.Printf("fault 1: full fault on %s (%d rules lost)\n", ref, removed)
 			break
 		}
 	}
 	// Fault 2: partial fault on an EPG — only some of its rule instances
 	// are lost (the regime SCORE's threshold misses).
-	var partialRef scout.ObjectRef
 	for i := scout.ObjectID(0); i < 150; i++ {
 		ref := scout.EPGRef(1000 + i)
-		if ref == fullRef {
-			continue
-		}
 		removed, err := f.InjectObjectFault(ref, 0.4)
 		if err != nil {
 			return err
 		}
 		if removed > 0 {
-			partialRef = ref
 			fmt.Printf("fault 2: partial fault on %s (%d rules lost)\n", ref, removed)
 			break
 		}
 	}
-	_ = partialRef
 	// Fault 3: switch 3 disconnects, then a policy change passes it by.
 	// Attach the new filter to a contract that certainly has bindings.
 	boundContract := pol.Bindings[0].Contract

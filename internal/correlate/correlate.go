@@ -1,71 +1,21 @@
-// Package correlate implements the paper's event correlation engine (§V):
-// it joins the localization hypothesis (faulty policy objects) with the
+// Package correlate implements the paper's event correlation (§V): it
+// joins the localization hypothesis (faulty policy objects) with the
 // controller's change log and the devices' fault log to infer the most
-// likely physical-level root causes. The engine is signature-driven:
-// known fault classes (TCAM overflow, unresponsive switch, …) match
-// pre-configured signatures; objects whose failures match nothing are
+// likely physical-level root causes. A fault matches when its code is one
+// of the fabric's three fault classes (TCAM overflow, an unresponsive
+// switch, an agent crash); objects whose failures match nothing are
 // tagged unknown.
 package correlate
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
-	"time"
+	"slices"
+	"strings"
 
 	"scout/internal/faultlog"
 	"scout/internal/object"
 )
-
-// Signature describes a known physical-fault class: a fault event with its
-// Code explains a policy-object failure, and Describe renders the inferred
-// root cause for the report.
-type Signature struct {
-	Name     string
-	Code     faultlog.FaultCode
-	Describe func(f faultlog.Fault) string
-}
-
-// DefaultSignatures returns the signatures for the §V-B fault classes.
-// Admins extend the engine with additional signatures over time.
-func DefaultSignatures() []Signature {
-	return []Signature{
-		{
-			Name: "tcam-overflow",
-			Code: faultlog.FaultTCAMOverflow,
-			Describe: func(f faultlog.Fault) string {
-				return fmt.Sprintf("TCAM overflow on switch %d (%s)", f.Switch, f.Detail)
-			},
-		},
-		{
-			Name: "unresponsive-switch",
-			Code: faultlog.FaultSwitchUnreachable,
-			Describe: func(f faultlog.Fault) string {
-				return fmt.Sprintf("switch %d unreachable during policy change (%s)", f.Switch, f.Detail)
-			},
-		},
-		{
-			Name: "agent-crash",
-			Code: faultlog.FaultAgentCrash,
-			Describe: func(f faultlog.Fault) string {
-				return fmt.Sprintf("switch %d agent crashed mid-update (%s)", f.Switch, f.Detail)
-			},
-		},
-	}
-}
-
-// Engine correlates hypotheses with logs.
-type Engine struct {
-	sigs []Signature
-}
-
-// NewEngine creates an engine with the given signatures; nil selects
-// DefaultSignatures.
-func NewEngine(sigs []Signature) *Engine {
-	if sigs == nil {
-		sigs = DefaultSignatures()
-	}
-	return &Engine{sigs: append([]Signature(nil), sigs...)}
-}
 
 // Diagnosis is the per-object correlation outcome.
 type Diagnosis struct {
@@ -75,7 +25,7 @@ type Diagnosis struct {
 	Change *faultlog.Change
 	// Causes lists matched physical root causes.
 	Causes []Cause
-	// Unknown is set when no signature matched (e.g. silent TCAM
+	// Unknown is set when no fault class matched (e.g. silent TCAM
 	// corruption): the object is real but its physical cause is not in
 	// the logs.
 	Unknown bool
@@ -92,8 +42,8 @@ type Cause struct {
 type Report struct {
 	Diagnoses []Diagnosis
 	// RootCauses ranks distinct (signature, switch) causes by how many
-	// hypothesis objects they explain — the engine's "most likely root
-	// causes" output.
+	// hypothesis objects they explain — the "most likely root causes"
+	// output.
 	RootCauses []RankedCause
 }
 
@@ -107,47 +57,30 @@ type RankedCause struct {
 
 // Correlate executes the three-step §V-A procedure for every hypothesis
 // object: find its change-log entries, window the fault log to faults
-// active at change time, and match signatures.
-func (e *Engine) Correlate(hypothesis []object.Ref, changes *faultlog.ChangeLog, faults *faultlog.FaultLog) *Report {
+// active at change time, and match each fault's class.
+func Correlate(hypothesis []object.Ref, changes *faultlog.ChangeLog, faults *faultlog.FaultLog) *Report {
 	rep := &Report{}
 	type causeKey struct {
 		sig string
 		sw  object.ID
 	}
 	ranked := make(map[causeKey]*RankedCause)
-	rankedObjs := make(map[causeKey]object.Set)
 
 	for _, obj := range hypothesis {
 		d := Diagnosis{Object: obj}
-		var at time.Time
-		var relevantSwitches map[object.ID]struct{}
-
 		if obj.Kind == object.KindSwitch {
 			// A physical switch in the hypothesis: correlate directly
 			// against faults on that switch, active now or in the past.
-			relevantSwitches = map[object.ID]struct{}{obj.ID: {}}
 			for _, f := range faults.OnSwitch(obj.ID) {
-				e.matchFault(&d, f)
+				d.match(f)
 			}
-		} else {
-			change, ok := changes.LastChange(obj)
-			if ok {
-				d.Change = &change
-				at = change.Time
-				if len(change.Switches) > 0 {
-					relevantSwitches = make(map[object.ID]struct{}, len(change.Switches))
-					for _, sw := range change.Switches {
-						relevantSwitches[sw] = struct{}{}
-					}
-				}
-				// Step 2: faults active when the change was applied.
-				for _, f := range faults.ActiveAt(at) {
-					if relevantSwitches != nil {
-						if _, ok := relevantSwitches[f.Switch]; !ok {
-							continue
-						}
-					}
-					e.matchFault(&d, f)
+		} else if change, ok := changes.LastChange(obj); ok {
+			d.Change = &change
+			// Step 2: faults active when the change was applied, on the
+			// switches it was pushed to (any switch when it names none).
+			for _, f := range faults.ActiveAt(change.Time) {
+				if len(change.Switches) == 0 || slices.Contains(change.Switches, f.Switch) {
+					d.match(f)
 				}
 			}
 		}
@@ -164,13 +97,11 @@ func (e *Engine) Correlate(hypothesis []object.Ref, changes *faultlog.ChangeLog,
 					Description: c.Description,
 				}
 				ranked[k] = rc
-				rankedObjs[k] = make(object.Set)
 			}
 			// An object may match several fault events of the same class
-			// on the same switch (e.g. repeated overflow events); count
-			// it once per distinct cause.
-			if !rankedObjs[k].Has(obj) {
-				rankedObjs[k].Add(obj)
+			// on the same switch (e.g. repeated overflow events); its
+			// causes come one after another, so it is counted once.
+			if n := len(rc.Objects); n == 0 || rc.Objects[n-1] != obj {
 				rc.Objects = append(rc.Objects, obj)
 			}
 		}
@@ -180,32 +111,52 @@ func (e *Engine) Correlate(hypothesis []object.Ref, changes *faultlog.ChangeLog,
 		object.SortRefs(rc.Objects)
 		rep.RootCauses = append(rep.RootCauses, *rc)
 	}
-	sort.Slice(rep.RootCauses, func(i, j int) bool {
-		a, b := rep.RootCauses[i], rep.RootCauses[j]
-		if len(a.Objects) != len(b.Objects) {
-			return len(a.Objects) > len(b.Objects)
-		}
-		if a.Switch != b.Switch {
-			return a.Switch < b.Switch
-		}
-		return a.Signature < b.Signature
+	slices.SortFunc(rep.RootCauses, func(a, b RankedCause) int {
+		return cmp.Or(cmp.Compare(len(b.Objects), len(a.Objects)),
+			cmp.Compare(a.Switch, b.Switch), strings.Compare(a.Signature, b.Signature))
 	})
 	return rep
 }
 
-func (e *Engine) matchFault(d *Diagnosis, f faultlog.Fault) {
-	for _, sig := range e.sigs {
-		if sig.Code != f.Code {
-			continue
-		}
-		desc := f.Code.String()
-		if sig.Describe != nil {
-			desc = sig.Describe(f)
-		}
-		d.Causes = append(d.Causes, Cause{
-			Signature:   sig.Name,
-			Fault:       f,
-			Description: desc,
-		})
+// match appends f's cause when its code is one of the fabric's fault
+// classes; any other code explains nothing.
+func (d *Diagnosis) match(f faultlog.Fault) {
+	var sig, format string
+	switch f.Code {
+	case faultlog.FaultTCAMOverflow:
+		sig, format = "tcam-overflow", "TCAM overflow on switch %d (%s)"
+	case faultlog.FaultSwitchUnreachable:
+		sig, format = "unresponsive-switch", "switch %d unreachable during policy change (%s)"
+	case faultlog.FaultAgentCrash:
+		sig, format = "agent-crash", "switch %d agent crashed mid-update (%s)"
+	default:
+		return
 	}
+	d.Causes = append(d.Causes, Cause{Signature: sig, Fault: f, Description: fmt.Sprintf(format, f.Switch, f.Detail)})
+}
+
+// Engine is the correlation engine bench/ still builds.
+//
+// Deprecated: call Correlate. Engine stays until bench/ stops calling
+// NewEngine (ROADMAP item 1, shims).
+type Engine struct{}
+
+// Signature is NewEngine's argument type; it carries nothing.
+//
+// Deprecated: it stays until bench/ stops calling NewEngine (ROADMAP item
+// 1, shims).
+type Signature struct{}
+
+// NewEngine returns an Engine and ignores its argument.
+//
+// Deprecated: call Correlate. NewEngine stays until bench/ stops calling
+// it (ROADMAP item 1, shims).
+func NewEngine(_ []Signature) *Engine { return &Engine{} }
+
+// Correlate forwards to the package function Correlate.
+//
+// Deprecated: call Correlate. It stays until bench/ stops calling
+// NewEngine (ROADMAP item 1, shims).
+func (*Engine) Correlate(hypothesis []object.Ref, changes *faultlog.ChangeLog, faults *faultlog.FaultLog) *Report {
+	return Correlate(hypothesis, changes, faults)
 }

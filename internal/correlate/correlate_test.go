@@ -1,8 +1,7 @@
 package correlate
 
 import (
-	"fmt"
-	"strings"
+	"reflect"
 	"testing"
 	"time"
 
@@ -20,7 +19,7 @@ func TestCorrelateTCAMOverflow(t *testing.T) {
 	faults.Raise(t0, faultlog.FaultTCAMOverflow, 2, "tcam at 4096/4096 entries")
 	changes.Append(t0.Add(time.Minute), faultlog.OpAdd, object.Filter(7), "add filter", 2)
 
-	rep := NewEngine(nil).Correlate([]object.Ref{object.Filter(7)}, changes, faults)
+	rep := Correlate([]object.Ref{object.Filter(7)}, changes, faults)
 	if len(rep.Diagnoses) != 1 {
 		t.Fatalf("diagnoses = %d", len(rep.Diagnoses))
 	}
@@ -47,7 +46,7 @@ func TestCorrelateFaultInactiveAtChangeTime(t *testing.T) {
 	// Change applied after the fault cleared: no correlation.
 	changes.Append(t0.Add(time.Hour), faultlog.OpAdd, object.Filter(7), "", 2)
 
-	rep := NewEngine(nil).Correlate([]object.Ref{object.Filter(7)}, changes, faults)
+	rep := Correlate([]object.Ref{object.Filter(7)}, changes, faults)
 	if !rep.Diagnoses[0].Unknown {
 		t.Error("cleared fault must not explain a later change")
 	}
@@ -60,7 +59,7 @@ func TestCorrelateSwitchScoping(t *testing.T) {
 	// The change was pushed to switch 2 only; the fault is on switch 9.
 	changes.Append(t0.Add(time.Minute), faultlog.OpAdd, object.Filter(7), "", 2)
 
-	rep := NewEngine(nil).Correlate([]object.Ref{object.Filter(7)}, changes, faults)
+	rep := Correlate([]object.Ref{object.Filter(7)}, changes, faults)
 	if !rep.Diagnoses[0].Unknown {
 		t.Error("fault on an unrelated switch must not match")
 	}
@@ -68,7 +67,7 @@ func TestCorrelateSwitchScoping(t *testing.T) {
 	// Without switch scoping on the change, any active fault matches.
 	changes2 := faultlog.NewChangeLog()
 	changes2.Append(t0.Add(time.Minute), faultlog.OpAdd, object.Filter(7), "")
-	rep = NewEngine(nil).Correlate([]object.Ref{object.Filter(7)}, changes2, faults)
+	rep = Correlate([]object.Ref{object.Filter(7)}, changes2, faults)
 	if rep.Diagnoses[0].Unknown {
 		t.Error("unscoped change should match any active fault")
 	}
@@ -79,7 +78,7 @@ func TestCorrelateSwitchObjectInHypothesis(t *testing.T) {
 	faults := faultlog.NewFaultLog()
 	faults.Raise(t0, faultlog.FaultSwitchUnreachable, 4, "heartbeat lost")
 
-	rep := NewEngine(nil).Correlate([]object.Ref{object.Switch(4)}, changes, faults)
+	rep := Correlate([]object.Ref{object.Switch(4)}, changes, faults)
 	d := rep.Diagnoses[0]
 	if d.Unknown || len(d.Causes) != 1 || d.Causes[0].Signature != "unresponsive-switch" {
 		t.Errorf("switch hypothesis diagnosis = %+v", d)
@@ -87,7 +86,7 @@ func TestCorrelateSwitchObjectInHypothesis(t *testing.T) {
 }
 
 func TestCorrelateNoChangeLogEntry(t *testing.T) {
-	rep := NewEngine(nil).Correlate(
+	rep := Correlate(
 		[]object.Ref{object.Filter(1)},
 		faultlog.NewChangeLog(), faultlog.NewFaultLog())
 	if !rep.Diagnoses[0].Unknown {
@@ -108,7 +107,7 @@ func TestRootCauseRanking(t *testing.T) {
 	changes.Append(t0.Add(time.Minute), faultlog.OpAdd, object.Filter(9), "", 3)
 
 	hyp := []object.Ref{object.Filter(1), object.Filter(2), object.Filter(3), object.Filter(9)}
-	rep := NewEngine(nil).Correlate(hyp, changes, faults)
+	rep := Correlate(hyp, changes, faults)
 	if len(rep.RootCauses) != 2 {
 		t.Fatalf("root causes = %d", len(rep.RootCauses))
 	}
@@ -117,27 +116,59 @@ func TestRootCauseRanking(t *testing.T) {
 	}
 }
 
-// TestCustomSignature: an admin's signature for a code the fabric does not
-// raise matches like the defaults.
-func TestCustomSignature(t *testing.T) {
-	const parity faultlog.FaultCode = 99
-	eng := NewEngine(append(DefaultSignatures(), Signature{
-		Name: "corruption-heuristic",
-		Code: parity,
-		Describe: func(f faultlog.Fault) string {
-			return fmt.Sprintf("suspected bit corruption on switch %d", f.Switch)
-		},
-	}))
-	changes := faultlog.NewChangeLog()
-	faults := faultlog.NewFaultLog()
-	faults.Raise(t0, parity, 5, "parity mismatch")
-	changes.Append(t0.Add(time.Second), faultlog.OpModify, object.Filter(1), "", 5)
-
-	rep := eng.Correlate([]object.Ref{object.Filter(1)}, changes, faults)
-	if rep.Diagnoses[0].Unknown {
-		t.Fatal("custom signature must match")
+// TestCorrelateFaultClasses pins each fault class's signature and
+// description, an unraised code matching nothing, and an object that two
+// faults of one class explain counted once in its ranked cause.
+func TestCorrelateFaultClasses(t *testing.T) {
+	type raise struct {
+		code   faultlog.FaultCode
+		detail string
 	}
-	if !strings.Contains(rep.Diagnoses[0].Causes[0].Description, "suspected bit corruption") {
-		t.Errorf("description = %q", rep.Diagnoses[0].Causes[0].Description)
+	for _, tc := range []struct {
+		name   string
+		raises []raise
+		causes []Cause // Fault left zero: compared on Signature and Description
+	}{
+		{"tcam-overflow", []raise{{faultlog.FaultTCAMOverflow, "tcam at 4096/4096 entries"}},
+			[]Cause{{Signature: "tcam-overflow", Description: "TCAM overflow on switch 2 (tcam at 4096/4096 entries)"}}},
+		{"unresponsive-switch", []raise{{faultlog.FaultSwitchUnreachable, "heartbeat lost"}},
+			[]Cause{{Signature: "unresponsive-switch", Description: "switch 2 unreachable during policy change (heartbeat lost)"}}},
+		{"agent-crash", []raise{{faultlog.FaultAgentCrash, "policy agent restarted"}},
+			[]Cause{{Signature: "agent-crash", Description: "switch 2 agent crashed mid-update (policy agent restarted)"}}},
+		{"unraised-code", []raise{{faultlog.FaultCode(99), "parity mismatch"}}, nil},
+		{"repeated-overflow", []raise{{faultlog.FaultTCAMOverflow, "first"}, {faultlog.FaultTCAMOverflow, "second"}},
+			[]Cause{{Signature: "tcam-overflow", Description: "TCAM overflow on switch 2 (first)"},
+				{Signature: "tcam-overflow", Description: "TCAM overflow on switch 2 (second)"}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			changes := faultlog.NewChangeLog()
+			faults := faultlog.NewFaultLog()
+			for i, r := range tc.raises {
+				faults.Raise(t0.Add(time.Duration(i)*time.Second), r.code, 2, r.detail)
+			}
+			changes.Append(t0.Add(time.Minute), faultlog.OpAdd, object.Filter(7), "", 2)
+
+			rep := Correlate([]object.Ref{object.Filter(7)}, changes, faults)
+			d := rep.Diagnoses[0]
+			if d.Unknown != (len(tc.causes) == 0) || len(d.Causes) != len(tc.causes) {
+				t.Fatalf("diagnosis = %+v, want causes %+v", d, tc.causes)
+			}
+			for i, c := range d.Causes {
+				if c.Signature != tc.causes[i].Signature || c.Description != tc.causes[i].Description || c.Fault.Switch != 2 {
+					t.Errorf("cause %d = %+v, want %+v on switch 2", i, c, tc.causes[i])
+				}
+			}
+			if len(tc.causes) == 0 {
+				if len(rep.RootCauses) != 0 {
+					t.Errorf("RootCauses = %+v, want none", rep.RootCauses)
+				}
+				return
+			}
+			want := []RankedCause{{Signature: tc.causes[0].Signature, Switch: 2,
+				Description: tc.causes[0].Description, Objects: []object.Ref{object.Filter(7)}}}
+			if !reflect.DeepEqual(rep.RootCauses, want) {
+				t.Errorf("RootCauses = %+v, want %+v", rep.RootCauses, want)
+			}
+		})
 	}
 }

@@ -259,7 +259,7 @@ func RefScore(m risk.View, threshold float64) *Result {
 					cov++
 				}
 			}
-			if cov > bestCov || (cov == bestCov && cov > 0 && ref.Less(best)) {
+			if cov > bestCov || (cov == bestCov && cov > 0 && ref.Compare(best) < 0) {
 				best = ref
 				bestCov = cov
 			}

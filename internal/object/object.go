@@ -8,6 +8,7 @@
 package object
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strconv"
@@ -106,28 +107,13 @@ func ParseRef(s string) (Ref, error) {
 	return Ref{Kind: kind, ID: ID(id)}, nil
 }
 
-// Less imposes a total order on Refs (by kind, then ID), used to make
+// Compare imposes a total order on Refs (by kind, then ID), used to make
 // algorithm outputs deterministic.
-func (r Ref) Less(other Ref) bool {
-	if r.Kind != other.Kind {
-		return r.Kind < other.Kind
-	}
-	return r.ID < other.ID
-}
-
-// Compare returns -1, 0, or +1 comparing r with other in the Less order.
 func (r Ref) Compare(other Ref) int {
-	switch {
-	case r.Less(other):
-		return -1
-	case other.Less(r):
-		return 1
-	default:
-		return 0
-	}
+	return cmp.Or(cmp.Compare(r.Kind, other.Kind), cmp.Compare(r.ID, other.ID))
 }
 
-// SortRefs sorts refs in place in the canonical Less order.
+// SortRefs sorts refs in place in the canonical Compare order.
 func SortRefs(refs []Ref) {
 	slices.SortFunc(refs, Ref.Compare)
 }

@@ -95,14 +95,14 @@ func TestRefStringParseRoundTripQuick(t *testing.T) {
 
 func TestRefOrdering(t *testing.T) {
 	a, b, c := VRF(1), VRF(2), EPG(1)
-	if !a.Less(b) || b.Less(a) {
+	if a.Compare(b) != -1 || b.Compare(a) != 1 {
 		t.Error("vrf:1 < vrf:2")
 	}
-	if !a.Less(c) {
+	if a.Compare(c) != -1 || c.Compare(a) != 1 {
 		t.Error("kind dominates: vrf < epg")
 	}
-	if a.Compare(a) != 0 || a.Compare(b) != -1 || b.Compare(a) != 1 {
-		t.Error("Compare inconsistent with Less")
+	if a.Compare(a) != 0 {
+		t.Error("a ref equals itself")
 	}
 }
 
@@ -116,7 +116,7 @@ func TestSortRefsIsTotalOrder(t *testing.T) {
 		}
 		SortRefs(refs)
 		for i := 1; i < len(refs); i++ {
-			if refs[i].Less(refs[i-1]) {
+			if refs[i].Compare(refs[i-1]) < 0 {
 				return false
 			}
 		}

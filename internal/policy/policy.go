@@ -11,7 +11,7 @@ import (
 	"cmp"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 
 	"scout/internal/object"
@@ -109,10 +109,7 @@ func (p EPGPair) AppendTo(b []byte) []byte {
 	return strconv.AppendUint(b, uint64(p.B), 10)
 }
 
-// Less orders pairs lexicographically.
-func (p EPGPair) Less(q EPGPair) bool { return p.Compare(q) < 0 }
-
-// Compare is the three-way form of Less.
+// Compare orders pairs lexicographically.
 func (p EPGPair) Compare(q EPGPair) int {
 	return cmp.Or(cmp.Compare(p.A, q.A), cmp.Compare(p.B, q.B))
 }
@@ -255,7 +252,7 @@ func (p *Policy) Pairs() []EPGPair {
 	for pr := range set {
 		out = append(out, pr)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	slices.SortFunc(out, EPGPair.Compare)
 	return out
 }
 
@@ -282,12 +279,6 @@ func (p *Policy) Stats() Stats {
 		Bindings:  len(p.Bindings),
 		EPGPairs:  len(p.Pairs()),
 	}
-}
-
-// MarshalJSON serializes the policy with map entries in deterministic order.
-func (p *Policy) MarshalJSON() ([]byte, error) {
-	type alias Policy // avoid recursion
-	return json.Marshal((*alias)(p))
 }
 
 // FromJSON deserializes a policy previously produced by json.Marshal. A

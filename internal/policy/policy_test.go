@@ -222,12 +222,12 @@ func TestPortEntry(t *testing.T) {
 	}
 }
 
-func TestEPGPairLess(t *testing.T) {
+func TestEPGPairCompare(t *testing.T) {
 	pairs := []EPGPair{{A: 2, B: 3}, {A: 1, B: 5}, {A: 1, B: 2}}
-	if !pairs[2].Less(pairs[1]) || !pairs[1].Less(pairs[0]) {
+	if pairs[2].Compare(pairs[1]) != -1 || pairs[1].Compare(pairs[0]) != -1 || pairs[0].Compare(pairs[1]) != 1 {
 		t.Error("lexicographic order broken")
 	}
-	if pairs[0].Less(pairs[0]) {
-		t.Error("irreflexive")
+	if pairs[0].Compare(pairs[0]) != 0 {
+		t.Error("a pair equals itself")
 	}
 }

@@ -49,7 +49,7 @@ type View interface {
 // Model is a bipartite risk graph whose elements are a footprint's
 // triplets. Nothing changes a Model once NewModel returns it: failures
 // are marked on an Overlay over it, so concurrent readers and overlays
-// share one. Its risks are numbered in Ref.Less order, and its edges are
+// share one. Its risks are numbered in Ref.Compare order, and its edges are
 // laid out both ways as compressed rows, each ascending — the arrays
 // localization reads as they are.
 type Model struct {

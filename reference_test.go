@@ -54,7 +54,7 @@ func refAnalyze(t testing.TB, st scout.State) *scout.Report {
 	if !rep.Consistent {
 		rep.Controller = localize.Scout(ctrl, oracle)
 		rep.Hypothesis = rep.Controller.Hypothesis
-		rep.RootCauses = correlate.NewEngine(nil).Correlate(rep.Hypothesis, st.Changes, st.Faults)
+		rep.RootCauses = correlate.Correlate(rep.Hypothesis, st.Changes, st.Faults)
 	}
 	return rep
 }

@@ -94,10 +94,6 @@ type AnalyzerOptions struct {
 // for SCOUT's second stage, measured back from State.Now.
 const changeWindow = 24 * time.Hour
 
-// correlator is the event-correlation engine over the built-in fault
-// signatures. It is never modified, so every analysis shares it.
-var correlator = correlate.NewEngine(nil)
-
 // Analyzer runs the SCOUT pipeline once per call. It holds its options and
 // nothing else: every Analyze or AnalyzeState is the first run of a Session
 // that is dropped when the call returns, so one-shot and incremental
@@ -431,7 +427,7 @@ func (a *Analyzer) assemble(d *Deployment, ctrl *risk.Model, changes *ChangeLog,
 	if !rep.Consistent {
 		rep.Controller, lstats[len(switches)] = localize.ScoutWithStats(rep.ControllerView, oracle)
 		rep.Hypothesis = rep.Controller.Hypothesis
-		rep.RootCauses = correlator.Correlate(rep.Hypothesis, changes, faults)
+		rep.RootCauses = correlate.Correlate(rep.Hypothesis, changes, faults)
 		var sum localize.EngineStats
 		for _, st := range lstats {
 			sum = sum.Add(st)
