@@ -207,7 +207,9 @@ var ParseScenario = scenario.Parse
 // WarmStore is the content-addressed warm-state store: frozen encoding
 // bases and per-switch verdicts persisted under deployment fingerprints,
 // written by the Session run that produced them and restored by a
-// Session's first run of the deployment (AnalyzerOptions.WarmStore).
+// Session's first run of the deployment (AnalyzerOptions.WarmStore). It
+// bounds itself: each save keeps the four deployments used most recently
+// and evicts the rest.
 type WarmStore = store.Store
 
 // OpenWarmStore opens (creating if needed) a warm-state store directory.

@@ -28,9 +28,8 @@
 // on start and writes what a round built or re-checked before the round
 // returns, so a restarted process replays an unchanged fabric without
 // rebuilding any BDD state. A write that fails fails the command once the
-// session closes.
-// -state-gc-age and -state-cap bound the directory on shutdown (age-out
-// and least-recently-used eviction) and require -state-dir.
+// session closes. The directory bounds itself: each write keeps the few
+// deployments used most recently and removes the files of the rest.
 //
 // -json prints the final report as one JSON document, and nothing else,
 // on stdout; the lines that narrate the run go to stderr instead.
@@ -79,8 +78,6 @@ func run() error {
 		watch       = flag.Bool("watch", false, "drive an event-driven session daemon: full baseline, then an incremental refresh per window of events")
 		batchWindow = flag.Duration("batch-window", 2*time.Second, "watch mode: refresh once the first event not yet analyzed has waited this long (requires -watch)")
 		stateDir    = flag.String("state-dir", "", "durable warm-state directory: restore fingerprint-matching BDD state on start, write each round's deltas as it ends")
-		stateAge    = flag.Duration("state-gc-age", 0, "on shutdown, remove warm-state files unused longer than this (0 = no age bound; requires -state-dir)")
-		stateCap    = flag.Int("state-cap", 0, "on shutdown, keep at most this many warm-state files, least-recently-used evicted first (0 = no cap; requires -state-dir)")
 		jsonOut     = flag.Bool("json", false, "print the analysis report alone on stdout, as JSON; progress lines go to stderr")
 		verbose     = flag.Bool("v", false, "print per-switch details")
 	)
@@ -91,9 +88,6 @@ func run() error {
 	set := make(map[string]bool)
 	flag.Visit(func(fl *flag.Flag) { set[fl.Name] = true })
 	if err := checkWatchFlags(*watch, *batchWindow, set); err != nil {
-		return err
-	}
-	if err := checkStateFlags(*stateDir, *stateAge, *stateCap, set); err != nil {
 		return err
 	}
 	if err := checkFabricFlags(*capacity, *disconnect, *workers, set); err != nil {
@@ -187,11 +181,6 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		if warm != nil {
-			if err := gcWarmStore(warm, *stateAge, *stateCap, prose); err != nil {
-				return err
-			}
-		}
 		return emitReport(report, *jsonOut, *verbose)
 	}
 
@@ -221,25 +210,8 @@ func run() error {
 		if err := sess.Close(); err != nil {
 			return err
 		}
-		if err := gcWarmStore(warm, *stateAge, *stateCap, prose); err != nil {
-			return err
-		}
 	}
 	return emitReport(report, *jsonOut, *verbose)
-}
-
-// gcWarmStore runs the configured shutdown GC over the warm-state
-// directory, if any bound is set.
-func gcWarmStore(warm *scout.WarmStore, age time.Duration, maxFiles int, w io.Writer) error {
-	if age == 0 && maxFiles == 0 {
-		return nil
-	}
-	st, err := warm.GC(age, maxFiles)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "warm-state gc: kept %d files, removed %d\n", st.Kept, st.Removed)
-	return nil
 }
 
 // emitReport renders the final analysis report (shared by the one-shot and
@@ -319,27 +291,6 @@ func checkWatchFlags(watch bool, window time.Duration, set map[string]bool) erro
 	}
 	if set["batch-window"] {
 		return fmt.Errorf("-batch-window only applies to the -watch daemon loop; add -watch or drop the flag")
-	}
-	return nil
-}
-
-// checkStateFlags rejects the warm-state GC knobs without a warm-state
-// directory to bound, and a negative bound: either silently does nothing
-// otherwise. set holds the names of explicitly-set flags.
-func checkStateFlags(stateDir string, age time.Duration, capacity int, set map[string]bool) error {
-	if age < 0 {
-		return fmt.Errorf("-state-gc-age %v is negative", age)
-	}
-	if capacity < 0 {
-		return fmt.Errorf("-state-cap %d is negative", capacity)
-	}
-	if stateDir != "" {
-		return nil
-	}
-	for _, name := range []string{"state-gc-age", "state-cap"} {
-		if set[name] {
-			return fmt.Errorf("-%s bounds the -state-dir directory; add -state-dir or drop the flag", name)
-		}
 	}
 	return nil
 }

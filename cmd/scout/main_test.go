@@ -169,7 +169,7 @@ func TestRunWatchReportsFailedSave(t *testing.T) {
 // TestJSONStdoutIsOneDocument: under -json, stdout is the report as one
 // JSON value and nothing after it, so `scout -json | jq` reads it; the
 // lines that narrate the run — the policy, each fault, a disconnect, the
-// warm state and its GC, the -watch rounds — are on stderr. A one-shot, a
+// warm state, the -watch rounds — are on stderr. A one-shot, a
 // -state-dir run, a -watch run and a -scenario replay.
 func TestJSONStdoutIsOneDocument(t *testing.T) {
 	for _, c := range []struct {
@@ -178,10 +178,10 @@ func TestJSONStdoutIsOneDocument(t *testing.T) {
 	}{
 		{[]string{"-spec", "testbed", "-fault", "filter:5002@1.0", "-disconnect", "3"},
 			[]string{"policy ", "injected filter:5002", "disconnected switch 3"}},
-		{[]string{"-spec", "small", "-fault", "filter:5002@1.0", "-state-dir", t.TempDir(), "-state-cap", "8"},
-			[]string{"policy ", "injected filter:5002", "warm state: ", "warm-state gc: "}},
-		{[]string{"-spec", "testbed", "-watch", "-fault", "filter:5002@1.0", "-state-dir", t.TempDir(), "-state-cap", "8"},
-			[]string{"policy ", "baseline: full collection", "injected filter:5002", "batch 1: ", "warm-state gc: "}},
+		{[]string{"-spec", "small", "-fault", "filter:5002@1.0", "-state-dir", t.TempDir()},
+			[]string{"policy ", "injected filter:5002", "warm state: "}},
+		{[]string{"-spec", "testbed", "-watch", "-fault", "filter:5002@1.0", "-state-dir", t.TempDir()},
+			[]string{"policy ", "baseline: full collection", "injected filter:5002", "batch 1: "}},
 		{[]string{"-spec", "testbed", "-scenario", filepath.Join("testdata", "testbed-scenario.json")},
 			[]string{"policy ", "scenario "}},
 	} {
@@ -444,46 +444,38 @@ func TestCheckWatchFlags(t *testing.T) {
 	}
 }
 
-// TestCheckStateFlags pins the warm-state and fabric flag rules: the GC
-// bounds are meaningless without a directory to bound, and no bound,
-// capacity or switch ID is negative; each must fail loudly, naming its
-// flag.
-func TestCheckStateFlags(t *testing.T) {
+// TestCheckFabricFlags pins the fabric flag rules: no capacity, switch ID
+// or worker count is negative, and each that is must fail loudly, naming
+// its flag.
+func TestCheckFabricFlags(t *testing.T) {
 	tests := []struct {
-		name     string
-		stateDir string
-		age      time.Duration
-		n        int // -state-cap, or -tcam, -disconnect and -workers
-		set      []string
-		wantErr  string
+		name    string
+		n       int // -tcam, -disconnect or -workers
+		set     []string
+		wantErr string
 	}{
-		{"no state flags", "", 0, 0, nil, ""},
-		{"state-dir alone", "/tmp/warm", 0, 0, []string{"state-dir"}, ""},
-		{"state-dir with both bounds", "/tmp/warm", time.Hour, 3, []string{"state-dir", "state-gc-age", "state-cap"}, ""},
-		{"gc-age without state-dir", "", time.Hour, 0, []string{"state-gc-age"}, "-state-gc-age"},
-		{"cap without state-dir", "", 0, 3, []string{"state-cap"}, "-state-cap"},
-		{"negative gc-age", "/tmp/warm", -time.Hour, 0, []string{"state-dir", "state-gc-age"}, "-state-gc-age"},
-		{"negative cap", "/tmp/warm", 0, -1, []string{"state-dir", "state-cap"}, "-state-cap"},
-		{"negative tcam", "", 0, -5, []string{"tcam"}, "-tcam"},
-		{"negative disconnect", "", 0, -7, []string{"disconnect"}, "-disconnect"},
-		{"disconnect switch 0", "", 0, 0, []string{"disconnect"}, ""},
-		{"negative workers", "", 0, -3, []string{"workers"}, "-workers"},
-		{"serial workers", "", 0, 1, []string{"workers"}, ""},
+		{"no fabric flags", 0, nil, ""},
+		{"negative tcam", -5, []string{"tcam"}, "-tcam"},
+		{"negative disconnect", -7, []string{"disconnect"}, "-disconnect"},
+		{"disconnect switch 0", 0, []string{"disconnect"}, ""},
+		{"negative workers", -3, []string{"workers"}, "-workers"},
+		{"serial workers", 1, []string{"workers"}, ""},
 	}
 	for _, tt := range tests {
 		set := make(map[string]bool, len(tt.set))
 		for _, name := range tt.set {
 			set[name] = true
 		}
-		err := checkStateFlags(tt.stateDir, tt.age, tt.n, set)
+		capacity, disconnect, workers := 0, -1, 0
 		switch {
 		case set["tcam"]:
-			err = checkFabricFlags(tt.n, -1, 0, set)
+			capacity = tt.n
 		case set["disconnect"]:
-			err = checkFabricFlags(0, tt.n, 0, set)
+			disconnect = tt.n
 		case set["workers"]:
-			err = checkFabricFlags(0, -1, tt.n, set)
+			workers = tt.n
 		}
+		err := checkFabricFlags(capacity, disconnect, workers, set)
 		if err == nil && tt.wantErr != "" || err != nil && (tt.wantErr == "" || !strings.Contains(err.Error(), tt.wantErr+" ")) {
 			t.Errorf("%s: flag check = %v, want an error naming %q", tt.name, err, tt.wantErr)
 		}

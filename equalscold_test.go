@@ -194,9 +194,12 @@ type coldRun struct {
 	saveErr string
 
 	// The store's model: the files that load, with a verdict file's
-	// entries; the names a directory squats on; whether the directory is
-	// gone; and each base file's first image.
+	// entries; every file of a deployment, loadable or harmed, and when
+	// the session last saved or loaded it; the names a directory squats
+	// on; whether the directory is gone; and each base file's first image.
 	good    map[string]map[scout.ObjectID]verdict
+	files   map[string]storeFile
+	clock   int
 	squat   map[string]bool
 	lost    bool
 	baseImg map[string][]byte
@@ -206,6 +209,17 @@ type coldRun struct {
 	// counts are the session's and the report's counters after each run.
 	counts []string
 }
+
+// storeFile is a file of the store's model: its deployment, and the tick
+// of the save or load that last used it.
+type storeFile struct {
+	fp   uint64
+	used int
+}
+
+// keptDeployments is how many deployments the store keeps (internal/store's
+// keepDeployments).
+const keptDeployments = 4
 
 // toggle is an op that a second step on the same switch undoes.
 type toggle struct {
@@ -260,7 +274,7 @@ func equalsCold(t *testing.T, c coldCase) *coldRun {
 func newRun(f *scout.Fabric) *coldRun {
 	return &coldRun{f: f, on: map[toggle]bool{}, removed: map[scout.ObjectID][]scout.Rule{},
 		cache: map[scout.ObjectID]verdict{}, seeded: map[uint64]bool{},
-		good: map[string]map[scout.ObjectID]verdict{}, squat: map[string]bool{}, baseImg: map[string][]byte{},
+		good: map[string]map[scout.ObjectID]verdict{}, files: map[string]storeFile{}, squat: map[string]bool{}, baseImg: map[string][]byte{},
 		heldDeps: map[*scout.Deployment]bool{}}
 }
 
@@ -432,7 +446,8 @@ func (r *coldRun) restart(t testing.TB, x, harm byte) {
 		path := pick(paths, x)
 		name := filepath.Base(path)
 		img, err := os.ReadFile(path)
-		if err != nil {
+		info, serr := os.Stat(path)
+		if err = errors.Join(err, serr); err != nil {
 			t.Fatal(err)
 		}
 		switch h {
@@ -444,10 +459,11 @@ func (r *coldRun) restart(t testing.TB, x, harm byte) {
 			img = asCodecV1(img)
 		case harmSquat:
 			r.squat[name] = true
+			delete(r.files, name)
 			err = errors.Join(os.Remove(path), os.Mkdir(path, 0o755))
 		}
-		if h != harmSquat {
-			err = os.WriteFile(path, img, 0o644)
+		if h != harmSquat { // damage in place leaves the mtime, so the deployment's recency, alone
+			err = errors.Join(os.WriteFile(path, img, 0o644), os.Chtimes(path, info.ModTime(), info.ModTime()))
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -463,6 +479,7 @@ func (r *coldRun) restart(t testing.TB, x, harm byte) {
 		}
 		r.lost = true
 		clear(r.good)
+		clear(r.files)
 		clear(r.squat)
 	}
 	r.want, r.dep = scout.SessionStats{}, nil
@@ -470,9 +487,12 @@ func (r *coldRun) restart(t testing.TB, x, harm byte) {
 	clear(r.seeded)
 }
 
-// save models a store save: it fails on a lost directory or a squatted
-// name, and the session's first failure is what Close reports.
-func (r *coldRun) save(name string, entries map[scout.ObjectID]verdict) {
+// save models a store save of deployment fp's file name: it fails on a
+// lost directory or a squatted name, and the session's first failure is
+// what Close reports. A save that succeeds keeps fp and the
+// keptDeployments-1 other deployments the session used last, and evicts
+// every file of the rest.
+func (r *coldRun) save(fp uint64, name string, entries map[scout.ObjectID]verdict) {
 	if r.lost || r.squat[name] {
 		if r.saveErr == "" {
 			r.saveErr = name
@@ -480,6 +500,30 @@ func (r *coldRun) save(name string, entries map[scout.ObjectID]verdict) {
 		return
 	}
 	r.good[name] = entries
+	r.use(fp, name)
+	var fps []uint64
+	last := map[uint64]int{}
+	for _, f := range r.files {
+		if _, ok := last[f.fp]; !ok && f.fp != fp {
+			fps = append(fps, f.fp)
+		}
+		last[f.fp] = max(last[f.fp], f.used)
+	}
+	slices.SortFunc(fps, func(a, b uint64) int { return last[b] - last[a] })
+	for _, gone := range fps[min(len(fps), keptDeployments-1):] {
+		for file, f := range r.files {
+			if f.fp == gone {
+				delete(r.files, file)
+				delete(r.good, file)
+			}
+		}
+	}
+}
+
+// use models a save or a successful load of deployment fp's file name.
+func (r *coldRun) use(fp uint64, name string) {
+	r.clock++
+	r.files[name] = storeFile{fp, r.clock}
 }
 
 // verdictFile names the session's verdict file for a deployment fingerprint.
@@ -511,13 +555,17 @@ func (r *coldRun) resolve(d *scout.Deployment) (built, loaded int) {
 	if name := fmt.Sprintf("base-%016x.scout", fp); !r.probes {
 		if _, ok := r.good[name]; ok {
 			loaded = 1
+			r.use(fp, name)
 		} else {
 			built = 1
-			r.save(name, map[scout.ObjectID]verdict{})
+			r.save(fp, name, map[scout.ObjectID]verdict{})
 		}
 	}
 	if !r.seeded[fp] {
 		r.seeded[fp] = true
+		if _, ok := r.good[r.verdictFile(fp)]; ok {
+			r.use(fp, r.verdictFile(fp))
+		}
 		for sw, v := range r.good[r.verdictFile(fp)] {
 			if _, ok := r.cache[sw]; !ok {
 				r.cache[sw] = v
@@ -618,7 +666,7 @@ func (r *coldRun) analyze(t *testing.T) {
 	if err == nil {
 		exp.Runs, exp.Checked = exp.Runs+1, exp.Checked+checked
 		if checked > 0 {
-			r.save(r.verdictFile(r.fp), maps.Clone(r.cache))
+			r.save(r.fp, r.verdictFile(r.fp), maps.Clone(r.cache))
 		}
 	}
 	now := r.sess.Stats()
@@ -797,6 +845,10 @@ func FuzzSession(f *testing.F) {
 		// A probe session's snapshot entry points probe the state they are
 		// handed.
 		sessionSeed(true, viaState, 2, step{opSilent, 3, 0}),
+		// Four filters added then detached, newest first: five deployments,
+		// the first evicted before the session comes back to it.
+		sessionSeed(false, viaAnalyze, 1, step{opAddFilter, 0, 0}, step{opAddFilter, 0, 1}, step{opAddFilter, 0, 2},
+			step{opAddFilter, 0, 3}, step{opDetach, 0, 0}, step{opDetach, 0, 0}, step{opDetach, 0, 0}, step{opDetach, 0, 0}),
 		// Every harm before a restart.
 		sessionSeed(false, viaAnalyze, 2, step{opRestart, 0, harmCut}, step{opRestart, 1, harmSquat},
 			step{opEvict, 0, 0}, step{opRestart, 0, harmLoseIt}, step{opRestart, 0, 8 + harmFlip}),

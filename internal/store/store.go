@@ -12,33 +12,44 @@
 //
 // Loads verify everything (codec.go) and are cache-semantics: a missing
 // file is (nil, nil), a corrupt or mismatched file is an error the
-// caller treats as a cold start. Loading touches the file's mtime, so
-// the age/LRU GC keeps hot entries alive.
+// caller treats as a cold start.
+//
+// The store bounds itself: every save keeps the keepDeployments
+// deployments used most recently and removes the files of the rest
+// (evict). Saves and loads both refresh a file's mtime, so "used" means
+// saved or loaded, not just written.
 package store
 
 import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 	"time"
 
 	"scout/internal/equiv"
 )
 
-// fileSuffix marks files owned by this store (GC refuses to touch
-// anything else in the directory).
+// fileSuffix ends the name of every file the store writes.
 const fileSuffix = ".scout"
 
 // tempMark follows a store file's name in the name of the temp file it is
 // written through (writeAtomic). A writer killed before the rename leaves
-// that file behind; GC takes one older than orphanTempAge for such a
+// that file behind; eviction takes one older than orphanTempAge for such a
 // leftover — a live writer's is seconds old.
 const (
 	tempMark      = ".tmp"
 	orphanTempAge = time.Minute
 )
+
+// keepDeployments is how many deployments the store keeps, a deployment
+// being its base-, checks- and probes-<fingerprint> files (~600 KB at
+// eight switches). A process works on one deployment at a time; a policy
+// revert wants the one before it back warm; and two sessions sharing one
+// store, each with its previous deployment, make four.
+const keepDeployments = 4
 
 func baseFileName(depFP uint64) string {
 	return fmt.Sprintf("base-%016x%s", depFP, fileSuffix)
@@ -100,13 +111,26 @@ func (s *Store) Close() error { return nil }
 // SaveBase encodes a frozen base and publishes it under its deployment
 // fingerprint, returning the write's error.
 func (s *Store) SaveBase(depFP uint64, b *equiv.Base) error {
-	return writeAtomic(filepath.Join(s.dir, baseFileName(depFP)), encodeBase(depFP, b))
+	return s.save(depFP, baseFileName(depFP), encodeBase(depFP, b))
+}
+
+// save publishes one of depFP's files, then bounds the directory. The
+// file's mtime is set from the clock a load's touch reads, so recency
+// orders saves and loads as they happened. Only the write's error is
+// returned: eviction is best effort.
+func (s *Store) save(depFP uint64, name string, data []byte) error {
+	if err := writeAtomic(filepath.Join(s.dir, name), data); err != nil {
+		return err
+	}
+	s.touch(name)
+	s.evict(depFP)
+	return nil
 }
 
 // LoadBase loads the frozen base persisted for the deployment
 // fingerprint: (nil, nil) when none exists, an error when the file
 // fails verification (the caller treats it as a cold start). A
-// successful load touches the file for the LRU GC.
+// successful load touches the file, so eviction sees it used.
 func (s *Store) LoadBase(depFP uint64) (*equiv.Base, error) {
 	data, err := s.readFile(baseFileName(depFP))
 	if err != nil || data == nil {
@@ -124,12 +148,12 @@ func (s *Store) LoadBase(depFP uint64) (*equiv.Base, error) {
 // the deployment fingerprint (probe selects the probe-mode cache's file),
 // returning the write's error.
 func (s *Store) SaveVerdicts(depFP uint64, probe bool, vs []Verdict) error {
-	return writeAtomic(filepath.Join(s.dir, verdictFileName(depFP, probe)), encodeVerdicts(depFP, vs))
+	return s.save(depFP, verdictFileName(depFP, probe), encodeVerdicts(depFP, vs))
 }
 
 // LoadVerdicts loads the verdicts persisted for the deployment
 // fingerprint: (nil, nil) when none exist, an error on verification
-// failure. A successful load touches the file for the LRU GC.
+// failure. A successful load touches the file, so eviction sees it used.
 func (s *Store) LoadVerdicts(depFP uint64, probe bool) ([]Verdict, error) {
 	name := verdictFileName(depFP, probe)
 	data, err := s.readFile(name)
@@ -156,80 +180,77 @@ func (s *Store) readFile(name string) ([]byte, error) {
 	return data, nil
 }
 
-// touch refreshes a file's mtime so the LRU half of GC sees recently
-// loaded state as recently used. Best effort.
+// touch sets a file's mtime to now, marking its deployment used for
+// eviction. Best effort.
 func (s *Store) touch(name string) {
 	now := time.Now()
 	_ = os.Chtimes(filepath.Join(s.dir, name), now, now)
 }
 
-// GCStats summarizes one garbage-collection pass.
-type GCStats struct {
-	// Kept and Removed count store files after the pass.
-	Kept    int
-	Removed int
+// deploymentOf returns the deployment fingerprint in a name that
+// baseFileName or verdictFileName writes: base-, checks- or probes-, then
+// sixteen lowercase hex digits, then fileSuffix.
+func deploymentOf(name string) (uint64, bool) {
+	kind, key, _ := strings.Cut(name, "-")
+	hex, ok := strings.CutSuffix(key, fileSuffix)
+	if !ok || len(hex) != 16 || strings.Trim(hex, "0123456789abcdef") != "" ||
+		kind != "base" && kind != "checks" && kind != "probes" {
+		return 0, false
+	}
+	fp, _ := strconv.ParseUint(hex, 16, 64)
+	return fp, true
 }
 
-// GC removes stale store files: everything older than maxAge (0 = no
-// age bound), then — oldest first — whatever keeps the file count at or
-// under maxFiles (0 = no count bound). Only files carrying the store
-// suffix are considered. Both saves and loads refresh mtimes, so "oldest" is least-recently-used, not
-// least-recently-written. The temp files of writers that died mid-write
-// (see tempMark) go too, whatever the bounds, and count in Removed.
-func (s *Store) GC(maxAge time.Duration, maxFiles int) (GCStats, error) {
+// lastUse is when a deployment's files were last saved or loaded: the
+// newest mtime among them.
+type lastUse struct {
+	fp uint64
+	at time.Time
+}
+
+// evict bounds the directory after a save of depFP's deployment. It keeps
+// that deployment and the keepDeployments-1 others used most recently, and
+// removes every file of the rest; of two deployments used at the same
+// instant, the one whose name sorts first is kept. Temp files older than
+// orphanTempAge go too. A directory, or a file whose name the store did
+// not write, stays. Best effort: a file that will not go is tried again at
+// the next save.
+func (s *Store) evict(depFP uint64) {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
-		return GCStats{}, fmt.Errorf("store: gc: %w", err)
+		return
 	}
-	type file struct {
-		name  string
-		mtime time.Time
-	}
-	var files []file
-	var st GCStats
+	var others []lastUse
 	for _, ent := range entries {
-		orphan := strings.Contains(ent.Name(), fileSuffix+tempMark)
-		if ent.IsDir() || !(orphan || strings.HasSuffix(ent.Name(), fileSuffix)) {
+		fp, ours := deploymentOf(ent.Name())
+		orphan := !ours && strings.Contains(ent.Name(), fileSuffix+tempMark)
+		if !ent.Type().IsRegular() || !(orphan || ours && fp != depFP) {
 			continue
 		}
 		info, err := ent.Info()
 		if err != nil {
 			continue // raced with a concurrent remove
 		}
+		at := info.ModTime()
 		if orphan {
-			if time.Since(info.ModTime()) > orphanTempAge && os.Remove(filepath.Join(s.dir, ent.Name())) == nil {
-				st.Removed++
+			if time.Since(at) > orphanTempAge {
+				os.Remove(filepath.Join(s.dir, ent.Name()))
 			}
-			continue
+		} else if i := slices.IndexFunc(others, func(u lastUse) bool { return u.fp == fp }); i < 0 {
+			others = append(others, lastUse{fp, at})
+		} else if at.After(others[i].at) {
+			others[i].at = at
 		}
-		files = append(files, file{name: ent.Name(), mtime: info.ModTime()})
 	}
-	sort.Slice(files, func(i, j int) bool { return files[i].mtime.Before(files[j].mtime) })
-
-	cutoff := time.Time{}
-	if maxAge > 0 {
-		cutoff = time.Now().Add(-maxAge)
+	if len(others) < keepDeployments {
+		return
 	}
-	keep := files[:0]
-	for _, f := range files {
-		if !cutoff.IsZero() && f.mtime.Before(cutoff) {
-			if rmErr := os.Remove(filepath.Join(s.dir, f.name)); rmErr == nil {
-				st.Removed++
-				continue
-			}
+	slices.SortStableFunc(others, func(a, b lastUse) int { return b.at.Compare(a.at) }) // newest first
+	gone := others[keepDeployments-1:]
+	for _, ent := range entries {
+		fp, ours := deploymentOf(ent.Name())
+		if ours && ent.Type().IsRegular() && slices.ContainsFunc(gone, func(u lastUse) bool { return u.fp == fp }) {
+			os.Remove(filepath.Join(s.dir, ent.Name()))
 		}
-		keep = append(keep, f)
 	}
-	if maxFiles > 0 && len(keep) > maxFiles {
-		for _, f := range keep[:len(keep)-maxFiles] {
-			if rmErr := os.Remove(filepath.Join(s.dir, f.name)); rmErr == nil {
-				st.Removed++
-			} else {
-				st.Kept++
-			}
-		}
-		keep = keep[len(keep)-maxFiles:]
-	}
-	st.Kept += len(keep)
-	return st, nil
 }

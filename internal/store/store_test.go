@@ -1,12 +1,14 @@
 // The package's case runner and codec check. The runner applies one
 // stream of steps, read from an oracle.Choices, to a store directory:
-// saves, loads and GC, between steps that plant temp and foreign files,
-// damage or misfile a file, put a directory at a file's name, and age a
-// file. The reference is each name's content and logical mtime. The
-// runner owns the clock: before every step each file's mtime is its own
-// tick, so LRU order never ties, and a save or a load must leave its file
-// newer than every tick. After every step loads and GC returned what the
-// reference says, and the directory lists exactly the reference's files.
+// saves and loads over more deployments than the store keeps, between
+// steps that plant temp and foreign files, damage or misfile a file, put a
+// directory at a file's name, and age a file. The reference is each name's
+// content, deployment and logical mtime, and after every save it evicts as
+// the store must. The runner owns the clock: before every step each file's
+// mtime is its own tick, so recency never ties, and a save or a load must
+// leave its file newer than every tick. After every step loads returned
+// what the reference says, and the directory lists exactly the reference's
+// files.
 //
 // The codec check writes a drawn base or verdicts field by field through
 // encoder, with at most one deviation from what the encoder writes, or
@@ -45,32 +47,40 @@ type op int
 const (
 	opSave op = iota
 	opLoad
-	opGC
 	opPlant
 	opDamage
 	opDirectory
 	opAge
 )
 
-var opNames = [...]string{"save", "load", "GC", "plant", "damage", "directory", "age"}
+var opNames = [...]string{"save", "load", "plant", "damage", "directory", "age"}
+
+// numFPs is how many deployment fingerprints a run draws from: two more
+// than the store keeps.
+const numFPs = keepDeployments + 2
 
 // entry is the reference's view of one name in the directory.
 type entry struct {
-	data  []byte
-	dir   bool
-	good  bool // a save's whole image
-	young bool // a temp file at its real, fresh mtime
-	tick  int
+	data    []byte
+	dir     bool
+	good    bool   // a save's whole image
+	fp      uint64 // the deployment a file's name is of; 0 for another name
+	temp    bool   // a temp file a writer left
+	young   bool   // a temp file at its real, fresh mtime
+	tick    int    // the logical mtime
+	written int    // tick as a save, plant, damage or age left it; a load moves only tick
 }
 
 // storeStats is what a run exercised.
 type storeStats struct {
 	refused    int // saves a directory at the name refused
 	unreadable int // loads of a directory or a damaged file
-	aged       int // files the age bound removed
-	evicted    int // files the count bound removed
-	orphans    int // old temp files GC removed
-	live       int // young temp files GC kept
+	evicted    int // deployments a save evicted
+	refreshed  int // deployments kept past one written later, as a load used them later
+	orphans    int // old temp files a save removed
+	live       int // young temp files a save kept
+	foreign    int // evictions beside a file the store did not name
+	dirs       int // directories left at an evicted deployment's name
 }
 
 type storeHarness struct {
@@ -121,9 +131,9 @@ func (h *storeHarness) step(i int, kind op) {
 			t.Fatalf("setting %s's mtime failed", name)
 		}
 	}
-	// A base, or check- or probe-mode verdicts, under one of three
+	// A base, or check- or probe-mode verdicts, under one of numFPs
 	// fingerprints.
-	k, fp := c.Intn(3), uint64(1+c.Intn(3))
+	k, fp := c.Intn(3), uint64(1+c.Intn(numFPs))
 	name := verdictFileName(fp, k == 2)
 	if k == 0 {
 		name = baseFileName(fp)
@@ -150,7 +160,7 @@ func (h *storeHarness) step(i int, kind op) {
 		} else if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		} else {
-			h.files[name], used = &entry{data: data, good: true}, true
+			h.files[name], used = &entry{data: data, good: true, fp: fp}, true
 		}
 	case opLoad:
 		var again []byte
@@ -181,25 +191,13 @@ func (h *storeHarness) step(i int, kind op) {
 		default:
 			used = true
 		}
-	case opGC:
-		age, below, count := time.Duration(0), h.lo-1+c.Intn(h.clock-h.lo+2), 0
-		if c.Chance(2) {
-			age = time.Since(h.at(below)) - 30*time.Second // removes ticks up to below
-		}
-		if c.Chance(2) {
-			count = 1 + c.Intn(4)
-		}
-		got, err := h.s.GC(age, count)
-		if want := h.gc(age > 0, below, count); err != nil || got != want {
-			t.Fatalf("%s (age %v to tick %d, count %d): %+v, %v; want %+v", label, age, below, count, got, err, want)
-		}
 	case opPlant:
-		planted := name + tempMark + fmt.Sprint(c.Intn(1000))
+		planted, temp := name+tempMark+fmt.Sprint(c.Intn(1000)), true
 		if c.Chance(4) {
-			planted = []string{"README.txt", name + ".bak"}[c.Intn(2)]
+			planted, temp = []string{"README.txt", name + ".bak", "base-stale" + fileSuffix}[c.Intn(3)], false
 		}
 		h.clock++
-		h.write(planted, &entry{data: []byte("half a file"), young: c.Chance(2), tick: h.clock})
+		h.write(planted, &entry{data: []byte("half a file"), temp: temp, young: temp && c.Chance(2), tick: h.clock, written: h.clock})
 	case opDamage:
 		if e == nil || e.dir || len(e.data) < frameOverhead {
 			break
@@ -214,11 +212,12 @@ func (h *storeHarness) step(i int, kind op) {
 			version := codecVersion + 1 - 2*uint32(c.Intn(2))
 			data = frame(string(data[:4]), version, binary.LittleEndian.Uint64(data[8:]), data[16:len(data)-8])
 		case 3: // misfiled under the next fingerprint
-			name = strings.Replace(name, fmt.Sprintf("%016x", fp), fmt.Sprintf("%016x", fp%3+1), 1)
+			next := fp%numFPs + 1
+			name, fp = strings.Replace(name, fmt.Sprintf("%016x", fp), fmt.Sprintf("%016x", next), 1), next
 		}
 		if h.files[name] == nil || !h.files[name].dir {
 			h.clock++
-			h.write(name, &entry{data: data, tick: h.clock})
+			h.write(name, &entry{data: data, fp: fp, tick: h.clock, written: h.clock})
 		}
 	case opDirectory: // or, over a directory, its removal
 		path, made := filepath.Join(h.dir, name), e == nil || !e.dir
@@ -227,12 +226,12 @@ func (h *storeHarness) step(i int, kind op) {
 			t.Fatalf("%s failed", label)
 		}
 		if made {
-			h.files[name] = &entry{dir: true}
+			h.files[name] = &entry{dir: true, fp: fp}
 		}
 	case opAge:
 		if e != nil {
 			h.lo--
-			e.tick = h.lo
+			e.tick, e.written = h.lo, h.lo
 		}
 	}
 	if used {
@@ -240,41 +239,65 @@ func (h *storeHarness) step(i int, kind op) {
 			t.Fatalf("%s left its file at %v, not newer than every tick", label, info.ModTime())
 		}
 		h.clock++
-		h.files[name].tick = h.clock
+		e := h.files[name]
+		e.tick = h.clock
+		if kind == opSave {
+			e.written = h.clock
+			h.evict(fp)
+		}
 	}
 	h.check(label)
 }
 
-// gc is the reference GC: old temp files go; store files at or below tick
-// below go when aged, then the oldest past count; the rest is kept.
-func (h *storeHarness) gc(aged bool, below, count int) GCStats {
-	var st GCStats
-	var kept []string
+// evict is the reference eviction after a save of deployment saved: old
+// temp files go; of the other deployments, each the files under its
+// fingerprint, the keepDeployments-1 with the newest tick stay and the
+// rest go. Directories and other names stay.
+func (h *storeHarness) evict(saved uint64) {
+	var fps []uint64
+	newest, written := map[uint64]int{}, map[uint64]int{}
 	for name, e := range h.files {
 		switch {
 		case e.dir:
-		case strings.Contains(name, fileSuffix+tempMark) && e.young:
+		case e.temp && e.young:
 			h.stats.live++
-		case strings.Contains(name, fileSuffix+tempMark):
+		case e.temp:
 			delete(h.files, name)
 			h.stats.orphans++
-			st.Removed++
-		case strings.HasSuffix(name, fileSuffix) && aged && e.tick <= below:
-			delete(h.files, name)
-			h.stats.aged++
-			st.Removed++
-		case strings.HasSuffix(name, fileSuffix):
-			kept = append(kept, name)
+		case e.fp != 0 && e.fp != saved:
+			n, ok := newest[e.fp]
+			if !ok {
+				fps = append(fps, e.fp)
+			}
+			if !ok || e.tick > n {
+				newest[e.fp] = e.tick
+			}
+			if n, ok := written[e.fp]; !ok || e.written > n {
+				written[e.fp] = e.written
+			}
 		}
 	}
-	slices.SortFunc(kept, func(a, b string) int { return h.files[a].tick - h.files[b].tick })
-	for ; count > 0 && len(kept) > count; kept = kept[1:] {
-		delete(h.files, kept[0])
-		h.stats.evicted++
-		st.Removed++
+	if len(fps) < keepDeployments {
+		return
 	}
-	st.Kept = len(kept)
-	return st
+	slices.SortFunc(fps, func(a, b uint64) int { return newest[b] - newest[a] })
+	kept, gone := fps[:keepDeployments-1], fps[keepDeployments-1:]
+	h.stats.evicted += len(gone)
+	for _, fp := range kept {
+		if slices.ContainsFunc(gone, func(g uint64) bool { return written[g] > written[fp] }) {
+			h.stats.refreshed++
+		}
+	}
+	for name, e := range h.files {
+		switch {
+		case e.dir && slices.Contains(gone, e.fp):
+			h.stats.dirs++
+		case !e.dir && slices.Contains(gone, e.fp):
+			delete(h.files, name)
+		case !e.dir && e.fp == 0 && !e.temp:
+			h.stats.foreign++
+		}
+	}
 }
 
 // check holds the directory to the reference: the same names, each a
@@ -303,7 +326,7 @@ func exercised(t *testing.T, what string, n int) {
 }
 
 func TestStoreSaveLoad(t *testing.T) {
-	runStores(t, 20, 80, opSave, opLoad, opGC, opPlant, opDamage, opDirectory, opAge)
+	runStores(t, 20, 80, opSave, opLoad, opPlant, opDamage, opDirectory, opAge)
 }
 
 // TestBaseCodecRejectsDamage: neither a damaged file loads nor a base that
@@ -343,18 +366,21 @@ func TestLoadDoesNotSwallowSaveError(t *testing.T) {
 	exercised(t, "loaded a directory", s.unreadable)
 }
 
-// TestStoreGC: the age bound removes stale files, the count bound the
-// least recently used, and foreign files and directories stay.
-func TestStoreGC(t *testing.T) {
-	s := runStores(t, 12, 60, opSave, opSave, opLoad, opGC, opAge, opPlant, opDirectory)
-	exercised(t, "aged a file out", s.aged)
-	exercised(t, "evicted a file past the count", s.evicted)
+// TestStoreEvictsLeastRecentlyUsed: a save keeps keepDeployments
+// deployments, the least recently saved or loaded evicted whole, and
+// leaves foreign files and directories in place.
+func TestStoreEvictsLeastRecentlyUsed(t *testing.T) {
+	s := runStores(t, 12, 60, opSave, opSave, opLoad, opAge, opPlant, opDirectory)
+	exercised(t, "evicted a deployment", s.evicted)
+	exercised(t, "kept a deployment a load refreshed", s.refreshed)
+	exercised(t, "evicted beside a foreign file", s.foreign)
+	exercised(t, "left a directory at an evicted name", s.dirs)
 }
 
-// TestGCRemovesOrphanedTempFiles: a writer killed before its rename leaves
-// a temp file; GC removes an old one and leaves a live writer's.
-func TestGCRemovesOrphanedTempFiles(t *testing.T) {
-	s := runStores(t, 8, 40, opSave, opPlant, opGC)
+// TestSaveRemovesOrphanedTempFiles: a writer killed before its rename
+// leaves a temp file; a save removes an old one and leaves a live writer's.
+func TestSaveRemovesOrphanedTempFiles(t *testing.T) {
+	s := runStores(t, 8, 40, opSave, opPlant)
 	exercised(t, "removed an orphaned temp file", s.orphans)
 	exercised(t, "kept a young temp file", s.live)
 }

@@ -277,11 +277,17 @@ func TestConcurrentSessionUse(t *testing.T) {
 // one store and run at once, and a directory squatting on A's base file
 // fails A's save. B's Close, asked first, reports nothing, A's reports its
 // base, and a fresh session over B's fabric restarts from B's whole files.
+// Then sessions over three more deployments save to the store in turn,
+// which, with no option set, keeps keptDeployments of the five: A's, the
+// least recently used, is evicted whole and its squatter left in place.
+// The newest restarts warm, and a session over A cold-starts to the report
+// a one-shot gives.
 func TestSharedStoreKeepsSaveErrorsApart(t *testing.T) {
 	fa, fb := faultyFabric(t, 11), faultyFabric(t, 13)
 	dir := t.TempDir()
 	_, fp := equiv.DeploymentFingerprints(fa.Deployment().BySwitch)
-	if err := os.Mkdir(filepath.Join(dir, fmt.Sprintf("base-%016x.scout", fp)), 0o755); err != nil {
+	squat := filepath.Join(dir, fmt.Sprintf("base-%016x.scout", fp))
+	if err := os.Mkdir(squat, 0o755); err != nil {
 		t.Fatal(err)
 	}
 	shared := scout.AnalyzerOptions{Workers: 2, WarmStore: warmStore(t, dir)}
@@ -304,10 +310,50 @@ func TestSharedStoreKeepsSaveErrorsApart(t *testing.T) {
 		t.Errorf("A.Close = %v, want A's failed base write", err)
 	}
 
-	restart := newSession(t, fb, shared)
-	mustReport(t, restart.Analyze)
-	if st, n := restart.Stats(), len(fb.Deployment().BySwitch); st.BaseLoads != 1 || st.Checked != 0 || st.Replayed != n {
-		t.Errorf("restart over B's files: %+v, want BaseLoads 1, Checked 0, Replayed %d", st, n)
+	// restart runs a fresh session over f on the store: whole files load
+	// the base and replay every switch, no files build it and check them
+	// all. Only A's Close fails, on its squatted base again.
+	restart := func(name string, f *scout.Fabric, whole bool) *scout.Report {
+		t.Helper()
+		sess := newSession(t, f, shared)
+		rep := mustReport(t, sess.Analyze)
+		if err := sess.Close(); (err != nil) != (f == fa) {
+			t.Errorf("%s's Close = %v", name, err)
+		}
+		st, n := sess.Stats(), len(f.Deployment().BySwitch)
+		got, want := [4]int{st.BaseLoads, st.BaseRebuilds, st.Checked, st.Replayed}, [4]int{0, 1, n, 0}
+		if whole {
+			want = [4]int{1, 0, 0, n}
+		}
+		if got != want {
+			t.Errorf("restart over %s's files: bases loaded, built, switches checked, replayed %v, want %v", name, got, want)
+		}
+		return rep
+	}
+	restart("B", fb, true)
+	var fe *scout.Fabric
+	for _, seed := range []int64{17, 19, 23} {
+		fe = faultyFabric(t, seed)
+		restart(fmt.Sprint("seed ", seed), fe, false)
+	}
+	deps := map[string]bool{}
+	names, _ := filepath.Glob(filepath.Join(dir, "*.scout"))
+	for _, name := range names {
+		if info, err := os.Stat(name); err == nil && info.Mode().IsRegular() {
+			_, key, _ := strings.Cut(filepath.Base(name), "-")
+			deps[key] = true
+		}
+	}
+	if info, err := os.Stat(squat); len(deps) != keptDeployments || err != nil || !info.IsDir() {
+		t.Errorf("the store holds %d deployments (%v) and A's squatter %v; want %d and the squatter", len(deps), names, err, keptDeployments)
+	}
+	restart("the newest", fe, true)
+	cold, err := scout.NewAnalyzer().AnalyzeState(fabricState(fa))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := restart("A", fa, false); !bytes.Equal(marshalReport(t, rep), marshalReport(t, cold)) {
+		t.Error("the evicted deployment's report differs from a one-shot's")
 	}
 }
 

@@ -332,9 +332,6 @@ func (s *Session) run(st State) (*Report, error) {
 	if st.Deployment == nil {
 		return nil, fmt.Errorf("scout: nothing to analyze: the fabric has never been deployed, or the state has no deployment")
 	}
-	if err := st.Deployment.Footprint.Validate(); err != nil {
-		return nil, fmt.Errorf("scout: the state's deployment: %w", err)
-	}
 	st = st.withDefaultLogs()
 	switches := st.sortedSwitches()
 	if err := s.resolveLocked(st.Deployment); err != nil {
@@ -496,12 +493,17 @@ func (s *Session) foldTotalsLocked() foldTotals {
 // worker is provisioned, and seeds the verdict cache from the warm store.
 // A probe session holds no base, so for it equal content re-points nothing
 // and new content builds nothing. The controller model builds beside the
-// hashing: they share nothing. A footprint the model build refuses is an
-// error returned before anything changes, so the session keeps the
-// deployment it knew, with its base, checker forks, verdicts and counters.
+// hashing: they share nothing. A new pointer's footprint is validated
+// first, once — a pointer seen before was validated then. A footprint
+// that fails validation, or that the model build refuses, is an error
+// returned before anything changes, so the session keeps the deployment it
+// knew, with its base, checker forks, verdicts and counters.
 func (s *Session) resolveLocked(d *compile.Deployment) error {
 	if d == s.dep.d {
 		return nil
+	}
+	if err := d.Footprint.Validate(); err != nil {
+		return err
 	}
 	joinModels := s.a.startRiskModels(d)
 	logFPs, fp := equiv.DeploymentFingerprints(d.BySwitch)
