@@ -313,7 +313,6 @@ var unreferencedExports = map[string]string{
 
 	"cmd/scout:faultFlags.Set": "flag calls it through flag.Value",
 
-	".:Session.Invalidate":    "the documented way to drop a switch's warm state",
 	".:Analyzer.AnalyzeState": "README documents it for state collected outside the simulator",
 }
 

@@ -2,6 +2,11 @@
 // paper's dataset statistics and writes it as JSON, for use with
 // cmd/scout.
 //
+// -scale truncates each scaled count (at least 2): production x0.25 is 7
+// switches, 153 EPGs and 96 contracts. scout-bench's x0.25 (eval.SimSpec)
+// and the benchmark's spec round instead, to 8 switches, 154 EPGs and 97
+// contracts, so "x0.25" names two fabrics.
+//
 // Usage:
 //
 //	policygen -spec production -scale 0.25 -seed 42 -out policy.json
@@ -29,7 +34,7 @@ type config struct {
 func main() {
 	cfg := config{}
 	flag.StringVar(&cfg.specName, "spec", "production", "base spec: production, testbed, or small")
-	flag.Float64Var(&cfg.scale, "scale", 1.0, "scale factor applied to EPG/contract/filter/pair counts")
+	flag.Float64Var(&cfg.scale, "scale", 1.0, "scale factor applied to switch/EPG/contract/filter/pair counts, each truncated (at least 2); scout-bench's -scale rounds")
 	flag.Int64Var(&cfg.seed, "seed", 42, "generator seed")
 	flag.StringVar(&cfg.out, "out", "", "output file (default stdout)")
 	flag.Parse()

@@ -60,29 +60,28 @@ func (e entry) String() string {
 }
 
 // op is a step's kind: every mutation the public API offers, then (from
-// opInvalidate on) the session calls, which leave the fabric alone.
+// opShrink on) the session calls, which leave the fabric alone.
 type op byte
 
 const (
-	opNone       op = iota // nothing changes: every verdict replays
-	opEvict                // 1+y%3 rules evicted from switch x
-	opCorrupt              // 1+y/4%2 rules of switch x corrupted in field 1+y%4
-	opFault                // filter x failed in full, at half or at 0.3
-	opSilent               // probed rule y of switch x removed through Switch.TCAM, which emits no event
-	opStrip                // switch x stripped to its first y%4 rules through Switch.TCAM
-	opRestore              // the rules steps removed through switch x's TCAM reinstalled
-	opAgent                // switch x's agent crashed, or restarted
-	opLink                 // switch x disconnected, or reconnected
-	opAddFilter            // a new filter on port 9000+y attached to contract x
-	opShare                // filter y attached to contract x as well
-	opDetach               // filter y of those contract x deploys detached from it
-	opBind                 // contract x+y bound to deployed EPGs x and y
-	opRevert               // filter y attached to contract x and detached again, or the reverse
-	opPoison               // an unencodable rule installed on switch x, or removed
-	opRedeploy             // Deploy of the unchanged policy
-	opInvalidate           // Invalidate of 1+y%3 switches from x, or of every switch when y is 0
-	opShrink               // the session's checkers reset at a 256-node budget
-	opRestart              // a restart onto the store: harm y%8 to store file x first, then workers y/8%4
+	opNone      op = iota // nothing changes: every verdict replays
+	opEvict               // 1+y%3 rules evicted from switch x
+	opCorrupt             // 1+y/4%2 rules of switch x corrupted in field 1+y%4
+	opFault               // filter x failed in full, at half or at 0.3
+	opSilent              // probed rule y of switch x removed through Switch.TCAM, which emits no event
+	opStrip               // switch x stripped to its first y%4 rules through Switch.TCAM
+	opRestore             // the rules steps removed through switch x's TCAM reinstalled
+	opAgent               // switch x's agent crashed, or restarted
+	opLink                // switch x disconnected, or reconnected
+	opAddFilter           // a new filter on port 9000+y attached to contract x
+	opShare               // filter y attached to contract x as well
+	opDetach              // filter y of those contract x deploys detached from it
+	opBind                // contract x+y bound to deployed EPGs x and y
+	opRevert              // filter y attached to contract x and detached again, or the reverse
+	opPoison              // an unencodable rule installed on switch x, or removed
+	opRedeploy            // Deploy of the unchanged policy
+	opShrink              // the session's checkers reset at a 256-node budget
+	opRestart             // a restart onto the store: harm y%8 to store file x first, then workers y/8%4
 	numOps
 )
 
@@ -100,7 +99,7 @@ type step struct {
 }
 
 // touchesFabric reports whether s can change the analyzed state.
-func (s step) touchesFabric() bool { return s.op != opNone && s.op < opInvalidate }
+func (s step) touchesFabric() bool { return s.op != opNone && s.op < opShrink }
 
 // Harms to a store file before a restart (opRestart's y%8); 0, 6 and 7
 // leave the store alone.
@@ -131,7 +130,7 @@ func drawn(seed int64, n int, ops ...op) []step { return drawSteps(oracle.FromSe
 
 // tour takes every op, the session calls between fabric writes.
 var tour = []step{
-	{opNone, 0, 0}, {opEvict, 1, 1}, {opCorrupt, 4, 6}, {opInvalidate, 2, 1}, {opSilent, 5, 0},
+	{opNone, 0, 0}, {opEvict, 1, 1}, {opCorrupt, 4, 6}, {opSilent, 5, 0},
 	{opFault, 1, 1}, {opRestart, 0, harmFlip}, {opAgent, 0, 0}, {opAddFilter, 0, 3}, {opAgent, 0, 0},
 	{opLink, 3, 0}, {opShare, 1, 0}, {opDetach, 1, 0}, {opStrip, 2, 1}, {opShrink, 0, 0}, {opBind, 0, 1},
 	{opRevert, 1, 1}, {opRestore, 2, 0}, {opPoison, 3, 0}, {opPoison, 3, 0}, {opRedeploy, 0, 0},
@@ -190,7 +189,6 @@ type coldRun struct {
 	dep     *scout.Deployment // the latest run's deployment, nil after a restart
 	fp      uint64            // dep's fingerprint
 	sem     map[uint64]bool   // dep's logical semantics fingerprints
-	seeded  map[uint64]bool   // deployments whose verdict file seeded the cache
 	saveErr string
 
 	// The store's model: the files that load, with a verdict file's
@@ -272,8 +270,7 @@ func equalsCold(t *testing.T, c coldCase) *coldRun {
 }
 
 func newRun(f *scout.Fabric) *coldRun {
-	return &coldRun{f: f, on: map[toggle]bool{}, removed: map[scout.ObjectID][]scout.Rule{},
-		cache: map[scout.ObjectID]verdict{}, seeded: map[uint64]bool{},
+	return &coldRun{f: f, on: map[toggle]bool{}, removed: map[scout.ObjectID][]scout.Rule{}, cache: map[scout.ObjectID]verdict{},
 		good: map[string]map[scout.ObjectID]verdict{}, files: map[string]storeFile{}, squat: map[string]bool{}, baseImg: map[string][]byte{},
 		heldDeps: map[*scout.Deployment]bool{}}
 }
@@ -390,18 +387,6 @@ func (r *coldRun) apply(t testing.TB, s step) {
 		}
 	case opRedeploy:
 		err = f.Deploy()
-	case opInvalidate:
-		var named []scout.ObjectID
-		for i := 0; s.y > 0 && i <= int(s.y)%3; i++ {
-			named = append(named, pick(r.switches(), s.x+byte(i)))
-		}
-		r.sess.Invalidate(named...)
-		if len(named) == 0 {
-			clear(r.cache)
-		}
-		for _, sw := range named {
-			delete(r.cache, sw)
-		}
 	case opShrink:
 		scout.ResetCheckersOver(r.sess, 256)
 	case opRestart:
@@ -484,7 +469,6 @@ func (r *coldRun) restart(t testing.TB, x, harm byte) {
 	}
 	r.want, r.dep = scout.SessionStats{}, nil
 	clear(r.cache)
-	clear(r.seeded)
 }
 
 // save models a store save of deployment fp's file name: it fails on a
@@ -535,8 +519,8 @@ func (r *coldRun) verdictFile(fp uint64) string {
 // Session.run does before it checks anything, and returns how many bases
 // the run builds and loads. A new deployment pointer rebuilds the risk
 // model; new content loads its base if the store holds it whole and builds
-// and saves it otherwise, and seeds the verdicts of its file the session has
-// not read yet into the switches the cache holds nothing for.
+// and saves it otherwise, and seeds the verdicts of its file into the
+// switches the cache holds nothing for.
 func (r *coldRun) resolve(d *scout.Deployment) (built, loaded int) {
 	if d == r.dep {
 		return 0, 0
@@ -561,15 +545,12 @@ func (r *coldRun) resolve(d *scout.Deployment) (built, loaded int) {
 			r.save(fp, name, map[scout.ObjectID]verdict{})
 		}
 	}
-	if !r.seeded[fp] {
-		r.seeded[fp] = true
-		if _, ok := r.good[r.verdictFile(fp)]; ok {
-			r.use(fp, r.verdictFile(fp))
-		}
-		for sw, v := range r.good[r.verdictFile(fp)] {
-			if _, ok := r.cache[sw]; !ok {
-				r.cache[sw] = v
-			}
+	if _, ok := r.good[r.verdictFile(fp)]; ok {
+		r.use(fp, r.verdictFile(fp))
+	}
+	for sw, v := range r.good[r.verdictFile(fp)] {
+		if _, ok := r.cache[sw]; !ok {
+			r.cache[sw] = v
 		}
 	}
 	return built, loaded
@@ -637,8 +618,8 @@ func (r *coldRun) analyze(t *testing.T) {
 	}
 
 	// The session's counters, as the model says. A switch replays if the
-	// cache holds a verdict for its lists, and otherwise is checked and
-	// cached unless its report is over the cap.
+	// cache holds a verdict for its lists, and otherwise is checked and its
+	// verdict cached.
 	exp, checked := &r.want, 0
 	exp.BaseRebuilds, exp.BaseLoads = exp.BaseRebuilds+built, exp.BaseLoads+loaded
 	for i := 0; err == nil && i < len(rep.Switches); i++ {
@@ -649,12 +630,7 @@ func (r *coldRun) analyze(t *testing.T) {
 			continue
 		}
 		checked++
-		if len(sr.MissingRules)+len(sr.ExtraRules) > 4096 {
-			exp.OverCap++
-			delete(r.cache, sr.Switch)
-		} else {
-			r.cache[sr.Switch] = verdict{l, tl}
-		}
+		r.cache[sr.Switch] = verdict{l, tl}
 		if r.probes {
 			exp.ProbePacketsBatched += probesOf(l)
 		} else if r.sem[equiv.SemanticsFingerprint(tl)] { // both lists fold from the base
@@ -832,8 +808,8 @@ func sessionSeed(probes bool, e entry, workers byte, steps ...step) []byte {
 func FuzzSession(f *testing.F) {
 	for _, seed := range [][]byte{
 		sessionSeed(true, viaAnalyze, 1, tour[:8]...),
-		// Invalidate(a, b) drops both verdicts.
-		sessionSeed(false, viaEpoch, 1, step{opInvalidate, 1, 1}),
+		// An epoch of an unchanged fabric replays every verdict.
+		sessionSeed(false, viaEpoch, 1, step{opNone, 1, 1}),
 		// New content discards the old base's checker forks with it.
 		sessionSeed(false, viaAnalyze, 1, step{opAddFilter, 0, 0}),
 		// A verdict file seeds only the switches the cache holds nothing

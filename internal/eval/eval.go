@@ -52,8 +52,11 @@ func NewEnv(spec workload.Spec, seed int64) (*Env, error) {
 
 // SimSpec returns the production-like simulation spec scaled by the given
 // positive factor (1.0 = the paper's full cluster size); every count is
-// at least 2. Benchmarks use a reduced scale to keep per-iteration cost
-// sane; cmd/scout-bench defaults to 0.25.
+// rounded, and at least 2. Benchmarks use a reduced scale to keep
+// per-iteration cost sane; cmd/scout-bench defaults to 0.25, which is 8
+// switches, 154 EPGs and 97 contracts. policygen -scale truncates instead:
+// its production x0.25, which cmd/scout's golden cases also use, is 7
+// switches, 153 EPGs and 96 contracts.
 func SimSpec(scale float64) workload.Spec {
 	s := workload.ProductionSpec()
 	shrink := func(n int) int {

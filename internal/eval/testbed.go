@@ -11,7 +11,6 @@ import (
 	"math/rand"
 
 	"scout"
-	"scout/internal/compile"
 	"scout/internal/fabric"
 	"scout/internal/faultlog"
 	"scout/internal/localize"
@@ -57,7 +56,7 @@ func testbedRun(pol *policy.Policy, tp *topo.Topology, rng *rand.Rand, n, noise 
 	}
 
 	// Sample the fault scenario among deployed objects.
-	candidates := deployedObjects(f.Deployment())
+	candidates := workload.BuildIndex(f.Deployment()).Objects()
 	sc, err := workload.NewScenario(rng, candidates, n, 0)
 	if err != nil {
 		return nil, err
@@ -92,15 +91,4 @@ func testbedRun(pol *policy.Policy, tp *topo.Topology, rng *rand.Rand, n, noise 
 		(&localize.Result{Hypothesis: rep.Hypothesis}).Evaluate(sc.GroundTruth),
 		localize.Score(rep.ControllerView, 1.0).Evaluate(sc.GroundTruth),
 	}, nil
-}
-
-// deployedObjects lists the distinct policy objects with deployed rules.
-func deployedObjects(d *compile.Deployment) []object.Ref {
-	set := make(object.Set)
-	for _, refs := range d.Footprint.Risks {
-		for _, ref := range refs {
-			set.Add(ref)
-		}
-	}
-	return set.Sorted()
 }

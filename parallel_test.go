@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -204,7 +203,7 @@ func TestConcurrentAnalyzeCalls(t *testing.T) {
 
 // TestConcurrentSessionUse drives one warm-store session from several
 // goroutines at once — Analyze, AnalyzeEpoch of one shared Collector's
-// snapshots, AnalyzeState, Invalidate and Stats — beside a one-shot of the
+// snapshots, AnalyzeState and Stats — beside a one-shot of the
 // same unchanged state: every report is a cold AnalyzeState's, and under
 // -race the session's and the collector's locks cover what callers share.
 func TestConcurrentSessionUse(t *testing.T) {
@@ -252,16 +251,14 @@ func TestConcurrentSessionUse(t *testing.T) {
 		rep, err := scout.NewAnalyzer(opts).AnalyzeState(st)
 		check("one-shot AnalyzeState", rep, err)
 	}()
-	// Invalidate and Stats run until every analysis has returned.
+	// Stats runs until every analysis has returned.
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
-	rng, switches := rand.New(rand.NewSource(analysts)), switchesOf(f)
 	for running := true; running; {
 		select {
 		case <-done:
 			running = false
 		default:
-			sess.Invalidate(switches[rng.Intn(len(switches))])
 			sess.Stats()
 		}
 	}

@@ -17,29 +17,17 @@ import (
 // sessionNodeBudget bounds how many BDD nodes a session worker checker may
 // accumulate before the session resets it. A session watching a churning
 // fabric holds three things, each bounded by what it follows. The verdict
-// cache follows the fabric: one entry a switch, each under
-// sessionMissingRuleCap. The logical lists' roots follow the deployment: the
-// base holds them, and resolveLocked drops it and its forks with the
-// deployment. What grows with the rounds watched is each checker's private
-// delta (equiv.Checker.DeltaSize) and the compile memo naming its nodes, and
-// that is what this budget governs; the shared frozen base is
-// deployment-scoped, immutable, and not the checker's to shed. An
-// over-budget checker is Reset (re-forked, delta discarded) before a run
-// reuses it. One-shot Analyzers never reach it: their checkers are forked
-// for their only run.
+// cache follows the fabric: one entry a switch, whose rule lists are a
+// subset of that switch's own logical and TCAM lists, which the session
+// holds already. The logical lists' roots follow the deployment: the base
+// holds them, and resolveLocked drops it and its forks with the deployment.
+// What grows with the rounds watched is each checker's private delta
+// (equiv.Checker.DeltaSize) and the compile memo naming its nodes, and that
+// is what this budget governs; the shared frozen base is deployment-scoped,
+// immutable, and not the checker's to shed. An over-budget checker is Reset
+// (re-forked, delta discarded) before a run reuses it. One-shot Analyzers
+// never reach it: their checkers are forked for their only run.
 const sessionNodeBudget = 4 << 20
-
-// sessionMissingRuleCap bounds how many rules (missing + extra) a Session
-// caches per switch. A massively inconsistent switch can report rule lists
-// rivaling its whole TCAM; caching those for every such switch made session
-// memory unbounded. Reports over the cap are still returned but not cached
-// — the switch falls back to a re-check on the next run instead of a replay
-// (counted in SessionStats.OverCap) — and nothing else in the session
-// refers to them: the verdict cache is the only per-switch state that holds
-// rule lists (an entry also references, never copies, its one T snapshot),
-// since the risk model stays pristine and failure marks die with each run's
-// overlays.
-const sessionMissingRuleCap = 4096
 
 // Session is a persistent analysis engine over one fabric — the
 // continuous-verification mode of §III-C, where TCAM state is collected
@@ -53,14 +41,15 @@ const sessionMissingRuleCap = 4096
 // whose arrays localization reads as they are — is resolved once per
 // deployment and reused until the policy is recompiled. What follows from an
 // observation — each switch's newest verdict, keyed by the fingerprints
-// of the exact logical and TCAM rule lists it was computed from — is
-// replayed while both fingerprints hold; a T list that is the very slice it
-// was hashed from (an unwritten TCAM's snapshot) is not even re-hashed. A
-// re-analysis re-checks only the switches whose rules actually changed,
-// builds no risk model for a deployment it has seen, and still produces a
-// report byte-identical to a cold full Analyze at any worker count (the
-// fold stages are unchanged and order-deterministic, and failure marks
-// only ever go into per-run overlays).
+// of the exact logical and TCAM rule lists it was computed from — has one
+// rule: it replays when both fingerprints match, and leaves the cache only
+// when a fresh verdict for its switch replaces it. A T list that is the very
+// slice it was hashed from (an unwritten TCAM's snapshot) is not even
+// re-hashed. A re-analysis re-checks only the switches whose rules actually
+// changed, builds no risk model for a deployment it has seen, and still
+// produces a report byte-identical to a cold full Analyze at any worker
+// count (the fold stages are unchanged and order-deterministic, and failure
+// marks only ever go into per-run overlays).
 //
 // Use a Session when the same fabric is analyzed repeatedly (watch loops,
 // collectors feeding epochs); use Analyzer for one-off analyses. Rule
@@ -102,12 +91,6 @@ type Session struct {
 	// logical rules and TCAM list, so the same fingerprint pair keys a
 	// valid replay.
 	cache map[object.ID]*switchCheckState
-
-	// loadedVerdicts records which deployment fingerprints' warm-store
-	// verdict files have already seeded the cache, so each is read at most
-	// once per session — later runs of the same deployment trust the
-	// in-memory cache, which is a superset.
-	loadedVerdicts map[uint64]struct{}
 
 	stats SessionStats
 }
@@ -161,7 +144,7 @@ type SessionStats struct {
 	// Runs counts completed analyses.
 	Runs int
 	// Checked counts switches whose verdict was recomputed (cache misses:
-	// changed rules, invalidations, or first sight), each on its own, by
+	// changed rules, or first sight), each on its own, by
 	// the session's observation source: a BDD equivalence check, or in
 	// probe mode one batch classification of the switch's probes.
 	Checked int
@@ -175,9 +158,6 @@ type SessionStats struct {
 	// CheckerResets counts worker checkers re-forked because their private
 	// delta exceeded the session's node budget.
 	CheckerResets int
-	// OverCap counts fresh reports too large to cache (more than 4,096
-	// missing and extra rules); their switches re-check on the next run.
-	OverCap int
 	// BaseRebuilds counts shared-base builds (the first build included):
 	// one per distinct deployment fingerprint the session has analyzed.
 	// A rebuild refreshes the frozen semantics cache, which lives in the
@@ -223,12 +203,7 @@ func NewSession(f *fabric.Fabric, opts ...AnalyzerOptions) (*Session, error) {
 // session returns a cold session over the fabric with no warm store: kept,
 // it is NewSession's; run once and dropped, it is a one-shot analysis.
 func (a *Analyzer) session(f *fabric.Fabric) *Session {
-	return &Session{
-		a:              a,
-		f:              f,
-		cache:          make(map[object.ID]*switchCheckState),
-		loadedVerdicts: make(map[uint64]struct{}),
-	}
+	return &Session{a: a, f: f, cache: make(map[object.ID]*switchCheckState)}
 }
 
 // fabricState is the State around T lists that came from the session's own
@@ -283,23 +258,6 @@ func (s *Session) AnalyzeState(st State) (*Report, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.run(st)
-}
-
-// Invalidate drops the cached verdicts of the given switches — or of
-// every switch when none are given — forcing their re-check on the next
-// run. Use it when out-of-band knowledge (a device RMA, a firmware
-// upgrade) makes cached verdicts suspect. Deployment-scoped state (base,
-// risk model) follows from the policy alone and stays.
-func (s *Session) Invalidate(switches ...ObjectID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(switches) == 0 {
-		s.cache = make(map[object.ID]*switchCheckState)
-		return
-	}
-	for _, sw := range switches {
-		delete(s.cache, sw)
-	}
 }
 
 // Close reports the first of the session's warm-state saves that failed,
@@ -419,9 +377,9 @@ func (s *Session) run(st State) (*Report, error) {
 // observation sources. A switch whose logical and T-side fingerprints both
 // match its cached verdict replays it, and the entry remembers this run's T
 // list as the one its fingerprint describes; every other switch is dirty and
-// is handed to check, in ascending order, and the fresh verdicts are cached
-// under the per-switch cap. It returns the reports aligned with switches and
-// how many of them check produced.
+// is handed to check, in ascending order, and its fresh verdict replaces its
+// entry. It returns the reports aligned with switches and how many of them
+// check produced.
 func (s *Session) replayOrCheckLocked(tcams map[object.ID][]rule.Rule, switches []object.ID, tcamFPs []uint64,
 	check func(dirty []object.ID) ([]*equiv.Report, error)) ([]*equiv.Report, int, error) {
 	reports := make([]*equiv.Report, len(switches))
@@ -454,13 +412,6 @@ func (s *Session) replayOrCheckLocked(tcams map[object.ID][]rule.Rule, switches 
 	for j, sw := range dirty {
 		i := dirtyIdx[j]
 		reports[i] = fresh[j]
-		if len(fresh[j].MissingRules)+len(fresh[j].ExtraRules) > sessionMissingRuleCap {
-			// Too large to keep: drop any stale entry so the switch
-			// re-checks next run instead of replaying old state.
-			delete(s.cache, sw)
-			s.stats.OverCap++
-			continue
-		}
 		s.cache[sw] = &switchCheckState{logicalFP: dirtyLog[j], tcamFP: tcamFPs[i], tcam: tcams[sw], report: fresh[j]}
 	}
 	return reports, len(dirty), nil
@@ -555,20 +506,16 @@ func (s *Session) loadOrBuildBaseLocked(d *compile.Deployment, fp uint64) *equiv
 
 // seedVerdictsLocked restores the verdicts persisted under the deployment
 // fingerprint (for this session's observation source — the store keeps
-// check and probe verdicts in separate files) into the cache, once per
-// fingerprint per session. Only absent slots are filled: an in-memory
-// entry is at least as fresh as the file it was persisted to. A replay
-// still happens only when the logical and TCAM rule lists hash to the
+// check and probe verdicts in separate files) into the cache. It runs on
+// resolveLocked's new-content path only. Only absent slots are filled: an
+// in-memory entry is at least as fresh as the file it was persisted to. A
+// replay still happens only when the logical and TCAM rule lists hash to the
 // loaded entry's fingerprints, making a stale or foreign file safe (its
 // entries simply never match).
 func (s *Session) seedVerdictsLocked(depFP uint64) {
 	if s.ws == nil {
 		return
 	}
-	if _, done := s.loadedVerdicts[depFP]; done {
-		return
-	}
-	s.loadedVerdicts[depFP] = struct{}{}
 	vs, err := s.ws.LoadVerdicts(depFP, s.a.opts.UseProbes)
 	if err != nil {
 		return // unverifiable file: cold start for these switches

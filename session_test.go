@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"scout"
+	"scout/internal/equiv"
 	"scout/internal/eval"
 	"scout/internal/object"
 	"scout/internal/risk"
@@ -46,27 +47,27 @@ func TestSessionLogicalInvalidation(t *testing.T) {
 	equalsCold(t, coldCase{fabric: seeded(19), steps: []step{{opAddFilter, 0, 0}}})
 }
 
-// TestSessionInvalidate: Invalidate re-checks the switch it names, the
-// switches it names, or every switch.
-func TestSessionInvalidate(t *testing.T) {
-	equalsCold(t, coldCase{fabric: seeded(23), steps: []step{{}, {opInvalidate, 0, 3}, {opInvalidate, 2, 2}, {opInvalidate, 0, 0}}})
-}
-
-// TestSessionMissingRuleCap: a switch whose report exceeds the 4,096-rule
-// cap is not cached and re-checks on every run. Switch 2 of production x0.1
-// holds 4,315 rules, so stripping it puts exactly it over the cap, and the
-// switches the fault mix broke, switch 1 among them, stay under it and
-// replay. Its rules
-// reinstalled, its TCAM is the list it held at the baseline, and it still
-// re-checks: the over-cap run dropped the baseline's verdict.
-func TestSessionMissingRuleCap(t *testing.T) {
+// TestSessionReplaysLargeVerdict: a verdict replays whatever its size.
+// Switch 2 of production x0.1 holds 4,315 rules and, stripped, misses them
+// all; the unchanged fabric that follows replays it with every other
+// switch. Its rules reinstalled, it re-checks: the strip's verdict replaced
+// the baseline's. So the baseline checks every switch, the strip and the
+// restore switch 2 alone, and the unchanged run none.
+func TestSessionReplaysLargeVerdict(t *testing.T) {
 	t.Parallel()
 	production := func(t testing.TB) *scout.Fabric {
 		return faultyFabricOf(t, eval.SimSpec(0.1), scout.FabricOptions{Seed: 42, TCAMCapacity: 1 << 17})
 	}
 	r := equalsCold(t, coldCase{fabric: production, workers: 2, steps: []step{{opStrip, 1, 0}, {}, {opRestore, 1, 0}}})
-	if st := r.sess.Stats(); st.OverCap != 2 || switchReport(t, r.last, 1).Equivalent {
-		t.Errorf("%d runs over the cap, and switch 1 is consistent; the case is vacuous", st.OverCap)
+	var stripped scout.Report
+	if err := json.Unmarshal(r.colds[1], &stripped); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(switchReport(t, &stripped, 2).MissingRules); n <= 4096 || switchReport(t, r.last, 1).Equivalent {
+		t.Fatalf("stripped switch 2 misses %d rules, and switch 1 is consistent at the end; the case is vacuous", n)
+	}
+	if st, n := r.sess.Stats(), len(r.last.Switches); st.Checked != n+2 || st.Replayed != 3*n-2 {
+		t.Errorf("%d switches checked and %d replayed over four runs of %d switches, want %d and %d", st.Checked, st.Replayed, n, n+2, 3*n-2)
 	}
 }
 
@@ -307,21 +308,31 @@ func TestSessionEqualContentRedeploy(t *testing.T) {
 // rolls out (policy B) and back (policy A); switch 2, which it misses,
 // keeps its clean verdict in B's file, and is stripped to three rules (or
 // none: the one list with no address to tell from an entry that has none).
-// A restarted session under A drops its verdict, and a rule no check can
-// encode on switch 1 fails every run, which caches nothing, until B is back
-// and the rule gone: the entry B's file seeded describes a lost TCAM.
+// A rule no check can encode on switch 1 fails every run, which caches
+// nothing, until B is back and the rule gone. A session restarted under A
+// finds A's verdict file flipped, so the first verdicts it caches are what
+// B's file seeds: the entry for switch 2 describes a lost TCAM.
 func TestSeededVerdictIsHashedNotTrusted(t *testing.T) {
 	t.Parallel()
+	testbed := func(t testing.TB) *scout.Fabric {
+		return cleanFabric(t, scout.TestbedWorkloadSpec(), scout.FabricOptions{Seed: 7})
+	}
+	// The restart flips A's verdict file: in name order the two base files
+	// come first, then the checks files, A's before B's when its
+	// fingerprint is the smaller.
+	f := testbed(t)
+	policyA := f.Deployment()
+	_, fpA := equiv.DeploymentFingerprints(policyA.BySwitch)
+	mutate(t, f, []step{{opAddFilter, 0, 0}})
+	_, fpB := equiv.DeploymentFingerprints(f.Deployment().BySwitch)
+	x := byte(2)
+	if fpA > fpB {
+		x++
+	}
 	for name, keep := range map[string]byte{"three-left": 3, "emptied": 0} {
 		t.Run(name, func(t *testing.T) {
-			var policyA *scout.Deployment
-			testbed := func(t testing.TB) *scout.Fabric {
-				f := cleanFabric(t, scout.TestbedWorkloadSpec(), scout.FabricOptions{Seed: 7})
-				policyA = f.Deployment()
-				return f
-			}
 			r := equalsCold(t, coldCase{fabric: testbed, clean: true, steps: []step{{opAddFilter, 0, 0}, {opDetach, 0, 0},
-				{opStrip, 1, keep}, {opRestart, 0, 0}, {opPoison, 0, 0}, {opInvalidate, 1, 3}, {opShare, 0, 0}, {opPoison, 0, 0}}})
+				{opStrip, 1, keep}, {opPoison, 0, 0}, {opRestart, x, harmFlip}, {opShare, 0, 0}, {opPoison, 0, 0}}})
 			if switchReport(t, r.last, 2).Equivalent || !reflect.DeepEqual(policyA.RulesFor(2), r.f.Deployment().RulesFor(2)) {
 				t.Fatal("switch 2 is consistent, or the rollout reached it; the case is vacuous")
 			}
