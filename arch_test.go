@@ -308,7 +308,6 @@ func (ix *moduleIndex) benchOnly() []*types.Func {
 // receiver.
 var unreferencedExports = map[string]string{
 	"String":      "fmt calls it through fmt.Stringer",
-	"Error":       "callers reach it through the error interface",
 	"MarshalJSON": "encoding/json calls it through json.Marshaler",
 
 	"cmd/scout:faultFlags.Set": "flag calls it through flag.Value",
@@ -330,10 +329,11 @@ func TestArchitecture(t *testing.T) {
 	// which inject their faults at the model level, as §VI-A does: eval's
 	// one controller injector and Figure 8's switch. The annotated build
 	// and the patch that bench/ calls mark through it too. Correlation's
-	// second caller is the bench shim Engine.Correlate, which forwards.
+	// second caller is the bench shim Engine.Correlate, which forwards, as
+	// the base build's second caller, the bench shim NewBase, does.
 	for key, callers := range map[string][]string{
 		".:Analyzer.assemble":          {".:Session.run"},
-		".:Analyzer.buildSharedBase":   {".:Session.loadOrBuildBaseLocked"},
+		"internal/equiv:NewBaseWith":   {".:Session.loadOrBuildBaseLocked", "internal/equiv:NewBase"},
 		".:Analyzer.startRiskModels":   {".:Session.resolveLocked"},
 		"internal/equiv:Checker.Check": {".:checkState"},
 		"internal/correlate:Correlate": {".:Analyzer.assemble", "internal/correlate:Engine.Correlate"},
@@ -429,7 +429,7 @@ func TestArchitecture(t *testing.T) {
 	// bench/ keeps is a shim whether or not it is listed. alias.go
 	// re-exports stream.New as NewEventQueue, whose users stand for its.
 	shims := map[string]bool{}
-	for _, key := range []string{"internal/equiv:NewBase", "internal/equiv:CollectMatches",
+	for _, key := range []string{"internal/equiv:NewBase", "internal/equiv:CollectMatches", "internal/equiv:SemanticsFingerprint",
 		"internal/equiv:SortMatches", "internal/equiv:Base.NumMatches", "internal/equiv:Base.NewCheckerSized",
 		"internal/equiv:Checker.Compact", "internal/risk:BuildAnnotatedSwitchModel",
 		"internal/risk:BuildControllerModelParallel", "internal/risk:AugmentControllerModelPatch", "internal/risk:Patch.Apply", "internal/store:Store.Flush", "internal/store:Store.Close",
@@ -442,7 +442,7 @@ func TestArchitecture(t *testing.T) {
 		shims[key] = true
 	}
 	for _, fn := range ix.benchOnly() {
-		if key := ix.key(fn); !shims[key] && !ix.allowed(fn) {
+		if key := ix.key(fn); !shims[key] && !ix.allowed(unreferencedExports, fn) {
 			t.Errorf("%s: %s is kept only by bench/; list it with the shims", ix.fset.Position(fn.Pos()), key)
 		} else {
 			delete(shims, key)
@@ -463,19 +463,40 @@ func TestArchitecture(t *testing.T) {
 		}
 	}
 
-	// A production package holds what production calls.
+	// A production package holds what production calls, and the
+	// allowlist excuses what it does not: each entry at least one function.
 	for _, fn := range ix.unused(anyUse) {
-		if !ix.allowed(fn) {
+		if !ix.allowed(unreferencedExports, fn) {
 			t.Errorf("%s: %s has no use outside tests", ix.fset.Position(fn.Pos()), funcName(fn))
 		}
 	}
+	for _, key := range ix.stale(unreferencedExports) {
+		t.Errorf("unreferencedExports lists %s, which excuses no function; delete the entry", key)
+	}
 }
 
-// allowed reports whether unreferencedExports names fn.
-func (ix *moduleIndex) allowed(fn *types.Func) bool {
-	_, byKey := unreferencedExports[ix.key(fn)]
-	_, byName := unreferencedExports[fn.Name()]
+// allowed reports whether allow names fn: by its key, or a method by its
+// bare name.
+func (ix *moduleIndex) allowed(allow map[string]string, fn *types.Func) bool {
+	_, byKey := allow[ix.key(fn)]
+	_, byName := allow[fn.Name()]
 	return byKey || byName && fn.Type().(*types.Signature).Recv() != nil
+}
+
+// stale returns, sorted, the entries of allow that excuse nothing: no
+// function that the rule of unused or the bench-only set reports is named
+// by one.
+func (ix *moduleIndex) stale(allow map[string]string) []string {
+	reported := append(ix.unused(anyUse), ix.benchOnly()...)
+	var out []string
+	for key := range allow {
+		one := map[string]string{key: allow[key]}
+		if !slices.ContainsFunc(reported, func(fn *types.Func) bool { return ix.allowed(one, fn) }) {
+			out = append(out, key)
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
 // TestArchitectureUnused runs the rule of unused, and the bench-only set,
@@ -551,13 +572,19 @@ func main() { // its own use
 			}
 			// A command's main is exempt, and String is allowed by name;
 			// Set is not, so the one flag.Value cmd/scout keeps is
-			// allowed by its key.
+			// allowed by its key. An entry excuses what the rule of unused
+			// or the bench-only set reports; one that excuses nothing, as
+			// a deleted function's would, is stale.
+			allow := map[string]string{"String": "fmt calls it", ".:OnlyBench": "bench/ keeps it", "cmd/fix:gone": "deleted"}
 			var got, kept []string
 			for _, fn := range ix.unused(anyUse) {
 				got = append(got, funcName(fn))
-				if !ix.allowed(fn) {
+				if !ix.allowed(allow, fn) {
 					kept = append(kept, funcName(fn))
 				}
+			}
+			if stale := ix.stale(allow); !reflect.DeepEqual(stale, []string{"cmd/fix:gone"}) {
+				t.Errorf("stale = %v, want the one entry that names no reported function", stale)
 			}
 			if want := []string{"list.String", "list.Set", "helper", "A.Len", "I.N", "T.N"}; !reflect.DeepEqual(got, want) {
 				t.Errorf("unused = %v, want %v", got, want)

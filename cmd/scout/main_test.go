@@ -115,31 +115,40 @@ func TestRunRejectsNaNFault(t *testing.T) {
 	}
 }
 
-// TestRunProbeRestartReportsReplays: a probe run over a warm-state
-// directory, restarted on the unchanged fabric, replays every switch's
-// verdict and says so — probe mode counts under the counters TCAM mode
-// has, so the `warm state:` line no longer reads 0 / 0.
+// TestRunProbeRestartReportsReplays: a run over a warm-state directory,
+// restarted on the unchanged fabric, replays every switch's verdict and
+// says so, in probe mode and in TCAM mode. Probe mode counts under the
+// counters TCAM mode has, so its `warm state:` line no longer reads 0 / 0,
+// and builds no base; TCAM mode builds its base cold and loads it on the
+// restart.
 func TestRunProbeRestartReportsReplays(t *testing.T) {
 	_, topo, err := loadPolicy("", "small", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := topo.NumSwitches()
-	args := []string{"-spec", "small", "-probes", "-workers", "2", "-state-dir", t.TempDir(),
-		"-fault", "filter:5002@1.0"}
-	for _, tc := range []struct{ name, want string }{
-		{"cold", fmt.Sprintf("switches replayed 0 / checked %d\n", n)},
-		{"restart", fmt.Sprintf("switches replayed %d / checked 0\n", n)},
+	for _, mode := range []struct {
+		flags         []string
+		cold, restart string
+	}{
+		{[]string{"-probes"}, "base loaded 0 / rebuilt 0", "base loaded 0 / rebuilt 0"},
+		{nil, "base loaded 0 / rebuilt 1", "base loaded 1 / rebuilt 0"},
 	} {
-		out, _, err := runCLI(t, args...)
-		if err != nil {
-			t.Fatalf("%s run: %v\n%s", tc.name, err, out)
-		}
-		if !strings.Contains(out, "warm state: base loaded 0 / rebuilt 0, "+tc.want) {
-			t.Errorf("%s run: warm state line does not say %q:\n%s", tc.name, tc.want, out)
-		}
-		if !strings.Contains(out, "network state INCONSISTENT") {
-			t.Errorf("%s run lost the fault:\n%s", tc.name, out)
+		args := append([]string{"-spec", "small", "-workers", "2", "-state-dir", t.TempDir(), "-fault", "filter:5002@1.0"}, mode.flags...)
+		for _, tc := range []struct{ name, want string }{
+			{"cold", fmt.Sprintf("%s, switches replayed 0 / checked %d\n", mode.cold, n)},
+			{"restart", fmt.Sprintf("%s, switches replayed %d / checked 0\n", mode.restart, n)},
+		} {
+			out, _, err := runCLI(t, args...)
+			if err != nil {
+				t.Fatalf("%v %s run: %v\n%s", mode.flags, tc.name, err, out)
+			}
+			if !strings.Contains(out, "warm state: "+tc.want) {
+				t.Errorf("%v %s run: warm state line does not say %q:\n%s", mode.flags, tc.name, tc.want, out)
+			}
+			if !strings.Contains(out, "network state INCONSISTENT") {
+				t.Errorf("%v %s run lost the fault:\n%s", mode.flags, tc.name, out)
+			}
 		}
 	}
 }

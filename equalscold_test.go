@@ -106,7 +106,7 @@ func (s step) touchesFabric() bool { return s.op != opNone && s.op < opShrink }
 const (
 	harmFlip   = 1 + iota // a bit flipped
 	harmCut               // truncated to half
-	harmV1                // reframed as codec version 1 wrote it (asCodecV1)
+	harmV2                // reframed as codec version 2 wrote it (asCodecV2)
 	harmSquat             // replaced by a directory, so a read and a save of it fail
 	harmLoseIt            // the whole directory removed once the new session opened it
 )
@@ -134,7 +134,7 @@ var tour = []step{
 	{opFault, 1, 1}, {opRestart, 0, harmFlip}, {opAgent, 0, 0}, {opAddFilter, 0, 3}, {opAgent, 0, 0},
 	{opLink, 3, 0}, {opShare, 1, 0}, {opDetach, 1, 0}, {opStrip, 2, 1}, {opShrink, 0, 0}, {opBind, 0, 1},
 	{opRevert, 1, 1}, {opRestore, 2, 0}, {opPoison, 3, 0}, {opPoison, 3, 0}, {opRedeploy, 0, 0},
-	{opRestart, 1, 8*2 + harmV1},
+	{opRestart, 1, 8*2 + harmV2},
 }
 
 // coldCase is one input of equalsCold.
@@ -188,7 +188,7 @@ type coldRun struct {
 	cache   map[scout.ObjectID]verdict
 	dep     *scout.Deployment // the latest run's deployment, nil after a restart
 	fp      uint64            // dep's fingerprint
-	sem     map[uint64]bool   // dep's logical semantics fingerprints
+	roots   int               // dep's logical lists up to SemanticsEqual: its base's roots
 	saveErr string
 
 	// The store's model: the files that load, with a verdict file's
@@ -440,8 +440,8 @@ func (r *coldRun) restart(t testing.TB, x, harm byte) {
 			img[len(img)/2] ^= 1
 		case harmCut:
 			img = img[:len(img)/2]
-		case harmV1:
-			img = asCodecV1(img)
+		case harmV2:
+			img = asCodecV2(img)
 		case harmSquat:
 			r.squat[name] = true
 			delete(r.files, name)
@@ -532,10 +532,7 @@ func (r *coldRun) resolve(d *scout.Deployment) (built, loaded int) {
 	if !fresh {
 		return 0, 0
 	}
-	r.sem = make(map[uint64]bool)
-	for _, rules := range d.BySwitch {
-		r.sem[equiv.SemanticsFingerprint(rules)] = true
-	}
+	r.roots = distinctLists(d)
 	if name := fmt.Sprintf("base-%016x.scout", fp); !r.probes {
 		if _, ok := r.good[name]; ok {
 			loaded = 1
@@ -633,7 +630,7 @@ func (r *coldRun) analyze(t *testing.T) {
 		r.cache[sr.Switch] = verdict{l, tl}
 		if r.probes {
 			exp.ProbePacketsBatched += probesOf(l)
-		} else if r.sem[equiv.SemanticsFingerprint(tl)] { // both lists fold from the base
+		} else if equiv.SemanticsEqual(l, tl) { // a T list shares its own L list's root, and no other
 			exp.FoldHits += 2
 		} else {
 			exp.FoldHits, exp.FoldMisses = exp.FoldHits+1, exp.FoldMisses+1
@@ -658,8 +655,8 @@ func (r *coldRun) analyze(t *testing.T) {
 	if ls := rep.LocalizeStats; (ls == nil) != rep.Consistent {
 		t.Fatalf("step %d: the report's localization counters %+v on a run consistent %v", r.round, ls, rep.Consistent)
 	}
-	if (rep.EncodeStats == nil) != r.probes || !r.probes && now.BaseSemantics != len(r.sem) {
-		t.Fatalf("step %d: encode stats %+v and %d frozen roots, want %d", r.round, rep.EncodeStats, now.BaseSemantics, len(r.sem))
+	if (rep.EncodeStats == nil) != r.probes || !r.probes && now.BaseSemantics != r.roots {
+		t.Fatalf("step %d: encode stats %+v and %d frozen roots, want %d", r.round, rep.EncodeStats, now.BaseSemantics, r.roots)
 	}
 	// A base file is a function of the deployment: every build writes the
 	// same image.
@@ -731,12 +728,13 @@ func storeImage(dir string) map[string]string {
 	return img
 }
 
-// asCodecV1 reframes a warm-store file image as codec version 1 framed
-// it: version 1 in the header, under a fresh checksum. The decoder must
-// refuse it before it reads the payload, whose layout version 1 differs in.
-func asCodecV1(img []byte) []byte {
+// asCodecV2 reframes a warm-store file image as codec version 2 framed
+// it: version 2 in the header, under a fresh checksum. The decoder must
+// refuse it before it reads the payload, whose layout version 2 differs in
+// (a base file carried its rule lists), and the session cold-starts.
+func asCodecV2(img []byte) []byte {
 	body := append([]byte(nil), img[:len(img)-8]...)
-	binary.LittleEndian.PutUint32(body[4:], 1)
+	binary.LittleEndian.PutUint32(body[4:], 2)
 	h := fnv.New64a()
 	h.Write(body)
 	return binary.LittleEndian.AppendUint64(body, h.Sum64())

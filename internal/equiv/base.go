@@ -1,9 +1,10 @@
 // Shared encoding base for the check-stage fan-out: the whole-switch
-// semantics roots of a deployment's distinct rule lists are compiled once
-// into one BDD manager, which is then frozen into an immutable snapshot
-// that every worker's checker forks. Without it, each check-stage worker
-// would rebuild every semantics root shared across its switches —
-// duplicated node construction that grows with the worker count.
+// semantics roots of a deployment's logical rule lists — one root per
+// list, one compile per distinct list — are built in one BDD manager,
+// which is then frozen into an immutable snapshot that every worker's
+// checker forks. Without it, each check-stage worker would rebuild every
+// semantics root shared across its switches — duplicated node
+// construction that grows with the worker count.
 //
 // The roots are built by the direct compiler (compile.go), so the
 // snapshot holds result nodes only, and its unique table doubles as the
@@ -15,24 +16,31 @@
 package equiv
 
 import (
+	"fmt"
 	"sort"
 
 	"scout/internal/bdd"
-	"scout/internal/object"
 	"scout/internal/rule"
 )
 
-// Base is a frozen, immutable encoding base: a BDD snapshot holding the
-// warmed whole-switch semantics roots, plus the memo mapping each
-// canonical rule-list fingerprint to its frozen node. A Base is safe for
-// concurrent use by any number of checker forks — nothing ever mutates
-// it; build a new Base when the deployment's rules change.
+// Base is a frozen, immutable encoding base: a BDD snapshot holding one
+// whole-list semantics root per rule list it was built from, in the order
+// the lists were handed over (a session hands its deployment's logical
+// lists in ascending switch order). A checker finds a logical list's root
+// by slice identity, so the base holds the very slices it was built from
+// or bound to (RebindSemantics). A Base is safe for concurrent use by any
+// number of checker forks — nothing ever mutates it; build a new Base when
+// the deployment's rules change.
 type Base struct {
 	snap *bdd.Snapshot
-	// semMem entries carry the canonical rule list alongside the frozen
-	// root (references to the caller's slices, not copies); checker hits
-	// verify against it so fingerprint collisions never alias roots.
-	semMem map[uint64]semRoot
+	// lists are the rule lists the roots belong to (references to the
+	// caller's slices, not copies) and roots[i] is lists[i]'s root, NoRoot
+	// for a list that does not encode. Lists that are SemanticsEqual share
+	// one root. A decoded base has roots and no lists until it is bound.
+	lists [][]rule.Rule
+	roots []bdd.Node
+	// distinct is the number of distinct roots, NoRoot aside.
+	distinct int
 	// memo is the compiler's memo as the base build left it: the tails
 	// and tries of every list compiled here, all frozen nodes, read by
 	// every fork's compiles and never written again. Nil for a base that
@@ -41,39 +49,28 @@ type Base struct {
 	memo compileMemo
 }
 
-// semRoot is one frozen whole-list semantics root plus a reference to the
-// exact rule list it canonicalizes, kept for collision verification on
-// every fingerprint hit.
-type semRoot struct {
-	rules []rule.Rule
-	node  bdd.Node
-}
+// NoRoot is the root a Base holds for a list that does not encode (an
+// out-of-range ID, an inverted port range). The base is a cache: the check
+// of that list compiles it and reports the error with proper switch
+// attribution.
+const NoRoot bdd.Node = -1
 
 // NewBase compiles each semantics rule list into its whole-list
-// allowed-set BDD (keyed by SemanticsFingerprint, duplicates collapsed)
-// and freezes the result. Lists that cannot be encoded (out-of-range IDs,
-// inverted port ranges) are skipped rather than failing the build: the
-// base is a cache, and the per-switch check that owns the offending rule
-// reports the error with proper switch attribution.
-//
-// Callers wanting a deterministic base across processes should pass the
-// lists in a canonical order (the warmup ranks them by duplication count
-// with a fingerprint tiebreak); within one process any order yields an
-// equivalent base.
+// allowed-set BDD and freezes the result, as NewBaseWith does.
 //
 // Deprecated: the matches argument is ignored — a base holds no match
 // encodings. It stays until bench/ stops passing it (ROADMAP item 1,
 // shims); other callers use NewBaseWith.
 func NewBase(_ []rule.Match, semantics ...[]rule.Rule) *Base {
-	return NewBaseWith(nil, semantics...)
+	return NewBaseWith(semantics...)
 }
 
-// NewChecker forks the base: the returned checker resolves every warmed
-// whole-switch semantics root from the base's frozen memo and compiles
-// only novel lists in its private copy-on-write delta. Forking is O(1);
-// use one fork per worker goroutine. The fork's delta tables are pre-sized
+// NewChecker forks the base: the returned checker takes the roots of the
+// lists the base holds from its frozen snapshot and compiles any other
+// list in its private copy-on-write delta. Forking is O(1); use one fork
+// per worker goroutine. The fork's delta tables are pre-sized
 // from the base's observed load. It is the one way to get a checker: a
-// fork of NewBaseWith(nil) compiles every list it is handed.
+// fork of NewBaseWith() compiles every list it is handed.
 func (b *Base) NewChecker() *Checker {
 	return b.newChecker(func() Backend { return bdd.NewManagerFrom(b.snap) })
 }
@@ -100,30 +97,40 @@ func (b *Base) Size() int { return b.snap.Size() }
 // stops reading it (ROADMAP item 1, shims).
 func (b *Base) NumMatches() int { return 0 }
 
-// NumSemantics returns the number of frozen whole-switch semantics roots.
-func (b *Base) NumSemantics() int { return len(b.semMem) }
+// NumSemantics returns the number of distinct frozen roots.
+func (b *Base) NumSemantics() int { return b.distinct }
 
-// RebindSemantics re-points the frozen semantics entries' canonical
-// rule-list references at the given deployment's slices, for a caller
-// that verified the deployment fingerprint-matches the one the base was
-// built from (a session keeping its base across a content-identical
-// recompile at a new address). The frozen BDD content is untouched —
-// only the collision-verification references move, releasing the
-// superseded deployment's rule slices instead of pinning them for the
-// base's lifetime.
+// RebindSemantics binds the base's roots, by position, to lists: the
+// logical lists, in the order the base was built from, of the deployment
+// whose fingerprint keyed it. A session binds a base it loaded from the
+// warm store, and re-binds its base on a content-identical recompile at a
+// new address, releasing the superseded deployment's rule slices instead
+// of pinning them for the base's lifetime. The deployment fingerprint is
+// the whole of the trust, as it is for a loaded verdict, which replays
+// when its recomputed fingerprints match. A count of lists other than the
+// base's count of roots is refused and leaves the base as it was.
 //
 // This is the one exception to the base's nothing-ever-mutates-it rule:
-// the caller must hold off every checker fork while rebinding (the
+// the caller must hold off every checker fork while binding (the
 // session's run lock does), exactly as it must when replacing the base
 // outright.
-func (b *Base) RebindSemantics(bySwitch map[object.ID][]rule.Rule) {
-	for _, rules := range bySwitch {
-		fp := SemanticsFingerprint(rules)
-		if e, ok := b.semMem[fp]; ok && SemanticsEqual(e.rules, rules) {
-			e.rules = rules
-			b.semMem[fp] = e
+func (b *Base) RebindSemantics(lists [][]rule.Rule) error {
+	if len(lists) != len(b.roots) {
+		return fmt.Errorf("equiv: bind base: %d roots, %d rule lists", len(b.roots), len(lists))
+	}
+	b.lists = lists
+	return nil
+}
+
+// root returns the frozen root of a list the base holds, found by slice
+// identity, or NoRoot.
+func (b *Base) root(rules []rule.Rule) bdd.Node {
+	for i, l := range b.lists {
+		if rule.SameSlice(l, rules) {
+			return b.roots[i]
 		}
 	}
+	return NoRoot
 }
 
 // CollectMatches adds the distinct matches of rules into set.
@@ -187,8 +194,8 @@ type EncodeStats struct {
 	Checkers int
 	// BaseNodes is the size of the shared frozen base.
 	BaseNodes int
-	// BaseSemantics is the number of whole-switch semantics roots frozen
-	// in the base (one per distinct encodable logical list).
+	// BaseSemantics is the number of distinct whole-switch semantics
+	// roots frozen in the base (SemanticsEqual logical lists share one).
 	BaseSemantics int
 	// DeltaNodes sums every checker's private node count.
 	DeltaNodes int

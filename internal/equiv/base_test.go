@@ -21,8 +21,10 @@ import (
 // TestForkReportMatchesStandalone: a fork of a warmed base reports what a
 // fork of an empty base reports on every path (equivalent, missing, extra,
 // empty), and counts its folds. The logical list was warmed, so each of
-// its four appearances resolves from the base; the deployed list compiles
-// each of its three times, and the empty list once.
+// its two appearances as a logical side resolves from the base, and so
+// does its T-side twin beside it; as a T list beside another list it
+// compiles, as the deployed list does each of its three times and the
+// empty list once.
 func TestForkReportMatchesStandalone(t *testing.T) {
 	logical := withDeny(allowRule(1, 2, 3, 80, object.Filter(9)), allowRule(1, 3, 2, 443), allowRule(2, 4, 5, 8080))
 	deployed := withDeny(allowRule(1, 2, 3, 80), allowRule(7, 7, 7, 22))
@@ -36,8 +38,8 @@ func TestForkReportMatchesStandalone(t *testing.T) {
 			t.Errorf("pair %d: fork report %+v (%v), empty base's fork %+v", i, got, err, want)
 		}
 	}
-	if st := fork.Stats(); st.FoldBaseHits != 4 || st.FoldMisses != 4 {
-		t.Errorf("fold counters %+v, want 4 base hits, 4 misses", st)
+	if st := fork.Stats(); st.FoldBaseHits != 3 || st.FoldMisses != 5 {
+		t.Errorf("fold counters %+v, want 3 base hits, 5 misses", st)
 	}
 }
 
@@ -326,30 +328,9 @@ func TestSemanticsFingerprintRandomizedCollisionFree(t *testing.T) {
 	}
 }
 
-// TestRebindSemantics: re-pointing the frozen entries at a byte-equal
-// deployment's slices keeps every root, swaps the verification references
-// (releasing the old slices), and ignores lists the base never froze.
-func TestRebindSemantics(t *testing.T) {
-	listA, listB := withDeny(allowRule(1, 2, 3, 80)), withDeny(allowRule(1, 3, 2, 443))
-	base := newBase(listA, listB)
-	newA, newB := oracle.CloneRules(listA), oracle.CloneRules(listB)
-	base.RebindSemantics(map[object.ID][]rule.Rule{1: newA, 2: newB, 3: withDeny(allowRule(9, 9, 9, 9))})
-	if base.NumSemantics() != 2 {
-		t.Fatalf("rebind changed the root count: %d", base.NumSemantics())
-	}
-	for name, want := range map[string][]rule.Rule{"A": newA, "B": newB} {
-		if e, ok := base.semMem[SemanticsFingerprint(want)]; !ok || &e.rules[0] != &want[0] {
-			t.Errorf("list %s lost its root or still references the superseded slice", name)
-		}
-	}
-	fork := base.NewChecker()
-	if _, err := fork.Check(listA, newA); err != nil {
-		t.Fatal(err)
-	}
-	if st := fork.Stats(); st.FoldBaseHits != 2 || st.FoldMisses != 0 {
-		t.Errorf("rebound roots not hit: %+v", st)
-	}
-}
+// TestRebindSemantics: a base rebound to an equal-content recompile
+// answers a clean switch with zero compiles (rebindStep).
+func TestRebindSemantics(t *testing.T) { runCases(t, 13, 40, rebindStep) }
 
 // TestSemanticsBaseMissFoldsInDelta: a collected list absent from the base
 // compiles into the fork's delta (a fold miss) and is not remembered — a
@@ -385,28 +366,10 @@ func TestSemanticsBaseMissFoldsInDelta(t *testing.T) {
 	}
 }
 
-// TestSemanticsCollisionFallsThrough plants a fingerprint collision — a
-// base entry whose stored list disagrees with the checker's input, which
-// nothing but a whitebox edit can produce: the hit verification must
-// reject it and fold privately, reporting what an empty base's fork does.
-func TestSemanticsCollisionFallsThrough(t *testing.T) {
-	listA, listB := withDeny(allowRule(1, 2, 3, 80)), withDeny(allowRule(1, 2, 3, 443), allowRule(1, 3, 2, 80))
-	base := newBase(listA)
-	entry := base.semMem[SemanticsFingerprint(listA)]
-	delete(base.semMem, SemanticsFingerprint(listA))
-	base.semMem[SemanticsFingerprint(listB)] = entry
-	fork := base.NewChecker()
-	want, err := emptyFork().Check(listB, listA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := fork.Check(listB, listA); err != nil || !reflect.DeepEqual(want, got) {
-		t.Fatalf("collision reused the wrong root: got %+v (%v), want %+v", got, err, want)
-	}
-	if st := fork.Stats(); st.FoldBaseHits != 0 || st.FoldMisses != 2 {
-		t.Errorf("fold counters %+v, want no base hit and both sides compiled", st)
-	}
-}
+// TestEqualCopyCompiles: a logical list equal to the one a base froze but
+// not that slice compiles, and reports what the base's slice gets
+// (copyStep).
+func TestEqualCopyCompiles(t *testing.T) { runCases(t, 17, 40, copyStep) }
 
 // TestCheckerCompactShrinksDelta: compaction sheds the dead intermediates
 // of a fold-heavy run of drawn cases.
@@ -439,7 +402,7 @@ func TestRefBackedCheckerCompactNoop(t *testing.T) {
 // deny rule.
 func TestAttributeRejectsUnencodableRule(t *testing.T) {
 	c := emptyFork()
-	diff, err := c.resolve(withDeny(allowRule(1, 2, 3, 80)))
+	diff, err := c.compile(withDeny(allowRule(1, 2, 3, 80)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,7 +452,7 @@ func TestCompileChurnBoundedByEdit(t *testing.T) {
 		}
 	}
 	fork := base.NewChecker()
-	root, err := fork.resolve(edited)
+	root, err := fork.compile(edited)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,7 +463,7 @@ func TestCompileChurnBoundedByEdit(t *testing.T) {
 		t.Errorf("compiling a %d-rule edit of a %d-rule frozen list added %d delta nodes, want 1..%d", k, len(full), got, bound)
 	}
 	cold := emptyFork()
-	if _, err := cold.resolve(edited); err != nil || cold.DeltaSize() < 10*fork.DeltaSize() {
+	if _, err := cold.compile(edited); err != nil || cold.DeltaSize() < 10*fork.DeltaSize() {
 		t.Errorf("cold compile built %d nodes, warm %d (%v): the frozen base is not being reused", cold.DeltaSize(), fork.DeltaSize(), err)
 	}
 }
@@ -508,8 +471,8 @@ func TestCompileChurnBoundedByEdit(t *testing.T) {
 // TestMemoInvisibleOnProduction is the repository benchmark's input: the
 // eight production-quarter lists frozen into one base, their four-rule
 // evictions compiled in a fork. The memoized base is the memo-less one
-// node for node — which, with the semantics memo, is all the store's codec
-// reads — and it is the size every PR since the direct compiler has
+// node for node — which, with its roots, is all the store's codec reads —
+// and it is the size every PR since the direct compiler has
 // reported. A checker of the base re-compiles a drifted list into the
 // edit's paths alone.
 func TestMemoInvisibleOnProduction(t *testing.T) {
@@ -569,7 +532,7 @@ func TestMemoDiesWithItsNodeIDs(t *testing.T) {
 	a3 := editCells(editCells(a1, 11, 30, 150, 270), 13, 200)
 	check := func(c *Checker, when string) {
 		t.Helper()
-		got, err := c.resolve(a3)
+		got, err := c.compile(a3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -630,7 +593,7 @@ func TestAttributeDescendsOncePerTriple(t *testing.T) {
 	}
 	m := &readCounter{applyBackend: bdd.NewManager(NumVars)}
 	ch := newBase().newChecker(func() Backend { return m })
-	diff, err := ch.resolve(half)
+	diff, err := ch.compile(half)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,12 +57,12 @@ type Backend interface {
 }
 
 // Checker performs BDD-based equivalence checks between rule sets. Every
-// checker is a fork of a shared Base (Base.NewChecker): it resolves
-// whole-switch semantics roots, by canonical rule-list fingerprint, through
-// the base's frozen memo and compiles any other list in a private
-// copy-on-write delta, so any number of concurrent forks share one node
-// pool for the deployment's lists. A fork of an empty base compiles every
-// list it is handed. Not safe for concurrent use.
+// checker is a fork of a shared Base (Base.NewChecker): it takes the root
+// of a logical list the base holds from the base (resolve) and compiles
+// any other list in a private copy-on-write delta, so any number of
+// concurrent forks share one node pool for the deployment's lists. A fork
+// of an empty base compiles every list it is handed. Not safe for
+// concurrent use.
 //
 // A checker remembers no whole list: the base holds every logical list of
 // its deployment, and a collected list is looked up but never stored. Under
@@ -82,7 +82,7 @@ type Checker struct {
 	memo compileMemo
 
 	// Fold counters, cumulative across checks and Resets: foldBaseHits
-	// answered by the shared base's frozen memo, foldMisses compiled in
+	// taken from the shared base's frozen roots, foldMisses compiled in
 	// this checker.
 	foldBaseHits int
 	foldMisses   int
@@ -115,8 +115,9 @@ type CheckerStats struct {
 	// them (ROADMAP item 1, shims).
 	BaseHits, LocalHits, Misses, FoldLocalHits int
 
-	// FoldBaseHits are whole-list semantics roots resolved from the
-	// shared base's frozen semantics memo.
+	// FoldBaseHits are whole-list semantics roots taken from the shared
+	// base: a logical list's own, and its T list's when the two are
+	// SemanticsEqual.
 	FoldBaseHits int
 	// FoldMisses are semantics folds built from scratch in this checker.
 	FoldMisses int
@@ -184,13 +185,9 @@ type Report struct {
 // packets its side allows and the other does not (attribute), however
 // large that difference is.
 func (c *Checker) Check(logical, deployed []rule.Rule) (*Report, error) {
-	lAllowed, err := c.resolve(logical)
+	lAllowed, tAllowed, err := c.resolve(logical, deployed)
 	if err != nil {
-		return nil, fmt.Errorf("encode logical rules: %w", err)
-	}
-	tAllowed, err := c.resolve(deployed)
-	if err != nil {
-		return nil, fmt.Errorf("encode deployed rules: %w", err)
+		return nil, err
 	}
 
 	// ROBDDs are canonical: equal behaviour is equal roots.
@@ -234,25 +231,37 @@ func (c *Checker) attribute(rules []rule.Rule, diff bdd.Node) ([]rule.Rule, erro
 	return hit, nil
 }
 
-// resolve finds or builds a prioritized rule list's root, keyed by its
-// canonical SemanticsFingerprint: the shared base's frozen semantics memo
-// (whole-switch roots warmed at base build time), then a fresh compile
-// into the checker's manager, which it counts (the Fold* counters keep
-// their names from the apply-based fold the compile replaced). Every base
-// hit is verified against the entry's canonical list, so a fingerprint
-// collision falls through to a private compile rather than reusing the
-// wrong root. Resolving through the base makes checking a switch whose
-// rule list duplicates a warmed one — or a consistent switch's TCAM side,
-// which shares its logical list's semantics key — a list scan. A list
-// that misses still meets the base below the root: the compile interns
-// through the fork's unique tables, so every subtree it shares with a
-// warmed list resolves to its frozen node and only the paths its edits
-// changed land in the delta.
-func (c *Checker) resolve(rules []rule.Rule) (bdd.Node, error) {
-	if e, ok := c.base.semMem[SemanticsFingerprint(rules)]; ok && SemanticsEqual(e.rules, rules) {
+// resolve finds or builds the roots of a check's two lists. The logical
+// list's root is the base's when the base holds that very slice
+// (rule.SameSlice): a session's base holds every logical list of its
+// deployment. A deployed list SemanticsEqual to its own logical list — a
+// consistent switch's TCAM side — reuses that frozen root, which costs a
+// list scan. Any other list compiles into the checker's manager, which it
+// counts (the Fold* counters keep their names from the apply-based fold
+// the compile replaced). A list that compiles still meets the base below
+// the root: the compile interns through the fork's unique tables, so every
+// subtree it shares with a frozen list resolves to its frozen node and
+// only the paths its edits changed land in the delta.
+func (c *Checker) resolve(logical, deployed []rule.Rule) (l, t bdd.Node, err error) {
+	l = c.base.root(logical)
+	frozen := l != NoRoot
+	if frozen {
 		c.foldBaseHits++
-		return e.node, nil
+	} else if l, err = c.compile(logical); err != nil {
+		return l, t, fmt.Errorf("encode logical rules: %w", err)
 	}
+	if frozen && SemanticsEqual(logical, deployed) {
+		c.foldBaseHits++
+		return l, l, nil
+	}
+	if t, err = c.compile(deployed); err != nil {
+		return l, t, fmt.Errorf("encode deployed rules: %w", err)
+	}
+	return l, t, nil
+}
+
+// compile builds a list's root in the checker's manager and counts it.
+func (c *Checker) compile(rules []rule.Rule) (bdd.Node, error) {
 	n, err := compileMemoized(c.m, rules, c.base.memo, c.memo)
 	if err != nil {
 		return bdd.False, err

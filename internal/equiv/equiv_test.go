@@ -211,7 +211,7 @@ func TestAttributeEqualsWalkOfEveryRule(t *testing.T) {
 	}
 	wide = withDeny(wide...)
 	ch := emptyFork()
-	root, err := ch.resolve(wide)
+	root, err := ch.compile(wide)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,16 +88,17 @@ const semTag = 's' | 'e'<<8 | 'm'<<16
 // SemanticsFingerprint canonicalizes an ordered rule list into its
 // semantics key: a 64-bit hash of exactly the fields the compiler
 // consumes — each rule's match and action, in list order. Priority and
-// provenance are deliberately excluded: the compiler interprets the list
-// positionally, so they cannot influence the allowed-set BDD, and
-// excluding them lets a logical rule list and its (provenance-free) TCAM
-// collection share one semantics key whenever the deployed behaviour is
-// intact. Two lists with equal semantics fingerprints compile to the same
-// BDD, which is what lets the frozen base share whole-switch semantics
-// roots across switches and across the L/T sides of a consistent switch.
-// The keyspace is domain-separated from Fingerprint by a leading tag, so
-// the two hashes never alias each other's inputs. The same 64-bit
-// collision caveat as Fingerprint applies.
+// provenance are excluded: the compiler interprets the list positionally,
+// so they cannot influence the allowed-set BDD. Two lists with equal
+// semantics fingerprints compile to the same BDD. The keyspace is
+// domain-separated from Fingerprint by a leading tag, so the two hashes
+// never alias each other's inputs. The same 64-bit collision caveat as
+// Fingerprint applies.
+//
+// Deprecated: a base finds a root by the list it was built from, and a T
+// list shares its own logical list's root when the two are SemanticsEqual,
+// so nothing hashes semantics any more. It stays until bench/ stops
+// calling it (ROADMAP item 1, shims).
 func SemanticsFingerprint(rules []rule.Rule) uint64 {
 	h := hasher(hashSeed)
 	h.word(semTag)
@@ -109,12 +110,11 @@ func SemanticsFingerprint(rules []rule.Rule) uint64 {
 	return h.sum()
 }
 
-// SemanticsEqual reports whether two rule lists are equal under the
-// canonical form SemanticsFingerprint hashes: same length, and each
-// position's match and action agree (priority and provenance free, like
-// the fingerprint). It is the verification the semantics memos run on
-// every fingerprint hit, so a 64-bit collision degrades to a private
-// fold, never a wrong root.
+// SemanticsEqual reports whether two rule lists are equal in what the
+// compiler consumes: same length, and each position's match and action
+// agree (priority and provenance free). Equal lists compile to one BDD,
+// which is what lets a base build one root for equal logical lists and a
+// consistent switch's T list share its logical list's root.
 func SemanticsEqual(a, b []rule.Rule) bool {
 	if len(a) != len(b) {
 		return false

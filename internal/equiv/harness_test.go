@@ -155,7 +155,7 @@ type step func(t *testing.T, c *oracle.Choices, logical, deployed []rule.Rule)
 func runPair(t *testing.T, c *oracle.Choices, logical, deployed []rule.Rule, steps ...step) {
 	t.Helper()
 	if len(steps) == 0 {
-		steps = []step{compileStep, memoStep, meetsStep, attributeStep, checkStep}
+		steps = []step{compileStep, memoStep, meetsStep, attributeStep, checkStep, copyStep, rebindStep}
 	}
 	for _, s := range steps {
 		s(t, c, logical, deployed)
@@ -434,8 +434,8 @@ func (n *attributeTally) pair(t *testing.T, c *oracle.Choices, logical, deployed
 	t.Helper()
 	ch := emptyFork()
 	m := ch.m.(*bdd.Manager)
-	a, errA := ch.resolve(logical)
-	b, errB := ch.resolve(deployed)
+	a, errA := ch.compile(logical)
+	b, errB := ch.compile(deployed)
 	if errA != nil || errB != nil {
 		return
 	}
@@ -517,10 +517,11 @@ func runSweep(t *testing.T, seed int64, n int) {
 
 // check: Check(logical, deployed) reports alike, or fails alike, on each
 // of the sweep's checkers, whose op-cache and node counts stay in step,
-// and on a fork of a base that froze both lists, which compiles nothing
-// and finds every root in the base. When every rule but a final default
-// deny is an allow and no two overlap (naiveApplies), the report is also
-// the naive key difference.
+// and on a fork of a base that froze the logical list, which takes that
+// list's root from the base, and the deployed list's too when the two are
+// SemanticsEqual, and compiles any other deployed list. When every rule
+// but a final default deny is an allow and no two overlap (naiveApplies),
+// the report is also the naive key difference.
 func (s *sweep) check(t *testing.T, _ *oracle.Choices, logical, deployed []rule.Rule) {
 	t.Helper()
 	want, wantErr := s.fresh.Check(logical, deployed)
@@ -540,16 +541,18 @@ func (s *sweep) check(t *testing.T, _ *oracle.Choices, logical, deployed []rule.
 	if size := s.fresh.m.(*bdd.Manager).Size(); s.ref.DeltaSize() != size {
 		t.Fatalf("the reference engine built %d nodes, the manager %d", s.ref.DeltaSize(), size)
 	}
-	warm := newBase(logical, deployed)
+	warm := newBase(logical)
 	fork := warm.NewChecker()
 	same("a fork of a warm base", fork)
-	if st := fork.Stats(); wantErr == nil && (st.FoldMisses != 0 || st.FoldBaseHits == 0) {
-		t.Fatalf("a fork of a base that froze both lists folded: %+v", st)
+	hits := 1
+	if SemanticsEqual(logical, deployed) {
+		hits = 2
 	}
-	for fp, e := range warm.semMem {
-		if !warm.snap.Contains(e.node) {
-			t.Fatalf("the frozen root for %x lives outside the base", fp)
-		}
+	if st := fork.Stats(); wantErr == nil && (st.FoldBaseHits != hits || st.FoldMisses != 2-hits) {
+		t.Fatalf("a fork of a base that froze the logical list: %+v, want %d base hits and the rest compiled", st, hits)
+	}
+	if r := warm.roots[0]; r != NoRoot && !warm.snap.Contains(r) {
+		t.Fatalf("the frozen root %d lives outside the base", r)
 	}
 	if wantErr == nil && naiveApplies(logical, deployed) {
 		missing, extra := oracle.NaiveCheck(logical, deployed)
@@ -558,6 +561,62 @@ func (s *sweep) check(t *testing.T, _ *oracle.Choices, logical, deployed []rule.
 			!reflect.DeepEqual(rule.KeySet(want.ExtraRules), rule.KeySet(extra)) {
 			t.Fatalf("report %+v, naive difference missing %v extra %v", want, missing, extra)
 		}
+	}
+}
+
+// copyStep: a check whose logical list is an equal copy of the one a base
+// froze, at another address, finds no root in the base — a root is found
+// by the list it was built from — so it compiles both lists, and reports
+// what the base's own slice gets, byte for byte.
+func copyStep(t *testing.T, _ *oracle.Choices, logical, deployed []rule.Rule) {
+	t.Helper()
+	if len(logical) == 0 {
+		return // an empty list has no address: every empty list is the base's
+	}
+	base := newBase(logical)
+	want, wantErr := base.NewChecker().Check(logical, deployed)
+	fork := base.NewChecker()
+	got, err := fork.Check(oracle.CloneRules(logical), deployed)
+	if fmt.Sprint(err) != fmt.Sprint(wantErr) || fmt.Sprintf("%#v", got) != fmt.Sprintf("%#v", want) {
+		t.Fatalf("an equal copy reports %+v (%v), the base's slice %+v (%v)", got, err, want, wantErr)
+	}
+	if st := fork.Stats(); st.FoldBaseHits != 0 || wantErr == nil && st.FoldMisses != 2 {
+		t.Fatalf("an equal copy: %+v, want both lists compiled", st)
+	}
+}
+
+// rebindStep: a base rebound to an equal-content recompile — the logical
+// list at a new address — answers both sides of a clean switch, whose T
+// list is the recompiled list without provenance, from its frozen root
+// with zero compiles, and no longer holds the superseded slice. A bind of
+// a count of lists other than the base's count of roots is refused and
+// binds nothing.
+func rebindStep(t *testing.T, _ *oracle.Choices, logical, _ []rule.Rule) {
+	t.Helper()
+	base, recompiled := newBase(logical), oracle.CloneRules(logical)
+	if err := base.RebindSemantics([][]rule.Rule{recompiled, recompiled}); err == nil || !rule.SameSlice(base.lists[0], logical) {
+		t.Fatalf("bound two lists to one root (%v)", err)
+	}
+	if err := base.RebindSemantics([][]rule.Rule{recompiled}); err != nil {
+		t.Fatal(err)
+	}
+	clean := oracle.CloneRules(recompiled)
+	for i := range clean {
+		clean[i].Provenance = nil
+	}
+	fork := base.NewChecker()
+	rep, err := fork.Check(recompiled, clean)
+	if base.roots[0] == NoRoot {
+		if err == nil {
+			t.Fatal("a list that does not encode checked clean")
+		}
+		return
+	}
+	if st := fork.Stats(); err != nil || !rep.Equivalent || st.FoldBaseHits != 2 || st.FoldMisses != 0 {
+		t.Fatalf("a clean switch on the rebound base: %+v (%v), %+v; want equivalent from the base alone", rep, err, st)
+	}
+	if _, err := fork.Check(logical, clean); err != nil || len(logical) > 0 && fork.Stats().FoldMisses != 2 {
+		t.Fatalf("the superseded slice still found its root: %+v (%v)", fork.Stats(), err)
 	}
 }
 
@@ -674,7 +733,7 @@ func withDeny(rules ...rule.Rule) []rule.Rule {
 // newBase freezes the given rule lists' semantics roots, the warmup pass
 // in miniature.
 func newBase(lists ...[]rule.Rule) *Base {
-	return NewBaseWith(nil, lists...)
+	return NewBaseWith(lists...)
 }
 
 // emptyFork is a checker with nothing warmed: a fork of an empty base,

@@ -6,94 +6,73 @@ package equiv
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"scout/internal/bdd"
 	"scout/internal/rule"
 )
 
-// NewBaseWith is NewBase for a caller that has already hashed its lists:
-// fps, when not nil, holds each list's SemanticsFingerprint (the analyzer
-// ranks the lists by it). The lists compile through one memo of tails and
-// tries (compile.go), so what two of them share is built once; the memo is
-// frozen with the base.
-func NewBaseWith(fps []uint64, semantics ...[]rule.Rule) *Base {
+// NewBaseWith compiles each rule list into its whole-list allowed-set BDD
+// and freezes the result: one root per list, in the order given, the base
+// holding the lists themselves so a checker finds a root by slice
+// identity. A list SemanticsEqual to an earlier one shares its root
+// without a compile; the others compile through one memo of tails and
+// tries (compile.go), so what two of them share is built once, and the
+// memo is frozen with the base. A list that cannot be encoded gets
+// NoRoot rather than failing the build.
+func NewBaseWith(lists ...[]rule.Rule) *Base {
 	m := bdd.NewManager(NumVars)
-	semMem := make(map[uint64]semRoot, len(semantics))
 	memo := compileMemo{}
-	for i, rules := range semantics {
-		var fp uint64
-		if fps != nil {
-			fp = fps[i]
-		} else {
-			fp = SemanticsFingerprint(rules)
-		}
-		if _, ok := semMem[fp]; ok {
-			// Duplicate list, or — vanishingly rarely — a colliding one;
-			// either way the first owner keeps the slot and a colliding
-			// list simply folds in the forks (hits verify the list).
+	roots := make([]bdd.Node, len(lists))
+	var firsts []int // the first list of each SemanticsEqual class
+	for i, rules := range lists {
+		if k := slices.IndexFunc(firsts, func(j int) bool { return SemanticsEqual(lists[j], rules) }); k >= 0 {
+			roots[i] = roots[firsts[k]]
 			continue
 		}
+		firsts = append(firsts, i)
 		root, err := compileMemoized(m, rules, nil, memo)
 		if err != nil {
-			continue
+			root = NoRoot
 		}
-		semMem[fp] = semRoot{rules: rules, node: root}
+		roots[i] = root
 	}
-	return &Base{snap: m.Freeze(), semMem: semMem, memo: memo}
+	return &Base{snap: m.Freeze(), lists: lists, roots: roots, distinct: distinctRoots(roots), memo: memo}
+}
+
+// distinctRoots counts the distinct roots, NoRoot aside.
+func distinctRoots(roots []bdd.Node) int {
+	seen := make(map[bdd.Node]bool, len(roots))
+	for _, r := range roots {
+		if r != NoRoot {
+			seen[r] = true
+		}
+	}
+	return len(seen)
 }
 
 // Snapshot returns the base's frozen BDD snapshot (safe for concurrent
 // reads; the store's codec walks its node array through NodeAt).
 func (b *Base) Snapshot() *bdd.Snapshot { return b.snap }
 
-// ForEachSemantics visits every frozen whole-switch semantics entry —
-// its fingerprint key, canonical rule list, and root — in ascending
-// fingerprint order: the deterministic iteration the codec needs to
-// produce byte-reproducible files from one base.
-func (b *Base) ForEachSemantics(fn func(fp uint64, rules []rule.Rule, root bdd.Node)) {
-	fps := make([]uint64, 0, len(b.semMem))
-	for fp := range b.semMem {
-		fps = append(fps, fp)
-	}
-	sort.Slice(fps, func(i, j int) bool { return fps[i] < fps[j] })
-	for _, fp := range fps {
-		e := b.semMem[fp]
-		fn(fp, e.rules, e.node)
-	}
-}
+// Roots returns the base's roots, one per list in the order the base was
+// built from, NoRoot for a list that does not encode: what the codec
+// writes beside the snapshot. The slice is the base's own; read it only.
+func (b *Base) Roots() []bdd.Node { return b.roots }
 
-// SemEntry is one decoded semantics-memo binding for RebuildBase: the
-// canonical rule list and its frozen root. The fingerprint key is not
-// part of the entry — RebuildBase recomputes it from the list, so a
-// corrupted or stale key in a file can never misfile an entry.
-type SemEntry struct {
-	Rules []rule.Rule
-	Node  bdd.Node
-}
-
-// RebuildBase reassembles a Base from a rebuilt snapshot and decoded
-// memo entries — the load half of the store's base codec. Every node
-// must live in the snapshot and entries must arrive as ForEachSemantics
-// emits them, in strictly ascending fingerprint order (anything else —
-// two lists sharing a fingerprint included — cannot come from a
-// well-formed encode and is rejected as corruption).
-func RebuildBase(snap *bdd.Snapshot, semantics []SemEntry) (*Base, error) {
+// RebuildBase reassembles a Base from a decoded snapshot and its roots —
+// the load half of the store's base codec. Every root must live in the
+// snapshot or be NoRoot. The base holds no lists until RebindSemantics
+// binds it to the deployment its file was keyed by; until then a fork
+// compiles every list.
+func RebuildBase(snap *bdd.Snapshot, roots []bdd.Node) (*Base, error) {
 	if snap.NumVars() != NumVars {
 		return nil, fmt.Errorf("equiv: rebuild base: snapshot has %d vars, want %d", snap.NumVars(), NumVars)
 	}
-	semMem := make(map[uint64]semRoot, len(semantics))
-	var prev uint64
-	for i, e := range semantics {
-		if !snap.Contains(e.Node) {
-			return nil, fmt.Errorf("equiv: rebuild base: semantics node %d outside snapshot", e.Node)
+	for _, r := range roots {
+		if r != NoRoot && !snap.Contains(r) {
+			return nil, fmt.Errorf("equiv: rebuild base: root %d outside snapshot", r)
 		}
-		fp := SemanticsFingerprint(e.Rules)
-		if i > 0 && fp <= prev {
-			return nil, fmt.Errorf("equiv: rebuild base: semantics fingerprint %#x out of order or duplicated", fp)
-		}
-		prev = fp
-		semMem[fp] = semRoot{rules: e.Rules, node: e.Node}
 	}
-	return &Base{snap: snap, semMem: semMem}, nil
+	return &Base{snap: snap, roots: roots, distinct: distinctRoots(roots)}, nil
 }

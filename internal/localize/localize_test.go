@@ -434,7 +434,7 @@ func TestAnnotatedSwitchModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := equiv.NewBaseWith(nil).NewChecker().Check(d.RulesFor(sw), s.TCAM().Rules())
+		rep, err := equiv.NewBaseWith().NewChecker().Check(d.RulesFor(sw), s.TCAM().Rules())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 // Binary codec for the warm-state store: deterministic, versioned,
-// checksummed encodings of a frozen bdd.Snapshot, an equiv.Base, and
-// per-switch check verdicts. Every file is framed the same way —
+// checksummed encodings of a frozen equiv.Base — its bdd.Snapshot node
+// table and one root per rule list of the deployment it was built from —
+// and of per-switch check verdicts. Every file is framed the same way —
 //
 //	magic(4) | version(u32) | key(u64) | payload | fnv64a(all preceding)
 //
@@ -9,12 +10,14 @@
 // header before any payload byte is interpreted, and a file can never
 // be loaded partially: decoding happens on a fully verified byte slice
 // and any structural violation (the BDD rebuild validates ROBDD
-// invariants, the base rebuild validates memo bindings) aborts the
-// whole load. The key is the content address the caller expects
-// (DeploymentFingerprints), so a renamed or misfiled entry is rejected
-// too. Encoding is deterministic for given content — iteration is over
-// canonically sorted views — which keeps repeated saves of unchanged
-// state byte-identical.
+// invariants, the base rebuild that every root lies in the snapshot)
+// aborts the whole load. The key is the content address the caller
+// expects (DeploymentFingerprints), so a renamed or misfiled entry is
+// rejected too; it is also all that binds a base's roots to rule lists,
+// the lists of the deployment it names, one root each. Encoding is
+// deterministic for given content — iteration is over canonically
+// ordered views — which keeps repeated saves of unchanged state
+// byte-identical.
 
 package store
 
@@ -35,8 +38,9 @@ import (
 const (
 	baseMagic    = "SCTB"
 	verdictMagic = "SCTV"
-	// codecVersion 2 dropped the base payload's match-memo section.
-	codecVersion = 2
+	// codecVersion 2 dropped the base payload's match-memo section, and 3
+	// its rule lists: a base file is the node table and one root per list.
+	codecVersion = 3
 )
 
 // frameOverhead is the byte cost of the framing around a payload.
@@ -331,23 +335,25 @@ func decodeSnapshot(d *decoder) (*bdd.Snapshot, error) {
 
 // --- base -----------------------------------------------------------------
 
-// encodeBase serializes a frozen base — snapshot, then semantics memo
-// with canonical rule lists — framed under the deployment fingerprint it
-// is content-addressed by.
+// encodeBase serializes a frozen base — its snapshot, then one root per
+// rule list in the order the base was built from — framed under the
+// deployment fingerprint it is content-addressed by. A root is written
+// one past its value, so NoRoot (a list that does not encode) is 0. The
+// lists are not written: the deployment the fingerprint names holds them.
 func encodeBase(depFP uint64, b *equiv.Base) []byte {
 	var e encoder
 	encodeSnapshot(&e, b.Snapshot())
-	e.uvarint(uint64(b.NumSemantics()))
-	b.ForEachSemantics(func(_ uint64, rules []rule.Rule, root bdd.Node) {
-		encodeRules(&e, rules)
-		e.uvarint(uint64(root))
-	})
+	roots := b.Roots()
+	e.uvarint(uint64(len(roots)))
+	for _, root := range roots {
+		e.uvarint(uint64(root - equiv.NoRoot))
+	}
 	return seal(baseMagic, depFP, e.buf)
 }
 
-// decodeBase verifies and decodes a base file image. Semantics
-// fingerprints are recomputed from the decoded rule lists — never read
-// from the file — so a stale key can not misfile an entry.
+// decodeBase verifies and decodes a base file image into a base that holds
+// no lists yet: the caller binds it to its deployment's (RebindSemantics),
+// which refuses a root count that differs from the deployment's list count.
 func decodeBase(data []byte, depFP uint64) (*equiv.Base, error) {
 	payload, err := open(data, baseMagic, depFP)
 	if err != nil {
@@ -358,9 +364,9 @@ func decodeBase(data []byte, depFP uint64) (*equiv.Base, error) {
 	if err != nil {
 		return nil, err
 	}
-	sems := make([]equiv.SemEntry, d.count(2))
-	for i := range sems {
-		sems[i] = equiv.SemEntry{Rules: decodeRules(d), Node: bdd.Node(d.node())}
+	roots := make([]bdd.Node, d.count(1))
+	for i := range roots {
+		roots[i] = bdd.Node(d.node()) + equiv.NoRoot
 	}
 	if d.err != nil {
 		return nil, d.err
@@ -368,7 +374,7 @@ func decodeBase(data []byte, depFP uint64) (*equiv.Base, error) {
 	if d.remaining() != 0 {
 		return nil, fmt.Errorf("store: decode: %d trailing bytes after base payload", d.remaining())
 	}
-	return equiv.RebuildBase(snap, sems)
+	return equiv.RebuildBase(snap, roots)
 }
 
 // --- verdicts -------------------------------------------------------------

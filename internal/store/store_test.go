@@ -12,10 +12,12 @@
 //
 // The codec check writes a drawn base or verdicts field by field through
 // encoder, with at most one deviation from what the encoder writes, or
-// frames raw bytes as the payload. The decoder must not panic, an
-// accepted image must re-encode to itself, an image the deviation left
-// alone must be accepted, and another codec version must be refused as
-// one.
+// frames raw bytes as the payload; a decoded base is then bound to the
+// lists it was drawn from. The decoder must not panic, an accepted image
+// must re-encode to itself, an image the deviation left alone must be
+// accepted and bound, one it changed must be refused (a base root past
+// the snapshot on load, a root count other than the list count on
+// binding), and another codec version must be refused as one.
 
 package store
 
@@ -146,7 +148,7 @@ func (h *storeHarness) step(i int, kind op) {
 		var data []byte
 		var err error
 		if k == 0 {
-			b := drawBase(c)
+			b, _ := drawBase(c)
 			data, err = encodeBase(fp, b), h.s.SaveBase(fp, b)
 		} else {
 			vs := drawVerdicts(c)
@@ -330,7 +332,7 @@ func TestStoreSaveLoad(t *testing.T) {
 }
 
 // TestBaseCodecRejectsDamage: neither a damaged file loads nor a base that
-// breaks one invariant of a reduced, ordered BDD or of the semantics memo.
+// breaks one invariant of a reduced, ordered BDD or of its roots.
 func TestBaseCodecRejectsDamage(t *testing.T) {
 	s := runStores(t, 12, 40, opSave, opLoad, opLoad, opDamage)
 	exercised(t, "loaded a damaged file", s.unreadable)
@@ -342,19 +344,20 @@ func TestBaseCodecRejectsDamage(t *testing.T) {
 }
 
 // malformedBases are base payloads the encoder can not write, of one-byte
-// uvarints: variables, nodes, each node's level, lo and hi, then the memo.
+// uvarints: variables, nodes, each node's level, lo and hi, then the
+// roots, each one past its node.
 func malformedBases() [][]byte {
 	nv := byte(equiv.NumVars)
 	return [][]byte{
-		{0, 2, 0},                       // no variables
-		{nv - 1, 2, 0},                  // another variable count
-		{nv, 3, nv, 0, 1, 0},            // a level out of range
-		{nv, 3, 0, 2, 1, 0},             // a forward child
-		{nv, 3, 0, 1, 1, 0},             // a redundant node
-		{nv, 4, 5, 0, 1, 5, 0, 2, 0},    // a child above its node
-		{nv, 4, 0, 0, 1, 0, 0, 1, 0},    // a duplicate node
-		{nv, 3, 0, 0, 1, 1, 0, 3},       // a semantics root past the nodes
-		{nv, 3, 0, 0, 1, 2, 0, 2, 0, 2}, // one rule list twice
+		{0, 2, 0},                    // no variables
+		{nv - 1, 2, 0},               // another variable count
+		{nv, 3, nv, 0, 1, 0},         // a level out of range
+		{nv, 3, 0, 2, 1, 0},          // a forward child
+		{nv, 3, 0, 1, 1, 0},          // a redundant node
+		{nv, 4, 5, 0, 1, 5, 0, 2, 0}, // a child above its node
+		{nv, 4, 0, 0, 1, 0, 0, 1, 0}, // a duplicate node
+		{nv, 3, 0, 0, 1, 1, 4},       // a root past the nodes
+		{nv, 3, 0, 0, 1, 2, 3},       // two roots, one written
 	}
 }
 
@@ -389,17 +392,19 @@ func TestSaveRemovesOrphanedTempFiles(t *testing.T) {
 type deviation int
 
 const (
-	devNone     deviation = iota
-	devPadded             // a uvarint with a redundant zero continuation byte
-	devCount              // a count no payload can back
-	devBound              // a rule action past int32
-	devFlag               // a verdict flag of 2
-	devUnsorted           // verdicts out of switch order
-	devTrailing           // a byte after the payload
-	devMagic              // the other file kind's magic
-	devVersion            // another codec version
-	devKey                // filed under another fingerprint
-	devRaw                // up to 255 drawn bytes for the payload
+	devNone      deviation = iota
+	devPadded              // a uvarint with a redundant zero continuation byte
+	devCount               // a count no payload can back
+	devBound               // a rule action past int32
+	devFlag                // a verdict flag of 2
+	devUnsorted            // verdicts out of switch order
+	devTrailing            // a byte after the payload
+	devMagic               // the other file kind's magic
+	devVersion             // another codec version
+	devKey                 // filed under another fingerprint
+	devRaw                 // up to 255 drawn bytes for the payload
+	devOutside             // a base root one past the snapshot's nodes
+	devRootCount           // a base root more than the base's lists
 	numDeviations
 )
 
@@ -512,11 +517,17 @@ func (w *writer) base(b *equiv.Base) {
 		w.uv(uint64(lo))
 		w.uv(uint64(hi))
 	}
-	w.count(uint64(b.NumSemantics()))
-	b.ForEachSemantics(func(_ uint64, rules []rule.Rule, root bdd.Node) {
-		w.rules(rules)
-		w.uv(uint64(root))
-	})
+	roots := b.Roots()
+	if w.hit(devRootCount) {
+		roots = append(roots, bdd.False)
+	}
+	w.count(uint64(len(roots)))
+	for _, root := range roots {
+		if w.hit(devOutside) {
+			root = bdd.Node(s.Size())
+		}
+		w.uv(uint64(root + 1))
+	}
 }
 
 // seal frames the payload under magic and key.
@@ -589,13 +600,13 @@ func drawVerdicts(c *oracle.Choices) []Verdict {
 	return vs
 }
 
-// drawBase freezes up to three drawn rule lists.
-func drawBase(c *oracle.Choices) *equiv.Base {
+// drawBase freezes up to three drawn rule lists, and returns them.
+func drawBase(c *oracle.Choices) (*equiv.Base, [][]rule.Rule) {
 	lists := make([][]rule.Rule, c.Intn(4))
 	for i := range lists {
 		lists[i] = drawRules(c)
 	}
-	return equiv.NewBaseWith(nil, lists...)
+	return equiv.NewBaseWith(lists...), lists
 }
 
 // checkImage writes a base or verdict image drawn from c with deviation
@@ -604,6 +615,7 @@ func checkImage(t *testing.T, c *oracle.Choices, base bool, dev deviation) {
 	t.Helper()
 	w := &writer{dev: dev, at: c.Intn(8)}
 	key := uint64(c.Uint16())
+	var lists [][]rule.Rule
 	switch {
 	case dev == devRaw:
 		for n := c.Intn(256); n > 0; n-- {
@@ -611,7 +623,9 @@ func checkImage(t *testing.T, c *oracle.Choices, base bool, dev deviation) {
 		}
 		w.deviated = true
 	case base:
-		w.base(drawBase(c))
+		var b *equiv.Base
+		b, lists = drawBase(c)
+		w.base(b)
 	default:
 		w.verdicts(drawVerdicts(c))
 	}
@@ -622,6 +636,7 @@ func checkImage(t *testing.T, c *oracle.Choices, base bool, dev deviation) {
 		var b *equiv.Base
 		if b, err = decodeBase(img, key); err == nil {
 			again = encodeBase(key, b)
+			err = b.RebindSemantics(lists) // one root per list, or refused
 		}
 	} else {
 		img = w.seal(verdictMagic, key)
@@ -630,7 +645,7 @@ func checkImage(t *testing.T, c *oracle.Choices, base bool, dev deviation) {
 			again = encodeVerdicts(key, vs)
 		}
 	}
-	if err == nil && !bytes.Equal(again, img) || err != nil && !w.deviated ||
+	if again != nil && !bytes.Equal(again, img) || err != nil && !w.deviated || err == nil && w.deviated && dev != devRaw ||
 		err != nil && dev == devVersion && !strings.Contains(err.Error(), "version") {
 		t.Fatalf("deviation %d (made: %v): %v; a %d-byte image re-encodes to %d bytes", dev, w.deviated, err, len(img), len(again))
 	}
@@ -650,6 +665,11 @@ func checkImages(t *testing.T, base bool, seeds int64, devs ...deviation) {
 func TestBaseCodecRoundTrip(t *testing.T) { checkImages(t, true, 40, devNone) }
 
 func TestVerdictCodecRoundTrip(t *testing.T) { checkImages(t, false, 80, devNone, devUnsorted) }
+
+// TestBaseCodecRejectsRoots: a base whose root lies past its snapshot is
+// refused on load, and one whose root count is not its deployment's list
+// count is refused when bound.
+func TestBaseCodecRejectsRoots(t *testing.T) { checkImages(t, true, 40, devOutside, devRootCount) }
 
 func TestCodecRejectsVersionMismatch(t *testing.T) {
 	checkImages(t, true, 8, devMagic, devVersion, devKey)
@@ -676,6 +696,6 @@ func fuzzImages(f *testing.F, base bool, seeds int, raw ...[]byte) {
 	})
 }
 
-func FuzzDecodeBase(f *testing.F) { fuzzImages(f, true, 11, malformedBases()...) }
+func FuzzDecodeBase(f *testing.F) { fuzzImages(f, true, 13, malformedBases()...) }
 
 func FuzzDecodeVerdicts(f *testing.F) { fuzzImages(f, false, 14) }

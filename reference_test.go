@@ -36,7 +36,7 @@ func refAnalyze(t testing.TB, st scout.State) *scout.Report {
 	ctrl := risk.NewOverlay(ctrlModel)
 	rep := &scout.Report{Consistent: true}
 	for _, sw := range sortedIDs(st.TCAM) {
-		check, err := equiv.NewBaseWith(nil).NewChecker().Check(d.RulesFor(sw), st.TCAM[sw])
+		check, err := equiv.NewBaseWith().NewChecker().Check(d.RulesFor(sw), st.TCAM[sw])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,21 +125,29 @@ func fabricState(f *scout.Fabric) scout.State {
 }
 
 // expectedFolds derives a one-worker cold run's semantics-build counts
-// from the state itself: the base freezes one root per distinct logical
-// semantics fingerprint, and the single fork compiles the TCAM list of
-// every switch no logical list warmed — a checker remembers logical lists
-// only, so a twin's equal drifted list is compiled again.
+// from the state itself: the base freezes one root per logical list,
+// SemanticsEqual lists sharing one, and the single fork compiles the TCAM
+// list of every switch whose T list is not SemanticsEqual to its own
+// logical list — a T list shares no other list's root, and a checker
+// remembers no list, so a twin's equal drifted list is compiled again.
 func expectedFolds(st scout.State) (frozen, unwarmed int) {
-	logicalSem := make(map[uint64]bool)
-	for _, rules := range st.Deployment.BySwitch {
-		logicalSem[equiv.SemanticsFingerprint(rules)] = true
-	}
-	for _, rules := range st.TCAM {
-		if !logicalSem[equiv.SemanticsFingerprint(rules)] {
+	for sw, rules := range st.TCAM {
+		if !equiv.SemanticsEqual(st.Deployment.RulesFor(sw), rules) {
 			unwarmed++
 		}
 	}
-	return len(logicalSem), unwarmed
+	return distinctLists(st.Deployment), unwarmed
+}
+
+// distinctLists counts a deployment's logical lists up to SemanticsEqual.
+func distinctLists(d *scout.Deployment) int {
+	var firsts [][]scout.Rule
+	for _, rules := range d.BySwitch {
+		if !slices.ContainsFunc(firsts, func(f []scout.Rule) bool { return equiv.SemanticsEqual(f, rules) }) {
+			firsts = append(firsts, rules)
+		}
+	}
+	return len(firsts)
 }
 
 // TestOrchestrationMatchesReference holds a session through a new fault to

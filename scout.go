@@ -80,10 +80,12 @@ type AnalyzerOptions struct {
 
 	// WarmStore, when set, gives Sessions durable warm state: on the
 	// first run of a deployment the session loads a fingerprint-matching
-	// frozen base and verdict cache from the store (a fresh process
-	// replays a clean fabric with zero compiles), and every run that
-	// built a base or re-checked a switch writes it to the store before
-	// returning (Session.Close reports the session's first failed write).
+	// frozen base — its node table and one root per logical list, bound
+	// to the deployment's lists by position — and verdict cache from the
+	// store (a fresh process replays a clean fabric with zero compiles),
+	// and every run that built a base or re-checked a switch writes it to
+	// the store before returning (Session.Close reports the session's
+	// first failed write).
 	// Probe sessions persist verdicts only — they build no base. One-shot
 	// Analyzers ignore it: only NewSession hands the store to the session
 	// it creates.
@@ -238,73 +240,21 @@ func checkState(st State, c *equiv.Checker, sw object.ID) (*equiv.Report, error)
 	return checkRep, nil
 }
 
-// buildSharedBase is the check stage's warmup pass: it fingerprints every
-// switch's rule list over the fan-out, compiles every distinct
-// whole-switch rule list (ranked by canonical semantics fingerprint, most
-// shared first) into frozen semantics roots, and freezes the result into
-// an immutable base every worker's checker forks. A checker remembers no
-// list of its own, so a logical list outside the base would compile on
-// every check; the base holds them all.
-//
-// The base covers logical rule lists only: a consistent switch's TCAM
-// side shares its logical list's semantics fingerprint, so its whole-list
-// root resolves from the base. A drifted switch's TCAM list compiles in
-// the owning worker's copy-on-write delta, but against the base's unique
-// table: every subtree it shares with its logical list is found frozen,
-// so the delta receives only the paths the drift changed. Keying the base
-// off the deployment alone is what lets a Session reuse it across runs
-// whose TCAM state drifts.
-//
-// The semantics roots build serially inside NewBaseWith (one manager, not
-// shareable mid-build). Each list compiles straight to its ROBDD — only
-// result nodes are interned — and they are all the base holds. The lists
-// share most of their proto/port tails and many of their tries, which the
-// build's memo emits once (equiv's compile.go); the fingerprints ranked
-// here are handed on so NewBaseWith does not hash the lists again.
-func (a *Analyzer) buildSharedBase(d *Deployment) *equiv.Base {
+// baseLists returns the deployment's logical rule lists in ascending
+// switch order: the order a shared base's roots are built in
+// (loadOrBuildBaseLocked), written to the warm store in, and bound by
+// (equiv.Base.RebindSemantics).
+func baseLists(d *Deployment) [][]rule.Rule {
 	switches := make([]object.ID, 0, len(d.BySwitch))
 	for sw := range d.BySwitch {
 		switches = append(switches, sw)
 	}
 	sort.Slice(switches, func(i, j int) bool { return switches[i] < switches[j] })
-	semFPs := make([]uint64, len(switches))
-	a.fanOut(len(switches), func(_, i int) error {
-		semFPs[i] = equiv.SemanticsFingerprint(d.BySwitch[switches[i]])
-		return nil
-	})
-
-	// Rank the distinct rule lists most-duplicated first (fingerprint
-	// tiebreak, representative = lowest switch ID), so the build order —
-	// and with it every frozen node ID — is deterministic for a given
-	// deployment.
-	type semGroup struct {
-		fp    uint64
-		count int
-		rep   int
+	lists := make([][]rule.Rule, len(switches))
+	for i, sw := range switches {
+		lists[i] = d.BySwitch[sw]
 	}
-	byFP := make(map[uint64]int, len(switches))
-	groups := make([]semGroup, 0, len(switches))
-	for i, fp := range semFPs {
-		if g, ok := byFP[fp]; ok {
-			groups[g].count++
-			continue
-		}
-		byFP[fp] = len(groups)
-		groups = append(groups, semGroup{fp: fp, count: 1, rep: i})
-	}
-	sort.Slice(groups, func(i, j int) bool {
-		if groups[i].count != groups[j].count {
-			return groups[i].count > groups[j].count
-		}
-		return groups[i].fp < groups[j].fp
-	})
-	lists := make([][]rule.Rule, len(groups))
-	fps := make([]uint64, len(groups))
-	for i, g := range groups {
-		lists[i] = d.BySwitch[switches[g.rep]]
-		fps[i] = g.fp
-	}
-	return equiv.NewBaseWith(fps, lists...)
+	return lists
 }
 
 // workers resolves the worker count of a fan-out over n items. The default

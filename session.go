@@ -111,8 +111,8 @@ type deploymentState struct {
 	logFPs map[object.ID]uint64
 
 	// base is the shared frozen encoding base every worker checker forks:
-	// the whole-switch semantics roots of the deployment's most duplicated
-	// rule lists. TCAM drift never invalidates it; only a changed
+	// one whole-switch semantics root per logical list of the deployment,
+	// bound to d's lists. TCAM drift never invalidates it; only a changed
 	// fingerprint does. Nil in probe mode, which builds no BDDs.
 	base *equiv.Base
 
@@ -169,8 +169,9 @@ type SessionStats struct {
 	BaseLoads int
 	// BaseNodes and DeltaNodes are gauges refreshed after every run: the
 	// frozen shared base's node count and the sum of the worker
-	// checkers' private deltas. BaseSemantics is the number of
-	// whole-switch semantics roots frozen in the current base.
+	// checkers' private deltas. BaseSemantics is the number of distinct
+	// whole-switch semantics roots frozen in the current base: one per
+	// logical list, SemanticsEqual lists sharing one.
 	BaseNodes     int
 	DeltaNodes    int
 	BaseSemantics int
@@ -467,34 +468,44 @@ func (s *Session) resolveLocked(d *compile.Deployment) error {
 	case s.dep.d == nil || fp != s.dep.fp:
 		s.checkers, base = nil, nil
 		if !s.a.opts.UseProbes {
-			base = s.loadOrBuildBaseLocked(d, fp)
+			base = s.loadOrBuildBaseLocked(baseLists(d), fp)
 		}
 		s.seedVerdictsLocked(fp)
 	case base != nil:
-		base.RebindSemantics(d.BySwitch)
+		_ = base.RebindSemantics(baseLists(d)) // equal fingerprints: as many lists as roots, never refused
 	}
 	s.dep = deploymentState{d: d, fp: fp, logFPs: logFPs, base: base, ctrl: ctrl}
 	return nil
 }
 
 // loadOrBuildBaseLocked returns the frozen base for a deployment
-// fingerprint the session holds no base for: restored from the warm store
-// when a matching file verifies — the loaded base carries every semantics
-// root the previous process froze, so a clean fabric replays with zero
-// compiles — and otherwise built and saved to the store. A missing or
-// unverifiable file (one written by an older codec included) is just a
-// cold start: the build overwrites it. Rebinding re-points a loaded base's
-// collision-verification rule references at this deployment's slices,
-// releasing the decoded copies.
-func (s *Session) loadOrBuildBaseLocked(d *compile.Deployment, fp uint64) *equiv.Base {
+// fingerprint the session holds no base for, lists being the deployment's
+// logical lists in ascending switch order (baseLists). A base file holds
+// the node table and one root per list in that order, and nothing else: a
+// load binds its roots to lists by position, so a clean fabric replays
+// with zero compiles, trusting the fingerprint the file is keyed by as a
+// loaded verdict does. A missing or unverifiable file, or one whose root
+// count is not the deployment's list count, is a cold start (one written
+// by an older codec included): the build overwrites it.
+//
+// The build is the check stage's warmup pass, and the only one: it
+// compiles every distinct logical list once, serially, into one manager
+// (not shareable mid-build), freezes it, and holds every list, so a
+// checker finds a logical list's root by slice identity and a consistent
+// switch's T list, SemanticsEqual to its logical list, shares that root. A
+// drifted switch's T list compiles in the owning worker's copy-on-write
+// delta, but against the base's unique table: every subtree it shares
+// with its logical list is found frozen, so the delta receives only the
+// paths the drift changed. Keying the base off the deployment alone is
+// what lets a Session reuse it across runs whose TCAM state drifts.
+func (s *Session) loadOrBuildBaseLocked(lists [][]rule.Rule, fp uint64) *equiv.Base {
 	if s.ws != nil {
-		if b, err := s.ws.LoadBase(fp); err == nil && b != nil {
-			b.RebindSemantics(d.BySwitch)
+		if b, err := s.ws.LoadBase(fp); err == nil && b != nil && b.RebindSemantics(lists) == nil {
 			s.stats.BaseLoads++
 			return b
 		}
 	}
-	base := s.a.buildSharedBase(d)
+	base := equiv.NewBaseWith(lists...)
 	s.stats.BaseRebuilds++
 	if s.ws != nil {
 		if err := s.ws.SaveBase(fp, base); err != nil && s.saveErr == nil {

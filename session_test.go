@@ -273,11 +273,12 @@ func TestOneShotIgnoresWarmStore(t *testing.T) {
 }
 
 // TestSessionRebuildsOverOldCodecBase: warm state written by codec
-// version 1 (whose base files carried a match memo) is a clean miss, never
-// a misparse: over an old base the session rebuilds, over an old verdict
-// file it re-checks, and each overwrites its file for the next restart.
+// version 2 (whose base files carried the deployment's rule lists) is a
+// clean miss, never a misparse: over an old base the session rebuilds
+// (BaseRebuilds 1), over an old verdict file it re-checks, and each
+// overwrites its file for the next restart.
 func TestSessionRebuildsOverOldCodecBase(t *testing.T) {
-	equalsCold(t, coldCase{workers: 2, steps: []step{{opRestart, 0, harmV1}, {opRestart, 1, harmV1}, {opRestart, 0, 0}}})
+	equalsCold(t, coldCase{workers: 2, steps: []step{{opRestart, 0, harmV2}, {opRestart, 1, harmV2}, {opRestart, 0, 0}}})
 }
 
 // TestSessionProbeWarmRestart: probe verdicts persist under the deployment
