@@ -74,7 +74,7 @@ func run() error {
 		disconnect  = flag.Int("disconnect", -1, "switch ID to disconnect before analysis")
 		scenPath    = flag.String("scenario", "", "JSON scenario file to replay instead of -fault/-disconnect")
 		workers     = flag.Int("workers", 0, "parallel per-switch equivalence checkers (0 = GOMAXPROCS, 1 = serial)")
-		probes      = flag.Bool("probes", false, "observe via probes (batched per-switch classification of the collected TCAM rules) instead of exhaustive TCAM verification")
+		probes      = flag.Bool("probes", false, "observe via probes (each allow rule's header looked up in an exact-triple index of the collected TCAM rules) instead of exhaustive TCAM verification")
 		watch       = flag.Bool("watch", false, "drive an event-driven session daemon: full baseline, then an incremental refresh per window of events")
 		batchWindow = flag.Duration("batch-window", 2*time.Second, "watch mode: refresh once the first event not yet analyzed has waited this long (requires -watch)")
 		stateDir    = flag.String("state-dir", "", "durable warm-state directory: restore fingerprint-matching BDD state on start, write each round's deltas as it ends")

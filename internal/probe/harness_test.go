@@ -18,8 +18,9 @@ import (
 // eligible rule, name each key the scan finds unallowed exactly once,
 // return its rules ascending by (pair, rule.Compare), return only eligible
 // logical rules, and write neither list. The key space is small, so
-// logical keys repeat, denies shadow allows and wildcard rules resolve
-// probes.
+// logical keys repeat, denies shadow allows, wildcard rules resolve
+// probes, some ahead of a covering rule of the probe's own triple, and
+// some probes' triples no exact deployed rule names.
 
 // probeStats is what a run exercised.
 type probeStats struct {
@@ -28,6 +29,8 @@ type probeStats struct {
 	dupKeys    int // logical lists holding some key twice
 	shadowed   int // probes a deny resolves ahead of an allow that covers them
 	wildcard   int // probes a deployed wildcard rule resolves
+	wildFirst  int // probes a wildcard rule resolves ahead of a later covering rule of the probe's own triple
+	noTriple   int // probes whose triple no exact deployed rule names
 	uncovered  int // probes no deployed rule covers
 	missing    int // missing rules returned
 }
@@ -116,12 +119,25 @@ func probed(r rule.Rule) bool {
 	return r.Action == rule.Allow && !r.Match.WildcardSrc && !r.Match.WildcardDst
 }
 
+// wild reports whether m has a wildcard in VRF, src or dst.
+func wild(m rule.Match) bool { return m.WildcardVRF || m.WildcardSrc || m.WildcardDst }
+
+// ofTriple reports whether d is an exact rule of m's (VRF, src, dst).
+func ofTriple(d rule.Rule, m rule.Match) bool {
+	return !wild(d.Match) && d.Match.VRF == m.VRF && d.Match.SrcEPG == m.SrcEPG && d.Match.DstEPG == m.DstEPG
+}
+
+// hits reports whether d covers r's probe.
+func hits(d, r rule.Rule) bool {
+	m := r.Match
+	return d.Match.Covers(m.VRF, m.SrcEPG, m.DstEPG, m.Proto, m.PortLo)
+}
+
 // scan is the reference: whether the first deployed rule covering r's
 // probe allows it, and that rule's index (-1 when none covers it).
 func scan(deployed []rule.Rule, r rule.Rule) (allowed bool, at int) {
-	m := r.Match
 	for i, d := range deployed {
-		if d.Match.Covers(m.VRF, m.SrcEPG, m.DstEPG, m.Proto, m.PortLo) {
+		if hits(d, r) {
 			return d.Action == rule.Allow, i
 		}
 	}
@@ -151,8 +167,14 @@ func runProbe(t *testing.T, c *oracle.Choices, stats *probeStats) {
 		switch {
 		case at < 0:
 			stats.uncovered++
-		case deployed[at].Match.WildcardVRF || deployed[at].Match.WildcardSrc || deployed[at].Match.WildcardDst:
+		case wild(deployed[at].Match):
 			stats.wildcard++
+			if slices.ContainsFunc(deployed[at+1:], func(d rule.Rule) bool { return ofTriple(d, r.Match) && hits(d, r) }) {
+				stats.wildFirst++
+			}
+		}
+		if !slices.ContainsFunc(deployed, func(d rule.Rule) bool { return ofTriple(d, r.Match) }) {
+			stats.noTriple++
 		}
 		if !allowed && at >= 0 {
 			if later, _ := scan(deployed[at+1:], r); later {
@@ -207,6 +229,8 @@ func TestProbeMatchesFirstMatchScan(t *testing.T) {
 		"drew an empty logical list": stats.empty, "drew an ineligible logical rule": stats.ineligible,
 		"drew a logical key twice": stats.dupKeys, "shadowed an allow with a deny": stats.shadowed,
 		"resolved a probe on a wildcard rule": stats.wildcard, "left a probe uncovered": stats.uncovered,
+		"resolved a probe on a wildcard rule ahead of its triple's covering rule": stats.wildFirst,
+		"sent a probe whose triple no exact deployed rule names":                  stats.noTriple,
 		"found a missing rule": stats.missing,
 	} {
 		if n == 0 {
@@ -222,6 +246,16 @@ func FuzzProbe(f *testing.F) {
 	// missing behind a deployed deny of that key at 10 that shadows a
 	// deployed copy of the first: Switch keeps the priority-10 rule.
 	f.Add([]byte{2, 0, 0, 0, 1, 0, 0, 0, 1, 1, 1, 0, 0, 0, 2, 0, 0, 0, 0, 0, 1})
+	// seed#2: a logical allow rule on (1, 1, 2), deployed as a copy at
+	// priority 0 behind a wildcard-source deny at 10 that covers its probe:
+	// the wildcard rule decides ahead of the probe's own triple, so the
+	// rule is missing.
+	f.Add([]byte{1, 0, 0, 0, 1, 0, 0, 0, 1, 1, 1, 2, 1, 1, 0, 0, 0, 1, 0, 0, 1, 0, 0, 1, 1, 1, 0, 0, 1})
+	// seed#3: a logical allow rule on (1, 1, 2) over a table holding an
+	// exact allow on (1, 1, 3) and a wildcard-destination allow on (1, 1):
+	// no exact rule names the probe's triple, the wildcard allows it, and
+	// nothing is missing.
+	f.Add([]byte{1, 0, 0, 0, 1, 0, 0, 0, 1, 1, 1, 2, 1, 1, 0, 0, 0, 2, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 1, 0, 0, 0, 1, 1, 0, 1, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		runProbe(t, oracle.FromBytes(data), &probeStats{})
 	})

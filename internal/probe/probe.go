@@ -4,10 +4,11 @@
 // policy but fail to do so* in the dataplane. A probe is its rule's own
 // header — the five match fields of an allow rule between concrete EPGs,
 // at the rule's low port — so probing a switch is one function of its
-// logical rules and its collected TCAM: Switch reads the packets off the
-// rules, classifies them in one batch pass, and returns the rules whose
-// probe the table does not allow — the missing rules, the same verdict
-// the equivalence checker gives. Nothing is kept between calls.
+// logical rules and its collected TCAM: Switch reads the probes off the
+// rules, finds each probe's first match through an index of the table by
+// exact (VRF, src EPG, dst EPG) triple, and returns the rules whose probe
+// the table does not allow — the missing rules, the same verdict the
+// equivalence checker gives. Nothing is kept between calls.
 //
 // Probing complements the ROBDD equivalence checker: it samples the
 // collected table at each allow rule's header instead of verifying the
@@ -18,11 +19,11 @@
 package probe
 
 import (
+	"cmp"
 	"slices"
 
 	"scout/internal/policy"
 	"scout/internal/rule"
-	"scout/internal/tcam"
 )
 
 // eligible reports whether r contributes a probe: concrete EPG pairs
@@ -33,35 +34,65 @@ func eligible(r *rule.Rule) bool {
 }
 
 // Switch probes one switch: every eligible rule of logical (the switch's
-// compiled rule list) contributes one packet — its own match header at
-// its low port, the paper's per-rule missing/present granularity — and
-// the packets are classified against deployed (its collected TCAM rules,
-// in match order) in one rule-major batch pass. It returns the eligible
-// rules whose probe the table does not allow, each key once, and the
-// number of probes sent. The missing rules ascend by EPG pair, then
-// rule.Compare; of several rules of one key, the first in that order is
-// kept (rule.Compare is total up to Key, so only rules of one key and one
-// priority tie, and the unstable sort picks among them). It reads logical
-// and deployed and writes nothing shared, so switches probe concurrently.
+// compiled rule list) contributes one probe — its own match header at its
+// low port, the paper's per-rule missing/present granularity — whose first
+// match in deployed (its collected TCAM rules, in match order) decides it.
+// It returns the eligible rules whose probe the table does not allow, each
+// key once, and the number of probes sent. The missing rules ascend by EPG
+// pair, then rule.Compare; of several rules of one key, the first in that
+// order is kept (rule.Compare is total up to Key, so only rules of one key
+// and one priority tie, and the unstable sort picks among them). It reads
+// logical and deployed and writes nothing shared, so switches probe
+// concurrently.
 func Switch(logical, deployed []rule.Rule) (missing []rule.Rule, probes int) {
-	pkts := make([]tcam.Packet, 0, len(logical)) // all but the default rules are eligible
-	for i := range logical {
-		if r := &logical[i]; eligible(r) {
-			m := r.Match
-			pkts = append(pkts, tcam.Packet{VRF: m.VRF, Src: m.SrcEPG, Dst: m.DstEPG, Proto: m.Proto, Port: m.PortLo})
+	// A probe's header is concrete, so only two kinds of rule can cover it:
+	// a rule of its own (VRF, src EPG, dst EPG) triple, or a rule with a
+	// wildcard in one of those fields. exact indexes the first kind by
+	// position, ordered by triple and then by position; wild holds the
+	// second kind's positions, ascending — a compiled list's default deny.
+	exact := make([]int, 0, len(deployed))
+	var wild []int
+	for i := range deployed {
+		if m := &deployed[i].Match; m.WildcardVRF || m.WildcardSrc || m.WildcardDst {
+			wild = append(wild, i)
+		} else {
+			exact = append(exact, i)
 		}
 	}
-	if len(pkts) == 0 {
-		return nil, 0
-	}
-	allowed := tcam.Classify(deployed, pkts)
-	next := 0 // the probe the next eligible rule sent
+	slices.SortFunc(exact, func(a, b int) int {
+		return cmp.Or(compareTriple(&deployed[a].Match, &deployed[b].Match), cmp.Compare(a, b))
+	})
 	for i := range logical {
-		if r := &logical[i]; eligible(r) {
-			if !allowed[next] {
-				missing = append(missing, *r)
+		r := &logical[i]
+		if !eligible(r) {
+			continue
+		}
+		probes++
+		// The first match is the earlier of the first covering rule in the
+		// triple's run and the first covering wildcard rule; each scan stops
+		// at the best position found so far.
+		m, best := &r.Match, len(deployed)
+		run, _ := slices.BinarySearchFunc(exact, m, func(at int, m *rule.Match) int { return compareTriple(&deployed[at].Match, m) })
+		for _, at := range exact[run:] {
+			if compareTriple(&deployed[at].Match, m) != 0 {
+				break
 			}
-			next++
+			if deployed[at].Match.Covers(m.VRF, m.SrcEPG, m.DstEPG, m.Proto, m.PortLo) {
+				best = at
+				break
+			}
+		}
+		for _, at := range wild {
+			if at >= best {
+				break
+			}
+			if deployed[at].Match.Covers(m.VRF, m.SrcEPG, m.DstEPG, m.Proto, m.PortLo) {
+				best = at
+				break
+			}
+		}
+		if best == len(deployed) || deployed[best].Action != rule.Allow {
+			missing = append(missing, *r)
 		}
 	}
 	slices.SortFunc(missing, func(a, b rule.Rule) int {
@@ -79,5 +110,10 @@ func Switch(logical, deployed []rule.Rule) (missing []rule.Rule, probes int) {
 			kept = append(kept, r)
 		}
 	}
-	return kept, len(pkts)
+	return kept, probes
+}
+
+// compareTriple orders matches by (VRF, src EPG, dst EPG).
+func compareTriple(a, b *rule.Match) int {
+	return cmp.Or(cmp.Compare(a.VRF, b.VRF), cmp.Compare(a.SrcEPG, b.SrcEPG), cmp.Compare(a.DstEPG, b.DstEPG))
 }

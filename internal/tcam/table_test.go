@@ -37,17 +37,16 @@ const (
 	opEvict
 	opCorrupt
 	opRules
-	opClassify
 )
 
-var opNames = [...]string{"InstallAll", "Install", "Remove", "RemoveKeys", "EvictRandom", "Corrupt", "Rules", "Classify"}
+var opNames = [...]string{"InstallAll", "Install", "Remove", "RemoveKeys", "EvictRandom", "Corrupt", "Rules"}
 
 // allOps is every step.
-var allOps = []op{opInstallAll, opInstall, opRemove, opRemoveKeys, opEvict, opCorrupt, opRules, opClassify}
+var allOps = []op{opInstallAll, opInstall, opRemove, opRemoveKeys, opEvict, opCorrupt, opRules}
 
 // tableCase is one run's shape: the capacity handed to New, and steps
 // each drawn uniformly from ops. readers goroutines take snapshots and
-// classify while the run goes on.
+// read every entry of each while the run goes on.
 type tableCase struct {
 	capacity, steps int
 	ops             []op
@@ -152,17 +151,6 @@ func (r *refTable) corrupt(n int, field CorruptionField, rng *rand.Rand) []rule.
 	return out
 }
 
-// classify is a first-match scan: whether the first rule covering p
-// allows it.
-func (r *refTable) classify(p Packet) bool {
-	for _, x := range r.rules {
-		if x.Match.Covers(p.VRF, p.Src, p.Dst, p.Proto, p.Port) {
-			return x.Action == rule.Allow
-		}
-	}
-	return false
-}
-
 // draws is the random stream EvictRandom and Corrupt read: the TCAM and
 // the reference each read it through a source of their own, and whichever
 // reads a value first takes it from the run's choices, small values more
@@ -224,6 +212,8 @@ func runTable(t *testing.T, c *oracle.Choices, cs tableCase, stats *tableStats) 
 	if h.tc.Capacity() != h.ref.capacity || h.tc.Len() != 0 {
 		t.Fatalf("New(%d): capacity %d, %d entries", cs.capacity, h.tc.Capacity(), h.tc.Len())
 	}
+	// A reader copies each snapshot it takes first and, while Rules keeps
+	// handing it out, compares every entry of it with the copy.
 	seen := make([][][]rule.Rule, cs.readers)
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -231,12 +221,15 @@ func runTable(t *testing.T, c *oracle.Choices, cs tableCase, stats *tableStats) 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var held []rule.Rule
 			for !stop.Load() {
 				snap := h.tc.Rules()
-				if len(seen[g]) == 0 || !rule.SameSlice(snap, seen[g][len(seen[g])-1]) {
-					seen[g] = append(seen[g], snap)
+				if n := len(seen[g]); n == 0 || !rule.SameSlice(snap, held) {
+					held, seen[g] = snap, append(seen[g], oracle.CloneRules(snap))
+				} else if !rule.SlicesEqual(snap, seen[g][n-1]) {
+					t.Errorf("reader %d: a snapshot changed while Rules handed it out", g)
+					return
 				}
-				Classify(snap, []Packet{{1, 2, 3, rule.ProtoTCP, 1}})
 				h.tc.RemoveKeys(nil) // takes the write lock and writes nothing
 			}
 		}()
@@ -350,14 +343,6 @@ func (h *harness) step(i int, kind op) {
 		if keys := tc.Keys(); !maps.Equal(keys, rule.KeySet(snap)) {
 			t.Fatalf("%s: Keys() = %v, the snapshot's are %v", label, keys, rule.KeySet(snap))
 		}
-	case opClassify:
-		pkts := make([]Packet, c.Intn(6))
-		outs := make([]bool, len(pkts))
-		for j := range pkts {
-			pkts[j] = Packet{object.ID(c.Intn(3)), object.ID(c.Intn(3)), object.ID(c.Intn(3)), rule.ProtoTCP, uint16(c.Intn(3))}
-			outs[j] = ref.classify(pkts[j])
-		}
-		got, want = Classify(tc.Rules(), pkts), outs
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s returned %v, the reference %v", label, got, want)

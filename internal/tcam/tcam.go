@@ -195,54 +195,6 @@ func (t *TCAM) Keys() map[rule.Key]struct{} {
 	return rule.KeySet(t.rules)
 }
 
-// Packet is one classification query: the header tuple a rule's match
-// covers.
-type Packet struct {
-	VRF   object.ID
-	Src   object.ID
-	Dst   object.ID
-	Proto rule.Protocol
-	Port  uint16
-}
-
-// Classify reports, for every packet of the batch, whether rules — a
-// table in match order such as a Rules snapshot — allow it: entry i is
-// true when the first (highest-priority) rule covering packet i allows it,
-// and false when that rule denies it or no rule covers it. It resolves the
-// batch in one priority-ordered pass: rules on the outer loop, the
-// still-unresolved packet set on the inner, so an n-entry table is scanned
-// once per batch instead of once per packet. It reads rules and pkts and
-// writes neither.
-func Classify(rules []rule.Rule, pkts []Packet) []bool {
-	allowed := make([]bool, len(pkts))
-	if len(pkts) == 0 {
-		return allowed
-	}
-	// unresolved holds the indices of packets no rule has claimed yet,
-	// compacted in place (order-preserving) as rules resolve them.
-	unresolved := make([]int, len(pkts))
-	for i := range unresolved {
-		unresolved[i] = i
-	}
-	for ri := range rules {
-		r := &rules[ri]
-		live := unresolved[:0]
-		for _, i := range unresolved {
-			p := pkts[i]
-			if r.Match.Covers(p.VRF, p.Src, p.Dst, p.Proto, p.Port) {
-				allowed[i] = r.Action == rule.Allow
-			} else {
-				live = append(live, i)
-			}
-		}
-		unresolved = live
-		if len(unresolved) == 0 {
-			break
-		}
-	}
-	return allowed
-}
-
 // EvictRandom removes up to n random entries (a local eviction mechanism
 // the controller is unaware of, §II-B). It returns the evicted rules.
 func (t *TCAM) EvictRandom(n int, rng *rand.Rand) []rule.Rule {

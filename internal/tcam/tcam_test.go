@@ -48,24 +48,10 @@ func TestRemove(t *testing.T) { runTables(t, 8, 16, 60, opInstall, opRemove, opR
 
 func TestClearAndKeys(t *testing.T) { runTables(t, 8, 24, 60, opInstallAll, opRemoveKeys, opRules) }
 
-func TestClassifyFirstMatchWins(t *testing.T) {
-	runTables(t, 8, 32, 60, opInstall, opClassify)
-}
-
-func TestClassifyInsertionOrderWithinPriority(t *testing.T) {
-	runTables(t, 8, 32, 60, opInstallAll, opRemove, opClassify)
-}
-
-func TestClassifyMatchesLinearOracle(t *testing.T) {
-	runTables(t, 20, 64, 80, allOps...)
-}
-
-func TestClassifyBatchMatchesClassify(t *testing.T) {
-	runTables(t, 20, 128, 80, opInstallAll, opClassify, opClassify)
-}
-
-func TestClassifyBatchEmpty(t *testing.T) {
-	runTables(t, 4, 4, 20, opClassify, opInstall)
+// TestInsertionOrderWithinPriority: a fresh install goes behind every
+// entry of its priority, through removals that open gaps in a band.
+func TestInsertionOrderWithinPriority(t *testing.T) {
+	runTables(t, 8, 32, 60, opInstallAll, opRemove, opRules)
 }
 
 // TestCountConsistentUnderChurn: the key count under the full mutation
@@ -112,9 +98,9 @@ func TestRulesSnapshotSharedUntilWrite(t *testing.T) {
 	runTables(t, 8, 32, 100, allOps...)
 }
 
-// TestConcurrentAccess races snapshot readers, which classify what they
-// take, against the writes (run under -race in CI): every snapshot a reader
-// takes is the table as some write left it.
+// TestConcurrentAccess races snapshot readers, which read every entry of
+// what they take, against the writes (run under -race in CI): every
+// snapshot a reader takes is the table as some write left it.
 func TestConcurrentAccess(t *testing.T) {
 	runTable(t, oracle.FromSeed(0), tableCase{capacity: 64, steps: 600, ops: allOps, readers: 4}, &tableStats{})
 }

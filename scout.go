@@ -55,9 +55,10 @@ type AnalyzerOptions struct {
 	// UseProbes derives observations from connectivity probes instead of
 	// exhaustive TCAM verification (§III-C's "allowed to communicate but
 	// fail to do so" observation source). A probe is an allow rule's own
-	// header, one per rule, classified against the switch's collected TCAM
-	// rules a switch at a time in one batch pass, and a rule whose probe
-	// the table does not allow is missing, as the checker would report it.
+	// header, one per rule, looked up among the switch's collected TCAM
+	// rules of its own VRF/src/dst triple and the wildcard ones, and a rule
+	// whose probe the table does not allow is missing, as the checker
+	// would report it.
 	// Probing samples the header space, so extra behaviour from corrupted
 	// rules is not reported in this mode, and encodes nothing, so it
 	// accepts rules the checker's encoder would refuse. The option is fixed
@@ -409,10 +410,11 @@ func buildSwitchReport(ctrl *risk.Model, prov map[rule.Key][]object.Ref, oracle 
 }
 
 // probeSwitch is the probe observation source's verdict for one switch of
-// collected state: the headers of its logical rules are classified against
-// its collected TCAM rules in one batch pass, and each rule whose probe the
-// table does not allow is missing. It also returns how many probes were
-// sent. It keeps and shares nothing, so the fan-out calls it concurrently.
+// collected state: each logical allow rule's header is looked up in an
+// index of its collected TCAM rules by exact triple, and each rule whose
+// probe the table does not allow is missing. It also returns how many
+// probes were sent. It keeps and shares nothing, so the fan-out calls it
+// concurrently.
 func probeSwitch(st State, sw object.ID) (*equiv.Report, int) {
 	missing, sent := probe.Switch(st.Deployment.RulesFor(sw), st.TCAM[sw])
 	return &equiv.Report{Equivalent: len(missing) == 0, MissingRules: missing}, sent

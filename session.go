@@ -181,8 +181,9 @@ type SessionStats struct {
 	FoldHits   int
 	FoldMisses int
 	// ProbePacketsBatched accumulates the probe packets classified, one
-	// rule-major batch pass per Checked switch: the sum of those switches'
-	// eligible rules. Zero in TCAM-observation sessions.
+	// per eligible rule of each Checked switch, each looked up in that
+	// switch's exact-triple index of its T list. Zero in TCAM-observation
+	// sessions.
 	ProbePacketsBatched int
 }
 
@@ -321,8 +322,8 @@ func (s *Session) run(st State) (*Report, error) {
 	}
 
 	// The observation source decides one thing: how a dirty switch gets
-	// its verdict. Probes classify its packet batch against its T list
-	// (O(rules × probes), which a replay skips entirely). A BDD
+	// its verdict. Probes look each packet up in an index of its T list
+	// by exact triple (one sort of the list, which a replay skips). A BDD
 	// check runs on the session's forks — worker k owns checker k for the
 	// run. Every dirty switch is checked on its own: byte-equal twins share
 	// their logical root through the base, not through a plan of the
