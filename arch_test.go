@@ -334,7 +334,6 @@ func TestArchitecture(t *testing.T) {
 	for key, callers := range map[string][]string{
 		".:Analyzer.assemble":          {".:Session.run"},
 		"internal/equiv:NewBaseWith":   {".:Session.loadOrBuildBaseLocked", "internal/equiv:NewBase"},
-		".:Analyzer.startRiskModels":   {".:Session.resolveLocked"},
 		"internal/equiv:Checker.Check": {".:checkState"},
 		"internal/correlate:Correlate": {".:Analyzer.assemble", "internal/correlate:Engine.Correlate"},
 		"internal/risk:MarkSwitch": {".:buildSwitchReport", "internal/eval:Env.markMissing", "internal/eval:SwitchModelAccuracy",
@@ -357,14 +356,34 @@ func TestArchitecture(t *testing.T) {
 		}
 	}
 
-	// fanOut is the one fan-out: besides the controller-model build that
-	// startRiskModels runs beside the base build, it is the only place the
-	// root package starts a goroutine. Its workers share nothing but slots
-	// their indices own, so the package needs no atomic.
-	fanOut, startRiskModels := ix.lookup(t, ".:Analyzer.fanOut"), ix.lookup(t, ".:Analyzer.startRiskModels")
-	for _, g := range ix.spawns["."] {
-		if g.in != fanOut && g.in != startRiskModels {
-			t.Errorf("%s: %s starts a goroutine; the fan-out is Analyzer.fanOut", g.pos, funcName(g.in))
+	// The root package builds the deployment's one risk model in one
+	// place, when a session resolves a new deployment.
+	var builds []string
+	for _, u := range ix.uses[ix.lookup(t, "internal/risk:BuildControllerModel")] {
+		if u.in != nil && strings.HasPrefix(ix.key(u.in), ".:") {
+			builds = append(builds, ix.key(u.in))
+		}
+	}
+	if want := []string{".:Session.resolveLocked"}; !slices.Equal(builds, want) {
+		t.Errorf("the root package builds the risk model in %v, want once in %v", builds, want)
+	}
+
+	// Outside bench/ (and the oracle, which the index leaves out) two
+	// places start goroutines: Analyzer.fanOut, the pipeline's one
+	// fan-out, and Compile's pool sorting the switches' lists. Everything
+	// else runs on its caller's goroutine: a store save is written before
+	// it returns, and the model build and the hashing run in line. fanOut's
+	// workers share nothing but slots their indices own, so the root
+	// package needs no atomic.
+	fanOut, compilePool := ix.lookup(t, ".:Analyzer.fanOut"), ix.lookup(t, "internal/compile:Compile")
+	for dir, gs := range ix.spawns {
+		if dir == "bench" || strings.HasPrefix(dir, "bench/") {
+			continue
+		}
+		for _, g := range gs {
+			if g.in != fanOut && g.in != compilePool {
+				t.Errorf("%s: %s starts a goroutine; only Analyzer.fanOut and compile.Compile may", g.pos, funcName(g.in))
+			}
 		}
 	}
 	for _, imp := range ix.pkgs["."].Imports() {
@@ -403,9 +422,6 @@ func TestArchitecture(t *testing.T) {
 				t.Errorf("%s imports %s", dir, imp.Path())
 			}
 		}
-	}
-	for _, g := range ix.spawns["internal/store"] {
-		t.Errorf("%s: %s starts a goroutine; a store save is written before it returns", g.pos, funcName(g.in))
 	}
 
 	// A rule is a value whose provenance is never written after

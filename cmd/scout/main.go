@@ -32,7 +32,8 @@
 // deployments used most recently and removes the files of the rest.
 //
 // -json prints the final report as one JSON document, and nothing else,
-// on stdout; the lines that narrate the run go to stderr instead.
+// on stdout; the lines that narrate the run go to stderr instead. -v,
+// which adds to the text report, is refused beside it.
 package main
 
 import (
@@ -77,7 +78,7 @@ func run() error {
 		probes      = flag.Bool("probes", false, "observe via probes (each allow rule's header looked up in an exact-triple index of the collected TCAM rules) instead of exhaustive TCAM verification")
 		watch       = flag.Bool("watch", false, "drive an event-driven session daemon: full baseline, then an incremental refresh per window of events")
 		batchWindow = flag.Duration("batch-window", 2*time.Second, "watch mode: refresh once the first event not yet analyzed has waited this long (requires -watch)")
-		stateDir    = flag.String("state-dir", "", "durable warm-state directory: restore fingerprint-matching BDD state on start, write each round's deltas as it ends")
+		stateDir    = flag.String("state-dir", "", "durable warm-state directory: restore fingerprint-matching BDD state on start; a round writes the base it builds for a new deployment and, if it re-checked a switch, the whole verdict file")
 		jsonOut     = flag.Bool("json", false, "print the analysis report alone on stdout, as JSON; progress lines go to stderr")
 		verbose     = flag.Bool("v", false, "print per-switch details")
 	)
@@ -272,11 +273,16 @@ type objectFault struct {
 // invisibly into the watch baseline), and -batch-window does nothing
 // without the daemon loop. -scenario also replaces -fault and -disconnect,
 // so either beside it is refused rather than applied on top of the
-// replay. A negative window is refused: no wait can be negative. set holds
+// replay. A negative window is refused: no wait can be negative. -v adds
+// per-switch details to the text report, which -json replaces, so the two
+// together are refused in either mode rather than -v dropped. set holds
 // the names of explicitly-set flags.
 func checkWatchFlags(watch bool, window time.Duration, set map[string]bool) error {
 	if window < 0 {
 		return fmt.Errorf("-batch-window %v is negative", window)
+	}
+	if set["v"] && set["json"] {
+		return fmt.Errorf("-v adds details to the text report, which -json replaces; drop one of them")
 	}
 	if watch {
 		if set["scenario"] {

@@ -436,7 +436,9 @@ func TestCheckWatchFlags(t *testing.T) {
 		{"one-shot with scenario", false, time.Second, []string{"scenario"}, false},
 		{"scenario with fault", false, time.Second, []string{"scenario", "fault"}, true},
 		{"scenario with disconnect", false, time.Second, []string{"scenario", "disconnect"}, true},
-		{"scenario with v and json", false, time.Second, []string{"scenario", "v", "json"}, false},
+		{"scenario with json", false, time.Second, []string{"scenario", "json"}, false},
+		{"v with json", false, time.Second, []string{"v", "json"}, true},
+		{"watch with v and json", true, time.Second, []string{"v", "json"}, true},
 		{"batch-window without watch", false, time.Second, []string{"batch-window"}, true},
 		{"watch with batch-window", true, 0, []string{"batch-window"}, false},
 		{"negative batch-window", true, -time.Second, []string{"batch-window"}, true},

@@ -8,18 +8,13 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"log"
 
 	"scout"
 )
 
-// workers shards the per-switch equivalence checks (0 = GOMAXPROCS).
-var workers = flag.Int("workers", 0, "parallel per-switch equivalence checkers (0 = GOMAXPROCS, 1 = serial)")
-
 func main() {
-	flag.Parse()
 	if err := run(); err != nil {
 		log.Fatal(err)
 	}
@@ -94,7 +89,7 @@ func run() error {
 	}
 	fmt.Printf("fault 3: switch 3 offline while filter:9999 joined contract:%d\n", boundContract)
 
-	report, err := scout.NewAnalyzer(scout.AnalyzerOptions{Workers: *workers}).Analyze(f)
+	report, err := scout.NewAnalyzer().Analyze(f)
 	if err != nil {
 		return err
 	}

@@ -10,7 +10,6 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"log"
 
@@ -31,11 +30,7 @@ const incident = `{
   ]
 }`
 
-// workers shards the per-switch equivalence checks (0 = GOMAXPROCS).
-var workers = flag.Int("workers", 0, "parallel per-switch equivalence checkers (0 = GOMAXPROCS, 1 = serial)")
-
 func main() {
-	flag.Parse()
 	if err := run(); err != nil {
 		log.Fatal(err)
 	}
@@ -69,7 +64,7 @@ func run() error {
 
 	// Periodic collection feeding a persistent session: the baseline
 	// epoch is fully verified (cold run) and its verdicts cached.
-	sess, err := scout.NewSession(f, scout.AnalyzerOptions{Workers: *workers})
+	sess, err := scout.NewSession(f)
 	if err != nil {
 		return err
 	}

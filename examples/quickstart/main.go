@@ -6,18 +6,13 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"log"
 
 	"scout"
 )
 
-// workers shards the per-switch equivalence checks (0 = GOMAXPROCS).
-var workers = flag.Int("workers", 0, "parallel per-switch equivalence checkers (0 = GOMAXPROCS, 1 = serial)")
-
 func main() {
-	flag.Parse()
 	if err := run(); err != nil {
 		log.Fatal(err)
 	}
@@ -65,7 +60,7 @@ func run() error {
 
 	// 4. Run the SCOUT pipeline: collect TCAMs, BDD-check against the
 	//    policy, localize faulty objects, correlate root causes.
-	report, err := scout.NewAnalyzer(scout.AnalyzerOptions{Workers: *workers}).Analyze(f)
+	report, err := scout.NewAnalyzer().Analyze(f)
 	if err != nil {
 		return err
 	}

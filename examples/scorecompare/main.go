@@ -7,18 +7,13 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"log"
 
 	"scout"
 )
 
-// workers shards the per-switch equivalence checks (0 = GOMAXPROCS).
-var workers = flag.Int("workers", 0, "parallel per-switch equivalence checkers (0 = GOMAXPROCS, 1 = serial)")
-
 func main() {
-	flag.Parse()
 	if err := run(); err != nil {
 		log.Fatal(err)
 	}
@@ -66,7 +61,7 @@ func run() error {
 	// Shared pipeline front half: the analyzer checks every switch and
 	// marks the controller risk view its SCOUT run localized on, so SCOUT
 	// and SCORE run on identical inputs.
-	report, err := scout.NewAnalyzer(scout.AnalyzerOptions{Workers: *workers}).Analyze(f)
+	report, err := scout.NewAnalyzer().Analyze(f)
 	if err != nil {
 		return err
 	}

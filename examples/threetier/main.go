@@ -15,18 +15,13 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"log"
 
 	"scout"
 )
 
-// workers shards the per-switch equivalence checks (0 = GOMAXPROCS).
-var workers = flag.Int("workers", 0, "parallel per-switch equivalence checkers (0 = GOMAXPROCS, 1 = serial)")
-
 func main() {
-	flag.Parse()
 	if err := run(); err != nil {
 		log.Fatal(err)
 	}
@@ -94,7 +89,7 @@ func tcamOverflow() error {
 			return err
 		}
 	}
-	report, err := scout.NewAnalyzer(scout.AnalyzerOptions{Workers: *workers}).Analyze(f)
+	report, err := scout.NewAnalyzer().Analyze(f)
 	if err != nil {
 		return err
 	}
@@ -124,7 +119,7 @@ func unresponsiveSwitch() error {
 	if err := f.AddFilterToContract(202, 443); err != nil {
 		return err
 	}
-	report, err := scout.NewAnalyzer(scout.AnalyzerOptions{Workers: *workers}).Analyze(f)
+	report, err := scout.NewAnalyzer().Analyze(f)
 	if err != nil {
 		return err
 	}
@@ -158,7 +153,7 @@ func tooManyMissingRules() error {
 	if err := f.Deploy(); err != nil {
 		return err
 	}
-	report, err := scout.NewAnalyzer(scout.AnalyzerOptions{Workers: *workers}).Analyze(f)
+	report, err := scout.NewAnalyzer().Analyze(f)
 	if err != nil {
 		return err
 	}

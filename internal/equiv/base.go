@@ -1,6 +1,6 @@
 // Shared encoding base for the check-stage fan-out: the whole-switch
 // semantics roots of a deployment's logical rule lists — one root per
-// list, one compile per distinct list — are built in one BDD manager,
+// list, what lists share compiled once — are built in one BDD manager,
 // which is then frozen into an immutable snapshot that every worker's
 // checker forks. Without it, each check-stage worker would rebuild every
 // semantics root shared across its switches — duplicated node

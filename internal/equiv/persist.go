@@ -6,7 +6,6 @@ package equiv
 
 import (
 	"fmt"
-	"slices"
 
 	"scout/internal/bdd"
 	"scout/internal/rule"
@@ -15,22 +14,16 @@ import (
 // NewBaseWith compiles each rule list into its whole-list allowed-set BDD
 // and freezes the result: one root per list, in the order given, the base
 // holding the lists themselves so a checker finds a root by slice
-// identity. A list SemanticsEqual to an earlier one shares its root
-// without a compile; the others compile through one memo of tails and
-// tries (compile.go), so what two of them share is built once, and the
-// memo is frozen with the base. A list that cannot be encoded gets
-// NoRoot rather than failing the build.
+// identity. Every list compiles through one memo of tails and tries
+// (compile.go), so what two lists share is built once, and the memo is
+// frozen with the base: a list equal to an earlier one finds its tails
+// and tries there and, the BDD being canonical, gets the same root. A
+// list that cannot be encoded gets NoRoot rather than failing the build.
 func NewBaseWith(lists ...[]rule.Rule) *Base {
 	m := bdd.NewManager(NumVars)
 	memo := compileMemo{}
 	roots := make([]bdd.Node, len(lists))
-	var firsts []int // the first list of each SemanticsEqual class
 	for i, rules := range lists {
-		if k := slices.IndexFunc(firsts, func(j int) bool { return SemanticsEqual(lists[j], rules) }); k >= 0 {
-			roots[i] = roots[firsts[k]]
-			continue
-		}
-		firsts = append(firsts, i)
 		root, err := compileMemoized(m, rules, nil, memo)
 		if err != nil {
 			root = NoRoot

@@ -314,28 +314,6 @@ func (a *Analyzer) fanOut(n int, fn func(worker, i int) error) error {
 	return nil
 }
 
-// startRiskModels begins the build of the deployment's one risk model, the
-// controller's (paper Figure 4(b)), on its own goroutine and returns the
-// function that waits for it, or for the footprint error that refused it;
-// the caller calls it once, on every path. Every switch is modelled as a
-// shared risk, so whole-switch failures are localizable, and a switch's
-// model (4(a)) is the range of its triplets. The model is a function of
-// the compiled policy alone, so it is never marked: every analysis
-// annotates fresh overlays over it and reads its arrays as they are.
-func (a *Analyzer) startRiskModels(d *Deployment) (join func() (*risk.Model, error)) {
-	var m *risk.Model
-	var err error
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		m, err = risk.BuildControllerModel(d)
-	}()
-	return func() (*risk.Model, error) {
-		<-done
-		return m, err
-	}
-}
-
 // changeOracle builds the change-log oracle anchored at now.
 func changeOracle(changes *ChangeLog, now time.Time) localize.ChangeLogOracle {
 	return localize.ChangeLogOracle{Log: changes, Since: now.Add(-changeWindow)}

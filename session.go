@@ -437,20 +437,23 @@ func (s *Session) foldTotalsLocked() foldTotals {
 
 // resolveLocked brings s.dep in step with the run's deployment. It is the
 // one place the session asks whether this is still the deployment it
-// knows. The same pointer means nothing moved. A new pointer is hashed
+// knows. The same pointer means nothing moved. A new pointer's footprint
+// is validated first, once — a pointer seen before was validated then —
+// and its controller risk model (paper Figure 4(b)) is built: every switch
+// is modelled as a shared risk, so whole-switch failures are localizable,
+// and a switch's model (4(a)) is the range of its triplets. The model is a
+// function of the compiled policy alone, so it is never marked: every
+// analysis annotates fresh overlays over it. Then the deployment is hashed
 // once: equal content (a recompile that changed nothing) keeps the
 // fingerprints and the base — re-pointed at the new deployment's slices so
 // the superseded one is not pinned; safe here, the run lock is held and no
-// checker is mid-check — and rebuilds only the risk model. New content
-// also replaces them, discarding the old base's checker forks before any
-// worker is provisioned, and seeds the verdict cache from the warm store.
-// A probe session holds no base, so for it equal content re-points nothing
-// and new content builds nothing. The controller model builds beside the
-// hashing: they share nothing. A new pointer's footprint is validated
-// first, once — a pointer seen before was validated then. A footprint
-// that fails validation, or that the model build refuses, is an error
-// returned before anything changes, so the session keeps the deployment it
-// knew, with its base, checker forks, verdicts and counters.
+// checker is mid-check. New content also replaces them, discarding the old
+// base's checker forks before any worker is provisioned, and seeds the
+// verdict cache from the warm store. A probe session holds no base, so for
+// it equal content re-points nothing and new content builds nothing. A
+// footprint that fails validation, or that the model build refuses, is an
+// error returned before anything changes, so the session keeps the
+// deployment it knew, with its base, checker forks, verdicts and counters.
 func (s *Session) resolveLocked(d *compile.Deployment) error {
 	if d == s.dep.d {
 		return nil
@@ -458,12 +461,11 @@ func (s *Session) resolveLocked(d *compile.Deployment) error {
 	if err := d.Footprint.Validate(); err != nil {
 		return err
 	}
-	joinModels := s.a.startRiskModels(d)
-	logFPs, fp := equiv.DeploymentFingerprints(d.BySwitch)
-	ctrl, err := joinModels()
+	ctrl, err := risk.BuildControllerModel(d)
 	if err != nil {
 		return err
 	}
+	logFPs, fp := equiv.DeploymentFingerprints(d.BySwitch)
 	base := s.dep.base
 	switch {
 	case s.dep.d == nil || fp != s.dep.fp:
@@ -490,7 +492,7 @@ func (s *Session) resolveLocked(d *compile.Deployment) error {
 // by an older codec included): the build overwrites it.
 //
 // The build is the check stage's warmup pass, and the only one: it
-// compiles every distinct logical list once, serially, into one manager
+// compiles every logical list once, serially, into one manager
 // (not shareable mid-build), freezes it, and holds every list, so a
 // checker finds a logical list's root by slice identity and a consistent
 // switch's T list, SemanticsEqual to its logical list, shares that root. A
