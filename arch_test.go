@@ -324,7 +324,8 @@ func TestArchitecture(t *testing.T) {
 	// The pipeline is written once: Session.run is the only orchestration,
 	// so every stage has one call site. Outside bench/ that holds for the
 	// check too: an experiment or an example reads a Report instead of
-	// running it. Marking has the switch report, whose marks the
+	// running it, and the BDD checker runs only where Base.Check falls
+	// back to it. Marking has the switch report, whose marks the
 	// controller view joins, and besides it the simulated §VI figures,
 	// which inject their faults at the model level, as §VI-A does: eval's
 	// one controller injector and Figure 8's switch. The annotated build
@@ -334,7 +335,8 @@ func TestArchitecture(t *testing.T) {
 	for key, callers := range map[string][]string{
 		".:Analyzer.assemble":          {".:Session.run"},
 		"internal/equiv:NewBaseWith":   {".:Session.loadOrBuildBaseLocked", "internal/equiv:NewBase"},
-		"internal/equiv:Checker.Check": {".:checkState"},
+		"internal/equiv:Base.Check":    {".:Session.run"},
+		"internal/equiv:Checker.Check": {"internal/equiv:Base.Check"},
 		"internal/correlate:Correlate": {".:Analyzer.assemble", "internal/correlate:Engine.Correlate"},
 		"internal/risk:MarkSwitch": {".:buildSwitchReport", "internal/eval:Env.markMissing", "internal/eval:SwitchModelAccuracy",
 			"internal/risk:AugmentControllerModelPatch", "internal/risk:BuildAnnotatedSwitchModel"},
@@ -447,7 +449,8 @@ func TestArchitecture(t *testing.T) {
 	shims := map[string]bool{}
 	for _, key := range []string{"internal/equiv:NewBase", "internal/equiv:CollectMatches", "internal/equiv:SemanticsFingerprint",
 		"internal/equiv:SortMatches", "internal/equiv:Base.NumMatches", "internal/equiv:Base.NewCheckerSized",
-		"internal/equiv:Checker.Compact", "internal/risk:BuildAnnotatedSwitchModel",
+		"internal/equiv:Checker.Compact", "internal/equiv:Checker.DeltaSize", "internal/equiv:Checker.Reset", "internal/equiv:Checker.Stats",
+		"internal/bdd:CacheStats.Hits", "internal/risk:BuildAnnotatedSwitchModel",
 		"internal/risk:BuildControllerModelParallel", "internal/risk:AugmentControllerModelPatch", "internal/risk:Patch.Apply", "internal/store:Store.Flush", "internal/store:Store.Close",
 		".:Session.ApplyEvents", "internal/collect:Collector.SnapshotSwitches", "internal/collect:DirtySwitches",
 		"internal/stream:New", "internal/stream:Queue.Push", "internal/stream:Queue.Cut", "internal/stream:Queue.Stats",

@@ -74,13 +74,13 @@ func run() error {
 		capacity    = flag.Int("tcam", 0, "per-switch TCAM capacity (0 = default)")
 		disconnect  = flag.Int("disconnect", -1, "switch ID to disconnect before analysis")
 		scenPath    = flag.String("scenario", "", "JSON scenario file to replay instead of -fault/-disconnect")
-		workers     = flag.Int("workers", 0, "parallel per-switch equivalence checkers (0 = GOMAXPROCS, 1 = serial)")
+		workers     = flag.Int("workers", 0, "parallel per-switch equivalence checks (0 = GOMAXPROCS, 1 = serial)")
 		probes      = flag.Bool("probes", false, "observe via probes (each allow rule's header looked up in an exact-triple index of the collected TCAM rules) instead of exhaustive TCAM verification")
 		watch       = flag.Bool("watch", false, "drive an event-driven session daemon: full baseline, then an incremental refresh per window of events")
 		batchWindow = flag.Duration("batch-window", 2*time.Second, "watch mode: refresh once the first event not yet analyzed has waited this long (requires -watch)")
 		stateDir    = flag.String("state-dir", "", "durable warm-state directory: restore fingerprint-matching BDD state on start; a round writes the base it builds for a new deployment and, if it re-checked a switch, the whole verdict file")
 		jsonOut     = flag.Bool("json", false, "print the analysis report alone on stdout, as JSON; progress lines go to stderr")
-		verbose     = flag.Bool("v", false, "print per-switch details")
+		verbose     = flag.Bool("v", false, "print the controller risk view, SCOUT's stage timings and per-switch details")
 	)
 	var faults faultFlags
 	flag.Var(&faults, "fault", "object fault to inject, e.g. filter:5003@1.0 (repeatable)")
@@ -234,16 +234,6 @@ func emitReport(report *scout.Report, jsonOut, verbose bool) error {
 			// copy-on-write overlay whose counts include its own marks.
 			fmt.Printf("\ncontroller risk view: %s\n", report.ControllerView)
 		}
-		if es := report.EncodeStats; es != nil {
-			fmt.Printf("\nbdd encoding: base %d nodes (%d semantics warmed), delta %d nodes across %d checkers\n",
-				es.BaseNodes, es.BaseSemantics, es.DeltaNodes, es.Checkers)
-			fmt.Printf("fold sharing: hits %d / misses %d\n", es.FoldBaseHits, es.FoldMisses)
-			hits, misses, pct := es.OpCache.Hits(), es.OpCache.Misses, 0.0
-			if hits+misses > 0 {
-				pct = 100 * float64(hits) / float64(hits+misses)
-			}
-			fmt.Printf("bdd op cache: %d hits / %d misses (%.1f%%)\n", hits, misses, pct)
-		}
 		if ls := report.LocalizeStats; ls != nil {
 			fmt.Printf("\nlocalization stages: hit-ratio-1 %v, change-log %v\n",
 				ls.Stage1.Round(time.Microsecond), ls.Stage2.Round(time.Microsecond))
@@ -332,7 +322,7 @@ type watchOptions struct {
 // one refresh round (Session.Analyze); at shutdown it runs one more if any
 // event is still pending. Events decide when a round runs, not what it
 // reads: the round collects every switch and re-verifies the ones written
-// since their last read — a BDD re-check of their collected rules, or in
+// since their last read — a re-check of their collected rules, or in
 // probe mode (UseProbes) a classification of their probe batches against
 // those rules — so a write no event names is still caught. It
 // returns the last report produced (the baseline's when no events
@@ -417,10 +407,8 @@ func runWatch(f *scout.Fabric, faults []objectFault, opts watchOptions, w io.Wri
 		fmt.Fprintf(w, "probe replay: %d switches classified, %d replayed, %d packets batched\n",
 			st.Checked, st.Replayed, st.ProbePacketsBatched)
 	} else {
-		fmt.Fprintf(w, "session encodings: base %d nodes (%d rebuilds, %d semantics), delta %d nodes\n",
-			st.BaseNodes, st.BaseRebuilds, st.BaseSemantics, st.DeltaNodes)
-		fmt.Fprintf(w, "session fold sharing: hits %d / misses %d\n", st.FoldHits, st.FoldMisses)
-		fmt.Fprintf(w, "session checker resets: %d\n", st.CheckerResets)
+		fmt.Fprintf(w, "session base: %d nodes (%d rebuilds, %d semantics); %d of %d checks compiled BDDs\n",
+			st.BaseNodes, st.BaseRebuilds, st.BaseSemantics, st.Compiled, st.Checked)
 	}
 	if err := sess.Close(); err != nil {
 		return nil, err

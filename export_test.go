@@ -1,10 +1,5 @@
 package scout
 
-// ResetCheckersOver applies the session's over-budget reset to its worker
-// checkers at budget instead of sessionNodeBudget, which no test fabric
-// comes near.
-func ResetCheckersOver(s *Session, budget int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.resetOverBudgetLocked(s.checkers, budget)
-}
+// Workers is the number of workers an Analyzer's fan-out over n items runs
+// on.
+func Workers(a *Analyzer, n int) int { return a.workers(n) }

@@ -220,7 +220,7 @@ func drawPolicy(c *oracle.Choices) (*policy.Policy, *topo.Topology) {
 			f.Entries = append(f.Entries, policy.FilterEntry{
 				Proto:  []rule.Protocol{rule.ProtoTCP, rule.ProtoUDP}[c.Intn(2)],
 				PortLo: lo, PortHi: lo + uint16(c.Intn(2)),
-				Action: rule.Allow + rule.Action(c.Intn(2)),
+				Action: rule.Allow, // a filter only allows (policy.Filter.Validate)
 			})
 		}
 		p.AddFilter(f)

@@ -1,17 +1,9 @@
-// Shared encoding base for the check-stage fan-out: the whole-switch
-// semantics roots of a deployment's logical rule lists — one root per
-// list, what lists share compiled once — are built in one BDD manager,
-// which is then frozen into an immutable snapshot that every worker's
-// checker forks. Without it, each check-stage worker would rebuild every
-// semantics root shared across its switches — duplicated node
-// construction that grows with the worker count.
-//
-// The roots are built by the direct compiler (compile.go), so the
-// snapshot holds result nodes only, and its unique table doubles as the
-// memo for lists the base never saw: a fork compiling a drifted switch's
-// TCAM list interns through it and finds every subtree the list shares
-// with a frozen one. Nothing per match is kept: a difference is
-// attributed to rules by walking it (meets.go).
+// Frozen encoding base: the whole-switch semantics roots of a
+// deployment's logical rule lists, built once by the direct compiler
+// (compile.go) in one BDD manager and frozen into an immutable snapshot
+// that a check outside union form forks. Its unique table doubles as the
+// memo for lists it never saw: a fork compiling a TCAM list interns
+// through it and finds every subtree the list shares with a frozen one.
 
 package equiv
 
@@ -67,19 +59,18 @@ func NewBase(_ []rule.Match, semantics ...[]rule.Rule) *Base {
 
 // NewChecker forks the base: the returned checker takes the roots of the
 // lists the base holds from its frozen snapshot and compiles any other
-// list in its private copy-on-write delta. Forking is O(1); use one fork
-// per worker goroutine. The fork's delta tables are pre-sized
-// from the base's observed load. It is the one way to get a checker: a
-// fork of NewBaseWith() compiles every list it is handed.
+// list in its private copy-on-write delta. Forking is O(1). The fork's
+// delta tables are pre-sized from the base's observed load. It is the one
+// way to get a checker: a fork of NewBaseWith() compiles every list.
 func (b *Base) NewChecker() *Checker {
 	return b.newChecker(func() Backend { return bdd.NewManagerFrom(b.snap) })
 }
 
 // NewCheckerSized is NewChecker with the fork's node array and tables
 // pre-sized for an explicit delta-node count; Reset keeps the sizing. It
-// is retained only because bench/ still calls it: sessions size their
-// forks from the base like everyone else — a check adds ~130 delta nodes,
-// so pre-sizing for a share of the node budget bought nothing.
+// is retained only because bench/ still calls it: every other fork is
+// sized from the base — a check adds ~130 delta nodes, so pre-sizing
+// bought nothing.
 func (b *Base) NewCheckerSized(deltaNodes int) *Checker {
 	return b.newChecker(func() Backend { return bdd.NewManagerFromSized(b.snap, deltaNodes) })
 }
@@ -179,52 +170,9 @@ func matchLess(a, b rule.Match) bool {
 	return !a.WildcardDst && b.WildcardDst
 }
 
-// EncodeStats aggregates the encoding work behind one analysis run:
-// where the BDD nodes live (shared base vs per-checker deltas) and where
-// whole-list semantics roots were resolved from. It is the assertion
-// surface for the shared-base design — cross-worker duplicated node
-// construction shows up as DeltaNodes growth with the worker count.
-//
-// Units caveat for session-produced reports: a session's checkers
-// persist across runs, so the hit/miss counters aggregated from them
-// are cumulative over the session's lifetime. Per-run fold attribution
-// lives in the session's SessionStats instead.
+// Deprecated: EncodeStats summarized a run's worker checkers, which no
+// longer exist; Report.EncodeStats is always nil. The type stays until
+// bench/ stops reading it (ROADMAP item 1, shims).
 type EncodeStats struct {
-	// Checkers is the number of checkers aggregated (the worker count).
-	Checkers int
-	// BaseNodes is the size of the shared frozen base.
-	BaseNodes int
-	// BaseSemantics is the number of distinct whole-switch semantics
-	// roots frozen in the base (SemanticsEqual logical lists share one).
-	BaseSemantics int
-	// DeltaNodes sums every checker's private node count.
-	DeltaNodes int
-	// FoldBaseHits and FoldMisses sum the checkers' cumulative whole-list
-	// semantics counters: folds resolved from the base's frozen roots, or
-	// built from scratch.
-	FoldBaseHits int
-	FoldMisses   int
-
-	// OpCache sums the checkers' BDD operation-cache hits and misses.
-	// Like the fold counters, cumulative over each checker's lifetime
-	// for session-produced reports.
 	OpCache bdd.CacheStats
-}
-
-// AggregateEncodeStats sums the encoding counters of a run's checkers
-// over the base they fork.
-func AggregateEncodeStats(base *Base, checkers []*Checker) *EncodeStats {
-	st := &EncodeStats{
-		Checkers:      len(checkers),
-		BaseNodes:     base.Size(),
-		BaseSemantics: base.NumSemantics(),
-	}
-	for _, c := range checkers {
-		st.DeltaNodes += c.DeltaSize()
-		cs := c.Stats()
-		st.FoldBaseHits += cs.FoldBaseHits
-		st.FoldMisses += cs.FoldMisses
-		st.OpCache.Add(cs.Cache)
-	}
-	return st
 }

@@ -203,27 +203,6 @@ func TestSortMatchesTotalOrder(t *testing.T) {
 	}
 }
 
-// TestAggregateEncodeStats sums counters across forks.
-func TestAggregateEncodeStats(t *testing.T) {
-	logical := withDeny(allowRule(1, 2, 3, 80))
-	base := newBase(logical)
-	f1, f2 := base.NewChecker(), base.NewChecker()
-	if _, err := f1.Check(logical, logical); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f2.Check(logical, nil); err != nil {
-		t.Fatal(err)
-	}
-	st := AggregateEncodeStats(base, []*Checker{f1, f2})
-	if st.Checkers != 2 || st.BaseNodes != base.Size() || st.BaseSemantics != base.NumSemantics() ||
-		st.DeltaNodes != f1.DeltaSize()+f2.DeltaSize() {
-		t.Errorf("aggregate %+v does not sum the base and its two forks", st)
-	}
-	if st.FoldBaseHits != 3 || st.FoldMisses != 1 {
-		t.Errorf("fold counters %+v, want 3 base hits (the warmed list) and 1 miss (the empty list)", st)
-	}
-}
-
 // TestDeploymentFingerprint: stable across calls, sensitive to any
 // switch's rules and to which switch holds which list.
 func TestDeploymentFingerprint(t *testing.T) {
@@ -576,13 +555,12 @@ func (c *readCounter) NodeAt(n bdd.Node) (int32, bdd.Node, bdd.Node) {
 	return c.applyBackend.NodeAt(n)
 }
 
-// TestAttributeDescendsOncePerTriple: attributing a difference to n rules
-// on one (VRF, src, dst) reads the difference's VRF/src/dst nodes once —
-// the descent, and the node below it — and then, rule by rule, at most the
-// protocol's nodes, the first port node and two nodes a port depth. The
-// difference is every other rule, so half the walks find their port and
-// half rule it out.
-func TestAttributeDescendsOncePerTriple(t *testing.T) {
+// TestAttributeWalksBoundedPerRule: attributing a difference to n rules
+// on one (VRF, src, dst) reads, rule by rule, at most the difference's
+// VRF/src/dst and protocol nodes along the rule's own bits, the first port
+// node and two nodes a port depth. The difference is every other rule, so
+// half the walks find their port and half rule it out.
+func TestAttributeWalksBoundedPerRule(t *testing.T) {
 	const n = 64
 	var rules, half []rule.Rule
 	for i := 0; i < n; i++ {
@@ -602,8 +580,8 @@ func TestAttributeDescendsOncePerTriple(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(got, half) {
 		t.Fatalf("attributed %v (%v), want the %d rules of the difference", got, err, len(half))
 	}
-	if bound := protoOff + 1 + n*(protoBits+1+2*portBits); m.reads < protoOff || m.reads > bound {
-		t.Errorf("%d rules on one triple read %d nodes, want %d..%d: one descent and %d walks below it", n, m.reads, protoOff, bound, n)
+	if bound := n * (portOff + 1 + 2*portBits); m.reads < n || m.reads > bound {
+		t.Errorf("%d rules on one triple read %d nodes, want %d..%d: one walk each from the root", n, m.reads, n, bound)
 	}
 }
 

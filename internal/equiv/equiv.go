@@ -1,14 +1,16 @@
 // Package equiv implements the paper's L-T equivalence checker (§III-C):
 // it compares the logical rules compiled from the network policy (L-type)
-// against the TCAM rules collected from a switch (T-type) by encoding both
-// as reduced ordered BDDs and diffing them. When the two differ, the
-// checker reports the set of missing rules — logical rules whose behaviour
-// should have been deployed in the TCAM but is absent — which become the
-// observations that annotate the risk models.
+// against the TCAM rules collected from a switch (T-type). When the two
+// differ, the check reports the set of missing rules — logical rules whose
+// behaviour should have been deployed in the TCAM but is absent — which
+// become the observations that annotate the risk models, and the extra
+// rules, deployed rules that allow what the policy does not.
 //
-// Every checker forks a frozen Base (base.go) that holds the compiled
-// logical lists of one deployment, so a check compiles only what the base
-// lacks: a drifted switch's TCAM list.
+// Base.Check (cover.go) is the check stage's one entry point. Lists in
+// union form, as compiled or collected, are decided triple by triple by
+// coverage. Any other list is encoded as a reduced ordered BDD and diffed
+// (Checker.Check) on a fork of a frozen Base (base.go) of the deployment's
+// logical lists.
 package equiv
 
 import (
@@ -61,14 +63,8 @@ type Backend interface {
 // of a logical list the base holds from the base (resolve) and compiles
 // any other list in a private copy-on-write delta, so any number of
 // concurrent forks share one node pool for the deployment's lists. A fork
-// of an empty base compiles every list it is handed. Not safe for
-// concurrent use.
-//
-// A checker remembers no whole list: the base holds every logical list of
-// its deployment, and a collected list is looked up but never stored. Under
-// churn a dirty check's T list is never handed over again — a memo of those
-// pins one TCAM snapshot a check and is never hit. What remembers a T list
-// is the caller's verdict cache, one entry a switch.
+// of an empty base compiles every list it is handed. A checker remembers no
+// whole list. Not safe for concurrent use.
 type Checker struct {
 	m Backend
 	// newM recreates the manager on Reset with the same kind and sizing
@@ -94,12 +90,13 @@ type Checker struct {
 
 // DeltaSize returns the number of nodes this checker itself owns: the
 // copy-on-write delta beyond the shared base. The manager never frees
-// nodes, so long-lived checkers (analysis sessions reusing one checker per
-// worker across runs) watch DeltaSize and Reset past a budget — a Reset
-// can only shed the delta, never the base.
+// nodes; a Reset sheds the delta, never the base. No check keeps a checker
+// past its own switch, so nothing outside bench/ watches the delta; it
+// stays until bench/ stops reading it (ROADMAP item 1, shims).
 func (c *Checker) DeltaSize() int { return c.m.DeltaSize() }
 
-// Stats returns the checker's cumulative counters.
+// Stats returns the checker's cumulative counters. It stays until bench/
+// stops reading them (ROADMAP item 1, shims).
 func (c *Checker) Stats() CheckerStats {
 	cache := c.cacheAcc
 	cache.Add(c.m.CacheStats())
@@ -129,8 +126,8 @@ type CheckerStats struct {
 
 // Reset discards the checker's delta and its compile memo, re-forking the
 // shared base. Checks after a Reset produce identical reports — only the
-// amortized compile work is lost. Counters survive. A session resets a
-// checker whose delta is over its node budget.
+// amortized compile work is lost. Counters survive. It stays until bench/
+// stops calling it (ROADMAP item 1, shims).
 func (c *Checker) Reset() {
 	c.cacheAcc.Add(c.m.CacheStats())
 	c.m = c.newM()
@@ -147,9 +144,8 @@ func (c *Checker) Reset() {
 // Compact returns false (and does nothing) when the backend does not
 // support compaction (the map-backed reference manager).
 //
-// Deprecated: no session compacts — an over-budget checker is Reset
-// instead. Compact stays until bench/ stops timing it (ROADMAP item 1,
-// shims).
+// Deprecated: no checker outlives its check, so none is compacted.
+// Compact stays until bench/ stops timing it (ROADMAP item 1, shims).
 func (c *Checker) Compact() (bdd.CompactStats, bool) {
 	m, ok := c.m.(*bdd.Manager)
 	if !ok {
@@ -209,8 +205,7 @@ func (c *Checker) Check(logical, deployed []rule.Rule) (*Report, error) {
 // diff, in list order. Every allow rule is tested by walking diff under
 // the rule's constraints (meets.go), which only reads the diagram:
 // attributing a difference to rules adds no node to the checker's manager
-// and keeps no per-match state. Consecutive rules on one exact
-// VRF/src/dst triple share the walk down to it.
+// and keeps no per-match state.
 func (c *Checker) attribute(rules []rule.Rule, diff bdd.Node) ([]rule.Rule, error) {
 	if diff == bdd.False {
 		return nil, nil

@@ -3,6 +3,7 @@ package equiv
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 	"time"
@@ -187,16 +188,14 @@ func TestCompileErrorParity(t *testing.T) {
 
 func TestMeetsEqualsIntersects(t *testing.T) { runCases(t, 5, 40, meetsStep) }
 
-// TestAttributeEqualsWalkOfEveryRule: drawn cases, most of which encode,
-// whose exact-triple rules both reuse the descent of the rule before them
-// and descend anew; and one missing rule in each of 384 groups, a
-// difference of as many VRF/src/dst paths.
+// TestAttributeEqualsWalkOfEveryRule: drawn cases, most of which encode;
+// and one missing rule in each of 384 groups, a difference of as many
+// VRF/src/dst paths.
 func TestAttributeEqualsWalkOfEveryRule(t *testing.T) {
 	var n attributeTally
 	runCases(t, 23, 300, n.step)
-	if n.pairs < 400 || n.reused == 0 || n.redone == 0 || n.hits == 0 { // 509, 2,155, 6,903 and 10,524 at this seed
-		t.Fatalf("%d of 600 list pairs encoded, %d descents reused and %d redone, %d attributed rules: the comparison is all but vacuous",
-			n.pairs, n.reused, n.redone, n.hits)
+	if n.pairs < 400 || n.hits == 0 { // 509 and 10,524 at this seed
+		t.Fatalf("%d of 600 list pairs encoded, %d attributed rules: the comparison is all but vacuous", n.pairs, n.hits)
 	}
 	logical, deployed := genPair(oracle.FromBytes(alternatingSeed))
 	rep, err := emptyFork().Check(logical, deployed)
@@ -374,8 +373,9 @@ func FuzzCompileSemantics(f *testing.F) {
 
 // alternatingSeed decodes to a logical list whose allow rules go A, B, A
 // over two triples and then wildcard the VRF, and a deployed list that
-// lost the second A: attribution descends for A, for B and for A again,
-// and walks the wildcard rule from the root (TestAttributeEqualsWalkOfEveryRule).
+// lost the second A: attribution walks A, B, A again and the wildcard rule
+// (TestAttributeEqualsWalkOfEveryRule), and the check compiles, the
+// wildcard rule keeping the lists out of union form.
 var alternatingSeed = []byte{3,
 	1, 1, 1, 2, 1, 3, 2, 1, 1, 1, 0, 3, 0, 3, 1, 1, 1, // vrf=1 src=2 dst=3 tcp 80
 	1, 1, 1, 1, 4, 1, 5, 2, 1, 1, 1, 1, 0, 3, 0, 3, 1, 1, 1, // vrf=1 src=4 dst=5 tcp 80
@@ -386,14 +386,38 @@ var alternatingSeed = []byte{3,
 }
 
 // FuzzMeets decodes a case and walks its differences with every rule, and
-// attributes them.
+// attributes them, and checks it through Base.Check against the BDD
+// checker; then it decodes a union-form case from the bytes left
+// (genUnion) and checks that too, triple by triple. The seeds past the
+// first three are random bytes whose union-form case is walked and names
+// both missing and extra rules.
 func FuzzMeets(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{5, 0x20, 1, 2, 3, 0, 0, 0, 0, 0, 9, 8, 7})
 	f.Add(alternatingSeed)
+	for _, seed := range []int64{11, 17, 20, 29} {
+		data := make([]byte, 512)
+		rand.New(rand.NewSource(seed)).Read(data)
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := oracle.FromBytes(data)
 		logical, deployed := genPair(c)
-		runPair(t, c, logical, deployed, meetsStep, attributeStep)
+		runPair(t, c, logical, deployed, meetsStep, attributeStep, walkStep)
+		logical, deployed = genUnion(c)
+		runPair(t, c, logical, deployed, walkStep)
 	})
+}
+
+// TestWalkEqualsChecker: on drawn union-form cases, most of which differ,
+// and on genPair's cases, most of which compile, Base.Check is the BDD
+// checker's report (walkStep).
+func TestWalkEqualsChecker(t *testing.T) {
+	var union, any walkTally
+	runUnion(t, 31, 400, union.step)
+	runCases(t, 37, 200, any.step)
+	if union.walked < 500 || union.differed < 300 || union.compiled < 40 || any.compiled < 200 { // 694, 526, 106 and 330 at these seeds
+		t.Fatalf("union-form draws: %d checks walked, %d of them differing, %d compiled; other draws: %d compiled, %d walked: the comparison is all but vacuous",
+			union.walked, union.differed, union.compiled, any.compiled, any.walked)
+	}
 }

@@ -1,10 +1,13 @@
-// The package's case runner. One generator (genRules, genPair) decodes
-// rule lists from an oracle.Choices, so a seeded stream and a fuzzer's
-// bytes drive the same code; each step runs one of the layer's operations
-// on a case — a logical list and a deployed one — and holds it to the
-// constructions production replaced (oracle_test.go) or to a first-match
-// scan. Every test in the package is a case of runPair, runCases or
-// runSweep, or a hand-made input its runner cannot draw.
+// The package's case runner. Two generators decode rule lists from an
+// oracle.Choices, so a seeded stream and a fuzzer's bytes drive the same
+// code: genPair draws any pair of lists, and genUnion pairs in union form
+// (cover.go) as compilation and collection make them, edited the ways a
+// fabric edits them. Each step runs one of the layer's operations on a
+// case — a logical list and a deployed one — and holds it to the
+// constructions production replaced (oracle_test.go), to a first-match
+// scan, or, for the walk by triple, to the BDD checker. Every test in the
+// package is a case of runPair, runCases, runUnion or runSweep, or a
+// hand-made input its runner cannot draw.
 
 package equiv
 
@@ -155,7 +158,7 @@ type step func(t *testing.T, c *oracle.Choices, logical, deployed []rule.Rule)
 func runPair(t *testing.T, c *oracle.Choices, logical, deployed []rule.Rule, steps ...step) {
 	t.Helper()
 	if len(steps) == 0 {
-		steps = []step{compileStep, memoStep, meetsStep, attributeStep, checkStep, copyStep, rebindStep}
+		steps = []step{compileStep, memoStep, meetsStep, attributeStep, checkStep, copyStep, rebindStep, walkStep}
 	}
 	for _, s := range steps {
 		s(t, c, logical, deployed)
@@ -395,8 +398,7 @@ func genAlternating(c *oracle.Choices, logical []rule.Rule) []rule.Rule {
 }
 
 // refAttribute is attribution with nothing shared between rules: every
-// allow rule walked against the difference from its root by a walk of
-// its own.
+// allow rule walked against the difference by a walk of its own.
 func refAttribute(m Backend, rules []rule.Rule, diff bdd.Node) []rule.Rule {
 	var hit []rule.Rule
 	for _, r := range rules {
@@ -408,15 +410,14 @@ func refAttribute(m Backend, rules []rule.Rule, diff bdd.Node) []rule.Rule {
 }
 
 // attributeTally counts what attributeStep compared: pairs of lists that
-// both encode; exact-triple allow rules that follow one on the same triple,
-// so attribution reuses its descent, and those that do not, so it descends
-// anew; and rules attributed.
-type attributeTally struct{ pairs, reused, redone, hits int }
+// both encode, and rules attributed.
+type attributeTally struct{ pairs, hits int }
 
-// attributeStep: attribution names exactly the rules the walk of every
-// rule from the root names, in order, for the case's lists and for the
-// logical list beside a drawn alternating one (genAlternating), against
-// their differences both ways, their Xor and a sparse cube.
+// attributeStep: attribution, whose walks share one record of dead nodes,
+// names exactly the rules a walk of each rule of its own names, in order,
+// for the case's lists and for the logical list beside a drawn alternating
+// one (genAlternating), against their differences both ways, their Xor
+// and a sparse cube.
 func attributeStep(t *testing.T, c *oracle.Choices, logical, deployed []rule.Rule) {
 	t.Helper()
 	new(attributeTally).step(t, c, logical, deployed)
@@ -447,32 +448,8 @@ func (n *attributeTally) pair(t *testing.T, c *oracle.Choices, logical, deployed
 				t.Fatalf("attribution names %v (%v), the walk of every rule %v\nrules: %v", got, err, want, rules)
 			}
 			n.hits += len(got)
-			if diff != bdd.False {
-				reused, redone := descents(rules)
-				n.reused, n.redone = n.reused+reused, n.redone+redone
-			}
 		}
 	}
-}
-
-// descents counts the allow rules of rules whose VRF, source and
-// destination are exact: those on the triple of the last such rule before
-// them, and the others.
-func descents(rules []rule.Rule) (reused, redone int) {
-	var prev *rule.Match
-	for i, r := range rules {
-		m := &rules[i].Match
-		if r.Action != rule.Allow || m.WildcardVRF || m.WildcardSrc || m.WildcardDst {
-			continue
-		}
-		if prev != nil && prev.VRF == m.VRF && prev.SrcEPG == m.SrcEPG && prev.DstEPG == m.DstEPG {
-			reused++
-		} else {
-			redone++
-		}
-		prev = m
-	}
-	return reused, redone
 }
 
 // sweep is a run of checks on long-lived checkers, as a session's workers
@@ -618,6 +595,196 @@ func rebindStep(t *testing.T, _ *oracle.Choices, logical, _ []rule.Rule) {
 	if _, err := fork.Check(logical, clean); err != nil || len(logical) > 0 && fork.Stats().FoldMisses != 2 {
 		t.Fatalf("the superseded slice still found its root: %+v (%v)", fork.Stats(), err)
 	}
+}
+
+// walkTally counts what walkStep compared: checks the walk decided, those
+// of them that found a difference, and checks that compiled.
+type walkTally struct{ walked, differed, compiled int }
+
+// walkStep: Base.Check reports what Checker.Check reports on a fork of the
+// same base, byte for byte, provenance included, or fails alike — on an
+// empty base and on one that froze the logical list — and compiled
+// exactly when a list of a check that did not fail is outside union form
+// (inUnionForm).
+func walkStep(t *testing.T, c *oracle.Choices, logical, deployed []rule.Rule) {
+	t.Helper()
+	new(walkTally).step(t, c, logical, deployed)
+}
+
+// step is walkStep, counted.
+func (n *walkTally) step(t *testing.T, _ *oracle.Choices, logical, deployed []rule.Rule) {
+	t.Helper()
+	for _, base := range []*Base{newBase(), newBase(logical)} {
+		want, wantErr := base.NewChecker().Check(logical, deployed)
+		got, compiled, err := base.Check(logical, deployed)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || fmt.Sprintf("%#v", got) != fmt.Sprintf("%#v", want) {
+			t.Fatalf("Base.Check reports %+v (%v), Checker.Check %+v (%v)\nlogical:  %v\ndeployed: %v",
+				got, err, want, wantErr, logical, deployed)
+		}
+		if walks := inUnionForm(logical) && inUnionForm(deployed); compiled != (err == nil && !walks) {
+			t.Fatalf("compiled %v on lists in union form %v (%v)\nlogical:  %v\ndeployed: %v", compiled, walks, err, logical, deployed)
+		}
+		switch {
+		case compiled:
+			n.compiled++
+		case err == nil:
+			n.walked++
+			if !got.Equivalent {
+				n.differed++
+			}
+		}
+	}
+}
+
+// inUnionForm is union form by its definition: no allow rule has a
+// wildcard VRF, source or destination, or a rule that is not an allow
+// anywhere before it.
+func inUnionForm(rules []rule.Rule) bool {
+	for i, r := range rules {
+		m := r.Match
+		if r.Action != rule.Allow {
+			continue
+		}
+		if m.WildcardVRF || m.WildcardSrc || m.WildcardDst ||
+			slices.ContainsFunc(rules[:i], func(o rule.Rule) bool { return o.Action != rule.Allow }) {
+			return false
+		}
+	}
+	return true
+}
+
+// runUnion draws n union-form cases from seed (genUnion) and runs steps on
+// each.
+func runUnion(t *testing.T, seed int64, n int, steps ...step) {
+	t.Helper()
+	c := oracle.FromSeed(seed)
+	for i := 0; i < n; i++ {
+		logical, deployed := genUnion(c)
+		runPair(t, c, logical, deployed, steps...)
+	}
+}
+
+// genUnion decodes a case as a fabric makes one: a logical list of exact
+// allow rules on one to four drawn triples — repeated keys, every
+// protocol and ProtoAny, genPorts' ranges — in rule.Compare order (as
+// compiled) half the time, ending in the default deny two times in three;
+// and the deployed list collection reads back, without provenance and
+// edited: rules dropped, a rule corrupted onto another drawn triple or a
+// flipped bit's, a rule on a triple the logical list lacks, one split
+// into two adjacent or overlapping ranges, a ProtoAny rule over a
+// logical rule's range, rules moved to the end (reinstalled out of
+// order), a rule repeated, the default deny evicted. One case in eight
+// leaves union form on one side, as only a hand-built list does: an allow
+// with a wildcard source ahead of exact rules, or an allow appended after
+// the default deny.
+func genUnion(c *oracle.Choices) (logical, deployed []rule.Rule) {
+	triples := make([][3]object.ID, 1+c.Intn(4))
+	for i := range triples {
+		for f := range triples[i] {
+			triples[i][f] = ruleIDs[c.Intn(len(ruleIDs))]
+		}
+	}
+	exact := func(tr [3]object.ID, prev rule.Match) rule.Rule {
+		m := rule.Match{VRF: tr[0], SrcEPG: tr[1], DstEPG: tr[2], Proto: ruleProtos[c.Intn(len(ruleProtos))]}
+		lo, hi := genPorts(c, prev)
+		m.PortLo, m.PortHi = min(lo, hi), max(lo, hi)
+		return rule.Rule{Match: m, Action: rule.Allow, Priority: 10}
+	}
+	var prev rule.Match
+	for i := c.Intn(16); i > 0; i-- {
+		if len(logical) > 0 && c.Chance(8) {
+			logical = append(logical, logical[c.Intn(len(logical))])
+			continue
+		}
+		r := exact(triples[c.Intn(len(triples))], prev)
+		if c.Chance(2) {
+			r.Provenance = []object.Ref{object.Filter(object.ID(5000 + c.Intn(50)))}
+		}
+		logical, prev = append(logical, r), r.Match
+	}
+	if c.Chance(2) {
+		rule.Sort(logical)
+	}
+	if c.Intn(3) != 0 {
+		logical = append(logical, rule.DefaultDeny())
+	}
+
+	for _, r := range logical {
+		r.Provenance = nil
+		deployed = append(deployed, r)
+	}
+	tail := len(deployed) // exact allows lead; the default deny, if any, follows
+	if tail > 0 && deployed[tail-1].IsDefaultDeny() {
+		tail--
+	}
+	pick := func() int { return c.Intn(tail) }
+	for k := c.Intn(3); k > 0 && tail > 0; k-- { // evicted
+		i := pick()
+		deployed, tail = slices.Delete(deployed, i, i+1), tail-1
+	}
+	if tail > 0 && c.Chance(3) { // corrupted onto another triple
+		m := &deployed[pick()].Match
+		if c.Chance(2) {
+			tr := triples[c.Intn(len(triples))]
+			m.VRF, m.SrcEPG, m.DstEPG = tr[0], tr[1], tr[2]
+		} else {
+			*[]*object.ID{&m.VRF, &m.SrcEPG, &m.DstEPG}[c.Intn(3)] ^= 1 << c.Intn(16)
+		}
+	}
+	if c.Chance(4) { // on a triple of its own
+		tr := [3]object.ID{ruleIDs[c.Intn(len(ruleIDs))], 40000, ruleIDs[c.Intn(len(ruleIDs))]}
+		deployed, tail = slices.Insert(deployed, c.Intn(tail+1), exact(tr, prev)), tail+1
+	}
+	if tail > 0 && c.Chance(3) { // split in two, adjacent or overlapping
+		i := pick()
+		if m := deployed[i].Match; m.PortLo < m.PortHi {
+			mid := m.PortLo + uint16(c.Intn(int(m.PortHi-m.PortLo)))
+			lo, hi := deployed[i], deployed[i]
+			lo.Match.PortHi, hi.Match.PortLo = mid, mid+1
+			if c.Chance(2) {
+				hi.Match.PortLo = m.PortLo + uint16(c.Intn(int(mid-m.PortLo)+1))
+			}
+			deployed[i] = lo
+			deployed, tail = slices.Insert(deployed, i+1, hi), tail+1
+		}
+	}
+	if tail > 0 && c.Chance(3) { // ProtoAny over a rule's range, on either side
+		r := deployed[pick()]
+		r.Match.Proto = rule.ProtoAny
+		if c.Chance(2) {
+			deployed, tail = slices.Insert(deployed, c.Intn(tail+1), r), tail+1
+		} else {
+			r.Provenance = []object.Ref{object.Filter(5099)}
+			logical = slices.Insert(logical, 0, r)
+		}
+	}
+	if tail > 1 && c.Chance(3) { // reinstalled behind the rest of the allows
+		for k := 1 + c.Intn(3); k > 0; k-- {
+			i := pick()
+			r := deployed[i]
+			deployed = slices.Insert(slices.Delete(deployed, i, i+1), tail-1, r)
+		}
+	}
+	if tail > 0 && c.Chance(8) { // a repeated key
+		deployed, tail = slices.Insert(deployed, c.Intn(tail+1), deployed[pick()]), tail+1
+	}
+	if tail < len(deployed) && c.Chance(4) { // the default deny evicted
+		deployed = deployed[:tail]
+	}
+	if c.Chance(8) {
+		side := &deployed
+		if c.Chance(2) {
+			side = &logical
+		}
+		r := exact(triples[c.Intn(len(triples))], prev)
+		if c.Chance(2) { // a wildcard allow above exact rules
+			r.Match.WildcardSrc = true
+			*side = slices.Insert(*side, 0, r)
+		} else { // an allow below a deny
+			*side = append(*side, rule.DefaultDeny(), r)
+		}
+	}
+	return logical, deployed
 }
 
 // compact compacts the fresh checker and re-checks every case on it.

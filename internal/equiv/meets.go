@@ -6,13 +6,6 @@
 // both cofactors, and the port bits are descended only while the rule's
 // range cuts the block of ports the path has narrowed to. A bit the
 // diagram skips is free on its side and never contradicts the rule.
-//
-// A rule whose VRF, source and destination are all exact follows one path
-// through their 48 bits, to one node: its descent. The walk keeps the last
-// descent it took, so consecutive rules on one triple — a compiled list
-// sorted by rule.Compare runs them together — descend once and each walk
-// only the proto and port levels below. A rule with a wildcard among them
-// walks from the root.
 
 package equiv
 
@@ -33,13 +26,6 @@ type meetWalk struct {
 	// path down to the port bits and needs no record.
 	wide bool
 	dead map[bdd.Node]struct{}
-	// last is the last descent taken: from diff along the 48 bits of
-	// triple (VRF, src and dst packed in variable order) to node. The zero
-	// value is one too: False descends to False.
-	last struct {
-		diff, node bdd.Node
-		triple     uint64
-	}
 }
 
 // meets reports whether r's match covers some packet in diff. The match
@@ -48,25 +34,7 @@ func (w *meetWalk) meets(r rule.Rule, diff bdd.Node) bool {
 	w.r = reduceRule(r)
 	w.wide = w.r.wild != [numIDFields]bool{}
 	clear(w.dead)
-	if w.r.wild[0] || w.r.wild[1] || w.r.wild[2] {
-		return w.ids(diff)
-	}
-	v := w.r.val
-	triple := uint64(v[0])<<(protoOff-srcOff) | uint64(v[1])<<(protoOff-dstOff) | uint64(v[2])
-	if l := &w.last; l.diff != diff || l.triple != triple {
-		l.diff, l.triple = diff, triple
-		for l.node = diff; l.node != bdd.False && l.node != bdd.True; {
-			level, lo, hi := w.m.NodeAt(l.node)
-			if level >= protoOff {
-				break
-			}
-			l.node = lo
-			if triple>>uint(protoOff-1-level)&1 == 1 {
-				l.node = hi
-			}
-		}
-	}
-	return w.ids(w.last.node)
+	return w.ids(diff)
 }
 
 // ids walks n through the exact-or-wildcard fields.

@@ -7,6 +7,7 @@ import (
 
 	"scout/internal/fabric"
 	"scout/internal/policy"
+	"scout/internal/rule"
 	"scout/internal/topo"
 )
 
@@ -16,12 +17,21 @@ import (
 // checked-in seeds (testdata/fuzz) are a policygen testbed policy, a null
 // object of each kind (each used to panic in Validate, or for a VRF in the
 // fabric), an object filed under another object's ID (compile used the
-// key), a binding across VRFs and an inverted port range.
+// key), a binding across VRFs, an inverted port range, and filter entries
+// whose action is missing, 0, deny or 7. Every entry of an accepted policy
+// allows: a filter whitelists, and the compiler's lists rest on it.
 func FuzzPolicyFromJSON(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := policy.FromJSON(data)
 		if err != nil {
 			return
+		}
+		for id, flt := range p.Filters {
+			for i, e := range flt.Entries {
+				if e.Action != rule.Allow {
+					t.Fatalf("accepted %s: filter %d entry %d has action %v", data, id, i, e.Action)
+				}
+			}
 		}
 		again, err := json.Marshal(p)
 		if err != nil {

@@ -180,20 +180,23 @@ func (p *Policy) Bind(from, to, contract object.ID) *Policy {
 
 // Validate checks referential integrity of the policy: every EPG references
 // an existing VRF, every endpoint an existing EPG, every contract existing
-// filters, and every binding existing EPGs (in the same VRF) and contract.
+// filters, every binding existing EPGs (in the same VRF) and contract, and
+// every filter validates. It names the lowest-ID offender of a kind.
 func (p *Policy) Validate() error {
-	for id, e := range p.EPGs {
+	for _, id := range sortedIDs(p.EPGs) {
+		e := p.EPGs[id]
 		if _, ok := p.VRFs[e.VRF]; !ok {
 			return fmt.Errorf("policy %q: epg %d references unknown vrf %d", p.Name, id, e.VRF)
 		}
 	}
-	for id, ep := range p.Endpoints {
+	for _, id := range sortedIDs(p.Endpoints) {
+		ep := p.Endpoints[id]
 		if _, ok := p.EPGs[ep.EPG]; !ok {
 			return fmt.Errorf("policy %q: endpoint %d references unknown epg %d", p.Name, id, ep.EPG)
 		}
 	}
-	for id, c := range p.Contracts {
-		for _, f := range c.Filters {
+	for _, id := range sortedIDs(p.Contracts) {
+		for _, f := range p.Contracts[id].Filters {
 			if _, ok := p.Filters[f]; !ok {
 				return fmt.Errorf("policy %q: contract %d references unknown filter %d", p.Name, id, f)
 			}
@@ -204,12 +207,22 @@ func (p *Policy) Validate() error {
 			return fmt.Errorf("policy %q: binding %d %w", p.Name, i, err)
 		}
 	}
-	for id, f := range p.Filters {
-		if err := f.Validate(); err != nil {
+	for _, id := range sortedIDs(p.Filters) {
+		if err := p.Filters[id].Validate(); err != nil {
 			return fmt.Errorf("policy %q: filter %d has %w", p.Name, id, err)
 		}
 	}
 	return nil
+}
+
+// sortedIDs returns the keys of an object map in ascending order.
+func sortedIDs[T any](m map[object.ID]*T) []object.ID {
+	ids := make([]object.ID, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 // ValidateBinding reports why b cannot join p's bindings: an EPG or the
@@ -232,11 +245,16 @@ func (p *Policy) ValidateBinding(b Binding) error {
 	return nil
 }
 
-// Validate reports a filter entry whose port range is inverted.
+// Validate reports the first entry whose port range is inverted or whose
+// action is not Allow: a filter whitelists, and the default-deny tail of
+// every switch list denies the rest.
 func (f *Filter) Validate() error {
-	for _, e := range f.Entries {
+	for i, e := range f.Entries {
 		if e.PortLo > e.PortHi {
 			return fmt.Errorf("inverted port range %d-%d", e.PortLo, e.PortHi)
+		}
+		if e.Action != rule.Allow {
+			return fmt.Errorf("entry %d whose action is %v, not allow", i, e.Action)
 		}
 	}
 	return nil
@@ -304,10 +322,11 @@ func FromJSON(data []byte) (*Policy, error) {
 	return p, nil
 }
 
-// checkKeys reports an object of the map that is null or not filed under
-// its own ID.
+// checkKeys reports the lowest-keyed object of the map that is null or
+// not filed under its own ID.
 func checkKeys[T any](kind string, m map[object.ID]*T, id func(*T) object.ID) error {
-	for key, obj := range m {
+	for _, key := range sortedIDs(m) {
+		obj := m[key]
 		if obj == nil {
 			return fmt.Errorf("decode policy: %s %d is null", kind, key)
 		}

@@ -77,6 +77,20 @@ func TestValidateErrors(t *testing.T) {
 			wantErr: "crosses VRFs",
 		},
 		{
+			name: "deny-entry",
+			mutate: func(p *Policy) {
+				p.AddFilter(Filter{ID: 81, Entries: []FilterEntry{PortEntry(rule.ProtoTCP, 80), {Proto: rule.ProtoTCP, PortLo: 90, PortHi: 90, Action: rule.Deny}}})
+			},
+			wantErr: "filter 81 has entry 1 whose action is deny, not allow",
+		},
+		{
+			name: "entry-without-action",
+			mutate: func(p *Policy) {
+				p.AddFilter(Filter{ID: 81, Entries: []FilterEntry{{Proto: rule.ProtoTCP, PortLo: 90, PortHi: 90}}})
+			},
+			wantErr: "filter 81 has entry 0 whose action is action(0), not allow",
+		},
+		{
 			name: "inverted-port-range",
 			mutate: func(p *Policy) {
 				p.AddFilter(Filter{ID: 81, Entries: []FilterEntry{{Proto: rule.ProtoTCP, PortLo: 90, PortHi: 80, Action: rule.Allow}}})
@@ -96,6 +110,30 @@ func TestValidateErrors(t *testing.T) {
 				t.Errorf("error %q should contain %q", err, tt.wantErr)
 			}
 		})
+	}
+}
+
+// TestValidateNamesLowestOffender: a policy with several bad objects of
+// one kind names the lowest-ID one, on every run, whatever order its maps
+// range in — two EPGs on an unknown VRF, then, with those gone, two
+// filters with an entry that is not an allow.
+func TestValidateNamesLowestOffender(t *testing.T) {
+	p := validPolicy()
+	p.AddEPG(EPG{ID: 9, VRF: 999})
+	p.AddEPG(EPG{ID: 8, VRF: 998})
+	p.AddFilter(Filter{ID: 91, Entries: []FilterEntry{{Proto: rule.ProtoTCP, PortLo: 1, PortHi: 1, Action: 7}}})
+	p.AddFilter(Filter{ID: 90, Entries: []FilterEntry{PortEntry(rule.ProtoUDP, 53), {Proto: rule.ProtoUDP, PortLo: 1, PortHi: 1, Action: rule.Deny}}})
+	for _, want := range []string{
+		`policy "test": epg 8 references unknown vrf 998`,
+		`policy "test": filter 90 has entry 1 whose action is deny, not allow`,
+	} {
+		for i := 0; i < 50; i++ {
+			if err := p.Validate(); err == nil || err.Error() != want {
+				t.Fatalf("validation %d: %v, want %s", i, err, want)
+			}
+		}
+		delete(p.EPGs, 8)
+		delete(p.EPGs, 9)
 	}
 }
 
@@ -172,6 +210,15 @@ func TestFromJSONRejectsInvalid(t *testing.T) {
 	} {
 		if _, err := FromJSON([]byte(tc.json)); err == nil || err.Error() != tc.want {
 			t.Errorf("FromJSON(%s) = %v, want %q", tc.json, err, tc.want)
+		}
+	}
+	// An entry that does not allow — its action missing, 0, deny or 7 — is
+	// refused, naming its filter and its place in it.
+	for action, want := range map[string]string{``: "action(0)", `,"action":0`: "action(0)", `,"action":2`: "deny", `,"action":7`: "action(7)"} {
+		data := `{"name":"p","filters":{"5":{"id":5,"entries":[{"proto":6,"portLo":80,"portHi":80,"action":1},{"proto":17,"portLo":90,"portHi":90` + action + `}]}}}`
+		want = `policy "p": filter 5 has entry 1 whose action is ` + want + `, not allow`
+		if _, err := FromJSON([]byte(data)); err == nil || err.Error() != want {
+			t.Errorf("FromJSON(%s) = %v, want %q", data, err, want)
 		}
 	}
 }

@@ -19,7 +19,6 @@
 package probe
 
 import (
-	"cmp"
 	"slices"
 
 	"scout/internal/policy"
@@ -50,18 +49,13 @@ func Switch(logical, deployed []rule.Rule) (missing []rule.Rule, probes int) {
 	// wildcard in one of those fields. exact indexes the first kind by
 	// position, ordered by triple and then by position; wild holds the
 	// second kind's positions, ascending — a compiled list's default deny.
-	exact := make([]int, 0, len(deployed))
+	exact := rule.TripleIndex(deployed)
 	var wild []int
 	for i := range deployed {
 		if m := &deployed[i].Match; m.WildcardVRF || m.WildcardSrc || m.WildcardDst {
 			wild = append(wild, i)
-		} else {
-			exact = append(exact, i)
 		}
 	}
-	slices.SortFunc(exact, func(a, b int) int {
-		return cmp.Or(compareTriple(&deployed[a].Match, &deployed[b].Match), cmp.Compare(a, b))
-	})
 	for i := range logical {
 		r := &logical[i]
 		if !eligible(r) {
@@ -72,9 +66,9 @@ func Switch(logical, deployed []rule.Rule) (missing []rule.Rule, probes int) {
 		// triple's run and the first covering wildcard rule; each scan stops
 		// at the best position found so far.
 		m, best := &r.Match, len(deployed)
-		run, _ := slices.BinarySearchFunc(exact, m, func(at int, m *rule.Match) int { return compareTriple(&deployed[at].Match, m) })
+		run, _ := slices.BinarySearchFunc(exact, m, func(at int, m *rule.Match) int { return rule.CompareTriple(&deployed[at].Match, m) })
 		for _, at := range exact[run:] {
-			if compareTriple(&deployed[at].Match, m) != 0 {
+			if rule.CompareTriple(&deployed[at].Match, m) != 0 {
 				break
 			}
 			if deployed[at].Match.Covers(m.VRF, m.SrcEPG, m.DstEPG, m.Proto, m.PortLo) {
@@ -111,9 +105,4 @@ func Switch(logical, deployed []rule.Rule) (missing []rule.Rule, probes int) {
 		}
 	}
 	return kept, probes
-}
-
-// compareTriple orders matches by (VRF, src EPG, dst EPG).
-func compareTriple(a, b *rule.Match) int {
-	return cmp.Or(cmp.Compare(a.VRF, b.VRF), cmp.Compare(a.SrcEPG, b.SrcEPG), cmp.Compare(a.DstEPG, b.DstEPG))
 }

@@ -300,6 +300,35 @@ func Compare(a, b Rule) int {
 	return cmp.Compare(a.Action, b.Action)
 }
 
+// CompareTriple orders matches by (VRF, source EPG, destination EPG), the
+// triple a rule with none of those fields wildcarded names.
+func CompareTriple(a, b *Match) int {
+	switch {
+	case a.VRF != b.VRF:
+		return cmp.Compare(a.VRF, b.VRF)
+	case a.SrcEPG != b.SrcEPG:
+		return cmp.Compare(a.SrcEPG, b.SrcEPG)
+	}
+	return cmp.Compare(a.DstEPG, b.DstEPG)
+}
+
+// TripleIndex returns the positions of the rules whose VRF, source and
+// destination are all exact, ordered by triple (CompareTriple) and then by
+// position: how a reader finds a triple's rules in a list that does not
+// ascend by triple, such as a TCAM's, which keeps install order.
+func TripleIndex(rules []Rule) []int {
+	idx := make([]int, 0, len(rules))
+	for i := range rules {
+		if m := &rules[i].Match; !m.WildcardVRF && !m.WildcardSrc && !m.WildcardDst {
+			idx = append(idx, i)
+		}
+	}
+	slices.SortFunc(idx, func(a, b int) int {
+		return cmp.Or(CompareTriple(&rules[a].Match, &rules[b].Match), cmp.Compare(a, b))
+	})
+	return idx
+}
+
 // compareBool orders false before true.
 func compareBool(a, b bool) int {
 	switch {

@@ -119,21 +119,24 @@ func TestDedupIdentityWithDuplicateSwitches(t *testing.T) {
 }
 
 // TestSharedBaseEncodeStats: the base, written to the store byte for byte
-// alike, and what the forks fold (the runner's model) do not depend on the
-// worker count. A checker remembers logical lists only, so on the state
-// with twins each twin's drifted list compiles again: nine lists.
+// alike, and which checks compile BDDs (the runner's model) do not depend
+// on the worker count. Every list of the state with twins is in union
+// form, so no check compiles; the state whose lists leave it on three
+// switches compiles exactly their checks, on forks of the base.
 func TestSharedBaseEncodeStats(t *testing.T) {
 	t.Parallel()
-	var bases map[string][]byte
-	for _, workers := range []int{1, 2, 4} {
-		r := equalsCold(t, coldCase{fabric: seeded(7), state: dupState, entry: viaState, workers: workers, steps: []step{{opEvict, 2, 0}}})
-		if bases != nil && !maps.EqualFunc(bases, r.baseImg, bytes.Equal) {
-			t.Errorf("Workers=%d built another base than Workers=1", workers)
+	for i, state := range []func(testing.TB, *scout.Fabric) scout.State{dupState, beyondUnionState} {
+		var bases map[string][]byte
+		for _, workers := range []int{1, 2, 4} {
+			r := equalsCold(t, coldCase{fabric: seeded(7), state: state, entry: viaState, workers: workers, steps: []step{{opEvict, 2, 0}}})
+			if bases != nil && !maps.EqualFunc(bases, r.baseImg, bytes.Equal) {
+				t.Errorf("Workers=%d built another base than Workers=1", workers)
+			}
+			bases = r.baseImg
+			if compiled := r.sess.Stats().Compiled; (compiled > 0) != (i == 1) {
+				t.Errorf("state %d at Workers=%d: %d checks compiled BDDs", i, workers, compiled)
+			}
 		}
-		bases = r.baseImg
-	}
-	if _, unwarmed := expectedFolds(dupState(t, faultyFabric(t, 7))); unwarmed != 9 {
-		t.Errorf("the state with twins has %d drifted lists, want 9", unwarmed)
 	}
 }
 
@@ -143,13 +146,15 @@ func TestWorkersFloor(t *testing.T) {
 }
 
 // TestWorkersDefaultIsGOMAXPROCS: the default worker count is the number of
-// Ps, not of CPUs — a fork the scheduler cannot run beside the others only
-// costs its build.
+// Ps, not of CPUs — a worker the scheduler cannot run beside the others
+// only costs its goroutine — and never more than the items.
 func TestWorkersDefaultIsGOMAXPROCS(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	rep := oneShot(t, faultyFabric(t, 7))
-	if rep.EncodeStats.Checkers != 1 {
-		t.Errorf("Workers 0 at GOMAXPROCS 1 forked %d checkers, want 1", rep.EncodeStats.Checkers)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for _, tc := range []struct{ workers, n, want int }{{0, 8, 2}, {0, 1, 1}, {5, 8, 5}, {-3, 8, 2}} {
+		a := scout.NewAnalyzer(scout.AnalyzerOptions{Workers: tc.workers})
+		if got := scout.Workers(a, tc.n); got != tc.want {
+			t.Errorf("Workers %d at GOMAXPROCS 2 fans %d items out over %d workers, want %d", tc.workers, tc.n, got, tc.want)
+		}
 	}
 }
 

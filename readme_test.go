@@ -131,7 +131,7 @@ func ciLines(t *testing.T) []string {
 // workTable is op 1 of every journey in testdata/work.txt: the first op
 // after the run it starts from.
 func workTable(t *testing.T, _ string, data []byte) string {
-	cols := []string{"checked", "replayed", "fold_misses", "base_builds", "base_loads",
+	cols := []string{"checked", "replayed", "compiled", "base_builds", "base_loads",
 		"probe_packets", "state_bytes", "allocs"}
 	var header []string
 	var b strings.Builder

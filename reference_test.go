@@ -14,6 +14,7 @@ import (
 	"scout/internal/localize"
 	"scout/internal/object"
 	"scout/internal/risk"
+	"scout/internal/rule"
 )
 
 // refAnalyze is the pipeline of the paper's Figure 6 spelled serially, with
@@ -113,6 +114,36 @@ func dupState(_ testing.TB, f *scout.Fabric) scout.State {
 	return st
 }
 
+// beyondUnionState is the fabric's collected state with three TCAM lists
+// taken out of union form, as only a hand-built state can: the first
+// switch's list led by an allow that wildcards its source, the second's by
+// a deny of its first rule's match, and the third's with an allow after
+// its default deny. Their checks compile BDDs (equiv.Base.Check); the
+// other switches' walk. The fabric's snapshots are not mutated.
+func beyondUnionState(_ testing.TB, f *scout.Fabric) scout.State {
+	st := fabricState(f)
+	for i, sw := range sortedIDs(st.TCAM)[:3] {
+		l := st.TCAM[sw]
+		if len(l) == 0 {
+			continue
+		}
+		r := scout.Rule{Match: l[0].Match, Action: rule.Allow, Priority: l[0].Priority}
+		r.Match.Proto, r.Match.PortLo, r.Match.PortHi = rule.ProtoTCP, 9999, 9999
+		switch i {
+		case 0:
+			r.Match.WildcardSrc = true
+			l = append([]scout.Rule{r}, l...)
+		case 1:
+			r.Match, r.Action = l[0].Match, rule.Deny
+			l = append([]scout.Rule{r}, l...)
+		default:
+			l = append(slices.Clone(l), r)
+		}
+		st.TCAM[sw] = l
+	}
+	return st
+}
+
 // fabricState is the fabric's current collected state.
 func fabricState(f *scout.Fabric) scout.State {
 	return scout.State{
@@ -122,21 +153,6 @@ func fabricState(f *scout.Fabric) scout.State {
 		Faults:     f.FaultLog(),
 		Now:        f.Now(),
 	}
-}
-
-// expectedFolds derives a one-worker cold run's semantics-build counts
-// from the state itself: the base freezes one root per logical list,
-// SemanticsEqual lists sharing one, and the single fork compiles the TCAM
-// list of every switch whose T list is not SemanticsEqual to its own
-// logical list — a T list shares no other list's root, and a checker
-// remembers no list, so a twin's equal drifted list is compiled again.
-func expectedFolds(st scout.State) (frozen, unwarmed int) {
-	for sw, rules := range st.TCAM {
-		if !equiv.SemanticsEqual(st.Deployment.RulesFor(sw), rules) {
-			unwarmed++
-		}
-	}
-	return distinctLists(st.Deployment), unwarmed
 }
 
 // distinctLists counts a deployment's logical lists up to SemanticsEqual.

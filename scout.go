@@ -7,7 +7,8 @@
 //
 //  1. Collect TCAM rules (T) from every switch and compile logical rules
 //     (L) from the controller's network policy.
-//  2. Run the ROBDD-based L-T equivalence checker per switch; differences
+//  2. Run the L-T equivalence check per switch, triple by triple (a list
+//     only a hand-built State holds falls back to ROBDDs); differences
 //     yield missing rules.
 //  3. Build the controller risk model and mark each missing rule once:
 //     every inconsistent switch's range of it (its switch model) and the
@@ -71,12 +72,12 @@ type AnalyzerOptions struct {
 	// Workers bounds the number of concurrent per-switch equivalence
 	// checks. L-T checks are independent across switches (§III-C checks
 	// each switch on its own), so the check stage fans out over Workers
-	// goroutines, each owning its own equiv.Checker (a fork of the
-	// deployment's shared frozen base). Worker k checks the k-th, (k+W)-th,
-	// … switch in ascending switch-ID order and results are folded back in
-	// that order, so reports — and a session's counters — are identical
-	// from run to run at any worker count. 0 (the default) selects
-	// runtime.GOMAXPROCS(0); 1 restores the fully serial pipeline.
+	// goroutines, which share nothing: a check keeps nothing past its
+	// switch. Worker k checks the k-th, (k+W)-th, … switch in ascending
+	// switch-ID order and results are folded back in that order, so
+	// reports — and a session's counters — are identical from run to run
+	// at any worker count. 0 (the default) selects runtime.GOMAXPROCS(0);
+	// 1 restores the fully serial pipeline.
 	Workers int
 
 	// WarmStore, when set, gives Sessions durable warm state: on the
@@ -150,18 +151,14 @@ type Report struct {
 	// it. It is a live structure (not a serializable result), so it is
 	// excluded from the JSON form.
 	ControllerView *risk.Overlay `json:"-"`
-	// EncodeStats summarizes the check stage's BDD encoding work: the
-	// shared frozen base's size, every worker checker's private delta,
-	// how many whole-list roots the base answered and how many were
-	// compiled, and the op cache's hits and misses. Nil for probe runs,
-	// which build no BDD checkers. Like ControllerView it is diagnostics,
-	// not result: it is excluded from the JSON form so reports stay
-	// byte-identical across worker counts.
+	// Deprecated: EncodeStats is always nil — no check keeps a checker
+	// whose encoding work could be summed. It stays until bench/ stops
+	// reading it (ROADMAP item 1, shims).
 	EncodeStats *equiv.EncodeStats `json:"-"`
 	// LocalizeStats sums this run's own localizations' counters: SCOUT's
 	// per-stage timings. Nil when the run localized nothing (consistent
-	// fabric).
-	// Diagnostics like EncodeStats, so excluded from the JSON form.
+	// fabric). Diagnostics like ControllerView, so excluded from the JSON
+	// form.
 	LocalizeStats *localize.EngineStats `json:"-"`
 	// Hypothesis is the controller-model hypothesis: the most-likely
 	// faulty policy objects (may include switch objects), picked greedily
@@ -231,16 +228,6 @@ func (st State) sortedSwitches() []object.ID {
 	return switches
 }
 
-// checkState computes one switch's equivalence report from collected
-// state on the calling worker's checker.
-func checkState(st State, c *equiv.Checker, sw object.ID) (*equiv.Report, error) {
-	checkRep, err := c.Check(st.Deployment.RulesFor(sw), st.TCAM[sw])
-	if err != nil {
-		return nil, fmt.Errorf("scout: equivalence check switch %d: %w", sw, err)
-	}
-	return checkRep, nil
-}
-
 // baseLists returns the deployment's logical rule lists in ascending
 // switch order: the order a shared base's roots are built in
 // (loadOrBuildBaseLocked), written to the warm store in, and bound by
@@ -260,7 +247,7 @@ func baseLists(d *Deployment) [][]rule.Rule {
 
 // workers resolves the worker count of a fan-out over n items. The default
 // is one worker per P: the work is CPU-bound, so a worker the scheduler
-// cannot run at once with the others only costs its checker fork.
+// cannot run at once with the others only costs its goroutine.
 func (a *Analyzer) workers(n int) int {
 	w := a.opts.Workers
 	if w <= 0 {
@@ -275,23 +262,19 @@ func (a *Analyzer) workers(n int) int {
 	return w
 }
 
-// fanOut is the pipeline's one fan-out: it calls fn(k, i) for every i in
+// fanOut is the pipeline's one fan-out: it calls fn(i) for every i in
 // [0, n) on w = a.workers(n) workers, and worker k takes indices k, k+w,
-// k+2w, … in ascending order, worker 0 on the calling goroutine. Which
-// worker runs an index is thus a function of n and w alone, never of
-// scheduling: a caller that hands worker k state of its own (a session's
-// checker k) does the same work on it on every identical run, so every
-// counter that state keeps repeats at any worker count. fn writes only
-// slots its index owns. A worker stops at its first error, and fanOut
-// returns the error of the lowest failing index — the one a serial loop
-// would have stopped at, since the worker that owns it ran every index
-// below it on its stride.
-func (a *Analyzer) fanOut(n int, fn func(worker, i int) error) error {
+// k+2w, … in ascending order, worker 0 on the calling goroutine. fn writes
+// only slots its index owns, and the workers share nothing else. A worker
+// stops at its first error, and fanOut returns the error of the lowest
+// failing index — the one a serial loop would have stopped at, since the
+// worker that owns it ran every index below it on its stride.
+func (a *Analyzer) fanOut(n int, fn func(i int) error) error {
 	w := a.workers(n)
 	errs := make([]error, n)
 	stride := func(k int) {
 		for i := k; i < n; i += w {
-			if errs[i] = fn(k, i); errs[i] != nil {
+			if errs[i] = fn(i); errs[i] != nil {
 				return
 			}
 		}
@@ -337,7 +320,7 @@ func (a *Analyzer) assemble(d *Deployment, ctrl *risk.Model, changes *ChangeLog,
 	// Each localization's own counters, summed below: a run counts its own
 	// calls, not the process's.
 	lstats := make([]localize.EngineStats, len(switches)+1)
-	a.fanOut(len(switches), func(_, i int) error {
+	a.fanOut(len(switches), func(i int) error {
 		srs[i], runs[i], lstats[i] = buildSwitchReport(ctrl, d.Provenance, oracle, switches[i], checkReps[i])
 		return nil
 	})

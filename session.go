@@ -14,21 +14,6 @@ import (
 	"scout/internal/store"
 )
 
-// sessionNodeBudget bounds how many BDD nodes a session worker checker may
-// accumulate before the session resets it. A session watching a churning
-// fabric holds three things, each bounded by what it follows. The verdict
-// cache follows the fabric: one entry a switch, whose rule lists are a
-// subset of that switch's own logical and TCAM lists, which the session
-// holds already. The logical lists' roots follow the deployment: the base
-// holds them, and resolveLocked drops it and its forks with the deployment.
-// What grows with the rounds watched is each checker's private delta
-// (equiv.Checker.DeltaSize) and the compile memo naming its nodes, and that
-// is what this budget governs; the shared frozen base is deployment-scoped,
-// immutable, and not the checker's to shed. An over-budget checker is Reset
-// (re-forked, delta discarded) before a run reuses it. One-shot Analyzers
-// never reach it: their checkers are forked for their only run.
-const sessionNodeBudget = 4 << 20
-
 // Session is a persistent analysis engine over one fabric — the
 // continuous-verification mode of §III-C, where TCAM state is collected
 // periodically and re-checked after every change — and the one place the
@@ -78,15 +63,9 @@ type Session struct {
 	// in the session compares deployments.
 	dep deploymentState
 
-	// checkers are the persistent per-worker BDD checkers (forks of
-	// dep.base); entry k is owned by worker k of the current run only, so
-	// the delta its compiles intern into and the compile memo naming its
-	// nodes amortize across every run of the session.
-	checkers []*equiv.Checker
-
 	// cache holds the newest verdict per switch, from whichever
 	// observation source the session was created with (UseProbes is fixed
-	// for a session's lifetime): a BDD check or a probe round, both of the
+	// for a session's lifetime): a check or a probe round, both of the
 	// collected TCAM rules. Either is a pure function of the switch's
 	// logical rules and TCAM list, so the same fingerprint pair keys a
 	// valid replay.
@@ -110,10 +89,10 @@ type deploymentState struct {
 	fp     uint64
 	logFPs map[object.ID]uint64
 
-	// base is the shared frozen encoding base every worker checker forks:
-	// one whole-switch semantics root per logical list of the deployment,
-	// bound to d's lists. TCAM drift never invalidates it; only a changed
-	// fingerprint does. Nil in probe mode, which builds no BDDs.
+	// base is the frozen encoding base a check forks for a list outside
+	// union form: one whole-switch semantics root per logical list of the
+	// deployment, bound to d's lists. TCAM drift never invalidates it; only
+	// a changed fingerprint does. Nil in probe mode, which builds no BDDs.
 	base *equiv.Base
 
 	// ctrl is the deployment's one pristine risk model, the controller's;
@@ -145,19 +124,21 @@ type SessionStats struct {
 	Runs int
 	// Checked counts switches whose verdict was recomputed (cache misses:
 	// changed rules, or first sight), each on its own, by
-	// the session's observation source: a BDD equivalence check, or in
+	// the session's observation source: an equivalence check, or in
 	// probe mode one batch classification of the switch's probes.
 	Checked int
 	// Replayed counts switches whose cached verdict was replayed without
 	// recomputing it — no check, and in probe mode no packet classified.
 	Replayed int
-	// Deprecated: CheckerCompactions is always 0 — an over-budget checker
-	// is reset, never compacted. It stays until bench/ stops reading it
+	// Compiled counts the Checked switches whose check compiled BDDs on a
+	// fork of the base: a list outside union form, which only a hand-built
+	// State holds (equiv.Base.Check).
+	Compiled int
+	// Deprecated: CheckerCompactions and CheckerResets are always 0 — no
+	// checker outlives its check. They stay until bench/ stops reading them
 	// (ROADMAP item 1, shims).
 	CheckerCompactions int
-	// CheckerResets counts worker checkers re-forked because their private
-	// delta exceeded the session's node budget.
-	CheckerResets int
+	CheckerResets      int
 	// BaseRebuilds counts shared-base builds (the first build included):
 	// one per distinct deployment fingerprint the session has analyzed.
 	// A rebuild refreshes the frozen semantics cache, which lives in the
@@ -165,21 +146,17 @@ type SessionStats struct {
 	BaseRebuilds int
 	// BaseLoads counts shared bases restored from the warm store instead
 	// of built: a warm restart of a clean fabric shows BaseLoads 1,
-	// BaseRebuilds 0, and zero fold misses.
+	// BaseRebuilds 0, and nothing checked.
 	BaseLoads int
-	// BaseNodes and DeltaNodes are gauges refreshed after every run: the
-	// frozen shared base's node count and the sum of the worker
-	// checkers' private deltas. BaseSemantics is the number of distinct
-	// whole-switch semantics roots frozen in the current base: one per
-	// logical list, SemanticsEqual lists sharing one.
+	// BaseNodes and BaseSemantics are gauges refreshed after every run of
+	// a TCAM-mode session: the frozen base's node count and its number of
+	// distinct whole-switch semantics roots — one per logical list,
+	// SemanticsEqual lists sharing one.
 	BaseNodes     int
-	DeltaNodes    int
 	BaseSemantics int
-	// FoldHits and FoldMisses accumulate across runs: whole-list
-	// semantics folds resolved from a frozen base root versus folded from
-	// scratch into a worker's delta.
-	FoldHits   int
-	FoldMisses int
+	// Deprecated: DeltaNodes is always 0 — no checker outlives its check.
+	// It stays until bench/ stops reading it (ROADMAP item 1, shims).
+	DeltaNodes int
 	// ProbePacketsBatched accumulates the probe packets classified, one
 	// per eligible rule of each Checked switch, each looked up in that
 	// switch's exact-triple index of its T list. Zero in TCAM-observation
@@ -192,8 +169,8 @@ type SessionStats struct {
 // resolves the fabric's deployment. UseProbes picks the session's
 // observation source for its lifetime and changes one thing: a dirty
 // switch's verdict comes from classifying its probe batch against its
-// collected rules instead of a BDD check of them, so a probe session builds
-// no base and forks no checker. Every entry point, fingerprint replay, slice
+// collected rules instead of a check of them, so a probe session builds
+// no base. Every entry point, fingerprint replay, slice
 // recognition, the warm store and the Checked / Replayed counters work the
 // same.
 func NewSession(f *fabric.Fabric, opts ...AnalyzerOptions) (*Session, error) {
@@ -314,7 +291,7 @@ func (s *Session) run(st State) (*Report, error) {
 		}
 	}
 	if len(unhashed) > 0 { // a clean epoch's replay allocates nothing here
-		s.a.fanOut(len(unhashed), func(_, k int) error {
+		s.a.fanOut(len(unhashed), func(k int) error {
 			i := unhashed[k]
 			tcamFPs[i] = equiv.Fingerprint(st.TCAM[switches[i]])
 			return nil
@@ -323,24 +300,30 @@ func (s *Session) run(st State) (*Report, error) {
 
 	// The observation source decides one thing: how a dirty switch gets
 	// its verdict. Probes look each packet up in an index of its T list
-	// by exact triple (one sort of the list, which a replay skips). A BDD
-	// check runs on the session's forks — worker k owns checker k for the
-	// run. Every dirty switch is checked on its own: byte-equal twins share
-	// their logical root through the base, not through a plan of the
-	// fan-out, and each compiles its own T list.
-	foldBefore := s.foldTotalsLocked()
+	// by exact triple (one sort of the list, which a replay skips). A check
+	// decides its two lists by coverage and keeps nothing, forking the base
+	// only for a list outside union form.
 	checkReps, checked, err := s.replayOrCheckLocked(st.TCAM, switches, tcamFPs,
 		func(dirty []object.ID) ([]*equiv.Report, error) {
 			reps := make([]*equiv.Report, len(dirty))
 			if !probes {
-				s.provisionCheckersLocked(s.a.workers(len(dirty)))
-				return reps, s.a.fanOut(len(dirty), func(k, i int) (err error) {
-					reps[i], err = checkState(st, s.checkers[k], dirty[i])
-					return err
+				forked := make([]bool, len(dirty))
+				err := s.a.fanOut(len(dirty), func(i int) (err error) {
+					sw := dirty[i]
+					if reps[i], forked[i], err = s.dep.base.Check(st.Deployment.RulesFor(sw), st.TCAM[sw]); err != nil {
+						return fmt.Errorf("scout: equivalence check switch %d: %w", sw, err)
+					}
+					return nil
 				})
+				for _, f := range forked {
+					if f && err == nil {
+						s.stats.Compiled++
+					}
+				}
+				return reps, err
 			}
 			sent := make([]int, len(dirty))
-			s.a.fanOut(len(dirty), func(_, i int) error {
+			s.a.fanOut(len(dirty), func(i int) error {
 				reps[i], sent[i] = probeSwitch(st, dirty[i])
 				return nil
 			})
@@ -358,13 +341,7 @@ func (s *Session) run(st State) (*Report, error) {
 	s.stats.Checked += checked
 	s.stats.Replayed += len(switches) - checked
 	if !probes {
-		enc := equiv.AggregateEncodeStats(s.dep.base, s.checkers)
-		rep.EncodeStats = enc
-		s.stats.BaseNodes = enc.BaseNodes
-		s.stats.DeltaNodes = enc.DeltaNodes
-		s.stats.BaseSemantics = enc.BaseSemantics
-		s.stats.FoldHits += enc.FoldBaseHits - foldBefore.hits
-		s.stats.FoldMisses += enc.FoldMisses - foldBefore.misses
+		s.stats.BaseNodes, s.stats.BaseSemantics = s.dep.base.Size(), s.dep.base.NumSemantics()
 	}
 	// A run that re-checked something changed some verdict: persist the
 	// cache under the deployment fingerprint.
@@ -419,22 +396,6 @@ func (s *Session) replayOrCheckLocked(tcams map[object.ID][]rule.Rule, switches 
 	return reports, len(dirty), nil
 }
 
-// foldTotals is a point-in-time sum of the live checkers' cumulative
-// fold counters, used to attribute per-run deltas to SessionStats (the
-// checkers themselves persist across runs, so their counters alone
-// cannot distinguish this run's work from history).
-type foldTotals struct{ hits, misses int }
-
-func (s *Session) foldTotalsLocked() foldTotals {
-	var t foldTotals
-	for _, c := range s.checkers {
-		cs := c.Stats()
-		t.hits += cs.FoldBaseHits
-		t.misses += cs.FoldMisses
-	}
-	return t
-}
-
 // resolveLocked brings s.dep in step with the run's deployment. It is the
 // one place the session asks whether this is still the deployment it
 // knows. The same pointer means nothing moved. A new pointer's footprint
@@ -447,13 +408,12 @@ func (s *Session) foldTotalsLocked() foldTotals {
 // once: equal content (a recompile that changed nothing) keeps the
 // fingerprints and the base — re-pointed at the new deployment's slices so
 // the superseded one is not pinned; safe here, the run lock is held and no
-// checker is mid-check. New content also replaces them, discarding the old
-// base's checker forks before any worker is provisioned, and seeds the
-// verdict cache from the warm store. A probe session holds no base, so for
+// check is running. New content also replaces them and seeds the verdict
+// cache from the warm store. A probe session holds no base, so for
 // it equal content re-points nothing and new content builds nothing. A
 // footprint that fails validation, or that the model build refuses, is an
 // error returned before anything changes, so the session keeps the
-// deployment it knew, with its base, checker forks, verdicts and counters.
+// deployment it knew, with its base, verdicts and counters.
 func (s *Session) resolveLocked(d *compile.Deployment) error {
 	if d == s.dep.d {
 		return nil
@@ -469,7 +429,7 @@ func (s *Session) resolveLocked(d *compile.Deployment) error {
 	base := s.dep.base
 	switch {
 	case s.dep.d == nil || fp != s.dep.fp:
-		s.checkers, base = nil, nil
+		base = nil
 		if !s.a.opts.UseProbes {
 			base = s.loadOrBuildBaseLocked(baseLists(d), fp)
 		}
@@ -491,16 +451,14 @@ func (s *Session) resolveLocked(d *compile.Deployment) error {
 // count is not the deployment's list count, is a cold start (one written
 // by an older codec included): the build overwrites it.
 //
-// The build is the check stage's warmup pass, and the only one: it
-// compiles every logical list once, serially, into one manager
+// The build compiles every logical list once, serially, into one manager
 // (not shareable mid-build), freezes it, and holds every list, so a
-// checker finds a logical list's root by slice identity and a consistent
-// switch's T list, SemanticsEqual to its logical list, shares that root. A
-// drifted switch's T list compiles in the owning worker's copy-on-write
-// delta, but against the base's unique table: every subtree it shares
-// with its logical list is found frozen, so the delta receives only the
-// paths the drift changed. Keying the base off the deployment alone is
-// what lets a Session reuse it across runs whose TCAM state drifts.
+// check that falls back to the BDD (a list outside union form) finds its
+// logical list's root by slice identity and compiles only its T list, in
+// the throwaway fork's copy-on-write delta, against the base's unique
+// table. Keying the base off the deployment alone is what lets a Session
+// reuse it, and the warm store persist it, across runs whose TCAM state
+// drifts.
 func (s *Session) loadOrBuildBaseLocked(lists [][]rule.Rule, fp uint64) *equiv.Base {
 	if s.ws != nil {
 		if b, err := s.ws.LoadBase(fp); err == nil && b != nil && b.RebindSemantics(lists) == nil {
@@ -560,28 +518,5 @@ func (s *Session) saveVerdictsLocked() {
 	}
 	if err := s.ws.SaveVerdicts(s.dep.fp, s.a.opts.UseProbes, vs); err != nil && s.saveErr == nil {
 		s.saveErr = err
-	}
-}
-
-// provisionCheckersLocked grows the persistent checker pool to n entries
-// — forks of the shared base — and resets any of them whose private delta
-// exceeded the node budget, before the fan-out starts (workers must
-// never mutate the slice concurrently).
-func (s *Session) provisionCheckersLocked(n int) {
-	for len(s.checkers) < n {
-		// Sized from the base: a check adds ~130 nodes to its fork, so a
-		// fork sized for a fraction of the budget is memory never touched.
-		s.checkers = append(s.checkers, s.dep.base.NewChecker())
-	}
-	s.resetOverBudgetLocked(s.checkers[:n], sessionNodeBudget)
-}
-
-// resetOverBudgetLocked re-forks every checker whose delta exceeds budget.
-func (s *Session) resetOverBudgetLocked(checkers []*equiv.Checker, budget int) {
-	for _, c := range checkers {
-		if c.DeltaSize() > budget {
-			c.Reset()
-			s.stats.CheckerResets++
-		}
 	}
 }

@@ -223,21 +223,6 @@ func TestSessionDedupReplays(t *testing.T) {
 	equalsCold(t, coldCase{fabric: seeded(7), state: dupState, entry: viaState, steps: []step{{}}})
 }
 
-// TestSessionNodeBudgetReset: a worker checker whose delta is over budget
-// is re-forked before a run reuses it, and the reports stay cold
-// analyses'. No test fabric comes near the session's budget, so the script
-// applies the same reset at a tiny one before each eviction.
-func TestSessionNodeBudgetReset(t *testing.T) {
-	var steps []step
-	for i := byte(0); i < 6; i++ {
-		steps = append(steps, step{opShrink, 0, 0}, step{opEvict, i, 0})
-	}
-	r := equalsCold(t, coldCase{fabric: seeded(9), entry: viaEpoch, workers: 1, steps: steps})
-	if st := r.sess.Stats(); st.CheckerResets == 0 {
-		t.Fatalf("no resets under a 256-node budget: %+v", st)
-	}
-}
-
 // TestSessionRecoversFromFailedRun: a run whose check fails names the
 // switch and returns no report, and once the switch is repaired the next
 // run re-checks it — the failed runs cached nothing.

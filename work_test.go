@@ -16,24 +16,26 @@ import (
 )
 
 // workColumns heads testdata/work.txt: a row is one op of one journey.
-// Counters are what the op added to its session's SessionStats; base_nodes,
-// delta_nodes and base_semantics are the gauges it left; state_bytes is the
-// state directory's size after it; allocs and alloc_kb are the heap
-// allocations the op made, in objects and KiB.
-var workColumns = []string{"journey", "op", "checked", "replayed", "fold_hits", "fold_misses",
-	"base_nodes", "delta_nodes", "base_semantics", "base_builds", "base_loads",
+// Counters are what the op added to its session's SessionStats; base_nodes
+// and base_semantics are the gauges it left; state_bytes is the state
+// directory's size after it; allocs and alloc_kb are the heap allocations
+// the op made, in objects and KiB.
+var workColumns = []string{"journey", "op", "checked", "replayed", "compiled",
+	"base_nodes", "base_semantics", "base_builds", "base_loads",
 	"probe_packets", "state_bytes", "allocs", "alloc_kb"}
 
-// deltaNodesCol is the one counter a worker count moves: each fork's delta
-// holds what its own switches compiled, and forks share nothing. The
-// allocation columns, from allocsCol on, move with it: each fork allocates
-// its own delta and scratch.
-var deltaNodesCol, allocsCol = slices.Index(workColumns, "delta_nodes"), slices.Index(workColumns, "allocs")
+// allocsCol is the first allocation column. The allocation columns are the
+// ones a worker count moves: each worker allocates its own scratch.
+var allocsCol = slices.Index(workColumns, "allocs")
 
 // allocBand is how far an allocation column may move from its record, as a
 // fraction of it. Ten runs at Workers 1 spread by at most 0.06% in allocs
 // and 0.14% in alloc_kb on any row, with and without -race, and -race
 // allocates up to 1.3% more KiB than a plain run (CHANGES.md, PR 51).
+// MemStats counts the whole process, so a stray allocation elsewhere — the
+// test framework's, the runtime's — can land in one op's cell: TestWork
+// runs the journeys twice and keeps each cell's smaller value, which a
+// stray allocation moves in one run only and a regression in both.
 const allocBand = 0.02
 
 // allocToolchain is the toolchain the allocation columns were recorded
@@ -44,7 +46,7 @@ const allocToolchain = "go1.24.0"
 const workHeader = `# TestWork (work_test.go): the work each bench/ journey does, one row per op,
 # on SmallFabricWorkloadSpec at seed 42 (8 switches) under workFabric's faults,
 # in TCAM mode and in probe mode. "setup" is the run the journey starts from.
-# delta_nodes, allocs and alloc_kb are recorded at Workers 1, the columns that
+# allocs and alloc_kb are recorded at Workers 1, the smaller of two runs, and
 # differ by worker count; every other column holds at Workers 1, 2 and NumCPU.
 # allocs and alloc_kb were recorded with ` + allocToolchain + ` and hold within 2% there
 # ("-" on a row that does not repeat); another toolchain logs them unchecked. For
@@ -188,9 +190,8 @@ func workRows(t *testing.T, workers int) [][]string {
 				if k == 0 {
 					row[1] = "setup"
 				}
-				for _, n := range []int{a.Checked - b.Checked, a.Replayed - b.Replayed, a.FoldHits - b.FoldHits,
-					a.FoldMisses - b.FoldMisses, a.BaseNodes, a.DeltaNodes, a.BaseSemantics,
-					a.BaseRebuilds - b.BaseRebuilds, a.BaseLoads - b.BaseLoads, a.ProbePacketsBatched - b.ProbePacketsBatched, stateBytes,
+				for _, n := range []int{a.Checked - b.Checked, a.Replayed - b.Replayed, a.Compiled - b.Compiled,
+					a.BaseNodes, a.BaseSemantics, a.BaseRebuilds - b.BaseRebuilds, a.BaseLoads - b.BaseLoads, a.ProbePacketsBatched - b.ProbePacketsBatched, stateBytes,
 					int(m1.Mallocs - m0.Mallocs), int((m1.TotalAlloc - m0.TotalAlloc) / 1024)} {
 					row = append(row, strconv.Itoa(n))
 				}
@@ -203,16 +204,22 @@ func workRows(t *testing.T, workers int) [][]string {
 
 // TestWork pins the work of every journey in testdata/work.txt, as
 // TestGolden pins report bytes: a change to what an op checks, replays,
-// folds, builds, loads, classifies, writes or allocates is a reviewed diff
-// of that file. It runs serially: MemStats is process-global.
+// compiles, builds, loads, classifies, writes or allocates is a reviewed
+// diff of that file. It runs serially: MemStats is process-global.
 func TestWork(t *testing.T) {
 	rows := workRows(t, 1)
-	for _, workers := range slices.Compact([]int{1, 2, runtime.NumCPU()})[1:] {
+	// The Workers-1 journeys run twice, and each allocation cell keeps the
+	// smaller run (allocBand); every other column holds at each worker
+	// count and on the second run alike.
+	for k, workers := range append([]int{1}, slices.Compact([]int{1, 2, runtime.NumCPU()})[1:]...) {
 		for i, row := range workRows(t, workers) {
-			for c := range row[:allocsCol] {
-				if c != deltaNodesCol && row[c] != rows[i][c] {
+			for c := range row {
+				switch {
+				case c < allocsCol && row[c] != rows[i][c]:
 					t.Errorf("Workers=%d %s op %s: %s is %s, %s at Workers 1",
 						workers, row[0], row[1], workColumns[c], row[c], rows[i][c])
+				case c >= allocsCol && k == 0 && atoi(row[c]) < atoi(rows[i][c]):
+					rows[i][c] = row[c]
 				}
 			}
 		}
@@ -273,6 +280,12 @@ func TestWork(t *testing.T) {
 		t.Errorf("%s: row %q matches no op; delete it", path, key)
 	}
 	t.Errorf("%s is now:\n%s", path, got.String())
+}
+
+// atoi reads a cell workRows wrote.
+func atoi(cell string) int {
+	n, _ := strconv.Atoi(cell)
+	return n
 }
 
 // inBand reports whether measured allocation count got is within allocBand
