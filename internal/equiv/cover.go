@@ -14,18 +14,17 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"scout/internal/rule"
 )
 
 // Check is one switch's verdict: whether logical (its compiled rules) and
 // deployed (its collected TCAM rules, in match order) allow the same
-// packets, and the rules that differ, in list order — Checker.Check's
-// report, or its error on a rule the encoding cannot represent. Lists in
-// union form are decided by coverage; any other list (only a hand-built
-// state holds one) on a throwaway fork of b, and compiled reports that.
-// Check keeps nothing, so switches check concurrently.
+// packets, and the rules that differ — Checker.Check's report, or its
+// error on a rule the encoding cannot represent. Lists in union form are
+// decided by coverage; any other list (only a hand-built state holds one)
+// on a throwaway fork of b, and compiled reports that. Check keeps
+// nothing, so switches check concurrently.
 func (b *Base) Check(logical, deployed []rule.Rule) (rep *Report, compiled bool, err error) {
 	l, unionL, err := allowsOf(logical)
 	if err != nil {
@@ -39,10 +38,9 @@ func (b *Base) Check(logical, deployed []rule.Rule) (rep *Report, compiled bool,
 		rep, err := b.NewChecker().Check(logical, deployed)
 		return rep, true, err
 	}
-	if SemanticsEqual(l, d) {
-		return &Report{Equivalent: true}, false, nil
-	}
-	missing, extra := uncovered(l, d), uncovered(d, l)
+	il, id := byTriple(l), byTriple(d)
+	missing, extra := uncovered(l, il, d, id), uncovered(d, id, l, il)
+	slices.SortFunc(extra, rule.Compare)
 	return &Report{Equivalent: missing == nil && extra == nil, MissingRules: missing, ExtraRules: extra}, false, nil
 }
 
@@ -65,54 +63,66 @@ func allowsOf(rules []rule.Rule) (allows []rule.Rule, union bool, err error) {
 }
 
 // uncovered returns the rules of a, in list order, that the rules of b on
-// their triple do not cover; both hold exact allow rules only. A run of a's
-// rules on one triple that matches b's run rule for rule is covered as it
-// stands. b is read in place when it ascends by triple, as every compiled
-// list and every TCAM list installed in one pass does, and through
-// rule.TripleIndex otherwise; a that ascends too is walked in step with it.
-func uncovered(a, b []rule.Rule) (out []rule.Rule) {
-	var idx []int
-	for k := 1; k < len(b) && idx == nil; k++ {
-		if rule.CompareTriple(&b[k-1].Match, &b[k].Match) > 0 {
-			idx = rule.TripleIndex(b)
-		}
-	}
-	at := func(k int) *rule.Match {
+// their triple do not cover; both hold exact allow rules only. Both lists
+// are walked by triple in step, each through its byTriple index ia and ib.
+// A run of a's rules on one triple that matches b's run rule for rule is
+// covered as it stands.
+func uncovered(a []rule.Rule, ia []int, b []rule.Rule, ib []int) []rule.Rule {
+	at := func(idx []int, k int) int { // the position of the k-th rule by triple
 		if idx != nil {
-			k = idx[k]
+			return idx[k]
 		}
-		return &b[k].Match
+		return k
 	}
 	var set []protoSpan
+	var out []int
 	for i, j, lo := 0, 0, 0; i < len(a); i = j {
-		m := &a[i].Match
-		for j = i + 1; j < len(a) && rule.CompareTriple(&a[j].Match, m) == 0; j++ {
+		m := &a[at(ia, i)].Match
+		for j = i + 1; j < len(a) && rule.CompareTriple(&a[at(ia, j)].Match, m) == 0; j++ {
 		}
-		if lo > 0 && rule.CompareTriple(at(lo-1), m) >= 0 { // a stepped back
-			lo = sort.Search(lo, func(k int) bool { return rule.CompareTriple(at(k), m) >= 0 })
-		}
-		for lo < len(b) && rule.CompareTriple(at(lo), m) < 0 {
+		for lo < len(b) && rule.CompareTriple(&b[at(ib, lo)].Match, m) < 0 {
 			lo++
 		}
 		hi, same := lo, true
-		for ; hi < len(b) && rule.CompareTriple(at(hi), m) == 0; hi++ {
-			same = same && hi-lo < j-i && *at(hi) == a[i+hi-lo].Match
+		for ; hi < len(b) && rule.CompareTriple(&b[at(ib, hi)].Match, m) == 0; hi++ {
+			same = same && hi-lo < j-i && b[at(ib, hi)].Match == a[at(ia, i+hi-lo)].Match
 		}
 		if !same || hi-lo != j-i {
 			set = set[:0]
 			for k := lo; k < hi; k++ {
-				set = append(set, protoSpan{at(k).Proto, span{uint32(at(k).PortLo), uint32(at(k).PortHi) + 1}})
+				bm := &b[at(ib, k)].Match
+				set = append(set, protoSpan{bm.Proto, span{uint32(bm.PortLo), uint32(bm.PortHi) + 1}})
 			}
 			set = merge(set)
 			for k := i; k < j; k++ {
-				if !covers(set, &a[k].Match) {
-					out = append(out, a[k])
+				if k := at(ia, k); !covers(set, &a[k].Match) {
+					out = append(out, k)
 				}
 			}
 		}
 		lo = hi
 	}
-	return out
+	if out == nil {
+		return nil
+	}
+	slices.Sort(out) // back to list order when a was walked through its index
+	rules := make([]rule.Rule, len(out))
+	for n, k := range out {
+		rules[n] = a[k]
+	}
+	return rules
+}
+
+// byTriple returns nil when rules ascend by triple, so that they are read
+// in place, as every compiled list and every TCAM list installed in one
+// pass is, and rule.TripleIndex of them otherwise.
+func byTriple(rules []rule.Rule) []int {
+	for k := 1; k < len(rules); k++ {
+		if rule.CompareTriple(&rules[k-1].Match, &rules[k].Match) > 0 {
+			return rule.TripleIndex(rules)
+		}
+	}
+	return nil
 }
 
 // protoSpan is the ports [lo, end) of one protocol, ProtoAny standing for

@@ -15,6 +15,7 @@ package equiv
 
 import (
 	"fmt"
+	"slices"
 
 	"scout/internal/bdd"
 	"scout/internal/rule"
@@ -166,11 +167,13 @@ type Report struct {
 
 	// MissingRules lists the logical rules (with provenance) whose allowed
 	// behaviour is at least partially absent from the TCAM. These are the
-	// paper's "missing rules" used to augment risk models.
+	// paper's "missing rules" used to augment risk models. They keep the
+	// logical list's order.
 	MissingRules []rule.Rule
 
 	// ExtraRules lists deployed rules that allow behaviour the policy does
-	// not permit (e.g. corrupted entries matching the wrong traffic).
+	// not permit (e.g. corrupted entries matching the wrong traffic), in
+	// rule.Compare order, so a TCAM's install order does not move them.
 	ExtraRules []rule.Rule
 }
 
@@ -198,6 +201,7 @@ func (c *Checker) Check(logical, deployed []rule.Rule) (*Report, error) {
 	if rep.ExtraRules, err = c.attribute(deployed, c.m.Diff(tAllowed, lAllowed)); err != nil {
 		return nil, err
 	}
+	slices.SortFunc(rep.ExtraRules, rule.Compare)
 	return rep, nil
 }
 

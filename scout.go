@@ -123,7 +123,8 @@ type SwitchReport struct {
 	Equivalent bool
 	// MissingRules should have been deployed on this switch but are not.
 	MissingRules []rule.Rule
-	// ExtraRules are deployed but allow traffic the policy does not.
+	// ExtraRules are deployed but allow traffic the policy does not, in
+	// rule.Compare order, so a TCAM's install order does not move them.
 	ExtraRules []rule.Rule
 	// Result is the SCOUT run on this switch's risk model (nil when the
 	// switch is consistent).
