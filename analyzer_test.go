@@ -146,12 +146,6 @@ func TestAnalyzeLocalizesEvictedFilter(t *testing.T) {
 	}
 }
 
-func TestAnalyzeWithProbes(t *testing.T) {
-	if rep := threeTierCase(t, coldCase{probes: true}, filter700Lost); !slices.Contains(rep.Hypothesis, scout.FilterRef(700)) {
-		t.Errorf("probe mode must detect the missing rules, with filter:700 in the hypothesis %v", rep.Hypothesis)
-	}
-}
-
 // TestAnalyzeSwitchScoped: an inequivalent switch's report carries a
 // localization on its own switch risk model, so its hypothesis names that
 // switch's policy objects; a consistent switch's carries none. Filter 700
@@ -163,17 +157,17 @@ func TestAnalyzeSwitchScoped(t *testing.T) {
 	}
 }
 
-// TestAnalyzeSwitchObservationSources builds switch reports from each
-// observation source — a BDD check of the collected TCAM and dataplane
-// probes — which share the report assembly but take different check paths.
+// TestAnalyzeSwitchObservationSources builds switch reports from the one
+// observation source, a check of the collected TCAM, in a session that
+// holds the warm store's base and in one that holds none.
 func TestAnalyzeSwitchObservationSources(t *testing.T) {
-	for _, probes := range []bool{false, true} {
-		rep := threeTierCase(t, coldCase{probes: probes}, filter700Lost)
+	for _, noStore := range []bool{false, true} {
+		rep := threeTierCase(t, coldCase{noStore: noStore}, filter700Lost)
 		if sr := switchReport(t, rep, 2); sr.Equivalent || len(sr.MissingRules) == 0 || sr.Result == nil {
-			t.Errorf("%s: switch 2 report = %+v, want missing rules and a localization", modes[probes], sr)
+			t.Errorf("%s: switch 2 report = %+v, want missing rules and a localization", modes[noStore], sr)
 		}
 		if clean := switchReport(t, rep, 1); !clean.Equivalent || clean.Result != nil {
-			t.Errorf("%s: switch 1 must stay consistent", modes[probes])
+			t.Errorf("%s: switch 1 must stay consistent", modes[noStore])
 		}
 	}
 }

@@ -334,7 +334,7 @@ func TestArchitecture(t *testing.T) {
 	// the base build's second caller, the bench shim NewBase, does.
 	for key, callers := range map[string][]string{
 		".:Analyzer.assemble":          {".:Session.run"},
-		"internal/equiv:NewBaseWith":   {".:Session.loadOrBuildBaseLocked", "internal/equiv:NewBase"},
+		"internal/equiv:NewBaseWith":   {".:Session.loadOrBuildBaseLocked", "internal/equiv:Base.Check", "internal/equiv:NewBase"},
 		"internal/equiv:Base.Check":    {".:Session.run"},
 		"internal/equiv:Checker.Check": {"internal/equiv:Base.Check"},
 		"internal/correlate:Correlate": {".:Analyzer.assemble", "internal/correlate:Engine.Correlate"},
@@ -404,25 +404,22 @@ func TestArchitecture(t *testing.T) {
 		}
 	}
 
-	// A caller picks the workers, the observation source and the warm
-	// store; everything else is the pipeline's own constant.
+	// A caller picks the workers and the warm store; everything else is
+	// the pipeline's own constant.
 	var fields []string
 	for _, f := range reflect.VisibleFields(reflect.TypeOf(scout.AnalyzerOptions{})) {
 		fields = append(fields, f.Name)
 	}
 	sort.Strings(fields)
-	if want := []string{"UseProbes", "WarmStore", "Workers"}; !reflect.DeepEqual(fields, want) {
+	if want := []string{"WarmStore", "Workers"}; !reflect.DeepEqual(fields, want) {
 		t.Errorf("AnalyzerOptions fields are %v, want %v", fields, want)
 	}
 
-	// A probe round shares nothing, so probing needs no lock or atomic. A
-	// store save is written before it returns, so the store has no writer
-	// to start and no queue to guard.
-	for _, dir := range []string{"internal/probe", "internal/store"} {
-		for _, imp := range ix.pkgs[dir].Imports() {
-			if imp.Path() == "sync" || imp.Path() == "sync/atomic" {
-				t.Errorf("%s imports %s", dir, imp.Path())
-			}
+	// A store save is written before it returns, so the store has no
+	// writer to start and no queue to guard.
+	for _, imp := range ix.pkgs["internal/store"].Imports() {
+		if imp.Path() == "sync" || imp.Path() == "sync/atomic" {
+			t.Errorf("internal/store imports %s", imp.Path())
 		}
 	}
 
@@ -449,6 +446,7 @@ func TestArchitecture(t *testing.T) {
 	shims := map[string]bool{}
 	for _, key := range []string{"internal/equiv:NewBase", "internal/equiv:CollectMatches", "internal/equiv:SemanticsFingerprint",
 		"internal/equiv:SortMatches", "internal/equiv:Base.NumMatches", "internal/equiv:Base.NewCheckerSized",
+		"internal/equiv:Base.Size", "internal/equiv:Base.NumSemantics",
 		"internal/equiv:Checker.Compact", "internal/equiv:Checker.DeltaSize", "internal/equiv:Checker.Reset", "internal/equiv:Checker.Stats",
 		"internal/bdd:CacheStats.Hits", "internal/risk:BuildAnnotatedSwitchModel",
 		"internal/risk:BuildControllerModelParallel", "internal/risk:AugmentControllerModelPatch", "internal/risk:Patch.Apply", "internal/store:Store.Flush", "internal/store:Store.Close",

@@ -60,8 +60,8 @@ func TestGolden(t *testing.T) {
 
 // goldenProduction checks one production x0.25 policy, as
 // `policygen -spec production -scale 0.25 -seed N` writes it, under a
-// fault mix in TCAM and probe mode, each without -state-dir, with it cold,
-// and restarted on the directory the cold run wrote.
+// fault mix without -state-dir, with it cold, and restarted on the
+// directory the cold run wrote.
 func goldenProduction(t *testing.T, g *golden, seed int64) {
 	spec := scout.ProductionWorkloadSpec()
 	for _, n := range []*int{&spec.EPGs, &spec.Contracts, &spec.Filters, &spec.TargetPairs, &spec.Switches} {
@@ -83,30 +83,25 @@ func goldenProduction(t *testing.T, g *golden, seed int64) {
 	prefix := fmt.Sprintf("production-%d/", seed)
 	g.check(t, prefix+"policy.json", fmt.Sprintf("policygen -spec production -scale 0.25 -seed %d", seed), data)
 
-	for _, mode := range []string{"tcam", "probes"} {
-		args := []string{"-policy", path, "-workers", "2", "-tcam", "131072", "-json",
-			"-fault", "filter:5003@1.0", "-fault", "filter:5020@0.5",
-			"-fault", "contract:3005@1.0", "-fault", "contract:3048@0.5"}
-		if mode == "probes" {
-			args = append(args, "-probes")
+	args := []string{"-policy", path, "-workers", "2", "-tcam", "131072", "-json",
+		"-fault", "filter:5003@1.0", "-fault", "filter:5020@0.5",
+		"-fault", "contract:3005@1.0", "-fault", "contract:3048@0.5"}
+	g.check(t, prefix+"tcam", cmdline(args), runGolden(t, args))
+	dir := t.TempDir()
+	stateArgs := append(args, "-state-dir", dir)
+	for _, run := range []string{"-cold", "-restart"} {
+		name := prefix + "tcam" + run
+		g.check(t, name, cmdline(stateArgs), runGolden(t, stateArgs))
+		files, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
 		}
-		g.check(t, prefix+mode, cmdline(args), runGolden(t, args))
-		dir := t.TempDir()
-		stateArgs := append(args, "-state-dir", dir)
-		for _, run := range []string{"-cold", "-restart"} {
-			name := prefix + mode + run
-			g.check(t, name, cmdline(stateArgs), runGolden(t, stateArgs))
-			files, err := os.ReadDir(dir)
+		for _, fi := range files {
+			data, err := os.ReadFile(filepath.Join(dir, fi.Name()))
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, fi := range files {
-				data, err := os.ReadFile(filepath.Join(dir, fi.Name()))
-				if err != nil {
-					t.Fatal(err)
-				}
-				g.check(t, name+"/"+fi.Name(), cmdline(stateArgs), data)
-			}
+			g.check(t, name+"/"+fi.Name(), cmdline(stateArgs), data)
 		}
 	}
 }

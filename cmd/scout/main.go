@@ -27,9 +27,10 @@
 // restores a fingerprint-matching frozen encoding base and verdict cache
 // on start and writes what a round built or re-checked before the round
 // returns, so a restarted process replays an unchanged fabric without
-// rebuilding any BDD state. A write that fails fails the command once the
-// session closes. The directory bounds itself: each write keeps the few
-// deployments used most recently and removes the files of the rest.
+// rebuilding any BDD state; without it no base is built at all. A write
+// that fails fails the command once the session closes. The directory
+// bounds itself: each write keeps the few deployments used most recently
+// and removes the files of the rest.
 //
 // -json prints the final report as one JSON document, and nothing else,
 // on stdout; the lines that narrate the run go to stderr instead. -v,
@@ -75,10 +76,9 @@ func run() error {
 		disconnect  = flag.Int("disconnect", -1, "switch ID to disconnect before analysis")
 		scenPath    = flag.String("scenario", "", "JSON scenario file to replay instead of -fault/-disconnect")
 		workers     = flag.Int("workers", 0, "parallel per-switch equivalence checks (0 = GOMAXPROCS, 1 = serial)")
-		probes      = flag.Bool("probes", false, "observe via probes (each allow rule's header looked up in an exact-triple index of the collected TCAM rules) instead of exhaustive TCAM verification")
 		watch       = flag.Bool("watch", false, "drive an event-driven session daemon: full baseline, then an incremental refresh per window of events")
 		batchWindow = flag.Duration("batch-window", 2*time.Second, "watch mode: refresh once the first event not yet analyzed has waited this long (requires -watch)")
-		stateDir    = flag.String("state-dir", "", "durable warm-state directory: restore fingerprint-matching BDD state on start; a round writes the base it builds for a new deployment and, if it re-checked a switch, the whole verdict file")
+		stateDir    = flag.String("state-dir", "", "durable warm-state directory, the only reason a BDD base is built: restore a fingerprint-matching base and verdicts on start; a round writes the base it builds for a new deployment and, if it re-checked a switch, the whole verdict file")
 		jsonOut     = flag.Bool("json", false, "print the analysis report alone on stdout, as JSON; progress lines go to stderr")
 		verbose     = flag.Bool("v", false, "print the controller risk view, SCOUT's stage timings and per-switch details")
 	)
@@ -175,7 +175,7 @@ func run() error {
 			return err
 		}
 	}
-	aOpts := scout.AnalyzerOptions{Workers: *workers, UseProbes: *probes, WarmStore: warm}
+	aOpts := scout.AnalyzerOptions{Workers: *workers, WarmStore: warm}
 
 	if *watch {
 		report, err := runWatch(f, parsed, watchOptions{analyzer: aOpts, window: *batchWindow}, prose)
@@ -321,18 +321,15 @@ type watchOptions struct {
 // on the fabric's clock since the first event not yet analyzed, it runs
 // one refresh round (Session.Analyze); at shutdown it runs one more if any
 // event is still pending. Events decide when a round runs, not what it
-// reads: the round collects every switch and re-verifies the ones written
-// since their last read — a re-check of their collected rules, or in
-// probe mode (UseProbes) a classification of their probe batches against
-// those rules — so a write no event names is still caught. It
-// returns the last report produced (the baseline's when no events
-// arrive), or the session's first failed warm-state write.
+// reads: the round collects every switch and re-checks the collected rules
+// of the ones written since their last read, so a write no event names is
+// still caught. It returns the last report produced (the baseline's when
+// no events arrive), or the session's first failed warm-state write.
 func runWatch(f *scout.Fabric, faults []objectFault, opts watchOptions, w io.Writer) (*scout.Report, error) {
 	sess, err := scout.NewSession(f, opts.analyzer)
 	if err != nil {
 		return nil, err
 	}
-	probeMode := opts.analyzer.UseProbes
 	// Park the cursor before the baseline collection so no mutation can
 	// slip between the stream position and the collected state.
 	cursor := f.EventLog().TailCursor()
@@ -344,24 +341,13 @@ func runWatch(f *scout.Fabric, faults []objectFault, opts watchOptions, w io.Wri
 			return nil, err
 		}
 		after := sess.Stats()
-		checked, replayed := after.Checked-before.Checked, after.Replayed-before.Replayed
-		if probeMode {
-			fmt.Fprintf(w, "%s: classified %d/%d switches (%d replayed, %d packets batched), %d missing rules, %v\n",
-				label, checked, len(report.Switches), replayed, after.ProbePacketsBatched-before.ProbePacketsBatched,
-				report.TotalMissing, report.Elapsed.Round(time.Microsecond))
-		} else {
-			fmt.Fprintf(w, "%s: re-checked %d/%d switches (%d replayed), %d missing rules, %v\n",
-				label, checked, len(report.Switches), replayed,
-				report.TotalMissing, report.Elapsed.Round(time.Microsecond))
-		}
+		fmt.Fprintf(w, "%s: re-checked %d/%d switches (%d replayed), %d missing rules, %v\n",
+			label, after.Checked-before.Checked, len(report.Switches), after.Replayed-before.Replayed,
+			report.TotalMissing, report.Elapsed.Round(time.Microsecond))
 		return report, nil
 	}
 
-	baselineLabel := "baseline: full collection"
-	if probeMode {
-		baselineLabel = "baseline: full probe round"
-	}
-	report, err := round(baselineLabel)
+	report, err := round("baseline: full collection")
 	if err != nil {
 		return nil, err
 	}
@@ -403,13 +389,7 @@ func runWatch(f *scout.Fabric, faults []objectFault, opts watchOptions, w io.Wri
 	}
 
 	st := sess.Stats()
-	if probeMode {
-		fmt.Fprintf(w, "probe replay: %d switches classified, %d replayed, %d packets batched\n",
-			st.Checked, st.Replayed, st.ProbePacketsBatched)
-	} else {
-		fmt.Fprintf(w, "session base: %d nodes (%d rebuilds, %d semantics); %d of %d checks compiled BDDs\n",
-			st.BaseNodes, st.BaseRebuilds, st.BaseSemantics, st.Compiled, st.Checked)
-	}
+	fmt.Fprintf(w, "%d of %d checks compiled BDDs\n", st.Compiled, st.Checked)
 	if err := sess.Close(); err != nil {
 		return nil, err
 	}

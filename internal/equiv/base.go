@@ -79,7 +79,8 @@ func (b *Base) newChecker(newM func() Backend) *Checker {
 	return &Checker{m: newM(), newM: newM, base: b, memo: compileMemo{}}
 }
 
-// Size returns the number of frozen BDD nodes in the base.
+// Size returns the number of frozen BDD nodes in the base. It stays
+// until bench/ stops reading it (ROADMAP item 1, shims).
 func (b *Base) Size() int { return b.snap.Size() }
 
 // NumMatches returns 0.
@@ -88,7 +89,8 @@ func (b *Base) Size() int { return b.snap.Size() }
 // stops reading it (ROADMAP item 1, shims).
 func (b *Base) NumMatches() int { return 0 }
 
-// NumSemantics returns the number of distinct frozen roots.
+// NumSemantics returns the number of distinct frozen roots. It stays
+// until bench/ stops reading it (ROADMAP item 1, shims).
 func (b *Base) NumSemantics() int { return b.distinct }
 
 // RebindSemantics binds the base's roots, by position, to lists: the

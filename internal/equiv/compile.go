@@ -84,6 +84,12 @@ func checkMatch(m rule.Match) error {
 	if !m.WildcardDst && m.DstEPG > maxID {
 		return fmt.Errorf("dst epg id %d exceeds %d-bit encoding", m.DstEPG, epgBits)
 	}
+	return checkPorts(m)
+}
+
+// checkPorts rejects an inverted port range, the one match no list can
+// hold whatever its IDs.
+func checkPorts(m rule.Match) error {
 	if m.PortLo > m.PortHi {
 		return fmt.Errorf("inverted port range %d-%d", m.PortLo, m.PortHi)
 	}

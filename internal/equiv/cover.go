@@ -20,23 +20,27 @@ import (
 
 // Check is one switch's verdict: whether logical (its compiled rules) and
 // deployed (its collected TCAM rules, in match order) allow the same
-// packets, and the rules that differ — Checker.Check's report, or its
-// error on a rule the encoding cannot represent. Lists in union form are
-// decided by coverage; any other list (only a hand-built state holds one)
-// on a throwaway fork of b, and compiled reports that. Check keeps
-// nothing, so switches check concurrently.
+// packets, and the rules that differ — Checker.Check's report. Lists in
+// union form are decided by coverage, which reads an ID only by comparing
+// it, so any ID checks; an inverted port range fails either list. Any
+// other list (only a hand-built state holds one) is checked on a throwaway
+// fork of b, an empty base when b is nil, and fails as Checker.Check does
+// on a rule the encoding cannot represent; compiled reports that. Check
+// keeps nothing, so switches check concurrently.
 func (b *Base) Check(logical, deployed []rule.Rule) (rep *Report, compiled bool, err error) {
-	l, unionL, err := allowsOf(logical)
-	if err != nil {
-		return nil, false, fmt.Errorf("encode logical rules: %w", err)
-	}
-	d, unionD, err := allowsOf(deployed)
-	if err != nil {
-		return nil, false, fmt.Errorf("encode deployed rules: %w", err)
-	}
-	if !unionL || !unionD {
+	l, unionL, errL := allowsOf(logical)
+	d, unionD, errD := allowsOf(deployed)
+	switch {
+	case !unionL || !unionD:
+		if b == nil {
+			b = NewBaseWith()
+		}
 		rep, err := b.NewChecker().Check(logical, deployed)
 		return rep, true, err
+	case errL != nil:
+		return nil, false, fmt.Errorf("encode logical rules: %w", errL)
+	case errD != nil:
+		return nil, false, fmt.Errorf("encode deployed rules: %w", errD)
 	}
 	il, id := byTriple(l), byTriple(d)
 	missing, extra := uncovered(l, il, d, id), uncovered(d, id, l, il)
@@ -44,14 +48,14 @@ func (b *Base) Check(logical, deployed []rule.Rule) (rep *Report, compiled bool,
 	return &Report{Equivalent: missing == nil && extra == nil, MissingRules: missing, ExtraRules: extra}, false, nil
 }
 
-// allowsOf returns the allow rules that lead rules, and whether rules are
-// in union form. It fails on the first rule the encoding cannot represent.
+// allowsOf returns the allow rules that lead rules, whether rules are in
+// union form, and the error of the first rule with an inverted port range.
 func allowsOf(rules []rule.Rule) (allows []rule.Rule, union bool, err error) {
 	n, union := len(rules), true
 	for i := range rules {
 		r := &rules[i]
-		if err := checkMatch(r.Match); err != nil {
-			return nil, false, err
+		if err == nil {
+			err = checkPorts(r.Match)
 		}
 		if r.Action != rule.Allow {
 			n = min(n, i)
@@ -59,7 +63,7 @@ func allowsOf(rules []rule.Rule) (allows []rule.Rule, union bool, err error) {
 			union = false
 		}
 	}
-	return rules[:n], union, nil
+	return rules[:n], union, err
 }
 
 // uncovered returns the rules of a, in list order, that the rules of b on

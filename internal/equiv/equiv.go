@@ -8,9 +8,10 @@
 //
 // Base.Check (cover.go) is the check stage's one entry point. Lists in
 // union form, as compiled or collected, are decided triple by triple by
-// coverage. Any other list is encoded as a reduced ordered BDD and diffed
-// (Checker.Check) on a fork of a frozen Base (base.go) of the deployment's
-// logical lists.
+// coverage, whatever their IDs. Any other list is encoded as a reduced
+// ordered BDD and diffed (Checker.Check) on a fork of a frozen Base
+// (base.go): the one a warm store keeps of the deployment's logical lists,
+// or an empty one.
 package equiv
 
 import (

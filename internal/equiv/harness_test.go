@@ -259,7 +259,7 @@ func checkCornerPackets(t *testing.T, c *oracle.Choices, m applyBackend, root bd
 	t.Helper()
 	allows := func(vrf, src, dst object.ID, proto rule.Protocol, port uint16) bool {
 		for _, r := range rules {
-			if r.Match.Covers(vrf, src, dst, proto, port) {
+			if oracle.Covers(r.Match, vrf, src, dst, proto, port) {
 				return r.Action == rule.Allow
 			}
 		}
@@ -601,11 +601,14 @@ func rebindStep(t *testing.T, _ *oracle.Choices, logical, _ []rule.Rule) {
 // of them that found a difference, and checks that compiled.
 type walkTally struct{ walked, differed, compiled int }
 
-// walkStep: Base.Check reports what Checker.Check reports on a fork of the
-// same base, byte for byte, provenance included, or fails alike — on an
-// empty base and on one that froze the logical list — and compiled
-// exactly when a list of a check that did not fail is outside union form
-// (inUnionForm).
+// walkStep: Base.Check reports what Checker.Check reports, byte for byte,
+// provenance included, or fails alike — on no base, whose fallback forks an
+// empty one, and on one that froze the logical list — and compiled exactly
+// when a list is outside union form (inUnionForm). Lists outside union form
+// go to the checker on a fork of the same base as they are. The walk reads
+// an ID only by comparing it, so lists in union form go to it on an
+// order-preserving renumbering of their IDs into 16 bits, and are checked
+// once more with every ID lifted past 16 bits, which the encoding refuses.
 func walkStep(t *testing.T, c *oracle.Choices, logical, deployed []rule.Rule) {
 	t.Helper()
 	new(walkTally).step(t, c, logical, deployed)
@@ -614,24 +617,48 @@ func walkStep(t *testing.T, c *oracle.Choices, logical, deployed []rule.Rule) {
 // step is walkStep, counted.
 func (n *walkTally) step(t *testing.T, _ *oracle.Choices, logical, deployed []rule.Rule) {
 	t.Helper()
-	for _, base := range []*Base{newBase(), newBase(logical)} {
-		want, wantErr := base.NewChecker().Check(logical, deployed)
-		got, compiled, err := base.Check(logical, deployed)
-		if fmt.Sprint(err) != fmt.Sprint(wantErr) || fmt.Sprintf("%#v", got) != fmt.Sprintf("%#v", want) {
-			t.Fatalf("Base.Check reports %+v (%v), Checker.Check %+v (%v)\nlogical:  %v\ndeployed: %v",
-				got, err, want, wantErr, logical, deployed)
+	walks := inUnionForm(logical) && inUnionForm(deployed)
+	for _, base := range []*Base{nil, newBase(logical)} {
+		n.compare(t, base, logical, deployed, walks)
+	}
+	if walks {
+		lift := func(id object.ID) object.ID { return id + 1<<16 }
+		n.compare(t, nil, oracle.Renumber(logical, lift), oracle.Renumber(deployed, lift), walks)
+	}
+}
+
+// compare holds base.Check of one pair to the checker (see walkStep).
+func (n *walkTally) compare(t *testing.T, base *Base, logical, deployed []rule.Rule, walks bool) {
+	t.Helper()
+	var want *Report
+	var wantErr error
+	if walks {
+		to, from := oracle.DenseIDs(logical, deployed)
+		if want, wantErr = newBase().NewChecker().Check(oracle.Renumber(logical, to), oracle.Renumber(deployed, to)); want != nil {
+			want.MissingRules, want.ExtraRules = oracle.Renumber(want.MissingRules, from), oracle.Renumber(want.ExtraRules, from)
 		}
-		if walks := inUnionForm(logical) && inUnionForm(deployed); compiled != (err == nil && !walks) {
-			t.Fatalf("compiled %v on lists in union form %v (%v)\nlogical:  %v\ndeployed: %v", compiled, walks, err, logical, deployed)
+	} else {
+		fork := base
+		if fork == nil {
+			fork = newBase()
 		}
-		switch {
-		case compiled:
-			n.compiled++
-		case err == nil:
-			n.walked++
-			if !got.Equivalent {
-				n.differed++
-			}
+		want, wantErr = fork.NewChecker().Check(logical, deployed)
+	}
+	got, compiled, err := base.Check(logical, deployed)
+	if fmt.Sprint(err) != fmt.Sprint(wantErr) || fmt.Sprintf("%#v", got) != fmt.Sprintf("%#v", want) {
+		t.Fatalf("Base.Check reports %+v (%v), Checker.Check %+v (%v)\nlogical:  %v\ndeployed: %v",
+			got, err, want, wantErr, logical, deployed)
+	}
+	if compiled == walks {
+		t.Fatalf("compiled %v on lists in union form %v (%v)\nlogical:  %v\ndeployed: %v", compiled, walks, err, logical, deployed)
+	}
+	switch {
+	case compiled:
+		n.compiled++
+	case err == nil:
+		n.walked++
+		if !got.Equivalent {
+			n.differed++
 		}
 	}
 }

@@ -90,24 +90,6 @@ type Match struct {
 // AnyPort reports whether the match covers the full port range.
 func (m Match) AnyPort() bool { return m.PortLo == 0 && m.PortHi == PortMax }
 
-// Covers reports whether m matches the concrete packet 5-tuple
-// (vrf, src, dst, proto, port).
-func (m Match) Covers(vrf, src, dst object.ID, proto Protocol, port uint16) bool {
-	if !m.WildcardVRF && m.VRF != vrf {
-		return false
-	}
-	if !m.WildcardSrc && m.SrcEPG != src {
-		return false
-	}
-	if !m.WildcardDst && m.DstEPG != dst {
-		return false
-	}
-	if m.Proto != ProtoAny && m.Proto != proto {
-		return false
-	}
-	return m.PortLo <= port && port <= m.PortHi
-}
-
 // String renders the match like "vrf=101 src=3 dst=4 tcp 80-80".
 func (m Match) String() string {
 	var b strings.Builder
@@ -136,7 +118,7 @@ func (m Match) String() string {
 //
 // A rule is a value, and every layer hands rules on by assignment: the
 // compiler into a deployment's lists, those into a TCAM, a TCAM into its
-// snapshots, a check or a probe into its report. What copies of a rule
+// snapshots, a check into its report. What copies of a rule
 // share is the Provenance slice, which nobody writes once the rule is
 // constructed; the compiler itself shares one slice across every rule of a
 // (binding, filter).
@@ -264,7 +246,7 @@ func Sort(rules []Rule) {
 // total up to Key equality — two rules it cannot separate share a Key,
 // which the compiler keeps once — so ties cannot occur within one switch's
 // deduped rule list; callers needing a tiebreak for sorted outputs
-// derived from such lists (e.g. a probe's missing rules) can rely on that.
+// derived from such lists (e.g. a check's extra rules) can rely on that.
 func Compare(a, b Rule) int {
 	if a.Priority != b.Priority {
 		return cmp.Compare(b.Priority, a.Priority)

@@ -94,48 +94,6 @@ func TestProtocolString(t *testing.T) {
 	}
 }
 
-func TestMatchCovers(t *testing.T) {
-	m := Match{VRF: 101, SrcEPG: 1, DstEPG: 2, Proto: ProtoTCP, PortLo: 80, PortHi: 90}
-	tests := []struct {
-		name  string
-		vrf   object.ID
-		src   object.ID
-		dst   object.ID
-		proto Protocol
-		port  uint16
-		want  bool
-	}{
-		{"exact", 101, 1, 2, ProtoTCP, 80, true},
-		{"port-in-range", 101, 1, 2, ProtoTCP, 85, true},
-		{"port-hi-edge", 101, 1, 2, ProtoTCP, 90, true},
-		{"port-below", 101, 1, 2, ProtoTCP, 79, false},
-		{"port-above", 101, 1, 2, ProtoTCP, 91, false},
-		{"wrong-vrf", 102, 1, 2, ProtoTCP, 80, false},
-		{"wrong-src", 101, 9, 2, ProtoTCP, 80, false},
-		{"wrong-dst", 101, 1, 9, ProtoTCP, 80, false},
-		{"wrong-proto", 101, 1, 2, ProtoUDP, 80, false},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := m.Covers(tt.vrf, tt.src, tt.dst, tt.proto, tt.port); got != tt.want {
-				t.Errorf("Covers = %v, want %v", got, tt.want)
-			}
-		})
-	}
-}
-
-func TestMatchCoversWildcards(t *testing.T) {
-	m := DefaultDeny().Match
-	if !m.Covers(1, 2, 3, ProtoTCP, 80) || !m.Covers(0, 0, 0, ProtoICMP, 0) {
-		t.Error("default deny must cover everything")
-	}
-	// ProtoAny in match covers any protocol.
-	m2 := Match{VRF: 1, SrcEPG: 1, DstEPG: 1, Proto: ProtoAny, PortLo: 0, PortHi: PortMax}
-	if !m2.Covers(1, 1, 1, ProtoUDP, 9999) {
-		t.Error("ProtoAny should match udp")
-	}
-}
-
 func TestDefaultDenyIsDefaultDeny(t *testing.T) {
 	if !DefaultDeny().IsDefaultDeny() {
 		t.Error("DefaultDeny() must satisfy IsDefaultDeny")

@@ -45,7 +45,7 @@ const (
 )
 
 // keepDeployments is how many deployments the store keeps, a deployment
-// being its base-, checks- and probes-<fingerprint> files (~600 KB at
+// being its base- and checks-<fingerprint> files (~600 KB at
 // eight switches). A process works on one deployment at a time; a policy
 // revert wants the one before it back warm; and two sessions sharing one
 // store, each with its previous deployment, make four.
@@ -55,12 +55,8 @@ func baseFileName(depFP uint64) string {
 	return fmt.Sprintf("base-%016x%s", depFP, fileSuffix)
 }
 
-func verdictFileName(depFP uint64, probe bool) string {
-	kind := "checks"
-	if probe {
-		kind = "probes"
-	}
-	return fmt.Sprintf("%s-%016x%s", kind, depFP, fileSuffix)
+func verdictFileName(depFP uint64) string {
+	return fmt.Sprintf("checks-%016x%s", depFP, fileSuffix)
 }
 
 // Store is a content-addressed warm-state directory. It holds nothing
@@ -145,17 +141,19 @@ func (s *Store) LoadBase(depFP uint64) (*equiv.Base, error) {
 }
 
 // SaveVerdicts encodes per-switch check verdicts and publishes them under
-// the deployment fingerprint (probe selects the probe-mode cache's file),
-// returning the write's error.
+// the deployment fingerprint, returning the write's error. The probe
+// argument is deprecated and ignored: there is one kind of verdict. It
+// stays until bench/ stops passing it (ROADMAP item 1, shims).
 func (s *Store) SaveVerdicts(depFP uint64, probe bool, vs []Verdict) error {
-	return s.save(depFP, verdictFileName(depFP, probe), encodeVerdicts(depFP, vs))
+	return s.save(depFP, verdictFileName(depFP), encodeVerdicts(depFP, vs))
 }
 
 // LoadVerdicts loads the verdicts persisted for the deployment
 // fingerprint: (nil, nil) when none exist, an error on verification
 // failure. A successful load touches the file, so eviction sees it used.
+// The probe argument is deprecated and ignored, as SaveVerdicts' is.
 func (s *Store) LoadVerdicts(depFP uint64, probe bool) ([]Verdict, error) {
-	name := verdictFileName(depFP, probe)
+	name := verdictFileName(depFP)
 	data, err := s.readFile(name)
 	if err != nil || data == nil {
 		return nil, err
@@ -188,8 +186,9 @@ func (s *Store) touch(name string) {
 }
 
 // deploymentOf returns the deployment fingerprint in a name that
-// baseFileName or verdictFileName writes: base-, checks- or probes-, then
-// sixteen lowercase hex digits, then fileSuffix.
+// baseFileName or verdictFileName writes: base- or checks-, then sixteen
+// lowercase hex digits, then fileSuffix. It also takes probes-, which an
+// older build wrote, so such a deployment is still evicted whole.
 func deploymentOf(name string) (uint64, bool) {
 	kind, key, _ := strings.Cut(name, "-")
 	hex, ok := strings.CutSuffix(key, fileSuffix)

@@ -133,10 +133,9 @@ func (h *storeHarness) step(i int, kind op) {
 			t.Fatalf("setting %s's mtime failed", name)
 		}
 	}
-	// A base, or check- or probe-mode verdicts, under one of numFPs
-	// fingerprints.
-	k, fp := c.Intn(3), uint64(1+c.Intn(numFPs))
-	name := verdictFileName(fp, k == 2)
+	// A base, or verdicts, under one of numFPs fingerprints.
+	k, fp := c.Intn(2), uint64(1+c.Intn(numFPs))
+	name := verdictFileName(fp)
 	if k == 0 {
 		name = baseFileName(fp)
 	}
@@ -152,7 +151,7 @@ func (h *storeHarness) step(i int, kind op) {
 			data, err = encodeBase(fp, b), h.s.SaveBase(fp, b)
 		} else {
 			vs := drawVerdicts(c)
-			data, err = encodeVerdicts(fp, vs), h.s.SaveVerdicts(fp, k == 2, vs)
+			data, err = encodeVerdicts(fp, vs), h.s.SaveVerdicts(fp, false, vs)
 		}
 		if e != nil && e.dir {
 			h.stats.refused++
@@ -174,7 +173,7 @@ func (h *storeHarness) step(i int, kind op) {
 			}
 		} else {
 			var vs []Verdict
-			if vs, err = h.s.LoadVerdicts(fp, k == 2); vs != nil {
+			if vs, err = h.s.LoadVerdicts(fp, false); vs != nil {
 				again = encodeVerdicts(fp, vs)
 			}
 		}
@@ -194,12 +193,17 @@ func (h *storeHarness) step(i int, kind op) {
 			used = true
 		}
 	case opPlant:
-		planted, temp := name+tempMark+fmt.Sprint(c.Intn(1000)), true
+		// An older build's probe-mode verdicts belong to their deployment.
+		planted, temp, of := name+tempMark+fmt.Sprint(c.Intn(1000)), true, uint64(0)
 		if c.Chance(4) {
-			planted, temp = []string{"README.txt", name + ".bak", "base-stale" + fileSuffix}[c.Intn(3)], false
+			older := fmt.Sprintf("probes-%016x%s", fp, fileSuffix)
+			planted, temp = []string{"README.txt", name + ".bak", "base-stale" + fileSuffix, older}[c.Intn(4)], false
+			if planted == older {
+				of = fp
+			}
 		}
 		h.clock++
-		h.write(planted, &entry{data: []byte("half a file"), temp: temp, young: temp && c.Chance(2), tick: h.clock, written: h.clock})
+		h.write(planted, &entry{data: []byte("half a file"), fp: of, temp: temp, young: temp && c.Chance(2), tick: h.clock, written: h.clock})
 	case opDamage:
 		if e == nil || e.dir || len(e.data) < frameOverhead {
 			break

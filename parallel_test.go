@@ -93,12 +93,12 @@ func TestParallelAnalyzeDeterministic(t *testing.T) {
 	}
 }
 
-// TestParallelProbeAnalyzeDeterministic is TestParallelAnalyzeDeterministic
-// for the probe observation source.
-func TestParallelProbeAnalyzeDeterministic(t *testing.T) {
+// TestParallelNoStoreAnalyzeDeterministic is TestParallelAnalyzeDeterministic
+// for a session with no warm store, which holds no base.
+func TestParallelNoStoreAnalyzeDeterministic(t *testing.T) {
 	colds := make(map[int][]byte)
 	for _, workers := range []int{2, 4, 0} {
-		equalsCold(t, coldCase{fabric: seeded(11), workers: workers, probes: true, colds: colds})
+		equalsCold(t, coldCase{fabric: seeded(11), workers: workers, noStore: true, colds: colds})
 	}
 }
 
@@ -122,19 +122,27 @@ func TestDedupIdentityWithDuplicateSwitches(t *testing.T) {
 // alike, and which checks compile BDDs (the runner's model) do not depend
 // on the worker count. Every list of the state with twins is in union
 // form, so no check compiles; the state whose lists leave it on three
-// switches compiles exactly their checks, on forks of the base.
+// switches compiles exactly their checks, on forks of the store's base, and
+// in a session with no store on forks of an empty base, to the same bytes.
 func TestSharedBaseEncodeStats(t *testing.T) {
 	t.Parallel()
 	for i, state := range []func(testing.TB, *scout.Fabric) scout.State{dupState, beyondUnionState} {
 		var bases map[string][]byte
 		for _, workers := range []int{1, 2, 4} {
-			r := equalsCold(t, coldCase{fabric: seeded(7), state: state, entry: viaState, workers: workers, steps: []step{{opEvict, 2, 0}}})
+			c := coldCase{fabric: seeded(7), state: state, entry: viaState, workers: workers, steps: []step{{opEvict, 2, 0}}}
+			r := equalsCold(t, c)
 			if bases != nil && !maps.EqualFunc(bases, r.baseImg, bytes.Equal) {
 				t.Errorf("Workers=%d built another base than Workers=1", workers)
 			}
 			bases = r.baseImg
 			if compiled := r.sess.Stats().Compiled; (compiled > 0) != (i == 1) {
 				t.Errorf("state %d at Workers=%d: %d checks compiled BDDs", i, workers, compiled)
+			}
+			// The fallback forks the store's base, or with no store an
+			// empty one: the reports are the same bytes.
+			c.noStore = true
+			if i == 1 && !bytes.Equal(marshalReport(t, equalsCold(t, c).last), marshalReport(t, r.last)) {
+				t.Errorf("Workers=%d: the fallback on an empty base reports other bytes than on the store's", workers)
 			}
 		}
 	}
@@ -181,27 +189,25 @@ func TestParallelCountersRepeat(t *testing.T) {
 
 // TestConcurrentAnalyzeCalls pins the Analyzer's concurrency promise now
 // that nothing guards it but the absence of shared state: eight Analyze
-// calls at once on one Analyzer, for either observation source, each return
-// the serial run's bytes (and `go test -race` sees no shared write).
+// calls at once on one Analyzer each return the serial run's bytes (and
+// `go test -race` sees no shared write).
 func TestConcurrentAnalyzeCalls(t *testing.T) {
-	for _, probes := range []bool{false, true} {
-		f := faultyFabric(t, 7)
-		opts := scout.AnalyzerOptions{Workers: 2, UseProbes: probes}
-		a, want := scout.NewAnalyzer(opts), marshalReport(t, oneShot(t, f, opts))
-		reps, errs := make([]*scout.Report, 8), make([]error, 8)
-		var wg sync.WaitGroup
-		for i := range reps {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				reps[i], errs[i] = a.Analyze(f)
-			}()
-		}
-		wg.Wait()
-		for i, rep := range reps {
-			if errs[i] != nil || !bytes.Equal(marshalReport(t, rep), want) {
-				t.Fatalf("probes=%v: concurrent call %d differs from the serial run (%v)", probes, i, errs[i])
-			}
+	f := faultyFabric(t, 7)
+	opts := scout.AnalyzerOptions{Workers: 2}
+	a, want := scout.NewAnalyzer(opts), marshalReport(t, oneShot(t, f, opts))
+	reps, errs := make([]*scout.Report, 8), make([]error, 8)
+	var wg sync.WaitGroup
+	for i := range reps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			reps[i], errs[i] = a.Analyze(f)
+		}()
+	}
+	wg.Wait()
+	for i, rep := range reps {
+		if errs[i] != nil || !bytes.Equal(marshalReport(t, rep), want) {
+			t.Fatalf("concurrent call %d differs from the serial run (%v)", i, errs[i])
 		}
 	}
 }

@@ -13,14 +13,18 @@ import (
 	"scout/internal/eval"
 	"scout/internal/localize"
 	"scout/internal/object"
+	"scout/internal/oracle"
 	"scout/internal/risk"
 	"scout/internal/rule"
 )
 
 // refAnalyze is the pipeline of the paper's Figure 6 spelled serially, with
 // none of the machinery the production path adds: a fresh checker per
-// switch (an empty base's fork: no dedup, no cache), models built per call,
-// one overlay each, no worker pool. Cold and warm analyses share one
+// switch (an empty base's fork: no dedup, no cache, no walk by triple),
+// models built per call, one overlay each, no worker pool. The checker
+// encodes 16-bit IDs and reads an ID only by comparing it, so each switch's
+// lists go to it renumbered densely (oracle.DenseIDs) and its rules come
+// back as they were. Cold and warm analyses share one
 // orchestration, so "warm bytes = cold bytes" only proves a replay equals a
 // fresh check; this is what proves the orchestration.
 func refAnalyze(t testing.TB, st scout.State) *scout.Report {
@@ -29,7 +33,7 @@ func refAnalyze(t testing.TB, st scout.State) *scout.Report {
 		st.Changes, st.Faults = &scout.ChangeLog{}, &scout.FaultLog{}
 	}
 	d := st.Deployment
-	oracle := localize.ChangeLogOracle{Log: st.Changes, Since: st.Now.Add(-24 * time.Hour)}
+	recent := localize.ChangeLogOracle{Log: st.Changes, Since: st.Now.Add(-24 * time.Hour)}
 	ctrlModel, err := risk.BuildControllerModel(d)
 	if err != nil {
 		t.Fatal(err)
@@ -37,15 +41,17 @@ func refAnalyze(t testing.TB, st scout.State) *scout.Report {
 	ctrl := risk.NewOverlay(ctrlModel)
 	rep := &scout.Report{Consistent: true}
 	for _, sw := range sortedIDs(st.TCAM) {
-		check, err := equiv.NewBaseWith().NewChecker().Check(d.RulesFor(sw), st.TCAM[sw])
+		to, from := oracle.DenseIDs(d.RulesFor(sw), st.TCAM[sw])
+		check, err := equiv.NewBaseWith().NewChecker().Check(oracle.Renumber(d.RulesFor(sw), to), oracle.Renumber(st.TCAM[sw], to))
 		if err != nil {
 			t.Fatal(err)
 		}
+		check.MissingRules, check.ExtraRules = oracle.Renumber(check.MissingRules, from), oracle.Renumber(check.ExtraRules, from)
 		sr := scout.SwitchReport{Switch: sw, Equivalent: check.Equivalent,
 			MissingRules: check.MissingRules, ExtraRules: check.ExtraRules}
 		if !check.Equivalent {
 			own := risk.NewModel("switch", d.OnSwitch(sw))
-			sr.Result = localize.Scout(risk.MarkSwitch(own, sw, check.MissingRules, d.Provenance).View(), oracle)
+			sr.Result = localize.Scout(risk.MarkSwitch(own, sw, check.MissingRules, d.Provenance).View(), recent)
 			risk.AugmentControllerModelPatch(ctrl, sw, check.MissingRules, d.Provenance).Apply(ctrl)
 			rep.Consistent = false
 			rep.TotalMissing += len(check.MissingRules)
@@ -53,7 +59,7 @@ func refAnalyze(t testing.TB, st scout.State) *scout.Report {
 		rep.Switches = append(rep.Switches, sr)
 	}
 	if !rep.Consistent {
-		rep.Controller = localize.Scout(ctrl, oracle)
+		rep.Controller = localize.Scout(ctrl, recent)
 		rep.Hypothesis = rep.Controller.Hypothesis
 		rep.RootCauses = correlate.Correlate(rep.Hypothesis, st.Changes, st.Faults)
 	}
@@ -153,17 +159,6 @@ func fabricState(f *scout.Fabric) scout.State {
 		Faults:     f.FaultLog(),
 		Now:        f.Now(),
 	}
-}
-
-// distinctLists counts a deployment's logical lists up to SemanticsEqual.
-func distinctLists(d *scout.Deployment) int {
-	var firsts [][]scout.Rule
-	for _, rules := range d.BySwitch {
-		if !slices.ContainsFunc(firsts, func(f []scout.Rule) bool { return equiv.SemanticsEqual(f, rules) }) {
-			firsts = append(firsts, rules)
-		}
-	}
-	return len(firsts)
 }
 
 // TestOrchestrationMatchesReference holds a session through a new fault to

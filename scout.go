@@ -42,33 +42,16 @@ import (
 	"scout/internal/fabric"
 	"scout/internal/localize"
 	"scout/internal/object"
-	"scout/internal/probe"
 	"scout/internal/risk"
 	"scout/internal/rule"
 	"scout/internal/store"
 )
 
 // AnalyzerOptions tunes the end-to-end analysis. A caller picks how many
-// workers check switches, which observation source a check reads, and
-// whether a session's state survives a restart; the rest of the pipeline is
-// the paper's configuration, fixed below.
+// workers check switches and whether a session's state survives a
+// restart; the rest of the pipeline is the paper's configuration, fixed
+// below.
 type AnalyzerOptions struct {
-	// UseProbes derives observations from connectivity probes instead of
-	// exhaustive TCAM verification (§III-C's "allowed to communicate but
-	// fail to do so" observation source). A probe is an allow rule's own
-	// header, one per rule, looked up among the switch's collected TCAM
-	// rules of its own VRF/src/dst triple and the wildcard ones, and a rule
-	// whose probe the table does not allow is missing, as the checker
-	// would report it.
-	// Probing samples the header space, so extra behaviour from corrupted
-	// rules is not reported in this mode, and encodes nothing, so it
-	// accepts rules the checker's encoder would refuse. The option is fixed
-	// for a session's life and adds no state to it: a dirty switch is
-	// probed (SessionStats.Checked), a clean one replays its cached verdict
-	// (Replayed), and every entry point, snapshots included, works as in
-	// TCAM mode.
-	UseProbes bool
-
 	// Workers bounds the number of concurrent per-switch equivalence
 	// checks. L-T checks are independent across switches (§III-C checks
 	// each switch on its own), so the check stage fans out over Workers
@@ -85,12 +68,11 @@ type AnalyzerOptions struct {
 	// frozen base — its node table and one root per logical list, bound
 	// to the deployment's lists by position — and verdict cache from the
 	// store (a fresh process replays a clean fabric with zero compiles),
-	// and every run that built a base or re-checked a switch writes it to
-	// the store before returning (Session.Close reports the session's
-	// first failed write).
-	// Probe sessions persist verdicts only — they build no base. One-shot
-	// Analyzers ignore it: only NewSession hands the store to the session
-	// it creates.
+	// building and saving the base when none loads, and every run that
+	// re-checked a switch writes its verdicts to the store before returning
+	// (Session.Close reports the session's first failed write). Only a
+	// session with a store holds a base. One-shot Analyzers ignore it: only
+	// NewSession hands the store to the session it creates.
 	WarmStore *store.Store
 }
 
@@ -201,7 +183,7 @@ func (a *Analyzer) Analyze(f *fabric.Fabric) (*Report, error) {
 }
 
 // AnalyzeState runs the pipeline on raw collected state, independent of
-// the simulator, in either observation mode.
+// the simulator.
 func (a *Analyzer) AnalyzeState(st State) (*Report, error) {
 	return a.session(nil).AnalyzeState(st)
 }
@@ -369,17 +351,6 @@ func buildSwitchReport(ctrl *risk.Model, prov map[rule.Key][]object.Ref, oracle 
 		sr.Result, st = localize.ScoutWithStats(marks.View(), oracle)
 	}
 	return sr, marks, st
-}
-
-// probeSwitch is the probe observation source's verdict for one switch of
-// collected state: each logical allow rule's header is looked up in an
-// index of its collected TCAM rules by exact triple, and each rule whose
-// probe the table does not allow is missing. It also returns how many
-// probes were sent. It keeps and shares nothing, so the fan-out calls it
-// concurrently.
-func probeSwitch(st State, sw object.ID) (*equiv.Report, int) {
-	missing, sent := probe.Switch(st.Deployment.RulesFor(sw), st.TCAM[sw])
-	return &equiv.Report{Equivalent: len(missing) == 0, MissingRules: missing}, sent
 }
 
 // MarshalJSON serializes the report (for dashboards and tooling).

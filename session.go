@@ -21,14 +21,14 @@ import (
 // from and hands them to run, and a one-shot Analyzer call is the first run
 // of a Session nobody keeps. A Session keeps state between runs, in two
 // lifetimes. What follows from the compiled deployment alone — its
-// fingerprints, the frozen BDD base (TCAM mode only: a probe is read off
-// its rule, so probe mode adds nothing here) and the pristine risk model,
-// whose arrays localization reads as they are — is resolved once per
-// deployment and reused until the policy is recompiled. What follows from an
-// observation — each switch's newest verdict, keyed by the fingerprints
-// of the exact logical and TCAM rule lists it was computed from — has one
-// rule: it replays when both fingerprints match, and leaves the cache only
-// when a fresh verdict for its switch replaces it. A T list that is the very
+// fingerprints, the frozen BDD base (only with a warm store, which persists
+// it) and the pristine risk model, whose arrays localization reads as they
+// are — is resolved once per deployment and reused until the policy is
+// recompiled. What follows from an observation — each switch's newest
+// verdict, keyed by the fingerprints of the exact logical and TCAM rule
+// lists it was computed from — has one rule: it replays when both
+// fingerprints match, and leaves the cache only when a fresh verdict for
+// its switch replaces it. A T list that is the very
 // slice it was hashed from (an unwritten TCAM's snapshot) is not even
 // re-hashed. A re-analysis re-checks only the switches whose rules actually
 // changed, builds no risk model for a deployment it has seen, and still
@@ -63,20 +63,16 @@ type Session struct {
 	// in the session compares deployments.
 	dep deploymentState
 
-	// cache holds the newest verdict per switch, from whichever
-	// observation source the session was created with (UseProbes is fixed
-	// for a session's lifetime): a check or a probe round, both of the
-	// collected TCAM rules. Either is a pure function of the switch's
-	// logical rules and TCAM list, so the same fingerprint pair keys a
-	// valid replay.
+	// cache holds the newest verdict per switch: a check of its collected
+	// TCAM rules, a pure function of the switch's logical rules and TCAM
+	// list, so the same fingerprint pair keys a valid replay.
 	cache map[object.ID]*switchCheckState
 
 	stats SessionStats
 }
 
 // deploymentState is everything a session derives from one compiled
-// deployment and nothing it derives from an observation. The probe
-// observation source derives nothing: its packets are its rules' headers.
+// deployment and nothing it derives from an observation.
 type deploymentState struct {
 	// d is the deployment itself. Compiled deployments are immutable, so
 	// the same pointer on the next run means every field below holds.
@@ -89,10 +85,11 @@ type deploymentState struct {
 	fp     uint64
 	logFPs map[object.ID]uint64
 
-	// base is the frozen encoding base a check forks for a list outside
-	// union form: one whole-switch semantics root per logical list of the
-	// deployment, bound to d's lists. TCAM drift never invalidates it; only
-	// a changed fingerprint does. Nil in probe mode, which builds no BDDs.
+	// base is the frozen encoding base the warm store persists and a check
+	// forks for a list outside union form: one whole-switch semantics root
+	// per logical list of the deployment, bound to d's lists. TCAM drift
+	// never invalidates it; only a changed fingerprint does. Nil in a
+	// session with no store, whose fallback checks fork an empty base.
 	base *equiv.Base
 
 	// ctrl is the deployment's one pristine risk model, the controller's;
@@ -123,12 +120,10 @@ type SessionStats struct {
 	// Runs counts completed analyses.
 	Runs int
 	// Checked counts switches whose verdict was recomputed (cache misses:
-	// changed rules, or first sight), each on its own, by
-	// the session's observation source: an equivalence check, or in
-	// probe mode one batch classification of the switch's probes.
+	// changed rules, or first sight), each by its own equivalence check.
 	Checked int
 	// Replayed counts switches whose cached verdict was replayed without
-	// recomputing it — no check, and in probe mode no packet classified.
+	// recomputing it.
 	Replayed int
 	// Compiled counts the Checked switches whose check compiled BDDs on a
 	// fork of the base: a list outside union form, which only a hand-built
@@ -139,40 +134,23 @@ type SessionStats struct {
 	// (ROADMAP item 1, shims).
 	CheckerCompactions int
 	CheckerResets      int
-	// BaseRebuilds counts shared-base builds (the first build included):
-	// one per distinct deployment fingerprint the session has analyzed.
-	// A rebuild refreshes the frozen semantics cache, which lives in the
-	// base and shares its lifecycle.
+	// BaseRebuilds counts shared-base builds for the warm store (the first
+	// build included): one per distinct deployment fingerprint a session
+	// with a store has analyzed and could not load a base for. A session
+	// with no store builds none.
 	BaseRebuilds int
 	// BaseLoads counts shared bases restored from the warm store instead
 	// of built: a warm restart of a clean fabric shows BaseLoads 1,
 	// BaseRebuilds 0, and nothing checked.
 	BaseLoads int
-	// BaseNodes and BaseSemantics are gauges refreshed after every run of
-	// a TCAM-mode session: the frozen base's node count and its number of
-	// distinct whole-switch semantics roots — one per logical list,
-	// SemanticsEqual lists sharing one.
-	BaseNodes     int
-	BaseSemantics int
 	// Deprecated: DeltaNodes is always 0 — no checker outlives its check.
 	// It stays until bench/ stops reading it (ROADMAP item 1, shims).
 	DeltaNodes int
-	// ProbePacketsBatched accumulates the probe packets classified, one
-	// per eligible rule of each Checked switch, each looked up in that
-	// switch's exact-triple index of its T list. Zero in TCAM-observation
-	// sessions.
-	ProbePacketsBatched int
 }
 
 // NewSession creates a persistent analysis session over the fabric. The
 // options are the Analyzer's; nothing is built until the first run
-// resolves the fabric's deployment. UseProbes picks the session's
-// observation source for its lifetime and changes one thing: a dirty
-// switch's verdict comes from classifying its probe batch against its
-// collected rules instead of a check of them, so a probe session builds
-// no base. Every entry point, fingerprint replay, slice
-// recognition, the warm store and the Checked / Replayed counters work the
-// same.
+// resolves the fabric's deployment.
 func NewSession(f *fabric.Fabric, opts ...AnalyzerOptions) (*Session, error) {
 	s := NewAnalyzer(opts...).session(f)
 	s.ws = s.a.opts.WarmStore
@@ -260,12 +238,11 @@ func (s *Session) Stats() SessionStats {
 // and by every one-shot: resolve the deployment, hash the T lists the cache
 // does not recognise, replay or re-check each switch, assemble the report
 // on the deployment's pristine risk model, and persist what changed. st
-// holds the T lists to analyze, which both observation sources read. Every
-// run ends byte-identical to a cold run on the same State: caching only
-// ever short-circuits the check stage, never the folds.
+// holds the T lists to analyze. Every run ends byte-identical to a cold run
+// on the same State: caching only ever short-circuits the check stage,
+// never the folds.
 func (s *Session) run(st State) (*Report, error) {
 	start := time.Now()
-	probes := s.a.opts.UseProbes
 	if st.Deployment == nil {
 		return nil, fmt.Errorf("scout: nothing to analyze: the fabric has never been deployed, or the state has no deployment")
 	}
@@ -298,37 +275,25 @@ func (s *Session) run(st State) (*Report, error) {
 		})
 	}
 
-	// The observation source decides one thing: how a dirty switch gets
-	// its verdict. Probes look each packet up in an index of its T list
-	// by exact triple (one sort of the list, which a replay skips). A check
-	// decides its two lists by coverage and keeps nothing, forking the base
-	// only for a list outside union form.
+	// A dirty switch's check decides its two lists by coverage and keeps
+	// nothing, forking the base (or an empty one) only for a list outside
+	// union form.
 	checkReps, checked, err := s.replayOrCheckLocked(st.TCAM, switches, tcamFPs,
 		func(dirty []object.ID) ([]*equiv.Report, error) {
-			reps := make([]*equiv.Report, len(dirty))
-			if !probes {
-				forked := make([]bool, len(dirty))
-				err := s.a.fanOut(len(dirty), func(i int) (err error) {
-					sw := dirty[i]
-					if reps[i], forked[i], err = s.dep.base.Check(st.Deployment.RulesFor(sw), st.TCAM[sw]); err != nil {
-						return fmt.Errorf("scout: equivalence check switch %d: %w", sw, err)
-					}
-					return nil
-				})
-				for _, f := range forked {
-					if f && err == nil {
-						s.stats.Compiled++
-					}
+			reps, forked := make([]*equiv.Report, len(dirty)), make([]bool, len(dirty))
+			if err := s.a.fanOut(len(dirty), func(i int) (err error) {
+				sw := dirty[i]
+				if reps[i], forked[i], err = s.dep.base.Check(st.Deployment.RulesFor(sw), st.TCAM[sw]); err != nil {
+					return fmt.Errorf("scout: equivalence check switch %d: %w", sw, err)
 				}
-				return reps, err
-			}
-			sent := make([]int, len(dirty))
-			s.a.fanOut(len(dirty), func(i int) error {
-				reps[i], sent[i] = probeSwitch(st, dirty[i])
 				return nil
-			})
-			for _, n := range sent {
-				s.stats.ProbePacketsBatched += n
+			}); err != nil {
+				return nil, err
+			}
+			for _, f := range forked {
+				if f {
+					s.stats.Compiled++
+				}
 			}
 			return reps, nil
 		})
@@ -340,9 +305,6 @@ func (s *Session) run(st State) (*Report, error) {
 	s.stats.Runs++
 	s.stats.Checked += checked
 	s.stats.Replayed += len(switches) - checked
-	if !probes {
-		s.stats.BaseNodes, s.stats.BaseSemantics = s.dep.base.Size(), s.dep.base.NumSemantics()
-	}
 	// A run that re-checked something changed some verdict: persist the
 	// cache under the deployment fingerprint.
 	if s.ws != nil && checked > 0 {
@@ -352,13 +314,12 @@ func (s *Session) run(st State) (*Report, error) {
 	return rep, nil
 }
 
-// replayOrCheckLocked is the session's one partition, shared by both
-// observation sources. A switch whose logical and T-side fingerprints both
-// match its cached verdict replays it, and the entry remembers this run's T
-// list as the one its fingerprint describes; every other switch is dirty and
-// is handed to check, in ascending order, and its fresh verdict replaces its
-// entry. It returns the reports aligned with switches and how many of them
-// check produced.
+// replayOrCheckLocked is the session's one partition. A switch whose
+// logical and T-side fingerprints both match its cached verdict replays it,
+// and the entry remembers this run's T list as the one its fingerprint
+// describes; every other switch is dirty and is handed to check, in
+// ascending order, and its fresh verdict replaces its entry. It returns the
+// reports aligned with switches and how many of them check produced.
 func (s *Session) replayOrCheckLocked(tcams map[object.ID][]rule.Rule, switches []object.ID, tcamFPs []uint64,
 	check func(dirty []object.ID) ([]*equiv.Report, error)) ([]*equiv.Report, int, error) {
 	reports := make([]*equiv.Report, len(switches))
@@ -408,10 +369,10 @@ func (s *Session) replayOrCheckLocked(tcams map[object.ID][]rule.Rule, switches 
 // once: equal content (a recompile that changed nothing) keeps the
 // fingerprints and the base — re-pointed at the new deployment's slices so
 // the superseded one is not pinned; safe here, the run lock is held and no
-// check is running. New content also replaces them and seeds the verdict
-// cache from the warm store. A probe session holds no base, so for
-// it equal content re-points nothing and new content builds nothing. A
-// footprint that fails validation, or that the model build refuses, is an
+// check is running. New content also replaces them and, with a warm store,
+// loads or builds the base and seeds the verdict cache. A session with no
+// store holds no base, so for it equal content re-points nothing and new
+// content builds nothing. A footprint that fails validation, or that the model build refuses, is an
 // error returned before anything changes, so the session keeps the
 // deployment it knew, with its base, verdicts and counters.
 func (s *Session) resolveLocked(d *compile.Deployment) error {
@@ -430,10 +391,10 @@ func (s *Session) resolveLocked(d *compile.Deployment) error {
 	switch {
 	case s.dep.d == nil || fp != s.dep.fp:
 		base = nil
-		if !s.a.opts.UseProbes {
+		if s.ws != nil {
 			base = s.loadOrBuildBaseLocked(baseLists(d), fp)
+			s.seedVerdictsLocked(fp)
 		}
-		s.seedVerdictsLocked(fp)
 	case base != nil:
 		_ = base.RebindSemantics(baseLists(d)) // equal fingerprints: as many lists as roots, never refused
 	}
@@ -441,9 +402,10 @@ func (s *Session) resolveLocked(d *compile.Deployment) error {
 	return nil
 }
 
-// loadOrBuildBaseLocked returns the frozen base for a deployment
-// fingerprint the session holds no base for, lists being the deployment's
-// logical lists in ascending switch order (baseLists). A base file holds
+// loadOrBuildBaseLocked returns the warm store's frozen base for a
+// deployment fingerprint the session holds no base for, lists being the
+// deployment's logical lists in ascending switch order (baseLists). A base
+// file holds
 // the node table and one root per list in that order, and nothing else: a
 // load binds its roots to lists by position, so a clean fabric replays
 // with zero compiles, trusting the fingerprint the file is keyed by as a
@@ -456,39 +418,30 @@ func (s *Session) resolveLocked(d *compile.Deployment) error {
 // check that falls back to the BDD (a list outside union form) finds its
 // logical list's root by slice identity and compiles only its T list, in
 // the throwaway fork's copy-on-write delta, against the base's unique
-// table. Keying the base off the deployment alone is what lets a Session
-// reuse it, and the warm store persist it, across runs whose TCAM state
-// drifts.
+// table. Keying the base off the deployment alone is what lets the warm
+// store persist it across runs whose TCAM state drifts.
 func (s *Session) loadOrBuildBaseLocked(lists [][]rule.Rule, fp uint64) *equiv.Base {
-	if s.ws != nil {
-		if b, err := s.ws.LoadBase(fp); err == nil && b != nil && b.RebindSemantics(lists) == nil {
-			s.stats.BaseLoads++
-			return b
-		}
+	if b, err := s.ws.LoadBase(fp); err == nil && b != nil && b.RebindSemantics(lists) == nil {
+		s.stats.BaseLoads++
+		return b
 	}
 	base := equiv.NewBaseWith(lists...)
 	s.stats.BaseRebuilds++
-	if s.ws != nil {
-		if err := s.ws.SaveBase(fp, base); err != nil && s.saveErr == nil {
-			s.saveErr = err
-		}
+	if err := s.ws.SaveBase(fp, base); err != nil && s.saveErr == nil {
+		s.saveErr = err
 	}
 	return base
 }
 
 // seedVerdictsLocked restores the verdicts persisted under the deployment
-// fingerprint (for this session's observation source — the store keeps
-// check and probe verdicts in separate files) into the cache. It runs on
-// resolveLocked's new-content path only. Only absent slots are filled: an
+// fingerprint into the cache. It runs on resolveLocked's new-content path
+// only, with a warm store. Only absent slots are filled: an
 // in-memory entry is at least as fresh as the file it was persisted to. A
 // replay still happens only when the logical and TCAM rule lists hash to the
 // loaded entry's fingerprints, making a stale or foreign file safe (its
 // entries simply never match).
 func (s *Session) seedVerdictsLocked(depFP uint64) {
-	if s.ws == nil {
-		return
-	}
-	vs, err := s.ws.LoadVerdicts(depFP, s.a.opts.UseProbes)
+	vs, err := s.ws.LoadVerdicts(depFP, false)
 	if err != nil {
 		return // unverifiable file: cold start for these switches
 	}
@@ -516,7 +469,7 @@ func (s *Session) saveVerdictsLocked() {
 			Report:    ent.report,
 		})
 	}
-	if err := s.ws.SaveVerdicts(s.dep.fp, s.a.opts.UseProbes, vs); err != nil && s.saveErr == nil {
+	if err := s.ws.SaveVerdicts(s.dep.fp, false, vs); err != nil && s.saveErr == nil {
 		s.saveErr = err
 	}
 }

@@ -79,17 +79,18 @@ func TestSessionSharedBasePersistence(t *testing.T) {
 	equalsCold(t, coldCase{fabric: seeded(7), steps: []step{{opEvict, 0, 0}, {}, {opAddFilter, 0, 0}}})
 }
 
-// TestSessionProbeWarmReplay: a probe round on an unchanged fabric probes
-// nothing, a fault re-probes exactly its switch with exactly its probes,
-// and an equal-content redeploy replays everything.
-func TestSessionProbeWarmReplay(t *testing.T) {
-	equalsCold(t, coldCase{fabric: seeded(3), probes: true, workers: 2, steps: []step{{}, {opSilent, 1, 0}, {opSilent, 1, 1}, {opRedeploy, 0, 0}}})
+// TestSessionNoStoreWarmReplay: a session with no warm store, which holds
+// no base, checks nothing on an unchanged fabric, re-checks exactly the
+// switch a silent write touched, and replays everything after an
+// equal-content redeploy.
+func TestSessionNoStoreWarmReplay(t *testing.T) {
+	equalsCold(t, coldCase{fabric: seeded(3), noStore: true, workers: 2, steps: []step{{}, {opSilent, 1, 0}, {opSilent, 1, 1}, {opRedeploy, 0, 0}}})
 }
 
-// TestSessionProbeReplayUnderMutations drives the probe replay path through
-// a drawn script.
-func TestSessionProbeReplayUnderMutations(t *testing.T) {
-	equalsCold(t, coldCase{fabric: seeded(17), probes: true, steps: drawn(23, 12)})
+// TestSessionNoStoreReplayUnderMutations drives the replay path of a
+// session with no warm store through a drawn script.
+func TestSessionNoStoreReplayUnderMutations(t *testing.T) {
+	equalsCold(t, coldCase{fabric: seeded(17), noStore: true, steps: drawn(23, 12)})
 }
 
 // TestApplyEventsMatchesAnalyzeEpoch: Analyze, the event-driven refresh,
@@ -109,15 +110,14 @@ func refuses(t *testing.T, what string, analyses ...func() (*scout.Report, error
 	}
 }
 
-// TestSessionProbeReadsItsState: a probe session probes the T lists it is
-// handed, not the fabric's tables. An epoch is taken, then one probed allow
-// rule is removed through Switch.TCAM, which emits no event. AnalyzeEpoch
-// of the epoch equals a cold one-shot AnalyzeState of the epoch's state —
-// so a one-shot probe Analyzer takes collected state too — and neither
-// reports the rule; the next Analyze collects the removal, reports it, and
-// equals a cold analysis.
-func TestSessionProbeReadsItsState(t *testing.T) {
-	f, opts := faultyFabric(t, 3), scout.AnalyzerOptions{UseProbes: true}
+// TestSessionReadsItsState: a session checks the T lists it is handed,
+// not the fabric's tables. An epoch is taken, then one exact allow rule is
+// removed through Switch.TCAM, which emits no event. AnalyzeEpoch of the
+// epoch equals a cold one-shot AnalyzeState of the epoch's state and does
+// not report the rule; the next Analyze collects the removal, reports it,
+// and equals a cold analysis.
+func TestSessionReadsItsState(t *testing.T) {
+	f, opts := faultyFabric(t, 3), scout.AnalyzerOptions{}
 	sess := newSession(t, f, opts)
 	epoch := scout.NewCollector(f, 0).Snapshot()
 	st := fabricState(f)
@@ -129,10 +129,10 @@ func TestSessionProbeReadsItsState(t *testing.T) {
 		t.Fatal(err)
 	}
 	i := slices.IndexFunc(s.TCAM().Rules(), func(x scout.Rule) bool {
-		return probesOf([]scout.Rule{x}) == 1 && slices.ContainsFunc(d.RulesFor(sw), func(l scout.Rule) bool { return l.Key() == x.Key() })
+		return exactAllows([]scout.Rule{x}) == 1 && slices.ContainsFunc(d.RulesFor(sw), func(l scout.Rule) bool { return l.Key() == x.Key() })
 	})
 	if i < 0 {
-		t.Fatalf("switch %d holds no probed rule of its logical list", sw)
+		t.Fatalf("switch %d holds no exact allow rule of its logical list", sw)
 	}
 	gone := s.TCAM().Rules()[i]
 	s.TCAM().Remove(gone.Key())
@@ -250,10 +250,8 @@ func TestSessionSurfacesLostStateDir(t *testing.T) {
 // runner hands its cold analyses the case's store, and holds them to the
 // store's file times and to expectedFolds.
 func TestOneShotIgnoresWarmStore(t *testing.T) {
-	for _, probes := range []bool{false, true} {
-		if r := equalsCold(t, coldCase{probes: probes, steps: []step{{opEvict, 0, 0}}}); len(r.good) == 0 {
-			t.Fatalf("probes=%v: the session persisted nothing; the case is vacuous", probes)
-		}
+	if r := equalsCold(t, coldCase{steps: []step{{opEvict, 0, 0}}}); len(r.good) == 0 {
+		t.Fatal("the session persisted nothing; the case is vacuous")
 	}
 }
 
@@ -266,23 +264,24 @@ func TestSessionRebuildsOverOldCodecBase(t *testing.T) {
 	equalsCold(t, coldCase{workers: 2, steps: []step{{opRestart, 0, harmV2}, {opRestart, 1, harmV2}, {opRestart, 0, 0}}})
 }
 
-// TestSessionProbeWarmRestart: probe verdicts persist under the deployment
-// fingerprint, so a restarted probe session replays a clean fabric with no
-// switch probed.
-func TestSessionProbeWarmRestart(t *testing.T) {
-	equalsCold(t, coldCase{fabric: seeded(13), entry: viaRestart, probes: true, steps: []step{{}}})
+// TestSessionWarmRestart: verdicts persist under the deployment
+// fingerprint, so a restarted session replays a clean fabric with no switch
+// checked.
+func TestSessionWarmRestart(t *testing.T) {
+	equalsCold(t, coldCase{fabric: seeded(13), entry: viaRestart, steps: []step{{}}})
 }
 
 // TestSessionEqualContentRedeploy covers the recompile that changes
-// nothing: the session keeps its base and its verdicts and rebuilds only
-// the identity-keyed risk models, and a new process given the redeployed
-// pointer finds the first process's files under the unchanged fingerprint.
+// nothing: the session keeps its base (if it has a store) and its verdicts
+// and rebuilds only the identity-keyed risk models, and a new process
+// given the redeployed pointer finds the first process's files under the
+// unchanged fingerprint.
 func TestSessionEqualContentRedeploy(t *testing.T) {
-	for _, probes := range []bool{false, true} {
-		t.Run(modes[probes], func(t *testing.T) {
+	for _, noStore := range []bool{false, true} {
+		t.Run(modes[noStore], func(t *testing.T) {
 			colds := make(map[int][]byte)
 			for _, e := range []entry{viaAnalyze, viaRestart} {
-				equalsCold(t, coldCase{entry: e, probes: probes, steps: []step{{opRedeploy, 0, 0}}, colds: colds})
+				equalsCold(t, coldCase{entry: e, noStore: noStore, steps: []step{{opRedeploy, 0, 0}}, colds: colds})
 			}
 		})
 	}

@@ -16,13 +16,11 @@ import (
 )
 
 // workColumns heads testdata/work.txt: a row is one op of one journey.
-// Counters are what the op added to its session's SessionStats; base_nodes
-// and base_semantics are the gauges it left; state_bytes is the state
-// directory's size after it; allocs and alloc_kb are the heap allocations
-// the op made, in objects and KiB.
+// Counters are what the op added to its session's SessionStats;
+// state_bytes is the state directory's size after it; allocs and alloc_kb
+// are the heap allocations the op made, in objects and KiB.
 var workColumns = []string{"journey", "op", "checked", "replayed", "compiled",
-	"base_nodes", "base_semantics", "base_builds", "base_loads",
-	"probe_packets", "state_bytes", "allocs", "alloc_kb"}
+	"base_builds", "base_loads", "state_bytes", "allocs", "alloc_kb"}
 
 // allocsCol is the first allocation column. The allocation columns are the
 // ones a worker count moves: each worker allocates its own scratch.
@@ -44,8 +42,8 @@ const allocBand = 0.02
 const allocToolchain = "go1.24.0"
 
 const workHeader = `# TestWork (work_test.go): the work each bench/ journey does, one row per op,
-# on SmallFabricWorkloadSpec at seed 42 (8 switches) under workFabric's faults,
-# in TCAM mode and in probe mode. "setup" is the run the journey starts from.
+# on SmallFabricWorkloadSpec at seed 42 (8 switches) under workFabric's faults.
+# "setup" is the run the journey starts from; only restart has a warm store.
 # allocs and alloc_kb are recorded at Workers 1, the smaller of two runs, and
 # differ by worker count; every other column holds at Workers 1, 2 and NumCPU.
 # allocs and alloc_kb were recorded with ` + allocToolchain + ` and hold within 2% there
@@ -111,12 +109,11 @@ var workJourneys = []struct {
 
 // warmJourney is one session over f: set-up is its first run, and op k
 // mutates the fabric and runs it again. epoch analyzes a collector epoch,
-// as the warm bench/ journeys do, except in probe mode, which classifies
-// against the live dataplane and so runs Analyze like the storm.
+// as the warm bench/ journeys do; otherwise it runs Analyze, like the storm.
 func warmJourney(t *testing.T, f *scout.Fabric, opts scout.AnalyzerOptions, epoch bool, mutate func(k int)) workOp {
 	sess, col := newSession(t, f, opts), scout.NewCollector(f, 4)
 	analyze := sess.Analyze
-	if epoch && !opts.UseProbes {
+	if epoch {
 		analyze = func() (*scout.Report, error) { return sess.AnalyzeEpoch(col.Snapshot()) }
 	}
 	return func(k int) (before, after scout.SessionStats) {
@@ -164,39 +161,34 @@ func workFabric(t *testing.T) *scout.Fabric {
 	return f
 }
 
-// workRows runs every journey in both modes at a worker count.
+// workRows runs every journey at a worker count. A row's journey is named
+// tcam/<journey>, the TCAM check being the one observation source.
 func workRows(t *testing.T, workers int) [][]string {
 	var rows [][]string
-	for _, probes := range []bool{false, true} {
-		mode := "tcam/"
-		if probes {
-			mode = "probes/"
-		}
-		for _, j := range workJourneys {
-			op, dir := j.start(t, workFabric(t), scout.AnalyzerOptions{Workers: workers, UseProbes: probes})
-			for k := 0; k <= workOps; k++ {
-				var m0, m1 runtime.MemStats
-				runtime.GC()
-				runtime.ReadMemStats(&m0)
-				b, a := op(k)
-				runtime.ReadMemStats(&m1)
-				var stateBytes int
-				if dir != "" {
-					for _, data := range dirImage(t, dir) {
-						stateBytes += len(data)
-					}
+	for _, j := range workJourneys {
+		op, dir := j.start(t, workFabric(t), scout.AnalyzerOptions{Workers: workers})
+		for k := 0; k <= workOps; k++ {
+			var m0, m1 runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&m0)
+			b, a := op(k)
+			runtime.ReadMemStats(&m1)
+			var stateBytes int
+			if dir != "" {
+				for _, data := range dirImage(t, dir) {
+					stateBytes += len(data)
 				}
-				row := []string{mode + j.name, strconv.Itoa(k)}
-				if k == 0 {
-					row[1] = "setup"
-				}
-				for _, n := range []int{a.Checked - b.Checked, a.Replayed - b.Replayed, a.Compiled - b.Compiled,
-					a.BaseNodes, a.BaseSemantics, a.BaseRebuilds - b.BaseRebuilds, a.BaseLoads - b.BaseLoads, a.ProbePacketsBatched - b.ProbePacketsBatched, stateBytes,
-					int(m1.Mallocs - m0.Mallocs), int((m1.TotalAlloc - m0.TotalAlloc) / 1024)} {
-					row = append(row, strconv.Itoa(n))
-				}
-				rows = append(rows, row)
 			}
+			row := []string{"tcam/" + j.name, strconv.Itoa(k)}
+			if k == 0 {
+				row[1] = "setup"
+			}
+			for _, n := range []int{a.Checked - b.Checked, a.Replayed - b.Replayed, a.Compiled - b.Compiled,
+				a.BaseRebuilds - b.BaseRebuilds, a.BaseLoads - b.BaseLoads, stateBytes,
+				int(m1.Mallocs - m0.Mallocs), int((m1.TotalAlloc - m0.TotalAlloc) / 1024)} {
+				row = append(row, strconv.Itoa(n))
+			}
+			rows = append(rows, row)
 		}
 	}
 	return rows
@@ -204,7 +196,7 @@ func workRows(t *testing.T, workers int) [][]string {
 
 // TestWork pins the work of every journey in testdata/work.txt, as
 // TestGolden pins report bytes: a change to what an op checks, replays,
-// compiles, builds, loads, classifies, writes or allocates is a reviewed
+// compiles, builds, loads, writes or allocates is a reviewed
 // diff of that file. It runs serially: MemStats is process-global.
 func TestWork(t *testing.T) {
 	rows := workRows(t, 1)
