@@ -324,19 +324,18 @@ func TestArchitecture(t *testing.T) {
 	// The pipeline is written once: Session.run is the only orchestration,
 	// so every stage has one call site. Outside bench/ that holds for the
 	// check too: an experiment or an example reads a Report instead of
-	// running it, and the BDD checker runs only where Base.Check falls
-	// back to it. Marking has the switch report, whose marks the
-	// controller view joins, and besides it the simulated §VI figures,
-	// which inject their faults at the model level, as §VI-A does: eval's
-	// one controller injector and Figure 8's switch. The annotated build
-	// and the patch that bench/ calls mark through it too. Correlation's
-	// second caller is the bench shim Engine.Correlate, which forwards, as
-	// the base build's second caller, the bench shim NewBase, does.
+	// running it, and the BDD checker is a bench shim. Marking has the
+	// switch report, whose marks the controller view joins, and besides it
+	// the simulated §VI figures, which inject their faults at the model
+	// level, as §VI-A does: eval's one controller injector and Figure 8's
+	// switch. The annotated build and the patch that bench/ calls mark
+	// through it too. Correlation's second caller is the bench shim
+	// Engine.Correlate, which forwards, as the base build's second caller,
+	// the bench shim NewBase, does.
 	for key, callers := range map[string][]string{
 		".:Analyzer.assemble":          {".:Session.run"},
-		"internal/equiv:NewBaseWith":   {".:Session.loadOrBuildBaseLocked", "internal/equiv:Base.Check", "internal/equiv:NewBase"},
-		"internal/equiv:Base.Check":    {".:Session.run"},
-		"internal/equiv:Checker.Check": {"internal/equiv:Base.Check"},
+		"internal/equiv:NewBaseWith":   {".:Session.loadOrBuildBaseLocked", "internal/equiv:NewBase"},
+		"internal/equiv:Check":         {".:Session.run"},
 		"internal/correlate:Correlate": {".:Analyzer.assemble", "internal/correlate:Engine.Correlate"},
 		"internal/risk:MarkSwitch": {".:buildSwitchReport", "internal/eval:Env.markMissing", "internal/eval:SwitchModelAccuracy",
 			"internal/risk:AugmentControllerModelPatch", "internal/risk:BuildAnnotatedSwitchModel"},
@@ -448,6 +447,7 @@ func TestArchitecture(t *testing.T) {
 		"internal/equiv:SortMatches", "internal/equiv:Base.NumMatches", "internal/equiv:Base.NewCheckerSized",
 		"internal/equiv:Base.Size", "internal/equiv:Base.NumSemantics",
 		"internal/equiv:Checker.Compact", "internal/equiv:Checker.DeltaSize", "internal/equiv:Checker.Reset", "internal/equiv:Checker.Stats",
+		"internal/equiv:Checker.Check", "internal/equiv:Base.NewChecker",
 		"internal/bdd:CacheStats.Hits", "internal/risk:BuildAnnotatedSwitchModel",
 		"internal/risk:BuildControllerModelParallel", "internal/risk:AugmentControllerModelPatch", "internal/risk:Patch.Apply", "internal/store:Store.Flush", "internal/store:Store.Close",
 		".:Session.ApplyEvents", "internal/collect:Collector.SnapshotSwitches", "internal/collect:DirtySwitches",

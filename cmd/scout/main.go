@@ -388,8 +388,6 @@ func runWatch(f *scout.Fabric, faults []objectFault, opts watchOptions, w io.Wri
 		}
 	}
 
-	st := sess.Stats()
-	fmt.Fprintf(w, "%d of %d checks compiled BDDs\n", st.Compiled, st.Checked)
 	if err := sess.Close(); err != nil {
 		return nil, err
 	}

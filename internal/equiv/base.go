@@ -1,9 +1,10 @@
 // Frozen encoding base: the whole-switch semantics roots of a
 // deployment's logical rule lists, built once by the direct compiler
 // (compile.go) in one BDD manager and frozen into an immutable snapshot
-// that a check outside union form forks. Its unique table doubles as the
-// memo for lists it never saw: a fork compiling a TCAM list interns
-// through it and finds every subtree the list shares with a frozen one.
+// that a warm store persists and a Checker forks. No check reads it: Check
+// (check.go) builds no BDD. Its unique table doubles as the memo for lists
+// it never saw: a fork compiling a TCAM list interns through it and finds
+// every subtree the list shares with a frozen one.
 
 package equiv
 
@@ -61,7 +62,9 @@ func NewBase(_ []rule.Match, semantics ...[]rule.Rule) *Base {
 // lists the base holds from its frozen snapshot and compiles any other
 // list in its private copy-on-write delta. Forking is O(1). The fork's
 // delta tables are pre-sized from the base's observed load. It is the one
-// way to get a checker: a fork of NewBaseWith() compiles every list.
+// way to get a checker: a fork of NewBaseWith() compiles every list. Only
+// the tests and bench/ fork a base; it stays until bench/ stops calling it
+// (ROADMAP item 1, shims).
 func (b *Base) NewChecker() *Checker {
 	return b.newChecker(func() Backend { return bdd.NewManagerFrom(b.snap) })
 }

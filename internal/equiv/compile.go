@@ -151,9 +151,8 @@ type compiler struct {
 	frozen, own compileMemo
 	key         []byte
 	// Port-axis scratch, reused across leaves.
-	points []uint32
-	next   []int32
-	spans  []span
+	sweep portSweep
+	spans []span
 }
 
 // field builds the BDD over fields f.. of the packets list allows, given
@@ -306,75 +305,11 @@ func (c *compiler) trie(fd idField, bit int, vals []uint32, kids []bdd.Node, def
 	return c.m.Mk(fd.off+bit, lo, hi)
 }
 
-// ports resolves first-match over the port axis for rules that agree on
-// every other field, and builds the BDD of the allowed ports.
+// ports builds the BDD of the ports that list, rules that agree on every
+// other field, allows by first match.
 func (c *compiler) ports(list []int32) bdd.Node {
-	// Trailing denies allow nothing and shadow nothing that follows.
-	for len(list) > 0 && !c.rules[list[len(list)-1]].allow {
-		list = list[:len(list)-1]
-	}
-	switch len(list) {
-	case 0:
-		return bdd.False
-	case 1:
-		r := &c.rules[list[0]]
-		c.spans = append(c.spans[:0], span{r.lo, r.end})
-		return spansBDD(c.m, 0, 0, c.spans)
-	}
-
-	// Cut the axis at every range boundary, then paint the elementary
-	// segments in priority order. next[j] is the first unpainted segment
-	// at or after j (path-compressed), so each segment is painted once
-	// and the sweep is O(k log k) for k rules, however they overlap.
-	c.points = c.points[:0]
-	for _, ri := range list {
-		c.points = append(c.points, c.rules[ri].lo, c.rules[ri].end)
-	}
-	slices.Sort(c.points)
-	c.points = slices.Compact(c.points)
-	segs := len(c.points) - 1
-	c.next = c.next[:0]
-	for j := 0; j <= segs; j++ {
-		c.next = append(c.next, int32(j))
-	}
-	// allowed[j]: the first rule to reach segment [points[j], points[j+1])
-	// allows it. Segments no rule reaches stay denied.
-	allowed := make([]bool, segs)
-	for _, ri := range list {
-		r := &c.rules[ri]
-		s, _ := slices.BinarySearch(c.points, r.lo)
-		e, _ := slices.BinarySearch(c.points, r.end)
-		for j := c.unpainted(s); j < e; j = c.unpainted(j) {
-			allowed[j] = r.allow
-			c.next[j] = int32(j + 1)
-		}
-	}
-	c.spans = c.spans[:0]
-	for j := 0; j < segs; j++ {
-		if !allowed[j] {
-			continue
-		}
-		if n := len(c.spans); n > 0 && c.spans[n-1].end == c.points[j] {
-			c.spans[n-1].end = c.points[j+1]
-		} else {
-			c.spans = append(c.spans, span{c.points[j], c.points[j+1]})
-		}
-	}
+	c.spans = c.sweep.allowed(c.spans[:0], c.rules, list)
 	return spansBDD(c.m, 0, 0, c.spans)
-}
-
-// unpainted returns the first unpainted segment at or after j.
-func (c *compiler) unpainted(j int) int {
-	root := j
-	for int(c.next[root]) != root {
-		root = int(c.next[root])
-	}
-	for j != root {
-		up := int(c.next[j])
-		c.next[j] = int32(root)
-		j = up
-	}
-	return root
 }
 
 // span is the port interval [lo, end).

@@ -6,12 +6,13 @@
 // become the observations that annotate the risk models, and the extra
 // rules, deployed rules that allow what the policy does not.
 //
-// Base.Check (cover.go) is the check stage's one entry point. Lists in
-// union form, as compiled or collected, are decided triple by triple by
-// coverage, whatever their IDs. Any other list is encoded as a reduced
-// ordered BDD and diffed (Checker.Check) on a fork of a frozen Base
-// (base.go): the one a warm store keeps of the deployment's logical lists,
-// or an empty one.
+// Check (check.go) is the check stage's one entry point. It decides any
+// pair of lists by first match, class by class, whatever their IDs, and
+// builds no BDD. Checker.Check encodes both lists as reduced ordered BDDs
+// of 16-bit fields and diffs them on a fork of a frozen Base (base.go); it
+// is the tests' reference for Check, and stays until bench/ stops timing
+// it (ROADMAP item 1, shims). A warm store still keeps the Base of a
+// deployment's logical lists (ROADMAP item 28).
 package equiv
 
 import (
@@ -183,7 +184,9 @@ type Report struct {
 // them as produced by the compiler and the TCAM snapshot respectively.
 // When they differ, every allow rule of each list is walked against the
 // packets its side allows and the other does not (attribute), however
-// large that difference is.
+// large that difference is. It is the tests' reference for the package's
+// Check, which decides the same without a BDD, and stays until bench/
+// stops timing it (ROADMAP item 1, shims).
 func (c *Checker) Check(logical, deployed []rule.Rule) (*Report, error) {
 	lAllowed, tAllowed, err := c.resolve(logical, deployed)
 	if err != nil {

@@ -1,13 +1,13 @@
 // The package's case runner. Two generators decode rule lists from an
 // oracle.Choices, so a seeded stream and a fuzzer's bytes drive the same
 // code: genPair draws any pair of lists, and genUnion pairs in union form
-// (cover.go) as compilation and collection make them, edited the ways a
+// (inUnionForm) as compilation and collection make them, edited the ways a
 // fabric edits them. Each step runs one of the layer's operations on a
 // case — a logical list and a deployed one — and holds it to the
 // constructions production replaced (oracle_test.go), to a first-match
-// scan, or, for the walk by triple, to the BDD checker. Every test in the
-// package is a case of runPair, runCases, runUnion or runSweep, or a
-// hand-made input its runner cannot draw.
+// scan, or, for Check, to the BDD checker. Every test in the package is a
+// case of runPair, runCases, runUnion or runSweep, or a hand-made input
+// its runner cannot draw.
 
 package equiv
 
@@ -597,18 +597,16 @@ func rebindStep(t *testing.T, _ *oracle.Choices, logical, _ []rule.Rule) {
 	}
 }
 
-// walkTally counts what walkStep compared: checks the walk decided, those
-// of them that found a difference, and checks that compiled.
-type walkTally struct{ walked, differed, compiled int }
+// walkTally counts what walkStep compared: checks that reported, those of
+// them that found a difference, and those of them on a list outside union
+// form (inUnionForm).
+type walkTally struct{ checked, differed, beyond int }
 
-// walkStep: Base.Check reports what Checker.Check reports, byte for byte,
-// provenance included, or fails alike — on no base, whose fallback forks an
-// empty one, and on one that froze the logical list — and compiled exactly
-// when a list is outside union form (inUnionForm). Lists outside union form
-// go to the checker on a fork of the same base as they are. The walk reads
-// an ID only by comparing it, so lists in union form go to it on an
-// order-preserving renumbering of their IDs into 16 bits, and are checked
-// once more with every ID lifted past 16 bits, which the encoding refuses.
+// walkStep: Check reports what Checker.Check reports, byte for byte,
+// provenance included, or fails alike. Check reads an ID only by comparing
+// it, so the checker runs on an order-preserving renumbering of the pair's
+// IDs into 16 bits (oracle.DenseIDs), and the pair is checked once more
+// with every ID lifted past 16 bits, which the encoding refuses.
 func walkStep(t *testing.T, c *oracle.Choices, logical, deployed []rule.Rule) {
 	t.Helper()
 	new(walkTally).step(t, c, logical, deployed)
@@ -617,55 +615,36 @@ func walkStep(t *testing.T, c *oracle.Choices, logical, deployed []rule.Rule) {
 // step is walkStep, counted.
 func (n *walkTally) step(t *testing.T, _ *oracle.Choices, logical, deployed []rule.Rule) {
 	t.Helper()
-	walks := inUnionForm(logical) && inUnionForm(deployed)
-	for _, base := range []*Base{nil, newBase(logical)} {
-		n.compare(t, base, logical, deployed, walks)
-	}
-	if walks {
-		lift := func(id object.ID) object.ID { return id + 1<<16 }
-		n.compare(t, nil, oracle.Renumber(logical, lift), oracle.Renumber(deployed, lift), walks)
-	}
-}
-
-// compare holds base.Check of one pair to the checker (see walkStep).
-func (n *walkTally) compare(t *testing.T, base *Base, logical, deployed []rule.Rule, walks bool) {
-	t.Helper()
-	var want *Report
-	var wantErr error
-	if walks {
-		to, from := oracle.DenseIDs(logical, deployed)
-		if want, wantErr = newBase().NewChecker().Check(oracle.Renumber(logical, to), oracle.Renumber(deployed, to)); want != nil {
-			want.MissingRules, want.ExtraRules = oracle.Renumber(want.MissingRules, from), oracle.Renumber(want.ExtraRules, from)
+	to, from := oracle.DenseIDs(logical, deployed)
+	dl, dd := oracle.Renumber(logical, to), oracle.Renumber(deployed, to)
+	want, wantErr := emptyFork().Check(dl, dd)
+	lift := func(id object.ID) object.ID { return from(id) + 1<<16 }
+	for _, ids := range []func(object.ID) object.ID{from, lift} {
+		l, d := oracle.Renumber(dl, ids), oracle.Renumber(dd, ids)
+		var w *Report
+		if want != nil {
+			w = &Report{Equivalent: want.Equivalent, MissingRules: oracle.Renumber(want.MissingRules, ids), ExtraRules: oracle.Renumber(want.ExtraRules, ids)}
 		}
-	} else {
-		fork := base
-		if fork == nil {
-			fork = newBase()
+		got, err := Check(l, d)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || fmt.Sprintf("%#v", got) != fmt.Sprintf("%#v", w) {
+			t.Fatalf("Check reports %+v (%v), Checker.Check %+v (%v)\nlogical:  %v\ndeployed: %v", got, err, w, wantErr, l, d)
 		}
-		want, wantErr = fork.NewChecker().Check(logical, deployed)
 	}
-	got, compiled, err := base.Check(logical, deployed)
-	if fmt.Sprint(err) != fmt.Sprint(wantErr) || fmt.Sprintf("%#v", got) != fmt.Sprintf("%#v", want) {
-		t.Fatalf("Base.Check reports %+v (%v), Checker.Check %+v (%v)\nlogical:  %v\ndeployed: %v",
-			got, err, want, wantErr, logical, deployed)
-	}
-	if compiled == walks {
-		t.Fatalf("compiled %v on lists in union form %v (%v)\nlogical:  %v\ndeployed: %v", compiled, walks, err, logical, deployed)
-	}
-	switch {
-	case compiled:
-		n.compiled++
-	case err == nil:
-		n.walked++
-		if !got.Equivalent {
+	if wantErr == nil {
+		n.checked++
+		if !want.Equivalent {
 			n.differed++
 		}
+		if !inUnionForm(logical) || !inUnionForm(deployed) {
+			n.beyond++
+		}
 	}
 }
 
-// inUnionForm is union form by its definition: no allow rule has a
+// inUnionForm reports whether a list is in union form, as every compiled
+// list and every TCAM list read back from one is: no allow rule has a
 // wildcard VRF, source or destination, or a rule that is not an allow
-// anywhere before it.
+// anywhere before it. Such a list allows the union of its allow rules.
 func inUnionForm(rules []rule.Rule) bool {
 	for i, r := range rules {
 		m := r.Match

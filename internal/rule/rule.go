@@ -242,44 +242,44 @@ func Sort(rules []Rule) {
 }
 
 // Compare is a deterministic ordering on rules: descending priority, then
-// every match field (including the wildcard flags), then action. It is
-// total up to Key equality — two rules it cannot separate share a Key,
-// which the compiler keeps once — so ties cannot occur within one switch's
-// deduped rule list; callers needing a tiebreak for sorted outputs
-// derived from such lists (e.g. a check's extra rules) can rely on that.
+// CompareMatch, then action. It is total up to Key equality — two rules it
+// cannot separate share a Key, which the compiler keeps once — so ties
+// cannot occur within one switch's deduped rule list; callers needing a
+// tiebreak for sorted outputs derived from such lists (e.g. a check's extra
+// rules) can rely on that.
 func Compare(a, b Rule) int {
 	if a.Priority != b.Priority {
 		return cmp.Compare(b.Priority, a.Priority)
 	}
-	am, bm := &a.Match, &b.Match
-	if am.VRF != bm.VRF {
-		return cmp.Compare(am.VRF, bm.VRF)
-	}
-	if am.SrcEPG != bm.SrcEPG {
-		return cmp.Compare(am.SrcEPG, bm.SrcEPG)
-	}
-	if am.DstEPG != bm.DstEPG {
-		return cmp.Compare(am.DstEPG, bm.DstEPG)
-	}
-	if am.Proto != bm.Proto {
-		return cmp.Compare(am.Proto, bm.Proto)
-	}
-	if am.PortLo != bm.PortLo {
-		return cmp.Compare(am.PortLo, bm.PortLo)
-	}
-	if am.PortHi != bm.PortHi {
-		return cmp.Compare(am.PortHi, bm.PortHi)
-	}
-	if am.WildcardVRF != bm.WildcardVRF {
-		return compareBool(am.WildcardVRF, bm.WildcardVRF)
-	}
-	if am.WildcardSrc != bm.WildcardSrc {
-		return compareBool(am.WildcardSrc, bm.WildcardSrc)
-	}
-	if am.WildcardDst != bm.WildcardDst {
-		return compareBool(am.WildcardDst, bm.WildcardDst)
+	if c := CompareMatch(&a.Match, &b.Match); c != 0 {
+		return c
 	}
 	return cmp.Compare(a.Action, b.Action)
+}
+
+// CompareMatch orders matches by every field: VRF, source EPG,
+// destination EPG, protocol, port range, then the wildcard flags. It
+// refines CompareTriple.
+func CompareMatch(a, b *Match) int {
+	switch {
+	case a.VRF != b.VRF:
+		return cmp.Compare(a.VRF, b.VRF)
+	case a.SrcEPG != b.SrcEPG:
+		return cmp.Compare(a.SrcEPG, b.SrcEPG)
+	case a.DstEPG != b.DstEPG:
+		return cmp.Compare(a.DstEPG, b.DstEPG)
+	case a.Proto != b.Proto:
+		return cmp.Compare(a.Proto, b.Proto)
+	case a.PortLo != b.PortLo:
+		return cmp.Compare(a.PortLo, b.PortLo)
+	case a.PortHi != b.PortHi:
+		return cmp.Compare(a.PortHi, b.PortHi)
+	case a.WildcardVRF != b.WildcardVRF:
+		return compareBool(a.WildcardVRF, b.WildcardVRF)
+	case a.WildcardSrc != b.WildcardSrc:
+		return compareBool(a.WildcardSrc, b.WildcardSrc)
+	}
+	return compareBool(a.WildcardDst, b.WildcardDst)
 }
 
 // CompareTriple orders matches by (VRF, source EPG, destination EPG), the
@@ -295,9 +295,10 @@ func CompareTriple(a, b *Match) int {
 }
 
 // TripleIndex returns the positions of the rules whose VRF, source and
-// destination are all exact, ordered by triple (CompareTriple) and then by
-// position: how a reader finds a triple's rules in a list that does not
-// ascend by triple, such as a TCAM's, which keeps install order.
+// destination are all exact, ordered by match (CompareMatch, so by triple
+// first) and then by position: how a reader finds a triple's rules in a
+// list that does not ascend by match, such as a TCAM's, which keeps install
+// order, and lines up the same rules of two lists whatever their order.
 func TripleIndex(rules []Rule) []int {
 	idx := make([]int, 0, len(rules))
 	for i := range rules {
@@ -306,7 +307,7 @@ func TripleIndex(rules []Rule) []int {
 		}
 	}
 	slices.SortFunc(idx, func(a, b int) int {
-		return cmp.Or(CompareTriple(&rules[a].Match, &rules[b].Match), cmp.Compare(a, b))
+		return cmp.Or(CompareMatch(&rules[a].Match, &rules[b].Match), cmp.Compare(a, b))
 	})
 	return idx
 }

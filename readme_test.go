@@ -131,7 +131,7 @@ func ciLines(t *testing.T) []string {
 // workTable is op 1 of every journey in testdata/work.txt: the first op
 // after the run it starts from.
 func workTable(t *testing.T, _ string, data []byte) string {
-	cols := []string{"checked", "replayed", "compiled", "base_builds", "base_loads", "state_bytes", "allocs"}
+	cols := []string{"checked", "replayed", "base_builds", "base_loads", "state_bytes", "allocs"}
 	var header []string
 	var b strings.Builder
 	b.WriteString("| journey | " + strings.ReplaceAll(strings.Join(cols, " | "), "_", " ") + " |\n")

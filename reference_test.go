@@ -20,7 +20,7 @@ import (
 
 // refAnalyze is the pipeline of the paper's Figure 6 spelled serially, with
 // none of the machinery the production path adds: a fresh checker per
-// switch (an empty base's fork: no dedup, no cache, no walk by triple),
+// switch (an empty base's fork: no dedup, no cache, no check by class),
 // models built per call, one overlay each, no worker pool. The checker
 // encodes 16-bit IDs and reads an ID only by comparing it, so each switch's
 // lists go to it renumbered densely (oracle.DenseIDs) and its rules come
@@ -124,8 +124,7 @@ func dupState(_ testing.TB, f *scout.Fabric) scout.State {
 // taken out of union form, as only a hand-built state can: the first
 // switch's list led by an allow that wildcards its source, the second's by
 // a deny of its first rule's match, and the third's with an allow after
-// its default deny. Their checks compile BDDs (equiv.Base.Check); the
-// other switches' walk. The fabric's snapshots are not mutated.
+// its default deny. The fabric's snapshots are not mutated.
 func beyondUnionState(_ testing.TB, f *scout.Fabric) scout.State {
 	st := fabricState(f)
 	for i, sw := range sortedIDs(st.TCAM)[:3] {

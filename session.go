@@ -85,11 +85,12 @@ type deploymentState struct {
 	fp     uint64
 	logFPs map[object.ID]uint64
 
-	// base is the frozen encoding base the warm store persists and a check
-	// forks for a list outside union form: one whole-switch semantics root
-	// per logical list of the deployment, bound to d's lists. TCAM drift
-	// never invalidates it; only a changed fingerprint does. Nil in a
-	// session with no store, whose fallback checks fork an empty base.
+	// base is the frozen encoding base the warm store persists: one
+	// whole-switch semantics root per logical list of the deployment,
+	// bound to d's lists. No check reads it (equiv.Check uses no BDD); it
+	// is built, loaded, saved and bound until the warm store's contents
+	// are decided (ROADMAP item 28). TCAM drift never invalidates it; only
+	// a changed fingerprint does. Nil in a session with no store.
 	base *equiv.Base
 
 	// ctrl is the deployment's one pristine risk model, the controller's;
@@ -125,10 +126,6 @@ type SessionStats struct {
 	// Replayed counts switches whose cached verdict was replayed without
 	// recomputing it.
 	Replayed int
-	// Compiled counts the Checked switches whose check compiled BDDs on a
-	// fork of the base: a list outside union form, which only a hand-built
-	// State holds (equiv.Base.Check).
-	Compiled int
 	// Deprecated: CheckerCompactions and CheckerResets are always 0 — no
 	// checker outlives its check. They stay until bench/ stops reading them
 	// (ROADMAP item 1, shims).
@@ -275,25 +272,19 @@ func (s *Session) run(st State) (*Report, error) {
 		})
 	}
 
-	// A dirty switch's check decides its two lists by coverage and keeps
-	// nothing, forking the base (or an empty one) only for a list outside
-	// union form.
+	// A dirty switch's check decides its two lists by first match, class
+	// by class, and keeps nothing.
 	checkReps, checked, err := s.replayOrCheckLocked(st.TCAM, switches, tcamFPs,
 		func(dirty []object.ID) ([]*equiv.Report, error) {
-			reps, forked := make([]*equiv.Report, len(dirty)), make([]bool, len(dirty))
+			reps := make([]*equiv.Report, len(dirty))
 			if err := s.a.fanOut(len(dirty), func(i int) (err error) {
 				sw := dirty[i]
-				if reps[i], forked[i], err = s.dep.base.Check(st.Deployment.RulesFor(sw), st.TCAM[sw]); err != nil {
+				if reps[i], err = equiv.Check(st.Deployment.RulesFor(sw), st.TCAM[sw]); err != nil {
 					return fmt.Errorf("scout: equivalence check switch %d: %w", sw, err)
 				}
 				return nil
 			}); err != nil {
 				return nil, err
-			}
-			for _, f := range forked {
-				if f {
-					s.stats.Compiled++
-				}
 			}
 			return reps, nil
 		})
@@ -414,12 +405,9 @@ func (s *Session) resolveLocked(d *compile.Deployment) error {
 // by an older codec included): the build overwrites it.
 //
 // The build compiles every logical list once, serially, into one manager
-// (not shareable mid-build), freezes it, and holds every list, so a
-// check that falls back to the BDD (a list outside union form) finds its
-// logical list's root by slice identity and compiles only its T list, in
-// the throwaway fork's copy-on-write delta, against the base's unique
-// table. Keying the base off the deployment alone is what lets the warm
-// store persist it across runs whose TCAM state drifts.
+// (not shareable mid-build), freezes it, and holds every list. Keying the
+// base off the deployment alone is what lets the warm store persist it
+// across runs whose TCAM state drifts.
 func (s *Session) loadOrBuildBaseLocked(lists [][]rule.Rule, fp uint64) *equiv.Base {
 	if b, err := s.ws.LoadBase(fp); err == nil && b != nil && b.RebindSemantics(lists) == nil {
 		s.stats.BaseLoads++

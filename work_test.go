@@ -19,7 +19,7 @@ import (
 // Counters are what the op added to its session's SessionStats;
 // state_bytes is the state directory's size after it; allocs and alloc_kb
 // are the heap allocations the op made, in objects and KiB.
-var workColumns = []string{"journey", "op", "checked", "replayed", "compiled",
+var workColumns = []string{"journey", "op", "checked", "replayed",
 	"base_builds", "base_loads", "state_bytes", "allocs", "alloc_kb"}
 
 // allocsCol is the first allocation column. The allocation columns are the
@@ -183,8 +183,7 @@ func workRows(t *testing.T, workers int) [][]string {
 			if k == 0 {
 				row[1] = "setup"
 			}
-			for _, n := range []int{a.Checked - b.Checked, a.Replayed - b.Replayed, a.Compiled - b.Compiled,
-				a.BaseRebuilds - b.BaseRebuilds, a.BaseLoads - b.BaseLoads, stateBytes,
+			for _, n := range []int{a.Checked - b.Checked, a.Replayed - b.Replayed, a.BaseRebuilds - b.BaseRebuilds, a.BaseLoads - b.BaseLoads, stateBytes,
 				int(m1.Mallocs - m0.Mallocs), int((m1.TotalAlloc - m0.TotalAlloc) / 1024)} {
 				row = append(row, strconv.Itoa(n))
 			}
