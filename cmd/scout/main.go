@@ -24,11 +24,12 @@
 //
 // -state-dir names a durable warm-state directory: the session every
 // analysis runs through (a one-shot is its first run, -watch keeps it)
-// restores a fingerprint-matching frozen encoding base and verdict cache
-// on start and writes what a round built or re-checked before the round
-// returns, so a restarted process replays an unchanged fabric without
-// rebuilding any BDD state; without it no base is built at all. A write
-// that fails fails the command once the session closes. The directory
+// seeds its verdict cache from the file its deployment's fingerprint
+// names and writes what a round re-checked before the round returns, so a
+// restarted process replays an unchanged fabric without checking a switch.
+// A new deployment also loads its frozen BDD base from the directory, or
+// builds and writes it there; no check reads it, and without the flag none
+// is built. A write that fails fails the command once the session closes. The directory
 // bounds itself: each write keeps the few deployments used most recently
 // and removes the files of the rest.
 //
@@ -78,7 +79,7 @@ func run() error {
 		workers     = flag.Int("workers", 0, "parallel per-switch equivalence checks (0 = GOMAXPROCS, 1 = serial)")
 		watch       = flag.Bool("watch", false, "drive an event-driven session daemon: full baseline, then an incremental refresh per window of events")
 		batchWindow = flag.Duration("batch-window", 2*time.Second, "watch mode: refresh once the first event not yet analyzed has waited this long (requires -watch)")
-		stateDir    = flag.String("state-dir", "", "durable warm-state directory, the only reason a BDD base is built: restore a fingerprint-matching base and verdicts on start; a round writes the base it builds for a new deployment and, if it re-checked a switch, the whole verdict file")
+		stateDir    = flag.String("state-dir", "", "durable warm-state directory: replay the verdicts filed under the deployment's fingerprint; a round that re-checked a switch writes the whole verdict file, and a new deployment writes its BDD base if the directory holds none (no check reads it; without the flag none is built)")
 		jsonOut     = flag.Bool("json", false, "print the analysis report alone on stdout, as JSON; progress lines go to stderr")
 		verbose     = flag.Bool("v", false, "print the controller risk view, SCOUT's stage timings and per-switch details")
 	)

@@ -103,7 +103,7 @@ type step struct {
 // touchesFabric reports whether s can change the analyzed state.
 func (s step) touchesFabric() bool { return s.op != opNone && s.op < opRestart }
 
-// Harms to a store file before a restart (opRestart's y%8); 0, 6 and 7
+// Harms to a store file before a restart (opRestart's y%8); 0 and 7
 // leave the store alone.
 const (
 	harmFlip   = 1 + iota // a bit flipped
@@ -111,6 +111,7 @@ const (
 	harmV2                // reframed as codec version 2 wrote it (asCodecV2)
 	harmSquat             // replaced by a directory, so a read and a save of it fail
 	harmLoseIt            // the whole directory removed once the new session opened it
+	harmFewer             // the fabric's deployment's base saved with one list fewer (fewerRoots)
 )
 
 // drawSteps draws n steps from c, each of an op among ops (any op when
@@ -147,7 +148,7 @@ type coldCase struct {
 	steps   []step
 	entry   entry
 	workers int
-	noStore bool // the session has no warm store, so it holds no base
+	noStore bool // the session has no warm store, so it builds, loads and saves no base
 	clean   bool // the fabric starts consistent
 	// colds keeps each step's cold report. Cases sharing one must run the
 	// same fabric and script, so their states are equal step by step.
@@ -463,6 +464,9 @@ func (r *coldRun) restart(t testing.TB, x, harm byte) {
 		}
 		delete(r.good, name)
 	}
+	if harm%8 == harmFewer {
+		r.fewerRoots(t)
+	}
 	r.workers, r.lost = []int{r.workers, 1, 2, 0}[harm/8%4], false
 	r.open(t)
 	if harm%8 == harmLoseIt {
@@ -476,6 +480,28 @@ func (r *coldRun) restart(t testing.TB, x, harm byte) {
 	}
 	r.want, r.dep = scout.SessionStats{}, nil
 	clear(r.cache)
+}
+
+// fewerRoots saves, under the fingerprint of the fabric's deployment, a
+// valid base of all its logical lists but the first, as a session saves a
+// base. The file loads, and the next session must find its root count
+// wrong and rebuild: the model holds it as a file that does not load.
+func (r *coldRun) fewerRoots(t testing.TB) {
+	d := r.f.Deployment()
+	_, fp := equiv.DeploymentFingerprints(d.BySwitch)
+	name := fmt.Sprintf("base-%016x.scout", fp)
+	if r.ws == nil || r.lost || r.squat[name] {
+		return
+	}
+	var fewer [][]scout.Rule
+	for _, sw := range switchesOf(r.f)[1:] {
+		fewer = append(fewer, d.BySwitch[sw])
+	}
+	if err := r.ws.SaveBase(fp, equiv.NewBaseWith(fewer...)); err != nil {
+		t.Fatal(err)
+	}
+	r.save(fp, name, nil)
+	delete(r.good, name)
 }
 
 // save models a store save of deployment fp's file name: it fails on a
@@ -523,10 +549,10 @@ func verdictFile(fp uint64) string { return fmt.Sprintf("checks-%016x.scout", fp
 // resolve brings the model in step with the run's deployment, as
 // Session.run does before it checks anything, and returns how many bases
 // the run builds and loads. A new deployment pointer rebuilds the risk
-// model; new content, with a store, loads its base if the store holds it
-// whole and builds and saves it otherwise, and seeds the verdicts of its
-// file into the switches the cache holds nothing for. With no store it
-// builds and loads nothing.
+// model; new content, with a store, loads its base if the store holds one
+// that loads with a root per logical list and builds and saves it
+// otherwise, and seeds the verdicts of its file into the switches the
+// cache holds nothing for. With no store it builds and loads nothing.
 func (r *coldRun) resolve(d *scout.Deployment) (built, loaded int) {
 	if d == r.dep {
 		return 0, 0
@@ -794,7 +820,7 @@ func FuzzSession(f *testing.F) {
 		sessionSeed(viaAnalyze, 1, tour[:8]...),
 		// An epoch of an unchanged fabric replays every verdict.
 		sessionSeed(viaEpoch, 1, step{opNone, 1, 1}),
-		// New content discards the old base's checker forks with it.
+		// New content builds and saves its own base beside the first.
 		sessionSeed(viaAnalyze, 1, step{opAddFilter, 0, 0}),
 		// A verdict file seeds only the switches the cache holds nothing
 		// for: switch 4, which the rollout misses, keeps its newer verdict.
@@ -811,7 +837,8 @@ func FuzzSession(f *testing.F) {
 			step{opAddFilter, 0, 3}, step{opDetach, 0, 0}, step{opDetach, 0, 0}, step{opDetach, 0, 0}, step{opDetach, 0, 0}),
 		// Every harm before a restart.
 		sessionSeed(viaAnalyze, 2, step{opRestart, 0, harmCut}, step{opRestart, 1, harmSquat},
-			step{opEvict, 0, 0}, step{opRestart, 0, harmLoseIt}, step{opRestart, 0, 8 + harmFlip}),
+			step{opEvict, 0, 0}, step{opRestart, 0, harmLoseIt}, step{opRestart, 0, 8 + harmFlip},
+			step{opRestart, 0, harmFewer}),
 	} {
 		f.Add(seed)
 	}

@@ -184,7 +184,9 @@ func NewManagerFromSized(s *Snapshot, deltaNodes int) *Manager {
 // marks the manager frozen: any further node construction panics, which
 // is what guarantees the snapshot's readers never race a writer. Freeze
 // is for standalone managers (the warmup pass); freezing a fork panics —
-// re-freeze-and-extend is not supported.
+// re-freeze-and-extend is not supported. The snapshot's unique table is
+// indexed as RebuildSnapshot indexes a decoded one (indexNodes), so a
+// frozen snapshot and its decoded image are one value.
 func (m *Manager) Freeze() *Snapshot {
 	if m.base != nil {
 		panic("bdd: Freeze on a forked manager is not supported")
@@ -193,7 +195,7 @@ func (m *Manager) Freeze() *Snapshot {
 	return &Snapshot{
 		numVars: m.numVars,
 		nodes:   m.nodes,
-		unique:  m.unique,
+		unique:  indexNodes(m.nodes, m.unique.slots),
 	}
 }
 

@@ -2,6 +2,7 @@ package bdd_test
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -400,15 +401,19 @@ func (h *harness) refLive() int {
 }
 
 // freeze seals the manager and goes on in a fork of its snapshot, which
-// starts with the whole of it and nothing else; the sealed manager refuses
-// to build, and the case's readers start. A fork cannot be frozen: it is
-// replaced by a sibling fork of the same snapshot, which holds none of its
-// delta, so the delta roots go and the reference's IDs run ahead of the
-// manager's.
+// starts with the whole of it and nothing else; the snapshot is the value
+// RebuildSnapshot makes of its nodes, unique table included; the sealed
+// manager refuses to build, and the case's readers start. A fork cannot be
+// frozen: it is replaced by a sibling fork of the same snapshot, which
+// holds none of its delta, so the delta roots go and the reference's IDs
+// run ahead of the manager's.
 func (h *harness) freeze() {
 	h.t.Helper()
 	if h.snap == nil {
 		h.frozen, h.snap = h.m, h.m.Freeze()
+		if img, err := RebuildSnapshot(h.snap.NumVars(), h.snap.Size(), h.snap.NodeAt); err != nil || !reflect.DeepEqual(img, h.snap) {
+			h.t.Fatalf("a snapshot of %d nodes rebuilds to another value (%v)", h.snap.Size(), err)
+		}
 		h.m = NewManagerFrom(h.snap)
 		if h.m.Size() != h.snap.Size() || h.m.DeltaSize() != 0 {
 			h.t.Fatalf("fresh fork: Size %d, DeltaSize %d; snapshot %d", h.m.Size(), h.m.DeltaSize(), h.snap.Size())

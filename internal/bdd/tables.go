@@ -61,6 +61,24 @@ func newNodeTable(entries int) nodeTable {
 	return nodeTable{slots: make([]Node, pow2Slots(entries))}
 }
 
+// indexNodes returns the unique table of a frozen node array: every node
+// past the terminals inserted in ID order into a table sized for the
+// array, reusing spare's slots when it has that many. The layout is a
+// function of the nodes alone, and RebuildSnapshot's, which inserts the
+// same way, is the same.
+func indexNodes(nodes []nodeData, spare []Node) nodeTable {
+	t := nodeTable{slots: spare}
+	if len(spare) == pow2Slots(len(nodes)) {
+		clear(t.slots)
+	} else {
+		t = newNodeTable(len(nodes))
+	}
+	for id := 2; id < len(nodes); id++ {
+		t.insert(nodes, 0, Node(id))
+	}
+	return t
+}
+
 // lookup returns the ID interned for (level, lo, hi), or 0. Stored IDs
 // index nodes at offset -off (a fork's delta table stores absolute IDs
 // but owns only the delta slice).

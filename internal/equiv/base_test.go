@@ -13,18 +13,16 @@ import (
 	"scout/internal/rule"
 )
 
-// Inputs the runner cannot draw: the fold-sharing counters of a base and
-// its forks, what Reset, Compact and a fingerprint collision do to them,
-// the fingerprints' sensitivity, and the node-count bounds of the compiler
-// and the walk.
+// Inputs the runner cannot draw: what a fork of a base compiles and where
+// its nodes land, what Reset, Compact and a fingerprint collision do, the
+// fingerprints' sensitivity, and the node-count bounds of the compiler and
+// the walk.
 
 // TestForkReportMatchesStandalone: a fork of a warmed base reports what a
 // fork of an empty base reports on every path (equivalent, missing, extra,
-// empty), and counts its folds. The logical list was warmed, so each of
-// its two appearances as a logical side resolves from the base, and so
-// does its T-side twin beside it; as a T list beside another list it
-// compiles, as the deployed list does each of its three times and the
-// empty list once.
+// empty), and compiles both lists of each of the four checks. The logical
+// list was warmed, so compiling it twice beside itself finds every node in
+// the snapshot and adds none to the delta.
 func TestForkReportMatchesStandalone(t *testing.T) {
 	logical := withDeny(allowRule(1, 2, 3, 80, object.Filter(9)), allowRule(1, 3, 2, 443), allowRule(2, 4, 5, 8080))
 	deployed := withDeny(allowRule(1, 2, 3, 80), allowRule(7, 7, 7, 22))
@@ -37,9 +35,12 @@ func TestForkReportMatchesStandalone(t *testing.T) {
 		if got, err := fork.Check(p[0], p[1]); err != nil || !reflect.DeepEqual(want, got) {
 			t.Errorf("pair %d: fork report %+v (%v), empty base's fork %+v", i, got, err, want)
 		}
+		if i == 0 && fork.DeltaSize() != 0 {
+			t.Errorf("the warmed list beside itself added %d delta nodes", fork.DeltaSize())
+		}
 	}
-	if st := fork.Stats(); st.FoldBaseHits != 3 || st.FoldMisses != 5 {
-		t.Errorf("fold counters %+v, want 3 base hits, 5 misses", st)
+	if st := fork.Stats(); st.FoldBaseHits != 0 || st.FoldMisses != 8 {
+		t.Errorf("fold counters %+v, want 8 compiles", st)
 	}
 }
 
@@ -54,7 +55,7 @@ func TestForkEncodesNovelMatches(t *testing.T) {
 	if _, err := fork.Check(logical, corrupted); err != nil {
 		t.Fatal(err)
 	}
-	if st := fork.Stats(); st.FoldMisses != 1 || st.FoldBaseHits != 1 || fork.DeltaSize() == 0 || base.Size() != size {
+	if st := fork.Stats(); st.FoldMisses != 2 || fork.DeltaSize() == 0 || base.Size() != size {
 		t.Errorf("fold counters %+v, delta %d, base %d -> %d: want the corrupted list compiled in the delta alone", st, fork.DeltaSize(), size, base.Size())
 	}
 	delta := fork.DeltaSize()
@@ -64,8 +65,7 @@ func TestForkEncodesNovelMatches(t *testing.T) {
 }
 
 // TestForkResetKeepsBase: Reset discards only the delta; the base stays
-// warm, so the next check resolves the logical list from it and compiles
-// the drifted one alone.
+// warm, so the next check compiles both lists again and reports alike.
 func TestForkResetKeepsBase(t *testing.T) {
 	logical, drifted := withDeny(allowRule(1, 2, 3, 80), allowRule(1, 3, 2, 443)), withDeny(allowRule(1, 2, 3, 80))
 	fork := newBase(logical).NewChecker()
@@ -78,8 +78,8 @@ func TestForkResetKeepsBase(t *testing.T) {
 	if got := verdict(rep, err, logical, drifted); got != "missing [1] extra []" {
 		t.Fatalf("after Reset: %s", got)
 	}
-	if after := fork.Stats(); after.FoldBaseHits != before.FoldBaseHits+1 || after.FoldMisses != before.FoldMisses+1 {
-		t.Errorf("after Reset: %+v -> %+v, want one base hit and one compile", before, after)
+	if after := fork.Stats(); after.FoldMisses != before.FoldMisses+2 {
+		t.Errorf("after Reset: %+v -> %+v, want two compiles", before, after)
 	}
 }
 
@@ -103,13 +103,13 @@ func TestCheckerReset(t *testing.T) {
 }
 
 // TestConcurrentForks runs forks of one base concurrently (-race guards
-// the lock-free shared reads: the snapshot's tables and the frozen compile
-// memo, which every drifted list's compile reads) and checks they agree
-// with a serial fork of an empty base.
+// the lock-free shared reads of the snapshot's tables, which every compile
+// interns through) and checks they agree with a serial fork of an empty
+// base.
 func TestConcurrentForks(t *testing.T) {
 	logical := withDeny(allowRule(1, 2, 3, 80), allowRule(1, 3, 2, 443), allowRule(2, 4, 5, 8080), allowRule(2, 5, 4, 8080))
 	// One drifted TCAM per dropped rule: each compiles in the fork, its
-	// surviving groups' tails and tries found in the base's memo.
+	// surviving groups' nodes found in the snapshot.
 	var drifted [][]rule.Rule
 	var want []*Report
 	for drop := 0; drop < len(logical)-1; drop++ {
@@ -121,9 +121,6 @@ func TestConcurrentForks(t *testing.T) {
 		drifted, want = append(drifted, d), append(want, rep)
 	}
 	base := newBase(logical)
-	if len(base.memo) == 0 {
-		t.Fatal("the base froze no compile memo for the forks to read")
-	}
 	var wg sync.WaitGroup
 	for k := 0; k < 8; k++ {
 		wg.Add(1)
@@ -137,7 +134,7 @@ func TestConcurrentForks(t *testing.T) {
 					return
 				}
 				if i%7 == 6 {
-					c.Reset() // compile them again, through the frozen memo again
+					c.Reset() // compile them again, through the snapshot again
 				}
 			}
 		}(k)
@@ -286,7 +283,7 @@ func TestSemanticsFingerprintRandomizedCollisionFree(t *testing.T) {
 	seen := make(map[uint64][]rule.Rule)
 	record := func(rs []rule.Rule) {
 		fp := SemanticsFingerprint(rs)
-		if prev, ok := seen[fp]; ok && !SemanticsEqual(prev, rs) {
+		if prev, ok := seen[fp]; ok && !semanticsEqual(prev, rs) {
 			t.Fatalf("semantics fingerprint collision between distinct lists:\n%v\n%v", prev, rs)
 		}
 		seen[fp] = append([]rule.Rule(nil), rs...)
@@ -307,15 +304,25 @@ func TestSemanticsFingerprintRandomizedCollisionFree(t *testing.T) {
 	}
 }
 
-// TestRebindSemantics: a base rebound to an equal-content recompile
-// answers a clean switch with zero compiles (rebindStep).
-func TestRebindSemantics(t *testing.T) { runCases(t, 13, 40, rebindStep) }
+// semanticsEqual reports whether two rule lists are equal in what the
+// compiler consumes: same length, and each position's match and action
+// agree (priority and provenance free).
+func semanticsEqual(a, b []rule.Rule) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Match != b[i].Match || a[i].Action != b[i].Action {
+			return false
+		}
+	}
+	return true
+}
 
 // TestSemanticsBaseMissFoldsInDelta: a collected list absent from the base
-// compiles into the fork's delta (a fold miss) and is not remembered — a
-// repeat compiles it again while the logical side still hits — and the
-// base stays untouched; Reset discards the delta and leaves the frozen
-// roots warm.
+// compiles into the fork's delta and is not remembered — a repeat compiles
+// both lists again — and the base stays untouched; Reset discards the
+// delta and leaves the snapshot warm.
 func TestSemanticsBaseMissFoldsInDelta(t *testing.T) {
 	logical := withDeny(allowRule(1, 2, 3, 80), allowRule(1, 3, 2, 443), allowRule(2, 4, 5, 22))
 	drifted := withDeny(allowRule(1, 2, 3, 80), allowRule(2, 4, 5, 22))
@@ -326,28 +333,27 @@ func TestSemanticsBaseMissFoldsInDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := fork.Stats()
-	if st.FoldBaseHits != 1 || st.FoldMisses != 1 || fork.DeltaSize() == 0 || base.Size() != base.snap.Size() {
-		t.Errorf("first check: %+v, delta %d; want the logical list hit, the drifted one compiled in the delta", st, fork.DeltaSize())
+	if st.FoldMisses != 2 || fork.DeltaSize() == 0 || base.Size() != base.snap.Size() {
+		t.Errorf("first check: %+v, delta %d; want both lists compiled, the drifted one in the delta", st, fork.DeltaSize())
 	}
 	if again, err := fork.Check(logical, drifted); err != nil || !reflect.DeepEqual(first, again) {
 		t.Errorf("repeat check reported %+v (%v), first %+v", again, err, first)
 	}
 	st2 := fork.Stats()
-	if st2.FoldBaseHits != st.FoldBaseHits+1 || st2.FoldMisses != st.FoldMisses+1 {
-		t.Errorf("repeat check: %+v -> %+v; want the collected list compiled again, not remembered", st, st2)
+	if st2.FoldMisses != st.FoldMisses+2 {
+		t.Errorf("repeat check: %+v -> %+v; want both lists compiled again, not remembered", st, st2)
 	}
 	fork.Reset()
 	if _, err := fork.Check(logical, drifted); err != nil {
 		t.Fatal(err)
 	}
-	if st3 := fork.Stats(); st3.FoldMisses != st2.FoldMisses+1 || st3.FoldBaseHits != st2.FoldBaseHits+1 {
-		t.Errorf("post-Reset check: %+v -> %+v, want one compile and one base hit", st2, st3)
+	if st3 := fork.Stats(); st3.FoldMisses != st2.FoldMisses+2 {
+		t.Errorf("post-Reset check: %+v -> %+v, want two compiles", st2, st3)
 	}
 }
 
 // TestEqualCopyCompiles: a logical list equal to the one a base froze but
-// not that slice compiles, and reports what the base's slice gets
-// (copyStep).
+// not that slice reports what the base's slice gets (copyStep).
 func TestEqualCopyCompiles(t *testing.T) { runCases(t, 17, 40, copyStep) }
 
 // TestCheckerCompactShrinksDelta: compaction sheds the dead intermediates
@@ -468,8 +474,8 @@ func TestMemoInvisibleOnProduction(t *testing.T) {
 		}
 	}
 	base := newBase(lists...)
-	if got := base.Size(); got != 34938 || got != memod.Size() || len(base.memo) == 0 {
-		t.Errorf("base holds %d nodes and %d memo entries, want 34938 = the bare memoized compile's %d", got, len(base.memo), memod.Size())
+	if got := base.Size(); got != 34938 || got != memod.Size() {
+		t.Errorf("base holds %d nodes, want 34938 = the bare memoized compile's %d", got, memod.Size())
 	}
 	c := base.NewChecker()
 	for i := range lists {
@@ -525,7 +531,7 @@ func TestMemoDiesWithItsNodeIDs(t *testing.T) {
 			}
 		}
 	}
-	c := newBase(churnList(300)).NewChecker() // a prefix of a: the frozen memo is in play too
+	c := newBase(churnList(300)).NewChecker() // a prefix of a: the snapshot's nodes are in play too
 	for _, d := range [][]rule.Rule{a1, a2} { // a2's nodes sit above a's and a1's difference
 		if _, err := c.Check(a, d); err != nil {
 			t.Fatal(err)

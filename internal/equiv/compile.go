@@ -116,20 +116,21 @@ func reduceRule(r rule.Rule) compiledRule {
 }
 
 // compileMemo maps the content of a tail or of one field's trie to the
-// node it compiled to in one manager (or in the frozen base under it). The
-// keys are the content itself, byte for byte (built in tail and split), not
-// a hash of it: equal keys are equal functions, so a hit needs no
-// verification. The values are only as good as the manager's node IDs —
-// whoever resets or compacts the manager drops the memo with it.
+// node it compiled to in one manager (which may find it in the frozen
+// snapshot under a fork). The keys are the content itself, byte for byte
+// (built in tail and split), not a hash of it: equal keys are equal
+// functions, so a hit needs no verification. The values are only as good
+// as the manager's node IDs — whoever resets or compacts the manager drops
+// the memo with it.
 type compileMemo map[string]bdd.Node
 
 // compileMemoized builds, in m, the BDD of the packets a prioritized rule
 // list allows: the first matching rule decides. An unencodable rule fails
-// the whole list with the error of the first such rule in list order.
-// Either memo may be nil: frozen is only read (a Base's, shared by its
-// forks), own is read and filled. Every node in them must be valid in m.
-func compileMemoized(m Backend, rules []rule.Rule, frozen, own compileMemo) (bdd.Node, error) {
-	c := compiler{m: m, rules: make([]compiledRule, len(rules)), frozen: frozen, own: own}
+// the whole list with the error of the first such rule in list order. The
+// memo is read and filled; nil compiles without one. Every node in it must
+// be valid in m.
+func compileMemoized(m Backend, rules []rule.Rule, memo compileMemo) (bdd.Node, error) {
+	c := compiler{m: m, rules: make([]compiledRule, len(rules)), memo: memo}
 	list := make([]int32, len(rules))
 	for i, r := range rules {
 		if err := checkMatch(r.Match); err != nil {
@@ -146,10 +147,10 @@ func compileMemoized(m Backend, rules []rule.Rule, frozen, own compileMemo) (bdd
 type compiler struct {
 	m     Backend
 	rules []compiledRule
-	// frozen and own are the memos (see compileMemoized); key is the stack
-	// of memo keys under construction, innermost last.
-	frozen, own compileMemo
-	key         []byte
+	// memo is compileMemoized's; key is the stack of memo keys under
+	// construction, innermost last.
+	memo compileMemo
+	key  []byte
 	// Port-axis scratch, reused across leaves.
 	sweep portSweep
 	spans []span
@@ -197,7 +198,7 @@ func (c *compiler) tail(list []int32) bdd.Node {
 		hi := r.end - 1
 		c.key = append(c.key, byte(r.val[tailField]), flags, byte(r.lo>>8), byte(r.lo), byte(hi>>8), byte(hi))
 	}
-	n, ok := c.lookup(start)
+	n, ok := c.memo[string(c.key[start:])]
 	if !ok {
 		n = c.split(list, tailField)
 		c.store(start, n)
@@ -206,19 +207,10 @@ func (c *compiler) tail(list []int32) bdd.Node {
 	return n
 }
 
-// lookup finds the key c.key[start:] in the memos.
-func (c *compiler) lookup(start int) (bdd.Node, bool) {
-	if n, ok := c.frozen[string(c.key[start:])]; ok {
-		return n, true
-	}
-	n, ok := c.own[string(c.key[start:])]
-	return n, ok
-}
-
-// store records the key c.key[start:] in the compiler's own memo.
+// store records the key c.key[start:] in the memo.
 func (c *compiler) store(start int, n bdd.Node) {
-	if c.own != nil {
-		c.own[string(c.key[start:])] = n
+	if c.memo != nil {
+		c.memo[string(c.key[start:])] = n
 	}
 }
 
@@ -277,7 +269,7 @@ func (c *compiler) split(list []int32, f int) bdd.Node {
 		k := kids[i]
 		c.key = append(c.key, byte(v>>8), byte(v), byte(k>>24), byte(k>>16), byte(k>>8), byte(k))
 	}
-	n, ok := c.lookup(at)
+	n, ok := c.memo[string(c.key[at:])]
 	if !ok {
 		n = c.trie(idFields[f], 0, vals, kids, def)
 		c.store(at, n)

@@ -8,11 +8,12 @@
 //
 // Check (check.go) is the check stage's one entry point. It decides any
 // pair of lists by first match, class by class, whatever their IDs, and
-// builds no BDD. Checker.Check encodes both lists as reduced ordered BDDs
-// of 16-bit fields and diffs them on a fork of a frozen Base (base.go); it
-// is the tests' reference for Check, and stays until bench/ stops timing
-// it (ROADMAP item 1, shims). A warm store still keeps the Base of a
-// deployment's logical lists (ROADMAP item 28).
+// builds no BDD. Checker.Check compiles both lists into reduced ordered
+// BDDs of 16-bit fields and diffs them on a fork of a frozen Base
+// (base.go); it is the tests' reference for Check, and stays until bench/
+// stops timing it (ROADMAP item 1, shims). A Base is a BDD snapshot with
+// one root per logical list of a deployment: a warm store writes it and
+// reads it back, and no check reads it (ROADMAP item 28).
 package equiv
 
 import (
@@ -62,29 +63,24 @@ type Backend interface {
 }
 
 // Checker performs BDD-based equivalence checks between rule sets. Every
-// checker is a fork of a shared Base (Base.NewChecker): it takes the root
-// of a logical list the base holds from the base (resolve) and compiles
-// any other list in a private copy-on-write delta, so any number of
-// concurrent forks share one node pool for the deployment's lists. A fork
-// of an empty base compiles every list it is handed. A checker remembers no
-// whole list. Not safe for concurrent use.
+// checker is a fork of a shared Base (Base.NewChecker): it compiles every
+// list it is handed in a private copy-on-write delta, interning through
+// the frozen snapshot, so any number of concurrent forks share one node
+// pool for what their lists have in common with the base's. A checker
+// remembers no whole list. Not safe for concurrent use.
 type Checker struct {
 	m Backend
 	// newM recreates the manager on Reset with the same kind and sizing
 	// the fork was constructed with.
 	newM func() Backend
-	base *Base
-	// memo is the compiler's private memo of tails and tries (compile.go),
-	// layered over the base's frozen one. Its nodes may sit in the delta,
-	// so it lives exactly as long as the delta's node IDs do: Reset and
-	// Compact drop it.
+	// memo is the compiler's memo of tails and tries (compile.go). Its
+	// nodes may sit in the delta, so it lives exactly as long as the
+	// delta's node IDs do: Reset and Compact drop it.
 	memo compileMemo
 
-	// Fold counters, cumulative across checks and Resets: foldBaseHits
-	// taken from the shared base's frozen roots, foldMisses compiled in
-	// this checker.
-	foldBaseHits int
-	foldMisses   int
+	// foldMisses counts the lists compiled in this checker, cumulative
+	// across checks and Resets.
+	foldMisses int
 
 	// cacheAcc accumulates the op-cache counters of managers discarded
 	// by Reset, so Stats stays cumulative like the fold counters.
@@ -103,23 +99,20 @@ func (c *Checker) DeltaSize() int { return c.m.DeltaSize() }
 func (c *Checker) Stats() CheckerStats {
 	cache := c.cacheAcc
 	cache.Add(c.m.CacheStats())
-	return CheckerStats{FoldBaseHits: c.foldBaseHits, FoldMisses: c.foldMisses, Cache: cache}
+	return CheckerStats{FoldMisses: c.foldMisses, Cache: cache}
 }
 
-// CheckerStats counts where one checker's whole-list semantics roots came
-// from, and what its manager's op cache did.
+// CheckerStats counts the lists one checker compiled, and what its
+// manager's op cache did.
 type CheckerStats struct {
 	// Deprecated: BaseHits, LocalHits and Misses counted match encodings,
-	// which no longer exist, and FoldLocalHits a checker-local semantics
-	// memo, which no longer exists; they stay 0 until bench/ stops reading
-	// them (ROADMAP item 1, shims).
-	BaseHits, LocalHits, Misses, FoldLocalHits int
+	// FoldLocalHits a checker-local semantics memo and FoldBaseHits roots
+	// taken from the base, none of which exist any more; they stay 0 until
+	// bench/ stops reading them (ROADMAP item 1, shims).
+	BaseHits, LocalHits, Misses, FoldLocalHits, FoldBaseHits int
 
-	// FoldBaseHits are whole-list semantics roots taken from the shared
-	// base: a logical list's own, and its T list's when the two are
-	// SemanticsEqual.
-	FoldBaseHits int
-	// FoldMisses are semantics folds built from scratch in this checker.
+	// FoldMisses are the lists compiled in this checker: two for every
+	// check whose lists both encode.
 	FoldMisses int
 
 	// Cache is the manager's operation-cache hits and misses, cumulative
@@ -234,28 +227,13 @@ func (c *Checker) attribute(rules []rule.Rule, diff bdd.Node) ([]rule.Rule, erro
 	return hit, nil
 }
 
-// resolve finds or builds the roots of a check's two lists. The logical
-// list's root is the base's when the base holds that very slice
-// (rule.SameSlice): a session's base holds every logical list of its
-// deployment. A deployed list SemanticsEqual to its own logical list — a
-// consistent switch's TCAM side — reuses that frozen root, which costs a
-// list scan. Any other list compiles into the checker's manager, which it
-// counts (the Fold* counters keep their names from the apply-based fold
-// the compile replaced). A list that compiles still meets the base below
-// the root: the compile interns through the fork's unique tables, so every
-// subtree it shares with a frozen list resolves to its frozen node and
+// resolve compiles the roots of a check's two lists into the checker's
+// manager. The compile interns through the fork's unique tables, so every
+// subtree a list shares with a frozen list resolves to its frozen node and
 // only the paths its edits changed land in the delta.
 func (c *Checker) resolve(logical, deployed []rule.Rule) (l, t bdd.Node, err error) {
-	l = c.base.root(logical)
-	frozen := l != NoRoot
-	if frozen {
-		c.foldBaseHits++
-	} else if l, err = c.compile(logical); err != nil {
+	if l, err = c.compile(logical); err != nil {
 		return l, t, fmt.Errorf("encode logical rules: %w", err)
-	}
-	if frozen && SemanticsEqual(logical, deployed) {
-		c.foldBaseHits++
-		return l, l, nil
 	}
 	if t, err = c.compile(deployed); err != nil {
 		return l, t, fmt.Errorf("encode deployed rules: %w", err)
@@ -265,7 +243,7 @@ func (c *Checker) resolve(logical, deployed []rule.Rule) (l, t bdd.Node, err err
 
 // compile builds a list's root in the checker's manager and counts it.
 func (c *Checker) compile(rules []rule.Rule) (bdd.Node, error) {
-	n, err := compileMemoized(c.m, rules, c.base.memo, c.memo)
+	n, err := compileMemoized(c.m, rules, c.memo)
 	if err != nil {
 		return bdd.False, err
 	}

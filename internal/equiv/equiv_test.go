@@ -390,7 +390,7 @@ func TestCheckerCompactPreservesReports(t *testing.T) { runSweep(t, 11, 16) }
 
 // FuzzCompileSemantics decodes a case and compiles it: on every engine, to
 // the fold's node or its error, agreeing with a first-match scan, and
-// through the shared memo to the memo-less nodes.
+// through a memo to the memo-less nodes, in one manager and in a fork.
 func FuzzCompileSemantics(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})

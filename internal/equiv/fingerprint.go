@@ -1,7 +1,7 @@
 // Rule-set fingerprinting for incremental re-verification: a Session
 // caches each switch's equivalence report keyed by the fingerprints of the
 // logical and deployed rule lists, so an unchanged switch replays its
-// cached report instead of re-running the BDD check.
+// cached report instead of checking it again.
 
 package equiv
 
@@ -95,10 +95,9 @@ const semTag = 's' | 'e'<<8 | 'm'<<16
 // never alias each other's inputs. The same 64-bit collision caveat as
 // Fingerprint applies.
 //
-// Deprecated: a base finds a root by the list it was built from, and a T
-// list shares its own logical list's root when the two are SemanticsEqual,
-// so nothing hashes semantics any more. It stays until bench/ stops
-// calling it (ROADMAP item 1, shims).
+// Deprecated: a base holds one root per list it was built from, and a
+// fork compiles every list it checks, so nothing hashes semantics any
+// more. It stays until bench/ stops calling it (ROADMAP item 1, shims).
 func SemanticsFingerprint(rules []rule.Rule) uint64 {
 	h := hasher(hashSeed)
 	h.word(semTag)
@@ -110,31 +109,14 @@ func SemanticsFingerprint(rules []rule.Rule) uint64 {
 	return h.sum()
 }
 
-// SemanticsEqual reports whether two rule lists are equal in what the
-// compiler consumes: same length, and each position's match and action
-// agree (priority and provenance free). Equal lists compile to one BDD,
-// which is what lets a base build one root for equal logical lists and a
-// consistent switch's T list share its logical list's root.
-func SemanticsEqual(a, b []rule.Rule) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Match != b[i].Match || a[i].Action != b[i].Action {
-			return false
-		}
-	}
-	return true
-}
-
 // DeploymentFingerprints hashes a whole deployment's per-switch rule
 // lists (in ascending switch-ID order) into one 64-bit key, returned beside
 // the per-switch fingerprints it was folded from, so a caller that also
 // needs those (a Session partitioning switches into replays and re-checks)
 // hashes each rule list exactly once. The key is the invalidation key for
-// deployment-scoped caches — a Session's shared encoding Base persists
-// across runs while it is unchanged and rebuilds when it moves. The same
-// collision caveat as Fingerprint applies.
+// deployment-scoped state — the warm store files a Session's base and
+// verdicts under it, and loads or builds the base again when it moves. The
+// same collision caveat as Fingerprint applies.
 func DeploymentFingerprints(bySwitch map[object.ID][]rule.Rule) (map[object.ID]uint64, uint64) {
 	switches := make([]object.ID, 0, len(bySwitch))
 	for sw := range bySwitch {

@@ -158,7 +158,7 @@ type step func(t *testing.T, c *oracle.Choices, logical, deployed []rule.Rule)
 func runPair(t *testing.T, c *oracle.Choices, logical, deployed []rule.Rule, steps ...step) {
 	t.Helper()
 	if len(steps) == 0 {
-		steps = []step{compileStep, memoStep, meetsStep, attributeStep, checkStep, copyStep, rebindStep, walkStep}
+		steps = []step{compileStep, memoStep, meetsStep, attributeStep, checkStep, copyStep, walkStep}
 	}
 	for _, s := range steps {
 		s(t, c, logical, deployed)
@@ -299,19 +299,18 @@ func memoStep(t *testing.T, _ *oracle.Choices, logical, deployed []rule.Rule) {
 
 // checkMemoInvisible compiles baseLists into one manager and, after a
 // freeze, forkLists into a fork of it — once with no memo and once through
-// a memo the fork reads frozen and layers its own on, as a Base and its
-// checkers do. Both must fail alike or yield the same node for every list,
-// and intern the same number of nodes on each side of the freeze: same
-// creation order, so same IDs. It returns the two frozen snapshots.
+// a memo of each side's own, as NewBaseWith and a fork of its base do.
+// Both must fail alike or yield the same node for every list, and intern
+// the same number of nodes on each side of the freeze: same creation
+// order, so same IDs. It returns the two frozen snapshots.
 func checkMemoInvisible(t *testing.T, baseLists, forkLists [][]rule.Rule) (plain, memod *bdd.Snapshot) {
 	t.Helper()
 	pm, mm := bdd.NewManager(NumVars), bdd.NewManager(NumVars)
-	frozen := compileMemo{}
-	same := func(stage string, p, m Backend, lists [][]rule.Rule, frozen, own compileMemo) {
+	same := func(stage string, p, m Backend, lists [][]rule.Rule, memo compileMemo) {
 		t.Helper()
 		for i, rules := range lists {
 			want, wantErr := compileSemantics(p, rules)
-			got, gotErr := compileMemoized(m, rules, frozen, own)
+			got, gotErr := compileMemoized(m, rules, memo)
 			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || got != want {
 				t.Fatalf("%s list %d: memoized root %d (%v), memo-less root %d (%v)", stage, i, got, gotErr, want, wantErr)
 			}
@@ -320,9 +319,9 @@ func checkMemoInvisible(t *testing.T, baseLists, forkLists [][]rule.Rule) (plain
 			t.Fatalf("%s holds %d nodes memoized, %d memo-less", stage, m.DeltaSize(), p.DeltaSize())
 		}
 	}
-	same("base", pm, mm, baseLists, nil, frozen)
+	same("base", pm, mm, baseLists, compileMemo{})
 	plain, memod = pm.Freeze(), mm.Freeze()
-	same("fork", bdd.NewManagerFrom(plain), bdd.NewManagerFrom(memod), forkLists, frozen, compileMemo{})
+	same("fork", bdd.NewManagerFrom(plain), bdd.NewManagerFrom(memod), forkLists, compileMemo{})
 	return plain, memod
 }
 
@@ -494,11 +493,10 @@ func runSweep(t *testing.T, seed int64, n int) {
 
 // check: Check(logical, deployed) reports alike, or fails alike, on each
 // of the sweep's checkers, whose op-cache and node counts stay in step,
-// and on a fork of a base that froze the logical list, which takes that
-// list's root from the base, and the deployed list's too when the two are
-// SemanticsEqual, and compiles any other deployed list. When every rule
-// but a final default deny is an allow and no two overlap (naiveApplies),
-// the report is also the naive key difference.
+// and on a fork of a base that froze the logical list, which compiles both
+// lists, the logical one to the root the base froze. When every rule but a
+// final default deny is an allow and no two overlap (naiveApplies), the
+// report is also the naive key difference.
 func (s *sweep) check(t *testing.T, _ *oracle.Choices, logical, deployed []rule.Rule) {
 	t.Helper()
 	want, wantErr := s.fresh.Check(logical, deployed)
@@ -521,15 +519,14 @@ func (s *sweep) check(t *testing.T, _ *oracle.Choices, logical, deployed []rule.
 	warm := newBase(logical)
 	fork := warm.NewChecker()
 	same("a fork of a warm base", fork)
-	hits := 1
-	if SemanticsEqual(logical, deployed) {
-		hits = 2
-	}
-	if st := fork.Stats(); wantErr == nil && (st.FoldBaseHits != hits || st.FoldMisses != 2-hits) {
-		t.Fatalf("a fork of a base that froze the logical list: %+v, want %d base hits and the rest compiled", st, hits)
+	if st := fork.Stats(); wantErr == nil && (st.FoldBaseHits != 0 || st.FoldMisses != 2) {
+		t.Fatalf("a fork of a base that froze the logical list: %+v, want both lists compiled", st)
 	}
 	if r := warm.roots[0]; r != NoRoot && !warm.snap.Contains(r) {
 		t.Fatalf("the frozen root %d lives outside the base", r)
+	}
+	if r, err := compileMemoized(bdd.NewManagerFrom(warm.snap), logical, nil); err == nil && r != warm.roots[0] {
+		t.Fatalf("the logical list compiles to %d in a fork, the base froze it at %d", r, warm.roots[0])
 	}
 	if wantErr == nil && naiveApplies(logical, deployed) {
 		missing, extra := oracle.NaiveCheck(logical, deployed)
@@ -542,14 +539,11 @@ func (s *sweep) check(t *testing.T, _ *oracle.Choices, logical, deployed []rule.
 }
 
 // copyStep: a check whose logical list is an equal copy of the one a base
-// froze, at another address, finds no root in the base — a root is found
-// by the list it was built from — so it compiles both lists, and reports
-// what the base's own slice gets, byte for byte.
+// froze, at another address, compiles both lists, as a check of the base's
+// own slice does, and reports what that slice gets, byte for byte: a fork
+// holds no list, so no address is special.
 func copyStep(t *testing.T, _ *oracle.Choices, logical, deployed []rule.Rule) {
 	t.Helper()
-	if len(logical) == 0 {
-		return // an empty list has no address: every empty list is the base's
-	}
 	base := newBase(logical)
 	want, wantErr := base.NewChecker().Check(logical, deployed)
 	fork := base.NewChecker()
@@ -559,41 +553,6 @@ func copyStep(t *testing.T, _ *oracle.Choices, logical, deployed []rule.Rule) {
 	}
 	if st := fork.Stats(); st.FoldBaseHits != 0 || wantErr == nil && st.FoldMisses != 2 {
 		t.Fatalf("an equal copy: %+v, want both lists compiled", st)
-	}
-}
-
-// rebindStep: a base rebound to an equal-content recompile — the logical
-// list at a new address — answers both sides of a clean switch, whose T
-// list is the recompiled list without provenance, from its frozen root
-// with zero compiles, and no longer holds the superseded slice. A bind of
-// a count of lists other than the base's count of roots is refused and
-// binds nothing.
-func rebindStep(t *testing.T, _ *oracle.Choices, logical, _ []rule.Rule) {
-	t.Helper()
-	base, recompiled := newBase(logical), oracle.CloneRules(logical)
-	if err := base.RebindSemantics([][]rule.Rule{recompiled, recompiled}); err == nil || !rule.SameSlice(base.lists[0], logical) {
-		t.Fatalf("bound two lists to one root (%v)", err)
-	}
-	if err := base.RebindSemantics([][]rule.Rule{recompiled}); err != nil {
-		t.Fatal(err)
-	}
-	clean := oracle.CloneRules(recompiled)
-	for i := range clean {
-		clean[i].Provenance = nil
-	}
-	fork := base.NewChecker()
-	rep, err := fork.Check(recompiled, clean)
-	if base.roots[0] == NoRoot {
-		if err == nil {
-			t.Fatal("a list that does not encode checked clean")
-		}
-		return
-	}
-	if st := fork.Stats(); err != nil || !rep.Equivalent || st.FoldBaseHits != 2 || st.FoldMisses != 0 {
-		t.Fatalf("a clean switch on the rebound base: %+v (%v), %+v; want equivalent from the base alone", rep, err, st)
-	}
-	if _, err := fork.Check(logical, clean); err != nil || len(logical) > 0 && fork.Stats().FoldMisses != 2 {
-		t.Fatalf("the superseded slice still found its root: %+v (%v)", fork.Stats(), err)
 	}
 }
 
@@ -823,9 +782,8 @@ func (s *sweep) compact(t *testing.T) int {
 			}
 		}
 	}
-	if post := ch.Stats(); post.FoldMisses-pre.FoldMisses != compiles || post.FoldBaseHits != pre.FoldBaseHits {
-		t.Fatalf("re-checks after Compact: %d compiles and %d base hits, want %d and none",
-			post.FoldMisses-pre.FoldMisses, post.FoldBaseHits-pre.FoldBaseHits, compiles)
+	if post := ch.Stats(); post.FoldMisses-pre.FoldMisses != compiles {
+		t.Fatalf("re-checks after Compact: %d compiles, want %d", post.FoldMisses-pre.FoldMisses, compiles)
 	}
 	return compiles
 }

@@ -178,5 +178,5 @@ func compileMatch(m Backend, match rule.Match) (bdd.Node, error) {
 // compileSemantics is the compiler with no memo at all: every tail and
 // every trie is emitted through Mk. The memoized compiles are held to it.
 func compileSemantics(m Backend, rules []rule.Rule) (bdd.Node, error) {
-	return compileMemoized(m, rules, nil, nil)
+	return compileMemoized(m, rules, nil)
 }

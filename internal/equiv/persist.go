@@ -1,4 +1,4 @@
-// Base persistence: the build the analyzer's warmup calls, the
+// Base persistence: the build a session with a warm store calls, the
 // introspection surface the durable warm-state store serializes a Base
 // through, and the reconstruction path that revives one from decoded parts.
 
@@ -12,25 +12,23 @@ import (
 )
 
 // NewBaseWith compiles each rule list into its whole-list allowed-set BDD
-// and freezes the result: one root per list, in the order given, the base
-// holding the lists themselves so a checker finds a root by slice
-// identity. Every list compiles through one memo of tails and tries
-// (compile.go), so what two lists share is built once, and the memo is
-// frozen with the base: a list equal to an earlier one finds its tails
-// and tries there and, the BDD being canonical, gets the same root. A
-// list that cannot be encoded gets NoRoot rather than failing the build.
+// and freezes the result: one root per list, in the order given. Every
+// list compiles through one memo of tails and tries (compile.go), so what
+// two lists share is built once; the memo is dropped with the build, which
+// is what lets the base equal its decoded image. A list that cannot be
+// encoded gets NoRoot rather than failing the build.
 func NewBaseWith(lists ...[]rule.Rule) *Base {
 	m := bdd.NewManager(NumVars)
 	memo := compileMemo{}
 	roots := make([]bdd.Node, len(lists))
 	for i, rules := range lists {
-		root, err := compileMemoized(m, rules, nil, memo)
+		root, err := compileMemoized(m, rules, memo)
 		if err != nil {
 			root = NoRoot
 		}
 		roots[i] = root
 	}
-	return &Base{snap: m.Freeze(), lists: lists, roots: roots, distinct: distinctRoots(roots), memo: memo}
+	return &Base{snap: m.Freeze(), roots: roots, distinct: distinctRoots(roots)}
 }
 
 // distinctRoots counts the distinct roots, NoRoot aside.
@@ -55,9 +53,8 @@ func (b *Base) Roots() []bdd.Node { return b.roots }
 
 // RebuildBase reassembles a Base from a decoded snapshot and its roots —
 // the load half of the store's base codec. Every root must live in the
-// snapshot or be NoRoot. The base holds no lists until RebindSemantics
-// binds it to the deployment its file was keyed by; until then a fork
-// compiles every list.
+// snapshot or be NoRoot. The caller compares the root count with the list
+// count of the deployment the file was keyed by.
 func RebuildBase(snap *bdd.Snapshot, roots []bdd.Node) (*Base, error) {
 	if snap.NumVars() != NumVars {
 		return nil, fmt.Errorf("equiv: rebuild base: snapshot has %d vars, want %d", snap.NumVars(), NumVars)

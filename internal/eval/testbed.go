@@ -1,6 +1,6 @@
 // Figure 10: testbed accuracy, measured through the full end-to-end
 // pipeline — fabric deployment, TCAM fault injection, then the analyzer's
-// collection, BDD equivalence checking, risk-model augmentation and
+// collection, L-T equivalence checking, risk-model augmentation and
 // localization — rather than model-level fault simulation. This mirrors
 // the paper's hardware-testbed methodology (§VI-A) on the simulated
 // fabric.

@@ -351,9 +351,9 @@ func encodeBase(depFP uint64, b *equiv.Base) []byte {
 	return seal(baseMagic, depFP, e.buf)
 }
 
-// decodeBase verifies and decodes a base file image into a base that holds
-// no lists yet: the caller binds it to its deployment's (RebindSemantics),
-// which refuses a root count that differs from the deployment's list count.
+// decodeBase verifies and decodes a base file image into the base that was
+// encoded. The caller compares its root count with the list count of the
+// deployment the fingerprint names.
 func decodeBase(data []byte, depFP uint64) (*equiv.Base, error) {
 	payload, err := open(data, baseMagic, depFP)
 	if err != nil {

@@ -1,8 +1,8 @@
 // Package store is the durable warm-state store behind cross-restart
-// BDD reuse: a content-addressed directory of checksummed files holding
-// frozen encoding bases (node table + one root per logical list) keyed by
-// deployment fingerprint and per-switch check verdicts keyed by the
-// logical/TCAM rule-list fingerprints.
+// verdict replay: a content-addressed directory of checksummed files
+// holding frozen encoding bases (node table + one root per logical list)
+// keyed by deployment fingerprint and per-switch check verdicts keyed by
+// the logical/TCAM rule-list fingerprints.
 //
 // A save is written before it returns: Save* encodes the file and
 // publishes it atomically (temp file + rename), so a crashed writer

@@ -12,12 +12,14 @@
 //
 // The codec check writes a drawn base or verdicts field by field through
 // encoder, with at most one deviation from what the encoder writes, or
-// frames raw bytes as the payload; a decoded base is then bound to the
-// lists it was drawn from. The decoder must not panic, an accepted image
-// must re-encode to itself, an image the deviation left alone must be
-// accepted and bound, one it changed must be refused (a base root past
-// the snapshot on load, a root count other than the list count on
-// binding), and another codec version must be refused as one.
+// frames raw bytes as the payload; a decoded base's root count is then
+// compared with the lists it was drawn from, as a session compares it. The
+// decoder must not panic, an accepted image must re-encode to itself, an
+// image the deviation left alone must be accepted with one root per list
+// and decode to the very base that was built, one it changed must be
+// refused (a base root past the snapshot on load, a root count other than
+// the list count on that comparison), and another codec version must be
+// refused as one.
 
 package store
 
@@ -31,6 +33,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -408,7 +411,7 @@ const (
 	devKey                 // filed under another fingerprint
 	devRaw                 // up to 255 drawn bytes for the payload
 	devOutside             // a base root one past the snapshot's nodes
-	devRootCount           // a base root more than the base's lists
+	devRootCount           // a base root more than the lists it was built from
 	numDeviations
 )
 
@@ -614,11 +617,14 @@ func drawBase(c *oracle.Choices) (*equiv.Base, [][]rule.Rule) {
 }
 
 // checkImage writes a base or verdict image drawn from c with deviation
-// dev and holds the decoder to the codec check.
+// dev and holds the decoder to the codec check. A base the encoder wrote
+// as it is decodes to the very value that was built (reflect.DeepEqual):
+// a built base and a loaded one are one kind of Base.
 func checkImage(t *testing.T, c *oracle.Choices, base bool, dev deviation) {
 	t.Helper()
 	w := &writer{dev: dev, at: c.Intn(8)}
 	key := uint64(c.Uint16())
+	var built *equiv.Base
 	var lists [][]rule.Rule
 	switch {
 	case dev == devRaw:
@@ -627,9 +633,8 @@ func checkImage(t *testing.T, c *oracle.Choices, base bool, dev deviation) {
 		}
 		w.deviated = true
 	case base:
-		var b *equiv.Base
-		b, lists = drawBase(c)
-		w.base(b)
+		built, lists = drawBase(c)
+		w.base(built)
 	default:
 		w.verdicts(drawVerdicts(c))
 	}
@@ -640,7 +645,12 @@ func checkImage(t *testing.T, c *oracle.Choices, base bool, dev deviation) {
 		var b *equiv.Base
 		if b, err = decodeBase(img, key); err == nil {
 			again = encodeBase(key, b)
-			err = b.RebindSemantics(lists) // one root per list, or refused
+			if !w.deviated && !reflect.DeepEqual(b, built) {
+				t.Fatalf("a base of %d lists decodes to %+v, built as %+v", len(lists), b, built)
+			}
+			if len(b.Roots()) != len(lists) { // a session loads one root per list, or rebuilds
+				err = fmt.Errorf("%d roots, %d rule lists", len(b.Roots()), len(lists))
+			}
 		}
 	} else {
 		img = w.seal(verdictMagic, key)
@@ -672,7 +682,7 @@ func TestVerdictCodecRoundTrip(t *testing.T) { checkImages(t, false, 80, devNone
 
 // TestBaseCodecRejectsRoots: a base whose root lies past its snapshot is
 // refused on load, and one whose root count is not its deployment's list
-// count is refused when bound.
+// count is refused as a session refuses it.
 func TestBaseCodecRejectsRoots(t *testing.T) { checkImages(t, true, 40, devOutside, devRootCount) }
 
 func TestCodecRejectsVersionMismatch(t *testing.T) {

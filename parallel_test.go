@@ -94,7 +94,7 @@ func TestParallelAnalyzeDeterministic(t *testing.T) {
 }
 
 // TestParallelNoStoreAnalyzeDeterministic is TestParallelAnalyzeDeterministic
-// for a session with no warm store, which holds no base.
+// for a session with no warm store, which builds no base.
 func TestParallelNoStoreAnalyzeDeterministic(t *testing.T) {
 	colds := make(map[int][]byte)
 	for _, workers := range []int{2, 4, 0} {
@@ -102,8 +102,9 @@ func TestParallelNoStoreAnalyzeDeterministic(t *testing.T) {
 	}
 }
 
-// TestSharedBaseIdentity: a state analyzed through base and fork checkers
-// is the reference pipeline's, which checks each switch on a fresh checker.
+// TestSharedBaseIdentity: a state analyzed at every CPU, its base built
+// for the warm store, is the reference pipeline's, which checks each
+// switch on a fresh checker.
 func TestSharedBaseIdentity(t *testing.T) {
 	equalsCold(t, coldCase{fabric: seeded(7), entry: viaState, workers: runtime.NumCPU()})
 }
@@ -159,10 +160,9 @@ func TestWorkersDefaultIsGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestParallelCountersRepeat pins that which worker's fork checks which
-// switch is a function of the input: a case run twice keeps equal counters
-// — delta nodes, fold hits, op-cache totals — after every run, at an even
-// and an uneven stride alike.
+// TestParallelCountersRepeat pins that which worker checks which switch
+// is a function of the input: a case run twice keeps equal counters after
+// every run, at an even and an uneven stride alike.
 func TestParallelCountersRepeat(t *testing.T) {
 	t.Parallel()
 	small := func(t testing.TB) *scout.Fabric {

@@ -7,9 +7,8 @@
 //
 //  1. Collect TCAM rules (T) from every switch and compile logical rules
 //     (L) from the controller's network policy.
-//  2. Run the L-T equivalence check per switch, triple by triple (a list
-//     only a hand-built State holds falls back to ROBDDs); differences
-//     yield missing rules.
+//  2. Run the L-T equivalence check per switch, by first match, class by
+//     class, for any list a State holds; differences yield missing rules.
 //  3. Build the controller risk model and mark each missing rule once:
 //     every inconsistent switch's range of it (its switch model) and the
 //     whole model read the same marks.
@@ -212,9 +211,8 @@ func (st State) sortedSwitches() []object.ID {
 }
 
 // baseLists returns the deployment's logical rule lists in ascending
-// switch order: the order a shared base's roots are built in
-// (loadOrBuildBaseLocked), written to the warm store in, and bound by
-// (equiv.Base.RebindSemantics).
+// switch order: the order a warm store's base is built and written in
+// (loadOrBuildBaseLocked).
 func baseLists(d *Deployment) [][]rule.Rule {
 	switches := make([]object.ID, 0, len(d.BySwitch))
 	for sw := range d.BySwitch {

@@ -21,12 +21,13 @@ import (
 // from and hands them to run, and a one-shot Analyzer call is the first run
 // of a Session nobody keeps. A Session keeps state between runs, in two
 // lifetimes. What follows from the compiled deployment alone — its
-// fingerprints, the frozen BDD base (only with a warm store, which persists
-// it) and the pristine risk model, whose arrays localization reads as they
-// are — is resolved once per deployment and reused until the policy is
-// recompiled. What follows from an observation — each switch's newest
-// verdict, keyed by the fingerprints of the exact logical and TCAM rule
-// lists it was computed from — has one rule: it replays when both
+// fingerprints and the pristine risk model, whose arrays localization reads
+// as they are — is resolved once per deployment and reused until the policy
+// is recompiled; with a warm store, a new deployment also finds its frozen
+// BDD base in the store, or builds and writes it there, and keeps none.
+// What follows from an observation — each switch's newest verdict, keyed
+// by the fingerprints of the exact logical and TCAM rule lists it was
+// computed from — has one rule: it replays when both
 // fingerprints match, and leaves the cache only when a fresh verdict for
 // its switch replaces it. A T list that is the very
 // slice it was hashed from (an unwritten TCAM's snapshot) is not even
@@ -78,20 +79,12 @@ type deploymentState struct {
 	// the same pointer on the next run means every field below holds.
 	d *compile.Deployment
 
-	// fp is the deployment fingerprint — the key of the base and of the
-	// warm store's files — and logFPs the per-switch logical fingerprints
-	// it was folded from, the L half of every cached verdict's key. Both
-	// survive a content-identical recompile at a new address.
+	// fp is the deployment fingerprint — the key of the warm store's files
+	// — and logFPs the per-switch logical fingerprints it was folded from,
+	// the L half of every cached verdict's key. Both survive a
+	// content-identical recompile at a new address.
 	fp     uint64
 	logFPs map[object.ID]uint64
-
-	// base is the frozen encoding base the warm store persists: one
-	// whole-switch semantics root per logical list of the deployment,
-	// bound to d's lists. No check reads it (equiv.Check uses no BDD); it
-	// is built, loaded, saved and bound until the warm store's contents
-	// are decided (ROADMAP item 28). TCAM drift never invalidates it; only
-	// a changed fingerprint does. Nil in a session with no store.
-	base *equiv.Base
 
 	// ctrl is the deployment's one pristine risk model, the controller's;
 	// each switch's model is a range of it. It is keyed on d's identity,
@@ -358,14 +351,11 @@ func (s *Session) replayOrCheckLocked(tcams map[object.ID][]rule.Rule, switches 
 // function of the compiled policy alone, so it is never marked: every
 // analysis annotates fresh overlays over it. Then the deployment is hashed
 // once: equal content (a recompile that changed nothing) keeps the
-// fingerprints and the base — re-pointed at the new deployment's slices so
-// the superseded one is not pinned; safe here, the run lock is held and no
-// check is running. New content also replaces them and, with a warm store,
-// loads or builds the base and seeds the verdict cache. A session with no
-// store holds no base, so for it equal content re-points nothing and new
-// content builds nothing. A footprint that fails validation, or that the model build refuses, is an
-// error returned before anything changes, so the session keeps the
-// deployment it knew, with its base, verdicts and counters.
+// fingerprints and the verdicts keyed by them. New content replaces them
+// and, with a warm store, loads or builds the base and seeds the verdict
+// cache. A footprint that fails validation, or that the model build
+// refuses, is an error returned before anything changes, so the session
+// keeps the deployment it knew, with its verdicts and counters.
 func (s *Session) resolveLocked(d *compile.Deployment) error {
 	if d == s.dep.d {
 		return nil
@@ -378,47 +368,32 @@ func (s *Session) resolveLocked(d *compile.Deployment) error {
 		return err
 	}
 	logFPs, fp := equiv.DeploymentFingerprints(d.BySwitch)
-	base := s.dep.base
-	switch {
-	case s.dep.d == nil || fp != s.dep.fp:
-		base = nil
-		if s.ws != nil {
-			base = s.loadOrBuildBaseLocked(baseLists(d), fp)
-			s.seedVerdictsLocked(fp)
-		}
-	case base != nil:
-		_ = base.RebindSemantics(baseLists(d)) // equal fingerprints: as many lists as roots, never refused
+	if s.ws != nil && (s.dep.d == nil || fp != s.dep.fp) {
+		s.loadOrBuildBaseLocked(d, fp)
+		s.seedVerdictsLocked(fp)
 	}
-	s.dep = deploymentState{d: d, fp: fp, logFPs: logFPs, base: base, ctrl: ctrl}
+	s.dep = deploymentState{d: d, fp: fp, logFPs: logFPs, ctrl: ctrl}
 	return nil
 }
 
-// loadOrBuildBaseLocked returns the warm store's frozen base for a
-// deployment fingerprint the session holds no base for, lists being the
-// deployment's logical lists in ascending switch order (baseLists). A base
-// file holds
-// the node table and one root per list in that order, and nothing else: a
-// load binds its roots to lists by position, so a clean fabric replays
-// with zero compiles, trusting the fingerprint the file is keyed by as a
-// loaded verdict does. A missing or unverifiable file, or one whose root
-// count is not the deployment's list count, is a cold start (one written
-// by an older codec included): the build overwrites it.
-//
-// The build compiles every logical list once, serially, into one manager
-// (not shareable mid-build), freezes it, and holds every list. Keying the
-// base off the deployment alone is what lets the warm store persist it
-// across runs whose TCAM state drifts.
-func (s *Session) loadOrBuildBaseLocked(lists [][]rule.Rule, fp uint64) *equiv.Base {
-	if b, err := s.ws.LoadBase(fp); err == nil && b != nil && b.RebindSemantics(lists) == nil {
+// loadOrBuildBaseLocked makes sure the warm store holds the frozen base of
+// deployment d, whose fingerprint is fp: the node table and one root per
+// logical list in ascending switch order (baseLists), and nothing else. A
+// base that loads with as many roots as d has lists counts as a load, its
+// fingerprint trusted as a loaded verdict's is. A missing or unverifiable
+// file, or one with another root count, is a cold start (one written by an
+// older codec included): the build compiles every logical list once,
+// serially, into one manager, freezes it and overwrites the file. Either
+// way the session keeps nothing: no check reads a base.
+func (s *Session) loadOrBuildBaseLocked(d *compile.Deployment, fp uint64) {
+	if b, err := s.ws.LoadBase(fp); err == nil && b != nil && len(b.Roots()) == len(d.BySwitch) {
 		s.stats.BaseLoads++
-		return b
+		return
 	}
-	base := equiv.NewBaseWith(lists...)
 	s.stats.BaseRebuilds++
-	if err := s.ws.SaveBase(fp, base); err != nil && s.saveErr == nil {
+	if err := s.ws.SaveBase(fp, equiv.NewBaseWith(baseLists(d)...)); err != nil && s.saveErr == nil {
 		s.saveErr = err
 	}
-	return base
 }
 
 // seedVerdictsLocked restores the verdicts persisted under the deployment

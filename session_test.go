@@ -71,11 +71,12 @@ func TestSessionReplaysLargeVerdict(t *testing.T) {
 	}
 }
 
-// TestSessionSharedBasePersistence pins the base lifecycle: one build
-// serves every run of an unchanged deployment, TCAM drift included, and a
-// recompiled one rebuilds it. The re-check of a drifted switch resolves its
-// logical side from the base and compiles exactly its one drifted list.
-func TestSessionSharedBasePersistence(t *testing.T) {
+// TestSessionOneBaseBuildPerDeployment: a session with a warm store builds
+// and saves a deployment's base once, at its first run. A TCAM eviction
+// re-checks the one drifted switch and an unchanged fabric replays every
+// verdict, neither building anything; a new filter is a new deployment,
+// which builds and saves its own base.
+func TestSessionOneBaseBuildPerDeployment(t *testing.T) {
 	equalsCold(t, coldCase{fabric: seeded(7), steps: []step{{opEvict, 0, 0}, {}, {opAddFilter, 0, 0}}})
 }
 
@@ -160,11 +161,12 @@ func TestSessionRequiresDeploy(t *testing.T) {
 		func() (*scout.Report, error) { return sess.AnalyzeState(scout.State{}) })
 }
 
-// TestSessionFoldSharing pins the semantics-cache contract end to end: a
-// clean fabric's cold run resolves every whole-switch fold, logical and
-// TCAM side alike, from the base's frozen roots and localizes nothing; after
-// one switch drifts, exactly its one drifted TCAM list folds into a delta.
-func TestSessionFoldSharing(t *testing.T) {
+// TestSessionCleanFabricThenSilentDrift: a clean fabric's first run checks
+// every switch, finds each consistent and localizes nothing; an exact
+// allow rule then removed from one switch through its TCAM, which emits
+// no event, re-checks that switch alone. Both reports equal a cold
+// analysis.
+func TestSessionCleanFabricThenSilentDrift(t *testing.T) {
 	clean := func(t testing.TB) *scout.Fabric {
 		return cleanFabric(t, scout.TestbedWorkloadSpec(), scout.FabricOptions{Seed: 7})
 	}
@@ -255,6 +257,14 @@ func TestOneShotIgnoresWarmStore(t *testing.T) {
 	}
 }
 
+// TestSessionRebuildsOverWrongRootCount: a base file that loads under the
+// deployment's fingerprint but holds a root per list of one list fewer is
+// a cold start: the session rebuilds (BaseRebuilds 1, BaseLoads 0) and
+// overwrites it, and the next restart loads what it wrote.
+func TestSessionRebuildsOverWrongRootCount(t *testing.T) {
+	equalsCold(t, coldCase{workers: 2, steps: []step{{opRestart, 0, harmFewer}, {opEvict, 0, 0}, {opRestart, 0, 0}}})
+}
+
 // TestSessionRebuildsOverOldCodecBase: warm state written by codec
 // version 2 (whose base files carried the deployment's rule lists) is a
 // clean miss, never a misparse: over an old base the session rebuilds
@@ -272,10 +282,10 @@ func TestSessionWarmRestart(t *testing.T) {
 }
 
 // TestSessionEqualContentRedeploy covers the recompile that changes
-// nothing: the session keeps its base (if it has a store) and its verdicts
-// and rebuilds only the identity-keyed risk models, and a new process
-// given the redeployed pointer finds the first process's files under the
-// unchanged fingerprint.
+// nothing: the session keeps its fingerprints and its verdicts, loads and
+// builds no base, and rebuilds only the identity-keyed risk models, and a
+// new process given the redeployed pointer finds the first process's files
+// under the unchanged fingerprint.
 func TestSessionEqualContentRedeploy(t *testing.T) {
 	for _, noStore := range []bool{false, true} {
 		t.Run(modes[noStore], func(t *testing.T) {
