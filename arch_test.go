@@ -452,7 +452,7 @@ func TestArchitecture(t *testing.T) {
 		"internal/risk:BuildControllerModelParallel", "internal/risk:AugmentControllerModelPatch", "internal/risk:Patch.Apply", "internal/store:Store.Flush", "internal/store:Store.Close",
 		".:Session.ApplyEvents", "internal/collect:Collector.SnapshotSwitches", "internal/collect:DirtySwitches",
 		"internal/stream:New", "internal/stream:Queue.Push", "internal/stream:Queue.Cut", "internal/stream:Queue.Stats",
-		"internal/bdd:Manager.Size", "internal/bdd:Manager.Or", "internal/bdd:Manager.Not", "internal/bdd:Manager.Cube",
+		"internal/bdd:Manager.Size", "internal/bdd:Manager.Or", "internal/bdd:Manager.Not", "internal/bdd:Manager.Cube", "internal/bdd:Manager.CompactDelta",
 		"internal/faultlog:FaultLog.Len", "internal/fabric:Switch.TCAM", "internal/tcam:TCAM.Install", "internal/tcam:TCAM.Remove",
 		"internal/tcam:TCAM.Keys", "internal/localize:StatsSnapshot", "internal/localize:EngineStats.Delta",
 		"internal/correlate:NewEngine", "internal/correlate:Engine.Correlate"} {

@@ -26,8 +26,7 @@
 // (NewManagerFrom): forks extend the frozen node-ID prefix with a private
 // delta, so any number of forks share the snapshot's nodes lock-free
 // while building their own. This is how the equivalence checker shares
-// one warm encoding base across check-stage workers. Long-lived forks
-// can shed dead delta nodes in place with CompactDelta (compact.go).
+// one warm encoding base across check-stage workers.
 package bdd
 
 import (
@@ -205,12 +204,25 @@ func (m *Manager) Size() int { return m.baseLen + len(m.nodes) }
 
 // DeltaSize returns the number of nodes owned by this manager itself:
 // everything beyond the frozen base for forks, Size() for standalone
-// managers. Node budgets on long-lived forks watch DeltaSize — the base
-// is shared and immutable, only the delta is this manager's to shed.
+// managers: the base is shared and immutable.
 func (m *Manager) DeltaSize() int { return len(m.nodes) }
 
 // CacheStats returns the cumulative operation-cache hit/miss counters.
 func (m *Manager) CacheStats() CacheStats { return m.stats }
+
+// CompactStats counted the delta nodes a compaction kept and shed.
+//
+// Deprecated: nothing compacts a delta any more; CompactStats stays 0
+// until bench/ stops reading it (ROADMAP item 1, shims).
+type CompactStats struct {
+	Retained int
+	Dropped  int
+}
+
+// Deprecated: CompactDelta does nothing — no manager outlives the check
+// it was forked for, so none sheds its delta in place. It stays until
+// bench/ stops timing it (ROADMAP item 1, shims).
+func (m *Manager) CompactDelta([]Node) {}
 
 // node resolves a node ID through the frozen base or the private delta.
 func (m *Manager) node(n Node) nodeData {

@@ -74,7 +74,7 @@ func TestCacheStatsConsistency(t *testing.T) {
 }
 
 func TestDifferentialRandomOps(t *testing.T) {
-	runSeeds(t, 0, 8, bddCase{nVars: 10, steps: 400, ops: algebra, compact: 97})
+	runSeeds(t, 0, 8, bddCase{nVars: 10, steps: 400, ops: algebra})
 }
 
 func TestDifferentialDeepFormulas(t *testing.T) {
@@ -107,24 +107,4 @@ func TestForkOfWarmSnapshotMatchesUnfrozen(t *testing.T) {
 
 func TestSnapshotConcurrentReaders(t *testing.T) {
 	run(t, oracle.FromSeed(0), bddCase{nVars: 8, steps: 300, ops: algebra, freeze: 40, readers: 16})
-}
-
-func TestCompactDeltaForkOracle(t *testing.T) {
-	run(t, oracle.FromSeed(1), bddCase{nVars: 12, steps: 300, ops: algebra, freeze: 40, compact: 25})
-}
-
-func TestCompactDeltaInterning(t *testing.T) {
-	runSeeds(t, 0, 4, bddCase{nVars: 8, steps: 100, ops: algebra, compact: 10})
-}
-
-func TestCompactDeltaDropsOpCache(t *testing.T) {
-	runSeeds(t, 0, 4, bddCase{nVars: 10, steps: 200, ops: withRepeat, compact: 15})
-}
-
-func TestCompactDeltaStandalone(t *testing.T) {
-	run(t, oracle.FromSeed(5), bddCase{nVars: 10, steps: 300, ops: algebra, compact: 20})
-}
-
-func TestCompactDeltaConcurrentSnapshotReaders(t *testing.T) {
-	run(t, oracle.FromSeed(0), bddCase{nVars: 10, steps: 400, ops: algebra, freeze: 30, compact: 10, readers: 8})
 }

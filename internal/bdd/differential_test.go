@@ -16,9 +16,9 @@ import (
 // Eval and SatCount compared at the end. IDs — not just semantics — must
 // match: the report byte-identity guarantee rests on interning being exact
 // and the op cache never evicting, so the two engines construct the same
-// nodes in the same order. Freezing, forking, compaction and concurrent
-// snapshot readers are steps and options of the same run, so each is held
-// to the reference too.
+// nodes in the same order. Freezing, forking and concurrent snapshot
+// readers are steps and options of the same run, so each is held to the
+// reference too.
 
 // op is one step of a run.
 type op int
@@ -31,29 +31,27 @@ const (
 	opXor
 	opNot
 	opDiff
-	opMk      // Mk above both cofactors, held to the if-then-else; or below one, and both engines panic
-	opLaws    // the algebra's identities on held operands
-	opRepeat  // an earlier apply again
-	opGrow    // a 60-cube disjunction, past the tables' initial capacities
-	opCompact // the delta GC over a random three quarters of the held roots
-	opFreeze  // freeze and go on in a fork; a fork is replaced by a sibling
+	opMk     // Mk above both cofactors, held to the if-then-else; or below one, and both engines panic
+	opLaws   // the algebra's identities on held operands
+	opRepeat // an earlier apply again
+	opGrow   // a 60-cube disjunction, past the tables' initial capacities
+	opFreeze // freeze and go on in a fork; a fork is replaced by a sibling
 	numOps
 )
 
-var opNames = [numOps]string{"Var", "Cube", "And", "Or", "Xor", "Not", "Diff", "Mk", "laws", "repeat", "grow", "compact", "freeze"}
+var opNames = [numOps]string{"Var", "Cube", "And", "Or", "Xor", "Not", "Diff", "Mk", "laws", "repeat", "grow", "freeze"}
 
 // algebra is the eight construction steps.
 var algebra = []op{opVar, opCube, opAnd, opOr, opXor, opNot, opDiff, opMk}
 
 // bddCase is one run's shape. Each step is drawn uniformly from ops, except
-// that one step in compact compacts and one in freeze freezes (0: never).
-// readers goroutines read the first snapshot through forks of their own
-// while the run goes on.
+// that one step in freeze freezes (0: never). readers goroutines read the
+// first snapshot through forks of their own while the run goes on.
 type bddCase struct {
-	nVars, steps    int
-	ops             []op
-	compact, freeze int
-	readers         int
+	nVars, steps int
+	ops          []op
+	freeze       int
+	readers      int
 }
 
 // builder is the construction surface the manager and the reference share.
@@ -83,15 +81,15 @@ type harness struct {
 	snap   *Snapshot
 	frozen *Manager
 	// held is every root the run still holds, as the node each engine gave
-	// it. The IDs are equal (exact) until the manager compacts or is
-	// replaced by a sibling fork; after that what is asserted is that the
-	// pairing stays one to one: a function either engine has returned
-	// before comes back as the same pair.
+	// it. The IDs are equal (exact) until the manager is replaced by a
+	// sibling fork; after that what is asserted is that the pairing stays
+	// one to one: a function either engine has returned before comes back
+	// as the same pair.
 	held       []pair
 	refOf, mOf map[Node]Node
 	exact      bool
-	// applied is every apply since the last compaction or re-fork, for
-	// opRepeat; applied[cached:] are in the manager's op cache.
+	// applied is every apply since the last re-fork, for opRepeat;
+	// applied[cached:] are in the manager's op cache.
 	applied []applied
 	cached  int
 	wg      sync.WaitGroup
@@ -107,8 +105,6 @@ func run(t *testing.T, c *oracle.Choices, cs bddCase) {
 	h.check("True", True, True)
 	for i := 0; i < cs.steps; i++ {
 		switch {
-		case cs.compact > 0 && c.Chance(cs.compact):
-			h.step(opCompact)
 		case cs.freeze > 0 && c.Chance(cs.freeze):
 			h.step(opFreeze)
 		default:
@@ -210,8 +206,6 @@ func (h *harness) step(kind op) {
 			lits := h.literals(4)
 			acc = h.apply(opOr, acc, h.check("Cube", h.m.Cube(lits), h.ref.Cube(lits)))
 		}
-	case opCompact:
-		h.compact()
 	case opFreeze:
 		h.freeze()
 	}
@@ -279,8 +273,7 @@ func (h *harness) laws(x, y, z pair) {
 
 // repeat applies an earlier step's operation again on the manager: it
 // returns the node it returned then and builds nothing, and while the
-// result is in the op cache (no freeze or compaction since) it recurses
-// nowhere.
+// result is in the op cache (no freeze since) it recurses nowhere.
 func (h *harness) repeat() {
 	h.t.Helper()
 	if len(h.applied) == 0 {
@@ -295,109 +288,6 @@ func (h *harness) repeat() {
 	if i >= h.cached && h.m.CacheStats().Misses != misses {
 		h.t.Fatalf("%s(%d, %d) again missed the op cache", opNames[r.kind], r.a.m, r.b.m)
 	}
-}
-
-// compact runs the manager's delta GC over the terminals and a random
-// three quarters of the other held roots and holds it to what its mark
-// phase must find: base nodes and terminals stay put, kept roots survive
-// with their base residency,
-// dropped ones are gone unless something kept (or the base) reaches them,
-// the counts add up, a kept node rebuilt from its cofactors resolves to
-// itself without building, compacting again is the identity, and a
-// standalone manager is left with what the reference reaches from the
-// same roots. The op cache starts again empty, so earlier applies are
-// forgotten.
-func (h *harness) compact() {
-	t, m := h.t, h.m
-	t.Helper()
-	pin := 2
-	if h.snap != nil {
-		pin = h.snap.Size()
-	}
-	var keep []pair
-	var roots, dropped []Node
-	for _, n := range h.held {
-		if n.m != False && n.m != True && h.c.Chance(4) {
-			dropped = append(dropped, n.m)
-		} else {
-			keep, roots = append(keep, n), append(roots, n.m)
-		}
-	}
-	live := map[Node]bool{}
-	var mark func(Node)
-	mark = func(n Node) {
-		if int(n) < pin || live[n] {
-			return
-		}
-		live[n] = true
-		_, lo, hi := m.NodeAt(n)
-		mark(lo)
-		mark(hi)
-	}
-	for _, r := range roots {
-		mark(r)
-	}
-	before := m.Size() - pin
-	remap, st := m.CompactDelta(roots)
-	if st.Retained != len(live) || st.Retained+st.Dropped != before || m.Size() != pin+st.Retained {
-		t.Fatalf("compaction kept %d and dropped %d of %d nodes, size now %d; the kept roots reach %d", st.Retained, st.Dropped, before, m.Size(), len(live))
-	}
-	for n := Node(0); int(n) < pin; n++ {
-		if remap.Node(n) != n {
-			t.Fatalf("pinned node %d remapped to %d", n, remap.Node(n))
-		}
-	}
-	for _, n := range dropped {
-		if gone := remap.Node(n) == NoNode; gone != (int(n) >= pin && !live[n]) {
-			t.Fatalf("dropped root %d remapped to %d; reached by a kept root: %v", n, remap.Node(n), live[n])
-		}
-	}
-	for i := range keep {
-		roots[i] = remap.Node(keep[i].m)
-		if (int(roots[i]) < pin) != (int(keep[i].m) < pin) {
-			t.Fatalf("root %d changed base residency as %d", keep[i].m, roots[i])
-		}
-		keep[i].m = roots[i]
-	}
-	h.hold(keep)
-	size := m.Size()
-	for _, n := range roots {
-		if level, lo, hi := m.NodeAt(n); int(level) < h.nVars && m.Mk(int(level), lo, hi) != n {
-			t.Fatalf("node %d rebuilt from its cofactors is a new node", n)
-		}
-	}
-	if m.Size() != size {
-		t.Fatalf("rebuilding kept nodes grew the manager %d -> %d", size, m.Size())
-	}
-	again, st := m.CompactDelta(roots)
-	for _, n := range roots {
-		if again.Node(n) != n || st.Dropped != 0 {
-			t.Fatalf("a second compaction moved %d to %d (%+v)", n, again.Node(n), st)
-		}
-	}
-	if h.snap == nil && m.Size() != h.refLive() {
-		t.Fatalf("compacted manager holds %d nodes, the reference reaches %d", m.Size(), h.refLive())
-	}
-}
-
-// refLive counts the reference's nodes reachable from the held roots,
-// terminals included.
-func (h *harness) refLive() int {
-	seen := map[Node]bool{False: true, True: true}
-	var walk func(Node)
-	walk = func(n Node) {
-		if seen[n] {
-			return
-		}
-		seen[n] = true
-		_, lo, hi := h.ref.NodeAt(n)
-		walk(lo)
-		walk(hi)
-	}
-	for _, n := range h.held {
-		walk(n.ref)
-	}
-	return len(seen)
 }
 
 // freeze seals the manager and goes on in a fork of its snapshot, which
@@ -438,7 +328,7 @@ func (h *harness) freeze() {
 // and, while the run goes on in a fork of its own, rebuilds frozen nodes
 // from their cofactors (they must resolve to their frozen IDs), evaluates
 // them and a difference of two of them built in its delta against the
-// truth values the reference gave, and now and then compacts that delta.
+// truth values the reference gave.
 // Any write to shared state in that is a data race for -race to report.
 func (h *harness) startReaders() {
 	nodes := make([]Node, len(h.held))
@@ -473,9 +363,6 @@ func (h *harness) startReaders() {
 				if oracle.Eval(fork, nodes[a], assigns[k]) != truth[a][k] || oracle.Eval(fork, d, assigns[k]) != (truth[a][k] && !truth[b][k]) {
 					h.t.Errorf("a reader evaluated node %d or %d \\ %d wrong", nodes[a], nodes[a], nodes[b])
 					return
-				}
-				if c.Chance(16) {
-					fork.CompactDelta(nil)
 				}
 			}
 		}()

@@ -1,19 +1,17 @@
 // Package collect implements periodic and event-driven network-state
 // collection (§III-C: "collecting the TCAM rules deployed across all
 // switches periodically and/or in an event-driven fashion"). A Collector
-// snapshots the fabric's TCAMs into immutable epochs, keeps the latest one
-// for a partial collection to build on, and can diff epochs to show which
-// rules appeared or vanished between collections — the raw material for
-// trend analysis and post-incident forensics; a caller keeps the epochs it
-// wants to compare. Events decide when to collect, not what: a TCAM
-// hands back the snapshot it last published until it is written, so a full
-// collection copies only the written switches, and an unwritten switch
-// contributes the previous epoch's very slice.
+// snapshots the fabric's TCAMs into immutable epochs and can diff epochs
+// to show which rules appeared or vanished between collections — the raw
+// material for trend analysis and post-incident forensics; a caller keeps
+// the epochs it wants to compare. Events decide when to collect, not
+// what: a TCAM hands back the snapshot it last published until it is
+// written, so a collection copies only the switches written since their
+// last read, and an unwritten switch contributes the previous epoch's
+// very slice.
 package collect
 
 import (
-	"fmt"
-	"maps"
 	"sort"
 	"sync"
 	"time"
@@ -43,13 +41,12 @@ func (e *Epoch) RuleCount() int {
 	return n
 }
 
-// Collector snapshots a fabric and keeps its latest epoch, which
-// SnapshotSwitches builds on; an older epoch would only pin the superseded
-// snapshots of the switches written since. It is safe for concurrent use.
+// Collector snapshots a fabric into numbered epochs. It keeps no epoch:
+// the fabric's TCAMs keep what a collection shares with the last. It is
+// safe for concurrent use.
 type Collector struct {
 	mu      sync.Mutex
 	f       *fabric.Fabric
-	last    *Epoch
 	nextSeq int
 }
 
@@ -66,49 +63,16 @@ func New(f *fabric.Fabric, _ int) *Collector {
 func (c *Collector) Snapshot() *Epoch {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.snapshotLocked()
-}
-
-func (c *Collector) snapshotLocked() *Epoch {
-	return c.retainLocked(c.f.CollectAll())
-}
-
-// retainLocked stamps a collected TCAM map as the next epoch and keeps it
-// as the latest.
-func (c *Collector) retainLocked(tcams map[object.ID][]rule.Rule) *Epoch {
 	c.nextSeq++
-	c.last = &Epoch{
-		Seq:  c.nextSeq,
-		Time: c.f.Now(),
-		TCAM: tcams,
-	}
-	return c.last
+	return &Epoch{Seq: c.nextSeq, Time: c.f.Now(), TCAM: c.f.CollectAll()}
 }
 
-// SnapshotSwitches collects a partial epoch: only the named switches are
-// re-read from the fabric; every other switch's rule slice aliases the
-// previous epoch's (same backing array, zero copy), and a named switch the
-// previous epoch lacked simply joins. DirtySwitches
-// and Diff semantics are intact — an aliased slice compares equal to its
-// predecessor, a re-read one compares by content. Without a previous
-// epoch the call degrades to a full Snapshot (there is nothing to alias).
-// A write to a switch the caller does not name is missed until the next
-// full Snapshot, which costs no more.
-func (c *Collector) SnapshotSwitches(dirty []object.ID) (*Epoch, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.last == nil {
-		return c.snapshotLocked(), nil
-	}
-	tcams := maps.Clone(c.last.TCAM)
-	for _, sw := range dirty {
-		rules, err := c.f.CollectTCAM(sw)
-		if err != nil {
-			return nil, fmt.Errorf("collect: partial collection: %w", err)
-		}
-		tcams[sw] = rules
-	}
-	return c.retainLocked(tcams), nil
+// Deprecated: SnapshotSwitches is Snapshot and ignores its names — a
+// full collection copies only the switches written since their last read,
+// and it also sees writes no name covers. It stays until bench/ stops
+// calling it (ROADMAP item 1, shims).
+func (c *Collector) SnapshotSwitches([]object.ID) (*Epoch, error) {
+	return c.Snapshot(), nil
 }
 
 // SwitchDelta is the per-switch difference between two epochs.
@@ -158,7 +122,7 @@ func Diff(older, newer *Epoch) []SwitchDelta {
 	var out []SwitchDelta
 	for sw := range switches {
 		if rule.SameSlice(older.TCAM[sw], newer.TCAM[sw]) {
-			continue // aliased or re-read with no write between: no delta
+			continue // one snapshot, no write between: no delta
 		}
 		oldKeys := rule.KeySet(older.TCAM[sw])
 		newKeys := rule.KeySet(newer.TCAM[sw])

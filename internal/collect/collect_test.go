@@ -21,20 +21,16 @@ import (
 // generated from an oracle.Choices, with the fabric's event log as the
 // record of which switches were written. After every step every epoch the
 // run holds must equal its rules as collected; after a collection the new
-// epoch must equal the fabric's state where it read it (a switch named
-// twice is read once) and share the previous epoch's slice where it did
-// not or nothing was written, a partial one naming a switch the fabric
-// lacks must fail and leave the latest epoch as it was, and
-// DirtySwitches and Diff against every held epoch — sometimes with a
-// switch dropped from a copy of one, or a list reversed — must agree with
-// a slice and key-set comparison. Each test is a case: a seed range and
-// the steps its name says it stresses.
+// epoch must equal the fabric's state and share the previous epoch's slice
+// where nothing was written, and DirtySwitches and Diff against every held
+// epoch — sometimes with a switch dropped from a copy of one, or a list
+// reversed — must agree with a slice and key-set comparison. Each test is
+// a case: a seed range and the steps its name says it stresses.
 
 type op int
 
 const (
-	opSnapshot op = iota // a full collection
-	opPartial            // SnapshotSwitches over a drawn subset
+	opSnapshot op = iota // a collection
 	opEvict
 	opCorrupt
 	opEdit // a filter joins contract 201: every switch gains rules
@@ -70,43 +66,15 @@ func runCollect(t *testing.T, seeds int64, steps int, ops ...op) {
 		col, sws := New(f, 0), switches
 		var held []*Epoch
 		var copies []*Epoch
-		// written is the switches written since the collection that last
-		// read them.
+		// written is the switches written since the last collection.
 		seq, written := 0, map[object.ID]bool{}
 		for i := 0; i < steps; i++ {
 			label := fmt.Sprintf("seed %d step %d", seed, i)
 			sw := sws[c.Intn(2)]
 			var e *Epoch
-			var read []object.ID
 			switch ops[c.Intn(len(ops))] {
 			case opSnapshot:
-				e, read = col.Snapshot(), sws
-			case opPartial:
-				// A switch may be named twice, and one time in four the
-				// list names a switch the fabric lacks, which fails the
-				// epoch unless there is none to build on.
-				for _, sw := range sws {
-					for n := c.Intn(3); n > 0; n-- {
-						read = append(read, sw)
-					}
-				}
-				named, unknown := slices.Clip(read), c.Chance(4)
-				if unknown {
-					named = append(named, 1<<20)
-				}
-				var err error
-				if e, err = col.SnapshotSwitches(named); unknown && len(held) > 0 {
-					if err == nil || e != nil || col.last != held[len(held)-1] {
-						t.Fatalf("%s: a partial epoch naming an unknown switch returned %v, %v", label, e, err)
-					}
-					continue
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(held) == 0 {
-					read = sws // nothing to alias: a full collection
-				}
+				e = col.Snapshot()
 			case opEvict:
 				_, _ = f.EvictTCAM(sw, 1)
 			case opCorrupt:
@@ -130,21 +98,19 @@ func runCollect(t *testing.T, seeds int64, steps int, ops ...op) {
 			if e == nil {
 				continue
 			}
-			if e.Seq != len(held)+1 || !e.Time.Equal(f.Now()) || col.last != e || len(e.TCAM) != len(sws) {
-				t.Fatalf("%s: epoch %d at %v over %d switches, the collector's latest %p", label, e.Seq, e.Time, len(e.TCAM), col.last)
+			if e.Seq != len(held)+1 || !e.Time.Equal(f.Now()) || len(e.TCAM) != len(sws) {
+				t.Fatalf("%s: epoch %d at %v over %d switches", label, e.Seq, e.Time, len(e.TCAM))
 			}
+			now := f.CollectAll()
 			for _, sw := range sws {
-				now, _ := f.CollectTCAM(sw)
 				switch {
-				case slices.Contains(read, sw) && !rule.SlicesEqual(e.TCAM[sw], now):
-					t.Fatalf("%s: switch %d was read but differs from the fabric", label, sw)
-				case len(held) > 0 && (!written[sw] || !slices.Contains(read, sw)) && !rule.SameSlice(e.TCAM[sw], held[len(held)-1].TCAM[sw]):
-					t.Fatalf("%s: switch %d was not read, or not written, but its slice is not the previous epoch's", label, sw)
+				case !rule.SlicesEqual(e.TCAM[sw], now[sw]):
+					t.Fatalf("%s: switch %d differs from the fabric", label, sw)
+				case len(held) > 0 && !written[sw] && !rule.SameSlice(e.TCAM[sw], held[len(held)-1].TCAM[sw]):
+					t.Fatalf("%s: switch %d was not written, but its slice is not the previous epoch's", label, sw)
 				}
 			}
-			for _, sw := range read {
-				written[sw] = false
-			}
+			clear(written)
 			copies = append(copies, &Epoch{TCAM: map[object.ID][]rule.Rule{}})
 			for sw, rules := range e.TCAM {
 				copies[len(copies)-1].TCAM[sw] = oracle.CloneRules(rules)
@@ -220,23 +186,18 @@ func absent(from, to []rule.Rule) []rule.Rule {
 	return out
 }
 
-func TestSnapshotAndHistory(t *testing.T)        { runCollect(t, 2, 6, opSnapshot) }
-func TestSnapshotSwitchesNoHistory(t *testing.T) { runCollect(t, 4, 3, opPartial, opEvict) }
-func TestSnapshotSwitchesAliases(t *testing.T)   { runCollect(t, 8, 30, opPartial, opEvict, opCorrupt) }
-func TestSnapshotSwitchesCountsWhatItRead(t *testing.T) {
-	runCollect(t, 8, 20, opPartial, opEvict)
-}
+func TestSnapshotAndHistory(t *testing.T) { runCollect(t, 2, 6, opSnapshot) }
 func TestCleanSnapshotSharesSlices(t *testing.T) {
 	runCollect(t, 8, 30, opSnapshot, opSnapshot, opEvict)
 }
 func TestDiffDetectsAddition(t *testing.T)         { runCollect(t, 4, 20, opSnapshot, opEdit) }
 func TestDiffDetectsEviction(t *testing.T)         { runCollect(t, 8, 20, opSnapshot, opEvict) }
-func TestDiffIdenticalEpochsEmpty(t *testing.T)    { runCollect(t, 2, 6, opSnapshot, opPartial) }
+func TestDiffIdenticalEpochsEmpty(t *testing.T)    { runCollect(t, 2, 6, opSnapshot) }
 func TestDirtySwitchesNoChange(t *testing.T)       { runCollect(t, 2, 6, opSnapshot) }
 func TestDirtySwitchesAllChange(t *testing.T)      { runCollect(t, 4, 20, opSnapshot, opEdit, opCorrupt) }
 func TestDirtySwitchesSingleEviction(t *testing.T) { runCollect(t, 8, 20, opSnapshot, opEvict) }
 func TestDirtySwitchesMembershipAndOrder(t *testing.T) {
-	runCollect(t, 16, 30, opSnapshot, opPartial, opEvict, opCorrupt, opEdit)
+	runCollect(t, 16, 30, opSnapshot, opEvict, opCorrupt, opEdit)
 }
 func TestEpochImmutableAgainstFabricChanges(t *testing.T) {
 	runCollect(t, 8, 40, opSnapshot, opEvict, opCorrupt, opEdit)

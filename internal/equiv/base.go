@@ -10,7 +10,7 @@
 package equiv
 
 import (
-	"sort"
+	"slices"
 
 	"scout/internal/bdd"
 	"scout/internal/rule"
@@ -93,40 +93,12 @@ func CollectMatches(set map[rule.Match]struct{}, rules []rule.Rule) {
 	}
 }
 
-// SortMatches orders matches canonically (field-by-field).
+// SortMatches orders matches canonically, by rule.CompareMatch.
 //
 // Deprecated: no base build takes matches any more. It stays until
 // bench/ stops calling it (ROADMAP item 1, shims).
 func SortMatches(matches []rule.Match) {
-	sort.Slice(matches, func(i, j int) bool { return matchLess(matches[i], matches[j]) })
-}
-
-func matchLess(a, b rule.Match) bool {
-	if a.VRF != b.VRF {
-		return a.VRF < b.VRF
-	}
-	if a.SrcEPG != b.SrcEPG {
-		return a.SrcEPG < b.SrcEPG
-	}
-	if a.DstEPG != b.DstEPG {
-		return a.DstEPG < b.DstEPG
-	}
-	if a.Proto != b.Proto {
-		return a.Proto < b.Proto
-	}
-	if a.PortLo != b.PortLo {
-		return a.PortLo < b.PortLo
-	}
-	if a.PortHi != b.PortHi {
-		return a.PortHi < b.PortHi
-	}
-	if a.WildcardVRF != b.WildcardVRF {
-		return b.WildcardVRF
-	}
-	if a.WildcardSrc != b.WildcardSrc {
-		return b.WildcardSrc
-	}
-	return !a.WildcardDst && b.WildcardDst
+	slices.SortFunc(matches, func(a, b rule.Match) int { return rule.CompareMatch(&a, &b) })
 }
 
 // Deprecated: EncodeStats summarized a run's worker checkers, which no

@@ -14,7 +14,7 @@ import (
 )
 
 // Inputs the runner cannot draw: what a fork of a base compiles and where
-// its nodes land, what Reset, Compact and a fingerprint collision do, the
+// its nodes land, what Reset and a fingerprint collision do, the
 // fingerprints' sensitivity, and the node-count bounds of the compiler and
 // the walk.
 
@@ -171,32 +171,28 @@ func TestNewBaseSkipsUnfoldableLists(t *testing.T) {
 	}
 }
 
-// TestSortMatchesTotalOrder: the canonical order is deterministic and
-// insensitive to input permutation, and CollectMatches gathers each
-// distinct match once.
+// TestSortMatchesTotalOrder: the canonical order is rule.CompareMatch's,
+// so it is insensitive to input permutation, and CollectMatches gathers
+// each distinct match once.
 func TestSortMatchesTotalOrder(t *testing.T) {
 	set := map[rule.Match]struct{}{}
 	CollectMatches(set, withDeny(allowRule(1, 2, 3, 80), allowRule(1, 2, 3, 80), allowRule(1, 3, 2, 443)))
 	if len(set) != 3 {
 		t.Errorf("CollectMatches gathered %d matches, want 3 (two allows and the deny)", len(set))
 	}
-	a := []rule.Match{
+	in := []rule.Match{
 		{VRF: 2, SrcEPG: 1, DstEPG: 1, PortLo: 0, PortHi: rule.PortMax},
 		{VRF: 1, SrcEPG: 9, DstEPG: 1, PortLo: 80, PortHi: 80},
 		{VRF: 1, SrcEPG: 2, DstEPG: 3, Proto: rule.ProtoTCP, PortLo: 80, PortHi: 80},
 		{VRF: 1, SrcEPG: 2, DstEPG: 3, Proto: rule.ProtoTCP, PortLo: 80, PortHi: 80, WildcardDst: true},
 		{WildcardVRF: true, WildcardSrc: true, WildcardDst: true, PortHi: rule.PortMax},
 	}
-	b := []rule.Match{a[4], a[2], a[0], a[3], a[1]}
+	a, b := slices.Clone(in), []rule.Match{in[4], in[2], in[0], in[3], in[1]}
 	SortMatches(a)
 	SortMatches(b)
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("sort not canonical:\n%v\n%v", a, b)
-	}
-	for i := 1; i < len(a); i++ {
-		if !matchLess(a[i-1], a[i]) || matchLess(a[i], a[i-1]) {
-			t.Errorf("matches %d and %d out of order, or matchLess not antisymmetric", i-1, i)
-		}
+	want := []rule.Match{in[4], in[2], in[3], in[1], in[0]}
+	if !reflect.DeepEqual(a, want) || !reflect.DeepEqual(b, want) || !slices.IsSortedFunc(a, func(x, y rule.Match) int { return rule.CompareMatch(&x, &y) }) {
+		t.Errorf("sort not canonical:\n%v\n%v\nwant %v", a, b, want)
 	}
 }
 
@@ -356,32 +352,6 @@ func TestSemanticsBaseMissFoldsInDelta(t *testing.T) {
 // not that slice reports what the base's slice gets (copyStep).
 func TestEqualCopyCompiles(t *testing.T) { runCases(t, 17, 40, copyStep) }
 
-// TestCheckerCompactShrinksDelta: compaction sheds the dead intermediates
-// of a fold-heavy run of drawn cases.
-func TestCheckerCompactShrinksDelta(t *testing.T) {
-	c, ch := oracle.FromSeed(23), emptyFork()
-	for i := 0; i < 16; i++ {
-		_, _ = ch.Check(genPair(c)) // an unencodable case fails and builds nothing
-	}
-	before := ch.DeltaSize()
-	if st, ok := ch.Compact(); !ok || st.Dropped == 0 || ch.DeltaSize() >= before {
-		t.Fatalf("compaction shed nothing: before %d, after %d (%+v, %v)", before, ch.DeltaSize(), st, ok)
-	}
-}
-
-// TestRefBackedCheckerCompactNoop: the reference backend cannot compact;
-// the call refuses and changes nothing.
-func TestRefBackedCheckerCompactNoop(t *testing.T) {
-	c := newBase().newChecker(func() Backend { return oracle.NewRefManager(NumVars) })
-	if _, err := c.Check(withDeny(allowRule(1, 2, 3, 80)), withDeny(allowRule(1, 2, 3, 81))); err != nil {
-		t.Fatal(err)
-	}
-	size := c.DeltaSize()
-	if _, ok := c.Compact(); ok || c.DeltaSize() != size {
-		t.Fatalf("Compact on the reference backend: ok %v, DeltaSize %d -> %d", ok, size, c.DeltaSize())
-	}
-}
-
 // TestAttributeRejectsUnencodableRule: attribution reports the encoding's
 // own error for an allow rule it cannot represent, and never encodes a
 // deny rule.
@@ -503,12 +473,10 @@ func editCells(list []rule.Rule, shift uint16, cells ...int) []rule.Rule {
 }
 
 // TestMemoDiesWithItsNodeIDs: a checker's private memo names delta nodes
-// by ID, and Compact renumbers the delta. Here the difference of a first
-// check is garbage sitting below the nodes of a list compiled after it,
-// so compaction moves those nodes down — and a list compiled next, which
-// shares groups with both, must still come out as the oracle fold builds
-// it in the same manager. (Keeping the memo across Compact fails this
-// test and, when it was written, no other.) Reset is held to the same.
+// by ID, and Reset re-forks the delta, whose IDs then name other nodes. A
+// list compiled after a Reset, which shares groups with the lists checked
+// before it, must still come out as the oracle fold builds it in the same
+// manager.
 func TestMemoDiesWithItsNodeIDs(t *testing.T) {
 	a := churnList(900)
 	a1 := editCells(a, 7, 20, 140, 260)
@@ -540,10 +508,6 @@ func TestMemoDiesWithItsNodeIDs(t *testing.T) {
 	if len(c.memo) == 0 {
 		t.Fatal("the checks left no private memo to go stale")
 	}
-	if stats, ok := c.Compact(); !ok || stats.Dropped == 0 || len(c.memo) != 0 {
-		t.Fatalf("compaction dropped %+v (%v) and kept %d memo entries: want nodes moved and the memo gone", stats, ok, len(c.memo))
-	}
-	check(c, "after Compact")
 	if c.Reset(); len(c.memo) != 0 {
 		t.Error("Reset kept the private memo")
 	}

@@ -120,8 +120,8 @@ func reduceRule(r rule.Rule) compiledRule {
 // snapshot under a fork). The keys are the content itself, byte for byte
 // (built in tail and split), not a hash of it: equal keys are equal
 // functions, so a hit needs no verification. The values are only as good
-// as the manager's node IDs — whoever resets or compacts the manager drops
-// the memo with it.
+// as the manager's node IDs — whoever resets the manager drops the memo
+// with it.
 type compileMemo map[string]bdd.Node
 
 // compileMemoized builds, in m, the BDD of the packets a prioritized rule

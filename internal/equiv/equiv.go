@@ -75,7 +75,7 @@ type Checker struct {
 	newM func() Backend
 	// memo is the compiler's memo of tails and tries (compile.go). Its
 	// nodes may sit in the delta, so it lives exactly as long as the
-	// delta's node IDs do: Reset and Compact drop it.
+	// delta's node IDs do: Reset drops it.
 	memo compileMemo
 
 	// foldMisses counts the lists compiled in this checker, cumulative
@@ -130,27 +130,10 @@ func (c *Checker) Reset() {
 	c.memo = compileMemo{}
 }
 
-// Compact runs a delta GC on the checker's manager with no live root: a
-// checker keeps no whole-list root of its own, so the T-side diagrams and
-// the difference BDDs, dead since their checks reported, are all the delta
-// holds and all of it is dropped. The compiler's memo names delta nodes by
-// ID; it is dropped too, and refills from the compiles that follow.
-// Reports after a Compact are identical.
-//
-// Compact returns false (and does nothing) when the backend does not
-// support compaction (the map-backed reference manager).
-//
-// Deprecated: no checker outlives its check, so none is compacted.
-// Compact stays until bench/ stops timing it (ROADMAP item 1, shims).
-func (c *Checker) Compact() (bdd.CompactStats, bool) {
-	m, ok := c.m.(*bdd.Manager)
-	if !ok {
-		return bdd.CompactStats{}, false
-	}
-	_, stats := m.CompactDelta(nil)
-	c.memo = compileMemo{}
-	return stats, true
-}
+// Deprecated: Compact does nothing and returns false — no checker
+// outlives its check, so none is compacted. It stays until bench/ stops
+// timing it (ROADMAP item 1, shims).
+func (c *Checker) Compact() (bdd.CompactStats, bool) { return bdd.CompactStats{}, false }
 
 // Report is the outcome of one L-T equivalence check. Its rules are the
 // checked lists' own, by value, each sharing its provenance slice with the

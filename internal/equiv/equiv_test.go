@@ -386,7 +386,7 @@ func TestSharedSemanticsIdentity(t *testing.T) { runCases(t, 7, 40, checkStep) }
 
 func TestCheckerBackendDifferential(t *testing.T) { runSweep(t, 0, 48) }
 
-func TestCheckerCompactPreservesReports(t *testing.T) { runSweep(t, 11, 16) }
+func TestCheckerResetPreservesReports(t *testing.T) { runSweep(t, 11, 16) }
 
 // FuzzCompileSemantics decodes a case and compiles it: on every engine, to
 // the fold's node or its error, agreeing with a first-match scan, and

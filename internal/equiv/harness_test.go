@@ -228,8 +228,18 @@ func compileStep(t *testing.T, c *oracle.Choices, logical, deployed []rule.Rule)
 		}
 		m := bdd.NewManager(NumVars)
 		if root, err := compileSemantics(m, rules); err == nil {
-			if _, st := m.CompactDelta([]bdd.Node{root}); st.Dropped != 0 {
-				t.Fatalf("%d interned nodes are unreachable from the root\nrules: %v", st.Dropped, rules)
+			reached := map[bdd.Node]bool{bdd.False: true, bdd.True: true}
+			var walk func(bdd.Node)
+			walk = func(n bdd.Node) {
+				if !reached[n] {
+					reached[n] = true
+					_, lo, hi := m.NodeAt(n)
+					walk(lo)
+					walk(hi)
+				}
+			}
+			if walk(root); len(reached) != m.Size() {
+				t.Fatalf("%d interned nodes are unreachable from the root\nrules: %v", m.Size()-len(reached), rules)
 			}
 		}
 	}
@@ -473,21 +483,21 @@ func newSweep() *sweep {
 	return &sweep{fresh: emptyFork(), second: emptyFork(), ref: ref}
 }
 
-// checkStep checks one case on a sweep of its own, then compacts it.
+// checkStep checks one case on a sweep of its own, then resets it.
 func checkStep(t *testing.T, c *oracle.Choices, logical, deployed []rule.Rule) {
 	t.Helper()
 	s := newSweep()
 	s.check(t, c, logical, deployed)
-	s.compact(t)
+	s.reset(t)
 }
 
-// runSweep checks n cases drawn from seed on one sweep, then compacts it.
+// runSweep checks n cases drawn from seed on one sweep, then resets it.
 func runSweep(t *testing.T, seed int64, n int) {
 	t.Helper()
 	s := newSweep()
 	runCases(t, seed, n, s.check)
-	if s.compact(t) == 0 {
-		t.Fatalf("no logical list of %d encoded: the re-checks after compaction compiled nothing", n)
+	if s.reset(t) == 0 {
+		t.Fatalf("no logical list of %d encoded: the re-checks after Reset compiled nothing", n)
 	}
 }
 
@@ -752,27 +762,22 @@ func genUnion(c *oracle.Choices) (logical, deployed []rule.Rule) {
 	return logical, deployed
 }
 
-// compact compacts the fresh checker and re-checks every case on it.
-// Reports and errors are alike again, Compact's Dropped is the delta it
-// shed — all of it, since a checker keeps no root of its own — and every
+// reset resets the fresh checker and re-checks every case on it. Reset
+// sheds the whole delta, reports and errors are alike again, and every
 // list that encodes is compiled anew: a logical list, and a collected one
 // behind a logical list that encoded. It returns the number of lists the
 // re-checks compiled.
-func (s *sweep) compact(t *testing.T) int {
+func (s *sweep) reset(t *testing.T) int {
 	t.Helper()
 	ch := s.fresh
-	pre, delta := ch.Stats(), ch.DeltaSize()
-	st, ok := ch.Compact()
-	if !ok {
-		t.Fatal("Compact refused on a manager-backed checker")
-	}
-	if shed := delta - ch.DeltaSize(); shed != st.Dropped || ch.DeltaSize() != 0 {
-		t.Fatalf("Compact shed %d delta nodes, kept %d and reported %d dropped", shed, ch.DeltaSize(), st.Dropped)
+	pre := ch.Stats()
+	if ch.Reset(); ch.DeltaSize() != 0 {
+		t.Fatalf("Reset kept %d delta nodes", ch.DeltaSize())
 	}
 	compiles := 0
 	for i, k := range s.cases {
 		if got, err := ch.Check(k.logical, k.deployed); fmt.Sprint(err) != fmt.Sprint(k.err) || !reflect.DeepEqual(got, k.rep) {
-			t.Fatalf("case %d after Compact reports %+v (%v), before %+v (%v)", i, got, err, k.rep, k.err)
+			t.Fatalf("case %d after Reset reports %+v (%v), before %+v (%v)", i, got, err, k.rep, k.err)
 		}
 		failed := func(side string) bool { return k.err != nil && strings.HasPrefix(k.err.Error(), "encode "+side) }
 		if !failed("logical") {
@@ -783,7 +788,7 @@ func (s *sweep) compact(t *testing.T) int {
 		}
 	}
 	if post := ch.Stats(); post.FoldMisses-pre.FoldMisses != compiles {
-		t.Fatalf("re-checks after Compact: %d compiles, want %d", post.FoldMisses-pre.FoldMisses, compiles)
+		t.Fatalf("re-checks after Reset: %d compiles, want %d", post.FoldMisses-pre.FoldMisses, compiles)
 	}
 	return compiles
 }

@@ -71,7 +71,7 @@ type Switch struct {
 
 // TCAM exposes the switch's table to writes the fabric does not record:
 // tests and bench/ plant and remove rules through it. Analysis reads tables
-// only through CollectTCAM and CollectAll.
+// only through CollectAll.
 func (s *Switch) TCAM() *tcam.TCAM { return s.tcam }
 
 // Fabric is the simulated deployment plane.
@@ -531,23 +531,14 @@ func (f *Fabric) InjectObjectFault(ref object.Ref, fraction float64) (int, error
 
 // --- State collection ---
 
-// CollectTCAM returns the TCAM snapshot of switch sw (T-type rules). Rule
+// CollectAll returns every switch's TCAM snapshot (T-type rules). Rule
 // collection runs over a management path and is modeled as always
-// available, even while the policy control channel is down. The slice is
+// available, even while the policy control channel is down. Each slice is
 // the table's shared read-only snapshot (tcam.TCAM.Rules): the same slice
 // until the switch's TCAM is next written, never modified afterwards, and
 // not to be modified by the caller. Each rule in it shares its provenance
-// slice with the logical rule the agent installed (see rule.Rule).
-func (f *Fabric) CollectTCAM(sw object.ID) ([]rule.Rule, error) {
-	s, err := f.Switch(sw)
-	if err != nil {
-		return nil, err
-	}
-	return s.tcam.Rules(), nil
-}
-
-// CollectAll returns TCAM snapshots for every switch, each under the
-// shared read-only contract of CollectTCAM; the map is the caller's.
+// slice with the logical rule the agent installed (see rule.Rule). The
+// map is the caller's.
 func (f *Fabric) CollectAll() map[object.ID][]rule.Rule {
 	out := make(map[object.ID][]rule.Rule, len(f.switches))
 	for id, s := range f.switches {

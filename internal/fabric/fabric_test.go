@@ -91,6 +91,18 @@ func TestPushMatchesSequentialOracle(t *testing.T) {
 	}
 }
 
+// FuzzFabric runs the fuzzer's bytes as a generated stream on the
+// three-tier example, at a capacity that may overflow.
+func FuzzFabric(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 0, 9, 5, 0, 1, 8, 7, 2, 6, 1, 3, 9, 0, 4, 1, 2, 0, 9, 6, 3, 1, 9, 5, 1, 0, 8, 3, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c := oracle.FromBytes(data)
+		p, tp := threeTier(t)
+		newTwins(t, p, tp, Options{Seed: int64(c.Byte()), TCAMCapacity: 3 + c.Intn(6)}).stream(c, min(len(data), 150))
+	})
+}
+
 func TestDeployRendersAllRules(t *testing.T) {
 	h := deployed(t, Options{Seed: 1})
 	for _, sw := range h.f.topology.Switches() {
@@ -112,7 +124,6 @@ func TestUnknownSwitchErrors(t *testing.T) {
 	h := deployed(t, Options{Seed: 1})
 	for _, op := range []func(*Fabric) (any, error){
 		func(f *Fabric) (any, error) { return f.Switch(99) },
-		func(f *Fabric) (any, error) { return f.CollectTCAM(99) },
 		func(f *Fabric) (any, error) { return nil, f.Disconnect(99) },
 		func(f *Fabric) (any, error) { return nil, f.CrashAgent(99) },
 		func(f *Fabric) (any, error) { return f.EvictTCAM(99, 1) },
@@ -324,7 +335,7 @@ func TestCollectAll(t *testing.T) {
 	all := h.f.CollectAll()
 	for _, sw := range h.f.topology.Switches() {
 		if len(all) != 3 || len(all[sw]) == 0 || !rule.SameSlice(all[sw], collect(h, sw)) {
-			t.Errorf("switch %d: CollectAll over %d switches and CollectTCAM disagree, or the snapshot is empty", sw, len(all))
+			t.Errorf("switch %d: CollectAll over %d switches and the switch's table disagree, or the snapshot is empty", sw, len(all))
 		}
 	}
 }

@@ -114,9 +114,7 @@ func Scout(m risk.View, oracle ChangeOracle) *Result {
 // ScoutWithStats is Scout, and also returns the call's own stage times.
 func ScoutWithStats(m risk.View, oracle ChangeOracle) (*Result, EngineStats) {
 	var st EngineStats
-	res := runScout(m, oracle, &st)
-	addTotals(st)
-	return res, st
+	return runScout(m, oracle, &st), st
 }
 
 // Score runs the SCORE baseline with the given hit-ratio threshold

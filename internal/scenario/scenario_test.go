@@ -61,8 +61,8 @@ func TestParseAndRunUnresponsiveSwitch(t *testing.T) {
 		t.Errorf("StepsRun = %d", res.StepsRun)
 	}
 	// Effect check: switch 2 missed the 443 rules, switch 3 has them.
-	s2, _ := f.CollectTCAM(2)
-	s3, _ := f.CollectTCAM(3)
+	tcams := f.CollectAll()
+	s2, s3 := tcams[2], tcams[3]
 	has443 := func(rules []rule.Rule) bool {
 		for _, r := range rules {
 			if r.Match.PortLo == 443 {
@@ -191,9 +191,9 @@ func TestInjectDefaultsToFullFault(t *testing.T) {
 	if res.RulesRemoved == 0 {
 		t.Fatal("full fault must remove rules")
 	}
+	tcams := f.CollectAll()
 	for _, sw := range []object.ID{1, 2, 3} {
-		rules, _ := f.CollectTCAM(sw)
-		for _, r := range rules {
+		for _, r := range tcams[sw] {
 			if r.Match.PortLo == 80 {
 				t.Errorf("switch %d still has port-80 rules", sw)
 			}
