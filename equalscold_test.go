@@ -752,9 +752,10 @@ func asCodecV2(img []byte) []byte {
 	return binary.LittleEndian.AppendUint64(body, h.Sum64())
 }
 
-// sameRules reports whether two rule lists have equal content.
+// sameRules reports whether two rule lists have equal content as
+// rule.Equal compares rules: a nil provenance equals an empty one.
 func sameRules(a, b []scout.Rule) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0] || reflect.DeepEqual(a, b))
+	return slices.EqualFunc(a, b, scout.Rule.Equal)
 }
 
 // exactAllows counts the allow rules of l between concrete EPGs.

@@ -1,7 +1,9 @@
-// Rule-set fingerprinting for incremental re-verification: a Session
-// caches each switch's equivalence report keyed by the fingerprints of the
-// logical and deployed rule lists, so an unchanged switch replays its
-// cached report instead of checking it again.
+// Rule-list fingerprints name the warm store's files: a deployment's
+// fingerprint keys its base and verdict files, and each verdict in the file
+// is keyed by the fingerprints of the logical and deployed rule lists it
+// was computed from. In memory a Session witnesses a verdict by those lists
+// themselves (rule.SlicesEqual); it hashes only where a file is written or
+// read, so a session with no store hashes nothing.
 
 package equiv
 
@@ -63,7 +65,7 @@ func (h *hasher) match(m rule.Match) {
 // fingerprints produce identical Check output. Collisions are possible in
 // principle (64-bit hash) but need ~2^32 distinct rule sets per switch to
 // become likely; callers that cannot tolerate that keep the rule lists and
-// compare with rule.SlicesEqual instead. The value is stable within one
+// compare with rule.SlicesEqual instead, as a Session does in memory. The value is stable within one
 // build of the program, not across versions: it keys the warm-state
 // store's files, and a file keyed by another version's value is simply
 // never found.
@@ -112,11 +114,12 @@ func SemanticsFingerprint(rules []rule.Rule) uint64 {
 // DeploymentFingerprints hashes a whole deployment's per-switch rule
 // lists (in ascending switch-ID order) into one 64-bit key, returned beside
 // the per-switch fingerprints it was folded from, so a caller that also
-// needs those (a Session partitioning switches into replays and re-checks)
-// hashes each rule list exactly once. The key is the invalidation key for
-// deployment-scoped state — the warm store files a Session's base and
-// verdicts under it, and loads or builds the base again when it moves. The
-// same collision caveat as Fingerprint applies.
+// needs those (a Session with a warm store, whose verdict file keys each
+// switch by its lists' fingerprints) hashes each rule list once. The key
+// names the warm store's files for the deployment: only a Session with a
+// store calls it, files its base and verdicts under it, and loads or builds
+// the base again when it moves. The same collision caveat as Fingerprint
+// applies.
 func DeploymentFingerprints(bySwitch map[object.ID][]rule.Rule) (map[object.ID]uint64, uint64) {
 	switches := make([]object.ID, 0, len(bySwitch))
 	for sw := range bySwitch {

@@ -120,6 +120,42 @@ func dupState(_ testing.TB, f *scout.Fabric) scout.State {
 	return st
 }
 
+// copiedState returns a state function: the fabric's collected state with
+// every list a fresh copy of equal content, as a collector outside the
+// simulator may hand it — a new Deployment whose every BySwitch list is a
+// clone, and a clone of every TCAM list. Every other call also rebuilds
+// each nil provenance of the first switch's logical list as an empty one,
+// so consecutive runs differ there as rule.Equal does not tell apart. The
+// fabric's own lists are not mutated.
+func copiedState() func(testing.TB, *scout.Fabric) scout.State {
+	rebuild := false
+	return func(t testing.TB, f *scout.Fabric) scout.State {
+		st, d := fabricState(f), f.Deployment()
+		cp := &scout.Deployment{BySwitch: make(map[scout.ObjectID][]scout.Rule, len(d.BySwitch)), Provenance: d.Provenance, Footprint: d.Footprint}
+		for sw, l := range d.BySwitch {
+			cp.BySwitch[sw] = slices.Clone(l)
+		}
+		for sw, l := range st.TCAM {
+			st.TCAM[sw] = slices.Clone(l)
+		}
+		st.Deployment = cp
+		if rebuild = !rebuild; !rebuild {
+			return st
+		}
+		rebuilt, first := 0, cp.BySwitch[switchesOf(f)[0]]
+		for i := range first {
+			if first[i].Provenance == nil {
+				first[i].Provenance = []scout.ObjectRef{}
+				rebuilt++
+			}
+		}
+		if rebuilt == 0 {
+			t.Fatal("the first switch's logical list has no rule without provenance")
+		}
+		return st
+	}
+}
+
 // beyondUnionState is the fabric's collected state with three TCAM lists
 // taken out of union form, as only a hand-built state can: the first
 // switch's list led by an allow that wildcards its source, the second's by

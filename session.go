@@ -20,28 +20,31 @@ import (
 // pipeline is orchestrated: every entry point says where its T lists came
 // from and hands them to run, and a one-shot Analyzer call is the first run
 // of a Session nobody keeps. A Session keeps state between runs, in two
-// lifetimes. What follows from the compiled deployment alone — its
-// fingerprints and the pristine risk model, whose arrays localization reads
-// as they are — is resolved once per deployment and reused until the policy
-// is recompiled; with a warm store, a new deployment also finds its frozen
-// BDD base in the store, or builds and writes it there, and keeps none.
-// What follows from an observation — each switch's newest verdict, keyed
-// by the fingerprints of the exact logical and TCAM rule lists it was
-// computed from — has one rule: it replays when both
-// fingerprints match, and leaves the cache only when a fresh verdict for
-// its switch replaces it. A T list that is the very
-// slice it was hashed from (an unwritten TCAM's snapshot) is not even
-// re-hashed. A re-analysis re-checks only the switches whose rules actually
-// changed, builds no risk model for a deployment it has seen, and still
-// produces a report byte-identical to a cold full Analyze at any worker
-// count (the fold stages are unchanged and order-deterministic, and failure
-// marks only ever go into per-run overlays).
+// lifetimes. What follows from the compiled deployment alone — the pristine
+// risk model, whose arrays localization reads as they are — is resolved
+// once per deployment and reused until the policy is recompiled; with a
+// warm store, a new deployment is also hashed into the fingerprint that
+// names its files, finds its frozen BDD base there, or builds and writes
+// it, and keeps none. What follows from an observation — each switch's
+// newest verdict — is witnessed by the exact logical and TCAM rule lists it
+// was computed from, and has one rule: it replays when both lists equal the
+// run's, and leaves the cache only when a fresh verdict for its switch
+// replaces it. One slice seen twice (an unwritten TCAM's snapshot, an
+// unchanged deployment's list) is equal without reading a rule. Only a
+// verdict loaded from the warm store, which holds the fingerprints its
+// file keys it by and no lists, is compared by hashing the run's lists. A
+// re-analysis re-checks only the switches whose rules actually changed,
+// builds no risk model for a deployment it has seen, and still produces a
+// report byte-identical to a cold full Analyze at any worker count (the
+// fold stages are unchanged and order-deterministic, and failure marks only
+// ever go into per-run overlays).
 //
 // Use a Session when the same fabric is analyzed repeatedly (watch loops,
 // collectors feeding epochs); use Analyzer for one-off analyses. Rule
 // state handed to a Session (deployments, epoch TCAM snapshots) must not
-// be mutated afterwards — the session compares against it by fingerprint,
-// and takes one T slice seen twice for unchanged content.
+// be mutated afterwards — the session keeps the lists its verdicts were
+// computed from and compares the next run's against them, taking one slice
+// seen twice for unchanged content.
 //
 // A Session serializes its runs internally and is safe for concurrent
 // use, though runs themselves parallelize per the configured Workers.
@@ -66,7 +69,7 @@ type Session struct {
 
 	// cache holds the newest verdict per switch: a check of its collected
 	// TCAM rules, a pure function of the switch's logical rules and TCAM
-	// list, so the same fingerprint pair keys a valid replay.
+	// list, so equal lists witness a valid replay.
 	cache map[object.ID]*switchCheckState
 
 	stats SessionStats
@@ -79,12 +82,10 @@ type deploymentState struct {
 	// the same pointer on the next run means every field below holds.
 	d *compile.Deployment
 
-	// fp is the deployment fingerprint — the key of the warm store's files
-	// — and logFPs the per-switch logical fingerprints it was folded from,
-	// the L half of every cached verdict's key. Both survive a
+	// fp is the deployment fingerprint, the key of the warm store's files;
+	// only a session with a store hashes it. It survives a
 	// content-identical recompile at a new address.
-	fp     uint64
-	logFPs map[object.ID]uint64
+	fp uint64
 
 	// ctrl is the deployment's one pristine risk model, the controller's;
 	// each switch's model is a range of it. It is keyed on d's identity,
@@ -94,17 +95,23 @@ type deploymentState struct {
 }
 
 // switchCheckState is one switch's cached verdict: the report and the
-// fingerprints of the exact rule lists it was computed from.
+// exact rule lists it was computed from.
 type switchCheckState struct {
-	logicalFP uint64
-	tcamFP    uint64
-	// tcam is the T list tcamFP was last hashed from in this process — a
-	// slice header onto the TCAM's or epoch's shared read-only snapshot,
-	// never a copy — and the only witness that a run's list is unchanged:
-	// handed this very slice again, a run takes tcamFP without hashing. An
-	// entry seeded from the warm store has none and is always hashed against.
-	tcam   []rule.Rule
-	report *equiv.Report
+	// logical and tcam are the L and T lists the report describes: the
+	// ones it was checked on, or the equal ones a run replayed it for last.
+	// They are slice headers onto the deployment's and the TCAM's or
+	// epoch's read-only lists, never copies.
+	logical, tcam []rule.Rule
+	// seeded marks an entry loaded from the warm store: it has the
+	// fingerprints its file keys it by and no lists, and its nil lists are
+	// unknown, never empty. A run hashes its own lists against it and, on a
+	// match, makes them the entry's.
+	seeded bool
+	// logicalFP and tcamFP are the lists' fingerprints, the entry's key in
+	// the verdict file. 0 is not hashed yet: a save hashes it then, and a
+	// list that truly hashes to 0 is merely hashed again.
+	logicalFP, tcamFP uint64
+	report            *equiv.Report
 }
 
 // SessionStats counts a session's cache behaviour across runs, the
@@ -168,11 +175,11 @@ func (s *Session) fabricState(tcams map[object.ID][]rule.Rule, now time.Time) St
 // Analyze collects the fabric's current state and analyzes it,
 // re-checking only switches whose logical or TCAM rules changed since the
 // session's previous run. A TCAM hands back the same snapshot until it is
-// written, so only the written switches' lists are hashed to find them. It
-// is also the event-driven refresh: a watch loop calls it once the events
-// it drained have waited out its window, so events decide when a refresh
-// runs, and the snapshots which switches it re-checks — a write no event
-// names included.
+// written, so an unwritten switch's list is its verdict's own slice, and
+// only a written one is compared rule by rule. It is also the event-driven
+// refresh: a watch loop calls it once the events it drained have waited out
+// its window, so events decide when a refresh runs, and the snapshots which
+// switches it re-checks — a write no event names included.
 func (s *Session) Analyze() (*Report, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -182,9 +189,9 @@ func (s *Session) Analyze() (*Report, error) {
 // AnalyzeEpoch analyzes one collector epoch against the fabric's current
 // deployment, anchored at the epoch's collection time — the delta
 // re-verification path for periodic collection. An epoch shares the slice
-// of every switch not written since the previous collection, so clean
-// switches skip fingerprinting entirely; a re-copied list is hashed, and
-// re-checked only if its content moved.
+// of every switch not written since the previous collection, so a clean
+// switch replays on a pointer compare; a re-copied list is compared rule
+// by rule, and re-checked only if its content moved.
 func (s *Session) AnalyzeEpoch(e *Epoch) (*Report, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -198,9 +205,10 @@ func (s *Session) AnalyzeEpoch(e *Epoch) (*Report, error) {
 func (s *Session) ApplyEvents(EventBatch) (*Report, error) { return s.Analyze() }
 
 // AnalyzeState analyzes raw collected state incrementally (production
-// users populating State themselves); a T list is hashed unless it is the
-// very slice the switch's cached verdict was computed from. The deployment
-// and TCAM slices must not be mutated after the call.
+// users populating State themselves): a switch replays its cached verdict
+// when its L and T lists equal the ones the verdict was computed from, as
+// the same slices or as copies of equal content. The deployment and TCAM
+// slices must not be mutated after the call.
 func (s *Session) AnalyzeState(st State) (*Report, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -225,12 +233,11 @@ func (s *Session) Stats() SessionStats {
 }
 
 // run is the pipeline's one orchestration, reached by every entry point
-// and by every one-shot: resolve the deployment, hash the T lists the cache
-// does not recognise, replay or re-check each switch, assemble the report
-// on the deployment's pristine risk model, and persist what changed. st
-// holds the T lists to analyze. Every run ends byte-identical to a cold run
-// on the same State: caching only ever short-circuits the check stage,
-// never the folds.
+// and by every one-shot: resolve the deployment, replay or re-check each
+// switch, assemble the report on the deployment's pristine risk model, and
+// persist what changed. st holds the T lists to analyze. Every run ends
+// byte-identical to a cold run on the same State: caching only ever
+// short-circuits the check stage, never the folds.
 func (s *Session) run(st State) (*Report, error) {
 	start := time.Now()
 	if st.Deployment == nil {
@@ -238,107 +245,75 @@ func (s *Session) run(st State) (*Report, error) {
 	}
 	st = st.withDefaultLogs()
 	switches := st.sortedSwitches()
-	if err := s.resolveLocked(st.Deployment); err != nil {
+	logFPs, err := s.resolveLocked(st.Deployment)
+	if err != nil {
 		return nil, fmt.Errorf("scout: the state's deployment: %w", err)
 	}
 
-	// A T list's fingerprint comes from the switch's cache entry when it is
-	// the very slice the entry's fingerprint was hashed from (snapshots are
-	// read-only, so one slice seen twice is unchanged content) and is
-	// otherwise hashed, over the workers like the checks. An empty list
-	// has no address to recognise and a store-seeded entry no list: both are
-	// hashed, so no fingerprint is trusted for a list this process never read.
-	tcamFPs := make([]uint64, len(switches))
-	var unhashed []int
+	// The session's one partition. A switch replays its cached verdict
+	// when the entry's L and T lists equal the run's: one slice seen twice
+	// is equal at once, and a churned list usually differs in length. A
+	// seeded entry is compared by hashing the run's lists instead, each
+	// once; the L list's hash is the deployment's, when resolveLocked made
+	// them this run. A replaying entry takes the run's lists, so it pins no
+	// superseded deployment or snapshot. Every other switch is dirty: its
+	// fresh entry keeps whatever fingerprints the run already knows, and
+	// its check decides its two lists by first match, class by class, and
+	// keeps nothing.
+	reports := make([]*equiv.Report, len(switches))
+	var (
+		dirty []int
+		fresh []*switchCheckState
+	)
 	for i, sw := range switches {
-		if ent := s.cache[sw]; ent != nil && len(ent.tcam) > 0 && rule.SameSlice(ent.tcam, st.TCAM[sw]) {
-			tcamFPs[i] = ent.tcamFP
-		} else {
-			unhashed = append(unhashed, i)
+		l, tl, ent := st.Deployment.RulesFor(sw), st.TCAM[sw], s.cache[sw]
+		lfp, tfp, replay := logFPs[sw], uint64(0), false
+		switch {
+		case ent == nil:
+		case ent.seeded:
+			if lfp == 0 {
+				lfp = equiv.Fingerprint(l)
+			}
+			tfp = equiv.Fingerprint(tl)
+			replay = lfp == ent.logicalFP && tfp == ent.tcamFP
+		case rule.SlicesEqual(ent.logical, l):
+			lfp = ent.logicalFP
+			replay = rule.SlicesEqual(ent.tcam, tl)
+		}
+		if replay {
+			ent.logical, ent.tcam, ent.seeded = l, tl, false
+			reports[i] = ent.report
+			continue
+		}
+		dirty = append(dirty, i)
+		fresh = append(fresh, &switchCheckState{logical: l, tcam: tl, logicalFP: lfp, tcamFP: tfp})
+	}
+	if len(fresh) > 0 { // a clean run's replay allocates no fan-out
+		if err := s.a.fanOut(len(fresh), func(j int) (err error) {
+			ent := fresh[j]
+			if ent.report, err = equiv.Check(ent.logical, ent.tcam); err != nil {
+				return fmt.Errorf("scout: equivalence check switch %d: %w", switches[dirty[j]], err)
+			}
+			return nil
+		}); err != nil {
+			return nil, err
 		}
 	}
-	if len(unhashed) > 0 { // a clean epoch's replay allocates nothing here
-		s.a.fanOut(len(unhashed), func(k int) error {
-			i := unhashed[k]
-			tcamFPs[i] = equiv.Fingerprint(st.TCAM[switches[i]])
-			return nil
-		})
+	for j, i := range dirty {
+		reports[i], s.cache[switches[i]] = fresh[j].report, fresh[j]
 	}
 
-	// A dirty switch's check decides its two lists by first match, class
-	// by class, and keeps nothing.
-	checkReps, checked, err := s.replayOrCheckLocked(st.TCAM, switches, tcamFPs,
-		func(dirty []object.ID) ([]*equiv.Report, error) {
-			reps := make([]*equiv.Report, len(dirty))
-			if err := s.a.fanOut(len(dirty), func(i int) (err error) {
-				sw := dirty[i]
-				if reps[i], err = equiv.Check(st.Deployment.RulesFor(sw), st.TCAM[sw]); err != nil {
-					return fmt.Errorf("scout: equivalence check switch %d: %w", sw, err)
-				}
-				return nil
-			}); err != nil {
-				return nil, err
-			}
-			return reps, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-
-	rep := s.a.assemble(s.dep.d, s.dep.ctrl, st.Changes, st.Faults, st.Now, switches, checkReps)
+	rep := s.a.assemble(s.dep.d, s.dep.ctrl, st.Changes, st.Faults, st.Now, switches, reports)
 	s.stats.Runs++
-	s.stats.Checked += checked
-	s.stats.Replayed += len(switches) - checked
+	s.stats.Checked += len(dirty)
+	s.stats.Replayed += len(switches) - len(dirty)
 	// A run that re-checked something changed some verdict: persist the
 	// cache under the deployment fingerprint.
-	if s.ws != nil && checked > 0 {
+	if s.ws != nil && len(dirty) > 0 {
 		s.saveVerdictsLocked()
 	}
 	rep.Elapsed = time.Since(start)
 	return rep, nil
-}
-
-// replayOrCheckLocked is the session's one partition. A switch whose
-// logical and T-side fingerprints both match its cached verdict replays it,
-// and the entry remembers this run's T list as the one its fingerprint
-// describes; every other switch is dirty and is handed to check, in
-// ascending order, and its fresh verdict replaces its entry. It returns the
-// reports aligned with switches and how many of them check produced.
-func (s *Session) replayOrCheckLocked(tcams map[object.ID][]rule.Rule, switches []object.ID, tcamFPs []uint64,
-	check func(dirty []object.ID) ([]*equiv.Report, error)) ([]*equiv.Report, int, error) {
-	reports := make([]*equiv.Report, len(switches))
-	var (
-		dirty    []object.ID
-		dirtyLog []uint64
-		dirtyIdx []int
-	)
-	for i, sw := range switches {
-		logFP, ok := s.dep.logFPs[sw]
-		if !ok { // a collected switch the deployment does not name
-			logFP = equiv.Fingerprint(s.dep.d.RulesFor(sw))
-		}
-		if ent := s.cache[sw]; ent != nil && ent.logicalFP == logFP && ent.tcamFP == tcamFPs[i] {
-			ent.tcam = tcams[sw]
-			reports[i] = ent.report
-			continue
-		}
-		dirty = append(dirty, sw)
-		dirtyLog = append(dirtyLog, logFP)
-		dirtyIdx = append(dirtyIdx, i)
-	}
-	if len(dirty) == 0 {
-		return reports, 0, nil
-	}
-	fresh, err := check(dirty)
-	if err != nil {
-		return nil, 0, err
-	}
-	for j, sw := range dirty {
-		i := dirtyIdx[j]
-		reports[i] = fresh[j]
-		s.cache[sw] = &switchCheckState{logicalFP: dirtyLog[j], tcamFP: tcamFPs[i], tcam: tcams[sw], report: fresh[j]}
-	}
-	return reports, len(dirty), nil
 }
 
 // resolveLocked brings s.dep in step with the run's deployment. It is the
@@ -349,31 +324,40 @@ func (s *Session) replayOrCheckLocked(tcams map[object.ID][]rule.Rule, switches 
 // is modelled as a shared risk, so whole-switch failures are localizable,
 // and a switch's model (4(a)) is the range of its triplets. The model is a
 // function of the compiled policy alone, so it is never marked: every
-// analysis annotates fresh overlays over it. Then the deployment is hashed
-// once: equal content (a recompile that changed nothing) keeps the
-// fingerprints and the verdicts keyed by them. New content replaces them
-// and, with a warm store, loads or builds the base and seeds the verdict
-// cache. A footprint that fails validation, or that the model build
-// refuses, is an error returned before anything changes, so the session
-// keeps the deployment it knew, with its verdicts and counters.
-func (s *Session) resolveLocked(d *compile.Deployment) error {
+// analysis annotates fresh overlays over it. With a warm store, the
+// deployment is then hashed into the fingerprint that names its files:
+// equal content (a recompile that changed nothing) keeps them, and new
+// content loads or builds its base and seeds the verdict cache from its
+// file. The per-switch L fingerprints that hash was folded from are
+// returned for this run's partition and save, and kept nowhere. A session
+// with no store hashes nothing. A footprint that fails validation, or that
+// the model build refuses, is an error returned before anything changes,
+// so the session keeps the deployment it knew, with its verdicts and
+// counters.
+func (s *Session) resolveLocked(d *compile.Deployment) (map[object.ID]uint64, error) {
 	if d == s.dep.d {
-		return nil
+		return nil, nil
 	}
 	if err := d.Footprint.Validate(); err != nil {
-		return err
+		return nil, err
 	}
 	ctrl, err := risk.BuildControllerModel(d)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	logFPs, fp := equiv.DeploymentFingerprints(d.BySwitch)
-	if s.ws != nil && (s.dep.d == nil || fp != s.dep.fp) {
-		s.loadOrBuildBaseLocked(d, fp)
-		s.seedVerdictsLocked(fp)
+	var (
+		logFPs map[object.ID]uint64
+		fp     uint64
+	)
+	if s.ws != nil {
+		logFPs, fp = equiv.DeploymentFingerprints(d.BySwitch)
+		if s.dep.d == nil || fp != s.dep.fp {
+			s.loadOrBuildBaseLocked(d, fp)
+			s.seedVerdictsLocked(fp)
+		}
 	}
-	s.dep = deploymentState{d: d, fp: fp, logFPs: logFPs, ctrl: ctrl}
-	return nil
+	s.dep = deploymentState{d: d, fp: fp, ctrl: ctrl}
+	return logFPs, nil
 }
 
 // loadOrBuildBaseLocked makes sure the warm store holds the frozen base of
@@ -400,9 +384,9 @@ func (s *Session) loadOrBuildBaseLocked(d *compile.Deployment, fp uint64) {
 // fingerprint into the cache. It runs on resolveLocked's new-content path
 // only, with a warm store. Only absent slots are filled: an
 // in-memory entry is at least as fresh as the file it was persisted to. A
-// replay still happens only when the logical and TCAM rule lists hash to the
-// loaded entry's fingerprints, making a stale or foreign file safe (its
-// entries simply never match).
+// seeded entry replays only when the run's logical and TCAM rule lists hash
+// to its fingerprints, making a stale or foreign file safe (its entries
+// simply never match).
 func (s *Session) seedVerdictsLocked(depFP uint64) {
 	vs, err := s.ws.LoadVerdicts(depFP, false)
 	if err != nil {
@@ -413,6 +397,7 @@ func (s *Session) seedVerdictsLocked(depFP uint64) {
 			continue
 		}
 		s.cache[v.Switch] = &switchCheckState{
+			seeded:    true,
 			logicalFP: v.LogicalFP,
 			tcamFP:    v.TCAMFP,
 			report:    v.Report,
@@ -421,10 +406,20 @@ func (s *Session) seedVerdictsLocked(depFP uint64) {
 }
 
 // saveVerdictsLocked persists the verdict cache under the resolved
-// deployment's fingerprint.
+// deployment's fingerprint. Only lists whose fingerprint no earlier run or
+// save has made are hashed, once, and the entry keeps it; a seeded entry
+// is written with the fingerprints it was loaded with.
 func (s *Session) saveVerdictsLocked() {
 	vs := make([]store.Verdict, 0, len(s.cache))
 	for sw, ent := range s.cache {
+		if !ent.seeded {
+			if ent.logicalFP == 0 {
+				ent.logicalFP = equiv.Fingerprint(ent.logical)
+			}
+			if ent.tcamFP == 0 {
+				ent.tcamFP = equiv.Fingerprint(ent.tcam)
+			}
+		}
 		vs = append(vs, store.Verdict{
 			Switch:    sw,
 			LogicalFP: ent.logicalFP,

@@ -297,12 +297,33 @@ func TestSessionEqualContentRedeploy(t *testing.T) {
 	}
 }
 
-// TestSeededVerdictIsHashedNotTrusted pins how a run decides what to hash:
-// a cache entry vouches for a T list only when it remembers that very
-// slice, and an entry seeded from the warm store remembers none. A filter
-// rolls out (policy B) and back (policy A); switch 2, which it misses,
-// keeps its clean verdict in B's file, and is stripped to three rules (or
-// none: the one list with no address to tell from an entry that has none).
+// TestCopiedListsReplay: a verdict is witnessed by its lists' content, not
+// by their addresses. Every run hands the session a new deployment and
+// fresh copies of every L and T list (copiedState), so no slice is ever
+// seen twice, and a nil provenance in one list turns empty and back; through
+// the tour, with a store and without, the model counts every switch whose
+// lists kept their content as replayed, and an unchanged fabric replays
+// every switch.
+func TestCopiedListsReplay(t *testing.T) {
+	t.Parallel()
+	for _, noStore := range []bool{false, true} {
+		t.Run(modes[noStore], func(t *testing.T) {
+			equalsCold(t, coldCase{state: copiedState(), entry: viaState, noStore: noStore, steps: tour})
+			r := equalsCold(t, coldCase{state: copiedState(), entry: viaState, noStore: noStore, steps: []step{{}}})
+			if n := len(r.last.Switches); r.want.Replayed != n || r.want.Checked != n {
+				t.Fatalf("an unchanged fabric of %d switches counted %+v, want every switch checked once and replayed once", n, r.want)
+			}
+		})
+	}
+}
+
+// TestSeededVerdictIsHashedNotTrusted pins what a run hashes: a cache entry
+// vouches for a run's lists only by holding equal ones, and an entry
+// seeded from the warm store holds none, only the fingerprints its file
+// keys it by, so the run's lists are hashed against them. A filter rolls
+// out (policy B) and back (policy A); switch 2, which it misses, keeps its
+// clean verdict in B's file, and is stripped to three rules (or none: an
+// empty list, which a seeded entry's missing lists must never be read as).
 // A rule no check can encode on switch 1 fails every run, which caches
 // nothing, until B is back and the rule gone. A session restarted under A
 // finds A's verdict file flipped, so the first verdicts it caches are what
