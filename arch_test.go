@@ -369,6 +369,32 @@ func TestArchitecture(t *testing.T) {
 		t.Errorf("the root package builds the risk model in %v, want once in %v", builds, want)
 	}
 
+	// Outside bench/ a rule list is hashed only where a store file is read
+	// or written: a new deployment's fingerprint when a session resolves it,
+	// and a verdict's lists when the run that loads its file adopts it or a
+	// save writes it. A run's partition compares lists and hashes none.
+	for key, want := range map[string][]string{
+		"internal/equiv:Fingerprint": {".:Session.adoptVerdictsLocked", ".:Session.saveVerdictsLocked",
+			"internal/equiv:DeploymentFingerprints"},
+		"internal/equiv:DeploymentFingerprints": {".:Session.resolveLocked"},
+	} {
+		var in []string
+		for _, u := range ix.uses[ix.lookup(t, key)] {
+			if strings.HasPrefix(u.pos.Filename, "bench/") {
+				continue
+			}
+			site := u.pos.String() // a package-level use
+			if u.in != nil {
+				site = ix.key(u.in)
+			}
+			in = append(in, site)
+		}
+		slices.Sort(in)
+		if in = slices.Compact(in); !slices.Equal(in, want) {
+			t.Errorf("%s is called outside bench/ in %v, want only in %v", key, in, want)
+		}
+	}
+
 	// Outside bench/ (and the oracle, which the index leaves out) two
 	// places start goroutines: Analyzer.fanOut, the pipeline's one
 	// fan-out, and Compile's pool sorting the switches' lists. Everything

@@ -24,9 +24,11 @@
 //
 // -state-dir names a durable warm-state directory: the session every
 // analysis runs through (a one-shot is its first run, -watch keeps it)
-// seeds its verdict cache from the file its deployment's fingerprint
-// names and writes what a round re-checked before the round returns, so a
-// restarted process replays an unchanged fabric without checking a switch.
+// adopts, on the round that loads it, each verdict of the file its
+// deployment's fingerprint names whose lists that round collected again,
+// drops the rest, and writes what a round re-checked before the round
+// returns, so a restarted process replays an unchanged fabric without
+// checking a switch.
 // A new deployment also loads its frozen BDD base from the directory, or
 // builds and writes it there; no check reads it, and without the flag none
 // is built. A write that fails fails the command once the session closes. The directory

@@ -546,14 +546,17 @@ func (r *coldRun) use(fp uint64, name string) {
 // verdictFile names the session's verdict file for a deployment fingerprint.
 func verdictFile(fp uint64) string { return fmt.Sprintf("checks-%016x.scout", fp) }
 
-// resolve brings the model in step with the run's deployment, as
-// Session.run does before it checks anything, and returns how many bases
-// the run builds and loads. A new deployment pointer rebuilds the risk
-// model; new content, with a store, loads its base if the store holds one
-// that loads with a root per logical list and builds and saves it
-// otherwise, and seeds the verdicts of its file into the switches the
-// cache holds nothing for. With no store it builds and loads nothing.
-func (r *coldRun) resolve(d *scout.Deployment) (built, loaded int) {
+// resolve brings the model in step with the run's state, as Session.run
+// does before it checks anything, and returns how many bases the run
+// builds and loads. New deployment content, with a store, loads its base
+// if the store holds one that loads with a root per logical list and
+// builds and saves it otherwise. Its verdict file is adopted or dropped,
+// verdict by verdict, by this run: a switch the cache holds nothing for
+// takes the file's verdict if its L and T lists are this run's, and every
+// other verdict of the file is gone, whatever a later run holds. With no
+// store it builds and loads nothing.
+func (r *coldRun) resolve(st scout.State) (built, loaded int) {
+	d := st.Deployment
 	if d == r.dep {
 		return 0, 0
 	}
@@ -575,8 +578,9 @@ func (r *coldRun) resolve(d *scout.Deployment) (built, loaded int) {
 		r.use(fp, verdictFile(fp))
 	}
 	for sw, v := range r.good[verdictFile(fp)] {
-		if _, ok := r.cache[sw]; !ok {
-			r.cache[sw] = v
+		l, tl := d.RulesFor(sw), st.TCAM[sw]
+		if _, ok := r.cache[sw]; !ok && sameRules(v[0], l) && sameRules(v[1], tl) {
+			r.cache[sw] = verdict{l, tl}
 		}
 	}
 	return built, loaded
@@ -620,7 +624,7 @@ func (r *coldRun) analyze(t *testing.T) {
 		st = r.state(t, r.f)
 	}
 	want := r.cold(t, st)
-	built, loaded := r.resolve(st.Deployment)
+	built, loaded := r.resolve(st)
 	var rep *scout.Report
 	var err error
 	switch r.entry {

@@ -3,7 +3,9 @@
 // is keyed by the fingerprints of the logical and deployed rule lists it
 // was computed from. In memory a Session witnesses a verdict by those lists
 // themselves (rule.SlicesEqual); it hashes only where a file is written or
-// read, so a session with no store hashes nothing.
+// read: when it saves, and when the run that loads a verdict file hashes
+// its own lists and adopts the verdicts they match. A session with no store
+// hashes nothing.
 
 package equiv
 

@@ -65,13 +65,14 @@ type AnalyzerOptions struct {
 	// WarmStore, when set, gives Sessions durable warm state: on the
 	// first run of a deployment the session loads a fingerprint-matching
 	// frozen base — its node table and one root per logical list, bound
-	// to the deployment's lists by position — and verdict cache from the
-	// store (a fresh process replays a clean fabric with zero compiles),
-	// building and saving the base when none loads, and every run that
-	// re-checked a switch writes its verdicts to the store before returning
-	// (Session.Close reports the session's first failed write). Only a
-	// session with a store holds a base. One-shot Analyzers ignore it: only
-	// NewSession hands the store to the session it creates.
+	// to the deployment's lists by position — building and saving it when
+	// none loads, and adopts each verdict of the deployment's file that the
+	// run's own lists match (a fresh process replays a clean fabric with
+	// no check); every run that re-checked a switch writes its verdicts to
+	// the store before returning (Session.Close reports the session's first
+	// failed write). No session keeps a base, and only a session with a
+	// store builds one. One-shot Analyzers ignore it: only NewSession hands
+	// the store to the session it creates.
 	WarmStore *store.Store
 }
 

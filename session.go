@@ -30,9 +30,10 @@ import (
 // was computed from, and has one rule: it replays when both lists equal the
 // run's, and leaves the cache only when a fresh verdict for its switch
 // replaces it. One slice seen twice (an unwritten TCAM's snapshot, an
-// unchanged deployment's list) is equal without reading a rule. Only a
-// verdict loaded from the warm store, which holds the fingerprints its
-// file keys it by and no lists, is compared by hashing the run's lists. A
+// unchanged deployment's list) is equal without reading a rule. A verdict
+// in the warm store's file enters the cache only through the run that
+// loads it, holding that run's lists, and only if they hash to the
+// fingerprints the file keys it by; the rest are dropped. A
 // re-analysis re-checks only the switches whose rules actually changed,
 // builds no risk model for a deployment it has seen, and still produces a
 // report byte-identical to a cold full Analyze at any worker count (the
@@ -82,10 +83,12 @@ type deploymentState struct {
 	// the same pointer on the next run means every field below holds.
 	d *compile.Deployment
 
-	// fp is the deployment fingerprint, the key of the warm store's files;
-	// only a session with a store hashes it. It survives a
-	// content-identical recompile at a new address.
-	fp uint64
+	// fp is the deployment fingerprint, the key of the warm store's files,
+	// and logFPs the per-switch L fingerprints, which key the verdicts; only
+	// a session with a store hashes them. fp survives a content-identical
+	// recompile at a new address.
+	fp     uint64
+	logFPs map[object.ID]uint64
 
 	// ctrl is the deployment's one pristine risk model, the controller's;
 	// each switch's model is a range of it. It is keyed on d's identity,
@@ -98,15 +101,11 @@ type deploymentState struct {
 // exact rule lists it was computed from.
 type switchCheckState struct {
 	// logical and tcam are the L and T lists the report describes: the
-	// ones it was checked on, or the equal ones a run replayed it for last.
+	// ones it was checked on or adopted for, or the equal ones a run
+	// replayed it for last.
 	// They are slice headers onto the deployment's and the TCAM's or
 	// epoch's read-only lists, never copies.
 	logical, tcam []rule.Rule
-	// seeded marks an entry loaded from the warm store: it has the
-	// fingerprints its file keys it by and no lists, and its nil lists are
-	// unknown, never empty. A run hashes its own lists against it and, on a
-	// match, makes them the entry's.
-	seeded bool
 	// logicalFP and tcamFP are the lists' fingerprints, the entry's key in
 	// the verdict file. 0 is not hashed yet: a save hashes it then, and a
 	// list that truly hashes to 0 is merely hashed again.
@@ -245,21 +244,18 @@ func (s *Session) run(st State) (*Report, error) {
 	}
 	st = st.withDefaultLogs()
 	switches := st.sortedSwitches()
-	logFPs, err := s.resolveLocked(st.Deployment)
-	if err != nil {
+	if err := s.resolveLocked(st.Deployment, st.TCAM); err != nil {
 		return nil, fmt.Errorf("scout: the state's deployment: %w", err)
 	}
 
 	// The session's one partition. A switch replays its cached verdict
 	// when the entry's L and T lists equal the run's: one slice seen twice
 	// is equal at once, and a churned list usually differs in length. A
-	// seeded entry is compared by hashing the run's lists instead, each
-	// once; the L list's hash is the deployment's, when resolveLocked made
-	// them this run. A replaying entry takes the run's lists, so it pins no
-	// superseded deployment or snapshot. Every other switch is dirty: its
-	// fresh entry keeps whatever fingerprints the run already knows, and
-	// its check decides its two lists by first match, class by class, and
-	// keeps nothing.
+	// replaying entry takes the run's lists, so it pins no superseded
+	// deployment or snapshot. Every other switch is dirty: its fresh entry
+	// keeps the L fingerprint a warm store's deployment has, and its check
+	// decides its two lists by first match, class by class, and keeps
+	// nothing.
 	reports := make([]*equiv.Report, len(switches))
 	var (
 		dirty []int
@@ -267,26 +263,13 @@ func (s *Session) run(st State) (*Report, error) {
 	)
 	for i, sw := range switches {
 		l, tl, ent := st.Deployment.RulesFor(sw), st.TCAM[sw], s.cache[sw]
-		lfp, tfp, replay := logFPs[sw], uint64(0), false
-		switch {
-		case ent == nil:
-		case ent.seeded:
-			if lfp == 0 {
-				lfp = equiv.Fingerprint(l)
-			}
-			tfp = equiv.Fingerprint(tl)
-			replay = lfp == ent.logicalFP && tfp == ent.tcamFP
-		case rule.SlicesEqual(ent.logical, l):
-			lfp = ent.logicalFP
-			replay = rule.SlicesEqual(ent.tcam, tl)
-		}
-		if replay {
-			ent.logical, ent.tcam, ent.seeded = l, tl, false
+		if ent != nil && rule.SlicesEqual(ent.logical, l) && rule.SlicesEqual(ent.tcam, tl) {
+			ent.logical, ent.tcam = l, tl
 			reports[i] = ent.report
 			continue
 		}
 		dirty = append(dirty, i)
-		fresh = append(fresh, &switchCheckState{logical: l, tcam: tl, logicalFP: lfp, tcamFP: tfp})
+		fresh = append(fresh, &switchCheckState{logical: l, tcam: tl, logicalFP: s.dep.logFPs[sw]})
 	}
 	if len(fresh) > 0 { // a clean run's replay allocates no fan-out
 		if err := s.a.fanOut(len(fresh), func(j int) (err error) {
@@ -316,48 +299,43 @@ func (s *Session) run(st State) (*Report, error) {
 	return rep, nil
 }
 
-// resolveLocked brings s.dep in step with the run's deployment. It is the
-// one place the session asks whether this is still the deployment it
-// knows. The same pointer means nothing moved. A new pointer's footprint
-// is validated first, once — a pointer seen before was validated then —
-// and its controller risk model (paper Figure 4(b)) is built: every switch
-// is modelled as a shared risk, so whole-switch failures are localizable,
-// and a switch's model (4(a)) is the range of its triplets. The model is a
-// function of the compiled policy alone, so it is never marked: every
-// analysis annotates fresh overlays over it. With a warm store, the
-// deployment is then hashed into the fingerprint that names its files:
-// equal content (a recompile that changed nothing) keeps them, and new
-// content loads or builds its base and seeds the verdict cache from its
-// file. The per-switch L fingerprints that hash was folded from are
-// returned for this run's partition and save, and kept nowhere. A session
-// with no store hashes nothing. A footprint that fails validation, or that
-// the model build refuses, is an error returned before anything changes,
-// so the session keeps the deployment it knew, with its verdicts and
-// counters.
-func (s *Session) resolveLocked(d *compile.Deployment) (map[object.ID]uint64, error) {
+// resolveLocked brings s.dep in step with the run's deployment d; tcams
+// are the run's T lists. It is the one place the session asks whether this
+// is still the deployment it knows. The same pointer means nothing moved.
+// A new pointer's footprint is validated first, once — a pointer seen
+// before was validated then — and its controller risk model (paper Figure
+// 4(b)) is built: every switch is modelled as a shared risk, so
+// whole-switch failures are localizable, and a switch's model (4(a)) is
+// the range of its triplets. The model is a function of the footprint
+// alone, so it is never marked: every analysis annotates fresh overlays
+// over it. With a warm store, the deployment is then hashed into the
+// fingerprints that name its files and key their verdicts: equal content
+// (a recompile that changed nothing) keeps them, and new content loads or
+// builds its base and adopts its verdicts. A session with no store hashes
+// nothing. A footprint that fails validation, or that the model build
+// refuses, is an error returned before anything changes, so the session
+// keeps the deployment it knew, with its verdicts and counters.
+func (s *Session) resolveLocked(d *compile.Deployment, tcams map[object.ID][]rule.Rule) error {
 	if d == s.dep.d {
-		return nil, nil
+		return nil
 	}
 	if err := d.Footprint.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	ctrl, err := risk.BuildControllerModel(d)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var (
-		logFPs map[object.ID]uint64
-		fp     uint64
-	)
+	dep := deploymentState{d: d, ctrl: ctrl}
 	if s.ws != nil {
-		logFPs, fp = equiv.DeploymentFingerprints(d.BySwitch)
-		if s.dep.d == nil || fp != s.dep.fp {
-			s.loadOrBuildBaseLocked(d, fp)
-			s.seedVerdictsLocked(fp)
+		dep.logFPs, dep.fp = equiv.DeploymentFingerprints(d.BySwitch)
+		if s.dep.d == nil || dep.fp != s.dep.fp {
+			s.loadOrBuildBaseLocked(d, dep.fp)
+			s.adoptVerdictsLocked(dep, tcams)
 		}
 	}
-	s.dep = deploymentState{d: d, fp: fp, ctrl: ctrl}
-	return logFPs, nil
+	s.dep = dep
+	return nil
 }
 
 // loadOrBuildBaseLocked makes sure the warm store holds the frozen base of
@@ -380,15 +358,14 @@ func (s *Session) loadOrBuildBaseLocked(d *compile.Deployment, fp uint64) {
 	}
 }
 
-// seedVerdictsLocked restores the verdicts persisted under the deployment
-// fingerprint into the cache. It runs on resolveLocked's new-content path
-// only, with a warm store. Only absent slots are filled: an
-// in-memory entry is at least as fresh as the file it was persisted to. A
-// seeded entry replays only when the run's logical and TCAM rule lists hash
-// to its fingerprints, making a stale or foreign file safe (its entries
-// simply never match).
-func (s *Session) seedVerdictsLocked(depFP uint64) {
-	vs, err := s.ws.LoadVerdicts(depFP, false)
+// adoptVerdictsLocked fills the cache's empty slots from the verdict file
+// of new deployment content dep, for the run whose T lists are tcams (an
+// entry in memory is at least as fresh as the file it was saved to). A
+// verdict is adopted, as an ordinary entry holding the run's lists, only
+// when they hash to the fingerprints the file keys it by; the rest are
+// dropped, so a stale or foreign file costs checks, never a wrong replay.
+func (s *Session) adoptVerdictsLocked(dep deploymentState, tcams map[object.ID][]rule.Rule) {
+	vs, err := s.ws.LoadVerdicts(dep.fp, false)
 	if err != nil {
 		return // unverifiable file: cold start for these switches
 	}
@@ -396,29 +373,28 @@ func (s *Session) seedVerdictsLocked(depFP uint64) {
 		if _, ok := s.cache[v.Switch]; ok {
 			continue
 		}
-		s.cache[v.Switch] = &switchCheckState{
-			seeded:    true,
-			logicalFP: v.LogicalFP,
-			tcamFP:    v.TCAMFP,
-			report:    v.Report,
+		l, tl := dep.d.RulesFor(v.Switch), tcams[v.Switch]
+		lfp, ok := dep.logFPs[v.Switch]
+		if !ok { // a switch the deployment does not name
+			lfp = equiv.Fingerprint(l)
+		}
+		if lfp == v.LogicalFP && equiv.Fingerprint(tl) == v.TCAMFP {
+			s.cache[v.Switch] = &switchCheckState{logical: l, tcam: tl, logicalFP: v.LogicalFP, tcamFP: v.TCAMFP, report: v.Report}
 		}
 	}
 }
 
 // saveVerdictsLocked persists the verdict cache under the resolved
 // deployment's fingerprint. Only lists whose fingerprint no earlier run or
-// save has made are hashed, once, and the entry keeps it; a seeded entry
-// is written with the fingerprints it was loaded with.
+// save has made are hashed, once, and the entry keeps it.
 func (s *Session) saveVerdictsLocked() {
 	vs := make([]store.Verdict, 0, len(s.cache))
 	for sw, ent := range s.cache {
-		if !ent.seeded {
-			if ent.logicalFP == 0 {
-				ent.logicalFP = equiv.Fingerprint(ent.logical)
-			}
-			if ent.tcamFP == 0 {
-				ent.tcamFP = equiv.Fingerprint(ent.tcam)
-			}
+		if ent.logicalFP == 0 {
+			ent.logicalFP = equiv.Fingerprint(ent.logical)
+		}
+		if ent.tcamFP == 0 {
+			ent.tcamFP = equiv.Fingerprint(ent.tcam)
 		}
 		vs = append(vs, store.Verdict{
 			Switch:    sw,

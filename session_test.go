@@ -317,17 +317,21 @@ func TestCopiedListsReplay(t *testing.T) {
 	}
 }
 
-// TestSeededVerdictIsHashedNotTrusted pins what a run hashes: a cache entry
-// vouches for a run's lists only by holding equal ones, and an entry
-// seeded from the warm store holds none, only the fingerprints its file
-// keys it by, so the run's lists are hashed against them. A filter rolls
-// out (policy B) and back (policy A); switch 2, which it misses, keeps its
-// clean verdict in B's file, and is stripped to three rules (or none: an
-// empty list, which a seeded entry's missing lists must never be read as).
-// A rule no check can encode on switch 1 fails every run, which caches
-// nothing, until B is back and the rule gone. A session restarted under A
-// finds A's verdict file flipped, so the first verdicts it caches are what
-// B's file seeds: the entry for switch 2 describes a lost TCAM.
+// TestSeededVerdictIsHashedNotTrusted pins how a stored verdict enters the
+// cache: a cache entry vouches for a run's lists only by holding equal ones,
+// and a verdict file holds only the fingerprints it keys each verdict by.
+// So the run that loads the file hashes its own lists against them, adopts
+// each verdict they match as an ordinary entry holding its lists, and drops
+// the rest, for good. A filter rolls out (policy B) and back (policy A);
+// switch 2, which it misses, keeps its clean verdict in B's file, and is
+// stripped to three rules (or none: an empty list, whose fingerprint is
+// not a full one's). A rule no check can encode on switch 1 fails every
+// run, which caches nothing, until B is back and the rule gone. A session
+// restarted under A finds A's verdict file flipped, so B's file is the
+// first it loads, by a run that fails on switch 1: that run drops the
+// verdicts of switch 1 and of switch 2, whose TCAM is lost, and adopts the
+// others, so the next run re-checks those two switches and replays the
+// rest.
 func TestSeededVerdictIsHashedNotTrusted(t *testing.T) {
 	t.Parallel()
 	testbed := func(t testing.TB) *scout.Fabric {
