@@ -5,10 +5,9 @@
 // to show which rules appeared or vanished between collections — the raw
 // material for trend analysis and post-incident forensics; a caller keeps
 // the epochs it wants to compare. Events decide when to collect, not
-// what: a TCAM hands back the snapshot it last published until it is
-// written, so a collection copies only the switches written since their
-// last read, and an unwritten switch contributes the previous epoch's
-// very slice.
+// what: a TCAM hands back its own list, which its first write after a
+// read copies before writing, so a collection copies nothing, and an
+// unwritten switch contributes the previous epoch's very slice.
 package collect
 
 import (
@@ -22,7 +21,8 @@ import (
 )
 
 // Epoch is one immutable collection of every switch's TCAM contents. Its
-// rule slices are the TCAMs' shared read-only snapshots (tcam.TCAM.Rules):
+// rule slices are the TCAMs' own lists, shared and read-only
+// (tcam.TCAM.Rules):
 // a switch not written between two collections contributes the same slice
 // to both epochs, which is what lets DirtySwitches and Diff pass over it
 // without reading a rule. Nobody may modify them.
@@ -57,9 +57,8 @@ func New(f *fabric.Fabric, _ int) *Collector {
 	return &Collector{f: f}
 }
 
-// Snapshot collects every switch's TCAM into a new epoch. Only switches
-// written since their last read cost a copy; the rest hand back the
-// snapshot they already published.
+// Snapshot collects every switch's TCAM into a new epoch. It copies no
+// table: a switch's next write copies its list instead.
 func (c *Collector) Snapshot() *Epoch {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -68,8 +67,7 @@ func (c *Collector) Snapshot() *Epoch {
 }
 
 // Deprecated: SnapshotSwitches is Snapshot and ignores its names — a
-// full collection copies only the switches written since their last read,
-// and it also sees writes no name covers. It stays until bench/ stops
+// full collection copies no table, and it also sees writes no name covers. It stays until bench/ stops
 // calling it (ROADMAP item 1, shims).
 func (c *Collector) SnapshotSwitches([]object.ID) (*Epoch, error) {
 	return c.Snapshot(), nil

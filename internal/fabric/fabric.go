@@ -534,9 +534,9 @@ func (f *Fabric) InjectObjectFault(ref object.Ref, fraction float64) (int, error
 // CollectAll returns every switch's TCAM snapshot (T-type rules). Rule
 // collection runs over a management path and is modeled as always
 // available, even while the policy control channel is down. Each slice is
-// the table's shared read-only snapshot (tcam.TCAM.Rules): the same slice
-// until the switch's TCAM is next written, never modified afterwards, and
-// not to be modified by the caller. Each rule in it shares its provenance
+// the table's own list, shared and read-only (tcam.TCAM.Rules): the same
+// slice until the switch's TCAM is next written, which copies it first, so
+// it is never modified afterwards, and not to be modified by the caller. Each rule in it shares its provenance
 // slice with the logical rule the agent installed (see rule.Rule). The
 // map is the caller's.
 func (f *Fabric) CollectAll() map[object.ID][]rule.Rule {

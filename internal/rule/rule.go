@@ -117,8 +117,8 @@ func (m Match) String() string {
 // Rule is a single prioritized access-control entry.
 //
 // A rule is a value, and every layer hands rules on by assignment: the
-// compiler into a deployment's lists, those into a TCAM, a TCAM into its
-// snapshots, a check into its report. What copies of a rule
+// compiler into a deployment's lists, those into a TCAM, a TCAM's write
+// into its own copy, a check into its report. What copies of a rule
 // share is the Provenance slice, which nobody writes once the rule is
 // constructed; the compiler itself shares one slice across every rule of a
 // (binding, filter).
@@ -181,9 +181,9 @@ func (r Rule) Equal(o Rule) bool {
 }
 
 // SameSlice reports whether a and b are one slice: equal length and the
-// same backing array. Rule lists handed between layers are read-only
-// (TCAM snapshots, collected epochs), so one slice seen twice is
-// unchanged content, established without reading a rule.
+// same backing array. Rule lists handed between layers are read-only (a
+// TCAM's list, which a write copies, and epochs), so one slice seen twice
+// is unchanged content, established without reading a rule.
 func SameSlice(a, b []Rule) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }

@@ -6,6 +6,7 @@ import (
 	"maps"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -23,7 +24,8 @@ import (
 // Rules hands out must be republished exactly when the step changed the
 // table and never change once handed out, and no rule a caller lent the
 // table may have changed. Concurrent snapshot readers are an option of the
-// same run. The key space is small so that corruption aliases keys, an
+// same run, and so is holding the first read after every step to no
+// allocation. The key space is small so that corruption aliases keys, an
 // entry directly behind another of its key included.
 
 // op is one step of a run.
@@ -46,11 +48,14 @@ var allOps = []op{opInstallAll, opInstall, opRemove, opRemoveKeys, opEvict, opCo
 
 // tableCase is one run's shape: the capacity handed to New, and steps
 // each drawn uniformly from ops. readers goroutines take snapshots and
-// read every entry of each while the run goes on.
+// read every entry of each while the run goes on. freeReads holds the
+// first Rules call after every step to zero mallocs; it applies only with
+// no readers, whose own allocations the count would take in.
 type tableCase struct {
 	capacity, steps int
 	ops             []op
 	readers         int
+	freeReads       bool
 }
 
 // refTable is the reference: the rules in match order. Evict and corrupt
@@ -191,6 +196,7 @@ type harness struct {
 	ref       refTable
 	rng, twin *rand.Rand
 	nextID    int
+	freeReads bool
 	// snap is the snapshot read after the last step and frozen its copy;
 	// lent is every rule list handed to the table and copies their copies.
 	snap, frozen []rule.Rule
@@ -205,9 +211,15 @@ func runTable(t *testing.T, c *oracle.Choices, cs tableCase, stats *tableStats) 
 	t.Helper()
 	d := &draws{c: c}
 	h := &harness{t: t, c: c, tc: New(cs.capacity), ref: refTable{capacity: cs.capacity, stats: stats},
-		rng: rand.New(&source{d: d}), twin: rand.New(&source{d: d}), states: [][]rule.Rule{nil}, stats: stats}
+		rng: rand.New(&source{d: d}), twin: rand.New(&source{d: d}), freeReads: cs.freeReads && cs.readers == 0,
+		states: [][]rule.Rule{nil}, stats: stats}
 	if h.ref.capacity <= 0 {
 		h.ref.capacity = DefaultCapacity
+	}
+	if h.freeReads {
+		// One P, as testing.AllocsPerRun pins: an allocation made on
+		// another P before the call can be counted during it.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	}
 	if h.tc.Capacity() != h.ref.capacity || h.tc.Len() != 0 {
 		t.Fatalf("New(%d): capacity %d, %d entries", cs.capacity, h.tc.Capacity(), h.tc.Len())
@@ -230,7 +242,7 @@ func runTable(t *testing.T, c *oracle.Choices, cs tableCase, stats *tableStats) 
 					t.Errorf("reader %d: a snapshot changed while Rules handed it out", g)
 					return
 				}
-				h.tc.RemoveKeys(nil) // takes the write lock and writes nothing
+				h.tc.RemoveKeys(nil) // takes the lock and writes nothing
 			}
 		}()
 	}
@@ -375,7 +387,7 @@ func repeatsAliased(keys []rule.Key, rules []rule.Rule) bool {
 func (h *harness) check(label string, changed bool) {
 	t := h.t
 	t.Helper()
-	snap := h.tc.Rules()
+	snap := h.firstRead(label)
 	if !rule.SlicesEqual(snap, h.ref.rules) || h.tc.Len() != len(h.ref.rules) {
 		t.Fatalf("%s: the table holds %v, the reference %v", label, snap, h.ref.rules)
 	}
@@ -399,13 +411,29 @@ func (h *harness) check(label string, changed bool) {
 	}
 }
 
+// firstRead returns the snapshot Rules hands out after a step, holding
+// the call to no allocation when the case asks for it.
+func (h *harness) firstRead(label string) []rule.Rule {
+	if !h.freeReads {
+		return h.tc.Rules()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	snap := h.tc.Rules()
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n > 0 {
+		h.t.Fatalf("%s: the first Rules call after it made %d allocations", label, n)
+	}
+	return snap
+}
+
 // checkCount verifies the table's invariants against a linear recount:
 // the entries are in non-increasing priority, count holds each key's
 // number of entries and no key at zero, and no rule stays alive in the
 // slack behind len.
 func checkCount(tc *TCAM) error {
-	tc.mu.RLock()
-	defer tc.mu.RUnlock()
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
 	recount := make(map[rule.Key]int)
 	for i, r := range tc.rules {
 		if i > 0 && tc.rules[i-1].Priority < r.Priority {

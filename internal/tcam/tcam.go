@@ -28,16 +28,16 @@ const DefaultCapacity = 4096
 
 // TCAM is a fixed-capacity rule table. It is safe for concurrent use.
 type TCAM struct {
-	mu       sync.RWMutex
+	mu       sync.Mutex
 	capacity int
 	rules    []rule.Rule // match order: priority desc, then install order
+	// shared is set when Rules has handed out rules since the last write
+	// took its own copy; the next write copies it first (ownLocked).
+	shared bool
 	// count is the number of entries carrying each key, so Install's
 	// duplicate check is one map lookup. Corruption can alias two entries
 	// onto one key, the only way a count exceeds 1; no key counts 0.
 	count map[rule.Key]int
-	// snap is the published read-only list Rules hands out, built on the
-	// first read after a write and dropped by the next write.
-	snap []rule.Rule
 }
 
 // New creates a TCAM with the given capacity. Capacity <= 0 selects
@@ -54,8 +54,8 @@ func (t *TCAM) Capacity() int { return t.capacity }
 
 // Len returns the number of installed entries.
 func (t *TCAM) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	return len(t.rules)
 }
 
@@ -70,7 +70,7 @@ func (t *TCAM) Install(r rule.Rule) error {
 
 // InstallAll installs the rules in order, leaving the table exactly as
 // calling Install on each in turn would, under one lock and with room for
-// the batch reserved up front. The table takes each rule by value, sharing
+// the batch reserved before its first write. The table takes each rule by value, sharing
 // its provenance slice with the caller (see rule.Rule), which no table
 // operation writes. It returns how many of them the table holds afterwards
 // — installed now, or present already, the cases where Install returns nil;
@@ -80,11 +80,11 @@ func (t *TCAM) InstallAll(rules []rule.Rule) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	room := min(len(rules), t.capacity-len(t.rules))
-	if room > 0 {
+	if room > 0 && !t.shared {
 		t.rules = slices.Grow(t.rules, room)
-		if len(t.count) == 0 {
-			t.count = make(map[rule.Key]int, room)
-		}
+	}
+	if room > 0 && len(t.count) == 0 {
+		t.count = make(map[rule.Key]int, room)
 	}
 	held := 0
 	for i := range rules {
@@ -107,9 +107,9 @@ func (t *TCAM) InstallAll(rules []rule.Rule) int {
 				return t.rules[i].Priority < r.Priority
 			})
 		}
+		t.ownLocked(room)
 		t.rules = slices.Insert(t.rules, pos, *r)
 		t.count[k]++
-		t.snap = nil
 		held++
 	}
 	return held
@@ -148,6 +148,7 @@ func (t *TCAM) RemoveKeys(keys []rule.Key) int {
 		return 0
 	}
 	left := victims
+	t.ownLocked(0)
 	t.rules = slices.DeleteFunc(t.rules, func(r rule.Rule) bool {
 		if left == 0 {
 			return false
@@ -161,37 +162,27 @@ func (t *TCAM) RemoveKeys(keys []rule.Key) int {
 		t.uncountLocked(k)
 		return true
 	})
-	t.snap = nil
 	return victims
 }
 
-// Rules returns a snapshot of the installed rules in match order. The
-// snapshot is a list of its own, distinct from table storage (which writes
-// shift and corruption edits in place), built once per table generation:
-// every call until the next write returns the same slice (same backing
-// array), and a write publishes a fresh one instead of touching it. It is
-// therefore shared and read-only — callers must not modify it — and a held
-// snapshot never changes. Its rules are values; each shares the provenance
+// Rules returns a snapshot of the installed rules in match order: the
+// table itself, marked shared and clipped to its length. Every call until
+// the next write returns the same slice (same backing array), and the
+// first write after a read copies the table before writing, so a held
+// snapshot never changes. It is therefore shared and read-only — callers
+// must not modify it. Its rules are values; each shares the provenance
 // slice of the rule that was installed (see rule.Rule).
 func (t *TCAM) Rules() []rule.Rule {
-	t.mu.RLock()
-	snap := t.snap
-	t.mu.RUnlock()
-	if snap != nil {
-		return snap
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.snap == nil {
-		t.snap = slices.Clone(t.rules)
-	}
-	return t.snap
+	t.shared = true
+	return slices.Clip(t.rules)
 }
 
 // Keys returns the set of installed rule keys.
 func (t *TCAM) Keys() map[rule.Key]struct{} {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	return rule.KeySet(t.rules)
 }
 
@@ -231,10 +222,11 @@ func (t *TCAM) Corrupt(n int, field CorruptionField, rng *rand.Rand) []rule.Key 
 	var damaged []rule.Key
 	for i := 0; i < n && len(t.rules) > 0; i++ {
 		idx := rng.Intn(len(t.rules))
-		r := &t.rules[idx]
-		if r.IsDefaultDeny() {
+		if t.rules[idx].IsDefaultDeny() {
 			continue
 		}
+		t.ownLocked(0)
+		r := &t.rules[idx]
 		oldKey := r.Key()
 		damaged = append(damaged, oldKey)
 		bit := uint32(1) << uint(rng.Intn(16))
@@ -255,7 +247,6 @@ func (t *TCAM) Corrupt(n int, field CorruptionField, rng *rand.Rand) []rule.Key 
 			t.uncountLocked(oldKey)
 			t.count[k]++
 		}
-		t.snap = nil
 	}
 	return damaged
 }
@@ -269,11 +260,21 @@ func (t *TCAM) uncountLocked(k rule.Key) {
 	}
 }
 
-// deleteAtLocked deletes the entry at position i. slices.Delete zeroes the
-// vacated slot (as DeleteFunc does in RemoveKeys), so the table does not
-// keep the last rule's provenance slice alive past len.
+// ownLocked readies the table for a write: a table a read shared becomes
+// a copy of its own, with room for extra more entries. The clone keeps the
+// room its allocation rounds up to, so installs that follow one at a time
+// fit; only a batch larger than that room grows it again.
+func (t *TCAM) ownLocked(extra int) {
+	if t.shared {
+		t.rules, t.shared = slices.Grow(slices.Clone(t.rules), extra), false
+	}
+}
+
+// deleteAtLocked deletes the entry at position i, from a copy if a read
+// shared the table. slices.Delete zeroes the vacated slot (as DeleteFunc
+// does in RemoveKeys), so the table keeps no provenance alive past len.
 func (t *TCAM) deleteAtLocked(i int) {
+	t.ownLocked(0)
 	t.uncountLocked(t.rules[i].Key())
 	t.rules = slices.Delete(t.rules, i, i+1)
-	t.snap = nil
 }

@@ -90,8 +90,14 @@ func TestCorruptPortKeepsRangeValid(t *testing.T) {
 	runTables(t, 8, 16, 60, opInstallAll, opCorrupt)
 }
 
-func TestRulesSnapshotIsACopy(t *testing.T) {
+func TestRulesSnapshotSurvivesWrites(t *testing.T) {
 	runTables(t, 8, 32, 60, opInstallAll, opCorrupt, opEvict, opRules)
+}
+
+// TestRulesNeverAllocates: a read hands out the table itself, so the first
+// Rules call after any step, a write's included, allocates nothing.
+func TestRulesNeverAllocates(t *testing.T) {
+	runTable(t, oracle.FromSeed(0), tableCase{capacity: 32, steps: 600, ops: allOps, freeReads: true}, &tableStats{})
 }
 
 func TestRulesSnapshotSharedUntilWrite(t *testing.T) {

@@ -165,9 +165,9 @@ type State struct {
 	// footprint with an error.
 	Deployment *Deployment
 	// TCAM maps each switch to its collected rules (T-type). Collected
-	// from a Fabric or an Epoch, the slices are the TCAMs' shared
-	// read-only snapshots — the same slice again until the switch is
-	// written — so an analysis reads them and must not modify them.
+	// from a Fabric or an Epoch, the slices are the TCAMs' own read-only
+	// lists — the same slice until a write copies the switch's table — so
+	// an analysis reads them and must not modify them.
 	TCAM map[object.ID][]rule.Rule
 	// Changes is the controller change log (may be nil).
 	Changes *ChangeLog

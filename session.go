@@ -173,7 +173,7 @@ func (s *Session) fabricState(tcams map[object.ID][]rule.Rule, now time.Time) St
 
 // Analyze collects the fabric's current state and analyzes it,
 // re-checking only switches whose logical or TCAM rules changed since the
-// session's previous run. A TCAM hands back the same snapshot until it is
+// session's previous run. A TCAM hands back its own list until it is
 // written, so an unwritten switch's list is its verdict's own slice, and
 // only a written one is compared rule by rule. It is also the event-driven
 // refresh: a watch loop calls it once the events it drained have waited out
