@@ -18,43 +18,21 @@ import (
 	"scout"
 	"scout/internal/compile"
 	"scout/internal/object"
+	"scout/internal/oracle"
 )
 
 // threeTier deploys the paper's running example (Figure 1): a 3-tier web
 // service with Web, App, and DB EPGs on three switches.
 func threeTier(t testing.TB, seed int64) *scout.Fabric {
 	t.Helper()
-	p := threeTierPolicy()
+	p := oracle.ThreeTier()
 	return deployed(t, p, scout.TopologyFromPolicy(p), scout.FabricOptions{Seed: seed})
-}
-
-// threeTierPolicy is threeTier's policy.
-func threeTierPolicy() *scout.Policy {
-	p := scout.NewPolicy("three-tier")
-	p.AddVRF(scout.VRF{ID: 101, Name: "vrf-101"})
-	p.AddEPG(scout.EPG{ID: 1, Name: "Web", VRF: 101})
-	p.AddEPG(scout.EPG{ID: 2, Name: "App", VRF: 101})
-	p.AddEPG(scout.EPG{ID: 3, Name: "DB", VRF: 101})
-	p.AddEndpoint(scout.Endpoint{ID: 11, Name: "EP1", EPG: 1, Switch: 1})
-	p.AddEndpoint(scout.Endpoint{ID: 12, Name: "EP2", EPG: 2, Switch: 2})
-	p.AddEndpoint(scout.Endpoint{ID: 13, Name: "EP3", EPG: 3, Switch: 3})
-	p.AddFilter(scout.Filter{ID: 80, Name: "port-80", Entries: []scout.FilterEntry{
-		scout.PortEntry(scout.ProtoTCP, 80),
-	}})
-	p.AddFilter(scout.Filter{ID: 700, Name: "port-700", Entries: []scout.FilterEntry{
-		scout.PortEntry(scout.ProtoTCP, 700),
-	}})
-	p.AddContract(scout.Contract{ID: 201, Name: "Web-App", Filters: []scout.ObjectID{80}})
-	p.AddContract(scout.Contract{ID: 202, Name: "App-DB", Filters: []scout.ObjectID{80, 700}})
-	p.Bind(1, 2, 201)
-	p.Bind(2, 3, 202)
-	return p
 }
 
 // undeployed is the Figure 1 fabric before its first Deploy.
 func undeployed(t testing.TB) *scout.Fabric {
 	t.Helper()
-	p := threeTierPolicy()
+	p := oracle.ThreeTier()
 	f, err := scout.NewFabric(p, scout.TopologyFromPolicy(p), scout.FabricOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -331,7 +331,11 @@ func TestArchitecture(t *testing.T) {
 	// switch. The annotated build and the patch that bench/ calls mark
 	// through it too. Correlation's second caller is the bench shim
 	// Engine.Correlate, which forwards, as the base build's second caller,
-	// the bench shim NewBase, does.
+	// the bench shim NewBase, does. A deployment's risk model is built
+	// where it is first needed and read from there: a session builds it
+	// when it resolves a new deployment, and the §VI harness when it
+	// builds an environment; the bench shim BuildControllerModelParallel
+	// forwards.
 	for key, callers := range map[string][]string{
 		".:Analyzer.assemble":          {".:Session.run"},
 		"internal/equiv:NewBaseWith":   {".:Session.loadOrBuildBaseLocked", "internal/equiv:NewBase"},
@@ -339,6 +343,8 @@ func TestArchitecture(t *testing.T) {
 		"internal/correlate:Correlate": {".:Analyzer.assemble", "internal/correlate:Engine.Correlate"},
 		"internal/risk:MarkSwitch": {".:buildSwitchReport", "internal/eval:Env.markMissing", "internal/eval:SwitchModelAccuracy",
 			"internal/risk:AugmentControllerModelPatch", "internal/risk:BuildAnnotatedSwitchModel"},
+		"internal/risk:BuildControllerModel": {".:Session.resolveLocked", "internal/eval:NewEnv",
+			"internal/risk:BuildControllerModelParallel"},
 	} {
 		var sites []string
 		for _, u := range ix.uses[ix.lookup(t, key)] {
@@ -355,18 +361,6 @@ func TestArchitecture(t *testing.T) {
 		if !slices.Equal(sites, callers) {
 			t.Errorf("%s is called outside bench/ in %v, want once in each of %v", key, sites, callers)
 		}
-	}
-
-	// The root package builds the deployment's one risk model in one
-	// place, when a session resolves a new deployment.
-	var builds []string
-	for _, u := range ix.uses[ix.lookup(t, "internal/risk:BuildControllerModel")] {
-		if u.in != nil && strings.HasPrefix(ix.key(u.in), ".:") {
-			builds = append(builds, ix.key(u.in))
-		}
-	}
-	if want := []string{".:Session.resolveLocked"}; !slices.Equal(builds, want) {
-		t.Errorf("the root package builds the risk model in %v, want once in %v", builds, want)
 	}
 
 	// Outside bench/ a rule list is hashed only where a store file is read

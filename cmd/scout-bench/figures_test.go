@@ -16,7 +16,7 @@ import (
 // holds; paste it only for a deliberate change to what localization picks.
 func TestFigures(t *testing.T) {
 	cfg := config{scale: 0.05, seed: 42, runs: 3, maxFaults: 4, noise: 5, switchList: "1,5,10"}
-	checkFigures(t, "figures.txt", cfg, experiments...)
+	checkFigures(t, "figures.txt", cfg, experimentNames()...)
 }
 
 // TestFiguresPaper pins the accuracy and γ tables at scout-bench's default

@@ -1,7 +1,8 @@
 // Command scout-bench regenerates the paper's evaluation tables and
-// figures (§VI). Each experiment prints the same rows/series the paper
-// reports. Systems numbers (latency, allocations, cache counters) are
-// the repository benchmark's job: go run ./bench.
+// figures (§VI). Each experiment is one row of the experiments table and
+// prints the same rows/series the paper reports. Systems numbers (latency,
+// allocations, cache counters) are the repository benchmark's job: go run
+// ./bench.
 //
 // Usage:
 //
@@ -25,9 +26,6 @@ import (
 	"scout/internal/workload"
 )
 
-// experiments are the valid -experiment names, in run order.
-var experiments = []string{"fig3", "fig7a", "fig7b", "fig8", "fig9", "fig10", "ablation", "scale"}
-
 // config carries the flag values so tests can drive run directly.
 type config struct {
 	experiment string
@@ -37,11 +35,91 @@ type config struct {
 	maxFaults  int
 	noise      int
 	switchList string
+	switches   []int // switchList parsed, when scale runs
+}
+
+// accuracy returns the options of a simulated accuracy figure comparing
+// algs.
+func (c config) accuracy(algs []eval.Algorithm) eval.AccuracyOptions {
+	return eval.AccuracyOptions{MaxFaults: c.maxFaults, Runs: c.runs, Noise: c.noise, Seed: c.seed, Algorithms: algs}
+}
+
+// table is what an experiment produces: an eval result.
+type table interface{ Render() string }
+
+// experiment is one §VI table. A simulated one runs on the production-like
+// environment at -scale, which run builds once, before the first of them;
+// the others build their own.
+type experiment struct {
+	name, header string
+	sim          bool
+	check        func(*config) error // vets, before anything runs, flags only this experiment reads
+	run          func(c config, sim *eval.Env) (table, error)
+}
+
+// experiments holds one row per -experiment name, in run order; the flag
+// help, the unknown-name error and TestFigures read their names from it.
+var experiments = []experiment{
+	{name: "fig3", header: "Figure 3: EPG pairs per object (CDF checkpoints)", sim: true,
+		run: func(_ config, env *eval.Env) (table, error) { return eval.Figure3(env), nil }},
+	{name: "fig7a", header: "Figure 7(a): suspect-set reduction γ, testbed (200 faults)",
+		run: func(c config, _ *eval.Env) (table, error) {
+			tb, err := eval.NewEnv(workload.TestbedSpec(), c.seed)
+			if err != nil {
+				return nil, err
+			}
+			return eval.SuspectSetReduction(tb, eval.GammaOptions{Faults: 200, Noise: c.noise, Seed: c.seed,
+				Buckets: [][2]int{{1, 10}, {10, 20}, {20, 40}, {40, 60}}})
+		}},
+	{name: "fig7b", header: "Figure 7(b): suspect-set reduction γ, simulation (1500 faults)", sim: true,
+		run: func(c config, env *eval.Env) (table, error) {
+			return eval.SuspectSetReduction(env, eval.GammaOptions{Faults: 1500, Noise: c.noise, Seed: c.seed,
+				Buckets: [][2]int{{1, 10}, {10, 50}, {50, 100}, {100, 500}, {500, 1000}}})
+		}},
+	{name: "fig8", header: "Figure 8: precision/recall on the switch risk model", sim: true,
+		run: func(c config, env *eval.Env) (table, error) {
+			return eval.SwitchModelAccuracy(env, c.accuracy(eval.StandardAlgorithms()))
+		}},
+	{name: "fig9", header: "Figure 9: precision/recall on the controller risk model", sim: true,
+		run: func(c config, env *eval.Env) (table, error) {
+			return eval.ControllerModelAccuracy(env, c.accuracy(eval.StandardAlgorithms()))
+		}},
+	{name: "fig10", header: "Figure 10: testbed end-to-end, SCOUT vs SCORE-1",
+		run: func(c config, _ *eval.Env) (table, error) {
+			// The paper runs the testbed 10 times.
+			return eval.TestbedAccuracy(workload.TestbedSpec(), eval.TestbedOptions{
+				MaxFaults: c.maxFaults, Runs: min(c.runs, 10), Noise: c.noise, Seed: c.seed})
+		}},
+	{name: "ablation", header: "Ablation: SCOUT with vs without the change-log stage", sim: true,
+		run: func(c config, env *eval.Env) (table, error) {
+			return eval.ControllerModelAccuracy(env, c.accuracy(append(eval.StandardAlgorithms(), eval.ScoutNoChangeLog())))
+		}},
+	{name: "scale", header: "Scalability: SCOUT runtime vs switch count (§VI-B)",
+		check: func(c *config) error {
+			var err error
+			if c.switches, err = parseInts(c.switchList); err != nil {
+				return fmt.Errorf("-switches %s: %w", c.switchList, err)
+			}
+			if slices.Min(c.switches) < 1 {
+				return fmt.Errorf("-switches %s: want counts of at least 1", c.switchList)
+			}
+			return nil
+		},
+		run: func(c config, _ *eval.Env) (table, error) { return eval.Scalability(c.switches, 5, c.seed) }},
+}
+
+// experimentNames returns the experiments' names, in run order.
+func experimentNames() []string {
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
+	}
+	return names
 }
 
 func main() {
 	cfg := config{}
-	flag.StringVar(&cfg.experiment, "experiment", "all", strings.Join(experiments, "|")+"|all")
+	flag.StringVar(&cfg.experiment, "experiment", "all", strings.Join(experimentNames(), "|")+"|all")
 	flag.Float64Var(&cfg.scale, "scale", 0.25, "production-spec scale for simulation experiments (1.0 = paper size)")
 	flag.Int64Var(&cfg.seed, "seed", 42, "experiment seed")
 	flag.IntVar(&cfg.runs, "runs", 30, "repetitions per accuracy data point")
@@ -57,8 +135,14 @@ func main() {
 }
 
 func run(cfg config, w io.Writer) error {
-	if cfg.experiment != "all" && !slices.Contains(experiments, cfg.experiment) {
-		return fmt.Errorf("unknown experiment %q (valid: %s, all)", cfg.experiment, strings.Join(experiments, ", "))
+	var selected []experiment
+	for _, e := range experiments {
+		if cfg.experiment == "all" || cfg.experiment == e.name {
+			selected = append(selected, e)
+		}
+	}
+	if len(selected) == 0 {
+		return fmt.Errorf("unknown experiment %q (valid: %s, all)", cfg.experiment, strings.Join(experimentNames(), ", "))
 	}
 	// The production spec's largest count is its EPG pairs; SimSpec rounds
 	// each scaled count to an int.
@@ -75,151 +159,33 @@ func run(cfg config, w io.Writer) error {
 	case cfg.noise < 0:
 		return fmt.Errorf("-noise %d: want 0 or more", cfg.noise)
 	}
-	want := func(name string) bool { return cfg.experiment == "all" || cfg.experiment == name }
-	var switchCounts []int
-	if want("scale") {
-		var err error
-		if switchCounts, err = parseInts(cfg.switchList); err != nil {
-			return fmt.Errorf("-switches %s: %w", cfg.switchList, err)
+	for _, e := range selected {
+		if e.check != nil {
+			if err := e.check(&cfg); err != nil {
+				return err
+			}
 		}
-		if slices.Min(switchCounts) < 1 {
-			return fmt.Errorf("-switches %s: want counts of at least 1", cfg.switchList)
-		}
-	}
-	simEnv := func() (*eval.Env, error) {
-		start := time.Now()
-		env, err := eval.NewEnv(eval.SimSpec(cfg.scale), cfg.seed)
-		if err != nil {
-			return nil, err
-		}
-		st := env.Policy.Stats()
-		fmt.Fprintf(w, "[workload] production-like scale=%.2f: %d EPGs, %d contracts, %d filters, %d pairs (%v)\n\n",
-			cfg.scale, st.EPGs, st.Contracts, st.Filters, st.EPGPairs, time.Since(start).Round(time.Millisecond))
-		return env, nil
 	}
 
-	var env *eval.Env
-	getEnv := func() (*eval.Env, error) {
-		if env != nil {
-			return env, nil
+	var sim *eval.Env
+	for _, e := range selected {
+		if e.sim && sim == nil {
+			start := time.Now()
+			var err error
+			if sim, err = eval.NewEnv(eval.SimSpec(cfg.scale), cfg.seed); err != nil {
+				return err
+			}
+			st := sim.Policy.Stats()
+			fmt.Fprintf(w, "[workload] production-like scale=%.2f: %d EPGs, %d contracts, %d filters, %d pairs (%v)\n\n",
+				cfg.scale, st.EPGs, st.Contracts, st.Filters, st.EPGPairs, time.Since(start).Round(time.Millisecond))
 		}
-		var err error
-		env, err = simEnv()
-		return env, err
-	}
-
-	if want("fig3") {
-		e, err := getEnv()
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "== Figure 3: EPG pairs per object (CDF checkpoints) ==")
-		fmt.Fprintln(w, eval.Figure3(e).Render())
-	}
-
-	if want("fig7a") {
-		fmt.Fprintln(w, "== Figure 7(a): suspect-set reduction γ, testbed (200 faults) ==")
-		tb, err := eval.NewEnv(workload.TestbedSpec(), cfg.seed)
-		if err != nil {
-			return err
-		}
-		res, err := eval.SuspectSetReduction(tb, eval.GammaOptions{
-			Faults:  200,
-			Buckets: [][2]int{{1, 10}, {10, 20}, {20, 40}, {40, 60}},
-			Noise:   cfg.noise,
-			Seed:    cfg.seed,
-		})
+		fmt.Fprintf(w, "== %s ==\n", e.header)
+		res, err := e.run(cfg, sim)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintln(w, res.Render())
 	}
-
-	if want("fig7b") {
-		e, err := getEnv()
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "== Figure 7(b): suspect-set reduction γ, simulation (1500 faults) ==")
-		res, err := eval.SuspectSetReduction(e, eval.GammaOptions{
-			Faults:  1500,
-			Buckets: [][2]int{{1, 10}, {10, 50}, {50, 100}, {100, 500}, {500, 1000}},
-			Noise:   cfg.noise,
-			Seed:    cfg.seed,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, res.Render())
-	}
-
-	accOpts := eval.AccuracyOptions{MaxFaults: cfg.maxFaults, Runs: cfg.runs, Noise: cfg.noise, Seed: cfg.seed,
-		Algorithms: eval.StandardAlgorithms()}
-
-	if want("fig8") {
-		e, err := getEnv()
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "== Figure 8: precision/recall on the switch risk model ==")
-		res, err := eval.SwitchModelAccuracy(e, accOpts)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, res.Render())
-	}
-
-	if want("fig9") {
-		e, err := getEnv()
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "== Figure 9: precision/recall on the controller risk model ==")
-		res, err := eval.ControllerModelAccuracy(e, accOpts)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, res.Render())
-	}
-
-	if want("fig10") {
-		fmt.Fprintln(w, "== Figure 10: testbed end-to-end, SCOUT vs SCORE-1 ==")
-		res, err := eval.TestbedAccuracy(workload.TestbedSpec(), eval.TestbedOptions{
-			MaxFaults: cfg.maxFaults,
-			Runs:      min(cfg.runs, 10), // paper uses 10 runs on the testbed
-			Noise:     cfg.noise,
-			Seed:      cfg.seed,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, res.Render())
-	}
-
-	if want("ablation") {
-		e, err := getEnv()
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "== Ablation: SCOUT with vs without the change-log stage ==")
-		opts := accOpts
-		opts.Algorithms = append(eval.StandardAlgorithms(), eval.ScoutNoChangeLog())
-		res, err := eval.ControllerModelAccuracy(e, opts)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, res.Render())
-	}
-
-	if want("scale") {
-		fmt.Fprintln(w, "== Scalability: SCOUT runtime vs switch count (§VI-B) ==")
-		res, err := eval.Scalability(switchCounts, 5, cfg.seed)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, res.Render())
-	}
-
 	return nil
 }
 

@@ -189,11 +189,9 @@ func run() error {
 	}
 
 	for _, flt := range parsed {
-		removed, err := f.InjectObjectFault(flt.ref, flt.fraction)
-		if err != nil {
+		if err := flt.inject(f, prose); err != nil {
 			return err
 		}
-		fmt.Fprintf(prose, "injected %s @%.2f: %d rules removed\n", flt.ref, flt.fraction, removed)
 	}
 
 	// A one-shot is a session's first run, with or without durable state:
@@ -259,6 +257,15 @@ func emitReport(report *scout.Report, jsonOut, verbose bool) error {
 type objectFault struct {
 	ref      scout.ObjectRef
 	fraction float64
+}
+
+// inject applies the fault to f and reports on w how many rules it removed.
+func (flt objectFault) inject(f *scout.Fabric, w io.Writer) error {
+	removed, err := f.InjectObjectFault(flt.ref, flt.fraction)
+	if err == nil {
+		fmt.Fprintf(w, "injected %s @%.2f: %d rules removed\n", flt.ref, flt.fraction, removed)
+	}
+	return err
 }
 
 // checkWatchFlags rejects flag combinations that mix the one-shot and
@@ -369,11 +376,9 @@ func runWatch(f *scout.Fabric, faults []objectFault, opts watchOptions, w io.Wri
 		return err
 	}
 	for _, flt := range faults {
-		removed, err := f.InjectObjectFault(flt.ref, flt.fraction)
-		if err != nil {
+		if err := flt.inject(f, w); err != nil {
 			return nil, err
 		}
-		fmt.Fprintf(w, "injected %s @%.2f: %d rules removed\n", flt.ref, flt.fraction, removed)
 		evs := cursor.Drain()
 		if pending == 0 && len(evs) > 0 {
 			first = evs[0].Time

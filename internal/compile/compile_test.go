@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"scout/internal/object"
+	"scout/internal/oracle"
 	"scout/internal/policy"
 	"scout/internal/rule"
 	"scout/internal/topo"
@@ -14,20 +15,7 @@ import (
 // DB(3)@S3; Web-App on port 80, App-DB on ports 80 and 700.
 func threeTier(t *testing.T) (*policy.Policy, *topo.Topology) {
 	t.Helper()
-	p := policy.New("three-tier")
-	p.AddVRF(policy.VRF{ID: 101})
-	p.AddEPG(policy.EPG{ID: 1, Name: "Web", VRF: 101})
-	p.AddEPG(policy.EPG{ID: 2, Name: "App", VRF: 101})
-	p.AddEPG(policy.EPG{ID: 3, Name: "DB", VRF: 101})
-	p.AddEndpoint(policy.Endpoint{ID: 11, EPG: 1, Switch: 1})
-	p.AddEndpoint(policy.Endpoint{ID: 12, EPG: 2, Switch: 2})
-	p.AddEndpoint(policy.Endpoint{ID: 13, EPG: 3, Switch: 3})
-	p.AddFilter(policy.Filter{ID: 80, Entries: []policy.FilterEntry{policy.PortEntry(rule.ProtoTCP, 80)}})
-	p.AddFilter(policy.Filter{ID: 700, Entries: []policy.FilterEntry{policy.PortEntry(rule.ProtoTCP, 700)}})
-	p.AddContract(policy.Contract{ID: 201, Filters: []object.ID{80}})
-	p.AddContract(policy.Contract{ID: 202, Filters: []object.ID{80, 700}})
-	p.Bind(1, 2, 201)
-	p.Bind(2, 3, 202)
+	p := oracle.ThreeTier()
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,9 @@
 // CDFs, the Figure 7 suspect-set-reduction study, the Figure 8/9/10
 // precision-recall comparisons between SCOUT and SCORE, and the §VI-B
 // scalability measurement. Each experiment is deterministic under a seed.
+// The simulated ones share an Env: one generated and compiled workload and
+// its pristine controller risk model, built once by NewEnv, which each
+// scenario marks through an overlay of its own.
 package eval
 
 import (
@@ -24,14 +27,21 @@ import (
 
 // Env bundles the generated workload artifacts shared by experiments.
 type Env struct {
-	Spec       workload.Spec
 	Policy     *policy.Policy
 	Topo       *topo.Topology
 	Deployment *compile.Deployment
 	Index      *workload.DepIndex
+
+	// ctrl is Deployment's controller risk model, built once by NewEnv and
+	// never written: every scenario marks it through a fresh overlay.
+	ctrl *risk.Model
+	// ctrlBuild is how long NewEnv took to build ctrl, Scalability's
+	// build-secs.
+	ctrlBuild time.Duration
 }
 
-// NewEnv generates and compiles a workload environment.
+// NewEnv generates and compiles a workload environment and builds its
+// controller risk model.
 func NewEnv(spec workload.Spec, seed int64) (*Env, error) {
 	p, t, err := workload.Generate(spec, seed)
 	if err != nil {
@@ -41,12 +51,19 @@ func NewEnv(spec workload.Spec, seed int64) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
+	start := time.Now()
+	ctrl, err := risk.BuildControllerModel(d)
+	if err != nil {
+		return nil, err
+	}
+	build := time.Since(start) // before the literal, whose BuildIndex is no part of the build
 	return &Env{
-		Spec:       spec,
 		Policy:     p,
 		Topo:       t,
 		Deployment: d,
 		Index:      workload.BuildIndex(d),
+		ctrl:       ctrl,
+		ctrlBuild:  build,
 	}, nil
 }
 
@@ -247,37 +264,27 @@ func SwitchModelAccuracy(env *Env, opts AccuracyOptions) (*AccuracyResult, error
 	// Choose the switch with the most dependent objects so every fault
 	// count is feasible.
 	sw, local := busiestSwitch(env)
-	ctrl, err := risk.BuildControllerModel(env.Deployment)
-	if err != nil {
-		return nil, err
-	}
 	return simulate("switch risk model", local.Objects(), opts, func(sc workload.Scenario, rng *rand.Rand) *risk.Overlay {
-		return risk.MarkSwitch(ctrl, sw, sc.Missing(local, rng)[sw], env.Deployment.Provenance).View()
+		return risk.MarkSwitch(env.ctrl, sw, sc.Missing(local, rng)[sw], env.Deployment.Provenance).View()
 	})
 }
 
 // ControllerModelAccuracy reproduces Figure 9: faults are injected across
 // switches and localized on the controller risk model.
 func ControllerModelAccuracy(env *Env, opts AccuracyOptions) (*AccuracyResult, error) {
-	ctrl, err := risk.BuildControllerModel(env.Deployment)
-	if err != nil {
-		return nil, err
-	}
-	return simulate("controller risk model", env.Index.Objects(), opts, func(sc workload.Scenario, rng *rand.Rand) *risk.Overlay {
-		return env.markMissing(ctrl, sc, rng)
-	})
+	return simulate("controller risk model", env.Index.Objects(), opts, env.markMissing)
 }
 
-// markMissing returns the controller view of ctrl marked with the rules
-// sc's faults remove, as Analyzer.assemble marks it: one run of marks a
-// switch, joined in ascending switch order.
-func (env *Env) markMissing(ctrl *risk.Model, sc workload.Scenario, rng *rand.Rand) *risk.Overlay {
+// markMissing returns the controller view of env's model marked with the
+// rules sc's faults remove, as Analyzer.assemble marks it: one run of marks
+// a switch, joined in ascending switch order.
+func (env *Env) markMissing(sc workload.Scenario, rng *rand.Rand) *risk.Overlay {
 	missing := sc.Missing(env.Index, rng)
 	var runs []*risk.SwitchMarks
 	for _, sw := range env.Topo.Switches() {
-		runs = append(runs, risk.MarkSwitch(ctrl, sw, missing[sw], env.Deployment.Provenance))
+		runs = append(runs, risk.MarkSwitch(env.ctrl, sw, missing[sw], env.Deployment.Provenance))
 	}
-	return risk.NewOverlay(ctrl, runs...)
+	return risk.NewOverlay(env.ctrl, runs...)
 }
 
 // simulate drives one simulated accuracy figure. The pristine model is
@@ -405,10 +412,6 @@ type GammaOptions struct {
 func SuspectSetReduction(env *Env, opts GammaOptions) (*GammaResult, error) {
 	rng := rand.New(rand.NewSource(opts.Seed))
 	candidates := env.Index.Objects()
-	model, err := risk.BuildControllerModel(env.Deployment)
-	if err != nil {
-		return nil, err
-	}
 
 	sums := make([]float64, len(opts.Buckets))
 	counts := make([]int, len(opts.Buckets))
@@ -417,7 +420,7 @@ func SuspectSetReduction(env *Env, opts GammaOptions) (*GammaResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		ov := env.markMissing(model, sc, rng)
+		ov := env.markMissing(sc, rng)
 		suspects := len(ov.SuspectSet())
 		if suspects == 0 {
 			continue
@@ -485,8 +488,8 @@ func ScaleSpec(switches int) workload.Spec {
 	return s
 }
 
-// Scalability measures controller-risk-model construction and SCOUT
-// runtime at each switch count.
+// Scalability measures controller-risk-model construction, the one build
+// NewEnv makes, and SCOUT runtime at each switch count.
 func Scalability(switchCounts []int, faults int, seed int64) (*ScaleResult, error) {
 	out := &ScaleResult{}
 	for _, n := range switchCounts {
@@ -495,20 +498,13 @@ func Scalability(switchCounts []int, faults int, seed int64) (*ScaleResult, erro
 			return nil, err
 		}
 		rng := rand.New(rand.NewSource(seed + int64(n)))
-		start := time.Now()
-		model, err := risk.BuildControllerModel(env.Deployment)
-		if err != nil {
-			return nil, err
-		}
-		build := time.Since(start)
-
 		sc, err := workload.NewScenario(rng, env.Index.Objects(), faults, 10)
 		if err != nil {
 			return nil, err
 		}
-		ov := env.markMissing(model, sc, rng)
+		ov := env.markMissing(sc, rng)
 
-		start = time.Now()
+		start := time.Now()
 		localize.Scout(ov, localize.SetOracle(sc.Changed))
 		loc := time.Since(start)
 
@@ -516,7 +512,7 @@ func Scalability(switchCounts []int, faults int, seed int64) (*ScaleResult, erro
 			Switches:     n,
 			Elements:     ov.NumElements(),
 			Risks:        ov.NumRisks(),
-			BuildSecs:    build.Seconds(),
+			BuildSecs:    env.ctrlBuild.Seconds(),
 			LocalizeSecs: loc.Seconds(),
 		})
 	}

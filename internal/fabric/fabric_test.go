@@ -26,20 +26,7 @@ import (
 // threeTier builds the Figure 1 example used throughout the fabric tests.
 func threeTier(t testing.TB) (*policy.Policy, *topo.Topology) {
 	t.Helper()
-	p := policy.New("three-tier")
-	p.AddVRF(policy.VRF{ID: 101})
-	p.AddEPG(policy.EPG{ID: 1, Name: "Web", VRF: 101})
-	p.AddEPG(policy.EPG{ID: 2, Name: "App", VRF: 101})
-	p.AddEPG(policy.EPG{ID: 3, Name: "DB", VRF: 101})
-	p.AddEndpoint(policy.Endpoint{ID: 11, EPG: 1, Switch: 1})
-	p.AddEndpoint(policy.Endpoint{ID: 12, EPG: 2, Switch: 2})
-	p.AddEndpoint(policy.Endpoint{ID: 13, EPG: 3, Switch: 3})
-	p.AddFilter(policy.Filter{ID: 80, Entries: []policy.FilterEntry{policy.PortEntry(rule.ProtoTCP, 80)}})
-	p.AddFilter(policy.Filter{ID: 700, Entries: []policy.FilterEntry{policy.PortEntry(rule.ProtoTCP, 700)}})
-	p.AddContract(policy.Contract{ID: 201, Filters: []object.ID{80}})
-	p.AddContract(policy.Contract{ID: 202, Filters: []object.ID{80, 700}})
-	p.Bind(1, 2, 201)
-	p.Bind(2, 3, 202)
+	p := oracle.ThreeTier()
 	return p, topo.FromPolicy(p)
 }
 

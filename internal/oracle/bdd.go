@@ -2,11 +2,11 @@
 // hold the production engines to: a map-backed BDD manager, reads of a
 // diagram node by node, a key-set checker, a key deduplicator, a match's
 // test of one packet, an order-preserving ID renumbering, and the byte
-// source the tests' generators read their choices from. Only
-// tests import it; arch_test.go enforces that. It imports nothing of the
-// module but bdd, rule and object, so the tests of every other package
-// can use it, and those three packages' tests use it from external test
-// packages.
+// source the tests' generators read their choices from, and the paper's
+// Figure 1 policy. Only tests import it; arch_test.go enforces that. It
+// imports nothing of the module but bdd, rule, object and policy, so the
+// tests of every other package can use it, and those four packages' tests
+// use it from external test packages.
 package oracle
 
 import (
