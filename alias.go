@@ -179,6 +179,8 @@ var (
 	// SmallFabricWorkloadSpec is a small deployment with production-like
 	// density (use instead of linearly shrinking the production spec).
 	SmallFabricWorkloadSpec = workload.SmallFabricSpec
+	// WorkloadSpecByName returns the spec named production, testbed or small.
+	WorkloadSpecByName = workload.SpecByName
 )
 
 // State collection.

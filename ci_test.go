@@ -1,7 +1,6 @@
 package scout_test
 
 import (
-	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -10,64 +9,9 @@ import (
 )
 
 var (
-	fuzzTarget = regexp.MustCompile(`(?m)^func (Fuzz\w+)\(`)
-	fuzzLeg    = regexp.MustCompile(`go test .*-fuzz=(\w+) .*\s(\.\S*)\s*$`)
-	testFunc   = regexp.MustCompile(`(?m)^func (Test\w+)\(`)
-	raceCall   = regexp.MustCompile(`^\s*race\s+("[^"]*"|\S+)\s+(Test.*)$`)
+	testFunc = regexp.MustCompile(`(?m)^func (Test\w+)\(`)
+	raceCall = regexp.MustCompile(`^\s*race\s+("[^"]*"|\S+)\s+(Test.*)$`)
 )
-
-// TestFuzzLegs holds the CI workflow's fuzz legs to the tree's fuzz
-// targets one to one, package included: a new Fuzz* gets a leg, and a leg
-// names a target that exists where it says.
-func TestFuzzLegs(t *testing.T) {
-	targets := make(map[string]bool)
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() && path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-			return filepath.SkipDir
-		}
-		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		pkg := "."
-		if dir := filepath.ToSlash(filepath.Dir(path)); dir != "." {
-			pkg = "./" + dir
-		}
-		for _, m := range fuzzTarget.FindAllStringSubmatch(string(src), -1) {
-			targets[pkg+" "+m[1]] = true
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	legs := make(map[string]int)
-	for _, line := range ciLines(t) {
-		if m := fuzzLeg.FindStringSubmatch(line); m != nil {
-			legs[strings.TrimSuffix(m[2], "/")+" "+m[1]]++
-		}
-	}
-	if len(targets) == 0 {
-		t.Fatal("no Fuzz* target found")
-	}
-	for target := range targets {
-		if legs[target] != 1 {
-			t.Errorf("fuzz target %s has %d CI legs, want 1", target, legs[target])
-		}
-	}
-	for leg := range legs {
-		if !targets[leg] {
-			t.Errorf("CI fuzzes %s, which is no Fuzz* target of that package", leg)
-		}
-	}
-}
 
 // TestRaceStepNames holds every test the CI race step names to a
 // func Test… in the packages its call runs. The step fails on a named test
@@ -108,4 +52,14 @@ func TestRaceStepNames(t *testing.T) {
 	if calls == 0 {
 		t.Fatal("no race step call found in the CI workflow")
 	}
+}
+
+// ciLines returns the lines of the CI workflow.
+func ciLines(t *testing.T) []string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return strings.Split(string(data), "\n")
 }

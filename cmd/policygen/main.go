@@ -47,16 +47,9 @@ func main() {
 
 // buildSpec resolves the base spec and applies the scale factor.
 func buildSpec(specName string, scale float64) (scout.WorkloadSpec, error) {
-	var spec scout.WorkloadSpec
-	switch specName {
-	case "production":
-		spec = scout.ProductionWorkloadSpec()
-	case "testbed":
-		spec = scout.TestbedWorkloadSpec()
-	case "small":
-		spec = scout.SmallFabricWorkloadSpec()
-	default:
-		return spec, fmt.Errorf("unknown spec %q (want production, testbed, or small)", specName)
+	spec, err := scout.WorkloadSpecByName(specName)
+	if err != nil {
+		return spec, err
 	}
 	if !(scale > 0) || math.IsInf(scale, 1) {
 		return spec, fmt.Errorf("-scale %v: want a positive finite factor", scale)

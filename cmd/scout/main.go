@@ -414,16 +414,9 @@ func loadPolicy(path, specName string, seed int64) (*scout.Policy, *scout.Topolo
 		}
 		return pol, scout.TopologyFromPolicy(pol), nil
 	}
-	var spec scout.WorkloadSpec
-	switch specName {
-	case "production":
-		spec = scout.ProductionWorkloadSpec()
-	case "testbed":
-		spec = scout.TestbedWorkloadSpec()
-	case "small":
-		spec = scout.SmallFabricWorkloadSpec()
-	default:
-		return nil, nil, fmt.Errorf("unknown spec %q (want production, testbed, or small)", specName)
+	spec, err := scout.WorkloadSpecByName(specName)
+	if err != nil {
+		return nil, nil, err
 	}
 	return scout.GenerateWorkload(spec, seed)
 }

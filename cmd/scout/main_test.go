@@ -62,7 +62,8 @@ func TestParseFault(t *testing.T) {
 
 // FuzzParseFault: the -fault grammar never panics, and a spec it accepts
 // has a fraction InjectObjectFault accepts and a ref that survives its own
-// rendering.
+// rendering. The seeds are well-formed specs, a bare ref, and fractions a
+// `<= 0 || > 1` test lets through or ParseFloat refuses.
 func FuzzParseFault(f *testing.F) {
 	for _, seed := range []string{
 		"filter:5003@1.0", "epg:1004@0.4", "filter:5002", "vrf:101@1",

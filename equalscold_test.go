@@ -817,9 +817,10 @@ func sessionSeed(e entry, workers byte, steps ...step) []byte {
 	return data
 }
 
-// FuzzSession runs the fuzzer's bytes as a case on faultyFabric at seed 11:
-// the first byte picks the entry point and the worker count (1, 2, 3, 0 or
-// -3), and every three after it a step, sixteen at most.
+// FuzzSession runs the fuzzer's bytes as a case on faultyFabric at seed 11
+// with a warm store: the first byte picks the entry point and the worker
+// count (1, 2, 3, 0 or -3), and every three after it a step, sixteen at
+// most.
 func FuzzSession(f *testing.F) {
 	for _, seed := range [][]byte{
 		sessionSeed(viaAnalyze, 1, tour[:8]...),

@@ -180,7 +180,7 @@ func TestCompileMatchesOracle(t *testing.T) {
 }
 
 // FuzzCompile holds Compile to refCompile on a small policy drawn from the
-// fuzzer's bytes (see drawPolicy).
+// fuzzer's bytes (see drawPolicy and checkCompile).
 func FuzzCompile(f *testing.F) {
 	f.Add([]byte{})
 	for seed := range int64(16) {

@@ -78,8 +78,9 @@ func TestPushMatchesSequentialOracle(t *testing.T) {
 	}
 }
 
-// FuzzFabric runs the fuzzer's bytes as a generated stream on the
-// three-tier example, at a capacity that may overflow.
+// FuzzFabric runs the fuzzer's bytes as a generated stream of up to 150
+// steps on the three-tier example, at a capacity of 3-8 entries, which may
+// overflow.
 func FuzzFabric(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 0, 9, 5, 0, 1, 8, 7, 2, 6, 1, 3, 9, 0, 4, 1, 2, 0, 9, 6, 3, 1, 9, 5, 1, 0, 8, 3, 2})

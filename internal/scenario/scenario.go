@@ -63,8 +63,9 @@ type Step struct {
 	From     object.ID `json:"from,omitempty"`
 	To       object.ID `json:"to,omitempty"`
 
-	// Count and Field configure corrupt/evict steps (a corrupt count is at
-	// most 4096). Field is one of vrf, src, dst, port (corrupt only).
+	// Count and Field configure corrupt/evict steps (a count is never
+	// negative, 0 means 1, and a corrupt count is at most 4096). Field is
+	// one of vrf, src, dst, port (corrupt only).
 	Count int    `json:"count,omitempty"`
 	Field string `json:"field,omitempty"`
 }
@@ -124,7 +125,11 @@ func (st *Step) validate() error {
 		if st.Count > maxCorruptCount {
 			return fmt.Errorf("corrupt count %d over %d", st.Count, maxCorruptCount)
 		}
+		fallthrough
 	case "evict":
+		if st.Count < 0 {
+			return fmt.Errorf("%s count %d is negative", st.Op, st.Count)
+		}
 	default:
 		return fmt.Errorf("unknown op %q", st.Op)
 	}
@@ -220,19 +225,11 @@ func runStep(f *fabric.Fabric, st Step, res *Result) error {
 		if err != nil {
 			return err
 		}
-		count := st.Count
-		if count <= 0 {
-			count = 1
-		}
-		damaged, err := f.CorruptTCAM(st.Switch, count, field)
+		damaged, err := f.CorruptTCAM(st.Switch, max(st.Count, 1), field)
 		res.RulesCorrupted += len(damaged)
 		return err
 	case "evict":
-		count := st.Count
-		if count <= 0 {
-			count = 1
-		}
-		evicted, err := f.EvictTCAM(st.Switch, count)
+		evicted, err := f.EvictTCAM(st.Switch, max(st.Count, 1))
 		res.RulesRemoved += len(evicted)
 		return err
 	default:

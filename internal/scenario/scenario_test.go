@@ -130,6 +130,8 @@ func TestParseRejectsBadScenarios(t *testing.T) {
 		{"attach-incomplete", `{"steps":[{"op":"attach-filter","contract":1}]}`, "requires contract and filterId"},
 		{"corrupt-bad-field", `{"steps":[{"op":"corrupt","field":"checksum"}]}`, "unknown corruption field"},
 		{"corrupt-count-over-limit", `{"steps":[{"op":"corrupt","switch":1,"count":4097}]}`, "over 4096"},
+		{"corrupt-count-negative", `{"steps":[{"op":"corrupt","switch":1,"count":-7}]}`, "corrupt count -7 is negative"},
+		{"evict-count-negative", `{"steps":[{"op":"evict","switch":1,"count":-7}]}`, "evict count -7 is negative"},
 		{"bind-no-epgs", `{"steps":[{"op":"bind","contract":201}]}`, "requires from, to and contract"},
 		{"bind-no-to", `{"steps":[{"op":"bind","from":1,"contract":201}]}`, "requires from, to and contract"},
 	}
@@ -222,8 +224,8 @@ func TestCorruptionFieldNames(t *testing.T) {
 // fabric the next Deploy accepts. The checked-in seeds (testdata/fuzz)
 // cover every op on the testbed's IDs, a bind missing its EPGs (Parse used
 // to accept it, and its redeploy left an unknown EPG in the policy), a bind
-// to an unknown EPG (the fabric used to keep it), and a corrupt count at the
-// limit.
+// to an unknown EPG (the fabric used to keep it), a corrupt count at the
+// limit, and a negative evict count (Run used to evict one rule for it).
 func FuzzParseScenario(f *testing.F) {
 	pol, tp, err := workload.Generate(workload.TestbedSpec(), 1)
 	if err != nil {

@@ -710,6 +710,12 @@ func fuzzImages(f *testing.F, base bool, seeds int, raw ...[]byte) {
 	})
 }
 
+// FuzzDecodeBase runs the codec check on base images: the node table, then
+// one root per rule list. Its seeds add malformedBases, raw node tables and
+// roots that break one invariant each.
 func FuzzDecodeBase(f *testing.F) { fuzzImages(f, true, 13, malformedBases()...) }
 
+// FuzzDecodeVerdicts runs the codec check on verdict images. The checked-in
+// seeds (testdata/fuzz) hold a padded uvarint, a flag of 2, a trailing byte
+// and an action past int32.
 func FuzzDecodeVerdicts(f *testing.F) { fuzzImages(f, false, 14) }

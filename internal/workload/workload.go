@@ -134,6 +134,20 @@ func TestbedSpec() Spec {
 	}
 }
 
+// SpecByName returns the spec the command-line tools name production,
+// testbed or small.
+func SpecByName(name string) (Spec, error) {
+	switch name {
+	case "production":
+		return ProductionSpec(), nil
+	case "testbed":
+		return TestbedSpec(), nil
+	case "small":
+		return SmallFabricSpec(), nil
+	}
+	return Spec{}, fmt.Errorf("unknown spec %q (want production, testbed, or small)", name)
+}
+
 // Generate synthesizes a policy and topology from the spec, seeded for
 // reproducibility.
 func Generate(spec Spec, seed int64) (*policy.Policy, *topo.Topology, error) {

@@ -39,9 +39,9 @@ var timing = regexp.MustCompile(`(-[\w-]+[ =])?\b\d+(?:[.,]\d+)? ?(?:ns|µs|us|m
 
 // TestReadme holds README.md to what HEAD measures. Its three tables are
 // regenerated from testdata/work.txt, the paper-size figure golden and
-// the committed benchmark baseline; no timing appears outside them; it stays within
-// readmeMaxLines; and every `go run` line of its shell blocks runs in CI. A
-// stale table fails with the text to paste in its place.
+// the committed benchmark baseline; no timing appears outside them; and it
+// stays within readmeMaxLines. A stale table fails with the text to paste in
+// its place. CI's README step runs every `go run` line of its shell blocks.
 func TestReadme(t *testing.T) {
 	data, err := os.ReadFile("README.md")
 	if err != nil {
@@ -53,8 +53,6 @@ func TestReadme(t *testing.T) {
 	}
 
 	tables := make(map[string]string)
-	var commands []string
-	inShell := false
 	for i := 0; i < len(lines); i++ {
 		line := lines[i]
 		if src, ok := strings.CutPrefix(line, tableBegin); ok {
@@ -71,12 +69,6 @@ func TestReadme(t *testing.T) {
 			if m[1] == "" {
 				t.Errorf("README.md:%d: timing %q outside the generated tables", i+1, m[0])
 			}
-		}
-		switch {
-		case strings.HasPrefix(line, "```"):
-			inShell = line == "```sh"
-		case inShell && strings.HasPrefix(line, "go run "):
-			commands = append(commands, shellCommand(line))
 		}
 	}
 
@@ -95,37 +87,6 @@ func TestReadme(t *testing.T) {
 	for src := range tables {
 		t.Errorf("README.md's table from %s has no generator; add it to readmeTables", src)
 	}
-
-	ci := make(map[string]bool)
-	for _, line := range ciLines(t) {
-		ci[shellCommand(line)] = true
-	}
-	if len(commands) == 0 {
-		t.Error("README.md shows no go run command")
-	}
-	for _, cmd := range commands {
-		if !ci[cmd] {
-			t.Errorf("README.md runs %q, which no step of .github/workflows/ci.yml runs", cmd)
-		}
-	}
-}
-
-// shellCommand is a shell line without its comment and surrounding blanks.
-func shellCommand(line string) string {
-	if i := strings.Index(line, " #"); i >= 0 {
-		line = line[:i]
-	}
-	return strings.Join(strings.Fields(line), " ")
-}
-
-// ciLines returns the lines of the CI workflow.
-func ciLines(t *testing.T) []string {
-	t.Helper()
-	data, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return strings.Split(string(data), "\n")
 }
 
 // workTable is op 1 of every journey in testdata/work.txt: the first op

@@ -200,11 +200,11 @@ func (st State) withDefaultLogs() State {
 	return st
 }
 
-// sortedSwitches returns the collected switch IDs in ascending order, the
-// canonical fan-out and fold order.
-func (st State) sortedSwitches() []object.ID {
-	switches := make([]object.ID, 0, len(st.TCAM))
-	for sw := range st.TCAM {
+// sortedSwitches returns m's switch IDs in ascending order, the canonical
+// fan-out, fold and base order.
+func sortedSwitches[V any](m map[object.ID]V) []object.ID {
+	switches := make([]object.ID, 0, len(m))
+	for sw := range m {
 		switches = append(switches, sw)
 	}
 	sort.Slice(switches, func(i, j int) bool { return switches[i] < switches[j] })
@@ -215,11 +215,7 @@ func (st State) sortedSwitches() []object.ID {
 // switch order: the order a warm store's base is built and written in
 // (loadOrBuildBaseLocked).
 func baseLists(d *Deployment) [][]rule.Rule {
-	switches := make([]object.ID, 0, len(d.BySwitch))
-	for sw := range d.BySwitch {
-		switches = append(switches, sw)
-	}
-	sort.Slice(switches, func(i, j int) bool { return switches[i] < switches[j] })
+	switches := sortedSwitches(d.BySwitch)
 	lists := make([][]rule.Rule, len(switches))
 	for i, sw := range switches {
 		lists[i] = d.BySwitch[sw]

@@ -243,7 +243,7 @@ func (s *Session) run(st State) (*Report, error) {
 		return nil, fmt.Errorf("scout: nothing to analyze: the fabric has never been deployed, or the state has no deployment")
 	}
 	st = st.withDefaultLogs()
-	switches := st.sortedSwitches()
+	switches := sortedSwitches(st.TCAM)
 	if err := s.resolveLocked(st.Deployment, st.TCAM); err != nil {
 		return nil, fmt.Errorf("scout: the state's deployment: %w", err)
 	}
