@@ -36,8 +36,9 @@
 // and removes the files of the rest.
 //
 // -json prints the final report as one JSON document, and nothing else,
-// on stdout; the lines that narrate the run go to stderr instead. -v,
-// which adds to the text report, is refused beside it.
+// on stdout; the lines that narrate the run go to stderr instead. -v adds
+// the controller risk view, the run's stage times (Report.Trace), SCOUT's
+// and per-switch details to the text report, and is refused beside it.
 package main
 
 import (
@@ -83,7 +84,7 @@ func run() error {
 		batchWindow = flag.Duration("batch-window", 2*time.Second, "watch mode: refresh once the first event not yet analyzed has waited this long (requires -watch)")
 		stateDir    = flag.String("state-dir", "", "durable warm-state directory: replay the verdicts filed under the deployment's fingerprint; a round that re-checked a switch writes the whole verdict file, and a new deployment writes its BDD base if the directory holds none (no check reads it; without the flag none is built)")
 		jsonOut     = flag.Bool("json", false, "print the analysis report alone on stdout, as JSON; progress lines go to stderr")
-		verbose     = flag.Bool("v", false, "print the controller risk view, SCOUT's stage timings and per-switch details")
+		verbose     = flag.Bool("v", false, "print the controller risk view, the run's and SCOUT's stage timings, and per-switch details")
 	)
 	var faults faultFlags
 	flag.Var(&faults, "fault", "object fault to inject, e.g. filter:5003@1.0 (repeatable)")
@@ -206,9 +207,9 @@ func run() error {
 		return err
 	}
 	if warm != nil {
-		st := sess.Stats()
+		tr := report.Trace
 		fmt.Fprintf(prose, "warm state: base loaded %d / rebuilt %d, switches replayed %d / checked %d\n",
-			st.BaseLoads, st.BaseRebuilds, st.Replayed, st.Checked)
+			tr.BaseLoads, tr.BaseRebuilds, tr.Replayed, tr.Checked)
 		if err := sess.Close(); err != nil {
 			return err
 		}
@@ -235,9 +236,11 @@ func emitReport(report *scout.Report, jsonOut, verbose bool) error {
 			// copy-on-write overlay whose counts include its own marks.
 			fmt.Printf("\ncontroller risk view: %s\n", report.ControllerView)
 		}
-		if ls := report.LocalizeStats; ls != nil {
-			fmt.Printf("\nlocalization stages: hit-ratio-1 %v, change-log %v\n",
-				ls.Stage1.Round(time.Microsecond), ls.Stage2.Round(time.Microsecond))
+		tr, us := report.Trace, func(d time.Duration) time.Duration { return d.Round(time.Microsecond) }
+		fmt.Printf("\nstages: collect %v, model %v, witness %v, check %v, localize %v, correlate %v, store %v\n",
+			us(tr.Collect), us(tr.Model), us(tr.Witness), us(tr.Check), us(tr.Localize), us(tr.Correlate), us(tr.Store))
+		if !report.Consistent {
+			fmt.Printf("\nlocalization stages: hit-ratio-1 %v, change-log %v\n", us(tr.Stage1), us(tr.Stage2))
 		}
 		fmt.Println("\nper-switch details:")
 		for _, sr := range report.Switches {
@@ -345,14 +348,12 @@ func runWatch(f *scout.Fabric, faults []objectFault, opts watchOptions, w io.Wri
 	cursor := f.EventLog().TailCursor()
 
 	round := func(label string) (*scout.Report, error) {
-		before := sess.Stats()
 		report, err := sess.Analyze()
 		if err != nil {
 			return nil, err
 		}
-		after := sess.Stats()
 		fmt.Fprintf(w, "%s: re-checked %d/%d switches (%d replayed), %d missing rules, %v\n",
-			label, after.Checked-before.Checked, len(report.Switches), after.Replayed-before.Replayed,
+			label, report.Trace.Checked, len(report.Switches), report.Trace.Replayed,
 			report.TotalMissing, report.Elapsed.Round(time.Microsecond))
 		return report, nil
 	}

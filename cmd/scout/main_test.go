@@ -288,11 +288,15 @@ func TestRunWatch(t *testing.T) {
 	if !regexp.MustCompile(fmt.Sprintf(`(?m)^batch 1: 5 events \(waited 0s\): re-checked 5/%d switches \(1 replayed\), `, n)).MatchString(out.String()) {
 		t.Errorf("output missing the fault's round:\n%s", out.String())
 	}
-	// The verbose dump of the final report times SCOUT's two stages and
-	// counts nothing of the check, which keeps no BDD state to count.
+	// The verbose dump of the final report times the run's stages and
+	// SCOUT's two, and counts nothing of the check, which keeps no BDD
+	// state to count.
 	verbose := capture(t, &os.Stdout, func() error { return emitReport(report, false, true) })
-	if line := `localization stages: hit-ratio-1 \S+, change-log \S+$`; !regexp.MustCompile(`(?m)^` + line).MatchString(verbose) {
-		t.Errorf("verbose report missing a line matching %q:\n%s", line, verbose)
+	for _, line := range []string{`stages: collect \S+, model \S+, witness \S+, check \S+, localize \S+, correlate \S+, store \S+$`,
+		`localization stages: hit-ratio-1 \S+, change-log \S+$`} {
+		if !regexp.MustCompile(`(?m)^` + line).MatchString(verbose) {
+			t.Errorf("verbose report missing a line matching %q:\n%s", line, verbose)
+		}
 	}
 	if strings.Contains(verbose, "bdd") {
 		t.Errorf("verbose report counts BDD work:\n%s", verbose)

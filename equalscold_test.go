@@ -647,23 +647,23 @@ func (r *coldRun) analyze(t *testing.T) {
 		t.Fatalf("step %d: the %s report differs from a cold analysis of the same state:\n%.300s\n%.300s", r.round, r.entry, got, want)
 	}
 
-	// The session's counters, as the model says. A switch replays if the
-	// cache holds a verdict for its lists, and otherwise is checked and its
-	// verdict cached.
-	exp, checked := &r.want, 0
+	// The run's trace and the session's counters, their running sum, as the
+	// model says. A switch replays if the cache holds a verdict for its
+	// lists, and otherwise is checked and its verdict cached.
+	exp, checked, replayed := &r.want, 0, 0
 	exp.BaseRebuilds, exp.BaseLoads = exp.BaseRebuilds+built, exp.BaseLoads+loaded
 	for i := 0; err == nil && i < len(rep.Switches); i++ {
 		sr := rep.Switches[i]
 		l, tl := st.Deployment.RulesFor(sr.Switch), st.TCAM[sr.Switch]
 		if v, ok := r.cache[sr.Switch]; ok && sameRules(v[0], l) && sameRules(v[1], tl) {
-			exp.Replayed++
+			replayed++
 			continue
 		}
 		checked++
 		r.cache[sr.Switch] = verdict{l, tl}
 	}
 	if err == nil {
-		exp.Runs, exp.Checked = exp.Runs+1, exp.Checked+checked
+		exp.Runs, exp.Checked, exp.Replayed = exp.Runs+1, exp.Checked+checked, exp.Replayed+replayed
 		if checked > 0 && r.ws != nil {
 			r.save(r.fp, verdictFile(r.fp), maps.Clone(r.cache))
 		}
@@ -676,8 +676,9 @@ func (r *coldRun) analyze(t *testing.T) {
 		return
 	}
 	r.counts = append(r.counts, fmt.Sprintf("%+v %+v", now, rep.EncodeStats))
-	if ls := rep.LocalizeStats; (ls == nil) != rep.Consistent {
-		t.Fatalf("step %d: the report's localization counters %+v on a run consistent %v", r.round, ls, rep.Consistent)
+	tr, model := rep.Trace, [4]int{checked, replayed, built, loaded}
+	if [4]int{tr.Checked, tr.Replayed, tr.BaseRebuilds, tr.BaseLoads} != model || (tr.Stage1 == 0) != rep.Consistent {
+		t.Fatalf("step %d: the run traced %+v on a run consistent %v, want counters %v", r.round, tr, rep.Consistent, model)
 	}
 	if rep.EncodeStats != nil {
 		t.Fatalf("step %d: encode stats %+v, want none", r.round, rep.EncodeStats)

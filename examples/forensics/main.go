@@ -100,14 +100,12 @@ func run() error {
 	// The session re-checks only the switches whose logical or TCAM rules
 	// changed and replays the cached baseline verdicts for the rest; the
 	// report is byte-identical to a cold full analysis.
-	before := sess.Stats()
 	report, err := sess.AnalyzeEpoch(incidentEpoch)
 	if err != nil {
 		return err
 	}
-	after := sess.Stats()
 	fmt.Printf("\ndelta re-verification: re-checked %d/%d switches (%d replayed from cache)\n\n",
-		after.Checked-before.Checked, len(report.Switches), after.Replayed-before.Replayed)
+		report.Trace.Checked, len(report.Switches), report.Trace.Replayed)
 	fmt.Print(report.Summary())
 	// The session backs the view with a copy-on-write overlay over its
 	// cached pristine model; the printed counts include the overlay's

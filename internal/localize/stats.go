@@ -1,12 +1,11 @@
-// Engine counters. Every Scout call counts its own stage times;
-// ScoutWithStats hands them to its caller, so a run that sums its own calls
-// counts its own work whatever else runs beside it.
+// Engine counters. Every Scout call counts its own stage times, and
+// ScoutWithStats hands them to its caller.
 
 package localize
 
 import "time"
 
-// EngineStats is one call's counters, or a sum of some calls'.
+// EngineStats is one call's counters.
 type EngineStats struct {
 	// Deprecated: PlanCompiles and PlanReuses are always 0 — the engine
 	// reads the risk model's own arrays, and compiles no plan. They stay
@@ -27,11 +26,6 @@ type EngineStats struct {
 // process-wide total; ScoutWithStats returns each call's own. It stays
 // until bench/ stops reading it (ROADMAP item 1, shims).
 func StatsSnapshot() EngineStats { return EngineStats{} }
-
-// Add returns s + d, field-wise.
-func (s EngineStats) Add(d EngineStats) EngineStats {
-	return EngineStats{Stage1: s.Stage1 + d.Stage1, Stage2: s.Stage2 + d.Stage2}
-}
 
 // Delta returns s - prev, field-wise. It stays until bench/ stops calling
 // it (ROADMAP item 1, shims).

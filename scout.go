@@ -138,11 +138,8 @@ type Report struct {
 	// whose encoding work could be summed. It stays until bench/ stops
 	// reading it (ROADMAP item 1, shims).
 	EncodeStats *equiv.EncodeStats `json:"-"`
-	// LocalizeStats sums this run's own localizations' counters: SCOUT's
-	// per-stage timings. Nil when the run localized nothing (consistent
-	// fabric). Diagnostics like ControllerView, so excluded from the JSON
-	// form.
-	LocalizeStats *localize.EngineStats `json:"-"`
+	// Trace is the run's own account of its work, left out of the JSON.
+	Trace Trace `json:"-"`
 	// Hypothesis is the controller-model hypothesis: the most-likely
 	// faulty policy objects (may include switch objects), picked greedily
 	// by SCOUT — a small explaining set, not a minimum one.
@@ -151,6 +148,19 @@ type Report struct {
 	RootCauses *correlate.Report
 	// Elapsed is the total analysis wall-clock time.
 	Elapsed time.Duration
+}
+
+// Trace is what one run did, filled by the run itself: the switches it
+// checked or replayed and the warm-store bases it built or loaded, which a
+// session's SessionStats sum; each stage's wall time in pipeline order —
+// Collect (Session.Analyze's read of the fabric), Model (the risk model
+// and a warm store's base), Witness (the replay/check partition), Check,
+// Localize (marks and localizations), Correlate and Store (the verdict
+// save); and SCOUT's two stages on the controller model (0 if consistent).
+type Trace struct {
+	Checked, Replayed, BaseRebuilds, BaseLoads                 int
+	Collect, Model, Witness, Check, Localize, Correlate, Store time.Duration
+	Stage1, Stage2                                             time.Duration
 }
 
 // State is the raw input of an analysis: the compiled desired state, the
@@ -288,18 +298,15 @@ func changeOracle(changes *ChangeLog, now time.Time) localize.ChangeLogOracle {
 // the controller overlay, whose localize.Scout reads ctrl's own arrays
 // plus the overlay's O(marks) delta. switches must be sorted ascending and
 // aligned with checkReps. ctrl stays pristine: this run's marks live in
-// overlays that die with its report.
+// overlays that die with its report. Its stages are laps from mark into tr.
 func (a *Analyzer) assemble(d *Deployment, ctrl *risk.Model, changes *ChangeLog, faults *FaultLog,
-	now time.Time, switches []object.ID, checkReps []*equiv.Report) *Report {
+	now time.Time, switches []object.ID, checkReps []*equiv.Report, tr *Trace, mark *time.Time) *Report {
 	oracle := changeOracle(changes, now)
 
 	srs := make([]SwitchReport, len(switches))
 	runs := make([]*risk.SwitchMarks, len(switches))
-	// Each localization's own counters, summed below: a run counts its own
-	// calls, not the process's.
-	lstats := make([]localize.EngineStats, len(switches)+1)
 	a.fanOut(len(switches), func(i int) error {
-		srs[i], runs[i], lstats[i] = buildSwitchReport(ctrl, d.Provenance, oracle, switches[i], checkReps[i])
+		srs[i], runs[i] = buildSwitchReport(ctrl, d.Provenance, oracle, switches[i], checkReps[i])
 		return nil
 	})
 
@@ -315,14 +322,14 @@ func (a *Analyzer) assemble(d *Deployment, ctrl *risk.Model, changes *ChangeLog,
 	}
 	rep.ControllerView = risk.NewOverlay(ctrl, marked...)
 	if !rep.Consistent {
-		rep.Controller, lstats[len(switches)] = localize.ScoutWithStats(rep.ControllerView, oracle)
-		rep.Hypothesis = rep.Controller.Hypothesis
+		var st localize.EngineStats
+		rep.Controller, st = localize.ScoutWithStats(rep.ControllerView, oracle)
+		rep.Hypothesis, tr.Stage1, tr.Stage2 = rep.Controller.Hypothesis, st.Stage1, st.Stage2
+		tr.Localize = lap(mark)
 		rep.RootCauses = correlate.Correlate(rep.Hypothesis, changes, faults)
-		var sum localize.EngineStats
-		for _, st := range lstats {
-			sum = sum.Add(st)
-		}
-		rep.LocalizeStats = &sum
+		tr.Correlate = lap(mark)
+	} else {
+		tr.Localize = lap(mark)
 	}
 	return rep
 }
@@ -331,10 +338,10 @@ func (a *Analyzer) assemble(d *Deployment, ctrl *risk.Model, changes *ChangeLog,
 // An inequivalent switch's missing rules are marked against the pristine
 // controller model ctrl, and it is localized on its view of the marks, its
 // switch risk model. It only reads shared state, so reports for distinct
-// switches build concurrently. It also returns the marks and the
-// localization's counters (nil and zero for a consistent switch).
+// switches build concurrently. It also returns the marks (nil for a
+// consistent switch).
 func buildSwitchReport(ctrl *risk.Model, prov map[rule.Key][]object.Ref, oracle localize.ChangeOracle, sw object.ID,
-	checkRep *equiv.Report) (sr SwitchReport, marks *risk.SwitchMarks, st localize.EngineStats) {
+	checkRep *equiv.Report) (sr SwitchReport, marks *risk.SwitchMarks) {
 	sr = SwitchReport{
 		Switch:       sw,
 		Equivalent:   checkRep.Equivalent,
@@ -343,9 +350,9 @@ func buildSwitchReport(ctrl *risk.Model, prov map[rule.Key][]object.Ref, oracle 
 	}
 	if !checkRep.Equivalent {
 		marks = risk.MarkSwitch(ctrl, sw, checkRep.MissingRules, prov)
-		sr.Result, st = localize.ScoutWithStats(marks.View(), oracle)
+		sr.Result = localize.Scout(marks.View(), oracle)
 	}
-	return sr, marks, st
+	return sr, marks
 }
 
 // MarshalJSON serializes the report (for dashboards and tooling).

@@ -113,9 +113,9 @@ type switchCheckState struct {
 	report            *equiv.Report
 }
 
-// SessionStats counts a session's cache behaviour across runs, the
-// observability hook for incremental re-verification (and the assertion
-// surface for its tests).
+// SessionStats is the sum of a session's run traces (Report.Trace): its
+// cache behaviour across runs. A run reports its own work in its trace;
+// the sum stays until bench/ stops reading it (ROADMAP item 38).
 type SessionStats struct {
 	// Runs counts completed analyses.
 	Runs int
@@ -142,6 +142,15 @@ type SessionStats struct {
 	// Deprecated: DeltaNodes is always 0 — no checker outlives its check.
 	// It stays until bench/ stops reading it (ROADMAP item 1, shims).
 	DeltaNodes int
+}
+
+// add folds one run's trace into the totals. Runs counts reports, so a
+// failed run adds only the base work it did before it failed.
+func (st *SessionStats) add(tr Trace) {
+	st.Checked += tr.Checked
+	st.Replayed += tr.Replayed
+	st.BaseRebuilds += tr.BaseRebuilds
+	st.BaseLoads += tr.BaseLoads
 }
 
 // NewSession creates a persistent analysis session over the fabric. The
@@ -182,7 +191,12 @@ func (s *Session) fabricState(tcams map[object.ID][]rule.Rule, now time.Time) St
 func (s *Session) Analyze() (*Report, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.run(s.fabricState(s.f.CollectAll(), s.f.Now()))
+	start := time.Now()
+	rep, err := s.run(s.fabricState(s.f.CollectAll(), s.f.Now()))
+	if err == nil {
+		rep.Trace.Collect = time.Since(start) - rep.Elapsed
+	}
+	return rep, err
 }
 
 // AnalyzeEpoch analyzes one collector epoch against the fabric's current
@@ -224,7 +238,8 @@ func (s *Session) Close() error {
 	return s.saveErr
 }
 
-// Stats returns the session's cumulative cache statistics.
+// Stats returns the sum of the session's run traces. It stays until bench/
+// reads each report's Trace instead (ROADMAP item 38).
 func (s *Session) Stats() SessionStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -236,7 +251,8 @@ func (s *Session) Stats() SessionStats {
 // switch, assemble the report on the deployment's pristine risk model, and
 // persist what changed. st holds the T lists to analyze. Every run ends
 // byte-identical to a cold run on the same State: caching only ever
-// short-circuits the check stage, never the folds.
+// short-circuits the check stage, never the folds. Its Trace, one stage a
+// lap, is folded into the session's totals.
 func (s *Session) run(st State) (*Report, error) {
 	start := time.Now()
 	if st.Deployment == nil {
@@ -244,9 +260,12 @@ func (s *Session) run(st State) (*Report, error) {
 	}
 	st = st.withDefaultLogs()
 	switches := sortedSwitches(st.TCAM)
-	if err := s.resolveLocked(st.Deployment, st.TCAM); err != nil {
+	var tr Trace
+	mark := start
+	if err := s.resolveLocked(st.Deployment, st.TCAM, &tr); err != nil {
 		return nil, fmt.Errorf("scout: the state's deployment: %w", err)
 	}
+	tr.Model = lap(&mark)
 
 	// The session's one partition. A switch replays its cached verdict
 	// when the entry's L and T lists equal the run's: one slice seen twice
@@ -271,6 +290,7 @@ func (s *Session) run(st State) (*Report, error) {
 		dirty = append(dirty, i)
 		fresh = append(fresh, &switchCheckState{logical: l, tcam: tl, logicalFP: s.dep.logFPs[sw]})
 	}
+	tr.Witness = lap(&mark)
 	if len(fresh) > 0 { // a clean run's replay allocates no fan-out
 		if err := s.a.fanOut(len(fresh), func(j int) (err error) {
 			ent := fresh[j]
@@ -279,24 +299,33 @@ func (s *Session) run(st State) (*Report, error) {
 			}
 			return nil
 		}); err != nil {
+			s.stats.add(tr)
 			return nil, err
 		}
 	}
 	for j, i := range dirty {
 		reports[i], s.cache[switches[i]] = fresh[j].report, fresh[j]
 	}
+	tr.Checked, tr.Replayed = len(dirty), len(switches)-len(dirty)
+	tr.Check = lap(&mark)
 
-	rep := s.a.assemble(s.dep.d, s.dep.ctrl, st.Changes, st.Faults, st.Now, switches, reports)
-	s.stats.Runs++
-	s.stats.Checked += len(dirty)
-	s.stats.Replayed += len(switches) - len(dirty)
+	rep := s.a.assemble(s.dep.d, s.dep.ctrl, st.Changes, st.Faults, st.Now, switches, reports, &tr, &mark)
 	// A run that re-checked something changed some verdict: persist the
 	// cache under the deployment fingerprint.
 	if s.ws != nil && len(dirty) > 0 {
 		s.saveVerdictsLocked()
+		tr.Store = lap(&mark)
 	}
-	rep.Elapsed = time.Since(start)
+	s.stats.Runs++
+	s.stats.add(tr)
+	rep.Trace, rep.Elapsed = tr, time.Since(start)
 	return rep, nil
+}
+
+// lap returns the time since *mark and moves the mark to now.
+func lap(mark *time.Time) (d time.Duration) {
+	d, *mark = time.Since(*mark), time.Now()
+	return d
 }
 
 // resolveLocked brings s.dep in step with the run's deployment d; tcams
@@ -315,7 +344,7 @@ func (s *Session) run(st State) (*Report, error) {
 // nothing. A footprint that fails validation, or that the model build
 // refuses, is an error returned before anything changes, so the session
 // keeps the deployment it knew, with its verdicts and counters.
-func (s *Session) resolveLocked(d *compile.Deployment, tcams map[object.ID][]rule.Rule) error {
+func (s *Session) resolveLocked(d *compile.Deployment, tcams map[object.ID][]rule.Rule, tr *Trace) error {
 	if d == s.dep.d {
 		return nil
 	}
@@ -330,7 +359,7 @@ func (s *Session) resolveLocked(d *compile.Deployment, tcams map[object.ID][]rul
 	if s.ws != nil {
 		dep.logFPs, dep.fp = equiv.DeploymentFingerprints(d.BySwitch)
 		if s.dep.d == nil || dep.fp != s.dep.fp {
-			s.loadOrBuildBaseLocked(d, dep.fp)
+			s.loadOrBuildBaseLocked(d, dep.fp, tr)
 			s.adoptVerdictsLocked(dep, tcams)
 		}
 	}
@@ -347,12 +376,12 @@ func (s *Session) resolveLocked(d *compile.Deployment, tcams map[object.ID][]rul
 // older codec included): the build compiles every logical list once,
 // serially, into one manager, freezes it and overwrites the file. Either
 // way the session keeps nothing: no check reads a base.
-func (s *Session) loadOrBuildBaseLocked(d *compile.Deployment, fp uint64) {
+func (s *Session) loadOrBuildBaseLocked(d *compile.Deployment, fp uint64, tr *Trace) {
 	if b, err := s.ws.LoadBase(fp); err == nil && b != nil && len(b.Roots()) == len(d.BySwitch) {
-		s.stats.BaseLoads++
+		tr.BaseLoads++
 		return
 	}
-	s.stats.BaseRebuilds++
+	tr.BaseRebuilds++
 	if err := s.ws.SaveBase(fp, equiv.NewBaseWith(baseLists(d)...)); err != nil && s.saveErr == nil {
 		s.saveErr = err
 	}

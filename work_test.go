@@ -16,7 +16,7 @@ import (
 )
 
 // workColumns heads testdata/work.txt: a row is one op of one journey.
-// Counters are what the op added to its session's SessionStats;
+// Counters are the op's Report.Trace;
 // state_bytes is the state directory's size after it; allocs and alloc_kb
 // are the heap allocations the op made, in objects and KiB.
 var workColumns = []string{"journey", "op", "checked", "replayed",
@@ -54,9 +54,9 @@ const workHeader = `# TestWork (work_test.go): the work each bench/ journey does
 // workOps is how many ops each journey records after its set-up.
 const workOps = 2
 
-// workOp runs op k of a journey (0 is its set-up) and returns the
-// counters of the session it ran on, before and after.
-type workOp func(k int) (before, after scout.SessionStats)
+// workOp runs op k of a journey (0 is its set-up) and returns its
+// report's trace.
+type workOp func(k int) scout.Trace
 
 // workJourneys are bench/'s five journeys through the public API. Each
 // starts on a fresh workFabric and returns its op and the state directory
@@ -66,11 +66,8 @@ var workJourneys = []struct {
 	start func(t *testing.T, f *scout.Fabric, opts scout.AnalyzerOptions) (workOp, string)
 }{
 	{"cold-oneshot", func(t *testing.T, f *scout.Fabric, opts scout.AnalyzerOptions) (workOp, string) {
-		// A fresh session's one run is what Analyzer.Analyze runs.
-		return func(int) (before, after scout.SessionStats) {
-			sess := newSession(t, f, opts)
-			mustReport(t, sess.Analyze)
-			return before, sess.Stats()
+		return func(int) scout.Trace {
+			return mustReport(t, func() (*scout.Report, error) { return scout.NewAnalyzer(opts).Analyze(f) }).Trace
 		}, ""
 	}},
 	{"warm-clean", func(t *testing.T, f *scout.Fabric, opts scout.AnalyzerOptions) (workOp, string) {
@@ -94,15 +91,15 @@ var workJourneys = []struct {
 	{"restart", func(t *testing.T, f *scout.Fabric, opts scout.AnalyzerOptions) (workOp, string) {
 		// Set-up primes the directory; every op is a new process's session.
 		dir := t.TempDir()
-		return func(int) (before, after scout.SessionStats) {
+		return func(int) scout.Trace {
 			o := opts
 			o.WarmStore = warmStore(t, dir)
 			sess := newSession(t, f, o)
-			mustReport(t, sess.Analyze)
+			rep := mustReport(t, sess.Analyze)
 			if err := sess.Close(); err != nil {
 				t.Fatal(err)
 			}
-			return before, sess.Stats()
+			return rep.Trace
 		}, dir
 	}},
 }
@@ -116,13 +113,11 @@ func warmJourney(t *testing.T, f *scout.Fabric, opts scout.AnalyzerOptions, epoc
 	if epoch {
 		analyze = func() (*scout.Report, error) { return sess.AnalyzeEpoch(col.Snapshot()) }
 	}
-	return func(k int) (before, after scout.SessionStats) {
+	return func(k int) scout.Trace {
 		if k > 0 {
 			mutate(k)
 		}
-		before = sess.Stats()
-		mustReport(t, analyze)
-		return before, sess.Stats()
+		return mustReport(t, analyze).Trace
 	}
 }
 
@@ -171,7 +166,7 @@ func workRows(t *testing.T, workers int) [][]string {
 			var m0, m1 runtime.MemStats
 			runtime.GC()
 			runtime.ReadMemStats(&m0)
-			b, a := op(k)
+			tr := op(k)
 			runtime.ReadMemStats(&m1)
 			var stateBytes int
 			if dir != "" {
@@ -183,7 +178,7 @@ func workRows(t *testing.T, workers int) [][]string {
 			if k == 0 {
 				row[1] = "setup"
 			}
-			for _, n := range []int{a.Checked - b.Checked, a.Replayed - b.Replayed, a.BaseRebuilds - b.BaseRebuilds, a.BaseLoads - b.BaseLoads, stateBytes,
+			for _, n := range []int{tr.Checked, tr.Replayed, tr.BaseRebuilds, tr.BaseLoads, stateBytes,
 				int(m1.Mallocs - m0.Mallocs), int((m1.TotalAlloc - m0.TotalAlloc) / 1024)} {
 				row = append(row, strconv.Itoa(n))
 			}
@@ -237,6 +232,9 @@ func TestWork(t *testing.T) {
 		for c := allocsCol; c < len(row); c++ {
 			switch {
 			case ok && (w[c] == "-" || !recorded || inBand(row[c], w[c])):
+				if recorded && row[c] != w[c] && w[c] != "-" { // drift, visible before it leaves the band
+					t.Logf("%s op %s: %s is %s, recorded %s", row[0], row[1], workColumns[c], row[c], w[c])
+				}
 				row[c] = w[c]
 			case !recorded:
 				row[c] = "-"
