@@ -58,7 +58,7 @@ func run() error {
 	}
 	fmt.Printf("injected fault: filter:700 lost %d TCAM rules\n\n", removed)
 
-	// 4. Run the SCOUT pipeline: collect TCAMs, BDD-check against the
+	// 4. Run the SCOUT pipeline: collect TCAMs, check them against the
 	//    policy, localize faulty objects, correlate root causes.
 	report, err := scout.NewAnalyzer().Analyze(f)
 	if err != nil {

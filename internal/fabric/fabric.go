@@ -56,15 +56,15 @@ type Switch struct {
 	// agentUp is false after a simulated agent crash.
 	agentUp bool
 
-	// view is the agent's local logical view: the rule keys the agent
-	// believes are installed (its copy of the controller instructions).
-	view map[rule.Key]rule.Rule
+	// view is the agent's local logical view: the rule list the controller
+	// last delivered, the deployment's own BySwitch entry, held read-only.
+	view []rule.Rule
 
 	// pending and withdrawn hold the installs and withdrawals delivered
 	// to the agent but not yet applied to TCAM (populated while the agent
 	// is down, applied by RestartAgent).
 	pending   []rule.Rule
-	withdrawn []rule.Key
+	withdrawn []rule.Rule
 
 	tcam *tcam.TCAM
 }
@@ -115,7 +115,6 @@ func New(p *policy.Policy, t *topo.Topology, opts Options) (*Fabric, error) {
 			ID:        sw,
 			reachable: true,
 			agentUp:   true,
-			view:      make(map[rule.Key]rule.Rule),
 			tcam:      tcam.New(opts.TCAMCapacity),
 		}
 	}
@@ -179,67 +178,58 @@ func (f *Fabric) Deploy() error {
 	return nil
 }
 
-// pushToSwitch reconciles a switch's local view and TCAM with the desired
-// rule list — one switch's compile.Deployment.BySwitch entry, so sorted and
-// one rule per key — emitting one TCAM-change event when the TCAM was
-// mutated.
+// pushToSwitch delivers the desired rule list — one switch's
+// compile.Deployment.BySwitch entry — to a switch's agent, emitting one
+// TCAM-change event when the TCAM was mutated. The old view and the new
+// list both ascend by rule.Compare with one rule a key, and a compiled key
+// fixes its priority, so one walk of the two finds the stale rules and the
+// new ones, each in its list's order.
 func (f *Fabric) pushToSwitch(s *Switch, desired []rule.Rule) {
 	if !s.reachable {
 		return // instructions lost; controller-side state already updated
 	}
-	changed := false
-	adds := desired
-	if len(s.view) == 0 {
-		// A first push: nothing is stale and every rule is new.
-		s.view = make(map[rule.Key]rule.Rule, len(desired))
-	} else {
-		want := rule.KeySet(desired)
-		// Delete stale entries from the agent view and TCAM.
-		var stale []rule.Key
-		for k := range s.view {
-			if _, ok := want[k]; !ok {
-				delete(s.view, k)
-				stale = append(stale, k)
-			}
-		}
-		if !s.agentUp {
-			s.withdrawn = append(s.withdrawn, stale...)
-		} else if s.tcam.RemoveKeys(stale) > 0 {
-			changed = true
-		}
-		adds = make([]rule.Rule, 0, len(desired))
-		for _, r := range desired {
-			if _, ok := s.view[r.Key()]; !ok {
-				adds = append(adds, r)
-			}
+	var stale, adds []rule.Rule
+	i, j := 0, 0
+	for i < len(s.view) && j < len(desired) {
+		switch c := rule.Compare(s.view[i], desired[j]); {
+		case c < 0:
+			stale = append(stale, s.view[i])
+			i++
+		case c > 0:
+			adds = append(adds, desired[j])
+			j++
+		default:
+			i, j = i+1, j+1
 		}
 	}
-	// Install new entries in the deterministic order desired has them in.
-	for _, r := range adds {
-		s.view[r.Key()] = r
-	}
+	stale, adds = append(stale, s.view[i:]...), append(adds, desired[j:]...)
+	s.view = desired
 	if !s.agentUp {
+		s.withdrawn = append(s.withdrawn, stale...)
 		s.pending = append(s.pending, adds...)
-	} else if f.renderRules(s, adds) {
-		changed = true
-	}
-	if changed {
+	} else if f.apply(s, stale, adds) {
 		f.emit(faultlog.EventTCAMChange, s.ID, "policy push")
 	}
 }
 
-// renderRules installs rules into TCAM in order, logging one overflow fault
-// per rule the full table refused. It reports whether it installed any: a
-// rule the table already holds (planted through Switch.TCAM, or re-added
-// while the agent was down) counts as held but writes nothing.
-func (f *Fabric) renderRules(s *Switch, rules []rule.Rule) bool {
+// apply withdraws the stale rules' keys from the switch's TCAM, then
+// installs adds in order, logging one overflow fault per rule the full
+// table refused. It reports whether the TCAM changed: a rule the table
+// already holds (planted through Switch.TCAM, or re-added while the agent
+// was down) counts as held but writes nothing.
+func (f *Fabric) apply(s *Switch, stale, adds []rule.Rule) bool {
+	keys := make([]rule.Key, len(stale))
+	for i, r := range stale {
+		keys[i] = r.Key()
+	}
+	changed := s.tcam.RemoveKeys(keys) > 0
 	before := s.tcam.Len()
-	held := s.tcam.InstallAll(rules)
-	for refused := len(rules) - held; refused > 0; refused-- {
+	held := s.tcam.InstallAll(adds)
+	for refused := len(adds) - held; refused > 0; refused-- {
 		f.faults.Raise(f.now, faultlog.FaultTCAMOverflow, s.ID,
 			fmt.Sprintf("tcam at %d/%d entries", s.tcam.Len(), s.tcam.Capacity()))
 	}
-	return s.tcam.Len() > before
+	return changed || s.tcam.Len() > before
 }
 
 // --- Policy change operations (recorded in the change log) ---
@@ -410,7 +400,8 @@ func (f *Fabric) CrashAgent(sw object.ID) error {
 // RestartAgent restarts the agent and applies the queued instructions,
 // reconciling TCAM with the agent's view: a queued withdrawal is applied
 // unless a later push re-added the rule, and a queued rule is rendered
-// unless a later push withdrew it.
+// unless a later push withdrew it — as its last delivery had it, which a
+// key queued twice may have delivered with another provenance.
 func (f *Fabric) RestartAgent(sw object.ID) error {
 	s, err := f.Switch(sw)
 	if err != nil {
@@ -419,22 +410,22 @@ func (f *Fabric) RestartAgent(sw object.ID) error {
 	if !s.agentUp {
 		s.agentUp = true
 		f.faults.Clear(f.advance(), faultlog.FaultAgentCrash, sw)
-		stale := s.withdrawn[:0]
-		for _, k := range s.withdrawn {
-			if _, ok := s.view[k]; !ok {
-				stale = append(stale, k)
-			}
+		inView := func(r rule.Rule) bool {
+			_, ok := slices.BinarySearchFunc(s.view, r, rule.Compare)
+			return ok
 		}
-		changed := s.tcam.RemoveKeys(stale) > 0
+		stale := slices.DeleteFunc(s.withdrawn, inView)
+		last := make(map[rule.Key]rule.Rule, len(s.pending))
+		for _, r := range s.pending {
+			last[r.Key()] = r
+		}
 		live := s.pending[:0]
 		for _, r := range s.pending {
-			if cur, ok := s.view[r.Key()]; ok {
-				live = append(live, cur)
+			if inView(r) {
+				live = append(live, last[r.Key()])
 			}
 		}
-		if f.renderRules(s, live) {
-			changed = true
-		}
+		changed := f.apply(s, stale, live)
 		s.pending, s.withdrawn = nil, nil
 		if changed {
 			f.emit(faultlog.EventTCAMChange, sw, "agent restart applied queued instructions")

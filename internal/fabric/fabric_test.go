@@ -188,41 +188,62 @@ func TestAgentCrashQueuesPendingRules(t *testing.T) {
 // applies is its queue as later pushes left it. A queued rule that a later
 // push withdrew must not be rendered, and a withdrawal delivered while the
 // agent was down must reach the TCAM, and a rule withdrawn and re-added
-// stays where it was — after the restart TCAM, agent view and controller
+// stays where it was, and a rule queued twice is rendered as its last
+// delivery had it — after the restart TCAM, agent view and controller
 // agree.
 func TestRestartAgentReconcilesQueuedInstructions(t *testing.T) {
+	// web8443 is the Web→App rule of port 8443.
+	web8443 := rule.Key{Match: rule.Match{VRF: 101, SrcEPG: 1, DstEPG: 2, Proto: rule.ProtoTCP, PortLo: 8443, PortHi: 8443},
+		Action: rule.Allow}
 	for _, tc := range []struct {
 		name   string
-		writes bool // whether the restart writes the TCAM
+		sw     object.ID // the crashed switch
+		writes bool      // whether the restart writes the TCAM
 		edits  func(h *twins)
 	}{
-		{"queued rule withdrawn before restart", false, func(h *twins) {
+		{"queued rule withdrawn before restart", 3, false, func(h *twins) {
 			attach(h, 8443)
 			h.must("detach", func(f *Fabric) error { return f.RemoveFilterFromContract(202, 8443) })
 		}},
-		{"withdrawal delivered while down", true, func(h *twins) {
+		{"withdrawal delivered while down", 3, true, func(h *twins) {
 			h.must("detach", func(f *Fabric) error { return f.RemoveFilterFromContract(202, 700) })
 		}},
-		{"withdrawn then re-added while down", false, func(h *twins) {
+		{"withdrawn then re-added while down", 3, false, func(h *twins) {
 			h.must("detach", func(f *Fabric) error { return f.RemoveFilterFromContract(202, 700) })
 			h.must("attach", func(f *Fabric) error { return f.AddFilterToContract(202, 700) })
+		}},
+		{"queued twice, rendered as last delivered", 2, true, func(h *twins) {
+			h.must("add filter", func(f *Fabric) error { return f.AddFilter(port(8443)) })
+			h.must("attach to web-app", func(f *Fabric) error { return f.AddFilterToContract(201, 8443) })
+			h.must("detach", func(f *Fabric) error { return f.RemoveFilterFromContract(201, 8443) })
+			h.must("attach to app-db", func(f *Fabric) error { return f.AddFilterToContract(202, 8443) })
+			h.must("bind app-db to web-app", func(f *Fabric) error { return f.AddBinding(1, 2, 202) })
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			h := deployed(t, Options{Seed: 1})
-			h.must("crash", func(f *Fabric) error { return f.CrashAgent(3) })
-			before := collect(h, 3)
+			h.must("crash", func(f *Fabric) error { return f.CrashAgent(tc.sw) })
+			before := collect(h, tc.sw)
 			tc.edits(h)
-			if !rule.SameSlice(collect(h, 3), before) {
+			if !rule.SameSlice(collect(h, tc.sw), before) {
 				t.Fatal("a crashed agent applied an instruction")
 			}
-			h.must("restart", func(f *Fabric) error { return f.RestartAgent(3) })
+			h.must("restart", func(f *Fabric) error { return f.RestartAgent(tc.sw) })
 			if len(h.changed) > 0 != tc.writes {
 				t.Errorf("the restart wrote switches %v", h.changed)
 			}
-			want := rule.KeySet(h.f.Deployment().RulesFor(3))
-			if got := rule.KeySet(collect(h, 3)); !reflect.DeepEqual(got, want) || len(h.f.switches[3].view) != len(want) {
-				t.Errorf("TCAM holds %v, the agent view %d rules, the controller wants %v", got, len(h.f.switches[3].view), want)
+			wantRules := h.f.Deployment().RulesFor(tc.sw)
+			want := rule.KeySet(wantRules)
+			if got := rule.KeySet(collect(h, tc.sw)); !reflect.DeepEqual(got, want) || len(h.f.switches[tc.sw].view) != len(want) {
+				t.Errorf("TCAM holds %v, the agent view %d rules, the controller wants %v", got, len(h.f.switches[tc.sw].view), want)
+			}
+			if _, ok := want[web8443]; ok {
+				i := slices.IndexFunc(collect(h, tc.sw), func(r rule.Rule) bool { return r.Key() == web8443 })
+				j := slices.IndexFunc(wantRules, func(r rule.Rule) bool { return r.Key() == web8443 })
+				if got := collect(h, tc.sw)[i]; !got.Equal(wantRules[j]) || !got.HasProvenance(object.Contract(202)) {
+					t.Errorf("TCAM holds %v from %v, the controller wants it from %v, contract 202 among them",
+						got, got.Provenance, wantRules[j].Provenance)
+				}
 			}
 		})
 	}

@@ -28,10 +28,11 @@ import (
 	"scout/internal/topo"
 )
 
-// refDeploy is Deploy as it stood before the TCAM took whole batches: the
-// same compile, then per switch a want map, a stale pass over the view, the
-// adds re-sorted, and one Install (and, refused, one overflow fault) per
-// rule; a push that installed nothing emits no event.
+// refDeploy is Deploy as it stood before the TCAM took whole batches and
+// the agent walked its view: the same compile, then per switch a want map,
+// a stale pass over a map of the view, the adds re-sorted, and one Install
+// (and, refused, one overflow fault) per rule; a push that installed
+// nothing emits no event.
 func refDeploy(f *Fabric) error {
 	d, err := compile.Compile(f.pol, f.topology)
 	if err != nil {
@@ -43,29 +44,30 @@ func refDeploy(f *Fabric) error {
 		if !s.reachable {
 			continue
 		}
+		have := make(map[rule.Key]rule.Rule, len(s.view))
+		for _, r := range s.view {
+			have[r.Key()] = r
+		}
 		want := rule.KeySet(desired)
 		var stale []rule.Key
-		for k := range s.view {
+		for k, r := range have {
 			if _, ok := want[k]; !ok {
-				delete(s.view, k)
 				stale = append(stale, k)
+				if !s.agentUp {
+					s.withdrawn = append(s.withdrawn, r)
+				}
 			}
 		}
-		changed := false
-		if !s.agentUp {
-			s.withdrawn = append(s.withdrawn, stale...)
-		} else if s.tcam.RemoveKeys(stale) > 0 {
-			changed = true
-		}
+		changed := s.agentUp && s.tcam.RemoveKeys(stale) > 0
 		var adds []rule.Rule
 		for _, r := range desired {
-			if _, ok := s.view[r.Key()]; !ok {
+			if _, ok := have[r.Key()]; !ok {
 				adds = append(adds, r)
 			}
 		}
 		slices.SortFunc(adds, rule.Compare)
+		s.view = desired
 		for _, r := range adds {
-			s.view[r.Key()] = r
 			if !s.agentUp {
 				s.pending = append(s.pending, r)
 				continue
@@ -177,14 +179,14 @@ func (h *twins) plant(sw object.ID) {
 	h.t.Helper()
 	for _, f := range []*Fabric{h.f, h.ref} {
 		if f.deployed != nil {
-			s := f.switches[sw]
+			view := rule.KeySet(f.switches[sw].view)
 			var missing []rule.Rule
 			for _, r := range f.deployed.BySwitch[sw] {
-				if _, ok := s.view[r.Key()]; !ok {
+				if _, ok := view[r.Key()]; !ok {
 					missing = append(missing, r)
 				}
 			}
-			s.TCAM().InstallAll(missing)
+			f.switches[sw].TCAM().InstallAll(missing)
 		}
 	}
 	h.check(fmt.Sprintf("plant on switch %d", sw))
@@ -197,8 +199,9 @@ func (h *twins) check(label string) {
 	t.Helper()
 	for _, sw := range got.topology.Switches() {
 		g, w := got.switches[sw], want.switches[sw]
-		// Stale keys are found by ranging over the view, so withdrawals
-		// queue in map order: the same set, not the same sequence.
+		// The reference finds stale rules by ranging over a map of the
+		// view, so its withdrawals queue in map order: the same keys as
+		// the walk's, not the same sequence.
 		if !rule.SlicesEqual(g.tcam.Rules(), w.tcam.Rules()) || g.reachable != w.reachable || g.agentUp != w.agentUp ||
 			!reflect.DeepEqual(g.view, w.view) || !reflect.DeepEqual(g.pending, w.pending) ||
 			!reflect.DeepEqual(keyCounts(g.withdrawn), keyCounts(w.withdrawn)) {
@@ -211,10 +214,10 @@ func (h *twins) check(label string) {
 	}
 }
 
-func keyCounts(keys []rule.Key) map[rule.Key]int {
-	set := make(map[rule.Key]int, len(keys))
-	for _, k := range keys {
-		set[k]++
+func keyCounts(rules []rule.Rule) map[rule.Key]int {
+	set := make(map[rule.Key]int, len(rules))
+	for _, r := range rules {
+		set[r.Key()]++
 	}
 	return set
 }

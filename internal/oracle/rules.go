@@ -21,7 +21,7 @@ func CloneRules(rules []rule.Rule) []rule.Rule {
 // whose exact Key is absent from the deployed set, extra the deployed
 // allow rules absent from the logical set. It is sound only when rule
 // matches do not partially overlap (which holds for compiler output with
-// disjoint filter port ranges), whereas the BDD checker is exact for
+// disjoint filter port ranges), whereas equiv's checks are exact for
 // arbitrary overlaps.
 func NaiveCheck(logical, deployed []rule.Rule) (missing, extra []rule.Rule) {
 	return absent(logical, deployed), absent(deployed, logical)

@@ -6,9 +6,10 @@
 // missing) and partial object faults (only a subset goes missing — the
 // regime where SCORE's fixed hit-ratio threshold fails and SCOUT's
 // change-log stage recovers accuracy). A scenario's Missing rules are
-// exactly what the equivalence checker would report, so an experiment
-// marks them through the pipeline's own risk-model augmentation without
-// paying for per-rule TCAM and BDD work in large simulations.
+// exactly what the equivalence check would report (Generate's filters have
+// disjoint port ranges, so no other rule covers a removed one), so an
+// experiment marks them through the pipeline's own risk-model augmentation
+// without writing TCAMs and checking them in large simulations.
 
 package workload
 

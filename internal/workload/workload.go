@@ -172,8 +172,9 @@ func Generate(spec Spec, seed int64) (*policy.Policy, *topo.Topology, error) {
 	}
 
 	// Filters with mutually disjoint port ranges so compiled rule
-	// semantics never partially overlap (keeps the naive differ a valid
-	// oracle for the BDD checker on generated workloads).
+	// semantics never partially overlap: a rule a fault removes is then
+	// one the check reports missing, so an experiment may take
+	// Scenario.Missing for the check's report.
 	maxEntries := spec.EntriesPerFilterMax
 	if maxEntries < 1 {
 		maxEntries = 1
