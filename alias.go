@@ -139,9 +139,9 @@ var NewEventQueue = stream.New
 
 // Risk models and localization.
 type (
-	// RiskView is the read interface over an annotated risk model; a
-	// mutable model and a copy-on-write overlay are interchangeable
-	// behind it.
+	// RiskView is the read interface over an annotated risk model. A model
+	// is immutable once built and failures are marked on a copy-on-write
+	// overlay; the overlay and a model that folds it in read the same.
 	RiskView = risk.View
 	// RiskOverlay is a copy-on-write failure overlay over an immutable
 	// pristine risk model.
@@ -185,7 +185,7 @@ var (
 
 // State collection.
 type (
-	// Collector snapshots fabric TCAM state into epochs, keeping the latest.
+	// Collector snapshots fabric TCAM state into numbered epochs, keeping none.
 	Collector = collect.Collector
 	// Epoch is one immutable TCAM collection.
 	Epoch = collect.Epoch

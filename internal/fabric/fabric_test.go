@@ -232,10 +232,14 @@ func TestRestartAgentReconcilesQueuedInstructions(t *testing.T) {
 			if len(h.changed) > 0 != tc.writes {
 				t.Errorf("the restart wrote switches %v", h.changed)
 			}
+			// Entries, not key sets: the queued-twice case hands InstallAll
+			// one key twice, and the TCAM must hold it once.
 			wantRules := h.f.Deployment().RulesFor(tc.sw)
-			want := rule.KeySet(wantRules)
-			if got := rule.KeySet(collect(h, tc.sw)); !reflect.DeepEqual(got, want) || len(h.f.switches[tc.sw].view) != len(want) {
-				t.Errorf("TCAM holds %v, the agent view %d rules, the controller wants %v", got, len(h.f.switches[tc.sw].view), want)
+			want, held := rule.KeySet(wantRules), collect(h, tc.sw)
+			if got := rule.KeySet(held); !reflect.DeepEqual(got, want) || len(held) != len(wantRules) ||
+				len(h.f.switches[tc.sw].view) != len(want) {
+				t.Errorf("TCAM holds %d entries of keys %v, the agent view %d rules, the controller wants %d rules of %v",
+					len(held), got, len(h.f.switches[tc.sw].view), len(wantRules), want)
 			}
 			if _, ok := want[web8443]; ok {
 				i := slices.IndexFunc(collect(h, tc.sw), func(r rule.Rule) bool { return r.Key() == web8443 })

@@ -3,8 +3,8 @@
 // contracts that reference filters, all scoped by a VRF. The model mirrors
 // Cisco APIC / GBP / PGA-style policy abstractions.
 //
-// The package also contains the policy compiler that renders a policy into
-// per-switch logical TCAM rules (L-type rules) with full object provenance.
+// Package compile renders a policy into per-switch logical TCAM rules
+// (L-type rules) with full object provenance.
 package policy
 
 import (

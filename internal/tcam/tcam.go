@@ -5,6 +5,9 @@
 // §II-B as sources of network-state inconsistency: insufficient space for
 // new rules (overflow), local rule eviction unknown to the controller, and
 // hardware corruption flipping bits in deployed rules.
+//
+// A table keeps no index over its keys: InstallAll and RemoveKeys look keys
+// up with a map local to the call over its batch's keys, sized by the batch.
 package tcam
 
 import (
@@ -26,7 +29,9 @@ var ErrFull = errors.New("tcam: table full")
 // on ACL TCAM bank sizes of datacenter leaf switches.
 const DefaultCapacity = 4096
 
-// TCAM is a fixed-capacity rule table. It is safe for concurrent use.
+// TCAM is a fixed-capacity rule table, its rule list alone: InstallAll and
+// RemoveKeys look keys up by walking the list with a map sized by their
+// batch. It is safe for concurrent use.
 type TCAM struct {
 	mu       sync.Mutex
 	capacity int
@@ -34,10 +39,6 @@ type TCAM struct {
 	// shared is set when Rules has handed out rules since the last write
 	// took its own copy; the next write copies it first (ownLocked).
 	shared bool
-	// count is the number of entries carrying each key, so Install's
-	// duplicate check is one map lookup. Corruption can alias two entries
-	// onto one key, the only way a count exceeds 1; no key counts 0.
-	count map[rule.Key]int
 }
 
 // New creates a TCAM with the given capacity. Capacity <= 0 selects
@@ -46,7 +47,7 @@ func New(capacity int) *TCAM {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &TCAM{capacity: capacity, count: make(map[rule.Key]int)}
+	return &TCAM{capacity: capacity}
 }
 
 // Capacity returns the table capacity in entries.
@@ -70,12 +71,16 @@ func (t *TCAM) Install(r rule.Rule) error {
 
 // InstallAll installs the rules in order, leaving the table exactly as
 // calling Install on each in turn would, under one lock and with room for
-// the batch reserved before its first write. The table takes each rule by value, sharing
-// its provenance slice with the caller (see rule.Rule), which no table
-// operation writes. It returns how many of them the table holds afterwards
-// — installed now, or present already, the cases where Install returns nil;
-// the remaining len(rules) minus that were refused for lack of space
-// (ErrFull).
+// the batch reserved before its first write. The table takes each rule by
+// value, sharing its provenance slice with the caller (see rule.Rule),
+// which no table operation writes. It returns how many of them the table
+// holds afterwards — installed now, or present already, the cases where
+// Install returns nil; the remaining len(rules) minus that were refused
+// for lack of space (ErrFull).
+//
+// The duplicate check is a set of the batch's keys local to the call, so it
+// allocates in proportion to the batch. One pass over a non-empty table marks
+// the keys it holds; into an empty one the set fills only as rules go in.
 func (t *TCAM) InstallAll(rules []rule.Rule) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -83,14 +88,22 @@ func (t *TCAM) InstallAll(rules []rule.Rule) int {
 	if room > 0 && !t.shared {
 		t.rules = slices.Grow(t.rules, room)
 	}
-	if room > 0 && len(t.count) == 0 {
-		t.count = make(map[rule.Key]int, room)
+	has := make(map[rule.Key]bool, len(rules)) // batch key: whether the table holds it
+	if len(t.rules) > 0 {
+		for i := range rules {
+			has[rules[i].Key()] = false
+		}
+		for _, e := range t.rules {
+			if _, ok := has[e.Key()]; ok {
+				has[e.Key()] = true
+			}
+		}
 	}
 	held := 0
 	for i := range rules {
 		r := &rules[i]
 		k := r.Key()
-		if t.count[k] > 0 {
+		if has[k] {
 			held++
 			continue
 		}
@@ -109,7 +122,7 @@ func (t *TCAM) InstallAll(rules []rule.Rule) int {
 		}
 		t.ownLocked(room)
 		t.rules = slices.Insert(t.rules, pos, *r)
-		t.count[k]++
+		has[k] = true
 		held++
 	}
 	return held
@@ -117,52 +130,41 @@ func (t *TCAM) InstallAll(rules []rule.Rule) int {
 
 // Remove deletes the first entry with the given key in match order. It
 // reports whether an entry was removed.
-func (t *TCAM) Remove(k rule.Key) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.count[k] == 0 {
-		return false
-	}
-	t.deleteAtLocked(slices.IndexFunc(t.rules, func(r rule.Rule) bool { return r.Key() == k }))
-	return true
-}
+func (t *TCAM) Remove(k rule.Key) bool { return t.RemoveKeys([]rule.Key{k}) > 0 }
 
 // RemoveKeys deletes, for each key in order, the first entry with that
 // key — exactly what calling Remove per key would do — and returns how
-// many entries were removed. A key named m times thus loses its first
-// min(m, count) entries in match order, and the table is compacted in one
-// pass that stops judging entries once every victim is gone, so
-// withdrawing k entries moves every survivor at most once.
+// many entries were removed: a key named m times loses its first m entries
+// in match order, or all it has. The tally of names is local to the call,
+// like InstallAll's set. One compacting pass moves each survivor at most
+// once and stops judging entries once every name is spent; a call that
+// matches no entry copies nothing.
 func (t *TCAM) RemoveKeys(keys []rule.Key) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	drop := make(map[rule.Key]int)
-	victims := 0
+	// names[k] is how many more entries of key k to drop; left is their sum.
+	names := make(map[rule.Key]int, len(keys))
 	for _, k := range keys {
-		if drop[k] < t.count[k] {
-			drop[k]++
-			victims++
-		}
+		names[k]++
 	}
-	if victims == 0 {
+	left := len(keys)
+	victim := func(r rule.Rule) bool {
+		if left == 0 || names[r.Key()] == 0 {
+			return false
+		}
+		names[r.Key()]--
+		left--
+		return true
+	}
+	i := slices.IndexFunc(t.rules, victim)
+	if i < 0 {
 		return 0
 	}
-	left := victims
 	t.ownLocked(0)
-	t.rules = slices.DeleteFunc(t.rules, func(r rule.Rule) bool {
-		if left == 0 {
-			return false
-		}
-		k := r.Key()
-		if drop[k] == 0 {
-			return false
-		}
-		drop[k]--
-		left--
-		t.uncountLocked(k)
-		return true
-	})
-	return victims
+	n := len(t.rules)
+	t.rules = append(t.rules[:i], slices.DeleteFunc(t.rules[i+1:], victim)...)
+	clear(t.rules[len(t.rules):n])
+	return n - len(t.rules)
 }
 
 // Rules returns a snapshot of the installed rules in match order: the
@@ -195,7 +197,8 @@ func (t *TCAM) EvictRandom(n int, rng *rand.Rand) []rule.Rule {
 	for i := 0; i < n && len(t.rules) > 0; i++ {
 		idx := rng.Intn(len(t.rules))
 		evicted = append(evicted, t.rules[idx])
-		t.deleteAtLocked(idx)
+		t.ownLocked(0)
+		t.rules = slices.Delete(t.rules, idx, idx+1) // zeroes the vacated slot, keeping no provenance alive
 	}
 	return evicted
 }
@@ -227,8 +230,7 @@ func (t *TCAM) Corrupt(n int, field CorruptionField, rng *rand.Rand) []rule.Key 
 		}
 		t.ownLocked(0)
 		r := &t.rules[idx]
-		oldKey := r.Key()
-		damaged = append(damaged, oldKey)
+		damaged = append(damaged, r.Key())
 		bit := uint32(1) << uint(rng.Intn(16))
 		switch field {
 		case CorruptVRF:
@@ -243,21 +245,8 @@ func (t *TCAM) Corrupt(n int, field CorruptionField, rng *rand.Rand) []rule.Key 
 				r.Match.PortLo, r.Match.PortHi = r.Match.PortHi, r.Match.PortLo
 			}
 		}
-		if k := r.Key(); k != oldKey {
-			t.uncountLocked(oldKey)
-			t.count[k]++
-		}
 	}
 	return damaged
-}
-
-// uncountLocked takes one entry of key k off its count.
-func (t *TCAM) uncountLocked(k rule.Key) {
-	if t.count[k] == 1 {
-		delete(t.count, k)
-	} else {
-		t.count[k]--
-	}
 }
 
 // ownLocked readies the table for a write: a table a read shared becomes
@@ -268,13 +257,4 @@ func (t *TCAM) ownLocked(extra int) {
 	if t.shared {
 		t.rules, t.shared = slices.Grow(slices.Clone(t.rules), extra), false
 	}
-}
-
-// deleteAtLocked deletes the entry at position i, from a copy if a read
-// shared the table. slices.Delete zeroes the vacated slot (as DeleteFunc
-// does in RemoveKeys), so the table keeps no provenance alive past len.
-func (t *TCAM) deleteAtLocked(i int) {
-	t.ownLocked(0)
-	t.uncountLocked(t.rules[i].Key())
-	t.rules = slices.Delete(t.rules, i, i+1)
 }

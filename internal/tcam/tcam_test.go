@@ -8,8 +8,8 @@ import (
 
 // Each test is a case of the table runner (table_test.go): a seed range
 // and a shape, whose steps its name says it stresses. Every case holds the
-// table to the reference slice, its key count to checkCount and its
-// snapshots to their contract after every step.
+// table to the reference slice, its priority order and slack to
+// checkOrderAndSlack and its snapshots to their contract after every step.
 
 // runTables runs a case per seed below seeds: a table of capacity entries
 // taking steps steps, each drawn from ops.
@@ -54,10 +54,10 @@ func TestInsertionOrderWithinPriority(t *testing.T) {
 	runTables(t, 8, 32, 60, opInstallAll, opRemove, opRules)
 }
 
-// TestCountConsistentUnderChurn: the key count under the full mutation
-// surface, corruption aliasing keys included, down to a removal whose
-// key's next occurrence sits right behind the removed one.
-func TestCountConsistentUnderChurn(t *testing.T) {
+// TestAliasedKeysUnderChurn: keys that corruption aliases onto one
+// another under the full mutation surface, down to a removal whose key's
+// next occurrence sits right behind the removed one.
+func TestAliasedKeysUnderChurn(t *testing.T) {
 	s := runTables(t, 200, 32, 300, allOps...)
 	exercised(t, "removed an entry with an aliased duplicate right behind it", s.adjacent)
 }
