@@ -389,27 +389,36 @@ func TestArchitecture(t *testing.T) {
 		}
 	}
 
-	// Outside bench/ (and the oracle, which the index leaves out) two
-	// places start goroutines: Analyzer.fanOut, the pipeline's one
-	// fan-out, and Compile's pool sorting the switches' lists. Everything
-	// else runs on its caller's goroutine: a store save is written before
-	// it returns, and the model build and the hashing run in line. fanOut's
-	// workers share nothing but slots their indices own, so the root
-	// package needs no atomic.
-	fanOut, compilePool := ix.lookup(t, ".:Analyzer.fanOut"), ix.lookup(t, "internal/compile:Compile")
+	// Outside bench/ (and the oracle, which the index leaves out) one
+	// function starts goroutines: fanout.Run, the module's one fan-out,
+	// whose workers claim the next index. Everything else runs on its
+	// caller's goroutine: a store save is written before it returns, and the
+	// model build and the hashing run in line. The claim counter is the
+	// module's one atomic: no other package imports sync/atomic.
+	run := ix.lookup(t, "internal/fanout:Run")
+	spawners := 0
 	for dir, gs := range ix.spawns {
 		if dir == "bench" || strings.HasPrefix(dir, "bench/") {
 			continue
 		}
 		for _, g := range gs {
-			if g.in != fanOut && g.in != compilePool {
-				t.Errorf("%s: %s starts a goroutine; only Analyzer.fanOut and compile.Compile may", g.pos, funcName(g.in))
+			if g.in != run {
+				t.Errorf("%s: %s starts a goroutine; only fanout.Run may", g.pos, funcName(g.in))
 			}
+			spawners++
 		}
 	}
-	for _, imp := range ix.pkgs["."].Imports() {
-		if imp.Path() == "sync/atomic" {
-			t.Error("the root package imports sync/atomic")
+	if spawners == 0 {
+		t.Error("fanout.Run starts no goroutine")
+	}
+	for dir, pkg := range ix.pkgs {
+		if dir == "internal/fanout" || dir == oracleDir || dir == "bench" || strings.HasPrefix(dir, "bench/") {
+			continue
+		}
+		for _, imp := range pkg.Imports() {
+			if imp.Path() == "sync/atomic" {
+				t.Errorf("%s imports sync/atomic; only internal/fanout may", dir)
+			}
 		}
 	}
 

@@ -11,12 +11,10 @@ package compile
 import (
 	"cmp"
 	"fmt"
-	"runtime"
 	"slices"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
+	"scout/internal/fanout"
 	"scout/internal/object"
 	"scout/internal/policy"
 	"scout/internal/rule"
@@ -219,20 +217,11 @@ func Compile(p *policy.Policy, t *topo.Topology) (*Deployment, error) {
 		}
 	}
 
-	// The switches' lists are independent: sort and dedupe them on as many
-	// goroutines as there are processors to run them.
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := min(runtime.GOMAXPROCS(0), len(lists)); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < len(lists); i = int(next.Add(1)) - 1 {
-				lists[i] = finishSwitch(lists[i])
-			}
-		}()
-	}
-	wg.Wait()
+	// The switches' lists are independent: sort and dedupe them in parallel.
+	fanout.Run(len(lists), 0, func(i int) error {
+		lists[i] = finishSwitch(lists[i])
+		return nil
+	})
 	for i, sw := range switches {
 		d.BySwitch[sw] = lists[i]
 	}

@@ -40,18 +40,20 @@ const (
 	opEvict
 	opCorrupt
 	opRules
+	opEmpty
 )
 
-var opNames = [...]string{"InstallAll", "Install", "Remove", "RemoveKeys", "EvictRandom", "Corrupt", "Rules"}
+var opNames = [...]string{"InstallAll", "Install", "Remove", "RemoveKeys", "EvictRandom", "Corrupt", "Rules", "empty batch"}
 
 // allOps is every step.
-var allOps = []op{opInstallAll, opInstall, opRemove, opRemoveKeys, opEvict, opCorrupt, opRules}
+var allOps = []op{opInstallAll, opInstall, opRemove, opRemoveKeys, opEvict, opCorrupt, opRules, opEmpty}
 
 // tableCase is one run's shape: the capacity handed to New, and steps
 // each drawn uniformly from ops. readers goroutines take snapshots and
 // read every entry of each while the run goes on. freeReads holds the
-// first Rules call after every step to zero mallocs; it applies only with
-// no readers, whose own allocations the count would take in.
+// first Rules call after every step, and an empty batch, to zero mallocs;
+// it applies only with no readers, whose own allocations the count would
+// take in.
 type tableCase struct {
 	capacity, steps int
 	ops             []op
@@ -243,7 +245,6 @@ func runTable(t *testing.T, c *oracle.Choices, cs tableCase, stats *tableStats) 
 					t.Errorf("reader %d: a snapshot changed while Rules handed it out", g)
 					return
 				}
-				h.tc.RemoveKeys(nil) // takes the lock and writes nothing
 			}
 		}()
 	}
@@ -350,6 +351,14 @@ func (h *harness) step(i int, kind op) {
 	case opCorrupt:
 		n, field := 1+c.Intn(3), CorruptionField(1+c.Intn(4))
 		got, want = tc.Corrupt(n, field, h.rng), ref.corrupt(n, field, h.twin)
+	case opEmpty:
+		// An empty batch returns at once: it removes and installs nothing,
+		// allocates nothing and leaves the snapshot shared (check).
+		var n int
+		if allocs := h.mallocs(func() { n = tc.InstallAll(nil) + tc.RemoveKeys([]rule.Key{}) }); allocs > 0 {
+			t.Fatalf("%s made %d allocations", label, allocs)
+		}
+		got, want = n, 0
 	case opRules:
 		snap := tc.Rules()
 		got, want = rule.SameSlice(snap, tc.Rules()), true
@@ -415,17 +424,25 @@ func (h *harness) check(label string, changed bool) {
 // firstRead returns the snapshot Rules hands out after a step, holding
 // the call to no allocation when the case asks for it.
 func (h *harness) firstRead(label string) []rule.Rule {
-	if !h.freeReads {
-		return h.tc.Rules()
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	snap := h.tc.Rules()
-	runtime.ReadMemStats(&after)
-	if n := after.Mallocs - before.Mallocs; n > 0 {
+	var snap []rule.Rule
+	if n := h.mallocs(func() { snap = h.tc.Rules() }); n > 0 {
 		h.t.Fatalf("%s: the first Rules call after it made %d allocations", label, n)
 	}
 	return snap
+}
+
+// mallocs calls fn and returns how many allocations it made, when the case
+// counts them (freeReads), and 0 otherwise.
+func (h *harness) mallocs(fn func()) uint64 {
+	if !h.freeReads {
+		fn()
+		return 0
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }
 
 // checkOrderAndSlack verifies the list's invariants: the entries are in

@@ -82,6 +82,9 @@ func (t *TCAM) Install(r rule.Rule) error {
 // allocates in proportion to the batch. One pass over a non-empty table marks
 // the keys it holds; into an empty one the set fills only as rules go in.
 func (t *TCAM) InstallAll(rules []rule.Rule) int {
+	if len(rules) == 0 {
+		return 0
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	room := min(len(rules), t.capacity-len(t.rules))
@@ -138,8 +141,11 @@ func (t *TCAM) Remove(k rule.Key) bool { return t.RemoveKeys([]rule.Key{k}) > 0 
 // in match order, or all it has. The tally of names is local to the call,
 // like InstallAll's set. One compacting pass moves each survivor at most
 // once and stops judging entries once every name is spent; a call that
-// matches no entry copies nothing.
+// matches no entry copies nothing, and an empty one returns at once.
 func (t *TCAM) RemoveKeys(keys []rule.Key) int {
+	if len(keys) == 0 {
+		return 0
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	// names[k] is how many more entries of key k to drop; left is their sum.

@@ -142,27 +142,14 @@ func TestSharedBaseEncodeStats(t *testing.T) {
 	}
 }
 
-// TestWorkersFloor: a nonsensical worker count is the serial pipeline.
+// TestWorkersFloor: a nonsensical worker count is one per P, as 0 is.
 func TestWorkersFloor(t *testing.T) {
 	equalsCold(t, coldCase{fabric: seeded(17), workers: -3})
 }
 
-// TestWorkersDefaultIsGOMAXPROCS: the default worker count is the number of
-// Ps, not of CPUs — a worker the scheduler cannot run beside the others
-// only costs its goroutine — and never more than the items.
-func TestWorkersDefaultIsGOMAXPROCS(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	for _, tc := range []struct{ workers, n, want int }{{0, 8, 2}, {0, 1, 1}, {5, 8, 5}, {-3, 8, 2}} {
-		a := scout.NewAnalyzer(scout.AnalyzerOptions{Workers: tc.workers})
-		if got := scout.Workers(a, tc.n); got != tc.want {
-			t.Errorf("Workers %d at GOMAXPROCS 2 fans %d items out over %d workers, want %d", tc.workers, tc.n, got, tc.want)
-		}
-	}
-}
-
-// TestParallelCountersRepeat pins that which worker checks which switch
-// is a function of the input: a case run twice keeps equal counters after
-// every run, at an even and an uneven stride alike.
+// TestParallelCountersRepeat pins that a session's counters do not depend
+// on which worker checked which switch: a case run twice keeps equal
+// counters after every run, at an even and an uneven worker count alike.
 func TestParallelCountersRepeat(t *testing.T) {
 	t.Parallel()
 	small := func(t testing.TB) *scout.Fabric {

@@ -30,15 +30,14 @@ package scout
 import (
 	"encoding/json"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"scout/internal/correlate"
 	"scout/internal/equiv"
 	"scout/internal/fabric"
+	"scout/internal/fanout"
 	"scout/internal/localize"
 	"scout/internal/object"
 	"scout/internal/risk"
@@ -55,11 +54,10 @@ type AnalyzerOptions struct {
 	// checks. L-T checks are independent across switches (§III-C checks
 	// each switch on its own), so the check stage fans out over Workers
 	// goroutines, which share nothing: a check keeps nothing past its
-	// switch. Worker k checks the k-th, (k+W)-th, … switch in ascending
-	// switch-ID order and results are folded back in that order, so
-	// reports — and a session's counters — are identical from run to run
-	// at any worker count. 0 (the default) selects runtime.GOMAXPROCS(0);
-	// 1 restores the fully serial pipeline.
+	// switch. Each worker claims the next switch and results fold back in
+	// ascending switch-ID order, so reports — and a session's counters —
+	// are identical at any worker count. A count ≤ 0 (0 is the default)
+	// selects runtime.GOMAXPROCS(0); 1 restores the fully serial pipeline.
 	Workers int
 
 	// WarmStore, when set, gives Sessions durable warm state: on the
@@ -233,58 +231,6 @@ func baseLists(d *Deployment) [][]rule.Rule {
 	return lists
 }
 
-// workers resolves the worker count of a fan-out over n items. The default
-// is one worker per P: the work is CPU-bound, so a worker the scheduler
-// cannot run at once with the others only costs its goroutine.
-func (a *Analyzer) workers(n int) int {
-	w := a.opts.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// fanOut is the pipeline's one fan-out: it calls fn(i) for every i in
-// [0, n) on w = a.workers(n) workers, and worker k takes indices k, k+w,
-// k+2w, … in ascending order, worker 0 on the calling goroutine. fn writes
-// only slots its index owns, and the workers share nothing else. A worker
-// stops at its first error, and fanOut returns the error of the lowest
-// failing index — the one a serial loop would have stopped at, since the
-// worker that owns it ran every index below it on its stride.
-func (a *Analyzer) fanOut(n int, fn func(i int) error) error {
-	w := a.workers(n)
-	errs := make([]error, n)
-	stride := func(k int) {
-		for i := k; i < n; i += w {
-			if errs[i] = fn(i); errs[i] != nil {
-				return
-			}
-		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(w - 1)
-	for k := 1; k < w; k++ {
-		go func() {
-			defer wg.Done()
-			stride(k)
-		}()
-	}
-	stride(0)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // changeOracle builds the change-log oracle anchored at now.
 func changeOracle(changes *ChangeLog, now time.Time) localize.ChangeLogOracle {
 	return localize.ChangeLogOracle{Log: changes, Since: now.Add(-changeWindow)}
@@ -305,7 +251,7 @@ func (a *Analyzer) assemble(d *Deployment, ctrl *risk.Model, changes *ChangeLog,
 
 	srs := make([]SwitchReport, len(switches))
 	runs := make([]*risk.SwitchMarks, len(switches))
-	a.fanOut(len(switches), func(i int) error {
+	fanout.Run(len(switches), a.opts.Workers, func(i int) error {
 		srs[i], runs[i] = buildSwitchReport(ctrl, d.Provenance, oracle, switches[i], checkReps[i])
 		return nil
 	})

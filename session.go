@@ -8,6 +8,7 @@ import (
 	"scout/internal/compile"
 	"scout/internal/equiv"
 	"scout/internal/fabric"
+	"scout/internal/fanout"
 	"scout/internal/object"
 	"scout/internal/risk"
 	"scout/internal/rule"
@@ -291,17 +292,15 @@ func (s *Session) run(st State) (*Report, error) {
 		fresh = append(fresh, &switchCheckState{logical: l, tcam: tl, logicalFP: s.dep.logFPs[sw]})
 	}
 	tr.Witness = lap(&mark)
-	if len(fresh) > 0 { // a clean run's replay allocates no fan-out
-		if err := s.a.fanOut(len(fresh), func(j int) (err error) {
-			ent := fresh[j]
-			if ent.report, err = equiv.Check(ent.logical, ent.tcam); err != nil {
-				return fmt.Errorf("scout: equivalence check switch %d: %w", switches[dirty[j]], err)
-			}
-			return nil
-		}); err != nil {
-			s.stats.add(tr)
-			return nil, err
+	if err := fanout.Run(len(fresh), s.a.opts.Workers, func(j int) (err error) {
+		ent := fresh[j]
+		if ent.report, err = equiv.Check(ent.logical, ent.tcam); err != nil {
+			return fmt.Errorf("scout: equivalence check switch %d: %w", switches[dirty[j]], err)
 		}
+		return nil
+	}); err != nil {
+		s.stats.add(tr)
+		return nil, err
 	}
 	for j, i := range dirty {
 		reports[i], s.cache[switches[i]] = fresh[j].report, fresh[j]
