@@ -17,12 +17,12 @@ import (
 // of command lines. testdata/golden.txt holds one "case sha256" line per
 // output: each stdout, each file a -state-dir run leaves (by name), and
 // each generated policy. Elapsed times are zeroed and the wall-clock line
-// dropped before hashing. The small-spec cases (testbed, small,
-// -disconnect and the -scenario replay of testdata/testbed-scenario.json)
-// also check their default text output in full against
-// testdata/<case>.txt, so a change there
-// reads as a diff. A mismatch names the case and prints the line (or the
-// text) to paste in its place; -short skips the production cases.
+// dropped before hashing. The small-spec cases (testbed, small, and the
+// -scenario replays of testdata/testbed-disconnect.json and
+// testdata/testbed-scenario.json) also check their default text output in
+// full against testdata/<case>.txt, so a change there reads as a diff. A
+// mismatch names the case and prints the line (or the text) to paste in its
+// place; -short skips the production cases.
 func TestGolden(t *testing.T) {
 	g := readGolden(t)
 	for _, c := range []struct {
@@ -31,7 +31,7 @@ func TestGolden(t *testing.T) {
 	}{
 		{"testbed", []string{"-spec", "testbed", "-fault", "filter:5002@1.0", "-fault", "epg:1004@0.4"}},
 		{"small", []string{"-spec", "small", "-fault", "filter:5002@1.0", "-fault", "epg:1004@0.4"}},
-		{"testbed-disconnect", []string{"-spec", "testbed", "-disconnect", "3"}},
+		{"testbed-disconnect", []string{"-spec", "testbed", "-scenario", filepath.Join("testdata", "testbed-disconnect.json")}},
 		{"testbed-scenario", []string{"-spec", "testbed", "-scenario", filepath.Join("testdata", "testbed-scenario.json")}},
 	} {
 		// One line answers for both worker counts: a report does not

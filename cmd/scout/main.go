@@ -4,23 +4,21 @@
 //
 // Usage:
 //
-//	scout -policy policy.json -fault filter:5003@1.0 -fault epg:1004@0.4 \
-//	      -disconnect 3 -v
-//	scout -spec testbed -fault filter:5002@1.0
+//	scout -policy policy.json -fault filter:5003@1.0 -fault epg:1004@0.4 -v
+//	scout -spec testbed -scenario testdata/testbed-disconnect.json -fault filter:5002@1.0
 //	scout -spec small -watch -fault filter:5003@1.0 -fault epg:1004@0.4
 //
 // Fault syntax: <kind>:<id>@<fraction> where fraction 1.0 is a full
-// object fault and anything lower a partial fault. -disconnect takes a
-// switch ID to render unreachable before a final no-op policy touch.
+// object fault and anything lower a partial fault.
+// -scenario replays a JSON scenario file (an incident: a disconnect, a
+// policy change, an eviction, …) onto the deployed fabric before the
+// first analysis in either mode and before any -fault is injected.
 // -watch replaces the one-shot analysis with an event-driven daemon
 // loop over a persistent session: a full baseline round, then the loop
 // drains the fabric's event stream and, once -batch-window has passed
 // since the first event not yet analyzed, runs one refresh round that
 // collects every switch and re-verifies the ones written since their
-// last read.
-// -scenario replays a JSON scenario file instead of -fault and
-// -disconnect, and refuses either beside it; it is a one-shot replay and
-// cannot be combined with -watch.
+// last read. A scenario's steps are part of the baseline round.
 //
 // -state-dir names a durable warm-state directory: the session every
 // analysis runs through (a one-shot is its first run, -watch keeps it)
@@ -77,8 +75,7 @@ func run() error {
 		specName    = flag.String("spec", "testbed", "spec to generate when -policy is empty: production, testbed, or small")
 		seed        = flag.Int64("seed", 1, "fabric and generator seed")
 		capacity    = flag.Int("tcam", 0, "per-switch TCAM capacity (0 = default)")
-		disconnect  = flag.Int("disconnect", -1, "switch ID to disconnect before analysis")
-		scenPath    = flag.String("scenario", "", "JSON scenario file to replay instead of -fault/-disconnect")
+		scenPath    = flag.String("scenario", "", "JSON scenario file to replay onto the deployed fabric before the first analysis and any -fault")
 		workers     = flag.Int("workers", 0, "parallel per-switch equivalence checks (0 = GOMAXPROCS, 1 = serial)")
 		watch       = flag.Bool("watch", false, "drive an event-driven session daemon: full baseline, then an incremental refresh per window of events")
 		batchWindow = flag.Duration("batch-window", 2*time.Second, "watch mode: refresh once the first event not yet analyzed has waited this long (requires -watch)")
@@ -95,7 +92,7 @@ func run() error {
 	if err := checkWatchFlags(*watch, *batchWindow, set); err != nil {
 		return err
 	}
-	if err := checkFabricFlags(*capacity, *disconnect, *workers, set); err != nil {
+	if err := checkFabricFlags(*capacity, *workers); err != nil {
 		return err
 	}
 
@@ -145,31 +142,6 @@ func run() error {
 			return err
 		}
 		parsed = append(parsed, objectFault{ref: ref, fraction: fraction})
-	}
-
-	// The disconnect (and its visibility-granting policy touch) applies
-	// in both modes: one-shot analyses see it alongside the faults, watch
-	// sessions fold it into the baseline round. Fault injection order is
-	// immaterial — faults bypass the agent views, so the redeploy here
-	// never restores them.
-	if *disconnect >= 0 {
-		sw := scout.ObjectID(*disconnect)
-		if err := f.Disconnect(sw); err != nil {
-			return err
-		}
-		// A no-op-ish policy touch so the outage has visible impact: add
-		// a probe filter to the first bound contract.
-		if len(pol.Bindings) > 0 {
-			if err := f.AddFilter(scout.Filter{ID: 64999, Name: "probe", Entries: []scout.FilterEntry{
-				scout.PortEntry(scout.ProtoTCP, 64999),
-			}}); err != nil {
-				return err
-			}
-			if err := f.AddFilterToContract(pol.Bindings[0].Contract, 64999); err != nil {
-				return err
-			}
-		}
-		fmt.Fprintf(prose, "disconnected switch %d during a policy change\n", sw)
 	}
 
 	var warm *scout.WarmStore
@@ -271,15 +243,11 @@ func (flt objectFault) inject(f *scout.Fabric, w io.Writer) error {
 	return err
 }
 
-// checkWatchFlags rejects flag combinations that mix the one-shot and
-// daemon modes: -scenario is a one-shot replay (its effects would fold
-// invisibly into the watch baseline), and -batch-window does nothing
-// without the daemon loop. -scenario also replaces -fault and -disconnect,
-// so either beside it is refused rather than applied on top of the
-// replay. A negative window is refused: no wait can be negative. -v adds
-// per-switch details to the text report, which -json replaces, so the two
-// together are refused in either mode rather than -v dropped. set holds
-// the names of explicitly-set flags.
+// checkWatchFlags rejects a negative -batch-window (no wait can be
+// negative), -batch-window without -watch (it does nothing without the
+// daemon loop), and -v beside -json: -v adds per-switch details to the text
+// report, which -json replaces, so the two together are refused in either
+// mode rather than -v dropped. set holds the names of explicitly-set flags.
 func checkWatchFlags(watch bool, window time.Duration, set map[string]bool) error {
 	if window < 0 {
 		return fmt.Errorf("-batch-window %v is negative", window)
@@ -287,33 +255,18 @@ func checkWatchFlags(watch bool, window time.Duration, set map[string]bool) erro
 	if set["v"] && set["json"] {
 		return fmt.Errorf("-v adds details to the text report, which -json replaces; drop one of them")
 	}
-	if watch {
-		if set["scenario"] {
-			return fmt.Errorf("-scenario is a one-shot replay and cannot drive the -watch event loop; run it without -watch")
-		}
-		return nil
-	}
-	for _, name := range []string{"fault", "disconnect"} {
-		if set["scenario"] && set[name] {
-			return fmt.Errorf("-scenario replays instead of -%s; write the step into the scenario or drop -scenario", name)
-		}
-	}
-	if set["batch-window"] {
+	if !watch && set["batch-window"] {
 		return fmt.Errorf("-batch-window only applies to the -watch daemon loop; add -watch or drop the flag")
 	}
 	return nil
 }
 
 // checkFabricFlags rejects a negative -tcam, which would deploy at the
-// default capacity, an explicitly-set negative -disconnect, which would
-// disconnect nothing, and a negative -workers, which would run at
-// GOMAXPROCS. set holds the names of explicitly-set flags.
-func checkFabricFlags(capacity, disconnect, workers int, set map[string]bool) error {
+// default capacity, and a negative -workers, which would run at
+// GOMAXPROCS.
+func checkFabricFlags(capacity, workers int) error {
 	if capacity < 0 {
 		return fmt.Errorf("-tcam %d is negative", capacity)
-	}
-	if set["disconnect"] && disconnect < 0 {
-		return fmt.Errorf("-disconnect %d is negative", disconnect)
 	}
 	if workers < 0 {
 		return fmt.Errorf("-workers %d is negative", workers)

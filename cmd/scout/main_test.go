@@ -143,6 +143,24 @@ func TestRunRestartReportsReplays(t *testing.T) {
 	}
 }
 
+// TestRunWatchReplaysScenarioFirst: under -watch a scenario replays before
+// the baseline round, which reports the two rules its disconnect withheld,
+// and -fault injects after that round.
+func TestRunWatchReplaysScenarioFirst(t *testing.T) {
+	args := []string{"-spec", "testbed", "-watch", "-scenario", filepath.Join("testdata", "testbed-disconnect.json"), "-fault", "filter:5002@1.0"}
+	out, _, err := runCLI(t, args...)
+	if err != nil {
+		t.Fatalf("%s: %v\n%s", cmdline(args), err, out)
+	}
+	scenario, baseline, injected := strings.Index(out, `scenario "`), strings.Index(out, "baseline: "), strings.Index(out, "injected filter:5002")
+	if scenario < 0 || baseline < scenario || injected < baseline {
+		t.Errorf("%s: want the scenario line, then the baseline, then the fault:\n%s", cmdline(args), out)
+	}
+	if !regexp.MustCompile(`(?m)^baseline: full collection: re-checked \d+/\d+ switches \(0 replayed\), 2 missing rules, `).MatchString(out) {
+		t.Errorf("%s: the baseline does not report the disconnect's 2 missing rules:\n%s", cmdline(args), out)
+	}
+}
+
 // TestRunWatchReportsFailedSave: a -watch -state-dir run whose base file
 // cannot be written (a directory squats on its name) exits with that
 // write's error once its session closes.
@@ -167,16 +185,16 @@ func TestRunWatchReportsFailedSave(t *testing.T) {
 
 // TestJSONStdoutIsOneDocument: under -json, stdout is the report as one
 // JSON value and nothing after it, so `scout -json | jq` reads it; the
-// lines that narrate the run — the policy, each fault, a disconnect, the
-// warm state, the -watch rounds — are on stderr. A one-shot, a
-// -state-dir run, a -watch run and a -scenario replay.
+// lines that narrate the run — the policy, a scenario, each fault, the
+// warm state, the -watch rounds — are on stderr. A scenario replay with a
+// fault on top, a -state-dir run, a -watch run and a scenario alone.
 func TestJSONStdoutIsOneDocument(t *testing.T) {
 	for _, c := range []struct {
 		args  []string
 		prose []string
 	}{
-		{[]string{"-spec", "testbed", "-fault", "filter:5002@1.0", "-disconnect", "3"},
-			[]string{"policy ", "injected filter:5002", "disconnected switch 3"}},
+		{[]string{"-spec", "testbed", "-scenario", filepath.Join("testdata", "testbed-disconnect.json"), "-fault", "filter:5002@1.0"},
+			[]string{"policy ", `scenario "switch 3 unresponsive`, "injected filter:5002"}},
 		{[]string{"-spec", "small", "-fault", "filter:5002@1.0", "-state-dir", t.TempDir()},
 			[]string{"policy ", "injected filter:5002", "warm state: "}},
 		{[]string{"-spec", "testbed", "-watch", "-fault", "filter:5002@1.0", "-state-dir", t.TempDir()},
@@ -391,10 +409,9 @@ func TestCheckWatchFlags(t *testing.T) {
 	}{
 		{"watch alone", true, time.Second, nil, false},
 		{"watch with fault", true, time.Second, []string{"fault", "v"}, false},
-		{"watch with scenario", true, time.Second, []string{"scenario"}, true},
+		{"watch with scenario", true, time.Second, []string{"scenario", "fault"}, false},
 		{"one-shot with scenario", false, time.Second, []string{"scenario"}, false},
-		{"scenario with fault", false, time.Second, []string{"scenario", "fault"}, true},
-		{"scenario with disconnect", false, time.Second, []string{"scenario", "disconnect"}, true},
+		{"scenario with fault", false, time.Second, []string{"scenario", "fault"}, false},
 		{"scenario with json", false, time.Second, []string{"scenario", "json"}, false},
 		{"v with json", false, time.Second, []string{"v", "json"}, true},
 		{"watch with v and json", true, time.Second, []string{"v", "json"}, true},
@@ -414,38 +431,22 @@ func TestCheckWatchFlags(t *testing.T) {
 	}
 }
 
-// TestCheckFabricFlags pins the fabric flag rules: no capacity, switch ID
-// or worker count is negative, and each that is must fail loudly, naming
-// its flag.
+// TestCheckFabricFlags pins the fabric flag rules: no capacity or worker
+// count is negative, and each that is must fail loudly, naming its flag.
 func TestCheckFabricFlags(t *testing.T) {
 	tests := []struct {
-		name    string
-		n       int // -tcam, -disconnect or -workers
-		set     []string
-		wantErr string
+		name     string
+		capacity int // -tcam
+		workers  int
+		wantErr  string
 	}{
-		{"no fabric flags", 0, nil, ""},
-		{"negative tcam", -5, []string{"tcam"}, "-tcam"},
-		{"negative disconnect", -7, []string{"disconnect"}, "-disconnect"},
-		{"disconnect switch 0", 0, []string{"disconnect"}, ""},
-		{"negative workers", -3, []string{"workers"}, "-workers"},
-		{"serial workers", 1, []string{"workers"}, ""},
+		{"no fabric flags", 0, 0, ""},
+		{"negative tcam", -5, 0, "-tcam"},
+		{"negative workers", 0, -3, "-workers"},
+		{"serial workers", 0, 1, ""},
 	}
 	for _, tt := range tests {
-		set := make(map[string]bool, len(tt.set))
-		for _, name := range tt.set {
-			set[name] = true
-		}
-		capacity, disconnect, workers := 0, -1, 0
-		switch {
-		case set["tcam"]:
-			capacity = tt.n
-		case set["disconnect"]:
-			disconnect = tt.n
-		case set["workers"]:
-			workers = tt.n
-		}
-		err := checkFabricFlags(capacity, disconnect, workers, set)
+		err := checkFabricFlags(tt.capacity, tt.workers)
 		if err == nil && tt.wantErr != "" || err != nil && (tt.wantErr == "" || !strings.Contains(err.Error(), tt.wantErr+" ")) {
 			t.Errorf("%s: flag check = %v, want an error naming %q", tt.name, err, tt.wantErr)
 		}

@@ -942,7 +942,7 @@ func TestMetamorphic(t *testing.T) {
 		slices.Reverse(epgs)
 		reversed := topo.New(sws...)
 		for _, epg := range epgs {
-			hosts := topology.SwitchesHosting(epg)
+			hosts := slices.Clone(topology.SwitchesHosting(epg)) // the topology's own list
 			slices.Reverse(hosts)
 			for _, sw := range hosts {
 				reversed.Attach(epg, sw)

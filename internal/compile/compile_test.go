@@ -72,8 +72,8 @@ func TestCompileProvenance(t *testing.T) {
 			object.EPG(r.Match.SrcEPG), object.EPG(r.Match.DstEPG),
 		)
 		got := object.NewSet(r.Provenance...)
-		if got.Len() != 5 {
-			t.Errorf("rule %v provenance size = %d, want 5 (vrf, 2 epgs, contract, filter)", r, got.Len())
+		if len(got) != 5 {
+			t.Errorf("rule %v provenance size = %d, want 5 (vrf, 2 epgs, contract, filter)", r, len(got))
 		}
 		for ref := range want {
 			if !got.Has(ref) {

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -103,41 +104,33 @@ type Figure3Result struct {
 	Series map[string][]int
 }
 
-// Figure3 computes the sharing distributions for an environment.
+// Figure3 computes the sharing distributions for an environment from its
+// controller model: a risk's count is the distinct EPG pairs among its
+// dependents, and a switch's is its number of elements, one per pair.
 func Figure3(env *Env) *Figure3Result {
-	perObject := make(map[object.Ref]map[policy.EPGPair]struct{})
-	perSwitch := make(map[object.ID]map[policy.EPGPair]struct{})
-	fp := env.Deployment.Footprint
-	for i, sp := range fp.Pairs {
-		swSet, ok := perSwitch[sp.Switch]
-		if !ok {
-			swSet = make(map[policy.EPGPair]struct{})
-			perSwitch[sp.Switch] = swSet
-		}
-		swSet[sp.Pair] = struct{}{}
-		for _, ref := range fp.Risks[i] {
-			set, ok := perObject[ref]
-			if !ok {
-				set = make(map[policy.EPGPair]struct{})
-				perObject[ref] = set
-			}
-			set[sp.Pair] = struct{}{}
-		}
-	}
-
-	res := &Figure3Result{Series: map[string][]int{}}
+	pairs := env.Deployment.Footprint.Pairs // element i of env.ctrl is pairs[i]
 	kindName := map[object.Kind]string{
+		object.KindSwitch:   "switches",
 		object.KindVRF:      "vrfs",
 		object.KindEPG:      "epgs",
 		object.KindContract: "contracts",
 		object.KindFilter:   "filters",
 	}
-	for ref, pairs := range perObject {
+	res := &Figure3Result{Series: map[string][]int{}}
+	var seen []policy.EPGPair
+	for r, ref := range env.ctrl.Risks() {
+		deps := env.ctrl.Dependents(risk.RiskID(r))
+		n := len(deps)
+		if ref.Kind != object.KindSwitch {
+			seen = seen[:0]
+			for _, el := range deps {
+				seen = append(seen, pairs[el].Pair)
+			}
+			slices.SortFunc(seen, policy.EPGPair.Compare)
+			n = len(slices.Compact(seen))
+		}
 		name := kindName[ref.Kind]
-		res.Series[name] = append(res.Series[name], len(pairs))
-	}
-	for _, pairs := range perSwitch {
-		res.Series["switches"] = append(res.Series["switches"], len(pairs))
+		res.Series[name] = append(res.Series[name], n)
 	}
 	for k := range res.Series {
 		sort.Ints(res.Series[k])

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"time"
 
 	"scout/internal/compile"
@@ -331,23 +330,17 @@ func (f *Fabric) RecordChange(op faultlog.ChangeOp, obj object.Ref, detail strin
 	f.changes.Append(f.advance(), op, obj, detail)
 }
 
+// switchesForContract returns, ascending, the switches hosting a pair the
+// contract is bound to.
 func (f *Fabric) switchesForContract(contract object.ID) []object.ID {
-	seen := make(map[object.ID]struct{})
 	var out []object.ID
 	for _, b := range f.pol.Bindings {
-		if b.Contract != contract {
-			continue
-		}
-		for _, sw := range f.topology.SwitchesForPair(b.From, b.To) {
-			if _, dup := seen[sw]; dup {
-				continue
-			}
-			seen[sw] = struct{}{}
-			out = append(out, sw)
+		if b.Contract == contract {
+			out = append(out, f.topology.SwitchesForPair(b.From, b.To)...)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // --- Fault injection (the paper's §II-B failure modes) ---

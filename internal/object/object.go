@@ -139,9 +139,6 @@ func (s Set) Has(r Ref) bool {
 	return ok
 }
 
-// Len returns the number of refs in the set.
-func (s Set) Len() int { return len(s) }
-
 // Sorted returns the set contents as a sorted slice.
 func (s Set) Sorted() []Ref {
 	out := make([]Ref, 0, len(s))

@@ -129,16 +129,16 @@ func TestSortRefsIsTotalOrder(t *testing.T) {
 
 func TestSetBasics(t *testing.T) {
 	s := NewSet(VRF(1), EPG(2))
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", s.Len())
+	if len(s) != 2 {
+		t.Fatalf("len = %d, want 2", len(s))
 	}
 	if !s.Has(VRF(1)) || !s.Has(EPG(2)) || s.Has(EPG(3)) {
 		t.Error("Has answers wrong")
 	}
 	s.Add(EPG(3))
 	s.Add(EPG(3)) // idempotent
-	if s.Len() != 3 {
-		t.Errorf("Len after adds = %d, want 3", s.Len())
+	if len(s) != 3 {
+		t.Errorf("len after adds = %d, want 3", len(s))
 	}
 }
 

@@ -41,12 +41,13 @@ const (
 	opCorrupt
 	opRules
 	opEmpty
+	opOneKey
 )
 
-var opNames = [...]string{"InstallAll", "Install", "Remove", "RemoveKeys", "EvictRandom", "Corrupt", "Rules", "empty batch"}
+var opNames = [...]string{"InstallAll", "Install", "Remove", "RemoveKeys", "EvictRandom", "Corrupt", "Rules", "empty batch", "one-key pair"}
 
 // allOps is every step.
-var allOps = []op{opInstallAll, opInstall, opRemove, opRemoveKeys, opEvict, opCorrupt, opRules, opEmpty}
+var allOps = []op{opInstallAll, opInstall, opRemove, opRemoveKeys, opEvict, opCorrupt, opRules, opEmpty, opOneKey}
 
 // tableCase is one run's shape: the capacity handed to New, and steps
 // each drawn uniformly from ops. readers goroutines take snapshots and
@@ -190,6 +191,7 @@ type tableStats struct {
 	adjacent   int // deletions of a key's first entry with another entry of that key right behind it
 	repeated   int // RemoveKeys calls naming a key twice or more while the table holds two entries of it or more
 	denied     int // corruptions that drew the default deny
+	rotated    int // one-key pairs whose removal hit and whose install went in
 }
 
 type harness struct {
@@ -359,6 +361,23 @@ func (h *harness) step(i int, kind op) {
 			t.Fatalf("%s made %d allocations", label, allocs)
 		}
 		got, want = n, 0
+	case opOneKey:
+		// A churner's rotation: RemoveKeys of one key, then InstallAll of one
+		// rule, each a batch of one. Into the room a removal left in the
+		// table it made its own, the install allocates nothing.
+		k, batch := h.key(), []rule.Rule{h.draw()}
+		h.lend(batch)
+		removed := tc.RemoveKeys([]rule.Key{k})
+		var held int
+		allocs := h.mallocs(func() { held = tc.InstallAll(batch) })
+		if removed > 0 && allocs > 0 {
+			t.Fatalf("%s: the install after a removal made %d allocations", label, allocs)
+		}
+		before := ref.writes
+		got, want = [2]int{removed, held}, [2]int{ref.remove(k), ref.install(batch...)}
+		if removed > 0 && ref.writes-before == 2 {
+			h.stats.rotated++
+		}
 	case opRules:
 		snap := tc.Rules()
 		got, want = rule.SameSlice(snap, tc.Rules()), true

@@ -7,7 +7,8 @@
 // hardware corruption flipping bits in deployed rules.
 //
 // A table keeps no index over its keys: InstallAll and RemoveKeys look keys
-// up with a map local to the call over its batch's keys, sized by the batch.
+// up with a map local to the call over its batch's keys, sized by the batch,
+// or, for a batch of one key, by comparing each entry's key with it.
 package tcam
 
 import (
@@ -30,8 +31,8 @@ var ErrFull = errors.New("tcam: table full")
 const DefaultCapacity = 4096
 
 // TCAM is a fixed-capacity rule table, its rule list alone: InstallAll and
-// RemoveKeys look keys up by walking the list with a map sized by their
-// batch. It is safe for concurrent use.
+// RemoveKeys look keys up by walking the list, with a map sized by their
+// batch when it holds more than one key. It is safe for concurrent use.
 type TCAM struct {
 	mu       sync.Mutex
 	capacity int
@@ -80,7 +81,8 @@ func (t *TCAM) Install(r rule.Rule) error {
 //
 // The duplicate check is a set of the batch's keys local to the call, so it
 // allocates in proportion to the batch. One pass over a non-empty table marks
-// the keys it holds; into an empty one the set fills only as rules go in.
+// the keys it holds; into an empty one the set fills only as rules go in. A
+// batch of one builds no set: its key is compared with each entry's.
 func (t *TCAM) InstallAll(rules []rule.Rule) int {
 	if len(rules) == 0 {
 		return 0
@@ -91,14 +93,17 @@ func (t *TCAM) InstallAll(rules []rule.Rule) int {
 	if room > 0 && !t.shared {
 		t.rules = slices.Grow(t.rules, room)
 	}
-	has := make(map[rule.Key]bool, len(rules)) // batch key: whether the table holds it
-	if len(t.rules) > 0 {
-		for i := range rules {
-			has[rules[i].Key()] = false
-		}
-		for _, e := range t.rules {
-			if _, ok := has[e.Key()]; ok {
-				has[e.Key()] = true
+	var has map[rule.Key]bool // batch key: whether the table holds it; nil for a batch of one
+	if len(rules) > 1 {
+		has = make(map[rule.Key]bool, len(rules))
+		if len(t.rules) > 0 {
+			for i := range rules {
+				has[rules[i].Key()] = false
+			}
+			for _, e := range t.rules {
+				if _, ok := has[e.Key()]; ok {
+					has[e.Key()] = true
+				}
 			}
 		}
 	}
@@ -106,7 +111,7 @@ func (t *TCAM) InstallAll(rules []rule.Rule) int {
 	for i := range rules {
 		r := &rules[i]
 		k := r.Key()
-		if has[k] {
+		if has[k] || has == nil && t.indexLocked(k) >= 0 {
 			held++
 			continue
 		}
@@ -125,7 +130,9 @@ func (t *TCAM) InstallAll(rules []rule.Rule) int {
 		}
 		t.ownLocked(room)
 		t.rules = slices.Insert(t.rules, pos, *r)
-		has[k] = true
+		if has != nil {
+			has[k] = true
+		}
 		held++
 	}
 	return held
@@ -139,15 +146,26 @@ func (t *TCAM) Remove(k rule.Key) bool { return t.RemoveKeys([]rule.Key{k}) > 0 
 // key — exactly what calling Remove per key would do — and returns how
 // many entries were removed: a key named m times loses its first m entries
 // in match order, or all it has. The tally of names is local to the call,
-// like InstallAll's set. One compacting pass moves each survivor at most
-// once and stops judging entries once every name is spent; a call that
-// matches no entry copies nothing, and an empty one returns at once.
+// like InstallAll's set, and a call naming one key keeps none: it deletes
+// the first entry whose key equals it. One compacting pass moves each
+// survivor at most once and stops judging entries once every name is spent;
+// a call that matches no entry copies nothing, and an empty one returns at
+// once.
 func (t *TCAM) RemoveKeys(keys []rule.Key) int {
 	if len(keys) == 0 {
 		return 0
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if len(keys) == 1 {
+		i := t.indexLocked(keys[0])
+		if i < 0 {
+			return 0
+		}
+		t.ownLocked(0)
+		t.rules = slices.Delete(t.rules, i, i+1) // zeroes the vacated slot
+		return 1
+	}
 	// names[k] is how many more entries of key k to drop; left is their sum.
 	names := make(map[rule.Key]int, len(keys))
 	for _, k := range keys {
@@ -253,6 +271,11 @@ func (t *TCAM) Corrupt(n int, field CorruptionField, rng *rand.Rand) []rule.Key 
 		}
 	}
 	return damaged
+}
+
+// indexLocked returns the position of the first entry whose key is k, or -1.
+func (t *TCAM) indexLocked(k rule.Key) int {
+	return slices.IndexFunc(t.rules, func(e rule.Rule) bool { return e.Key() == k })
 }
 
 // ownLocked readies the table for a write: a table a read shared becomes

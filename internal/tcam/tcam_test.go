@@ -100,6 +100,17 @@ func TestRulesNeverAllocates(t *testing.T) {
 	runTable(t, oracle.FromSeed(0), tableCase{capacity: 32, steps: 600, ops: allOps, freeReads: true}, &tableStats{})
 }
 
+// TestOneKeyWrites: a churner's rotation, one key out and one rule in, each
+// a batch of one, which compares keys instead of building a set; the install
+// into the room a removal left allocates nothing.
+func TestOneKeyWrites(t *testing.T) {
+	var stats tableStats
+	for seed := int64(0); seed < 8; seed++ {
+		runTable(t, oracle.FromSeed(seed), tableCase{capacity: 16, steps: 100, ops: []op{opInstallAll, opOneKey}, freeReads: true}, &stats)
+	}
+	exercised(t, "installed into the room a one-key removal left", stats.rotated)
+}
+
 func TestRulesSnapshotSharedUntilWrite(t *testing.T) {
 	runTables(t, 8, 32, 100, allOps...)
 }

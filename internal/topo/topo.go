@@ -16,13 +16,13 @@ import (
 // Topology is the leaf-switch attachment view of a deployment.
 type Topology struct {
 	switches []object.ID // ascending
-	// switchesOf[epg] = set of switches hosting endpoints of epg.
-	switchesOf map[object.ID]object.Set
+	// switchesOf[epg] = the switches hosting endpoints of epg, ascending.
+	switchesOf map[object.ID][]object.ID
 }
 
 // New creates a topology with the given switch IDs and no attachments.
 func New(switches ...object.ID) *Topology {
-	t := &Topology{switchesOf: make(map[object.ID]object.Set)}
+	t := &Topology{switchesOf: make(map[object.ID][]object.ID)}
 	for _, s := range switches {
 		t.AddSwitch(s)
 	}
@@ -50,12 +50,10 @@ func (t *Topology) AddSwitch(sw object.ID) {
 // Attach records that epg has an endpoint on switch sw.
 func (t *Topology) Attach(epg, sw object.ID) {
 	t.AddSwitch(sw)
-	set, ok := t.switchesOf[epg]
-	if !ok {
-		set = make(object.Set)
-		t.switchesOf[epg] = set
+	hosts := t.switchesOf[epg]
+	if i, ok := slices.BinarySearch(hosts, sw); !ok {
+		t.switchesOf[epg] = slices.Insert(hosts, i, sw)
 	}
-	set.Add(object.Switch(sw))
 }
 
 // Switches returns the sorted switch IDs.
@@ -74,19 +72,18 @@ func (t *Topology) HasSwitch(sw object.ID) bool {
 	return ok
 }
 
-// SwitchesHosting returns the sorted IDs of switches hosting endpoints of epg.
+// SwitchesHosting returns the sorted IDs of switches hosting endpoints of
+// epg. The slice is the topology's own; callers must not modify it.
 func (t *Topology) SwitchesHosting(epg object.ID) []object.ID {
-	set, ok := t.switchesOf[epg]
-	if !ok {
-		return nil
-	}
-	return idsOf(set)
+	hosts := t.switchesOf[epg]
+	return hosts[:len(hosts):len(hosts)]
 }
 
 // SwitchesForPair returns the sorted switches that must carry rules for the
 // EPG pair (a, b): every switch hosting endpoints of either EPG. This is
 // the deployment footprint of the pair (paper §II-A: EPG instructions go to
-// the switches its endpoints connect to).
+// the switches its endpoints connect to). The slice may be the topology's
+// own; callers must not modify it.
 func (t *Topology) SwitchesForPair(a, b object.ID) []object.ID {
 	as := t.SwitchesHosting(a)
 	if a == b {
@@ -117,12 +114,4 @@ func (t *Topology) Validate(p *policy.Policy) error {
 		}
 	}
 	return nil
-}
-
-func idsOf(set object.Set) []object.ID {
-	out := make([]object.ID, 0, set.Len())
-	for _, r := range set.Sorted() {
-		out = append(out, r.ID)
-	}
-	return out
 }

@@ -246,7 +246,7 @@ func TestNewScenario(t *testing.T) {
 		t.Fatalf("faults = %d", len(sc.Faults))
 	}
 	// Ground-truth objects are distinct.
-	if object.NewSet(sc.GroundTruth...).Len() != 5 {
+	if len(object.NewSet(sc.GroundTruth...)) != 5 {
 		t.Error("duplicate ground-truth objects")
 	}
 	// Every faulty object is "recently changed"; noise adds more.
@@ -255,8 +255,8 @@ func TestNewScenario(t *testing.T) {
 			t.Errorf("faulty %v missing from change set", ref)
 		}
 	}
-	if sc.Changed.Len() != 8 {
-		t.Errorf("changed = %d, want 5+3", sc.Changed.Len())
+	if len(sc.Changed) != 8 {
+		t.Errorf("changed = %d, want 5+3", len(sc.Changed))
 	}
 	// Fractions are sane.
 	for _, f := range sc.Faults {
