@@ -148,20 +148,14 @@ type (
 	RiskOverlay = risk.Overlay
 	// Deployment is the compiled per-switch logical rule set.
 	Deployment = compile.Deployment
-	// LocalizationResult is the output of SCOUT or SCORE.
-	LocalizationResult = localize.Result
 	// ChangeOracle answers "was this object recently changed?".
 	ChangeOracle = localize.ChangeOracle
 	// ChangeLogOracle adapts a controller change log as a ChangeOracle.
 	ChangeLogOracle = localize.ChangeLogOracle
 )
 
-var (
-	// Localize runs the SCOUT algorithm on an annotated risk model.
-	Localize = localize.Scout
-	// LocalizeSCORE runs the SCORE baseline with a hit-ratio threshold.
-	LocalizeSCORE = localize.Score
-)
+// Localize runs the SCOUT algorithm on an annotated risk model.
+var Localize = localize.Scout
 
 // Workload synthesis (the paper's §VI-A datasets).
 type (

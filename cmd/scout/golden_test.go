@@ -13,27 +13,43 @@ import (
 	"scout"
 )
 
+// goldenCases are TestGolden's small command lines. Every scenario file in
+// testdata is one's -scenario, and states its expect block, so each run
+// also holds the report to the answer the file states.
+var goldenCases = []struct {
+	name string
+	args []string
+}{
+	{"testbed", []string{"-spec", "testbed", "-fault", "filter:5002@1.0", "-fault", "epg:1004@0.4"}},
+	{"small", []string{"-spec", "small", "-fault", "filter:5002@1.0", "-fault", "epg:1004@0.4"}},
+	{"testbed-disconnect", scenarioArgs("testbed-disconnect", "-spec", "testbed")},
+	{"testbed-scenario", scenarioArgs("testbed-scenario", "-spec", "testbed")},
+	{"uc1-tcam-overflow", scenarioArgs("uc1-tcam-overflow", "-policy", filepath.Join("testdata", "threetier-policy.json"), "-tcam", "16")},
+	{"uc2-unresponsive-switch", scenarioArgs("uc2-unresponsive-switch", "-policy", filepath.Join("testdata", "threetier-policy.json"))},
+	{"uc3-missing-switch", scenarioArgs("uc3-missing-switch", "-spec", "testbed")},
+	{"mixed-faults", scenarioArgs("mixed-faults", "-spec", "small")},
+	{"agent-crash", scenarioArgs("agent-crash", "-spec", "testbed")},
+	{"silent-eviction", scenarioArgs("silent-eviction", "-spec", "testbed")},
+}
+
+// scenarioArgs replays testdata/<name>.json on the fabric the flags build.
+func scenarioArgs(name string, flags ...string) []string {
+	return append(flags, "-scenario", filepath.Join("testdata", name+".json"))
+}
+
 // TestGolden pins what the command prints and persists over a fixed set
 // of command lines. testdata/golden.txt holds one "case sha256" line per
 // output: each stdout, each file a -state-dir run leaves (by name), and
 // each generated policy. Elapsed times are zeroed and the wall-clock line
-// dropped before hashing. The small-spec cases (testbed, small, and the
-// -scenario replays of testdata/testbed-disconnect.json and
-// testdata/testbed-scenario.json) also check their default text output in
-// full against testdata/<case>.txt, so a change there reads as a diff. A
-// mismatch names the case and prints the line (or the text) to paste in its
-// place; -short skips the production cases.
+// dropped before hashing. The small cases (goldenCases: the testbed and
+// small specs, and the -scenario replays of the testdata corpus) also
+// check their default text output in full against testdata/<case>.txt, so
+// a change there reads as a diff. A mismatch names the case and prints the
+// line (or the text) to paste in its place; -short skips the production
+// cases.
 func TestGolden(t *testing.T) {
 	g := readGolden(t)
-	for _, c := range []struct {
-		name string
-		args []string
-	}{
-		{"testbed", []string{"-spec", "testbed", "-fault", "filter:5002@1.0", "-fault", "epg:1004@0.4"}},
-		{"small", []string{"-spec", "small", "-fault", "filter:5002@1.0", "-fault", "epg:1004@0.4"}},
-		{"testbed-disconnect", []string{"-spec", "testbed", "-scenario", filepath.Join("testdata", "testbed-disconnect.json")}},
-		{"testbed-scenario", []string{"-spec", "testbed", "-scenario", filepath.Join("testdata", "testbed-scenario.json")}},
-	} {
+	for _, c := range goldenCases {
 		// One line answers for both worker counts: a report does not
 		// depend on how many checkers produced it.
 		for _, workers := range []string{"1", "2"} {
@@ -182,4 +198,37 @@ func checkText(t *testing.T, name, from string, got []byte) {
 	}
 	t.Errorf("%s differs (%s) at line %d:\n  want %s\n   got %s\n%s is now:\n%s",
 		path, from, i+1, line(wl), line(gl), path, got)
+}
+
+// TestCorpusIsPinned: every JSON file in testdata is some golden case's
+// -policy or -scenario, and every scenario file states its expect block,
+// so no corpus file goes unchecked or unpinned.
+func TestCorpusIsPinned(t *testing.T) {
+	flagOf := make(map[string]string)
+	for _, c := range goldenCases {
+		for i := 1; i < len(c.args); i++ {
+			flagOf[c.args[i]] = c.args[i-1]
+		}
+	}
+	files, err := filepath.Glob(filepath.Join("testdata", "*.json"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("testdata holds no JSON files (%v)", err)
+	}
+	for _, path := range files {
+		switch flagOf[path] {
+		case "-policy":
+		case "-scenario":
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sc, err := scout.ParseScenario(data); err != nil {
+				t.Errorf("%s: %v", path, err)
+			} else if sc.Expect == nil {
+				t.Errorf("%s states no expect block", path)
+			}
+		default:
+			t.Errorf("%s is no golden case's -policy or -scenario; add a case to goldenCases", path)
+		}
+	}
 }

@@ -5,14 +5,20 @@
 // Usage:
 //
 //	scout -policy policy.json -fault filter:5003@1.0 -fault epg:1004@0.4 -v
-//	scout -spec testbed -scenario testdata/testbed-disconnect.json -fault filter:5002@1.0
+//	scout -spec testbed -scenario testdata/testbed-disconnect.json
 //	scout -spec small -watch -fault filter:5003@1.0 -fault epg:1004@0.4
 //
 // Fault syntax: <kind>:<id>@<fraction> where fraction 1.0 is a full
 // object fault and anything lower a partial fault.
 // -scenario replays a JSON scenario file (an incident: a disconnect, a
-// policy change, an eviction, …) onto the deployed fabric before the
-// first analysis in either mode and before any -fault is injected.
+// policy change, an eviction, …) in place of the deploy: the file's own
+// deploy step deploys the fabric, so a fault may precede it. It runs
+// before the first analysis in either mode and before any -fault is
+// injected. When the file states an expect block, the final report is
+// held to it: an "expect: ok" line follows the report, or "expect:
+// mismatch:" with what the report gave and what the file wants, and the
+// command exits 1. A -fault adds faults the file does not state, so beside
+// one the line says the expect was not checked.
 // -watch replaces the one-shot analysis with an event-driven daemon
 // loop over a persistent session: a full baseline round, then the loop
 // drains the fabric's event stream and, once -batch-window has passed
@@ -75,7 +81,7 @@ func run() error {
 		specName    = flag.String("spec", "testbed", "spec to generate when -policy is empty: production, testbed, or small")
 		seed        = flag.Int64("seed", 1, "fabric and generator seed")
 		capacity    = flag.Int("tcam", 0, "per-switch TCAM capacity (0 = default)")
-		scenPath    = flag.String("scenario", "", "JSON scenario file to replay onto the deployed fabric before the first analysis and any -fault")
+		scenPath    = flag.String("scenario", "", "JSON scenario file to replay, in place of the deploy, before the first analysis and any -fault; its expect block, if any, is checked against the final report unless -fault is given")
 		workers     = flag.Int("workers", 0, "parallel per-switch equivalence checks (0 = GOMAXPROCS, 1 = serial)")
 		watch       = flag.Bool("watch", false, "drive an event-driven session daemon: full baseline, then an incremental refresh per window of events")
 		batchWindow = flag.Duration("batch-window", 2*time.Second, "watch mode: refresh once the first event not yet analyzed has waited this long (requires -watch)")
@@ -114,17 +120,18 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if err := f.Deploy(); err != nil {
-		return err
-	}
-
-	if *scenPath != "" {
+	// A scenario deploys the fabric itself; without one, the command does.
+	var sc *scout.Scenario
+	if *scenPath == "" {
+		if err := f.Deploy(); err != nil {
+			return err
+		}
+	} else {
 		data, err := os.ReadFile(*scenPath)
 		if err != nil {
 			return err
 		}
-		sc, err := scout.ParseScenario(data)
-		if err != nil {
+		if sc, err = scout.ParseScenario(data); err != nil {
 			return err
 		}
 		res, err := sc.Run(f)
@@ -153,40 +160,63 @@ func run() error {
 	}
 	aOpts := scout.AnalyzerOptions{Workers: *workers, WarmStore: warm}
 
+	var report *scout.Report
 	if *watch {
-		report, err := runWatch(f, parsed, watchOptions{analyzer: aOpts, window: *batchWindow}, prose)
-		if err != nil {
-			return err
-		}
-		return emitReport(report, *jsonOut, *verbose)
+		report, err = runWatch(f, parsed, watchOptions{analyzer: aOpts, window: *batchWindow}, prose)
+	} else {
+		report, err = runOnce(f, parsed, aOpts, warm != nil, prose)
 	}
-
-	for _, flt := range parsed {
-		if err := flt.inject(f, prose); err != nil {
-			return err
-		}
-	}
-
-	// A one-shot is a session's first run, with or without durable state:
-	// with it, the session restores the persisted base and verdicts before
-	// the run, writes what it built, and reports a failed write on Close.
-	sess, err := scout.NewSession(f, aOpts)
 	if err != nil {
 		return err
+	}
+	if err := emitReport(report, *jsonOut, *verbose); err != nil {
+		return err
+	}
+	return checkExpect(sc, len(parsed) > 0, report, prose)
+}
+
+// runOnce injects the faults and runs a session's first analysis, with or
+// without durable state: with it (warm), the session restores the
+// persisted base and verdicts before the run, writes what it built, and
+// reports a failed write on Close.
+func runOnce(f *scout.Fabric, faults []objectFault, opts scout.AnalyzerOptions, warm bool, w io.Writer) (*scout.Report, error) {
+	for _, flt := range faults {
+		if err := flt.inject(f, w); err != nil {
+			return nil, err
+		}
+	}
+	sess, err := scout.NewSession(f, opts)
+	if err != nil {
+		return nil, err
 	}
 	report, err := sess.Analyze()
-	if err != nil {
-		return err
+	if err != nil || !warm {
+		return report, err
 	}
-	if warm != nil {
-		tr := report.Trace
-		fmt.Fprintf(prose, "warm state: base loaded %d / rebuilt %d, switches replayed %d / checked %d\n",
-			tr.BaseLoads, tr.BaseRebuilds, tr.Replayed, tr.Checked)
-		if err := sess.Close(); err != nil {
-			return err
-		}
+	tr := report.Trace
+	fmt.Fprintf(w, "warm state: base loaded %d / rebuilt %d, switches replayed %d / checked %d\n",
+		tr.BaseLoads, tr.BaseRebuilds, tr.Replayed, tr.Checked)
+	return report, sess.Close()
+}
+
+// checkExpect holds the report to the scenario's expect block, if it has
+// one, and prints the verdict on w: ok, or a mismatch naming both answers,
+// which fails the command. With faulted, -fault added faults the scenario
+// does not state, so nothing is checked.
+func checkExpect(sc *scout.Scenario, faulted bool, report *scout.Report, w io.Writer) error {
+	switch {
+	case sc == nil || sc.Expect == nil:
+		return nil
+	case faulted:
+		fmt.Fprintln(w, "expect: not checked (-fault adds faults the scenario does not state)")
+		return nil
 	}
-	return emitReport(report, *jsonOut, *verbose)
+	if err := sc.Expect.Check(report.Hypothesis, report.RootCauses); err != nil {
+		fmt.Fprintf(w, "expect: mismatch: %v\n", err)
+		return fmt.Errorf("scenario %q: the report is not the one its expect states", sc.Name)
+	}
+	fmt.Fprintln(w, "expect: ok")
+	return nil
 }
 
 // emitReport renders the final analysis report (shared by the one-shot and

@@ -161,6 +161,39 @@ func TestRunWatchReplaysScenarioFirst(t *testing.T) {
 	}
 }
 
+// TestRunChecksScenarioExpect: a scenario whose expect block is not the
+// report's answer fails the run, and its verdict line names what the
+// report gave and what the file wants; a -fault beside the scenario adds
+// faults the file does not state, so the run says it checked nothing and
+// succeeds, one-shot and under -watch alike.
+func TestRunChecksScenarioExpect(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "testbed-disconnect.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrong := filepath.Join(t.TempDir(), "wrong.json")
+	if err := os.WriteFile(wrong, []byte(strings.Replace(string(data), `"filter:64999"`, `"filter:5002"`, 1)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	args := []string{"-spec", "testbed", "-scenario", wrong}
+	out, _, err := runCLI(t, args...)
+	if err == nil || !strings.Contains(err.Error(), "expect") {
+		t.Errorf("%s: err = %v, want the expect mismatch", cmdline(args), err)
+	}
+	if want := "expect: mismatch: got hypothesis [contract:3000 filter:64999], causes [unresponsive-switch@switch:3]; " +
+		"want hypothesis [contract:3000 filter:5002], causes [unresponsive-switch@switch:3]\n"; !strings.HasSuffix(out, want) {
+		t.Errorf("%s: output does not end with %q:\n%s", cmdline(args), want, out)
+	}
+
+	for _, extra := range [][]string{{"-fault", "filter:5002@1.0"}, {"-fault", "filter:5002@1.0", "-watch"}} {
+		args := append([]string{"-spec", "testbed", "-scenario", wrong}, extra...)
+		out, _, err := runCLI(t, args...)
+		if want := "expect: not checked (-fault adds faults the scenario does not state)\n"; err != nil || !strings.HasSuffix(out, want) {
+			t.Errorf("%s: err = %v, want none and output ending with %q:\n%s", cmdline(args), err, want, out)
+		}
+	}
+}
+
 // TestRunWatchReportsFailedSave: a -watch -state-dir run whose base file
 // cannot be written (a directory squats on its name) exits with that
 // write's error once its session closes.
@@ -186,21 +219,22 @@ func TestRunWatchReportsFailedSave(t *testing.T) {
 // TestJSONStdoutIsOneDocument: under -json, stdout is the report as one
 // JSON value and nothing after it, so `scout -json | jq` reads it; the
 // lines that narrate the run — the policy, a scenario, each fault, the
-// warm state, the -watch rounds — are on stderr. A scenario replay with a
-// fault on top, a -state-dir run, a -watch run and a scenario alone.
+// warm state, the -watch rounds, the scenario's expect verdict — are on
+// stderr. A scenario replay with a fault on top, a -state-dir run, a
+// -watch run and a scenario alone.
 func TestJSONStdoutIsOneDocument(t *testing.T) {
 	for _, c := range []struct {
 		args  []string
 		prose []string
 	}{
 		{[]string{"-spec", "testbed", "-scenario", filepath.Join("testdata", "testbed-disconnect.json"), "-fault", "filter:5002@1.0"},
-			[]string{"policy ", `scenario "switch 3 unresponsive`, "injected filter:5002"}},
+			[]string{"policy ", `scenario "switch 3 unresponsive`, "injected filter:5002", "expect: not checked"}},
 		{[]string{"-spec", "small", "-fault", "filter:5002@1.0", "-state-dir", t.TempDir()},
 			[]string{"policy ", "injected filter:5002", "warm state: "}},
 		{[]string{"-spec", "testbed", "-watch", "-fault", "filter:5002@1.0", "-state-dir", t.TempDir()},
 			[]string{"policy ", "baseline: full collection", "injected filter:5002", "batch 1: "}},
 		{[]string{"-spec", "testbed", "-scenario", filepath.Join("testdata", "testbed-scenario.json")},
-			[]string{"policy ", "scenario "}},
+			[]string{"policy ", "scenario ", "expect: ok"}},
 	} {
 		args := append(c.args, "-json")
 		stdout, stderr, err := runCLI(t, args...)

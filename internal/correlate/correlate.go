@@ -118,17 +118,24 @@ func Correlate(hypothesis []object.Ref, changes *faultlog.ChangeLog, faults *fau
 	return rep
 }
 
+// The signatures of the fabric's three fault classes, one per fault code.
+const (
+	TCAMOverflow       = "tcam-overflow"
+	UnresponsiveSwitch = "unresponsive-switch"
+	AgentCrash         = "agent-crash"
+)
+
 // match appends f's cause when its code is one of the fabric's fault
 // classes; any other code explains nothing.
 func (d *Diagnosis) match(f faultlog.Fault) {
 	var sig, format string
 	switch f.Code {
 	case faultlog.FaultTCAMOverflow:
-		sig, format = "tcam-overflow", "TCAM overflow on switch %d (%s)"
+		sig, format = TCAMOverflow, "TCAM overflow on switch %d (%s)"
 	case faultlog.FaultSwitchUnreachable:
-		sig, format = "unresponsive-switch", "switch %d unreachable during policy change (%s)"
+		sig, format = UnresponsiveSwitch, "switch %d unreachable during policy change (%s)"
 	case faultlog.FaultAgentCrash:
-		sig, format = "agent-crash", "switch %d agent crashed mid-update (%s)"
+		sig, format = AgentCrash, "switch %d agent crashed mid-update (%s)"
 	default:
 		return
 	}

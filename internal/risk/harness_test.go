@@ -597,7 +597,7 @@ func checkView(t *testing.T, label string, v risk.View, r *refModel) {
 	m, ok := v.(*risk.Model)
 	if !ok {
 		sig, _ := r.signature()
-		same(t, label, "the failure signature", v.(*risk.Overlay).FailureSignature(), sig)
+		same(t, label, "the failure signature", risk.FailureSignature(v.(*risk.Overlay)), sig)
 		return
 	}
 	for i, sp := range append(slices.Clone(r.pairs), compile.SwitchPair{Switch: 2}, compile.SwitchPair{Switch: 999}) {

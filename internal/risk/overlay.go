@@ -162,16 +162,6 @@ func (o *Overlay) CreatedEdges() []Mark {
 // overlay's own; callers must not modify it.
 func (o *Overlay) ExtraRiskRefs() []object.Ref { return slices.Clip(o.extra) }
 
-// FailureSignature returns the sorted IDs of all observations in
-// O(overlay marks), the per-run cost the overlay exists to bound.
-func (o *Overlay) FailureSignature() []ElementID {
-	out := make([]ElementID, len(o.marks))
-	for i, mk := range o.marks {
-		out[i] = mk.El - o.lo
-	}
-	return slices.Compact(out)
-}
-
 // SuspectSet returns the union of risks with a failed edge to any
 // observation: the objects an admin would have to examine without fault
 // localization (the denominator of the paper's suspect-set-reduction

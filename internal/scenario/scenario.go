@@ -2,7 +2,14 @@
 // deployment fabric. A scenario is a JSON list of steps (deploy, policy
 // changes, fault injections) that reproduces an incident deterministically
 // — the repro artifact an operator attaches to a trouble ticket, and the
-// format cmd/scout replays with -scenario.
+// format cmd/scout replays with -scenario. A scenario deploys itself: its
+// steps run on a fabric nothing has deployed yet, so a fault may come
+// before the first deploy (a switch down from the start) or after it.
+//
+// A scenario may state its answer in an optional expect block: the
+// hypothesis, as object refs, and the root causes, as correlate's
+// signatures on switches. Expect.Check compares each with a report's as an
+// exact set.
 //
 // Example:
 //
@@ -13,14 +20,22 @@
 //	    {"op": "disconnect", "switch": 2},
 //	    {"op": "add-filter", "filter": {"id": 443, "proto": 6, "portLo": 443, "portHi": 443}},
 //	    {"op": "attach-filter", "contract": 202, "filterId": 443}
-//	  ]
+//	  ],
+//	  "expect": {
+//	    "hypothesis": ["contract:202", "filter:443"],
+//	    "causes": [{"signature": "unresponsive-switch", "switch": 2}]
+//	  }
 //	}
 package scenario
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"slices"
+	"strings"
 
+	"scout/internal/correlate"
 	"scout/internal/fabric"
 	"scout/internal/object"
 	"scout/internal/policy"
@@ -70,11 +85,31 @@ type Step struct {
 	Field string `json:"field,omitempty"`
 }
 
-// Scenario is a named, ordered list of steps.
+// Scenario is a named, ordered list of steps, and optionally the answer
+// an analysis of the fabric they leave should give.
 type Scenario struct {
-	Name  string `json:"name"`
-	Steps []Step `json:"steps"`
+	Name   string  `json:"name"`
+	Steps  []Step  `json:"steps"`
+	Expect *Expect `json:"expect,omitempty"`
 }
+
+// Expect is a scenario's stated answer.
+type Expect struct {
+	// Hypothesis lists the faulty objects in object.ParseRef's "kind:id"
+	// syntax.
+	Hypothesis []string `json:"hypothesis"`
+	// Causes lists the ranked root causes.
+	Causes []Cause `json:"causes"`
+}
+
+// Cause is one root cause: a fault class's signature (correlate's
+// TCAMOverflow, UnresponsiveSwitch or AgentCrash) on a switch.
+type Cause struct {
+	Signature string    `json:"signature"`
+	Switch    object.ID `json:"switch"`
+}
+
+func (c Cause) String() string { return fmt.Sprintf("%s@switch:%d", c.Signature, c.Switch) }
 
 // Parse decodes and validates a JSON scenario.
 func Parse(data []byte) (*Scenario, error) {
@@ -87,7 +122,61 @@ func Parse(data []byte) (*Scenario, error) {
 			return nil, fmt.Errorf("scenario %q step %d: %w", s.Name, i, err)
 		}
 	}
+	if s.Expect != nil {
+		if err := s.Expect.validate(); err != nil {
+			return nil, fmt.Errorf("scenario %q expect: %w", s.Name, err)
+		}
+	}
 	return &s, nil
+}
+
+func (e *Expect) validate() error {
+	for _, ref := range e.Hypothesis {
+		if _, err := object.ParseRef(ref); err != nil {
+			return err
+		}
+	}
+	for _, c := range e.Causes {
+		switch c.Signature {
+		case correlate.TCAMOverflow, correlate.UnresponsiveSwitch, correlate.AgentCrash:
+		default:
+			return fmt.Errorf("unknown signature %q", c.Signature)
+		}
+		if c.Switch == 0 {
+			return fmt.Errorf("cause %q names no switch", c.Signature)
+		}
+	}
+	return nil
+}
+
+// Check compares a report's hypothesis and correlation (nil for a
+// consistent report) with e, each as an exact set, and returns an error
+// naming both answers when they differ.
+func (e *Expect) Check(hypothesis []object.Ref, rc *correlate.Report) error {
+	var causes []Cause
+	if rc != nil {
+		for _, c := range rc.RootCauses {
+			causes = append(causes, Cause{Signature: c.Signature, Switch: c.Switch})
+		}
+	}
+	want := make([]object.Ref, len(e.Hypothesis))
+	for i, ref := range e.Hypothesis {
+		want[i], _ = object.ParseRef(ref) // Parse refused any other
+	}
+	if got, want := answer(hypothesis, causes), answer(want, e.Causes); got != want {
+		return fmt.Errorf("got %s; want %s", got, want)
+	}
+	return nil
+}
+
+// answer renders a hypothesis and causes as sets: sorted, each once.
+func answer(hypothesis []object.Ref, causes []Cause) string {
+	refs, cs := slices.Clone(hypothesis), slices.Clone(causes)
+	object.SortRefs(refs)
+	slices.SortFunc(cs, func(a, b Cause) int {
+		return cmp.Or(cmp.Compare(a.Switch, b.Switch), strings.Compare(a.Signature, b.Signature))
+	})
+	return fmt.Sprintf("hypothesis %v, causes %v", slices.Compact(refs), slices.Compact(cs))
 }
 
 func (st *Step) validate() error {

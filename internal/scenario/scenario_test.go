@@ -1,9 +1,11 @@
 package scenario
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
+	"scout/internal/correlate"
 	"scout/internal/fabric"
 	"scout/internal/object"
 	"scout/internal/policy"
@@ -134,6 +136,10 @@ func TestParseRejectsBadScenarios(t *testing.T) {
 		{"evict-count-negative", `{"steps":[{"op":"evict","switch":1,"count":-7}]}`, "evict count -7 is negative"},
 		{"bind-no-epgs", `{"steps":[{"op":"bind","contract":201}]}`, "requires from, to and contract"},
 		{"bind-no-to", `{"steps":[{"op":"bind","from":1,"contract":201}]}`, "requires from, to and contract"},
+		{"expect-bad-ref", `{"steps":[],"expect":{"hypothesis":["filter:x"]}}`, "bad id"},
+		{"expect-unknown-kind", `{"steps":[],"expect":{"hypothesis":["rack:1"]}}`, "unknown object kind"},
+		{"expect-unknown-signature", `{"steps":[],"expect":{"causes":[{"signature":"cosmic-ray","switch":1}]}}`, `unknown signature "cosmic-ray"`},
+		{"expect-cause-no-switch", `{"steps":[],"expect":{"causes":[{"signature":"agent-crash"}]}}`, `cause "agent-crash" names no switch`},
 	}
 	for _, tt := range bad {
 		t.Run(tt.name, func(t *testing.T) {
@@ -219,13 +225,46 @@ func TestCorruptionFieldNames(t *testing.T) {
 	}
 }
 
+// TestExpectCheck: an expect block is compared with a report's answer as
+// two exact sets, in any order, each element once; an object or a cause
+// too many or too few is a mismatch, and a consistent report (no
+// correlation) has no causes.
+func TestExpectCheck(t *testing.T) {
+	sc, err := Parse([]byte(`{"steps":[],"expect":{"hypothesis":["filter:443","contract:202","filter:443"],
+	  "causes":[{"signature":"unresponsive-switch","switch":2}]}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hyp := []object.Ref{object.Contract(202), object.Filter(443)}
+	down := &correlate.Report{RootCauses: []correlate.RankedCause{{Signature: correlate.UnresponsiveSwitch, Switch: 2}}}
+	for _, c := range []struct {
+		name string
+		hyp  []object.Ref
+		rc   *correlate.Report
+		ok   bool
+	}{
+		{"same", hyp, down, true},
+		{"reordered", []object.Ref{object.Filter(443), object.Contract(202)}, down, true},
+		{"an object too many", append(slices.Clone(hyp), object.EPG(3)), down, false},
+		{"an object too few", hyp[:1], down, false},
+		{"another switch", hyp, &correlate.Report{RootCauses: []correlate.RankedCause{{Signature: correlate.UnresponsiveSwitch, Switch: 3}}}, false},
+		{"no correlation", hyp, nil, false},
+	} {
+		if err := sc.Expect.Check(c.hyp, c.rc); (err == nil) != c.ok {
+			t.Errorf("%s: Check = %v, want ok %v", c.name, err, c.ok)
+		}
+	}
+}
+
 // FuzzParseScenario: a scenario Parse accepts runs on a testbed fabric
 // without panicking — a step may fail, which stops the run — and leaves a
-// fabric the next Deploy accepts. The checked-in seeds (testdata/fuzz)
+// fabric the next Deploy accepts, and its expect block, if any, checks an
+// empty answer without panicking. The checked-in seeds (testdata/fuzz)
 // cover every op on the testbed's IDs, a bind missing its EPGs (Parse used
 // to accept it, and its redeploy left an unknown EPG in the policy), a bind
 // to an unknown EPG (the fabric used to keep it), a corrupt count at the
-// limit, and a negative evict count (Run used to evict one rule for it).
+// limit, a negative evict count (Run used to evict one rule for it), and an
+// expect block naming an object twice.
 func FuzzParseScenario(f *testing.F) {
 	pol, tp, err := workload.Generate(workload.TestbedSpec(), 1)
 	if err != nil {
@@ -246,6 +285,9 @@ func FuzzParseScenario(f *testing.F) {
 		_, _ = sc.Run(fab) // a failing step stops the run; that is allowed
 		if err := fab.Deploy(); err != nil {
 			t.Fatalf("Deploy after running %q: %v", data, err)
+		}
+		if sc.Expect != nil {
+			_ = sc.Expect.Check(nil, nil)
 		}
 	})
 }

@@ -365,16 +365,21 @@ func (h *harness) step(i int, kind op) {
 		// A churner's rotation: RemoveKeys of one key, then InstallAll of one
 		// rule, each a batch of one. Into the room a removal left in the
 		// table it made its own, the install allocates nothing.
+		// A reader may take the table between the two writes, so the
+		// removal's table is one of the states the readers may see.
 		k, batch := h.key(), []rule.Rule{h.draw()}
 		h.lend(batch)
-		removed := tc.RemoveKeys([]rule.Key{k})
+		before := ref.writes
+		removed, refRemoved := tc.RemoveKeys([]rule.Key{k}), ref.remove(k)
+		if ref.writes != before {
+			h.states = append(h.states, oracle.CloneRules(ref.rules))
+		}
 		var held int
 		allocs := h.mallocs(func() { held = tc.InstallAll(batch) })
 		if removed > 0 && allocs > 0 {
 			t.Fatalf("%s: the install after a removal made %d allocations", label, allocs)
 		}
-		before := ref.writes
-		got, want = [2]int{removed, held}, [2]int{ref.remove(k), ref.install(batch...)}
+		got, want = [2]int{removed, held}, [2]int{refRemoved, ref.install(batch...)}
 		if removed > 0 && ref.writes-before == 2 {
 			h.stats.rotated++
 		}

@@ -426,7 +426,7 @@ func TestApplyToSwitchModel(t *testing.T) {
 		t.Fatalf("a fault drawn on switch %d removed rules on %d switches, %d there", sw, len(missing), len(missing[sw]))
 	}
 	m := risk.MarkSwitch(risk.NewModel("switch", d.OnSwitch(sw)), sw, missing[sw], d.Provenance).View()
-	if len(m.FailureSignature()) == 0 {
+	if len(m.SuspectSet()) == 0 {
 		t.Error("model must have observations after injection")
 	}
 }

@@ -126,11 +126,10 @@ type Report struct {
 	// localization ran on: a copy-on-write overlay holding this run's
 	// failure marks over the deployment's pristine controller model, in
 	// one-shot and session runs alike. Its readers are cmd/scout -v and
-	// examples/forensics, which print its overlay-aware String(),
-	// examples/scorecompare, which reads its failure signature and runs
-	// SCORE on it, and Figure 10 (internal/eval), which scores SCORE-1 on
-	// it. It is a live structure (not a serializable result), so it is
-	// excluded from the JSON form.
+	// examples/forensics, which print its overlay-aware String(), and
+	// Figure 10 (internal/eval), which scores SCORE-1 on it. It is a live
+	// structure (not a serializable result), so it is excluded from the
+	// JSON form.
 	ControllerView *risk.Overlay `json:"-"`
 	// Deprecated: EncodeStats is always nil — no check keeps a checker
 	// whose encoding work could be summed. It stays until bench/ stops
