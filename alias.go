@@ -183,16 +183,10 @@ type (
 	Collector = collect.Collector
 	// Epoch is one immutable TCAM collection.
 	Epoch = collect.Epoch
-	// SwitchDelta is a per-switch rule difference between epochs.
-	SwitchDelta = collect.SwitchDelta
 )
 
-var (
-	// NewCollector creates a collector over a fabric.
-	NewCollector = collect.New
-	// DiffEpochs compares two epochs switch by switch.
-	DiffEpochs = collect.Diff
-)
+// NewCollector creates a collector over a fabric.
+var NewCollector = collect.New
 
 // Scenario is a declarative, replayable fault scenario.
 type Scenario = scenario.Scenario

@@ -199,23 +199,16 @@ func TestAnalyzerChangeWindow(t *testing.T) {
 }
 
 // TestAnalyzeStateFromEpoch: post-incident forensics. An epoch collected
-// before a fault analyzes consistent offline, and its diff with one
-// collected after names exactly the rules the fault's analysis misses.
+// before a fault analyzes consistent offline, after the fault has reached
+// the fabric.
 func TestAnalyzeStateFromEpoch(t *testing.T) {
 	f := threeTier(t, 1)
-	collector := scout.NewCollector(f, 0)
-	before := collector.Snapshot()
+	before := scout.NewCollector(f, 0).Snapshot()
 	mutate(t, f, []step{filter700Lost})
-	st, removed, added := fabricState(f), 0, 0
+	st := fabricState(f)
 	st.TCAM, st.Now = before.TCAM, before.Time
-	for _, d := range scout.DiffEpochs(before, collector.Snapshot()) {
-		removed, added = removed+len(d.Removed), added+len(d.Added)
-	}
 	if rep, err := scout.NewAnalyzer().AnalyzeState(st); err != nil || !rep.Consistent {
 		t.Errorf("the pre-fault epoch must analyze consistent (%v)", err)
-	}
-	if want := oneShot(t, f).TotalMissing; removed != want || added != 0 {
-		t.Errorf("the epochs' diff removes %d rules and adds %d, want %d and none", removed, added, want)
 	}
 }
 

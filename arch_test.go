@@ -481,7 +481,8 @@ func TestArchitecture(t *testing.T) {
 		"internal/equiv:Checker.Check", "internal/equiv:Base.NewChecker",
 		"internal/bdd:CacheStats.Hits", "internal/risk:BuildAnnotatedSwitchModel",
 		"internal/risk:BuildControllerModelParallel", "internal/risk:AugmentControllerModelPatch", "internal/risk:Patch.Apply", "internal/store:Store.Flush", "internal/store:Store.Close",
-		".:Session.ApplyEvents", ".:Session.Stats", "internal/collect:Collector.SnapshotSwitches", "internal/collect:DirtySwitches",
+		".:Session.ApplyEvents", ".:Session.Stats", ".:Session.AnalyzeEpoch", "internal/collect:New", "internal/collect:Epoch.RuleCount",
+		"internal/collect:Collector.SnapshotSwitches", "internal/collect:DirtySwitches",
 		"internal/stream:New", "internal/stream:Queue.Push", "internal/stream:Queue.Cut", "internal/stream:Queue.Stats",
 		"internal/bdd:Manager.Size", "internal/bdd:Manager.Or", "internal/bdd:Manager.Not", "internal/bdd:Manager.Cube", "internal/bdd:Manager.CompactDelta",
 		"internal/faultlog:FaultLog.Len", "internal/fabric:Switch.TCAM", "internal/tcam:TCAM.Install", "internal/tcam:TCAM.Remove",

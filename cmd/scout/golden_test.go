@@ -30,6 +30,7 @@ var goldenCases = []struct {
 	{"mixed-faults", scenarioArgs("mixed-faults", "-spec", "small")},
 	{"agent-crash", scenarioArgs("agent-crash", "-spec", "testbed")},
 	{"silent-eviction", scenarioArgs("silent-eviction", "-spec", "testbed")},
+	{"forensics-ticket", scenarioArgs("forensics-ticket", "-policy", filepath.Join("testdata", "threetier-policy.json"), "-seed", "4711")},
 }
 
 // scenarioArgs replays testdata/<name>.json on the fabric the flags build.

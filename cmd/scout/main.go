@@ -70,10 +70,14 @@ func (f *faultFlags) Set(v string) error {
 
 func main() {
 	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "scout:", err)
+		fmt.Fprintln(os.Stderr, errorLine(err))
 		os.Exit(1)
 	}
 }
+
+// errorLine is the line main prints for a failed run: the error behind one
+// "scout: " prefix, which package scout's own errors already carry.
+func errorLine(err error) string { return "scout: " + strings.TrimPrefix(err.Error(), "scout: ") }
 
 func run() error {
 	var (

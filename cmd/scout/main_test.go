@@ -116,6 +116,31 @@ func TestRunRejectsNaNFault(t *testing.T) {
 	}
 }
 
+// TestErrorLineNamesTheCommandOnce: a scenario that never deploys fails
+// with package scout's "nothing to analyze" error, and a refused flag with
+// the command's own; main prints each behind one "scout: " prefix.
+func TestErrorLineNamesTheCommandOnce(t *testing.T) {
+	undeployed := filepath.Join(t.TempDir(), "undeployed.json")
+	if err := os.WriteFile(undeployed, []byte(`{"name": "never deployed", "steps": [{"op": "disconnect", "switch": 1}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-spec", "testbed", "-scenario", undeployed}, "scout: nothing to analyze: "},
+		{[]string{"-spec", "testbed", "-fault", "filter:5002@NaN"}, "scout: -fault "},
+	} {
+		_, _, err := runCLI(t, tc.args...)
+		if err == nil {
+			t.Fatalf("%s succeeded, want an error", cmdline(tc.args))
+		}
+		if line := errorLine(err); !strings.HasPrefix(line, tc.want) {
+			t.Errorf("%s: main prints %q, want it to start %q", cmdline(tc.args), line, tc.want)
+		}
+	}
+}
+
 // TestRunRestartReportsReplays: a run over a warm-state directory,
 // restarted on the unchanged fabric, replays every switch's verdict and
 // says so: the cold run builds the base, and the restart loads it.

@@ -1,13 +1,14 @@
 // Package collect implements periodic and event-driven network-state
 // collection (§III-C: "collecting the TCAM rules deployed across all
 // switches periodically and/or in an event-driven fashion"). A Collector
-// snapshots the fabric's TCAMs into immutable epochs and can diff epochs
-// to show which rules appeared or vanished between collections — the raw
-// material for trend analysis and post-incident forensics; a caller keeps
-// the epochs it wants to compare. Events decide when to collect, not
-// what: a TCAM hands back its own list, which its first write after a
-// read copies before writing, so a collection copies nothing, and an
-// unwritten switch contributes the previous epoch's very slice.
+// snapshots the fabric's TCAMs into immutable epochs, and DirtySwitches
+// names the switches two epochs disagree on; a caller keeps the epochs it
+// wants to compare. Events decide when to collect, not what: a TCAM hands
+// back its own list, which its first write after a read copies before
+// writing, so a collection copies nothing, and an unwritten switch
+// contributes the previous epoch's very slice. Only bench/ collects
+// epochs — a Session reads its fabric itself — so the package goes with
+// ROADMAP item 13(b).
 package collect
 
 import (
@@ -22,17 +23,17 @@ import (
 
 // Epoch is one immutable collection of every switch's TCAM contents. Its
 // rule slices are the TCAMs' own lists, shared and read-only
-// (tcam.TCAM.Rules):
-// a switch not written between two collections contributes the same slice
-// to both epochs, which is what lets DirtySwitches and Diff pass over it
-// without reading a rule. Nobody may modify them.
+// (tcam.TCAM.Rules): a switch not written between two collections
+// contributes the same slice to both epochs, which is what lets
+// DirtySwitches pass over it without reading a rule. Nobody may modify them.
 type Epoch struct {
 	Seq  int                       `json:"seq"`
 	Time time.Time                 `json:"time"`
 	TCAM map[object.ID][]rule.Rule `json:"tcam"`
 }
 
-// RuleCount returns the total rules across switches in the epoch.
+// RuleCount returns the total rules across switches in the epoch. Only
+// bench/ reads it.
 func (e *Epoch) RuleCount() int {
 	n := 0
 	for _, rules := range e.TCAM {
@@ -51,8 +52,7 @@ type Collector struct {
 }
 
 // New creates a collector over f. The limit argument is ignored: a
-// collector keeps no history. It stays until bench/ stops passing it
-// (ROADMAP item 1, shims).
+// collector keeps no history. Only bench/ creates one.
 func New(f *fabric.Fabric, _ int) *Collector {
 	return &Collector{f: f}
 }
@@ -73,23 +73,14 @@ func (c *Collector) SnapshotSwitches([]object.ID) (*Epoch, error) {
 	return c.Snapshot(), nil
 }
 
-// SwitchDelta is the per-switch difference between two epochs.
-type SwitchDelta struct {
-	Switch  object.ID
-	Added   []rule.Rule // present in the newer epoch only
-	Removed []rule.Rule // present in the older epoch only
-}
-
 // DirtySwitches returns the IDs of switches whose TCAM rule lists differ
 // between the two epochs, sorted ascending; switches present in only one
-// epoch count as dirty. Unlike Diff it never materializes per-rule deltas:
-// rule lists are compared elementwise (order-sensitively, the same
-// sensitivity the equivalence checker has, so a clean verdict is always
-// safe to act on) with early exit at the first difference, and a switch
-// holding the same slice in both epochs is clean without a comparison —
-// O(switches) on a clean epoch, cheap enough to run on every collection.
-// An analysis session does not need it — it recognises an unwritten
-// switch's slice by itself — so it serves callers who want the dirty set.
+// epoch count as dirty. Rule lists are compared elementwise
+// (order-sensitively, the same sensitivity the equivalence checker has, so
+// a clean verdict is always safe to act on) with early exit at the first
+// difference, and a switch holding the same slice in both epochs is clean
+// without a comparison — O(switches) on a clean epoch. A session needs no
+// dirty set — it recognises an unwritten switch's slice by itself.
 func DirtySwitches(older, newer *Epoch) []object.ID {
 	var out []object.ID
 	for sw, rules := range older.TCAM {
@@ -104,44 +95,5 @@ func DirtySwitches(older, newer *Epoch) []object.ID {
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Diff compares two epochs and returns the per-switch rule deltas, sorted
-// by switch; switches with no change are omitted.
-func Diff(older, newer *Epoch) []SwitchDelta {
-	switches := make(map[object.ID]struct{})
-	for sw := range older.TCAM {
-		switches[sw] = struct{}{}
-	}
-	for sw := range newer.TCAM {
-		switches[sw] = struct{}{}
-	}
-	var out []SwitchDelta
-	for sw := range switches {
-		if rule.SameSlice(older.TCAM[sw], newer.TCAM[sw]) {
-			continue // one snapshot, no write between: no delta
-		}
-		oldKeys := rule.KeySet(older.TCAM[sw])
-		newKeys := rule.KeySet(newer.TCAM[sw])
-		var delta SwitchDelta
-		delta.Switch = sw
-		for _, r := range newer.TCAM[sw] {
-			if _, ok := oldKeys[r.Key()]; !ok {
-				delta.Added = append(delta.Added, r)
-			}
-		}
-		for _, r := range older.TCAM[sw] {
-			if _, ok := newKeys[r.Key()]; !ok {
-				delta.Removed = append(delta.Removed, r)
-			}
-		}
-		if len(delta.Added)+len(delta.Removed) > 0 {
-			rule.Sort(delta.Added)
-			rule.Sort(delta.Removed)
-			out = append(out, delta)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Switch < out[j].Switch })
 	return out
 }

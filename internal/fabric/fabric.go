@@ -431,6 +431,9 @@ func (f *Fabric) RestartAgent(sw object.ID) error {
 // corruption is a silent hardware fault: no fault-log event is raised
 // (§V-B notes such faults produce no logs).
 func (f *Fabric) CorruptTCAM(sw object.ID, n int, field tcam.CorruptionField) ([]rule.Key, error) {
+	if f.deployed == nil {
+		return nil, errors.New("fabric: corrupt TCAM before Deploy")
+	}
 	s, err := f.Switch(sw)
 	if err != nil {
 		return nil, err
@@ -446,6 +449,9 @@ func (f *Fabric) CorruptTCAM(sw object.ID, n int, field tcam.CorruptionField) ([
 // EvictTCAM removes n random TCAM entries on switch sw (local eviction the
 // controller is unaware of). No fault event is raised.
 func (f *Fabric) EvictTCAM(sw object.ID, n int) ([]rule.Rule, error) {
+	if f.deployed == nil {
+		return nil, errors.New("fabric: evict TCAM before Deploy")
+	}
 	s, err := f.Switch(sw)
 	if err != nil {
 		return nil, err

@@ -387,20 +387,20 @@ func TestFabricPolicyCloneIsolation(t *testing.T) {
 // TestRefusedEditLeavesFabricDeployable: an edit Deploy would refuse (an
 // unknown EPG or contract, a binding across VRFs, an inverted port range),
 // or that cannot mean what it says (a filter ID the policy holds, a filter
-// the contract references, a binding the policy holds), is refused before
-// it changes the policy or the change log — the runner checks both — so
-// the next valid edit and a plain Deploy still succeed.
+// the contract references, a binding the policy holds, a TCAM fault on a
+// fabric never deployed), is refused before it changes the policy or moves
+// the clock, which every change-log entry does — the runner checks both —
+// so the next valid edit and a plain Deploy still succeed. Each row runs on
+// fabrics of its own, deployed unless its refusal is "before Deploy".
 func TestRefusedEditLeavesFabricDeployable(t *testing.T) {
 	p, _ := threeTier(t)
 	p.AddVRF(policy.VRF{ID: 102})
 	p.AddEPG(policy.EPG{ID: 4, Name: "Mgmt", VRF: 102})
 	p.AddEndpoint(policy.Endpoint{ID: 14, EPG: 4, Switch: 3})
-	h := newTwins(t, p, topo.FromPolicy(p), Options{Seed: 1})
-	h.deploy()
 	inverted := policy.Filter{ID: 443, Entries: []policy.FilterEntry{
 		{Proto: rule.ProtoTCP, PortLo: 9, PortHi: 1, Action: rule.Allow},
 	}}
-	for i, tc := range []struct {
+	for _, tc := range []struct {
 		name, want string
 		edit       func(*Fabric) error
 	}{
@@ -411,14 +411,19 @@ func TestRefusedEditLeavesFabricDeployable(t *testing.T) {
 		{"duplicate-filter", "filter 80 already exists", func(f *Fabric) error { return f.AddFilter(port(80)) }},
 		{"duplicate-attach", "contract 201 already references filter 80", func(f *Fabric) error { return f.AddFilterToContract(201, 80) }},
 		{"duplicate-binding", "contract 201 is already bound to epgs 2-1", func(f *Fabric) error { return f.AddBinding(2, 1, 201) }},
+		{"undeployed-evict", "evict TCAM before Deploy", func(f *Fabric) error { _, err := f.EvictTCAM(1, 1); return err }},
+		{"undeployed-corrupt", "corrupt TCAM before Deploy", func(f *Fabric) error { _, err := f.CorruptTCAM(1, 1, tcam.CorruptVRF); return err }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			h.t = t
+			h := newTwins(t, p, topo.FromPolicy(p), Options{Seed: 1})
+			if !strings.HasSuffix(tc.want, "before Deploy") {
+				h.deploy()
+			}
 			_, err := h.do(tc.name, func(f *Fabric) (any, error) { return nil, tc.edit(f) })
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("edit returned %v, want an error naming %q", err, tc.want)
 			}
-			h.must("a valid edit", func(f *Fabric) error { return f.AddFilter(port(object.ID(8443 + i))) })
+			h.must("a valid edit", func(f *Fabric) error { return f.AddFilter(port(8443)) })
 			h.deploy()
 		})
 	}

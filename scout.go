@@ -125,9 +125,9 @@ type Report struct {
 	// ControllerView is the annotated controller risk view the global
 	// localization ran on: a copy-on-write overlay holding this run's
 	// failure marks over the deployment's pristine controller model, in
-	// one-shot and session runs alike. Its readers are cmd/scout -v and
-	// examples/forensics, which print its overlay-aware String(), and
-	// Figure 10 (internal/eval), which scores SCORE-1 on it. It is a live
+	// one-shot and session runs alike. Its readers are cmd/scout -v, which
+	// prints its overlay-aware String(), and Figure 10 (internal/eval),
+	// which scores SCORE-1 on it. It is a live
 	// structure (not a serializable result), so it is excluded from the
 	// JSON form.
 	ControllerView *risk.Overlay `json:"-"`

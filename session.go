@@ -205,7 +205,8 @@ func (s *Session) Analyze() (*Report, error) {
 // re-verification path for periodic collection. An epoch shares the slice
 // of every switch not written since the previous collection, so a clean
 // switch replays on a pointer compare; a re-copied list is compared rule
-// by rule, and re-checked only if its content moved.
+// by rule, and re-checked only if its content moved. Only bench/ calls
+// it; it goes with internal/collect (ROADMAP item 13(b)).
 func (s *Session) AnalyzeEpoch(e *Epoch) (*Report, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
