@@ -3,9 +3,14 @@ package scout
 // This file re-exports the domain types and constructors downstream users
 // need to drive the pipeline, so the whole system is usable through the
 // single public package while implementations stay in internal/. A name is
-// here because a command, an example, the benchmark or the README uses it,
-// or because an exported API of this package takes or returns its type;
-// anything else is reached through the internal package that defines it.
+// here because non-test Go outside this package names it (a command, an
+// example, the benchmark or internal/eval), or, for a type, because it is
+// the type of a field, parameter or result of this package's exported API:
+// an exported field of its own exported types, or the signature of an
+// exported function or method it declares or of a function this file
+// re-exports that such a caller names. Prose, the README's included, is no
+// use. Anything else is reached through the internal package that defines
+// it; TestArchitecture holds the rule.
 
 import (
 	"scout/internal/collect"
@@ -13,7 +18,6 @@ import (
 	"scout/internal/correlate"
 	"scout/internal/fabric"
 	"scout/internal/faultlog"
-	"scout/internal/localize"
 	"scout/internal/object"
 	"scout/internal/policy"
 	"scout/internal/risk"
@@ -35,12 +39,6 @@ type (
 
 // Object reference constructors.
 var (
-	// VRFRef names a VRF object.
-	VRFRef = object.VRF
-	// EPGRef names an endpoint-group object.
-	EPGRef = object.EPG
-	// ContractRef names a contract object.
-	ContractRef = object.Contract
 	// FilterRef names a filter object.
 	FilterRef = object.Filter
 	// ParseObjectRef parses "kind:id" strings.
@@ -78,8 +76,6 @@ var (
 type (
 	// Rule is a prioritized access-control entry (logical or TCAM).
 	Rule = rule.Rule
-	// RuleKey is a rule's behavioural identity (match + action).
-	RuleKey = rule.Key
 	// Protocol is an IP protocol number.
 	Protocol = rule.Protocol
 )
@@ -117,9 +113,6 @@ type (
 
 // Dataplane event streaming.
 type (
-	// EventStream is the append-only dataplane event stream collectors
-	// and watch loops tail.
-	EventStream = faultlog.EventLog
 	// EventQueue coalesces switch-scoped events into bounded batches
 	// (per-switch dedupe, size cuts, overflow-to-coalesce). Only the
 	// benchmark's event-storm journey uses it (ROADMAP 13(b)).
@@ -137,25 +130,14 @@ const EventTCAMChange = faultlog.EventTCAMChange
 // NewEventQueue creates a coalescing event queue.
 var NewEventQueue = stream.New
 
-// Risk models and localization.
+// Risk models and compiled deployments.
 type (
-	// RiskView is the read interface over an annotated risk model. A model
-	// is immutable once built and failures are marked on a copy-on-write
-	// overlay; the overlay and a model that folds it in read the same.
-	RiskView = risk.View
 	// RiskOverlay is a copy-on-write failure overlay over an immutable
 	// pristine risk model.
 	RiskOverlay = risk.Overlay
 	// Deployment is the compiled per-switch logical rule set.
 	Deployment = compile.Deployment
-	// ChangeOracle answers "was this object recently changed?".
-	ChangeOracle = localize.ChangeOracle
-	// ChangeLogOracle adapts a controller change log as a ChangeOracle.
-	ChangeLogOracle = localize.ChangeLogOracle
 )
-
-// Localize runs the SCOUT algorithm on an annotated risk model.
-var Localize = localize.Scout
 
 // Workload synthesis (the paper's §VI-A datasets).
 type (
@@ -166,13 +148,6 @@ type (
 var (
 	// GenerateWorkload synthesizes a policy and topology from a spec.
 	GenerateWorkload = workload.Generate
-	// ProductionWorkloadSpec mirrors the paper's production cluster.
-	ProductionWorkloadSpec = workload.ProductionSpec
-	// TestbedWorkloadSpec mirrors the paper's hardware testbed policy.
-	TestbedWorkloadSpec = workload.TestbedSpec
-	// SmallFabricWorkloadSpec is a small deployment with production-like
-	// density (use instead of linearly shrinking the production spec).
-	SmallFabricWorkloadSpec = workload.SmallFabricSpec
 	// WorkloadSpecByName returns the spec named production, testbed or small.
 	WorkloadSpecByName = workload.SpecByName
 )

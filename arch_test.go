@@ -502,6 +502,14 @@ func TestArchitecture(t *testing.T) {
 		t.Errorf("the shim %s has a use outside bench/, or none", key)
 	}
 
+	// The root package is one way in: alias.go re-exports a name only for
+	// a caller outside the package, or because the package's API takes or
+	// returns its type. Anything else is reached through the internal
+	// package that defines it.
+	for _, name := range ix.unneededAliases() {
+		t.Errorf("alias.go declares %s, which no caller outside the package names and no exported API carries", name)
+	}
+
 	// Oracles are for tests: a production package that imports them ships
 	// a second engine.
 	for dir, pkg := range ix.pkgs {
@@ -522,6 +530,84 @@ func TestArchitecture(t *testing.T) {
 	for _, key := range ix.stale(unreferencedExports) {
 		t.Errorf("unreferencedExports lists %s, which excuses no function; delete the entry", key)
 	}
+}
+
+// unneededAliases returns, sorted, the names the root package's alias.go
+// declares that no caller needs. A name is needed when non-test Go outside
+// the root package names it, or, for a type, when it is the type of a
+// field, parameter or result: of an exported field of the root package's
+// own exported types, or in the signature of an exported function or
+// method the root package declares or of a function alias.go re-exports
+// and keeps. Element, key and pointer types count as the type they hold.
+func (ix *moduleIndex) unneededAliases() []string {
+	outside := func(obj types.Object) bool {
+		return slices.ContainsFunc(ix.uses[obj], func(u use) bool { return path.Dir(u.pos.Filename) != "." })
+	}
+	carried := make(map[types.Object]bool)
+	var walk func(types.Type)
+	walk = func(t types.Type) {
+		switch t := types.Unalias(t).(type) {
+		case *types.Named:
+			carried[t.Origin().Obj()] = true
+		case *types.Map:
+			walk(t.Key())
+			walk(t.Elem())
+		case interface{ Elem() types.Type }: // a pointer, slice, array or channel
+			walk(t.Elem())
+		case *types.Signature:
+			for _, vars := range []*types.Tuple{t.Params(), t.Results()} {
+				for i := 0; i < vars.Len(); i++ {
+					walk(vars.At(i).Type())
+				}
+			}
+		}
+	}
+
+	scope := ix.pkgs["."].Scope()
+	var declared []types.Object
+	for _, name := range scope.Names() {
+		obj := scope.Lookup(name)
+		if ix.fset.Position(obj.Pos()).Filename == "alias.go" {
+			declared = append(declared, obj)
+			if _, fn := obj.Type().(*types.Signature); fn && outside(obj) {
+				walk(obj.Type())
+			}
+			continue
+		}
+		switch obj := obj.(type) {
+		case *types.Func:
+			if obj.Exported() {
+				walk(obj.Type())
+			}
+		case *types.TypeName:
+			typ, ok := obj.Type().(*types.Named)
+			if !ok || !obj.Exported() || obj.IsAlias() {
+				continue
+			}
+			if st, ok := typ.Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					if st.Field(i).Exported() {
+						walk(st.Field(i).Type())
+					}
+				}
+			}
+			for i := 0; i < typ.NumMethods(); i++ {
+				if typ.Method(i).Exported() {
+					walk(typ.Method(i).Type())
+				}
+			}
+		}
+	}
+
+	var out []string
+	for _, obj := range declared {
+		_, isType := obj.(*types.TypeName)
+		typ, _ := types.Unalias(obj.Type()).(*types.Named)
+		if !outside(obj) && !(isType && typ != nil && carried[typ.Origin().Obj()]) {
+			out = append(out, obj.Name())
+		}
+	}
+	return out
 }
 
 // allowed reports whether allow names fn: by its key, or a method by its
@@ -548,10 +634,27 @@ func (ix *moduleIndex) stale(allow map[string]string) []string {
 	return out
 }
 
-// TestArchitectureUnused runs the rule of unused, and the bench-only set,
-// over a fixture module, with and without the type checker's alias nodes.
+// TestArchitectureUnused runs the rule of unused, the bench-only set and
+// alias.go's rule over a fixture module, with and without the type
+// checker's alias nodes.
 func TestArchitectureUnused(t *testing.T) {
 	fixture := fstest.MapFS{
+		"alias.go": {Data: []byte(`package fix
+
+type (
+	Named  = named  // cmd/fix names it
+	Field  = field  // S.F's keys point to one
+	Param  = param  // Reexported takes one
+	Result = result // S.Get returns one
+	Orphan = orphan // only Dropped, which nothing names, takes one
+	Prose  = named  // Named's callers do not name it
+)
+
+var (
+	Reexported = OnlyBench // kept by bench/ alone
+	Dropped    = drop
+)
+`)},
 		"fix.go": {Data: []byte(`package fix
 
 type A struct{}
@@ -579,15 +682,25 @@ func Use(j J) int {
 	return B{}.Len()
 }
 
-func OnlyBench() {}
+func OnlyBench(*param) {}
 
-var Reexported = OnlyBench // kept by bench/ alone
+type named struct{}
+type field struct{}
+type param struct{}
+type result struct{}
+type orphan struct{}
+
+type S struct{ F map[*field]bool }
+
+func (S) Get() result { return result{} }
+
+func drop(orphan) {} // reached only through Dropped, which nothing names
 `)},
 		"bench/main.go": {Data: []byte(`package main
 
 import "fix"
 
-func main() { fix.Reexported() }
+func main() { fix.Reexported(nil) }
 `)},
 		"cmd/fix/main.go": {Data: []byte(`package main
 
@@ -606,8 +719,10 @@ func helper() {} // only a test would call it
 
 func main() { // its own use
 	var l list
+	var n fix.Named
 	flag.Var(&l, "l", "")
 	fix.Use(fix.T{})
+	_, _ = n, fix.S{}.Get()
 }
 `)},
 	}
@@ -635,14 +750,17 @@ func main() { // its own use
 			if stale := ix.stale(allow); !reflect.DeepEqual(stale, []string{"cmd/fix:gone"}) {
 				t.Errorf("stale = %v, want the one entry that names no reported function", stale)
 			}
-			if want := []string{"list.String", "list.Set", "helper", "A.Len", "I.N", "T.N"}; !reflect.DeepEqual(got, want) {
+			if want := []string{"list.String", "list.Set", "helper", "A.Len", "I.N", "T.N", "drop"}; !reflect.DeepEqual(got, want) {
 				t.Errorf("unused = %v, want %v", got, want)
 			}
-			if want := []string{"list.Set", "helper", "A.Len", "I.N", "T.N"}; !reflect.DeepEqual(kept, want) {
+			if want := []string{"list.Set", "helper", "A.Len", "I.N", "T.N", "drop"}; !reflect.DeepEqual(kept, want) {
 				t.Errorf("unused and not allowed = %v, want %v", kept, want)
 			}
 			if got := ix.benchOnly(); len(got) != 1 || got[0].Name() != "OnlyBench" {
 				t.Errorf("bench-only = %v, want OnlyBench", got)
+			}
+			if got, want := ix.unneededAliases(), []string{"Dropped", "Orphan", "Prose"}; !reflect.DeepEqual(got, want) {
+				t.Errorf("unneeded aliases = %v, want %v", got, want)
 			}
 		})
 	}

@@ -15,7 +15,7 @@ import (
 // enough for -short. A mismatch prints the text testdata/figures.txt now
 // holds; paste it only for a deliberate change to what localization picks.
 func TestFigures(t *testing.T) {
-	cfg := config{scale: 0.05, seed: 42, runs: 3, maxFaults: 4, noise: 5, switchList: "1,5,10"}
+	cfg := config{scale: 0.05, seed: 42, runs: 3, maxFaults: 4, switchList: "1,5,10"}
 	checkFigures(t, "figures.txt", cfg, experimentNames()...)
 }
 
@@ -26,7 +26,7 @@ func TestFiguresPaper(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the paper-size tables take seconds")
 	}
-	cfg := config{scale: 0.25, seed: 42, runs: 30, maxFaults: 10, noise: 5}
+	cfg := config{scale: 0.25, seed: 42, runs: 30, maxFaults: 10}
 	checkFigures(t, "figures-paper.txt", cfg, "fig7a", "fig7b", "fig8", "fig9", "fig10", "ablation")
 }
 

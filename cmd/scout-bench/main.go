@@ -33,7 +33,6 @@ type config struct {
 	seed       int64
 	runs       int
 	maxFaults  int
-	noise      int
 	switchList string
 	switches   []int // switchList parsed, when scale runs
 }
@@ -41,7 +40,7 @@ type config struct {
 // accuracy returns the options of a simulated accuracy figure comparing
 // algs.
 func (c config) accuracy(algs []eval.Algorithm) eval.AccuracyOptions {
-	return eval.AccuracyOptions{MaxFaults: c.maxFaults, Runs: c.runs, Noise: c.noise, Seed: c.seed, Algorithms: algs}
+	return eval.AccuracyOptions{MaxFaults: c.maxFaults, Runs: c.runs, Seed: c.seed, Algorithms: algs}
 }
 
 // table is what an experiment produces: an eval result.
@@ -68,12 +67,12 @@ var experiments = []experiment{
 			if err != nil {
 				return nil, err
 			}
-			return eval.SuspectSetReduction(tb, eval.GammaOptions{Faults: 200, Noise: c.noise, Seed: c.seed,
+			return eval.SuspectSetReduction(tb, eval.GammaOptions{Faults: 200, Seed: c.seed,
 				Buckets: [][2]int{{1, 10}, {10, 20}, {20, 40}, {40, 60}}})
 		}},
 	{name: "fig7b", header: "Figure 7(b): suspect-set reduction γ, simulation (1500 faults)", sim: true,
 		run: func(c config, env *eval.Env) (table, error) {
-			return eval.SuspectSetReduction(env, eval.GammaOptions{Faults: 1500, Noise: c.noise, Seed: c.seed,
+			return eval.SuspectSetReduction(env, eval.GammaOptions{Faults: 1500, Seed: c.seed,
 				Buckets: [][2]int{{1, 10}, {10, 50}, {50, 100}, {100, 500}, {500, 1000}}})
 		}},
 	{name: "fig8", header: "Figure 8: precision/recall on the switch risk model", sim: true,
@@ -88,7 +87,7 @@ var experiments = []experiment{
 		run: func(c config, _ *eval.Env) (table, error) {
 			// The paper runs the testbed 10 times.
 			return eval.TestbedAccuracy(workload.TestbedSpec(), eval.TestbedOptions{
-				MaxFaults: c.maxFaults, Runs: min(c.runs, 10), Noise: c.noise, Seed: c.seed})
+				MaxFaults: c.maxFaults, Runs: min(c.runs, 10), Seed: c.seed})
 		}},
 	{name: "ablation", header: "Ablation: SCOUT with vs without the change-log stage", sim: true,
 		run: func(c config, env *eval.Env) (table, error) {
@@ -124,7 +123,6 @@ func main() {
 	flag.Int64Var(&cfg.seed, "seed", 42, "experiment seed")
 	flag.IntVar(&cfg.runs, "runs", 30, "repetitions per accuracy data point")
 	flag.IntVar(&cfg.maxFaults, "faults", 10, "max simultaneous faults for accuracy experiments")
-	flag.IntVar(&cfg.noise, "noise", 5, "healthy recently-changed objects per scenario")
 	flag.StringVar(&cfg.switchList, "switches", "10,25,50,100,200", "comma-separated switch counts for -experiment scale")
 	flag.Parse()
 
@@ -156,8 +154,6 @@ func run(cfg config, w io.Writer) error {
 		return fmt.Errorf("-runs %d: want at least 1", cfg.runs)
 	case cfg.maxFaults < 1:
 		return fmt.Errorf("-faults %d: want at least 1", cfg.maxFaults)
-	case cfg.noise < 0:
-		return fmt.Errorf("-noise %d: want 0 or more", cfg.noise)
 	}
 	for _, e := range selected {
 		if e.check != nil {

@@ -67,12 +67,12 @@ func TestRunRejectsUnknownExperiment(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBadFlags: a scale, run count, fault count, noise level or
-// switch list no experiment can use fails naming its flag, before any
-// work. A non-positive scale used to print itself and run the full
-// production spec, and one that overflowed a count ran every figure on 2
-// EPGs; zero runs or faults fell back to defaults; a zero or empty switch
-// count failed only after every other table had printed.
+// TestRunRejectsBadFlags: a scale, run count, fault count or switch list
+// no experiment can use fails naming its flag, before any work. A
+// non-positive scale used to print itself and run the full production
+// spec, and one that overflowed a count ran every figure on 2 EPGs; zero
+// runs or faults fell back to defaults; a zero or empty switch count
+// failed only after every other table had printed.
 func TestRunRejectsBadFlags(t *testing.T) {
 	ok := config{experiment: "fig3", scale: 0.05, seed: 3, runs: 1, maxFaults: 1}
 	for _, tc := range []struct {
@@ -89,7 +89,6 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-switches", func(c *config) { c.experiment, c.switchList = "scale", "4,-1" }},
 		{"-runs", func(c *config) { c.runs = 0 }},
 		{"-faults", func(c *config) { c.maxFaults = 0 }},
-		{"-noise", func(c *config) { c.noise = -1 }},
 	} {
 		cfg := ok
 		tc.edit(&cfg)

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"scout"
+	"scout/internal/workload"
 )
 
 // goldenCases are TestGolden's small command lines. Every scenario file in
@@ -80,7 +81,7 @@ func TestGolden(t *testing.T) {
 // fault mix without -state-dir, with it cold, and restarted on the
 // directory the cold run wrote.
 func goldenProduction(t *testing.T, g *golden, seed int64) {
-	spec := scout.ProductionWorkloadSpec()
+	spec := workload.ProductionSpec()
 	for _, n := range []*int{&spec.EPGs, &spec.Contracts, &spec.Filters, &spec.TargetPairs, &spec.Switches} {
 		*n = max(*n/4, 2)
 	}

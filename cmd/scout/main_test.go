@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"scout"
+	"scout/internal/object"
 )
 
 func TestParseFault(t *testing.T) {
@@ -24,9 +25,9 @@ func TestParseFault(t *testing.T) {
 		wantErr  bool
 	}{
 		{"filter:5003@1.0", scout.FilterRef(5003), 1.0, false},
-		{"epg:1004@0.4", scout.EPGRef(1004), 0.4, false},
-		{"vrf:101", scout.VRFRef(101), 1.0, false}, // fraction defaults to 1
-		{"contract:3000@0.25", scout.ContractRef(3000), 0.25, false},
+		{"epg:1004@0.4", object.EPG(1004), 0.4, false},
+		{"vrf:101", object.VRF(101), 1.0, false}, // fraction defaults to 1
+		{"contract:3000@0.25", object.Contract(3000), 0.25, false},
 		{"bogus:1@1.0", scout.ObjectRef{}, 0, true},
 		{"filter:abc@1.0", scout.ObjectRef{}, 0, true},
 		{"filter:1@xyz", scout.ObjectRef{}, 0, true},
@@ -341,7 +342,7 @@ func TestRunWatch(t *testing.T) {
 	f, epgID, n := watchFabric(t)
 	var out bytes.Buffer
 	opts := watchOptions{analyzer: scout.AnalyzerOptions{Workers: 2}, window: 2 * time.Second}
-	report, err := runWatch(f, []objectFault{{ref: scout.EPGRef(epgID), fraction: 1.0}}, opts, &out)
+	report, err := runWatch(f, []objectFault{{ref: object.EPG(epgID), fraction: 1.0}}, opts, &out)
 	if err != nil {
 		t.Fatalf("runWatch: %v\noutput:\n%s", err, out.String())
 	}

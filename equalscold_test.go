@@ -44,6 +44,7 @@ import (
 	"scout/internal/rule"
 	"scout/internal/tcam"
 	"scout/internal/topo"
+	"scout/internal/workload"
 )
 
 // entry is the way a case hands each state to its session.
@@ -314,7 +315,7 @@ func (r *coldRun) apply(t testing.TB, s step) {
 		return w.TCAM()
 	}
 	remove := func(gone []scout.Rule) {
-		keys := make([]scout.RuleKey, len(gone))
+		keys := make([]rule.Key, len(gone))
 		for i, x := range gone {
 			keys[i] = x.Key()
 		}
@@ -401,7 +402,7 @@ func (r *coldRun) apply(t testing.TB, s step) {
 func filtersOf(f *scout.Fabric, contract scout.ObjectID) []scout.ObjectID {
 	ids := make(map[scout.ObjectID]bool)
 	for _, refs := range f.Deployment().Provenance {
-		if slices.Contains(refs, scout.ContractRef(contract)) {
+		if slices.Contains(refs, object.Contract(contract)) {
 			for _, ref := range refs {
 				if ref.Kind == object.KindFilter {
 					ids[ref.ID] = true
@@ -863,7 +864,7 @@ func FuzzSession(f *testing.F) {
 func TestMetamorphic(t *testing.T) {
 	t.Parallel()
 	const seed = 7
-	pol, topology, err := scout.GenerateWorkload(scout.TestbedWorkloadSpec(), seed)
+	pol, topology, err := scout.GenerateWorkload(workload.TestbedSpec(), seed)
 	if err != nil {
 		t.Fatal(err)
 	}

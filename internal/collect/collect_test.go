@@ -160,7 +160,6 @@ func naiveDirty(a, b *Epoch) []object.ID {
 	return out
 }
 
-func TestSnapshotAndHistory(t *testing.T) { runCollect(t, 2, 6, opSnapshot) }
 func TestCleanSnapshotSharesSlices(t *testing.T) {
 	runCollect(t, 8, 30, opSnapshot, opSnapshot, opEvict)
 }

@@ -26,6 +26,11 @@ import (
 	"scout/internal/workload"
 )
 
+// changeNoise is how many healthy objects every experiment's scenario
+// records as recently changed, beside its faulty ones: the change-log
+// noise SCOUT's second stage must see past.
+const changeNoise = 5
+
 // Env bundles the generated workload artifacts shared by experiments.
 type Env struct {
 	Policy     *policy.Policy
@@ -217,7 +222,7 @@ func ScoutNoChangeLog() Algorithm {
 	return Algorithm{
 		Name: "SCOUT-nolog",
 		Run: func(v risk.View, _ object.Set) *localize.Result {
-			return localize.Scout(v, localize.NoChanges{})
+			return localize.Scout(v, nil)
 		},
 	}
 }
@@ -245,7 +250,6 @@ type AccuracyResult struct {
 type AccuracyOptions struct {
 	MaxFaults  int // x-axis upper bound (paper: 10)
 	Runs       int // repetitions per point (paper: 30 sim, 10 testbed)
-	Noise      int // healthy objects added to the change oracle per run
 	Seed       int64
 	Algorithms []Algorithm // the curves, in column order
 }
@@ -293,7 +297,7 @@ func simulate(title string, candidates []object.Ref, opts AccuracyOptions,
 		names[i] = alg.Name
 	}
 	return accuracySweep(title, names, opts.MaxFaults, opts.Runs, func(n int) ([]localize.Accuracy, error) {
-		sc, err := workload.NewScenario(rng, candidates, n, opts.Noise)
+		sc, err := workload.NewScenario(rng, candidates, n, changeNoise)
 		if err != nil {
 			return nil, err
 		}
@@ -395,7 +399,6 @@ type GammaResult struct {
 type GammaOptions struct {
 	Faults  int      // single-object faults to sample (paper: 1500 sim, 200 testbed)
 	Buckets [][2]int // suspect-set-size buckets
-	Noise   int
 	Seed    int64
 }
 
@@ -409,7 +412,7 @@ func SuspectSetReduction(env *Env, opts GammaOptions) (*GammaResult, error) {
 	sums := make([]float64, len(opts.Buckets))
 	counts := make([]int, len(opts.Buckets))
 	for i := 0; i < opts.Faults; i++ {
-		sc, err := workload.NewScenario(rng, candidates, 1, opts.Noise)
+		sc, err := workload.NewScenario(rng, candidates, 1, changeNoise)
 		if err != nil {
 			return nil, err
 		}
@@ -491,7 +494,7 @@ func Scalability(switchCounts []int, faults int, seed int64) (*ScaleResult, erro
 			return nil, err
 		}
 		rng := rand.New(rand.NewSource(seed + int64(n)))
-		sc, err := workload.NewScenario(rng, env.Index.Objects(), faults, 10)
+		sc, err := workload.NewScenario(rng, env.Index.Objects(), faults, changeNoise)
 		if err != nil {
 			return nil, err
 		}

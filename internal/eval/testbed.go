@@ -24,7 +24,6 @@ import (
 type TestbedOptions struct {
 	MaxFaults int // paper: 10
 	Runs      int // paper: 10
-	Noise     int // healthy objects with recent change-log entries
 	Seed      int64
 }
 
@@ -38,7 +37,7 @@ func TestbedAccuracy(spec workload.Spec, opts TestbedOptions) (*AccuracyResult, 
 		return nil, err
 	}
 	return accuracySweep("testbed end-to-end", []string{"SCOUT", "SCORE-1"}, opts.MaxFaults, opts.Runs,
-		func(n int) ([]localize.Accuracy, error) { return testbedRun(pol, tp, rng, n, opts.Noise) })
+		func(n int) ([]localize.Accuracy, error) { return testbedRun(pol, tp, rng, n) })
 }
 
 // testbedRun executes one end-to-end experiment: deploy the policy onto a
@@ -46,7 +45,7 @@ func TestbedAccuracy(spec workload.Spec, opts TestbedOptions) (*AccuracyResult, 
 // and score the report's SCOUT hypothesis and SCORE-1 on the report's
 // controller view against the ground truth. Every change-log entry lands
 // moments after the fabric is created, well inside the analysis' window.
-func testbedRun(pol *policy.Policy, tp *topo.Topology, rng *rand.Rand, n, noise int) ([]localize.Accuracy, error) {
+func testbedRun(pol *policy.Policy, tp *topo.Topology, rng *rand.Rand, n int) ([]localize.Accuracy, error) {
 	f, err := fabric.New(pol, tp, fabric.Options{Seed: rng.Int63()})
 	if err != nil {
 		return nil, err
@@ -71,7 +70,7 @@ func testbedRun(pol *policy.Policy, tp *topo.Topology, rng *rand.Rand, n, noise 
 	noisy := 0
 	truth := object.NewSet(sc.GroundTruth...)
 	for _, i := range perm {
-		if noisy >= noise {
+		if noisy >= changeNoise {
 			break
 		}
 		if truth.Has(candidates[i]) {

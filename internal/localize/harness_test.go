@@ -63,11 +63,11 @@ func check(t *testing.T, label string, v risk.View, twin *risk.Overlay, changed 
 	var calls []object.Ref
 	for i, view := range []risk.View{v, twin} {
 		eng, again := &recordingOracle{changed: changed}, &recordingOracle{changed: changed}
-		got := results{scout: Scout(view, eng), blind: Scout(view, NoChanges{}), score06: Score(view, 0.6), score1: Score(view, 1)}
+		got := results{scout: Scout(view, eng), blind: Scout(view, nil), score06: Score(view, 0.6), score1: Score(view, 1)}
 		want, wantCalls, against := r, calls, "the twin, against the view"
 		if i == 0 {
 			ref := &recordingOracle{changed: changed}
-			want = results{scout: RefScout(view, ref), blind: RefScout(view, NoChanges{}), score06: RefScore(view, 0.6), score1: RefScore(view, 1)}
+			want = results{scout: RefScout(view, ref), blind: RefScout(view, nil), score06: RefScore(view, 0.6), score1: RefScore(view, 1)}
 			wantCalls, against = ref.calls, "the view, against the reference engine"
 		}
 		for _, p := range []struct {

@@ -57,18 +57,9 @@ func (o SetOracle) RecentlyChanged(ref object.Ref) bool {
 	return object.Set(o).Has(ref)
 }
 
-// NoChanges is an oracle that never reports changes; using it disables
-// SCOUT's second stage (the ablation `cmd/scout-bench -experiment
-// ablation` runs, scored in README's claims table).
-type NoChanges struct{}
-
-// RecentlyChanged always returns false.
-func (NoChanges) RecentlyChanged(object.Ref) bool { return false }
-
 var (
 	_ ChangeOracle = ChangeLogOracle{}
 	_ ChangeOracle = SetOracle(nil)
-	_ ChangeOracle = NoChanges{}
 )
 
 // Step records one greedy iteration for explainability: what was picked
@@ -104,8 +95,8 @@ type Result struct {
 }
 
 // Scout runs the SCOUT algorithm (Algorithm 1) on the annotated model.
-// oracle supplies the change-log lookup for stage two; pass NoChanges{} to
-// disable it. m must be a *risk.Model or a *risk.Overlay.
+// oracle supplies the change-log lookup for stage two; pass nil to disable
+// stage two. m must be a *risk.Model or a *risk.Overlay.
 func Scout(m risk.View, oracle ChangeOracle) *Result {
 	res, _ := ScoutWithStats(m, oracle)
 	return res

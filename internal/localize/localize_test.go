@@ -77,8 +77,8 @@ func TestScoutWithoutChangeLogLeavesTailUnexplained(t *testing.T) {
 func TestScoutNilOracle(t *testing.T) {
 	s := figure5()
 	m := s.overlay(s.model())
-	if got, want := Scout(m, nil), Scout(m, NoChanges{}); !reflect.DeepEqual(got, want) {
-		t.Errorf("a nil oracle: %+v; NoChanges gives %+v", got, want)
+	if got, want := Scout(m, nil), Scout(m, SetOracle(nil)); !reflect.DeepEqual(got, want) {
+		t.Errorf("a nil oracle: %+v; an empty SetOracle gives %+v", got, want)
 	}
 }
 
@@ -305,7 +305,7 @@ func TestUnknownViewPanics(t *testing.T) {
 			t.Fatalf("Scout on an unknown View: recovered %v, want a panic naming the type", r)
 		}
 	}()
-	Scout(wrappedModel{risk.NewModel("m", compile.Footprint{})}, NoChanges{})
+	Scout(wrappedModel{risk.NewModel("m", compile.Footprint{})}, nil)
 }
 
 func TestChangeLogOracle(t *testing.T) {

@@ -29,9 +29,11 @@
 package scenario
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/json"
 	"fmt"
+	"io"
 	"slices"
 	"strings"
 
@@ -111,11 +113,18 @@ type Cause struct {
 
 func (c Cause) String() string { return fmt.Sprintf("%s@switch:%d", c.Signature, c.Switch) }
 
-// Parse decodes and validates a JSON scenario.
+// Parse decodes and validates a JSON scenario: one object, whose every
+// field, and every step's, is one the format defines, so a misspelled
+// field fails instead of silently changing what the scenario does.
 func Parse(data []byte) (*Scenario, error) {
 	var s Scenario
-	if err := json.Unmarshal(data, &s); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("scenario: decode: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("scenario: decode: trailing data after the scenario")
 	}
 	for i := range s.Steps {
 		if err := s.Steps[i].validate(); err != nil {
@@ -181,7 +190,9 @@ func answer(hypothesis []object.Ref, causes []Cause) string {
 
 func (st *Step) validate() error {
 	switch st.Op {
-	case "deploy", "reconnect", "restart-agent", "disconnect", "crash-agent":
+	case "deploy":
+	case "disconnect", "reconnect", "crash-agent", "restart-agent":
+		return st.needsSwitch()
 	case "inject":
 		if st.Object == "" {
 			return fmt.Errorf("inject requires object")
@@ -219,8 +230,19 @@ func (st *Step) validate() error {
 		if st.Count < 0 {
 			return fmt.Errorf("%s count %d is negative", st.Op, st.Count)
 		}
+		return st.needsSwitch()
 	default:
 		return fmt.Errorf("unknown op %q", st.Op)
+	}
+	return nil
+}
+
+// needsSwitch refuses a switch-scoped step that names no switch, which
+// would otherwise fail only mid-replay, after earlier steps had changed
+// the fabric.
+func (st *Step) needsSwitch() error {
+	if st.Switch == 0 {
+		return fmt.Errorf("%s requires switch", st.Op)
 	}
 	return nil
 }

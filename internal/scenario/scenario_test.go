@@ -140,6 +140,16 @@ func TestParseRejectsBadScenarios(t *testing.T) {
 		{"expect-unknown-kind", `{"steps":[],"expect":{"hypothesis":["rack:1"]}}`, "unknown object kind"},
 		{"expect-unknown-signature", `{"steps":[],"expect":{"causes":[{"signature":"cosmic-ray","switch":1}]}}`, `unknown signature "cosmic-ray"`},
 		{"expect-cause-no-switch", `{"steps":[],"expect":{"causes":[{"signature":"agent-crash"}]}}`, `cause "agent-crash" names no switch`},
+		{"unknown-step-field", `{"steps":[{"op":"inject","object":"filter:5002","fracton":0.3}]}`, `unknown field "fracton"`},
+		{"unknown-top-level-field", `{"steps":[],"expct":{"hypothesis":["filter:1"]}}`, `unknown field "expct"`},
+		{"trailing-data", `{"steps":[]} {"steps":[]}`, "trailing data"},
+		{"trailing-garbage", `{"steps":[]}]`, "trailing data"},
+		{"disconnect-no-switch", `{"steps":[{"op":"disconnect"}]}`, "disconnect requires switch"},
+		{"reconnect-no-switch", `{"steps":[{"op":"reconnect"}]}`, "reconnect requires switch"},
+		{"crash-agent-no-switch", `{"steps":[{"op":"crash-agent"}]}`, "crash-agent requires switch"},
+		{"restart-agent-no-switch", `{"steps":[{"op":"restart-agent"}]}`, "restart-agent requires switch"},
+		{"corrupt-no-switch", `{"steps":[{"op":"corrupt","field":"src"}]}`, "corrupt requires switch"},
+		{"evict-no-switch", `{"steps":[{"op":"evict","count":2}]}`, "evict requires switch"},
 	}
 	for _, tt := range bad {
 		t.Run(tt.name, func(t *testing.T) {

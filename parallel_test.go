@@ -18,6 +18,7 @@ import (
 	"scout/internal/equiv"
 	"scout/internal/object"
 	"scout/internal/tcam"
+	"scout/internal/workload"
 )
 
 // faultyFabric builds a seeded multi-switch fabric (the paper's 6-switch
@@ -25,7 +26,7 @@ import (
 // rules, extra rules, partial faults — is exercised.
 func faultyFabric(t testing.TB, seed int64) *scout.Fabric {
 	t.Helper()
-	return faultyFabricOf(t, scout.TestbedWorkloadSpec(), scout.FabricOptions{Seed: seed})
+	return faultyFabricOf(t, workload.TestbedSpec(), scout.FabricOptions{Seed: seed})
 }
 
 // faultyFabricOf is faultyFabric on any spec: the same fault mix on a
@@ -153,7 +154,7 @@ func TestWorkersFloor(t *testing.T) {
 func TestParallelCountersRepeat(t *testing.T) {
 	t.Parallel()
 	small := func(t testing.TB) *scout.Fabric {
-		return faultyFabricOf(t, scout.SmallFabricWorkloadSpec(), scout.FabricOptions{Seed: 3})
+		return faultyFabricOf(t, workload.SmallFabricSpec(), scout.FabricOptions{Seed: 3})
 	}
 	steps, colds := drawn(3, 5, opEvict, opCorrupt, opFault, opNone), make(map[int][]byte)
 	for _, workers := range slices.Compact([]int{2, runtime.NumCPU(), 3}) {
@@ -198,7 +199,7 @@ func TestConcurrentAnalyzeCalls(t *testing.T) {
 // same unchanged state: every report is a cold AnalyzeState's, and under
 // -race the session's and the collector's locks cover what callers share.
 func TestConcurrentSessionUse(t *testing.T) {
-	f := faultyFabricOf(t, scout.SmallFabricWorkloadSpec(), scout.FabricOptions{Seed: 3})
+	f := faultyFabricOf(t, workload.SmallFabricSpec(), scout.FabricOptions{Seed: 3})
 	st := fabricState(f)
 	want := marshalReport(t, mustReport(t, func() (*scout.Report, error) {
 		return scout.NewAnalyzer(scout.AnalyzerOptions{Workers: 1}).AnalyzeState(st)

@@ -16,6 +16,7 @@ import (
 	"scout/internal/oracle"
 	"scout/internal/risk"
 	"scout/internal/rule"
+	"scout/internal/workload"
 )
 
 // refAnalyze is the pipeline of the paper's Figure 6 spelled serially, with
@@ -205,8 +206,8 @@ func TestOrchestrationMatchesReference(t *testing.T) {
 		spec scout.WorkloadSpec
 		opts scout.FabricOptions
 	}{
-		{scout.TestbedWorkloadSpec(), scout.FabricOptions{Seed: 42}},
-		{scout.SmallFabricWorkloadSpec(), scout.FabricOptions{Seed: 42}},
+		{workload.TestbedSpec(), scout.FabricOptions{Seed: 42}},
+		{workload.SmallFabricSpec(), scout.FabricOptions{Seed: 42}},
 		{eval.SimSpec(0.25), scout.FabricOptions{Seed: 42, TCAMCapacity: 1 << 17}},
 	} {
 		t.Run(tc.spec.Name, func(t *testing.T) {

@@ -20,6 +20,7 @@ import (
 	"scout/internal/eval"
 	"scout/internal/object"
 	"scout/internal/risk"
+	"scout/internal/workload"
 )
 
 // marshalReport serializes a report with the wall-clock field zeroed so
@@ -168,7 +169,7 @@ func TestSessionRequiresDeploy(t *testing.T) {
 // analysis.
 func TestSessionCleanFabricThenSilentDrift(t *testing.T) {
 	clean := func(t testing.TB) *scout.Fabric {
-		return cleanFabric(t, scout.TestbedWorkloadSpec(), scout.FabricOptions{Seed: 7})
+		return cleanFabric(t, workload.TestbedSpec(), scout.FabricOptions{Seed: 7})
 	}
 	equalsCold(t, coldCase{fabric: clean, clean: true, steps: []step{{opSilent, 0, 0}}})
 }
@@ -181,7 +182,7 @@ func TestSessionCleanFabricThenSilentDrift(t *testing.T) {
 // each risk's dependents, ascending.
 func TestSessionOneModelPerDeployment(t *testing.T) {
 	clean := func(t testing.TB) *scout.Fabric {
-		return cleanFabric(t, scout.TestbedWorkloadSpec(), scout.FabricOptions{Seed: 7})
+		return cleanFabric(t, workload.TestbedSpec(), scout.FabricOptions{Seed: 7})
 	}
 	r := equalsCold(t, coldCase{fabric: clean, clean: true, steps: []step{{opEvict, 0, 0}, {opEvict, 1, 0}}})
 	m := r.last.ControllerView.Base()
@@ -335,7 +336,7 @@ func TestCopiedListsReplay(t *testing.T) {
 func TestSeededVerdictIsHashedNotTrusted(t *testing.T) {
 	t.Parallel()
 	testbed := func(t testing.TB) *scout.Fabric {
-		return cleanFabric(t, scout.TestbedWorkloadSpec(), scout.FabricOptions{Seed: 7})
+		return cleanFabric(t, workload.TestbedSpec(), scout.FabricOptions{Seed: 7})
 	}
 	// The restart flips A's verdict file: in name order the two base files
 	// come first, then the checks files, A's before B's when its
@@ -369,7 +370,7 @@ func TestWatchMemoryIsBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("120 rounds of full-fabric churn")
 	}
-	f := cleanFabric(t, scout.SmallFabricWorkloadSpec(), scout.FabricOptions{Seed: 42, TCAMCapacity: 1 << 17})
+	f := cleanFabric(t, workload.SmallFabricSpec(), scout.FabricOptions{Seed: 42, TCAMCapacity: 1 << 17})
 	opts := scout.AnalyzerOptions{Workers: 2}
 	sess, collector := newSession(t, f, opts), scout.NewCollector(f, 2)
 	liveHeap := func() int64 {

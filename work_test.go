@@ -13,6 +13,8 @@ import (
 	"text/tabwriter"
 
 	"scout"
+	"scout/internal/object"
+	"scout/internal/workload"
 )
 
 // workColumns heads testdata/work.txt: a row is one op of one journey.
@@ -144,11 +146,11 @@ func churner(t testing.TB, f *scout.Fabric) func(sw scout.ObjectID, n int) {
 // workFabric is TestWork's input: the small fabric at seed 42 under a fixed
 // fault set of a whole filter, a whole contract and part of an EPG.
 func workFabric(t *testing.T) *scout.Fabric {
-	f := cleanFabric(t, scout.SmallFabricWorkloadSpec(), scout.FabricOptions{Seed: 42, TCAMCapacity: 1 << 17})
+	f := cleanFabric(t, workload.SmallFabricSpec(), scout.FabricOptions{Seed: 42, TCAMCapacity: 1 << 17})
 	for _, fault := range []struct {
 		ref      scout.ObjectRef
 		fraction float64
-	}{{scout.FilterRef(5002), 1}, {scout.ContractRef(3005), 1}, {scout.EPGRef(1004), 0.4}} {
+	}{{scout.FilterRef(5002), 1}, {object.Contract(3005), 1}, {object.EPG(1004), 0.4}} {
 		if _, err := f.InjectObjectFault(fault.ref, fault.fraction); err != nil {
 			t.Fatal(err)
 		}
