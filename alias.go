@@ -173,8 +173,7 @@ var ParseScenario = scenario.Parse
 // bases and per-switch verdicts persisted under deployment fingerprints,
 // written by the Session run that produced them and restored by a
 // Session's first run of the deployment (AnalyzerOptions.WarmStore). It
-// bounds itself: each save keeps the four deployments used most recently
-// and evicts the rest.
+// holds one deployment: a save removes every other deployment's files.
 type WarmStore = store.Store
 
 // OpenWarmStore opens (creating if needed) a warm-state store directory.

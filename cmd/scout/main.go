@@ -35,9 +35,9 @@
 // checking a switch.
 // A new deployment also loads its frozen BDD base from the directory, or
 // builds and writes it there; no check reads it, and without the flag none
-// is built. A write that fails fails the command once the session closes. The directory
-// bounds itself: each write keeps the few deployments used most recently
-// and removes the files of the rest.
+// is built. A write that fails fails the command once the session closes.
+// The directory holds one deployment: each write removes every other
+// deployment's files.
 //
 // -json prints the final report as one JSON document, and nothing else,
 // on stdout; the lines that narrate the run go to stderr instead. -v adds

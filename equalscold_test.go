@@ -12,8 +12,10 @@ package scout_test
 //     checker's;
 //   - a model of the session kept from what each step touched: the verdicts
 //     cached and their rule lists, the store files that load and what a
-//     verdict file holds. From it follow every counter the session keeps
-//     and what Close reports; a session with no store builds no base.
+//     verdict file holds. The store holds one deployment: a save evicts
+//     every other deployment's files. From the model follow every counter
+//     the session keeps and what Close reports; a session with no store
+//     builds no base.
 //
 // At the end every deployment's rules still carry the provenance they were
 // compiled with. Each Test* is a case: a seed, a step list or an option set.
@@ -195,12 +197,11 @@ type coldRun struct {
 	saveErr string
 
 	// The store's model: the files that load, with a verdict file's
-	// entries; every file of a deployment, loadable or harmed, and when
-	// the session last saved or loaded it; the names a directory squats
-	// on; whether the directory is gone; and each base file's first image.
+	// entries; every file of a deployment, loadable or harmed, and the
+	// deployment it is of; the names a directory squats on; whether the
+	// directory is gone; and each base file's first image.
 	good    map[string]map[scout.ObjectID]verdict
-	files   map[string]storeFile
-	clock   int
+	files   map[string]uint64
 	squat   map[string]bool
 	lost    bool
 	baseImg map[string][]byte
@@ -210,17 +211,6 @@ type coldRun struct {
 	// counts are the session's and the report's counters after each run.
 	counts []string
 }
-
-// storeFile is a file of the store's model: its deployment, and the tick
-// of the save or load that last used it.
-type storeFile struct {
-	fp   uint64
-	used int
-}
-
-// keptDeployments is how many deployments the store keeps (internal/store's
-// keepDeployments).
-const keptDeployments = 4
 
 // toggle is an op that a second step on the same switch undoes.
 type toggle struct {
@@ -274,7 +264,7 @@ func equalsCold(t *testing.T, c coldCase) *coldRun {
 
 func newRun(f *scout.Fabric) *coldRun {
 	return &coldRun{f: f, on: map[toggle]bool{}, removed: map[scout.ObjectID][]scout.Rule{}, cache: map[scout.ObjectID]verdict{},
-		good: map[string]map[scout.ObjectID]verdict{}, files: map[string]storeFile{}, squat: map[string]bool{}, baseImg: map[string][]byte{},
+		good: map[string]map[scout.ObjectID]verdict{}, files: map[string]uint64{}, squat: map[string]bool{}, baseImg: map[string][]byte{},
 		heldDeps: map[*scout.Deployment]bool{}}
 }
 
@@ -441,8 +431,7 @@ func (r *coldRun) restart(t testing.TB, x, harm byte) {
 		path := pick(paths, x)
 		name := filepath.Base(path)
 		img, err := os.ReadFile(path)
-		info, serr := os.Stat(path)
-		if err = errors.Join(err, serr); err != nil {
+		if err != nil {
 			t.Fatal(err)
 		}
 		switch h {
@@ -457,8 +446,8 @@ func (r *coldRun) restart(t testing.TB, x, harm byte) {
 			delete(r.files, name)
 			err = errors.Join(os.Remove(path), os.Mkdir(path, 0o755))
 		}
-		if h != harmSquat { // damage in place leaves the mtime, so the deployment's recency, alone
-			err = errors.Join(os.WriteFile(path, img, 0o644), os.Chtimes(path, info.ModTime(), info.ModTime()))
+		if h != harmSquat {
+			err = os.WriteFile(path, img, 0o644)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -507,9 +496,8 @@ func (r *coldRun) fewerRoots(t testing.TB) {
 
 // save models a store save of deployment fp's file name: it fails on a
 // lost directory or a squatted name, and the session's first failure is
-// what Close reports. A save that succeeds keeps fp and the
-// keptDeployments-1 other deployments the session used last, and evicts
-// every file of the rest.
+// what Close reports. A save that succeeds evicts every file of another
+// deployment: the store holds one.
 func (r *coldRun) save(fp uint64, name string, entries map[scout.ObjectID]verdict) {
 	if r.lost || r.squat[name] {
 		if r.saveErr == "" {
@@ -517,31 +505,13 @@ func (r *coldRun) save(fp uint64, name string, entries map[scout.ObjectID]verdic
 		}
 		return
 	}
-	r.good[name] = entries
-	r.use(fp, name)
-	var fps []uint64
-	last := map[uint64]int{}
-	for _, f := range r.files {
-		if _, ok := last[f.fp]; !ok && f.fp != fp {
-			fps = append(fps, f.fp)
-		}
-		last[f.fp] = max(last[f.fp], f.used)
-	}
-	slices.SortFunc(fps, func(a, b uint64) int { return last[b] - last[a] })
-	for _, gone := range fps[min(len(fps), keptDeployments-1):] {
-		for file, f := range r.files {
-			if f.fp == gone {
-				delete(r.files, file)
-				delete(r.good, file)
-			}
+	r.good[name], r.files[name] = entries, fp
+	for file, of := range r.files {
+		if of != fp {
+			delete(r.files, file)
+			delete(r.good, file)
 		}
 	}
-}
-
-// use models a save or a successful load of deployment fp's file name.
-func (r *coldRun) use(fp uint64, name string) {
-	r.clock++
-	r.files[name] = storeFile{fp, r.clock}
 }
 
 // verdictFile names the session's verdict file for a deployment fingerprint.
@@ -570,13 +540,9 @@ func (r *coldRun) resolve(st scout.State) (built, loaded int) {
 	}
 	if name := fmt.Sprintf("base-%016x.scout", fp); r.good[name] != nil {
 		loaded = 1
-		r.use(fp, name)
 	} else {
 		built = 1
 		r.save(fp, name, map[scout.ObjectID]verdict{})
-	}
-	if _, ok := r.good[verdictFile(fp)]; ok {
-		r.use(fp, verdictFile(fp))
 	}
 	for sw, v := range r.good[verdictFile(fp)] {
 		l, tl := d.RulesFor(sw), st.TCAM[sw]
@@ -828,7 +794,8 @@ func FuzzSession(f *testing.F) {
 		sessionSeed(viaAnalyze, 1, tour[:8]...),
 		// An epoch of an unchanged fabric replays every verdict.
 		sessionSeed(viaEpoch, 1, step{opNone, 1, 1}),
-		// New content builds and saves its own base beside the first.
+		// New content builds and saves its own base, evicting the first's
+		// files.
 		sessionSeed(viaAnalyze, 1, step{opAddFilter, 0, 0}),
 		// A verdict file seeds only the switches the cache holds nothing
 		// for: switch 4, which the rollout misses, keeps its newer verdict.
@@ -840,7 +807,7 @@ func FuzzSession(f *testing.F) {
 		// handed.
 		sessionSeed(viaState, 2, step{opSilent, 3, 0}),
 		// Four filters added then detached, newest first: five deployments,
-		// the first evicted before the session comes back to it.
+		// each evicted by the next one's save, so every return rebuilds.
 		sessionSeed(viaAnalyze, 1, step{opAddFilter, 0, 0}, step{opAddFilter, 0, 1}, step{opAddFilter, 0, 2},
 			step{opAddFilter, 0, 3}, step{opDetach, 0, 0}, step{opDetach, 0, 0}, step{opDetach, 0, 0}, step{opDetach, 0, 0}),
 		// Every harm before a restart.

@@ -65,10 +65,10 @@ type Step struct {
 	Switch object.ID `json:"switch,omitempty"`
 
 	// Object and Fraction configure inject (object fault) steps. Object
-	// uses the "kind:id" syntax of object.ParseRef; Fraction defaults
-	// to 1 (full fault).
-	Object   string  `json:"object,omitempty"`
-	Fraction float64 `json:"fraction,omitempty"`
+	// uses the "kind:id" syntax of object.ParseRef; Fraction lies in
+	// (0,1], and an absent one is 1 (full fault).
+	Object   string   `json:"object,omitempty"`
+	Fraction *float64 `json:"fraction,omitempty"`
 
 	// Filter describes the filter an add-filter step creates.
 	Filter *FilterSpec `json:"filter,omitempty"`
@@ -200,8 +200,8 @@ func (st *Step) validate() error {
 		if _, err := object.ParseRef(st.Object); err != nil {
 			return err
 		}
-		if st.Fraction < 0 || st.Fraction > 1 {
-			return fmt.Errorf("fraction %v out of [0,1]", st.Fraction)
+		if st.Fraction != nil && !(*st.Fraction > 0 && *st.Fraction <= 1) {
+			return fmt.Errorf("fraction %v out of (0,1]", *st.Fraction)
 		}
 	case "add-filter":
 		if st.Filter == nil {
@@ -307,9 +307,9 @@ func runStep(f *fabric.Fabric, st Step, res *Result) error {
 		if err != nil {
 			return err
 		}
-		fraction := st.Fraction
-		if fraction == 0 {
-			fraction = 1
+		fraction := 1.0
+		if st.Fraction != nil {
+			fraction = *st.Fraction
 		}
 		n, err := f.InjectObjectFault(ref, fraction)
 		res.RulesRemoved += n

@@ -126,7 +126,8 @@ func TestParseRejectsBadScenarios(t *testing.T) {
 		{"unknown-op", `{"steps":[{"op":"explode"}]}`, "unknown op"},
 		{"inject-no-object", `{"steps":[{"op":"inject"}]}`, "requires object"},
 		{"inject-bad-ref", `{"steps":[{"op":"inject","object":"nope:1"}]}`, "unknown object kind"},
-		{"inject-bad-fraction", `{"steps":[{"op":"inject","object":"filter:1","fraction":2}]}`, "out of [0,1]"},
+		{"inject-bad-fraction", `{"steps":[{"op":"inject","object":"filter:1","fraction":2}]}`, "fraction 2 out of (0,1]"},
+		{"inject-zero-fraction", `{"steps":[{"op":"inject","object":"filter:1","fraction":0}]}`, "fraction 0 out of (0,1]"},
 		{"filter-missing", `{"steps":[{"op":"add-filter"}]}`, "requires filter"},
 		{"filter-inverted", `{"steps":[{"op":"add-filter","filter":{"id":1,"portLo":9,"portHi":1}}]}`, "inverted"},
 		{"attach-incomplete", `{"steps":[{"op":"attach-filter","contract":1}]}`, "requires contract and filterId"},
@@ -274,7 +275,8 @@ func TestExpectCheck(t *testing.T) {
 // to accept it, and its redeploy left an unknown EPG in the policy), a bind
 // to an unknown EPG (the fabric used to keep it), a corrupt count at the
 // limit, a negative evict count (Run used to evict one rule for it), and an
-// expect block naming an object twice.
+// expect block naming an object twice. Every inject step Parse accepts
+// states no fraction or one in (0,1].
 func FuzzParseScenario(f *testing.F) {
 	pol, tp, err := workload.Generate(workload.TestbedSpec(), 1)
 	if err != nil {
@@ -284,6 +286,11 @@ func FuzzParseScenario(f *testing.F) {
 		sc, err := Parse(data)
 		if err != nil {
 			return
+		}
+		for _, st := range sc.Steps {
+			if st.Op == "inject" && st.Fraction != nil && !(*st.Fraction > 0 && *st.Fraction <= 1) {
+				t.Fatalf("Parse accepted an inject fraction of %v", *st.Fraction)
+			}
 		}
 		fab, err := fabric.New(pol, tp, fabric.Options{Seed: 1})
 		if err != nil {

@@ -1,14 +1,14 @@
 // The package's case runner and codec check. The runner applies one
 // stream of steps, read from an oracle.Choices, to a store directory:
-// saves and loads over more deployments than the store keeps, between
-// steps that plant temp and foreign files, damage or misfile a file, put a
-// directory at a file's name, and age a file. The reference is each name's
-// content, deployment and logical mtime, and after every save it evicts as
-// the store must. The runner owns the clock: before every step each file's
-// mtime is its own tick, so recency never ties, and a save or a load must
-// leave its file newer than every tick. After every step loads returned
-// what the reference says, and the directory lists exactly the reference's
-// files.
+// saves and loads over a few deployments, between steps that plant temp
+// and foreign files, damage or misfile a file, and put a directory at a
+// file's name. The reference is each name's content and the deployment
+// its name is of. After every save the runner holds the directory to the
+// one-deployment rule: no file of another deployment remains, nor an old
+// temp file, and every directory, foreign name and young temp file does.
+// A load must leave its file's mtime alone. After every step loads
+// returned what the reference says, and the directory lists exactly the
+// reference's files.
 //
 // The codec check writes a drawn base or verdicts field by field through
 // encoder, with at most one deviation from what the encoder writes, or
@@ -55,48 +55,41 @@ const (
 	opPlant
 	opDamage
 	opDirectory
-	opAge
 )
 
-var opNames = [...]string{"save", "load", "plant", "damage", "directory", "age"}
+var opNames = [...]string{"save", "load", "plant", "damage", "directory"}
 
-// numFPs is how many deployment fingerprints a run draws from: two more
-// than the store keeps.
-const numFPs = keepDeployments + 2
+// numFPs is how many deployment fingerprints a run draws from.
+const numFPs = 3
 
 // entry is the reference's view of one name in the directory.
 type entry struct {
-	data    []byte
-	dir     bool
-	good    bool   // a save's whole image
-	fp      uint64 // the deployment a file's name is of; 0 for another name
-	temp    bool   // a temp file a writer left
-	young   bool   // a temp file at its real, fresh mtime
-	tick    int    // the logical mtime
-	written int    // tick as a save, plant, damage or age left it; a load moves only tick
+	data  []byte
+	dir   bool
+	good  bool   // a save's whole image
+	fp    uint64 // the deployment a file's name is of; 0 for another name
+	temp  bool   // a temp file a writer left
+	young bool   // a temp file at its real, fresh mtime; an old one is a day old
 }
 
 // storeStats is what a run exercised.
 type storeStats struct {
 	refused    int // saves a directory at the name refused
 	unreadable int // loads of a directory or a damaged file
-	evicted    int // deployments a save evicted
-	refreshed  int // deployments kept past one written later, as a load used them later
+	evicted    int // files of another deployment a save removed
 	orphans    int // old temp files a save removed
 	live       int // young temp files a save kept
-	foreign    int // evictions beside a file the store did not name
-	dirs       int // directories left at an evicted deployment's name
+	foreign    int // files the store did not name that a save kept
+	dirs       int // directories at another deployment's name a save kept
 }
 
 type storeHarness struct {
-	t         *testing.T
-	c         *oracle.Choices
-	s         *Store
-	dir       string
-	files     map[string]*entry
-	t0        time.Time
-	clock, lo int // the newest tick, and the oldest
-	stats     *storeStats
+	t     *testing.T
+	c     *oracle.Choices
+	s     *Store
+	dir   string
+	files map[string]*entry
+	stats *storeStats
 }
 
 // runStores runs a case per seed below seeds, of steps drawn from ops.
@@ -110,7 +103,7 @@ func runStores(t *testing.T, seeds int64, steps int, ops ...op) storeStats {
 			t.Fatal(err)
 		}
 		c := oracle.FromSeed(seed)
-		h := &storeHarness{t: t, c: c, s: s, dir: dir, files: map[string]*entry{}, t0: time.Now().Add(-24 * time.Hour), stats: &stats}
+		h := &storeHarness{t: t, c: c, s: s, dir: dir, files: map[string]*entry{}, stats: &stats}
 		for i := 0; i < steps; i++ {
 			h.step(i, ops[c.Intn(len(ops))])
 		}
@@ -118,12 +111,10 @@ func runStores(t *testing.T, seeds int64, steps int, ops ...op) storeStats {
 	return stats
 }
 
-// at is a tick's time: a minute a tick, from a day ago.
-func (h *storeHarness) at(tick int) time.Time { return h.t0.Add(time.Duration(tick) * time.Minute) }
-
 func (h *storeHarness) write(name string, e *entry) {
-	if err := os.WriteFile(filepath.Join(h.dir, name), e.data, 0o644); err != nil {
-		h.t.Fatal(err)
+	path, dayAgo := filepath.Join(h.dir, name), time.Now().Add(-24*time.Hour)
+	if err := os.WriteFile(path, e.data, 0o644); err != nil || e.temp && !e.young && os.Chtimes(path, dayAgo, dayAgo) != nil {
+		h.t.Fatalf("writing %s failed: %v", name, err)
 	}
 	h.files[name] = e
 }
@@ -131,11 +122,6 @@ func (h *storeHarness) write(name string, e *entry) {
 func (h *storeHarness) step(i int, kind op) {
 	t, c := h.t, h.c
 	t.Helper()
-	for name, e := range h.files {
-		if mt := h.at(e.tick); !e.young && os.Chtimes(filepath.Join(h.dir, name), mt, mt) != nil {
-			t.Fatalf("setting %s's mtime failed", name)
-		}
-	}
 	// A base, or verdicts, under one of numFPs fingerprints.
 	k, fp := c.Intn(2), uint64(1+c.Intn(numFPs))
 	name := verdictFileName(fp)
@@ -144,7 +130,6 @@ func (h *storeHarness) step(i int, kind op) {
 	}
 	label := fmt.Sprintf("step %d (%s %s)", i, opNames[kind], name)
 	e := h.files[name]
-	used := false // the step saved or loaded name
 	switch kind {
 	case opSave:
 		var data []byte
@@ -164,9 +149,11 @@ func (h *storeHarness) step(i int, kind op) {
 		} else if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		} else {
-			h.files[name], used = &entry{data: data, good: true, fp: fp}, true
+			h.files[name] = &entry{data: data, good: true, fp: fp}
+			h.evict(fp, label)
 		}
 	case opLoad:
+		before, _ := os.Stat(filepath.Join(h.dir, name))
 		var again []byte
 		var err error
 		if k == 0 {
@@ -192,21 +179,18 @@ func (h *storeHarness) step(i int, kind op) {
 			}
 		case err != nil || !bytes.Equal(again, e.data):
 			t.Fatalf("%s: %v; the load re-encodes to %d bytes, the save wrote %d", label, err, len(again), len(e.data))
-		default:
-			used = true
+		}
+		if after, err := os.Stat(filepath.Join(h.dir, name)); before != nil && (err != nil || !after.ModTime().Equal(before.ModTime())) {
+			t.Fatalf("%s wrote its file: %v", label, err)
 		}
 	case opPlant:
-		// An older build's probe-mode verdicts belong to their deployment.
-		planted, temp, of := name+tempMark+fmt.Sprint(c.Intn(1000)), true, uint64(0)
+		// An older build's probe-mode verdicts are a foreign name now.
+		planted, temp := name+tempMark+fmt.Sprint(c.Intn(1000)), true
 		if c.Chance(4) {
 			older := fmt.Sprintf("probes-%016x%s", fp, fileSuffix)
 			planted, temp = []string{"README.txt", name + ".bak", "base-stale" + fileSuffix, older}[c.Intn(4)], false
-			if planted == older {
-				of = fp
-			}
 		}
-		h.clock++
-		h.write(planted, &entry{data: []byte("half a file"), fp: of, temp: temp, young: temp && c.Chance(2), tick: h.clock, written: h.clock})
+		h.write(planted, &entry{data: []byte("half a file"), temp: temp, young: temp && c.Chance(2)})
 	case opDamage:
 		if e == nil || e.dir || len(e.data) < frameOverhead {
 			break
@@ -225,8 +209,7 @@ func (h *storeHarness) step(i int, kind op) {
 			name, fp = strings.Replace(name, fmt.Sprintf("%016x", fp), fmt.Sprintf("%016x", next), 1), next
 		}
 		if h.files[name] == nil || !h.files[name].dir {
-			h.clock++
-			h.write(name, &entry{data: data, fp: fp, tick: h.clock, written: h.clock})
+			h.write(name, &entry{data: data, fp: fp})
 		}
 	case opDirectory: // or, over a directory, its removal
 		path, made := filepath.Join(h.dir, name), e == nil || !e.dir
@@ -237,74 +220,35 @@ func (h *storeHarness) step(i int, kind op) {
 		if made {
 			h.files[name] = &entry{dir: true, fp: fp}
 		}
-	case opAge:
-		if e != nil {
-			h.lo--
-			e.tick, e.written = h.lo, h.lo
-		}
-	}
-	if used {
-		if info, err := os.Stat(filepath.Join(h.dir, name)); err != nil || !info.ModTime().After(h.at(h.clock)) {
-			t.Fatalf("%s left its file at %v, not newer than every tick", label, info.ModTime())
-		}
-		h.clock++
-		e := h.files[name]
-		e.tick = h.clock
-		if kind == opSave {
-			e.written = h.clock
-			h.evict(fp)
-		}
 	}
 	h.check(label)
 }
 
-// evict is the reference eviction after a save of deployment saved: old
-// temp files go; of the other deployments, each the files under its
-// fingerprint, the keepDeployments-1 with the newest tick stay and the
-// rest go. Directories and other names stay.
-func (h *storeHarness) evict(saved uint64) {
-	var fps []uint64
-	newest, written := map[uint64]int{}, map[uint64]int{}
+// evict holds the directory, after a save of deployment saved, to the
+// one-deployment rule, and applies it to the reference: every file of
+// another deployment and every old temp file is gone, and every
+// directory, foreign name and young temp file is there.
+func (h *storeHarness) evict(saved uint64, label string) {
 	for name, e := range h.files {
+		_, err := os.Lstat(filepath.Join(h.dir, name))
+		gone := !e.dir && (e.fp != 0 && e.fp != saved || e.temp && !e.young)
+		if gone != os.IsNotExist(err) {
+			h.t.Fatalf("%s: %s is there: %v, want %v", label, name, !os.IsNotExist(err), !gone)
+		}
 		switch {
-		case e.dir:
-		case e.temp && e.young:
-			h.stats.live++
-		case e.temp:
-			delete(h.files, name)
+		case gone && e.temp:
 			h.stats.orphans++
-		case e.fp != 0 && e.fp != saved:
-			n, ok := newest[e.fp]
-			if !ok {
-				fps = append(fps, e.fp)
-			}
-			if !ok || e.tick > n {
-				newest[e.fp] = e.tick
-			}
-			if n, ok := written[e.fp]; !ok || e.written > n {
-				written[e.fp] = e.written
-			}
-		}
-	}
-	if len(fps) < keepDeployments {
-		return
-	}
-	slices.SortFunc(fps, func(a, b uint64) int { return newest[b] - newest[a] })
-	kept, gone := fps[:keepDeployments-1], fps[keepDeployments-1:]
-	h.stats.evicted += len(gone)
-	for _, fp := range kept {
-		if slices.ContainsFunc(gone, func(g uint64) bool { return written[g] > written[fp] }) {
-			h.stats.refreshed++
-		}
-	}
-	for name, e := range h.files {
-		switch {
-		case e.dir && slices.Contains(gone, e.fp):
+		case gone:
+			h.stats.evicted++
+		case e.temp:
+			h.stats.live++
+		case e.dir && e.fp != saved:
 			h.stats.dirs++
-		case !e.dir && slices.Contains(gone, e.fp):
-			delete(h.files, name)
-		case !e.dir && e.fp == 0 && !e.temp:
+		case !e.dir && e.fp == 0:
 			h.stats.foreign++
+		}
+		if gone {
+			delete(h.files, name)
 		}
 	}
 }
@@ -335,7 +279,7 @@ func exercised(t *testing.T, what string, n int) {
 }
 
 func TestStoreSaveLoad(t *testing.T) {
-	runStores(t, 20, 80, opSave, opLoad, opPlant, opDamage, opDirectory, opAge)
+	runStores(t, 20, 80, opSave, opLoad, opPlant, opDamage, opDirectory)
 }
 
 // TestBaseCodecRejectsDamage: neither a damaged file loads nor a base that
@@ -376,15 +320,13 @@ func TestLoadDoesNotSwallowSaveError(t *testing.T) {
 	exercised(t, "loaded a directory", s.unreadable)
 }
 
-// TestStoreEvictsLeastRecentlyUsed: a save keeps keepDeployments
-// deployments, the least recently saved or loaded evicted whole, and
-// leaves foreign files and directories in place.
-func TestStoreEvictsLeastRecentlyUsed(t *testing.T) {
-	s := runStores(t, 12, 60, opSave, opSave, opLoad, opAge, opPlant, opDirectory)
-	exercised(t, "evicted a deployment", s.evicted)
-	exercised(t, "kept a deployment a load refreshed", s.refreshed)
-	exercised(t, "evicted beside a foreign file", s.foreign)
-	exercised(t, "left a directory at an evicted name", s.dirs)
+// TestStoreKeepsOneDeployment: a save removes every file of another
+// deployment, and leaves foreign files and directories in place.
+func TestStoreKeepsOneDeployment(t *testing.T) {
+	s := runStores(t, 12, 60, opSave, opSave, opLoad, opPlant, opDirectory)
+	exercised(t, "evicted another deployment's file", s.evicted)
+	exercised(t, "kept a foreign file", s.foreign)
+	exercised(t, "kept a directory at another deployment's name", s.dirs)
 }
 
 // TestSaveRemovesOrphanedTempFiles: a writer killed before its rename

@@ -79,6 +79,29 @@ func TestGenerateValidPolicy(t *testing.T) {
 		if st.EPGPairs < spec.TargetPairs/3 {
 			t.Errorf("%s: pairs = %d, want around %d", spec.Name, st.EPGPairs, spec.TargetPairs)
 		}
+		// faults.go's doc and Generate's filter comment rest on this: no
+		// two allow rules of one (VRF, src, dst, proto) overlap in port, so
+		// no rule covers one a fault removes.
+		d, err := compile.Compile(p, tp)
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Name, err)
+		}
+		for sw, rules := range d.BySwitch {
+			ranges := map[rule.Match][]rule.Match{}
+			for _, r := range rules {
+				if r.Action != rule.Allow {
+					continue
+				}
+				key := r.Match
+				key.PortLo, key.PortHi = 0, 0
+				for _, m := range ranges[key] {
+					if r.Match.PortLo <= m.PortHi && m.PortLo <= r.Match.PortHi {
+						t.Errorf("%s: switch %d allows %v and %v, whose ports overlap", spec.Name, sw, m, r.Match)
+					}
+				}
+				ranges[key] = append(ranges[key], r.Match)
+			}
+		}
 	}
 }
 

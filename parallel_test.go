@@ -264,13 +264,13 @@ func TestConcurrentSessionUse(t *testing.T) {
 
 // TestSharedStoreKeepsSaveErrorsApart: sessions over two deployments share
 // one store and run at once, and a directory squatting on A's base file
-// fails A's save. B's Close, asked first, reports nothing, A's reports its
-// base, and a fresh session over B's fabric restarts from B's whole files.
-// Then sessions over three more deployments save to the store in turn,
-// which, with no option set, keeps keptDeployments of the five: A's, the
-// least recently used, is evicted whole and its squatter left in place.
-// The newest restarts warm, and a session over A cold-starts to the report
-// a one-shot gives.
+// fails A's save. B's Close, asked first, reports nothing, and A's reports
+// its base. The store holds one deployment, so whose files the shared run
+// leaves depends on the order of its saves: a fresh session over B's
+// fabric restarts from them or cold-starts, and the one after it restarts
+// from B's whole files. A session over A then cold-starts beside its
+// squatter, and its verdict file evicts B's. Every report equals a
+// one-shot's.
 func TestSharedStoreKeepsSaveErrorsApart(t *testing.T) {
 	fa, fb := faultyFabric(t, 11), faultyFabric(t, 13)
 	dir := t.TempDir()
@@ -279,19 +279,36 @@ func TestSharedStoreKeepsSaveErrorsApart(t *testing.T) {
 	if err := os.Mkdir(squat, 0o755); err != nil {
 		t.Fatal(err)
 	}
+	oneShot := func(name string, f *scout.Fabric, rep *scout.Report) {
+		t.Helper()
+		cold, err := scout.NewAnalyzer().AnalyzeState(fabricState(f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(marshalReport(t, rep), marshalReport(t, cold)) {
+			t.Errorf("%s's report differs from a one-shot's", name)
+		}
+	}
 	shared := scout.AnalyzerOptions{Workers: 2, WarmStore: warmStore(t, dir)}
 	sessA, sessB := newSession(t, fa, shared), newSession(t, fb, shared)
 	var wg sync.WaitGroup
-	for _, sess := range []*scout.Session{sessA, sessB} {
+	reps := make([]*scout.Report, 2)
+	for i, sess := range []*scout.Session{sessA, sessB} {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := sess.Analyze(); err != nil {
+			var err error
+			if reps[i], err = sess.Analyze(); err != nil {
 				t.Error(err)
 			}
 		}()
 	}
 	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	oneShot("A", fa, reps[0])
+	oneShot("B", fb, reps[1])
 	if err := sessB.Close(); err != nil {
 		t.Errorf("B.Close = %v, want nil: only A's save failed", err)
 	}
@@ -299,50 +316,30 @@ func TestSharedStoreKeepsSaveErrorsApart(t *testing.T) {
 		t.Errorf("A.Close = %v, want A's failed base write", err)
 	}
 
-	// restart runs a fresh session over f on the store: whole files load
-	// the base and replay every switch, no files build it and check them
-	// all. Only A's Close fails, on its squatted base again.
-	restart := func(name string, f *scout.Fabric, whole bool) *scout.Report {
+	// restart runs a fresh session over f on the store and returns the
+	// bases it loaded and built and the switches it checked and replayed.
+	// Only A's Close fails, on its squatted base again.
+	restart := func(name string, f *scout.Fabric) [4]int {
 		t.Helper()
 		sess := newSession(t, f, shared)
-		rep := mustReport(t, sess.Analyze)
+		oneShot(name, f, mustReport(t, sess.Analyze))
 		if err := sess.Close(); (err != nil) != (f == fa) {
 			t.Errorf("%s's Close = %v", name, err)
 		}
-		st, n := sess.Stats(), len(f.Deployment().BySwitch)
-		got, want := [4]int{st.BaseLoads, st.BaseRebuilds, st.Checked, st.Replayed}, [4]int{0, 1, n, 0}
-		if whole {
-			want = [4]int{1, 0, 0, n}
-		}
-		if got != want {
-			t.Errorf("restart over %s's files: bases loaded, built, switches checked, replayed %v, want %v", name, got, want)
-		}
-		return rep
+		st := sess.Stats()
+		return [4]int{st.BaseLoads, st.BaseRebuilds, st.Checked, st.Replayed}
 	}
-	restart("B", fb, true)
-	var fe *scout.Fabric
-	for _, seed := range []int64{17, 19, 23} {
-		fe = faultyFabric(t, seed)
-		restart(fmt.Sprint("seed ", seed), fe, false)
+	restart("B", fb)
+	if got, want := restart("B again", fb), [4]int{1, 0, 0, len(fb.Deployment().BySwitch)}; got != want {
+		t.Errorf("restart over B's files: bases loaded, built, switches checked, replayed %v, want %v", got, want)
 	}
-	deps := map[string]bool{}
+	if got, want := restart("A", fa), [4]int{0, 1, len(fa.Deployment().BySwitch), 0}; got != want {
+		t.Errorf("restart over A's squatter: bases loaded, built, switches checked, replayed %v, want %v", got, want)
+	}
 	names, _ := filepath.Glob(filepath.Join(dir, "*.scout"))
-	for _, name := range names {
-		if info, err := os.Stat(name); err == nil && info.Mode().IsRegular() {
-			_, key, _ := strings.Cut(filepath.Base(name), "-")
-			deps[key] = true
-		}
-	}
-	if info, err := os.Stat(squat); len(deps) != keptDeployments || err != nil || !info.IsDir() {
-		t.Errorf("the store holds %d deployments (%v) and A's squatter %v; want %d and the squatter", len(deps), names, err, keptDeployments)
-	}
-	restart("the newest", fe, true)
-	cold, err := scout.NewAnalyzer().AnalyzeState(fabricState(fa))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep := restart("A", fa, false); !bytes.Equal(marshalReport(t, rep), marshalReport(t, cold)) {
-		t.Error("the evicted deployment's report differs from a one-shot's")
+	files := slices.DeleteFunc(names, func(name string) bool { return name == squat })
+	if info, err := os.Stat(squat); !slices.Equal(files, []string{filepath.Join(dir, verdictFile(fp))}) || err != nil || !info.IsDir() {
+		t.Errorf("the store holds %v and A's squatter %v; want A's verdict file and the squatter", files, err)
 	}
 }
 
