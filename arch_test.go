@@ -451,6 +451,14 @@ func TestArchitecture(t *testing.T) {
 		}
 	}
 
+	// The §VI-B sweep times the product: its stage times are its trial
+	// report's Trace, so the harness keeps no stopwatch of its own.
+	for _, imp := range ix.pkgs["internal/eval"].Imports() {
+		if imp.Path() == "time" {
+			t.Error("internal/eval imports time; the §VI-B sweep reads Report.Trace")
+		}
+	}
+
 	// A rule is a value whose provenance is never written after
 	// construction, so layers share rules by assignment. The one copy is
 	// fabric.New's of the caller's policy.

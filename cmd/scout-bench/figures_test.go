@@ -31,8 +31,9 @@ func TestFiguresPaper(t *testing.T) {
 }
 
 // checkFigures runs each experiment under cfg and compares the output with
-// testdata/<name>. The [workload] lines and the scalability sweep's two
-// timing columns carry wall times and are dropped.
+// testdata/<name>. The [workload] lines and every column of the
+// scalability sweep after risks, its Trace stages, carry wall times and
+// are dropped; TestRunScaleSmoke checks their shape.
 func checkFigures(t *testing.T, name string, cfg config, names ...string) {
 	var got strings.Builder
 	for _, experiment := range names {

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"math"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -20,20 +22,42 @@ func TestParseInts(t *testing.T) {
 	}
 }
 
-// TestRunScaleSmoke runs the scalability sweep at a toy switch count, the
-// cheapest experiment that still spans workload generation, compilation,
-// risk-model build, and localization.
+// TestRunScaleSmoke runs the scalability sweep at toy switch counts, the
+// cheapest experiment that still deploys, faults, checks and localizes
+// through the product, and checks its shape: the header names the model's
+// size and the three Trace stages, there is one row per -switches count,
+// in order, and every stage cell reads as non-negative seconds.
+// TestFigures pins the sizes and drops the stage columns, which are wall
+// times.
 func TestRunScaleSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("workload generation is seconds-scale")
-	}
 	var out bytes.Buffer
-	cfg := config{experiment: "scale", scale: 0.05, seed: 3, runs: 1, maxFaults: 1, switchList: "4"}
+	cfg := config{experiment: "scale", scale: 0.05, seed: 3, runs: 1, maxFaults: 1, switchList: "4,2"}
 	if err := run(cfg, &out); err != nil {
 		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
 	}
-	if !strings.Contains(out.String(), "Scalability") {
-		t.Errorf("output missing scalability header:\n%s", out.String())
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) < 2 || !strings.Contains(lines[0], "Scalability") {
+		t.Fatalf("output missing scalability header:\n%s", out.String())
+	}
+	columns := []string{"switches", "elements", "risks", "build-secs", "check-secs", "localize-secs"}
+	if got := strings.Fields(lines[1]); !slices.Equal(got, columns) {
+		t.Errorf("columns %v, want %v", got, columns)
+	}
+	counts, rows := strings.Split(cfg.switchList, ","), lines[2:]
+	if len(rows) != len(counts) {
+		t.Fatalf("%d rows, want one per count of -switches %s:\n%s", len(rows), cfg.switchList, out.String())
+	}
+	for i, row := range rows {
+		cells := strings.Fields(row)
+		if len(cells) != len(columns) || cells[0] != counts[i] {
+			t.Errorf("row %q, want %d cells for %s switches", row, len(columns), counts[i])
+			continue
+		}
+		for j, cell := range cells[3:] {
+			if secs, err := strconv.ParseFloat(cell, 64); err != nil || !(secs >= 0) {
+				t.Errorf("%s switches: %s %q is not non-negative seconds", counts[i], columns[3+j], cell)
+			}
+		}
 	}
 }
 

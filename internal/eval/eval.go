@@ -5,7 +5,8 @@
 // scalability measurement. Each experiment is deterministic under a seed.
 // The simulated ones share an Env: one generated and compiled workload and
 // its pristine controller risk model, built once by NewEnv, which each
-// scenario marks through an overlay of its own.
+// scenario marks through an overlay of its own. Figure 10 and §VI-B run
+// the product instead, one end-to-end trial at a time (testbed.go).
 package eval
 
 import (
@@ -15,7 +16,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"time"
 
 	"scout/internal/compile"
 	"scout/internal/localize"
@@ -41,9 +41,6 @@ type Env struct {
 	// ctrl is Deployment's controller risk model, built once by NewEnv and
 	// never written: every scenario marks it through a fresh overlay.
 	ctrl *risk.Model
-	// ctrlBuild is how long NewEnv took to build ctrl, Scalability's
-	// build-secs.
-	ctrlBuild time.Duration
 }
 
 // NewEnv generates and compiles a workload environment and builds its
@@ -57,19 +54,16 @@ func NewEnv(spec workload.Spec, seed int64) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
 	ctrl, err := risk.BuildControllerModel(d)
 	if err != nil {
 		return nil, err
 	}
-	build := time.Since(start) // before the literal, whose BuildIndex is no part of the build
 	return &Env{
 		Policy:     p,
 		Topo:       t,
 		Deployment: d,
 		Index:      workload.BuildIndex(d),
 		ctrl:       ctrl,
-		ctrlBuild:  build,
 	}, nil
 }
 
@@ -457,13 +451,12 @@ func (r *GammaResult) Render() string {
 // Scalability (§VI-B): SCOUT runtime vs network size.
 // ---------------------------------------------------------------------------
 
-// ScalePoint is one scalability measurement.
+// ScalePoint is one scalability measurement: the controller model's size
+// and three of the trial report's Trace stages — Model (the model build),
+// Check and Localize (every switch's localization and the controller's).
 type ScalePoint struct {
-	Switches     int
-	Elements     int
-	Risks        int
-	BuildSecs    float64
-	LocalizeSecs float64
+	Switches, Elements, Risks          int
+	BuildSecs, CheckSecs, LocalizeSecs float64
 }
 
 // ScaleResult is the scalability sweep output.
@@ -484,32 +477,26 @@ func ScaleSpec(switches int) workload.Spec {
 	return s
 }
 
-// Scalability measures controller-risk-model construction, the one build
-// NewEnv makes, and SCOUT runtime at each switch count.
+// Scalability runs one end-to-end trial of the given number of faults at
+// each switch count, on ScaleSpec's policy, and reads its report.
 func Scalability(switchCounts []int, faults int, seed int64) (*ScaleResult, error) {
 	out := &ScaleResult{}
 	for _, n := range switchCounts {
-		env, err := NewEnv(ScaleSpec(n), seed)
+		pol, tp, err := workload.Generate(ScaleSpec(n), seed)
 		if err != nil {
 			return nil, err
 		}
-		rng := rand.New(rand.NewSource(seed + int64(n)))
-		sc, err := workload.NewScenario(rng, env.Index.Objects(), faults, changeNoise)
+		rep, _, err := trial(pol, tp, rand.New(rand.NewSource(seed+int64(n))), faults)
 		if err != nil {
 			return nil, err
 		}
-		ov := env.markMissing(sc, rng)
-
-		start := time.Now()
-		localize.Scout(ov, localize.SetOracle(sc.Changed))
-		loc := time.Since(start)
-
 		out.Points = append(out.Points, ScalePoint{
 			Switches:     n,
-			Elements:     ov.NumElements(),
-			Risks:        ov.NumRisks(),
-			BuildSecs:    env.ctrlBuild.Seconds(),
-			LocalizeSecs: loc.Seconds(),
+			Elements:     rep.ControllerView.NumElements(),
+			Risks:        rep.ControllerView.NumRisks(),
+			BuildSecs:    rep.Trace.Model.Seconds(),
+			CheckSecs:    rep.Trace.Check.Seconds(),
+			LocalizeSecs: rep.Trace.Localize.Seconds(),
 		})
 	}
 	return out, nil
@@ -518,11 +505,11 @@ func Scalability(switchCounts []int, faults int, seed int64) (*ScaleResult, erro
 // Render returns the scalability sweep as an aligned text table.
 func (r *ScaleResult) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-10s %10s %8s %12s %14s\n",
-		"switches", "elements", "risks", "build-secs", "localize-secs")
+	fmt.Fprintf(&b, "%-10s %10s %8s %12s %12s %14s\n",
+		"switches", "elements", "risks", "build-secs", "check-secs", "localize-secs")
 	for _, p := range r.Points {
-		fmt.Fprintf(&b, "%-10d %10d %8d %12.3f %14.3f\n",
-			p.Switches, p.Elements, p.Risks, p.BuildSecs, p.LocalizeSecs)
+		fmt.Fprintf(&b, "%-10d %10d %8d %12.3f %12.3f %14.3f\n",
+			p.Switches, p.Elements, p.Risks, p.BuildSecs, p.CheckSecs, p.LocalizeSecs)
 	}
 	return b.String()
 }

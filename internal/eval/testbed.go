@@ -1,9 +1,9 @@
-// Figure 10: testbed accuracy, measured through the full end-to-end
-// pipeline — fabric deployment, TCAM fault injection, then the analyzer's
-// collection, L-T equivalence checking, risk-model augmentation and
-// localization — rather than model-level fault simulation. This mirrors
-// the paper's hardware-testbed methodology (§VI-A) on the simulated
-// fabric.
+// Figure 10 and §VI-B run the product end to end, as the paper's hardware
+// testbed does (§VI-A): a trial deploys a policy on the simulated fabric,
+// injects object faults into its TCAMs and hands the fabric to the
+// analyzer (collection, L-T check, marking, localization) instead of
+// simulating faults on the model. Figure 10 scores a trial's report; the
+// scalability sweep reads its Trace.
 
 package eval
 
@@ -19,6 +19,11 @@ import (
 	"scout/internal/topo"
 	"scout/internal/workload"
 )
+
+// trialCapacity is a trial's TCAM size, which no list fills (ScaleSpec's
+// outgrow tcam.DefaultCapacity), so every rule a trial finds missing is
+// one its faults removed, not an overflow.
+const trialCapacity = 1 << 20
 
 // TestbedOptions configures the end-to-end testbed experiment.
 type TestbedOptions struct {
@@ -40,29 +45,45 @@ func TestbedAccuracy(spec workload.Spec, opts TestbedOptions) (*AccuracyResult, 
 		func(n int) ([]localize.Accuracy, error) { return testbedRun(pol, tp, rng, n) })
 }
 
-// testbedRun executes one end-to-end experiment: deploy the policy onto a
-// fresh fabric, inject n object faults into the TCAMs, analyze the fabric,
-// and score the report's SCOUT hypothesis and SCORE-1 on the report's
-// controller view against the ground truth. Every change-log entry lands
-// moments after the fabric is created, well inside the analysis' window.
+// testbedRun scores one trial's SCOUT hypothesis and SCORE-1 on its
+// report's controller view against the ground truth.
 func testbedRun(pol *policy.Policy, tp *topo.Topology, rng *rand.Rand, n int) ([]localize.Accuracy, error) {
-	f, err := fabric.New(pol, tp, fabric.Options{Seed: rng.Int63()})
+	rep, truth, err := trial(pol, tp, rng, n)
 	if err != nil {
 		return nil, err
 	}
+	// rep.Controller is nil on a consistent fabric; rep.Hypothesis is then
+	// empty, which is what SCOUT picks on an unmarked model.
+	return []localize.Accuracy{
+		(&localize.Result{Hypothesis: rep.Hypothesis}).Evaluate(truth),
+		localize.Score(rep.ControllerView, 1.0).Evaluate(truth),
+	}, nil
+}
+
+// trial executes one end-to-end experiment: deploy the policy onto a
+// fresh fabric, inject n object faults drawn among the deployed objects,
+// record changeNoise unrelated change-log entries, and analyze the
+// fabric. It returns the report and the faults' ground truth. Every
+// change-log entry lands moments after the fabric is created, well inside
+// the analysis' window.
+func trial(pol *policy.Policy, tp *topo.Topology, rng *rand.Rand, n int) (*scout.Report, []object.Ref, error) {
+	f, err := fabric.New(pol, tp, fabric.Options{TCAMCapacity: trialCapacity, Seed: rng.Int63()})
+	if err != nil {
+		return nil, nil, err
+	}
 	if err := f.Deploy(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// Sample the fault scenario among deployed objects.
 	candidates := workload.BuildIndex(f.Deployment()).Objects()
 	sc, err := workload.NewScenario(rng, candidates, n, 0)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for _, flt := range sc.Faults {
 		if _, err := f.InjectObjectFault(flt.Ref, flt.Fraction); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	// Noise: healthy objects with recent change-log entries.
@@ -81,13 +102,5 @@ func testbedRun(pol *policy.Policy, tp *topo.Topology, rng *rand.Rand, n int) ([
 	}
 
 	rep, err := scout.NewAnalyzer().Analyze(f)
-	if err != nil {
-		return nil, err
-	}
-	// rep.Controller is nil on a consistent fabric; rep.Hypothesis is then
-	// empty, which is what SCOUT picks on an unmarked model.
-	return []localize.Accuracy{
-		(&localize.Result{Hypothesis: rep.Hypothesis}).Evaluate(sc.GroundTruth),
-		localize.Score(rep.ControllerView, 1.0).Evaluate(sc.GroundTruth),
-	}, nil
+	return rep, sc.GroundTruth, err
 }

@@ -46,7 +46,8 @@ type runView struct {
 	pending      bitset
 	pendingCount int
 
-	// aliveDeps[i] = |Gi ∩ alive|, aliveFailed[i] = |Oi ∩ alive|,
+	// aliveDeps[i] = |Gi ∩ alive| for failedRisks, the only risks read
+	// (prune drives the others negative), and aliveFailed[i] = |Oi ∩ alive|,
 	// maintained on prune. Because every alive element with a failed edge
 	// is still pending, aliveFailed is also |Oi ∩ pending| — the coverage
 	// Scout's hit-ratio-1 stage maximizes.
@@ -66,8 +67,11 @@ func (rv *runView) ref(i risk.RiskID) object.Ref {
 
 func (rv *runView) refCmp(a, b risk.RiskID) int { return rv.ref(a).Compare(rv.ref(b)) }
 
-// depsIn returns the model's dependents of risk i in the run's range.
+// depsIn returns risk i's model dependents in range; created risks have none.
 func (rv *runView) depsIn(i risk.RiskID) []risk.ElementID {
+	if int(i) >= rv.m.NumRisks() {
+		return nil
+	}
 	row := rv.m.Dependents(i)
 	a, _ := slices.BinarySearch(row, rv.lo)
 	b, _ := slices.BinarySearch(row[a:], rv.hi)
@@ -76,10 +80,8 @@ func (rv *runView) depsIn(i risk.RiskID) []risk.ElementID {
 
 // forEachDep invokes fn for every dependent element of risk i in range.
 func (rv *runView) forEachDep(i risk.RiskID, fn func(el risk.ElementID)) {
-	if int(i) < rv.m.NumRisks() {
-		for _, el := range rv.depsIn(i) {
-			fn(el)
-		}
+	for _, el := range rv.depsIn(i) {
+		fn(el)
 	}
 	for _, mk := range rv.created {
 		if mk.Risk == i {
@@ -119,9 +121,6 @@ func newRunView(v risk.View) *runView {
 
 	rv.aliveDeps = make([]int, rv.nAll)
 	rv.aliveFailed = make([]int, rv.nAll)
-	for i := range rv.m.NumRisks() {
-		rv.aliveDeps[i] = len(rv.depsIn(risk.RiskID(i)))
-	}
 	for _, mk := range rv.created {
 		rv.aliveDeps[mk.Risk]++
 	}
@@ -140,6 +139,7 @@ func newRunView(v risk.View) *runView {
 	for i, k := range rv.aliveFailed {
 		if k > 0 {
 			rv.failedRisks = append(rv.failedRisks, risk.RiskID(i))
+			rv.aliveDeps[i] += len(rv.depsIn(risk.RiskID(i)))
 		}
 	}
 	if len(rv.extraRefs) > 0 { // created risks interleave with the model's
