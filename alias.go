@@ -37,13 +37,8 @@ type (
 	ObjectID = object.ID
 )
 
-// Object reference constructors.
-var (
-	// FilterRef names a filter object.
-	FilterRef = object.Filter
-	// ParseObjectRef parses "kind:id" strings.
-	ParseObjectRef = object.ParseRef
-)
+// FilterRef names a filter object.
+var FilterRef = object.Filter
 
 // Policy model.
 type (
@@ -163,8 +158,16 @@ type (
 // NewCollector creates a collector over a fabric.
 var NewCollector = collect.New
 
-// Scenario is a declarative, replayable fault scenario.
-type Scenario = scenario.Scenario
+// Scenarios.
+type (
+	// Scenario is a declarative, replayable fault scenario.
+	Scenario = scenario.Scenario
+	// ScenarioStep is one scenario action: a fabric change or an analysis.
+	ScenarioStep = scenario.Step
+	// ScenarioExpect is a scenario's stated answer, the file's or an
+	// analyze step's.
+	ScenarioExpect = scenario.Expect
+)
 
 // ParseScenario decodes and validates a JSON scenario.
 var ParseScenario = scenario.Parse

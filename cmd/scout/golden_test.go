@@ -15,8 +15,9 @@ import (
 )
 
 // goldenCases are TestGolden's small command lines. Every scenario file in
-// testdata is one's -scenario, and states its expect block, so each run
-// also holds the report to the answer the file states.
+// testdata is one's -scenario, and states its expect block (and one on
+// each analyze step), so each run also holds the reports to the answers
+// the file states.
 var goldenCases = []struct {
 	name string
 	args []string
@@ -30,6 +31,7 @@ var goldenCases = []struct {
 	{"uc3-missing-switch", scenarioArgs("uc3-missing-switch", "-spec", "testbed")},
 	{"mixed-faults", scenarioArgs("mixed-faults", "-spec", "small")},
 	{"agent-crash", scenarioArgs("agent-crash", "-spec", "testbed")},
+	{"agent-crash-heal", scenarioArgs("agent-crash-heal", "-spec", "testbed")},
 	{"silent-eviction", scenarioArgs("silent-eviction", "-spec", "testbed")},
 	{"forensics-ticket", scenarioArgs("forensics-ticket", "-policy", filepath.Join("testdata", "threetier-policy.json"), "-seed", "4711")},
 }
@@ -42,8 +44,8 @@ func scenarioArgs(name string, flags ...string) []string {
 // TestGolden pins what the command prints and persists over a fixed set
 // of command lines. testdata/golden.txt holds one "case sha256" line per
 // output: each stdout, each file a -state-dir run leaves (by name), and
-// each generated policy. Elapsed times are zeroed and the wall-clock line
-// dropped before hashing. The small cases (goldenCases: the testbed and
+// each generated policy. Elapsed times are zeroed, and the wall-clock line
+// and a round line's duration dropped, before hashing. The small cases (goldenCases: the testbed and
 // small specs, and the -scenario replays of the testdata corpus) also
 // check their default text output in full against testdata/<case>.txt, so
 // a change there reads as a diff. A mismatch names the case and prints the
@@ -127,6 +129,7 @@ func goldenProduction(t *testing.T, g *golden, seed int64) {
 var (
 	elapsedField = regexp.MustCompile(`("Elapsed"|"elapsedMillis"): \d+`)
 	wallClock    = regexp.MustCompile(`\nanalysis wall-clock: .*\n`)
+	roundElapsed = regexp.MustCompile(`(?m)( missing rules), \S+$`)
 )
 
 func cmdline(args []string) string { return "scout " + strings.Join(args, " ") }
@@ -140,6 +143,7 @@ func runGolden(t *testing.T, args []string) []byte {
 		t.Fatalf("%s: %v", cmdline(args), err)
 	}
 	out = elapsedField.ReplaceAllString(out, "$1: 0")
+	out = roundElapsed.ReplaceAllString(out, "$1")
 	return []byte(wallClock.ReplaceAllString(out, ""))
 }
 
@@ -203,8 +207,9 @@ func checkText(t *testing.T, name, from string, got []byte) {
 }
 
 // TestCorpusIsPinned: every JSON file in testdata is some golden case's
-// -policy or -scenario, and every scenario file states its expect block,
-// so no corpus file goes unchecked or unpinned.
+// -policy or -scenario, and every scenario file states its expect block
+// and one on each analyze step, so no corpus file goes unchecked or
+// unpinned.
 func TestCorpusIsPinned(t *testing.T) {
 	flagOf := make(map[string]string)
 	for _, c := range goldenCases {
@@ -228,6 +233,12 @@ func TestCorpusIsPinned(t *testing.T) {
 				t.Errorf("%s: %v", path, err)
 			} else if sc.Expect == nil {
 				t.Errorf("%s states no expect block", path)
+			} else {
+				for i, st := range sc.Steps {
+					if st.Op == "analyze" && st.Expect == nil {
+						t.Errorf("%s: analyze step %d states no expect", path, i)
+					}
+				}
 			}
 		default:
 			t.Errorf("%s is no golden case's -policy or -scenario; add a case to goldenCases", path)

@@ -10,29 +10,29 @@
 //
 // Fault syntax: <kind>:<id>@<fraction> where fraction 1.0 is a full
 // object fault and anything lower a partial fault.
-// -scenario replays a JSON scenario file (an incident: a disconnect, a
-// policy change, an eviction, …) in place of the deploy: the file's own
-// deploy step deploys the fabric, so a fault may precede it. It runs
-// before the first analysis in either mode and before any -fault is
-// injected. When the file states an expect block, the final report is
-// held to it: an "expect: ok" line follows the report, or "expect:
-// mismatch:" with what the report gave and what the file wants, and the
-// command exits 1. A -fault adds faults the file does not state, so beside
-// one the line says the expect was not checked.
-// -watch replaces the one-shot analysis with an event-driven daemon
-// loop over a persistent session: a full baseline round, then the loop
-// drains the fabric's event stream and, once -batch-window has passed
-// since the first event not yet analyzed, runs one refresh round that
-// collects every switch and re-verifies the ones written since their
-// last read. A scenario's steps are part of the baseline round.
+//
+// The command runs one list of scenario steps on one fabric and one
+// analysis session: the -scenario file's steps (the file deploys the
+// fabric itself, so a fault may precede its deploy), or a lone deploy,
+// then an inject step per -fault, then the analysis whose report it
+// prints. An analyze step runs a round and prints its line; an expect
+// block, the step's on its round or the file's on the final report, is
+// checked there: "expect: ok", or "expect: mismatch:" with both answers
+// and exit 1. A -fault adds faults the file does not state, so beside one
+// the file's block is not checked, and the line says so.
+// -watch adds an analyze step after the file's steps (the baseline round)
+// and after each -fault that removed rules (a batch round: the events
+// since the last round, and how long the first waited on the fabric's
+// clock); the last round's report is the final one. Events decide when a
+// round runs, not what it reads: a round collects every switch and
+// re-checks the ones written since their last read.
 //
 // -state-dir names a durable warm-state directory: the session every
-// analysis runs through (a one-shot is its first run, -watch keeps it)
-// adopts, on the round that loads it, each verdict of the file its
-// deployment's fingerprint names whose lists that round collected again,
-// drops the rest, and writes what a round re-checked before the round
-// returns, so a restarted process replays an unchanged fabric without
-// checking a switch.
+// analysis runs through adopts, on the round that loads it, each verdict
+// of the file its deployment's fingerprint names whose lists that round
+// collected again, drops the rest, and writes what a round re-checked
+// before the round returns, so a restarted process replays an unchanged
+// fabric without checking a switch.
 // A new deployment also loads its frozen BDD base from the directory, or
 // builds and writes it there; no check reads it, and without the flag none
 // is built. A write that fails fails the command once the session closes.
@@ -47,6 +47,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -81,17 +82,16 @@ func errorLine(err error) string { return "scout: " + strings.TrimPrefix(err.Err
 
 func run() error {
 	var (
-		policyPath  = flag.String("policy", "", "policy JSON file (from policygen); empty generates -spec")
-		specName    = flag.String("spec", "testbed", "spec to generate when -policy is empty: production, testbed, or small")
-		seed        = flag.Int64("seed", 1, "fabric and generator seed")
-		capacity    = flag.Int("tcam", 0, "per-switch TCAM capacity (0 = default)")
-		scenPath    = flag.String("scenario", "", "JSON scenario file to replay, in place of the deploy, before the first analysis and any -fault; its expect block, if any, is checked against the final report unless -fault is given")
-		workers     = flag.Int("workers", 0, "parallel per-switch equivalence checks (0 = GOMAXPROCS, 1 = serial)")
-		watch       = flag.Bool("watch", false, "drive an event-driven session daemon: full baseline, then an incremental refresh per window of events")
-		batchWindow = flag.Duration("batch-window", 2*time.Second, "watch mode: refresh once the first event not yet analyzed has waited this long (requires -watch)")
-		stateDir    = flag.String("state-dir", "", "durable warm-state directory: replay the verdicts filed under the deployment's fingerprint; a round that re-checked a switch writes the whole verdict file, and a new deployment writes its BDD base if the directory holds none (no check reads it; without the flag none is built)")
-		jsonOut     = flag.Bool("json", false, "print the analysis report alone on stdout, as JSON; progress lines go to stderr")
-		verbose     = flag.Bool("v", false, "print the controller risk view, the run's and SCOUT's stage timings, and per-switch details")
+		policyPath = flag.String("policy", "", "policy JSON file (from policygen); empty generates -spec")
+		specName   = flag.String("spec", "testbed", "spec to generate when -policy is empty: production, testbed, or small")
+		seed       = flag.Int64("seed", 1, "fabric and generator seed")
+		capacity   = flag.Int("tcam", 0, "per-switch TCAM capacity (0 = default)")
+		scenPath   = flag.String("scenario", "", "JSON scenario file to replay, in place of the deploy, before any -fault; each analyze step's expect is checked against its round, and the file's expect block, if any, against the final report unless -fault is given")
+		workers    = flag.Int("workers", 0, "parallel per-switch equivalence checks (0 = GOMAXPROCS, 1 = serial)")
+		watch      = flag.Bool("watch", false, "analyze after the scenario (or the deploy) and after each -fault that removed rules, a round line each; the last round's report is the final one")
+		stateDir   = flag.String("state-dir", "", "durable warm-state directory: replay the verdicts filed under the deployment's fingerprint; a round that re-checked a switch writes the whole verdict file, and a new deployment writes its BDD base if the directory holds none (no check reads it; without the flag none is built)")
+		jsonOut    = flag.Bool("json", false, "print the analysis report alone on stdout, as JSON; progress lines go to stderr")
+		verbose    = flag.Bool("v", false, "print the controller risk view, the run's and SCOUT's stage timings, and per-switch details")
 	)
 	var faults faultFlags
 	flag.Var(&faults, "fault", "object fault to inject, e.g. filter:5003@1.0 (repeatable)")
@@ -99,11 +99,16 @@ func run() error {
 
 	set := make(map[string]bool)
 	flag.Visit(func(fl *flag.Flag) { set[fl.Name] = true })
-	if err := checkWatchFlags(*watch, *batchWindow, set); err != nil {
+	if err := checkFlags(set, *capacity, *workers); err != nil {
 		return err
 	}
-	if err := checkFabricFlags(*capacity, *workers); err != nil {
-		return err
+	injects := make([]*scout.Scenario, len(faults))
+	for i, spec := range faults {
+		st, err := parseFault(spec)
+		if err != nil {
+			return err
+		}
+		injects[i] = &scout.Scenario{Name: "-fault " + spec, Steps: []scout.ScenarioStep{st}}
 	}
 
 	pol, topo, err := loadPolicy(*policyPath, *specName, *seed)
@@ -125,12 +130,8 @@ func run() error {
 		return err
 	}
 	// A scenario deploys the fabric itself; without one, the command does.
-	var sc *scout.Scenario
-	if *scenPath == "" {
-		if err := f.Deploy(); err != nil {
-			return err
-		}
-	} else {
+	sc := &scout.Scenario{Steps: []scout.ScenarioStep{{Op: "deploy"}}}
+	if *scenPath != "" {
 		data, err := os.ReadFile(*scenPath)
 		if err != nil {
 			return err
@@ -138,93 +139,119 @@ func run() error {
 		if sc, err = scout.ParseScenario(data); err != nil {
 			return err
 		}
-		res, err := sc.Run(f)
-		if err != nil {
+	}
+	var warm *scout.WarmStore
+	if *stateDir != "" {
+		if warm, err = scout.OpenWarmStore(*stateDir); err != nil {
 			return err
 		}
+	}
+	sess, err := scout.NewSession(f, scout.AnalyzerOptions{Workers: *workers, WarmStore: warm})
+	if err != nil {
+		return err
+	}
+
+	// analyze is every analyze step's: one round on the session, then the
+	// step's expect, if any. The cursor, parked before the first step,
+	// counts the events each round after the first answers.
+	var (
+		report *scout.Report
+		rounds int
+	)
+	cursor := f.EventLog().TailCursor()
+	analyze := func(exp *scout.ScenarioExpect) error {
+		evs := cursor.Drain()
+		label := "baseline: full collection"
+		if rounds > 0 {
+			var waited time.Duration
+			if len(evs) > 0 {
+				waited = f.Now().Sub(evs[0].Time)
+			}
+			label = fmt.Sprintf("batch %d: %d events (waited %v)", rounds, len(evs), waited)
+		}
+		rounds++
+		var err error
+		if report, err = sess.Analyze(); err != nil {
+			return err
+		}
+		fmt.Fprintf(prose, "%s: re-checked %d/%d switches (%d replayed), %d missing rules, %v\n",
+			label, report.Trace.Checked, len(report.Switches), report.Trace.Replayed,
+			report.TotalMissing, report.Elapsed.Round(time.Microsecond))
+		if exp == nil {
+			return nil
+		}
+		return checkExpect(exp, report, prose)
+	}
+
+	res, err := sc.Run(f, analyze)
+	if err != nil {
+		return err
+	}
+	if *scenPath != "" {
 		fmt.Fprintf(prose, "scenario %q: %d steps, %d rules removed, %d corrupted\n",
 			sc.Name, res.StepsRun, res.RulesRemoved, res.RulesCorrupted)
 	}
-
-	parsed := make([]objectFault, 0, len(faults))
-	for _, spec := range faults {
-		ref, fraction, err := parseFault(spec)
-		if err != nil {
-			return err
-		}
-		parsed = append(parsed, objectFault{ref: ref, fraction: fraction})
-	}
-
-	var warm *scout.WarmStore
-	if *stateDir != "" {
-		warm, err = scout.OpenWarmStore(*stateDir)
-		if err != nil {
-			return err
-		}
-	}
-	aOpts := scout.AnalyzerOptions{Workers: *workers, WarmStore: warm}
-
-	var report *scout.Report
 	if *watch {
-		report, err = runWatch(f, parsed, watchOptions{analyzer: aOpts, window: *batchWindow}, prose)
-	} else {
-		report, err = runOnce(f, parsed, aOpts, warm != nil, prose)
+		if err := analyze(nil); err != nil {
+			return err
+		}
 	}
-	if err != nil {
+	for _, inject := range injects {
+		res, err := inject.Run(f, nil)
+		if err != nil {
+			return err
+		}
+		st := inject.Steps[0]
+		fmt.Fprintf(prose, "injected %s @%.2f: %d rules removed\n", st.Object, *st.Fraction, res.RulesRemoved)
+		// A fault that removed no rules wrote no TCAM, so no event asks
+		// for a round.
+		if *watch && res.RulesRemoved > 0 {
+			if err := analyze(nil); err != nil {
+				return err
+			}
+		}
+	}
+	if !*watch {
+		if report, err = sess.Analyze(); err != nil {
+			return err
+		}
+		if warm != nil {
+			tr := report.Trace
+			fmt.Fprintf(prose, "warm state: base loaded %d / rebuilt %d, switches replayed %d / checked %d\n",
+				tr.BaseLoads, tr.BaseRebuilds, tr.Replayed, tr.Checked)
+		}
+	}
+	if err := sess.Close(); err != nil {
 		return err
 	}
+
 	if err := emitReport(report, *jsonOut, *verbose); err != nil {
 		return err
 	}
-	return checkExpect(sc, len(parsed) > 0, report, prose)
-}
-
-// runOnce injects the faults and runs a session's first analysis, with or
-// without durable state: with it (warm), the session restores the
-// persisted base and verdicts before the run, writes what it built, and
-// reports a failed write on Close.
-func runOnce(f *scout.Fabric, faults []objectFault, opts scout.AnalyzerOptions, warm bool, w io.Writer) (*scout.Report, error) {
-	for _, flt := range faults {
-		if err := flt.inject(f, w); err != nil {
-			return nil, err
+	switch {
+	case sc.Expect == nil:
+	case len(injects) > 0:
+		fmt.Fprintln(prose, "expect: not checked (-fault adds faults the scenario does not state)")
+	default:
+		if err := checkExpect(sc.Expect, report, prose); err != nil {
+			return fmt.Errorf("scenario %q: %w", sc.Name, err)
 		}
 	}
-	sess, err := scout.NewSession(f, opts)
-	if err != nil {
-		return nil, err
-	}
-	report, err := sess.Analyze()
-	if err != nil || !warm {
-		return report, err
-	}
-	tr := report.Trace
-	fmt.Fprintf(w, "warm state: base loaded %d / rebuilt %d, switches replayed %d / checked %d\n",
-		tr.BaseLoads, tr.BaseRebuilds, tr.Replayed, tr.Checked)
-	return report, sess.Close()
+	return nil
 }
 
-// checkExpect holds the report to the scenario's expect block, if it has
-// one, and prints the verdict on w: ok, or a mismatch naming both answers,
-// which fails the command. With faulted, -fault added faults the scenario
-// does not state, so nothing is checked.
-func checkExpect(sc *scout.Scenario, faulted bool, report *scout.Report, w io.Writer) error {
-	switch {
-	case sc == nil || sc.Expect == nil:
-		return nil
-	case faulted:
-		fmt.Fprintln(w, "expect: not checked (-fault adds faults the scenario does not state)")
-		return nil
-	}
-	if err := sc.Expect.Check(report.Hypothesis, report.RootCauses); err != nil {
+// checkExpect holds a report to an expect block and prints the verdict on
+// w: ok, or a mismatch naming both answers, which fails the command.
+func checkExpect(exp *scout.ScenarioExpect, report *scout.Report, w io.Writer) error {
+	if err := exp.Check(report.Hypothesis, report.RootCauses); err != nil {
 		fmt.Fprintf(w, "expect: mismatch: %v\n", err)
-		return fmt.Errorf("scenario %q: the report is not the one its expect states", sc.Name)
+		return errors.New("the report is not the one its expect states")
 	}
 	fmt.Fprintln(w, "expect: ok")
 	return nil
 }
 
-// emitReport renders the final analysis report (shared by the one-shot and
-// watch paths).
+// emitReport renders the final analysis report.
 func emitReport(report *scout.Report, jsonOut, verbose bool) error {
 	if jsonOut {
 		data, err := json.MarshalIndent(report, "", "  ")
@@ -262,132 +289,20 @@ func emitReport(report *scout.Report, jsonOut, verbose bool) error {
 	return nil
 }
 
-// objectFault is one parsed -fault argument.
-type objectFault struct {
-	ref      scout.ObjectRef
-	fraction float64
-}
-
-// inject applies the fault to f and reports on w how many rules it removed.
-func (flt objectFault) inject(f *scout.Fabric, w io.Writer) error {
-	removed, err := f.InjectObjectFault(flt.ref, flt.fraction)
-	if err == nil {
-		fmt.Fprintf(w, "injected %s @%.2f: %d rules removed\n", flt.ref, flt.fraction, removed)
-	}
-	return err
-}
-
-// checkWatchFlags rejects a negative -batch-window (no wait can be
-// negative), -batch-window without -watch (it does nothing without the
-// daemon loop), and -v beside -json: -v adds per-switch details to the text
-// report, which -json replaces, so the two together are refused in either
-// mode rather than -v dropped. set holds the names of explicitly-set flags.
-func checkWatchFlags(watch bool, window time.Duration, set map[string]bool) error {
-	if window < 0 {
-		return fmt.Errorf("-batch-window %v is negative", window)
-	}
-	if set["v"] && set["json"] {
-		return fmt.Errorf("-v adds details to the text report, which -json replaces; drop one of them")
-	}
-	if !watch && set["batch-window"] {
-		return fmt.Errorf("-batch-window only applies to the -watch daemon loop; add -watch or drop the flag")
-	}
-	return nil
-}
-
-// checkFabricFlags rejects a negative -tcam, which would deploy at the
+// checkFlags refuses -v beside -json (-v adds details to the text report,
+// which -json replaces), a negative -tcam, which would deploy at the
 // default capacity, and a negative -workers, which would run at
-// GOMAXPROCS.
-func checkFabricFlags(capacity, workers int) error {
-	if capacity < 0 {
+// GOMAXPROCS. set holds the names of explicitly-set flags.
+func checkFlags(set map[string]bool, capacity, workers int) error {
+	switch {
+	case set["v"] && set["json"]:
+		return fmt.Errorf("-v adds details to the text report, which -json replaces; drop one of them")
+	case capacity < 0:
 		return fmt.Errorf("-tcam %d is negative", capacity)
-	}
-	if workers < 0 {
+	case workers < 0:
 		return fmt.Errorf("-workers %d is negative", workers)
 	}
 	return nil
-}
-
-// watchOptions configures the -watch daemon loop.
-type watchOptions struct {
-	analyzer scout.AnalyzerOptions
-	window   time.Duration
-}
-
-// runWatch drives the event-driven session daemon the way a production
-// deployment would: a cursor is parked at the dataplane event stream's
-// tail and a full baseline round anchors the session. After each
-// injection the loop drains the cursor, and once opts.window has passed
-// on the fabric's clock since the first event not yet analyzed, it runs
-// one refresh round (Session.Analyze); at shutdown it runs one more if any
-// event is still pending. Events decide when a round runs, not what it
-// reads: the round collects every switch and re-checks the collected rules
-// of the ones written since their last read, so a write no event names is
-// still caught. It returns the last report produced (the baseline's when
-// no events arrive), or the session's first failed warm-state write.
-func runWatch(f *scout.Fabric, faults []objectFault, opts watchOptions, w io.Writer) (*scout.Report, error) {
-	sess, err := scout.NewSession(f, opts.analyzer)
-	if err != nil {
-		return nil, err
-	}
-	// Park the cursor before the baseline collection so no mutation can
-	// slip between the stream position and the collected state.
-	cursor := f.EventLog().TailCursor()
-
-	round := func(label string) (*scout.Report, error) {
-		report, err := sess.Analyze()
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(w, "%s: re-checked %d/%d switches (%d replayed), %d missing rules, %v\n",
-			label, report.Trace.Checked, len(report.Switches), report.Trace.Replayed,
-			report.TotalMissing, report.Elapsed.Round(time.Microsecond))
-		return report, nil
-	}
-
-	report, err := round("baseline: full collection")
-	if err != nil {
-		return nil, err
-	}
-
-	// pending counts the events drained since the last round, the first of
-	// which arrived at first.
-	var (
-		rounds, pending int
-		first           time.Time
-	)
-	refresh := func() error {
-		rounds++
-		label := fmt.Sprintf("batch %d: %d events (waited %v)", rounds, pending, f.Now().Sub(first))
-		pending = 0
-		report, err = round(label)
-		return err
-	}
-	for _, flt := range faults {
-		if err := flt.inject(f, w); err != nil {
-			return nil, err
-		}
-		evs := cursor.Drain()
-		if pending == 0 && len(evs) > 0 {
-			first = evs[0].Time
-		}
-		pending += len(evs)
-		if pending > 0 && f.Now().Sub(first) >= opts.window {
-			if err := refresh(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if pending > 0 {
-		if err := refresh(); err != nil {
-			return nil, err
-		}
-	}
-
-	if err := sess.Close(); err != nil {
-		return nil, err
-	}
-	return report, nil
 }
 
 func loadPolicy(path, specName string, seed int64) (*scout.Policy, *scout.Topology, error) {
@@ -409,22 +324,19 @@ func loadPolicy(path, specName string, seed int64) (*scout.Policy, *scout.Topolo
 	return scout.GenerateWorkload(spec, seed)
 }
 
-func parseFault(s string) (scout.ObjectRef, float64, error) {
-	refStr, fracStr, found := strings.Cut(s, "@")
-	fraction := 1.0
+// parseFault reads a -fault argument as the scenario inject step it
+// stands for, which that step's own validation checks.
+func parseFault(s string) (scout.ScenarioStep, error) {
+	ref, fracStr, found := strings.Cut(s, "@")
+	fraction, err := 1.0, error(nil)
 	if found {
-		var err error
-		fraction, err = strconv.ParseFloat(fracStr, 64)
-		if err != nil {
-			return scout.ObjectRef{}, 0, fmt.Errorf("-fault %q: bad fraction: %w", s, err)
-		}
-		if !(fraction > 0 && fraction <= 1) { // NaN fails every comparison
-			return scout.ObjectRef{}, 0, fmt.Errorf("-fault %q: fraction %v out of (0,1]", s, fraction)
+		if fraction, err = strconv.ParseFloat(fracStr, 64); err != nil {
+			return scout.ScenarioStep{}, fmt.Errorf("-fault %q: bad fraction: %w", s, err)
 		}
 	}
-	ref, err := scout.ParseObjectRef(refStr)
-	if err != nil {
-		return scout.ObjectRef{}, 0, fmt.Errorf("-fault %q: %w", s, err)
+	st := scout.ScenarioStep{Op: "inject", Object: ref, Fraction: &fraction}
+	if err := st.Validate(); err != nil {
+		return st, fmt.Errorf("-fault %q: %w", s, err)
 	}
-	return ref, fraction, nil
+	return st, nil
 }

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -9,9 +8,9 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"scout"
 	"scout/internal/object"
@@ -44,7 +43,7 @@ func TestParseFault(t *testing.T) {
 		{"filter:@1", scout.ObjectRef{}, 0, true},
 	}
 	for _, tt := range tests {
-		ref, frac, err := parseFault(tt.in)
+		st, err := parseFault(tt.in)
 		if (err != nil) != tt.wantErr {
 			t.Errorf("parseFault(%q) error = %v, wantErr %v", tt.in, err, tt.wantErr)
 			continue
@@ -55,15 +54,15 @@ func TestParseFault(t *testing.T) {
 			}
 			continue
 		}
-		if ref != tt.wantRef || frac != tt.wantFrac {
-			t.Errorf("parseFault(%q) = %v@%v, want %v@%v", tt.in, ref, frac, tt.wantRef, tt.wantFrac)
+		if ref, err := object.ParseRef(st.Object); st.Op != "inject" || err != nil || ref != tt.wantRef || *st.Fraction != tt.wantFrac {
+			t.Errorf("parseFault(%q) = %s %s@%v, want inject %v@%v", tt.in, st.Op, st.Object, *st.Fraction, tt.wantRef, tt.wantFrac)
 		}
 	}
 }
 
-// FuzzParseFault: the -fault grammar never panics, and a spec it accepts
-// has a fraction InjectObjectFault accepts and a ref that survives its own
-// rendering. The seeds are well-formed specs, a bare ref, and fractions a
+// FuzzParseFault: the -fault grammar never panics, and the inject step of
+// a spec it accepts has a fraction InjectObjectFault accepts and a ref that
+// survives its own rendering. The seeds are well-formed specs, a bare ref, and fractions a
 // `<= 0 || > 1` test lets through or ParseFloat refuses.
 func FuzzParseFault(f *testing.F) {
 	for _, seed := range []string{
@@ -74,14 +73,18 @@ func FuzzParseFault(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, spec string) {
-		ref, fraction, err := parseFault(spec)
+		st, err := parseFault(spec)
 		if err != nil {
 			return
 		}
-		if !(fraction > 0 && fraction <= 1) {
-			t.Fatalf("parseFault(%q) accepted fraction %v", spec, fraction)
+		if frac := *st.Fraction; !(frac > 0 && frac <= 1) {
+			t.Fatalf("parseFault(%q) accepted fraction %v", spec, frac)
 		}
-		back, err := scout.ParseObjectRef(ref.String())
+		ref, err := object.ParseRef(st.Object)
+		if err != nil {
+			t.Fatalf("parseFault(%q) accepted object %q: %v", spec, st.Object, err)
+		}
+		back, err := object.ParseRef(ref.String())
 		if err != nil || back != ref {
 			t.Fatalf("parseFault(%q) = %v, which re-parses to %v (%v)", spec, ref, back, err)
 		}
@@ -334,100 +337,89 @@ func TestLoadPolicySmallSpec(t *testing.T) {
 	}
 }
 
-// TestRunWatch drives the event-driven daemon loop: a full baseline
-// round, then the fault's events wait out the window and the shutdown
-// round re-checks only the switches the fault wrote; its report is a cold
-// analysis's.
+// TestRunWatch drives -watch: a full baseline round, then one round per
+// -fault that removed rules, which re-checks only the switches the fault
+// wrote; the last round's report is the one-shot report of the same flags,
+// with one fault and with two. A fault that removes nothing runs no round.
 func TestRunWatch(t *testing.T) {
-	f, epgID, n := watchFabric(t)
-	var out bytes.Buffer
-	opts := watchOptions{analyzer: scout.AnalyzerOptions{Workers: 2}, window: 2 * time.Second}
-	report, err := runWatch(f, []objectFault{{ref: object.EPG(epgID), fraction: 1.0}}, opts, &out)
-	if err != nil {
-		t.Fatalf("runWatch: %v\noutput:\n%s", err, out.String())
-	}
-	if report == nil || report.Consistent {
-		t.Fatalf("final watch report must flag the fault; output:\n%s", out.String())
-	}
-	equalsCold(t, f, opts, report)
-	for _, want := range []string{
-		fmt.Sprintf("baseline: full collection: re-checked %d/%d", n, n),
-		"injected epg:",
-	} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("output missing %q:\n%s", want, out.String())
-		}
-	}
-	if strings.Contains(out.String(), "event queue") {
-		t.Errorf("the loop has no queue to summarize:\n%s", out.String())
-	}
-	// The round re-checks exactly the switches the fault wrote and replays
-	// the one it left alone.
-	if !regexp.MustCompile(fmt.Sprintf(`(?m)^batch 1: 5 events \(waited 0s\): re-checked 5/%d switches \(1 replayed\), `, n)).MatchString(out.String()) {
-		t.Errorf("output missing the fault's round:\n%s", out.String())
-	}
-	// The verbose dump of the final report times the run's stages and
-	// SCOUT's two, and counts nothing of the check, which keeps no BDD
-	// state to count.
-	verbose := capture(t, &os.Stdout, func() error { return emitReport(report, false, true) })
-	for _, line := range []string{`stages: collect \S+, model \S+, witness \S+, check \S+, localize \S+, correlate \S+, store \S+$`,
-		`localization stages: hit-ratio-1 \S+, change-log \S+$`} {
-		if !regexp.MustCompile(`(?m)^` + line).MatchString(verbose) {
-			t.Errorf("verbose report missing a line matching %q:\n%s", line, verbose)
-		}
-	}
-	if strings.Contains(verbose, "bdd") {
-		t.Errorf("verbose report counts BDD work:\n%s", verbose)
-	}
-}
-
-// watchFabric deploys the testbed at seed 1 and returns it with its lowest
-// EPG, whose rules live on a strict subset of the switches (unlike a
-// filter fault, which touches everything), and the switch count.
-func watchFabric(t *testing.T) (*scout.Fabric, scout.ObjectID, int) {
-	t.Helper()
 	pol, topo, err := loadPolicy("", "testbed", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := scout.NewFabric(pol, topo, scout.FabricOptions{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Deploy(); err != nil {
-		t.Fatal(err)
-	}
-	var epgID scout.ObjectID
+	// The lowest EPGs' rules live on a strict subset of the switches
+	// (unlike a filter fault, which touches everything).
+	var epgs []scout.ObjectID
 	for id := range pol.EPGs {
-		if epgID == 0 || id < epgID {
-			epgID = id
-		}
+		epgs = append(epgs, id)
 	}
-	return f, epgID, topo.NumSwitches()
-}
+	slices.Sort(epgs)
+	n := topo.NumSwitches()
+	first, second := fmt.Sprintf("epg:%d@1.0", epgs[0]), fmt.Sprintf("epg:%d@1.0", epgs[1])
 
-// equalsCold holds a -watch run's last report to a fresh session's
-// analysis of the fabric it left, wall-clock fields aside.
-func equalsCold(t *testing.T, f *scout.Fabric, opts watchOptions, report *scout.Report) {
-	t.Helper()
-	sess, err := scout.NewSession(f, opts.analyzer)
+	args := []string{"-spec", "testbed", "-workers", "2", "-watch", "-v", "-fault", first}
+	out, _, err := runCLI(t, args...)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v\n%s", cmdline(args), err, out)
 	}
-	cold, err := sess.Analyze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	marshal := func(rep *scout.Report) string {
-		rep.Elapsed = 0
-		data, err := json.Marshal(rep)
-		if err != nil {
-			t.Fatal(err)
+	for _, want := range []string{
+		fmt.Sprintf("baseline: full collection: re-checked %d/%d", n, n),
+		"injected epg:",
+		"network state INCONSISTENT",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("%s: output missing %q:\n%s", cmdline(args), want, out)
 		}
-		return string(data)
 	}
-	if got, want := marshal(report), marshal(cold); got != want {
-		t.Errorf("the -watch report differs from a cold analysis\n got %s\nwant %s", got, want)
+	if strings.Contains(out, "event queue") {
+		t.Errorf("%s: the loop has no queue to summarize:\n%s", cmdline(args), out)
+	}
+	// The round re-checks exactly the switches the fault wrote and replays
+	// the one it left alone.
+	if !regexp.MustCompile(fmt.Sprintf(`(?m)^batch 1: 5 events \(waited 0s\): re-checked 5/%d switches \(1 replayed\), `, n)).MatchString(out) {
+		t.Errorf("%s: output missing the fault's round:\n%s", cmdline(args), out)
+	}
+	// The verbose dump of the final report times the run's stages and
+	// SCOUT's two, and counts nothing of the check, which keeps no BDD
+	// state to count.
+	for _, line := range []string{`stages: collect \S+, model \S+, witness \S+, check \S+, localize \S+, correlate \S+, store \S+$`,
+		`localization stages: hit-ratio-1 \S+, change-log \S+$`} {
+		if !regexp.MustCompile(`(?m)^` + line).MatchString(out) {
+			t.Errorf("%s: verbose report missing a line matching %q:\n%s", cmdline(args), line, out)
+		}
+	}
+	if strings.Contains(out, "bdd") {
+		t.Errorf("%s: verbose report counts BDD work:\n%s", cmdline(args), out)
+	}
+
+	for _, faults := range [][]string{{first}, {first, second}} {
+		oneShot := []string{"-spec", "testbed", "-workers", "2", "-json"}
+		for _, flt := range faults {
+			oneShot = append(oneShot, "-fault", flt)
+		}
+		watch := append(slices.Clone(oneShot), "-watch")
+		want, _, err := runCLI(t, oneShot...)
+		if err != nil {
+			t.Fatalf("%s: %v", cmdline(oneShot), err)
+		}
+		got, rounds, err := runCLI(t, watch...)
+		if err != nil {
+			t.Fatalf("%s: %v", cmdline(watch), err)
+		}
+		if got, want := elapsedField.ReplaceAllString(got, "$1: 0"), elapsedField.ReplaceAllString(want, "$1: 0"); got != want {
+			t.Errorf("%s: the report differs from the one-shot's\n got %s\nwant %s", cmdline(watch), got, want)
+		}
+		if batches := regexp.MustCompile(`(?m)^batch \d+: `).FindAllString(rounds, -1); len(batches) != len(faults) {
+			t.Errorf("%s: %d batch rounds, want one per fault:\n%s", cmdline(watch), len(batches), rounds)
+		}
+	}
+
+	args = []string{"-spec", "testbed", "-watch", "-fault", "filter:9999@1.0"}
+	out, _, err = runCLI(t, args...)
+	if err != nil {
+		t.Fatalf("%s: %v\n%s", cmdline(args), err, out)
+	}
+	if !strings.Contains(out, "injected filter:9999 @1.00: 0 rules removed\n") || strings.Contains(out, "batch ") {
+		t.Errorf("%s: want a fault that removed nothing and no round after it:\n%s", cmdline(args), out)
 	}
 }
 
@@ -457,36 +449,32 @@ func capture(t *testing.T, stream **os.File, fn func() error) string {
 	return string(data)
 }
 
-// TestCheckWatchFlags pins the one-shot/daemon flag-combination rules:
-// mixing them must fail loudly instead of silently misbehaving.
+// TestCheckWatchFlags pins the flag-combination rules of either mode:
+// mixing flags that contradict each other must fail loudly instead of
+// silently misbehaving.
 func TestCheckWatchFlags(t *testing.T) {
 	tests := []struct {
 		name    string
-		watch   bool
-		window  time.Duration
 		set     []string
 		wantErr bool
 	}{
-		{"watch alone", true, time.Second, nil, false},
-		{"watch with fault", true, time.Second, []string{"fault", "v"}, false},
-		{"watch with scenario", true, time.Second, []string{"scenario", "fault"}, false},
-		{"one-shot with scenario", false, time.Second, []string{"scenario"}, false},
-		{"scenario with fault", false, time.Second, []string{"scenario", "fault"}, false},
-		{"scenario with json", false, time.Second, []string{"scenario", "json"}, false},
-		{"v with json", false, time.Second, []string{"v", "json"}, true},
-		{"watch with v and json", true, time.Second, []string{"v", "json"}, true},
-		{"batch-window without watch", false, time.Second, []string{"batch-window"}, true},
-		{"watch with batch-window", true, 0, []string{"batch-window"}, false},
-		{"negative batch-window", true, -time.Second, []string{"batch-window"}, true},
+		{"watch alone", []string{"watch"}, false},
+		{"watch with fault", []string{"watch", "fault", "v"}, false},
+		{"watch with scenario", []string{"watch", "scenario", "fault"}, false},
+		{"one-shot with scenario", []string{"scenario"}, false},
+		{"scenario with fault", []string{"scenario", "fault"}, false},
+		{"scenario with json", []string{"scenario", "json"}, false},
+		{"v with json", []string{"v", "json"}, true},
+		{"watch with v and json", []string{"watch", "v", "json"}, true},
 	}
 	for _, tt := range tests {
 		set := make(map[string]bool, len(tt.set))
 		for _, name := range tt.set {
 			set[name] = true
 		}
-		err := checkWatchFlags(tt.watch, tt.window, set)
+		err := checkFlags(set, 0, 0)
 		if (err != nil) != tt.wantErr {
-			t.Errorf("%s: checkWatchFlags = %v, wantErr %v", tt.name, err, tt.wantErr)
+			t.Errorf("%s: checkFlags = %v, wantErr %v", tt.name, err, tt.wantErr)
 		}
 	}
 }
@@ -506,7 +494,7 @@ func TestCheckFabricFlags(t *testing.T) {
 		{"serial workers", 0, 1, ""},
 	}
 	for _, tt := range tests {
-		err := checkFabricFlags(tt.capacity, tt.workers)
+		err := checkFlags(nil, tt.capacity, tt.workers)
 		if err == nil && tt.wantErr != "" || err != nil && (tt.wantErr == "" || !strings.Contains(err.Error(), tt.wantErr+" ")) {
 			t.Errorf("%s: flag check = %v, want an error naming %q", tt.name, err, tt.wantErr)
 		}

@@ -1,30 +1,39 @@
 // Package scenario executes declarative fault scenarios against a
 // deployment fabric. A scenario is a JSON list of steps (deploy, policy
-// changes, fault injections) that reproduces an incident deterministically
-// — the repro artifact an operator attaches to a trouble ticket, and the
-// format cmd/scout replays with -scenario. A scenario deploys itself: its
-// steps run on a fabric nothing has deployed yet, so a fault may come
-// before the first deploy (a switch down from the start) or after it.
+// changes, fault injections, analyses) that reproduces an incident
+// deterministically — the repro artifact an operator attaches to a trouble
+// ticket, and the format cmd/scout replays with -scenario. A scenario
+// deploys itself: its steps run on a fabric nothing has deployed yet, so a
+// fault may come before the first deploy (a switch down from the start) or
+// after it.
+//
+// An analyze step hands the fabric as it stands to the caller's analysis
+// (Run's analyze callback), so one file can state an incident's report and
+// then its heal's.
 //
 // A scenario may state its answer in an optional expect block: the
 // hypothesis, as object refs, and the root causes, as correlate's
-// signatures on switches. Expect.Check compares each with a report's as an
-// exact set.
+// signatures on switches. The file's block is the answer after the last
+// step; an analyze step may carry its own, and no other step may.
+// Expect.Check compares each with a report's as an exact set.
 //
 // Example:
 //
 //	{
-//	  "name": "unresponsive switch during filter push",
+//	  "name": "unresponsive switch during filter push, then redeployed",
 //	  "steps": [
 //	    {"op": "deploy"},
 //	    {"op": "disconnect", "switch": 2},
 //	    {"op": "add-filter", "filter": {"id": 443, "proto": 6, "portLo": 443, "portHi": 443}},
-//	    {"op": "attach-filter", "contract": 202, "filterId": 443}
+//	    {"op": "attach-filter", "contract": 202, "filterId": 443},
+//	    {"op": "analyze", "expect": {
+//	      "hypothesis": ["contract:202", "filter:443"],
+//	      "causes": [{"signature": "unresponsive-switch", "switch": 2}]
+//	    }},
+//	    {"op": "reconnect", "switch": 2},
+//	    {"op": "deploy"}
 //	  ],
-//	  "expect": {
-//	    "hypothesis": ["contract:202", "filter:443"],
-//	    "causes": [{"signature": "unresponsive-switch", "switch": 2}]
-//	  }
+//	  "expect": {"hypothesis": [], "causes": []}
 //	}
 package scenario
 
@@ -58,7 +67,7 @@ type FilterSpec struct {
 type Step struct {
 	// Op selects the action: deploy, disconnect, reconnect, crash-agent,
 	// restart-agent, inject, add-filter, attach-filter, detach-filter,
-	// bind, corrupt, evict.
+	// bind, corrupt, evict, analyze.
 	Op string `json:"op"`
 
 	// Switch targets switch-scoped ops (disconnect, corrupt, evict, …).
@@ -85,6 +94,10 @@ type Step struct {
 	// one of vrf, src, dst, port (corrupt only).
 	Count int    `json:"count,omitempty"`
 	Field string `json:"field,omitempty"`
+
+	// Expect, on an analyze step alone, is the answer its analysis should
+	// give.
+	Expect *Expect `json:"expect,omitempty"`
 }
 
 // Scenario is a named, ordered list of steps, and optionally the answer
@@ -127,7 +140,7 @@ func Parse(data []byte) (*Scenario, error) {
 		return nil, fmt.Errorf("scenario: decode: trailing data after the scenario")
 	}
 	for i := range s.Steps {
-		if err := s.Steps[i].validate(); err != nil {
+		if err := s.Steps[i].Validate(); err != nil {
 			return nil, fmt.Errorf("scenario %q step %d: %w", s.Name, i, err)
 		}
 	}
@@ -188,9 +201,19 @@ func answer(hypothesis []object.Ref, causes []Cause) string {
 	return fmt.Sprintf("hypothesis %v, causes %v", slices.Compact(refs), slices.Compact(cs))
 }
 
-func (st *Step) validate() error {
+// Validate refuses a step Run could not carry out as written: an unknown
+// op, a field the op needs missing or out of range, or an expect on any op
+// but analyze.
+func (st *Step) Validate() error {
+	if st.Expect != nil && st.Op != "analyze" {
+		return fmt.Errorf("%s takes no expect; only an analyze step does", st.Op)
+	}
 	switch st.Op {
 	case "deploy":
+	case "analyze":
+		if st.Expect != nil {
+			return st.Expect.validate()
+		}
 	case "disconnect", "reconnect", "crash-agent", "restart-agent":
 		return st.needsSwitch()
 	case "inject":
@@ -278,11 +301,13 @@ type Result struct {
 }
 
 // Run executes the scenario against the fabric, stopping at the first
-// failing step.
-func (s *Scenario) Run(f *fabric.Fabric) (*Result, error) {
+// failing step. An analyze step calls analyze with the step's expect (nil
+// when it states none), and an error analyze returns fails the step; a
+// scenario with no analyze step may pass a nil analyze.
+func (s *Scenario) Run(f *fabric.Fabric, analyze func(*Expect) error) (*Result, error) {
 	res := &Result{}
 	for i, st := range s.Steps {
-		if err := runStep(f, st, res); err != nil {
+		if err := runStep(f, st, res, analyze); err != nil {
 			return res, fmt.Errorf("scenario %q step %d (%s): %w", s.Name, i, st.Op, err)
 		}
 		res.StepsRun++
@@ -290,10 +315,12 @@ func (s *Scenario) Run(f *fabric.Fabric) (*Result, error) {
 	return res, nil
 }
 
-func runStep(f *fabric.Fabric, st Step, res *Result) error {
+func runStep(f *fabric.Fabric, st Step, res *Result, analyze func(*Expect) error) error {
 	switch st.Op {
 	case "deploy":
 		return f.Deploy()
+	case "analyze":
+		return analyze(st.Expect)
 	case "disconnect":
 		return f.Disconnect(st.Switch)
 	case "reconnect":

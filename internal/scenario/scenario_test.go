@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"errors"
 	"slices"
 	"strings"
 	"testing"
@@ -55,7 +56,7 @@ func TestParseAndRunUnresponsiveSwitch(t *testing.T) {
 		t.Fatalf("parsed scenario: %+v", sc)
 	}
 	f := threeTierFabric(t)
-	res, err := sc.Run(f)
+	res, err := sc.Run(f, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestRunAllOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := threeTierFabric(t)
-	res, err := sc.Run(f)
+	res, err := sc.Run(f, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,6 +152,8 @@ func TestParseRejectsBadScenarios(t *testing.T) {
 		{"restart-agent-no-switch", `{"steps":[{"op":"restart-agent"}]}`, "restart-agent requires switch"},
 		{"corrupt-no-switch", `{"steps":[{"op":"corrupt","field":"src"}]}`, "corrupt requires switch"},
 		{"evict-no-switch", `{"steps":[{"op":"evict","count":2}]}`, "evict requires switch"},
+		{"expect-on-deploy", `{"steps":[{"op":"deploy","expect":{"hypothesis":[]}}]}`, "deploy takes no expect"},
+		{"analyze-expect-unknown-signature", `{"steps":[{"op":"analyze","expect":{"causes":[{"signature":"cosmic-ray","switch":1}]}}]}`, `unknown signature "cosmic-ray"`},
 	}
 	for _, tt := range bad {
 		t.Run(tt.name, func(t *testing.T) {
@@ -178,7 +181,7 @@ func TestRunStopsAtFirstFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := threeTierFabric(t)
-	res, err := sc.Run(f)
+	res, err := sc.Run(f, nil)
 	if err == nil {
 		t.Fatal("run must fail on unknown switch")
 	}
@@ -187,6 +190,55 @@ func TestRunStopsAtFirstFailure(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "step 1") {
 		t.Errorf("error should name the failing step: %v", err)
+	}
+}
+
+// TestRunCallsAnalyze: Run calls analyze once per analyze step, in order,
+// with that step's expect (nil when it states none); the first error
+// analyze returns fails that step and stops the run, and StepsRun counts
+// the analyze steps run before it like any other step.
+func TestRunCallsAnalyze(t *testing.T) {
+	sc, err := Parse([]byte(`{
+	  "name": "analyzes",
+	  "steps": [
+	    {"op": "deploy"},
+	    {"op": "analyze", "expect": {"hypothesis": ["filter:80"], "causes": []}},
+	    {"op": "inject", "object": "filter:80"},
+	    {"op": "analyze"},
+	    {"op": "analyze", "expect": {"hypothesis": [], "causes": []}},
+	    {"op": "evict", "switch": 1}
+	  ]
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []*Expect{sc.Steps[1].Expect, nil, sc.Steps[4].Expect}
+	if want[0] == nil || want[2] == nil {
+		t.Fatalf("Parse dropped an analyze step's expect: %+v", sc.Steps)
+	}
+	var got []*Expect
+	res, err := sc.Run(threeTierFabric(t), func(e *Expect) error { got = append(got, e); return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) || res.StepsRun != 6 {
+		t.Errorf("analyze saw %v over %d steps, want %v over 6", got, res.StepsRun, want)
+	}
+
+	wrong := errors.New("wrong answer")
+	got = nil
+	res, err = sc.Run(threeTierFabric(t), func(e *Expect) error {
+		got = append(got, e)
+		if len(got) == 2 {
+			return wrong
+		}
+		return nil
+	})
+	if !errors.Is(err, wrong) || !strings.Contains(err.Error(), "step 3 (analyze)") {
+		t.Errorf("Run = %v, want the analyze error, naming step 3", err)
+	}
+	if !slices.Equal(got, want[:2]) || res.StepsRun != 3 {
+		t.Errorf("a failed analyze step: analyze saw %v over %d steps, want %v over 3", got, res.StepsRun, want[:2])
 	}
 }
 
@@ -201,7 +253,7 @@ func TestInjectDefaultsToFullFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := threeTierFabric(t)
-	res, err := sc.Run(f)
+	res, err := sc.Run(f, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +282,7 @@ func TestCorruptionFieldNames(t *testing.T) {
 		if err := f.Deploy(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sc.Run(f); err != nil {
+		if _, err := sc.Run(f, nil); err != nil {
 			t.Errorf("field %q run failed: %v", field, err)
 		}
 	}
@@ -274,9 +326,10 @@ func TestExpectCheck(t *testing.T) {
 // cover every op on the testbed's IDs, a bind missing its EPGs (Parse used
 // to accept it, and its redeploy left an unknown EPG in the policy), a bind
 // to an unknown EPG (the fabric used to keep it), a corrupt count at the
-// limit, a negative evict count (Run used to evict one rule for it), and an
-// expect block naming an object twice. Every inject step Parse accepts
-// states no fraction or one in (0,1].
+// limit, a negative evict count (Run used to evict one rule for it), an
+// expect block naming an object twice, and analyze steps with and without
+// their own expect. Every inject step Parse accepts states no fraction or
+// one in (0,1], and Run calls analyze once per analyze step it reaches.
 func FuzzParseScenario(f *testing.F) {
 	pol, tp, err := workload.Generate(workload.TestbedSpec(), 1)
 	if err != nil {
@@ -299,7 +352,24 @@ func FuzzParseScenario(f *testing.F) {
 		if err := fab.Deploy(); err != nil {
 			t.Fatal(err)
 		}
-		_, _ = sc.Run(fab) // a failing step stops the run; that is allowed
+		calls := 0
+		analyze := func(e *Expect) error {
+			calls++
+			if e != nil {
+				_ = e.Check(nil, nil)
+			}
+			return nil
+		}
+		res, _ := sc.Run(fab, analyze) // a failing step stops the run; that is allowed
+		reached := 0
+		for _, st := range sc.Steps[:res.StepsRun] {
+			if st.Op == "analyze" {
+				reached++
+			}
+		}
+		if calls != reached {
+			t.Fatalf("Run called analyze %d times for the %d analyze steps it reached", calls, reached)
+		}
 		if err := fab.Deploy(); err != nil {
 			t.Fatalf("Deploy after running %q: %v", data, err)
 		}

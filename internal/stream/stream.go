@@ -11,8 +11,8 @@
 // one pending entry per switch (newest event wins), cuts batches by size,
 // and under an event storm degrades to coalescing — never to dropping a
 // switch, which would silently stale a report. Only the benchmark's
-// event-storm journey feeds it: cmd/scout -watch drains its cursor and
-// refreshes on a timer.
+// event-storm journey feeds it: cmd/scout -watch runs a round after each
+// fault that removed rules.
 package stream
 
 import (

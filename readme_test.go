@@ -33,8 +33,8 @@ const (
 )
 
 // timing is a duration written as a number and a unit. A flag's value in a
-// command (-fuzztime=15s, -batch-window 5s) is a setting, not a timing, and
-// the leading group lets the check pass it by.
+// command (-fuzztime=15s) is a setting, not a timing, and the leading group
+// lets the check pass it by.
 var timing = regexp.MustCompile(`(-[\w-]+[ =])?\b\d+(?:[.,]\d+)? ?(?:ns|µs|us|ms|s|secs?|seconds?|mins?|minutes?|h|hours?)\b`)
 
 // TestReadme holds README.md to what HEAD measures. Its three tables are

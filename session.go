@@ -186,9 +186,9 @@ func (s *Session) fabricState(tcams map[object.ID][]rule.Rule, now time.Time) St
 // session's previous run. A TCAM hands back its own list until it is
 // written, so an unwritten switch's list is its verdict's own slice, and
 // only a written one is compared rule by rule. It is also the event-driven
-// refresh: a watch loop calls it once the events it drained have waited out
-// its window, so events decide when a refresh runs, and the snapshots which
-// switches it re-checks — a write no event names included.
+// refresh: cmd/scout -watch calls it after each fault that wrote a TCAM,
+// so events decide when a refresh runs, and the snapshots which switches
+// it re-checks — a write no event names included.
 func (s *Session) Analyze() (*Report, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
