@@ -338,11 +338,12 @@ func accuracySweep(title string, names []string, maxFaults, runs int,
 }
 
 // busiestSwitch returns the switch with the most dependent objects, and
-// the index restricted to it.
+// the fault index of its run of the footprint.
 func busiestSwitch(env *Env) (object.ID, *workload.DepIndex) {
+	d := env.Deployment
 	best, bestIdx, bestObjs := object.ID(0), (*workload.DepIndex)(nil), -1
 	for _, sw := range env.Topo.Switches() {
-		local := env.Index.OnSwitch(sw)
+		local := workload.BuildIndex(&compile.Deployment{Provenance: d.Provenance, Footprint: d.OnSwitch(sw)})
 		if n := len(local.Objects()); n > bestObjs {
 			best, bestIdx, bestObjs = sw, local, n
 		}

@@ -9,6 +9,7 @@ package eval
 
 import (
 	"math/rand"
+	"slices"
 
 	"scout"
 	"scout/internal/fabric"
@@ -75,8 +76,14 @@ func trial(pol *policy.Policy, tp *topo.Topology, rng *rand.Rand, n int) (*scout
 		return nil, nil, err
 	}
 
-	// Sample the fault scenario among deployed objects.
-	candidates := workload.BuildIndex(f.Deployment()).Objects()
+	// Sample the fault scenario among deployed objects, the union of the
+	// footprint's risk lists: the fabric finds each fault's rules itself.
+	var candidates []object.Ref
+	for _, risks := range f.Deployment().Footprint.Risks {
+		candidates = append(candidates, risks...)
+	}
+	object.SortRefs(candidates)
+	candidates = slices.Compact(candidates)
 	sc, err := workload.NewScenario(rng, candidates, n, 0)
 	if err != nil {
 		return nil, nil, err

@@ -67,20 +67,18 @@ type Event struct {
 // never blocks a producer (backpressure is the consumer's coalescing
 // queue's job, not the stream's).
 type EventLog struct {
-	mu      sync.RWMutex
-	events  []Event
-	nextSeq int
+	mu     sync.RWMutex
+	events []Event
 }
 
 // NewEventLog returns an empty event stream.
 func NewEventLog() *EventLog { return &EventLog{} }
 
-// Append records an event and returns the stored entry (with Seq set).
+// Append records an event and returns it, Seq its position from 1.
 func (l *EventLog) Append(at time.Time, kind EventKind, sw object.ID, detail string) Event {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.nextSeq++
-	ev := Event{Seq: l.nextSeq, Time: at, Kind: kind, Switch: sw, Detail: detail}
+	ev := Event{Seq: len(l.events) + 1, Time: at, Kind: kind, Switch: sw, Detail: detail}
 	l.events = append(l.events, ev)
 	return ev
 }
@@ -89,19 +87,19 @@ func (l *EventLog) Append(at time.Time, kind EventKind, sw object.ID, detail str
 func (l *EventLog) LastSeq() int {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	return l.nextSeq
+	return len(l.events)
 }
 
 // Since returns the events with sequence numbers strictly greater than
-// seq, in emission order. Seq assignment is dense (1, 2, 3, …), so the
-// slice can be located by offset instead of scanning.
+// seq, in emission order. An event's Seq is its position (1, 2, 3, …),
+// so the slice is located by offset instead of scanning.
 func (l *EventLog) Since(seq int) []Event {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	if seq < 0 {
 		seq = 0
 	}
-	if seq >= l.nextSeq {
+	if seq >= len(l.events) {
 		return nil
 	}
 	return append([]Event(nil), l.events[seq:]...)

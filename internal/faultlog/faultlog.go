@@ -55,19 +55,17 @@ type Change struct {
 type ChangeLog struct {
 	mu      sync.RWMutex
 	entries []Change
-	nextSeq int
 }
 
 // NewChangeLog returns an empty change log.
 func NewChangeLog() *ChangeLog { return &ChangeLog{} }
 
-// Append records a change and returns the stored entry (with Seq set).
+// Append records a change and returns it, Seq its position from 1.
 func (l *ChangeLog) Append(at time.Time, op ChangeOp, obj object.Ref, detail string, switches ...object.ID) Change {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.nextSeq++
 	c := Change{
-		Seq:      l.nextSeq,
+		Seq:      len(l.entries) + 1,
 		Time:     at,
 		Op:       op,
 		Object:   obj,
@@ -144,27 +142,25 @@ func (f Fault) ActiveAt(t time.Time) bool {
 
 // FaultLog is an append-only device fault log, safe for concurrent use.
 type FaultLog struct {
-	mu      sync.RWMutex
-	faults  []Fault
-	nextSeq int
+	mu     sync.RWMutex
+	faults []Fault
 }
 
 // NewFaultLog returns an empty fault log.
 func NewFaultLog() *FaultLog { return &FaultLog{} }
 
-// Raise records a new active fault and returns its sequence number.
+// Raise records a new active fault and returns its Seq, its position from 1.
 func (l *FaultLog) Raise(at time.Time, code FaultCode, sw object.ID, detail string) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.nextSeq++
 	l.faults = append(l.faults, Fault{
-		Seq:    l.nextSeq,
+		Seq:    len(l.faults) + 1,
 		Code:   code,
 		Switch: sw,
 		Raised: at,
 		Detail: detail,
 	})
-	return l.nextSeq
+	return len(l.faults)
 }
 
 // Clear marks the most recent active fault with the given code on the

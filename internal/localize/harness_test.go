@@ -326,7 +326,7 @@ func runWorkload(t *testing.T, fc fabricCase) []results {
 				sw, most = s, n
 			}
 		}
-		idx = idx.OnSwitch(sw)
+		idx = workload.BuildIndex(&compile.Deployment{Provenance: d.Provenance, Footprint: d.OnSwitch(sw)})
 		candidates = idx.Objects()
 		build = func() *risk.Model { return risk.NewModel("switch", d.OnSwitch(sw)) }
 		pristine = controllerModel(t, d)

@@ -30,7 +30,9 @@ type Instance struct {
 }
 
 // DepIndex maps every policy object to the deployed rule instances whose
-// provenance contains it.
+// provenance contains it. A switch's index is BuildIndex over its run of
+// the footprint (Deployment.OnSwitch) and the deployment's provenance: the
+// whole index's instances on that switch, in the same order.
 type DepIndex struct {
 	byObject map[object.Ref][]Instance
 }
@@ -111,20 +113,6 @@ func (idx *DepIndex) Objects() []object.Ref {
 
 // Instances returns the deployed rule instances depending on ref.
 func (idx *DepIndex) Instances(ref object.Ref) []Instance { return idx.byObject[ref] }
-
-// OnSwitch returns the index restricted to switch sw: each object with an
-// instance there, listed with those instances only, in their order.
-func (idx *DepIndex) OnSwitch(sw object.ID) *DepIndex {
-	out := &DepIndex{byObject: make(map[object.Ref][]Instance)}
-	for ref, instances := range idx.byObject {
-		for _, in := range instances {
-			if in.SP.Switch == sw {
-				out.byObject[ref] = append(out.byObject[ref], in)
-			}
-		}
-	}
-	return out
-}
 
 // Fault is one injected object fault. Fraction 1 is a full object fault;
 // less than 1 a partial object fault.

@@ -214,50 +214,6 @@ func buildEnv(t *testing.T) (*compile.Deployment, *DepIndex) {
 	return d, BuildIndex(d)
 }
 
-func TestBuildIndexCoversDeployment(t *testing.T) {
-	d, idx := buildEnv(t)
-	objs := idx.Objects()
-	if len(objs) == 0 {
-		t.Fatal("index empty")
-	}
-	// Every indexed instance's provenance must contain the index key.
-	for _, ref := range objs[:10] {
-		for _, in := range idx.Instances(ref) {
-			found := false
-			for _, p := range d.Provenance[in.Key] {
-				if p == ref {
-					found = true
-				}
-			}
-			if !found {
-				t.Fatalf("instance %v indexed under %v but provenance lacks it", in, ref)
-			}
-		}
-	}
-}
-
-// TestObjectsOnSwitch: OnSwitch lists each object with the instances it
-// has on the switch, in the index's order, and no object without one.
-func TestObjectsOnSwitch(t *testing.T) {
-	d, idx := buildEnv(t)
-	sw := d.Footprint.Pairs[0].Switch
-	local := idx.OnSwitch(sw)
-	if len(local.Objects()) == 0 {
-		t.Fatal("busy switch should have objects")
-	}
-	for _, ref := range idx.Objects() {
-		var want []Instance
-		for _, in := range idx.Instances(ref) {
-			if in.SP.Switch == sw {
-				want = append(want, in)
-			}
-		}
-		if got := local.Instances(ref); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%v on switch %d: %v, want %v", ref, sw, got, want)
-		}
-	}
-}
-
 func TestNewScenario(t *testing.T) {
 	_, idx := buildEnv(t)
 	rng := rand.New(rand.NewSource(1))
@@ -435,10 +391,10 @@ func TestBuildIndexDeterministic(t *testing.T) {
 }
 
 func TestApplyToSwitchModel(t *testing.T) {
-	d, idx := buildEnv(t)
+	d, _ := buildEnv(t)
 	// Find a switch and an object deployed there.
 	sw := d.Footprint.Pairs[0].Switch
-	local := idx.OnSwitch(sw)
+	local := BuildIndex(&compile.Deployment{Provenance: d.Provenance, Footprint: d.OnSwitch(sw)})
 	objs := local.Objects()
 	if len(objs) == 0 {
 		t.Skip("empty switch")
