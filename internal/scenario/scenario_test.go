@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"encoding/json"
 	"errors"
 	"slices"
 	"strings"
@@ -82,6 +83,8 @@ func TestParseAndRunUnresponsiveSwitch(t *testing.T) {
 	}
 }
 
+// TestRunAllOps runs one step of every op the vocabulary holds, so a new
+// row arrives with a step here.
 func TestRunAllOps(t *testing.T) {
 	sc, err := Parse([]byte(`{
 	  "name": "kitchen sink",
@@ -92,22 +95,35 @@ func TestRunAllOps(t *testing.T) {
 	    {"op": "disconnect", "switch": 3},
 	    {"op": "reconnect", "switch": 3},
 	    {"op": "bind", "from": 1, "to": 3, "contract": 201},
+	    {"op": "add-filter", "filter": {"id": 443, "proto": 6, "portLo": 443, "portHi": 443}},
+	    {"op": "attach-filter", "contract": 201, "filterId": 443},
 	    {"op": "inject", "object": "filter:80", "fraction": 0.5},
 	    {"op": "corrupt", "switch": 2, "count": 2, "field": "vrf"},
 	    {"op": "evict", "switch": 2, "count": 1},
-	    {"op": "detach-filter", "contract": 202, "filterId": 80}
+	    {"op": "detach-filter", "contract": 202, "filterId": 80},
+	    {"op": "analyze"}
 	  ]
 	}`))
 	if err != nil {
 		t.Fatal(err)
 	}
+	var ran []string
+	for _, st := range sc.Steps {
+		ran = append(ran, st.Op)
+	}
+	for name := range ops {
+		if !slices.Contains(ran, name) {
+			t.Errorf("the vocabulary holds %s, which the kitchen sink does not run", name)
+		}
+	}
 	f := threeTierFabric(t)
-	res, err := sc.Run(f, nil)
+	analyzed := 0
+	res, err := sc.Run(f, func(*Expect) error { analyzed++; return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.StepsRun != 10 {
-		t.Errorf("StepsRun = %d, want 10", res.StepsRun)
+	if res.StepsRun != len(sc.Steps) || analyzed != 1 {
+		t.Errorf("StepsRun = %d, analyze called %d times; want %d and 1", res.StepsRun, analyzed, len(sc.Steps))
 	}
 	if res.RulesRemoved == 0 {
 		t.Error("inject+evict must remove rules")
@@ -154,6 +170,10 @@ func TestParseRejectsBadScenarios(t *testing.T) {
 		{"evict-no-switch", `{"steps":[{"op":"evict","count":2}]}`, "evict requires switch"},
 		{"expect-on-deploy", `{"steps":[{"op":"deploy","expect":{"hypothesis":[]}}]}`, "deploy takes no expect"},
 		{"analyze-expect-unknown-signature", `{"steps":[{"op":"analyze","expect":{"causes":[{"signature":"cosmic-ray","switch":1}]}}]}`, `unknown signature "cosmic-ray"`},
+		{"inject-with-switch", `{"steps":[{"op":"inject","object":"filter:5003","switch":3}]}`, "inject does not read switch"},
+		{"evict-with-field", `{"steps":[{"op":"evict","switch":1,"field":"port"}]}`, "evict does not read field"},
+		{"deploy-with-switch", `{"steps":[{"op":"deploy","switch":2}]}`, "deploy does not read switch"},
+		{"analyze-with-object", `{"steps":[{"op":"analyze","object":"filter:80"}]}`, "analyze does not read object"},
 	}
 	for _, tt := range bad {
 		t.Run(tt.name, func(t *testing.T) {
@@ -328,8 +348,10 @@ func TestExpectCheck(t *testing.T) {
 // to an unknown EPG (the fabric used to keep it), a corrupt count at the
 // limit, a negative evict count (Run used to evict one rule for it), an
 // expect block naming an object twice, and analyze steps with and without
-// their own expect. Every inject step Parse accepts states no fraction or
-// one in (0,1], and Run calls analyze once per analyze step it reaches.
+// their own expect, and an inject step naming a switch, which inject does
+// not read. Every step Parse accepts sets only fields its op's row of the
+// vocabulary lists, every inject step it accepts states no fraction or one
+// in (0,1], and Run calls analyze once per analyze step it reaches.
 func FuzzParseScenario(f *testing.F) {
 	pol, tp, err := workload.Generate(workload.TestbedSpec(), 1)
 	if err != nil {
@@ -341,6 +363,20 @@ func FuzzParseScenario(f *testing.F) {
 			return
 		}
 		for _, st := range sc.Steps {
+			// A step's JSON carries the fields it sets, as Parse read them.
+			data, err := json.Marshal(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var set map[string]json.RawMessage
+			if err := json.Unmarshal(data, &set); err != nil {
+				t.Fatal(err)
+			}
+			for name := range set {
+				if name != "op" && !slices.Contains(ops[st.Op].fields, name) {
+					t.Fatalf("Parse accepted a %s step that sets %s: %s", st.Op, name, data)
+				}
+			}
 			if st.Op == "inject" && st.Fraction != nil && !(*st.Fraction > 0 && *st.Fraction <= 1) {
 				t.Fatalf("Parse accepted an inject fraction of %v", *st.Fraction)
 			}

@@ -16,8 +16,9 @@ import (
 // each patch, applies the patch there with `git apply`, and runs the
 // command: a patch that no longer applies fails the test (re-make it
 // against the new code), and so does a command that passes or that fails
-// without a failed test (a build error kills nothing). -short skips it,
-// since every mutant builds and tests its own copy.
+// without a failed test (a build error kills nothing). The patches run as
+// parallel subtests, each on its own copy; -short skips them all, since
+// every mutant builds and tests its own copy.
 func TestMutants(t *testing.T) {
 	if testing.Short() {
 		t.Skip("-short: every mutant builds and tests a copy of the module")
@@ -32,6 +33,7 @@ func TestMutants(t *testing.T) {
 	}
 	for _, patch := range patches {
 		t.Run(strings.TrimSuffix(filepath.Base(patch), ".patch"), func(t *testing.T) {
+			t.Parallel()
 			data, err := os.ReadFile(patch)
 			if err != nil {
 				t.Fatal(err)
